@@ -26,11 +26,11 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let (program, home) = {
+        let (program, home, origin) = {
             let w = &self.sessions[&sid];
-            (w.program, w.home)
+            (w.program, w.home, w.origin())
         };
-        let batch = match collect_flush(&mut self.nodes[node].vm, retval, &self.buf_pool) {
+        let batch = match collect_flush(&mut self.nodes[node].vm, origin, retval, &self.buf_pool) {
             Ok(b) => b,
             Err(e) => {
                 self.fail_session(
@@ -89,10 +89,9 @@ impl Cluster {
         delay: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let Some(w) = self.sessions.get_mut(&sid) else {
+        let Some(w) = self.mark_done(sid) else {
             return;
         };
-        w.phase = WorkerPhase::Done;
         let (program, node, target, pop) = (w.program, w.node, w.return_to, w.home_pop_frames);
         let dest = match target {
             ReturnTarget::Home { node } => node,
@@ -185,12 +184,14 @@ impl Cluster {
                     return;
                 }
                 let tid = w.tid;
+                let origin = w.origin();
                 w.phase = WorkerPhase::Running;
+                let heap = &self.nodes[node].vm.heap;
                 let val = retval.map(|cv| match cv {
                     CapturedValue::Int(i) => Value::Int(i),
                     CapturedValue::Num(n) => Value::Num(n),
                     CapturedValue::Null => Value::Null,
-                    CapturedValue::HomeRef(h) => match self.nodes[node].vm.heap.find_cached(h) {
+                    CapturedValue::HomeRef(h) => match heap.find_cached_from(origin, h) {
                         Some(local) => Value::Ref(local),
                         None => Value::NulledRef(h),
                     },

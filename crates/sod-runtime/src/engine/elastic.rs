@@ -15,9 +15,9 @@
 //!    start elapses ([`Msg::PoolReady`]); scale-in marks the newest live
 //!    members `Draining`;
 //! 3. pushes each draining member's hosted stacks off via whole-stack
-//!    roaming (the `engine/migrate.rs` machinery — sessions are walked in
-//!    ascending id order so targets are deterministic) and retires
-//!    members with nothing left;
+//!    roaming (the `engine/migrate.rs` machinery — each member's live
+//!    sessions are walked in ascending id order so targets are
+//!    deterministic) and retires members with nothing left;
 //! 4. reschedules itself unless the pool is quiescent (all programs done,
 //!    nothing provisioning or draining, size back at base).
 
@@ -127,14 +127,38 @@ impl Cluster {
     /// resolves before the first restore lands, so the hosted count alone
     /// would place the entire burst on one member.
     fn active_sessions_on(&self, node: usize) -> u64 {
-        let hosted = self
+        debug_assert!(
+            self.hosted_sessions(node)
+                .eq(self.scan_hosted_sessions(node)),
+            "node {node}'s live-session index drifted from the session map"
+        );
+        self.hosted_sessions(node).count() as u64 + self.nodes[node].inbound_sessions
+    }
+
+    /// `node`'s hosted sessions still executing for an unfinished program,
+    /// in ascending id order: its live-session index (see
+    /// [`Node::live_sessions`]) minus sessions whose program has finished.
+    fn hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> + '_ {
+        self.nodes[node]
+            .live_sessions
+            .iter()
+            .filter(|(_, &program)| !self.programs[program as usize].done)
+            .map(|(&sid, _)| sid)
+    }
+
+    /// The definition [`Cluster::hosted_sessions`] indexes, as a scan of
+    /// the whole session map: the debug-build oracle, and nothing else.
+    fn scan_hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> {
+        let mut hosted: Vec<SessionId> = self
             .sessions
-            .values()
-            .filter(|w| w.node == node)
-            .filter(|w| !matches!(w.phase, WorkerPhase::Done))
-            .filter(|w| !self.programs[w.program as usize].done)
-            .count() as u64;
-        hosted + self.nodes[node].inbound_sessions
+            .iter()
+            .filter(|(_, w)| w.node == node)
+            .filter(|(_, w)| !matches!(w.phase, WorkerPhase::Done))
+            .filter(|(_, w)| !self.programs[w.program as usize].done)
+            .map(|(sid, _)| *sid)
+            .collect();
+        hosted.sort_unstable();
+        hosted.into_iter()
     }
 
     /// The pool's load: active sessions across its live and draining
@@ -142,8 +166,7 @@ impl Cluster {
     /// not resolved yet. The pending term is what makes a burst visible
     /// to the policy in time: every arrival spends the capture latency
     /// (milliseconds) frozen before placement, and the controller must
-    /// see that backlog *during* the freeze, not after. (Counting over
-    /// the session map is order-independent.)
+    /// see that backlog *during* the freeze, not after.
     fn pool_load(&self, pool: usize) -> u64 {
         self.pools[pool]
             .members
@@ -227,7 +250,8 @@ impl Cluster {
         let live = self.pools[pool].count(MemberState::Live);
         let prov = self.pools[pool].count(MemberState::Provisioning);
         let load = self.pool_load(pool);
-        let all_done = self.programs.iter().all(|p| p.done);
+        let all_done = self.programs_done == self.programs.len();
+        debug_assert_eq!(all_done, self.programs.iter().all(|p| p.done));
         let target = if all_done {
             base
         } else {
@@ -337,14 +361,9 @@ impl Cluster {
             .map(|m| m.node)
             .collect();
         for dn in draining {
-            let mut hosted: Vec<SessionId> = self
-                .sessions
-                .iter()
-                .filter(|(_, w)| w.node == dn)
-                .filter(|(_, w)| !matches!(w.phase, WorkerPhase::Done))
-                .filter(|(_, w)| !self.programs[w.program as usize].done)
-                .map(|(sid, _)| *sid)
-                .collect();
+            // Ascending session-id order (the index's own), so roam targets
+            // are deterministic.
+            let hosted: Vec<SessionId> = self.hosted_sessions(dn).collect();
             if hosted.is_empty() {
                 let p = &mut self.pools[pool];
                 if let Some(m) = p.members.iter_mut().find(|m| m.node == dn) {
@@ -354,9 +373,6 @@ impl Cluster {
                 self.nodes[dn].retired_at_ns = Some(now);
                 continue;
             }
-            // Ascending session-id order: the only iteration over the
-            // session map here, made deterministic by sorting.
-            hosted.sort_unstable();
             let mut targets: Vec<(usize, u64)> = self.pools[pool]
                 .live_members()
                 .map(|n| (n, self.active_sessions_on(n)))

@@ -562,6 +562,7 @@ impl Cluster {
             return;
         }
         p.done = true;
+        self.programs_done += 1;
         p.report.finished_at_ns = at;
         p.report.result = retval.and_then(|v| match v {
             Value::Int(i) => Some(i),
@@ -577,6 +578,7 @@ impl Cluster {
             return;
         }
         p.done = true;
+        self.programs_done += 1;
         p.error = Some(error);
         p.report.finished_at_ns = at;
         // Failure reports carry the same final stats as successes

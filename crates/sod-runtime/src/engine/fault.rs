@@ -32,7 +32,7 @@ use sod_net::{ChaosAction, DropReason, SimCtx};
 
 use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
-use super::session::{HomeSide, StagedSegment, WorkerPhase};
+use super::session::{HomeSide, StagedSegment};
 use super::Cluster;
 
 /// Default end-to-end migration deadline under fault injection (see
@@ -85,12 +85,7 @@ impl Cluster {
                 // programs are NOT failed here: the home-side migration
                 // deadline recovers them (retry or fallback). Kill order
                 // is irrelevant — killing only mutates per-session state.
-                let dead: Vec<SessionId> = self
-                    .sessions
-                    .iter()
-                    .filter(|(_, w)| w.node == node && !matches!(w.phase, WorkerPhase::Done))
-                    .map(|(sid, _)| *sid)
-                    .collect();
+                let dead: Vec<SessionId> = self.nodes[node].live_sessions.keys().copied().collect();
                 for sid in dead {
                     self.kill_session(sid);
                 }
@@ -226,10 +221,9 @@ impl Cluster {
     /// no stale event (run slice, class reply, chained return) can wake
     /// it. The thread's frames stay parked — memory, not behavior.
     fn kill_session(&mut self, sid: SessionId) {
-        let Some(w) = self.sessions.get_mut(&sid) else {
+        let Some(w) = self.mark_done(sid) else {
             return;
         };
-        w.phase = WorkerPhase::Done;
         let key = (w.node, w.tid);
         self.thread_owner.remove(&key);
     }

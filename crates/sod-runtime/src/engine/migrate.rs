@@ -516,10 +516,9 @@ impl Cluster {
     /// the session locally; the program may live on another shard, in
     /// which case the failure defers to the merge.
     pub(super) fn fail_session(&mut self, session: SessionId, error: String, at: u64) {
-        let Some(w) = self.sessions.get_mut(&session) else {
+        let Some(w) = self.mark_done(session) else {
             return;
         };
-        w.phase = WorkerPhase::Done;
         let program = w.program;
         self.defer(DeferredOp::FailProgram { program, error, at });
     }
@@ -539,14 +538,18 @@ impl Cluster {
         let dest = self.sessions[&sid].pending_roam.expect("roam dest");
         let program = self.sessions[&sid].program;
         let home = self.sessions[&sid].home;
-        let batch =
-            match super::objects::collect_flush(&mut self.nodes[node].vm, None, &self.buf_pool) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.fail_session(sid, format!("roam flush encode failed: {e}"), ctx.now());
-                    return;
-                }
-            };
+        let batch = match super::objects::collect_flush(
+            &mut self.nodes[node].vm,
+            self.sessions[&sid].origin(),
+            None,
+            &self.buf_pool,
+        ) {
+            Ok(b) => b,
+            Err(e) => {
+                self.fail_session(sid, format!("roam flush encode failed: {e}"), ctx.now());
+                return;
+            }
+        };
         if batch.is_empty() {
             // Nothing to reconcile: capture immediately.
             self.roam_capture_and_ship(node, tid, sid, dest, elapsed, ctx);
@@ -618,7 +621,7 @@ impl Cluster {
         // Retire the old session & thread. The roamed session inherits
         // the old one's slot in the episode's valid set, so its arrival
         // and eventual home return pass the chaos staleness guards.
-        self.sessions.get_mut(&sid).unwrap().phase = WorkerPhase::Done;
+        self.mark_done(sid);
         self.thread_owner.remove(&(node, tid));
         self.defer(DeferredOp::ReplaceValidSession {
             program,

@@ -415,6 +415,11 @@ pub struct Program {
 pub struct Cluster {
     pub nodes: Nodes,
     pub programs: Programs,
+    /// How many of this view's programs are `done` — what the pool
+    /// controller's every tick asks, without walking the program table.
+    /// Bumped where `done` is set (`finish_program` / `fail_program`); a
+    /// shard view counts from zero and `absorb_shard` adds it up.
+    programs_done: usize,
     sessions: HashMap<SessionId, WorkerSession>,
     thread_owner: HashMap<(usize, usize), Owner>,
     /// Per-node session-id allocation counters (see [`Cluster::alloc_session`]).
@@ -476,6 +481,7 @@ impl Cluster {
         Cluster {
             nodes: Nodes::from_vec(nodes),
             programs: Programs { slots: Vec::new() },
+            programs_done: 0,
             sessions: HashMap::new(),
             thread_owner: HashMap::new(),
             next_session: Vec::new(),
@@ -670,9 +676,7 @@ impl Cluster {
                 self.fail_program(program, error, at);
             }
             DeferredOp::RetireSession(sid) => {
-                if let Some(w) = self.sessions.get_mut(&sid) {
-                    w.phase = WorkerPhase::Done;
-                }
+                self.mark_done(sid);
             }
             DeferredOp::ReplaceValidSession { program, old, new } => {
                 let p = &mut self.programs[program as usize];
@@ -681,6 +685,17 @@ impl Cluster {
                 }
             }
         }
+    }
+
+    /// Move a locally held session to [`WorkerPhase::Done`] and drop it
+    /// from its host's live set (see [`Node::live_sessions`]) — the only
+    /// way a session reaches `Done`, so the index cannot miss a
+    /// retirement. `None` when this view does not hold the session.
+    fn mark_done(&mut self, sid: SessionId) -> Option<&WorkerSession> {
+        let w = self.sessions.get_mut(&sid)?;
+        w.phase = WorkerPhase::Done;
+        self.nodes[w.node].live_sessions.remove(&sid);
+        Some(w)
     }
 
     /// Mark a session `Done` wherever it lives: locally if owned, else via
@@ -759,6 +774,7 @@ impl Cluster {
                 Cluster {
                     nodes,
                     programs,
+                    programs_done: 0,
                     sessions,
                     thread_owner,
                     next_session,
@@ -803,6 +819,7 @@ impl Cluster {
                 self.programs.put(i, p);
             }
         }
+        self.programs_done += view.programs_done;
         self.sessions.extend(view.sessions);
         self.thread_owner.extend(view.thread_owner);
         if self.next_session.len() <= shard {

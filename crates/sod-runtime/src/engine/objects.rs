@@ -5,11 +5,13 @@ use std::collections::{HashMap, HashSet};
 
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
-use sod_vm::error::VmResult;
-use sod_vm::value::{ObjId, Value};
+use sod_vm::error::{VmError, VmResult};
+use sod_vm::heap::HeapObj;
+use sod_vm::interp::{ParkReason, ThreadState};
+use sod_vm::value::{ObjId, OriginId, Value};
 use sod_vm::wire::{
     decode_object, encode_object_pooled, extract_closure, extract_dirty, extract_object,
-    install_object, BufferPool, FrameBatch, WireObject,
+    install_object_from, BufferPool, FrameBatch, WireObject,
 };
 
 use crate::costs;
@@ -32,16 +34,28 @@ impl Cluster {
         // program's home, so the record is owned here even mid-batch; the
         // requesting session may live on another shard.
         let policy = self.programs[program as usize].fetch_policy;
-        let (root, prefetched) = match policy {
-            FetchPolicy::Shallow => (
-                extract_object(&self.nodes[home].vm.heap, home_id).expect("home object"),
-                Vec::new(),
-            ),
-            FetchPolicy::Deep => {
-                let mut closure =
-                    extract_closure(&self.nodes[home].vm.heap, home_id).expect("home closure");
+        let heap = &self.nodes[home].vm.heap;
+        let extracted = match policy {
+            FetchPolicy::Shallow => extract_object(heap, home_id).map(|root| (root, Vec::new())),
+            // The closure comes back in BFS order, root first.
+            FetchPolicy::Deep => extract_closure(heap, home_id).map(|mut closure| {
                 let root = closure.remove(0);
                 (root, closure)
+            }),
+        };
+        let (root, prefetched) = match extracted {
+            Ok(x) => x,
+            Err(e) => {
+                // A request for an object this heap never allocated: fail
+                // the program and retire the session parked on the fault
+                // (it may live on another shard, as in `class_request`).
+                self.retire_session(sid);
+                self.defer(DeferredOp::FailProgram {
+                    program,
+                    error: format!("object request for home object {home_id} failed: {e}"),
+                    at: ctx.now(),
+                });
+                return;
             }
         };
         // Encode once on the home side: the root frame first, then any
@@ -93,6 +107,7 @@ impl Cluster {
         };
         let tid = w.tid;
         let program = w.program;
+        let origin = w.origin();
         if matches!(w.phase, WorkerPhase::Done) || tid == usize::MAX {
             // Session retired (killed by a crash or a superseding retry)
             // while the reply was in flight. The bytes still arrived on
@@ -116,17 +131,12 @@ impl Cluster {
         for f in batch.into_frames() {
             self.buf_pool.recycle(f);
         }
-        let (root, prefetched) = objects
-            .split_first()
-            .expect("object reply carries the faulted root");
-        let local = install_object(&mut self.nodes[node].vm.heap, root).expect("install");
-        for p in prefetched {
-            install_object(&mut self.nodes[node].vm.heap, p).expect("install prefetch");
+        // A reply that is empty, or that reaches a thread no longer parked
+        // on a fault (a duplicate, a forgery), fails the program — typed.
+        if let Err(e) = install_reply(&mut self.nodes[node].vm, tid, origin, &objects) {
+            self.fail_session(sid, format!("object reply rejected: {e}"), ctx.now());
+            return;
         }
-        self.nodes[node]
-            .vm
-            .resume_fetched(tid, local)
-            .expect("resume fetched");
         self.defer(DeferredOp::AddObjectFault(program, bytes));
         let cost = self.nodes[node].cfg.scale(costs::deserialize_ns(bytes));
         ctx.schedule(cost, node, Msg::RunSlice { tid });
@@ -189,7 +199,7 @@ impl Cluster {
         };
         for obj in objects {
             let target = map.get(&obj.home_id).copied().unwrap_or(obj.home_id);
-            let entry = match vm.heap.get_mut(target) {
+            let mut entry = match vm.heap.get_mut(target) {
                 Ok(e) => e,
                 Err(_) => continue,
             };
@@ -240,12 +250,12 @@ impl Cluster {
         assigned: Vec<(ObjId, ObjId)>,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        // Record master ids on the local copies.
+        // Record master ids on the local copies (a temp id naming no
+        // local object is ignored, as a stale ack's would be).
+        let origin = self.sessions[&sid].origin();
         for (temp, home_id) in &assigned {
-            let local = (temp - TEMP_ID_BASE) as ObjId;
-            if let Ok(o) = self.nodes[node].vm.heap.get_mut(local) {
-                o.home_id = Some(*home_id);
-            }
+            let local = temp.wrapping_sub(TEMP_ID_BASE);
+            let _ = self.nodes[node].vm.heap.set_home(local, origin, *home_id);
         }
         let phase = std::mem::replace(
             &mut self.sessions.get_mut(&sid).unwrap().phase,
@@ -278,10 +288,35 @@ impl Cluster {
     }
 }
 
+/// Install a decoded object reply from node `origin` — the faulted root
+/// first, prefetched objects after — and resume the thread parked on it.
+/// A reply nobody is parked for is rejected before it touches the heap.
+fn install_reply(
+    vm: &mut sod_vm::interp::Vm,
+    tid: usize,
+    origin: OriginId,
+    objects: &[WireObject],
+) -> VmResult<()> {
+    let (root, prefetched) = objects.split_first().ok_or(VmError::RestoreProtocol(
+        "object reply without the faulted root",
+    ))?;
+    if !matches!(
+        vm.thread(tid)?.state,
+        ThreadState::Parked(ParkReason::ObjectFault(_))
+    ) {
+        return Err(VmError::ThreadParked(tid));
+    }
+    let local = install_object_from(&mut vm.heap, origin, root)?;
+    for p in prefetched {
+        install_object_from(&mut vm.heap, origin, p)?;
+    }
+    vm.resume_fetched(tid, local)
+}
+
 /// Export a return value, assigning temp ids to worker-created objects.
 pub(super) fn export_with_temps(vm: &sod_vm::interp::Vm, v: Value) -> CapturedValue {
     match v {
-        Value::Ref(id) => match vm.heap.get(id).ok().and_then(|o| o.home_id) {
+        Value::Ref(id) => match vm.heap.get(id).ok().and_then(|o| o.home_id()) {
             Some(h) => CapturedValue::HomeRef(h),
             None => CapturedValue::HomeRef(TEMP_ID_BASE + id),
         },
@@ -289,17 +324,29 @@ pub(super) fn export_with_temps(vm: &sod_vm::interp::Vm, v: Value) -> CapturedVa
     }
 }
 
-/// Collect the write-back set of a worker VM: dirty cached objects plus all
-/// worker-created objects reachable from them or from the return value.
-/// Each object (temp ids for worker-created ones) is encoded exactly once
-/// into a pooled frame; the returned batch's payload length is the flush
-/// byte metric. Clears dirty bits on success.
+/// Collect the write-back set of a session homed at `origin` from its
+/// worker VM: dirty cached copies of that home's objects, dirty
+/// worker-created objects, plus all worker-created objects reachable from
+/// them or from the return value. Other homes' dirty copies (several homes
+/// may share one worker) stay dirty for their own sessions' flushes. Each
+/// object (temp ids for worker-created ones) is encoded exactly once into
+/// a pooled frame; the returned batch's payload length is the flush byte
+/// metric. Clears the flushed objects' dirty bits on success.
 pub(super) fn collect_flush(
     vm: &mut sod_vm::interp::Vm,
+    origin: OriginId,
     retval: Option<Value>,
     pool: &BufferPool,
 ) -> VmResult<FrameBatch> {
-    let mut roots: Vec<ObjId> = vm.heap.dirty_objects().map(|(id, _)| id).collect();
+    let ours = |o: &HeapObj| o.origin().is_none_or(|g| g == origin);
+    // Ascending local-id order: it fixes the batch's frame order, and with
+    // it the temp-id masters the home allocates.
+    let mut roots: Vec<ObjId> = vm
+        .heap
+        .dirty_objects()
+        .filter(|(_, o)| ours(o))
+        .map(|(id, _)| id)
+        .collect();
     if let Some(Value::Ref(id)) = retval {
         roots.push(id);
     }
@@ -316,7 +363,7 @@ pub(super) fn collect_flush(
             Ok(o) => o,
             Err(_) => continue,
         };
-        let include = obj.dirty || obj.home_id.is_none();
+        let include = ours(obj) && (obj.dirty || obj.home_id().is_none());
         if !include {
             continue;
         }
@@ -338,7 +385,7 @@ pub(super) fn collect_flush(
                 .collect(),
             _ => Vec::new(),
         };
-        let obj = extract_dirty(&vm.heap, id, TEMP_ID_BASE).expect("extract dirty");
+        let obj = extract_dirty(&vm.heap, id, TEMP_ID_BASE)?;
         batch.push(encode_object_pooled(pool, &obj)?);
         for n in neighbours {
             if seen.insert(n) {
@@ -346,6 +393,6 @@ pub(super) fn collect_flush(
             }
         }
     }
-    vm.heap.clear_dirty();
+    vm.heap.clear_dirty_where(ours);
     Ok(batch)
 }

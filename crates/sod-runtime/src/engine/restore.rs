@@ -143,6 +143,7 @@ impl Cluster {
             recorded: false,
         };
         self.sessions.insert(sid, session);
+        self.nodes[node].live_sessions.insert(sid, info.program);
         // The shipped stack arrived: it is no longer in flight toward this
         // node (saturating — restores can land here via paths that never
         // counted, e.g. an explicit plan naming a member directly).
@@ -258,6 +259,7 @@ impl Cluster {
             let tid = begin_handler_restore(&mut self.nodes[node].vm, &self.sessions[&sid].state)
                 .expect("handler restore begins");
             self.nodes[node].vm.threads[tid].interp_mode = true;
+            self.nodes[node].vm.threads[tid].origin = self.sessions[&sid].origin();
             self.thread_owner.insert((node, tid), Owner::Worker(sid));
             let w = self.sessions.get_mut(&sid).unwrap();
             w.tid = tid;
@@ -272,6 +274,7 @@ impl Cluster {
             // reflective restore).
             let tid = restore_segment_direct(&mut self.nodes[node].vm, &self.sessions[&sid].state)
                 .expect("direct restore");
+            self.nodes[node].vm.threads[tid].origin = self.sessions[&sid].origin();
             self.thread_owner.insert((node, tid), Owner::Worker(sid));
             let base = if has_jvmti {
                 costs::RESTORE_FIXED_NS + nframes as u64 * costs::RESTORE_PER_FRAME_NS

@@ -17,6 +17,7 @@ use std::collections::HashSet;
 
 use bytes::Bytes;
 use sod_vm::capture::{CapturedState, CapturedValue};
+use sod_vm::value::OriginId;
 
 use crate::metrics::MigrationTimings;
 use crate::msg::{MigrationPlan, ProgramId, ReturnTarget, SegmentInfo, SessionId};
@@ -156,6 +157,14 @@ pub(super) struct WorkerSession {
     /// bytes nothing accounted for; the report-time sweep credits them to
     /// the destination's lost bucket so conservation holds under chaos.
     pub(super) recorded: bool,
+}
+
+impl WorkerSession {
+    /// The program's home node as the worker heap's cache key names it:
+    /// the origin of every object this session faults in or writes back.
+    pub(super) fn origin(&self) -> OriginId {
+        self.home as OriginId
+    }
 }
 
 /// Who owns a VM thread on a node.

@@ -1,6 +1,6 @@
 //! Node model: configuration profiles and per-node state.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sod_vm::class::ClassDef;
@@ -9,6 +9,7 @@ use sod_vm::interp::Vm;
 use crate::costs::AGENT_IDLE_SCALE_PER_MILLE;
 use crate::fs::SimFs;
 use crate::metrics::NetBytes;
+use crate::msg::{ProgramId, SessionId};
 
 /// Static node parameters.
 #[derive(Clone, Debug)]
@@ -133,6 +134,18 @@ pub struct Node {
     /// before the first restore lands, so hosted counts alone would send
     /// the whole burst to one member.
     pub inbound_sessions: u64,
+    /// Worker sessions hosted here that have not reached their `Done`
+    /// phase, each with the program it executes for: the index behind the
+    /// pool controller's load, placement and drain queries, which would
+    /// otherwise scan the cluster's never-pruned session map. Invariant:
+    /// exactly the map's sessions with `node == this node` and a phase
+    /// other than `Done`. A session enters where it is created (segment
+    /// arrival) and leaves where it is marked done (`Cluster::mark_done`)
+    /// — both touch only state the hosting shard owns, so the index is
+    /// exact under every scheduler and moves with the node through a
+    /// parallel split. Ordered, because drains walk it in ascending
+    /// session-id order.
+    pub(crate) live_sessions: BTreeMap<SessionId, ProgramId>,
     /// Virtual time this node joined the cluster (0 for nodes present from
     /// the start; the spawn instant for elastic pool members).
     pub joined_at_ns: u64,
@@ -163,6 +176,7 @@ impl Node {
             busy_ns: 0,
             events: 0,
             inbound_sessions: 0,
+            live_sessions: BTreeMap::new(),
             joined_at_ns: 0,
             retired_at_ns: None,
         }

@@ -7,19 +7,42 @@
 //!   DSM approach the paper compares against, e.g. JavaSplit) injects an
 //!   explicit check of this word before every access; the SOD *object
 //!   faulting* approach never reads it on the fast path.
-//! * every object tracks its `home_id` — the identity of its master copy on
-//!   the home node after a migration. Fetched copies are cache entries; the
-//!   object manager uses `home_id` to resolve nested faults and to write
-//!   dirty objects back.
+//! * every cached copy tracks its *home* — the node holding its master copy
+//!   (the origin) and the master's id there. Fetched copies are cache
+//!   entries; the object manager uses the home to resolve nested faults and
+//!   to write dirty objects back. Ids collide across homes, so the origin
+//!   is part of the identity.
 //!
 //! The heap also maintains a running byte total so a node memory budget can
 //! trigger guest `OutOfMemoryError`s (the paper's exception-driven offload).
+//!
+//! ## Indexes
+//!
+//! Two secondary lookups run once per object fault or segment completion,
+//! so the heap owns an index for each instead of scanning its entries:
+//!
+//! * the **cache index** maps a home `(origin, id)` to the lowest local id
+//!   caching it. An object's home is private and write-once, assigned only
+//!   by [`Heap::set_home`], which is therefore the index's single
+//!   maintenance point: entries are never re-keyed or removed, and "lowest
+//!   local id wins" is a `min` at insert.
+//! * the **dirty list** holds every object whose `dirty` flag is set, once
+//!   each. `&mut` access to an entry exists only as an [`ObjMut`] guard,
+//!   and the guard files a dirty object on the list when it drops — the
+//!   single maintenance point, which a write to the public `dirty` field
+//!   cannot bypass. Un-dirtying one object leaves it listed (the flag is
+//!   the truth; [`Heap::dirty_objects`] filters by it), so that stays O(1)
+//!   too; [`Heap::clear_dirty_where`] compacts. Iteration is in ascending
+//!   local-id order whatever the write order was: flush batches, and the
+//!   temp-id masters the home allocates from them, depend on it.
 
+use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::class::ExKind;
 use crate::error::{VmError, VmResult};
-use crate::value::{ObjId, Value};
+use crate::value::{ObjId, OriginId, Value};
 
 /// Cache status of a heap object (one machine word in the model).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,12 +76,14 @@ pub enum ObjKind {
 pub struct HeapObj {
     pub kind: ObjKind,
     pub status: ObjStatus,
-    /// Identity of the master copy on the home node (home's `ObjId`), when
-    /// this entry is a migrated-in cache copy.
-    pub home_id: Option<ObjId>,
     /// Set by `PutField`/`AStore` after a migration restore; dirty objects
     /// are flushed home when the migrated segment completes.
     pub dirty: bool,
+    /// Whether the heap's dirty list holds this entry (`dirty` implies it).
+    listed: bool,
+    /// Node holding the master copy and the master's id there, when this
+    /// entry is a migrated-in cache copy.
+    home: Option<(OriginId, ObjId)>,
 }
 
 impl HeapObj {
@@ -66,9 +91,20 @@ impl HeapObj {
         HeapObj {
             kind,
             status: ObjStatus::Local,
-            home_id: None,
             dirty: false,
+            listed: false,
+            home: None,
         }
+    }
+
+    /// Id of the master copy in its home node's heap, for a cache copy.
+    pub fn home_id(&self) -> Option<ObjId> {
+        self.home.map(|(_, id)| id)
+    }
+
+    /// Node holding the master copy, for a cache copy.
+    pub fn origin(&self) -> Option<OriginId> {
+        self.home.map(|(origin, _)| origin)
     }
 
     /// Heap bytes charged for this entry (object header modelled at 16 B).
@@ -93,6 +129,36 @@ impl HeapObj {
     }
 }
 
+/// Exclusive access to one heap entry (see the module docs): dropping it
+/// files the entry on the heap's dirty list if its `dirty` flag is set.
+pub struct ObjMut<'a> {
+    obj: &'a mut HeapObj,
+    dirty_list: &'a mut Vec<ObjId>,
+    id: ObjId,
+}
+
+impl Deref for ObjMut<'_> {
+    type Target = HeapObj;
+    fn deref(&self) -> &HeapObj {
+        self.obj
+    }
+}
+
+impl DerefMut for ObjMut<'_> {
+    fn deref_mut(&mut self) -> &mut HeapObj {
+        self.obj
+    }
+}
+
+impl Drop for ObjMut<'_> {
+    fn drop(&mut self) {
+        if self.obj.dirty && !self.obj.listed {
+            self.obj.listed = true;
+            self.dirty_list.push(self.id);
+        }
+    }
+}
+
 /// The heap of one VM.
 #[derive(Clone, Debug, Default)]
 pub struct Heap {
@@ -100,6 +166,10 @@ pub struct Heap {
     used_bytes: u64,
     /// Running count of allocations, for metrics.
     allocs: u64,
+    /// Cache index: home identity → lowest local id caching it.
+    cached: HashMap<(OriginId, ObjId), ObjId>,
+    /// Local ids of the listed entries, in filing order.
+    dirty_list: Vec<ObjId>,
 }
 
 impl Heap {
@@ -169,8 +239,16 @@ impl Heap {
         self.entries.get(id as usize).ok_or(VmError::BadRef(id))
     }
 
-    pub fn get_mut(&mut self, id: ObjId) -> VmResult<&mut HeapObj> {
-        self.entries.get_mut(id as usize).ok_or(VmError::BadRef(id))
+    pub fn get_mut(&mut self, id: ObjId) -> VmResult<ObjMut<'_>> {
+        let obj = self
+            .entries
+            .get_mut(id as usize)
+            .ok_or(VmError::BadRef(id))?;
+        Ok(ObjMut {
+            obj,
+            dirty_list: &mut self.dirty_list,
+            id,
+        })
     }
 
     /// Read a string object.
@@ -204,7 +282,7 @@ impl Heap {
     /// Write an array element with bounds checking. Returns false when out of
     /// bounds; marks the array dirty.
     pub fn arr_set(&mut self, id: ObjId, idx: i64, v: Value) -> VmResult<bool> {
-        let obj = self.get_mut(id)?;
+        let mut obj = self.get_mut(id)?;
         match &mut obj.kind {
             ObjKind::Arr { elems } => {
                 if idx < 0 || idx as usize >= elems.len() {
@@ -233,28 +311,77 @@ impl Heap {
         }
     }
 
-    /// All objects marked dirty since the given heap snapshot point.
+    /// Every dirty object, in ascending local-id order.
     pub fn dirty_objects(&self) -> impl Iterator<Item = (ObjId, &HeapObj)> {
-        self.entries
+        let mut ids: Vec<ObjId> = self
+            .dirty_list
             .iter()
-            .enumerate()
-            .filter(|(_, o)| o.dirty)
-            .map(|(i, o)| (i as ObjId, o))
+            .copied()
+            .filter(|&id| self.entries[id as usize].dirty)
+            .collect();
+        ids.sort_unstable();
+        debug_assert!(ids.iter().copied().eq(self.scan_dirty()));
+        ids.into_iter().map(|id| (id, &self.entries[id as usize]))
     }
 
-    /// Clear all dirty bits (after a flush to home).
-    pub fn clear_dirty(&mut self) {
-        for o in &mut self.entries {
-            o.dirty = false;
+    /// Clear the dirty bit of every dirty object `flushed` accepts (after a
+    /// flush to their home); the rest stay dirty for their own flush.
+    pub fn clear_dirty_where(&mut self, flushed: impl Fn(&HeapObj) -> bool) {
+        let entries = &mut self.entries;
+        self.dirty_list.retain(|&id| {
+            let obj = &mut entries[id as usize];
+            if obj.dirty && !flushed(obj) {
+                return true;
+            }
+            obj.dirty = false;
+            obj.listed = false;
+            false
+        });
+    }
+
+    /// Record that local object `id` is a cached copy of object `home_id`
+    /// of node `origin`. Write-once: a later, different assignment is
+    /// ignored (the first master wins).
+    pub fn set_home(&mut self, id: ObjId, origin: OriginId, home_id: ObjId) -> VmResult<()> {
+        let obj = self
+            .entries
+            .get_mut(id as usize)
+            .ok_or(VmError::BadRef(id))?;
+        if obj.home.is_none() {
+            obj.home = Some((origin, home_id));
+            self.cached
+                .entry((origin, home_id))
+                .and_modify(|lowest| *lowest = id.min(*lowest))
+                .or_insert(id);
         }
+        Ok(())
     }
 
-    /// Look up a cached copy of a home object, if one exists.
+    /// Look up a cached copy of object `home_id` of node `origin`: the
+    /// lowest local id whose home is that object.
+    pub fn find_cached_from(&self, origin: OriginId, home_id: ObjId) -> Option<ObjId> {
+        let found = self.cached.get(&(origin, home_id)).copied();
+        debug_assert_eq!(found, self.scan_cached(origin, home_id));
+        found
+    }
+
+    /// [`Heap::find_cached_from`] on a VM driven standalone (origin 0).
     pub fn find_cached(&self, home_id: ObjId) -> Option<ObjId> {
+        self.find_cached_from(0, home_id)
+    }
+
+    /// The linear-scan definitions of [`Heap::find_cached_from`] and
+    /// [`Heap::dirty_objects`]: the oracles the indexes are checked against
+    /// in debug builds, and nothing else.
+    fn scan_cached(&self, origin: OriginId, home_id: ObjId) -> Option<ObjId> {
         self.entries
             .iter()
-            .position(|o| o.home_id == Some(home_id))
+            .position(|o| o.home == Some((origin, home_id)))
             .map(|i| i as ObjId)
+    }
+
+    fn scan_dirty(&self) -> impl Iterator<Item = ObjId> + '_ {
+        (0..self.entries.len() as ObjId).filter(|&id| self.entries[id as usize].dirty)
     }
 }
 
@@ -306,17 +433,53 @@ mod tests {
         h.arr_set(a, 0, Value::Int(5)).unwrap();
         let dirty: Vec<_> = h.dirty_objects().map(|(id, _)| id).collect();
         assert_eq!(dirty, vec![a]);
-        h.clear_dirty();
+        h.clear_dirty_where(|_| true);
         assert_eq!(h.dirty_objects().count(), 0);
     }
 
     #[test]
-    fn cached_lookup_by_home_id() {
+    fn dirty_list_is_ascending_and_survives_per_object_undirty() {
+        let mut h = Heap::new();
+        let ids: Vec<ObjId> = (0..4).map(|_| h.alloc_arr(1)).collect();
+        // Written newest-first, through both write paths.
+        h.get_mut(ids[3]).unwrap().dirty = true;
+        h.arr_set(ids[1], 0, Value::Int(1)).unwrap();
+        h.get_mut(ids[0]).unwrap().dirty = true;
+        let dirty = |h: &Heap| h.dirty_objects().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(dirty(&h), vec![ids[0], ids[1], ids[3]]);
+        // Un-dirty one, re-dirty it: listed once, still in id order.
+        h.get_mut(ids[1]).unwrap().dirty = false;
+        assert_eq!(dirty(&h), vec![ids[0], ids[3]]);
+        h.get_mut(ids[1]).unwrap().dirty = true;
+        assert_eq!(dirty(&h), vec![ids[0], ids[1], ids[3]]);
+        // A partial clear keeps what the predicate rejects.
+        h.set_home(ids[3], 2, 9).unwrap();
+        h.clear_dirty_where(|o| o.origin().is_none());
+        assert_eq!(dirty(&h), vec![ids[3]]);
+    }
+
+    #[test]
+    fn cached_lookup_by_home() {
         let mut h = Heap::new();
         let a = h.alloc_obj("C", vec![]);
-        h.get_mut(a).unwrap().home_id = Some(77);
-        assert_eq!(h.find_cached(77), Some(a));
+        let b = h.alloc_obj("C", vec![]);
+        let c = h.alloc_obj("C", vec![]);
+        h.set_home(b, 0, 77).unwrap();
+        assert_eq!(h.find_cached(77), Some(b));
         assert_eq!(h.find_cached(78), None);
+        // Ids collide across homes: the origin is part of the key.
+        assert_eq!(h.find_cached_from(1, 77), None);
+        h.set_home(c, 1, 77).unwrap();
+        assert_eq!(h.find_cached_from(1, 77), Some(c));
+        assert_eq!(h.find_cached(77), Some(b));
+        // A late assignment to an older object: the lowest local id wins.
+        h.set_home(a, 0, 77).unwrap();
+        assert_eq!(h.find_cached(77), Some(a));
+        // Write-once: the first master wins.
+        h.set_home(a, 0, 5).unwrap();
+        assert_eq!(h.get(a).unwrap().home_id(), Some(77));
+        assert_eq!(h.find_cached(5), None);
+        assert!(h.set_home(9, 0, 1).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::frame::Frame;
 use crate::heap::{Heap, ObjKind};
 use crate::instr::Instr;
 use crate::intrinsics::{self, IntrinsicEval};
-use crate::value::{ObjId, Value};
+use crate::value::{ObjId, OriginId, Value};
 
 /// A class loaded (linked) into a VM.
 ///
@@ -219,6 +219,11 @@ pub struct VmThread {
     /// [`INTERP_MODE_FACTOR`] (debugger active → interpreted mode during
     /// a handler-protocol restore).
     pub interp_mode: bool,
+    /// Home node of the program this thread executes a migrated segment
+    /// of: the node its transfer-nulled references name masters on. Set by
+    /// whoever restores the segment; 0 (the only home a standalone VM has)
+    /// otherwise.
+    pub origin: OriginId,
 }
 
 impl VmThread {
@@ -232,6 +237,7 @@ impl VmThread {
             seg_frames: 0,
             restore_session: None,
             interp_mode: false,
+            origin: 0,
         }
     }
 
@@ -248,6 +254,7 @@ impl VmThread {
             seg_frames: 0,
             restore_session: None,
             interp_mode: false,
+            origin: 0,
         }
     }
 
@@ -467,7 +474,12 @@ impl Vm {
         use crate::capture::CapturedValue;
         match v {
             Value::Ref(id) => {
-                let home = self.heap.get(id).ok().and_then(|o| o.home_id).unwrap_or(id);
+                let home = self
+                    .heap
+                    .get(id)
+                    .ok()
+                    .and_then(|o| o.home_id())
+                    .unwrap_or(id);
                 CapturedValue::HomeRef(home)
             }
             other => CapturedValue::from_value(other),
@@ -768,7 +780,7 @@ impl Vm {
 
     /// Resume a thread parked on an object fault by installing a fetched
     /// object copy. `local_id` must already be in this VM's heap with its
-    /// `home_id` recorded; the pending fault's binding is applied and the
+    /// home recorded; the pending fault's binding is applied and the
     /// faulting `Bring*` instruction completes.
     pub fn resume_fetched(&mut self, tid: usize, local_id: ObjId) -> VmResult<()> {
         let pending = {
@@ -799,7 +811,7 @@ impl Vm {
                     .ok_or(VmError::BadLocalSlot(slot))? = Value::Ref(local_id);
             }
             FaultBind::Field { base, field_idx } => {
-                let obj = self.heap.get_mut(base)?;
+                let mut obj = self.heap.get_mut(base)?;
                 match &mut obj.kind {
                     ObjKind::Obj { fields, .. } => {
                         *fields.get_mut(field_idx).ok_or(VmError::BadRef(base))? =
@@ -1228,7 +1240,7 @@ impl Vm {
                                 Value::Null => None,
                                 Value::NulledRef(h) => Some((true, h)),
                                 Value::Ref(id) => {
-                                    match self.heap.get(id).ok().and_then(|o| o.home_id) {
+                                    match self.heap.get(id).ok().and_then(|o| o.home_id()) {
                                         Some(h) => Some((true, h)),
                                         None => Some((false, id)),
                                     }
@@ -1412,7 +1424,7 @@ impl Vm {
                 let base = pop!();
                 let Value::Ref(id) = base else { npe!() };
                 if cell.is_filled() {
-                    let obj = self.heap.get_mut(id)?;
+                    let mut obj = self.heap.get_mut(id)?;
                     if let ObjKind::Obj { class, fields } = &mut obj.kind {
                         if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
                             fields[cell.b as usize] = v;
@@ -1438,7 +1450,7 @@ impl Vm {
                     (target_ci, fi)
                 };
                 let canon = (!self.slow_resolve).then(|| self.classes[target_ci].name_arc.clone());
-                let obj = self.heap.get_mut(id)?;
+                let mut obj = self.heap.get_mut(id)?;
                 match &mut obj.kind {
                     ObjKind::Obj { class, fields } => {
                         if let Some(canon) = canon {
@@ -1924,7 +1936,7 @@ impl Vm {
                 if let Value::Ref(id) = v {
                     let obj = self.heap.get(id)?;
                     if obj.status == crate::heap::ObjStatus::Invalid {
-                        let home = obj.home_id.ok_or(VmError::BadRef(id))?;
+                        let home = obj.home_id().ok_or(VmError::BadRef(id))?;
                         return self.park_fault(
                             tid,
                             ObjectQuery { home_id: home },
@@ -1965,7 +1977,8 @@ impl Vm {
         // A cached copy of the home object (e.g. installed by a prefetch)
         // satisfies the fault locally — no round trip.
         if !matches!(bind, FaultBind::Stub) {
-            if let Some(local) = self.heap.find_cached(query.home_id) {
+            let origin = self.threads[tid].origin;
+            if let Some(local) = self.heap.find_cached_from(origin, query.home_id) {
                 self.apply_bind(tid, bind, local)?;
                 let f = self.threads[tid].top_mut().ok_or(VmError::BadThread(tid))?;
                 f.pc += 1;

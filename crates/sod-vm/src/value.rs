@@ -17,6 +17,11 @@ use crate::error::{VmError, VmResult};
 /// Index of an object in a VM heap. Only meaningful within one VM instance.
 pub type ObjId = u32;
 
+/// Index of the node whose heap holds an object's master copy. Object ids
+/// are per-heap, so a cached copy is identified by `(OriginId, ObjId)`. A
+/// VM driven standalone (no cluster around it) has one home: origin 0.
+pub type OriginId = u32;
+
 /// A single stack-machine value (one local-variable slot / operand).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {

@@ -591,7 +591,7 @@ pub fn decode_object(mut buf: Bytes) -> VmResult<WireObject> {
 // ---------------------------------------------------------------------------
 
 use crate::heap::{Heap, ObjKind};
-use crate::value::Value;
+use crate::value::{OriginId, Value};
 
 /// Extract object `id` from a heap as a shallow [`WireObject`]: primitive
 /// slots by value, reference slots as home ids (nulled + flagged on
@@ -651,12 +651,12 @@ pub fn extract_closure(heap: &Heap, id: ObjId) -> VmResult<Vec<WireObject>> {
     Ok(out)
 }
 
-/// Install a shipped object into a worker heap as a cached copy: reference
-/// slots become transfer-nulled values carrying their home identity (they
-/// fault in on demand), and `home_id` is recorded for nested fault
-/// resolution and write-back. If a copy of the same home object already
-/// exists it is refreshed in place.
-pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
+/// Install an object shipped from node `origin` into a worker heap as a
+/// cached copy: reference slots become transfer-nulled values carrying
+/// their home identity (they fault in on demand), and the copy's home is
+/// recorded for nested fault resolution and write-back. If a copy of the
+/// same home object already exists it is refreshed in place.
+pub fn install_object_from(heap: &mut Heap, origin: OriginId, obj: &WireObject) -> VmResult<ObjId> {
     let conv =
         |vs: &[CapturedValue]| -> Vec<Value> { vs.iter().map(|v| v.to_nulled_value()).collect() };
     let kind = match &obj.body {
@@ -670,8 +670,8 @@ pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
         WireObjBody::Arr { elems } => ObjKind::Arr { elems: conv(elems) },
         WireObjBody::Str(s) => ObjKind::Str(s.clone()),
     };
-    if let Some(existing) = heap.find_cached(obj.home_id) {
-        let slot = heap.get_mut(existing)?;
+    if let Some(existing) = heap.find_cached_from(origin, obj.home_id) {
+        let mut slot = heap.get_mut(existing)?;
         slot.kind = kind;
         slot.status = crate::heap::ObjStatus::Local;
         slot.dirty = false;
@@ -683,8 +683,13 @@ pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
         ObjKind::Str(s) => heap.alloc_str(s),
         ObjKind::Exception { .. } => unreachable!("wire bodies never decode to exceptions"),
     };
-    heap.get_mut(id)?.home_id = Some(obj.home_id);
+    heap.set_home(id, origin, obj.home_id)?;
     Ok(id)
+}
+
+/// [`install_object_from`] on a VM driven standalone (origin 0).
+pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
+    install_object_from(heap, 0, obj)
 }
 
 /// Build the wire form of a *dirty* object for the write-back flush: values
@@ -699,7 +704,7 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
         vs.iter()
             .map(|v| {
                 Ok(match v {
-                    Value::Ref(r) => match heap.get(*r)?.home_id {
+                    Value::Ref(r) => match heap.get(*r)?.home_id() {
                         Some(h) => CapturedValue::HomeRef(h),
                         None => CapturedValue::HomeRef(temp_base + r),
                     },
@@ -719,7 +724,7 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
         ObjKind::Str(s) => WireObjBody::Str(s.clone()),
         ObjKind::Exception { message, .. } => WireObjBody::Str(message.clone()),
     };
-    let home_id = obj.home_id.unwrap_or(temp_base + id);
+    let home_id = obj.home_id().unwrap_or(temp_base + id);
     Ok(WireObject { home_id, body })
 }
 
