@@ -1,6 +1,6 @@
 //! Criterion statistics for the interpreter inner loop: the same
 //! workloads as `bin/vm`, each run with the fast path on (default) and
-//! off (`slow_resolve`) so the dispatch optimisation's host-time win is
+//! off (`Vm::reference`) so the dispatch optimisation's host-time win is
 //! tracked over time. Guest-visible results are bit-identical between
 //! the two modes (`tests/interp_equivalence.rs`); only host time moves.
 
@@ -9,8 +9,7 @@ use sod_bench::vmdispatch::{fib_workload, object_loop_workload, VmWorkload};
 use sod_vm::interp::Vm;
 
 fn run(w: &VmWorkload, slow: bool) -> Option<sod_vm::value::Value> {
-    let mut vm = Vm::new();
-    vm.slow_resolve = slow;
+    let mut vm = if slow { Vm::reference() } else { Vm::new() };
     vm.load_class(&w.class).unwrap();
     vm.run_to_completion(w.entry_class, "main", &w.args)
         .unwrap()

@@ -1,6 +1,6 @@
 //! Regenerate the interpreter-dispatch table (`TABLE VM`) and its
 //! `BENCH_vm.json` summary: host ns per simulated instruction with the
-//! fast path off (`slow_resolve`, the pre-fast-path interpreter) and on
+//! fast path off (`Vm::reference`, the pre-fast-path semantics) and on
 //! (inline caches + superinstructions, the default).
 //!
 //! The table and the JSON both print to stdout; pass a path (e.g.

@@ -76,7 +76,7 @@ pub fn states() -> Vec<(&'static str, CapturedState)> {
 /// pooled encode, then length reads), plus the decode cost both pay.
 pub struct CodecRow {
     pub state: &'static str,
-    /// Wire frame length (== the arithmetic `wire_bytes()`, asserted).
+    /// Wire frame length (== `wire_bytes()`, asserted).
     pub bytes: u64,
     /// Host ns per hop when every size query re-serializes the payload.
     pub reencode_ns: f64,

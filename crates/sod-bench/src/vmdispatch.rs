@@ -1,7 +1,7 @@
 //! Host-time cost of the interpreter inner loop: nanoseconds of *host*
 //! time per *simulated* instruction, measured with the fast path on
 //! (pre-resolved operands, inline caches, superinstructions — the
-//! default) and off (`Vm::slow_resolve`, which re-resolves every name
+//! default) and off (`Vm::reference`, which re-resolves every name
 //! from the constant pool on each execution, exactly as the interpreter
 //! worked before the fast path landed).
 //!
@@ -101,7 +101,7 @@ pub struct VmDispatchRow {
     /// Guest instructions retired per run (identical in both modes —
     /// asserted, not assumed).
     pub instructions: u64,
-    /// Host ns per simulated instruction with `slow_resolve` forced on.
+    /// Host ns per simulated instruction on a `Vm::reference` VM.
     pub slow_ns_per_instr: f64,
     /// Host ns per simulated instruction on the default fast path.
     pub fast_ns_per_instr: f64,
@@ -116,8 +116,7 @@ impl VmDispatchRow {
 /// Run `w` once in the given mode; returns (host ns, instructions,
 /// virtual meter ns, result).
 fn run_once(w: &VmWorkload, slow: bool) -> (u64, u64, u64, Option<Value>) {
-    let mut vm = Vm::new();
-    vm.slow_resolve = slow;
+    let mut vm = if slow { Vm::reference() } else { Vm::new() };
     vm.load_class(&w.class).expect("load workload class");
     let started = Instant::now();
     let result = vm

@@ -207,7 +207,6 @@ impl Cluster {
                     return;
                 }
             };
-            debug_assert_eq!(frame.len() as u64, state.wire_bytes());
             self.programs[program as usize].staged.push(StagedSegment {
                 dest,
                 info,
@@ -636,7 +635,6 @@ impl Cluster {
                 return;
             }
         };
-        debug_assert_eq!(frame.len() as u64, state.wire_bytes());
 
         self.ship_segment(
             node,

@@ -134,32 +134,43 @@ pub enum CodeShipping {
     BundleAlways,
 }
 
-/// Sparse, ownership-audited storage for per-node state.
+/// Sparse, ownership-audited storage, instantiated for per-node state
+/// ([`Nodes`]) and for programs ([`Programs`]).
 ///
 /// The master cluster holds every slot. During a parallel safe-horizon
 /// batch (see [`sod_net::Scheduler::Parallel`]), `split_shards` *moves*
-/// each drained shard's node out into that shard's worker view, leaving
-/// `None` behind; indexing an absent slot — a handler reaching across
-/// shard boundaries — panics with an "ownership auditor" message instead
-/// of silently racing. Handler code indexes `self.nodes[i]` unchanged.
-pub struct Nodes {
-    slots: Vec<Option<Node>>,
+/// each drained shard's node — and the programs homed there, whose mutable
+/// records live with the shard that hosts their root thread — out into
+/// that shard's worker view, leaving `None` behind; indexing an absent
+/// slot — a handler reaching across shard boundaries — panics with an
+/// "ownership auditor" message instead of silently racing. Handler code
+/// indexes `self.nodes[i]` / `self.programs[p as usize]` unchanged.
+pub struct Slots<T> {
+    slots: Vec<Option<T>>,
+    /// What a slot holds ("node" / "program"), for the auditor's panics.
+    noun: &'static str,
 }
 
-impl Nodes {
-    fn from_vec(nodes: Vec<Node>) -> Self {
-        Nodes {
-            slots: nodes.into_iter().map(Some).collect(),
+pub type Nodes = Slots<Node>;
+pub type Programs = Slots<Program>;
+
+impl<T> Slots<T> {
+    fn new(noun: &'static str, items: Vec<T>) -> Self {
+        Slots {
+            slots: items.into_iter().map(Some).collect(),
+            noun,
         }
     }
 
-    fn hollow(len: usize) -> Self {
-        Nodes {
-            slots: (0..len).map(|_| None).collect(),
+    /// A view of the same shape as `self` that owns nothing yet.
+    fn hollow(&self) -> Self {
+        Slots {
+            slots: self.slots.iter().map(|_| None).collect(),
+            noun: self.noun,
         }
     }
 
-    /// Fleet size (slot count — includes slots on loan to shard views).
+    /// Slot count (includes slots on loan to shard views).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -168,133 +179,61 @@ impl Nodes {
         self.slots.is_empty()
     }
 
-    pub fn push(&mut self, node: Node) {
-        self.slots.push(Some(node));
+    pub fn push(&mut self, item: T) {
+        self.slots.push(Some(item));
     }
 
-    /// Whether this view currently owns node `i`'s state.
+    /// Whether this view currently owns slot `i`'s state.
     pub(super) fn owns(&self, i: usize) -> bool {
         self.slots.get(i).is_some_and(Option::is_some)
     }
 
-    fn take(&mut self, i: usize) -> Option<Node> {
+    fn take(&mut self, i: usize) -> Option<T> {
         self.slots.get_mut(i).and_then(Option::take)
     }
 
-    fn put(&mut self, i: usize, node: Node) {
-        self.slots[i] = Some(node);
+    fn put(&mut self, i: usize, item: T) {
+        self.slots[i] = Some(item);
     }
 
-    /// Iterate every node. Panics on a split-out slot, so it is only
+    /// Iterate every slot. Panics on a split-out slot, so it is only
     /// callable on the master view (reports, chaos hooks).
-    pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.slots.iter().enumerate().map(|(i, s)| {
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        let noun = self.noun;
+        self.slots.iter().enumerate().map(move |(i, s)| {
             s.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: iterated node {i} while it is loaned to a shard view")
+                panic!("ownership auditor: iterated {noun} {i} while it is loaned to a shard view")
             })
         })
     }
 }
 
-impl Index<usize> for Nodes {
-    type Output = Node;
-    fn index(&self, i: usize) -> &Node {
-        self.slots[i].as_ref().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched node {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
+fn not_owned(noun: &str, i: usize) -> ! {
+    panic!(
+        "ownership auditor: touched {noun} {i} from a shard view that does not own it \
+         (cross-shard access while draining in parallel)"
+    )
 }
 
-impl IndexMut<usize> for Nodes {
-    fn index_mut(&mut self, i: usize) -> &mut Node {
-        self.slots[i].as_mut().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched node {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
-}
-
-/// Sparse, ownership-audited storage for programs, partitioned by home
-/// node during a parallel batch (a program's mutable record lives with
-/// the shard that hosts its root thread). Same auditing contract as
-/// [`Nodes`].
-pub struct Programs {
-    slots: Vec<Option<Program>>,
-}
-
-impl Programs {
-    fn hollow(len: usize) -> Self {
-        Programs {
-            slots: (0..len).map(|_| None).collect(),
-        }
-    }
-
-    /// Registered program count (includes programs on loan to views).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    pub fn push(&mut self, p: Program) {
-        self.slots.push(Some(p));
-    }
-
-    pub(super) fn owns(&self, program: ProgramId) -> bool {
-        self.slots
-            .get(program as usize)
-            .is_some_and(Option::is_some)
-    }
-
+impl Slots<Program> {
     fn home_of(&self, i: usize) -> Option<usize> {
         self.slots.get(i).and_then(|s| s.as_ref()).map(|p| p.home)
     }
+}
 
-    fn take(&mut self, i: usize) -> Option<Program> {
-        self.slots.get_mut(i).and_then(Option::take)
-    }
-
-    fn put(&mut self, i: usize, p: Program) {
-        self.slots[i] = Some(p);
-    }
-
-    /// Iterate every program (master view only — see [`Nodes::iter`]).
-    pub fn iter(&self) -> impl Iterator<Item = &Program> {
-        self.slots.iter().enumerate().map(|(i, s)| {
-            s.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: iterated program {i} while it is loaned to a shard view")
-            })
-        })
+impl<T> Index<usize> for Slots<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        self.slots[i]
+            .as_ref()
+            .unwrap_or_else(|| not_owned(self.noun, i))
     }
 }
 
-impl Index<usize> for Programs {
-    type Output = Program;
-    fn index(&self, i: usize) -> &Program {
-        self.slots[i].as_ref().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched program {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
-}
-
-impl IndexMut<usize> for Programs {
-    fn index_mut(&mut self, i: usize) -> &mut Program {
-        self.slots[i].as_mut().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched program {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
+impl<T> IndexMut<usize> for Slots<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        let noun = self.noun;
+        self.slots[i].as_mut().unwrap_or_else(|| not_owned(noun, i))
     }
 }
 
@@ -479,8 +418,8 @@ pub struct Cluster {
 impl Cluster {
     pub fn new(nodes: Vec<Node>) -> Self {
         Cluster {
-            nodes: Nodes::from_vec(nodes),
-            programs: Programs { slots: Vec::new() },
+            nodes: Slots::new("node", nodes),
+            programs: Slots::new("program", Vec::new()),
             programs_done: 0,
             sessions: HashMap::new(),
             thread_owner: HashMap::new(),
@@ -635,7 +574,7 @@ impl Cluster {
             | DeferredOp::AddObjectFault(p, _)
             | DeferredOp::PushMigration(p, _)
             | DeferredOp::FailProgram { program: p, .. }
-            | DeferredOp::ReplaceValidSession { program: p, .. } => self.programs.owns(*p),
+            | DeferredOp::ReplaceValidSession { program: p, .. } => self.programs.owns(*p as usize),
             // Sessions are never removed from the map, so "absent" can
             // only mean "owned by another shard this batch".
             DeferredOp::RetireSession(sid) => self.sessions.contains_key(sid),
@@ -737,11 +676,11 @@ impl Cluster {
         shards
             .iter()
             .map(|&s| {
-                let mut nodes = Nodes::hollow(nnodes);
+                let mut nodes = self.nodes.hollow();
                 if let Some(n) = self.nodes.take(s) {
                     nodes.put(s, n);
                 }
-                let mut programs = Programs::hollow(nprogs);
+                let mut programs = self.programs.hollow();
                 for pid in 0..nprogs {
                     if self.programs.home_of(pid) == Some(s) {
                         if let Some(p) = self.programs.take(pid) {

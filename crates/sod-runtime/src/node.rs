@@ -30,9 +30,10 @@ pub struct NodeConfig {
     /// Guest heap budget; allocations beyond it raise `OutOfMemoryError`
     /// (exception-driven offload experiments).
     pub mem_limit: Option<u64>,
-    /// Pin this node's VM to the name-resolution reference path (no inline
-    /// caches, no superinstructions). Differential-testing aid — reports
-    /// must be bit-identical either way.
+    /// Build this node's VM as the name-resolution reference
+    /// (`Vm::reference`: inline caches that never fill, no
+    /// superinstructions). Differential-testing aid — reports must be
+    /// bit-identical either way.
     pub slow_resolve: bool,
 }
 
@@ -156,12 +157,13 @@ pub struct Node {
 
 impl Node {
     pub fn new(cfg: NodeConfig) -> Self {
-        let mut vm = Vm::new();
+        let mut vm = if cfg.slow_resolve {
+            Vm::reference()
+        } else {
+            Vm::new()
+        };
         vm.cost_scale_per_mille = cfg.exec_scale_per_mille;
         vm.mem_limit = cfg.mem_limit;
-        if cfg.slow_resolve {
-            vm.slow_resolve = true;
-        }
         Node {
             cfg,
             vm,

@@ -82,14 +82,6 @@ impl CapturedValue {
             CapturedValue::HomeRef(h) => Value::Ref(map(h).ok_or(VmError::BadRef(h))?),
         })
     }
-
-    /// Serialized size in bytes (tag + payload), for transfer costing.
-    pub fn wire_bytes(self) -> u64 {
-        match self {
-            CapturedValue::Null => 1,
-            _ => 9,
-        }
-    }
 }
 
 /// One captured frame.
@@ -101,26 +93,11 @@ pub struct CapturedFrame {
     pub locals: Vec<CapturedValue>,
 }
 
-impl CapturedFrame {
-    pub fn wire_bytes(&self) -> u64 {
-        8 + self.class.len() as u64
-            + self.method.len() as u64
-            + 4
-            + self.locals.iter().map(|v| v.wire_bytes()).sum::<u64>()
-    }
-}
-
 /// Captured statics of one class.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CapturedStatics {
     pub class: String,
     pub values: Vec<CapturedValue>,
-}
-
-impl CapturedStatics {
-    pub fn wire_bytes(&self) -> u64 {
-        4 + self.class.len() as u64 + self.values.iter().map(|v| v.wire_bytes()).sum::<u64>()
-    }
 }
 
 /// The unit SOD ships: a segment of frames (bottom-up) plus class statics.
@@ -132,12 +109,6 @@ pub struct CapturedState {
 }
 
 impl CapturedState {
-    /// Serialized size of the state message (drives transfer time).
-    pub fn wire_bytes(&self) -> u64 {
-        16 + self.frames.iter().map(|f| f.wire_bytes()).sum::<u64>()
-            + self.statics.iter().map(|s| s.wire_bytes()).sum::<u64>()
-    }
-
     /// Accumulated size of local and static fields — the paper's Table I
     /// `F` column.
     pub fn field_bytes(&self) -> u64 {

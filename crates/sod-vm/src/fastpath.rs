@@ -1,23 +1,28 @@
 //! Interpreter fast path: inline-cache slots and link-time
 //! superinstruction fusion.
 //!
-//! Three rules keep the fast path *observably identical* to name-by-name
-//! resolution (the reference semantics, still reachable via
-//! [`crate::interp::Vm::slow_resolve`] / the `slow-resolve` cargo feature):
+//! Everything here is acceleration state a VM may simply lack. The
+//! reference semantics the differential suites compare against are not a
+//! second interpreter path but a VM built without it
+//! ([`crate::interp::Vm::reference`]): its classes link with an empty fusion
+//! table and its inline caches never fill, so every site takes — forever —
+//! the by-name resolution a fast VM takes on its first visit.
+//!
+//! Three rules keep a warmed fast VM *observably identical* to that:
 //!
 //! * **Caches are positive-only and node-local.** A VM's class table is
 //!   append-only — a resolved `(class, member)` pair never changes for the
 //!   life of the VM — so a filled cache never needs invalidation; class
 //!   *load* (local deploy or code shipping) only makes previously-missing
 //!   names resolvable, and misses are never cached (the thread parks on
-//!   `ClassMiss` exactly as before). Caches live in [`crate::interp::LoadedClass`],
+//!   `ClassMiss`). Caches live in [`crate::interp::LoadedClass`],
 //!   which `capture`/`wire` never serialize: a migrated stack arrives cold
 //!   and rewarms at the destination, so reports stay bit-identical.
 //! * **Receiver-keyed caches validate by pointer.** Field and virtual-call
 //!   sites cache `(receiver class, slot index)`; the receiver check is an
 //!   `Arc::ptr_eq` against the loaded class's canonical name `Arc`. Objects
-//!   that arrive over the wire carry a fresh `Arc` and simply take the slow
-//!   resolve once, after which their class pointer is canonicalized.
+//!   that arrive over the wire carry a fresh `Arc` and simply miss once,
+//!   after which their class pointer is canonicalized.
 //! * **Fused pairs charge and retire as two instructions.** A fused cell
 //!   charges `c1` and `c2` through two separate [`crate::interp::Vm`] meter
 //!   charges (per-charge scaling does not distribute over sums), bumps

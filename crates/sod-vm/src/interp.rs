@@ -18,6 +18,16 @@
 //!   the last-passed safe point of every frame (for exception-driven
 //!   offload), and exposes run modes that stop at the next safe point when a
 //!   migration request is pending.
+//! * **One resolve-and-cache path.** A name-bearing instruction reads its
+//!   inline-cache cell unconditionally; on a miss it resolves by name and
+//!   hands the result to the single cache writer (`fill_ic`). The reference
+//!   semantics the differential suites compare against are this same code
+//!   in a VM built without acceleration state ([`Vm::reference`]): no
+//!   fusion table is linked and the writer refuses to fill, so every site
+//!   misses forever — the cold state every migrated stack *arrives* in
+//!   (see [`crate::fastpath`]). The instructions only preprocessor-injected
+//!   code executes live out of line in `exec_protocol`, keeping the hot
+//!   match in `exec_instr` small.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -63,7 +73,9 @@ pub struct LoadedClass {
 }
 
 impl LoadedClass {
-    fn link(def: ClassDef) -> VmResult<Self> {
+    /// Verify and link `def`. A reference VM gets an empty fusion table, so
+    /// its dispatch never finds a fused cell.
+    fn link(def: ClassDef, reference: bool) -> VmResult<Self> {
         let summaries = class_summaries(&def)?;
         let method_map = def
             .methods
@@ -88,7 +100,17 @@ impl LoadedClass {
         let statics = def.default_static_values();
         let name_arc: Arc<str> = Arc::from(def.name.as_str());
         let ics = def.methods.iter().map(build_ic_row).collect();
-        let fused = def.methods.iter().map(build_fusion_table).collect();
+        let fused = def
+            .methods
+            .iter()
+            .map(|m| {
+                if reference {
+                    Vec::new()
+                } else {
+                    build_fusion_table(m)
+                }
+            })
+            .collect();
         Ok(LoadedClass {
             def,
             summaries,
@@ -354,12 +376,10 @@ pub struct Vm {
     pub cost_scale_per_mille: u32,
     /// Heap byte budget; allocations beyond it raise guest `OutOfMemory`.
     pub mem_limit: Option<u64>,
-    /// Reference-semantics switch for differential testing: resolve every
-    /// name per execution (the pre-fast-path behaviour), never consult or
-    /// fill inline caches, and never dispatch fused pairs. Defaults to the
-    /// `slow-resolve` cargo feature. Reports must be bit-identical either
-    /// way — pinned by `tests/interp_equivalence.rs`.
-    pub slow_resolve: bool,
+    /// Whether this is a reference VM (see [`Vm::reference`]). Fixed at
+    /// construction and read only where acceleration state would be built:
+    /// linking a class and filling an inline-cache cell.
+    reference: bool,
 }
 
 impl Default for Vm {
@@ -382,7 +402,20 @@ impl Vm {
             instr_count: 0,
             cost_scale_per_mille: 1000,
             mem_limit: None,
-            slow_resolve: cfg!(feature = "slow-resolve"),
+            reference: false,
+        }
+    }
+
+    /// A VM with the reference semantics the differential suites compare
+    /// against: the same interpreter, built without acceleration state. Its
+    /// classes link with no fusion table and its inline caches never fill,
+    /// so every site misses forever and re-runs the by-name resolution a
+    /// fast VM runs on its first visit. Reports must be bit-identical either
+    /// way — pinned by `tests/interp_equivalence.rs`.
+    pub fn reference() -> Self {
+        Vm {
+            reference: true,
+            ..Self::new()
         }
     }
 
@@ -395,7 +428,7 @@ impl Vm {
         if self.class_index.contains_key(&def.name) {
             return Err(VmError::DuplicateClass(def.name.clone()));
         }
-        let linked = LoadedClass::link(def.clone())?;
+        let linked = LoadedClass::link(def.clone(), self.reference)?;
         let idx = self.classes.len();
         self.class_index.insert(def.name.clone(), idx);
         self.classes.push(linked);
@@ -572,12 +605,12 @@ impl Vm {
     }
 
     /// One dispatch inside a [`Vm::run`] slice: like [`Vm::step`], but when
-    /// no breakpoint is armed and the reference path is off, a fused
-    /// superinstruction cell at the current pc executes both halves —
-    /// honouring `remaining_ns` between them, exactly where the unfused
-    /// loop would have checked its budget.
+    /// no breakpoint is armed, a fused superinstruction cell at the current
+    /// pc (a reference VM links none) executes both halves — honouring
+    /// `remaining_ns` between them, exactly where the unfused loop would
+    /// have checked its budget.
     fn step_sliced(&mut self, tid: usize, remaining_ns: u64) -> VmResult<StepOutcome> {
-        if self.breakpoints.is_empty() && !self.slow_resolve {
+        if self.breakpoints.is_empty() {
             match &self.thread(tid)?.state {
                 ThreadState::Runnable => {}
                 ThreadState::Parked(_) => return Err(VmError::ThreadParked(tid)),
@@ -1057,6 +1090,19 @@ impl Vm {
                 return self.throw_and_outcome(tid, ExKind::NullPointer, "null dereference")
             };
         }
+        macro_rules! static_site {
+            ($cidx:expr, $nidx:expr, $method:expr) => {
+                match self.static_site(ci, mi, pc, $cidx, $nidx, $method)? {
+                    Some(site) => site,
+                    // A missing class parks the thread and is never
+                    // cached; the instruction re-executes once it loads.
+                    None => {
+                        let cname = self.classes[ci].def.pool_str($cidx)?.to_owned();
+                        return self.park_class_miss(tid, cname);
+                    }
+                }
+            };
+        }
 
         match instr {
             PushI(v) => {
@@ -1071,27 +1117,22 @@ impl Vm {
                 // IC: `a` caches the interned ObjId for this site. Interning
                 // is VM-global and immutable once assigned, so a filled cell
                 // is valid forever.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
+                let cell = self.ic(ci, mi, pc);
+                let id = if cell.is_filled() {
+                    cell.a
                 } else {
-                    self.classes[ci].ics[mi][pc as usize]
+                    let s = self.classes[ci].def.pool_str(idx)?;
+                    let id = match self.interned.get(s) {
+                        Some(&id) => id,
+                        None => {
+                            let id = self.heap.alloc_str(s);
+                            self.interned.insert(s.to_owned(), id);
+                            id
+                        }
+                    };
+                    self.fill_ic(ci, mi, pc, id as usize, 0);
+                    id
                 };
-                if cell.is_filled() {
-                    push!(Value::Ref(cell.a));
-                    return advance!();
-                }
-                let s = self.classes[ci].def.pool_str(idx)?;
-                let id = match self.interned.get(s) {
-                    Some(&id) => id,
-                    None => {
-                        let id = self.heap.alloc_str(s);
-                        self.interned.insert(s.to_owned(), id);
-                        id
-                    }
-                };
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell { a: id, b: 0 };
-                }
                 push!(Value::Ref(id));
                 advance!()
             }
@@ -1308,30 +1349,19 @@ impl Vm {
             New(cidx) => {
                 // IC: `a` caches the resolved class index. The class table is
                 // append-only, so a filled cell never needs revalidation; a
-                // miss parks (never cached) exactly like the reference path.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
+                // missing class parks and is never cached.
+                let cell = self.ic(ci, mi, pc);
                 let target_ci = if cell.is_filled() {
                     cell.a as usize
                 } else {
                     let cname = self.classes[ci].def.pool_str(cidx)?;
-                    match self.class_index.get(cname) {
-                        Some(&tci) => tci,
-                        None => {
-                            let cname = cname.to_owned();
-                            return self.park_class_miss(tid, cname);
-                        }
-                    }
-                };
-                if !self.slow_resolve && !cell.is_filled() {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: 0,
+                    let Some(tci) = self.class_idx(cname) else {
+                        let cname = cname.to_owned();
+                        return self.park_class_miss(tid, cname);
                     };
-                }
+                    self.fill_ic(ci, mi, pc, tci, 0);
+                    tci
+                };
                 let fields = self.classes[target_ci].def.default_instance_values();
                 // The instance shares the loaded class's canonical name Arc:
                 // no string copy per allocation, and receiver-keyed caches
@@ -1350,15 +1380,11 @@ impl Vm {
                 // IC: `a` = receiver class index, `b` = field slot, valid
                 // when the receiver's class Arc is pointer-equal to the
                 // cached class's canonical name.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
+                let cell = self.ic(ci, mi, pc);
                 if !cell.is_filled() {
-                    // Validate the pool index before popping, as the
-                    // reference path does; a filled cell proves a prior
-                    // successful resolution of this very operand.
+                    // Validate the pool index before popping; a filled cell
+                    // proves a prior successful resolution of this very
+                    // operand.
                     self.classes[ci].def.pool_str(fidx)?;
                 }
                 let base = pop!();
@@ -1372,51 +1398,21 @@ impl Vm {
                         }
                     }
                 }
-                let (target_ci, fi, v) = {
-                    let obj = self.heap.get(id)?;
-                    let ObjKind::Obj { class, fields } = &obj.kind else {
-                        return Err(VmError::TypeMismatch {
-                            expected: "object",
-                            found: "array/string",
-                        });
-                    };
-                    let target_ci = self
-                        .class_index
-                        .get(class.as_ref())
-                        .copied()
-                        .ok_or_else(|| VmError::ClassNotFound(class.to_string()))?;
-                    let fname = self.classes[ci].def.pool_str(fidx)?;
-                    let fi = self.classes[target_ci]
-                        .instance_field_idx(fname)
-                        .ok_or_else(|| VmError::FieldNotFound {
-                            class: class.to_string(),
-                            field: fname.to_owned(),
-                        })?;
-                    (target_ci, fi, fields[fi])
+                let ObjKind::Obj { fields, .. } = &self.heap.get(id)?.kind else {
+                    return Err(VmError::TypeMismatch {
+                        expected: "object",
+                        found: "array/string",
+                    });
                 };
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: fi as u32,
-                    };
-                    // Canonicalize the receiver's class Arc (wire-installed
-                    // objects arrive with a fresh one) so the next access at
-                    // any receiver-keyed site is a pointer match.
-                    let canon = self.classes[target_ci].name_arc.clone();
-                    if let ObjKind::Obj { class, .. } = &mut self.heap.get_mut(id)?.kind {
-                        *class = canon;
-                    }
-                }
+                let (target_ci, fi) = self.resolve_field(ci, fidx, id)?;
+                let v = fields[fi];
+                self.fill_receiver_ic(ci, mi, pc, target_ci, fi, id)?;
                 push!(v);
                 advance!()
             }
             PutField(fidx) => {
                 // IC layout as GetField: receiver class index + field slot.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
+                let cell = self.ic(ci, mi, pc);
                 if !cell.is_filled() {
                     self.classes[ci].def.pool_str(fidx)?;
                 }
@@ -1433,131 +1429,33 @@ impl Vm {
                         }
                     }
                 }
-                let (target_ci, fi) = {
-                    let class = self.heap.get(id)?.class_name();
-                    let target_ci = self
-                        .class_index
-                        .get(class)
-                        .copied()
-                        .ok_or_else(|| VmError::ClassNotFound(class.to_owned()))?;
-                    let fname = self.classes[ci].def.pool_str(fidx)?;
-                    let fi = self.classes[target_ci]
-                        .instance_field_idx(fname)
-                        .ok_or_else(|| VmError::FieldNotFound {
-                            class: class.to_owned(),
-                            field: fname.to_owned(),
-                        })?;
-                    (target_ci, fi)
-                };
-                let canon = (!self.slow_resolve).then(|| self.classes[target_ci].name_arc.clone());
-                let mut obj = self.heap.get_mut(id)?;
-                match &mut obj.kind {
-                    ObjKind::Obj { class, fields } => {
-                        if let Some(canon) = canon {
-                            *class = canon;
-                        }
-                        fields[fi] = v;
-                        obj.dirty = true;
+                let (target_ci, fi) = self.resolve_field(ci, fidx, id)?;
+                {
+                    let mut obj = self.heap.get_mut(id)?;
+                    match &mut obj.kind {
+                        ObjKind::Obj { fields, .. } => fields[fi] = v,
+                        _ => unreachable!("resolve_field found the receiver's class"),
                     }
-                    _ => unreachable!("class_name returned a class"),
+                    obj.dirty = true;
                 }
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: fi as u32,
-                    };
-                }
+                self.fill_receiver_ic(ci, mi, pc, target_ci, fi, id)?;
                 advance!()
             }
             GetStatic(cidx, fidx) => {
-                // IC: `a` = class index, `b` = static slot. Statics never
-                // move once linked, so a filled cell reads directly.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
-                if cell.is_filled() {
-                    let v = self.classes[cell.a as usize].statics[cell.b as usize];
-                    push!(v);
-                    return advance!();
-                }
-                let resolved = {
-                    let cname = self.classes[ci].def.pool_str(cidx)?;
-                    let fname = self.classes[ci].def.pool_str(fidx)?;
-                    match self.class_index.get(cname).copied() {
-                        Some(tci) => match self.classes[tci].static_field_idx(fname) {
-                            Some(fi) => Some((tci, fi)),
-                            None => {
-                                return Err(VmError::FieldNotFound {
-                                    class: cname.to_owned(),
-                                    field: fname.to_owned(),
-                                })
-                            }
-                        },
-                        None => None,
-                    }
-                };
-                let Some((target_ci, fi)) = resolved else {
-                    let cname = self.classes[ci].def.pool_str(cidx)?.to_owned();
-                    return self.park_class_miss(tid, cname);
-                };
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: fi as u32,
-                    };
-                }
+                let (target_ci, fi) = static_site!(cidx, fidx, false);
                 let v = self.classes[target_ci].statics[fi];
                 push!(v);
                 advance!()
             }
             PutStatic(cidx, fidx) => {
-                // IC layout as GetStatic. A filled cell proves class and
-                // slot exist, so the popped value is always consumed.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
-                if cell.is_filled() {
-                    let v = pop!();
-                    self.classes[cell.a as usize].statics[cell.b as usize] = v;
-                    return advance!();
-                }
-                // Validate both pool indices before the pop, as the
-                // reference path does.
-                self.classes[ci].def.pool_str(cidx)?;
-                self.classes[ci].def.pool_str(fidx)?;
+                // Resolved before the pop, so a class-miss park leaves the
+                // operand stack exactly as the re-execution needs it. The
+                // value is there to pop afterwards: the verifier rejects any
+                // pc whose stack depth is below `Instr::pops`
+                // (`analysis::method_summary`, "stack underflow").
+                let (target_ci, fi) = static_site!(cidx, fidx, false);
                 let v = pop!();
-                let resolved = {
-                    let cname = self.classes[ci].def.pool_str(cidx)?;
-                    let fname = self.classes[ci].def.pool_str(fidx)?;
-                    match self.class_index.get(cname).copied() {
-                        Some(tci) => match self.classes[tci].static_field_idx(fname) {
-                            Some(fi) => Ok((tci, fi)),
-                            None => Err(VmError::FieldNotFound {
-                                class: cname.to_owned(),
-                                field: fname.to_owned(),
-                            }),
-                        },
-                        None => {
-                            // Undo the pop before parking so re-execution is
-                            // clean.
-                            let cname = cname.to_owned();
-                            push!(v);
-                            return self.park_class_miss(tid, cname);
-                        }
-                    }
-                };
-                let (target_ci, fi) = resolved?;
                 self.classes[target_ci].statics[fi] = v;
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: fi as u32,
-                    };
-                }
                 advance!()
             }
             NewArr => {
@@ -1613,42 +1511,7 @@ impl Vm {
                 advance!()
             }
             InvokeStatic(cidx, midx, nargs) => {
-                // IC: `a` = class index, `b` = method index — static call
-                // targets are fixed once resolved.
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
-                if cell.is_filled() {
-                    return self.push_callee_frame(tid, cell.a as usize, cell.b as usize, nargs);
-                }
-                let resolved = {
-                    let cname = self.classes[ci].def.pool_str(cidx)?;
-                    let mname = self.classes[ci].def.pool_str(midx)?;
-                    match self.class_index.get(cname).copied() {
-                        Some(tci) => match self.classes[tci].method_idx(mname) {
-                            Some(tmi) => Some((tci, tmi)),
-                            None => {
-                                return Err(VmError::MethodNotFound {
-                                    class: cname.to_owned(),
-                                    method: mname.to_owned(),
-                                })
-                            }
-                        },
-                        None => None,
-                    }
-                };
-                let Some((target_ci, target_mi)) = resolved else {
-                    let cname = self.classes[ci].def.pool_str(cidx)?.to_owned();
-                    return self.park_class_miss(tid, cname);
-                };
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: target_mi as u32,
-                    };
-                }
+                let (target_ci, target_mi) = static_site!(cidx, midx, true);
                 self.push_callee_frame(tid, target_ci, target_mi, nargs)
             }
             InvokeVirtual(midx, nargs) => {
@@ -1657,11 +1520,7 @@ impl Vm {
                 // validated by pointer against the receiver's class Arc
                 // (monomorphic sites hit; a new receiver class re-resolves
                 // and re-fills).
-                let cell = if self.slow_resolve {
-                    IcCell::EMPTY
-                } else {
-                    self.classes[ci].ics[mi][pc as usize]
-                };
+                let cell = self.ic(ci, mi, pc);
                 if !cell.is_filled() {
                     self.classes[ci].def.pool_str(midx)?;
                 }
@@ -1686,40 +1545,21 @@ impl Vm {
                         }
                     }
                 }
-                let resolved = {
-                    let cname = self.heap.get(id)?.class_name();
-                    match self.class_index.get(cname).copied() {
-                        Some(tci) => {
-                            let mname = self.classes[ci].def.pool_str(midx)?;
-                            match self.classes[tci].method_idx(mname) {
-                                Some(tmi) => Some((tci, tmi)),
-                                None => {
-                                    return Err(VmError::MethodNotFound {
-                                        class: cname.to_owned(),
-                                        method: mname.to_owned(),
-                                    })
-                                }
-                            }
-                        }
-                        None => None,
-                    }
-                };
-                let Some((target_ci, target_mi)) = resolved else {
-                    // Strings, arrays and unshipped classes park by
-                    // (pseudo-)class name, exactly as the reference path.
-                    let cname = self.heap.get(id)?.class_name().to_owned();
+                // Strings, arrays and unshipped classes park by
+                // (pseudo-)class name.
+                let cname = self.heap.get(id)?.class_name();
+                let Some(target_ci) = self.class_idx(cname) else {
+                    let cname = cname.to_owned();
                     return self.park_class_miss(tid, cname);
                 };
-                if !self.slow_resolve {
-                    self.classes[ci].ics[mi][pc as usize] = IcCell {
-                        a: target_ci as u32,
-                        b: target_mi as u32,
-                    };
-                    let canon = self.classes[target_ci].name_arc.clone();
-                    if let ObjKind::Obj { class, .. } = &mut self.heap.get_mut(id)?.kind {
-                        *class = canon;
+                let mname = self.classes[ci].def.pool_str(midx)?;
+                let target_mi = self.classes[target_ci].method_idx(mname).ok_or_else(|| {
+                    VmError::MethodNotFound {
+                        class: cname.to_owned(),
+                        method: mname.to_owned(),
                     }
-                }
+                })?;
+                self.fill_receiver_ic(ci, mi, pc, target_ci, target_mi, id)?;
                 self.push_callee_frame(tid, target_ci, target_mi, nargs)
             }
             Ret => self.pop_frame(tid, None),
@@ -1779,161 +1619,203 @@ impl Vm {
                     }
                 }
             }
-            ReadCaptured(slot) => {
-                let session = self.threads[tid]
-                    .restore_session
-                    .as_ref()
-                    .ok_or(VmError::RestoreProtocol("ReadCaptured without session"))?;
-                let (locals, _) = session
-                    .frames
-                    .get(session.cursor)
-                    .ok_or(VmError::RestoreProtocol("restore cursor out of range"))?;
-                let v = locals
+            ReadCaptured(_) | ReadCapturedPc | RestoreLocal(_) | BringObjLocal(_)
+            | BringObjField(..) | BringObjStaticTo(..) | BringObjElemTo(..) | RethrowAppNpe
+            | CheckStatus(_) => self.exec_protocol(tid, ci, pc, instr),
+            Nop => advance!(),
+        }
+    }
+
+    /// The inline-cache cell of the site at `(ci, mi, pc)`. Read
+    /// unconditionally: a reference VM's cells simply never fill.
+    #[inline]
+    fn ic(&self, ci: usize, mi: usize, pc: u32) -> IcCell {
+        self.classes[ci].ics[mi][pc as usize]
+    }
+
+    /// The single inline-cache writer. A reference VM refuses to fill, so
+    /// every one of its sites misses forever and falls through to by-name
+    /// resolution. Returns whether the cell was written.
+    #[inline]
+    fn fill_ic(&mut self, ci: usize, mi: usize, pc: u32, a: usize, b: usize) -> bool {
+        if self.reference {
+            return false;
+        }
+        self.classes[ci].ics[mi][pc as usize] = IcCell {
+            a: a as u32,
+            b: b as u32,
+        };
+        true
+    }
+
+    /// Fill a receiver-keyed site and canonicalize the receiver's class
+    /// `Arc` (wire-installed objects arrive with a fresh one) so the next
+    /// access at any receiver-keyed site is a pointer match.
+    fn fill_receiver_ic(
+        &mut self,
+        ci: usize,
+        mi: usize,
+        pc: u32,
+        target_ci: usize,
+        member: usize,
+        recv: ObjId,
+    ) -> VmResult<()> {
+        if self.fill_ic(ci, mi, pc, target_ci, member) {
+            let canon = self.classes[target_ci].name_arc.clone();
+            if let ObjKind::Obj { class, .. } = &mut self.heap.get_mut(recv)?.kind {
+                *class = canon;
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolve the instance field named by `pool[fidx]` of class `ci`
+    /// against the class of heap object `recv`: `(class index, field slot)`.
+    fn resolve_field(&self, ci: usize, fidx: u16, recv: ObjId) -> VmResult<(usize, usize)> {
+        let class = self.heap.get(recv)?.class_name();
+        let target_ci = self
+            .class_idx(class)
+            .ok_or_else(|| VmError::ClassNotFound(class.to_owned()))?;
+        let fname = self.classes[ci].def.pool_str(fidx)?;
+        let fi = self.classes[target_ci]
+            .instance_field_idx(fname)
+            .ok_or_else(|| VmError::FieldNotFound {
+                class: class.to_owned(),
+                field: fname.to_owned(),
+            })?;
+        Ok((target_ci, fi))
+    }
+
+    /// Resolve `pool[cidx].pool[nidx]` of class `ci` by name — a static
+    /// field, or with `method` a method — to `(class index, member index)`;
+    /// `None` when the class is not loaded.
+    fn resolve_static(
+        &self,
+        ci: usize,
+        cidx: u16,
+        nidx: u16,
+        method: bool,
+    ) -> VmResult<Option<(usize, usize)>> {
+        let def = &self.classes[ci].def;
+        let (cname, member) = (def.pool_str(cidx)?, def.pool_str(nidx)?);
+        let Some(target_ci) = self.class_idx(cname) else {
+            return Ok(None);
+        };
+        let target = &self.classes[target_ci];
+        let found = if method {
+            target.method_idx(member)
+        } else {
+            target.static_field_idx(member)
+        };
+        match found {
+            Some(i) => Ok(Some((target_ci, i))),
+            None if method => Err(VmError::MethodNotFound {
+                class: cname.to_owned(),
+                method: member.to_owned(),
+            }),
+            None => Err(VmError::FieldNotFound {
+                class: cname.to_owned(),
+                field: member.to_owned(),
+            }),
+        }
+    }
+
+    /// A `GetStatic` / `PutStatic` / `InvokeStatic` site: `(class index,
+    /// member index)` from the cell (`a`, `b`) on a hit — statics and
+    /// static call targets never move once linked — else resolved by pool
+    /// names and cached; `None` (never cached) when the class is not loaded.
+    #[inline]
+    fn static_site(
+        &mut self,
+        ci: usize,
+        mi: usize,
+        pc: u32,
+        cidx: u16,
+        nidx: u16,
+        method: bool,
+    ) -> VmResult<Option<(usize, usize)>> {
+        let cell = self.ic(ci, mi, pc);
+        if cell.is_filled() {
+            return Ok(Some((cell.a as usize, cell.b as usize)));
+        }
+        let site = self.resolve_static(ci, cidx, nidx, method)?;
+        if let Some((target_ci, member)) = site {
+            self.fill_ic(ci, mi, pc, target_ci, member);
+        }
+        Ok(site)
+    }
+
+    /// The captured frame a restoration handler is rebuilding: `(locals,
+    /// pc)` under the thread's restore cursor.
+    fn captured_frame(&self, tid: usize) -> VmResult<&(Vec<CapturedValue>, u32)> {
+        let session = self.threads[tid].restore_session.as_ref();
+        let session = session.ok_or(VmError::RestoreProtocol("captured-frame read, no session"))?;
+        let frame = session.frames.get(session.cursor);
+        frame.ok_or(VmError::RestoreProtocol("restore cursor out of range"))
+    }
+
+    /// The instructions only preprocessor-injected code executes: the
+    /// restoration handlers' captured-frame reads, the object-fault
+    /// handlers' `BringObj*` family, and the status-checking baseline's
+    /// probe. Out of line so the hot match in [`Vm::exec_instr`] stays small.
+    #[cold]
+    #[inline(never)]
+    fn exec_protocol(
+        &mut self,
+        tid: usize,
+        ci: usize,
+        pc: u32,
+        instr: Instr,
+    ) -> VmResult<StepOutcome> {
+        use Instr::*;
+
+        let local = |vm: &Vm, slot: u16| -> VmResult<Value> {
+            let f = vm.threads[tid].top().expect("frame");
+            f.locals
+                .get(slot as usize)
+                .copied()
+                .ok_or(VmError::BadLocalSlot(slot))
+        };
+        let advance = |vm: &mut Vm| {
+            vm.threads[tid].frames.last_mut().expect("frame").pc = pc + 1;
+            Ok(StepOutcome::Continue)
+        };
+
+        // A `BringObj*` yields the value in the slot it guards and where a
+        // fetched copy would be bound; everything else completes here.
+        let (current, bind) = match instr {
+            ReadCaptured(slot) | RestoreLocal(slot) => {
+                let v = self
+                    .captured_frame(tid)?
+                    .0
                     .get(slot as usize)
                     .ok_or(VmError::BadLocalSlot(slot))?
                     .to_nulled_value();
-                push!(v);
-                advance!()
+                let f = self.threads[tid].frames.last_mut().expect("frame");
+                if matches!(instr, ReadCaptured(_)) {
+                    f.ostack.push(v);
+                } else {
+                    *f.locals
+                        .get_mut(slot as usize)
+                        .ok_or(VmError::BadLocalSlot(slot))? = v;
+                }
+                return advance(self);
             }
             ReadCapturedPc => {
-                let session = self.threads[tid]
-                    .restore_session
-                    .as_ref()
-                    .ok_or(VmError::RestoreProtocol("ReadCapturedPc without session"))?;
-                let (_, cap_pc) = session
-                    .frames
-                    .get(session.cursor)
-                    .ok_or(VmError::RestoreProtocol("restore cursor out of range"))?;
-                push!(Value::Int(*cap_pc as i64));
-                advance!()
+                let cap_pc = self.captured_frame(tid)?.1;
+                let f = self.threads[tid].frames.last_mut().expect("frame");
+                f.ostack.push(Value::Int(i64::from(cap_pc)));
+                return advance(self);
             }
-            BringObjLocal(slot) => {
-                let f = self.threads[tid].top().unwrap();
-                let cur = *f
-                    .locals
-                    .get(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))?;
-                match cur {
-                    // Another fault already repaired this slot; retry.
-                    Value::Ref(_) => advance!(),
-                    Value::NulledRef(home) => self.park_fault(
-                        tid,
-                        ObjectQuery { home_id: home },
-                        FaultBind::Local { slot },
-                    ),
-                    // The null was computed by the guest: a genuine
-                    // application NPE, not an object miss.
-                    _ => self.app_npe(tid),
-                }
-            }
-            BringObjField(base_slot, fidx) => {
-                let fname = self.classes[ci].def.pool_str(fidx)?.to_owned();
-                let f = self.threads[tid].top().unwrap();
-                let base = *f
-                    .locals
-                    .get(base_slot as usize)
-                    .ok_or(VmError::BadLocalSlot(base_slot))?;
-                let Value::Ref(base_id) = base else {
-                    // Base itself is null: handler chains fix the base first;
-                    // reaching here means the handler chain is malformed.
-                    return Err(VmError::RestoreProtocol("BringObjField on null base"));
-                };
-                let obj = self.heap.get(base_id)?;
-                let class = obj.class_name().to_owned();
-                let target_ci = self
-                    .class_idx(&class)
-                    .ok_or_else(|| VmError::ClassNotFound(class.clone()))?;
-                let field_idx = self.classes[target_ci]
-                    .instance_field_idx(&fname)
-                    .ok_or_else(|| VmError::FieldNotFound {
-                        class,
-                        field: fname.clone(),
-                    })?;
-                let current = match &self.heap.get(base_id)?.kind {
-                    ObjKind::Obj { fields, .. } => fields[field_idx],
-                    _ => return Err(VmError::BadRef(base_id)),
-                };
-                match current {
-                    Value::Ref(_) => advance!(),
-                    Value::NulledRef(home) => self.park_fault(
-                        tid,
-                        ObjectQuery { home_id: home },
-                        FaultBind::Field {
-                            base: base_id,
-                            field_idx,
-                        },
-                    ),
-                    _ => self.app_npe(tid),
-                }
-            }
-            BringObjStaticTo(cidx, fidx, dest) => {
-                let cname = self.classes[ci].def.pool_str(cidx)?.to_owned();
-                let fname = self.classes[ci].def.pool_str(fidx)?.to_owned();
-                let target_ci = self
-                    .class_idx(&cname)
-                    .ok_or_else(|| VmError::ClassNotFound(cname.clone()))?;
-                let static_idx = self.classes[target_ci]
-                    .static_field_idx(&fname)
-                    .ok_or_else(|| VmError::FieldNotFound {
-                        class: cname.clone(),
-                        field: fname.clone(),
-                    })?;
-                match self.classes[target_ci].statics[static_idx] {
-                    Value::Ref(_) => advance!(),
-                    Value::NulledRef(home) => self.park_fault(
-                        tid,
-                        ObjectQuery { home_id: home },
-                        FaultBind::StaticTo {
-                            class_idx: target_ci,
-                            static_idx,
-                            dest_slot: dest,
-                        },
-                    ),
-                    _ => self.app_npe(tid),
-                }
-            }
-            BringObjElemTo(base_slot, idx_slot, dest) => {
-                let f = self.threads[tid].top().unwrap();
-                let base = *f
-                    .locals
-                    .get(base_slot as usize)
-                    .ok_or(VmError::BadLocalSlot(base_slot))?;
-                let idx = f
-                    .locals
-                    .get(idx_slot as usize)
-                    .ok_or(VmError::BadLocalSlot(idx_slot))?
-                    .as_int()?;
-                let Value::Ref(base_id) = base else {
-                    return Err(VmError::RestoreProtocol("BringObjElemTo on null base"));
-                };
-                match self.heap.arr_get(base_id, idx)? {
-                    Some(Value::Ref(_)) => advance!(),
-                    Some(Value::NulledRef(home)) => self.park_fault(
-                        tid,
-                        ObjectQuery { home_id: home },
-                        FaultBind::ElemTo {
-                            base: base_id,
-                            index: idx,
-                            dest_slot: dest,
-                        },
-                    ),
-                    Some(_) => self.app_npe(tid),
-                    None => self.throw_and_outcome(
-                        tid,
-                        ExKind::ArrayBounds,
-                        &format!("index {idx} out of bounds"),
-                    ),
-                }
-            }
-            RethrowAppNpe => self.app_npe(tid),
+            RethrowAppNpe => return self.app_npe(tid),
             CheckStatus(depth) => {
-                let f = self.threads[tid].top().unwrap();
-                let n = f.ostack.len();
-                let pos = n
+                let f = self.threads[tid].top().expect("frame");
+                let pos = f
+                    .ostack
+                    .len()
                     .checked_sub(1 + depth as usize)
                     .ok_or(VmError::StackUnderflow)?;
-                let v = f.ostack[pos];
-                if let Value::Ref(id) = v {
+                if let Value::Ref(id) = f.ostack[pos] {
                     let obj = self.heap.get(id)?;
                     if obj.status == crate::heap::ObjStatus::Invalid {
                         let home = obj.home_id().ok_or(VmError::BadRef(id))?;
@@ -1944,27 +1826,69 @@ impl Vm {
                         );
                     }
                 }
-                advance!()
+                return advance(self);
             }
-            RestoreLocal(slot) => {
-                let session = self.threads[tid]
-                    .restore_session
-                    .as_ref()
-                    .ok_or(VmError::RestoreProtocol("RestoreLocal without session"))?;
-                let (locals, _) = session
-                    .frames
-                    .get(session.cursor)
-                    .ok_or(VmError::RestoreProtocol("restore cursor out of range"))?;
-                let cap = *locals
-                    .get(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))?;
-                let f = frame!();
-                *f.locals
-                    .get_mut(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))? = cap.to_nulled_value();
-                advance!()
+            BringObjLocal(slot) => (local(self, slot)?, FaultBind::Local { slot }),
+            BringObjField(base_slot, fidx) => {
+                self.classes[ci].def.pool_str(fidx)?;
+                let Value::Ref(base) = local(self, base_slot)? else {
+                    // Base itself is null: handler chains fix the base first;
+                    // reaching here means the handler chain is malformed.
+                    return Err(VmError::RestoreProtocol("BringObjField on null base"));
+                };
+                let (_, field_idx) = self.resolve_field(ci, fidx, base)?;
+                let current = match &self.heap.get(base)?.kind {
+                    ObjKind::Obj { fields, .. } => fields[field_idx],
+                    _ => return Err(VmError::BadRef(base)),
+                };
+                (current, FaultBind::Field { base, field_idx })
             }
-            Nop => advance!(),
+            BringObjStaticTo(cidx, fidx, dest_slot) => {
+                let Some((class_idx, static_idx)) = self.resolve_static(ci, cidx, fidx, false)?
+                else {
+                    let cname = self.classes[ci].def.pool_str(cidx)?.to_owned();
+                    return Err(VmError::ClassNotFound(cname));
+                };
+                (
+                    self.classes[class_idx].statics[static_idx],
+                    FaultBind::StaticTo {
+                        class_idx,
+                        static_idx,
+                        dest_slot,
+                    },
+                )
+            }
+            BringObjElemTo(base_slot, idx_slot, dest_slot) => {
+                let base = local(self, base_slot)?;
+                let index = local(self, idx_slot)?.as_int()?;
+                let Value::Ref(base) = base else {
+                    return Err(VmError::RestoreProtocol("BringObjElemTo on null base"));
+                };
+                let Some(current) = self.heap.arr_get(base, index)? else {
+                    return self.throw_and_outcome(
+                        tid,
+                        ExKind::ArrayBounds,
+                        &format!("index {index} out of bounds"),
+                    );
+                };
+                (
+                    current,
+                    FaultBind::ElemTo {
+                        base,
+                        index,
+                        dest_slot,
+                    },
+                )
+            }
+            _ => unreachable!("exec_instr routes only the protocol family here"),
+        };
+        match current {
+            // Another fault already repaired this slot; retry.
+            Value::Ref(_) => advance(self),
+            Value::NulledRef(home) => self.park_fault(tid, ObjectQuery { home_id: home }, bind),
+            // The null was computed by the guest: a genuine application
+            // NPE, not an object miss.
+            _ => self.app_npe(tid),
         }
     }
 
@@ -2109,7 +2033,10 @@ mod tests {
     use crate::value::TypeOf;
 
     fn vm_with(classes: &[ClassDef]) -> Vm {
-        let mut vm = Vm::new();
+        load_into(Vm::new(), classes)
+    }
+
+    fn load_into(mut vm: Vm, classes: &[ClassDef]) -> Vm {
         for c in classes {
             vm.load_class(c).unwrap();
         }
@@ -2421,25 +2348,52 @@ mod tests {
 
     #[test]
     fn class_miss_parks_until_loaded() {
+        // main: Cfg.seen = 4; return Lazy.get(5) — each static site names a
+        // class that is not loaded yet. Both must park with their operand
+        // still on the stack (the instruction re-executes after the load),
+        // in a fast VM and — the same cold path, forever — a reference VM.
         let mut main = ClassDef::new("Main");
-        let lazy = main.intern("Lazy");
-        let get = main.intern("get");
+        let (cfg, seen) = (main.intern("Cfg"), main.intern("seen"));
+        let (lazy, get) = (main.intern("Lazy"), main.intern("get"));
         main.methods.push(MethodDef::new("main", 0, 0).with_code(
-            vec![Instr::InvokeStatic(lazy, get, 0), Instr::RetV],
-            vec![1, 1],
+            vec![
+                Instr::PushI(4),
+                Instr::PutStatic(cfg, seen),
+                Instr::PushI(5),
+                Instr::InvokeStatic(lazy, get, 1),
+                Instr::RetV,
+            ],
+            vec![1; 5],
         ));
-        let mut vm = vm_with(&[main]);
-        let tid = vm.spawn("Main", "main", &[]).unwrap();
-        let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
-        assert_eq!(out, StepOutcome::ClassMiss("Lazy".to_owned()));
-        // Load the class and resume: instruction re-executes.
-        let lazy_def = ClassDef::new("Lazy").with_method(
-            MethodDef::new("get", 0, 0).with_code(vec![Instr::PushI(9), Instr::RetV], vec![1, 1]),
-        );
-        vm.load_class(&lazy_def).unwrap();
-        vm.resume_class_loaded(tid).unwrap();
-        let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
-        assert_eq!(out, StepOutcome::Returned(Some(Value::Int(9))));
+        let cfg_def = ClassDef::new("Cfg").with_field(FieldDef::stat("seen", TypeOf::Int));
+        // Lazy.get(x) = x + Cfg.seen
+        let mut lazy_def = ClassDef::new("Lazy");
+        let (cfg, seen) = (lazy_def.intern("Cfg"), lazy_def.intern("seen"));
+        lazy_def.methods.push(MethodDef::new("get", 1, 0).with_code(
+            vec![
+                Instr::Load(0),
+                Instr::GetStatic(cfg, seen),
+                Instr::Add,
+                Instr::RetV,
+            ],
+            vec![1; 4],
+        ));
+        for mut vm in [
+            vm_with(std::slice::from_ref(&main)),
+            load_into(Vm::reference(), std::slice::from_ref(&main)),
+        ] {
+            let tid = vm.spawn("Main", "main", &[]).unwrap();
+            for (missing, pc, operand) in [(&cfg_def, 1, 4), (&lazy_def, 3, 5)] {
+                let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+                assert_eq!(out, StepOutcome::ClassMiss(missing.name.clone()));
+                let f = vm.thread(tid).unwrap().top().unwrap();
+                assert_eq!((f.pc, &f.ostack[..]), (pc, &[Value::Int(operand)][..]));
+                vm.load_class(missing).unwrap();
+                vm.resume_class_loaded(tid).unwrap();
+            }
+            let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+            assert_eq!(out, StepOutcome::Returned(Some(Value::Int(9))));
+        }
     }
 
     #[test]
@@ -2535,8 +2489,7 @@ mod tests {
         // must agree after every slice.
         let classes = counter_program(10);
         let mut fast = vm_with(&classes);
-        let mut slow = vm_with(&classes);
-        slow.slow_resolve = true;
+        let mut slow = load_into(Vm::reference(), &classes);
         let ft = fast.spawn("Main", "main", &[]).unwrap();
         let st = slow.spawn("Main", "main", &[]).unwrap();
         loop {
@@ -2556,6 +2509,15 @@ mod tests {
         // The fast VM warmed its caches; the reference VM never fills any.
         assert!(fast.classes.iter().any(|c| c.ic_warm_count() > 0));
         assert!(slow.classes.iter().all(|c| c.ic_warm_count() == 0));
+        // ... and links no superinstructions, where the fast VM did.
+        assert!(fast
+            .classes
+            .iter()
+            .any(|c| c.fused.iter().flatten().any(Option::is_some)));
+        assert!(slow
+            .classes
+            .iter()
+            .all(|c| c.fused.iter().all(Vec::is_empty)));
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! Hand-rolled (no serde): the encoded length *is* the paper's
 //! "Java-serialized size", which drives every transfer-time computation in
 //! the evaluation, so the codec and the cost model must be the same thing.
-//! `CapturedState::wire_bytes()` (an arithmetic formula), the streaming
-//! [`CountBuf`] counter, and the actual encoders all agree byte-for-byte —
-//! property tests pin `encode_*(x).len() == x.wire_bytes()` for every
-//! entity, which is what lets the runtime serialize **once** and use the
-//! frame length as the byte metric everywhere.
+//! They are: the layout is described once, by the `put_*` encoders, and a
+//! size query (`CapturedState::wire_bytes`, `WireObject::wire_bytes`,
+//! [`class_wire_bytes`]) is that same encoder run against the byte-counting
+//! [`CountBuf`] sink. `encode_*(x).len() == x.wire_bytes()` therefore holds
+//! by construction for all three entities, which is what lets the runtime
+//! price a capture before encoding it, serialize **once**, and use the
+//! frame length as the byte metric everywhere. The numbers themselves are
+//! pinned by literals (`frame_length_is_the_byte_metric` below,
+//! `tests/codec_equivalence.rs`).
 //!
 //! Encodable entities:
 //! * [`CapturedState`] — SOD state messages (16-byte magic/kind header,
@@ -73,9 +77,7 @@ impl WireObject {
     /// Serialized size (the object-fetch transfer cost), counted without
     /// allocating. Equals `encode_object(self).len()`.
     pub fn wire_bytes(&self) -> u64 {
-        let mut counter = CountBuf::default();
-        let _ = put_object(&mut counter, self);
-        counter.count()
+        count_bytes(|buf| put_object(buf, self))
     }
 }
 
@@ -96,6 +98,16 @@ impl CountBuf {
     pub fn count(&self) -> u64 {
         self.count
     }
+}
+
+/// The frame length `put` would produce. An entity whose lengths overflow
+/// their prefix widths is unencodable (`encode_*` rejects it before anything
+/// ships), so the partial count returned for one is never used as a
+/// transfer size.
+fn count_bytes(put: impl FnOnce(&mut CountBuf) -> VmResult<()>) -> u64 {
+    let mut counter = CountBuf::default();
+    let _ = put(&mut counter);
+    counter.count()
 }
 
 impl BufMut for CountBuf {
@@ -451,8 +463,7 @@ fn get_values16(buf: &mut Bytes) -> VmResult<Vec<CapturedValue>> {
 // CapturedState
 // ---------------------------------------------------------------------------
 
-/// Write a captured state message to any [`BufMut`] sink. The layout is
-/// sized so the frame length equals `CapturedState::wire_bytes()` exactly:
+/// Write a captured state message to any [`BufMut`] sink:
 /// a 16-byte `[magic][kind][nframes][nstatics]` header, then per frame
 /// `[u16 class_len][class][u16 method_len][method][u32 pc][u32 nlocals]
 /// [locals]` (12 fixed bytes) and per statics entry
@@ -479,6 +490,14 @@ fn put_state<B: BufMut>(buf: &mut B, state: &CapturedState) -> VmResult<()> {
         put_values16(buf, &s.values)?;
     }
     Ok(())
+}
+
+impl CapturedState {
+    /// Serialized size of the state message (drives transfer time), counted
+    /// without allocating. Equals `encode_state(self).len()`.
+    pub fn wire_bytes(&self) -> u64 {
+        count_bytes(|buf| put_state(buf, self))
+    }
 }
 
 /// Encode a captured state message into a fresh exact-size buffer.
@@ -662,7 +681,7 @@ pub fn install_object_from(heap: &mut Heap, origin: OriginId, obj: &WireObject) 
     let kind = match &obj.body {
         // The decoded class name gets a fresh `Arc`; the interpreter
         // canonicalizes it to the loaded class's shared `Arc` on the first
-        // slow resolve at any receiver-keyed inline-cache site.
+        // miss at any receiver-keyed inline-cache site.
         WireObjBody::Obj { class, fields } => ObjKind::Obj {
             class: class.as_str().into(),
             fields: conv(fields),
@@ -726,12 +745,6 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
     };
     let home_id = obj.home_id().unwrap_or(temp_base + id);
     Ok(WireObject { home_id, body })
-}
-
-/// Serialized size of a [`crate::heap::HeapObj`] as shipped (for cost models that need a
-/// size without building the message).
-pub fn object_wire_bytes(heap: &Heap, id: ObjId) -> VmResult<u64> {
-    Ok(extract_object(heap, id)?.wire_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,14 +1169,9 @@ pub fn decode_class(mut buf: Bytes) -> VmResult<ClassDef> {
 }
 
 /// Serialized size of a class, used for code-shipping transfer costs.
-/// Streams through [`CountBuf`] — no allocation. A class whose lengths
-/// overflow their prefix widths is unencodable (`encode_class` rejects it
-/// before anything ships), so the partial count returned for such a class
-/// is never used as a transfer size.
+/// Streams through [`CountBuf`] — no allocation.
 pub fn class_wire_bytes(c: &ClassDef) -> u64 {
-    let mut counter = CountBuf::default();
-    let _ = put_class(&mut counter, c);
-    counter.count()
+    count_bytes(|buf| put_class(buf, c))
 }
 
 #[cfg(test)]
@@ -1240,13 +1248,16 @@ mod tests {
 
     #[test]
     fn frame_length_is_the_byte_metric() {
+        // The literals pin the size model itself (they are the lengths the
+        // pre-`CountBuf` arithmetic formulas gave): a size query is the
+        // encoder run against a counter, so without them a layout change
+        // would move both sides of each equation together.
         let state = sample_state();
-        assert_eq!(
-            encode_state(&state).unwrap().len() as u64,
-            state.wire_bytes()
-        );
+        assert_eq!(encode_state(&state).unwrap().len(), 98);
+        assert_eq!(state.wire_bytes(), 98);
         let c = sample_class();
-        assert_eq!(encode_class(&c).unwrap().len() as u64, class_wire_bytes(&c));
+        assert_eq!(encode_class(&c).unwrap().len(), 169);
+        assert_eq!(class_wire_bytes(&c), 169);
         let obj = WireObject {
             home_id: 7,
             body: WireObjBody::Obj {
@@ -1254,7 +1265,8 @@ mod tests {
                 fields: vec![CapturedValue::Int(1), CapturedValue::Null],
             },
         };
-        assert_eq!(encode_object(&obj).unwrap().len() as u64, obj.wire_bytes());
+        assert_eq!(encode_object(&obj).unwrap().len(), 32);
+        assert_eq!(obj.wire_bytes(), 32);
     }
 
     #[test]
