@@ -104,13 +104,11 @@ pub(crate) fn open_window<M>(shards: &[Shard<M>], lookahead_ns: u64) -> Option<W
 /// shard and are consumed locally by the worker.
 ///
 /// Returns `None` — leaving the queue untouched — when batching cannot
-/// help: zero lookahead (some link has no latency), fewer than two shards
-/// with events below the horizon, or fewer than `min_events` events in
-/// total (the sequential path is cheaper than a thread handoff).
+/// help: zero lookahead (some link has no latency), or fewer than two
+/// shards with events below the horizon.
 pub(crate) fn open_batch<M>(
     shards: &mut [Shard<M>],
     lookahead_ns: u64,
-    min_events: usize,
 ) -> Option<HorizonBatches<M>> {
     if lookahead_ns == 0 {
         return None;
@@ -129,24 +127,14 @@ pub(crate) fn open_batch<M>(
         return None;
     }
     let mut batches = Vec::with_capacity(below);
-    let mut total = 0usize;
     for (i, shard) in shards.iter_mut().enumerate() {
         let mut events = Vec::new();
         while shard.front_key().is_some_and(|k| k.0 < horizon) {
             events.push(shard.pop().expect("peeked event"));
         }
         if !events.is_empty() {
-            total += events.len();
             batches.push((i, events));
         }
-    }
-    if total < min_events {
-        for (i, events) in batches {
-            for ev in events {
-                shards[i].push(ev);
-            }
-        }
-        return None;
     }
     Some((horizon, batches))
 }
@@ -236,7 +224,7 @@ mod tests {
         ];
         // Horizon = 10 + 100 = 110: shards 0 and 1 contribute, shard 2
         // (frontier 300) does not, and (200, 5, 0) stays queued.
-        let (horizon, batches) = open_batch(&mut shards, 100, 1).unwrap();
+        let (horizon, batches) = open_batch(&mut shards, 100).unwrap();
         assert_eq!(horizon, 110);
         let keys: Vec<(usize, Vec<EventKey>)> = batches
             .iter()
@@ -259,21 +247,13 @@ mod tests {
             shard_with(&[(10, 0, 0), (20, 1, 0)]),
             shard_with(&[(5000, 2, 1)]),
         ];
-        assert!(open_batch(&mut shards, 100, 1).is_none());
+        assert!(open_batch(&mut shards, 100).is_none());
         assert_eq!(shards[0].front_key(), Some((10, 0, 0)), "queue untouched");
-    }
-
-    #[test]
-    fn batch_declines_below_min_events_and_requeues() {
-        let mut shards = vec![shard_with(&[(10, 0, 0)]), shard_with(&[(20, 1, 1)])];
-        assert!(open_batch(&mut shards, 100, 3).is_none());
-        assert_eq!(shards[0].front_key(), Some((10, 0, 0)));
-        assert_eq!(shards[1].front_key(), Some((20, 1, 1)));
     }
 
     #[test]
     fn batch_declines_on_zero_lookahead() {
         let mut shards = vec![shard_with(&[(10, 0, 0)]), shard_with(&[(10, 1, 1)])];
-        assert!(open_batch(&mut shards, 0, 1).is_none());
+        assert!(open_batch(&mut shards, 0).is_none());
     }
 }

@@ -55,10 +55,6 @@ use crate::topology::{LinkRow, Topology};
 use parallel::{BatchEvent, PushRec, SeqSlot, ShardBatch, ShardLog};
 use shard::{Event, ShardedQueue};
 
-/// Below this many events a safe-horizon batch is not worth extracting at
-/// all — a batch needs at least two active shards, hence two events.
-const MIN_BATCH_EVENTS: usize = 2;
-
 /// The world the simulator drives: your cluster state.
 pub trait World {
     /// Message type delivered to nodes (including self-scheduled timers).
@@ -268,6 +264,7 @@ pub struct Sim<W: World> {
     /// to a build without this field.
     chaos: Option<ChaosState>,
     dropped: u64,
+    threaded_windows: u64,
 }
 
 impl<W: World> Sim<W> {
@@ -295,6 +292,7 @@ impl<W: World> Sim<W> {
             delivered: 0,
             chaos: None,
             dropped: 0,
+            threaded_windows: 0,
         }
     }
 
@@ -314,6 +312,12 @@ impl<W: World> Sim<W> {
     /// Messages suppressed by the chaos layer so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Safe-horizon windows whose shard batches ran on spawned worker
+    /// threads (the rest drained inline on the calling thread).
+    pub fn threaded_windows(&self) -> u64 {
+        self.threaded_windows
     }
 
     /// The scheduler this simulator runs on.
@@ -414,7 +418,7 @@ impl<W: World> Sim<W> {
         let Queue::Sharded(q) = &mut self.queue else {
             return None;
         };
-        let (horizon, raw) = q.take_batch(MIN_BATCH_EVENTS)?;
+        let (horizon, raw) = q.take_batch()?;
         let mut batches: Vec<ShardBatch<W::Msg>> = raw
             .into_iter()
             .map(|(shard, events)| ShardBatch {
@@ -466,6 +470,7 @@ impl<W: World> Sim<W> {
     /// would, re-queue the cross-horizon pushes, and let the world apply
     /// each delivery's deferred effects. Returns deliveries merged.
     fn merge_shard_logs(&mut self, mut logs: Vec<ShardLog<W::Msg>>, horizon: u64) -> u64 {
+        self.threaded_windows += u64::from(logs.iter().any(|l| l.threaded));
         // Provisional → final sequence numbers, one map per shard log.
         let mut finals: Vec<HashMap<u64, u64>> = logs.iter().map(|_| HashMap::new()).collect();
         let mut cursors = vec![0usize; logs.len()];

@@ -94,6 +94,9 @@ pub struct DeliveryRec<M> {
 pub struct ShardLog<M> {
     pub shard: usize,
     pub deliveries: Vec<DeliveryRec<M>>,
+    /// Whether this batch drained on a spawned worker thread (what
+    /// [`super::Sim::threaded_windows`] counts); never affects the merge.
+    pub threaded: bool,
 }
 
 /// A worker's local pending event: ordered by `(at, seq)`, where `seq`
@@ -196,7 +199,11 @@ where
             pushes,
         });
     }
-    ShardLog { shard, deliveries }
+    ShardLog {
+        shard,
+        deliveries,
+        threaded: false,
+    }
 }
 
 /// One unit of worker work: the batch's position in submission order, the
@@ -250,18 +257,25 @@ where
         .collect();
     let workers = threads.min(njobs).max(1);
     let mut out: Vec<Option<(ShardLog<M>, S)>> = (0..njobs).map(|_| None).collect();
-    if workers <= 1 || total < SPAWN_MIN_EVENTS {
-        for (i, batch, row, mut state) in jobs {
-            let log = drain_shard_batch(
-                batch.shard,
-                batch.events,
-                row,
-                horizon,
-                prov_base,
-                max_events,
-                &mut state,
-                &handler,
-            );
+    let threaded = workers > 1 && total >= SPAWN_MIN_EVENTS;
+    // Both arms drain a job through this one closure, so where a batch
+    // runs cannot change what it does.
+    let run = |(i, batch, row, mut state): Job<'_, M, S>| {
+        let mut log = drain_shard_batch(
+            batch.shard,
+            batch.events,
+            row,
+            horizon,
+            prov_base,
+            max_events,
+            &mut state,
+            &handler,
+        );
+        log.threaded = threaded;
+        (i, log, state)
+    };
+    if !threaded {
+        for (i, log, state) in jobs.into_iter().map(run) {
             out[i] = Some((log, state));
         }
     } else {
@@ -269,30 +283,11 @@ where
         for (k, job) in jobs.into_iter().enumerate() {
             buckets[k % workers].push(job);
         }
-        let handler = &handler;
+        let run = &run;
         let results: Vec<Vec<(usize, ShardLog<M>, S)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(i, batch, row, mut state)| {
-                                let log = drain_shard_batch(
-                                    batch.shard,
-                                    batch.events,
-                                    row,
-                                    horizon,
-                                    prov_base,
-                                    max_events,
-                                    &mut state,
-                                    handler,
-                                );
-                                (i, log, state)
-                            })
-                            .collect()
-                    })
-                })
+                .map(|bucket| scope.spawn(move || bucket.into_iter().map(run).collect()))
                 .collect();
             handles
                 .into_iter()

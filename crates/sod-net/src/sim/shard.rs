@@ -138,11 +138,11 @@ impl<M> ShardedQueue<M> {
     /// below the safe horizon (see [`super::horizon::open_batch`]),
     /// returning `(horizon, batches)`. Declines — leaving the queue
     /// untouched — when fewer than two shards are active below the
-    /// horizon, the total is under `min_events`, or lookahead is zero.
+    /// horizon or lookahead is zero.
     /// Closes any open sequential drain window first: the batch supersedes
     /// it, and the next `pop` re-scans.
-    pub fn take_batch(&mut self, min_events: usize) -> Option<HorizonBatches<M>> {
-        let (horizon, batches) = open_batch(&mut self.shards, self.lookahead_ns, min_events)?;
+    pub fn take_batch(&mut self) -> Option<HorizonBatches<M>> {
+        let (horizon, batches) = open_batch(&mut self.shards, self.lookahead_ns)?;
         self.window = None;
         self.len -= batches.iter().map(|(_, evs)| evs.len()).sum::<usize>();
         Some((horizon, batches))
@@ -225,7 +225,7 @@ mod tests {
                                                         // Frontiers are now 20 (shard 1) and 5e6 (shard 0): only one shard
                                                         // sits below the 1_000_020 horizon, so the batch declines and the
                                                         // sequential path continues unperturbed.
-        assert!(q.take_batch(1).is_none());
+        assert!(q.take_batch().is_none());
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop().unwrap().key(), (20, 1, 1));
         assert_eq!(q.pop().unwrap().key(), (5_000_000, 2, 0));
@@ -237,7 +237,7 @@ mod tests {
         q.push(ev(10, 0, 0));
         q.push(ev(20, 1, 1));
         q.push(ev(5_000_000, 2, 0));
-        let (horizon, batches) = q.take_batch(1).unwrap();
+        let (horizon, batches) = q.take_batch().unwrap();
         assert_eq!(horizon, 10 + 1_000_000);
         let keys: Vec<(usize, Vec<EventKey>)> = batches
             .iter()
@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().key(), (5_000_000, 2, 0));
         assert!(q.pop().is_none());
-        assert!(q.take_batch(1).is_none(), "empty queue has no batch");
+        assert!(q.take_batch().is_none(), "empty queue has no batch");
     }
 
     #[test]

@@ -27,13 +27,14 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let (program, home, origin) = {
-            let w = &self.sessions[&sid];
+            let w = &self.nodes[node].sessions[&sid];
             (w.program, w.home, w.origin())
         };
         let batch = match collect_flush(&mut self.nodes[node].vm, origin, retval, &self.buf_pool) {
             Ok(b) => b,
             Err(e) => {
                 self.fail_session(
+                    node,
                     sid,
                     format!("completion flush encode failed: {e}"),
                     ctx.now(),
@@ -51,7 +52,7 @@ impl Cluster {
         self.nodes[node].net_sent.object += flush_bytes;
 
         if needs_ack {
-            self.sessions.get_mut(&sid).unwrap().phase =
+            self.nodes[node].sessions.get_mut(&sid).unwrap().phase =
                 WorkerPhase::AwaitCompleteAck { retval: retval_cap };
             ctx.send_after(
                 cost,
@@ -78,21 +79,22 @@ impl Cluster {
                     },
                 );
             }
-            self.send_segment_return(sid, retval_cap, cost, ctx);
+            self.send_segment_return(node, sid, retval_cap, cost, ctx);
         }
     }
 
     pub(super) fn send_segment_return(
         &mut self,
+        node: usize,
         sid: SessionId,
         retval: Option<CapturedValue>,
         delay: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let Some(w) = self.mark_done(sid) else {
+        let Some(w) = self.mark_done(node, sid) else {
             return;
         };
-        let (program, node, target, pop) = (w.program, w.node, w.return_to, w.home_pop_frames);
+        let (program, target, pop) = (w.program, w.return_to, w.home_pop_frames);
         let dest = match target {
             ReturnTarget::Home { node } => node,
             ReturnTarget::Session { node, .. } => node,
@@ -128,7 +130,7 @@ impl Cluster {
                 debug_assert_eq!(node, home);
                 if self.chaos_enabled {
                     let p = &self.programs[program as usize];
-                    if p.done || !p.valid_sessions.contains(&session) {
+                    if p.done || !p.valid_sessions.iter().any(|&(_, s)| s == session) {
                         // Stale return: the program failed (home crash) or
                         // the episode was superseded by a deadline-driven
                         // retry/fallback before this value arrived. The
@@ -177,7 +179,7 @@ impl Cluster {
                 // empty) has nowhere to deliver: the session was retired
                 // or never created, the program already carries the
                 // error, and the stranded value is dropped.
-                let Some(w) = self.sessions.get_mut(&session) else {
+                let Some(w) = self.nodes[node].sessions.get_mut(&session) else {
                     return;
                 };
                 if !matches!(w.phase, WorkerPhase::Waiting) {

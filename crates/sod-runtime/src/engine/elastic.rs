@@ -149,10 +149,9 @@ impl Cluster {
     /// The definition [`Cluster::hosted_sessions`] indexes, as a scan of
     /// the whole session map: the debug-build oracle, and nothing else.
     fn scan_hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> {
-        let mut hosted: Vec<SessionId> = self
+        let mut hosted: Vec<SessionId> = self.nodes[node]
             .sessions
             .iter()
-            .filter(|(_, w)| w.node == node)
             .filter(|(_, w)| !matches!(w.phase, WorkerPhase::Done))
             .filter(|(_, w)| !self.programs[w.program as usize].done)
             .map(|(sid, _)| *sid)
@@ -379,7 +378,7 @@ impl Cluster {
                 .collect();
             for sid in hosted {
                 let (armed, roamable, home) = {
-                    let w = &self.sessions[&sid];
+                    let w = &self.nodes[dn].sessions[&sid];
                     (
                         w.pending_roam.is_some(),
                         matches!(w.phase, WorkerPhase::Running | WorkerPhase::Waiting),
@@ -401,7 +400,7 @@ impl Cluster {
                 // restore lands (same in-flight accounting as pool
                 // placement, balanced at session insert).
                 self.nodes[dest].inbound_sessions += 1;
-                self.sessions.get_mut(&sid).unwrap().pending_roam = Some(dest);
+                self.nodes[dn].sessions.get_mut(&sid).unwrap().pending_roam = Some(dest);
             }
         }
     }

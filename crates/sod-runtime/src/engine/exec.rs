@@ -28,7 +28,7 @@ impl Cluster {
         if !runnable {
             return; // stale slice: thread parked, finished, or mid-protocol
         }
-        let (owner_program, owner_pending) = match self.thread_owner.get(&(node, tid)) {
+        let (owner_program, owner_pending) = match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
                 if self.programs[program as usize].done {
@@ -45,7 +45,7 @@ impl Cluster {
                 self.check_policy_triggers(program, ctx.now());
                 (program, self.programs[program as usize].side.plan_pending())
             }
-            Some(Owner::Worker(s)) => match self.sessions.get(s) {
+            Some(Owner::Worker(s)) => match self.nodes[node].sessions.get(s) {
                 Some(w) => (w.program, w.pending_roam.is_some()),
                 None => return,
             },
@@ -102,11 +102,11 @@ impl Cluster {
                 // Only restored workers fault on remote objects; a thread
                 // orphaned mid-slice (its session killed by fault
                 // injection) has nobody to fetch for.
-                let sid = match self.thread_owner.get(&(node, tid)) {
+                let sid = match self.nodes[node].thread_owner.get(&tid) {
                     Some(Owner::Worker(s)) => *s,
                     _ => return,
                 };
-                let Some(w) = self.sessions.get(&sid) else {
+                let Some(w) = self.nodes[node].sessions.get(&sid) else {
                     return;
                 };
                 let (home, program) = (w.home, w.program);
@@ -142,12 +142,12 @@ impl Cluster {
             .iter()
             .enumerate()
             .filter(|(_, t)| t.is_runnable())
-            .filter(|(tid, _)| match self.thread_owner.get(&(node, *tid)) {
+            .filter(|(tid, _)| match self.nodes[node].thread_owner.get(tid) {
                 Some(Owner::Root(p)) => {
                     let p = &self.programs[*p as usize];
                     !p.done && !p.side.is_frozen()
                 }
-                Some(Owner::Worker(s)) => self
+                Some(Owner::Worker(s)) => self.nodes[node]
                     .sessions
                     .get(s)
                     .is_some_and(|w| !matches!(w.phase, WorkerPhase::Done)),
@@ -204,7 +204,7 @@ impl Cluster {
                     .and_then(|v| v.as_int().ok())
                     .unwrap_or(node as i64) as usize;
                 if dest != node && dest < self.nodes.len() {
-                    match self.thread_owner.get(&(node, tid)) {
+                    match self.nodes[node].thread_owner.get(&tid) {
                         Some(Owner::Root(p)) => {
                             let p = *p;
                             self.programs[p as usize].side =
@@ -212,7 +212,8 @@ impl Cluster {
                         }
                         Some(Owner::Worker(s)) => {
                             let s = *s;
-                            self.sessions.get_mut(&s).unwrap().pending_roam = Some(dest);
+                            self.nodes[node].sessions.get_mut(&s).unwrap().pending_roam =
+                                Some(dest);
                         }
                         None => {}
                     }
@@ -424,7 +425,7 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        match self.thread_owner.get(&(node, tid)) {
+        match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 // Home: lazy local load from the repository. Any failure is
                 // a typed program failure, not an engine abort (fleet
@@ -435,7 +436,7 @@ impl Cluster {
                     self.fail_program(program, format!("class not found: {name}"), at);
                     return;
                 };
-                let cost = costs::class_load_ns(self.class_size(&class));
+                let cost = costs::class_load_ns(self.nodes[node].class_size(&class));
                 // Loading only *adds* resolvable names — the VM's class
                 // table is append-only, so inline caches warmed by already
                 // running threads stay valid (misses are never cached) and
@@ -457,7 +458,7 @@ impl Cluster {
             Some(Owner::Worker(s)) => {
                 let sid = *s;
                 let (home, program) = {
-                    let w = &self.sessions[&sid];
+                    let w = &self.nodes[node].sessions[&sid];
                     (w.home, w.program)
                 };
                 self.defer(DeferredOp::AddClassesShipped(program, 1));
@@ -492,7 +493,7 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        match self.thread_owner.get(&(node, tid)) {
+        match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
                 self.finish_program(program, retval, ctx.now() + elapsed);
@@ -513,7 +514,7 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        if let Some(Owner::Root(p)) = self.thread_owner.get(&(node, tid)) {
+        if let Some(Owner::Root(p)) = self.nodes[node].thread_owner.get(&tid) {
             let program = *p;
             if e.kind == ExKind::OutOfMemory {
                 // Exception-driven offload (`Trigger::OnOom`): roll the
@@ -544,11 +545,12 @@ impl Cluster {
                 format!("unhandled {:?}: {}", e.kind, e.message),
                 ctx.now() + elapsed,
             );
-        } else if let Some(Owner::Worker(s)) = self.thread_owner.get(&(node, tid)) {
+        } else if let Some(Owner::Worker(s)) = self.nodes[node].thread_owner.get(&tid) {
             // Retire the session along with the program, so stale events
             // addressed to it cannot wake the dead worker state.
             let sid = *s;
             self.fail_session(
+                node,
                 sid,
                 format!("worker fault {:?}: {}", e.kind, e.message),
                 ctx.now() + elapsed,

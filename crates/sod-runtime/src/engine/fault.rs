@@ -32,6 +32,7 @@ use sod_net::{ChaosAction, DropReason, SimCtx};
 
 use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
+use super::pool::POOL_DEST_BASE;
 use super::session::{HomeSide, StagedSegment};
 use super::Cluster;
 
@@ -87,7 +88,7 @@ impl Cluster {
                 // is irrelevant — killing only mutates per-session state.
                 let dead: Vec<SessionId> = self.nodes[node].live_sessions.keys().copied().collect();
                 for sid in dead {
-                    self.kill_session(sid);
+                    self.kill_session(node, sid);
                 }
                 // Parked accept state dies with the serving threads; a
                 // request delivered after restart must not resume one.
@@ -157,8 +158,13 @@ impl Cluster {
         // Kill the episode's sessions first: whichever of them were alive,
         // their threads must never complete against the recovered program,
         // and their unrecorded state bytes surface in the lost sweep.
-        for sid in self.programs[program as usize].valid_sessions.clone() {
-            self.kill_session(sid);
+        for (host, sid) in self.programs[program as usize].valid_sessions.clone() {
+            // A deadline left over from an earlier episode can fire while
+            // the next one is still freezing, its pool segments unplaced:
+            // a sentinel names no node and hosts nothing to kill.
+            if host < POOL_DEST_BASE {
+                self.kill_session(host, sid);
+            }
         }
         let attempts_done = self.programs[program as usize].episode_attempts;
         let retry = match self.retry_policy {
@@ -194,7 +200,7 @@ impl Cluster {
             let p = &mut self.programs[program as usize];
             p.attempt += 1;
             p.episode_attempts += 1;
-            p.valid_sessions = sids.clone();
+            p.valid_sessions = dests.iter().copied().zip(sids.iter().copied()).collect();
             p.attempt
         };
         let n = segs.len();
@@ -220,11 +226,11 @@ impl Cluster {
     /// Retire a worker session: mark it done and orphan its VM thread so
     /// no stale event (run slice, class reply, chained return) can wake
     /// it. The thread's frames stay parked — memory, not behavior.
-    fn kill_session(&mut self, sid: SessionId) {
-        let Some(w) = self.mark_done(sid) else {
+    fn kill_session(&mut self, node: usize, sid: SessionId) {
+        let Some(w) = self.mark_done(node, sid) else {
             return;
         };
-        let key = (w.node, w.tid);
-        self.thread_owner.remove(&key);
+        let tid = w.tid;
+        self.nodes[node].thread_owner.remove(&tid);
     }
 }

@@ -9,7 +9,7 @@ use sod_net::SimCtx;
 use sod_vm::capture::{capture_segment, CapturedState};
 use sod_vm::class::ClassDef;
 use sod_vm::tooling::ToolingPath;
-use sod_vm::wire::{class_wire_bytes, encode_state_pooled};
+use sod_vm::wire::encode_state_pooled;
 
 use crate::costs;
 use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId};
@@ -30,7 +30,7 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        match self.thread_owner.get(&(node, tid)) {
+        match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
                 let plan = self.programs[program as usize]
@@ -174,12 +174,7 @@ impl Cluster {
             let (bundled, class_bytes) = if dest >= POOL_DEST_BASE {
                 (Vec::new(), 0)
             } else {
-                let b = self.bundle_for(node, node, dest, &seeds);
-                let mut cb = 0u64;
-                for c in &b {
-                    cb += self.class_size(c);
-                }
-                (b, cb)
+                self.bundle_for(node, node, dest, &seeds)
             };
             let info = SegmentInfo {
                 program,
@@ -218,7 +213,7 @@ impl Cluster {
             });
         }
 
-        self.programs[program as usize].valid_sessions = sids;
+        self.programs[program as usize].valid_sessions = dests.into_iter().zip(sids).collect();
         self.programs[program as usize].side = HomeSide::Frozen;
         ctx.schedule(elapsed + capture_ns, node, Msg::CaptureDone { program });
     }
@@ -288,12 +283,11 @@ impl Cluster {
             pool.pending = pool.pending.saturating_sub(1);
             self.nodes[member].inbound_sessions += 1;
             seg.dest = member;
-            seg.bundled = self.bundle_for(home, home, member, &seg.seeds);
-            let mut cb = 0u64;
-            for c in &seg.bundled {
-                cb += self.class_size(c);
+            let valid = &mut self.programs[seg.info.program as usize].valid_sessions;
+            if let Some(v) = valid.iter_mut().find(|(_, s)| *s == seg.info.session) {
+                v.0 = member;
             }
-            seg.class_bytes = cb;
+            (seg.bundled, seg.class_bytes) = self.bundle_for(home, home, member, &seg.seeds);
         }
         for seg in &mut staged {
             if let ReturnTarget::Session { node, .. } = &mut seg.info.return_to {
@@ -361,31 +355,6 @@ impl Cluster {
         }
     }
 
-    /// Memoized [`ClassDef::referenced_classes`]: the scan walks every
-    /// method body, so compute it once per class name, not per migration.
-    /// (The name is cloned only on the miss path; `entry()` would
-    /// allocate it on every hit.)
-    fn refs_of(&mut self, def: &Arc<ClassDef>) -> &[String] {
-        if !self.class_refs.contains_key(&def.name) {
-            self.class_refs
-                .insert(def.name.clone(), def.referenced_classes());
-        }
-        &self.class_refs[&def.name]
-    }
-
-    /// Memoized [`class_wire_bytes`]: class files are immutable once
-    /// deployed (same argument as [`Cluster::refs_of`]), so the streaming
-    /// size count over every method body runs once per class name instead
-    /// of once per migration, class-serve, and bundled load.
-    pub(super) fn class_size(&mut self, def: &Arc<ClassDef>) -> u64 {
-        if let Some(&b) = self.class_sizes.get(&def.name) {
-            return b;
-        }
-        let b = class_wire_bytes(def);
-        self.class_sizes.insert(def.name.clone(), b);
-        b
-    }
-
     /// Select the classes to bundle with a segment shipped from `sender`
     /// to `dest`, per the cluster's [`CodeShipping`] policy, and credit
     /// them to the peer cache — here, at the single site both shipping
@@ -393,19 +362,22 @@ impl Cluster {
     /// migration) never re-bundles them. Crediting at selection time is
     /// sound because every bundle is unconditionally shipped. Everything
     /// skipped still arrives via the on-demand path, so the peer-cache
-    /// filter can never break a run — only shrink it.
+    /// filter can never break a run — only shrink it. Returns the bundle
+    /// with its wire size (the class bytes the segment will ship).
     fn bundle_for(
         &mut self,
         sender: usize,
         home: usize,
         dest: usize,
         seeds: &BundleSeeds,
-    ) -> Vec<Arc<ClassDef>> {
+    ) -> (Vec<Arc<ClassDef>>, u64) {
         let bundled = self.select_bundle(sender, home, dest, seeds);
+        let mut class_bytes = 0;
         for c in &bundled {
             self.nodes[sender].note_peer_class(dest, &c.name);
+            class_bytes += self.nodes[sender].class_size(c);
         }
-        bundled
+        (bundled, class_bytes)
     }
 
     fn select_bundle(
@@ -448,7 +420,7 @@ impl Cluster {
                         continue;
                     }
                     if let Some(def) = self.lookup_class(sender, home, &name) {
-                        for r in self.refs_of(&def) {
+                        for r in self.nodes[sender].refs_of(&def) {
                             if !closed.contains(r) {
                                 work.push(r.clone());
                             }
@@ -484,7 +456,7 @@ impl Cluster {
             // The requesting session may live on another shard: retire it
             // and fail its program through the message-carried id — the
             // deferred ops land wherever that state lives.
-            self.retire_session(session);
+            self.retire_session(requester, session);
             self.defer(DeferredOp::FailProgram {
                 program,
                 error: format!("home node {dst} missing class {name:?}"),
@@ -492,7 +464,7 @@ impl Cluster {
             });
             return;
         };
-        let bytes = self.class_size(&class);
+        let bytes = self.nodes[dst].class_size(&class);
         let cost = self.nodes[dst].cfg.scale(costs::serialize_ns(bytes));
         self.nodes[dst].net_sent.class += bytes;
         self.nodes[dst].note_peer_class(requester, &name);
@@ -514,8 +486,8 @@ impl Cluster {
     /// stranded worker state cannot be woken by stale events. Callers hold
     /// the session locally; the program may live on another shard, in
     /// which case the failure defers to the merge.
-    pub(super) fn fail_session(&mut self, session: SessionId, error: String, at: u64) {
-        let Some(w) = self.mark_done(session) else {
+    pub(super) fn fail_session(&mut self, node: usize, session: SessionId, error: String, at: u64) {
+        let Some(w) = self.mark_done(node, session) else {
             return;
         };
         let program = w.program;
@@ -534,18 +506,23 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let dest = self.sessions[&sid].pending_roam.expect("roam dest");
-        let program = self.sessions[&sid].program;
-        let home = self.sessions[&sid].home;
+        let w = &self.nodes[node].sessions[&sid];
+        let dest = w.pending_roam.expect("roam dest");
+        let (program, home, origin) = (w.program, w.home, w.origin());
         let batch = match super::objects::collect_flush(
             &mut self.nodes[node].vm,
-            self.sessions[&sid].origin(),
+            origin,
             None,
             &self.buf_pool,
         ) {
             Ok(b) => b,
             Err(e) => {
-                self.fail_session(sid, format!("roam flush encode failed: {e}"), ctx.now());
+                self.fail_session(
+                    node,
+                    sid,
+                    format!("roam flush encode failed: {e}"),
+                    ctx.now(),
+                );
                 return;
             }
         };
@@ -554,7 +531,8 @@ impl Cluster {
             self.roam_capture_and_ship(node, tid, sid, dest, elapsed, ctx);
         } else {
             let flush_bytes = batch.payload_bytes();
-            self.sessions.get_mut(&sid).unwrap().phase = WorkerPhase::AwaitRoamAck { dest };
+            self.nodes[node].sessions.get_mut(&sid).unwrap().phase =
+                WorkerPhase::AwaitRoamAck { dest };
             let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
             self.defer(DeferredOp::AddObjectBytes(program, flush_bytes));
@@ -581,7 +559,11 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        self.sessions.get_mut(&sid).unwrap().pending_roam = None;
+        self.nodes[node]
+            .sessions
+            .get_mut(&sid)
+            .unwrap()
+            .pending_roam = None;
         let nframes = self.nodes[node].vm.thread(tid).unwrap().frames.len();
         let (state, tool_ns) =
             capture_segment(&mut self.nodes[node].vm, tid, nframes, ToolingPath::Jvmti)
@@ -596,16 +578,12 @@ impl Cluster {
         };
 
         let (program, home, return_to, home_pop_frames) = {
-            let w = &self.sessions[&sid];
+            let w = &self.nodes[node].sessions[&sid];
             (w.program, w.home, w.return_to, w.home_pop_frames)
         };
         let new_sid = self.alloc_session(node);
         let seeds = BundleSeeds::of(&state);
-        let bundled = self.bundle_for(node, home, dest, &seeds);
-        let mut class_bytes = 0u64;
-        for c in &bundled {
-            class_bytes += self.class_size(c);
-        }
+        let (bundled, class_bytes) = self.bundle_for(node, home, dest, &seeds);
         let info = SegmentInfo {
             program,
             session: new_sid,
@@ -620,18 +598,23 @@ impl Cluster {
         // Retire the old session & thread. The roamed session inherits
         // the old one's slot in the episode's valid set, so its arrival
         // and eventual home return pass the chaos staleness guards.
-        self.mark_done(sid);
-        self.thread_owner.remove(&(node, tid));
+        self.mark_done(node, sid);
+        self.nodes[node].thread_owner.remove(&tid);
         self.defer(DeferredOp::ReplaceValidSession {
             program,
             old: sid,
-            new: new_sid,
+            new: (dest, new_sid),
         });
 
         let frame = match encode_state_pooled(&self.buf_pool, &state) {
             Ok(f) => f,
             Err(e) => {
-                self.fail_session(sid, format!("roam state encode failed: {e}"), ctx.now());
+                self.fail_session(
+                    node,
+                    sid,
+                    format!("roam state encode failed: {e}"),
+                    ctx.now(),
+                );
                 return;
             }
         };

@@ -24,7 +24,10 @@
 //! * `completion.rs` — segment returns, workflow chaining, and
 //!   `ForceEarlyReturn` resumption at home;
 //! * `session.rs` — the typed `HomeSide`/`WorkerPhase` state
-//!   machines the other modules share.
+//!   machines the other modules share;
+//! * `shard.rs` — how ownership is laid out (state lives with the node
+//!   that owns it) and how a `Scheduler::Parallel` window borrows it:
+//!   `Slots`, `Programs`, the worker-view protocol and `DeferredOp`.
 //!
 //! ## Migration flow (paper §III)
 //!
@@ -65,28 +68,27 @@ mod objects;
 mod pool;
 mod restore;
 mod session;
+mod shard;
 
 pub use fault::{RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, ScalePolicy, DEFAULT_POOL_TICK_NS, POOL_DEST_BASE};
+pub(crate) use session::{Owner, WorkerSession};
+pub use shard::{Nodes, Programs, Slots};
 
-use std::collections::{HashMap, VecDeque};
-use std::ops::{Index, IndexMut};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sod_net::{ChaosPlan, Scheduler, ShardBatch, ShardLog, Sim, SimCtx, Topology, World};
-use sod_vm::class::ClassDef;
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::BufferPool;
 
-use crate::fs::SimFs;
-use crate::metrics::{
-    ChaosCounters, ClusterReport, MigrationTimings, NetBytes, NodeUtilization, RunReport,
-};
+use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, RunReport};
 use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, SessionId};
-use crate::node::{Node, NodeConfig};
+use crate::node::Node;
 use crate::trigger::{ArmedTrigger, Trigger};
 
-use session::{HomeSide, Owner, StagedSegment, WorkerPhase, WorkerSession};
+use session::{HomeSide, StagedSegment, WorkerPhase};
+use shard::{DeferredOp, Role, Shared};
 
 /// Worker-created objects are flushed home under temporary ids at/above
 /// this base until the home node assigns master ids.
@@ -134,171 +136,6 @@ pub enum CodeShipping {
     BundleAlways,
 }
 
-/// Sparse, ownership-audited storage, instantiated for per-node state
-/// ([`Nodes`]) and for programs ([`Programs`]).
-///
-/// The master cluster holds every slot. During a parallel safe-horizon
-/// batch (see [`sod_net::Scheduler::Parallel`]), `split_shards` *moves*
-/// each drained shard's node — and the programs homed there, whose mutable
-/// records live with the shard that hosts their root thread — out into
-/// that shard's worker view, leaving `None` behind; indexing an absent
-/// slot — a handler reaching across shard boundaries — panics with an
-/// "ownership auditor" message instead of silently racing. Handler code
-/// indexes `self.nodes[i]` / `self.programs[p as usize]` unchanged.
-pub struct Slots<T> {
-    slots: Vec<Option<T>>,
-    /// What a slot holds ("node" / "program"), for the auditor's panics.
-    noun: &'static str,
-}
-
-pub type Nodes = Slots<Node>;
-pub type Programs = Slots<Program>;
-
-impl<T> Slots<T> {
-    fn new(noun: &'static str, items: Vec<T>) -> Self {
-        Slots {
-            slots: items.into_iter().map(Some).collect(),
-            noun,
-        }
-    }
-
-    /// A view of the same shape as `self` that owns nothing yet.
-    fn hollow(&self) -> Self {
-        Slots {
-            slots: self.slots.iter().map(|_| None).collect(),
-            noun: self.noun,
-        }
-    }
-
-    /// Slot count (includes slots on loan to shard views).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    pub fn push(&mut self, item: T) {
-        self.slots.push(Some(item));
-    }
-
-    /// Whether this view currently owns slot `i`'s state.
-    pub(super) fn owns(&self, i: usize) -> bool {
-        self.slots.get(i).is_some_and(Option::is_some)
-    }
-
-    fn take(&mut self, i: usize) -> Option<T> {
-        self.slots.get_mut(i).and_then(Option::take)
-    }
-
-    fn put(&mut self, i: usize, item: T) {
-        self.slots[i] = Some(item);
-    }
-
-    /// Iterate every slot. Panics on a split-out slot, so it is only
-    /// callable on the master view (reports, chaos hooks).
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        let noun = self.noun;
-        self.slots.iter().enumerate().map(move |(i, s)| {
-            s.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: iterated {noun} {i} while it is loaned to a shard view")
-            })
-        })
-    }
-}
-
-fn not_owned(noun: &str, i: usize) -> ! {
-    panic!(
-        "ownership auditor: touched {noun} {i} from a shard view that does not own it \
-         (cross-shard access while draining in parallel)"
-    )
-}
-
-impl Slots<Program> {
-    fn home_of(&self, i: usize) -> Option<usize> {
-        self.slots.get(i).and_then(|s| s.as_ref()).map(|p| p.home)
-    }
-}
-
-impl<T> Index<usize> for Slots<T> {
-    type Output = T;
-    fn index(&self, i: usize) -> &T {
-        self.slots[i]
-            .as_ref()
-            .unwrap_or_else(|| not_owned(self.noun, i))
-    }
-}
-
-impl<T> IndexMut<usize> for Slots<T> {
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        let noun = self.noun;
-        self.slots[i].as_mut().unwrap_or_else(|| not_owned(noun, i))
-    }
-}
-
-/// Which side of a parallel batch this `Cluster` value is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Role {
-    /// The real cluster: owns everything, applies effects immediately.
-    Master,
-    /// A per-shard worker view created by `split_shards`: owns exactly
-    /// one node (and the programs homed there); `deliveries` counts the
-    /// messages it has dispatched this batch, tagging deferred ops so the
-    /// merge can apply them at the matching point of the canonical order.
-    Worker { shard: usize, deliveries: u64 },
-}
-
-/// Immutable per-node data shared with every worker view ([`Arc`]), so a
-/// shard can read a *peer's* static configuration without owning it:
-/// node profiles, file-system trees (set up before the run), and the
-/// build-time class repositories. Snapshotted lazily at the first
-/// parallel batch; sound because none of these grow at a program's home
-/// after deployment (mid-run repo growth happens only at worker nodes,
-/// which resolve their own classes live).
-struct Shared {
-    cfgs: Vec<NodeConfig>,
-    fss: Vec<SimFs>,
-    repos: Vec<HashMap<String, Arc<ClassDef>>>,
-}
-
-/// A cross-shard effect recorded by a worker view during a parallel
-/// batch, applied by the master at the exact point of the canonical
-/// `(time, seq, dst)` merge where a sequential run would have applied it.
-/// Counter ops commute, but applying *all* of them in merged delivery
-/// order keeps even the order-sensitive ones (`PushMigration`,
-/// first-wins `FailProgram`) bit-identical.
-#[derive(Debug)]
-enum DeferredOp {
-    /// `report.instructions += n` (slice retirement for a foreign-homed
-    /// program running on this shard's node).
-    AddInstructions(ProgramId, u64),
-    /// `report.classes_shipped += n` (on-demand class requests issued).
-    AddClassesShipped(ProgramId, u64),
-    /// `report.class_bytes += n`.
-    AddClassBytes(ProgramId, u64),
-    /// `report.object_bytes += n`.
-    AddObjectBytes(ProgramId, u64),
-    /// One object fault resolved: `object_faults += 1`, `object_bytes += n`.
-    AddObjectFault(ProgramId, u64),
-    /// `report.migrations.push(t)` (restore completed on this shard).
-    PushMigration(ProgramId, MigrationTimings),
-    /// Typed program failure (first one wins; `fail_program` guards).
-    FailProgram {
-        program: ProgramId,
-        error: String,
-        at: u64,
-    },
-    /// Mark a foreign session `Done` so stale events cannot wake it.
-    RetireSession(SessionId),
-    /// A roam replaced `old` with `new` in the episode's valid set.
-    ReplaceValidSession {
-        program: ProgramId,
-        old: SessionId,
-        new: SessionId,
-    },
-}
-
 /// A registered program (one root thread).
 pub struct Program {
     pub home: usize,
@@ -332,50 +169,40 @@ pub struct Program {
     /// Shipping attempts of the *current* episode (reset at capture),
     /// bounded by [`RetryPolicy::Retry`]'s `max_attempts`.
     episode_attempts: u32,
-    /// Session ids of the outstanding episode (roams replace their entry).
-    /// Under chaos, state arrivals and home returns from sessions not in
-    /// this set are stale — superseded by a retry or fallback — and drop.
-    valid_sessions: Vec<SessionId>,
+    /// Sessions of the outstanding episode, each with the node it was
+    /// shipped to (roams replace their entry). Under chaos, state arrivals
+    /// and home returns from sessions not in this set are stale —
+    /// superseded by a retry or fallback — and drop.
+    valid_sessions: Vec<(usize, SessionId)>,
     /// Retained copy of the shipped segments, kept only under
     /// [`RetryPolicy::Retry`] with chaos enabled, so a deadline can
     /// re-ship without re-capturing (the home frames never re-freeze).
     shipped: Vec<StagedSegment>,
 }
 
-/// The cluster: all nodes plus global program/session bookkeeping.
+/// The cluster: every node with the state it owns, the programs by home
+/// node, and the fleet-wide settings.
 ///
+/// State lives with the node that owns it (see `engine/shard.rs`): sessions,
+/// thread owners, the session counter and the class memo are fields of the
+/// hosting [`Node`], and [`Programs`] stores each program with its home.
 /// Under [`sod_net::Scheduler::Parallel`] the same type doubles as a
-/// per-shard *worker view* (see `Role`): `split_shards` moves one
-/// node's state — and the sessions/programs living there — into a view
-/// that drains its safe-horizon batch on a worker thread, and
-/// `absorb_shard` moves everything back. Cross-shard reads go through
-/// the immutable `Shared` snapshot; cross-shard writes become
-/// `DeferredOp`s replayed by the master during the canonical merge.
+/// per-shard *worker view*: a window moves the drained shards' nodes and
+/// homed programs into views that drain their safe-horizon batches, and
+/// moves them back when it closes. Cross-shard reads go through the
+/// immutable `Shared` snapshot; cross-shard writes become `DeferredOp`s
+/// replayed by the master during the canonical merge.
 pub struct Cluster {
     pub nodes: Nodes,
     pub programs: Programs,
     /// How many of this view's programs are `done` — what the pool
     /// controller's every tick asks, without walking the program table.
     /// Bumped where `done` is set (`finish_program` / `fail_program`); a
-    /// shard view counts from zero and `absorb_shard` adds it up.
+    /// shard view counts from zero and closing it adds its count up.
     programs_done: usize,
-    sessions: HashMap<SessionId, WorkerSession>,
-    thread_owner: HashMap<(usize, usize), Owner>,
-    /// Per-node session-id allocation counters (see [`Cluster::alloc_session`]).
-    next_session: Vec<u64>,
     pub slice_ns: u64,
     /// Cluster-wide code-shipping policy (see [`CodeShipping`]).
     pub code_shipping: CodeShipping,
-    /// Memoized `ClassDef::referenced_classes` results, keyed by class
-    /// name (class files are immutable once deployed, and names are
-    /// cluster-unique): `BundleReachable` walks the reference closure on
-    /// every migration, and rescanning every method body each time would
-    /// put an O(code size) pass on the migration hot path.
-    class_refs: HashMap<String, Vec<String>>,
-    /// Memoized `class_wire_bytes` results, same immutability argument as
-    /// `class_refs`: the streaming size count walks every method body, so
-    /// run it once per class name, not per migration/class-serve.
-    class_sizes: HashMap<String, u64>,
     /// Encode-buffer free list shared by every wire-path encoder (state
     /// captures, object replies, flush batches). Shared across shard views
     /// by `Arc`: pool state never influences encoded bytes, so reuse
@@ -419,15 +246,10 @@ impl Cluster {
     pub fn new(nodes: Vec<Node>) -> Self {
         Cluster {
             nodes: Slots::new("node", nodes),
-            programs: Slots::new("program", Vec::new()),
+            programs: Programs::new(),
             programs_done: 0,
-            sessions: HashMap::new(),
-            thread_owner: HashMap::new(),
-            next_session: Vec::new(),
             slice_ns: DEFAULT_SLICE_NS,
             code_shipping: CodeShipping::default(),
-            class_refs: HashMap::new(),
-            class_sizes: HashMap::new(),
             buf_pool: Arc::new(BufferPool::new()),
             chaos_enabled: false,
             retry_policy: RetryPolicy::default(),
@@ -512,273 +334,20 @@ impl Cluster {
         }
     }
 
-    /// Mint a session id for a session created *at* `node` (the handler's
-    /// destination). Ids are striped — high half names the node, low half
-    /// counts its allocations — so shard views draining in parallel mint
-    /// exactly the ids a sequential run would, with no shared counter.
-    /// Deterministic across schedulers because each node's deliveries run
-    /// in the same canonical order under all of them.
-    fn alloc_session(&mut self, node: usize) -> SessionId {
-        if let Role::Worker { shard, .. } = self.role {
-            assert_eq!(
-                node, shard,
-                "ownership auditor: shard {shard} allocated a session at node {node} \
-                 while draining in parallel"
-            );
-        }
-        if self.next_session.len() <= node {
-            self.next_session.resize(node + 1, 0);
-        }
-        let c = &mut self.next_session[node];
-        *c += 1;
-        ((node as u64 + 1) << 32) | *c
-    }
-
-    /// A peer node's profile: live when this view owns the node (always,
-    /// sequentially), else from the immutable snapshot.
-    fn peer_cfg(&self, node: usize) -> &NodeConfig {
-        if self.nodes.owns(node) {
-            &self.nodes[node].cfg
-        } else {
-            let shared = self.shared.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: read node {node}'s config with no shared snapshot")
-            });
-            &shared.cfgs[node]
-        }
-    }
-
-    /// A peer node's simulated filesystem (trees are fixed after scenario
-    /// setup): live when owned, else from the snapshot.
-    fn peer_fs(&self, node: usize) -> &SimFs {
-        if self.nodes.owns(node) {
-            &self.nodes[node].fs
-        } else {
-            let shared = self.shared.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: read node {node}'s fs with no shared snapshot")
-            });
-            &shared.fss[node]
-        }
-    }
-
-    /// Record a cross-shard effect. On the master (or when this view owns
-    /// the target) the op applies immediately — sequential runs take this
-    /// path for every op, so they are byte-for-byte the old engine. A
-    /// worker view that does not own the target queues the op, tagged with
-    /// the current delivery index, for the master's merge to replay.
-    fn defer(&mut self, op: DeferredOp) {
-        let owned = match &op {
-            DeferredOp::AddInstructions(p, _)
-            | DeferredOp::AddClassesShipped(p, _)
-            | DeferredOp::AddClassBytes(p, _)
-            | DeferredOp::AddObjectBytes(p, _)
-            | DeferredOp::AddObjectFault(p, _)
-            | DeferredOp::PushMigration(p, _)
-            | DeferredOp::FailProgram { program: p, .. }
-            | DeferredOp::ReplaceValidSession { program: p, .. } => self.programs.owns(*p as usize),
-            // Sessions are never removed from the map, so "absent" can
-            // only mean "owned by another shard this batch".
-            DeferredOp::RetireSession(sid) => self.sessions.contains_key(sid),
-        };
-        if owned {
-            self.apply_op(op);
-        } else {
-            let Role::Worker { deliveries, .. } = self.role else {
-                panic!("master deferred an op for state it does not own: {op:?}");
-            };
-            self.deferred_out.push((deliveries - 1, op));
-        }
-    }
-
-    fn apply_op(&mut self, op: DeferredOp) {
-        match op {
-            DeferredOp::AddInstructions(p, n) => {
-                self.programs[p as usize].report.instructions += n;
-            }
-            DeferredOp::AddClassesShipped(p, n) => {
-                self.programs[p as usize].report.classes_shipped += n;
-            }
-            DeferredOp::AddClassBytes(p, n) => {
-                self.programs[p as usize].report.class_bytes += n;
-            }
-            DeferredOp::AddObjectBytes(p, n) => {
-                self.programs[p as usize].report.object_bytes += n;
-            }
-            DeferredOp::AddObjectFault(p, bytes) => {
-                let report = &mut self.programs[p as usize].report;
-                report.object_faults += 1;
-                report.object_bytes += bytes;
-            }
-            DeferredOp::PushMigration(p, t) => {
-                self.programs[p as usize].report.migrations.push(t);
-            }
-            DeferredOp::FailProgram { program, error, at } => {
-                self.fail_program(program, error, at);
-            }
-            DeferredOp::RetireSession(sid) => {
-                self.mark_done(sid);
-            }
-            DeferredOp::ReplaceValidSession { program, old, new } => {
-                let p = &mut self.programs[program as usize];
-                if let Some(slot) = p.valid_sessions.iter_mut().find(|s| **s == old) {
-                    *slot = new;
-                }
-            }
-        }
-    }
-
-    /// Move a locally held session to [`WorkerPhase::Done`] and drop it
-    /// from its host's live set (see [`Node::live_sessions`]) — the only
-    /// way a session reaches `Done`, so the index cannot miss a
-    /// retirement. `None` when this view does not hold the session.
-    fn mark_done(&mut self, sid: SessionId) -> Option<&WorkerSession> {
-        let w = self.sessions.get_mut(&sid)?;
+    /// Move the session hosted at `node` to [`WorkerPhase::Done`] and drop
+    /// it from the node's live set (see [`Node::live_sessions`]) — the
+    /// only way a session reaches `Done`, so the index cannot miss a
+    /// retirement. `None` when no such session ever arrived there.
+    fn mark_done(&mut self, node: usize, sid: SessionId) -> Option<&WorkerSession> {
+        let n = &mut self.nodes[node];
+        let w = n.sessions.get_mut(&sid)?;
         w.phase = WorkerPhase::Done;
-        self.nodes[w.node].live_sessions.remove(&sid);
+        n.live_sessions.remove(&sid);
         Some(w)
     }
 
-    /// Mark a session `Done` wherever it lives: locally if owned, else via
-    /// a deferred [`DeferredOp::RetireSession`]. Used at cross-shard
-    /// failure sites where the serving node cannot read the session.
-    fn retire_session(&mut self, session: SessionId) {
-        self.defer(DeferredOp::RetireSession(session));
-    }
-
-    /// Build the immutable cross-shard snapshot (first parallel batch
-    /// only). Sound because configs are fixed at construction, fs trees
-    /// at scenario setup, and the class repos a foreign shard may consult
-    /// (program homes — see `lookup_class`) are static after deployment.
-    fn ensure_shared(&mut self) {
-        if self.shared.is_some() {
-            return;
-        }
-        let mut cfgs = Vec::with_capacity(self.nodes.len());
-        let mut fss = Vec::with_capacity(self.nodes.len());
-        let mut repos = Vec::with_capacity(self.nodes.len());
-        for n in self.nodes.iter() {
-            cfgs.push(n.cfg.clone());
-            fss.push(n.fs.clone());
-            repos.push(n.repo.clone());
-        }
-        self.shared = Some(Arc::new(Shared { cfgs, fss, repos }));
-    }
-
-    /// Carve per-shard worker views out of the master: each view owns its
-    /// shard's node, the programs homed there, the sessions hosted there,
-    /// and that node's thread/session bookkeeping. Everything else stays
-    /// behind (hollow slots), so any cross-shard touch trips an auditor.
-    fn split_shards(&mut self, shards: &[usize]) -> Vec<Cluster> {
-        let nnodes = self.nodes.len();
-        let nprogs = self.programs.len();
-        if self.next_session.len() < nnodes {
-            self.next_session.resize(nnodes, 0);
-        }
-        shards
-            .iter()
-            .map(|&s| {
-                let mut nodes = self.nodes.hollow();
-                if let Some(n) = self.nodes.take(s) {
-                    nodes.put(s, n);
-                }
-                let mut programs = self.programs.hollow();
-                for pid in 0..nprogs {
-                    if self.programs.home_of(pid) == Some(s) {
-                        if let Some(p) = self.programs.take(pid) {
-                            programs.put(pid, p);
-                        }
-                    }
-                }
-                let session_ids: Vec<SessionId> = self
-                    .sessions
-                    .iter()
-                    .filter(|(_, w)| w.node == s)
-                    .map(|(sid, _)| *sid)
-                    .collect();
-                let sessions = session_ids
-                    .into_iter()
-                    .map(|sid| (sid, self.sessions.remove(&sid).unwrap()))
-                    .collect();
-                let owner_keys: Vec<(usize, usize)> = self
-                    .thread_owner
-                    .keys()
-                    .filter(|(node, _)| *node == s)
-                    .copied()
-                    .collect();
-                let thread_owner = owner_keys
-                    .into_iter()
-                    .map(|k| (k, self.thread_owner.remove(&k).unwrap()))
-                    .collect();
-                let mut next_session = vec![0u64; nnodes];
-                next_session[s] = std::mem::take(&mut self.next_session[s]);
-                Cluster {
-                    nodes,
-                    programs,
-                    programs_done: 0,
-                    sessions,
-                    thread_owner,
-                    next_session,
-                    slice_ns: self.slice_ns,
-                    code_shipping: self.code_shipping,
-                    class_refs: HashMap::new(),
-                    class_sizes: HashMap::new(),
-                    buf_pool: Arc::clone(&self.buf_pool),
-                    chaos_enabled: false,
-                    retry_policy: self.retry_policy,
-                    migration_timeout_ns: self.migration_timeout_ns,
-                    chaos: ChaosCounters::default(),
-                    pools: Vec::new(),
-                    cpu_contention: self.cpu_contention,
-                    role: Role::Worker {
-                        shard: s,
-                        deliveries: 0,
-                    },
-                    shared: self.shared.clone(),
-                    deferred_out: Vec::new(),
-                    deferred_in: Vec::new(),
-                }
-            })
-            .collect()
-    }
-
-    /// Merge a worker view back after its batch drained: moved state
-    /// returns, memoized class refs fold in, and the view's deferred ops
-    /// queue up for `apply_deferred` to replay during the merge.
-    fn absorb_shard(&mut self, view: Cluster) {
-        let Role::Worker { shard, .. } = view.role else {
-            panic!("absorbed a non-worker view");
-        };
-        for (i, slot) in view.nodes.slots.into_iter().enumerate() {
-            if let Some(n) = slot {
-                debug_assert_eq!(i, shard);
-                self.nodes.put(i, n);
-            }
-        }
-        for (i, slot) in view.programs.slots.into_iter().enumerate() {
-            if let Some(p) = slot {
-                self.programs.put(i, p);
-            }
-        }
-        self.programs_done += view.programs_done;
-        self.sessions.extend(view.sessions);
-        self.thread_owner.extend(view.thread_owner);
-        if self.next_session.len() <= shard {
-            self.next_session.resize(shard + 1, 0);
-        }
-        self.next_session[shard] = view.next_session[shard];
-        self.class_refs.extend(view.class_refs);
-        self.class_sizes.extend(view.class_sizes);
-        if self.deferred_in.len() <= shard {
-            self.deferred_in.resize_with(shard + 1, VecDeque::new);
-        }
-        debug_assert!(
-            self.deferred_in[shard].is_empty(),
-            "shard {shard} still had unapplied deferred ops from the previous batch"
-        );
-        self.deferred_in[shard] = view.deferred_out.into();
-    }
-
     fn worker_of(&self, node: usize, tid: usize) -> SessionId {
-        match self.thread_owner.get(&(node, tid)) {
+        match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Worker(s)) => *s,
             _ => panic!("thread ({node},{tid}) is not a worker session"),
         }
@@ -808,18 +377,17 @@ impl Cluster {
         // killed, superseded, or stuck sessions — is accounted nowhere
         // else; credit it to the holding node's lost bucket so the
         // conservation identity `sent = accounted + lost` closes. (The
-        // sum over the session map is order-independent.)
-        let mut stranded = vec![0u64; self.nodes.len()];
-        for w in self.sessions.values() {
-            if !w.recorded {
-                stranded[w.node] += w.timings.state_bytes;
-            }
-        }
+        // sum over a session map is order-independent.)
         let per_node = self
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, n)| {
+            .map(|n| {
+                let stranded: u64 = n
+                    .sessions
+                    .values()
+                    .filter(|w| !w.recorded)
+                    .map(|w| w.timings.state_bytes)
+                    .sum();
                 // Node lifetime: join → retire (drained pool members and
                 // crashed ones), join → makespan otherwise. A node that
                 // joined after the last completion has zero lifetime.
@@ -832,7 +400,7 @@ impl Cluster {
                     events: n.events,
                     sent: n.net_sent,
                     lost: NetBytes {
-                        state: n.net_lost.state + stranded[i],
+                        state: n.net_lost.state + stranded,
                         class: n.net_lost.class,
                         object: n.net_lost.object,
                     },
@@ -885,7 +453,9 @@ impl World for Cluster {
                 self.programs[program as usize].home_tid = tid;
                 self.programs[program as usize].started = true;
                 self.programs[program as usize].report.started_at_ns = ctx.now();
-                self.thread_owner.insert((dst, tid), Owner::Root(program));
+                self.nodes[dst]
+                    .thread_owner
+                    .insert(tid, Owner::Root(program));
                 ctx.schedule(0, dst, Msg::RunSlice { tid });
             }
             Msg::MigrateNow { program, plan } => {
@@ -927,7 +497,7 @@ impl World for Cluster {
                 sent_at,
                 ctx,
             ),
-            Msg::BeginRestore { session } => self.begin_restore(session, ctx),
+            Msg::BeginRestore { session } => self.begin_restore(dst, session, ctx),
             Msg::ClassRequest {
                 session,
                 requester,
@@ -1021,36 +591,11 @@ impl World for Cluster {
         threads: usize,
         max_events: u64,
     ) -> Option<Vec<ShardLog<Msg>>> {
-        self.ensure_shared();
-        let shards: Vec<usize> = batches.iter().map(|b| b.shard).collect();
-        let views = self.split_shards(&shards);
-        let (logs, views) = sod_net::drain_batches_scoped(
-            topo,
-            std::mem::take(batches),
-            horizon,
-            prov_base,
-            threads,
-            max_events,
-            views,
-            |view: &mut Cluster, dst, msg, ctx| view.on_message(dst, msg, ctx),
-        );
-        for view in views {
-            self.absorb_shard(view);
-        }
-        Some(logs)
+        Some(self.drain_window(topo, batches, horizon, prov_base, threads, max_events))
     }
 
     fn apply_deferred(&mut self, shard: usize, delivery: u64) {
-        if shard >= self.deferred_in.len() {
-            return;
-        }
-        while let Some((tag, _)) = self.deferred_in[shard].front() {
-            if *tag != delivery {
-                break;
-            }
-            let (_, op) = self.deferred_in[shard].pop_front().unwrap();
-            self.apply_op(op);
-        }
+        self.apply_deferred_ops(shard, delivery);
     }
 }
 
@@ -1193,53 +738,4 @@ pub fn rollback_to_statement_start(vm: &mut sod_vm::interp::Vm, tid: usize) {
     f.pc = start;
     f.ostack.clear();
     t.state = sod_vm::interp::ThreadState::Runnable;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn two_node_cluster() -> Cluster {
-        Cluster::new(vec![
-            Node::new(NodeConfig::cluster("a")),
-            Node::new(NodeConfig::cluster("b")),
-        ])
-    }
-
-    #[test]
-    fn session_ids_are_striped_per_node() {
-        let mut c = two_node_cluster();
-        assert_eq!(c.alloc_session(0), (1u64 << 32) | 1);
-        assert_eq!(c.alloc_session(1), (2u64 << 32) | 1);
-        assert_eq!(c.alloc_session(0), (1u64 << 32) | 2);
-        // A shard view minting for its own node continues the exact
-        // stripe a sequential run would use, and the master resumes it
-        // after the merge.
-        c.ensure_shared();
-        let mut views = c.split_shards(&[1]);
-        assert_eq!(views[0].alloc_session(1), (2u64 << 32) | 2);
-        let view = views.pop().unwrap();
-        c.absorb_shard(view);
-        assert_eq!(c.alloc_session(1), (2u64 << 32) | 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership auditor")]
-    fn auditor_catches_cross_shard_node_access() {
-        let mut c = two_node_cluster();
-        c.ensure_shared();
-        let views = c.split_shards(&[0]);
-        // Node 1 was loaned to another shard: touching it from this view
-        // is exactly the data race the repartition forbids.
-        let _ = &views[0].nodes[1];
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership auditor")]
-    fn auditor_catches_session_minted_off_shard() {
-        let mut c = two_node_cluster();
-        c.ensure_shared();
-        let mut views = c.split_shards(&[0]);
-        let _ = views[0].alloc_session(1);
-    }
 }

@@ -49,7 +49,7 @@ impl Cluster {
                 // A request for an object this heap never allocated: fail
                 // the program and retire the session parked on the fault
                 // (it may live on another shard, as in `class_request`).
-                self.retire_session(sid);
+                self.retire_session(requester, sid);
                 self.defer(DeferredOp::FailProgram {
                     program,
                     error: format!("object request for home object {home_id} failed: {e}"),
@@ -98,7 +98,7 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let bytes = batch.payload_bytes();
-        let Some(w) = self.sessions.get(&sid) else {
+        let Some(w) = self.nodes[node].sessions.get(&sid) else {
             // No session ever lived here (arrival raced a retirement that
             // also dropped the map entry): nothing to resume, and nobody's
             // report will account the bytes — credit them as lost.
@@ -123,7 +123,12 @@ impl Cluster {
             match decode_object(f.clone()) {
                 Ok(o) => objects.push(o),
                 Err(e) => {
-                    self.fail_session(sid, format!("object reply decode failed: {e}"), ctx.now());
+                    self.fail_session(
+                        node,
+                        sid,
+                        format!("object reply decode failed: {e}"),
+                        ctx.now(),
+                    );
                     return;
                 }
             }
@@ -134,7 +139,7 @@ impl Cluster {
         // A reply that is empty, or that reaches a thread no longer parked
         // on a fault (a duplicate, a forgery), fails the program — typed.
         if let Err(e) = install_reply(&mut self.nodes[node].vm, tid, origin, &objects) {
-            self.fail_session(sid, format!("object reply rejected: {e}"), ctx.now());
+            self.fail_session(node, sid, format!("object reply rejected: {e}"), ctx.now());
             return;
         }
         self.defer(DeferredOp::AddObjectFault(program, bytes));
@@ -252,19 +257,20 @@ impl Cluster {
     ) {
         // Record master ids on the local copies (a temp id naming no
         // local object is ignored, as a stale ack's would be).
-        let origin = self.sessions[&sid].origin();
+        let origin = self.nodes[node].sessions[&sid].origin();
         for (temp, home_id) in &assigned {
             let local = temp.wrapping_sub(TEMP_ID_BASE);
             let _ = self.nodes[node].vm.heap.set_home(local, origin, *home_id);
         }
         let phase = std::mem::replace(
-            &mut self.sessions.get_mut(&sid).unwrap().phase,
+            &mut self.nodes[node].sessions.get_mut(&sid).unwrap().phase,
             WorkerPhase::Done,
         );
         match phase {
             WorkerPhase::AwaitRoamAck { dest } => {
-                let tid = self.sessions[&sid].tid;
-                self.sessions.get_mut(&sid).unwrap().phase = WorkerPhase::Running;
+                let w = self.nodes[node].sessions.get_mut(&sid).unwrap();
+                w.phase = WorkerPhase::Running;
+                let tid = w.tid;
                 self.roam_capture_and_ship(node, tid, sid, dest, 0, ctx);
             }
             WorkerPhase::AwaitCompleteAck { retval } => {
@@ -279,10 +285,10 @@ impl Cluster {
                     }
                     other => other,
                 });
-                self.send_segment_return(sid, mapped, 0, ctx);
+                self.send_segment_return(node, sid, mapped, 0, ctx);
             }
             other => {
-                self.sessions.get_mut(&sid).unwrap().phase = other;
+                self.nodes[node].sessions.get_mut(&sid).unwrap().phase = other;
             }
         }
     }

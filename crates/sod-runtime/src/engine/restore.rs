@@ -44,7 +44,7 @@ impl Cluster {
         let state_bytes = state.len() as u64;
         if self.chaos_enabled {
             let p = &self.programs[info.program as usize];
-            if p.done || !p.valid_sessions.contains(&info.session) {
+            if p.done || !p.valid_sessions.iter().any(|&(_, s)| s == info.session) {
                 // Superseded in flight (the home already failed, retried,
                 // or fell back): this state will never restore. Credit it
                 // where it landed so conservation closes.
@@ -93,7 +93,7 @@ impl Cluster {
             .scale(costs::deserialize_ns(state_bytes));
         for c in &bundled {
             if !self.nodes[node].vm.has_class(&c.name) {
-                let cb = self.class_size(c);
+                let cb = self.nodes[node].class_size(c);
                 prep += self.nodes[node].cfg.scale(costs::class_load_ns(cb));
                 if let Err(e) = self.nodes[node].vm.load_class(c) {
                     self.defer(DeferredOp::FailProgram {
@@ -125,7 +125,6 @@ impl Cluster {
         let sid = info.session;
         let session = WorkerSession {
             program: info.program,
-            node,
             home: info.home,
             tid: usize::MAX,
             return_to: info.return_to,
@@ -142,7 +141,7 @@ impl Cluster {
             pending_roam: None,
             recorded: false,
         };
-        self.sessions.insert(sid, session);
+        self.nodes[node].sessions.insert(sid, session);
         self.nodes[node].live_sessions.insert(sid, info.program);
         // The shipped stack arrived: it is no longer in flight toward this
         // node (saturating — restores can land here via paths that never
@@ -191,6 +190,7 @@ impl Cluster {
         if !self.nodes[dst].vm.has_class(&class.name) {
             if let Err(e) = self.nodes[dst].vm.load_class(&class) {
                 self.fail_session(
+                    dst,
                     session,
                     format!("class {:?} failed to load: {e:?}", class.name),
                     ctx.now(),
@@ -201,7 +201,7 @@ impl Cluster {
         self.nodes[dst]
             .repo
             .insert(class.name.clone(), class.clone());
-        let Some(w) = self.sessions.get_mut(&session) else {
+        let Some(w) = self.nodes[dst].sessions.get_mut(&session) else {
             return; // session already retired (e.g. its program failed)
         };
         if matches!(w.phase, WorkerPhase::Done) {
@@ -222,6 +222,7 @@ impl Cluster {
                 let tid = w.tid;
                 if let Err(e) = self.nodes[dst].vm.resume_class_loaded(tid) {
                     self.fail_session(
+                        dst,
                         session,
                         format!("class-load resume failed: {e:?}"),
                         ctx.now(),
@@ -233,22 +234,17 @@ impl Cluster {
         }
     }
 
-    pub(super) fn begin_restore(&mut self, sid: SessionId, ctx: &mut SimCtx<'_, Msg>) {
-        let (node, wait, nframes, has_jvmti) = {
-            let Some(w) = self.sessions.get(&sid) else {
-                return; // retired before restore began (program failed)
-            };
-            (
-                w.node,
-                w.wait_for_return,
-                w.nframes,
-                self.nodes[w.node].cfg.has_jvmti,
-            )
+    pub(super) fn begin_restore(&mut self, node: usize, sid: SessionId, ctx: &mut SimCtx<'_, Msg>) {
+        let Some(w) = self.nodes[node].sessions.get(&sid) else {
+            return; // retired before restore began (program failed)
         };
-        if matches!(self.sessions[&sid].phase, WorkerPhase::Done) {
+        if matches!(w.phase, WorkerPhase::Done) {
             return;
         }
+        let (wait, nframes) = (w.wait_for_return, w.nframes);
+        let has_jvmti = self.nodes[node].cfg.has_jvmti;
         let use_handlers = has_jvmti && !wait;
+        let n = &mut self.nodes[node];
         if use_handlers {
             // The paper's portable protocol: JNI-invoke the bottom method,
             // arm a breakpoint, and let InvalidStateException handlers
@@ -256,41 +252,35 @@ impl Cluster {
             // execution plus per-frame tooling charges).
             // Disjoint field borrows: the captured state stays in the
             // session map, never cloned per restore.
-            let tid = begin_handler_restore(&mut self.nodes[node].vm, &self.sessions[&sid].state)
-                .expect("handler restore begins");
-            self.nodes[node].vm.threads[tid].interp_mode = true;
-            self.nodes[node].vm.threads[tid].origin = self.sessions[&sid].origin();
-            self.thread_owner.insert((node, tid), Owner::Worker(sid));
-            let w = self.sessions.get_mut(&sid).unwrap();
+            let w = n.sessions.get_mut(&sid).unwrap();
+            let tid = begin_handler_restore(&mut n.vm, &w.state).expect("handler restore begins");
+            n.vm.threads[tid].interp_mode = true;
+            n.vm.threads[tid].origin = w.origin();
+            n.thread_owner.insert(tid, Owner::Worker(sid));
             w.tid = tid;
             w.phase = WorkerPhase::Restoring { restored: 0 };
-            let fixed = self.nodes[node]
-                .cfg
-                .scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
+            let fixed = n.cfg.scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
             ctx.schedule(fixed, node, Msg::RunSlice { tid });
         } else {
             // Exact direct restore: restore-ahead workflow segments (must
             // not re-execute invokes) and no-JVMTI devices (Java-level
             // reflective restore).
-            let tid = restore_segment_direct(&mut self.nodes[node].vm, &self.sessions[&sid].state)
-                .expect("direct restore");
-            self.nodes[node].vm.threads[tid].origin = self.sessions[&sid].origin();
-            self.thread_owner.insert((node, tid), Owner::Worker(sid));
+            let w = n.sessions.get_mut(&sid).unwrap();
+            let tid = restore_segment_direct(&mut n.vm, &w.state).expect("direct restore");
+            n.vm.threads[tid].origin = w.origin();
+            n.thread_owner.insert(tid, Owner::Worker(sid));
             let base = if has_jvmti {
                 costs::RESTORE_FIXED_NS + nframes as u64 * costs::RESTORE_PER_FRAME_NS
             } else {
                 costs::PORTABLE_RESTORE_FIXED_NS
                     + nframes as u64 * costs::RESTORE_PER_FRAME_NS
-                    + costs::deserialize_ns(self.sessions[&sid].timings.state_bytes)
+                    + costs::deserialize_ns(w.timings.state_bytes)
             };
-            let cost = self.nodes[node].cfg.scale(base);
-            let arrived = self.sessions[&sid].arrived_at;
-            let class_wait = self.sessions[&sid].class_wait_ns;
-            let w = self.sessions.get_mut(&sid).unwrap();
+            let cost = n.cfg.scale(base);
             w.tid = tid;
             w.timings.restore_ns = (ctx.now() + cost)
-                .saturating_sub(arrived)
-                .saturating_sub(class_wait);
+                .saturating_sub(w.arrived_at)
+                .saturating_sub(w.class_wait_ns);
             w.recorded = true;
             let timings = w.timings;
             let program = w.program;
@@ -313,7 +303,7 @@ impl Cluster {
     ) {
         let sid = self.worker_of(node, tid);
         let (restored, nframes) = {
-            let w = &self.sessions[&sid];
+            let w = &self.nodes[node].sessions[&sid];
             match &w.phase {
                 WorkerPhase::Restoring { restored, .. } => (*restored, w.nframes),
                 _ => panic!("breakpoint outside restore"),
@@ -328,14 +318,14 @@ impl Cluster {
             .expect("restore session")
             .cursor = restored;
         if restored + 1 < nframes {
-            let next = self.sessions[&sid].state.frames[restored + 1].clone();
+            let next = self.nodes[node].sessions[&sid].state.frames[restored + 1].clone();
             let vm = &mut self.nodes[node].vm;
             let ci = vm.class_idx(&next.class).expect("restored class");
             let mi = vm.classes[ci].method_idx(&next.method).expect("method");
             vm.set_breakpoint(tid, ci, mi, 0);
         }
         if let WorkerPhase::Restoring { restored: r, .. } =
-            &mut self.sessions.get_mut(&sid).unwrap().phase
+            &mut self.nodes[node].sessions.get_mut(&sid).unwrap().phase
         {
             *r += 1;
         }
@@ -358,24 +348,22 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let Some(Owner::Worker(sid)) = self.thread_owner.get(&(node, tid)) else {
+        let n = &mut self.nodes[node];
+        let Some(Owner::Worker(sid)) = n.thread_owner.get(&tid) else {
             return;
         };
-        let sid = *sid;
+        let w = n.sessions.get_mut(sid).unwrap();
         let done = matches!(
-            &self.sessions[&sid].phase,
-            WorkerPhase::Restoring { restored, .. } if *restored >= self.sessions[&sid].nframes
+            w.phase,
+            WorkerPhase::Restoring { restored, .. } if restored >= w.nframes
         );
         if !done {
             return;
         }
-        self.nodes[node].vm.threads[tid].interp_mode = false;
-        let arrived = self.sessions[&sid].arrived_at;
-        let class_wait = self.sessions[&sid].class_wait_ns;
-        let w = self.sessions.get_mut(&sid).unwrap();
+        n.vm.threads[tid].interp_mode = false;
         w.timings.restore_ns = (ctx.now() + elapsed)
-            .saturating_sub(arrived)
-            .saturating_sub(class_wait);
+            .saturating_sub(w.arrived_at)
+            .saturating_sub(w.class_wait_ns);
         w.phase = WorkerPhase::Running;
         w.recorded = true;
         let timings = w.timings;

@@ -132,10 +132,10 @@ pub(super) enum WorkerPhase {
     Done,
 }
 
-/// One migrated segment executing (or being restored) at a node.
-pub(super) struct WorkerSession {
+/// One migrated segment executing (or being restored) at the node whose
+/// [`crate::node::Node::sessions`] holds it.
+pub(crate) struct WorkerSession {
     pub(super) program: ProgramId,
-    pub(super) node: usize,
     pub(super) home: usize,
     pub(super) tid: usize,
     pub(super) return_to: ReturnTarget,
@@ -168,7 +168,7 @@ impl WorkerSession {
 }
 
 /// Who owns a VM thread on a node.
-pub(super) enum Owner {
+pub(crate) enum Owner {
     Root(ProgramId),
     Worker(SessionId),
 }

@@ -5,8 +5,10 @@ use std::sync::Arc;
 
 use sod_vm::class::ClassDef;
 use sod_vm::interp::Vm;
+use sod_vm::wire::class_wire_bytes;
 
 use crate::costs::AGENT_IDLE_SCALE_PER_MILLE;
+use crate::engine::{Owner, WorkerSession};
 use crate::fs::SimFs;
 use crate::metrics::NetBytes;
 use crate::msg::{ProgramId, SessionId};
@@ -88,7 +90,12 @@ impl NodeConfig {
     }
 }
 
-/// Per-node runtime state.
+/// Per-node runtime state: everything this node owns apart from the
+/// programs homed on it (see `engine::Programs`). The engine keeps its
+/// per-node bookkeeping here too — hosted sessions, thread owners, the
+/// session-id counter, the class memo — so a `Scheduler::Parallel` window
+/// that drains this node's events takes all of it along by moving the one
+/// `Node`.
 pub struct Node {
     pub cfg: NodeConfig,
     /// The node's VM (home programs and restored worker threads).
@@ -135,17 +142,35 @@ pub struct Node {
     /// before the first restore lands, so hosted counts alone would send
     /// the whole burst to one member.
     pub inbound_sessions: u64,
+    /// Every worker session that ever arrived here, by id. Entries are
+    /// never removed — a finished or killed session stays, in its `Done`
+    /// phase, so a stale message naming it finds it and is ignored.
+    pub(crate) sessions: HashMap<SessionId, WorkerSession>,
+    /// Who owns each of this node's VM threads, by thread id: a program's
+    /// root thread or a restored worker session. An unowned thread never
+    /// runs.
+    pub(crate) thread_owner: HashMap<usize, Owner>,
+    /// Session ids minted here so far (the low half of the striped id;
+    /// see `Cluster::alloc_session`).
+    pub(crate) next_session: u64,
+    /// Memoized [`ClassDef::referenced_classes`], by class name (class
+    /// files are immutable once deployed, and names are cluster-unique):
+    /// `BundleReachable` walks the reference closure on every migration,
+    /// and rescanning every method body each time would put an O(code
+    /// size) pass on the migration hot path.
+    class_refs: HashMap<String, Vec<String>>,
+    /// Memoized [`class_wire_bytes`], same immutability argument: the
+    /// streaming size count walks every method body, so it runs once per
+    /// class here, not per migration, class-serve and bundled load.
+    class_sizes: HashMap<String, u64>,
     /// Worker sessions hosted here that have not reached their `Done`
     /// phase, each with the program it executes for: the index behind the
     /// pool controller's load, placement and drain queries, which would
-    /// otherwise scan the cluster's never-pruned session map. Invariant:
-    /// exactly the map's sessions with `node == this node` and a phase
-    /// other than `Done`. A session enters where it is created (segment
-    /// arrival) and leaves where it is marked done (`Cluster::mark_done`)
-    /// — both touch only state the hosting shard owns, so the index is
-    /// exact under every scheduler and moves with the node through a
-    /// parallel split. Ordered, because drains walk it in ascending
-    /// session-id order.
+    /// otherwise scan the never-pruned `sessions`. Invariant: exactly the
+    /// entries of `sessions` with a phase other than `Done`. A session
+    /// enters where it is created (segment arrival) and leaves where it
+    /// is marked done (`Cluster::mark_done`). Ordered, because drains
+    /// walk it in ascending session-id order.
     pub(crate) live_sessions: BTreeMap<SessionId, ProgramId>,
     /// Virtual time this node joined the cluster (0 for nodes present from
     /// the start; the spawn instant for elastic pool members).
@@ -178,6 +203,11 @@ impl Node {
             busy_ns: 0,
             events: 0,
             inbound_sessions: 0,
+            sessions: HashMap::new(),
+            thread_owner: HashMap::new(),
+            next_session: 0,
+            class_refs: HashMap::new(),
+            class_sizes: HashMap::new(),
             live_sessions: BTreeMap::new(),
             joined_at_ns: 0,
             retired_at_ns: None,
@@ -197,6 +227,26 @@ impl Node {
     pub fn stage(&mut self, class: &ClassDef) {
         self.repo
             .insert(class.name.clone(), Arc::new(class.clone()));
+    }
+
+    /// Memoized [`ClassDef::referenced_classes`] (the name is cloned only
+    /// on the miss path; `entry()` would allocate it on every hit).
+    pub(crate) fn refs_of(&mut self, def: &ClassDef) -> &[String] {
+        if !self.class_refs.contains_key(&def.name) {
+            self.class_refs
+                .insert(def.name.clone(), def.referenced_classes());
+        }
+        &self.class_refs[&def.name]
+    }
+
+    /// Memoized [`class_wire_bytes`].
+    pub(crate) fn class_size(&mut self, def: &ClassDef) -> u64 {
+        if let Some(&b) = self.class_sizes.get(&def.name) {
+            return b;
+        }
+        let b = class_wire_bytes(def);
+        self.class_sizes.insert(def.name.clone(), b);
+        b
     }
 
     /// Whether `peer` is known to hold `class` (sound, not complete: a

@@ -8,10 +8,10 @@
 
 use sod::scenario::{Plan, Scenario, When};
 use sod_asm::builder::ClassBuilder;
-use sod_net::{LinkSpec, MS, SEC};
+use sod_net::{LinkSpec, Scheduler, Topology, MS, SEC, US};
 use sod_preprocess::preprocess_sod;
-use sod_runtime::node::NodeConfig;
-use sod_runtime::FetchPolicy;
+use sod_runtime::node::{Node, NodeConfig};
+use sod_runtime::{Cluster, FetchPolicy, MigrationPlan, SodSim};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::{TypeOf, Value};
@@ -559,4 +559,72 @@ fn failed_program_reports_instructions_and_height() {
     );
     assert!(p.report.finished_at_ns > 0);
     assert_eq!(report.cluster.failed, 1);
+}
+
+/// The one case that drives `Cluster` shard views on spawned worker
+/// threads. Eight long programs, two per home, ship their top frame to the
+/// next home at once, so nearly all their work runs on a foreign shard and
+/// reaches their reports as deferred ops. Meanwhile a burst of 132 short
+/// programs starts every 470 us (off the 100 us slice grid, so bursts land
+/// at every phase of the long programs' slices) for as long as the long
+/// programs run: each burst puts more queued events into one safe-horizon
+/// window than the drain's spawn threshold, so windows that carry those
+/// deferred ops run on real threads.
+#[test]
+fn parallel_views_on_real_threads_match_sharded() {
+    const HOMES: usize = 4;
+    let class = app_class();
+    let run = |scheduler| {
+        let nodes = (0..HOMES)
+            .map(|i| {
+                let mut n = Node::new(NodeConfig::cluster(format!("n{i}")));
+                n.deploy(&class).unwrap();
+                n
+            })
+            .collect();
+        let mut cluster = Cluster::new(nodes);
+        let long: Vec<_> = (0..2 * HOMES)
+            .map(|i| cluster.add_program(i % HOMES, "App", "main", vec![Value::Int(300_000)]))
+            .collect();
+        let short: Vec<_> = (0..24 * 132)
+            .map(|i| cluster.add_program(i % HOMES, "App", "main", vec![Value::Int(10)]))
+            .collect();
+        let mut sim = SodSim::with_scheduler(cluster, Topology::gigabit_cluster(HOMES), scheduler);
+        for (i, &pid) in long.iter().enumerate() {
+            sim.start_program(0, pid);
+            sim.migrate_at(0, pid, MigrationPlan::top_to((i + 1) % HOMES, 1));
+        }
+        for (i, &pid) in short.iter().enumerate() {
+            sim.start_program((i / 132) as u64 * 470 * US, pid);
+        }
+        let finished_at = sim.run();
+        let reports: Vec<_> = long
+            .iter()
+            .chain(&short)
+            .map(|&p| sim.report(p).clone())
+            .collect();
+        (
+            sim.sim.threaded_windows(),
+            (finished_at, sim.cluster_report(), reports),
+        )
+    };
+    let (threaded, sharded) = run(Scheduler::Sharded);
+    assert_eq!(threaded, 0, "Sharded never opens a window");
+    for (i, r) in sharded.2.iter().enumerate() {
+        let n = if i < 2 * HOMES { 300_000 } else { 10 };
+        assert_eq!(r.result, Some(expected(n)), "program {i}");
+        assert_eq!(
+            r.migrations.len(),
+            usize::from(i < 2 * HOMES),
+            "program {i}"
+        );
+    }
+    for threads in [2, 4] {
+        let (threaded, parallel) = run(Scheduler::Parallel { threads });
+        assert!(
+            threaded > 0,
+            "threads={threads}: no window reached a thread"
+        );
+        assert_eq!(parallel, sharded, "threads={threads}");
+    }
 }
