@@ -112,7 +112,7 @@ pub fn measure_workload(class: &ClassDef, entry: &str, n: i64) -> WorkloadMeasur
             }
             let t = vm.thread(tid).unwrap();
             measure.frames = t.frames.len();
-            measure.locals = t.frames.iter().map(|f| f.locals.len()).sum();
+            measure.locals = t.frames.iter().map(|f| usize::from(f.nlocals)).sum();
             measure.stack_bytes = t.stack_state_bytes();
             measure.heap_bytes = vm.heap.used_bytes();
             measure.static_array_bytes = vm

@@ -155,7 +155,7 @@ impl Cluster {
                     let vm = &mut self.nodes[home].vm;
                     let t = vm.thread_mut(tid).expect("home thread");
                     let keep = t.frames.len().saturating_sub(pop_frames.saturating_sub(1));
-                    t.frames.truncate(keep);
+                    t.truncate_frames(keep);
                     vm.force_early_return(tid, val).expect("force early return");
                 }
                 let finished = self.nodes[home].vm.thread(tid).unwrap().is_finished();
@@ -209,10 +209,9 @@ impl Cluster {
 /// invoke of a remotely executed method (workflow restore-ahead).
 fn deliver_return(vm: &mut sod_vm::interp::Vm, tid: usize, val: Option<Value>) {
     let t = vm.thread_mut(tid).expect("waiting thread");
-    let f = t.frames.last_mut().expect("waiting frame");
-    f.pc += 1;
+    t.frames.last_mut().expect("waiting frame").pc += 1;
     if let Some(v) = val {
-        f.ostack.push(v);
+        t.push_operand(v);
     }
     t.state = sod_vm::interp::ThreadState::Runnable;
 }

@@ -734,8 +734,7 @@ pub fn rollback_to_statement_start(vm: &mut sod_vm::interp::Vm, tid: usize) {
     };
     let start = vm.line_start_pc(ci, mi, pc);
     let t = vm.thread_mut(tid).unwrap();
-    let f = t.frames.last_mut().unwrap();
-    f.pc = start;
-    f.ostack.clear();
+    t.frames.last_mut().unwrap().pc = start;
+    t.clear_operands();
     t.state = sod_vm::interp::ThreadState::Runnable;
 }

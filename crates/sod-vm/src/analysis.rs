@@ -70,6 +70,15 @@ pub fn method_summary(class: &ClassDef, method: &MethodDef) -> VmResult<MethodSu
         reason,
     };
 
+    // Arguments arrive in the first local slots, so a method's window must
+    // hold at least its arguments.
+    if method.nlocals < method.nargs {
+        return Err(verify_err(format!(
+            "{} local slots cannot hold {} arguments",
+            method.nlocals, method.nargs
+        )));
+    }
+
     while let Some((pc, d)) = work.pop() {
         let idx = pc as usize;
         if idx >= n {
@@ -231,6 +240,17 @@ mod tests {
         let m = MethodDef::new("m", 0, 0).with_code(vec![Instr::Add, Instr::Ret], vec![1, 1]);
         let c = cls(m);
         assert!(method_summary(&c, c.method("m").unwrap()).is_err());
+    }
+
+    #[test]
+    fn fewer_locals_than_arguments_rejected() {
+        // Only a hand-built (or hostile, wire-decoded) definition can say
+        // this; the builder always allots `nargs + extra` slots.
+        let mut m = MethodDef::new("m", 2, 0).with_code(vec![Instr::Ret], vec![1]);
+        m.nlocals = 1;
+        let c = cls(m);
+        let err = method_summary(&c, c.method("m").unwrap()).unwrap_err();
+        assert!(matches!(err, VmError::Verify { .. }));
     }
 
     #[test]

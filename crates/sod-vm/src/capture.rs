@@ -29,8 +29,7 @@
 //! `tests/interp_equivalence.rs` pins.
 
 use crate::error::{VmError, VmResult};
-use crate::frame::Frame;
-use crate::interp::{RestoreSession, Vm};
+use crate::interp::{RestoreSession, Vm, VmThread};
 use crate::tooling::{Tooling, ToolingPath};
 use crate::value::{ObjId, Value};
 
@@ -79,7 +78,7 @@ impl CapturedValue {
             CapturedValue::Int(i) => Value::Int(i),
             CapturedValue::Num(n) => Value::Num(n),
             CapturedValue::Null => Value::Null,
-            CapturedValue::HomeRef(h) => Value::Ref(map(h).ok_or(VmError::BadRef(h))?),
+            CapturedValue::HomeRef(h) => Value::Ref(map(h).ok_or_else(|| VmError::BadRef(h))?),
         })
     }
 }
@@ -149,21 +148,22 @@ pub fn capture_segment(
         }
         let top = t.top().expect("frames");
         let summary = &vm.classes[top.class_idx].summaries[top.method_idx];
-        if !top.ostack.is_empty() || !summary.is_msp(top.pc) {
+        if !t.operands(height - 1).is_empty() || !summary.is_msp(top.pc) {
             let m = &vm.classes[top.class_idx].def.methods[top.method_idx];
             return Err(VmError::NotAtMigrationSafePoint {
                 method: m.name.clone(),
                 pc: top.pc,
             });
         }
-        for f in &t.frames[height - nframes..] {
+        for fi in height - nframes..height {
+            let f = &t.frames[fi];
             if f.pinned {
                 return Err(VmError::NotAtMigrationSafePoint {
                     method: "pinned frame in segment".into(),
                     pc: f.pc,
                 });
             }
-            if !f.ostack.is_empty() && !std::ptr::eq(f, top) {
+            if !t.operands(fi).is_empty() {
                 // Call-site frames must have empty operand stacks; this is
                 // guaranteed by preprocessing, so a violation is an error.
                 return Err(VmError::NotAtMigrationSafePoint {
@@ -242,21 +242,14 @@ pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<us
                 reason: "locals layout mismatch".into(),
             });
         }
-        let mut f = Frame::new(ci, mi, nlocals);
-        f.pc = cf.pc;
-        for (i, v) in cf.locals.iter().enumerate() {
-            f.locals[i] = v.to_nulled_value();
-        }
-        frames.push(f);
+        let locals = cf.locals.iter().map(|v| v.to_nulled_value());
+        frames.push((ci, mi, cf.pc, locals));
     }
 
-    let tid = {
-        let mut t = crate::interp::VmThread::new_restored(frames);
-        t.seg_frames = state.frames.len();
-        vm.threads.push(t);
-        vm.threads.len() - 1
-    };
-    Ok(tid)
+    let mut t = VmThread::new_restored(frames);
+    t.seg_frames = state.frames.len();
+    vm.threads.push(t);
+    Ok(vm.threads.len() - 1)
 }
 
 /// Install captured statics into `vm`, nulling references and recording
@@ -466,10 +459,106 @@ mod tests {
         assert_eq!(worker.classes[0].statics, vec![Value::Int(77)]);
         // The restored thread continues: f loops forever, so force the loop
         // exit by zeroing its loop counter, then run to completion.
-        worker.thread_mut(wtid).unwrap().frames[1].locals[1] = Value::Int(-1);
+        worker.threads[wtid].stack[3] = Value::Int(-1); // f's local 1
         let (out, _) = worker.run(wtid, u64::MAX, RunMode::Normal).unwrap();
         // f returns n (=10), main returns 11.
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(11))));
+    }
+
+    #[test]
+    fn direct_restore_lays_frames_out_contiguously() {
+        let (mut vm, tid) = looping_vm();
+        stop_at_msp(&mut vm, tid);
+        let (mut state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Internal).unwrap();
+        let mut worker = Vm::new();
+        worker.load_class(&vm.classes[0].def).unwrap();
+        let wtid = restore_segment_direct(&mut worker, &state).unwrap();
+        // main's two locals, then f's two, back to back and nothing else.
+        let t = worker.thread(wtid).unwrap();
+        let windows: Vec<_> = t.frames.iter().map(|f| (f.base, f.nlocals)).collect();
+        assert_eq!(windows, [(0, 2), (2, 2)]);
+        assert_eq!(t.locals(0), [Value::Int(10), Value::Int(0)]);
+        assert_eq!(t.locals(1), [Value::Int(10), Value::Int(5)]);
+        assert!(t.operands(0).is_empty() && t.operands(1).is_empty());
+        assert_eq!(t.stack_state_bytes(), 2 * (2 * 8 + 16));
+        assert_eq!(t.max_height, 2);
+
+        // A captured frame whose locals do not match the method's layout
+        // is rejected before any thread is created.
+        state.frames[1].locals.push(CapturedValue::Int(0));
+        let before = worker.threads.len();
+        let err = restore_segment_direct(&mut worker, &state).unwrap_err();
+        assert!(matches!(err, VmError::Verify { .. }));
+        assert_eq!(worker.threads.len(), before);
+    }
+
+    #[test]
+    fn deep_stack_state_bytes_and_segment_lengths() {
+        // The repo benchmark's `stack-churn` guest as deployed: `Deep.down(d,
+        // spin)` with five local slots recurses to depth 128 and spins at
+        // the bottom, so a whole-stack capture takes 129 frames.
+        let mut c = ClassDef::new("Deep");
+        let (deep, down) = (c.intern("Deep"), c.intern("down"));
+        c.methods.push(MethodDef::new("down", 2, 3).with_code(
+            vec![
+                Instr::Load(0),                     // 0 line 1
+                Instr::IfZ(Cmp::Le, 12),            // 1
+                Instr::Load(0),                     // 2 line 2
+                Instr::PushI(1),                    // 3
+                Instr::Sub,                         // 4
+                Instr::Load(1),                     // 5
+                Instr::InvokeStatic(deep, down, 2), // 6
+                Instr::Store(2),                    // 7
+                Instr::Load(2),                     // 8 line 3
+                Instr::PushI(1),                    // 9
+                Instr::Add,                         // 10
+                Instr::RetV,                        // 11
+                Instr::PushI(0),                    // 12 line 4
+                Instr::Store(3),                    // 13
+                Instr::Load(3),                     // 14 line 5
+                Instr::Load(1),                     // 15
+                Instr::If(Cmp::Ge, 22),             // 16
+                Instr::Load(3),                     // 17 line 6
+                Instr::PushI(1),                    // 18
+                Instr::Add,                         // 19
+                Instr::Store(3),                    // 20
+                Instr::Goto(14),                    // 21
+                Instr::PushI(1),                    // 22 line 7
+                Instr::RetV,                        // 23
+            ],
+            vec![
+                1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7,
+            ],
+        ));
+        let mut vm = Vm::new();
+        vm.load_class(&c).unwrap();
+        let args = [Value::Int(128), Value::Int(1 << 40)];
+        let tid = vm.spawn("Deep", "down", &args).unwrap();
+        while vm.thread(tid).unwrap().frames.len() < 129 {
+            vm.run(tid, 100, RunMode::Normal).unwrap();
+        }
+        stop_at_msp(&mut vm, tid);
+
+        // One formula over the whole value stack equals the per-frame sum
+        // (locals + operands, 16-byte header) the paper's sizing defines.
+        let t = vm.thread(tid).unwrap();
+        let per_frame: u64 = (0..t.frames.len())
+            .map(|fi| (t.locals(fi).len() + t.operands(fi).len()) as u64 * 8 + 16)
+            .sum();
+        assert_eq!(t.stack_state_bytes(), per_frame);
+        assert_eq!(per_frame, 129 * (5 * 8 + 16));
+
+        // Split as a whole-stack plan ships it: the top frame, then the
+        // rest. The wire lengths are the benchmark README's.
+        let (full, _) = capture_segment(&mut vm, tid, 129, ToolingPath::Jvmti).unwrap();
+        let mut rest = full.frames;
+        let top = rest.split_off(128);
+        let segment = |frames| CapturedState {
+            frames,
+            statics: Vec::new(),
+        };
+        assert_eq!(segment(top).wire_bytes(), 81);
+        assert_eq!(segment(rest).wire_bytes(), 8_336);
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl ClassDef {
         self.pool
             .get(idx as usize)
             .map(String::as_str)
-            .ok_or(VmError::BadPoolIndex(idx))
+            .ok_or_else(|| VmError::BadPoolIndex(idx))
     }
 
     pub fn method(&self, name: &str) -> Option<&MethodDef> {

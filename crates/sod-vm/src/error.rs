@@ -27,6 +27,18 @@ pub enum VmError {
     NullDeref,
     /// Operand stack underflow: malformed bytecode.
     StackUnderflow,
+    /// A call would grow the thread's value stack past
+    /// [`crate::interp::MAX_STACK_SLOTS`] (unbounded guest recursion).
+    StackOverflow,
+    /// An `Invoke*` site passes `got` arguments to a method declaring
+    /// `expected` (cross-class targets resolve at run time, past the
+    /// verifier).
+    ArityMismatch {
+        class: String,
+        method: String,
+        expected: u16,
+        got: u16,
+    },
     /// Local-variable slot out of range.
     BadLocalSlot(u16),
     /// Branch or pc outside the method body.
@@ -72,6 +84,16 @@ impl fmt::Display for VmError {
             }
             VmError::NullDeref => write!(f, "null dereference"),
             VmError::StackUnderflow => write!(f, "operand stack underflow"),
+            VmError::StackOverflow => write!(f, "guest stack overflow"),
+            VmError::ArityMismatch {
+                class,
+                method,
+                expected,
+                got,
+            } => write!(
+                f,
+                "arity mismatch: {class}.{method} takes {expected} args, call site passes {got}"
+            ),
             VmError::BadLocalSlot(s) => write!(f, "local slot {s} out of range"),
             VmError::BadPc(pc) => write!(f, "pc {pc} out of range"),
             VmError::BadPoolIndex(i) => write!(f, "constant pool index {i} out of range"),

@@ -1,12 +1,12 @@
-//! Interpreter fast path: inline-cache slots and link-time
-//! superinstruction fusion.
+//! Interpreter fast path: inline-cache slots and the per-pc dispatch rows
+//! with their link-time superinstruction marks.
 //!
 //! Everything here is acceleration state a VM may simply lack. The
 //! reference semantics the differential suites compare against are not a
 //! second interpreter path but a VM built without it
-//! ([`crate::interp::Vm::reference`]): its classes link with an empty fusion
-//! table and its inline caches never fill, so every site takes — forever —
-//! the by-name resolution a fast VM takes on its first visit.
+//! ([`crate::interp::Vm::reference`]): its classes link with nothing fused
+//! and its inline caches never fill, so every site takes — forever — the
+//! by-name resolution a fast VM takes on its first visit.
 //!
 //! Three rules keep a warmed fast VM *observably identical* to that:
 //!
@@ -23,22 +23,21 @@
 //!   `Arc::ptr_eq` against the loaded class's canonical name `Arc`. Objects
 //!   that arrive over the wire carry a fresh `Arc` and simply miss once,
 //!   after which their class pointer is canonicalized.
-//! * **Fused pairs charge and retire as two instructions.** A fused cell
-//!   charges `c1` and `c2` through two separate [`crate::interp::Vm`] meter
-//!   charges (per-charge scaling does not distribute over sums), bumps
-//!   `instr_count` twice, and honours the slice budget *between* the halves
-//!   — exactly where the unfused loop would have stopped.
+//! * **Fused pairs charge and retire as two instructions.** Each half is
+//!   charged its own row's cost through a separate meter charge (per-charge
+//!   scaling does not distribute over sums) and counted, and the slice
+//!   budget is honoured *between* the halves — exactly where the unfused
+//!   loop would have stopped.
 //!
 //! Fusion is restricted to pairs whose first half is a pure single-value
 //! push ([`Instr::Load`] / [`Instr::PushI`] — together roughly 40 % of
 //! retired instructions on the fib/nqueens/fft workloads). A pure push
 //! cannot park, throw a guest exception, or leave the operand stack empty,
-//! so the mid-pair pc is never a migration-safe point (statically *and*
-//! dynamically: the stack is non-empty) and a `StopAtMsp` run loop cannot
-//! miss a stop by skipping the mid-pair check. The second half is executed
-//! through the ordinary single-instruction path with the frame pc already
-//! advanced, so every throw/park records the same pc as unfused execution.
-//! Fused dispatch is bypassed entirely while any breakpoint is armed.
+//! so the mid-pair pc is never a migration-safe point and a `StopAtMsp` run
+//! loop cannot miss a stop by skipping the mid-pair check. The second half
+//! executes through the ordinary single-instruction path with the frame pc
+//! already advanced, so every throw/park records the same pc as unfused
+//! execution. Fused dispatch is bypassed while any breakpoint is armed.
 
 use crate::class::MethodDef;
 use crate::costs::instr_cost;
@@ -75,50 +74,33 @@ impl IcCell {
     }
 }
 
-/// The first half of a fused pair: a pure single-value push. `Load` can
-/// fail only with the hard `BadLocalSlot` verification error (charged and
-/// counted first, exactly as the unfused path would).
+/// One dispatch row, `rows[method][pc]`: what the run loop needs to retire
+/// the instruction at a pc, so it walks one table, not three.
 #[derive(Clone, Copy, Debug)]
-pub enum FusedFirst {
-    Load(u16),
-    PushI(i64),
+pub struct Row {
+    pub instr: Instr,
+    /// The unscaled [`instr_cost`] of `instr`.
+    pub cost: u32,
+    /// This pc heads a superinstruction: `instr` is a pure push and the row
+    /// at `pc + 1` is its second half.
+    pub fused: bool,
 }
 
-/// A superinstruction cell at pc `i`: execute the pure push, advance to
-/// `i + 1`, then (budget permitting) execute `second` in place. `c1`/`c2`
-/// are the unscaled [`instr_cost`]s of the two halves, precomputed at link
-/// time so the hot loop never re-derives them.
-#[derive(Clone, Copy, Debug)]
-pub struct FusedPair {
-    pub first: FusedFirst,
-    pub second: Instr,
-    pub c1: u32,
-    pub c2: u32,
-}
-
-/// Build the per-pc fusion table for one method: `table[i]` is `Some` when
-/// the pair `(code[i], code[i + 1])` is fusable. Entering at `i + 1` (e.g.
-/// as a branch target) simply executes unfused — fused cells are an
-/// *alternative* dispatch for pc `i`, not a rewrite of the stream, so pcs,
-/// branch targets, exception ranges and capture offsets are untouched.
-pub fn build_fusion_table(method: &MethodDef) -> Vec<Option<FusedPair>> {
+/// Link one method into its dispatch rows; with `fuse` (off in a reference
+/// VM), a pure push that has a successor is marked fused. Entering at
+/// `i + 1` (e.g. as a branch target) simply executes unfused — a fused row
+/// is an *alternative* dispatch for pc `i`, not a rewrite of the stream, so
+/// pcs, branch targets, exception ranges and capture offsets are untouched.
+pub fn link_rows(method: &MethodDef, fuse: bool) -> Vec<Row> {
     let code = &method.code;
-    let mut table: Vec<Option<FusedPair>> = vec![None; code.len()];
-    for i in 0..code.len().saturating_sub(1) {
-        let first = match code[i] {
-            Instr::Load(slot) => FusedFirst::Load(slot),
-            Instr::PushI(v) => FusedFirst::PushI(v),
-            _ => continue,
-        };
-        let second = code[i + 1];
-        table[i] = Some(FusedPair {
-            first,
-            second,
-            c1: instr_cost(&code[i]) as u32,
-            c2: instr_cost(&second) as u32,
-        });
-    }
-    table
+    code.iter()
+        .enumerate()
+        .map(|(i, instr)| Row {
+            instr: *instr,
+            cost: instr_cost(instr) as u32,
+            fused: fuse && i + 1 < code.len() && matches!(instr, Instr::Load(_) | Instr::PushI(_)),
+        })
+        .collect()
 }
 
 /// Build one empty inline-cache row per pc of `method`.
@@ -145,43 +127,28 @@ mod tests {
             ],
             vec![1; 6],
         );
-        let t = build_fusion_table(&m);
-        assert!(t[0].is_some() && t[1].is_some() && t[4].is_some());
-        assert!(t[2].is_none() && t[3].is_none() && t[5].is_none());
-        // Costs are the two halves' unfused costs, not a combined figure.
-        let p = t[1].unwrap();
-        assert_eq!(p.c1 as u64, instr_cost(&Instr::PushI(5)));
-        assert_eq!(p.c2 as u64, instr_cost(&Instr::Add));
+        let rows = link_rows(&m, true);
+        let fused: Vec<bool> = rows.iter().map(|r| r.fused).collect();
+        assert_eq!(fused, [true, true, false, false, true, false]);
+        // Each half keeps its own unfused cost, not a combined figure, and
+        // branches and returns are fine as second halves: the pc is set
+        // before they execute, so their control transfer is unchanged.
+        for (row, instr) in rows.iter().zip(&m.code) {
+            assert_eq!(row.instr, *instr);
+            assert_eq!(u64::from(row.cost), instr_cost(instr));
+        }
+        // A reference VM links the same rows with nothing fused.
+        assert!(link_rows(&m, false).iter().all(|r| !r.fused));
     }
 
     #[test]
-    fn fused_second_half_may_branch_or_return() {
-        // Branches and returns are fine as second halves: the pc is set
-        // before they execute, so their control transfer is unchanged.
+    fn trailing_pure_push_is_not_fused() {
         let m = MethodDef::new("m", 0, 1).with_code(
-            vec![
-                Instr::Load(0),
-                Instr::IfZ(Cmp::Eq, 3),
-                Instr::PushI(1),
-                Instr::RetV,
-            ],
-            vec![1; 4],
+            vec![Instr::Load(0), Instr::IfZ(Cmp::Eq, 2), Instr::PushI(1)],
+            vec![1; 3],
         );
-        let t = build_fusion_table(&m);
-        assert!(matches!(
-            t[0],
-            Some(FusedPair {
-                second: Instr::IfZ(Cmp::Eq, 3),
-                ..
-            })
-        ));
-        assert!(matches!(
-            t[2],
-            Some(FusedPair {
-                second: Instr::RetV,
-                ..
-            })
-        ));
+        let fused: Vec<bool> = link_rows(&m, true).iter().map(|r| r.fused).collect();
+        assert_eq!(fused, [true, false, false]);
     }
 
     #[test]

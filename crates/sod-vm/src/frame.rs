@@ -5,10 +5,23 @@
 //! invariant — established by the preprocessor's bytecode rearrangement — is
 //! that at every migration-safe point the operand stack is *empty*, so a
 //! captured frame is fully described by `(class, method, pc, locals)`.
+//!
+//! A frame owns no storage. It is a *window* into its thread's one
+//! contiguous value stack ([`crate::interp::VmThread`]):
+//!
+//! ```text
+//!   stack:  | caller locals | caller operands | callee locals | callee operands |
+//!           ^ caller.base                     ^ callee.base                     ^ len
+//! ```
+//!
+//! Locals are `stack[base .. base + nlocals]`; operands sit above them and
+//! end where the next frame's `base` begins (the top frame's end at the
+//! stack's length). A call leaves the arguments where the caller pushed
+//! them — they *are* the callee's first locals, as on the JVM — zero-fills
+//! the remaining local slots and pushes a window; a return truncates the
+//! stack to the callee's `base`. No call or return allocates.
 
-use crate::value::Value;
-
-/// One activation record.
+/// One activation record: a window into the owning thread's value stack.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// Index of the class in the VM's loaded-class table.
@@ -17,63 +30,19 @@ pub struct Frame {
     pub method_idx: usize,
     /// Next instruction to execute (bytecode index).
     pub pc: u32,
-    /// Local variable slots (arguments first).
-    pub locals: Vec<Value>,
-    /// Operand stack.
-    pub ostack: Vec<Value>,
+    /// Stack index of local slot 0 (arguments first).
+    pub base: usize,
+    /// Number of local slots; operands start at `base + nlocals`.
+    pub nlocals: u16,
     /// Pinned frames may not migrate (the paper pins frames holding socket
     /// connections so the web server keeps its connections at home).
     pub pinned: bool,
 }
 
 impl Frame {
-    pub fn new(class_idx: usize, method_idx: usize, nlocals: u16) -> Self {
-        Frame {
-            class_idx,
-            method_idx,
-            pc: 0,
-            locals: vec![Value::Int(0); nlocals as usize],
-            ostack: Vec::with_capacity(8),
-            pinned: false,
-        }
-    }
-
-    /// Build a frame with arguments placed in the first local slots and the
-    /// remaining slots zeroed, as the JVM does on invocation.
-    pub fn with_args(class_idx: usize, method_idx: usize, nlocals: u16, args: &[Value]) -> Self {
-        let mut f = Frame::new(class_idx, method_idx, nlocals);
-        debug_assert!(args.len() <= nlocals as usize, "more args than locals");
-        f.locals[..args.len()].copy_from_slice(args);
-        f
-    }
-
-    /// Bytes of state in this frame (locals + operand stack), for the
-    /// paper's state-size accounting.
-    pub fn state_bytes(&self) -> u64 {
-        (self.locals.len() + self.ostack.len()) as u64 * Value::SLOT_BYTES + 16
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn args_fill_first_slots() {
-        let f = Frame::with_args(0, 1, 4, &[Value::Int(7), Value::Num(1.5)]);
-        assert_eq!(f.locals[0], Value::Int(7));
-        assert_eq!(f.locals[1], Value::Num(1.5));
-        assert_eq!(f.locals[2], Value::Int(0));
-        assert_eq!(f.locals.len(), 4);
-        assert_eq!(f.pc, 0);
-        assert!(f.ostack.is_empty());
-    }
-
-    #[test]
-    fn state_bytes_counts_locals_and_stack() {
-        let mut f = Frame::new(0, 0, 2);
-        assert_eq!(f.state_bytes(), 2 * 8 + 16);
-        f.ostack.push(Value::Int(1));
-        assert_eq!(f.state_bytes(), 3 * 8 + 16);
+    /// Stack index of the first operand slot (one past the last local).
+    #[inline]
+    pub fn floor(&self) -> usize {
+        self.base + self.nlocals as usize
     }
 }

@@ -236,14 +236,16 @@ impl Heap {
     }
 
     pub fn get(&self, id: ObjId) -> VmResult<&HeapObj> {
-        self.entries.get(id as usize).ok_or(VmError::BadRef(id))
+        self.entries
+            .get(id as usize)
+            .ok_or_else(|| VmError::BadRef(id))
     }
 
     pub fn get_mut(&mut self, id: ObjId) -> VmResult<ObjMut<'_>> {
         let obj = self
             .entries
             .get_mut(id as usize)
-            .ok_or(VmError::BadRef(id))?;
+            .ok_or_else(|| VmError::BadRef(id))?;
         Ok(ObjMut {
             obj,
             dirty_list: &mut self.dirty_list,
@@ -346,7 +348,7 @@ impl Heap {
         let obj = self
             .entries
             .get_mut(id as usize)
-            .ok_or(VmError::BadRef(id))?;
+            .ok_or_else(|| VmError::BadRef(id))?;
         if obj.home.is_none() {
             obj.home = Some((origin, home_id));
             self.cached

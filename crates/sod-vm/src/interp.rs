@@ -35,9 +35,9 @@ use std::sync::Arc;
 use crate::analysis::{class_summaries, MethodSummary};
 use crate::capture::CapturedValue;
 use crate::class::{ClassDef, ExKind};
-use crate::costs::{alloc_cost, instr_cost, INTERP_MODE_FACTOR};
+use crate::costs::{alloc_cost, INTERP_MODE_FACTOR};
 use crate::error::{VmError, VmResult};
-use crate::fastpath::{build_fusion_table, build_ic_row, FusedFirst, FusedPair, IcCell};
+use crate::fastpath::{build_ic_row, link_rows, IcCell, Row};
 use crate::frame::Frame;
 use crate::heap::{Heap, ObjKind};
 use crate::instr::Instr;
@@ -49,7 +49,7 @@ use crate::value::{ObjId, OriginId, Value};
 /// Besides the verified definition this carries the *pre-resolved operand
 /// form* the interpreter fast path runs on: name→index maps built once at
 /// link time, the canonical class-name `Arc` that instances share, one
-/// inline-cache row per method, and the link-time superinstruction table.
+/// inline-cache row per method, and the per-pc dispatch rows.
 /// None of this is serialized — `capture`/`wire` ship only the `ClassDef`
 /// and name-based frame state, so a migrated stack rebuilds (rewarms) all
 /// of it at the destination.
@@ -68,13 +68,15 @@ pub struct LoadedClass {
     /// Inline-cache slots, `ics[method][pc]` (see [`IcCell`]). Node-local,
     /// positive-only, mutated during execution, never serialized.
     ics: Vec<Vec<IcCell>>,
-    /// Superinstruction table, `fused[method][pc]` (see [`FusedPair`]).
-    fused: Vec<Vec<Option<FusedPair>>>,
+    /// Dispatch rows, `rows[method][pc]` (see [`Row`]). Immutable once
+    /// linked and shared, so a run loop can hold the current method's rows
+    /// across instructions that borrow the whole VM mutably.
+    rows: Arc<[Vec<Row>]>,
 }
 
 impl LoadedClass {
-    /// Verify and link `def`. A reference VM gets an empty fusion table, so
-    /// its dispatch never finds a fused cell.
+    /// Verify and link `def`. A reference VM links rows with nothing
+    /// fused, so its dispatch never takes a superinstruction.
     fn link(def: ClassDef, reference: bool) -> VmResult<Self> {
         let summaries = class_summaries(&def)?;
         let method_map = def
@@ -100,16 +102,10 @@ impl LoadedClass {
         let statics = def.default_static_values();
         let name_arc: Arc<str> = Arc::from(def.name.as_str());
         let ics = def.methods.iter().map(build_ic_row).collect();
-        let fused = def
+        let rows = def
             .methods
             .iter()
-            .map(|m| {
-                if reference {
-                    Vec::new()
-                } else {
-                    build_fusion_table(m)
-                }
-            })
+            .map(|m| link_rows(m, !reference))
             .collect();
         Ok(LoadedClass {
             def,
@@ -120,7 +116,7 @@ impl LoadedClass {
             static_field_map,
             name_arc,
             ics,
-            fused,
+            rows,
         })
     }
 
@@ -218,10 +214,22 @@ pub struct PendingFault {
     bind: FaultBind,
 }
 
+/// Most slots one thread's stack may hold, counting two per frame for its
+/// header as [`VmThread::stack_state_bytes`] does (so a frame without
+/// locals still counts). Checked where a frame is pushed: unbounded guest
+/// recursion ends in [`VmError::StackOverflow`], not a host allocation
+/// failure. A frame's operands add at most its verified `max_stack`.
+pub const MAX_STACK_SLOTS: usize = 1 << 20;
+
 /// One guest thread.
 #[derive(Clone, Debug)]
 pub struct VmThread {
+    /// Activation records, bottom-up: contiguous windows into `stack` (see
+    /// [`Frame`]). Change them through the methods below, which move the
+    /// value stack with them.
     pub frames: Vec<Frame>,
+    /// The thread's one value stack: every frame's locals and operands.
+    pub(crate) stack: Vec<Value>,
     pub state: ThreadState,
     /// Pending fault metadata while parked on `ObjectFault`.
     pub pending_fault: Option<PendingFault>,
@@ -252,6 +260,7 @@ impl VmThread {
     fn new() -> Self {
         VmThread {
             frames: Vec::with_capacity(16),
+            stack: Vec::with_capacity(64),
             state: ThreadState::Runnable,
             pending_fault: None,
             npe_origin_pc: None,
@@ -263,21 +272,28 @@ impl VmThread {
         }
     }
 
-    /// Build a runnable thread from pre-established frames (direct restore
-    /// of a migrated segment).
-    pub fn new_restored(frames: Vec<Frame>) -> Self {
-        let height = frames.len();
-        VmThread {
-            frames,
-            state: ThreadState::Runnable,
-            pending_fault: None,
-            npe_origin_pc: None,
-            max_height: height,
-            seg_frames: 0,
-            restore_session: None,
-            interp_mode: false,
-            origin: 0,
+    /// Build a runnable thread from pre-established frames, bottom-up, each
+    /// `(class_idx, method_idx, pc, locals)` (direct restore of a migrated
+    /// segment). Operand stacks start empty.
+    pub fn new_restored<L>(frames: impl IntoIterator<Item = (usize, usize, u32, L)>) -> Self
+    where
+        L: IntoIterator<Item = Value>,
+    {
+        let mut t = VmThread::new();
+        for (class_idx, method_idx, pc, locals) in frames {
+            let base = t.stack.len();
+            t.stack.extend(locals);
+            t.frames.push(Frame {
+                class_idx,
+                method_idx,
+                pc,
+                base,
+                nlocals: (t.stack.len() - base) as u16,
+                pinned: false,
+            });
         }
+        t.max_height = t.frames.len();
+        t
     }
 
     pub fn top(&self) -> Option<&Frame> {
@@ -286,6 +302,42 @@ impl VmThread {
 
     pub fn top_mut(&mut self) -> Option<&mut Frame> {
         self.frames.last_mut()
+    }
+
+    /// Local slots of frame `fi` (bottom-up index; arguments first).
+    pub fn locals(&self, fi: usize) -> &[Value] {
+        let f = &self.frames[fi];
+        &self.stack[f.base..f.floor()]
+    }
+
+    /// Operand stack of frame `fi`: above its locals, up to the next
+    /// frame's first argument (the top frame's run to the stack's end).
+    pub fn operands(&self, fi: usize) -> &[Value] {
+        let end = self.frames.get(fi + 1).map_or(self.stack.len(), |f| f.base);
+        &self.stack[self.frames[fi].floor()..end]
+    }
+
+    /// Push `v` on the top frame's operand stack.
+    pub fn push_operand(&mut self, v: Value) {
+        self.stack.push(v);
+    }
+
+    /// Empty the top frame's operand stack.
+    pub fn clear_operands(&mut self) {
+        if let Some(f) = self.frames.last() {
+            self.stack.truncate(f.floor());
+        }
+    }
+
+    /// Drop every frame above the bottom `keep`, values included: the new
+    /// top frame keeps its locals and the operands it held below the
+    /// dropped callee's arguments.
+    pub fn truncate_frames(&mut self, keep: usize) {
+        if let Some(f) = self.frames.get(keep) {
+            self.stack.truncate(f.base);
+            self.frames.truncate(keep);
+            self.seg_frames = self.seg_frames.min(keep);
+        }
     }
 
     pub fn is_runnable(&self) -> bool {
@@ -299,9 +351,10 @@ impl VmThread {
         )
     }
 
-    /// Total state bytes across frames (paper's captured-state sizing).
+    /// Total state bytes across frames (paper's captured-state sizing):
+    /// every local and operand slot plus a 16-byte header per frame.
     pub fn stack_state_bytes(&self) -> u64 {
-        self.frames.iter().map(Frame::state_bytes).sum()
+        self.stack.len() as u64 * Value::SLOT_BYTES + self.frames.len() as u64 * 16
     }
 }
 
@@ -470,19 +523,23 @@ impl Vm {
                 method: format!("{method}/{} (got {} args)", m.nargs, args.len()),
             });
         }
-        let mut t = VmThread::new();
-        t.frames.push(Frame::with_args(ci, mi, m.nlocals, args));
-        t.max_height = 1;
-        self.threads.push(t);
+        // Arguments first, the other locals zeroed (`nlocals >= nargs` is
+        // verified at link time).
+        let zeroed = std::iter::repeat_n(Value::Int(0), usize::from(m.nlocals - m.nargs));
+        let locals = args.iter().copied().chain(zeroed);
+        self.threads
+            .push(VmThread::new_restored([(ci, mi, 0, locals)]));
         Ok(self.threads.len() - 1)
     }
 
     pub fn thread(&self, tid: usize) -> VmResult<&VmThread> {
-        self.threads.get(tid).ok_or(VmError::BadThread(tid))
+        self.threads.get(tid).ok_or_else(|| VmError::BadThread(tid))
     }
 
     pub fn thread_mut(&mut self, tid: usize) -> VmResult<&mut VmThread> {
-        self.threads.get_mut(tid).ok_or(VmError::BadThread(tid))
+        self.threads
+            .get_mut(tid)
+            .ok_or_else(|| VmError::BadThread(tid))
     }
 
     /// Ids of runnable threads.
@@ -560,136 +617,99 @@ impl Vm {
     /// [`Vm::run`] — so restore drivers and tooling that step a thread see
     /// every pc.
     pub fn step(&mut self, tid: usize) -> VmResult<StepOutcome> {
+        if let Some(out) = self.settled(tid)? {
+            return Ok(out);
+        }
+        let (ci, mi, pc, base, floor) = self.top_window(tid);
+        if let Some(out) = self.trip_breakpoint((tid, ci, mi, pc)) {
+            return Ok(out);
+        }
+        let row = self.classes[ci].rows[mi].get(pc as usize).copied();
+        let row = row.ok_or_else(|| VmError::BadPc(pc))?;
+        self.charge(tid, u64::from(row.cost));
+        self.instr_count += 1;
+        Ok(
+            match self.exec_instr(tid, ci, mi, pc, base, floor, row.instr)? {
+                Flow::Leave => self.stopped(tid),
+                Flow::Goto(_) | Flow::Reframe => StepOutcome::Continue,
+            },
+        )
+    }
+
+    /// What stepping a thread that is not runnable yields: an error while
+    /// it is parked, its final outcome again once it has finished.
+    fn settled(&self, tid: usize) -> VmResult<Option<StepOutcome>> {
         match &self.thread(tid)?.state {
-            ThreadState::Runnable => {}
-            ThreadState::Parked(_) => return Err(VmError::ThreadParked(tid)),
-            ThreadState::Finished(v) => return Ok(StepOutcome::Returned((*v).flatten_unit())),
-            ThreadState::Faulted(e) => return Ok(StepOutcome::Unhandled(e.clone())),
+            ThreadState::Runnable => Ok(None),
+            ThreadState::Parked(_) => Err(VmError::ThreadParked(tid)),
+            ThreadState::Finished(_) | ThreadState::Faulted(_) => Ok(Some(self.stopped(tid))),
         }
+    }
 
-        let (ci, mi, pc) = {
-            let f = self.threads[tid].top().expect("runnable thread has frames");
-            (f.class_idx, f.method_idx, f.pc)
+    /// The outcome thread `tid` stopped running with: its state, which says
+    /// everything an instruction that ends a slice has to report.
+    fn stopped(&self, tid: usize) -> StepOutcome {
+        match &self.threads[tid].state {
+            ThreadState::Runnable => StepOutcome::Continue,
+            ThreadState::Parked(ParkReason::HostCall { name, args }) => StepOutcome::HostCall {
+                name: name.clone(),
+                args: args.clone(),
+            },
+            ThreadState::Parked(ParkReason::ObjectFault(query)) => StepOutcome::ObjectFault(*query),
+            ThreadState::Parked(ParkReason::ClassMiss(name)) => {
+                StepOutcome::ClassMiss(name.clone())
+            }
+            ThreadState::Finished(v) => StepOutcome::Returned(*v),
+            ThreadState::Faulted(e) => StepOutcome::Unhandled(e.clone()),
+        }
+    }
+
+    /// The top frame of runnable thread `tid`: `(class, method, pc, base,
+    /// floor)`.
+    #[inline]
+    fn top_window(&self, tid: usize) -> (usize, usize, u32, usize, usize) {
+        let f = self.threads[tid].top().expect("runnable thread has frames");
+        (f.class_idx, f.method_idx, f.pc, f.base, f.floor())
+    }
+
+    /// The breakpoint check happens before execution and disarms the point.
+    fn trip_breakpoint(&mut self, at: (usize, usize, usize, u32)) -> Option<StepOutcome> {
+        let pos = self.breakpoints.iter().position(|&b| b == at)?;
+        let (_, class_idx, method_idx, pc) = self.breakpoints.swap_remove(pos);
+        Some(StepOutcome::Breakpoint {
+            class_idx,
+            method_idx,
+            pc,
+        })
+    }
+
+    /// The per-charge cost multiplier of thread `tid`, in per-mille:
+    /// interpreted mode times the VM's cost scale. Applied to each charge
+    /// separately (per-charge rounding does not distribute over sums).
+    #[inline]
+    fn cost_per_mille(&self, tid: usize) -> u64 {
+        let mode = if self.threads[tid].interp_mode {
+            u64::from(INTERP_MODE_FACTOR)
+        } else {
+            1
         };
-
-        // Breakpoint check happens before execution and disarms the point.
-        // The scan is skipped entirely when nothing is armed — the common
-        // case for every non-migrating slice.
-        if !self.breakpoints.is_empty() {
-            if let Some(bp_pos) = self
-                .breakpoints
-                .iter()
-                .position(|&(t, c, m, p)| (t, c, m, p) == (tid, ci, mi, pc))
-            {
-                self.breakpoints.swap_remove(bp_pos);
-                return Ok(StepOutcome::Breakpoint {
-                    class_idx: ci,
-                    method_idx: mi,
-                    pc,
-                });
-            }
-        }
-
-        let instr = {
-            let code = &self.classes[ci].def.methods[mi].code;
-            match code.get(pc as usize) {
-                Some(i) => *i,
-                None => return Err(VmError::BadPc(pc)),
-            }
-        };
-
-        self.charge(tid, instr_cost(&instr));
-        self.instr_count += 1;
-
-        self.exec_instr(tid, ci, mi, pc, instr)
+        mode * u64::from(self.cost_scale_per_mille)
     }
 
-    /// One dispatch inside a [`Vm::run`] slice: like [`Vm::step`], but when
-    /// no breakpoint is armed, a fused superinstruction cell at the current
-    /// pc (a reference VM links none) executes both halves — honouring
-    /// `remaining_ns` between them, exactly where the unfused loop would
-    /// have checked its budget.
-    fn step_sliced(&mut self, tid: usize, remaining_ns: u64) -> VmResult<StepOutcome> {
-        if self.breakpoints.is_empty() {
-            match &self.thread(tid)?.state {
-                ThreadState::Runnable => {}
-                ThreadState::Parked(_) => return Err(VmError::ThreadParked(tid)),
-                ThreadState::Finished(v) => return Ok(StepOutcome::Returned((*v).flatten_unit())),
-                ThreadState::Faulted(e) => return Ok(StepOutcome::Unhandled(e.clone())),
-            }
-            let (ci, mi, pc) = {
-                let f = self.threads[tid].top().expect("runnable thread has frames");
-                (f.class_idx, f.method_idx, f.pc)
-            };
-            if let Some(&Some(pair)) = self.classes[ci].fused[mi].get(pc as usize) {
-                return self.exec_fused(tid, ci, mi, pc, pair, remaining_ns);
-            }
-            let instr = {
-                let code = &self.classes[ci].def.methods[mi].code;
-                match code.get(pc as usize) {
-                    Some(i) => *i,
-                    None => return Err(VmError::BadPc(pc)),
-                }
-            };
-            self.charge(tid, instr_cost(&instr));
-            self.instr_count += 1;
-            return self.exec_instr(tid, ci, mi, pc, instr);
-        }
-        self.step(tid)
-    }
-
-    /// Execute a fused pair: charge + retire the pure push, advance the pc,
-    /// then (budget permitting) charge + retire the second half in place.
-    /// The mid-pair pc is never a migration-safe point (the push leaves the
-    /// operand stack non-empty), and fused dispatch is disabled while any
-    /// breakpoint is armed, so no observer can tell the halves were fused.
-    fn exec_fused(
-        &mut self,
-        tid: usize,
-        ci: usize,
-        mi: usize,
-        pc: u32,
-        pair: FusedPair,
-        remaining_ns: u64,
-    ) -> VmResult<StepOutcome> {
-        let before = self.meter_ns;
-        self.charge(tid, u64::from(pair.c1));
-        self.instr_count += 1;
-        {
-            let f = self.threads[tid].frames.last_mut().expect("frame");
-            match pair.first {
-                FusedFirst::Load(slot) => {
-                    let v = *f
-                        .locals
-                        .get(slot as usize)
-                        .ok_or(VmError::BadLocalSlot(slot))?;
-                    f.ostack.push(v);
-                }
-                FusedFirst::PushI(v) => f.ostack.push(Value::Int(v)),
-            }
-            f.pc = pc + 1;
-        }
-        // Slice boundary between the halves: the unfused loop would stop
-        // here with pc already at i + 1, so we do too.
-        if self.meter_ns - before >= remaining_ns {
-            return Ok(StepOutcome::Continue);
-        }
-        self.charge(tid, u64::from(pair.c2));
-        self.instr_count += 1;
-        self.exec_instr(tid, ci, mi, pc + 1, pair.second)
-    }
-
+    #[inline]
     fn charge(&mut self, tid: usize, ns: u64) {
-        let mut cost = ns;
-        if self.threads[tid].interp_mode {
-            cost *= u64::from(INTERP_MODE_FACTOR);
-        }
-        cost = cost * u64::from(self.cost_scale_per_mille) / 1000;
-        self.meter_ns += cost;
+        self.meter_ns += ns * self.cost_per_mille(tid) / 1000;
     }
 
     /// Run thread `tid` for at most `budget_ns` of charged virtual time.
     /// Returns the outcome and the virtual ns actually consumed.
+    ///
+    /// The hot loop: it resolves the current frame's window and dispatch
+    /// rows once per frame change, keeps the pc in a local in between, and
+    /// — when no breakpoint is armed — retires a fused row's two halves
+    /// back to back, honouring the budget *between* them, exactly where the
+    /// unfused loop would have stopped (see [`crate::fastpath`] for why no
+    /// observer can tell).
     pub fn run(
         &mut self,
         tid: usize,
@@ -697,22 +717,67 @@ impl Vm {
         mode: RunMode,
     ) -> VmResult<(StepOutcome, u64)> {
         let start = self.meter_ns;
+        if let Some(out) = self.settled(tid)? {
+            return Ok((out, 0));
+        }
+        // Fixed for the whole slice: instructions neither arm breakpoints
+        // (a tripped one ends the slice) nor switch the thread's mode.
+        let fuse = self.breakpoints.is_empty();
+        let per_mille = self.cost_per_mille(tid);
+        let mut linked: Option<(usize, Arc<[Vec<Row>]>)> = None;
         loop {
-            if mode == RunMode::StopAtMsp {
-                if let Some(pc) = self.at_msp(tid)? {
-                    return Ok((StepOutcome::AtMsp { pc }, self.meter_ns - start));
+            let (ci, mi, mut pc, base, floor) = self.top_window(tid);
+            if linked.as_ref().is_none_or(|(at, _)| *at != ci) {
+                linked = Some((ci, self.classes[ci].rows.clone()));
+            }
+            let rows = linked.as_ref().expect("linked above").1[mi].as_slice();
+            // Instructions of this frame, until one changes the frame.
+            loop {
+                if mode == RunMode::StopAtMsp {
+                    if let Some(pc) = self.at_msp(tid)? {
+                        return Ok((StepOutcome::AtMsp { pc }, self.meter_ns - start));
+                    }
                 }
-            }
-            // `remaining` is what a fused pair may consume before it must
-            // yield between its halves; at this point spent < budget always
-            // holds, so the subtraction cannot wrap.
-            let remaining = budget_ns - (self.meter_ns - start);
-            let out = self.step_sliced(tid, remaining)?;
-            if out != StepOutcome::Continue {
-                return Ok((out, self.meter_ns - start));
-            }
-            if self.meter_ns - start >= budget_ns {
-                return Ok((StepOutcome::Continue, self.meter_ns - start));
+                if !fuse {
+                    if let Some(out) = self.trip_breakpoint((tid, ci, mi, pc)) {
+                        return Ok((out, self.meter_ns - start));
+                    }
+                }
+                let Some(mut row) = rows.get(pc as usize) else {
+                    return Err(VmError::BadPc(pc));
+                };
+                self.meter_ns += u64::from(row.cost) * per_mille / 1000;
+                self.instr_count += 1;
+                if row.fused && fuse {
+                    let t = &mut self.threads[tid];
+                    let v = match row.instr {
+                        Instr::Load(slot) if base + (slot as usize) < floor => {
+                            t.stack[base + slot as usize]
+                        }
+                        Instr::Load(slot) => return Err(VmError::BadLocalSlot(slot)),
+                        Instr::PushI(v) => Value::Int(v),
+                        _ => unreachable!("only pure pushes are linked fused"),
+                    };
+                    t.stack.push(v);
+                    pc += 1;
+                    t.frames.last_mut().expect("frame").pc = pc;
+                    // Slice boundary between the halves: the unfused loop
+                    // would stop here with pc already at i + 1.
+                    if self.meter_ns - start >= budget_ns {
+                        return Ok((StepOutcome::Continue, self.meter_ns - start));
+                    }
+                    row = &rows[pc as usize];
+                    self.meter_ns += u64::from(row.cost) * per_mille / 1000;
+                    self.instr_count += 1;
+                }
+                let flow = self.exec_instr(tid, ci, mi, pc, base, floor, row.instr)?;
+                let spent = self.meter_ns - start;
+                match flow {
+                    Flow::Leave => return Ok((self.stopped(tid), spent)),
+                    _ if spent >= budget_ns => return Ok((StepOutcome::Continue, spent)),
+                    Flow::Goto(next) => pc = next,
+                    Flow::Reframe => break,
+                }
             }
         }
     }
@@ -724,9 +789,9 @@ impl Vm {
         if !t.is_runnable() {
             return Ok(None);
         }
-        let f = t.top().ok_or(VmError::BadThread(tid))?;
+        let f = t.top().ok_or_else(|| VmError::BadThread(tid))?;
         let summary = &self.classes[f.class_idx].summaries[f.method_idx];
-        Ok((f.ostack.is_empty() && summary.is_msp(f.pc)).then_some(f.pc))
+        Ok((t.stack.len() == f.floor() && summary.is_msp(f.pc)).then_some(f.pc))
     }
 
     /// Convenience driver for single-VM execution: spawns `class.method`,
@@ -792,10 +857,9 @@ impl Vm {
             ThreadState::Parked(ParkReason::HostCall { .. }) => {}
             _ => return Err(VmError::ThreadParked(tid)),
         }
+        t.top_mut().ok_or_else(|| VmError::BadThread(tid))?.pc += 1;
+        t.stack.push(value);
         t.state = ThreadState::Runnable;
-        let f = t.top_mut().ok_or(VmError::BadThread(tid))?;
-        f.ostack.push(value);
-        f.pc += 1;
         Ok(())
     }
 
@@ -822,33 +886,42 @@ impl Vm {
                 ThreadState::Parked(ParkReason::ObjectFault(_)) => {}
                 _ => return Err(VmError::ThreadParked(tid)),
             }
-            t.pending_fault.take().ok_or(VmError::RestoreProtocol(
-                "resume_fetched without pending fault",
-            ))?
+            let none = || VmError::RestoreProtocol("resume_fetched without pending fault");
+            t.pending_fault.take().ok_or_else(none)?
         };
         self.apply_bind(tid, pending.bind, local_id)?;
         let t = &mut self.threads[tid];
         t.state = ThreadState::Runnable;
-        let f = t.top_mut().ok_or(VmError::BadThread(tid))?;
-        f.pc += 1; // move past the Bring* instruction (next is the retry Goto)
+        self.advance_top(tid) // past the Bring* (next is the retry Goto)
+    }
+
+    /// Advance the top frame's pc by one.
+    fn advance_top(&mut self, tid: usize) -> VmResult<()> {
+        let f = self.threads[tid].top_mut();
+        f.ok_or_else(|| VmError::BadThread(tid))?.pc += 1;
+        Ok(())
+    }
+
+    /// Bind local `slot` of thread `tid`'s top frame to `v`.
+    fn set_top_local(&mut self, tid: usize, slot: u16, v: Value) -> VmResult<()> {
+        let t = &mut self.threads[tid];
+        let f = t.frames.last().ok_or_else(|| VmError::BadThread(tid))?;
+        if slot >= f.nlocals {
+            return Err(VmError::BadLocalSlot(slot));
+        }
+        let at = f.base + slot as usize;
+        t.stack[at] = v;
         Ok(())
     }
 
     fn apply_bind(&mut self, tid: usize, bind: FaultBind, local_id: ObjId) -> VmResult<()> {
         match bind {
-            FaultBind::Local { slot } => {
-                let t = &mut self.threads[tid];
-                let f = t.top_mut().ok_or(VmError::BadThread(tid))?;
-                *f.locals
-                    .get_mut(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))? = Value::Ref(local_id);
-            }
+            FaultBind::Local { slot } => self.set_top_local(tid, slot, Value::Ref(local_id))?,
             FaultBind::Field { base, field_idx } => {
                 let mut obj = self.heap.get_mut(base)?;
                 match &mut obj.kind {
-                    ObjKind::Obj { fields, .. } => {
-                        *fields.get_mut(field_idx).ok_or(VmError::BadRef(base))? =
-                            Value::Ref(local_id);
+                    ObjKind::Obj { fields, .. } if field_idx < fields.len() => {
+                        fields[field_idx] = Value::Ref(local_id);
                     }
                     _ => return Err(VmError::BadRef(base)),
                 }
@@ -859,11 +932,7 @@ impl Vm {
                 dest_slot,
             } => {
                 self.classes[class_idx].statics[static_idx] = Value::Ref(local_id);
-                let t = &mut self.threads[tid];
-                let f = t.top_mut().ok_or(VmError::BadThread(tid))?;
-                *f.locals
-                    .get_mut(dest_slot as usize)
-                    .ok_or(VmError::BadLocalSlot(dest_slot))? = Value::Ref(local_id);
+                self.set_top_local(tid, dest_slot, Value::Ref(local_id))?;
             }
             FaultBind::ElemTo {
                 base,
@@ -874,11 +943,7 @@ impl Vm {
                 // arr_set marks dirty, but installing a fetched elem is not a
                 // guest write; undo the dirty mark.
                 self.heap.get_mut(base)?.dirty = false;
-                let t = &mut self.threads[tid];
-                let f = t.top_mut().ok_or(VmError::BadThread(tid))?;
-                *f.locals
-                    .get_mut(dest_slot as usize)
-                    .ok_or(VmError::BadLocalSlot(dest_slot))? = Value::Ref(local_id);
+                self.set_top_local(tid, dest_slot, Value::Ref(local_id))?;
             }
             FaultBind::Stub => {
                 // The runtime filled the stub in place; nothing to bind.
@@ -898,13 +963,7 @@ impl Vm {
         }
         t.pending_fault = None;
         t.state = ThreadState::Runnable;
-        let origin = t.npe_origin_pc.take();
-        if let Some(pc) = origin {
-            if let Some(f) = t.top_mut() {
-                f.pc = pc;
-            }
-        }
-        self.throw_into(tid, ExKind::NullPointer, "null (application level)", true)
+        self.app_npe(tid).map(|_| ())
     }
 
     // ------------------------------------------------------------------
@@ -927,7 +986,7 @@ impl Vm {
     }
 
     /// Find a handler for `kind` walking frames top-down. On success, frames
-    /// above the handler are popped and the handler frame's pc/ostack are
+    /// above the handler are popped and the handler frame's pc/operands are
     /// set. On failure the thread faults with frames preserved.
     ///
     /// Returns `true` if a handler was entered.
@@ -965,14 +1024,12 @@ impl Vm {
                 if kind == ExKind::NullPointer {
                     t.npe_origin_pc = Some(t.frames[fi].pc);
                 }
-                t.frames.truncate(fi + 1);
-                if t.seg_frames > t.frames.len() {
-                    t.seg_frames = t.frames.len();
-                }
-                let f = t.frames.last_mut().expect("handler frame");
-                f.ostack.clear();
-                f.ostack.push(Value::Ref(ex_ref));
-                f.pc = hpc;
+                // Unwind to the handler frame, empty its operand stack,
+                // and enter the handler with the exception on it.
+                t.truncate_frames(fi + 1);
+                t.clear_operands();
+                t.stack.push(Value::Ref(ex_ref));
+                t.frames[fi].pc = hpc;
                 Ok(true)
             }
             None => {
@@ -991,7 +1048,7 @@ impl Vm {
     /// Deliver an application-level NPE at the recorded fault origin,
     /// skipping object-fault handlers (the paper's "another null pointer
     /// exception ... from the application level").
-    fn app_npe(&mut self, tid: usize) -> VmResult<StepOutcome> {
+    fn app_npe(&mut self, tid: usize) -> VmResult<Flow> {
         let origin = self.threads[tid].npe_origin_pc.take();
         if let Some(opc) = origin {
             if let Some(f) = self.threads[tid].top_mut() {
@@ -999,25 +1056,24 @@ impl Vm {
             }
         }
         self.throw_into(tid, ExKind::NullPointer, "null (application level)", true)?;
+        Ok(self.thrown(tid))
+    }
+
+    /// Where a just-thrown exception left thread `tid`: in a handler frame
+    /// (possibly a lower one), or faulted.
+    fn thrown(&self, tid: usize) -> Flow {
         match &self.threads[tid].state {
-            ThreadState::Faulted(e) => Ok(StepOutcome::Unhandled(e.clone())),
-            _ => Ok(StepOutcome::Continue),
+            ThreadState::Faulted(_) => Flow::Leave,
+            _ => Flow::Reframe,
         }
     }
 
-    /// Helper used by instruction execution: throw and translate into a
-    /// step outcome.
-    fn throw_and_outcome(
-        &mut self,
-        tid: usize,
-        kind: ExKind,
-        message: &str,
-    ) -> VmResult<StepOutcome> {
+    /// Helper used by instruction execution: throw and translate into
+    /// where control goes next.
+    #[cold]
+    fn throw_and_outcome(&mut self, tid: usize, kind: ExKind, message: &str) -> VmResult<Flow> {
         self.throw_into(tid, kind, message, false)?;
-        match &self.threads[tid].state {
-            ThreadState::Faulted(e) => Ok(StepOutcome::Unhandled(e.clone())),
-            _ => Ok(StepOutcome::Continue),
-        }
+        Ok(self.thrown(tid))
     }
 
     // ------------------------------------------------------------------
@@ -1029,7 +1085,7 @@ impl Vm {
         tid: usize,
         bytes_estimate: u64,
         alloc: impl FnOnce(&mut Heap) -> ObjId,
-    ) -> Result<ObjId, StepOutcome> {
+    ) -> Result<ObjId, Flow> {
         if let Some(limit) = self.mem_limit {
             if self.heap.used_bytes() + bytes_estimate > limit {
                 let out = self
@@ -1046,43 +1102,62 @@ impl Vm {
     // Instruction execution
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_lines)]
+    /// Execute `instr`, already charged and counted, at `pc` of thread
+    /// `tid`'s top frame — method `mi` of class `ci`, locals at
+    /// `stack[base..floor]`, operands above `floor`.
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[inline(always)]
     fn exec_instr(
         &mut self,
         tid: usize,
         ci: usize,
         mi: usize,
         pc: u32,
+        base: usize,
+        floor: usize,
         instr: Instr,
-    ) -> VmResult<StepOutcome> {
+    ) -> VmResult<Flow> {
         use Instr::*;
 
-        macro_rules! frame {
+        macro_rules! stack {
             () => {
-                self.threads[tid].frames.last_mut().expect("frame")
+                self.threads[tid].stack
             };
         }
         macro_rules! pop {
-            () => {
-                frame!().ostack.pop().ok_or(VmError::StackUnderflow)?
-            };
+            () => {{
+                let stack = &mut stack!();
+                if stack.len() <= floor {
+                    return Err(VmError::StackUnderflow);
+                }
+                stack.pop().expect("operands above the floor")
+            }};
         }
         macro_rules! push {
             ($v:expr) => {{
                 let v = $v;
-                frame!().ostack.push(v);
-            }};
-        }
-        macro_rules! advance {
-            () => {{
-                frame!().pc = pc + 1;
-                Ok(StepOutcome::Continue)
+                stack!().push(v);
             }};
         }
         macro_rules! jump {
             ($t:expr) => {{
-                frame!().pc = $t;
-                Ok(StepOutcome::Continue)
+                let t = $t;
+                self.threads[tid].frames.last_mut().expect("frame").pc = t;
+                Ok(Flow::Goto(t))
+            }};
+        }
+        macro_rules! advance {
+            () => {
+                jump!(pc + 1)
+            };
+        }
+        macro_rules! local_at {
+            ($slot:expr) => {{
+                let at = base + $slot as usize;
+                if at >= floor {
+                    return Err(VmError::BadLocalSlot($slot));
+                }
+                at
             }};
         }
         macro_rules! npe {
@@ -1141,25 +1216,21 @@ impl Vm {
                 advance!()
             }
             Load(slot) => {
-                let v = *self.threads[tid]
-                    .top()
-                    .unwrap()
-                    .locals
-                    .get(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))?;
-                push!(v);
+                let at = local_at!(slot);
+                let stack = &mut stack!();
+                let v = stack[at];
+                stack.push(v);
                 advance!()
             }
             Store(slot) => {
+                let at = local_at!(slot);
                 let v = pop!();
-                *frame!()
-                    .locals
-                    .get_mut(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))? = v;
+                stack!()[at] = v;
                 advance!()
             }
             Dup => {
-                let v = *frame!().ostack.last().ok_or(VmError::StackUnderflow)?;
+                let v = pop!();
+                push!(v);
                 push!(v);
                 advance!()
             }
@@ -1339,12 +1410,10 @@ impl Vm {
             Goto(t) => jump!(t),
             Switch(sidx) => {
                 let key = pop!().as_int()?;
-                let table = self.classes[ci].def.methods[mi]
-                    .switches
-                    .get(sidx as usize)
-                    .ok_or(VmError::BadPoolIndex(sidx))?;
-                let t = table.lookup(key);
-                jump!(t)
+                let table = self.classes[ci].def.methods[mi].switches.get(sidx as usize);
+                jump!(table
+                    .ok_or_else(|| VmError::BadPoolIndex(sidx))?
+                    .lookup(key))
             }
             New(cidx) => {
                 // IC: `a` caches the resolved class index. The class table is
@@ -1373,7 +1442,7 @@ impl Vm {
                         push!(Value::Ref(id));
                         advance!()
                     }
-                    Err(out) => Ok(out),
+                    Err(thrown) => Ok(thrown),
                 }
             }
             GetField(fidx) => {
@@ -1469,7 +1538,7 @@ impl Vm {
                         push!(Value::Ref(id));
                         advance!()
                     }
-                    Err(out) => Ok(out),
+                    Err(thrown) => Ok(thrown),
                 }
             }
             ALoad => {
@@ -1512,7 +1581,7 @@ impl Vm {
             }
             InvokeStatic(cidx, midx, nargs) => {
                 let (target_ci, target_mi) = static_site!(cidx, midx, true);
-                self.push_callee_frame(tid, target_ci, target_mi, nargs)
+                self.push_callee_frame(tid, target_ci, target_mi, nargs, floor)
             }
             InvokeVirtual(midx, nargs) => {
                 debug_assert!(nargs >= 1, "virtual call needs a receiver");
@@ -1525,12 +1594,11 @@ impl Vm {
                     self.classes[ci].def.pool_str(midx)?;
                 }
                 let recv = {
-                    let f = self.threads[tid].top().unwrap();
-                    let n = f.ostack.len();
-                    if n < nargs as usize {
+                    let stack = &stack!();
+                    if stack.len() - floor < nargs as usize {
                         return Err(VmError::StackUnderflow);
                     }
-                    f.ostack[n - nargs as usize]
+                    stack[stack.len() - nargs as usize]
                 };
                 let Value::Ref(id) = recv else { npe!() };
                 if cell.is_filled() {
@@ -1541,6 +1609,7 @@ impl Vm {
                                 cell.a as usize,
                                 cell.b as usize,
                                 nargs,
+                                floor,
                             );
                         }
                     }
@@ -1560,12 +1629,12 @@ impl Vm {
                     }
                 })?;
                 self.fill_receiver_ic(ci, mi, pc, target_ci, target_mi, id)?;
-                self.push_callee_frame(tid, target_ci, target_mi, nargs)
+                self.push_callee_frame(tid, target_ci, target_mi, nargs, floor)
             }
-            Ret => self.pop_frame(tid, None),
+            Ret => Ok(self.pop_frame(tid, None)),
             RetV => {
                 let v = pop!();
-                self.pop_frame(tid, Some(v))
+                Ok(self.pop_frame(tid, Some(v)))
             }
             ThrowKind(kind) => self.throw_and_outcome(tid, kind, "thrown by bytecode"),
             Throw => {
@@ -1579,20 +1648,23 @@ impl Vm {
             }
             NativeCall(nidx, nargs) => {
                 // The intrinsic name is borrowed straight from the constant
-                // pool (`classes` and `heap`/`stdout` are disjoint fields) —
-                // an owned copy is made only on the cold host-park path.
-                self.classes[ci].def.pool_str(nidx)?;
-                let mut args = vec![Value::Null; nargs as usize];
-                {
-                    let f = frame!();
-                    for i in (0..nargs as usize).rev() {
-                        args[i] = f.ostack.pop().ok_or(VmError::StackUnderflow)?;
-                    }
+                // pool and the arguments are evaluated where they sit on the
+                // value stack (`classes`, `threads` and `heap`/`stdout` are
+                // disjoint fields), then popped; owned copies of either are
+                // made only on the cold host-park path.
+                let name = self.classes[ci].def.pool_str(nidx)?;
+                let stack = &mut self.threads[tid].stack;
+                if stack.len() - floor < nargs as usize {
+                    return Err(VmError::StackUnderflow);
                 }
-                let result = {
-                    let name = self.classes[ci].def.pool_str(nidx)?;
-                    intrinsics::eval(name, &args, &mut self.heap, &mut self.stdout)
+                let args_at = stack.len() - nargs as usize;
+                let result =
+                    intrinsics::eval(name, &stack[args_at..], &mut self.heap, &mut self.stdout);
+                let host_args = match result {
+                    Ok(IntrinsicEval::Host) => stack[args_at..].to_vec(),
+                    _ => Vec::new(),
                 };
+                stack.truncate(args_at);
                 match result {
                     Err(VmError::NullDeref) => {
                         // A null (or unfetched) reference reached a pure
@@ -1609,19 +1681,16 @@ impl Vm {
                         advance!()
                     }
                     Ok(IntrinsicEval::Host) => {
-                        let name = self.classes[ci].def.pool_str(nidx)?.to_owned();
-                        let t = &mut self.threads[tid];
-                        t.state = ThreadState::Parked(ParkReason::HostCall {
-                            name: name.clone(),
-                            args: args.clone(),
-                        });
-                        Ok(StepOutcome::HostCall { name, args })
+                        let (name, args) = (name.to_owned(), host_args);
+                        self.threads[tid].state =
+                            ThreadState::Parked(ParkReason::HostCall { name, args });
+                        Ok(Flow::Leave)
                     }
                 }
             }
             ReadCaptured(_) | ReadCapturedPc | RestoreLocal(_) | BringObjLocal(_)
             | BringObjField(..) | BringObjStaticTo(..) | BringObjElemTo(..) | RethrowAppNpe
-            | CheckStatus(_) => self.exec_protocol(tid, ci, pc, instr),
+            | CheckStatus(_) => self.exec_protocol(tid, ci, instr),
             Nop => advance!(),
         }
     }
@@ -1749,9 +1818,10 @@ impl Vm {
     /// pc)` under the thread's restore cursor.
     fn captured_frame(&self, tid: usize) -> VmResult<&(Vec<CapturedValue>, u32)> {
         let session = self.threads[tid].restore_session.as_ref();
-        let session = session.ok_or(VmError::RestoreProtocol("captured-frame read, no session"))?;
+        let session =
+            session.ok_or_else(|| VmError::RestoreProtocol("captured-frame read, no session"))?;
         let frame = session.frames.get(session.cursor);
-        frame.ok_or(VmError::RestoreProtocol("restore cursor out of range"))
+        frame.ok_or_else(|| VmError::RestoreProtocol("restore cursor out of range"))
     }
 
     /// The instructions only preprocessor-injected code executes: the
@@ -1760,65 +1830,49 @@ impl Vm {
     /// probe. Out of line so the hot match in [`Vm::exec_instr`] stays small.
     #[cold]
     #[inline(never)]
-    fn exec_protocol(
-        &mut self,
-        tid: usize,
-        ci: usize,
-        pc: u32,
-        instr: Instr,
-    ) -> VmResult<StepOutcome> {
+    fn exec_protocol(&mut self, tid: usize, ci: usize, instr: Instr) -> VmResult<Flow> {
         use Instr::*;
 
         let local = |vm: &Vm, slot: u16| -> VmResult<Value> {
-            let f = vm.threads[tid].top().expect("frame");
-            f.locals
-                .get(slot as usize)
-                .copied()
-                .ok_or(VmError::BadLocalSlot(slot))
+            let t = &vm.threads[tid];
+            let v = t.locals(t.frames.len() - 1).get(slot as usize).copied();
+            v.ok_or_else(|| VmError::BadLocalSlot(slot))
         };
         let advance = |vm: &mut Vm| {
-            vm.threads[tid].frames.last_mut().expect("frame").pc = pc + 1;
-            Ok(StepOutcome::Continue)
+            vm.advance_top(tid)?;
+            Ok(Flow::Reframe)
         };
 
         // A `BringObj*` yields the value in the slot it guards and where a
         // fetched copy would be bound; everything else completes here.
         let (current, bind) = match instr {
             ReadCaptured(slot) | RestoreLocal(slot) => {
-                let v = self
-                    .captured_frame(tid)?
-                    .0
-                    .get(slot as usize)
-                    .ok_or(VmError::BadLocalSlot(slot))?
+                let v = self.captured_frame(tid)?.0.get(slot as usize);
+                let v = v
+                    .ok_or_else(|| VmError::BadLocalSlot(slot))?
                     .to_nulled_value();
-                let f = self.threads[tid].frames.last_mut().expect("frame");
                 if matches!(instr, ReadCaptured(_)) {
-                    f.ostack.push(v);
+                    self.threads[tid].stack.push(v);
                 } else {
-                    *f.locals
-                        .get_mut(slot as usize)
-                        .ok_or(VmError::BadLocalSlot(slot))? = v;
+                    self.set_top_local(tid, slot, v)?;
                 }
                 return advance(self);
             }
             ReadCapturedPc => {
                 let cap_pc = self.captured_frame(tid)?.1;
-                let f = self.threads[tid].frames.last_mut().expect("frame");
-                f.ostack.push(Value::Int(i64::from(cap_pc)));
+                self.threads[tid].stack.push(Value::Int(i64::from(cap_pc)));
                 return advance(self);
             }
             RethrowAppNpe => return self.app_npe(tid),
             CheckStatus(depth) => {
-                let f = self.threads[tid].top().expect("frame");
-                let pos = f
-                    .ostack
-                    .len()
-                    .checked_sub(1 + depth as usize)
-                    .ok_or(VmError::StackUnderflow)?;
-                if let Value::Ref(id) = f.ostack[pos] {
+                let t = &self.threads[tid];
+                let operands = t.operands(t.frames.len() - 1);
+                let pos = operands.len().checked_sub(1 + depth as usize);
+                let pos = pos.ok_or_else(|| VmError::StackUnderflow)?;
+                if let Value::Ref(id) = operands[pos] {
                     let obj = self.heap.get(id)?;
                     if obj.status == crate::heap::ObjStatus::Invalid {
-                        let home = obj.home_id().ok_or(VmError::BadRef(id))?;
+                        let home = obj.home_id().ok_or_else(|| VmError::BadRef(id))?;
                         return self.park_fault(
                             tid,
                             ObjectQuery { home_id: home },
@@ -1892,81 +1946,93 @@ impl Vm {
         }
     }
 
-    fn park_fault(
-        &mut self,
-        tid: usize,
-        query: ObjectQuery,
-        bind: FaultBind,
-    ) -> VmResult<StepOutcome> {
+    fn park_fault(&mut self, tid: usize, query: ObjectQuery, bind: FaultBind) -> VmResult<Flow> {
         // A cached copy of the home object (e.g. installed by a prefetch)
         // satisfies the fault locally — no round trip.
         if !matches!(bind, FaultBind::Stub) {
             let origin = self.threads[tid].origin;
             if let Some(local) = self.heap.find_cached_from(origin, query.home_id) {
                 self.apply_bind(tid, bind, local)?;
-                let f = self.threads[tid].top_mut().ok_or(VmError::BadThread(tid))?;
-                f.pc += 1;
-                return Ok(StepOutcome::Continue);
+                self.advance_top(tid)?;
+                return Ok(Flow::Reframe);
             }
         }
         let t = &mut self.threads[tid];
         t.state = ThreadState::Parked(ParkReason::ObjectFault(query));
         t.pending_fault = Some(PendingFault { query, bind });
-        Ok(StepOutcome::ObjectFault(query))
+        Ok(Flow::Leave)
     }
 
-    fn park_class_miss(&mut self, tid: usize, name: String) -> VmResult<StepOutcome> {
-        let t = &mut self.threads[tid];
-        t.state = ThreadState::Parked(ParkReason::ClassMiss(name.clone()));
-        Ok(StepOutcome::ClassMiss(name))
+    #[cold]
+    fn park_class_miss(&mut self, tid: usize, name: String) -> VmResult<Flow> {
+        self.threads[tid].state = ThreadState::Parked(ParkReason::ClassMiss(name));
+        Ok(Flow::Leave)
     }
 
+    /// Enter `target_ci.target_mi` with the top `nargs` operands of the
+    /// caller (whose operands start at `floor`) as its arguments: the
+    /// callee's window opens on them and its other locals are zeroed above.
+    /// The caller's pc stays parked at its Invoke.
     fn push_callee_frame(
         &mut self,
         tid: usize,
         target_ci: usize,
         target_mi: usize,
         nargs: u8,
-    ) -> VmResult<StepOutcome> {
+        floor: usize,
+    ) -> VmResult<Flow> {
         let m = &self.classes[target_ci].def.methods[target_mi];
-        debug_assert_eq!(m.nargs as usize, nargs as usize, "arity mismatch");
-        let nlocals = m.nlocals;
-        let mut callee = Frame::new(target_ci, target_mi, nlocals);
-        {
-            let caller = self.threads[tid].top_mut().unwrap();
-            let n = caller.ostack.len();
-            if n < nargs as usize {
-                return Err(VmError::StackUnderflow);
-            }
-            let args = caller.ostack.split_off(n - nargs as usize);
-            callee.locals[..args.len()].copy_from_slice(&args);
+        // Cross-class targets resolve at run time, so only here can a call
+        // site's arity be held against the callee it actually reached.
+        if m.nargs != u16::from(nargs) {
+            return Err(VmError::ArityMismatch {
+                class: self.classes[target_ci].def.name.clone(),
+                method: m.name.clone(),
+                expected: m.nargs,
+                got: u16::from(nargs),
+            });
         }
+        let nlocals = m.nlocals;
         let t = &mut self.threads[tid];
-        t.frames.push(callee);
+        if t.stack.len() - floor < nargs as usize {
+            return Err(VmError::StackUnderflow);
+        }
+        let base = t.stack.len() - nargs as usize;
+        let end = base + nlocals as usize;
+        if end + 2 * (t.frames.len() + 1) > MAX_STACK_SLOTS {
+            return Err(VmError::StackOverflow);
+        }
+        t.stack.resize(end, Value::Int(0));
+        t.frames.push(Frame {
+            class_idx: target_ci,
+            method_idx: target_mi,
+            pc: 0,
+            base,
+            nlocals,
+            pinned: false,
+        });
         t.max_height = t.max_height.max(t.frames.len());
-        Ok(StepOutcome::Continue)
+        Ok(Flow::Reframe)
     }
 
     /// Pop the top frame, delivering `retval` to the caller (or finishing
     /// the thread). The caller's pc — parked at its Invoke — advances.
-    fn pop_frame(&mut self, tid: usize, retval: Option<Value>) -> VmResult<StepOutcome> {
+    fn pop_frame(&mut self, tid: usize, retval: Option<Value>) -> Flow {
         let t = &mut self.threads[tid];
-        let popped = t.frames.pop().expect("frame to pop");
-        if t.seg_frames > t.frames.len() {
-            t.seg_frames = t.frames.len();
-        }
+        t.truncate_frames(t.frames.len() - 1);
         match t.frames.last_mut() {
             Some(caller) => {
                 caller.pc += 1;
-                if let Some(v) = retval {
-                    caller.ostack.push(v);
-                }
-                drop(popped);
-                Ok(StepOutcome::Continue)
+                t.stack.extend(retval);
+                Flow::Reframe
             }
             None => {
+                // A finished thread never runs again but stays in the
+                // thread table: hand its (now empty) stacks back.
+                t.stack = Vec::new();
+                t.frames = Vec::new();
                 t.state = ThreadState::Finished(retval);
-                Ok(StepOutcome::Returned(retval))
+                Flow::Leave
             }
         }
     }
@@ -1990,39 +2056,26 @@ impl Vm {
     /// method had returned. Used by the home node when a migrated segment
     /// completes remotely.
     pub fn force_early_return(&mut self, tid: usize, retval: Option<Value>) -> VmResult<()> {
-        let t = self.thread_mut(tid)?;
-        if t.frames.is_empty() {
+        if self.thread(tid)?.frames.is_empty() {
             return Err(VmError::BadThread(tid));
         }
-        t.frames.pop();
-        if t.seg_frames > t.frames.len() {
-            t.seg_frames = t.frames.len();
-        }
-        match t.frames.last_mut() {
-            Some(caller) => {
-                caller.pc += 1;
-                if let Some(v) = retval {
-                    caller.ostack.push(v);
-                }
-                t.state = ThreadState::Runnable;
-            }
-            None => {
-                t.state = ThreadState::Finished(retval);
-            }
+        if let Flow::Reframe = self.pop_frame(tid, retval) {
+            self.threads[tid].state = ThreadState::Runnable;
         }
         Ok(())
     }
 }
 
-/// Small helper so `Finished(None)`/`Finished(Some(v))` both map cleanly.
-trait FlattenUnit {
-    fn flatten_unit(self) -> Option<Value>;
-}
-
-impl FlattenUnit for Option<Value> {
-    fn flatten_unit(self) -> Option<Value> {
-        self
-    }
+/// Where control goes after one instruction.
+#[derive(Clone, Copy)]
+enum Flow {
+    /// Same frame, at this pc (already stored in the frame).
+    Goto(u32),
+    /// Re-read the top frame: a call, return or exception unwinding changed
+    /// it, or a cold path moved its pc.
+    Reframe,
+    /// The thread stopped being runnable; its state says how.
+    Leave,
 }
 
 #[cfg(test)]
@@ -2286,6 +2339,67 @@ mod tests {
     }
 
     #[test]
+    fn unwinding_cuts_the_value_stack_to_the_handler_window() {
+        // main(2 locals) holds two operands, then calls boom with a third
+        // as its argument; boom divides by zero two frames further up.
+        // Entering main's handler must leave exactly main's locals plus
+        // the exception reference on the thread's value stack.
+        let mut c = ClassDef::new("Main");
+        let (main_n, mid, boom) = (c.intern("Main"), c.intern("mid"), c.intern("boom"));
+        c.methods.push(
+            MethodDef::new("main", 0, 2)
+                .with_code(
+                    vec![
+                        Instr::PushI(10),                    // 0
+                        Instr::PushI(20),                    // 1
+                        Instr::PushI(30),                    // 2
+                        Instr::InvokeStatic(main_n, mid, 1), // 3
+                        Instr::Add,                          // 4
+                        Instr::Add,                          // 5
+                        Instr::RetV,                         // 6
+                        Instr::Store(1),                     // 7 handler
+                        Instr::PushI(55),                    // 8
+                        Instr::RetV,                         // 9
+                    ],
+                    vec![1, 1, 1, 1, 1, 1, 1, 2, 2, 2],
+                )
+                .with_ex_table(vec![ExEntry::new(0, 7, 7, ExKind::DivByZero)]),
+        );
+        c.methods.push(MethodDef::new("mid", 1, 3).with_code(
+            vec![
+                Instr::PushI(1),
+                Instr::Load(0),
+                Instr::InvokeStatic(main_n, boom, 1),
+                Instr::Add,
+                Instr::RetV,
+            ],
+            vec![1; 5],
+        ));
+        c.methods.push(MethodDef::new("boom", 1, 0).with_code(
+            vec![Instr::Load(0), Instr::PushI(0), Instr::Div, Instr::RetV],
+            vec![1; 4],
+        ));
+        let mut vm = vm_with(&[c]);
+        let tid = vm.spawn("Main", "main", &[]).unwrap();
+        while vm.thread(tid).unwrap().frames.len() < 3 {
+            vm.step(tid).unwrap();
+        }
+        // main: 2 locals + 2 operands; mid: arg + 3 locals + 1 operand;
+        // boom: its argument.
+        assert_eq!(vm.threads[tid].stack.len(), 4 + 5 + 1);
+        for _ in 0..3 {
+            assert_eq!(vm.step(tid).unwrap(), StepOutcome::Continue);
+        }
+        let t = vm.thread(tid).unwrap();
+        assert_eq!(t.frames.len(), 1);
+        assert_eq!(t.frames[0].pc, 7);
+        assert_eq!(t.stack.len(), t.frames[0].floor() + 1);
+        assert!(matches!(t.operands(0), [Value::Ref(_)]));
+        let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+        assert_eq!(out, StepOutcome::Returned(Some(Value::Int(55))));
+    }
+
+    #[test]
     fn unhandled_exception_preserves_frames() {
         let c = main_class(
             vec![Instr::PushI(1), Instr::PushI(0), Instr::Div, Instr::RetV],
@@ -2337,10 +2451,12 @@ mod tests {
         match out {
             StepOutcome::HostCall { name, args } => {
                 assert_eq!(name, "fs_size");
-                assert_eq!(args.len(), 1);
+                assert!(matches!(args[..], [Value::Ref(_)]));
             }
             other => panic!("expected HostCall, got {other:?}"),
         }
+        // The arguments left the operand stack when the thread parked.
+        assert!(vm.thread(tid).unwrap().operands(0).is_empty());
         vm.resume_host(tid, Value::Int(4096)).unwrap();
         let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(4096))));
@@ -2386,8 +2502,9 @@ mod tests {
             for (missing, pc, operand) in [(&cfg_def, 1, 4), (&lazy_def, 3, 5)] {
                 let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
                 assert_eq!(out, StepOutcome::ClassMiss(missing.name.clone()));
-                let f = vm.thread(tid).unwrap().top().unwrap();
-                assert_eq!((f.pc, &f.ostack[..]), (pc, &[Value::Int(operand)][..]));
+                let t = vm.thread(tid).unwrap();
+                assert_eq!(t.top().unwrap().pc, pc);
+                assert_eq!(t.operands(0), [Value::Int(operand)]);
                 vm.load_class(missing).unwrap();
                 vm.resume_class_loaded(tid).unwrap();
             }
@@ -2510,14 +2627,12 @@ mod tests {
         assert!(fast.classes.iter().any(|c| c.ic_warm_count() > 0));
         assert!(slow.classes.iter().all(|c| c.ic_warm_count() == 0));
         // ... and links no superinstructions, where the fast VM did.
-        assert!(fast
-            .classes
-            .iter()
-            .any(|c| c.fused.iter().flatten().any(Option::is_some)));
-        assert!(slow
-            .classes
-            .iter()
-            .all(|c| c.fused.iter().all(Vec::is_empty)));
+        let fuses = |vm: &Vm| {
+            vm.classes
+                .iter()
+                .any(|c| c.rows.iter().flatten().any(|r| r.fused))
+        };
+        assert!(fuses(&fast) && !fuses(&slow));
     }
 
     #[test]
@@ -2609,6 +2724,152 @@ mod tests {
         vm.force_early_return(tid, Some(Value::Int(123))).unwrap();
         let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(123))));
+    }
+
+    #[test]
+    fn returns_leave_the_callers_window() {
+        // main(1 local) keeps one operand under each call. `get` returns a
+        // value, `nop` returns none, `spin` never returns and is popped by
+        // force_early_return: each time the value stack must end at the
+        // caller's operands, plus the returned value if there is one.
+        let mut c = ClassDef::new("Main");
+        let main_n = c.intern("Main");
+        let (get, nop, spin) = (c.intern("get"), c.intern("nop"), c.intern("spin"));
+        c.methods.push(MethodDef::new("main", 0, 1).with_code(
+            vec![
+                Instr::PushI(7),                      // 0
+                Instr::PushI(1),                      // 1
+                Instr::InvokeStatic(main_n, get, 1),  // 2
+                Instr::Pop,                           // 3
+                Instr::InvokeStatic(main_n, nop, 0),  // 4
+                Instr::InvokeStatic(main_n, spin, 0), // 5
+                Instr::Add,                           // 6
+                Instr::RetV,                          // 7
+            ],
+            vec![1; 8],
+        ));
+        c.methods.push(MethodDef::new("get", 1, 2).with_code(
+            vec![Instr::PushI(5), Instr::PushI(6), Instr::RetV],
+            vec![1; 3],
+        ));
+        c.methods.push(
+            MethodDef::new("nop", 0, 2).with_code(vec![Instr::PushI(5), Instr::Ret], vec![1; 2]),
+        );
+        c.methods
+            .push(MethodDef::new("spin", 0, 1).with_code(vec![Instr::Goto(0)], vec![1]));
+        let mut vm = vm_with(&[c]);
+        let tid = vm.spawn("Main", "main", &[]).unwrap();
+        let step_to = |vm: &mut Vm, pc: u32| {
+            while vm.threads[tid].frames.len() != 1 || vm.threads[tid].frames[0].pc != pc {
+                assert_eq!(vm.step(tid).unwrap(), StepOutcome::Continue);
+            }
+        };
+        // 1 local + the operand 7 is main's window while a callee runs.
+        step_to(&mut vm, 3);
+        assert_eq!(vm.threads[tid].operands(0), [Value::Int(7), Value::Int(6)]);
+        assert_eq!(vm.threads[tid].stack.len(), 1 + 2);
+        step_to(&mut vm, 5);
+        assert_eq!(vm.threads[tid].operands(0), [Value::Int(7)]);
+        assert_eq!(vm.threads[tid].stack.len(), 1 + 1);
+        vm.step(tid).unwrap();
+        vm.step(tid).unwrap();
+        assert_eq!(vm.threads[tid].frames.len(), 2);
+        vm.force_early_return(tid, Some(Value::Int(35))).unwrap();
+        assert_eq!(vm.threads[tid].operands(0), [Value::Int(7), Value::Int(35)]);
+        assert_eq!(vm.threads[tid].stack.len(), 1 + 2);
+        let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+        assert_eq!(out, StepOutcome::Returned(Some(Value::Int(42))));
+        // A finished thread holds no stack at all.
+        assert_eq!(vm.threads[tid].stack_state_bytes(), 0);
+    }
+
+    /// `Main.main` calls `Lib.f` passing `site_nargs` arguments; `Lib.f`
+    /// declares `decl_nargs`.
+    fn cross_class_call(site_nargs: u8, decl_nargs: u16) -> Vec<ClassDef> {
+        let mut main = ClassDef::new("Main");
+        let (lib, f) = (main.intern("Lib"), main.intern("f"));
+        let mut code = vec![Instr::PushI(1); site_nargs as usize];
+        code.extend([Instr::InvokeStatic(lib, f, site_nargs), Instr::RetV]);
+        let lines = vec![1; code.len()];
+        main.methods
+            .push(MethodDef::new("main", 0, 0).with_code(code, lines));
+        let lib = ClassDef::new("Lib").with_method(
+            MethodDef::new("f", decl_nargs, 0)
+                .with_code(vec![Instr::PushI(0), Instr::RetV], vec![1; 2]),
+        );
+        vec![main, lib]
+    }
+
+    #[test]
+    fn arity_mismatch_is_a_typed_error() {
+        // Each class verifies by itself; only the resolved call can tell
+        // that the site and the callee disagree — in either direction.
+        for (site, decl) in [(2, 1), (1, 2), (0, 3)] {
+            for mut vm in [
+                vm_with(&cross_class_call(site, decl)),
+                load_into(Vm::reference(), &cross_class_call(site, decl)),
+            ] {
+                let tid = vm.spawn("Main", "main", &[]).unwrap();
+                let err = vm.run(tid, u64::MAX, RunMode::Normal).unwrap_err();
+                assert_eq!(
+                    err,
+                    VmError::ArityMismatch {
+                        class: "Lib".into(),
+                        method: "f".into(),
+                        expected: decl,
+                        got: u16::from(site),
+                    }
+                );
+            }
+        }
+        let mut vm = vm_with(&cross_class_call(2, 2));
+        assert_eq!(
+            vm.run_to_completion("Main", "main", &[]).unwrap(),
+            Some(Value::Int(0))
+        );
+    }
+
+    #[test]
+    fn unbounded_recursion_ends_in_stack_overflow() {
+        // `deep` recurses forever with four locals a frame, `bare` with
+        // none at all (only frame headers grow).
+        let mut c = ClassDef::new("Main");
+        let main_n = c.intern("Main");
+        let (deep, bare) = (c.intern("deep"), c.intern("bare"));
+        c.methods.push(MethodDef::new("deep", 1, 3).with_code(
+            vec![
+                Instr::Load(0),
+                Instr::InvokeStatic(main_n, deep, 1),
+                Instr::RetV,
+            ],
+            vec![1; 3],
+        ));
+        c.methods.push(MethodDef::new("bare", 0, 0).with_code(
+            vec![Instr::InvokeStatic(main_n, bare, 0), Instr::RetV],
+            vec![1; 2],
+        ));
+        c.methods.push(
+            MethodDef::new("main", 0, 0).with_code(vec![Instr::PushI(3), Instr::RetV], vec![1; 2]),
+        );
+        let mut vm = vm_with(&[c]);
+        let deep = vm.spawn("Main", "deep", &[Value::Int(1)]).unwrap();
+        let bare = vm.spawn("Main", "bare", &[]).unwrap();
+        for tid in [deep, bare] {
+            let err = vm.run(tid, u64::MAX, RunMode::Normal).unwrap_err();
+            assert_eq!(err, VmError::StackOverflow);
+            let t = vm.thread(tid).unwrap();
+            assert!(t.stack.len() + 2 * t.frames.len() <= MAX_STACK_SLOTS);
+            // The thread stays where it overflowed: at the Invoke.
+            assert_eq!(
+                vm.run(tid, 100, RunMode::Normal),
+                Err(VmError::StackOverflow)
+            );
+        }
+        // The VM itself is fine: other threads run to completion.
+        assert_eq!(
+            vm.run_to_completion("Main", "main", &[]).unwrap(),
+            Some(Value::Int(3))
+        );
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl<'a> Tooling<'a> {
         Ok(self.vm.thread(tid)?.frames.len())
     }
 
+    /// Bottom-up index of the frame `depth` below the top of thread `tid`
+    /// (depth 0 is the *top* frame, the JVMTI convention).
+    fn frame_index(&self, tid: usize, depth: usize) -> VmResult<usize> {
+        let fi = self.vm.thread(tid)?.frames.len().checked_sub(1 + depth);
+        fi.ok_or_else(|| VmError::BadThread(tid))
+    }
+
     /// `GetFrameLocation`: (class name, method name, pc) of frame `depth`,
     /// where depth 0 is the *top* frame (JVMTI convention).
     pub fn get_frame_location(
@@ -132,12 +139,7 @@ impl<'a> Tooling<'a> {
             jvmti::GET_FRAME_LOCATION_NS,
             internal::GET_FRAME_LOCATION_NS,
         );
-        let t = self.vm.thread(tid)?;
-        let n = t.frames.len();
-        let f = t
-            .frames
-            .get(n.checked_sub(1 + depth).ok_or(VmError::BadThread(tid))?)
-            .ok_or(VmError::BadThread(tid))?;
+        let f = &self.vm.threads[tid].frames[self.frame_index(tid, depth)?];
         let c = &self.vm.classes[f.class_idx];
         Ok((
             c.def.name.clone(),
@@ -150,18 +152,11 @@ impl<'a> Tooling<'a> {
     /// with references mapped to their home object ids.
     pub fn get_local(&mut self, tid: usize, depth: usize, slot: u16) -> VmResult<CapturedValue> {
         self.c(jvmti::GET_LOCAL_NS, internal::GET_LOCAL_NS);
-        let t = self.vm.thread(tid)?;
-        let n = t.frames.len();
-        let f = t
-            .frames
-            .get(n.checked_sub(1 + depth).ok_or(VmError::BadThread(tid))?)
-            .ok_or(VmError::BadThread(tid))?;
-        let v = f
-            .locals
-            .get(slot as usize)
-            .copied()
-            .ok_or(VmError::BadLocalSlot(slot))?;
-        Ok(self.vm.export_value(v))
+        let fi = self.frame_index(tid, depth)?;
+        let v = self.vm.threads[tid].locals(fi).get(slot as usize);
+        Ok(self
+            .vm
+            .export_value(*v.ok_or_else(|| VmError::BadLocalSlot(slot))?))
     }
 
     /// Number of local slots in frame `depth` (the JVMTI
@@ -171,23 +166,17 @@ impl<'a> Tooling<'a> {
             jvmti::GET_FRAME_LOCATION_NS,
             internal::GET_FRAME_LOCATION_NS,
         );
-        let t = self.vm.thread(tid)?;
-        let n = t.frames.len();
-        let f = t
-            .frames
-            .get(n.checked_sub(1 + depth).ok_or(VmError::BadThread(tid))?)
-            .ok_or(VmError::BadThread(tid))?;
-        Ok(f.locals.len() as u16)
+        let fi = self.frame_index(tid, depth)?;
+        Ok(self.vm.threads[tid].frames[fi].nlocals)
     }
 
     /// Read one static field (for capture).
     pub fn get_static(&mut self, class_idx: usize, static_idx: usize) -> VmResult<CapturedValue> {
         self.c(jvmti::GET_STATIC_NS, internal::GET_STATIC_NS);
-        let v = *self.vm.classes[class_idx]
-            .statics
-            .get(static_idx)
-            .ok_or(VmError::BadPoolIndex(static_idx as u16))?;
-        Ok(self.vm.export_value(v))
+        let v = self.vm.classes[class_idx].statics.get(static_idx);
+        Ok(self
+            .vm
+            .export_value(*v.ok_or_else(|| VmError::BadPoolIndex(static_idx as u16))?))
     }
 
     /// `SetStatic<Type>Field` (for restore); refs in captured values restore
@@ -199,11 +188,8 @@ impl<'a> Tooling<'a> {
         v: &CapturedValue,
     ) -> VmResult<()> {
         self.c(jvmti::SET_STATIC_NS, internal::SET_STATIC_NS);
-        let slot = self.vm.classes[class_idx]
-            .statics
-            .get_mut(static_idx)
-            .ok_or(VmError::BadPoolIndex(static_idx as u16))?;
-        *slot = v.to_nulled_value();
+        let slot = self.vm.classes[class_idx].statics.get_mut(static_idx);
+        *slot.ok_or_else(|| VmError::BadPoolIndex(static_idx as u16))? = v.to_nulled_value();
         Ok(())
     }
 
