@@ -16,8 +16,6 @@ pub mod vmdispatch;
 pub use chaos::{chaos_json, chaos_table, run_chaos_fleet};
 pub use codecache::{codecache_json, codecache_table, run_codecache_fleet};
 pub use elastic::{elastic_json, elastic_table, run_elastic_fleet};
-pub use scale::{
-    run_scale_fleet, scale_configs, scale_json, scale_table, scale_table_for, ScaleRow,
-};
+pub use scale::{run_scale_fleet, scale_json, scale_table, scale_table_for, ScaleRow};
 pub use sod::Scheduler;
 pub use tables::*;

@@ -8,12 +8,11 @@
 //! nearest-rank latency percentiles, throughput, and per-node utilization
 //! from the [`sod::ClusterReport`]. Since the sharded per-node event
 //! queue landed, **scheduler** is a sweep dimension too: every fleet size
-//! runs under [`Scheduler::GlobalHeap`], [`Scheduler::Sharded`], and
-//! [`Scheduler::Parallel`] at 1, 2, 4, and the host's core count of
-//! drain threads ([`scale_configs`]), with per-row wall-clock so the
-//! ablation shows what sharding and real threads buy (the virtual-time
-//! results are bit-identical by construction — the
-//! `scheduler_equivalence` suite enforces it). [`scale_json`] renders the
+//! runs under [`Scheduler::GlobalHeap`] and [`Scheduler::Sharded`]
+//! ([`SCALE_SCHEDULERS`]), with per-row wall-clock so the ablation shows
+//! what sharding buys (the virtual-time results are bit-identical by
+//! construction — the `scheduler_equivalence` suite enforces it).
+//! [`scale_json`] renders the
 //! same sweep as a `BENCH_scale.json`-compatible summary for machine
 //! consumption; `bin/scale` runs the big-fleet sweep
 //! ([`SCALE_FLEET_SWEEP`]: 1k/5k/10k programs).
@@ -33,26 +32,8 @@ use sod::{ArrivalSchedule, ClusterReport, Scheduler};
 pub const SCALE_SWEEP: [usize; 3] = [10, 100, 500];
 /// Fleet sizes for the big `bin/scale` scheduler ablation.
 pub const SCALE_FLEET_SWEEP: [usize; 3] = [1000, 5000, 10_000];
-/// Both sequential schedulers, in ablation order (baseline first).
+/// Both schedulers, in ablation order (baseline first).
 pub const SCALE_SCHEDULERS: [Scheduler; 2] = [Scheduler::GlobalHeap, Scheduler::Sharded];
-
-/// The full scheduler ablation: both sequential schedulers (one drain
-/// thread each), then the parallel drain at 1, 2, 4, and the host's
-/// available core count of threads (deduplicated, ascending). Each entry
-/// pairs the scheduler with the thread count reported in the `threads`
-/// column.
-pub fn scale_configs() -> Vec<(Scheduler, usize)> {
-    let mut configs: Vec<(Scheduler, usize)> =
-        SCALE_SCHEDULERS.into_iter().map(|s| (s, 1)).collect();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1usize, 2, 4, cores];
-    counts.sort_unstable();
-    counts.dedup();
-    for threads in counts {
-        configs.push((Scheduler::Parallel { threads }, threads));
-    }
-    configs
-}
 /// Seed for the sweep's arrival jitter (any fixed value works; runs are
 /// deterministic per seed).
 pub const SCALE_SEED: u64 = 42;
@@ -60,9 +41,6 @@ pub const SCALE_SEED: u64 = 42;
 /// One sweep entry: a fleet size simulated under one scheduler.
 pub struct ScaleRow {
     pub scheduler: Scheduler,
-    /// Host threads draining events: 1 for the sequential schedulers,
-    /// the configured count for [`Scheduler::Parallel`].
-    pub threads: usize,
     pub programs: usize,
     pub report: ClusterReport,
     /// Host wall-clock the simulation took, in milliseconds (the only
@@ -108,20 +86,18 @@ pub fn run_scale_fleet(programs: usize, seed: u64, scheduler: Scheduler) -> Clus
     report.cluster
 }
 
-/// Run the sweep once: one [`ScaleRow`] per `(size, scheduler, threads)`
-/// config ([`scale_configs`]), wall-clock measured per row. The table and
+/// Run the sweep once: one [`ScaleRow`] per `(size, scheduler)` pair
+/// ([`SCALE_SCHEDULERS`]), wall-clock measured per row. The table and
 /// JSON renderers below both consume this, so a caller wanting both pays
 /// for the simulation once.
 pub fn sweep(sizes: &[usize]) -> Vec<ScaleRow> {
-    let configs = scale_configs();
-    let mut rows = Vec::with_capacity(sizes.len() * configs.len());
+    let mut rows = Vec::with_capacity(sizes.len() * SCALE_SCHEDULERS.len());
     for &programs in sizes {
-        for &(scheduler, threads) in &configs {
+        for scheduler in SCALE_SCHEDULERS {
             let started = Instant::now();
             let report = run_scale_fleet(programs, SCALE_SEED, scheduler);
             rows.push(ScaleRow {
                 scheduler,
-                threads,
                 programs,
                 report,
                 wall_ms: started.elapsed().as_millis() as u64,
@@ -131,22 +107,12 @@ pub fn sweep(sizes: &[usize]) -> Vec<ScaleRow> {
     rows
 }
 
-/// The scheduler's bare name — the `threads` column carries the parallel
-/// thread count, so rows stay grep-able and the JSON value stays flat.
-fn scheduler_name(s: Scheduler) -> &'static str {
-    match s {
-        Scheduler::GlobalHeap => "GlobalHeap",
-        Scheduler::Sharded => "Sharded",
-        Scheduler::Parallel { .. } => "Parallel",
-    }
-}
-
 /// Render a finished sweep as the human-readable table.
 pub fn render_table(rows: &[ScaleRow]) -> String {
     let mut out = String::from(
-        "TABLE SCALE. FLEET × SCHEDULER × THREADS SWEEP (open-loop, OnCpuSliceBudget offload; \
+        "TABLE SCALE. FLEET × SCHEDULER SWEEP (open-loop, OnCpuSliceBudget offload; \
          nearest-rank percentiles; wall = host ms)\n\
-         programs sched      thr  ok    fail p50(ms)  p95(ms)  p99(ms)  mean(ms) makespan(ms) req/s    cloud-instr% wall(ms) ns/instr\n",
+         programs sched      ok    fail p50(ms)  p95(ms)  p99(ms)  mean(ms) makespan(ms) req/s    cloud-instr% wall(ms) ns/instr\n",
     );
     for row in rows {
         let r = &row.report;
@@ -159,10 +125,9 @@ pub fn render_table(rows: &[ScaleRow]) -> String {
             .unwrap_or(0);
         let _ = writeln!(
             out,
-            "{:<8} {:<10} {:<4} {:<5} {:<4} {:<8} {:<8} {:<8} {:<8} {:<12} {:<8.1} {:<12.1} {:<8} {:.2}",
+            "{:<8} {:<10} {:<5} {:<4} {:<8} {:<8} {:<8} {:<8} {:<12} {:<8.1} {:<12.1} {:<8} {:.2}",
             row.programs,
-            scheduler_name(row.scheduler),
-            row.threads,
+            format!("{:?}", row.scheduler),
             r.completed,
             r.failed,
             ns_to_ms_string(r.p50_latency_ns),
@@ -229,14 +194,13 @@ pub fn render_json(sweep_rows: &[ScaleRow]) -> String {
             })
             .collect();
         rows.push(format!(
-            "{{\"programs\":{},\"scheduler\":\"{}\",\"threads\":{},\"wall_ms\":{},\
+            "{{\"programs\":{},\"scheduler\":\"{:?}\",\"wall_ms\":{},\
              \"ns_per_instr\":{:.3},\"completed\":{},\
              \"failed\":{},\"p50_ns\":{},\"p95_ns\":{},\
              \"p99_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"makespan_ns\":{},\
              \"throughput_millirps\":{},\"per_node\":[{}]}}",
             row.programs,
-            scheduler_name(row.scheduler),
-            row.threads,
+            row.scheduler,
             row.wall_ms,
             row.ns_per_instr(),
             r.completed,
@@ -276,10 +240,10 @@ mod tests {
         assert!(t.contains("TABLE SCALE"));
         assert_eq!(
             t.lines().count(),
-            2 + 2 * scale_configs().len(),
-            "header(2) + one line per (size, scheduler, threads): {t}"
+            2 + 2 * SCALE_SCHEDULERS.len(),
+            "header(2) + one line per (size, scheduler): {t}"
         );
-        assert!(t.contains("GlobalHeap") && t.contains("Sharded") && t.contains("Parallel"));
+        assert!(t.contains("GlobalHeap") && t.contains("Sharded"));
 
         let j = render_json(&rows);
         assert!(j.starts_with("{\"bench\":\"scale\""));
@@ -287,8 +251,6 @@ mod tests {
         assert!(j.contains("\"p99_ns\":"));
         assert!(j.contains("\"scheduler\":\"GlobalHeap\""));
         assert!(j.contains("\"scheduler\":\"Sharded\""));
-        assert!(j.contains("\"scheduler\":\"Parallel\""));
-        assert!(j.contains("\"threads\":1") && j.contains("\"threads\":2"));
         assert!(j.contains("\"wall_ms\":"));
         assert!(j.contains("\"ns_per_instr\":"));
         assert!(t.contains("ns/instr"));
@@ -298,12 +260,9 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
 
-        // Identical virtual-time results across every config of a size:
-        // the scheduler/threads axis only moves wall_ms.
-        let first = &rows[0].report;
-        for row in rows.iter().take(scale_configs().len()) {
-            assert_eq!(&row.report, first, "configs must agree on virtual time");
-        }
+        // Identical virtual-time results under both schedulers of a size:
+        // the scheduler axis only moves wall_ms.
+        assert_eq!(rows[0].report, rows[1].report);
     }
 
     #[test]
@@ -324,7 +283,5 @@ mod tests {
         let a = run_scale_fleet(25, SCALE_SEED, Scheduler::GlobalHeap);
         let b = run_scale_fleet(25, SCALE_SEED, Scheduler::Sharded);
         assert_eq!(a, b);
-        let c = run_scale_fleet(25, SCALE_SEED, Scheduler::Parallel { threads: 2 });
-        assert_eq!(a, c);
     }
 }

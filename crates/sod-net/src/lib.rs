@@ -9,13 +9,10 @@
 //! of concurrent transfers).
 //!
 //! Everything is deterministic: given the same initial world and
-//! messages, a simulation always produces the same timeline — including
-//! under [`Scheduler::Parallel`], which drains independent safe-horizon
-//! windows on real worker threads and merges their logs back in the
-//! canonical `(time, seq, dst)` order (see [`sim::parallel`]). The
-//! [`World`] trait is implemented by the distributed runtime
-//! (`sod-runtime`) — nodes exchange messages whose delivery times are
-//! computed from the [`Topology`].
+//! messages, a simulation always produces the same timeline, under
+//! either event queue. The [`World`] trait is implemented by the
+//! distributed runtime (`sod-runtime`) — nodes exchange messages whose
+//! delivery times are computed from the [`Topology`].
 
 pub mod chaos;
 pub mod link;
@@ -25,9 +22,6 @@ pub mod topology;
 
 pub use chaos::{ChaosAction, ChaosEntry, ChaosPlan, ChaosState, DropReason};
 pub use link::{Link, LinkSpec};
-pub use sim::parallel::{
-    drain_batches_scoped, BatchEvent, DeliveryRec, PushRec, SeqSlot, ShardBatch, ShardLog,
-};
 pub use sim::{Scheduler, Sim, SimCtx, World};
 pub use time::{ns_to_ms_string, ns_to_s_string, MS, NS_PER_MS, NS_PER_SEC, NS_PER_US, SEC, US};
-pub use topology::{LinkRow, Topology};
+pub use topology::Topology;

@@ -19,16 +19,8 @@
 //! * no further than the latency-extended horizon (`horizon_at` = owning
 //!   frontier time + minimum link latency), which bounds how long the
 //!   coordinator runs one shard before it re-examines the fleet.
-//!
-//! [`open_batch`] generalizes the single window to the *full set* of
-//! non-overlapping windows below the safe horizon: every shard whose
-//! frontier lies under `min frontier + lookahead` may drain all of its
-//! events under that horizon independently, because any message such an
-//! event sends to another shard travels a link and arrives at or past the
-//! horizon. Those per-shard batches are what [`super::Scheduler::Parallel`]
-//! executes on worker threads.
 
-use super::shard::{EventKey, HorizonBatches, Shard};
+use super::shard::{EventKey, Shard};
 
 /// An active drain window over one shard, produced by [`open_window`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,53 +82,6 @@ pub(crate) fn open_window<M>(shards: &[Shard<M>], lookahead_ns: u64) -> Option<W
         limit: second,
         horizon_at: key.0.saturating_add(lookahead_ns),
     })
-}
-
-/// Extract the full batch of independently drainable events: the safe
-/// horizon is `min frontier time + lookahead_ns`, and every event
-/// *strictly below* it is popped, grouped by shard.
-///
-/// Soundness of per-shard independence: an event at `t < horizon`
-/// delivered on shard `s` can only reach another shard over a link, whose
-/// latency is at least `lookahead_ns` (the minimum over all links), so the
-/// arrival lands at `t + lookahead_ns ≥ horizon` — outside the batch.
-/// Same-shard timers and loopback sends below the horizon stay inside the
-/// shard and are consumed locally by the worker.
-///
-/// Returns `None` — leaving the queue untouched — when batching cannot
-/// help: zero lookahead (some link has no latency), or fewer than two
-/// shards with events below the horizon.
-pub(crate) fn open_batch<M>(
-    shards: &mut [Shard<M>],
-    lookahead_ns: u64,
-) -> Option<HorizonBatches<M>> {
-    if lookahead_ns == 0 {
-        return None;
-    }
-    let min_at = shards
-        .iter()
-        .filter_map(|s| s.front_key())
-        .map(|k| k.0)
-        .min()?;
-    let horizon = min_at.saturating_add(lookahead_ns);
-    let below = shards
-        .iter()
-        .filter(|s| s.front_key().is_some_and(|k| k.0 < horizon))
-        .count();
-    if below < 2 {
-        return None;
-    }
-    let mut batches = Vec::with_capacity(below);
-    for (i, shard) in shards.iter_mut().enumerate() {
-        let mut events = Vec::new();
-        while shard.front_key().is_some_and(|k| k.0 < horizon) {
-            events.push(shard.pop().expect("peeked event"));
-        }
-        if !events.is_empty() {
-            batches.push((i, events));
-        }
-    }
-    Some((horizon, batches))
 }
 
 #[cfg(test)]
@@ -213,47 +158,5 @@ mod tests {
         assert_eq!(w.limit, None);
         assert!(w.admits((70, 2, 0)));
         assert!(!w.admits((71, 3, 0)), "re-scan after one lookahead span");
-    }
-
-    #[test]
-    fn batch_takes_every_event_below_the_horizon() {
-        let mut shards = vec![
-            shard_with(&[(10, 0, 0), (50, 3, 0), (200, 5, 0)]),
-            shard_with(&[(30, 1, 1), (90, 4, 1)]),
-            shard_with(&[(300, 2, 2)]),
-        ];
-        // Horizon = 10 + 100 = 110: shards 0 and 1 contribute, shard 2
-        // (frontier 300) does not, and (200, 5, 0) stays queued.
-        let (horizon, batches) = open_batch(&mut shards, 100).unwrap();
-        assert_eq!(horizon, 110);
-        let keys: Vec<(usize, Vec<EventKey>)> = batches
-            .iter()
-            .map(|(s, evs)| (*s, evs.iter().map(|e| e.key()).collect()))
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                (0, vec![(10, 0, 0), (50, 3, 0)]),
-                (1, vec![(30, 1, 1), (90, 4, 1)]),
-            ]
-        );
-        assert_eq!(shards[0].front_key(), Some((200, 5, 0)));
-        assert_eq!(shards[2].front_key(), Some((300, 2, 2)));
-    }
-
-    #[test]
-    fn batch_declines_when_only_one_shard_is_below_horizon() {
-        let mut shards = vec![
-            shard_with(&[(10, 0, 0), (20, 1, 0)]),
-            shard_with(&[(5000, 2, 1)]),
-        ];
-        assert!(open_batch(&mut shards, 100).is_none());
-        assert_eq!(shards[0].front_key(), Some((10, 0, 0)), "queue untouched");
-    }
-
-    #[test]
-    fn batch_declines_on_zero_lookahead() {
-        let mut shards = vec![shard_with(&[(10, 0, 0)]), shard_with(&[(10, 1, 1)])];
-        assert!(open_batch(&mut shards, 0).is_none());
     }
 }

@@ -25,34 +25,20 @@
 //!   fleet's, which is what keeps 10k-program fleets off the single-queue
 //!   scale ceiling.
 //!
-//! * [`Scheduler::Parallel`] — the sharded queue plus real worker
-//!   threads: `shard::ShardedQueue::take_batch` extracts the full set
-//!   of per-shard batches below the safe horizon (`sim/horizon.rs`),
-//!   [`parallel::drain_batches_scoped`] drains them concurrently on
-//!   scoped threads (each worker owning its shard's link row and world
-//!   state), and `Sim::merge_shard_logs` replays the workers' logs in
-//!   canonical `(time, seq, dst)` order, assigning final sequence numbers
-//!   exactly as a sequential run would. Worlds opt in via
-//!   [`World::parallel_ready`] and implement [`World::drain_parallel`];
-//!   worlds that don't (or runs with chaos armed) fall back to the
-//!   sequential sharded path under the same scheduler value.
-//!
-//! All deliver in the identical total order `(time, seq, dst)`, so a run
-//! is **bit-identical** under any scheduler — the property the
+//! Both deliver in the identical total order `(time, seq, dst)`, so a run
+//! is **bit-identical** under either scheduler — the property the
 //! `scheduler_equivalence` differential suite pins across every scenario
 //! shape. [`Scheduler::Sharded`] is the default.
 
 mod horizon;
-pub mod parallel;
 mod shard;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::chaos::{ChaosAction, ChaosPlan, ChaosState, DropReason};
-use crate::topology::{LinkRow, Topology};
+use crate::topology::Topology;
 
-use parallel::{BatchEvent, PushRec, SeqSlot, ShardBatch, ShardLog};
 use shard::{Event, ShardedQueue};
 
 /// The world the simulator drives: your cluster state.
@@ -81,40 +67,6 @@ pub trait World {
         _now: u64,
     ) {
     }
-
-    /// May safe-horizon batches run concurrently *right now*? Only worlds
-    /// whose handlers honor the shard-ownership contract (every touch of
-    /// foreign state goes through a message, shared immutable data, or a
-    /// deferred merge op) return true; the default keeps generic worlds —
-    /// whose `schedule` may legally cross shards below the horizon — on
-    /// the sequential path.
-    fn parallel_ready(&self) -> bool {
-        false
-    }
-
-    /// Drain a safe-horizon batch concurrently (typically via
-    /// [`parallel::drain_batches_scoped`] over per-shard views of the
-    /// world) and return the per-shard logs for the coordinator's merge.
-    /// Returning `None` declines *without consuming* `batches`; the
-    /// simulator re-queues them and delivers sequentially. The default
-    /// declines always (paired with the default `parallel_ready`).
-    fn drain_parallel(
-        &mut self,
-        _topo: &mut Topology,
-        _batches: &mut Vec<ShardBatch<Self::Msg>>,
-        _horizon: u64,
-        _prov_base: u64,
-        _threads: usize,
-        _max_events: u64,
-    ) -> Option<Vec<ShardLog<Self::Msg>>> {
-        None
-    }
-
-    /// The coordinator merged delivery number `delivery` (0-based, local
-    /// to the shard's batch log) of `shard`'s batch: apply whatever that
-    /// delivery deferred (cross-shard counter bumps, staged log entries)
-    /// now, in canonical order. Called once per merged delivery.
-    fn apply_deferred(&mut self, _shard: usize, _delivery: u64) {}
 }
 
 /// Which event queue a [`Sim`] runs on. Both produce bit-identical
@@ -126,50 +78,26 @@ pub enum Scheduler {
     /// Per-node shard heaps merged under a conservative safe horizon.
     #[default]
     Sharded,
-    /// The sharded queue with safe-horizon batches drained on up to
-    /// `threads` worker threads (see the module docs). `threads: 1` runs
-    /// the identical batch/merge path inline — useful as the control arm
-    /// when measuring core scaling.
+    /// Selects the sharded queue; `threads` is not read. The threaded
+    /// drain this variant used to pick is gone (README, "Why there is no
+    /// threaded scheduler"); the variant itself survives only because the
+    /// frozen `examples/benchmark/` constructs and matches it, and is
+    /// removed with the `fleet-parallel` workload by ROADMAP item 6's
+    /// `benchmark` PR.
+    #[doc(hidden)]
     Parallel { threads: usize },
-}
-
-/// What a handler may reach of the network: the whole [`Topology`] on the
-/// sequential path, or just its own shard's outbound [`LinkRow`] inside a
-/// parallel drain worker.
-enum NetAccess<'a> {
-    Global(&'a mut Topology),
-    Row(LinkRow<'a>),
 }
 
 /// Handler-side context: send messages, schedule timers, read the clock.
 pub struct SimCtx<'a, M> {
     now: u64,
-    net: NetAccess<'a>,
+    topo: &'a mut Topology,
     // (arrival time, src, dst, msg); drained into the queue after the
     // handler. `src` == `dst` for timers.
     outbox: Vec<(u64, usize, usize, M)>,
 }
 
-impl<'a, M> SimCtx<'a, M> {
-    /// A context for one delivery inside a parallel drain worker, wired
-    /// to the shard's own link row.
-    pub(crate) fn for_row(now: u64, row: LinkRow<'a>) -> Self {
-        SimCtx {
-            now,
-            net: NetAccess::Row(row),
-            outbox: Vec::new(),
-        }
-    }
-
-    /// Tear a worker context back down into its link row and the pushes
-    /// the handler emitted, in emission order.
-    pub(crate) fn into_row_outbox(self) -> (LinkRow<'a>, Vec<(u64, usize, usize, M)>) {
-        match self.net {
-            NetAccess::Row(row) => (row, self.outbox),
-            NetAccess::Global(_) => unreachable!("worker contexts are always row-backed"),
-        }
-    }
-
+impl<M> SimCtx<'_, M> {
     /// Current virtual time.
     pub fn now(&self) -> u64 {
         self.now
@@ -178,21 +106,14 @@ impl<'a, M> SimCtx<'a, M> {
     /// Send `msg` of `bytes` payload from `from` to `to` over the topology;
     /// delivery is charged transfer time and queues FIFO on the link.
     pub fn send(&mut self, from: usize, to: usize, bytes: u64, msg: M) {
-        let at = match &mut self.net {
-            NetAccess::Global(topo) => topo.transfer(self.now, from, to, bytes),
-            NetAccess::Row(row) => row.transfer(self.now, from, to, bytes),
-        };
+        let at = self.topo.transfer(self.now, from, to, bytes);
         self.outbox.push((at, from, to, msg));
     }
 
     /// As [`SimCtx::send`], but the transfer begins only after `delay` ns of
     /// local work (e.g. serialization) has elapsed.
     pub fn send_after(&mut self, delay: u64, from: usize, to: usize, bytes: u64, msg: M) {
-        let start = self.now + delay;
-        let at = match &mut self.net {
-            NetAccess::Global(topo) => topo.transfer(start, from, to, bytes),
-            NetAccess::Row(row) => row.transfer(start, from, to, bytes),
-        };
+        let at = self.topo.transfer(self.now + delay, from, to, bytes);
         self.outbox.push((at, from, to, msg));
     }
 
@@ -202,17 +123,9 @@ impl<'a, M> SimCtx<'a, M> {
         self.outbox.push((self.now + delay, dst, dst, msg));
     }
 
-    /// Access the topology (e.g. to inspect link state in tests). Panics
-    /// inside a parallel drain worker, which owns only its own link row.
+    /// Access the topology (e.g. to inspect link state in tests).
     pub fn topology(&mut self) -> &mut Topology {
-        match &mut self.net {
-            NetAccess::Global(topo) => topo,
-            NetAccess::Row(row) => panic!(
-                "ownership auditor: handler on shard {} reached for the whole \
-                 topology while draining in parallel",
-                row.owner()
-            ),
-        }
+        self.topo
     }
 }
 
@@ -264,7 +177,6 @@ pub struct Sim<W: World> {
     /// to a build without this field.
     chaos: Option<ChaosState>,
     dropped: u64,
-    threaded_windows: u64,
 }
 
 impl<W: World> Sim<W> {
@@ -292,7 +204,6 @@ impl<W: World> Sim<W> {
             delivered: 0,
             chaos: None,
             dropped: 0,
-            threaded_windows: 0,
         }
     }
 
@@ -312,12 +223,6 @@ impl<W: World> Sim<W> {
     /// Messages suppressed by the chaos layer so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Safe-horizon windows whose shard batches ran on spawned worker
-    /// threads (the rest drained inline on the calling thread).
-    pub fn threaded_windows(&self) -> u64 {
-        self.threaded_windows
     }
 
     /// The scheduler this simulator runs on.
@@ -396,7 +301,7 @@ impl<W: World> Sim<W> {
         self.delivered_by[ev.dst] += 1;
         let mut ctx = SimCtx {
             now: self.now,
-            net: NetAccess::Global(&mut self.topo),
+            topo: &mut self.topo,
             outbox: Vec::new(),
         };
         self.world.on_message(ev.dst, ev.msg, &mut ctx);
@@ -407,154 +312,13 @@ impl<W: World> Sim<W> {
         true
     }
 
-    /// Try to drain one safe-horizon batch on worker threads. Returns the
-    /// number of deliveries merged, or `None` when no batch is available
-    /// (one shard dominates the horizon), the world declines, or chaos is
-    /// armed — callers then fall back to one sequential [`Sim::step`].
-    fn drain_parallel_batch(&mut self, threads: usize, budget: u64) -> Option<u64> {
-        if self.chaos.is_some() || !self.world.parallel_ready() {
-            return None;
-        }
-        let Queue::Sharded(q) = &mut self.queue else {
-            return None;
-        };
-        let (horizon, raw) = q.take_batch()?;
-        let mut batches: Vec<ShardBatch<W::Msg>> = raw
-            .into_iter()
-            .map(|(shard, events)| ShardBatch {
-                shard,
-                events: events
-                    .into_iter()
-                    .map(|e| BatchEvent {
-                        at: e.at,
-                        seq: e.seq,
-                        src: e.src,
-                        msg: e.msg,
-                    })
-                    .collect(),
-            })
-            .collect();
-        let prov_base = self.seq;
-        match self.world.drain_parallel(
-            &mut self.topo,
-            &mut batches,
-            horizon,
-            prov_base,
-            threads,
-            budget,
-        ) {
-            Some(logs) => Some(self.merge_shard_logs(logs, horizon)),
-            None => {
-                // Declined without consuming: put every event back under
-                // its original sequence number and deliver sequentially.
-                for batch in batches {
-                    let dst = batch.shard;
-                    for e in batch.events {
-                        self.queue.push(Event {
-                            at: e.at,
-                            seq: e.seq,
-                            src: e.src,
-                            dst,
-                            msg: e.msg,
-                        });
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// Replay the workers' shard logs in canonical `(time, seq, dst)`
-    /// order: advance the clock, count deliveries per node, assign final
-    /// sequence numbers to in-batch pushes exactly as a sequential run
-    /// would, re-queue the cross-horizon pushes, and let the world apply
-    /// each delivery's deferred effects. Returns deliveries merged.
-    fn merge_shard_logs(&mut self, mut logs: Vec<ShardLog<W::Msg>>, horizon: u64) -> u64 {
-        self.threaded_windows += u64::from(logs.iter().any(|l| l.threaded));
-        // Provisional → final sequence numbers, one map per shard log.
-        let mut finals: Vec<HashMap<u64, u64>> = logs.iter().map(|_| HashMap::new()).collect();
-        let mut cursors = vec![0usize; logs.len()];
-        let mut merged = 0u64;
-        loop {
-            let mut best: Option<((u64, u64, usize), usize)> = None;
-            for (i, log) in logs.iter().enumerate() {
-                let Some(d) = log.deliveries.get(cursors[i]) else {
-                    continue;
-                };
-                let seq = match d.seq {
-                    SeqSlot::Final(s) => s,
-                    SeqSlot::Prov(p) => *finals[i].get(&p).unwrap_or_else(|| {
-                        panic!(
-                            "shard {} delivered provisional event {p} before \
-                             the push that created it was merged",
-                            log.shard
-                        )
-                    }),
-                };
-                let key = (d.at, seq, log.shard);
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, i));
-                }
-            }
-            let Some(((at, _, dst), i)) = best else {
-                break;
-            };
-            let local = cursors[i];
-            cursors[i] += 1;
-            debug_assert!(at >= self.now, "merge went backwards in time");
-            self.now = at;
-            self.delivered += 1;
-            if dst >= self.delivered_by.len() {
-                self.delivered_by.resize(dst + 1, 0);
-            }
-            self.delivered_by[dst] += 1;
-            for push in std::mem::take(&mut logs[i].deliveries[local].pushes) {
-                match push {
-                    PushRec::Consumed { prov } => {
-                        // The sequential run would assign the very same
-                        // number here: pushes replay in emission order.
-                        let seq = self.seq;
-                        self.seq += 1;
-                        finals[i].insert(prov, seq);
-                    }
-                    PushRec::Out { at, src, dst, msg } => {
-                        assert!(
-                            at >= horizon || dst == logs[i].shard,
-                            "ownership auditor: shard {} pushed a cross-shard \
-                             event to node {dst} at t={at} ns inside the \
-                             horizon t={horizon} ns",
-                            logs[i].shard
-                        );
-                        self.submit(at, src, dst, msg);
-                    }
-                }
-            }
-            self.world.apply_deferred(logs[i].shard, local as u64);
-            merged += 1;
-        }
-        merged
-    }
-
     /// Run until the event queue drains; returns the final virtual time.
     /// `max_events` bounds runaway simulations; when the budget trips, the
     /// panic names the hottest node (the shard that absorbed the most
     /// deliveries) so a livelocked fleet member is identifiable.
     pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
         let mut budget = max_events;
-        let threads = match self.scheduler {
-            Scheduler::Parallel { threads } => Some(threads.max(1)),
-            _ => None,
-        };
-        while budget > 0 {
-            if let Some(threads) = threads {
-                if let Some(n) = self.drain_parallel_batch(threads, budget) {
-                    budget = budget.saturating_sub(n.max(1));
-                    continue;
-                }
-            }
-            if !self.step() {
-                break;
-            }
+        while budget > 0 && self.step() {
             budget -= 1;
         }
         if self.queue.len() > 0 {
@@ -871,133 +635,10 @@ mod tests {
         assert!(with.world.dropped.is_empty());
     }
 
-    /// A relay world that opts into parallel draining: deliveries are
-    /// staged per shard by the workers and spliced into the canonical log
-    /// by `apply_deferred`, in merge order — the same order the
-    /// sequential path appends in.
-    struct ParWorld {
-        log: Vec<(u64, usize, u32)>,
-        staged: Vec<Vec<(u64, usize, u32)>>,
-        relay_until: u32,
-        fleet: usize,
-    }
-
-    impl ParWorld {
-        fn new(fleet: usize, relay_until: u32) -> Self {
-            ParWorld {
-                log: Vec::new(),
-                staged: vec![Vec::new(); fleet],
-                relay_until,
-                fleet,
-            }
-        }
-    }
-
-    impl World for ParWorld {
-        type Msg = u32;
-
-        fn on_message(&mut self, dst: usize, msg: u32, ctx: &mut SimCtx<'_, u32>) {
-            self.log.push((ctx.now(), dst, msg));
-            if msg < self.relay_until {
-                ctx.send(dst, (dst + 1) % self.fleet, 100, msg + 1);
-            }
-        }
-
-        fn parallel_ready(&self) -> bool {
-            true
-        }
-
-        fn drain_parallel(
-            &mut self,
-            topo: &mut Topology,
-            batches: &mut Vec<ShardBatch<u32>>,
-            horizon: u64,
-            prov_base: u64,
-            threads: usize,
-            max_events: u64,
-        ) -> Option<Vec<ShardLog<u32>>> {
-            let relay_until = self.relay_until;
-            let fleet = self.fleet;
-            let states: Vec<Vec<(u64, usize, u32)>> = batches.iter().map(|_| Vec::new()).collect();
-            let (logs, states) = parallel::drain_batches_scoped(
-                topo,
-                std::mem::take(batches),
-                horizon,
-                prov_base,
-                threads,
-                max_events,
-                states,
-                |staged: &mut Vec<(u64, usize, u32)>, dst, msg, ctx| {
-                    staged.push((ctx.now(), dst, msg));
-                    if msg < relay_until {
-                        ctx.send(dst, (dst + 1) % fleet, 100, msg + 1);
-                    }
-                },
-            );
-            for (log, staged) in logs.iter().zip(states) {
-                if log.shard >= self.staged.len() {
-                    self.staged.resize(log.shard + 1, Vec::new());
-                }
-                self.staged[log.shard] = staged;
-            }
-            Some(logs)
-        }
-
-        fn apply_deferred(&mut self, shard: usize, delivery: u64) {
-            self.log.push(self.staged[shard][delivery as usize]);
-        }
-    }
-
-    fn par_run(
-        scheduler: Scheduler,
-        fleet: usize,
-        injections: usize,
-    ) -> impl PartialEq + std::fmt::Debug {
-        let mut s = Sim::with_scheduler(
-            ParWorld::new(fleet, 6),
-            Topology::uniform(fleet, LinkSpec::new(1000, 8_000_000_000)),
-            scheduler,
-        );
-        for i in 0..injections {
-            s.inject((i as u64 % 7) * 300, i % fleet, (i % 3) as u32);
-        }
-        let t = s.run_to_idle(1_000_000);
-        let per_node: Vec<u64> = (0..fleet).map(|n| s.delivered_to(n)).collect();
-        (t, s.delivered(), per_node, s.world.log)
-    }
-
-    #[test]
-    fn parallel_matches_global_heap_and_sharded_exactly() {
-        let base = par_run(Scheduler::GlobalHeap, 4, 12);
-        assert_eq!(par_run(Scheduler::Sharded, 4, 12), base);
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                par_run(Scheduler::Parallel { threads }, 4, 12),
-                base,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_on_a_fleet_wide_enough_to_spawn_real_threads() {
-        // 400 injections across 8 nodes lands well past SPAWN_MIN_EVENTS
-        // per batch, so the scoped-thread path (not just the inline one)
-        // is exercised and must still replay bit-identically.
-        let base = par_run(Scheduler::GlobalHeap, 8, 400);
-        for threads in [2, 4] {
-            assert_eq!(
-                par_run(Scheduler::Parallel { threads }, 8, 400),
-                base,
-                "threads={threads}"
-            );
-        }
-    }
-
     #[test]
     fn parallel_without_world_opt_in_falls_back_to_sequential() {
-        // Recorder never opts in: Parallel must behave exactly like
-        // Sharded (the decline path), not hang or reorder.
+        // The vestigial variant selects the sharded queue (the frozen
+        // benchmark's `fleet-parallel` workload still constructs it).
         let run = |scheduler| {
             let mut s = sim_on(scheduler, true);
             s.inject(5, 0, 0);
@@ -1014,6 +655,7 @@ mod tests {
 
     #[test]
     fn chaos_forces_the_sequential_path_and_stays_equivalent() {
+        // Same for the vestigial variant with fault injection armed.
         let run = |scheduler| {
             let plan = ChaosPlan::new().seed(9).loss_permille(400);
             let mut s = chaos_sim(scheduler, &plan, true);

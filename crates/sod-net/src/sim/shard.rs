@@ -10,7 +10,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::horizon::{open_batch, open_window, Window};
+use super::horizon::{open_window, Window};
 
 /// The total delivery order on events: virtual time, then global
 /// submission sequence, then destination node. `seq` is unique per
@@ -83,10 +83,6 @@ impl<M> Shard<M> {
     }
 }
 
-/// A full safe-horizon batch: the horizon itself plus each active
-/// shard's drained events as `(shard, events)` pairs.
-pub(crate) type HorizonBatches<M> = (u64, Vec<(usize, Vec<Event<M>>)>);
-
 /// The sharded event queue: one [`Shard`] per node, merged through the
 /// conservative drain window computed by [`super::horizon`].
 ///
@@ -132,20 +128,6 @@ impl<M> ShardedQueue<M> {
         let dst = ev.dst;
         self.shards[dst].push(ev);
         self.len += 1;
-    }
-
-    /// Extract the full set of independently drainable per-shard batches
-    /// below the safe horizon (see [`super::horizon::open_batch`]),
-    /// returning `(horizon, batches)`. Declines — leaving the queue
-    /// untouched — when fewer than two shards are active below the
-    /// horizon or lookahead is zero.
-    /// Closes any open sequential drain window first: the batch supersedes
-    /// it, and the next `pop` re-scans.
-    pub fn take_batch(&mut self) -> Option<HorizonBatches<M>> {
-        let (horizon, batches) = open_batch(&mut self.shards, self.lookahead_ns)?;
-        self.window = None;
-        self.len -= batches.iter().map(|(_, evs)| evs.len()).sum::<usize>();
-        Some((horizon, batches))
     }
 
     /// Pop the globally smallest event. Inside an open window this is a
@@ -213,41 +195,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().key(), (20, 1, 0));
         assert_eq!(q.pop().unwrap().key(), (30, 2, 0));
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn take_batch_declines_when_one_shard_dominates_and_pop_still_works() {
-        let mut q = ShardedQueue::new(2, 1_000_000);
-        q.push(ev(10, 0, 0));
-        q.push(ev(20, 1, 1));
-        q.push(ev(5_000_000, 2, 0));
-        assert_eq!(q.pop().unwrap().key(), (10, 0, 0)); // opens a window
-                                                        // Frontiers are now 20 (shard 1) and 5e6 (shard 0): only one shard
-                                                        // sits below the 1_000_020 horizon, so the batch declines and the
-                                                        // sequential path continues unperturbed.
-        assert!(q.take_batch().is_none());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().key(), (20, 1, 1));
-        assert_eq!(q.pop().unwrap().key(), (5_000_000, 2, 0));
-    }
-
-    #[test]
-    fn take_batch_drains_both_shards_and_pop_resumes() {
-        let mut q = ShardedQueue::new(2, 1_000_000);
-        q.push(ev(10, 0, 0));
-        q.push(ev(20, 1, 1));
-        q.push(ev(5_000_000, 2, 0));
-        let (horizon, batches) = q.take_batch().unwrap();
-        assert_eq!(horizon, 10 + 1_000_000);
-        let keys: Vec<(usize, Vec<EventKey>)> = batches
-            .iter()
-            .map(|(s, evs)| (*s, evs.iter().map(|e| e.key()).collect()))
-            .collect();
-        assert_eq!(keys, vec![(0, vec![(10, 0, 0)]), (1, vec![(20, 1, 1)])]);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().key(), (5_000_000, 2, 0));
-        assert!(q.pop().is_none());
-        assert!(q.take_batch().is_none(), "empty queue has no batch");
     }
 
     #[test]

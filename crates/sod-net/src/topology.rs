@@ -11,10 +11,7 @@ use crate::link::{Link, LinkSpec};
 /// transfers — senders cannot observe the partition — but the simulator
 /// drops the delivery at arrival time.
 ///
-/// Link state is stored as one row per *source* node (`rows[from][to]`),
-/// which is what lets the parallel scheduler hand each worker thread
-/// mutable ownership of exactly its shard's outbound links (a
-/// [`LinkRow`]) while the specs stay shared read-only.
+/// Link state is stored as one row per *source* node (`rows[from][to]`).
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
@@ -140,71 +137,6 @@ impl Topology {
             .map(|s| s.latency_ns)
             .fold(self.default_spec.latency_ns, u64::min)
     }
-
-    /// Split the topology into per-source [`LinkRow`]s, one per node: row
-    /// `i` owns the mutable state of every link *departing* node `i`, with
-    /// the specs shared read-only. Disjoint rows can be handed to worker
-    /// threads draining disjoint shards — a shard only ever transfers on
-    /// its own outbound links, which each row asserts.
-    pub fn link_rows(&mut self) -> Vec<LinkRow<'_>> {
-        let Topology {
-            rows,
-            default_spec,
-            overrides,
-            ..
-        } = self;
-        rows.iter_mut()
-            .enumerate()
-            .map(|(owner, links)| LinkRow {
-                owner,
-                links,
-                default_spec: *default_spec,
-                overrides,
-            })
-            .collect()
-    }
-}
-
-/// Mutable ownership of one node's outbound links, carved out of a
-/// [`Topology`] by [`Topology::link_rows`] for a parallel drain worker.
-/// Transfers from any other node panic — the network half of the
-/// ownership auditor.
-#[derive(Debug)]
-pub struct LinkRow<'a> {
-    owner: usize,
-    links: &'a mut HashMap<usize, Link>,
-    default_spec: LinkSpec,
-    overrides: &'a HashMap<(usize, usize), LinkSpec>,
-}
-
-impl LinkRow<'_> {
-    /// The node whose outbound links this row owns.
-    pub fn owner(&self) -> usize {
-        self.owner
-    }
-
-    /// Submit a transfer departing the owning node; returns arrival time.
-    /// Same cost model as [`Topology::transfer`].
-    pub fn transfer(&mut self, now: u64, from: usize, to: usize, bytes: u64) -> u64 {
-        assert_eq!(
-            from, self.owner,
-            "ownership auditor: node {from} sent over link row {} while \
-             draining in parallel",
-            self.owner
-        );
-        if from == to {
-            return now + 1_000; // 1 µs loopback
-        }
-        let spec = self
-            .overrides
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_spec);
-        self.links
-            .entry(to)
-            .or_insert_with(|| Link::new(spec))
-            .transfer(now, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -278,38 +210,5 @@ mod tests {
         t.transfer(0, 2, 3, 250);
         t.transfer(5, 1, 0, 50);
         assert_eq!(t.total_bytes_carried(), 400);
-    }
-
-    #[test]
-    fn link_rows_carry_transfers_identically() {
-        // The same transfer sequence over whole-topology access and over
-        // split rows must book identical arrival times and byte totals.
-        let mut whole = Topology::gigabit_cluster(3);
-        whole.set_link(0, 2, LinkSpec::wifi_kbps(128));
-        let mut split = whole.clone();
-        let a1 = whole.transfer(0, 0, 1, 1000);
-        let a2 = whole.transfer(0, 0, 2, 1000);
-        let a3 = whole.transfer(50, 1, 2, 500);
-        let (b1, b2, b3) = {
-            let mut rows = split.link_rows();
-            let (head, tail) = rows.split_at_mut(1);
-            let r0 = &mut head[0];
-            let r1 = &mut tail[0];
-            (
-                r0.transfer(0, 0, 1, 1000),
-                r0.transfer(0, 0, 2, 1000),
-                r1.transfer(50, 1, 2, 500),
-            )
-        };
-        assert_eq!((a1, a2, a3), (b1, b2, b3));
-        assert_eq!(whole.total_bytes_carried(), split.total_bytes_carried());
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership auditor")]
-    fn link_row_rejects_foreign_senders() {
-        let mut t = Topology::gigabit_cluster(2);
-        let mut rows = t.link_rows();
-        rows[0].transfer(0, 1, 0, 100);
     }
 }

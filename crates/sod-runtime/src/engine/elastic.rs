@@ -83,9 +83,7 @@ impl Cluster {
     /// capture path is decided before the member is.
     pub(super) fn dest_has_jvmti(&self, dest: usize) -> bool {
         if dest < POOL_DEST_BASE {
-            // Reachable from a parallel drain (plan capture on a worker
-            // shard): read the peer's profile, owned or snapshotted.
-            return self.peer_cfg(dest).has_jvmti;
+            return self.nodes[dest].cfg.has_jvmti;
         }
         self.pools
             .get(dest - POOL_DEST_BASE)

@@ -12,7 +12,7 @@ use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
 use crate::trigger::Trigger;
 
 use super::session::{HomeSide, Owner, WorkerPhase};
-use super::{rollback_to_statement_start, Cluster, DeferredOp, CONTROL_MSG_BYTES};
+use super::{rollback_to_statement_start, Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -58,18 +58,19 @@ impl Cluster {
             RunMode::Normal
         };
         let slice = self.slice_ns;
-        let instr_before = self.nodes[node].vm.instr_count;
-        let (out, spent) = self.nodes[node]
-            .vm
-            .run(tid, slice, mode)
-            .expect("vm run failed");
+        let vm = &mut self.nodes[node].vm;
+        let (instr_before, meter_before) = (vm.instr_count, vm.meter_ns);
+        let (out, spent) = match vm.run(tid, slice, mode) {
+            Ok((out, spent)) => (Ok(out), spent),
+            Err(e) => (Err(e), vm.meter_ns - meter_before),
+        };
         let elapsed = self.nodes[node].cfg.scale(spent).max(1);
         // Attribute the slice to the program that owns the thread (root or
         // worker session) and to the node that ran it: with many programs
         // interleaving on shared nodes, a global instruction counter would
         // charge every program for everyone's work.
         let retired = self.nodes[node].vm.instr_count - instr_before;
-        self.defer(DeferredOp::AddInstructions(owner_program, retired));
+        self.programs[owner_program as usize].report.instructions += retired;
         self.nodes[node].slices += 1;
         self.nodes[node].busy_ns += elapsed;
         // CPU contention (elastic ablations): the *scheduling delay* until
@@ -81,6 +82,14 @@ impl Cluster {
             elapsed * self.competing_threads(node)
         } else {
             elapsed
+        };
+
+        // A guest that trips a `VmError` (unbounded recursion, a call
+        // site disagreeing with its callee) ends its own program with a
+        // typed error; the rest of the fleet runs on.
+        let out = match out {
+            Ok(out) => out,
+            Err(e) => return self.fail_thread_owner(node, tid, e.to_string(), ctx.now() + elapsed),
         };
 
         // Finish a handler-protocol restore once the thread executes
@@ -245,7 +254,7 @@ impl Cluster {
                 // Listing consults the local view plus mounted servers.
                 let mut entries = self.nodes[node].fs.list(&dir);
                 if let Some(server) = self.nodes[node].fs.serving_node(&dir) {
-                    entries = self.peer_fs(server).list(&dir);
+                    entries = self.nodes[server].fs.list(&dir);
                 }
                 ctx.schedule(
                     elapsed + 200_000,
@@ -336,7 +345,8 @@ impl Cluster {
     /// Resolve a path on `node`: `(meta, Some(server))` for mounted paths.
     fn lookup_file(&self, node: usize, path: &str) -> Option<(crate::fs::FileMeta, Option<usize>)> {
         if let Some(server) = self.nodes[node].fs.serving_node(path) {
-            self.peer_fs(server)
+            self.nodes[server]
+                .fs
                 .file(path)
                 .cloned()
                 .map(|m| (m, Some(server)))
@@ -461,7 +471,7 @@ impl Cluster {
                     let w = &self.nodes[node].sessions[&sid];
                     (w.home, w.program)
                 };
-                self.defer(DeferredOp::AddClassesShipped(program, 1));
+                self.programs[program as usize].report.classes_shipped += 1;
                 ctx.send_after(
                     elapsed,
                     node,
@@ -540,21 +550,23 @@ impl Cluster {
                     return;
                 }
             }
-            self.fail_program(
-                program,
-                format!("unhandled {:?}: {}", e.kind, e.message),
-                ctx.now() + elapsed,
-            );
-        } else if let Some(Owner::Worker(s)) = self.nodes[node].thread_owner.get(&tid) {
-            // Retire the session along with the program, so stale events
-            // addressed to it cannot wake the dead worker state.
-            let sid = *s;
-            self.fail_session(
-                node,
-                sid,
-                format!("worker fault {:?}: {}", e.kind, e.message),
-                ctx.now() + elapsed,
-            );
+        }
+        let what = match self.nodes[node].thread_owner.get(&tid) {
+            Some(Owner::Root(_)) => "unhandled",
+            _ => "worker fault",
+        };
+        let error = format!("{what} {:?}: {}", e.kind, e.message);
+        self.fail_thread_owner(node, tid, error, ctx.now() + elapsed);
+    }
+
+    /// Fail whatever owns thread `tid`: a root thread's program, or a
+    /// worker thread's session — retired along with its program, so stale
+    /// events addressed to it cannot wake the dead worker state.
+    fn fail_thread_owner(&mut self, node: usize, tid: usize, error: String, at: u64) {
+        match self.nodes[node].thread_owner.get(&tid) {
+            Some(Owner::Root(p)) => self.fail_program(*p, error, at),
+            Some(Owner::Worker(s)) => self.fail_session(node, *s, error, at),
+            None => {}
         }
     }
 

@@ -16,7 +16,7 @@ use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, Sessi
 
 use super::pool::POOL_DEST_BASE;
 use super::session::{BundleSeeds, HomeSide, Owner, StagedSegment, WorkerPhase};
-use super::{Cluster, CodeShipping, DeferredOp};
+use super::{Cluster, CodeShipping};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -194,11 +194,7 @@ impl Cluster {
                     // Unencodable capture (a name or sequence overflowed
                     // its length prefix): a typed program failure, not an
                     // engine abort.
-                    self.defer(DeferredOp::FailProgram {
-                        program,
-                        error: format!("segment encode failed: {e}"),
-                        at: ctx.now(),
-                    });
+                    self.fail_program(program, format!("segment encode failed: {e}"), ctx.now());
                     return;
                 }
             };
@@ -316,7 +312,7 @@ impl Cluster {
         let state_bytes = seg.frame.len() as u64;
         self.nodes[sender].net_sent.state += state_bytes;
         self.nodes[sender].net_sent.class += seg.class_bytes;
-        self.defer(DeferredOp::AddClassBytes(seg.info.program, seg.class_bytes));
+        self.programs[seg.info.program as usize].report.class_bytes += seg.class_bytes;
         ctx.send_after(
             delay + costs::MIGRATION_HANDSHAKE_NS,
             sender,
@@ -339,20 +335,10 @@ impl Cluster {
 
     /// Class lookup for bundling: the sender's repository first, falling
     /// back to the program home's (roaming workers hold only what shipped
-    /// to them). A foreign home's repo is read from the immutable snapshot
-    /// — sound because home repos are static after deployment (only worker
-    /// repos grow mid-run, and only the home is consulted here).
+    /// to them).
     fn lookup_class(&self, sender: usize, home: usize, name: &str) -> Option<Arc<ClassDef>> {
-        if let Some(c) = self.nodes[sender].repo.get(name) {
-            return Some(c.clone());
-        }
-        if self.nodes.owns(home) {
-            self.nodes[home].repo.get(name).cloned()
-        } else {
-            self.shared
-                .as_ref()
-                .and_then(|s| s.repos[home].get(name).cloned())
-        }
+        let repo = |node: usize| self.nodes[node].repo.get(name);
+        repo(sender).or_else(|| repo(home)).cloned()
     }
 
     /// Select the classes to bundle with a segment shipped from `sender`
@@ -453,22 +439,21 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let Some(class) = self.nodes[dst].repo.get(&name).cloned() else {
-            // The requesting session may live on another shard: retire it
-            // and fail its program through the message-carried id — the
-            // deferred ops land wherever that state lives.
-            self.retire_session(requester, session);
-            self.defer(DeferredOp::FailProgram {
+            // Retire the requesting session along with its program, so
+            // stale events cannot wake the stranded worker state.
+            self.mark_done(requester, session);
+            self.fail_program(
                 program,
-                error: format!("home node {dst} missing class {name:?}"),
-                at: ctx.now(),
-            });
+                format!("home node {dst} missing class {name:?}"),
+                ctx.now(),
+            );
             return;
         };
         let bytes = self.nodes[dst].class_size(&class);
         let cost = self.nodes[dst].cfg.scale(costs::serialize_ns(bytes));
         self.nodes[dst].net_sent.class += bytes;
         self.nodes[dst].note_peer_class(requester, &name);
-        self.defer(DeferredOp::AddClassBytes(program, bytes));
+        self.programs[program as usize].report.class_bytes += bytes;
         ctx.send_after(
             cost,
             dst,
@@ -483,15 +468,13 @@ impl Cluster {
     }
 
     /// Fail the program behind `session` and retire the session so the
-    /// stranded worker state cannot be woken by stale events. Callers hold
-    /// the session locally; the program may live on another shard, in
-    /// which case the failure defers to the merge.
+    /// stranded worker state cannot be woken by stale events.
     pub(super) fn fail_session(&mut self, node: usize, session: SessionId, error: String, at: u64) {
         let Some(w) = self.mark_done(node, session) else {
             return;
         };
         let program = w.program;
-        self.defer(DeferredOp::FailProgram { program, error, at });
+        self.fail_program(program, error, at);
     }
 
     // ------------------------------------------------------------------
@@ -535,7 +518,7 @@ impl Cluster {
                 WorkerPhase::AwaitRoamAck { dest };
             let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
-            self.defer(DeferredOp::AddObjectBytes(program, flush_bytes));
+            self.programs[program as usize].report.object_bytes += flush_bytes;
             ctx.send_after(
                 elapsed + ser,
                 node,
@@ -568,7 +551,7 @@ impl Cluster {
         let (state, tool_ns) =
             capture_segment(&mut self.nodes[node].vm, tid, nframes, ToolingPath::Jvmti)
                 .expect("roam capture");
-        let dest_jvmti = self.peer_cfg(dest).has_jvmti;
+        let dest_jvmti = self.nodes[dest].cfg.has_jvmti;
         let capture_ns = if dest_jvmti {
             self.nodes[node].cfg.scale(tool_ns)
         } else {
@@ -600,11 +583,10 @@ impl Cluster {
         // and eventual home return pass the chaos staleness guards.
         self.mark_done(node, sid);
         self.nodes[node].thread_owner.remove(&tid);
-        self.defer(DeferredOp::ReplaceValidSession {
-            program,
-            old: sid,
-            new: (dest, new_sid),
-        });
+        let valid = &mut self.programs[program as usize].valid_sessions;
+        if let Some(slot) = valid.iter_mut().find(|(_, s)| *s == sid) {
+            *slot = (dest, new_sid);
+        }
 
         let frame = match encode_state_pooled(&self.buf_pool, &state) {
             Ok(f) => f,

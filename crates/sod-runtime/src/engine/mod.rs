@@ -24,10 +24,7 @@
 //! * `completion.rs` — segment returns, workflow chaining, and
 //!   `ForceEarlyReturn` resumption at home;
 //! * `session.rs` — the typed `HomeSide`/`WorkerPhase` state
-//!   machines the other modules share;
-//! * `shard.rs` — how ownership is laid out (state lives with the node
-//!   that owns it) and how a `Scheduler::Parallel` window borrows it:
-//!   `Slots`, `Programs`, the worker-view protocol and `DeferredOp`.
+//!   machines the other modules share, and session-id minting.
 //!
 //! ## Migration flow (paper §III)
 //!
@@ -68,17 +65,12 @@ mod objects;
 mod pool;
 mod restore;
 mod session;
-mod shard;
 
 pub use fault::{RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, ScalePolicy, DEFAULT_POOL_TICK_NS, POOL_DEST_BASE};
 pub(crate) use session::{Owner, WorkerSession};
-pub use shard::{Nodes, Programs, Slots};
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-use sod_net::{ChaosPlan, Scheduler, ShardBatch, ShardLog, Sim, SimCtx, Topology, World};
+use sod_net::{ChaosPlan, Scheduler, Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::BufferPool;
 
@@ -88,7 +80,6 @@ use crate::node::Node;
 use crate::trigger::{ArmedTrigger, Trigger};
 
 use session::{HomeSide, StagedSegment, WorkerPhase};
-use shard::{DeferredOp, Role, Shared};
 
 /// Worker-created objects are flushed home under temporary ids at/above
 /// this base until the home node assigns master ids.
@@ -180,34 +171,26 @@ pub struct Program {
     shipped: Vec<StagedSegment>,
 }
 
-/// The cluster: every node with the state it owns, the programs by home
-/// node, and the fleet-wide settings.
+/// The cluster: every node with the state it owns, the programs in id
+/// order, and the fleet-wide settings.
 ///
-/// State lives with the node that owns it (see `engine/shard.rs`): sessions,
-/// thread owners, the session counter and the class memo are fields of the
-/// hosting [`Node`], and [`Programs`] stores each program with its home.
-/// Under [`sod_net::Scheduler::Parallel`] the same type doubles as a
-/// per-shard *worker view*: a window moves the drained shards' nodes and
-/// homed programs into views that drain their safe-horizon batches, and
-/// moves them back when it closes. Cross-shard reads go through the
-/// immutable `Shared` snapshot; cross-shard writes become `DeferredOp`s
-/// replayed by the master during the canonical merge.
+/// State lives with the node that owns it: sessions, thread owners, the
+/// session counter and the class memo are fields of the hosting [`Node`].
 pub struct Cluster {
-    pub nodes: Nodes,
-    pub programs: Programs,
-    /// How many of this view's programs are `done` — what the pool
-    /// controller's every tick asks, without walking the program table.
-    /// Bumped where `done` is set (`finish_program` / `fail_program`); a
-    /// shard view counts from zero and closing it adds its count up.
+    pub nodes: Vec<Node>,
+    /// Every registered program, indexed by [`ProgramId`].
+    pub programs: Vec<Program>,
+    /// How many programs are `done` — what the pool controller's every
+    /// tick asks, without walking the program table. Bumped where `done`
+    /// is set (`finish_program` / `fail_program`).
     programs_done: usize,
     pub slice_ns: u64,
     /// Cluster-wide code-shipping policy (see [`CodeShipping`]).
     pub code_shipping: CodeShipping,
     /// Encode-buffer free list shared by every wire-path encoder (state
-    /// captures, object replies, flush batches). Shared across shard views
-    /// by `Arc`: pool state never influences encoded bytes, so reuse
-    /// cannot perturb determinism.
-    buf_pool: Arc<BufferPool>,
+    /// captures, object replies, flush batches). Pool state never
+    /// influences encoded bytes, so reuse cannot perturb determinism.
+    buf_pool: BufferPool,
     /// Whether a fault-injection plan is armed on the driving simulator.
     /// Gates every chaos-only code path (deadline timers, stale-message
     /// guards), so fault-free runs are event-for-event identical to the
@@ -230,37 +213,23 @@ pub struct Cluster {
     /// engine; elastic ablations turn it on so added capacity actually
     /// buys latency.
     pub cpu_contention: bool,
-    /// Master or per-shard worker view (see [`Role`]).
-    role: Role,
-    /// Immutable cross-shard data, built once at the first parallel batch.
-    shared: Option<Arc<Shared>>,
-    /// Worker side: cross-shard effects recorded during the batch, each
-    /// tagged with the 0-based index of the delivery that produced it.
-    deferred_out: Vec<(u64, DeferredOp)>,
-    /// Master side: per-shard queues of deferred ops from the last batch,
-    /// popped by `apply_deferred` as the merge replays deliveries.
-    deferred_in: Vec<VecDeque<(u64, DeferredOp)>>,
 }
 
 impl Cluster {
     pub fn new(nodes: Vec<Node>) -> Self {
         Cluster {
-            nodes: Slots::new("node", nodes),
-            programs: Programs::new(),
+            nodes,
+            programs: Vec::new(),
             programs_done: 0,
             slice_ns: DEFAULT_SLICE_NS,
             code_shipping: CodeShipping::default(),
-            buf_pool: Arc::new(BufferPool::new()),
+            buf_pool: BufferPool::new(),
             chaos_enabled: false,
             retry_policy: RetryPolicy::default(),
             migration_timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,
             chaos: ChaosCounters::default(),
             pools: Vec::new(),
             cpu_contention: false,
-            role: Role::Master,
-            shared: None,
-            deferred_out: Vec::new(),
-            deferred_in: Vec::new(),
         }
     }
 
@@ -425,16 +394,6 @@ impl World for Cluster {
     type Msg = Msg;
 
     fn on_message(&mut self, dst: usize, msg: Msg, ctx: &mut SimCtx<'_, Msg>) {
-        if let Role::Worker { shard, deliveries } = &mut self.role {
-            debug_assert_eq!(
-                dst, *shard,
-                "ownership auditor: shard {shard} asked to deliver node {dst}'s event"
-            );
-            // 0-based delivery index tags this delivery's deferred ops, so
-            // the master's merge applies them at the matching point of the
-            // canonical order.
-            *deliveries += 1;
-        }
         // Per-node event accounting: this node's shard delivery count
         // under the sharded scheduler (surfaced in `NodeUtilization`).
         self.nodes[dst].events += 1;
@@ -571,31 +530,6 @@ impl World for Cluster {
         now: u64,
     ) {
         self.note_dropped(src, dst, msg, reason, now);
-    }
-
-    /// The engine honors the shard-ownership contract (every cross-node
-    /// touch is a message, a `Shared` read, or a `DeferredOp`) —
-    /// except under chaos (stale-guards read foreign program state) and
-    /// while elastic pools are live (controllers place work fleet-wide),
-    /// which stay on the sequential path.
-    fn parallel_ready(&self) -> bool {
-        !self.chaos_enabled && self.pools.is_empty()
-    }
-
-    fn drain_parallel(
-        &mut self,
-        topo: &mut Topology,
-        batches: &mut Vec<ShardBatch<Msg>>,
-        horizon: u64,
-        prov_base: u64,
-        threads: usize,
-        max_events: u64,
-    ) -> Option<Vec<ShardLog<Msg>>> {
-        Some(self.drain_window(topo, batches, horizon, prov_base, threads, max_events))
-    }
-
-    fn apply_deferred(&mut self, shard: usize, delivery: u64) {
-        self.apply_deferred_ops(shard, delivery);
     }
 }
 

@@ -18,7 +18,7 @@ use crate::costs;
 use crate::msg::{Msg, ProgramId, SessionId};
 
 use super::session::WorkerPhase;
-use super::{Cluster, DeferredOp, FetchPolicy, CONTROL_MSG_BYTES, TEMP_ID_BASE};
+use super::{Cluster, FetchPolicy, CONTROL_MSG_BYTES, TEMP_ID_BASE};
 
 impl Cluster {
     pub(super) fn object_request(
@@ -30,9 +30,6 @@ impl Cluster {
         program: ProgramId,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        // The fetch policy comes off the program record — this node is the
-        // program's home, so the record is owned here even mid-batch; the
-        // requesting session may live on another shard.
         let policy = self.programs[program as usize].fetch_policy;
         let heap = &self.nodes[home].vm.heap;
         let extracted = match policy {
@@ -47,14 +44,13 @@ impl Cluster {
             Ok(x) => x,
             Err(e) => {
                 // A request for an object this heap never allocated: fail
-                // the program and retire the session parked on the fault
-                // (it may live on another shard, as in `class_request`).
-                self.retire_session(requester, sid);
-                self.defer(DeferredOp::FailProgram {
+                // the program and retire the session parked on the fault.
+                self.mark_done(requester, sid);
+                self.fail_program(
                     program,
-                    error: format!("object request for home object {home_id} failed: {e}"),
-                    at: ctx.now(),
-                });
+                    format!("object request for home object {home_id} failed: {e}"),
+                    ctx.now(),
+                );
                 return;
             }
         };
@@ -66,11 +62,7 @@ impl Cluster {
             match encode_object_pooled(&self.buf_pool, obj) {
                 Ok(f) => batch.push(f),
                 Err(e) => {
-                    self.defer(DeferredOp::FailProgram {
-                        program,
-                        error: format!("object encode failed: {e}"),
-                        at: ctx.now(),
-                    });
+                    self.fail_program(program, format!("object encode failed: {e}"), ctx.now());
                     return;
                 }
             }
@@ -113,7 +105,9 @@ impl Cluster {
             // while the reply was in flight. The bytes still arrived on
             // this program's behalf; account them on its report so the
             // object ledger stays balanced, but leave the dead thread be.
-            self.defer(DeferredOp::AddObjectFault(program, bytes));
+            let report = &mut self.programs[program as usize].report;
+            report.object_faults += 1;
+            report.object_bytes += bytes;
             return;
         }
         // Decode every frame before touching the heap so a malformed reply
@@ -142,7 +136,9 @@ impl Cluster {
             self.fail_session(node, sid, format!("object reply rejected: {e}"), ctx.now());
             return;
         }
-        self.defer(DeferredOp::AddObjectFault(program, bytes));
+        let report = &mut self.programs[program as usize].report;
+        report.object_faults += 1;
+        report.object_bytes += bytes;
         let cost = self.nodes[node].cfg.scale(costs::deserialize_ns(bytes));
         ctx.schedule(cost, node, Msg::RunSlice { tid });
     }
@@ -163,11 +159,7 @@ impl Cluster {
             match decode_object(f.clone()) {
                 Ok(o) => objects.push(o),
                 Err(e) => {
-                    self.defer(DeferredOp::FailProgram {
-                        program,
-                        error: format!("flush decode failed: {e}"),
-                        at: ctx.now(),
-                    });
+                    self.fail_program(program, format!("flush decode failed: {e}"), ctx.now());
                     return;
                 }
             }

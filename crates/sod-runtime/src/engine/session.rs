@@ -12,6 +12,8 @@
 //! * [`WorkerPhase`] — a migrated segment at its destination: waiting for
 //!   classes, re-establishing frames, waiting for a chained return value,
 //!   running, reconciling a flush, or done.
+//!
+//! Session ids are minted here too ([`Cluster::alloc_session`]).
 
 use std::collections::HashSet;
 
@@ -21,6 +23,8 @@ use sod_vm::value::OriginId;
 
 use crate::metrics::MigrationTimings;
 use crate::msg::{MigrationPlan, ProgramId, ReturnTarget, SegmentInfo, SessionId};
+
+use super::Cluster;
 
 /// Home-side lifecycle of a program's root thread.
 #[derive(Clone, Debug, Default)]
@@ -173,9 +177,36 @@ pub(crate) enum Owner {
     Worker(SessionId),
 }
 
+impl Cluster {
+    /// Mint a session id for a session created *at* `node` (the handler's
+    /// destination). Ids are striped — high half names the node, low half
+    /// counts its allocations — and the counter lives with the node, so an
+    /// id depends only on that node's own deliveries, which run in the
+    /// same canonical order under every scheduler.
+    pub(super) fn alloc_session(&mut self, node: usize) -> SessionId {
+        let c = &mut self.nodes[node].next_session;
+        *c += 1;
+        ((node as u64 + 1) << 32) | *c
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{Node, NodeConfig};
+
+    #[test]
+    fn session_ids_are_striped_per_node() {
+        let mut c = Cluster::new(vec![
+            Node::new(NodeConfig::cluster("a")),
+            Node::new(NodeConfig::cluster("b")),
+        ]);
+        assert_eq!(c.alloc_session(0), (1u64 << 32) | 1);
+        assert_eq!(c.alloc_session(1), (2u64 << 32) | 1);
+        assert_eq!(c.alloc_session(0), (1u64 << 32) | 2);
+        assert_eq!(c.alloc_session(1), (2u64 << 32) | 2);
+        assert_eq!(c.alloc_session(0), (1u64 << 32) | 3);
+    }
 
     #[test]
     fn home_side_transitions() {

@@ -18,9 +18,8 @@ pub type ProgramId = u32;
 /// Migration session identity (one migrated segment instance).
 ///
 /// Ids are *striped per allocating node* — the high half names the node,
-/// the low half counts its allocations — so independent shards draining in
-/// parallel mint identical ids to a sequential run without coordinating
-/// (see `Cluster::alloc_session`).
+/// the low half counts its allocations — so an id depends only on the
+/// minting node's own history (see `Cluster::alloc_session`).
 pub type SessionId = u64;
 
 /// One segment of a migration plan: `nframes` counted from the top of the
@@ -176,7 +175,7 @@ pub enum Msg {
     },
     /// Worker requests a class it misses (the class-file-load-hook path).
     /// Carries the owning program so the serving node can account the
-    /// class bytes without reaching into another shard's session state.
+    /// class bytes without reaching into another node's session state.
     ClassRequest {
         session: SessionId,
         requester: usize,

@@ -91,11 +91,10 @@ impl NodeConfig {
 }
 
 /// Per-node runtime state: everything this node owns apart from the
-/// programs homed on it (see `engine::Programs`). The engine keeps its
-/// per-node bookkeeping here too — hosted sessions, thread owners, the
-/// session-id counter, the class memo — so a `Scheduler::Parallel` window
-/// that drains this node's events takes all of it along by moving the one
-/// `Node`.
+/// programs homed on it (see `engine::Cluster::programs`). The engine
+/// keeps its per-node bookkeeping here too — hosted sessions, thread
+/// owners, the session-id counter, the class memo — so a handler for this
+/// node's events finds all of it in the one `Node`.
 pub struct Node {
     pub cfg: NodeConfig,
     /// The node's VM (home programs and restored worker threads).

@@ -46,9 +46,14 @@ pub enum Trigger {
     /// — the "computation is far from its data" signal. Defaults to
     /// shipping the top frame to `to` when no plan is armed.
     OnObjectFaults { threshold: u64, to: usize },
-    /// Fire once the program's root thread has consumed `slices`
-    /// execution slices on its home node — a CPU budget for weak devices.
-    /// Defaults to shipping the top frame to `to` when no plan is armed.
+    /// A CPU budget for weak devices, in execution slices of the
+    /// program's root thread on its home node. Fires at the *start* of
+    /// slice number `slices`: a slice is counted before the triggers are
+    /// evaluated, so `slices - 1` slices run normally and slice `slices`
+    /// already runs in stop-at-MSP mode, capturing at its first safe
+    /// point (`slices: 1` migrates before the program retires an
+    /// instruction). Defaults to shipping the top frame to `to` when no
+    /// plan is armed.
     OnCpuSliceBudget { slices: u64, to: usize },
 }
 

@@ -6,7 +6,7 @@
 //! facade crate is a dev-dependency); engine-level wiring is covered by
 //! `tests/triggers.rs` and the unit tests in `src/`.
 
-use sod::scenario::{Plan, Scenario, When};
+use sod::scenario::{Fleet, Plan, Scenario, When};
 use sod_asm::builder::ClassBuilder;
 use sod_net::{LinkSpec, Scheduler, Topology, MS, SEC, US};
 use sod_preprocess::preprocess_sod;
@@ -561,17 +561,73 @@ fn failed_program_reports_instructions_and_height() {
     assert_eq!(report.cluster.failed, 1);
 }
 
-/// The one case that drives `Cluster` shard views on spawned worker
-/// threads. Eight long programs, two per home, ship their top frame to the
-/// next home at once, so nearly all their work runs on a foreign shard and
-/// reaches their reports as deferred ops. Meanwhile a burst of 132 short
+/// A guest that trips a `VmError` — here unbounded recursion, past the
+/// VM's stack ceiling — ends its own program with a typed error at the
+/// instant the slice stopped; its sibling finishes. Once with the
+/// overflow on the program's own root thread, once after its top frame
+/// migrated (the overflow then happens on a worker session's thread).
+#[test]
+fn guest_stack_overflow_fails_its_program_not_the_fleet() {
+    let rec = ClassBuilder::new("Rec")
+        .method("down", &["n"], |m| {
+            m.line();
+            m.load("n")
+                .pushi(1)
+                .add()
+                .invoke("Rec", "down", 1)
+                .store("r");
+            m.line();
+            m.load("r").retv();
+        })
+        .method("main", &["n"], |m| {
+            m.line();
+            m.load("n").invoke("Rec", "down", 1).store("r");
+            m.line();
+            m.load("r").retv();
+        })
+        .build()
+        .unwrap();
+    let rec = preprocess_sod(&rec).unwrap();
+    let app = app_class();
+    for migrate in [false, true] {
+        let mut runaway = Fleet::new("Rec", "main", vec![Value::Int(0)]);
+        if migrate {
+            runaway = runaway.migrate(When::At(50 * US), Plan::top_to("n1", 1));
+        }
+        let report = Scenario::new()
+            .node("n0", NodeConfig::cluster("n0"))
+            .deploys(&app)
+            .deploys(&rec)
+            .node("n1", NodeConfig::cluster("n1"))
+            .fleet(runaway)
+            .fleet(Fleet::new("App", "main", vec![Value::Int(1_000)]))
+            .run()
+            .unwrap();
+        let [bad, good] = report.programs() else {
+            panic!("two programs");
+        };
+        let error = bad.error.as_deref().expect("typed error");
+        assert!(
+            error.contains("stack overflow"),
+            "migrate={migrate}: {error}"
+        );
+        assert_eq!(bad.report.migrations.len(), usize::from(migrate));
+        assert!(bad.report.finished_at_ns > 0 && bad.report.instructions > 0);
+        assert_eq!(good.error, None, "migrate={migrate}");
+        assert_eq!(good.report.result, Some(expected(1_000)));
+        assert_eq!(report.cluster.failed, 1);
+        assert_eq!(report.cluster.completed, 1);
+    }
+}
+
+/// The one many-events-per-instant cross-home case. Eight long programs,
+/// two per home, ship their top frame to the next home at once, so nearly
+/// all their work runs on a foreign node. Meanwhile a burst of 132 short
 /// programs starts every 470 us (off the 100 us slice grid, so bursts land
 /// at every phase of the long programs' slices) for as long as the long
-/// programs run: each burst puts more queued events into one safe-horizon
-/// window than the drain's spawn threshold, so windows that carry those
-/// deferred ops run on real threads.
+/// programs run. Both event queues must deliver it identically.
 #[test]
-fn parallel_views_on_real_threads_match_sharded() {
+fn burst_fleet_matches_across_queues() {
     const HOMES: usize = 4;
     let class = app_class();
     let run = |scheduler| {
@@ -603,13 +659,9 @@ fn parallel_views_on_real_threads_match_sharded() {
             .chain(&short)
             .map(|&p| sim.report(p).clone())
             .collect();
-        (
-            sim.sim.threaded_windows(),
-            (finished_at, sim.cluster_report(), reports),
-        )
+        (finished_at, sim.cluster_report(), reports)
     };
-    let (threaded, sharded) = run(Scheduler::Sharded);
-    assert_eq!(threaded, 0, "Sharded never opens a window");
+    let sharded = run(Scheduler::Sharded);
     for (i, r) in sharded.2.iter().enumerate() {
         let n = if i < 2 * HOMES { 300_000 } else { 10 };
         assert_eq!(r.result, Some(expected(n)), "program {i}");
@@ -619,12 +671,5 @@ fn parallel_views_on_real_threads_match_sharded() {
             "program {i}"
         );
     }
-    for threads in [2, 4] {
-        let (threaded, parallel) = run(Scheduler::Parallel { threads });
-        assert!(
-            threaded > 0,
-            "threads={threads}: no window reached a thread"
-        );
-        assert_eq!(parallel, sharded, "threads={threads}");
-    }
+    assert_eq!(run(Scheduler::GlobalHeap), sharded);
 }

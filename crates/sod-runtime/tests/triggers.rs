@@ -8,7 +8,7 @@ use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
-use sod_runtime::{MigrationPlan, RunReport};
+use sod_runtime::{MigrationPlan, ProgramId, RunReport};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::{TypeOf, Value};
@@ -54,8 +54,9 @@ fn expected(n: i64) -> i64 {
 
 const N: i64 = 400_000;
 
-/// Two cluster nodes, the program armed with `trigger`; returns its report.
-fn run_armed(trigger: Option<ArmedTrigger>) -> RunReport {
+/// Two cluster nodes, the program armed with `trigger` and started at
+/// t = 0, not yet run.
+fn armed_sim(trigger: Option<ArmedTrigger>) -> (SodSim, ProgramId) {
     let class = app_class();
     let mut home = Node::new(NodeConfig::cluster("home"));
     home.deploy(&class).unwrap();
@@ -67,6 +68,12 @@ fn run_armed(trigger: Option<ArmedTrigger>) -> RunReport {
     }
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, pid);
+    (sim, pid)
+}
+
+/// Run [`armed_sim`] to idle; returns the program's report.
+fn run_armed(trigger: Option<ArmedTrigger>) -> RunReport {
+    let (mut sim, pid) = armed_sim(trigger);
     sim.run();
     assert_eq!(sim.program(pid).error, None);
     sim.report(pid).clone()
@@ -108,6 +115,38 @@ fn cpu_slice_budget_fires_exactly_once() {
     })));
     assert_eq!(r.result, Some(expected(N)));
     assert_eq!(r.migrations.len(), 1, "budget exhausted → one migration");
+}
+
+/// The contract: `OnCpuSliceBudget { slices: n }` fires at the *start* of
+/// slice `n` — `n - 1` full slices run normally, and slice `n` already
+/// runs in stop-at-MSP mode and captures at its first safe point.
+#[test]
+fn cpu_slice_budget_fires_at_the_start_of_slice_n() {
+    for n in [1, 3] {
+        let (mut sim, pid) = armed_sim(Some(ArmedTrigger::new(Trigger::OnCpuSliceBudget {
+            slices: n,
+            to: 1,
+        })));
+        let slice_ns = sim.sim.world.slice_ns;
+        // Step until the captured segment reaches the worker; the home
+        // thread has been frozen since the slice that captured it.
+        while sim.sim.world.nodes[1].events == 0 {
+            assert!(sim.sim.step(), "n={n}: ran dry before migrating");
+        }
+        assert_eq!(sim.program(pid).slices_run, n, "n={n}");
+        let home = &sim.sim.world.nodes[0];
+        assert_eq!(home.slices, n, "n={n}");
+        // n - 1 whole slices of guest work, plus the sliver slice n ran
+        // before its first safe point.
+        assert_eq!(home.busy_ns / slice_ns, n - 1, "n={n}");
+        if n == 1 {
+            assert_eq!(sim.report(pid).instructions, 0);
+        }
+        sim.run();
+        assert_eq!(sim.program(pid).error, None);
+        assert_eq!(sim.report(pid).result, Some(expected(N)));
+        assert_eq!(sim.report(pid).migrations.len(), 1);
+    }
 }
 
 #[test]

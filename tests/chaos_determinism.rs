@@ -173,31 +173,6 @@ fn chaos_is_scheduler_equivalent() {
     );
 }
 
-/// The parallel drain declines chaos runs internally (the fault layer is
-/// engine-global state), falling back to sequential stepping — but the
-/// contract is the same from outside: same (seeds, threads) replays bit
-/// for bit, every thread count matches threads=1, and all of them match
-/// the sequential schedulers.
-#[test]
-fn chaos_replays_identically_under_parallel() {
-    let sharded = reference(Scheduler::Sharded);
-    let one = reference(Scheduler::Parallel { threads: 1 });
-    assert_eq!(
-        sharded, one,
-        "Parallel(1) chaos run diverged from the sequential reference"
-    );
-    for threads in [2, 4] {
-        let a = reference(Scheduler::Parallel { threads });
-        let b = reference(Scheduler::Parallel { threads });
-        assert_eq!(a, b, "Parallel({threads}) chaos replay diverged");
-        assert_eq!(
-            a, one,
-            "Parallel({threads}) diverged from Parallel(1) under chaos"
-        );
-    }
-    assert_chaos_invariants("parallel", &one);
-}
-
 #[test]
 fn retry_policy_recovers_lost_episodes() {
     let r = chaos_fleet(

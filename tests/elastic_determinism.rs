@@ -144,31 +144,6 @@ fn elastic_is_scheduler_equivalent() {
     );
 }
 
-/// Pools grow the node set mid-run, so the parallel drain declines those
-/// windows internally and steps them sequentially — the external
-/// contract stays: same (seed, threads) replays bit for bit, every
-/// thread count matches threads=1, and all match the sequential
-/// schedulers, scaling counters and node-seconds included.
-#[test]
-fn elastic_replays_identically_under_parallel() {
-    let sharded = reference(Scheduler::Sharded);
-    let one = reference(Scheduler::Parallel { threads: 1 });
-    assert_eq!(
-        sharded, one,
-        "Parallel(1) elastic run diverged from the sequential reference"
-    );
-    for threads in [2, 4] {
-        let a = reference(Scheduler::Parallel { threads });
-        let b = reference(Scheduler::Parallel { threads });
-        assert_eq!(a, b, "Parallel({threads}) elastic replay diverged");
-        assert_eq!(
-            a, one,
-            "Parallel({threads}) diverged from Parallel(1) under autoscaling"
-        );
-    }
-    assert_elastic_invariants("parallel", &one);
-}
-
 /// Chaos interop: crash an initial pool member mid-burst. The member
 /// retires permanently; the controller's next tick tops the pool back up
 /// to base, and the run still terminates with a replayable report.

@@ -3,16 +3,16 @@
 //! WAN roaming, exception-driven OnOom offload, every `ArrivalSchedule`,
 //! every `CodeShipping` policy — must produce **bit-identical**
 //! `ScenarioReport`s (and therefore `ClusterReport`s, per-node event
-//! counts included) under `Scheduler::GlobalHeap`, `Scheduler::Sharded`,
-//! and `Scheduler::Parallel` at 1, 2, and 4 threads. This suite is the
-//! safety net that let the sharded per-node queue become the default and
-//! the parallel drain land at all: any divergence in delivery order,
-//! tie-breaking, or accounting between the schedulers fails loudly here.
+//! counts included) under `Scheduler::GlobalHeap` and
+//! `Scheduler::Sharded`. This suite is the safety net that let the
+//! sharded per-node queue become the default: any divergence in delivery
+//! order, tie-breaking, or accounting between the schedulers fails loudly
+//! here.
 //!
 //! The property tests at the bottom push the same claim through random
 //! fleets (node count 2–16, up to 300 programs, random triggers, links,
 //! schedules, and seeds), plus byte conservation and same-seed
-//! determinism under `Sharded` and `Parallel`.
+//! determinism under `Sharded`.
 
 use proptest::prelude::*;
 use sod::asm::builder::ClassBuilder;
@@ -26,10 +26,9 @@ use sod::workloads::apps::search_class;
 use sod::workloads::programs::fib_class;
 use sod::{ArrivalSchedule, CodeShipping, NetBytes, Scheduler};
 
-/// Build the scenario once per scheduler — `GlobalHeap`, `Sharded`, and
-/// `Parallel` at 1, 2, and 4 threads — and require the full reports
-/// (results, timings, migrations, cluster aggregates, per-node
-/// utilization and event counts) to compare `==`.
+/// Build the scenario once per scheduler — `GlobalHeap` and `Sharded` —
+/// and require the full reports (results, timings, migrations, cluster
+/// aggregates, per-node utilization and event counts) to compare `==`.
 fn assert_equivalent(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
     let global = build()
         .scheduler(Scheduler::GlobalHeap)
@@ -43,16 +42,6 @@ fn assert_equivalent(label: &str, build: impl Fn() -> Scenario) -> ScenarioRepor
         global, sharded,
         "{label}: ScenarioReports diverge between schedulers"
     );
-    for threads in [1, 2, 4] {
-        let parallel = build()
-            .threads(threads)
-            .run()
-            .unwrap_or_else(|e| panic!("{label}: Parallel({threads}) run failed: {e}"));
-        assert_eq!(
-            global, parallel,
-            "{label}: Parallel({threads}) diverges from GlobalHeap"
-        );
-    }
     sharded
 }
 
@@ -290,9 +279,8 @@ fn per_node_event_counts_are_populated_and_equal() {
 
 /// Regression pin: the exact per-node delivery counts of the
 /// single-migration scenario, identical under every scheduler. A change
-/// to event routing, tie-breaking, or the parallel merge that shifts
-/// even one delivery to another node trips this before the subtler
-/// differential suites do.
+/// to event routing or tie-breaking that shifts even one delivery to
+/// another node trips this before the subtler differential suites do.
 #[test]
 fn per_node_event_counts_are_pinned_across_schedulers() {
     let scenario = || {
@@ -305,13 +293,7 @@ fn per_node_event_counts_are_pinned_across_schedulers() {
             .on("home")
             .migrate(When::At(50 * US), Plan::top_to("worker", 2))
     };
-    let schedulers = [
-        Scheduler::GlobalHeap,
-        Scheduler::Sharded,
-        Scheduler::Parallel { threads: 1 },
-        Scheduler::Parallel { threads: 2 },
-        Scheduler::Parallel { threads: 4 },
-    ];
+    let schedulers = [Scheduler::GlobalHeap, Scheduler::Sharded];
     let mut pinned: Option<Vec<(String, u64)>> = None;
     for s in schedulers {
         let report = scenario().scheduler(s).run().expect("run");
@@ -514,12 +496,6 @@ proptest! {
         // Same-seed determinism under Sharded.
         let again = run(Scheduler::Sharded);
         prop_assert_eq!(&sharded, &again, "Sharded run is not deterministic");
-
-        // The parallel drain at a seed-derived thread count must match
-        // too — real threads, same canonical merge order.
-        let threads = 1 + (seed as usize % 4);
-        let parallel = run(Scheduler::Parallel { threads });
-        prop_assert_eq!(&global, &parallel, "Parallel({}) diverged", threads);
 
         // Every program completed and computed Fib(12).
         prop_assert_eq!(sharded.cluster.completed, programs as u64);
