@@ -20,6 +20,8 @@ use std::sync::Arc;
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
+    /// Skip the next `n` bytes (panics when fewer remain).
+    fn advance(&mut self, n: usize);
     /// Consume one byte.
     fn get_u8(&mut self) -> u8;
     /// Consume a little-endian `u16`.
@@ -138,6 +140,9 @@ impl Buf for Bytes {
     fn remaining(&self) -> usize {
         self.end - self.start
     }
+    fn advance(&mut self, n: usize) {
+        self.take(n);
+    }
     fn get_u8(&mut self) -> u8 {
         self.take(1)[0]
     }
@@ -237,6 +242,14 @@ mod tests {
         assert_eq!(r.get_u64_le() as i64, -9);
         assert_eq!(&*r.split_to(2), b"xy");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn advance_skips_without_splitting() {
+        let mut b = Bytes::from(vec![0, 1, 2, 3]);
+        b.advance(3);
+        assert_eq!(&*b, &[3]);
+        assert!(b.try_into_mut().is_ok(), "no second handle was made");
     }
 
     #[test]

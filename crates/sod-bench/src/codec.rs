@@ -42,8 +42,8 @@ const INNER: usize = 256;
 pub fn synthetic_state(depth: usize, locals: usize) -> CapturedState {
     let frames = (0..depth)
         .map(|i| CapturedFrame {
-            class: format!("Workload{}", i % 4),
-            method: format!("step{i}"),
+            class: format!("Workload{}", i % 4).into(),
+            method: format!("step{i}").into(),
             pc: (i * 7) as u32,
             locals: (0..locals)
                 .map(|j| match j % 3 {
@@ -51,7 +51,8 @@ pub fn synthetic_state(depth: usize, locals: usize) -> CapturedState {
                     1 => CapturedValue::Num(j as f64 * 0.5),
                     _ => CapturedValue::Null,
                 })
-                .collect(),
+                .collect::<Vec<_>>()
+                .into(),
         })
         .collect();
     let statics = vec![CapturedStatics {

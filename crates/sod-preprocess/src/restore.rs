@@ -155,15 +155,17 @@ mod tests {
                     vm.threads[tid].restore_session.as_mut().unwrap().cursor = restored;
                     restored += 1;
                     if restored < state.frames.len() {
-                        let next = &state.frames[restored];
-                        let ci = vm.class_idx(&next.class).unwrap();
-                        let mi = vm.classes[ci].method_idx(&next.method).unwrap();
+                        let (ci, mi) = state.frames[restored].resolve_in(&vm).unwrap();
                         vm.set_breakpoint(tid, ci, mi, 0);
                     }
                     vm.throw_into(tid, ExKind::InvalidState, "restore", false)
                         .unwrap();
                 }
-                StepOutcome::Returned(v) => return v,
+                StepOutcome::Returned(v) => {
+                    // The top handler's last read released the captured values.
+                    assert!(vm.threads[tid].restore_session.is_none());
+                    return v;
+                }
                 other => panic!("unexpected outcome during restore: {other:?}"),
             }
         }

@@ -10,7 +10,7 @@ use crate::costs;
 use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
 use super::objects::{collect_flush, export_with_temps};
-use super::session::{HomeSide, WorkerPhase};
+use super::session::WorkerPhase;
 use super::{Cluster, CONTROL_MSG_BYTES, TEMP_ID_BASE};
 
 impl Cluster {
@@ -138,12 +138,7 @@ impl Cluster {
                         return;
                     }
                 }
-                {
-                    let p = &mut self.programs[program as usize];
-                    p.side = HomeSide::Idle;
-                    p.valid_sessions.clear();
-                    p.shipped.clear();
-                }
+                self.close_episode(program);
                 let tid = self.programs[program as usize].home_tid;
                 let val = retval.map(|cv| match cv {
                     CapturedValue::Int(i) => Value::Int(i),

@@ -33,7 +33,7 @@ use sod_net::{ChaosAction, DropReason, SimCtx};
 use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
 use super::pool::POOL_DEST_BASE;
-use super::session::{HomeSide, StagedSegment};
+use super::session::StagedSegment;
 use super::Cluster;
 
 /// Default end-to-end migration deadline under fault injection (see
@@ -176,11 +176,8 @@ impl Cluster {
             self.reship(node, program, ctx);
         } else {
             self.chaos.fallbacks += 1;
-            let p = &mut self.programs[program as usize];
-            p.side = HomeSide::Idle;
-            p.valid_sessions.clear();
-            p.shipped.clear();
-            let tid = p.home_tid;
+            self.close_episode(program);
+            let tid = self.programs[program as usize].home_tid;
             // The home stack still holds every captured frame; thaw the
             // thread at its migration-safe point and run on.
             if let Ok(t) = self.nodes[node].vm.thread_mut(tid) {
@@ -232,5 +229,87 @@ impl Cluster {
         };
         let tid = w.tid;
         self.nodes[node].thread_owner.remove(&tid);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sod_asm::builder::ClassBuilder;
+    use sod_net::{ChaosPlan, Topology, US};
+    use sod_preprocess::preprocess_sod;
+    use sod_vm::instr::Cmp;
+    use sod_vm::value::Value;
+
+    use super::super::SodSim;
+    use super::*;
+    use crate::node::{Node, NodeConfig};
+    use crate::trigger::{ArmedTrigger, Trigger};
+    use crate::MigrationPlan;
+
+    /// Twenty programs counting to 50 000 on node 0, each shipping its
+    /// top frame to node 1 at 100 us, one delivery in ten lost. Run to idle.
+    fn lossy_fleet(policy: RetryPolicy) -> SodSim {
+        let class = ClassBuilder::new("App")
+            .method("main", &["n"], |m| {
+                m.line();
+                m.pushi(0).store("i");
+                m.line();
+                m.label("loop");
+                m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+                m.line();
+                m.load("i").pushi(1).add().store("i").goto("loop");
+                m.line();
+                m.label("done");
+                m.load("i").retv();
+            })
+            .build()
+            .unwrap();
+        let mut home = Node::new(NodeConfig::cluster("home"));
+        home.deploy(&preprocess_sod(&class).unwrap()).unwrap();
+        let worker = Node::new(NodeConfig::cluster("worker"));
+        let mut cluster = Cluster::new(vec![home, worker]);
+        let plan = MigrationPlan::top_to(1, 1);
+        let programs: Vec<ProgramId> = (0..20)
+            .map(|_| {
+                let pid = cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]);
+                cluster.arm_trigger(
+                    pid,
+                    ArmedTrigger::with_plan(Trigger::At(100 * US), plan.clone()),
+                );
+                pid
+            })
+            .collect();
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+        sim.set_chaos(&ChaosPlan::new().seed(5).loss_permille(100));
+        sim.set_retry_policy(policy);
+        for pid in programs {
+            sim.start_program(0, pid);
+        }
+        sim.run();
+        for p in &sim.sim.world.programs {
+            assert_eq!((p.report.result, &p.error), (Some(50_000), &None));
+        }
+        sim
+    }
+
+    /// A retained shipment is a second handle on each state frame, so the
+    /// arrival cannot recycle it; closing the episode must, or a `Retry`
+    /// fleet mints (and regrows) a fresh encode buffer per capture.
+    #[test]
+    fn closing_an_episode_returns_the_retained_frames_to_the_pool() {
+        let retrying = lossy_fleet(RetryPolicy::Retry { max_attempts: 3 });
+        assert!(retrying.sim.world.chaos.retries > 0, "no re-ship happened");
+        assert!(retrying.sim.world.buf_pool.idle() > 0);
+        assert!(retrying
+            .sim
+            .world
+            .programs
+            .iter()
+            .all(|p| p.shipped.is_empty()));
+
+        // Nothing is retained without `Retry`: arrivals recycle as before.
+        let falling_back = lossy_fleet(RetryPolicy::FallbackToHome);
+        assert!(falling_back.sim.world.chaos.fallbacks > 0);
+        assert!(falling_back.sim.world.buf_pool.idle() > 0);
     }
 }

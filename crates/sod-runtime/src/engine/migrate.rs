@@ -99,9 +99,14 @@ impl Cluster {
                 k == 0 || self.dest_has_jvmti(s.dest)
             })
         };
+        // A deployed class that was never preprocessed can stop with an
+        // operand under a call's arguments, which a multi-frame plan then
+        // cannot capture: that program fails, typed; the fleet runs on.
         let path = ToolingPath::Jvmti;
-        let (full, tool_ns) =
-            capture_segment(&mut self.nodes[node].vm, tid, total, path).expect("capture failed");
+        let (full, tool_ns) = match capture_segment(&mut self.nodes[node].vm, tid, total, path) {
+            Ok(captured) => captured,
+            Err(e) => return self.fail_program(program, e.to_string(), ctx.now() + elapsed),
+        };
         let state_bytes_full = full.wire_bytes();
         let capture_ns = if all_jvmti {
             self.nodes[node].cfg.scale(tool_ns)
@@ -392,15 +397,8 @@ impl Cluster {
                 // Transitive closure of static class references over the
                 // shipped frames (and their statics), in sorted order for
                 // cross-run determinism.
-                let mut seed_set: BTreeSet<String> = BTreeSet::new();
-                for c in &seeds.frame_classes {
-                    seed_set.insert(c.clone());
-                }
-                for c in &seeds.static_classes {
-                    seed_set.insert(c.clone());
-                }
                 let mut closed: BTreeSet<String> = BTreeSet::new();
-                let mut work: Vec<String> = seed_set.into_iter().collect();
+                let mut work: Vec<String> = seeds.classes.iter().map(|c| c.to_string()).collect();
                 while let Some(name) = work.pop() {
                     if !closed.insert(name.clone()) {
                         continue;
@@ -548,9 +546,11 @@ impl Cluster {
             .unwrap()
             .pending_roam = None;
         let nframes = self.nodes[node].vm.thread(tid).unwrap().frames.len();
-        let (state, tool_ns) =
-            capture_segment(&mut self.nodes[node].vm, tid, nframes, ToolingPath::Jvmti)
-                .expect("roam capture");
+        let path = ToolingPath::Jvmti;
+        let (state, tool_ns) = match capture_segment(&mut self.nodes[node].vm, tid, nframes, path) {
+            Ok(captured) => captured,
+            Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now() + elapsed),
+        };
         let dest_jvmti = self.nodes[dest].cfg.has_jvmti;
         let capture_ns = if dest_jvmti {
             self.nodes[node].cfg.scale(tool_ns)

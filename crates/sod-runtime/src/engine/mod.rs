@@ -315,6 +315,20 @@ impl Cluster {
         Some(w)
     }
 
+    /// `program`'s outstanding migration episode is over — its value came
+    /// home, or the deadline gave up on it: thaw the home side, forget the
+    /// episode's sessions, and hand the shipment retained for re-ships
+    /// back to the buffer pool. (While retained, that second handle is
+    /// what kept each arrival from recycling its frame.)
+    fn close_episode(&mut self, program: ProgramId) {
+        let p = &mut self.programs[program as usize];
+        p.side = HomeSide::Idle;
+        p.valid_sessions.clear();
+        for seg in p.shipped.drain(..) {
+            self.buf_pool.recycle(seg.frame);
+        }
+    }
+
     fn worker_of(&self, node: usize, tid: usize) -> SessionId {
         match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Worker(s)) => *s,

@@ -107,14 +107,9 @@ impl Cluster {
 
         // Remaining classes referenced by the segment ship on demand.
         let mut missing: HashSet<String> = HashSet::new();
-        for f in &state.frames {
-            if !self.nodes[node].vm.has_class(&f.class) {
-                missing.insert(f.class.clone());
-            }
-        }
-        for s in &state.statics {
-            if !self.nodes[node].vm.has_class(&s.class) {
-                missing.insert(s.class.clone());
+        for class in state.class_names() {
+            if !self.nodes[node].vm.has_class(class) {
+                missing.insert(class.to_string());
             }
         }
 
@@ -127,9 +122,9 @@ impl Cluster {
             nframes: info.nframes,
             home_pop_frames: info.home_pop_frames,
             wait_for_return: info.wait_for_return,
-            state,
             phase: WorkerPhase::AwaitClasses {
                 missing: missing.clone(),
+                state,
             },
             timings,
             arrived_at: arrived,
@@ -204,7 +199,7 @@ impl Cluster {
             return; // stale reply for a failed/finished session
         }
         match &mut w.phase {
-            WorkerPhase::AwaitClasses { missing } => {
+            WorkerPhase::AwaitClasses { missing, .. } => {
                 missing.remove(&class.name);
                 if missing.is_empty() {
                     let wait = ctx.now().saturating_sub(w.arrived_at);
@@ -231,45 +226,55 @@ impl Cluster {
     }
 
     pub(super) fn begin_restore(&mut self, node: usize, sid: SessionId, ctx: &mut SimCtx<'_, Msg>) {
-        let Some(w) = self.nodes[node].sessions.get(&sid) else {
-            return; // retired before restore began (program failed)
-        };
-        if matches!(w.phase, WorkerPhase::Done) {
-            return;
-        }
-        let (wait, nframes) = (w.wait_for_return, w.nframes);
-        let has_jvmti = self.nodes[node].cfg.has_jvmti;
-        let use_handlers = has_jvmti && !wait;
         let n = &mut self.nodes[node];
-        if use_handlers {
+        let Some(w) = n.sessions.get_mut(&sid) else {
+            return; // no such session ever arrived here
+        };
+        // Restore begins once, out of the arrival phase: a session retired
+        // first (its program failed), or one already restoring, is past it.
+        let WorkerPhase::AwaitClasses { state, .. } = &mut w.phase else {
+            return;
+        };
+        let state = std::mem::take(state);
+        let wait = w.wait_for_return;
+        let has_jvmti = n.cfg.has_jvmti;
+        // A well-formed frame can still name a method this node's class
+        // lacks, or carry the wrong locals count: the segment cannot run
+        // here, which fails its program — typed — and nothing else.
+        if has_jvmti && !wait {
             // The paper's portable protocol: JNI-invoke the bottom method,
             // arm a breakpoint, and let InvalidStateException handlers
             // rebuild the frames (costs accrue through interpreted-mode
             // execution plus per-frame tooling charges).
-            // Disjoint field borrows: the captured state stays in the
-            // session map, never cloned per restore.
-            let w = n.sessions.get_mut(&sid).unwrap();
-            let tid = begin_handler_restore(&mut n.vm, &w.state).expect("handler restore begins");
+            let tid = match begin_handler_restore(&mut n.vm, &state) {
+                Ok(tid) => tid,
+                Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now()),
+            };
             n.vm.threads[tid].interp_mode = true;
             n.vm.threads[tid].origin = w.origin();
             n.thread_owner.insert(tid, Owner::Worker(sid));
             w.tid = tid;
-            w.phase = WorkerPhase::Restoring { restored: 0 };
+            w.phase = WorkerPhase::Restoring { restored: 0, state };
             let fixed = n.cfg.scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
             ctx.schedule(fixed, node, Msg::RunSlice { tid });
         } else {
             // Exact direct restore: restore-ahead workflow segments (must
             // not re-execute invokes) and no-JVMTI devices (Java-level
-            // reflective restore).
-            let w = n.sessions.get_mut(&sid).unwrap();
-            let tid = restore_segment_direct(&mut n.vm, &w.state).expect("direct restore");
+            // reflective restore). Its one call is the decoded stack's
+            // last reader.
+            let tid = match restore_segment_direct(&mut n.vm, &state) {
+                Ok(tid) => tid,
+                Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now()),
+            };
+            drop(state);
             n.vm.threads[tid].origin = w.origin();
             n.thread_owner.insert(tid, Owner::Worker(sid));
+            let per_frame = w.nframes as u64 * costs::RESTORE_PER_FRAME_NS;
             let base = if has_jvmti {
-                costs::RESTORE_FIXED_NS + nframes as u64 * costs::RESTORE_PER_FRAME_NS
+                costs::RESTORE_FIXED_NS + per_frame
             } else {
                 costs::PORTABLE_RESTORE_FIXED_NS
-                    + nframes as u64 * costs::RESTORE_PER_FRAME_NS
+                    + per_frame
                     + costs::deserialize_ns(w.timings.state_bytes)
             };
             let cost = n.cfg.scale(base);
@@ -297,45 +302,42 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let sid = self.worker_of(node, tid);
-        let (restored, nframes) = {
-            let w = &self.nodes[node].sessions[&sid];
-            match &w.phase {
-                WorkerPhase::Restoring { restored, .. } => (*restored, w.nframes),
-                _ => panic!("breakpoint outside restore"),
-            }
+        let n = &mut self.nodes[node];
+        let w = n.sessions.get_mut(&sid).expect("owner names a session");
+        let nframes = w.nframes;
+        let WorkerPhase::Restoring { restored, state } = &mut w.phase else {
+            panic!("breakpoint outside restore");
         };
         // cbBreakpoint (paper Fig. 4b): set the next frame's breakpoint,
         // point the restore cursor at this frame, throw the restoration
         // exception, resume.
-        self.nodes[node].vm.threads[tid]
+        let vm = &mut n.vm;
+        vm.threads[tid]
             .restore_session
             .as_mut()
             .expect("restore session")
-            .cursor = restored;
-        if restored + 1 < nframes {
-            let next = self.nodes[node].sessions[&sid].state.frames[restored + 1].clone();
-            let vm = &mut self.nodes[node].vm;
-            let ci = vm.class_idx(&next.class).expect("restored class");
-            let mi = vm.classes[ci].method_idx(&next.method).expect("method");
-            vm.set_breakpoint(tid, ci, mi, 0);
+            .cursor = *restored;
+        *restored += 1;
+        if let Some(next) = state.frames.get(*restored).filter(|_| *restored < nframes) {
+            match next.resolve_in(vm) {
+                Ok((ci, mi)) => vm.set_breakpoint(tid, ci, mi, 0),
+                Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now() + elapsed),
+            }
         }
-        if let WorkerPhase::Restoring { restored: r, .. } =
-            &mut self.nodes[node].sessions.get_mut(&sid).unwrap().phase
-        {
-            *r += 1;
-        }
-        self.nodes[node]
-            .vm
-            .throw_into(tid, ExKind::InvalidState, "restore", false)
+        vm.throw_into(tid, ExKind::InvalidState, "restore", false)
             .expect("throw InvalidState");
-        let charge = self.nodes[node]
+        let charge = n
             .cfg
             .scale(jvmti::SET_BREAKPOINT_NS + jvmti::THROW_INTO_NS + costs::RESTORE_PER_FRAME_NS);
         ctx.schedule(elapsed + charge, node, Msg::RunSlice { tid });
     }
 
     /// Handler-protocol restore finishes when every frame has been
-    /// re-established and the thread executes a normal slice.
+    /// re-established and the thread executes a normal slice. That slice
+    /// may have ended inside the top frame's handler, which goes on
+    /// reading the thread's own `restore_session` (the VM drops it at the
+    /// handler's last read); the session's copy has no reader left — the
+    /// last was `restore_breakpoint` — and goes with the phase change.
     pub(super) fn maybe_finish_restore(
         &mut self,
         node: usize,

@@ -16,6 +16,7 @@
 //! Session ids are minted here too ([`Cluster::alloc_session`]).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use sod_vm::capture::{CapturedState, CapturedValue};
@@ -69,15 +70,18 @@ impl HomeSide {
 #[derive(Clone)]
 pub(super) struct BundleSeeds {
     /// Class of the segment's top frame (the paper's eager-bundle unit).
-    pub(super) top: String,
-    /// Classes of every shipped frame (bundle-reachable closure seeds).
-    pub(super) frame_classes: Vec<String>,
-    /// Classes owning the shipped statics.
-    pub(super) static_classes: Vec<String>,
+    pub(super) top: Arc<str>,
+    /// Every class a shipped frame runs or a shipped static belongs to
+    /// (the bundle-reachable closure's seeds), each once, sorted. The
+    /// names are the captured state's own `Arc`s.
+    pub(super) classes: Vec<Arc<str>>,
 }
 
 impl BundleSeeds {
     pub(super) fn of(state: &CapturedState) -> Self {
+        let mut classes: Vec<Arc<str>> = state.class_names().cloned().collect();
+        classes.sort_unstable();
+        classes.dedup();
         BundleSeeds {
             top: state
                 .frames
@@ -85,8 +89,7 @@ impl BundleSeeds {
                 .expect("non-empty segment")
                 .class
                 .clone(),
-            frame_classes: state.frames.iter().map(|f| f.class.clone()).collect(),
-            static_classes: state.statics.iter().map(|s| s.class.clone()).collect(),
+            classes,
         }
     }
 }
@@ -110,16 +113,22 @@ pub(super) struct StagedSegment {
     pub(super) capture_ns: u64,
 }
 
-/// Worker-session lifecycle at the destination node.
+/// Worker-session lifecycle at the destination node. The decoded stack
+/// travels inside the two phases that still read it, so a session that has
+/// restored — or was retired before it could — holds none.
 pub(super) enum WorkerPhase {
-    /// Classes referenced by the segment are still in flight.
+    /// Classes referenced by the segment are still in flight (or all are
+    /// here and `BeginRestore` is).
     AwaitClasses {
         missing: HashSet<String>,
+        state: CapturedState,
     },
     /// The breakpoint + `InvalidStateException` handler protocol is
-    /// re-establishing frames; `restored` counts finished frames.
+    /// re-establishing frames; `restored` counts finished frames. `state`
+    /// names the method each next breakpoint goes on.
     Restoring {
         restored: usize,
+        state: CapturedState,
     },
     /// Restore-ahead workflow segment awaiting the return value of the
     /// segment above.
@@ -147,7 +156,6 @@ pub(crate) struct WorkerSession {
     /// See [`SegmentInfo::home_pop_frames`].
     pub(super) home_pop_frames: usize,
     pub(super) wait_for_return: bool,
-    pub(super) state: CapturedState,
     pub(super) phase: WorkerPhase,
     pub(super) timings: MigrationTimings,
     pub(super) arrived_at: u64,

@@ -112,6 +112,55 @@ fn fig1a_top_segment_returns_home() {
     assert!(r.migrations[0].class_bytes > 0 || r.classes_shipped > 0);
 }
 
+/// `Wide.sum(n)` keeps ten accumulators beside `n` and `i`: twelve locals,
+/// so its restoration handler (one `RestoreLocal` each, 300 ns while the
+/// restore runs interpreted) outlasts a 2 µs slice.
+fn wide_class() -> ClassDef {
+    let c = ClassBuilder::new("Wide")
+        .method("sum", &["n"], |m| {
+            m.line();
+            for k in 0..10 {
+                m.pushi(k).store(&format!("a{k}"));
+            }
+            m.pushi(0).store("i");
+            m.line();
+            m.label("loop");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+            m.line();
+            m.load("a0").load("i").add().store("a0");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("a0");
+            for k in 1..10 {
+                m.load(&format!("a{k}")).add();
+            }
+            m.retv();
+        })
+        .build()
+        .unwrap();
+    preprocess_sod(&c).unwrap()
+}
+
+#[test]
+fn handler_restore_spans_a_slice_boundary_inside_the_top_handler() {
+    // Every frame is "restored" once the top frame's breakpoint fired, but
+    // its handler is still re-installing locals when the slice ends: the
+    // captured values must outlive that slice.
+    let class = wide_class();
+    let n = 200_000i64;
+    let report = scenario_of(2, &class)
+        .slice_ns(2_000)
+        .program("Wide", "sum", vec![Value::Int(n)])
+        .migrate(When::At(MS), Plan::top_to("n1", 1))
+        .run()
+        .unwrap();
+    let r = report.first();
+    assert_eq!(r.result, Some((0..n).sum::<i64>() + (1..10).sum::<i64>()));
+    assert_eq!(r.migrations.len(), 1);
+}
+
 #[test]
 fn fig1b_total_migration_continues_at_dest() {
     let class = app_class();

@@ -1,0 +1,185 @@
+//! State the engine cannot restore or capture must fail its own program
+//! with a typed error — never panic the fleet.
+//!
+//! * A well-formed `Msg::State` frame can still name a method the
+//!   destination's class lacks, or carry the wrong number of locals for
+//!   the method it names. Both restore protocols refuse such a segment;
+//!   the refusal has to end the program it belongs to, not the engine.
+//! * A deployed class that was never preprocessed can stop with an operand
+//!   under a call's arguments (`a + f(x)`), which a multi-frame plan cannot
+//!   capture.
+//!
+//! Each case runs beside a sibling program that must still finish.
+//! Exercised at the engine level (`Cluster` + `SodSim`), forged messages
+//! injected mid-run as in `object_hardening.rs`.
+
+use sod_asm::builder::ClassBuilder;
+use sod_net::Topology;
+use sod_preprocess::preprocess_sod;
+use sod_runtime::engine::{Cluster, SodSim};
+use sod_runtime::msg::{ReturnTarget, SegmentInfo};
+use sod_runtime::node::{Node, NodeConfig};
+use sod_runtime::trigger::{ArmedTrigger, Trigger};
+use sod_runtime::{MigrationPlan, Msg, ProgramId, SessionId};
+use sod_vm::capture::{CapturedFrame, CapturedState, CapturedValue};
+use sod_vm::class::ClassDef;
+use sod_vm::instr::Cmp;
+use sod_vm::value::Value;
+use sod_vm::wire::encode_state;
+
+/// `main(n)` returns `7 + spin(n)`, where `spin(n)` counts to `n`: while
+/// `spin` runs, `main`'s frame holds the `7` under the call's argument.
+fn app_class() -> ClassDef {
+    ClassBuilder::new("App")
+        .method("spin", &["n"], |m| {
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("loop");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("i").retv();
+        })
+        .method("main", &["n"], |m| {
+            m.line();
+            m.pushi(7).load("n").invoke("App", "spin", 1).add().retv();
+        })
+        .build()
+        .unwrap()
+}
+
+const N: i64 = 400_000;
+/// The victim's count: long enough that it still runs (3 ms of guest time
+/// per 400 000) when the sibling's restore completes, ≈ 10 ms in.
+const VICTIM_N: i64 = 4_000_000;
+/// A session id no node mints (ids are striped by node from 1).
+const FORGED_SESSION: SessionId = 0xF0F0;
+
+/// Two programs homed on node 0; the sibling's top frame migrates to node
+/// 1, which therefore holds the class by the time the victim's forged
+/// state arrives there. Stepped until the sibling runs remotely.
+fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId) {
+    let mut home = Node::new(NodeConfig::cluster("home"));
+    home.deploy(&preprocess_sod(&app_class()).unwrap()).unwrap();
+    let worker = Node::new(NodeConfig::cluster("worker"));
+    let mut cluster = Cluster::new(vec![home, worker]);
+    let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
+    let victim = cluster.add_program(0, "App", "main", vec![Value::Int(VICTIM_N)]);
+    cluster.arm_trigger(
+        sibling,
+        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1)),
+    );
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, sibling);
+    sim.start_program(0, victim);
+    while sim.report(sibling).migrations.is_empty() {
+        assert!(sim.sim.step(), "the sibling never migrated");
+    }
+    assert!(!sim.program(victim).done && !sim.program(sibling).done);
+    (sim, sibling, victim)
+}
+
+/// Deliver `frames` to node 1 as a segment of `victim`, run to idle, and
+/// return the victim's error. The sibling must have finished regardless.
+fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -> String {
+    let (mut sim, sibling, victim) = sim_with_sibling_on_the_worker();
+    let state = CapturedState {
+        frames,
+        statics: vec![],
+    };
+    let info = SegmentInfo {
+        program: victim,
+        session: FORGED_SESSION,
+        home: 0,
+        return_to: ReturnTarget::Home { node: 0 },
+        nframes: state.frames.len(),
+        home_pop_frames: state.frames.len(),
+        wait_for_return,
+    };
+    let now = sim.sim.now();
+    sim.sim.inject(
+        now,
+        1,
+        Msg::State {
+            info,
+            state: encode_state(&state).unwrap(),
+            bundled: vec![],
+            class_bytes: 0,
+            capture_ns: 0,
+            sent_at: now,
+        },
+    );
+    sim.run();
+    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.report(sibling).result, Some(7 + N));
+    sim.program(victim).error.clone().expect("typed failure")
+}
+
+fn spin_frame(method: &str, locals: Vec<CapturedValue>) -> CapturedFrame {
+    CapturedFrame {
+        class: "App".into(),
+        method: method.into(),
+        pc: 0,
+        locals: locals.into(),
+    }
+}
+
+#[test]
+fn state_naming_an_unknown_method_fails_its_program() {
+    let locals = vec![CapturedValue::Int(1), CapturedValue::Int(0)];
+    // Through the handler protocol (a top segment)...
+    let error = error_after_forged_state(vec![spin_frame("nope", locals.clone())], false);
+    assert!(error.contains("nope"), "{error}");
+    // ...and through the direct restore (a segment awaiting a return).
+    let error = error_after_forged_state(vec![spin_frame("nope", locals)], true);
+    assert!(error.contains("nope"), "{error}");
+}
+
+#[test]
+fn state_with_a_short_locals_window_fails_its_program() {
+    // `spin` has two local slots; the frame carries one.
+    let short = spin_frame("spin", vec![CapturedValue::Int(1)]);
+    let error = error_after_forged_state(vec![short], true);
+    assert!(error.contains("locals layout mismatch"), "{error}");
+}
+
+#[test]
+fn a_later_frame_naming_an_unknown_method_fails_its_program() {
+    // The handler protocol meets the second frame's method only once the
+    // first frame's breakpoint fires.
+    let locals = vec![CapturedValue::Int(1), CapturedValue::Int(0)];
+    let frames = vec![
+        spin_frame("main", vec![CapturedValue::Int(1)]),
+        spin_frame("nope", locals),
+    ];
+    let error = error_after_forged_state(frames, false);
+    assert!(error.contains("nope"), "{error}");
+}
+
+#[test]
+fn uncapturable_stack_of_an_unpreprocessed_class_fails_its_program() {
+    // Deployed as authored: no statement rearrangement, so `7 + spin(n)`
+    // calls with the 7 still on `main`'s operand stack.
+    let mut home = Node::new(NodeConfig::cluster("home"));
+    home.deploy(&app_class()).unwrap();
+    let worker = Node::new(NodeConfig::cluster("worker"));
+    let mut cluster = Cluster::new(vec![home, worker]);
+    let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
+    let victim = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
+    cluster.arm_trigger(
+        victim,
+        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 2)),
+    );
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, sibling);
+    sim.start_program(0, victim);
+    sim.run();
+    let error = sim.program(victim).error.clone().expect("typed failure");
+    assert!(error.contains("migration-safe point"), "{error}");
+    assert!(sim.report(victim).migrations.is_empty());
+    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.report(sibling).result, Some(7 + N));
+}

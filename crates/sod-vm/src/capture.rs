@@ -27,6 +27,20 @@
 //! migrated segment restores *cold* at the destination and must behave (and
 //! meter) identically to one restored warm, which
 //! `tests/interp_equivalence.rs` pins.
+//!
+//! **In memory a segment shares what the wire repeats.** Frame and statics
+//! names are `Arc<str>`: capture clones the linked class's own name `Arc`s
+//! (no string is copied per frame), and `wire::decode_state` hands every
+//! repeat of a name within one message the same `Arc`. A segment's locals
+//! are one value array that each frame's [`Locals`] is a window into, so
+//! cloning or splitting a segment moves refcounts, never values. None of
+//! this reaches the wire — every frame still ships its names and values in
+//! full, by value — and a *decoded* name is a fresh `Arc`, never one of the
+//! destination's `LoadedClass` canonical ones, so the interpreter's
+//! pointer-compared inline caches cannot be satisfied (or confused) by it.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::{RestoreSession, Vm, VmThread};
@@ -83,24 +97,139 @@ impl CapturedValue {
     }
 }
 
+/// A frame's captured locals: a window into the value array its whole
+/// segment shares. Reads as a slice; clones and moves with its frame
+/// (`frames.split_off(..)`) by refcount; compares by contents.
+#[derive(Clone)]
+pub struct Locals {
+    values: Arc<[CapturedValue]>,
+    start: usize,
+    len: usize,
+}
+
+impl Deref for Locals {
+    type Target = [CapturedValue];
+    fn deref(&self) -> &[CapturedValue] {
+        &self.values[self.start..self.start + self.len]
+    }
+}
+
+/// A window over an array of its own (frames built one at a time).
+impl From<Vec<CapturedValue>> for Locals {
+    fn from(values: Vec<CapturedValue>) -> Self {
+        Locals {
+            len: values.len(),
+            values: values.into(),
+            start: 0,
+        }
+    }
+}
+
+impl PartialEq for Locals {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Locals {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One captured frame.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CapturedFrame {
-    pub class: String,
-    pub method: String,
+    pub class: Arc<str>,
+    pub method: Arc<str>,
     pub pc: u32,
-    pub locals: Vec<CapturedValue>,
+    pub locals: Locals,
+}
+
+impl CapturedFrame {
+    /// Whether `other` names its class and method through the *same*
+    /// `Arc`s — true of consecutive frames of one method as captured or
+    /// decoded, so a consumer resolving names frame by frame can reuse the
+    /// previous frame's answer. `false` proves nothing: equal names may
+    /// sit behind distinct `Arc`s.
+    pub fn shares_names_with(&self, other: &CapturedFrame) -> bool {
+        Arc::ptr_eq(&self.class, &other.class) && Arc::ptr_eq(&self.method, &other.method)
+    }
+
+    /// `(class_idx, method_idx)` of the method this frame names, in `vm`.
+    pub fn resolve_in(&self, vm: &Vm) -> VmResult<(usize, usize)> {
+        let ci = vm
+            .class_idx(&self.class)
+            .ok_or_else(|| VmError::ClassNotFound(self.class.to_string()))?;
+        let mi =
+            vm.classes[ci]
+                .method_idx(&self.method)
+                .ok_or_else(|| VmError::MethodNotFound {
+                    class: self.class.to_string(),
+                    method: self.method.to_string(),
+                })?;
+        Ok((ci, mi))
+    }
+}
+
+/// Fills one segment's frames bottom-up over a single value array: push a
+/// frame's values, close it with [`SegmentBuilder::end_frame`], and
+/// [`SegmentBuilder::finish`] freezes the array and cuts it into the
+/// frames' windows. The array grows only as values arrive.
+pub(crate) struct SegmentBuilder {
+    /// Per closed frame: its names, its pc, and where its values end.
+    heads: Vec<(Arc<str>, Arc<str>, u32, usize)>,
+    values: Vec<CapturedValue>,
+}
+
+impl SegmentBuilder {
+    /// Both capacities must already be bounded by what the source holds.
+    pub(crate) fn with_capacity(nframes: usize, nvalues: usize) -> Self {
+        SegmentBuilder {
+            heads: Vec::with_capacity(nframes),
+            values: Vec::with_capacity(nvalues),
+        }
+    }
+
+    pub(crate) fn push_value(&mut self, v: CapturedValue) {
+        self.values.push(v);
+    }
+
+    /// Close the frame owning every value pushed since the last close.
+    pub(crate) fn end_frame(&mut self, class: Arc<str>, method: Arc<str>, pc: u32) {
+        self.heads.push((class, method, pc, self.values.len()));
+    }
+
+    pub(crate) fn finish(self) -> Vec<CapturedFrame> {
+        let values: Arc<[CapturedValue]> = self.values.into();
+        let mut start = 0;
+        let frame = |(class, method, pc, end)| {
+            let locals = Locals {
+                values: values.clone(),
+                start,
+                len: end - start,
+            };
+            start = end;
+            CapturedFrame {
+                class,
+                method,
+                pc,
+                locals,
+            }
+        };
+        self.heads.into_iter().map(frame).collect()
+    }
 }
 
 /// Captured statics of one class.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CapturedStatics {
-    pub class: String,
+    pub class: Arc<str>,
     pub values: Vec<CapturedValue>,
 }
 
 /// The unit SOD ships: a segment of frames (bottom-up) plus class statics.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CapturedState {
     /// Frames bottom-up: `frames[0]` is the oldest frame of the segment.
     pub frames: Vec<CapturedFrame>,
@@ -108,6 +237,22 @@ pub struct CapturedState {
 }
 
 impl CapturedState {
+    /// The class of every frame, then of every statics entry — minus each
+    /// name that sits behind the same `Arc` as the one before it, which is
+    /// most of them (a deep recursion names one class through one `Arc`).
+    /// A cheap pre-filter for per-class work, not a set: a class can still
+    /// appear more than once.
+    pub fn class_names(&self) -> impl Iterator<Item = &Arc<str>> {
+        let frames = self.frames.iter().map(|f| &f.class);
+        let statics = self.statics.iter().map(|s| &s.class);
+        let mut prev: Option<&Arc<str>> = None;
+        frames.chain(statics).filter(move |&class| {
+            let repeat = prev.is_some_and(|p| Arc::ptr_eq(p, class));
+            prev = Some(class);
+            !repeat
+        })
+    }
+
     /// Accumulated size of local and static fields — the paper's Table I
     /// `F` column.
     pub fn field_bytes(&self) -> u64 {
@@ -174,25 +319,25 @@ pub fn capture_segment(
         }
     }
 
+    // Operand stacks are empty (checked above), so the segment's locals
+    // are exactly the value stack from its bottom frame's base up.
+    let t = &vm.threads[tid];
+    let nvalues = t.stack.len() - t.frames[t.frames.len() - nframes].base;
+
     let mut tool = Tooling::new(vm, path);
     tool.suspend_thread(tid);
 
-    let mut frames = Vec::with_capacity(nframes);
+    let mut segment = SegmentBuilder::with_capacity(nframes, nvalues);
     // JVMTI depth 0 = top; we want bottom-up order in the segment.
     for depth in (0..nframes).rev() {
         let (class, method, pc) = tool.get_frame_location(tid, depth)?;
         let nlocals = tool.get_local_count(tid, depth)?;
-        let mut locals = Vec::with_capacity(nlocals as usize);
         for slot in 0..nlocals {
-            locals.push(tool.get_local(tid, depth, slot)?);
+            segment.push_value(tool.get_local(tid, depth, slot)?);
         }
-        frames.push(CapturedFrame {
-            class,
-            method,
-            pc,
-            locals,
-        });
+        segment.end_frame(class, method, pc);
     }
+    let frames = segment.finish();
 
     // Statics of all loaded classes ("the information and static fields of
     // loaded classes are saved").
@@ -207,7 +352,7 @@ pub fn capture_segment(
         for si in 0..n {
             values.push(tool.get_static(ci, si)?);
         }
-        let class = tool.vm().classes[ci].def.name.clone();
+        let class = tool.vm().classes[ci].name_arc().clone();
         statics.push(CapturedStatics { class, values });
     }
 
@@ -225,20 +370,19 @@ pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<us
     install_statics(vm, state, true)?;
 
     let mut frames = Vec::with_capacity(state.frames.len());
+    // The frame resolved last, with its answer: a deep recursion names one
+    // method through the same two `Arc`s in every frame.
+    let mut prev: Option<(&CapturedFrame, usize, usize)> = None;
     for cf in &state.frames {
-        let ci = vm
-            .class_idx(&cf.class)
-            .ok_or_else(|| VmError::ClassNotFound(cf.class.clone()))?;
-        let mi = vm.classes[ci]
-            .method_idx(&cf.method)
-            .ok_or_else(|| VmError::MethodNotFound {
-                class: cf.class.clone(),
-                method: cf.method.clone(),
-            })?;
+        let (ci, mi) = match prev {
+            Some((p, ci, mi)) if cf.shares_names_with(p) => (ci, mi),
+            _ => cf.resolve_in(vm)?,
+        };
+        prev = Some((cf, ci, mi));
         let nlocals = vm.classes[ci].def.methods[mi].nlocals;
         if cf.locals.len() != nlocals as usize {
             return Err(VmError::Verify {
-                method: cf.method.clone(),
+                method: cf.method.to_string(),
                 reason: "locals layout mismatch".into(),
             });
         }
@@ -257,11 +401,11 @@ pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<us
 fn install_statics(vm: &mut Vm, state: &CapturedState, strict: bool) -> VmResult<()> {
     for s in &state.statics {
         let Some(ci) = vm.class_idx(&s.class) else {
-            return Err(VmError::ClassNotFound(s.class.clone()));
+            return Err(VmError::ClassNotFound(s.class.to_string()));
         };
         if strict && vm.classes[ci].statics.len() != s.values.len() {
             return Err(VmError::Verify {
-                method: s.class.clone(),
+                method: s.class.to_string(),
                 reason: "statics layout mismatch".into(),
             });
         }
@@ -289,15 +433,7 @@ pub fn begin_handler_restore(vm: &mut Vm, state: &CapturedState) -> VmResult<usi
     install_statics(vm, state, false)?;
 
     let bottom = &state.frames[0];
-    let ci = vm
-        .class_idx(&bottom.class)
-        .ok_or_else(|| VmError::ClassNotFound(bottom.class.clone()))?;
-    let mi = vm.classes[ci]
-        .method_idx(&bottom.method)
-        .ok_or_else(|| VmError::MethodNotFound {
-            class: bottom.class.clone(),
-            method: bottom.method.clone(),
-        })?;
+    let (ci, mi) = bottom.resolve_in(vm)?;
     let nargs = vm.classes[ci].def.methods[mi].nargs as usize;
     let args: Vec<Value> = bottom
         .locals
@@ -306,8 +442,7 @@ pub fn begin_handler_restore(vm: &mut Vm, state: &CapturedState) -> VmResult<usi
         .map(|v| v.to_nulled_value())
         .collect();
 
-    let names: (String, String) = (bottom.class.clone(), bottom.method.clone());
-    let tid = vm.spawn(&names.0, &names.1, &args)?;
+    let tid = vm.spawn(&bottom.class, &bottom.method, &args)?;
     vm.threads[tid].seg_frames = state.frames.len();
     // Session and breakpoint are thread-scoped: concurrent restores on a
     // shared destination node must not clobber each other.
@@ -385,7 +520,7 @@ mod tests {
         let (state, cost) = capture_segment(&mut vm, tid, 1, ToolingPath::Jvmti).unwrap();
         assert_eq!(state.frames.len(), 1);
         let f = &state.frames[0];
-        assert_eq!(f.method, "f");
+        assert_eq!(&*f.method, "f");
         assert_eq!(f.locals.len(), 2);
         assert_eq!(f.locals[0], CapturedValue::Int(10)); // arg n
                                                          // Statics captured.
@@ -402,9 +537,40 @@ mod tests {
         stop_at_msp(&mut vm, tid);
         let (state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
         assert_eq!(state.frames.len(), 2);
-        assert_eq!(state.frames[0].method, "main"); // bottom first
-        assert_eq!(state.frames[1].method, "f");
+        assert_eq!(&*state.frames[0].method, "main"); // bottom first
+        assert_eq!(&*state.frames[1].method, "f");
         assert_eq!(state.frames[0].pc, 5); // parked at the invoke
+    }
+
+    #[test]
+    fn capture_shares_names_and_one_value_array() {
+        let (mut vm, tid) = looping_vm();
+        stop_at_msp(&mut vm, tid);
+        let (state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
+        let [main, f] = &state.frames[..] else {
+            panic!("two frames")
+        };
+        // Names are the linked class's own `Arc`s, not copies.
+        assert!(Arc::ptr_eq(&main.class, vm.classes[0].name_arc()));
+        assert!(Arc::ptr_eq(&main.class, &f.class));
+        assert!(Arc::ptr_eq(&f.method, vm.classes[0].method_name_arc(1)));
+        assert!(Arc::ptr_eq(&state.statics[0].class, &f.class));
+        assert!(!main.shares_names_with(f) && f.shares_names_with(&f.clone()));
+        assert_eq!(state.class_names().count(), 1, "one Arc names all three");
+        // Both frames are windows into the same array, back to back.
+        assert!(Arc::ptr_eq(&main.locals.values, &f.locals.values));
+        assert_eq!((main.locals.start, main.locals.len), (0, 2));
+        assert_eq!((f.locals.start, f.locals.len), (2, 2));
+        assert_eq!(*f.locals, [CapturedValue::Int(10), CapturedValue::Int(5)]);
+        // A window compares by what it shows, wherever it sits.
+        assert_eq!(f.locals, Locals::from(f.locals.to_vec()));
+        assert_ne!(f.locals, main.locals);
+        // Splitting the frames (as a migration plan does) keeps each
+        // frame's own window.
+        let mut rest = state.frames.clone();
+        let top = rest.split_off(1);
+        assert_eq!(*top[0].locals, *f.locals);
+        assert_eq!(*rest[0].locals, *main.locals);
     }
 
     #[test]
@@ -485,7 +651,9 @@ mod tests {
 
         // A captured frame whose locals do not match the method's layout
         // is rejected before any thread is created.
-        state.frames[1].locals.push(CapturedValue::Int(0));
+        let mut longer = state.frames[1].locals.to_vec();
+        longer.push(CapturedValue::Int(0));
+        state.frames[1].locals = longer.into();
         let before = worker.threads.len();
         let err = restore_segment_direct(&mut worker, &state).unwrap_err();
         assert!(matches!(err, VmError::Verify { .. }));

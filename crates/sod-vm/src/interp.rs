@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::analysis::{class_summaries, MethodSummary};
-use crate::capture::CapturedValue;
+use crate::capture::Locals;
 use crate::class::{ClassDef, ExKind};
 use crate::costs::{alloc_cost, INTERP_MODE_FACTOR};
 use crate::error::{VmError, VmResult};
@@ -65,6 +65,9 @@ pub struct LoadedClass {
     /// `Arc`, so receiver-keyed inline caches validate with a pointer
     /// comparison and allocation never copies the string.
     name_arc: Arc<str>,
+    /// Each method's name behind a shared `Arc`, by method index: what a
+    /// captured frame of that method clones instead of copying the string.
+    method_names: Vec<Arc<str>>,
     /// Inline-cache slots, `ics[method][pc]` (see [`IcCell`]). Node-local,
     /// positive-only, mutated during execution, never serialized.
     ics: Vec<Vec<IcCell>>,
@@ -101,6 +104,11 @@ impl LoadedClass {
             .collect();
         let statics = def.default_static_values();
         let name_arc: Arc<str> = Arc::from(def.name.as_str());
+        let method_names = def
+            .methods
+            .iter()
+            .map(|m| Arc::from(m.name.as_str()))
+            .collect();
         let ics = def.methods.iter().map(build_ic_row).collect();
         let rows = def
             .methods
@@ -115,9 +123,20 @@ impl LoadedClass {
             instance_field_map,
             static_field_map,
             name_arc,
+            method_names,
             ics,
             rows,
         })
+    }
+
+    /// The class's canonical shared name.
+    pub fn name_arc(&self) -> &Arc<str> {
+        &self.name_arc
+    }
+
+    /// Method `mi`'s shared name.
+    pub fn method_name_arc(&self, mi: usize) -> &Arc<str> {
+        &self.method_names[mi]
     }
 
     /// Number of inline-cache slots this class has filled (warm sites).
@@ -396,11 +415,12 @@ pub enum RunMode {
 }
 
 /// Restoration session state: the captured frames being re-established by
-/// the breakpoint + `InvalidStateException` protocol.
+/// the breakpoint + `InvalidStateException` protocol. The thread drops it
+/// when the top frame's handler reads its captured pc — the last read.
 #[derive(Clone, Debug)]
 pub struct RestoreSession {
     /// Captured locals per frame (bottom-up) and the captured pc.
-    pub frames: Vec<(Vec<CapturedValue>, u32)>,
+    pub frames: Vec<(Locals, u32)>,
     /// Frame currently being restored.
     pub cursor: usize,
 }
@@ -1816,7 +1836,7 @@ impl Vm {
 
     /// The captured frame a restoration handler is rebuilding: `(locals,
     /// pc)` under the thread's restore cursor.
-    fn captured_frame(&self, tid: usize) -> VmResult<&(Vec<CapturedValue>, u32)> {
+    fn captured_frame(&self, tid: usize) -> VmResult<&(Locals, u32)> {
         let session = self.threads[tid].restore_session.as_ref();
         let session =
             session.ok_or_else(|| VmError::RestoreProtocol("captured-frame read, no session"))?;
@@ -1860,7 +1880,15 @@ impl Vm {
             }
             ReadCapturedPc => {
                 let cap_pc = self.captured_frame(tid)?.1;
-                self.threads[tid].stack.push(Value::Int(i64::from(cap_pc)));
+                let t = &mut self.threads[tid];
+                t.stack.push(Value::Int(i64::from(cap_pc)));
+                // A handler's last captured read. The top frame's ends the
+                // restore, wherever a slice boundary fell inside it, and
+                // the thread's hold on the captured values with it.
+                let s = t.restore_session.as_ref();
+                if s.is_some_and(|s| s.cursor + 1 == s.frames.len()) {
+                    t.restore_session = None;
+                }
                 return advance(self);
             }
             RethrowAppNpe => return self.app_npe(tid),

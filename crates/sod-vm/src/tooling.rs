@@ -12,6 +12,8 @@
 //! meter's total becomes capture/restore time in the migration latency
 //! breakdowns.
 
+use std::sync::Arc;
+
 use crate::capture::CapturedValue;
 use crate::error::{VmError, VmResult};
 use crate::interp::Vm;
@@ -129,12 +131,13 @@ impl<'a> Tooling<'a> {
     }
 
     /// `GetFrameLocation`: (class name, method name, pc) of frame `depth`,
-    /// where depth 0 is the *top* frame (JVMTI convention).
+    /// where depth 0 is the *top* frame (JVMTI convention). The names are
+    /// the linked class's own shared `Arc`s, cloned by refcount.
     pub fn get_frame_location(
         &mut self,
         tid: usize,
         depth: usize,
-    ) -> VmResult<(String, String, u32)> {
+    ) -> VmResult<(Arc<str>, Arc<str>, u32)> {
         self.c(
             jvmti::GET_FRAME_LOCATION_NS,
             internal::GET_FRAME_LOCATION_NS,
@@ -142,8 +145,8 @@ impl<'a> Tooling<'a> {
         let f = &self.vm.threads[tid].frames[self.frame_index(tid, depth)?];
         let c = &self.vm.classes[f.class_idx];
         Ok((
-            c.def.name.clone(),
-            c.def.methods[f.method_idx].name.clone(),
+            c.name_arc().clone(),
+            c.method_name_arc(f.method_idx).clone(),
             f.pc,
         ))
     }
@@ -255,9 +258,9 @@ mod tests {
         let mut t = Tooling::new(&mut vm, ToolingPath::Jvmti);
         assert_eq!(t.get_frame_count(tid).unwrap(), 2);
         let (c, m, _pc) = t.get_frame_location(tid, 0).unwrap();
-        assert_eq!((c.as_str(), m.as_str()), ("Main", "f"));
+        assert_eq!((&*c, &*m), ("Main", "f"));
         let (_, m, pc) = t.get_frame_location(tid, 1).unwrap();
-        assert_eq!(m, "main");
+        assert_eq!(&*m, "main");
         assert_eq!(pc, 3); // parked at the invoke
         let v = t.get_local(tid, 0, 0).unwrap();
         assert_eq!(v, CapturedValue::Int(7));

@@ -28,17 +28,28 @@
 //! prefix width with [`VmError::Encode`], so encode and decode can never
 //! disagree on layout.
 //!
+//! Decoding a state message builds the shared in-memory form
+//! `sod_vm::capture` describes, from bytes that repeat everything: names
+//! go through a bounded window of the (at most eight) names this message
+//! most recently produced — a repeat is recognised by comparing raw bytes
+//! and returned as the same `Arc`, only an unseen name is UTF-8-validated
+//! and allocated, and a message of all-distinct names stays linear — and
+//! every frame's locals are appended to one array that grows as values are
+//! actually read, then frozen under the frames' windows. The cursor skips
+//! what it has read (`Buf::advance`); no sub-view of the frame outlives
+//! the call, so the caller may recycle the buffer at once.
+//!
 //! Buffer lifecycle: encoders can write into pooled buffers
 //! ([`BufferPool`]) checked out at encode time and recycled after the last
 //! delivery (`Bytes::try_into_mut` reclaims the allocation when the frame's
 //! refcount drops to one). Per-link sends batch multiple payloads into one
 //! length-prefixed [`FrameBatch`] per delivery window.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue};
+use crate::capture::{CapturedState, CapturedStatics, CapturedValue, SegmentBuilder};
 use crate::class::{ClassDef, ExEntry, ExKind, FieldDef, MethodDef};
 use crate::error::{VmError, VmResult};
 use crate::instr::{Cmp, Instr, SwitchTable};
@@ -345,13 +356,45 @@ fn put_str16<B: BufMut>(buf: &mut B, s: &str) -> VmResult<()> {
     Ok(())
 }
 
-fn get_str16(buf: &mut Bytes) -> VmResult<String> {
-    let len = get_u16(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(VmError::Decode("string truncated"));
+/// How many distinct names a [`NameWindow`] remembers at once.
+const NAME_WINDOW: usize = 8;
+
+/// The names one state message most recently decoded. A state frame
+/// repeats few names many times (a deep recursion: one class, one method),
+/// so a name whose bytes match a remembered one is returned as that same
+/// `Arc` — no UTF-8 pass, no allocation. The window is fixed-size: a
+/// message of all-distinct names costs at most [`NAME_WINDOW`] short
+/// comparisons per name and decodes exactly as it would without it.
+#[derive(Default)]
+struct NameWindow {
+    names: [Option<Arc<str>>; NAME_WINDOW],
+    /// The slot the next unseen name replaces (oldest first).
+    next: usize,
+}
+
+impl NameWindow {
+    /// Read one u16-prefixed name (see [`put_str16`]).
+    fn get(&mut self, buf: &mut Bytes) -> VmResult<Arc<str>> {
+        let len = get_u16(buf)? as usize;
+        if buf.remaining() < len {
+            return Err(VmError::Decode("string truncated"));
+        }
+        let raw = &buf[..len];
+        // Remembered names are valid UTF-8, so equal bytes are too.
+        let seen = self.names.iter().flatten().find(|n| n.as_bytes() == raw);
+        let name = match seen {
+            Some(name) => name.clone(),
+            None => {
+                let s = std::str::from_utf8(raw).map_err(|_| VmError::Decode("invalid utf8"))?;
+                let name: Arc<str> = Arc::from(s);
+                self.names[self.next] = Some(name.clone());
+                self.next = (self.next + 1) % NAME_WINDOW;
+                name
+            }
+        };
+        buf.advance(len);
+        Ok(name)
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| VmError::Decode("invalid utf8"))
 }
 
 fn get_u8(buf: &mut Bytes) -> VmResult<u8> {
@@ -528,26 +571,32 @@ pub fn decode_state(mut buf: Bytes) -> VmResult<CapturedState> {
     ensure_seq(&buf, nframes, 12, "frame count overruns buffer")?;
     // Statics follow the frames; their minimum footprint must fit too.
     ensure_seq(&buf, nstatics, 4, "statics count overruns buffer")?;
-    let mut frames = Vec::with_capacity(nframes);
+    let mut names = NameWindow::default();
+    // Every frame's locals land in one array, which grows as values are
+    // read — a declared count is checked against the buffer, never used
+    // to size it.
+    let mut segment = SegmentBuilder::with_capacity(nframes, 0);
     for _ in 0..nframes {
-        let class = get_str16(&mut buf)?;
-        let method = get_str16(&mut buf)?;
+        let class = names.get(&mut buf)?;
+        let method = names.get(&mut buf)?;
         let pc = get_u32(&mut buf)?;
-        let locals = get_values(&mut buf)?;
-        frames.push(CapturedFrame {
-            class,
-            method,
-            pc,
-            locals,
-        });
+        let nlocals = get_u32(&mut buf)? as usize;
+        ensure_seq(&buf, nlocals, 1, "value count overruns buffer")?;
+        for _ in 0..nlocals {
+            segment.push_value(get_captured_value(&mut buf)?);
+        }
+        segment.end_frame(class, method, pc);
     }
     let mut statics = Vec::with_capacity(nstatics);
     for _ in 0..nstatics {
-        let class = get_str16(&mut buf)?;
+        let class = names.get(&mut buf)?;
         let values = get_values16(&mut buf)?;
         statics.push(CapturedStatics { class, values });
     }
-    Ok(CapturedState { frames, statics })
+    Ok(CapturedState {
+        frames: segment.finish(),
+        statics,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,6 +1226,7 @@ pub fn class_wire_bytes(c: &ClassDef) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::CapturedFrame;
     use crate::class::FieldDef;
 
     fn sample_class() -> ClassDef {
@@ -1215,13 +1265,13 @@ mod tests {
                     class: "Main".into(),
                     method: "main".into(),
                     pc: 5,
-                    locals: vec![CapturedValue::Int(-3), CapturedValue::HomeRef(12)],
+                    locals: vec![CapturedValue::Int(-3), CapturedValue::HomeRef(12)].into(),
                 },
                 CapturedFrame {
                     class: "Main".into(),
                     method: "f".into(),
                     pc: 2,
-                    locals: vec![CapturedValue::Num(2.5), CapturedValue::Null],
+                    locals: vec![CapturedValue::Num(2.5), CapturedValue::Null].into(),
                 },
             ],
             statics: vec![CapturedStatics {
@@ -1464,15 +1514,117 @@ mod tests {
         );
     }
 
+    fn frame(class: &str, method: &str) -> CapturedFrame {
+        CapturedFrame {
+            class: class.into(),
+            method: method.into(),
+            pc: 0,
+            locals: vec![CapturedValue::Int(1)].into(),
+        }
+    }
+
+    fn state_of(frames: Vec<CapturedFrame>) -> CapturedState {
+        CapturedState {
+            frames,
+            statics: vec![],
+        }
+    }
+
+    #[test]
+    fn decoded_names_are_shared_and_never_aliased() {
+        let state = state_of(vec![
+            frame("A", "f"),
+            frame("B", "g"),
+            frame("A", "f"),
+            frame("B", "g"),
+        ]);
+        let decoded = decode_state(encode_state(&state).unwrap()).unwrap();
+        assert_eq!(decoded, state);
+        let [a1, b1, a2, b2] = &decoded.frames[..] else {
+            panic!("four frames")
+        };
+        assert!(a1.shares_names_with(a2) && b1.shares_names_with(b2));
+        for (x, y) in [(&a1.class, &b1.class), (&a1.method, &b1.method)] {
+            assert!(!Arc::ptr_eq(x, y), "{x} and {y} share an Arc");
+        }
+        // One value array under all four frames.
+        assert_eq!(*b2.locals, [CapturedValue::Int(1)]);
+
+        // More distinct names than the window holds: the early ones are
+        // forgotten (and decoded afresh when they return), nothing breaks.
+        let many: Vec<_> = (0..2 * NAME_WINDOW)
+            .map(|i| frame(&format!("C{i}"), &format!("m{i}")))
+            .chain([frame("C0", "m0")])
+            .collect();
+        let state = state_of(many);
+        assert_eq!(decode_state(encode_state(&state).unwrap()).unwrap(), state);
+    }
+
+    /// The bytes of `state_of([frame("Ab", "f"), frame("Ab", "f")])`, for
+    /// corrupting: 16-byte header, then per frame `[2]"Ab" [1]"f" pc[4]
+    /// n[4] value[9]` = 24 bytes.
+    fn two_equal_frames() -> Vec<u8> {
+        let state = state_of(vec![frame("Ab", "f"), frame("Ab", "f")]);
+        let bytes = encode_state(&state).unwrap().to_vec();
+        assert_eq!(bytes.len(), 16 + 2 * 24);
+        bytes
+    }
+
+    #[test]
+    fn hostile_names_and_counts_are_typed_decode_errors() {
+        let second = 16 + 24; // offset of the second frame
+
+        // Invalid UTF-8 where a remembered name repeats: the bytes match
+        // no validated name, so they are validated — and rejected.
+        let mut bad = two_equal_frames();
+        assert_eq!(&bad[second + 2..second + 4], b"Ab");
+        bad[second + 3] = 0xFF;
+        assert_eq!(
+            decode_state(Bytes::from(bad)),
+            Err(VmError::Decode("invalid utf8"))
+        );
+
+        // A name whose declared length runs past the end of the message.
+        let mut bad = two_equal_frames();
+        bad[second..second + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(
+            decode_state(Bytes::from(bad)),
+            Err(VmError::Decode("string truncated"))
+        );
+        let whole = two_equal_frames();
+        assert_eq!(
+            decode_state(Bytes::from(whole[..second + 3].to_vec())),
+            Err(VmError::Decode("string truncated"))
+        );
+
+        // A locals count the rest of the message cannot hold is rejected
+        // before a single value is read for it.
+        let mut bad = two_equal_frames();
+        let count = second + 4 + 3 + 4;
+        assert_eq!(bad[count..count + 4], 1u32.to_le_bytes());
+        bad[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_state(Bytes::from(bad)),
+            Err(VmError::Decode("value count overruns buffer"))
+        );
+        // ... and one it could hold, but whose values are cut short.
+        let mut bad = two_equal_frames();
+        bad[count..count + 4].copy_from_slice(&9u32.to_le_bytes());
+        assert_eq!(
+            decode_state(Bytes::from(bad)),
+            Err(VmError::Decode("u8 truncated"))
+        );
+    }
+
     #[test]
     fn oversize_names_are_typed_encode_errors() {
         // State-frame names carry a u16 prefix: 65536 bytes cannot encode.
         let state = CapturedState {
             frames: vec![CapturedFrame {
-                class: "x".repeat(1 << 16),
+                class: "x".repeat(1 << 16).into(),
                 method: "m".into(),
                 pc: 0,
-                locals: vec![],
+                locals: vec![].into(),
             }],
             statics: vec![],
         };

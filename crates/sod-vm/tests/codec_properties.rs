@@ -4,6 +4,8 @@
 //! `*_wire_bytes()` size model for every sample, and arbitrary byte garbage
 //! never panics the decoder.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sod_vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue};
 use sod_vm::class::{ClassDef, ExEntry, ExKind, FieldDef, MethodDef};
@@ -94,17 +96,49 @@ fn captured_state() -> impl Strategy<Value = CapturedState> {
             frames: frames
                 .into_iter()
                 .map(|(class, method, pc, locals)| CapturedFrame {
-                    class,
-                    method,
+                    class: class.into(),
+                    method: method.into(),
                     pc,
-                    locals,
+                    locals: locals.into(),
                 })
                 .collect(),
             statics: statics
                 .into_iter()
-                .map(|(class, values)| CapturedStatics { class, values })
+                .map(|(class, values)| CapturedStatics {
+                    class: class.into(),
+                    values,
+                })
                 .collect(),
         })
+}
+
+/// A state whose frames draw their names from `classes` × `methods`, so
+/// names repeat within the message the way a real stack's do.
+fn state_naming(
+    classes: &'static [&'static str],
+    methods: &'static [&'static str],
+    frames: std::ops::Range<usize>,
+) -> impl Strategy<Value = CapturedState> {
+    let frame = (
+        0..classes.len(),
+        0..methods.len(),
+        proptest::collection::vec(captured_value(), 0..6),
+    );
+    proptest::collection::vec(frame, frames).prop_map(move |frames| CapturedState {
+        frames: frames
+            .into_iter()
+            .map(|(c, m, locals)| CapturedFrame {
+                class: classes[c].into(),
+                method: methods[m].into(),
+                pc: (c * 7 + m) as u32,
+                locals: locals.into(),
+            })
+            .collect(),
+        statics: vec![CapturedStatics {
+            class: classes[0].into(),
+            values: vec![CapturedValue::Int(1)],
+        }],
+    })
 }
 
 proptest! {
@@ -145,6 +179,43 @@ proptest! {
         prop_assert_eq!(encoded.len() as u64, obj.wire_bytes());
         let decoded = decode_object(encoded).unwrap();
         prop_assert_eq!(obj, decoded);
+    }
+
+    /// Seven distinct names fit the decoder's name window, so within one
+    /// message a name is one `Arc` however often and wherever it appears
+    /// (frame class, frame method — "A" is both — or statics class), and
+    /// two different names are never handed the same one.
+    #[test]
+    fn repeated_names_decode_to_one_shared_arc(
+        state in state_naming(&["A", "Bb", "Ccc"], &["f", "g", "run", "A"], 1..40),
+    ) {
+        let decoded = decode_state(encode_state(&state).unwrap()).unwrap();
+        prop_assert_eq!(&state, &decoded);
+        let names: Vec<&Arc<str>> = decoded
+            .frames
+            .iter()
+            .flat_map(|f| [&f.class, &f.method])
+            .chain(decoded.statics.iter().map(|s| &s.class))
+            .collect();
+        for a in &names {
+            for b in &names {
+                prop_assert_eq!(Arc::ptr_eq(a, b), a == b, "{} vs {}", a, b);
+            }
+        }
+    }
+
+    /// More distinct names than the window holds: sharing degrades, the
+    /// decoded state does not.
+    #[test]
+    fn more_names_than_the_window_still_roundtrip(
+        state in state_naming(
+            &["A", "B", "C", "D", "E", "F", "G"],
+            &["a", "b", "c", "d", "e", "f", "g"],
+            10..60,
+        ),
+    ) {
+        let decoded = decode_state(encode_state(&state).unwrap()).unwrap();
+        prop_assert_eq!(&state, &decoded);
     }
 
     /// Payloads batched into one delivery frame survive the trip and the
