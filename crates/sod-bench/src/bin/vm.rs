@@ -1,7 +1,7 @@
 //! Regenerate the interpreter-dispatch table (`TABLE VM`) and its
 //! `BENCH_vm.json` summary: host ns per simulated instruction with the
 //! fast path off (`Vm::reference`, the pre-fast-path semantics) and on
-//! (inline caches + superinstructions, the default).
+//! (inline caches, the default).
 //!
 //! The table and the JSON both print to stdout; pass a path (e.g.
 //! `BENCH_vm.json`) to write the JSON there instead.

@@ -1,7 +1,7 @@
 //! Host-time cost of the interpreter inner loop: nanoseconds of *host*
 //! time per *simulated* instruction, measured with the fast path on
-//! (pre-resolved operands, inline caches, superinstructions — the
-//! default) and off (`Vm::reference`, which re-resolves every name
+//! (pre-resolved operands, inline caches, calls kept inside the window
+//! loop — the default) and off (`Vm::reference`, which re-resolves every name
 //! from the constant pool on each execution, exactly as the interpreter
 //! worked before the fast path landed).
 //!
@@ -48,8 +48,8 @@ pub fn fib_workload(n: i64) -> VmWorkload {
 
 /// An object-heavy loop: `New` once, then per iteration an
 /// `InvokeVirtual` that does `GetField`/`PutField`, plus a `PushStr`
-/// literal — one site of every inline-cache kind, and `Load`-led fused
-/// pairs throughout.
+/// literal — one site of every inline-cache kind, between short runs of
+/// window instructions.
 pub fn object_loop_workload(iters: i64) -> VmWorkload {
     let class = ClassBuilder::new("Counter")
         .field("n", TypeTag::Int)

@@ -4,6 +4,7 @@
 
 use sod_net::SimCtx;
 use sod_vm::class::ExKind;
+use sod_vm::error::VmError;
 use sod_vm::interp::{ExceptionInfo, RunMode, StepOutcome};
 use sod_vm::value::Value;
 
@@ -338,7 +339,13 @@ impl Cluster {
                     },
                 );
             }
-            other => panic!("unknown host intrinsic {other}"),
+            // The VM parks on any name outside its pure registry: a guest
+            // can name an intrinsic no host provides. That ends the guest's
+            // own program, typed; the fleet runs on.
+            other => {
+                let error = VmError::UnknownIntrinsic(other.to_owned()).to_string();
+                self.fail_thread_owner(node, tid, error, ctx.now() + elapsed);
+            }
         }
     }
 
@@ -562,7 +569,7 @@ impl Cluster {
     /// Fail whatever owns thread `tid`: a root thread's program, or a
     /// worker thread's session — retired along with its program, so stale
     /// events addressed to it cannot wake the dead worker state.
-    fn fail_thread_owner(&mut self, node: usize, tid: usize, error: String, at: u64) {
+    pub(super) fn fail_thread_owner(&mut self, node: usize, tid: usize, error: String, at: u64) {
         match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => self.fail_program(*p, error, at),
             Some(Owner::Worker(s)) => self.fail_session(node, *s, error, at),

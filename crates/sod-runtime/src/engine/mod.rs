@@ -312,6 +312,10 @@ impl Cluster {
         let w = n.sessions.get_mut(&sid)?;
         w.phase = WorkerPhase::Done;
         n.live_sessions.remove(&sid);
+        // A session retired mid-restore leaves its next frame's breakpoint
+        // armed: disarm it with the thread (`tid` is `usize::MAX`, which
+        // arms nothing, until the restore begins).
+        n.vm.clear_thread_breakpoints(w.tid);
         Some(w)
     }
 
@@ -326,13 +330,6 @@ impl Cluster {
         p.valid_sessions.clear();
         for seg in p.shipped.drain(..) {
             self.buf_pool.recycle(seg.frame);
-        }
-    }
-
-    fn worker_of(&self, node: usize, tid: usize) -> SessionId {
-        match self.nodes[node].thread_owner.get(&tid) {
-            Some(Owner::Worker(s)) => *s,
-            _ => panic!("thread ({node},{tid}) is not a worker session"),
         }
     }
 

@@ -81,7 +81,7 @@ impl Cluster {
 
         // Bundled classes load immediately (charged into the prep time).
         // Each load links a fresh pre-resolved operand form (empty inline
-        // caches, fusion tables) on the destination: migrated stacks always
+        // caches, dispatch rows) on the destination: migrated stacks always
         // start cold and rewarm by executing — cache state is deliberately
         // never part of the wire image.
         let mut prep = self.nodes[node]
@@ -301,31 +301,41 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let sid = self.worker_of(node, tid);
+        // Only a restoring worker thread arms breakpoints, but anyone
+        // holding the VM can (`Vm::set_breakpoint` is public tooling API):
+        // a breakpoint tripped by any other thread, or outside a restore,
+        // fails that thread's owner, typed, and nothing else.
+        let at = ctx.now() + elapsed;
+        let stray = |what: &str| format!("stray breakpoint: {what}");
         let n = &mut self.nodes[node];
-        let w = n.sessions.get_mut(&sid).expect("owner names a session");
+        let Some(&Owner::Worker(sid)) = n.thread_owner.get(&tid) else {
+            return self.fail_thread_owner(node, tid, stray("not a worker thread"), at);
+        };
+        let Some(w) = n.sessions.get_mut(&sid) else {
+            return self.fail_session(node, sid, stray("owner names no session"), at);
+        };
         let nframes = w.nframes;
         let WorkerPhase::Restoring { restored, state } = &mut w.phase else {
-            panic!("breakpoint outside restore");
+            return self.fail_session(node, sid, stray("session is not restoring"), at);
         };
         // cbBreakpoint (paper Fig. 4b): set the next frame's breakpoint,
         // point the restore cursor at this frame, throw the restoration
         // exception, resume.
         let vm = &mut n.vm;
-        vm.threads[tid]
-            .restore_session
-            .as_mut()
-            .expect("restore session")
-            .cursor = *restored;
+        let Some(cursor) = vm.threads[tid].restore_session.as_mut() else {
+            return self.fail_session(node, sid, stray("thread has no restore session"), at);
+        };
+        cursor.cursor = *restored;
         *restored += 1;
         if let Some(next) = state.frames.get(*restored).filter(|_| *restored < nframes) {
             match next.resolve_in(vm) {
                 Ok((ci, mi)) => vm.set_breakpoint(tid, ci, mi, 0),
-                Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now() + elapsed),
+                Err(e) => return self.fail_session(node, sid, e.to_string(), at),
             }
         }
-        vm.throw_into(tid, ExKind::InvalidState, "restore", false)
-            .expect("throw InvalidState");
+        if let Err(e) = vm.throw_into(tid, ExKind::InvalidState, "restore", false) {
+            return self.fail_session(node, sid, format!("restore throw failed: {e}"), at);
+        }
         let charge = n
             .cfg
             .scale(jvmti::SET_BREAKPOINT_NS + jvmti::THROW_INTO_NS + costs::RESTORE_PER_FRAME_NS);

@@ -33,9 +33,9 @@ pub struct NodeConfig {
     /// (exception-driven offload experiments).
     pub mem_limit: Option<u64>,
     /// Build this node's VM as the name-resolution reference
-    /// (`Vm::reference`: inline caches that never fill, no
-    /// superinstructions). Differential-testing aid — reports must be
-    /// bit-identical either way.
+    /// (`Vm::reference`: inline caches that never fill, so every call
+    /// takes the interpreter's full path). Differential-testing aid —
+    /// reports must be bit-identical either way.
     pub slow_resolve: bool,
 }
 

@@ -1,0 +1,188 @@
+//! What one guest — or one careless tool holding the VM — can do must end
+//! that guest's own program with a typed error, never the fleet:
+//!
+//! * A guest can name a native the host does not provide: the VM parks on
+//!   any name outside its pure registry, so the engine is the one to say
+//!   "unknown intrinsic".
+//! * `Vm::set_breakpoint` is public tooling API. A breakpoint tripped by a
+//!   thread that is not restoring — a running worker, a root thread — has
+//!   no restore to drive.
+//! * A worker that crashes mid-restore leaves no breakpoint armed behind.
+//!
+//! Each hostile program runs beside a sibling that must still finish.
+//! Exercised at the engine level (`Cluster` + `SodSim`), like
+//! `state_hardening.rs`.
+
+use sod_asm::builder::ClassBuilder;
+use sod_net::{ChaosPlan, Topology, MS};
+use sod_preprocess::preprocess_sod;
+use sod_runtime::engine::{Cluster, SodSim};
+use sod_runtime::node::{Node, NodeConfig};
+use sod_runtime::trigger::{ArmedTrigger, Trigger};
+use sod_runtime::{MigrationPlan, ProgramId, RetryPolicy};
+use sod_vm::class::ClassDef;
+use sod_vm::instr::Cmp;
+use sod_vm::value::Value;
+
+/// `main(n, bad)` returns `7 + spin(n, bad)`; `spin` counts to `n` and
+/// then, if `bad` is set, calls a native no host has.
+fn app_class() -> ClassDef {
+    let class = ClassBuilder::new("App")
+        .method("spin", &["n", "bad"], |m| {
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("loop");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("bad").ifz(Cmp::Eq, "out");
+            m.line();
+            m.native("no_such", 0).pop();
+            m.line();
+            m.label("out");
+            m.load("i").retv();
+        })
+        .method("main", &["n", "bad"], |m| {
+            m.line();
+            m.load("n").load("bad").invoke("App", "spin", 2).store("r");
+            m.line();
+            m.pushi(7).load("r").add().retv();
+        })
+        .build()
+        .unwrap();
+    preprocess_sod(&class).unwrap()
+}
+
+/// 3 ms of guest time: still counting when a 1 ms migration has restored.
+const N: i64 = 400_000;
+
+/// Node 0 holds the application, node 1 nothing yet.
+fn home_and_worker() -> Cluster {
+    let mut home = Node::new(NodeConfig::cluster("home"));
+    home.deploy(&app_class()).unwrap();
+    Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))])
+}
+
+/// A victim and a sibling homed on node 0, the victim — with `offload` —
+/// sending its top frame to node 1 at 1 ms. Not yet run.
+fn fleet(victim_bad: i64, offload: bool) -> (SodSim, ProgramId, ProgramId) {
+    let mut cluster = home_and_worker();
+    let victim = cluster.add_program(
+        0,
+        "App",
+        "main",
+        vec![Value::Int(N), Value::Int(victim_bad)],
+    );
+    let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
+    if offload {
+        let plan = MigrationPlan::top_to(1, 1);
+        cluster.arm_trigger(victim, ArmedTrigger::with_plan(Trigger::At(MS), plan));
+    }
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, victim);
+    sim.start_program(0, sibling);
+    (sim, victim, sibling)
+}
+
+/// Run to idle: the sibling returned its value, the victim failed — typed.
+fn victims_error(mut sim: SodSim, victim: ProgramId, sibling: ProgramId) -> String {
+    sim.run();
+    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.report(sibling).result, Some(7 + N));
+    assert!(sim.program(victim).done);
+    assert_eq!(sim.report(victim).result, None);
+    sim.program(victim).error.clone().expect("typed failure")
+}
+
+#[test]
+fn an_unknown_native_fails_its_own_program_at_home() {
+    let (sim, victim, sibling) = fleet(1, false);
+    let error = victims_error(sim, victim, sibling);
+    assert_eq!(error, "unknown intrinsic: no_such");
+}
+
+#[test]
+fn an_unknown_native_fails_its_own_program_on_a_worker() {
+    let (sim, victim, sibling) = fleet(1, true);
+    let error = victims_error(sim, victim, sibling);
+    assert_eq!(error, "unknown intrinsic: no_such");
+}
+
+/// Arm a breakpoint for thread `tid` of `node` on the very instruction it
+/// will execute next.
+fn arm_where_it_stands(sim: &mut SodSim, node: usize, tid: usize) {
+    let vm = &mut sim.sim.world.nodes[node].vm;
+    let f = vm.thread(tid).unwrap().frames.last().unwrap().clone();
+    vm.set_breakpoint(tid, f.class_idx, f.method_idx, f.pc);
+}
+
+#[test]
+fn a_stray_breakpoint_on_a_running_worker_fails_that_program_only() {
+    let (mut sim, victim, sibling) = fleet(0, true);
+    // Step until the victim's segment runs on the worker, its restore
+    // finished. It is the worker VM's only thread.
+    while sim.report(victim).migrations.is_empty() {
+        assert!(sim.sim.step(), "the segment never restored");
+    }
+    arm_where_it_stands(&mut sim, 1, 0);
+    let error = victims_error(sim, victim, sibling);
+    assert_eq!(error, "stray breakpoint: session is not restoring");
+}
+
+#[test]
+fn a_stray_breakpoint_on_a_root_thread_fails_that_program_only() {
+    let (mut sim, victim, sibling) = fleet(0, false);
+    while sim.sim.now() < MS {
+        assert!(sim.sim.step(), "the programs finished early");
+    }
+    let tid = sim.program(victim).home_tid;
+    arm_where_it_stands(&mut sim, 0, tid);
+    let error = victims_error(sim, victim, sibling);
+    assert_eq!(error, "stray breakpoint: not a worker thread");
+}
+
+/// One program whose two frames restore on the worker through the handler
+/// protocol, under a chaos plan that crashes the worker at `crash_at`.
+fn restoring_sim(crash_at: u64) -> (SodSim, ProgramId) {
+    let mut cluster = home_and_worker();
+    let p = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
+    let plan = MigrationPlan::top_to(1, 2);
+    cluster.arm_trigger(p, ArmedTrigger::with_plan(Trigger::At(MS), plan));
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.set_chaos(&ChaosPlan::new().crash_at(crash_at, 1));
+    sim.set_retry_policy(RetryPolicy::FallbackToHome);
+    sim.set_migration_timeout(20 * MS);
+    sim.start_program(0, p);
+    (sim, p)
+}
+
+#[test]
+fn a_worker_crashing_mid_restore_leaves_no_breakpoint_armed() {
+    // Probe: with the crash far away, when does the worker hold an armed
+    // breakpoint? (From the restore's begin to its last frame's trip.)
+    let (mut probe, _) = restoring_sim(1_000 * MS);
+    let armed = |sim: &SodSim| sim.sim.world.nodes[1].vm.breakpoints_armed();
+    while armed(&probe) == 0 {
+        assert!(probe.sim.step(), "the restore never armed a breakpoint");
+    }
+    let from = probe.sim.now();
+    while armed(&probe) > 0 {
+        assert!(probe.sim.step());
+    }
+    let until = probe.sim.now();
+    assert!(from < until, "the breakpoint was armed for no time at all");
+
+    // The run: crash the worker in the middle of that window. The session
+    // dies restoring; the deadline brings the program home.
+    let (mut sim, p) = restoring_sim(from + (until - from) / 2);
+    sim.run();
+    assert_eq!(sim.program(p).error, None);
+    assert_eq!(sim.report(p).result, Some(7 + N));
+    assert_eq!(sim.cluster_report().chaos.fallbacks, 1);
+    for node in &sim.sim.world.nodes {
+        assert_eq!(node.vm.breakpoints_armed(), 0, "on {}", node.cfg.name);
+    }
+}

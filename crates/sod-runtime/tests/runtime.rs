@@ -722,3 +722,41 @@ fn burst_fleet_matches_across_queues() {
     }
     assert_eq!(run(Scheduler::GlobalHeap), sharded);
 }
+
+#[test]
+fn overlapping_handler_restores_on_one_worker_keep_their_reports() {
+    // Two tenants ship their top frame to the same worker at the same
+    // moment, so their handler-protocol restores interleave slice by
+    // slice, each with a breakpoint armed while the other runs. Neither
+    // may see the other's breakpoint: the reports are pinned to what the
+    // engine produced when breakpoints were checked VM-wide.
+    let class = wide_class();
+    let n = 200_000i64;
+    let report = scenario_of(2, &class)
+        .slice_ns(2_000)
+        .fleet(
+            Fleet::new("Wide", "sum", vec![Value::Int(n)])
+                .programs(2)
+                .migrate(When::At(MS), Plan::top_to("n1", 1)),
+        )
+        .run()
+        .unwrap();
+    let seen: Vec<_> = report
+        .programs()
+        .iter()
+        .map(|p| {
+            assert_eq!(p.error, None);
+            let r = &p.report;
+            assert_eq!(r.result, Some((0..n).sum::<i64>() + (1..10).sum::<i64>()));
+            assert_eq!(r.migrations.len(), 1);
+            let m = &r.migrations[0];
+            (r.finished_at_ns, r.instructions, m.capture_ns, m.restore_ns)
+        })
+        .collect();
+    // (finished_at_ns, instructions, capture_ns, restore_ns)
+    let pinned = [
+        (10_974_010, 2_400_060, 612_000, 4_297_930),
+        (11_090_874, 2_400_060, 612_000, 3_397_265),
+    ];
+    assert_eq!(seen, pinned);
+}

@@ -22,7 +22,7 @@
 //!
 //! **What is deliberately *not* captured:** the interpreter's pre-resolved
 //! operand form — inline-cache slots, canonical class-name `Arc`s, and
-//! superinstruction tables (see `sod_vm::fastpath`). Those are node-local
+//! dispatch rows (see `sod_vm::fastpath`). Those are node-local
 //! acceleration state rebuilt at link time and rewarmed by execution; a
 //! migrated segment restores *cold* at the destination and must behave (and
 //! meter) identically to one restored warm, which

@@ -20,12 +20,10 @@ use crate::instr::Instr;
 /// JIT, is modelled with a similar externally applied factor.
 pub const INTERP_MODE_FACTOR: u32 = 12;
 
-/// Cost in virtual nanoseconds of executing `i` once in JIT mode.
-///
-/// Superinstructions charge *exactly* this, twice: a fused pair precomputes
-/// the two halves' costs at link time and pushes each through a separate
-/// meter charge (per-charge scaling does not distribute over a summed
-/// cost), so fusion changes host time only, never virtual time.
+/// Cost in virtual nanoseconds of executing `i` once in JIT mode. Looked up
+/// once per pc at link time (`fastpath::Row::cost`); each execution scales
+/// and charges it separately, because per-charge rounding does not
+/// distribute over a summed cost.
 #[inline]
 pub fn instr_cost(i: &Instr) -> u64 {
     use Instr::*;

@@ -1,14 +1,16 @@
-//! Interpreter fast path: inline-cache slots and the per-pc dispatch rows
-//! with their link-time superinstruction marks.
+//! Interpreter fast path: inline-cache slots, the per-pc dispatch rows, and
+//! the *window instruction set* — the instructions that touch nothing but
+//! the running frame's slice of the value stack, which [`Vm::run`]'s loop
+//! retires on locals.
 //!
 //! Everything here is acceleration state a VM may simply lack. The
 //! reference semantics the differential suites compare against are not a
-//! second interpreter path but a VM built without it
-//! ([`crate::interp::Vm::reference`]): its classes link with nothing fused
-//! and its inline caches never fill, so every site takes — forever — the
-//! by-name resolution a fast VM takes on its first visit.
+//! second interpreter path but a VM whose inline caches never fill
+//! ([`crate::interp::Vm::reference`]): every site takes — forever — the
+//! by-name resolution a fast VM takes on its first visit, and every call
+//! takes the full path a fast VM takes only until its site is warm.
 //!
-//! Three rules keep a warmed fast VM *observably identical* to that:
+//! Two rules keep a warmed fast VM *observably identical* to that:
 //!
 //! * **Caches are positive-only and node-local.** A VM's class table is
 //!   append-only — a resolved `(class, member)` pair never changes for the
@@ -23,25 +25,28 @@
 //!   `Arc::ptr_eq` against the loaded class's canonical name `Arc`. Objects
 //!   that arrive over the wire carry a fresh `Arc` and simply miss once,
 //!   after which their class pointer is canonicalized.
-//! * **Fused pairs charge and retire as two instructions.** Each half is
-//!   charged its own row's cost through a separate meter charge (per-charge
-//!   scaling does not distribute over sums) and counted, and the slice
-//!   budget is honoured *between* the halves — exactly where the unfused
-//!   loop would have stopped.
 //!
-//! Fusion is restricted to pairs whose first half is a pure single-value
-//! push ([`Instr::Load`] / [`Instr::PushI`] — together roughly 40 % of
-//! retired instructions on the fib/nqueens/fft workloads). A pure push
-//! cannot park, throw a guest exception, or leave the operand stack empty,
-//! so the mid-pair pc is never a migration-safe point and a `StopAtMsp` run
-//! loop cannot miss a stop by skipping the mid-pair check. The second half
-//! executes through the ordinary single-instruction path with the frame pc
-//! already advanced, so every throw/park records the same pc as unfused
-//! execution. Fused dispatch is bypassed while any breakpoint is armed.
+//! A [`Row`] is what the loop reads per pc: the instruction, its unscaled
+//! cost, and whether the pc is a migration-safe point. There is nothing
+//! else to link — no instruction is rewritten, paired or pre-scaled — so a
+//! fast VM and a reference VM link identical rows.
+//!
+//! [`window_op`] is the one executing arm of every window instruction:
+//! the run loop calls it with the frame held in a [`Window`] of locals, and
+//! the full path (`exec_instr`, hence [`Vm::step`]) delegates to the same
+//! function. It mutates nothing unless the instruction retires; anything
+//! unusual comes back as a register-sized [`Exit`] code, and only the full
+//! path turns a code into a `VmError` or a guest exception.
+//!
+//! [`Vm::run`]: crate::interp::Vm::run
+//! [`Vm::step`]: crate::interp::Vm::step
 
+use crate::analysis::MethodSummary;
 use crate::class::MethodDef;
 use crate::costs::instr_cost;
+use crate::heap::Heap;
 use crate::instr::Instr;
+use crate::value::{ObjId, Value};
 
 /// Empty-slot sentinel for [`IcCell`] (`ObjId` and class indices never
 /// reach `u32::MAX`).
@@ -81,24 +86,21 @@ pub struct Row {
     pub instr: Instr,
     /// The unscaled [`instr_cost`] of `instr`.
     pub cost: u32,
-    /// This pc heads a superinstruction: `instr` is a pure push and the row
-    /// at `pc + 1` is its second half.
-    pub fused: bool,
+    /// This pc is a migration-safe point of its method (a line start the
+    /// verifier reaches with an empty operand stack).
+    pub msp: bool,
 }
 
-/// Link one method into its dispatch rows; with `fuse` (off in a reference
-/// VM), a pure push that has a successor is marked fused. Entering at
-/// `i + 1` (e.g. as a branch target) simply executes unfused — a fused row
-/// is an *alternative* dispatch for pc `i`, not a rewrite of the stream, so
-/// pcs, branch targets, exception ranges and capture offsets are untouched.
-pub fn link_rows(method: &MethodDef, fuse: bool) -> Vec<Row> {
-    let code = &method.code;
-    code.iter()
+/// Link one verified method into its dispatch rows.
+pub fn link_rows(method: &MethodDef, summary: &MethodSummary) -> Vec<Row> {
+    method
+        .code
+        .iter()
         .enumerate()
-        .map(|(i, instr)| Row {
+        .map(|(pc, instr)| Row {
             instr: *instr,
             cost: instr_cost(instr) as u32,
-            fused: fuse && i + 1 < code.len() && matches!(instr, Instr::Load(_) | Instr::PushI(_)),
+            msp: summary.is_msp(pc as u32),
         })
         .collect()
 }
@@ -108,47 +110,394 @@ pub fn build_ic_row(method: &MethodDef) -> Vec<IcCell> {
     vec![IcCell::EMPTY; method.code.len()]
 }
 
+/// The running frame, held in locals: its thread's value stack from the
+/// frame's base up, as a slice (locals at `stack[..floor]`, operands at
+/// `stack[floor..sp]`, spare room above `sp`), and its pc.
+pub struct Window<'a> {
+    pub stack: &'a mut [Value],
+    /// One past the top operand.
+    pub sp: usize,
+    pub pc: u32,
+    /// The number of locals.
+    pub floor: usize,
+    /// Read only to compare references across fetch states.
+    pub heap: &'a Heap,
+}
+
+/// What a type check wanted (the `expected` of a `TypeMismatch`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Expected {
+    Int,
+    Num,
+    Numeric,
+    MatchingNumeric,
+    Comparable,
+}
+
+impl Expected {
+    pub fn name(self) -> &'static str {
+        match self {
+            Expected::Int => "int",
+            Expected::Num => "num",
+            Expected::Numeric => "numeric",
+            Expected::MatchingNumeric => "matching numeric operands",
+            Expected::Comparable => "comparable operands",
+        }
+    }
+}
+
+/// Why the window did not retire an instruction. Nothing was mutated, so
+/// the instruction can simply execute again on the full path, which owns
+/// every error and every guest throw.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Exit {
+    /// Not for the window: the instruction reaches past the frame (heap,
+    /// classes, other frames), or there is no spare slot to push into.
+    Full,
+    /// A `Load`/`Store` names a slot outside the frame's locals.
+    BadSlot(u16),
+    /// Fewer operands above the floor than the instruction pops.
+    Underflow,
+    /// The operand `depth` below the top has the wrong type.
+    Type { expected: Expected, depth: u8 },
+    /// Integer `Div`/`Rem` by zero: a guest `DivByZero`.
+    DivZero,
+}
+
+/// Execute `instr` if it touches only the frame's window: on `Ok` the
+/// operands, `sp` and `pc` have moved; on `Err` nothing has.
+#[inline(always)]
+pub fn window_op(w: &mut Window<'_>, instr: &Instr) -> Result<(), Exit> {
+    use Instr::*;
+
+    let (sp, floor) = (w.sp, w.floor);
+    // The operand `$depth` below the top.
+    macro_rules! peek {
+        ($depth:expr) => {{
+            let depth: usize = $depth;
+            if sp <= floor + depth {
+                return Err(unusual(Exit::Underflow));
+            }
+            match w.stack.get(sp - 1 - depth) {
+                Some(v) => *v,
+                None => return Err(unusual(Exit::Underflow)),
+            }
+        }};
+    }
+    // Replace the top `$pops` operands (all peeked) with `$v`.
+    macro_rules! replace {
+        ($pops:expr, $v:expr) => {{
+            let at = sp - $pops;
+            match w.stack.get_mut(at) {
+                Some(slot) => *slot = $v,
+                None => return Err(Exit::Full),
+            }
+            w.sp = at + 1;
+        }};
+    }
+    macro_rules! int {
+        ($depth:expr) => {
+            match peek!($depth) {
+                Value::Int(i) => i,
+                _ => {
+                    return Err(unusual(Exit::Type {
+                        expected: Expected::Int,
+                        depth: $depth,
+                    }))
+                }
+            }
+        };
+    }
+    macro_rules! local_at {
+        ($slot:expr) => {{
+            let at = $slot as usize;
+            if at >= floor || at >= w.stack.len() {
+                return Err(unusual(Exit::BadSlot($slot)));
+            }
+            at
+        }};
+    }
+    macro_rules! branch {
+        ($pops:expr, $taken:expr, $t:expr) => {{
+            w.sp = sp - $pops;
+            w.pc = if $taken { $t } else { w.pc + 1 };
+            return Ok(());
+        }};
+    }
+
+    match *instr {
+        PushI(v) => replace!(0, Value::Int(v)),
+        PushF(v) => replace!(0, Value::Num(v)),
+        PushNull => replace!(0, Value::Null),
+        Load(slot) => {
+            let v = w.stack[local_at!(slot)];
+            replace!(0, v)
+        }
+        Store(slot) => {
+            let at = local_at!(slot);
+            let v = peek!(0);
+            w.stack[at] = v;
+            w.sp = sp - 1;
+        }
+        Dup => {
+            let v = peek!(0);
+            replace!(0, v)
+        }
+        Pop => {
+            peek!(0);
+            w.sp = sp - 1;
+        }
+        Swap => {
+            let (b, a) = (peek!(0), peek!(1));
+            w.stack[sp - 2] = b;
+            w.stack[sp - 1] = a;
+        }
+        Add | Sub | Mul | Div | Rem => {
+            let (b, a) = (peek!(0), peek!(1));
+            let r = match (a, b) {
+                (Value::Int(x), Value::Int(y)) => Value::Int(match *instr {
+                    Add => x.wrapping_add(y),
+                    Sub => x.wrapping_sub(y),
+                    Mul => x.wrapping_mul(y),
+                    _ if y == 0 => return Err(unusual(Exit::DivZero)),
+                    Div => x.wrapping_div(y),
+                    _ => x.wrapping_rem(y),
+                }),
+                (Value::Num(x), Value::Num(y)) => Value::Num(match *instr {
+                    Add => x + y,
+                    Sub => x - y,
+                    Mul => x * y,
+                    Div => x / y,
+                    _ => x % y,
+                }),
+                (a, _) => {
+                    return Err(unusual(Exit::Type {
+                        expected: Expected::MatchingNumeric,
+                        depth: u8::from(!a.is_reference()),
+                    }))
+                }
+            };
+            replace!(2, r)
+        }
+        Neg => {
+            let r = match peek!(0) {
+                Value::Int(x) => Value::Int(x.wrapping_neg()),
+                Value::Num(x) => Value::Num(-x),
+                _ => {
+                    return Err(unusual(Exit::Type {
+                        expected: Expected::Numeric,
+                        depth: 0,
+                    }))
+                }
+            };
+            replace!(1, r)
+        }
+        Shl | Shr | BAnd | BOr | BXor => {
+            let b = int!(0);
+            let a = int!(1);
+            let r = match *instr {
+                Shl => a.wrapping_shl(b as u32),
+                Shr => a.wrapping_shr(b as u32),
+                BAnd => a & b,
+                BOr => a | b,
+                _ => a ^ b,
+            };
+            replace!(2, Value::Int(r))
+        }
+        I2F => {
+            let a = int!(0);
+            replace!(1, Value::Num(a as f64))
+        }
+        F2I => {
+            let Value::Num(a) = peek!(0) else {
+                return Err(unusual(Exit::Type {
+                    expected: Expected::Num,
+                    depth: 0,
+                }));
+            };
+            replace!(1, Value::Int(a as i64))
+        }
+        If(cmp, t) => {
+            let (b, a) = (peek!(0), peek!(1));
+            let sign = match (a, b) {
+                (Value::Int(x), Value::Int(y)) => x.cmp(&y) as i32,
+                (Value::Num(x), Value::Num(y)) => x.partial_cmp(&y).map(|o| o as i32).unwrap_or(1),
+                (Value::Ref(x), Value::Ref(y)) => (x != y) as i32,
+                // Reference identity across fetch states: a
+                // transfer-nulled ref equals the cached copy of the
+                // same home object.
+                (a, b) if a.is_reference() && b.is_reference() => {
+                    (identity(w.heap, a) != identity(w.heap, b)) as i32
+                }
+                (a, _) => {
+                    return Err(unusual(Exit::Type {
+                        expected: Expected::Comparable,
+                        depth: u8::from(!a.is_reference()),
+                    }))
+                }
+            };
+            branch!(2, cmp.eval_sign(sign), t)
+        }
+        IfZ(cmp, t) => {
+            let a = int!(0);
+            branch!(1, cmp.eval_sign(a.cmp(&0) as i32), t)
+        }
+        IfNull(t) => branch!(1, peek!(0).is_null(), t),
+        IfNonNull(t) => branch!(1, !peek!(0).is_null(), t),
+        Goto(t) => branch!(0, true, t),
+        Nop => {}
+        _ => return Err(Exit::Full),
+    }
+    w.pc += 1;
+    Ok(())
+}
+
+/// An anomaly's way out of [`window_op`]: a call the optimiser knows is
+/// rare, so the loop around it is laid out and register-allocated for the
+/// instructions that retire.
+#[cold]
+#[inline(never)]
+fn unusual(exit: Exit) -> Exit {
+    exit
+}
+
+/// What a reference denotes, for identity comparison: nothing (`null`),
+/// the master copy of a home object (a transfer-nulled ref, or the cached
+/// copy it was fetched into), or a local object.
+#[cold]
+fn identity(heap: &Heap, v: Value) -> Option<(bool, ObjId)> {
+    match v {
+        Value::NulledRef(h) => Some((true, h)),
+        Value::Ref(id) => match heap.get(id).ok().and_then(|o| o.home_id()) {
+            Some(h) => Some((true, h)),
+            None => Some((false, id)),
+        },
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class::MethodDef;
+    use crate::analysis::method_summary;
+    use crate::class::{ClassDef, MethodDef};
     use crate::instr::Cmp;
 
-    #[test]
-    fn fuses_only_pure_push_prefixes() {
-        let m = MethodDef::new("m", 0, 2).with_code(
-            vec![
-                Instr::Load(0),  // 0: fusable (Load, PushI)
-                Instr::PushI(5), // 1: fusable (PushI, Add)
-                Instr::Add,      // 2: not a pure push
-                Instr::Store(1), // 3: not a pure push
-                Instr::Load(1),  // 4: fusable (Load, RetV)
-                Instr::RetV,     // 5: last instruction, no successor
-            ],
-            vec![1; 6],
-        );
-        let rows = link_rows(&m, true);
-        let fused: Vec<bool> = rows.iter().map(|r| r.fused).collect();
-        assert_eq!(fused, [true, true, false, false, true, false]);
-        // Each half keeps its own unfused cost, not a combined figure, and
-        // branches and returns are fine as second halves: the pc is set
-        // before they execute, so their control transfer is unchanged.
-        for (row, instr) in rows.iter().zip(&m.code) {
-            assert_eq!(row.instr, *instr);
-            assert_eq!(u64::from(row.cost), instr_cost(instr));
-        }
-        // A reference VM links the same rows with nothing fused.
-        assert!(link_rows(&m, false).iter().all(|r| !r.fused));
+    fn rows_of(m: MethodDef) -> (Vec<Row>, ClassDef) {
+        let c = ClassDef::new("T").with_method(m);
+        let summary = method_summary(&c, &c.methods[0]).unwrap();
+        (link_rows(&c.methods[0], &summary), c)
     }
 
     #[test]
-    fn trailing_pure_push_is_not_fused() {
-        let m = MethodDef::new("m", 0, 1).with_code(
-            vec![Instr::Load(0), Instr::IfZ(Cmp::Eq, 2), Instr::PushI(1)],
-            vec![1; 3],
-        );
-        let fused: Vec<bool> = link_rows(&m, true).iter().map(|r| r.fused).collect();
-        assert_eq!(fused, [true, false, false]);
+    fn rows_carry_the_instruction_its_cost_and_its_msp_flag() {
+        let (rows, c) = rows_of(MethodDef::new("m", 0, 2).with_code(
+            vec![
+                Instr::Load(0),  // 0  line 1: an MSP
+                Instr::PushI(5), // 1
+                Instr::Add,      // 2
+                Instr::Store(1), // 3
+                Instr::Load(1),  // 4  line 2: an MSP
+                Instr::RetV,     // 5
+            ],
+            vec![1, 1, 1, 1, 2, 2],
+        ));
+        // One row per pc, nothing rewritten or paired: each keeps its own
+        // instruction and its own unscaled cost.
+        for (row, instr) in rows.iter().zip(&c.methods[0].code) {
+            assert_eq!(row.instr, *instr);
+            assert_eq!(u64::from(row.cost), instr_cost(instr));
+        }
+        let msp: Vec<bool> = rows.iter().map(|r| r.msp).collect();
+        assert_eq!(msp, [true, false, false, false, true, false]);
+    }
+
+    #[test]
+    fn a_line_start_with_operands_is_not_an_msp_row() {
+        // pc 1 starts line 2 with one operand on the stack.
+        let (rows, _) = rows_of(MethodDef::new("m", 0, 1).with_code(
+            vec![Instr::Load(0), Instr::IfZ(Cmp::Eq, 2), Instr::Ret],
+            vec![1, 2, 3],
+        ));
+        let msp: Vec<bool> = rows.iter().map(|r| r.msp).collect();
+        assert_eq!(msp, [true, false, true]);
+    }
+
+    /// A window over `values`: `nlocals` locals, the rest operands, and
+    /// `room` spare slots.
+    fn with_window<R>(
+        values: &[Value],
+        nlocals: usize,
+        room: usize,
+        f: impl FnOnce(&mut Window<'_>) -> R,
+    ) -> (R, Vec<Value>, usize, u32) {
+        let heap = Heap::new();
+        let mut stack = values.to_vec();
+        stack.resize(values.len() + room, Value::Int(0));
+        let mut w = Window {
+            stack: &mut stack,
+            sp: values.len(),
+            pc: 7,
+            floor: nlocals,
+            heap: &heap,
+        };
+        let r = f(&mut w);
+        let (sp, pc) = (w.sp, w.pc);
+        (r, stack, sp, pc)
+    }
+
+    #[test]
+    fn window_op_retires_or_leaves_everything_untouched() {
+        let vals = [Value::Int(9), Value::Int(6), Value::Int(3)];
+        // 6 - 3 with one local below.
+        let (r, stack, sp, pc) = with_window(&vals, 1, 1, |w| window_op(w, &Instr::Sub));
+        assert_eq!((r, sp, pc), (Ok(()), 2, 8));
+        assert_eq!(stack[..2], [Value::Int(9), Value::Int(3)]);
+        // A taken branch pops and lands on its target.
+        let (r, _, sp, pc) = with_window(&vals, 1, 1, |w| window_op(w, &Instr::If(Cmp::Gt, 40)));
+        assert_eq!((r, sp, pc), (Ok(()), 1, 40));
+
+        // Every refusal leaves sp, pc and the values where they were.
+        let cases: [(&[Value], usize, usize, Instr, Exit); 8] = [
+            (&vals, 1, 1, Instr::Load(1), Exit::BadSlot(1)),
+            (&vals, 3, 1, Instr::Pop, Exit::Underflow),
+            (&vals, 2, 1, Instr::Add, Exit::Underflow),
+            (&vals, 1, 0, Instr::PushI(1), Exit::Full),
+            (&vals, 1, 1, Instr::New(0), Exit::Full),
+            (
+                &[Value::Int(1), Value::Int(0)],
+                0,
+                1,
+                Instr::Rem,
+                Exit::DivZero,
+            ),
+            (
+                &[Value::Num(1.0), Value::Int(2)],
+                0,
+                1,
+                Instr::Mul,
+                Exit::Type {
+                    expected: Expected::MatchingNumeric,
+                    depth: 1,
+                },
+            ),
+            (
+                &[Value::Int(1), Value::Null],
+                0,
+                1,
+                Instr::Shl,
+                Exit::Type {
+                    expected: Expected::Int,
+                    depth: 0,
+                },
+            ),
+        ];
+        for (values, nlocals, room, instr, exit) in cases {
+            let (r, stack, sp, pc) = with_window(values, nlocals, room, |w| window_op(w, &instr));
+            assert_eq!(r, Err(exit), "{instr:?}");
+            assert_eq!((sp, pc), (values.len(), 7), "{instr:?}");
+            assert_eq!(&stack[..values.len()], values, "{instr:?}");
+        }
     }
 
     #[test]

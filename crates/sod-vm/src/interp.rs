@@ -22,12 +22,25 @@
 //!   inline-cache cell unconditionally; on a miss it resolves by name and
 //!   hands the result to the single cache writer (`fill_ic`). The reference
 //!   semantics the differential suites compare against are this same code
-//!   in a VM built without acceleration state ([`Vm::reference`]): no
-//!   fusion table is linked and the writer refuses to fill, so every site
-//!   misses forever — the cold state every migrated stack *arrives* in
-//!   (see [`crate::fastpath`]). The instructions only preprocessor-injected
-//!   code executes live out of line in `exec_protocol`, keeping the hot
-//!   match in `exec_instr` small.
+//!   in a VM whose writer refuses to fill ([`Vm::reference`]), so every
+//!   site misses forever — the cold state every migrated stack *arrives* in
+//!   (see [`crate::fastpath`]).
+//! * **One executing arm per instruction, two ways to reach it.** The
+//!   instructions that touch only the running frame's window of the value
+//!   stack — pushes, locals, arithmetic, branches — execute in
+//!   [`window_op`]. [`Vm::run`] calls it from
+//!   a small loop that holds the frame in locals (stack slice, `sp`, `pc`,
+//!   the slice's meters) and also takes warm static calls and returns to a
+//!   caller; everything else, and *any anomaly* in the above (a slot or
+//!   operand outside the window, mixed operand types, division by zero, an
+//!   unfilled call site, a bad arity, the root frame's return), leaves the
+//!   loop uncharged and executes once on the full path, `exec_instr`,
+//!   which delegates window instructions to the same `window_op` and is
+//!   the only place an error or a guest throw is built. The full path is
+//!   compiled once and deliberately *not* inlined into the loop: that is
+//!   what keeps the loop's state in registers. The instructions only
+//!   preprocessor-injected code executes live further out of line in
+//!   `exec_protocol`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,7 +50,7 @@ use crate::capture::Locals;
 use crate::class::{ClassDef, ExKind};
 use crate::costs::{alloc_cost, INTERP_MODE_FACTOR};
 use crate::error::{VmError, VmResult};
-use crate::fastpath::{build_ic_row, link_rows, IcCell, Row};
+use crate::fastpath::{build_ic_row, link_rows, window_op, Exit, IcCell, Row, Window};
 use crate::frame::Frame;
 use crate::heap::{Heap, ObjKind};
 use crate::instr::Instr;
@@ -68,19 +81,28 @@ pub struct LoadedClass {
     /// Each method's name behind a shared `Arc`, by method index: what a
     /// captured frame of that method clones instead of copying the string.
     method_names: Vec<Arc<str>>,
-    /// Inline-cache slots, `ics[method][pc]` (see [`IcCell`]). Node-local,
+    /// What the interpreter reads per method, by method index.
+    linked: Vec<LinkedMethod>,
+}
+
+/// One method's linked form: everything the run loop reads to open a window
+/// on it, side by side.
+#[derive(Clone, Debug)]
+struct LinkedMethod {
+    /// Dispatch rows, `rows[pc]` (see [`Row`]). Immutable once linked.
+    rows: Vec<Row>,
+    /// Inline-cache slots, `ics[pc]` (see [`IcCell`]). Node-local,
     /// positive-only, mutated during execution, never serialized.
-    ics: Vec<Vec<IcCell>>,
-    /// Dispatch rows, `rows[method][pc]` (see [`Row`]). Immutable once
-    /// linked and shared, so a run loop can hold the current method's rows
-    /// across instructions that borrow the whole VM mutably.
-    rows: Arc<[Vec<Row>]>,
+    ics: Vec<IcCell>,
+    nargs: u16,
+    nlocals: u16,
+    /// The verified operand-stack peak: the spare room a window needs.
+    max_stack: u32,
 }
 
 impl LoadedClass {
-    /// Verify and link `def`. A reference VM links rows with nothing
-    /// fused, so its dispatch never takes a superinstruction.
-    fn link(def: ClassDef, reference: bool) -> VmResult<Self> {
+    /// Verify and link `def`.
+    fn link(def: ClassDef) -> VmResult<Self> {
         let summaries = class_summaries(&def)?;
         let method_map = def
             .methods
@@ -109,11 +131,17 @@ impl LoadedClass {
             .iter()
             .map(|m| Arc::from(m.name.as_str()))
             .collect();
-        let ics = def.methods.iter().map(build_ic_row).collect();
-        let rows = def
+        let linked = def
             .methods
             .iter()
-            .map(|m| link_rows(m, !reference))
+            .zip(&summaries)
+            .map(|(m, summary)| LinkedMethod {
+                rows: link_rows(m, summary),
+                ics: build_ic_row(m),
+                nargs: m.nargs,
+                nlocals: m.nlocals,
+                max_stack: summary.max_stack,
+            })
             .collect();
         Ok(LoadedClass {
             def,
@@ -124,8 +152,7 @@ impl LoadedClass {
             static_field_map,
             name_arc,
             method_names,
-            ics,
-            rows,
+            linked,
         })
     }
 
@@ -141,7 +168,8 @@ impl LoadedClass {
 
     /// Number of inline-cache slots this class has filled (warm sites).
     pub fn ic_warm_count(&self) -> usize {
-        self.ics.iter().flatten().filter(|c| c.is_filled()).count()
+        let cells = self.linked.iter().flat_map(|m| &m.ics);
+        cells.filter(|c| c.is_filled()).count()
     }
 
     pub fn method_idx(&self, name: &str) -> Option<usize> {
@@ -439,7 +467,7 @@ pub struct Vm {
     /// with many migrated segments restoring concurrently on one node,
     /// a breakpoint armed for one restoring thread must never trip on
     /// another thread running the same method.
-    breakpoints: Vec<(usize, usize, usize, u32)>,
+    breakpoints: Vec<Breakpoint>,
     /// Virtual nanoseconds of guest execution accumulated so far.
     pub meter_ns: u64,
     /// Instructions retired.
@@ -451,7 +479,7 @@ pub struct Vm {
     pub mem_limit: Option<u64>,
     /// Whether this is a reference VM (see [`Vm::reference`]). Fixed at
     /// construction and read only where acceleration state would be built:
-    /// linking a class and filling an inline-cache cell.
+    /// filling an inline-cache cell.
     reference: bool,
 }
 
@@ -480,11 +508,11 @@ impl Vm {
     }
 
     /// A VM with the reference semantics the differential suites compare
-    /// against: the same interpreter, built without acceleration state. Its
-    /// classes link with no fusion table and its inline caches never fill,
-    /// so every site misses forever and re-runs the by-name resolution a
-    /// fast VM runs on its first visit. Reports must be bit-identical either
-    /// way — pinned by `tests/interp_equivalence.rs`.
+    /// against: the same interpreter, whose inline caches never fill. Every
+    /// site misses forever and re-runs the by-name resolution a fast VM
+    /// runs on its first visit, and every call takes the full path. Reports
+    /// must be bit-identical either way — pinned by
+    /// `tests/interp_equivalence.rs`.
     pub fn reference() -> Self {
         Vm {
             reference: true,
@@ -501,7 +529,7 @@ impl Vm {
         if self.class_index.contains_key(&def.name) {
             return Err(VmError::DuplicateClass(def.name.clone()));
         }
-        let linked = LoadedClass::link(def.clone(), self.reference)?;
+        let linked = LoadedClass::link(def.clone())?;
         let idx = self.classes.len();
         self.class_index.insert(def.name.clone(), idx);
         self.classes.push(linked);
@@ -624,6 +652,12 @@ impl Vm {
             .retain(|&b| b != (tid, class_idx, method_idx, pc));
     }
 
+    /// Disarm every breakpoint armed for thread `tid` (whoever retires a
+    /// thread mid-restore calls this, so its entries do not outlive it).
+    pub fn clear_thread_breakpoints(&mut self, tid: usize) {
+        self.breakpoints.retain(|b| b.0 != tid);
+    }
+
     pub fn breakpoints_armed(&self) -> usize {
         self.breakpoints.len()
     }
@@ -632,26 +666,27 @@ impl Vm {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Execute one instruction of thread `tid`. Always strictly
-    /// single-instruction — superinstruction dispatch happens only inside
-    /// [`Vm::run`] — so restore drivers and tooling that step a thread see
-    /// every pc.
+    /// Execute one instruction of thread `tid` on the full path — exactly
+    /// one, whatever it is — so restore drivers and tooling that step a
+    /// thread see every pc. Its own entry, not a one-instruction
+    /// [`Vm::run`]: it shares the per-instruction order and `exec_instr`
+    /// with the loop, nothing else.
     pub fn step(&mut self, tid: usize) -> VmResult<StepOutcome> {
         if let Some(out) = self.settled(tid)? {
             return Ok(out);
         }
         let (ci, mi, pc, base, floor) = self.top_window(tid);
-        if let Some(out) = self.trip_breakpoint((tid, ci, mi, pc)) {
-            return Ok(out);
+        if let Some(at) = breakpoint_at(&self.breakpoints, (tid, ci, mi, pc)) {
+            return Ok(self.trip_breakpoint(at));
         }
-        let row = self.classes[ci].rows[mi].get(pc as usize).copied();
+        let row = self.classes[ci].linked[mi].rows.get(pc as usize).copied();
         let row = row.ok_or_else(|| VmError::BadPc(pc))?;
         self.charge(tid, u64::from(row.cost));
         self.instr_count += 1;
         Ok(
             match self.exec_instr(tid, ci, mi, pc, base, floor, row.instr)? {
                 Flow::Leave => self.stopped(tid),
-                Flow::Goto(_) | Flow::Reframe => StepOutcome::Continue,
+                Flow::Next => StepOutcome::Continue,
             },
         )
     }
@@ -692,15 +727,14 @@ impl Vm {
         (f.class_idx, f.method_idx, f.pc, f.base, f.floor())
     }
 
-    /// The breakpoint check happens before execution and disarms the point.
-    fn trip_breakpoint(&mut self, at: (usize, usize, usize, u32)) -> Option<StepOutcome> {
-        let pos = self.breakpoints.iter().position(|&b| b == at)?;
-        let (_, class_idx, method_idx, pc) = self.breakpoints.swap_remove(pos);
-        Some(StepOutcome::Breakpoint {
+    /// Trip the breakpoint at list position `at`: it is disarmed.
+    fn trip_breakpoint(&mut self, at: usize) -> StepOutcome {
+        let (_, class_idx, method_idx, pc) = self.breakpoints.swap_remove(at);
+        StepOutcome::Breakpoint {
             class_idx,
             method_idx,
             pc,
-        })
+        }
     }
 
     /// The per-charge cost multiplier of thread `tid`, in per-mille:
@@ -724,82 +758,172 @@ impl Vm {
     /// Run thread `tid` for at most `budget_ns` of charged virtual time.
     /// Returns the outcome and the virtual ns actually consumed.
     ///
-    /// The hot loop: it resolves the current frame's window and dispatch
-    /// rows once per frame change, keeps the pc in a local in between, and
-    /// — when no breakpoint is armed — retires a fused row's two halves
-    /// back to back, honouring the budget *between* them, exactly where the
-    /// unfused loop would have stopped (see [`crate::fastpath`] for why no
-    /// observer can tell).
+    /// **The window loop.** The inner loop holds the running frame in
+    /// locals — the thread's value stack from the frame's base up, as a
+    /// slice with spare room up to the method's verified `max_stack`, `sp`,
+    /// `pc`, the number of locals, and this slice's `spent`/`retired`
+    /// meters — and retires there every instruction [`window_op`] accepts.
+    /// Around it, still on the borrowed thread, a warm `InvokeStatic` and a
+    /// `Ret`/`RetV` to a caller move the window through the same
+    /// `push_callee_frame`/`pop_frame` the full path uses; the stack `Vec`
+    /// is only ever grown in here (to the deepest window's room) and is cut
+    /// back to `sp` on the way out, so a call allocates nothing and rewrites
+    /// only the callee's fresh locals. Per instruction the order is: the
+    /// `StopAtMsp` check (empty operands at an MSP row), the breakpoint
+    /// check, the row fetch, the charge of `cost * per_mille / 1000`, the
+    /// instruction, then the budget — so at least one instruction always
+    /// runs, and a call or return that exhausts the budget ends the slice
+    /// after it.
+    ///
+    /// **What leaves it.** Any other instruction, and any anomaly in a
+    /// window instruction, call or return (see [`Exit`]), has mutated
+    /// nothing and gets its charge back: the loop writes `pc`/`sp` back,
+    /// flushes the meters into `meter_ns`/`instr_count` (they are flushed on
+    /// every way out, errors included — the engine reads both after a
+    /// failed slice) and sends that one instruction through `exec_instr`,
+    /// charged once, which builds whatever error or guest exception it
+    /// deserves. An anomaly therefore costs one extra dispatch, and no check
+    /// is skipped.
+    ///
+    /// **Breakpoints are per thread.** The loop looks at the breakpoint
+    /// list only while one is armed for `tid` (fixed for the slice:
+    /// instructions do not arm breakpoints, and a tripped one ends the
+    /// slice), so a tenant restoring through the handler protocol does not
+    /// slow the threads that share its node.
     pub fn run(
         &mut self,
         tid: usize,
         budget_ns: u64,
         mode: RunMode,
     ) -> VmResult<(StepOutcome, u64)> {
-        let start = self.meter_ns;
         if let Some(out) = self.settled(tid)? {
             return Ok((out, 0));
         }
-        // Fixed for the whole slice: instructions neither arm breakpoints
-        // (a tripped one ends the slice) nor switch the thread's mode.
-        let fuse = self.breakpoints.is_empty();
+        let (meter0, count0) = (self.meter_ns, self.instr_count);
         let per_mille = self.cost_per_mille(tid);
-        let mut linked: Option<(usize, Arc<[Vec<Row>]>)> = None;
-        loop {
-            let (ci, mi, mut pc, base, floor) = self.top_window(tid);
-            if linked.as_ref().is_none_or(|(at, _)| *at != ci) {
-                linked = Some((ci, self.classes[ci].rows.clone()));
+        let stop_at_msp = mode == RunMode::StopAtMsp;
+        let armed = self.breakpoints.iter().any(|b| b.0 == tid);
+        // This slice's meters; `self`'s are written from them, never read,
+        // until the full path has to charge through `self`.
+        let (mut spent, mut retired) = (0u64, 0u64);
+        // One past the top operand. Inside this function the stack `Vec`
+        // may run longer than `sp` (spare room, stale values of returned
+        // frames); its length is cut back to `sp` before anything outside
+        // the loop looks at the thread.
+        let mut sp = self.threads[tid].stack.len();
+
+        let result = loop {
+            // Open the window on the top frame.
+            let classes = self.classes.as_slice();
+            let t = &mut self.threads[tid];
+            // (A stack that ends below the frame's locals is nobody's
+            // window: only hand-edited `frames` can say that.)
+            let Some(f) = t.frames.last().filter(|f| f.floor() <= sp) else {
+                break Err(VmError::BadThread(tid));
+            };
+            let (ci, mi, base, floor) = (f.class_idx, f.method_idx, f.base, f.floor());
+            let method = &classes[ci].linked[mi];
+            let rows = method.rows.as_slice();
+            let room = floor + method.max_stack as usize;
+            if t.stack.len() < room {
+                t.stack.resize(room, Value::Int(0));
             }
-            let rows = linked.as_ref().expect("linked above").1[mi].as_slice();
-            // Instructions of this frame, until one changes the frame.
-            loop {
-                if mode == RunMode::StopAtMsp {
-                    if let Some(pc) = self.at_msp(tid)? {
-                        return Ok((StepOutcome::AtMsp { pc }, self.meter_ns - start));
+            let mut w = Window {
+                stack: &mut t.stack[base..],
+                sp: sp - base,
+                pc: f.pc,
+                floor: floor - base,
+                heap: &self.heap,
+            };
+            let stop = loop {
+                let row = rows.get(w.pc as usize);
+                if stop_at_msp && w.sp == w.floor && row.is_some_and(|r| r.msp) {
+                    break Stop::AtMsp;
+                }
+                if armed {
+                    if let Some(at) = breakpoint_at(&self.breakpoints, (tid, ci, mi, w.pc)) {
+                        break Stop::Breakpoint(at);
                     }
                 }
-                if !fuse {
-                    if let Some(out) = self.trip_breakpoint((tid, ci, mi, pc)) {
-                        return Ok((out, self.meter_ns - start));
-                    }
-                }
-                let Some(mut row) = rows.get(pc as usize) else {
-                    return Err(VmError::BadPc(pc));
+                let Some(row) = row else {
+                    break Stop::BadPc;
                 };
-                self.meter_ns += u64::from(row.cost) * per_mille / 1000;
-                self.instr_count += 1;
-                if row.fused && fuse {
-                    let t = &mut self.threads[tid];
-                    let v = match row.instr {
-                        Instr::Load(slot) if base + (slot as usize) < floor => {
-                            t.stack[base + slot as usize]
-                        }
-                        Instr::Load(slot) => return Err(VmError::BadLocalSlot(slot)),
-                        Instr::PushI(v) => Value::Int(v),
-                        _ => unreachable!("only pure pushes are linked fused"),
-                    };
-                    t.stack.push(v);
-                    pc += 1;
-                    t.frames.last_mut().expect("frame").pc = pc;
-                    // Slice boundary between the halves: the unfused loop
-                    // would stop here with pc already at i + 1.
-                    if self.meter_ns - start >= budget_ns {
-                        return Ok((StepOutcome::Continue, self.meter_ns - start));
-                    }
-                    row = &rows[pc as usize];
-                    self.meter_ns += u64::from(row.cost) * per_mille / 1000;
-                    self.instr_count += 1;
+                // Charged first, so nothing about the row outlives its
+                // dispatch; an instruction the window leaves is refunded.
+                spent += u64::from(row.cost) * per_mille / 1000;
+                retired += 1;
+                if window_op(&mut w, &row.instr).is_err() {
+                    break Stop::Exit;
                 }
-                let flow = self.exec_instr(tid, ci, mi, pc, base, floor, row.instr)?;
-                let spent = self.meter_ns - start;
+                if spent >= budget_ns {
+                    break Stop::Budget;
+                }
+            };
+            // Close it. The frame's pc is as if every instruction had
+            // stored its own.
+            let pc = w.pc;
+            sp = base + w.sp;
+            if let Some(f) = t.frames.last_mut() {
+                f.pc = pc;
+            }
+            match stop {
+                Stop::AtMsp => break Ok(StepOutcome::AtMsp { pc }),
+                Stop::Breakpoint(at) => break Ok(self.trip_breakpoint(at)),
+                Stop::BadPc => break Err(VmError::BadPc(pc)),
+                Stop::Budget => break Ok(StepOutcome::Continue),
+                Stop::Exit => {}
+            }
+            let Row { instr, cost, .. } = rows[pc as usize];
+            let cost = u64::from(cost) * per_mille / 1000;
+            spent -= cost;
+            retired -= 1;
+            // A warm static call or a return to a caller only moves the
+            // window; anything unusual about one leaves the thread as it
+            // was, for the full path to judge. (Why `window_op` refused
+            // does not matter here: the full path asks it again.)
+            let moved = match instr {
+                Instr::InvokeStatic(_, _, nargs) => {
+                    let cell = method.ics[pc as usize];
+                    let target = (cell.a as usize, cell.b as usize);
+                    if cell.is_filled() {
+                        Self::push_callee_frame(classes, t, sp, target, nargs, floor).ok()
+                    } else {
+                        None
+                    }
+                }
+                Instr::Ret if t.frames.len() > 1 => Self::pop_frame(t, None),
+                Instr::RetV if t.frames.len() > 1 && sp > floor => {
+                    let v = t.stack[sp - 1];
+                    Self::pop_frame(t, Some(v))
+                }
+                _ => None,
+            };
+            if let Some(moved_sp) = moved {
+                sp = moved_sp;
+                spent += cost;
+                retired += 1;
+            } else {
+                t.stack.truncate(sp);
+                self.meter_ns = meter0 + spent + cost;
+                self.instr_count = count0 + retired + 1;
+                let flow = self.exec_instr(tid, ci, mi, pc, base, floor, instr);
+                spent = self.meter_ns - meter0;
+                retired = self.instr_count - count0;
+                sp = self.threads[tid].stack.len();
                 match flow {
-                    Flow::Leave => return Ok((self.stopped(tid), spent)),
-                    _ if spent >= budget_ns => return Ok((StepOutcome::Continue, spent)),
-                    Flow::Goto(next) => pc = next,
-                    Flow::Reframe => break,
+                    Err(e) => break Err(e),
+                    Ok(Flow::Leave) => break Ok(self.stopped(tid)),
+                    Ok(Flow::Next) => {}
                 }
             }
-        }
+            if spent >= budget_ns {
+                break Ok(StepOutcome::Continue);
+            }
+        };
+        self.threads[tid].stack.truncate(sp);
+        self.meter_ns = meter0 + spent;
+        self.instr_count = count0 + retired;
+        result.map(|out| (out, spent))
     }
 
     /// If thread `tid` is runnable and its top frame sits at a
@@ -1084,7 +1208,7 @@ impl Vm {
     fn thrown(&self, tid: usize) -> Flow {
         match &self.threads[tid].state {
             ThreadState::Faulted(_) => Flow::Leave,
-            _ => Flow::Reframe,
+            _ => Flow::Next,
         }
     }
 
@@ -1122,11 +1246,13 @@ impl Vm {
     // Instruction execution
     // ------------------------------------------------------------------
 
-    /// Execute `instr`, already charged and counted, at `pc` of thread
-    /// `tid`'s top frame — method `mi` of class `ci`, locals at
-    /// `stack[base..floor]`, operands above `floor`.
+    /// The full path: execute `instr`, already charged and counted, at `pc`
+    /// of thread `tid`'s top frame — method `mi` of class `ci`, locals at
+    /// `stack[base..floor]`, operands above `floor`. Compiled once, called
+    /// from [`Vm::step`] and from [`Vm::run`] for whatever its window loop
+    /// does not retire.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    #[inline(always)]
+    #[inline(never)]
     fn exec_instr(
         &mut self,
         tid: usize,
@@ -1163,22 +1289,13 @@ impl Vm {
             ($t:expr) => {{
                 let t = $t;
                 self.threads[tid].frames.last_mut().expect("frame").pc = t;
-                Ok(Flow::Goto(t))
+                Ok(Flow::Next)
             }};
         }
         macro_rules! advance {
             () => {
                 jump!(pc + 1)
             };
-        }
-        macro_rules! local_at {
-            ($slot:expr) => {{
-                let at = base + $slot as usize;
-                if at >= floor {
-                    return Err(VmError::BadLocalSlot($slot));
-                }
-                at
-            }};
         }
         macro_rules! npe {
             () => {
@@ -1200,14 +1317,6 @@ impl Vm {
         }
 
         match instr {
-            PushI(v) => {
-                push!(Value::Int(v));
-                advance!()
-            }
-            PushF(v) => {
-                push!(Value::Num(v));
-                advance!()
-            }
             PushStr(idx) => {
                 // IC: `a` caches the interned ObjId for this site. Interning
                 // is VM-global and immutable once assigned, so a filled cell
@@ -1231,203 +1340,6 @@ impl Vm {
                 push!(Value::Ref(id));
                 advance!()
             }
-            PushNull => {
-                push!(Value::Null);
-                advance!()
-            }
-            Load(slot) => {
-                let at = local_at!(slot);
-                let stack = &mut stack!();
-                let v = stack[at];
-                stack.push(v);
-                advance!()
-            }
-            Store(slot) => {
-                let at = local_at!(slot);
-                let v = pop!();
-                stack!()[at] = v;
-                advance!()
-            }
-            Dup => {
-                let v = pop!();
-                push!(v);
-                push!(v);
-                advance!()
-            }
-            Pop => {
-                pop!();
-                advance!()
-            }
-            Swap => {
-                let b = pop!();
-                let a = pop!();
-                push!(b);
-                push!(a);
-                advance!()
-            }
-            Add | Sub | Mul | Div | Rem => {
-                let b = pop!();
-                let a = pop!();
-                match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => {
-                        let r = match instr {
-                            Add => x.wrapping_add(y),
-                            Sub => x.wrapping_sub(y),
-                            Mul => x.wrapping_mul(y),
-                            Div | Rem => {
-                                if y == 0 {
-                                    return self.throw_and_outcome(
-                                        tid,
-                                        ExKind::DivByZero,
-                                        "integer division by zero",
-                                    );
-                                }
-                                if matches!(instr, Div) {
-                                    x.wrapping_div(y)
-                                } else {
-                                    x.wrapping_rem(y)
-                                }
-                            }
-                            _ => unreachable!(),
-                        };
-                        push!(Value::Int(r));
-                    }
-                    (Value::Num(x), Value::Num(y)) => {
-                        let r = match instr {
-                            Add => x + y,
-                            Sub => x - y,
-                            Mul => x * y,
-                            Div => x / y,
-                            Rem => x % y,
-                            _ => unreachable!(),
-                        };
-                        push!(Value::Num(r));
-                    }
-                    (a, b) => {
-                        return Err(VmError::TypeMismatch {
-                            expected: "matching numeric operands",
-                            found: if a.is_reference() {
-                                b.type_name()
-                            } else {
-                                a.type_name()
-                            },
-                        })
-                    }
-                }
-                advance!()
-            }
-            Neg => {
-                let a = pop!();
-                match a {
-                    Value::Int(x) => push!(Value::Int(x.wrapping_neg())),
-                    Value::Num(x) => push!(Value::Num(-x)),
-                    other => {
-                        return Err(VmError::TypeMismatch {
-                            expected: "numeric",
-                            found: other.type_name(),
-                        })
-                    }
-                }
-                advance!()
-            }
-            Shl | Shr | BAnd | BOr | BXor => {
-                let b = pop!().as_int()?;
-                let a = pop!().as_int()?;
-                let r = match instr {
-                    Shl => a.wrapping_shl(b as u32),
-                    Shr => a.wrapping_shr(b as u32),
-                    BAnd => a & b,
-                    BOr => a | b,
-                    BXor => a ^ b,
-                    _ => unreachable!(),
-                };
-                push!(Value::Int(r));
-                advance!()
-            }
-            I2F => {
-                let a = pop!().as_int()?;
-                push!(Value::Num(a as f64));
-                advance!()
-            }
-            F2I => {
-                let a = pop!().as_num()?;
-                push!(Value::Int(a as i64));
-                advance!()
-            }
-            If(cmp, t) => {
-                let b = pop!();
-                let a = pop!();
-                let sign = match (a, b) {
-                    (Value::Int(x), Value::Int(y)) => x.cmp(&y) as i32,
-                    (Value::Num(x), Value::Num(y)) => {
-                        x.partial_cmp(&y).map(|o| o as i32).unwrap_or(1)
-                    }
-                    (Value::Ref(x), Value::Ref(y)) => (x != y) as i32,
-                    // Reference identity across fetch states: a
-                    // transfer-nulled ref equals the cached copy of the
-                    // same home object.
-                    (a, b) if a.is_reference() && b.is_reference() => {
-                        let ident = |v: Value| -> Option<(bool, ObjId)> {
-                            match v {
-                                Value::Null => None,
-                                Value::NulledRef(h) => Some((true, h)),
-                                Value::Ref(id) => {
-                                    match self.heap.get(id).ok().and_then(|o| o.home_id()) {
-                                        Some(h) => Some((true, h)),
-                                        None => Some((false, id)),
-                                    }
-                                }
-                                _ => unreachable!("is_reference"),
-                            }
-                        };
-                        match (ident(a), ident(b)) {
-                            (None, None) => 0,
-                            (Some(x), Some(y)) => (x != y) as i32,
-                            _ => 1,
-                        }
-                    }
-                    (a, b) => {
-                        return Err(VmError::TypeMismatch {
-                            expected: "comparable operands",
-                            found: if a.is_reference() {
-                                b.type_name()
-                            } else {
-                                a.type_name()
-                            },
-                        })
-                    }
-                };
-                if cmp.eval_sign(sign) {
-                    jump!(t)
-                } else {
-                    advance!()
-                }
-            }
-            IfZ(cmp, t) => {
-                let a = pop!().as_int()?;
-                if cmp.eval_sign(a.cmp(&0) as i32) {
-                    jump!(t)
-                } else {
-                    advance!()
-                }
-            }
-            IfNull(t) => {
-                let a = pop!();
-                if a.is_null() {
-                    jump!(t)
-                } else {
-                    advance!()
-                }
-            }
-            IfNonNull(t) => {
-                let a = pop!();
-                if !a.is_null() {
-                    jump!(t)
-                } else {
-                    advance!()
-                }
-            }
-            Goto(t) => jump!(t),
             Switch(sidx) => {
                 let key = pop!().as_int()?;
                 let table = self.classes[ci].def.methods[mi].switches.get(sidx as usize);
@@ -1601,7 +1513,7 @@ impl Vm {
             }
             InvokeStatic(cidx, midx, nargs) => {
                 let (target_ci, target_mi) = static_site!(cidx, midx, true);
-                self.push_callee_frame(tid, target_ci, target_mi, nargs, floor)
+                self.enter_callee(tid, target_ci, target_mi, nargs, floor)
             }
             InvokeVirtual(midx, nargs) => {
                 debug_assert!(nargs >= 1, "virtual call needs a receiver");
@@ -1624,7 +1536,7 @@ impl Vm {
                 if cell.is_filled() {
                     if let ObjKind::Obj { class, .. } = &self.heap.get(id)?.kind {
                         if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
-                            return self.push_callee_frame(
+                            return self.enter_callee(
                                 tid,
                                 cell.a as usize,
                                 cell.b as usize,
@@ -1649,12 +1561,12 @@ impl Vm {
                     }
                 })?;
                 self.fill_receiver_ic(ci, mi, pc, target_ci, target_mi, id)?;
-                self.push_callee_frame(tid, target_ci, target_mi, nargs, floor)
+                self.enter_callee(tid, target_ci, target_mi, nargs, floor)
             }
-            Ret => Ok(self.pop_frame(tid, None)),
+            Ret => Ok(Self::leave_frame(&mut self.threads[tid], None)),
             RetV => {
                 let v = pop!();
-                Ok(self.pop_frame(tid, Some(v)))
+                Ok(Self::leave_frame(&mut self.threads[tid], Some(v)))
             }
             ThrowKind(kind) => self.throw_and_outcome(tid, kind, "thrown by bytecode"),
             Throw => {
@@ -1711,15 +1623,88 @@ impl Vm {
             ReadCaptured(_) | ReadCapturedPc | RestoreLocal(_) | BringObjLocal(_)
             | BringObjField(..) | BringObjStaticTo(..) | BringObjElemTo(..) | RethrowAppNpe
             | CheckStatus(_) => self.exec_protocol(tid, ci, instr),
-            Nop => advance!(),
+            // The window instructions: their one arm is `window_op`.
+            PushI(_) | PushF(_) | PushNull | Load(_) | Store(_) | Dup | Pop | Swap | Add | Sub
+            | Mul | Div | Rem | Neg | Shl | Shr | BAnd | BOr | BXor | I2F | F2I | If(..)
+            | IfZ(..) | IfNull(_) | IfNonNull(_) | Goto(_) | Nop => {
+                self.exec_window(tid, pc, base, floor, instr)
+            }
         }
+    }
+
+    /// A window instruction on the full path: open a one-instruction window
+    /// (one spare slot — no window instruction nets more than one push),
+    /// run the same [`window_op`] the loop runs, and build the error or
+    /// guest throw an [`Exit`] stands for.
+    fn exec_window(
+        &mut self,
+        tid: usize,
+        pc: u32,
+        base: usize,
+        floor: usize,
+        instr: Instr,
+    ) -> VmResult<Flow> {
+        let t = &mut self.threads[tid];
+        let sp = t.stack.len();
+        if sp < floor {
+            return Err(VmError::BadThread(tid));
+        }
+        t.stack.push(Value::Int(0));
+        let mut w = Window {
+            stack: &mut t.stack[base..],
+            sp: sp - base,
+            pc,
+            floor: floor - base,
+            heap: &self.heap,
+        };
+        let done = window_op(&mut w, &instr);
+        let (sp, pc) = (base + w.sp, w.pc);
+        t.stack.truncate(sp);
+        match done {
+            Ok(()) => {
+                t.frames
+                    .last_mut()
+                    .ok_or_else(|| VmError::BadThread(tid))?
+                    .pc = pc;
+                Ok(Flow::Next)
+            }
+            Err(exit) => self.exit_error(tid, exit),
+        }
+    }
+
+    /// What an [`Exit`] means, said in full: the only place a window
+    /// anomaly becomes a `VmError` or a guest exception. The operands are
+    /// still on the stack, which is how the types in a mismatch are named.
+    #[cold]
+    fn exit_error(&mut self, tid: usize, exit: Exit) -> VmResult<Flow> {
+        Err(match exit {
+            Exit::DivZero => {
+                // The throw finds the two operands popped.
+                let stack = &mut self.threads[tid].stack;
+                stack.truncate(stack.len().saturating_sub(2));
+                return self.throw_and_outcome(tid, ExKind::DivByZero, "integer division by zero");
+            }
+            Exit::BadSlot(slot) => VmError::BadLocalSlot(slot),
+            Exit::Underflow => VmError::StackUnderflow,
+            Exit::Type { expected, depth } => {
+                let stack = &self.threads[tid].stack;
+                let at = stack.len().checked_sub(1 + usize::from(depth));
+                VmError::TypeMismatch {
+                    expected: expected.name(),
+                    found: at.map_or("nothing", |at| stack[at].type_name()),
+                }
+            }
+            // Not from `exec_window`, which passes only window instructions
+            // and makes room for a push.
+            Exit::Full => VmError::StackOverflow,
+        })
     }
 
     /// The inline-cache cell of the site at `(ci, mi, pc)`. Read
     /// unconditionally: a reference VM's cells simply never fill.
     #[inline]
     fn ic(&self, ci: usize, mi: usize, pc: u32) -> IcCell {
-        self.classes[ci].ics[mi][pc as usize]
+        self.classes[ci].linked[mi].ics[pc as usize]
     }
 
     /// The single inline-cache writer. A reference VM refuses to fill, so
@@ -1730,7 +1715,7 @@ impl Vm {
         if self.reference {
             return false;
         }
-        self.classes[ci].ics[mi][pc as usize] = IcCell {
+        self.classes[ci].linked[mi].ics[pc as usize] = IcCell {
             a: a as u32,
             b: b as u32,
         };
@@ -1860,7 +1845,7 @@ impl Vm {
         };
         let advance = |vm: &mut Vm| {
             vm.advance_top(tid)?;
-            Ok(Flow::Reframe)
+            Ok(Flow::Next)
         };
 
         // A `BringObj*` yields the value in the slot it guards and where a
@@ -1982,7 +1967,7 @@ impl Vm {
             if let Some(local) = self.heap.find_cached_from(origin, query.home_id) {
                 self.apply_bind(tid, bind, local)?;
                 self.advance_top(tid)?;
-                return Ok(Flow::Reframe);
+                return Ok(Flow::Next);
             }
         }
         let t = &mut self.threads[tid];
@@ -1997,11 +1982,54 @@ impl Vm {
         Ok(Flow::Leave)
     }
 
-    /// Enter `target_ci.target_mi` with the top `nargs` operands of the
-    /// caller (whose operands start at `floor`) as its arguments: the
-    /// callee's window opens on them and its other locals are zeroed above.
-    /// The caller's pc stays parked at its Invoke.
+    /// Enter method `target` (class index, method index) with the top
+    /// `nargs` operands of the caller (whose operands run from `floor` to
+    /// `sp`) as its arguments: the callee's window opens on them and its
+    /// other locals are zeroed above. The caller's pc stays parked at its
+    /// Invoke. Returns the callee's `sp` — its floor; the stack `Vec` is at
+    /// least that long, and never shrinks here. Nothing has moved on `Err`.
+    /// On the borrowed thread, so the run loop can call it too.
     fn push_callee_frame(
+        classes: &[LoadedClass],
+        t: &mut VmThread,
+        sp: usize,
+        target: (usize, usize),
+        nargs: u8,
+        floor: usize,
+    ) -> Result<usize, Refusal> {
+        let m = &classes[target.0].linked[target.1];
+        // Cross-class targets resolve at run time, so only here can a call
+        // site's arity be held against the callee it actually reached.
+        if m.nargs != u16::from(nargs) {
+            return Err(Refusal::Arity);
+        }
+        if sp < floor + nargs as usize {
+            return Err(Refusal::Underflow);
+        }
+        let base = sp - nargs as usize;
+        let end = base + m.nlocals as usize;
+        if end + 2 * (t.frames.len() + 1) > MAX_STACK_SLOTS {
+            return Err(Refusal::Overflow);
+        }
+        if t.stack.len() < end {
+            t.stack.resize(end, Value::Int(0));
+        }
+        t.stack[sp..end].fill(Value::Int(0));
+        t.frames.push(Frame {
+            class_idx: target.0,
+            method_idx: target.1,
+            pc: 0,
+            base,
+            nlocals: m.nlocals,
+            pinned: false,
+        });
+        t.max_height = t.max_height.max(t.frames.len());
+        Ok(end)
+    }
+
+    /// The full path's call: [`Vm::push_callee_frame`] on a stack that
+    /// ends at its `sp`, with a refusal said as an error.
+    fn enter_callee(
         &mut self,
         tid: usize,
         target_ci: usize,
@@ -2009,54 +2037,60 @@ impl Vm {
         nargs: u8,
         floor: usize,
     ) -> VmResult<Flow> {
-        let m = &self.classes[target_ci].def.methods[target_mi];
-        // Cross-class targets resolve at run time, so only here can a call
-        // site's arity be held against the callee it actually reached.
-        if m.nargs != u16::from(nargs) {
-            return Err(VmError::ArityMismatch {
-                class: self.classes[target_ci].def.name.clone(),
-                method: m.name.clone(),
-                expected: m.nargs,
-                got: u16::from(nargs),
-            });
-        }
-        let nlocals = m.nlocals;
         let t = &mut self.threads[tid];
-        if t.stack.len() - floor < nargs as usize {
-            return Err(VmError::StackUnderflow);
+        let (sp, target) = (t.stack.len(), (target_ci, target_mi));
+        match Self::push_callee_frame(&self.classes, t, sp, target, nargs, floor) {
+            Ok(_) => Ok(Flow::Next),
+            Err(Refusal::Arity) => {
+                let class = &self.classes[target_ci].def;
+                let m = &class.methods[target_mi];
+                Err(VmError::ArityMismatch {
+                    class: class.name.clone(),
+                    method: m.name.clone(),
+                    expected: m.nargs,
+                    got: u16::from(nargs),
+                })
+            }
+            Err(Refusal::Underflow) => Err(VmError::StackUnderflow),
+            Err(Refusal::Overflow) => Err(VmError::StackOverflow),
         }
-        let base = t.stack.len() - nargs as usize;
-        let end = base + nlocals as usize;
-        if end + 2 * (t.frames.len() + 1) > MAX_STACK_SLOTS {
-            return Err(VmError::StackOverflow);
-        }
-        t.stack.resize(end, Value::Int(0));
-        t.frames.push(Frame {
-            class_idx: target_ci,
-            method_idx: target_mi,
-            pc: 0,
-            base,
-            nlocals,
-            pinned: false,
-        });
-        t.max_height = t.max_height.max(t.frames.len());
-        Ok(Flow::Reframe)
     }
 
-    /// Pop the top frame, delivering `retval` to the caller (or finishing
-    /// the thread). The caller's pc — parked at its Invoke — advances.
-    fn pop_frame(&mut self, tid: usize, retval: Option<Value>) -> Flow {
-        let t = &mut self.threads[tid];
-        t.truncate_frames(t.frames.len() - 1);
-        match t.frames.last_mut() {
-            Some(caller) => {
-                caller.pc += 1;
-                t.stack.extend(retval);
-                Flow::Reframe
+    /// Pop `t`'s top frame, delivering `retval` to its caller, whose pc —
+    /// parked at its Invoke — advances. Returns the caller's `sp`; the
+    /// stack `Vec` is not cut back to it. `None`, with nothing moved, when
+    /// there is no caller.
+    fn pop_frame(t: &mut VmThread, retval: Option<Value>) -> Option<usize> {
+        let [.., caller, callee] = t.frames.as_mut_slice() else {
+            return None;
+        };
+        let mut sp = callee.base;
+        if let Some(v) = retval {
+            // A frame's base is inside the stack: its arguments or, with
+            // none, the slot its first local or operand would take.
+            match t.stack.get_mut(sp) {
+                Some(slot) => *slot = v,
+                None => t.stack.push(v),
+            }
+            sp += 1;
+        }
+        caller.pc += 1;
+        t.frames.pop();
+        t.seg_frames = t.seg_frames.min(t.frames.len());
+        Some(sp)
+    }
+
+    /// The full path's return: to the caller, or out of the root frame,
+    /// which finishes the thread.
+    fn leave_frame(t: &mut VmThread, retval: Option<Value>) -> Flow {
+        match Self::pop_frame(t, retval) {
+            Some(sp) => {
+                t.stack.truncate(sp);
+                Flow::Next
             }
             None => {
                 // A finished thread never runs again but stays in the
-                // thread table: hand its (now empty) stacks back.
+                // thread table: hand its stacks back.
                 t.stack = Vec::new();
                 t.frames = Vec::new();
                 t.state = ThreadState::Finished(retval);
@@ -2087,21 +2121,54 @@ impl Vm {
         if self.thread(tid)?.frames.is_empty() {
             return Err(VmError::BadThread(tid));
         }
-        if let Flow::Reframe = self.pop_frame(tid, retval) {
+        if let Flow::Next = Self::leave_frame(&mut self.threads[tid], retval) {
             self.threads[tid].state = ThreadState::Runnable;
         }
         Ok(())
     }
 }
 
-/// Where control goes after one instruction.
+/// An armed breakpoint: `(tid, class_idx, method_idx, pc)`.
+type Breakpoint = (usize, usize, usize, u32);
+
+/// Where in the `armed` list a breakpoint for `at` sits. Checked before
+/// that pc executes.
+#[inline]
+fn breakpoint_at(armed: &[Breakpoint], at: Breakpoint) -> Option<usize> {
+    armed.iter().position(|&b| b == at)
+}
+
+/// Why `push_callee_frame` did not enter a callee.
+enum Refusal {
+    /// The site passes a different number of arguments than the callee
+    /// declares.
+    Arity,
+    /// Fewer operands above the caller's floor than the site passes.
+    Underflow,
+    /// The callee's frame would grow the stack past [`MAX_STACK_SLOTS`].
+    Overflow,
+}
+
+/// Why [`Vm::run`]'s window loop stopped.
+enum Stop {
+    /// `StopAtMsp`: empty operands at a migration-safe pc.
+    AtMsp,
+    /// A breakpoint armed for this thread (at this list position) names
+    /// the pc.
+    Breakpoint(usize),
+    /// The pc is outside the method.
+    BadPc,
+    /// The slice's budget is spent.
+    Budget,
+    /// `window_op` did not retire the instruction at the pc.
+    Exit,
+}
+
+/// What the full path left behind after one instruction.
 #[derive(Clone, Copy)]
 enum Flow {
-    /// Same frame, at this pc (already stored in the frame).
-    Goto(u32),
-    /// Re-read the top frame: a call, return or exception unwinding changed
-    /// it, or a cold path moved its pc.
-    Reframe,
+    /// The thread is still runnable; its top frame says where.
+    Next,
     /// The thread stopped being runnable; its state says how.
     Leave,
 }
@@ -2573,8 +2640,8 @@ mod tests {
 
     /// Counter class with an instance field `n` and a virtual `bump`, plus a
     /// Main that allocates one Counter and bumps it `iters` times — traffic
-    /// for the New / GetField / PutField / InvokeVirtual inline caches and
-    /// plenty of fusable (Load, x) pairs.
+    /// for the New / GetField / PutField / InvokeVirtual inline caches
+    /// between runs of window instructions.
     fn counter_program(iters: i64) -> Vec<ClassDef> {
         let mut counter = ClassDef::new("Counter").with_field(FieldDef::instance("n", TypeOf::Int));
         let n = counter.intern("n");
@@ -2628,10 +2695,10 @@ mod tests {
 
     #[test]
     fn fast_path_matches_reference_slice_by_slice() {
-        // Same program in two VMs — inline caches + superinstructions vs
-        // the name-resolution reference — run in tiny budget slices so
-        // fused pairs straddle slice boundaries. Every observable meter
-        // must agree after every slice.
+        // Same program in two VMs — warm inline caches, so calls stay in
+        // the window loop, vs the reference whose every site takes the full
+        // path — run in tiny budget slices so boundaries fall everywhere.
+        // Every observable meter must agree after every slice.
         let classes = counter_program(10);
         let mut fast = vm_with(&classes);
         let mut slow = load_into(Vm::reference(), &classes);
@@ -2644,6 +2711,8 @@ mod tests {
             assert_eq!(fspent, sspent);
             assert_eq!(fast.meter_ns, slow.meter_ns);
             assert_eq!(fast.instr_count, slow.instr_count);
+            assert_eq!(fast.threads[ft].frames, slow.threads[st].frames);
+            assert_eq!(fast.threads[ft].stack, slow.threads[st].stack);
             if let StepOutcome::Returned(v) = fo {
                 assert_eq!(v, Some(Value::Int(10)));
                 break;
@@ -2652,40 +2721,85 @@ mod tests {
         assert_eq!(fast.heap.used_bytes(), slow.heap.used_bytes());
         assert_eq!(fast.heap.alloc_count(), slow.heap.alloc_count());
         // The fast VM warmed its caches; the reference VM never fills any.
+        // That is the whole difference: both linked the same rows.
         assert!(fast.classes.iter().any(|c| c.ic_warm_count() > 0));
         assert!(slow.classes.iter().all(|c| c.ic_warm_count() == 0));
-        // ... and links no superinstructions, where the fast VM did.
-        let fuses = |vm: &Vm| {
-            vm.classes
-                .iter()
-                .any(|c| c.rows.iter().flatten().any(|r| r.fused))
-        };
-        assert!(fuses(&fast) && !fuses(&slow));
     }
 
     #[test]
-    fn armed_breakpoint_disables_fused_dispatch() {
-        // Arm a breakpoint at the *second half* of a fusable (Load, PushI)
-        // pair. Fused dispatch must stand down while anything is armed, so
-        // run() still observes the mid-pair pc.
+    fn armed_breakpoint_trips_before_its_pc_exactly_once() {
+        // pc 5 (`PushI iters`) sits mid-statement inside the loop: the run
+        // stops there with pc 4 retired and pc 5 not, the breakpoint is
+        // gone, and later passes over pc 5 run through.
         let classes = counter_program(3);
         let mut vm = vm_with(&classes);
         let tid = vm.spawn("Main", "main", &[]).unwrap();
         let main_ci = vm.class_idx("Main").unwrap();
-        // pc 5 (`PushI iters`) is the second half of the fused pair at pc 4
-        // (`Load i`).
         vm.set_breakpoint(tid, main_ci, 0, 5);
         let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert!(matches!(out, StepOutcome::Breakpoint { pc: 5, .. }));
-        // Disarmed: the run completes and fused dispatch resumes.
+        assert_eq!(vm.instr_count, 5);
+        assert_eq!(vm.threads[tid].frames[0].pc, 5);
+        assert_eq!(vm.threads[tid].operands(0), [Value::Int(0)]);
+        assert_eq!(vm.breakpoints_armed(), 0);
         let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(3))));
     }
 
     #[test]
-    fn public_step_never_fuses() {
-        // Single-stepping retires exactly one instruction per call even on
-        // pcs that have a fused cell.
+    fn a_breakpoint_is_its_threads_business() {
+        // Threads A and B run the same program; a breakpoint is armed for A
+        // only, at a pc B crosses on every loop pass. B's slices are exactly
+        // those of a thread in a VM with nothing armed, in both run modes,
+        // and never trip it; A still stops at it.
+        let classes = counter_program(4);
+        let mut vm = vm_with(&classes);
+        let mut quiet = vm_with(&classes);
+        let a = vm.spawn("Main", "main", &[]).unwrap();
+        let b = vm.spawn("Main", "main", &[]).unwrap();
+        let q = quiet.spawn("Main", "main", &[]).unwrap();
+        let main_ci = vm.class_idx("Main").unwrap();
+        vm.set_breakpoint(a, main_ci, 0, 12);
+        for mode in [RunMode::Normal, RunMode::StopAtMsp].into_iter().cycle() {
+            let out = vm.run(b, 23, mode).unwrap();
+            assert_eq!(out, quiet.run(q, 23, mode).unwrap());
+            assert_eq!(
+                (vm.meter_ns, vm.instr_count),
+                (quiet.meter_ns, quiet.instr_count)
+            );
+            assert_eq!(vm.threads[b].frames, quiet.threads[q].frames);
+            assert_eq!(vm.breakpoints_armed(), 1);
+            match out.0 {
+                // Step off the safe point, in both.
+                StepOutcome::AtMsp { .. } => {
+                    assert_eq!(vm.step(b).unwrap(), quiet.step(q).unwrap());
+                }
+                StepOutcome::Returned(v) => {
+                    assert_eq!(v, Some(Value::Int(4)));
+                    break;
+                }
+                _ => {}
+            }
+        }
+        let (out, _) = vm.run(a, u64::MAX, RunMode::Normal).unwrap();
+        assert!(matches!(out, StepOutcome::Breakpoint { pc: 12, .. }));
+        assert_eq!(vm.breakpoints_armed(), 0);
+    }
+
+    #[test]
+    fn clear_thread_breakpoints_disarms_only_that_thread() {
+        let mut vm = vm_with(&counter_program(1));
+        vm.set_breakpoint(0, 0, 0, 1);
+        vm.set_breakpoint(1, 0, 0, 1);
+        vm.set_breakpoint(0, 1, 0, 4);
+        vm.clear_thread_breakpoints(0);
+        assert_eq!(vm.breakpoints, [(1, 0, 0, 1)]);
+    }
+
+    #[test]
+    fn public_step_retires_one_instruction() {
+        // Single-stepping retires exactly one instruction per call, calls
+        // and returns included, whatever the run loop would do there.
         let classes = counter_program(2);
         let mut vm = vm_with(&classes);
         let tid = vm.spawn("Main", "main", &[]).unwrap();
@@ -2703,6 +2817,49 @@ mod tests {
         };
         assert_eq!(result, Some(Value::Int(2)));
         assert!(steps > 10);
+    }
+
+    #[test]
+    fn a_failed_slice_leaves_the_meters_flushed() {
+        // Three window instructions retire in the loop, then `Add` meets
+        // an int and a float: the error surfaces with all four counted
+        // (the failing instruction charged exactly once), and a twin that
+        // single-steps agrees.
+        let c = main_class(
+            vec![
+                Instr::PushI(1),
+                Instr::Pop,
+                Instr::PushI(1),
+                Instr::PushF(2.0),
+                Instr::Add,
+                Instr::RetV,
+            ],
+            vec![1; 6],
+            0,
+        );
+        let mut vm = vm_with(std::slice::from_ref(&c));
+        let mut twin = vm_with(&[c]);
+        let tid = vm.spawn("Main", "main", &[]).unwrap();
+        twin.spawn("Main", "main", &[]).unwrap();
+        let err = vm.run(tid, u64::MAX, RunMode::Normal).unwrap_err();
+        let twin_err = loop {
+            match twin.step(tid) {
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        let mismatch = VmError::TypeMismatch {
+            expected: "matching numeric operands",
+            found: "int",
+        };
+        assert_eq!((&err, &twin_err), (&mismatch, &mismatch));
+        assert_eq!((vm.instr_count, vm.meter_ns), (5, 5));
+        assert_eq!(
+            (vm.instr_count, vm.meter_ns),
+            (twin.instr_count, twin.meter_ns)
+        );
+        assert_eq!(vm.threads[tid].frames, twin.threads[tid].frames);
+        assert_eq!(vm.threads[tid].stack, twin.threads[tid].stack);
     }
 
     #[test]

@@ -1,0 +1,691 @@
+//! Differential test for `Vm::run`'s window loop: one VM is driven with
+//! `run(budget)` slices, a twin with `step()`, and after every slice the
+//! twin — stepped to the same `instr_count` — must agree on everything a
+//! slice boundary exposes: frames, locals and operands of every frame,
+//! thread state, `meter_ns`, `instr_count`, `max_height`, the outcome or
+//! the `VmError`, and where an armed breakpoint tripped.
+//!
+//! Programs are random *verified* methods over the window instruction set
+//! plus static calls and returns, with loops (so call sites warm up and
+//! calls and returns stay inside the loop) and with anomalies the verifier
+//! does not see: ill-typed operands, local slots out of range, division by
+//! zero (caught or not), call sites with the wrong arity, and `Ret` where
+//! the caller expects a value (its next pop underflows). The anomaly
+//! classes are also pinned one by one at the end of the file.
+
+use proptest::prelude::*;
+use sod_vm::class::{ClassDef, ExEntry, ExKind, MethodDef};
+use sod_vm::error::VmError;
+use sod_vm::instr::{Cmp, Instr};
+use sod_vm::interp::{RunMode, StepOutcome, Vm, MAX_STACK_SLOTS};
+use sod_vm::value::Value;
+
+const METHODS: usize = 4;
+/// Slot 0 is the argument (int), 1 an int, 2 a float, 3 the loop counter.
+const EXTRA_LOCALS: u16 = 3;
+const CMPS: [Cmp; 6] = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge];
+
+/// Random choices, consumed in order (and again from the start if a
+/// program asks for more than were drawn).
+struct Choices<'a> {
+    drawn: &'a [u32],
+    at: usize,
+}
+
+impl Choices<'_> {
+    fn below(&mut self, n: u32) -> u32 {
+        let v = self.drawn[self.at % self.drawn.len()];
+        self.at += 1;
+        v % n
+    }
+
+    fn percent(&mut self, p: u32) -> bool {
+        self.below(100) < p
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Ty {
+    Int,
+    Num,
+}
+
+/// One method under construction: code, one line per statement, handlers.
+struct Body<'a, 'c> {
+    class: &'a mut ClassDef,
+    pick: &'a mut Choices<'c>,
+    index: usize,
+    code: Vec<Instr>,
+    lines: Vec<u32>,
+    line: u32,
+    ex_table: Vec<ExEntry>,
+}
+
+impl Body<'_, '_> {
+    fn emit(&mut self, i: Instr) {
+        self.code.push(i);
+        self.lines.push(self.line);
+    }
+
+    fn here(&self) -> u32 {
+        self.code.len() as u32
+    }
+
+    /// Code that nets one operand, meant to be a `want` — now and then it
+    /// is not, or names a slot the frame does not have.
+    fn expr(&mut self, want: Ty, depth: u32) {
+        if depth == 0 || self.pick.percent(35) {
+            // One leaf in two hundred is an anomaly.
+            let leaf = match (self.pick.below(600), want) {
+                (0, _) => Instr::Load(9),
+                (1, _) => Instr::PushNull,
+                (2, Ty::Int) => Instr::PushF(1.5),
+                (2, Ty::Num) => Instr::PushI(2),
+                (n, Ty::Int) if n < 300 => Instr::PushI(i64::from(n % 8) - 2),
+                (n, Ty::Int) => Instr::Load([0, 1, 3][n as usize % 3]),
+                (n, Ty::Num) if n < 360 => Instr::PushF(f64::from(n % 7) * 0.5),
+                (_, Ty::Num) => Instr::Load(2),
+            };
+            return self.emit(leaf);
+        }
+        match (self.pick.below(8), want) {
+            (0, _) => {
+                self.expr(want, depth - 1);
+                self.emit(Instr::Neg);
+            }
+            (1, Ty::Int) => {
+                self.expr(Ty::Num, depth - 1);
+                self.emit(Instr::F2I);
+            }
+            (1, Ty::Num) => {
+                self.expr(Ty::Int, depth - 1);
+                self.emit(Instr::I2F);
+            }
+            (2, _) => {
+                self.expr(want, depth - 1);
+                self.emit(Instr::Dup);
+                self.emit(Instr::Add);
+            }
+            (3, _) => {
+                self.expr(want, depth - 1);
+                self.expr(want, depth - 1);
+                self.emit(Instr::Swap);
+                self.emit(Instr::Sub);
+            }
+            (_, Ty::Int) => {
+                self.expr(Ty::Int, depth - 1);
+                self.expr(Ty::Int, depth - 1);
+                let ops = [
+                    Instr::Add,
+                    Instr::Sub,
+                    Instr::Mul,
+                    Instr::Div,
+                    Instr::Rem,
+                    Instr::Shl,
+                    Instr::Shr,
+                    Instr::BAnd,
+                    Instr::BOr,
+                    Instr::BXor,
+                ];
+                let op = ops[self.pick.below(ops.len() as u32) as usize];
+                self.emit(op);
+            }
+            (_, Ty::Num) => {
+                self.expr(Ty::Num, depth - 1);
+                self.expr(Ty::Num, depth - 1);
+                let ops = [Instr::Add, Instr::Sub, Instr::Mul, Instr::Div, Instr::Rem];
+                let op = ops[self.pick.below(ops.len() as u32) as usize];
+                self.emit(op);
+            }
+        }
+    }
+
+    /// A conditional branch over the code `then` emits. Sometimes the
+    /// operands cannot be compared.
+    fn branch_over(&mut self, then: impl FnOnce(&mut Self)) {
+        let cmp = CMPS[self.pick.below(6) as usize];
+        let make: fn(Cmp, u32) -> Instr = match self.pick.below(50) {
+            0..=9 => {
+                self.expr(Ty::Num, 1);
+                self.expr(Ty::Num, 1);
+                Instr::If
+            }
+            10..=19 => {
+                self.expr(Ty::Int, 1);
+                Instr::IfZ
+            }
+            20..=24 => {
+                self.emit(Instr::PushNull);
+                |_, t| Instr::IfNull(t)
+            }
+            25..=29 => {
+                self.expr(Ty::Int, 0);
+                |_, t| Instr::IfNonNull(t)
+            }
+            30 => {
+                self.emit(Instr::PushNull);
+                self.expr(Ty::Int, 0);
+                Instr::If
+            }
+            _ => {
+                self.expr(Ty::Int, 1);
+                self.expr(Ty::Int, 1);
+                Instr::If
+            }
+        };
+        let at = self.code.len();
+        self.emit(make(cmp, 0));
+        then(self);
+        self.code[at] = make(cmp, self.here());
+    }
+
+    fn stmt(&mut self, nest: u32) {
+        self.line += 1;
+        let from = self.here();
+        let catch = self.pick.percent(50);
+        match self.pick.below(12) {
+            0 | 1 => {
+                let (ty, slot) = if self.pick.percent(60) {
+                    (Ty::Int, 1)
+                } else {
+                    (Ty::Num, 2)
+                };
+                self.expr(ty, 3);
+                self.emit(Instr::Store(slot));
+            }
+            2 if nest < 2 => {
+                let n = 1 + self.pick.below(2);
+                return self.branch_over(|b| (0..n).for_each(|_| b.stmt(nest + 1)));
+            }
+            // A counted loop; only top-level statements loop, on slot 3.
+            3 | 4 if nest == 0 => {
+                let passes = 1 + i64::from(self.pick.below(3));
+                self.emit(Instr::PushI(passes));
+                self.emit(Instr::Store(3));
+                let top = self.here();
+                for _ in 0..1 + self.pick.below(2) {
+                    self.stmt(2);
+                }
+                self.line += 1;
+                for i in [Instr::Load(3), Instr::PushI(1), Instr::Sub, Instr::Dup] {
+                    self.emit(i);
+                }
+                self.emit(Instr::Store(3));
+                self.emit(Instr::IfZ(Cmp::Gt, top));
+                return;
+            }
+            5..=8 if self.index + 1 < METHODS => {
+                let junk = self.pick.below(3);
+                (0..junk).for_each(|j| self.emit(Instr::PushI(i64::from(j))));
+                let callee =
+                    self.index + 1 + self.pick.below((METHODS - self.index - 1) as u32) as usize;
+                let (own, name) = (
+                    self.class.intern("P"),
+                    self.class.intern(&format!("m{callee}")),
+                );
+                // One site in a hundred passes two arguments to a method
+                // of one.
+                let nargs = if self.pick.below(100) == 0 { 2 } else { 1 };
+                (0..nargs).for_each(|_| self.expr(Ty::Int, 1));
+                self.emit(Instr::InvokeStatic(own, name, nargs));
+                let keep = self.pick.percent(70);
+                self.emit(if keep { Instr::Store(1) } else { Instr::Pop });
+                (0..junk).for_each(|_| self.emit(Instr::Pop));
+            }
+            // An early return, under a branch or in a loop.
+            9 if nest > 0 => {
+                // One return in twenty hands nothing back.
+                if self.pick.below(20) == 0 {
+                    return self.emit(Instr::Ret);
+                }
+                self.expr(Ty::Int, 2);
+                return self.emit(Instr::RetV);
+            }
+            10 => {
+                self.emit(Instr::Nop);
+                let next = self.here() + 1;
+                return self.emit(Instr::Goto(next));
+            }
+            _ => {
+                self.expr(Ty::Int, 1);
+                self.expr(Ty::Int, 1);
+                self.emit(Instr::Swap);
+                self.emit(Instr::Pop);
+                self.emit(Instr::Store(1));
+            }
+        }
+        if catch {
+            // The handler drops the exception, leaves a marker and rejoins.
+            let to = self.here();
+            self.emit(Instr::Goto(to + 4));
+            self.ex_table
+                .push(ExEntry::new(from, to, to + 1, ExKind::DivByZero));
+            for i in [Instr::Pop, Instr::PushI(-1), Instr::Store(1)] {
+                self.emit(i);
+            }
+        }
+    }
+}
+
+fn program(drawn: &[u32]) -> ClassDef {
+    let mut class = ClassDef::new("P");
+    let mut pick = Choices { drawn, at: 0 };
+    for index in 0..METHODS {
+        let mut body = Body {
+            class: &mut class,
+            pick: &mut pick,
+            index,
+            code: Vec::new(),
+            lines: Vec::new(),
+            line: 0,
+            ex_table: Vec::new(),
+        };
+        // Slots 1 and 2 start as what they are meant to hold.
+        body.line += 1;
+        for i in [
+            Instr::PushI(2),
+            Instr::Store(1),
+            Instr::PushF(0.5),
+            Instr::Store(2),
+        ] {
+            body.emit(i);
+        }
+        for _ in 0..3 + body.pick.below(5) {
+            body.stmt(0);
+        }
+        body.line += 1;
+        body.emit(Instr::Load(1));
+        body.emit(Instr::RetV);
+        let m = MethodDef::new(format!("m{index}"), 1, EXTRA_LOCALS)
+            .with_code(body.code, body.lines)
+            .with_ex_table(body.ex_table);
+        class.methods.push(m);
+    }
+    class
+}
+
+/// Where a case arms a breakpoint: for the running thread, or for another.
+#[derive(Clone, Copy, Debug)]
+enum Armed {
+    Nowhere,
+    Own(usize, u32),
+    Other(usize, u32),
+}
+
+/// What `lockstep` saw: the terminal outcome or error, and the pc an own
+/// breakpoint tripped at.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    end: Result<StepOutcome, VmError>,
+    tripped_at: Option<u32>,
+}
+
+/// Values as `(kind, bits)`, so a NaN equals itself.
+fn bits(values: &[Value]) -> Vec<(&'static str, u64)> {
+    let one = |v: &Value| match *v {
+        Value::Int(i) => ("int", i as u64),
+        Value::Num(n) => ("num", n.to_bits()),
+        Value::Ref(id) => ("ref", u64::from(id)),
+        Value::Null => ("null", 0),
+        Value::NulledRef(home) => ("nulled", u64::from(home)),
+    };
+    values.iter().map(one).collect()
+}
+
+fn assert_same_thread(fast: &Vm, twin: &Vm, tid: usize) {
+    let (f, t) = (fast.thread(tid).unwrap(), twin.thread(tid).unwrap());
+    assert_eq!(f.frames, t.frames);
+    for fi in 0..f.frames.len() {
+        assert_eq!(
+            bits(f.locals(fi)),
+            bits(t.locals(fi)),
+            "locals of frame {fi}"
+        );
+        let (fo, to) = (bits(f.operands(fi)), bits(t.operands(fi)));
+        assert_eq!(fo, to, "operands of frame {fi}");
+    }
+    assert_eq!(f.state, t.state);
+    assert_eq!(f.max_height, t.max_height);
+    assert_eq!(
+        (fast.meter_ns, fast.instr_count),
+        (twin.meter_ns, twin.instr_count)
+    );
+    assert_eq!(fast.breakpoints_armed(), twin.breakpoints_armed());
+}
+
+/// Drive `fast` with `run` slices of the `budgets` in turn and `twin` with
+/// `step`, comparing after every slice, until the thread ends (or has
+/// retired enough to stop looking).
+fn lockstep(fast: &mut Vm, twin: &mut Vm, tid: usize, budgets: &[u64], mode: RunMode) -> Seen {
+    let mut tripped_at = None;
+    for &budget in budgets.iter().cycle() {
+        let meter_before = fast.meter_ns;
+        let ran = fast.run(tid, budget, mode);
+        let mut last = None;
+        while twin.instr_count < fast.instr_count {
+            let stepped = twin.step(tid);
+            assert!(
+                !matches!(stepped, Ok(StepOutcome::Breakpoint { .. })),
+                "the twin tripped a breakpoint the run loop ran past"
+            );
+            let failed = stepped.is_err();
+            last = Some(stepped);
+            if failed {
+                break;
+            }
+        }
+        // A breakpoint trips before its pc executes: the twin, now at the
+        // same count, trips it on its next step.
+        if let Ok((out @ StepOutcome::Breakpoint { .. }, _)) = &ran {
+            assert_eq!(twin.step(tid).as_ref(), Ok(out));
+        }
+        assert_same_thread(fast, twin, tid);
+        let (out, spent) = match ran {
+            Ok(ran) => ran,
+            Err(e) => {
+                // An error that counts its instruction was the twin's last
+                // step; one that does not (a bad pc) is its next.
+                let twin_end = match last {
+                    Some(Err(twin_e)) => Err(twin_e),
+                    _ => twin.step(tid),
+                };
+                assert_eq!(twin_end, Err(e.clone()));
+                assert_same_thread(fast, twin, tid);
+                return Seen {
+                    end: Err(e),
+                    tripped_at,
+                };
+            }
+        };
+        assert_eq!(spent, fast.meter_ns - meter_before);
+        match out {
+            StepOutcome::Continue => {
+                assert!(spent >= budget, "a slice ended early: {spent} < {budget}");
+                assert_eq!(last, Some(Ok(StepOutcome::Continue)));
+            }
+            StepOutcome::AtMsp { pc } => {
+                assert_eq!(mode, RunMode::StopAtMsp);
+                assert_eq!(twin.at_msp(tid), Ok(Some(pc)));
+                // Step off the safe point, in both.
+                let stepped = fast.step(tid);
+                assert_eq!(stepped, twin.step(tid));
+                assert_same_thread(fast, twin, tid);
+                match stepped {
+                    Ok(StepOutcome::Continue) => {}
+                    Ok(StepOutcome::Breakpoint { pc, .. }) => {
+                        assert_eq!(tripped_at.replace(pc), None, "tripped twice");
+                    }
+                    end => return Seen { end, tripped_at },
+                }
+            }
+            StepOutcome::Breakpoint { pc, .. } => {
+                assert_eq!(fast.thread(tid).unwrap().frames.last().unwrap().pc, pc);
+                assert_eq!(tripped_at.replace(pc), None, "tripped twice");
+            }
+            end @ (StepOutcome::Returned(_) | StepOutcome::Unhandled(_)) => {
+                assert_eq!(last, Some(Ok(end.clone())));
+                return Seen {
+                    end: Ok(end),
+                    tripped_at,
+                };
+            }
+            other => panic!("no instruction here parks a thread: {other:?}"),
+        }
+        if fast.instr_count > 200_000 {
+            break;
+        }
+    }
+    Seen {
+        end: Ok(StepOutcome::Continue),
+        tripped_at,
+    }
+}
+
+/// A fast VM and its twin with `class` loaded, `entry(arg)` spawned as
+/// thread 0, and an idle thread 1 for breakpoints that are not thread 0's.
+fn twins(class: &ClassDef, entry: &str, arg: i64, armed: Armed) -> (Vm, Vm) {
+    let build = || {
+        let mut vm = Vm::new();
+        let ci = vm.load_class(class).unwrap();
+        for _ in 0..2 {
+            vm.spawn(&class.name, entry, &[Value::Int(arg)]).unwrap();
+        }
+        match armed {
+            Armed::Nowhere => {}
+            Armed::Own(mi, pc) => vm.set_breakpoint(0, ci, mi, pc),
+            Armed::Other(mi, pc) => vm.set_breakpoint(1, ci, mi, pc),
+        }
+        vm
+    };
+    (build(), build())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn run_slices_match_single_stepping(
+        drawn in proptest::collection::vec(any::<u32>(), 160..161),
+        budgets in proptest::collection::vec(1u64..90, 1..5),
+        whole in 0u32..8,
+        stop_at_msp in 0u32..2,
+        armed in (0u32..3, 0usize..METHODS, 0u32..40),
+    ) {
+        let class = program(&drawn);
+        let armed = match armed {
+            (0, ..) => Armed::Nowhere,
+            (who, mi, pc) => {
+                let pc = pc % class.methods[mi].code.len() as u32;
+                if who == 1 { Armed::Own(mi, pc) } else { Armed::Other(mi, pc) }
+            }
+        };
+        // One case in eight runs the whole program in its first slice.
+        let budgets = if whole == 0 { vec![u64::MAX] } else { budgets };
+        let mode = if stop_at_msp == 1 { RunMode::StopAtMsp } else { RunMode::Normal };
+        let (mut fast, mut twin) = twins(&class, "m0", 3, armed);
+        let seen = lockstep(&mut fast, &mut twin, 0, &budgets, mode);
+        match armed {
+            // Armed for the running thread: tripped where it was armed, or
+            // never reached and still armed.
+            Armed::Own(_, pc) => {
+                prop_assert!(seen.tripped_at.is_none_or(|at| at == pc));
+                prop_assert_eq!(fast.breakpoints_armed(), usize::from(seen.tripped_at.is_none()));
+            }
+            // Armed for another thread: this one never trips it.
+            Armed::Other(..) => {
+                prop_assert_eq!((seen.tripped_at, fast.breakpoints_armed()), (None, 1));
+            }
+            Armed::Nowhere => prop_assert_eq!(seen.tripped_at, None),
+        }
+    }
+}
+
+/// `main(x)`: warm up by calling `id(x)` three times in a loop (so the run
+/// loop is taking calls and returns itself), then run the code `tail`
+/// returns, at pc 11 (it may add methods for that code to call), then
+/// return local 1.
+fn after_warm_up(tail: impl FnOnce(&mut ClassDef) -> Vec<Instr>) -> ClassDef {
+    let mut c = ClassDef::new("P");
+    let (own, id) = (c.intern("P"), c.intern("id"));
+    let mut code = vec![
+        Instr::PushI(3),
+        Instr::Store(3),
+        Instr::Load(0), // 2
+        Instr::InvokeStatic(own, id, 1),
+        Instr::Store(1),
+        Instr::Load(3),
+        Instr::PushI(1),
+        Instr::Sub,
+        Instr::Dup,
+        Instr::Store(3),
+        Instr::IfZ(Cmp::Gt, 2),
+    ];
+    let main = c.methods.len();
+    c.methods.push(MethodDef::new("main", 1, EXTRA_LOCALS));
+    c.methods
+        .push(MethodDef::new("id", 1, 0).with_code(vec![Instr::Load(0), Instr::RetV], vec![1, 2]));
+    code.extend(tail(&mut c));
+    code.extend([Instr::Load(1), Instr::RetV]);
+    let lines = (1..=code.len() as u32).collect();
+    c.methods[main] = MethodDef::new("main", 1, EXTRA_LOCALS).with_code(code, lines);
+    c
+}
+
+/// Run `class` in lockstep under several slicings and both modes; every
+/// one must end the same way.
+fn ends(class: &ClassDef) -> Result<StepOutcome, VmError> {
+    let mut all = Vec::new();
+    for budgets in [&[u64::MAX][..], &[1], &[7, 2, 30]] {
+        for mode in [RunMode::Normal, RunMode::StopAtMsp] {
+            let (mut fast, mut twin) = twins(class, "main", 5, Armed::Nowhere);
+            all.push(lockstep(&mut fast, &mut twin, 0, budgets, mode).end);
+        }
+    }
+    all.dedup();
+    assert_eq!(all.len(), 1, "slicing changed the ending: {all:?}");
+    all.remove(0)
+}
+
+fn mismatch(expected: &'static str, found: &'static str) -> Result<StepOutcome, VmError> {
+    Err(VmError::TypeMismatch { expected, found })
+}
+
+#[test]
+fn every_anomaly_class_ends_as_single_stepping_does() {
+    use Instr::*;
+    let plain = |tail: &[Instr]| ends(&after_warm_up(|_| tail.to_vec()));
+    // Sanity: the warm-up itself is fine.
+    assert_eq!(plain(&[]), Ok(StepOutcome::Returned(Some(Value::Int(5)))));
+
+    // A local slot outside the window, read and written.
+    assert_eq!(plain(&[Load(4), Pop]), Err(VmError::BadLocalSlot(4)));
+    assert_eq!(plain(&[PushI(1), Store(7)]), Err(VmError::BadLocalSlot(7)));
+
+    // Operand underflow: `void` hands nothing back, so its caller's pop
+    // finds the operand stack empty...
+    let void = |c: &mut ClassDef| {
+        c.methods
+            .push(MethodDef::new("void", 0, 0).with_code(vec![Ret], vec![1]));
+        (c.intern("P"), c.intern("void"))
+    };
+    let underflow = after_warm_up(|c| {
+        let (own, void) = void(c);
+        vec![InvokeStatic(own, void, 0), Pop]
+    });
+    assert_eq!(ends(&underflow), Err(VmError::StackUnderflow));
+    // ... and so does a callee's `RetV`: there is no value to return.
+    let empty_retv = after_warm_up(|c| {
+        let (own, void) = void(c);
+        let body = vec![InvokeStatic(own, void, 0), RetV];
+        c.methods
+            .push(MethodDef::new("bad", 1, 0).with_code(body, vec![1, 2]));
+        vec![Load(0), InvokeStatic(own, c.intern("bad"), 1), Pop]
+    });
+    assert_eq!(ends(&empty_retv), Err(VmError::StackUnderflow));
+
+    // Mixed-type arithmetic, bit ops, conversions and compares.
+    let mixed = "matching numeric operands";
+    assert_eq!(
+        plain(&[PushI(1), PushF(2.0), Add, Pop]),
+        mismatch(mixed, "int")
+    );
+    assert_eq!(
+        plain(&[PushNull, PushF(2.0), Mul, Pop]),
+        mismatch(mixed, "num")
+    );
+    assert_eq!(plain(&[PushNull, Neg, Pop]), mismatch("numeric", "null"));
+    assert_eq!(
+        plain(&[PushI(1), PushF(2.0), Shl, Pop]),
+        mismatch("int", "num")
+    );
+    assert_eq!(
+        plain(&[PushF(2.0), PushI(1), BAnd, Pop]),
+        mismatch("int", "num")
+    );
+    assert_eq!(plain(&[PushF(2.0), I2F, Pop]), mismatch("int", "num"));
+    assert_eq!(plain(&[PushI(2), F2I, Pop]), mismatch("num", "int"));
+    let after = 11 + 3;
+    assert_eq!(
+        plain(&[PushI(1), PushNull, If(Cmp::Eq, after)]),
+        mismatch("comparable operands", "int")
+    );
+    assert_eq!(
+        plain(&[PushNull, IfZ(Cmp::Eq, after - 1)]),
+        mismatch("int", "null")
+    );
+
+    // Division by zero is the guest's exception: unhandled here...
+    for op in [Div, Rem] {
+        let Ok(StepOutcome::Unhandled(e)) = plain(&[PushI(1), PushI(0), op, Pop]) else {
+            panic!("{op:?} by zero should fault the thread");
+        };
+        assert_eq!((e.kind, e.pc), (ExKind::DivByZero, 13));
+    }
+    // ... and caught here, by a handler that sees none of the operands.
+    let mut caught = after_warm_up(|_| vec![PushI(9), PushI(1), PushI(0), Div, Pop, Pop]);
+    let m = &mut caught.methods[0];
+    let end = m.code.len() as u32;
+    m.code.extend([Store(2), PushI(-7), RetV]);
+    m.lines = (1..=m.code.len() as u32).collect();
+    m.ex_table = vec![ExEntry::new(11, end, end, ExKind::DivByZero)];
+    assert_eq!(
+        ends(&caught),
+        Ok(StepOutcome::Returned(Some(Value::Int(-7))))
+    );
+
+    // A call site whose arity its callee does not share.
+    let arity = after_warm_up(|c| {
+        let (own, id) = (c.intern("P"), c.intern("id"));
+        vec![PushI(1), PushI(2), InvokeStatic(own, id, 2), Pop]
+    });
+    assert_eq!(
+        ends(&arity),
+        Err(VmError::ArityMismatch {
+            class: "P".into(),
+            method: "id".into(),
+            expected: 1,
+            got: 2,
+        })
+    );
+}
+
+#[test]
+fn unbounded_recursion_overflows_as_single_stepping_does() {
+    // 62 locals + 2 header slots a frame: the limit falls some sixteen
+    // thousand frames down, through a call site long since warm.
+    let mut c = ClassDef::new("P");
+    let (own, main) = (c.intern("P"), c.intern("main"));
+    c.methods.push(MethodDef::new("main", 1, 61).with_code(
+        vec![
+            Instr::Load(0),
+            Instr::InvokeStatic(own, main, 1),
+            Instr::RetV,
+        ],
+        vec![1, 1, 2],
+    ));
+    for budgets in [&[u64::MAX][..], &[50_000, 13]] {
+        let (mut fast, mut twin) = twins(&c, "main", 1, Armed::Nowhere);
+        let seen = lockstep(&mut fast, &mut twin, 0, budgets, RunMode::Normal);
+        assert_eq!(seen.end, Err(VmError::StackOverflow));
+        let t = fast.thread(0).unwrap();
+        assert_eq!(t.frames.len(), MAX_STACK_SLOTS / 64);
+        // The thread stays at the Invoke it could not take.
+        assert_eq!(t.frames.last().unwrap().pc, 1);
+        assert_eq!(
+            fast.run(0, 10, RunMode::Normal),
+            Err(VmError::StackOverflow)
+        );
+    }
+}
+
+#[test]
+fn a_pc_outside_the_method_is_an_error_and_costs_nothing() {
+    let class = after_warm_up(|_| Vec::new());
+    let (mut fast, mut twin) = twins(&class, "main", 5, Armed::Nowhere);
+    for vm in [&mut fast, &mut twin] {
+        vm.thread_mut(0).unwrap().frames[0].pc = 99;
+    }
+    let seen = lockstep(&mut fast, &mut twin, 0, &[u64::MAX], RunMode::StopAtMsp);
+    assert_eq!(seen.end, Err(VmError::BadPc(99)));
+    assert_eq!((fast.meter_ns, fast.instr_count), (0, 0));
+}

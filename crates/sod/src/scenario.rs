@@ -890,8 +890,8 @@ impl Scenario {
     }
 
     /// Pin every node's VM (declared nodes and pool members alike) to the
-    /// name-resolution reference path: no inline caches, no
-    /// superinstructions. Differential-testing aid — the report must be
+    /// name-resolution reference path: inline caches that never fill.
+    /// Differential-testing aid — the report must be
     /// bit-identical with this on and off, a property pinned by
     /// `tests/interp_equivalence.rs`.
     pub fn slow_resolve(mut self, on: bool) -> Self {
