@@ -11,6 +11,18 @@
 //! `BytesMut::freeze` converts without copying, and [`Bytes::try_into_mut`]
 //! reclaims the allocation when this handle is the last owner (the hook the
 //! wire codec's buffer pool uses to recycle delivered frames).
+//!
+//! ## Cell reuse
+//!
+//! A `Bytes` shares its storage through a reference-counted cell, and that
+//! cell is a heap allocation of its own. A frame that cycles through a pool
+//! — checked out, filled, frozen, delivered, reclaimed — would mint and free
+//! one cell per trip if `freeze` built it and `try_into_mut` tore it down.
+//! Instead the cell travels with the buffer: `try_into_mut` moves the bytes
+//! out and leaves the (now empty, still uniquely owned) cell inside the
+//! `BytesMut`, and the next `freeze` moves the bytes back into it. A pooled
+//! frame therefore costs no allocation at all; only a `BytesMut` that never
+//! was a `Bytes` mints a cell, once, at its first `freeze`.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -92,14 +104,15 @@ impl Bytes {
     /// owner; returns `self` unchanged otherwise. Mirrors the real crate's
     /// `try_into_mut` (bytes >= 1.7) and is what lets a buffer pool recycle a
     /// frame after its final delivery without copying.
-    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        match Arc::try_unwrap(self.data) {
-            Ok(v) => Ok(BytesMut { data: v }),
-            Err(data) => Err(Bytes {
-                data,
-                start: self.start,
-                end: self.end,
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        match Arc::get_mut(&mut self.data) {
+            // Sole owner: move the bytes out and keep the cell for the
+            // next `freeze` (see the module docs).
+            Some(v) => Ok(BytesMut {
+                data: std::mem::take(v),
+                cell: Some(self.data),
             }),
+            None => Err(self),
         }
     }
 
@@ -157,10 +170,56 @@ impl Buf for Bytes {
     }
 }
 
+/// A plain slice reads as a cursor too: getters shrink it from the front.
+/// What a decoder borrows out of it (`split_at`) keeps the slice's own
+/// lifetime, not the cursor's.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+    fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "buffer underflow");
+        *self = &self[n..];
+    }
+    fn get_u8(&mut self) -> u8 {
+        let v = self[0];
+        self.advance(1);
+        v
+    }
+    fn get_u16_le(&mut self) -> u16 {
+        let v = u16::from_le_bytes(self[..2].try_into().unwrap());
+        self.advance(2);
+        v
+    }
+    fn get_u32_le(&mut self) -> u32 {
+        let v = u32::from_le_bytes(self[..4].try_into().unwrap());
+        self.advance(4);
+        v
+    }
+    fn get_u64_le(&mut self) -> u64 {
+        let v = u64::from_le_bytes(self[..8].try_into().unwrap());
+        self.advance(8);
+        v
+    }
+}
+
 /// An append-only byte builder; [`BytesMut::freeze`] converts to [`Bytes`].
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct BytesMut {
     data: Vec<u8>,
+    /// The emptied storage cell of the `Bytes` this buffer was reclaimed
+    /// from, if any: uniquely owned, reused by the next `freeze`.
+    cell: Option<Arc<Vec<u8>>>,
+}
+
+impl Clone for BytesMut {
+    /// A copy of the bytes; the storage cell stays with the original.
+    fn clone(&self) -> Self {
+        BytesMut {
+            data: self.data.clone(),
+            cell: None,
+        }
+    }
 }
 
 impl BytesMut {
@@ -173,6 +232,7 @@ impl BytesMut {
     pub fn with_capacity(n: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(n),
+            cell: None,
         }
     }
 
@@ -186,9 +246,21 @@ impl BytesMut {
         self.data.capacity()
     }
 
-    /// Convert into an immutable [`Bytes`] without copying.
+    /// Convert into an immutable [`Bytes`] without copying, into the
+    /// storage cell this buffer was reclaimed with when it has one.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        let Some(mut cell) = self.cell else {
+            return Bytes::from(self.data);
+        };
+        let end = self.data.len();
+        // `try_into_mut` handed the cell over as its only owner and nothing
+        // can clone it out of a `BytesMut`.
+        *Arc::get_mut(&mut cell).expect("a reclaimed cell has one owner") = self.data;
+        Bytes {
+            data: cell,
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -279,6 +351,38 @@ mod tests {
         m.clear();
         assert_eq!(m.len(), 0);
         assert!(m.capacity() >= 3, "allocation retained");
+    }
+
+    #[test]
+    fn a_reclaimed_buffer_freezes_into_the_cell_it_came_with() {
+        let first = Bytes::from(vec![1, 2, 3]);
+        let cell = Arc::as_ptr(&first.data);
+        let mut m = first.try_into_mut().expect("sole owner reclaims");
+        m.clear();
+        m.put_slice(b"again");
+        let second = m.freeze();
+        assert_eq!(&*second, b"again");
+        assert_eq!(Arc::as_ptr(&second.data), cell, "the cell was reused");
+        // A slice keeps the cell shared; the last handle still reclaims it.
+        let tail = second.slice(2..5);
+        let second = second.try_into_mut().expect_err("a slice is in flight");
+        drop(second);
+        let m = tail.try_into_mut().expect("last handle reclaims");
+        assert_eq!(&*m, b"again", "the whole buffer comes back, not the view");
+        assert_eq!(Arc::as_ptr(m.cell.as_ref().unwrap()), cell);
+    }
+
+    #[test]
+    fn slices_read_as_cursors() {
+        let bytes = [7u8, 44, 1, 0x70, 0x11, 1, 0, 9, 0, 0, 0, 0, 0, 0, 0, b'x'];
+        let mut cur: &[u8] = &bytes;
+        assert_eq!(cur.get_u8(), 7);
+        assert_eq!(cur.get_u16_le(), 300);
+        assert_eq!(cur.get_u32_le(), 70_000);
+        assert_eq!(cur.get_u64_le(), 9);
+        assert_eq!(cur.remaining(), 1);
+        cur.advance(1);
+        assert_eq!(cur.remaining(), 0);
     }
 
     #[test]

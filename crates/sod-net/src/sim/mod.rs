@@ -88,13 +88,17 @@ pub enum Scheduler {
     Parallel { threads: usize },
 }
 
+/// What a handler sent: (arrival time, src, dst, msg), `src == dst` for
+/// timers. Filled through [`SimCtx`], drained into the queue after the
+/// handler returns.
+type Outbox<M> = Vec<(u64, usize, usize, M)>;
+
 /// Handler-side context: send messages, schedule timers, read the clock.
 pub struct SimCtx<'a, M> {
     now: u64,
     topo: &'a mut Topology,
-    // (arrival time, src, dst, msg); drained into the queue after the
-    // handler. `src` == `dst` for timers.
-    outbox: Vec<(u64, usize, usize, M)>,
+    /// Lent by the [`Sim`], which keeps the allocation between deliveries.
+    outbox: &'a mut Outbox<M>,
 }
 
 impl<M> SimCtx<'_, M> {
@@ -177,6 +181,9 @@ pub struct Sim<W: World> {
     /// to a build without this field.
     chaos: Option<ChaosState>,
     dropped: u64,
+    /// The outbox every delivery's [`SimCtx`] borrows: empty between
+    /// deliveries, its capacity kept, so a delivery allocates nothing here.
+    outbox: Outbox<W::Msg>,
 }
 
 impl<W: World> Sim<W> {
@@ -204,6 +211,7 @@ impl<W: World> Sim<W> {
             delivered: 0,
             chaos: None,
             dropped: 0,
+            outbox: Vec::new(),
         }
     }
 
@@ -299,16 +307,17 @@ impl<W: World> Sim<W> {
             self.delivered_by.resize(ev.dst + 1, 0);
         }
         self.delivered_by[ev.dst] += 1;
+        let mut outbox = std::mem::take(&mut self.outbox);
         let mut ctx = SimCtx {
             now: self.now,
             topo: &mut self.topo,
-            outbox: Vec::new(),
+            outbox: &mut outbox,
         };
         self.world.on_message(ev.dst, ev.msg, &mut ctx);
-        let outbox = ctx.outbox;
-        for (at, src, dst, msg) in outbox {
+        for (at, src, dst, msg) in outbox.drain(..) {
             self.submit(at, src, dst, msg);
         }
+        self.outbox = outbox;
         true
     }
 

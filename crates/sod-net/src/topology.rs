@@ -11,13 +11,18 @@ use crate::link::{Link, LinkSpec};
 /// transfers — senders cannot observe the partition — but the simulator
 /// drops the delivery at arrival time.
 ///
-/// Link state is stored as one row per *source* node (`rows[from][to]`).
+/// Link state is stored as one row per *source* node, indexed by
+/// destination (`rows[from][to]`, `None` until first used): every transfer
+/// finds its link with two bounds checks and no hashing. The override and
+/// cut tables are consulted off that path — an override when a link is
+/// first created, the cut set only under fault injection (and an empty
+/// set answers without hashing).
 #[derive(Clone, Debug)]
 pub struct Topology {
     n: usize,
     default_spec: LinkSpec,
     overrides: HashMap<(usize, usize), LinkSpec>,
-    rows: Vec<HashMap<usize, Link>>,
+    rows: Vec<Vec<Option<Link>>>,
     cut: HashSet<(usize, usize)>,
 }
 
@@ -28,7 +33,7 @@ impl Topology {
             n,
             default_spec,
             overrides: HashMap::new(),
-            rows: (0..n).map(|_| HashMap::new()).collect(),
+            rows: vec![Vec::new(); n],
             cut: HashSet::new(),
         }
     }
@@ -57,7 +62,7 @@ impl Topology {
     pub fn add_node(&mut self) -> usize {
         let id = self.n;
         self.n += 1;
-        self.rows.push(HashMap::new());
+        self.rows.push(Vec::new());
         id
     }
 
@@ -70,25 +75,26 @@ impl Topology {
     pub fn set_link(&mut self, a: usize, b: usize, spec: LinkSpec) {
         self.overrides.insert((a, b), spec);
         self.overrides.insert((b, a), spec);
-        if let Some(row) = self.rows.get_mut(a) {
-            row.remove(&b);
-        }
-        if let Some(row) = self.rows.get_mut(b) {
-            row.remove(&a);
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(link) = self.rows.get_mut(from).and_then(|row| row.get_mut(to)) {
+                *link = None;
+            }
         }
     }
 
     /// The directed link from `from` to `to` (created on first use).
     pub fn link_mut(&mut self, from: usize, to: usize) -> &mut Link {
-        let spec = self
-            .overrides
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_spec);
         if from >= self.rows.len() {
-            self.rows.resize_with(from + 1, HashMap::new);
+            self.rows.resize_with(from + 1, Vec::new);
         }
-        self.rows[from].entry(to).or_insert_with(|| Link::new(spec))
+        let row = &mut self.rows[from];
+        if to >= row.len() {
+            row.resize(to + 1, None);
+        }
+        row[to].get_or_insert_with(|| {
+            let spec = self.overrides.get(&(from, to));
+            Link::new(spec.copied().unwrap_or(self.default_spec))
+        })
     }
 
     /// Submit a transfer; returns arrival time. `from == to` is a local
@@ -120,11 +126,8 @@ impl Topology {
 
     /// Total bytes carried across all links (conservation checks).
     pub fn total_bytes_carried(&self) -> u64 {
-        self.rows
-            .iter()
-            .flat_map(|row| row.values())
-            .map(|l| l.bytes_carried)
-            .sum()
+        let links = self.rows.iter().flatten().flatten();
+        links.map(|l| l.bytes_carried).sum()
     }
 
     /// The smallest one-way propagation latency any link can have: the

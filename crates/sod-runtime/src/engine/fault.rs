@@ -127,12 +127,16 @@ impl Cluster {
                 let home = self.programs[program as usize].home;
                 self.fail_program(program, format!("home node {home} down at launch"), now);
             }
-            Msg::State { state, .. } => {
-                self.nodes[src].net_lost.state += state.len() as u64;
+            Msg::State(msg) => {
+                self.nodes[src].net_lost.state += msg.state.len() as u64;
             }
             Msg::ObjectReply { batch, .. } => {
                 self.nodes[src].net_lost.object += batch.payload_bytes();
+                self.retire_batch(batch);
             }
+            // Flush bytes were accounted when sent; only the buffers are
+            // still owed to the pool.
+            Msg::Flush { batch, .. } => self.retire_batch(batch),
             _ => {}
         }
     }
@@ -311,5 +315,162 @@ mod tests {
         let falling_back = lossy_fleet(RetryPolicy::FallbackToHome);
         assert!(falling_back.sim.world.chaos.fallbacks > 0);
         assert!(falling_back.sim.world.buf_pool.idle() > 0);
+    }
+
+    /// A list guest: `main(n)` links `n` nodes at home, `sum` spins (so a
+    /// CPU budget trips inside it, list built) and then walks them —
+    /// migrated, every node is a fault and, rewritten, a flush frame.
+    fn list_class() -> sod_vm::class::ClassDef {
+        use sod_vm::value::TypeOf;
+        let class = ClassBuilder::new("L")
+            .field("val", TypeOf::Int)
+            .field("next", TypeOf::Ref)
+            .method("sum", &["head"], |m| {
+                m.line();
+                m.pushi(0).store("i");
+                m.line();
+                m.label("spin");
+                m.load("i").pushi(3000).if_cmp(Cmp::Ge, "walk");
+                m.line();
+                m.load("i").pushi(1).add().store("i").goto("spin");
+                m.line();
+                m.label("walk");
+                m.pushi(0).store("acc");
+                m.line();
+                m.load("head").store("cur");
+                m.line();
+                m.label("loop");
+                m.load("cur").ifnull("done");
+                m.line();
+                m.load("cur").getfield("val").store("v");
+                m.line();
+                m.load("acc").load("v").add().store("acc");
+                m.line();
+                m.load("cur").load("v").pushi(1).add().putfield("val");
+                m.line();
+                m.load("cur").getfield("next").store("cur").goto("loop");
+                m.line();
+                m.label("done");
+                m.load("acc").retv();
+            })
+            .method("main", &["n"], |m| {
+                m.line();
+                m.pushnull().store("head");
+                m.line();
+                m.pushi(0).store("i");
+                m.line();
+                m.label("build");
+                m.load("i").load("n").if_cmp(Cmp::Ge, "built");
+                m.line();
+                m.new_obj("L").store("node");
+                m.line();
+                m.load("node").load("i").putfield("val");
+                m.line();
+                m.load("node").load("head").putfield("next");
+                m.line();
+                m.load("node").store("head");
+                m.line();
+                m.load("i").pushi(1).add().store("i").goto("build");
+                m.line();
+                m.label("built");
+                m.load("head").invoke("L", "sum", 1).store("r");
+                m.line();
+                m.load("r").retv();
+            })
+            .build()
+            .unwrap();
+        preprocess_sod(&class).unwrap()
+    }
+
+    /// Replies and flushes that are never installed — dropped by the
+    /// network, addressed to nobody — still owe their buffers to the pool.
+    #[test]
+    fn batches_that_are_never_installed_return_their_buffers() {
+        use sod_vm::wire::{put_home_object, BatchWriter};
+
+        // A lossy object storm: the home→worker direction, which carries
+        // every object reply, loses three deliveries in ten.
+        let mut home = Node::new(NodeConfig::cluster("home"));
+        home.deploy(&list_class()).unwrap();
+        let worker = Node::new(NodeConfig::cluster("worker"));
+        let mut cluster = Cluster::new(vec![home, worker]);
+        let programs: Vec<ProgramId> = (0..10)
+            .map(|_| {
+                let pid = cluster.add_program(0, "L", "main", vec![Value::Int(40)]);
+                let trigger = Trigger::OnCpuSliceBudget { slices: 6, to: 1 };
+                cluster.arm_trigger(pid, ArmedTrigger::new(trigger));
+                pid
+            })
+            .collect();
+        cluster.slice_ns = 5_000;
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+        sim.set_chaos(&ChaosPlan::new().seed(7).link_loss_permille(0, 1, 300));
+        for pid in programs {
+            sim.start_program(0, pid);
+        }
+        sim.run();
+        let world = &sim.sim.world;
+        assert!(world.programs.iter().all(|p| p.done));
+        let faults: u64 = world.programs.iter().map(|p| p.report.object_faults).sum();
+        assert!(faults > 0, "no object was ever fetched");
+        assert!(world.chaos.dropped_msgs > 0, "nothing was dropped");
+        assert!(world.nodes[0].net_lost.object > 0, "no reply was dropped");
+        assert!(world.buf_pool.idle() > 0);
+
+        // Each terminal path on its own, against a pool holding exactly the
+        // one buffer the batch was written into.
+        let one_frame_batch = |cluster: &Cluster| {
+            assert_eq!(cluster.buf_pool.idle(), 0);
+            let mut reply = BatchWriter::new(&cluster.buf_pool);
+            let heap = &cluster.nodes[0].vm.heap;
+            reply.frame(|buf| put_home_object(buf, heap, 0)).unwrap();
+            reply.finish()
+        };
+        let mut home = Node::new(NodeConfig::cluster("home"));
+        home.vm.heap.alloc_arr(3);
+        let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
+        let pid = cluster.add_program(0, "L", "main", vec![Value::Int(1)]);
+        let reason = DropReason::Loss;
+
+        let batch = one_frame_batch(&cluster);
+        let reply = Msg::ObjectReply { session: 9, batch };
+        cluster.note_dropped(0, 1, reply, reason, 0);
+        assert_eq!(cluster.buf_pool.idle(), 1, "dropped reply");
+        drop(cluster.buf_pool.checkout());
+
+        let batch = one_frame_batch(&cluster);
+        let flush = Msg::Flush {
+            program: pid,
+            batch,
+            ack_to: None,
+        };
+        cluster.note_dropped(1, 0, flush, reason, 0);
+        assert_eq!(cluster.buf_pool.idle(), 1, "dropped flush");
+        drop(cluster.buf_pool.checkout());
+
+        // A reply for a session that never lived on its destination.
+        let batch = one_frame_batch(&cluster);
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+        sim.sim.inject(0, 1, Msg::ObjectReply { session: 9, batch });
+        sim.run();
+        assert_eq!(sim.sim.world.buf_pool.idle(), 1, "reply for nobody");
+    }
+
+    /// A completion with nothing to write back (every `fleet-compute` and
+    /// `stack-churn` segment) builds an empty batch — and takes no buffer
+    /// out of the pool to do it.
+    #[test]
+    fn an_empty_flush_checks_nothing_out() {
+        use super::super::objects::collect_flush;
+        use sod_vm::wire::BufferPool;
+
+        let pool = BufferPool::new();
+        pool.give_back(pool.checkout());
+        assert_eq!(pool.idle(), 1);
+        let mut vm = sod_vm::interp::Vm::new();
+        vm.heap.alloc_arr(2); // clean, home-made: not part of any flush
+        let batch = collect_flush(&mut vm, 0, Some(Value::Int(3)), &pool).unwrap();
+        assert!(batch.is_empty());
+        assert_eq!(pool.idle(), 1, "the empty flush held on to a buffer");
     }
 }

@@ -12,7 +12,7 @@ use sod_vm::tooling::ToolingPath;
 use sod_vm::wire::encode_state_pooled;
 
 use crate::costs;
-use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId};
+use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId, StateMsg};
 
 use super::pool::POOL_DEST_BASE;
 use super::session::{BundleSeeds, HomeSide, Owner, StagedSegment, WorkerPhase};
@@ -323,14 +323,14 @@ impl Cluster {
             sender,
             seg.dest,
             state_bytes + seg.class_bytes + costs::MIGRATION_MSG_FIXED_BYTES,
-            Msg::State {
+            Msg::State(Box::new(StateMsg {
                 info: seg.info,
                 state: seg.frame,
                 bundled: seg.bundled,
                 class_bytes: seg.class_bytes,
                 capture_ns: seg.capture_ns,
                 sent_at: ctx.now() + delay,
-            },
+            })),
         );
     }
 

@@ -72,7 +72,7 @@ pub(crate) use session::{Owner, WorkerSession};
 
 use sod_net::{ChaosPlan, Scheduler, Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
-use sod_vm::wire::BufferPool;
+use sod_vm::wire::{BufferPool, FrameBatch};
 
 use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, RunReport};
 use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, SessionId};
@@ -333,6 +333,17 @@ impl Cluster {
         }
     }
 
+    /// A delivered batch is finished with — installed, applied, rejected,
+    /// stale or dropped: hand its buffers back to the pool. Every terminal
+    /// path of a [`Msg::ObjectReply`] or [`Msg::Flush`] ends here, or a run
+    /// that loses or refuses messages bleeds pooled buffers and mints new
+    /// ones. (Frames sharing one buffer return it with the last of them.)
+    fn retire_batch(&self, batch: FrameBatch) {
+        for frame in batch.into_frames() {
+            self.buf_pool.recycle(frame);
+        }
+    }
+
     /// Aggregate the cluster's current state into a [`ClusterReport`]:
     /// per-request completion latencies (nearest-rank percentiles),
     /// throughput, per-node utilization, and per-node network bytes
@@ -450,23 +461,7 @@ impl World for Cluster {
             }
             Msg::PoolTick { pool } => self.pool_tick(pool, ctx),
             Msg::PoolReady { pool, node } => self.pool_ready(pool, node),
-            Msg::State {
-                info,
-                state,
-                bundled,
-                class_bytes,
-                capture_ns,
-                sent_at,
-            } => self.state_arrived(
-                dst,
-                info,
-                state,
-                bundled,
-                class_bytes,
-                capture_ns,
-                sent_at,
-                ctx,
-            ),
+            Msg::State(state) => self.state_arrived(dst, *state, ctx),
             Msg::BeginRestore { session } => self.begin_restore(dst, session, ctx),
             Msg::ClassRequest {
                 session,

@@ -1,17 +1,40 @@
 //! The object manager: on-demand object fetches (heap-on-demand), dirty
 //! write-back flushes with temp-id assignment, and flush acks.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Objects cross the wire without an intermediate form (the codec is
+//! `sod_vm::wire`, "Objects"):
+//!
+//! * a fault reply is written from the home's heap entry into a pooled
+//!   buffer — a `Deep` fetch walks the closure's *ids* and writes each
+//!   object the same way, all into that one buffer;
+//! * the worker installs a reply from its frames straight into the slots
+//!   the cached copy will own, under the loaded class's own name `Arc`;
+//! * a completion flush is written object after object into one pooled
+//!   buffer, and the home writes the slots of each frame straight into its
+//!   masters.
+//!
+//! Both receiving sides walk **every** frame of the batch with the codec's
+//! validating reader before the first heap write. The walk allocates
+//! nothing; what it buys is that a reply or a flush with a malformed frame
+//! anywhere in it fails its program with the heap exactly as it was —
+//! never half a closure installed, never half a flush applied. Every batch,
+//! installed or not, ends in [`Cluster::retire_batch`], which is what keeps
+//! the buffer pool full on lossy and hostile runs too.
+//!
+//! The codec also has a decoded, owned view of an object frame, for tests,
+//! replays and tools. The engine never builds one, and CI greps this
+//! directory for the type's name to keep it that way.
 
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
 use sod_vm::error::{VmError, VmResult};
-use sod_vm::heap::HeapObj;
-use sod_vm::interp::{ParkReason, ThreadState};
+use sod_vm::heap::{HeapObj, ObjKind};
+use sod_vm::idhash::{IdMap, IdSet};
+use sod_vm::interp::{ParkReason, ThreadState, Vm};
 use sod_vm::value::{ObjId, OriginId, Value};
 use sod_vm::wire::{
-    decode_object, encode_object_pooled, extract_closure, extract_dirty, extract_object,
-    install_object_from, BufferPool, FrameBatch, WireObject,
+    closure_ids, put_dirty_object, put_home_object, BatchWriter, BufferPool, FrameBatch, FrameBody,
+    ObjectFrame,
 };
 
 use crate::costs;
@@ -31,17 +54,17 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let policy = self.programs[program as usize].fetch_policy;
+        // Encode once on the home side: the root frame first, then any
+        // prefetched objects (the closure in BFS order), batched into one
+        // delivery frame. The batch's payload length is the object byte
+        // metric at both ends.
         let heap = &self.nodes[home].vm.heap;
-        let extracted = match policy {
-            FetchPolicy::Shallow => extract_object(heap, home_id).map(|root| (root, Vec::new())),
-            // The closure comes back in BFS order, root first.
-            FetchPolicy::Deep => extract_closure(heap, home_id).map(|mut closure| {
-                let root = closure.remove(0);
-                (root, closure)
-            }),
-        };
-        let (root, prefetched) = match extracted {
-            Ok(x) => x,
+        let batch = match encode_reply(heap, home_id, policy, &self.buf_pool) {
+            Ok(batch) => batch,
+            Err(e @ VmError::Encode(_)) => {
+                self.fail_program(program, format!("object encode failed: {e}"), ctx.now());
+                return;
+            }
             Err(e) => {
                 // A request for an object this heap never allocated: fail
                 // the program and retire the session parked on the fault.
@@ -54,19 +77,6 @@ impl Cluster {
                 return;
             }
         };
-        // Encode once on the home side: the root frame first, then any
-        // prefetched objects, batched into one delivery frame. The batch's
-        // payload length is the object byte metric at both ends.
-        let mut batch = FrameBatch::new();
-        for obj in std::iter::once(&root).chain(prefetched.iter()) {
-            match encode_object_pooled(&self.buf_pool, obj) {
-                Ok(f) => batch.push(f),
-                Err(e) => {
-                    self.fail_program(program, format!("object encode failed: {e}"), ctx.now());
-                    return;
-                }
-            }
-        }
         let bytes = batch.payload_bytes();
         let cost = costs::OBJ_LOOKUP_NS + costs::serialize_ns(bytes);
         self.nodes[home].net_sent.object += bytes;
@@ -95,6 +105,7 @@ impl Cluster {
             // also dropped the map entry): nothing to resume, and nobody's
             // report will account the bytes — credit them as lost.
             self.nodes[node].net_lost.object += bytes;
+            self.retire_batch(batch);
             return;
         };
         let tid = w.tid;
@@ -108,32 +119,22 @@ impl Cluster {
             let report = &mut self.programs[program as usize].report;
             report.object_faults += 1;
             report.object_bytes += bytes;
+            self.retire_batch(batch);
             return;
         }
-        // Decode every frame before touching the heap so a malformed reply
+        // Vet every frame before touching the heap so a malformed reply
         // fails the program without half-installing the closure.
-        let mut objects: Vec<WireObject> = Vec::with_capacity(batch.len());
-        for f in batch.frames() {
-            match decode_object(f.clone()) {
-                Ok(o) => objects.push(o),
-                Err(e) => {
-                    self.fail_session(
-                        node,
-                        sid,
-                        format!("object reply decode failed: {e}"),
-                        ctx.now(),
-                    );
-                    return;
-                }
-            }
-        }
-        for f in batch.into_frames() {
-            self.buf_pool.recycle(f);
-        }
-        // A reply that is empty, or that reaches a thread no longer parked
-        // on a fault (a duplicate, a forgery), fails the program — typed.
-        if let Err(e) = install_reply(&mut self.nodes[node].vm, tid, origin, &objects) {
-            self.fail_session(node, sid, format!("object reply rejected: {e}"), ctx.now());
+        let installed = match validate_batch(&batch) {
+            // A reply that is empty, or that reaches a thread no longer
+            // parked on a fault (a duplicate, a forgery), fails the
+            // program — typed.
+            Ok(()) => install_reply(&mut self.nodes[node].vm, tid, origin, &batch)
+                .map_err(|e| format!("object reply rejected: {e}")),
+            Err(e) => Err(format!("object reply decode failed: {e}")),
+        };
+        self.retire_batch(batch);
+        if let Err(error) = installed {
+            self.fail_session(node, sid, error, ctx.now());
             return;
         }
         let report = &mut self.programs[program as usize].report;
@@ -152,79 +153,15 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let total_bytes = batch.payload_bytes();
-        // Decode the whole batch before touching the heap so a malformed
-        // frame fails the program without a half-applied flush.
-        let mut objects: Vec<WireObject> = Vec::with_capacity(batch.len());
-        for f in batch.frames() {
-            match decode_object(f.clone()) {
-                Ok(o) => objects.push(o),
-                Err(e) => {
-                    self.fail_program(program, format!("flush decode failed: {e}"), ctx.now());
-                    return;
-                }
-            }
-        }
-        for f in batch.into_frames() {
-            self.buf_pool.recycle(f);
-        }
-        let objects = &objects[..];
-        let vm = &mut self.nodes[home].vm;
-        // Pass 1: allocate masters for worker-created (temp-id) objects.
-        let mut assigned: Vec<(ObjId, ObjId)> = Vec::new();
-        let mut map: HashMap<ObjId, ObjId> = HashMap::new();
-        for obj in objects {
-            if obj.home_id >= TEMP_ID_BASE {
-                let new_id = match &obj.body {
-                    sod_vm::wire::WireObjBody::Obj { class, fields } => vm
-                        .heap
-                        .alloc_obj(class.clone(), vec![Value::Null; fields.len()]),
-                    sod_vm::wire::WireObjBody::Arr { elems } => vm.heap.alloc_arr(elems.len()),
-                    sod_vm::wire::WireObjBody::Str(s) => vm.heap.alloc_str(s.clone()),
-                };
-                map.insert(obj.home_id, new_id);
-                assigned.push((obj.home_id, new_id));
-            }
-        }
-        // Pass 2: write bodies with refs resolved.
-        let resolve = |cv: &CapturedValue, map: &HashMap<ObjId, ObjId>| -> Value {
-            match cv {
-                CapturedValue::Int(i) => Value::Int(*i),
-                CapturedValue::Num(n) => Value::Num(*n),
-                CapturedValue::Null => Value::Null,
-                CapturedValue::HomeRef(h) => Value::Ref(map.get(h).copied().unwrap_or(*h)),
+        let applied = write_back(&mut self.nodes[home].vm, &batch);
+        self.retire_batch(batch);
+        let assigned = match applied {
+            Ok(assigned) => assigned,
+            Err(e) => {
+                self.fail_program(program, format!("flush decode failed: {e}"), ctx.now());
+                return;
             }
         };
-        for obj in objects {
-            let target = map.get(&obj.home_id).copied().unwrap_or(obj.home_id);
-            let mut entry = match vm.heap.get_mut(target) {
-                Ok(e) => e,
-                Err(_) => continue,
-            };
-            match (&mut entry.kind, &obj.body) {
-                (
-                    sod_vm::heap::ObjKind::Obj { fields, .. },
-                    sod_vm::wire::WireObjBody::Obj { fields: new, .. },
-                ) => {
-                    for (i, cv) in new.iter().enumerate() {
-                        if i < fields.len() {
-                            fields[i] = resolve(cv, &map);
-                        }
-                    }
-                }
-                (
-                    sod_vm::heap::ObjKind::Arr { elems },
-                    sod_vm::wire::WireObjBody::Arr { elems: new },
-                ) => {
-                    for (i, cv) in new.iter().enumerate() {
-                        if i < elems.len() {
-                            elems[i] = resolve(cv, &map);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            entry.dirty = false;
-        }
         if let Some((node, sid)) = ack_to {
             let cost = costs::deserialize_ns(total_bytes);
             ctx.send_after(
@@ -247,22 +184,26 @@ impl Cluster {
         assigned: Vec<(ObjId, ObjId)>,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
+        let n = &mut self.nodes[node];
+        // An ack for a session that never lived here (a forgery), or for
+        // one already retired (a duplicate, or the ack of a flush whose
+        // session a deadline killed): nothing to resume — as for a reply.
+        let Some(w) = n.sessions.get_mut(&sid) else {
+            return;
+        };
+        if matches!(w.phase, WorkerPhase::Done) {
+            return;
+        }
         // Record master ids on the local copies (a temp id naming no
         // local object is ignored, as a stale ack's would be).
-        let origin = self.nodes[node].sessions[&sid].origin();
+        let (origin, tid) = (w.origin(), w.tid);
         for (temp, home_id) in &assigned {
             let local = temp.wrapping_sub(TEMP_ID_BASE);
-            let _ = self.nodes[node].vm.heap.set_home(local, origin, *home_id);
+            let _ = n.vm.heap.set_home(local, origin, *home_id);
         }
-        let phase = std::mem::replace(
-            &mut self.nodes[node].sessions.get_mut(&sid).unwrap().phase,
-            WorkerPhase::Done,
-        );
-        match phase {
+        match std::mem::replace(&mut w.phase, WorkerPhase::Done) {
             WorkerPhase::AwaitRoamAck { dest } => {
-                let w = self.nodes[node].sessions.get_mut(&sid).unwrap();
                 w.phase = WorkerPhase::Running;
-                let tid = w.tid;
                 self.roam_capture_and_ship(node, tid, sid, dest, 0, ctx);
             }
             WorkerPhase::AwaitCompleteAck { retval } => {
@@ -279,40 +220,111 @@ impl Cluster {
                 });
                 self.send_segment_return(node, sid, mapped, 0, ctx);
             }
-            other => {
-                self.nodes[node].sessions.get_mut(&sid).unwrap().phase = other;
-            }
+            other => w.phase = other,
         }
     }
 }
 
-/// Install a decoded object reply from node `origin` — the faulted root
+/// Write the reply to a fault on `root`: that object alone, or under
+/// [`FetchPolicy::Deep`] its whole closure, root first — every frame into
+/// one pooled buffer.
+fn encode_reply(
+    heap: &sod_vm::heap::Heap,
+    root: ObjId,
+    policy: FetchPolicy,
+    pool: &BufferPool,
+) -> VmResult<FrameBatch> {
+    let mut reply = BatchWriter::new(pool);
+    match policy {
+        FetchPolicy::Shallow => reply.frame(|buf| put_home_object(buf, heap, root))?,
+        FetchPolicy::Deep => {
+            for id in closure_ids(heap, root)? {
+                reply.frame(|buf| put_home_object(buf, heap, id))?;
+            }
+        }
+    }
+    Ok(reply.finish())
+}
+
+/// Walk every frame of `batch` with the validating reader (no allocation,
+/// no heap access): `Ok` exactly when all of them decode.
+fn validate_batch(batch: &FrameBatch) -> VmResult<()> {
+    batch.into_iter().try_for_each(|f| ObjectFrame::validate(f))
+}
+
+/// Install a vetted object reply from node `origin` — the faulted root
 /// first, prefetched objects after — and resume the thread parked on it.
 /// A reply nobody is parked for is rejected before it touches the heap.
-fn install_reply(
-    vm: &mut sod_vm::interp::Vm,
-    tid: usize,
-    origin: OriginId,
-    objects: &[WireObject],
-) -> VmResult<()> {
-    let (root, prefetched) = objects.split_first().ok_or(VmError::RestoreProtocol(
-        "object reply without the faulted root",
-    ))?;
+fn install_reply(vm: &mut Vm, tid: usize, origin: OriginId, batch: &FrameBatch) -> VmResult<()> {
+    let (root, prefetched) = batch
+        .frames()
+        .split_first()
+        .ok_or(VmError::RestoreProtocol(
+            "object reply without the faulted root",
+        ))?;
     if !matches!(
         vm.thread(tid)?.state,
         ThreadState::Parked(ParkReason::ObjectFault(_))
     ) {
         return Err(VmError::ThreadParked(tid));
     }
-    let local = install_object_from(&mut vm.heap, origin, root)?;
-    for p in prefetched {
-        install_object_from(&mut vm.heap, origin, p)?;
+    let local = vm.install_fetched(origin, root)?;
+    for frame in prefetched {
+        vm.install_fetched(origin, frame)?;
     }
     vm.resume_fetched(tid, local)
 }
 
+/// Apply a write-back flush to the home heap, straight from its frames;
+/// returns the masters assigned to worker-created (temp-id) objects, in
+/// frame order. Nothing is written unless every frame decodes.
+fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> {
+    validate_batch(batch)?;
+    // Pass 1: allocate masters for worker-created (temp-id) objects.
+    let mut assigned: Vec<(ObjId, ObjId)> = Vec::new();
+    let mut masters: IdMap<ObjId, ObjId> = IdMap::default();
+    for frame in batch {
+        let obj = ObjectFrame::read(frame)?;
+        if obj.home_id < TEMP_ID_BASE {
+            continue;
+        }
+        let master = match obj.body {
+            FrameBody::Obj { class, fields } => {
+                let class = vm.class_name_arc(class);
+                vm.heap.alloc_obj(class, vec![Value::Null; fields.len()])
+            }
+            FrameBody::Arr { elems } => vm.heap.alloc_arr(elems.len()),
+            FrameBody::Str(s) => vm.heap.alloc_str(s),
+        };
+        masters.insert(obj.home_id, master);
+        assigned.push((obj.home_id, master));
+    }
+    // Only temp ids are ever remapped, so a home id skips the lookup.
+    let resolve = |id: ObjId| match id >= TEMP_ID_BASE {
+        true => masters.get(&id).copied().unwrap_or(id),
+        false => id,
+    };
+    // Pass 2: write bodies with refs resolved.
+    for frame in batch {
+        let obj = ObjectFrame::read(frame)?;
+        let Ok(mut entry) = vm.heap.get_mut(resolve(obj.home_id)) else {
+            continue;
+        };
+        if let (ObjKind::Obj { fields: slots, .. }, FrameBody::Obj { fields: new, .. })
+        | (ObjKind::Arr { elems: slots }, FrameBody::Arr { elems: new }) =
+            (&mut entry.kind, obj.body)
+        {
+            for (slot, new) in slots.iter_mut().zip(new) {
+                *slot = new?.to_mapped_value(|h| Some(resolve(h)))?;
+            }
+        }
+        entry.dirty = false;
+    }
+    Ok(assigned)
+}
+
 /// Export a return value, assigning temp ids to worker-created objects.
-pub(super) fn export_with_temps(vm: &sod_vm::interp::Vm, v: Value) -> CapturedValue {
+pub(super) fn export_with_temps(vm: &Vm, v: Value) -> CapturedValue {
     match v {
         Value::Ref(id) => match vm.heap.get(id).ok().and_then(|o| o.home_id()) {
             Some(h) => CapturedValue::HomeRef(h),
@@ -327,70 +339,51 @@ pub(super) fn export_with_temps(vm: &sod_vm::interp::Vm, v: Value) -> CapturedVa
 /// worker-created objects, plus all worker-created objects reachable from
 /// them or from the return value. Other homes' dirty copies (several homes
 /// may share one worker) stay dirty for their own sessions' flushes. Each
-/// object (temp ids for worker-created ones) is encoded exactly once into
-/// a pooled frame; the returned batch's payload length is the flush byte
-/// metric. Clears the flushed objects' dirty bits on success.
+/// object (temp ids for worker-created ones) is written exactly once, all
+/// of them into one pooled buffer; the returned batch's payload length is
+/// the flush byte metric, and a flush of nothing takes no buffer. Clears
+/// the flushed objects' dirty bits on success.
 pub(super) fn collect_flush(
-    vm: &mut sod_vm::interp::Vm,
+    vm: &mut Vm,
     origin: OriginId,
     retval: Option<Value>,
     pool: &BufferPool,
 ) -> VmResult<FrameBatch> {
     let ours = |o: &HeapObj| o.origin().is_none_or(|g| g == origin);
+    let heap = &vm.heap;
     // Ascending local-id order: it fixes the batch's frame order, and with
     // it the temp-id masters the home allocates.
-    let mut roots: Vec<ObjId> = vm
-        .heap
+    let mut queue: Vec<ObjId> = heap
         .dirty_objects()
         .filter(|(_, o)| ours(o))
         .map(|(id, _)| id)
         .collect();
+    let mut seen: IdSet<ObjId> = queue.iter().copied().collect();
     if let Some(Value::Ref(id)) = retval {
-        roots.push(id);
-    }
-    let mut seen: HashSet<ObjId> = HashSet::new();
-    let mut queue: Vec<ObjId> = Vec::new();
-    for r in roots {
-        if seen.insert(r) {
-            queue.push(r);
+        if seen.insert(id) {
+            queue.push(id);
         }
     }
-    let mut batch = FrameBatch::new();
+    let mut flush = BatchWriter::new(pool);
     while let Some(id) = queue.pop() {
-        let obj = match vm.heap.get(id) {
-            Ok(o) => o,
-            Err(_) => continue,
+        let Ok(obj) = heap.get(id) else {
+            continue;
         };
         let include = ours(obj) && (obj.dirty || obj.home_id().is_none());
         if !include {
             continue;
         }
+        flush.frame(|buf| put_dirty_object(buf, heap, id, TEMP_ID_BASE))?;
         // Traverse refs: worker-created neighbours must flush too.
-        let neighbours: Vec<ObjId> = match &obj.kind {
-            sod_vm::heap::ObjKind::Obj { fields, .. } => fields
-                .iter()
-                .filter_map(|v| match v {
-                    Value::Ref(r) => Some(*r),
-                    _ => None,
-                })
-                .collect(),
-            sod_vm::heap::ObjKind::Arr { elems } => elems
-                .iter()
-                .filter_map(|v| match v {
-                    Value::Ref(r) => Some(*r),
-                    _ => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let obj = extract_dirty(&vm.heap, id, TEMP_ID_BASE)?;
-        batch.push(encode_object_pooled(pool, &obj)?);
-        for n in neighbours {
-            if seen.insert(n) {
-                queue.push(n);
+        for slot in obj.slots() {
+            if let Value::Ref(n) = *slot {
+                if seen.insert(n) {
+                    queue.push(n);
+                }
             }
         }
     }
+    let batch = flush.finish();
     vm.heap.clear_dirty_where(ours);
     Ok(batch)
 }

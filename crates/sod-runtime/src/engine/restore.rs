@@ -6,7 +6,6 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use sod_net::SimCtx;
 use sod_vm::capture::{begin_handler_restore, restore_segment_direct};
 use sod_vm::class::{ClassDef, ExKind};
@@ -15,7 +14,7 @@ use sod_vm::wire::decode_state;
 
 use crate::costs;
 use crate::metrics::MigrationTimings;
-use crate::msg::{Msg, SegmentInfo, SessionId};
+use crate::msg::{Msg, SessionId, StateMsg};
 
 use super::migrate::split_transfer_window;
 use super::session::{Owner, WorkerPhase, WorkerSession};
@@ -26,18 +25,15 @@ impl Cluster {
     // Segment arrival & restore
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn state_arrived(
-        &mut self,
-        node: usize,
-        info: SegmentInfo,
-        state: Bytes,
-        bundled: Vec<Arc<ClassDef>>,
-        class_bytes: u64,
-        capture_ns: u64,
-        sent_at: u64,
-        ctx: &mut SimCtx<'_, Msg>,
-    ) {
+    pub(super) fn state_arrived(&mut self, node: usize, msg: StateMsg, ctx: &mut SimCtx<'_, Msg>) {
+        let StateMsg {
+            info,
+            state,
+            bundled,
+            class_bytes,
+            capture_ns,
+            sent_at,
+        } = msg;
         let arrived = ctx.now();
         // The state arrives as its wire frame, encoded once at capture:
         // the frame length is the state byte metric.

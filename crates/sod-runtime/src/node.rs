@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sod_vm::class::ClassDef;
+use sod_vm::idhash::IdMap;
 use sod_vm::interp::Vm;
 use sod_vm::wire::class_wire_bytes;
 
@@ -143,12 +144,14 @@ pub struct Node {
     pub inbound_sessions: u64,
     /// Every worker session that ever arrived here, by id. Entries are
     /// never removed — a finished or killed session stays, in its `Done`
-    /// phase, so a stale message naming it finds it and is ignored.
-    pub(crate) sessions: HashMap<SessionId, WorkerSession>,
+    /// phase, so a stale message naming it finds it and is ignored. Looked
+    /// up several times per object fault, by an id this system minted, and
+    /// never iterated into output: an [`IdMap`] (as is `thread_owner`).
+    pub(crate) sessions: IdMap<SessionId, WorkerSession>,
     /// Who owns each of this node's VM threads, by thread id: a program's
     /// root thread or a restored worker session. An unowned thread never
     /// runs.
-    pub(crate) thread_owner: HashMap<usize, Owner>,
+    pub(crate) thread_owner: IdMap<usize, Owner>,
     /// Session ids minted here so far (the low half of the striped id;
     /// see `Cluster::alloc_session`).
     pub(crate) next_session: u64,
@@ -202,8 +205,8 @@ impl Node {
             busy_ns: 0,
             events: 0,
             inbound_sessions: 0,
-            sessions: HashMap::new(),
-            thread_owner: HashMap::new(),
+            sessions: IdMap::default(),
+            thread_owner: IdMap::default(),
             next_session: 0,
             class_refs: HashMap::new(),
             class_sizes: HashMap::new(),

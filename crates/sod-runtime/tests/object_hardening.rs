@@ -134,3 +134,170 @@ fn empty_reply_fails_the_program() {
     let error = sim.program(pid).error.clone().expect("typed failure");
     assert!(error.contains("object reply rejected"), "{error}");
 }
+
+// ---------------------------------------------------------------------------
+// Flush acks nobody is waiting for
+// ---------------------------------------------------------------------------
+
+/// The cluster of `sim_with_live_worker_session`, its program started but
+/// nothing delivered yet, plus — if asked — a sibling program that stays
+/// home: whatever a hostile message does to the first, the second must
+/// finish.
+fn started_sim(sibling: bool) -> (SodSim, ProgramId, Option<ProgramId>) {
+    let mut home = Node::new(NodeConfig::cluster("home"));
+    home.deploy(&app_class()).unwrap();
+    let worker = Node::new(NodeConfig::cluster("worker"));
+    let mut cluster = Cluster::new(vec![home, worker]);
+    let pid = cluster.add_program(0, "App", "main", vec![Value::Int(400_000)]);
+    cluster.arm_trigger(
+        pid,
+        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1)),
+    );
+    let sibling = sibling.then(|| cluster.add_program(0, "App", "main", vec![Value::Int(900_000)]));
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    for program in [Some(pid), sibling].into_iter().flatten() {
+        sim.start_program(0, program);
+    }
+    (sim, pid, sibling)
+}
+
+/// A `FlushAck` naming a session that never lived on the node it reaches
+/// (a forgery), and one for a session that has already completed (a
+/// duplicate), have nothing to resume: both are ignored — the engine used
+/// to index the session map with the id and take the whole fleet down.
+#[test]
+fn forged_and_duplicate_flush_acks_are_ignored() {
+    let (mut sim, pid, sibling) = started_sim(true);
+    let sibling = sibling.unwrap();
+    while sim.report(pid).object_faults == 0 {
+        assert!(sim.sim.step(), "the worker never faulted on the box");
+    }
+    assert!(!sim.program(pid).done && !sim.program(sibling).done);
+    let forged = |session| Msg::FlushAck {
+        session,
+        assigned: vec![(sod_runtime::engine::TEMP_ID_BASE, 0)],
+    };
+    let now = sim.sim.now();
+    // No node ever minted a session 77 of stripe 9.
+    sim.sim.inject(now, 1, forged((9 << 32) | 77));
+    // The live session's id, delivered where it never lived.
+    sim.sim.inject(now, 0, forged(FIRST_SESSION));
+    sim.run();
+    // The session completed; its ack (it never asked for one) is stale.
+    let now = sim.sim.now();
+    sim.sim.inject(now, 1, forged(FIRST_SESSION));
+    sim.run();
+    for (program, n) in [(pid, 400_000), (sibling, 900_000)] {
+        assert_eq!(sim.program(program).error, None);
+        assert_eq!(sim.report(program).result, Some(n));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A malformed frame anywhere in a batch: nothing of the batch is applied
+// ---------------------------------------------------------------------------
+
+/// Frames for `good` objects with one malformed frame at position `k`.
+fn batch_with_bad_frame(good: &[WireObject], k: usize) -> FrameBatch {
+    let mut frames: Vec<_> = good.iter().map(|o| encode_object(o).unwrap()).collect();
+    // An instance whose declared slot count its bytes cannot hold.
+    let whole = encode_object(&WireObject {
+        home_id: 3,
+        body: WireObjBody::Obj {
+            class: "App".into(),
+            fields: vec![sod_vm::capture::CapturedValue::Int(1); 4],
+        },
+    })
+    .unwrap();
+    frames.insert(k, whole.slice(0..whole.len() - 5));
+    frames.into_iter().collect()
+}
+
+fn app_instance(home_id: u32, count: i64) -> WireObject {
+    WireObject {
+        home_id,
+        body: WireObjBody::Obj {
+            class: "App".into(),
+            fields: vec![sod_vm::capture::CapturedValue::Int(count)],
+        },
+    }
+}
+
+/// Step until `pid` carries an error; returns it.
+fn step_to_failure(sim: &mut SodSim, pid: ProgramId) -> String {
+    while sim.program(pid).error.is_none() {
+        assert!(sim.sim.step(), "the program never failed");
+    }
+    sim.program(pid).error.clone().unwrap()
+}
+
+#[test]
+fn reply_with_a_malformed_frame_installs_nothing() {
+    // Wherever the bad frame sits — root, middle, last — the good frames
+    // around it must not reach the worker heap.
+    for k in 0..3 {
+        let (mut sim, pid, _) = started_sim(false);
+        // Stop with the worker thread parked on its fault, the genuine
+        // reply still on its way.
+        let parked = |sim: &SodSim| {
+            let threads = &sim.sim.world.nodes[1].vm.threads;
+            threads.iter().any(|t| {
+                matches!(
+                    t.state,
+                    sod_vm::interp::ThreadState::Parked(sod_vm::interp::ParkReason::ObjectFault(_))
+                )
+            })
+        };
+        while !parked(&sim) {
+            assert!(sim.sim.step(), "the worker never parked on a fault");
+        }
+        let before = format!("{:?}", sim.sim.world.nodes[1].vm.heap);
+        let now = sim.sim.now();
+        sim.sim.inject(
+            now,
+            1,
+            Msg::ObjectReply {
+                session: FIRST_SESSION,
+                batch: batch_with_bad_frame(&[app_instance(0, 5), app_instance(1, 6)], k),
+            },
+        );
+        let error = step_to_failure(&mut sim, pid);
+        assert!(
+            error.contains("object reply decode failed"),
+            "k={k}: {error}"
+        );
+        let after = format!("{:?}", sim.sim.world.nodes[1].vm.heap);
+        assert_eq!(before, after, "k={k}: the worker heap changed");
+        // The genuine reply finds a retired session and is ignored.
+        sim.run();
+    }
+}
+
+#[test]
+fn flush_with_a_malformed_frame_applies_nothing() {
+    for k in 0..3 {
+        let (mut sim, pid) = sim_with_live_worker_session();
+        let before = format!("{:?}", sim.sim.world.nodes[0].vm.heap);
+        // Frames that *would* apply: the box the program made (home object
+        // 0) rewritten, and a worker-created object asking for a master.
+        let good = [
+            app_instance(0, 123),
+            app_instance(sod_runtime::engine::TEMP_ID_BASE + 9, 456),
+        ];
+        let now = sim.sim.now();
+        sim.sim.inject(
+            now,
+            0,
+            Msg::Flush {
+                program: pid,
+                batch: batch_with_bad_frame(&good, k),
+                ack_to: None,
+            },
+        );
+        let error = step_to_failure(&mut sim, pid);
+        assert!(error.contains("flush decode failed"), "k={k}: {error}");
+        let after = format!("{:?}", sim.sim.world.nodes[0].vm.heap);
+        assert_eq!(before, after, "k={k}: the home heap changed");
+        sim.run();
+    }
+}

@@ -17,7 +17,7 @@ use sod_asm::builder::ClassBuilder;
 use sod_net::Topology;
 use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, SodSim};
-use sod_runtime::msg::{ReturnTarget, SegmentInfo};
+use sod_runtime::msg::{ReturnTarget, SegmentInfo, StateMsg};
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
 use sod_runtime::{MigrationPlan, Msg, ProgramId, SessionId};
@@ -103,14 +103,14 @@ fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -
     sim.sim.inject(
         now,
         1,
-        Msg::State {
+        Msg::State(Box::new(StateMsg {
             info,
             state: encode_state(&state).unwrap(),
             bundled: vec![],
             class_bytes: 0,
             capture_ns: 0,
             sent_at: now,
-        },
+        })),
     );
     sim.run();
     assert_eq!(sim.program(sibling).error, None);

@@ -23,9 +23,11 @@
 //!
 //! * the **cache index** maps a home `(origin, id)` to the lowest local id
 //!   caching it. An object's home is private and write-once, assigned only
-//!   by [`Heap::set_home`], which is therefore the index's single
-//!   maintenance point: entries are never re-keyed or removed, and "lowest
-//!   local id wins" is a `min` at insert.
+//!   by [`Heap::set_home`] and, for a copy born cached, by
+//!   [`Heap::install_cached`] — the index's two maintenance points: entries
+//!   are never re-keyed or removed, and "lowest local id wins" is a `min`
+//!   at insert. The keys are ids this system minted, so the map hashes
+//!   them with [`crate::idhash`], not SipHash.
 //! * the **dirty list** holds every object whose `dirty` flag is set, once
 //!   each. `&mut` access to an entry exists only as an [`ObjMut`] guard,
 //!   and the guard files a dirty object on the list when it drops — the
@@ -36,12 +38,14 @@
 //!   local-id order whatever the write order was: flush batches, and the
 //!   temp-id masters the home allocates from them, depend on it.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::class::ExKind;
 use crate::error::{VmError, VmResult};
+use crate::idhash::IdMap;
 use crate::value::{ObjId, OriginId, Value};
 
 /// Cache status of a heap object (one machine word in the model).
@@ -67,8 +71,13 @@ pub enum ObjKind {
     Arr { elems: Vec<Value> },
     /// An immutable string.
     Str(String),
-    /// A guest exception object.
-    Exception { kind: ExKind, message: String },
+    /// A guest exception object. The interpreter's own messages are
+    /// constants and stay borrowed: raising the `NullPointerException` an
+    /// object fault starts with copies no string.
+    Exception {
+        kind: ExKind,
+        message: Cow<'static, str>,
+    },
 }
 
 /// One heap entry.
@@ -115,6 +124,15 @@ impl HeapObj {
             ObjKind::Arr { elems } => HEADER + elems.len() as u64 * Value::SLOT_BYTES,
             ObjKind::Str(s) => HEADER + s.len() as u64,
             ObjKind::Exception { message, .. } => HEADER + message.len() as u64,
+        }
+    }
+
+    /// The value slots of an instance or array (none for the other kinds).
+    pub fn slots(&self) -> &[Value] {
+        match &self.kind {
+            ObjKind::Obj { fields, .. } => fields,
+            ObjKind::Arr { elems } => elems,
+            ObjKind::Str(_) | ObjKind::Exception { .. } => &[],
         }
     }
 
@@ -167,7 +185,7 @@ pub struct Heap {
     /// Running count of allocations, for metrics.
     allocs: u64,
     /// Cache index: home identity → lowest local id caching it.
-    cached: HashMap<(OriginId, ObjId), ObjId>,
+    cached: IdMap<(OriginId, ObjId), ObjId>,
     /// Local ids of the listed entries, in filing order.
     dirty_list: Vec<ObjId>,
 }
@@ -228,7 +246,11 @@ impl Heap {
     }
 
     /// Allocate a guest exception object.
-    pub fn alloc_exception(&mut self, kind: ExKind, message: impl Into<String>) -> ObjId {
+    pub fn alloc_exception(
+        &mut self,
+        kind: ExKind,
+        message: impl Into<Cow<'static, str>>,
+    ) -> ObjId {
         self.alloc(HeapObj::new(ObjKind::Exception {
             kind,
             message: message.into(),
@@ -357,6 +379,36 @@ impl Heap {
                 .or_insert(id);
         }
         Ok(())
+    }
+
+    /// Install `kind` as the cached copy of object `home_id` of node
+    /// `origin`: an existing copy is refreshed in place (clean, `Local`),
+    /// otherwise a new entry is allocated with its home already recorded.
+    /// One index lookup either way. Returns the copy's local id.
+    pub fn install_cached(&mut self, origin: OriginId, home_id: ObjId, kind: ObjKind) -> ObjId {
+        match self.cached.entry((origin, home_id)) {
+            Entry::Occupied(e) => {
+                let id = *e.get();
+                // Not through `ObjMut`: the copy ends clean, so there is
+                // nothing for the guard to file.
+                let obj = &mut self.entries[id as usize];
+                obj.kind = kind;
+                obj.status = ObjStatus::Local;
+                obj.dirty = false;
+                id
+            }
+            Entry::Vacant(e) => {
+                let mut obj = HeapObj::new(kind);
+                obj.home = Some((origin, home_id));
+                self.used_bytes += obj.size_bytes();
+                self.allocs += 1;
+                self.entries.push(obj);
+                let id = (self.entries.len() - 1) as ObjId;
+                // No older entry caches this home, so `id` is the lowest.
+                e.insert(id);
+                id
+            }
+        }
     }
 
     /// Look up a cached copy of object `home_id` of node `origin`: the

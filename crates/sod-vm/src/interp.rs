@@ -42,6 +42,7 @@
 //!   preprocessor-injected code executes live further out of line in
 //!   `exec_protocol`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -182,6 +183,29 @@ impl LoadedClass {
 
     pub fn static_field_idx(&self, name: &str) -> Option<usize> {
         self.static_field_map.get(name).copied()
+    }
+}
+
+/// [`Vm::class_name_arc`] over the VM's fields, so a caller holding the
+/// heap mutably can still ask. `last` remembers the class found last: a
+/// segment faults in many objects of few classes, and comparing the next
+/// name with that one first saves hashing it on every fault.
+fn shared_class_name(
+    classes: &[LoadedClass],
+    index: &HashMap<String, usize>,
+    last: &mut Option<usize>,
+    name: &str,
+) -> Arc<str> {
+    let known = match *last {
+        Some(ci) if classes[ci].def.name == name => Some(ci),
+        _ => index.get(name).copied(),
+    };
+    match known {
+        Some(ci) => {
+            *last = Some(ci);
+            classes[ci].name_arc.clone()
+        }
+        None => Arc::from(name),
     }
 }
 
@@ -481,6 +505,8 @@ pub struct Vm {
     /// construction and read only where acceleration state would be built:
     /// filling an inline-cache cell.
     reference: bool,
+    /// The class [`Vm::class_name_arc`] resolved last (a one-entry memo).
+    last_fetched_class: Option<usize>,
 }
 
 impl Default for Vm {
@@ -504,6 +530,7 @@ impl Vm {
             cost_scale_per_mille: 1000,
             mem_limit: None,
             reference: false,
+            last_fetched_class: None,
         }
     }
 
@@ -1019,6 +1046,32 @@ impl Vm {
         Ok(())
     }
 
+    /// The name `Arc` an instance of class `name` created by the runtime
+    /// (not by `New`) should hold: the loaded class's canonical one, so the
+    /// instance validates at receiver-keyed inline-cache sites by pointer
+    /// like any other; a name of its own only for a class not loaded here.
+    pub fn class_name_arc(&mut self, name: &str) -> Arc<str> {
+        let (classes, index) = (&self.classes, &self.class_index);
+        shared_class_name(classes, index, &mut self.last_fetched_class, name)
+    }
+
+    /// Install the object frame `frame` (see [`crate::wire`], "Objects"),
+    /// fetched from node `origin`, as a cached copy in this VM's heap. An
+    /// instance shares its loaded class's canonical name `Arc` — as if
+    /// `New` had made it here — so its first field access or virtual call
+    /// at a warm site is an inline-cache hit. A frame that fails to decode
+    /// leaves the heap untouched.
+    pub fn install_fetched(&mut self, origin: OriginId, frame: &[u8]) -> VmResult<ObjId> {
+        let (classes, index, last) = (
+            &self.classes,
+            &self.class_index,
+            &mut self.last_fetched_class,
+        );
+        crate::wire::install_object_frame(&mut self.heap, origin, frame, |name| {
+            shared_class_name(classes, index, last, name)
+        })
+    }
+
     /// Resume a thread parked on an object fault by installing a fetched
     /// object copy. `local_id` must already be in this VM's heap with its
     /// home recorded; the pending fault's binding is applied and the
@@ -1121,11 +1174,11 @@ impl Vm {
         &mut self,
         tid: usize,
         kind: ExKind,
-        message: &str,
+        message: impl Into<Cow<'static, str>>,
         suppress_fault_handlers: bool,
     ) -> VmResult<()> {
         let ex_ref = self.heap.alloc_exception(kind, message);
-        self.dispatch_exception(tid, kind, message, ex_ref, suppress_fault_handlers)
+        self.dispatch_exception(tid, kind, ex_ref, suppress_fault_handlers)
             .map(|_| ())
     }
 
@@ -1138,7 +1191,6 @@ impl Vm {
         &mut self,
         tid: usize,
         kind: ExKind,
-        message: &str,
         ex_ref: ObjId,
         suppress_fault_handlers: bool,
     ) -> VmResult<bool> {
@@ -1177,13 +1229,13 @@ impl Vm {
                 Ok(true)
             }
             None => {
+                let message = match &self.heap.get(ex_ref)?.kind {
+                    ObjKind::Exception { message, .. } => message.to_string(),
+                    _ => String::new(),
+                };
                 let t = &mut self.threads[tid];
                 let pc = t.top().map(|f| f.pc).unwrap_or(0);
-                t.state = ThreadState::Faulted(ExceptionInfo {
-                    kind,
-                    message: message.to_owned(),
-                    pc,
-                });
+                t.state = ThreadState::Faulted(ExceptionInfo { kind, message, pc });
                 Ok(false)
             }
         }
@@ -1215,7 +1267,12 @@ impl Vm {
     /// Helper used by instruction execution: throw and translate into
     /// where control goes next.
     #[cold]
-    fn throw_and_outcome(&mut self, tid: usize, kind: ExKind, message: &str) -> VmResult<Flow> {
+    fn throw_and_outcome(
+        &mut self,
+        tid: usize,
+        kind: ExKind,
+        message: impl Into<Cow<'static, str>>,
+    ) -> VmResult<Flow> {
         self.throw_into(tid, kind, message, false)?;
         Ok(self.thrown(tid))
     }
@@ -1485,7 +1542,7 @@ impl Vm {
                     None => self.throw_and_outcome(
                         tid,
                         ExKind::ArrayBounds,
-                        &format!("index {idx} out of bounds"),
+                        format!("index {idx} out of bounds"),
                     ),
                 }
             }
@@ -1500,7 +1557,7 @@ impl Vm {
                     self.throw_and_outcome(
                         tid,
                         ExKind::ArrayBounds,
-                        &format!("index {idx} out of bounds"),
+                        format!("index {idx} out of bounds"),
                     )
                 }
             }
@@ -1574,9 +1631,9 @@ impl Vm {
                 let Value::Ref(id) = exv else { npe!() };
                 let (kind, message) = match &self.heap.get(id)?.kind {
                     ObjKind::Exception { kind, message } => (*kind, message.clone()),
-                    _ => (ExKind::User(0), String::from("user object thrown")),
+                    _ => (ExKind::User(0), Cow::Borrowed("user object thrown")),
                 };
-                self.throw_and_outcome(tid, kind, &message)
+                self.throw_and_outcome(tid, kind, message)
             }
             NativeCall(nidx, nargs) => {
                 // The intrinsic name is borrowed straight from the constant
@@ -1935,7 +1992,7 @@ impl Vm {
                     return self.throw_and_outcome(
                         tid,
                         ExKind::ArrayBounds,
-                        &format!("index {index} out of bounds"),
+                        format!("index {index} out of bounds"),
                     );
                 };
                 (

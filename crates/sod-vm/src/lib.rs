@@ -64,6 +64,7 @@ pub mod error;
 pub mod fastpath;
 pub mod frame;
 pub mod heap;
+pub mod idhash;
 pub mod instr;
 pub mod interp;
 pub mod intrinsics;

@@ -17,7 +17,9 @@
 //! * [`CapturedState`] — SOD state messages (16-byte magic/kind header,
 //!   u16-prefixed names, u32-prefixed value sequences),
 //! * [`ClassDef`] — on-demand code shipping (the class-file-load-hook path),
-//! * [`WireObject`] — on-demand heap object fetches and dirty write-backs.
+//! * heap objects — on-demand fetches and dirty write-backs, written
+//!   straight from a [`Heap`] and read straight into one (see "Objects"
+//!   below; [`WireObject`] is the decoded view of such a frame).
 //!
 //! Layout discipline: little-endian fixed-width integers, length-prefixed
 //! strings and sequences. Every `encode_*` has a matching `decode_*`;
@@ -41,9 +43,11 @@
 //!
 //! Buffer lifecycle: encoders can write into pooled buffers
 //! ([`BufferPool`]) checked out at encode time and recycled after the last
-//! delivery (`Bytes::try_into_mut` reclaims the allocation when the frame's
-//! refcount drops to one). Per-link sends batch multiple payloads into one
-//! length-prefixed [`FrameBatch`] per delivery window.
+//! delivery (`Bytes::try_into_mut` reclaims the allocation, and the shared
+//! cell with it, when the frame's refcount drops to one — a pooled frame
+//! costs no allocation). Per-link sends batch multiple payloads into one
+//! length-prefixed [`FrameBatch`] per delivery window; a batch written by a
+//! [`BatchWriter`] keeps all its frames in *one* pooled buffer.
 
 use std::sync::{Arc, Mutex};
 
@@ -60,8 +64,12 @@ pub const STATE_MAGIC: u32 = 0x534F_4457;
 /// Frame-kind discriminant for captured-state payloads.
 pub const KIND_STATE: u32 = 1;
 
-/// A heap object on the wire: the payload of an object-fault reply or a
-/// dirty-object flush. References inside travel as home object ids.
+/// The decoded view of an object frame: the payload of an object-fault
+/// reply or a dirty-object flush, with references as home object ids. The
+/// runtime never builds one — it writes frames from the heap and reads them
+/// into it (see "Objects" below); this is the form tests, replays and
+/// tools hold an object in, and every function over it is a composition of
+/// the same writer and reader.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireObject {
     /// Identity of the master copy on the home node. For objects created on
@@ -75,7 +83,7 @@ pub struct WireObject {
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireObjBody {
     Obj {
-        class: String,
+        class: Arc<str>,
         fields: Vec<CapturedValue>,
     },
     Arr {
@@ -88,7 +96,7 @@ impl WireObject {
     /// Serialized size (the object-fetch transfer cost), counted without
     /// allocating. Equals `encode_object(self).len()`.
     pub fn wire_bytes(&self) -> u64 {
-        count_bytes(|buf| put_object(buf, self))
+        count_bytes(|buf| put_wire_object(buf, self))
     }
 }
 
@@ -213,9 +221,33 @@ impl BufferPool {
 /// delivery window, wire form `[u32 n] ([u32 len_i] [payload_i])*`.
 /// [`FrameBatch::payload_bytes`] excludes the framing overhead, so batching
 /// leaves every byte metric numerically identical to per-payload sends.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Most batches hold one frame (a shallow object-fault reply), so a single
+/// frame is held inline; only a second frame allocates the list.
+#[derive(Clone, Debug)]
 pub struct FrameBatch {
-    frames: Vec<Bytes>,
+    frames: Frames,
+}
+
+#[derive(Clone, Debug)]
+enum Frames {
+    One(Bytes),
+    /// Any other count, zero included (an empty `Vec` owns no allocation).
+    Many(Vec<Bytes>),
+}
+
+impl Default for FrameBatch {
+    fn default() -> Self {
+        FrameBatch {
+            frames: Frames::Many(Vec::new()),
+        }
+    }
+}
+
+impl PartialEq for FrameBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.frames() == other.frames()
+    }
 }
 
 impl FrameBatch {
@@ -226,40 +258,53 @@ impl FrameBatch {
 
     /// Append one encoded payload frame.
     pub fn push(&mut self, frame: Bytes) {
-        self.frames.push(frame);
+        self.frames = match std::mem::replace(&mut self.frames, Frames::Many(Vec::new())) {
+            Frames::Many(list) if list.is_empty() => Frames::One(frame),
+            Frames::Many(mut list) => {
+                list.push(frame);
+                Frames::Many(list)
+            }
+            Frames::One(first) => Frames::Many(vec![first, frame]),
+        };
     }
 
     /// Number of frames in the batch.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.frames().len()
     }
 
     /// Whether the batch holds no frames.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.frames().is_empty()
     }
 
     /// The batched frames, in push order.
     pub fn frames(&self) -> &[Bytes] {
-        &self.frames
+        match &self.frames {
+            Frames::One(frame) => std::slice::from_ref(frame),
+            Frames::Many(list) => list,
+        }
     }
 
     /// Consume the batch, yielding the owned frames (e.g. to recycle their
     /// allocations into a [`BufferPool`] after the final delivery).
-    pub fn into_frames(self) -> Vec<Bytes> {
-        self.frames
+    pub fn into_frames(self) -> impl Iterator<Item = Bytes> {
+        let (one, many) = match self.frames {
+            Frames::One(frame) => (Some(frame), Vec::new()),
+            Frames::Many(list) => (None, list),
+        };
+        one.into_iter().chain(many)
     }
 
     /// Sum of payload lengths — the byte metric, identical to summing
     /// `wire_bytes()` over the original values.
     pub fn payload_bytes(&self) -> u64 {
-        self.frames.iter().map(|f| f.len() as u64).sum()
+        self.frames().iter().map(|f| f.len() as u64).sum()
     }
 
     /// Encode the batch into its single length-prefixed delivery frame.
     pub fn encode(&self) -> VmResult<Bytes> {
-        let mut buf =
-            BytesMut::with_capacity(4 + self.frames.len() * 4 + self.payload_bytes() as usize);
+        let mut buf = BytesMut::with_capacity(4 + self.len() * 4 + self.payload_bytes() as usize);
         self.put_into(&mut buf)?;
         Ok(buf.freeze())
     }
@@ -272,8 +317,8 @@ impl FrameBatch {
     }
 
     fn put_into<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
-        buf.put_u32_le(seq_len32(self.frames.len(), "frame batch too large")?);
-        for f in &self.frames {
+        buf.put_u32_le(seq_len32(self.len(), "frame batch too large")?);
+        for f in self.frames() {
             buf.put_u32_le(seq_len32(f.len(), "batched frame too large")?);
             buf.put_slice(f);
         }
@@ -293,15 +338,18 @@ impl FrameBatch {
             }
             frames.push(buf.split_to(len));
         }
-        Ok(FrameBatch { frames })
+        Ok(frames.into_iter().collect())
     }
 }
 
 impl FromIterator<Bytes> for FrameBatch {
     fn from_iter<I: IntoIterator<Item = Bytes>>(iter: I) -> Self {
-        FrameBatch {
-            frames: iter.into_iter().collect(),
-        }
+        let mut list: Vec<Bytes> = iter.into_iter().collect();
+        let frames = match list.len() {
+            1 => Frames::One(list.remove(0)),
+            _ => Frames::Many(list),
+        };
+        FrameBatch { frames }
     }
 }
 
@@ -309,7 +357,72 @@ impl<'a> IntoIterator for &'a FrameBatch {
     type Item = &'a Bytes;
     type IntoIter = std::slice::Iter<'a, Bytes>;
     fn into_iter(self) -> Self::IntoIter {
-        self.frames.iter()
+        self.frames().iter()
+    }
+}
+
+/// Writes a batch's frames back to back into **one** pooled buffer; the
+/// finished [`FrameBatch`]'s frames are [`Bytes::slice`]s of it. A flush of
+/// any size therefore costs the pool one buffer and the allocator one frame
+/// list (none for a single frame), where a buffer per frame cost both one
+/// of each per object — and emptied the pool on every large flush. The
+/// buffer returns to the pool when the last of the slices is recycled, or
+/// at once if the writer is dropped unfinished (an encoder failed).
+pub struct BatchWriter<'p> {
+    pool: &'p BufferPool,
+    /// Checked out by the first frame: an empty batch takes no buffer.
+    buf: Option<BytesMut>,
+    /// Where each frame after the first begins.
+    splits: Vec<usize>,
+}
+
+impl<'p> BatchWriter<'p> {
+    /// A writer of an (as yet) empty batch, drawing on `pool`.
+    pub fn new(pool: &'p BufferPool) -> Self {
+        BatchWriter {
+            pool,
+            buf: None,
+            splits: Vec::new(),
+        }
+    }
+
+    /// Append the frame `put` writes. If `put` fails the batch is unusable;
+    /// drop the writer.
+    pub fn frame(&mut self, put: impl FnOnce(&mut BytesMut) -> VmResult<()>) -> VmResult<()> {
+        match &mut self.buf {
+            Some(buf) => {
+                self.splits.push(buf.len());
+                put(buf)
+            }
+            None => put(self.buf.insert(self.pool.checkout())),
+        }
+    }
+
+    /// The batch of every frame written.
+    pub fn finish(mut self) -> FrameBatch {
+        let Some(buf) = self.buf.take() else {
+            return FrameBatch::new();
+        };
+        let whole = buf.freeze();
+        if self.splits.is_empty() {
+            return FrameBatch {
+                frames: Frames::One(whole),
+            };
+        }
+        let starts = std::iter::once(0).chain(self.splits.iter().copied());
+        let ends = self.splits.iter().copied().chain([whole.len()]);
+        let list = starts.zip(ends).map(|(a, b)| whole.slice(a..b)).collect();
+        FrameBatch {
+            frames: Frames::Many(list),
+        }
+    }
+}
+
+impl Drop for BatchWriter<'_> {
+    fn drop(&mut self) {
+        if let Some(buf) = self.buf.take() {
+            self.pool.give_back(buf);
+        }
     }
 }
 
@@ -319,7 +432,7 @@ impl<'a> IntoIterator for &'a FrameBatch {
 
 /// Check a declared sequence length against what the buffer can possibly
 /// hold (`min_elem` = smallest encoded element) *before* allocating.
-fn ensure_seq(buf: &Bytes, n: usize, min_elem: usize, what: &'static str) -> VmResult<()> {
+fn ensure_seq(buf: &impl Buf, n: usize, min_elem: usize, what: &'static str) -> VmResult<()> {
     match n.checked_mul(min_elem) {
         Some(need) if need <= buf.remaining() => Ok(()),
         _ => Err(VmError::Decode(what)),
@@ -340,13 +453,23 @@ fn put_str<B: BufMut>(buf: &mut B, s: &str) -> VmResult<()> {
     Ok(())
 }
 
-fn get_str(buf: &mut Bytes) -> VmResult<String> {
+/// Read one u32-prefixed string (see [`put_str`]) as a view of the frame.
+fn get_str_ref<'a>(buf: &mut &'a [u8]) -> VmResult<&'a str> {
     let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
+    if buf.len() < len {
         return Err(VmError::Decode("string truncated"));
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| VmError::Decode("invalid utf8"))
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(raw).map_err(|_| VmError::Decode("invalid utf8"))
+}
+
+fn get_str(buf: &mut Bytes) -> VmResult<String> {
+    let mut rest: &[u8] = buf;
+    let s = get_str_ref(&mut rest)?.to_owned();
+    let read = buf.len() - rest.len();
+    buf.advance(read);
+    Ok(s)
 }
 
 /// Name strings in state frames use a compact u16 prefix.
@@ -397,39 +520,39 @@ impl NameWindow {
     }
 }
 
-fn get_u8(buf: &mut Bytes) -> VmResult<u8> {
+fn get_u8(buf: &mut impl Buf) -> VmResult<u8> {
     if buf.remaining() < 1 {
         return Err(VmError::Decode("u8 truncated"));
     }
     Ok(buf.get_u8())
 }
 
-fn get_u16(buf: &mut Bytes) -> VmResult<u16> {
+fn get_u16(buf: &mut impl Buf) -> VmResult<u16> {
     if buf.remaining() < 2 {
         return Err(VmError::Decode("u16 truncated"));
     }
     Ok(buf.get_u16_le())
 }
 
-fn get_u32(buf: &mut Bytes) -> VmResult<u32> {
+fn get_u32(buf: &mut impl Buf) -> VmResult<u32> {
     if buf.remaining() < 4 {
         return Err(VmError::Decode("u32 truncated"));
     }
     Ok(buf.get_u32_le())
 }
 
-fn get_u64(buf: &mut Bytes) -> VmResult<u64> {
+fn get_u64(buf: &mut impl Buf) -> VmResult<u64> {
     if buf.remaining() < 8 {
         return Err(VmError::Decode("u64 truncated"));
     }
     Ok(buf.get_u64_le())
 }
 
-fn get_i64(buf: &mut Bytes) -> VmResult<i64> {
+fn get_i64(buf: &mut impl Buf) -> VmResult<i64> {
     Ok(get_u64(buf)? as i64)
 }
 
-fn get_f64(buf: &mut Bytes) -> VmResult<f64> {
+fn get_f64(buf: &mut impl Buf) -> VmResult<f64> {
     Ok(f64::from_bits(get_u64(buf)?))
 }
 
@@ -455,7 +578,7 @@ fn put_captured_value<B: BufMut>(buf: &mut B, v: &CapturedValue) {
     }
 }
 
-fn get_captured_value(buf: &mut Bytes) -> VmResult<CapturedValue> {
+fn get_captured_value(buf: &mut impl Buf) -> VmResult<CapturedValue> {
     Ok(match get_u8(buf)? {
         0 => CapturedValue::Null,
         1 => CapturedValue::Int(get_i64(buf)?),
@@ -471,16 +594,6 @@ fn put_values<B: BufMut>(buf: &mut B, vs: &[CapturedValue]) -> VmResult<()> {
         put_captured_value(buf, v);
     }
     Ok(())
-}
-
-fn get_values(buf: &mut Bytes) -> VmResult<Vec<CapturedValue>> {
-    let n = get_u32(buf)? as usize;
-    ensure_seq(buf, n, 1, "value count overruns buffer")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_captured_value(buf)?);
-    }
-    Ok(out)
 }
 
 /// Statics value sequences use a compact u16 prefix.
@@ -602,157 +715,407 @@ pub fn decode_state(mut buf: Bytes) -> VmResult<CapturedState> {
 // ---------------------------------------------------------------------------
 // Objects
 // ---------------------------------------------------------------------------
+//
+// An object frame is `[u64 home_id] [u8 tag]` and then, by tag,
+//
+//   0 (instance)  [u32 len][class name] [u32 n] n x value
+//   1 (array)     [u32 n] n x value
+//   2 (string)    [u32 len][utf-8]          (exceptions ship their message)
+//
+// with values as in state frames and references as home object ids.
+//
+// One function writes that form, [`put_object_with`], generic over where
+// the slots come from, and one reads it, [`ObjectFrame::read`] with its
+// [`Slots`] cursor. The runtime's object manager uses them with a heap on
+// the other side and nothing in between:
+//
+// * a fault reply is written from the home's `HeapObj` — the class name
+//   as it sits there, each slot exported as it is written
+//   ([`put_home_object`]);
+// * a write-back is written from the worker's dirty copy, worker-created
+//   neighbours named by temp ids ([`put_dirty_object`]), every object of a
+//   flush into one pooled buffer ([`BatchWriter`]);
+// * a fetched frame is read into the `Vec<Value>` the cached copy will
+//   own ([`install_object_frame`]), and a flush is applied slot by slot
+//   from its frames by the runtime, after [`ObjectFrame::validate`] has
+//   walked every frame of the batch: the walk allocates nothing, and
+//   because it runs before the first heap write, a batch with a malformed
+//   frame changes nothing at all.
+//
+// [`WireObject`] is the *decoded view* of a frame, for tests, replays and
+// tools: `extract_*` build it with the same exporters the direct writers
+// use, `encode_object` feeds it to the same writer, `decode_object`
+// collects it from the same reader, and `install_object_from` ends in the
+// same heap call as the direct install. There is no second codec to keep
+// in step.
 
-fn put_object<B: BufMut>(buf: &mut B, obj: &WireObject) -> VmResult<()> {
-    buf.put_u64_le(u64::from(obj.home_id));
-    match &obj.body {
-        WireObjBody::Obj { class, fields } => {
-            buf.put_u8(0);
-            put_str(buf, class)?;
-            put_values(buf, fields)?;
-        }
-        WireObjBody::Arr { elems } => {
-            buf.put_u8(1);
-            put_values(buf, elems)?;
-        }
-        WireObjBody::Str(s) => {
-            buf.put_u8(2);
-            put_str(buf, s)?;
+use crate::heap::{Heap, HeapObj, ObjKind};
+use crate::idhash::IdSet;
+use crate::value::{OriginId, Value};
+
+/// Body tags of an object frame.
+const TAG_OBJ: u8 = 0;
+const TAG_ARR: u8 = 1;
+const TAG_STR: u8 = 2;
+
+/// What an object frame is written from: the three body shapes, slots
+/// still in their source's own form (`Value` in a heap, `CapturedValue` in
+/// a [`WireObject`]).
+enum BodySrc<'a, T> {
+    Obj { class: &'a str, fields: &'a [T] },
+    Arr { elems: &'a [T] },
+    Str(&'a str),
+}
+
+impl<'a> BodySrc<'a, Value> {
+    fn of_heap(obj: &'a HeapObj) -> Self {
+        match &obj.kind {
+            ObjKind::Obj { class, fields } => BodySrc::Obj { class, fields },
+            ObjKind::Arr { elems } => BodySrc::Arr { elems },
+            ObjKind::Str(s) => BodySrc::Str(s),
+            ObjKind::Exception { message, .. } => BodySrc::Str(message),
         }
     }
-    Ok(())
+}
+
+impl<'a> BodySrc<'a, CapturedValue> {
+    fn of_view(obj: &'a WireObject) -> Self {
+        match &obj.body {
+            WireObjBody::Obj { class, fields } => BodySrc::Obj { class, fields },
+            WireObjBody::Arr { elems } => BodySrc::Arr { elems },
+            WireObjBody::Str(s) => BodySrc::Str(s),
+        }
+    }
+}
+
+/// The one writer of the object wire form; `export` turns a source slot
+/// into the value that travels.
+fn put_object_with<B: BufMut, T>(
+    buf: &mut B,
+    home_id: ObjId,
+    body: BodySrc<'_, T>,
+    mut export: impl FnMut(&T) -> VmResult<CapturedValue>,
+) -> VmResult<()> {
+    let mut put_slots = |buf: &mut B, slots: &[T]| -> VmResult<()> {
+        buf.put_u32_le(seq_len32(slots.len(), "value sequence exceeds u32 prefix")?);
+        for slot in slots {
+            put_captured_value(buf, &export(slot)?);
+        }
+        Ok(())
+    };
+    buf.put_u64_le(u64::from(home_id));
+    match body {
+        BodySrc::Obj { class, fields } => {
+            buf.put_u8(TAG_OBJ);
+            put_str(buf, class)?;
+            put_slots(buf, fields)
+        }
+        BodySrc::Arr { elems } => {
+            buf.put_u8(TAG_ARR);
+            put_slots(buf, elems)
+        }
+        BodySrc::Str(s) => {
+            buf.put_u8(TAG_STR);
+            put_str(buf, s)
+        }
+    }
+}
+
+/// The decoded view of what [`put_object_with`] would write.
+fn view_with<T>(
+    home_id: ObjId,
+    body: BodySrc<'_, T>,
+    export: impl FnMut(&T) -> VmResult<CapturedValue>,
+) -> VmResult<WireObject> {
+    let body = match body {
+        BodySrc::Obj { class, fields } => WireObjBody::Obj {
+            class: class.into(),
+            fields: fields.iter().map(export).collect::<VmResult<_>>()?,
+        },
+        BodySrc::Arr { elems } => WireObjBody::Arr {
+            elems: elems.iter().map(export).collect::<VmResult<_>>()?,
+        },
+        BodySrc::Str(s) => WireObjBody::Str(s.to_owned()),
+    };
+    Ok(WireObject { home_id, body })
+}
+
+/// How a slot of a *home* object travels: primitives by value, references
+/// as home ids (nulled + flagged on install).
+fn export_home(v: &Value) -> VmResult<CapturedValue> {
+    Ok(CapturedValue::from_value(*v))
+}
+
+/// How a slot of a worker's *dirty* object travels home: a reference to a
+/// cached copy as that copy's home id, a reference to a worker-created
+/// object as `temp_base + local id` (the home remaps it after allocating
+/// masters — see the runtime's flush protocol), a transfer-nulled
+/// reference as the home identity it carries.
+fn export_dirty(heap: &Heap, temp_base: ObjId) -> impl Fn(&Value) -> VmResult<CapturedValue> + '_ {
+    move |v| {
+        Ok(match v {
+            Value::Ref(r) => match heap.get(*r)?.home_id() {
+                Some(h) => CapturedValue::HomeRef(h),
+                None => CapturedValue::HomeRef(temp_base + r),
+            },
+            other => CapturedValue::from_value(*other),
+        })
+    }
+}
+
+/// The identity a worker's object `id` is written back under: its home id
+/// for a cached copy, a temp id for an object the worker created.
+fn dirty_identity(obj: &HeapObj, id: ObjId, temp_base: ObjId) -> ObjId {
+    obj.home_id().unwrap_or(temp_base + id)
+}
+
+/// Write home object `id` of `heap` as the frame of an object-fault reply:
+/// shallow — primitive slots by value, reference slots as home ids.
+pub fn put_home_object<B: BufMut>(buf: &mut B, heap: &Heap, id: ObjId) -> VmResult<()> {
+    put_object_with(buf, id, BodySrc::of_heap(heap.get(id)?), export_home)
+}
+
+/// Write a worker's object `id` as a frame of its write-back flush (see
+/// [`extract_dirty`] for the identities used).
+pub fn put_dirty_object<B: BufMut>(
+    buf: &mut B,
+    heap: &Heap,
+    id: ObjId,
+    temp_base: ObjId,
+) -> VmResult<()> {
+    let obj = heap.get(id)?;
+    let home_id = dirty_identity(obj, id, temp_base);
+    let body = BodySrc::of_heap(obj);
+    put_object_with(buf, home_id, body, export_dirty(heap, temp_base))
+}
+
+fn put_wire_object<B: BufMut>(buf: &mut B, obj: &WireObject) -> VmResult<()> {
+    put_object_with(buf, obj.home_id, BodySrc::of_view(obj), |v| Ok(*v))
 }
 
 /// Encode a shipped heap object.
 pub fn encode_object(obj: &WireObject) -> VmResult<Bytes> {
     let mut buf = BytesMut::with_capacity(64);
-    put_object(&mut buf, obj)?;
+    put_wire_object(&mut buf, obj)?;
     Ok(buf.freeze())
 }
 
 /// Encode a shipped heap object into a pooled buffer.
 pub fn encode_object_pooled(pool: &BufferPool, obj: &WireObject) -> VmResult<Bytes> {
     let mut buf = pool.checkout();
-    put_object(&mut buf, obj)?;
+    put_wire_object(&mut buf, obj)?;
     Ok(buf.freeze())
 }
 
-/// Decode a shipped heap object.
-pub fn decode_object(mut buf: Bytes) -> VmResult<WireObject> {
-    let home_id = get_u64(&mut buf)? as ObjId;
-    let body = match get_u8(&mut buf)? {
-        0 => WireObjBody::Obj {
-            class: get_str(&mut buf)?,
-            fields: get_values(&mut buf)?,
+/// One object frame, read but not copied anywhere: the header is parsed
+/// (every declared length checked against the bytes that remain), names
+/// and strings are views of the frame, and the slots are decoded as
+/// [`Slots`] is iterated.
+#[derive(Clone, Debug)]
+pub struct ObjectFrame<'a> {
+    /// Identity of the master copy (a temp id for a worker-created object
+    /// on its first flush).
+    pub home_id: ObjId,
+    pub body: FrameBody<'a>,
+}
+
+/// Body of an [`ObjectFrame`].
+#[derive(Clone, Debug)]
+pub enum FrameBody<'a> {
+    Obj { class: &'a str, fields: Slots<'a> },
+    Arr { elems: Slots<'a> },
+    Str(&'a str),
+}
+
+/// The value slots of an object frame, in order. The count was checked
+/// against the frame's length when the header was read, so reserving
+/// `len()` slots up front is bounded by the frame; each value is checked as
+/// it is reached.
+#[derive(Clone, Debug)]
+pub struct Slots<'a> {
+    left: usize,
+    rest: &'a [u8],
+}
+
+impl<'a> Slots<'a> {
+    /// Read a slot sequence's count; the slots are whatever follows.
+    fn read(mut buf: &'a [u8]) -> VmResult<Self> {
+        let left = get_u32(&mut buf)? as usize;
+        ensure_seq(&buf, left, 1, "value count overruns buffer")?;
+        Ok(Slots { left, rest: buf })
+    }
+
+    /// Decode every slot through `convert` into the `Vec` its owner keeps.
+    pub fn collect_as<T>(self, convert: impl Fn(CapturedValue) -> T) -> VmResult<Vec<T>> {
+        let mut out = Vec::with_capacity(self.left);
+        for slot in self {
+            out.push(convert(slot?));
+        }
+        Ok(out)
+    }
+}
+
+impl Iterator for Slots<'_> {
+    type Item = VmResult<CapturedValue>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let slot = get_captured_value(&mut self.rest);
+        // A bad slot ends the walk: nothing after it can be trusted.
+        self.left = if slot.is_ok() { self.left - 1 } else { 0 };
+        Some(slot)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Slots<'_> {}
+
+impl<'a> ObjectFrame<'a> {
+    /// The one reader of the object wire form.
+    pub fn read(mut frame: &'a [u8]) -> VmResult<Self> {
+        let buf = &mut frame;
+        let home_id = get_u64(buf)? as ObjId;
+        let body = match get_u8(buf)? {
+            TAG_OBJ => FrameBody::Obj {
+                class: get_str_ref(buf)?,
+                fields: Slots::read(buf)?,
+            },
+            TAG_ARR => FrameBody::Arr {
+                elems: Slots::read(buf)?,
+            },
+            TAG_STR => FrameBody::Str(get_str_ref(buf)?),
+            _ => return Err(VmError::Decode("bad WireObject tag")),
+        };
+        Ok(ObjectFrame { home_id, body })
+    }
+
+    /// Walk the whole frame — header and every slot — without keeping
+    /// anything: `Ok` exactly when decoding it would succeed. Allocates
+    /// nothing, so a batch can be vetted before any of it is applied.
+    pub fn validate(frame: &[u8]) -> VmResult<()> {
+        match ObjectFrame::read(frame)?.body {
+            FrameBody::Obj { fields: slots, .. } | FrameBody::Arr { elems: slots } => {
+                slots.into_iter().try_for_each(|slot| slot.map(drop))
+            }
+            FrameBody::Str(_) => Ok(()),
+        }
+    }
+}
+
+/// Decode a shipped heap object into its [`WireObject`] view.
+pub fn decode_object(buf: Bytes) -> VmResult<WireObject> {
+    let frame = ObjectFrame::read(&buf)?;
+    let body = match frame.body {
+        FrameBody::Obj { class, fields } => WireObjBody::Obj {
+            class: class.into(),
+            fields: fields.collect_as(|v| v)?,
         },
-        1 => WireObjBody::Arr {
-            elems: get_values(&mut buf)?,
+        FrameBody::Arr { elems } => WireObjBody::Arr {
+            elems: elems.collect_as(|v| v)?,
         },
-        2 => WireObjBody::Str(get_str(&mut buf)?),
-        _ => return Err(VmError::Decode("bad WireObject tag")),
+        FrameBody::Str(s) => WireObjBody::Str(s.to_owned()),
     };
-    Ok(WireObject { home_id, body })
+    Ok(WireObject {
+        home_id: frame.home_id,
+        body,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Object extraction / installation (home ↔ worker heap transfer)
 // ---------------------------------------------------------------------------
 
-use crate::heap::{Heap, ObjKind};
-use crate::value::{OriginId, Value};
-
 /// Extract object `id` from a heap as a shallow [`WireObject`]: primitive
 /// slots by value, reference slots as home ids (nulled + flagged on
-/// install). This is the home-side half of an object-fault reply.
+/// install). The view of the frame [`put_home_object`] writes.
 pub fn extract_object(heap: &Heap, id: ObjId) -> VmResult<WireObject> {
-    let obj = heap.get(id)?;
-    let conv = |vs: &[Value]| -> Vec<CapturedValue> {
-        vs.iter().map(|v| CapturedValue::from_value(*v)).collect()
-    };
-    let body = match &obj.kind {
-        ObjKind::Obj { class, fields } => WireObjBody::Obj {
-            class: class.to_string(),
-            fields: conv(fields),
-        },
-        ObjKind::Arr { elems } => WireObjBody::Arr { elems: conv(elems) },
-        ObjKind::Str(s) => WireObjBody::Str(s.clone()),
-        ObjKind::Exception { message, .. } => WireObjBody::Str(message.clone()),
-    };
-    Ok(WireObject { home_id: id, body })
+    view_with(id, BodySrc::of_heap(heap.get(id)?), export_home)
 }
 
-/// Extract the transitive closure of `id` (deep fetch / eager copy):
-/// breadth-first over reference slots. Returns objects in BFS order, root
-/// first.
-pub fn extract_closure(heap: &Heap, id: ObjId) -> VmResult<Vec<WireObject>> {
-    let mut seen = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::new();
-    let mut out = Vec::new();
+/// Ids of the transitive closure of `id` (deep fetch / eager copy):
+/// breadth-first over reference slots, root first, each object once.
+pub fn closure_ids(heap: &Heap, id: ObjId) -> VmResult<Vec<ObjId>> {
+    let mut seen: IdSet<ObjId> = IdSet::default();
     seen.insert(id);
-    queue.push_back(id);
-    while let Some(cur) = queue.pop_front() {
-        let wire = extract_object(heap, cur)?;
-        let refs: Vec<ObjId> = match &wire.body {
-            WireObjBody::Obj { fields, .. } => fields
-                .iter()
-                .filter_map(|v| match v {
-                    CapturedValue::HomeRef(r) => Some(*r),
-                    _ => None,
-                })
-                .collect(),
-            WireObjBody::Arr { elems } => elems
-                .iter()
-                .filter_map(|v| match v {
-                    CapturedValue::HomeRef(r) => Some(*r),
-                    _ => None,
-                })
-                .collect(),
-            WireObjBody::Str(_) => Vec::new(),
-        };
-        out.push(wire);
-        for r in refs {
-            if seen.insert(r) {
-                queue.push_back(r);
+    let mut order = vec![id];
+    let mut next = 0;
+    while let Some(&cur) = order.get(next) {
+        next += 1;
+        for slot in heap.get(cur)?.slots() {
+            // Every slot that travels as a home id is an edge.
+            if let CapturedValue::HomeRef(r) = CapturedValue::from_value(*slot) {
+                if seen.insert(r) {
+                    order.push(r);
+                }
             }
         }
     }
-    Ok(out)
+    Ok(order)
 }
 
-/// Install an object shipped from node `origin` into a worker heap as a
-/// cached copy: reference slots become transfer-nulled values carrying
-/// their home identity (they fault in on demand), and the copy's home is
-/// recorded for nested fault resolution and write-back. If a copy of the
-/// same home object already exists it is refreshed in place.
-pub fn install_object_from(heap: &mut Heap, origin: OriginId, obj: &WireObject) -> VmResult<ObjId> {
-    let conv =
-        |vs: &[CapturedValue]| -> Vec<Value> { vs.iter().map(|v| v.to_nulled_value()).collect() };
-    let kind = match &obj.body {
-        // The decoded class name gets a fresh `Arc`; the interpreter
-        // canonicalizes it to the loaded class's shared `Arc` on the first
-        // miss at any receiver-keyed inline-cache site.
-        WireObjBody::Obj { class, fields } => ObjKind::Obj {
-            class: class.as_str().into(),
-            fields: conv(fields),
+/// [`closure_ids`] as [`WireObject`] views, in the same order.
+pub fn extract_closure(heap: &Heap, id: ObjId) -> VmResult<Vec<WireObject>> {
+    let ids = closure_ids(heap, id)?;
+    ids.into_iter().map(|id| extract_object(heap, id)).collect()
+}
+
+/// Install the object in `frame`, shipped from node `origin`, into a worker
+/// heap as a cached copy: reference slots become transfer-nulled values
+/// carrying their home identity (they fault in on demand), and the copy's
+/// home is recorded for nested fault resolution and write-back. If a copy
+/// of the same home object already exists it is refreshed in place.
+///
+/// The slots are decoded straight into the `Vec` the heap entry owns.
+/// `class_arc` supplies the name `Arc` an instance holds — the caller that
+/// knows the loaded classes passes their canonical one
+/// ([`crate::interp::Vm::install_fetched`]). The frame is decoded in full
+/// before the heap is touched: on `Err` the heap is as it was.
+pub fn install_object_frame(
+    heap: &mut Heap,
+    origin: OriginId,
+    frame: &[u8],
+    class_arc: impl FnOnce(&str) -> Arc<str>,
+) -> VmResult<ObjId> {
+    let nulled = CapturedValue::to_nulled_value;
+    let obj = ObjectFrame::read(frame)?;
+    let kind = match obj.body {
+        FrameBody::Obj { class, fields } => {
+            let fields = fields.collect_as(nulled)?;
+            ObjKind::Obj {
+                class: class_arc(class),
+                fields,
+            }
+        }
+        FrameBody::Arr { elems } => ObjKind::Arr {
+            elems: elems.collect_as(nulled)?,
         },
-        WireObjBody::Arr { elems } => ObjKind::Arr { elems: conv(elems) },
+        FrameBody::Str(s) => ObjKind::Str(s.to_owned()),
+    };
+    Ok(heap.install_cached(origin, obj.home_id, kind))
+}
+
+/// [`install_object_frame`] from the decoded view. The instance keeps the
+/// view's class `Arc`; the interpreter canonicalizes it to the loaded
+/// class's shared one on the first miss at a receiver-keyed inline-cache
+/// site.
+pub fn install_object_from(heap: &mut Heap, origin: OriginId, obj: &WireObject) -> VmResult<ObjId> {
+    let nulled = |vs: &[CapturedValue]| vs.iter().map(|v| v.to_nulled_value()).collect();
+    let kind = match &obj.body {
+        WireObjBody::Obj { class, fields } => ObjKind::Obj {
+            class: class.clone(),
+            fields: nulled(fields),
+        },
+        WireObjBody::Arr { elems } => ObjKind::Arr {
+            elems: nulled(elems),
+        },
         WireObjBody::Str(s) => ObjKind::Str(s.clone()),
     };
-    if let Some(existing) = heap.find_cached_from(origin, obj.home_id) {
-        let mut slot = heap.get_mut(existing)?;
-        slot.kind = kind;
-        slot.status = crate::heap::ObjStatus::Local;
-        slot.dirty = false;
-        return Ok(existing);
-    }
-    let id = match kind {
-        ObjKind::Obj { class, fields } => heap.alloc_obj(class, fields),
-        ObjKind::Arr { elems } => heap.alloc_arr_from(elems),
-        ObjKind::Str(s) => heap.alloc_str(s),
-        ObjKind::Exception { .. } => unreachable!("wire bodies never decode to exceptions"),
-    };
-    heap.set_home(id, origin, obj.home_id)?;
-    Ok(id)
+    Ok(heap.install_cached(origin, obj.home_id, kind))
 }
 
 /// [`install_object_from`] on a VM driven standalone (origin 0).
@@ -765,35 +1128,12 @@ pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
 /// worker-created objects are encoded as `HomeRef(temp_base + local_id)` so
 /// the home side can remap them after allocating masters (see the runtime's
 /// flush protocol). Transfer-nulled refs re-export the home identity they
-/// carry.
+/// carry. The view of the frame [`put_dirty_object`] writes.
 pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireObject> {
     let obj = heap.get(id)?;
-    let conv = |vs: &[Value]| -> VmResult<Vec<CapturedValue>> {
-        vs.iter()
-            .map(|v| {
-                Ok(match v {
-                    Value::Ref(r) => match heap.get(*r)?.home_id() {
-                        Some(h) => CapturedValue::HomeRef(h),
-                        None => CapturedValue::HomeRef(temp_base + r),
-                    },
-                    other => CapturedValue::from_value(*other),
-                })
-            })
-            .collect()
-    };
-    let body = match &obj.kind {
-        ObjKind::Obj { class, fields } => WireObjBody::Obj {
-            class: class.to_string(),
-            fields: conv(fields)?,
-        },
-        ObjKind::Arr { elems } => WireObjBody::Arr {
-            elems: conv(elems)?,
-        },
-        ObjKind::Str(s) => WireObjBody::Str(s.clone()),
-        ObjKind::Exception { message, .. } => WireObjBody::Str(message.clone()),
-    };
-    let home_id = obj.home_id().unwrap_or(temp_base + id);
-    Ok(WireObject { home_id, body })
+    let home_id = dirty_identity(obj, id, temp_base);
+    let body = BodySrc::of_heap(obj);
+    view_with(home_id, body, export_dirty(heap, temp_base))
 }
 
 // ---------------------------------------------------------------------------
@@ -1673,6 +2013,82 @@ mod tests {
             FrameBatch::decode(b.freeze()),
             Err(VmError::Decode("frame batch count overruns buffer"))
         );
+    }
+
+    #[test]
+    fn a_batch_is_its_frames_however_it_was_built() {
+        let frame = |n: u8| Bytes::from(vec![n; n as usize]);
+        let mut pushed = FrameBatch::new();
+        assert!(pushed.is_empty() && pushed.frames().is_empty());
+        for n in 1..=3 {
+            pushed.push(frame(n));
+            // One frame sits inline, more in a list: same batch either way.
+            let collected: FrameBatch = (1..=n).map(frame).collect();
+            assert_eq!(pushed, collected);
+            assert_eq!(pushed.len(), n as usize);
+            assert_eq!(pushed.payload_bytes(), (1..=n as u64).sum::<u64>());
+            let owned: Vec<Bytes> = pushed.clone().into_frames().collect();
+            assert_eq!(owned, pushed.frames());
+            assert_eq!(
+                FrameBatch::decode(pushed.encode().unwrap()).unwrap(),
+                pushed
+            );
+        }
+        assert_ne!(pushed, FrameBatch::new());
+    }
+
+    #[test]
+    fn batch_writer_shares_one_pooled_buffer() {
+        let pool = BufferPool::new();
+        pool.give_back(pool.checkout());
+        // Nothing written: no buffer taken, an empty batch.
+        assert!(BatchWriter::new(&pool).finish().is_empty());
+        assert_eq!(pool.idle(), 1);
+
+        let objects = [
+            WireObject {
+                home_id: 1,
+                body: WireObjBody::Str("one".into()),
+            },
+            WireObject {
+                home_id: 2,
+                body: WireObjBody::Arr {
+                    elems: vec![CapturedValue::Int(2)],
+                },
+            },
+            WireObject {
+                home_id: 3,
+                body: WireObjBody::Str("three".into()),
+            },
+        ];
+        for n in 1..=3 {
+            let mut w = BatchWriter::new(&pool);
+            for obj in &objects[..n] {
+                w.frame(|buf| put_wire_object(buf, obj)).unwrap();
+            }
+            let batch = w.finish();
+            assert_eq!(pool.idle(), 0, "the batch holds the pool's one buffer");
+            let separately: FrameBatch = objects[..n]
+                .iter()
+                .map(|o| encode_object(o).unwrap())
+                .collect();
+            assert_eq!(batch, separately);
+            // Recycling every frame returns the buffer once, with the last.
+            let reclaimed: Vec<bool> = batch.into_frames().map(|f| pool.recycle(f)).collect();
+            assert_eq!(reclaimed.iter().filter(|r| **r).count(), 1);
+            assert_eq!(reclaimed.last(), Some(&true));
+            assert_eq!(pool.idle(), 1);
+        }
+
+        // An encoder that fails: dropping the writer returns the buffer.
+        assert_eq!(pool.idle(), 1);
+        let mut w = BatchWriter::new(&pool);
+        w.frame(|buf| put_wire_object(buf, &objects[0])).unwrap();
+        assert_eq!(pool.idle(), 0);
+        let failed = w.frame(|_| Err(VmError::Encode("refused")));
+        assert_eq!(failed, Err(VmError::Encode("refused")));
+        drop(w);
+        assert_eq!(pool.idle(), 1);
     }
 
     #[test]

@@ -1,0 +1,175 @@
+//! An object fault costs the host a handful of heap allocations.
+//!
+//! Heap-on-demand pulls a migrated segment's objects across one fault at a
+//! time, so what one fault round trip (request, encode, deliver, decode,
+//! install, resume — and later the dirty write-back) costs the host decides
+//! how fine-grained a segment can afford to be. It used to cost ≈ 20
+//! allocations: an outbox per delivered event, the class name copied three
+//! times, a `Vec` of decoded values on each side of each codec call, a
+//! fresh buffer per flush frame, an exception message per fault. Objects
+//! now travel between heap and wire with nothing in between
+//! (`sod_vm::wire`, "Objects"), and what remains is what the guest itself
+//! asks for: the master's field array, the cached copy's, and the growth
+//! steps of the heaps' own tables.
+//!
+//! This file pins the count, not a speed, the way `migration_allocs.rs`
+//! does for stacks: the `object-storm` shape — a worker walks and dirties
+//! an *N*-node list that lives at home, and flushes it back at completion
+//! — runs at *N* = 64 and *N* = 256 under a counting allocator, and each of
+//! the 192 extra nodes may cost at most 6 allocations, everything from
+//! building it at home to writing it back included. The same bound holds
+//! per object shipped when one `Deep` fault fetches the whole list.
+//!
+//! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
+//! is process-wide, and a second test running beside it would be counted
+//! too.
+
+mod common;
+
+use common::counting_alloc::counted;
+use sod::asm::builder::ClassBuilder;
+use sod::net::US;
+use sod::preprocess::preprocess_sod;
+use sod::runtime::{FetchPolicy, NodeConfig};
+use sod::scenario::{Fleet, Plan, Scenario, When};
+use sod::vm::class::ClassDef;
+use sod::vm::instr::Cmp;
+use sod::vm::value::{TypeOf, Value};
+use sod::ArrivalSchedule;
+
+const PROGRAMS: usize = 8;
+/// Spin iterations between building the list and walking it: the CPU
+/// budget trips inside them at either list length, so the walk — and with
+/// it every fault — happens at the worker.
+const SPIN: i64 = 3_000;
+
+/// The repo benchmark's `object-storm` guest: `main(n, spin)` builds an
+/// `n`-node list; `sum(head, spin)` spins, then walks the list reading and
+/// rewriting every node's value.
+fn list_class() -> ClassDef {
+    let class = ClassBuilder::new("L")
+        .field("val", TypeOf::Int)
+        .field("next", TypeOf::Ref)
+        .method("sum", &["head", "spin"], |m| {
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("spin");
+            m.load("i").load("spin").if_cmp(Cmp::Ge, "walk");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("spin");
+            m.line();
+            m.label("walk");
+            m.pushi(0).store("acc");
+            m.line();
+            m.load("head").store("cur");
+            m.line();
+            m.label("loop");
+            m.load("cur").ifnull("done");
+            m.line();
+            m.load("cur").getfield("val").store("v");
+            m.line();
+            m.load("acc").load("v").add().store("acc");
+            m.line();
+            m.load("cur").load("v").pushi(1).add().putfield("val");
+            m.line();
+            m.load("cur").getfield("next").store("cur").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("acc").retv();
+        })
+        .method("main", &["n", "spin"], |m| {
+            m.line();
+            m.pushnull().store("head");
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("build");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "built");
+            m.line();
+            m.new_obj("L").store("node");
+            m.line();
+            m.load("node").load("i").putfield("val");
+            m.line();
+            m.load("node").load("head").putfield("next");
+            m.line();
+            m.load("node").store("head");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("build");
+            m.line();
+            m.label("built");
+            m.load("head").load("spin").invoke("L", "sum", 2).store("r");
+            m.line();
+            m.load("r").retv();
+        })
+        .build()
+        .expect("list guest verifies");
+    preprocess_sod(&class).expect("list guest preprocesses")
+}
+
+/// Run the fleet over `nodes`-node lists; returns how many allocations
+/// building and running it took.
+fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> u64 {
+    let (report, spent) = counted(|| {
+        Scenario::new()
+            .slice_ns(5_000)
+            .node("edge", NodeConfig::cluster("edge"))
+            .deploys(class)
+            .node("cloud", NodeConfig::cloud("cloud"))
+            .fleet(
+                Fleet::new("L", "main", vec![Value::Int(nodes), Value::Int(SPIN)])
+                    .programs(PROGRAMS)
+                    .across(&["edge"])
+                    .arrivals(ArrivalSchedule::uniform(250 * US), 42)
+                    .fetch_policy(policy)
+                    .migrate(When::OnCpuSliceBudget(6), Plan::top_to("cloud", 1)),
+            )
+            .run()
+            .expect("fleet runs")
+    });
+    // One fault per node when each is fetched alone, one for the whole
+    // list when the first fault fetches the closure.
+    let faults = match policy {
+        FetchPolicy::Shallow => nodes as u64,
+        FetchPolicy::Deep => 1,
+    };
+    for p in report.programs() {
+        assert_eq!(p.error, None, "{} with {nodes} nodes", p.name);
+        assert_eq!(p.report.result, Some(nodes * (nodes - 1) / 2), "{}", p.name);
+        assert_eq!(p.report.object_faults, faults, "{}", p.name);
+    }
+    // Every node travelled both ways — fetched, dirtied, flushed — at more
+    // than 30 bytes a trip. (Fleet-wide: one completion flushes whatever
+    // its home's sessions have dirtied, so the per-program split varies.)
+    let moved: u64 = report
+        .programs()
+        .iter()
+        .map(|p| p.report.object_bytes)
+        .sum();
+    assert!(
+        moved >= 2 * 30 * (nodes as u64) * PROGRAMS as u64,
+        "{moved} B"
+    );
+    spent
+}
+
+#[test]
+fn an_object_fault_and_its_flush_cost_a_handful_of_allocations() {
+    let class = list_class();
+    for policy in [FetchPolicy::Shallow, FetchPolicy::Deep] {
+        // Warm whatever the first run alone would pay for (lazy statics).
+        storm(&class, 64, policy);
+
+        let short = storm(&class, 64, policy);
+        let long = storm(&class, 256, policy);
+        // Same fleet, same seeds: the runs differ in nothing but the 192
+        // extra nodes each program builds, ships and writes back.
+        let per_object = long.saturating_sub(short) as f64 / (192 * PROGRAMS) as f64;
+        println!("{policy:?}: {per_object:.2} allocations per object ({short} -> {long})");
+        assert!(
+            per_object <= 6.0,
+            "{policy:?}: each extra object cost {per_object:.2} allocations \
+             ({short} with 64 nodes, {long} with 256, {PROGRAMS} programs)"
+        );
+    }
+}

@@ -12,12 +12,13 @@
 //! allocations per migration — growth steps of the per-segment arrays and
 //! of the restored thread's stack, where the per-frame form added ≈ 900.
 //!
-//! The test sits alone in this file: the counter is process-wide, and a
-//! second test running beside it would be counted too.
+//! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
+//! is process-wide, and a second test running beside it would be counted
+//! too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::counting_alloc::counted;
 use sod::asm::builder::ClassBuilder;
 use sod::net::MS;
 use sod::preprocess::preprocess_sod;
@@ -27,34 +28,6 @@ use sod::vm::class::ClassDef;
 use sod::vm::instr::Cmp;
 use sod::vm::value::Value;
 use sod::{ArrivalSchedule, ScenarioReport};
-
-/// Counts every allocation and reallocation the process makes.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic that publishes no
-// other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const PROGRAMS: usize = 20;
 /// Spin iterations at the bottom of the recursion: long enough that the
@@ -97,32 +70,32 @@ fn deep_class() -> ClassDef {
 /// Run the fleet at recursion depth `depth`; returns the report and how
 /// many allocations building and running it took.
 fn churn(class: &ClassDef, depth: i64) -> (ScenarioReport, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = Scenario::new()
-        .slice_ns(2_000)
-        .node("edge0", NodeConfig::cluster("edge0"))
-        .deploys(class)
-        .node("edge1", NodeConfig::cluster("edge1"))
-        .deploys(class)
-        .node("cloud", NodeConfig::cloud("cloud"))
-        .fleet(
-            Fleet::new("Deep", "down", vec![Value::Int(depth), Value::Int(SPIN)])
-                .programs(PROGRAMS)
-                .across(&["edge0", "edge1"])
-                .arrivals(ArrivalSchedule::bursty(10, 15 * MS).with_jitter(MS), 42)
-                .migrate(When::OnCpuSliceBudget(3), Plan::whole_stack_to("cloud")),
-        )
-        .chaos(
-            Chaos::new()
-                .seed(5)
-                // One delivery in ten: enough that twenty programs see
-                // the retained shipment re-shipped (asserted below).
-                .loss(100)
-                .retry(RetryPolicy::Retry { max_attempts: 3 }),
-        )
-        .run()
-        .expect("fleet runs");
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (report, spent) = counted(|| {
+        Scenario::new()
+            .slice_ns(2_000)
+            .node("edge0", NodeConfig::cluster("edge0"))
+            .deploys(class)
+            .node("edge1", NodeConfig::cluster("edge1"))
+            .deploys(class)
+            .node("cloud", NodeConfig::cloud("cloud"))
+            .fleet(
+                Fleet::new("Deep", "down", vec![Value::Int(depth), Value::Int(SPIN)])
+                    .programs(PROGRAMS)
+                    .across(&["edge0", "edge1"])
+                    .arrivals(ArrivalSchedule::bursty(10, 15 * MS).with_jitter(MS), 42)
+                    .migrate(When::OnCpuSliceBudget(3), Plan::whole_stack_to("cloud")),
+            )
+            .chaos(
+                Chaos::new()
+                    .seed(5)
+                    // One delivery in ten: enough that twenty programs see
+                    // the retained shipment re-shipped (asserted below).
+                    .loss(100)
+                    .retry(RetryPolicy::Retry { max_attempts: 3 }),
+            )
+            .run()
+            .expect("fleet runs")
+    });
 
     for p in report.programs() {
         assert_eq!(p.error, None, "{} at depth {depth}", p.name);

@@ -1,40 +1,86 @@
 #!/usr/bin/env python3
-"""Symbolise sampler.so output: sym.py <samples> <binary> func|line [top]
+"""Symbolise the LD_PRELOAD tools' output. Needs addr2line.
+
+    sym.py <samples> <binary> func|line [top]     sampler.so output
+    sym.py <mallocs> <binary> allocs <ops> [top]  mallocs.so output
 
 `func` aggregates by the outermost (non-inlined) function holding each
-sample, `line` by the innermost inlined file:line. Needs addr2line."""
+sample, `line` by the innermost inlined file:line. `allocs` prints
+allocations per operation (`ops` = how many operations the run performed,
+e.g. reps x object faults per rep) by the three innermost frames of each
+call stack that are this repository's own code."""
 import collections
 import subprocess
 import sys
 
 
-def main():
-    samples, binary, mode = sys.argv[1:4]
-    top = int(sys.argv[4]) if len(sys.argv) > 4 else 30
-    with open(samples) as f:
-        base = int(f.readline().split("-")[0], 16)
-        addrs = [int(line, 16) - base for line in f]
-    # -a heads each address's inline chain (function / file:line pairs,
-    # innermost first) with the address itself. Samples outside the binary
-    # (libc, vdso) resolve to "??".
-    unique = sorted({a for a in addrs if a >= 0})
+def symbolise(binary, addrs):
+    """{addr: [(function, file:line), ...]}, innermost inlined frame first.
+
+    -a heads each address's inline chain with the address itself. Addresses
+    outside the binary (libc, vdso) resolve to "??"."""
     out = subprocess.run(
         ["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
-        input="\n".join(hex(a) for a in unique),
+        input="\n".join(hex(a) for a in sorted(addrs)),
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    names, chain, at = {}, [], None
+    chains, lines, at = {}, [], None
     for line in out + ["0x0"]:
         if line.startswith("0x"):
-            if chain:
-                names[at] = chain[-2] if mode == "func" else chain[1]
-            at, chain = int(line, 16), []
+            if lines:
+                chains[at] = list(zip(lines[0::2], lines[1::2]))
+            at, lines = int(line, 16), []
         else:
-            chain.append(line)
-    hits = collections.Counter(names.get(a, "??") for a in addrs)
+            lines.append(line)
+    return chains
+
+
+def samples(path, binary, mode, top):
+    with open(path) as f:
+        base = int(f.readline().split("-")[0], 16)
+        addrs = [int(line, 16) - base for line in f]
+    chains = symbolise(binary, {a for a in addrs if a >= 0})
+    pick = (lambda c: c[-1][0]) if mode == "func" else (lambda c: c[0][1])
+    hits = collections.Counter(pick(chains[a]) if a in chains else "??" for a in addrs)
     print(f"{len(addrs)} samples")
     for name, n in hits.most_common(top):
         print(f"{100 * n / len(addrs):6.2f}%  {n:7d}  {name}")
+
+
+def in_repo(frame):
+    where = frame[1]
+    return not (where.startswith(("??", "/rustc/")) or "/.cargo/" in where)
+
+
+def allocs(path, binary, ops, top):
+    sites = []
+    with open(path) as f:
+        base = int(f.readline().split("-")[0], 16)
+        for line in f:
+            count, size, *stack = line.split()
+            # A return address names the instruction after the call.
+            stack = [int(a, 16) - base - 1 for a in stack]
+            sites.append((int(count), int(size), stack))
+    chains = symbolise(binary, {a for _, _, stack in sites for a in stack if a >= 0})
+    calls, sizes = collections.Counter(), collections.Counter()
+    for count, size, stack in sites:
+        frames = [fr for a in stack for fr in chains.get(a, []) if in_repo(fr)]
+        name = " < ".join(f"{fn} ({where.rsplit('/', 1)[-1]})" for fn, where in frames[:3])
+        calls[name or "??"] += count
+        sizes[name or "??"] += size
+    total = sum(calls.values())
+    print(f"{total} allocations, {total / ops:.2f} per operation")
+    for name, n in calls.most_common(top):
+        print(f"{n / ops:8.2f}/op  {sizes[name] / n:8.0f} B  {name}")
+
+
+def main():
+    path, binary, mode = sys.argv[1:4]
+    rest = sys.argv[4:]
+    if mode == "allocs":
+        allocs(path, binary, float(rest[0]), int(rest[1]) if len(rest) > 1 else 30)
+    else:
+        samples(path, binary, mode, int(rest[0]) if rest else 30)
 
 
 if __name__ == "__main__":
