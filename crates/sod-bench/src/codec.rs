@@ -51,8 +51,7 @@ pub fn synthetic_state(depth: usize, locals: usize) -> CapturedState {
                     1 => CapturedValue::Num(j as f64 * 0.5),
                     _ => CapturedValue::Null,
                 })
-                .collect::<Vec<_>>()
-                .into(),
+                .collect(),
         })
         .collect();
     let statics = vec![CapturedStatics {

@@ -154,8 +154,8 @@ mod tests {
                     // the cursor, throw InvalidState.
                     vm.threads[tid].restore_session.as_mut().unwrap().cursor = restored;
                     restored += 1;
-                    if restored < state.frames.len() {
-                        let (ci, mi) = state.frames[restored].resolve_in(&vm).unwrap();
+                    if let Some(next) = state.frames.get(restored) {
+                        let (ci, mi) = next.resolve_in(&vm).unwrap();
                         vm.set_breakpoint(tid, ci, mi, 0);
                     }
                     vm.throw_into(tid, ExKind::InvalidState, "restore", false)

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sod_net::SimCtx;
-use sod_vm::capture::{capture_segment, CapturedState};
+use sod_vm::capture::{capture_segment, CapturedState, Frames};
 use sod_vm::class::ClassDef;
 use sod_vm::tooling::ToolingPath;
 use sod_vm::wire::encode_state_pooled;
@@ -107,15 +107,16 @@ impl Cluster {
             Ok(captured) => captured,
             Err(e) => return self.fail_program(program, e.to_string(), ctx.now() + elapsed),
         };
-        let state_bytes_full = full.wire_bytes();
         let capture_ns = if all_jvmti {
             self.nodes[node].cfg.scale(tool_ns)
         } else {
             // Portable path: JVMTI read + Java serialization into a
-            // portable format restorable without JVMTI.
+            // portable format restorable without JVMTI — priced on the
+            // whole capture's wire size, counted only here, where it is
+            // read.
             self.nodes[node]
                 .cfg
-                .scale(costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(state_bytes_full))
+                .scale(costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(full.wire_bytes()))
         };
 
         // Split bottom-up frames into the plan's segments (top first),
@@ -126,7 +127,7 @@ impl Cluster {
         // created, and its return would panic at the destination.
         let mut frames = full.frames;
         let statics = full.statics;
-        let mut live: Vec<(usize, Vec<sod_vm::capture::CapturedFrame>)> = Vec::new();
+        let mut live: Vec<(usize, Frames)> = Vec::new();
         for spec in &plan.segments {
             let k = spec.nframes.min(frames.len());
             let seg = frames.split_off(frames.len() - k);
@@ -380,18 +381,14 @@ impl Cluster {
     ) -> Vec<Arc<ClassDef>> {
         match self.code_shipping {
             CodeShipping::Never => Vec::new(),
-            CodeShipping::BundleAlways => self
-                .lookup_class(sender, home, &seeds.top)
-                .into_iter()
-                .collect(),
-            CodeShipping::BundleTop => {
-                if self.nodes[sender].peer_has_class(dest, &seeds.top) {
-                    Vec::new()
-                } else {
-                    self.lookup_class(sender, home, &seeds.top)
-                        .into_iter()
-                        .collect()
-                }
+            CodeShipping::BundleAlways | CodeShipping::BundleTop => {
+                // The top frame's class — under `BundleTop`, unless the
+                // destination provably holds it.
+                let always = matches!(self.code_shipping, CodeShipping::BundleAlways);
+                let top = seeds.top.as_deref();
+                let top = top.filter(|c| always || !self.nodes[sender].peer_has_class(dest, c));
+                let class = top.and_then(|c| self.lookup_class(sender, home, c));
+                class.into_iter().collect()
             }
             CodeShipping::BundleReachable => {
                 // Transitive closure of static class references over the

@@ -120,7 +120,7 @@ impl Cluster {
             wait_for_return: info.wait_for_return,
             phase: WorkerPhase::AwaitClasses {
                 missing: missing.clone(),
-                state,
+                state: Box::new(state),
             },
             timings,
             arrived_at: arrived,
@@ -250,7 +250,7 @@ impl Cluster {
             n.vm.threads[tid].origin = w.origin();
             n.thread_owner.insert(tid, Owner::Worker(sid));
             w.tid = tid;
-            w.phase = WorkerPhase::Restoring { restored: 0, state };
+            w.phase = WorkerPhase::Restoring { restored: 0 };
             let fixed = n.cfg.scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
             ctx.schedule(fixed, node, Msg::RunSlice { tid });
         } else {
@@ -311,20 +311,25 @@ impl Cluster {
             return self.fail_session(node, sid, stray("owner names no session"), at);
         };
         let nframes = w.nframes;
-        let WorkerPhase::Restoring { restored, state } = &mut w.phase else {
+        let WorkerPhase::Restoring { restored } = &mut w.phase else {
             return self.fail_session(node, sid, stray("session is not restoring"), at);
         };
         // cbBreakpoint (paper Fig. 4b): set the next frame's breakpoint,
         // point the restore cursor at this frame, throw the restoration
         // exception, resume.
         let vm = &mut n.vm;
-        let Some(cursor) = vm.threads[tid].restore_session.as_mut() else {
+        let Some(session) = vm.threads[tid].restore_session.as_deref_mut() else {
             return self.fail_session(node, sid, stray("thread has no restore session"), at);
         };
-        cursor.cursor = *restored;
+        session.cursor = *restored;
         *restored += 1;
-        if let Some(next) = state.frames.get(*restored).filter(|_| *restored < nframes) {
-            match next.resolve_in(vm) {
+        // Resolving reads the whole VM, so the segment is looked up again,
+        // shared this time.
+        let session = vm.threads[tid].restore_session.as_deref();
+        let next = session.and_then(|s| s.frames.get(*restored));
+        let next = next.filter(|_| *restored < nframes);
+        if let Some(next) = next.map(|f| f.resolve_in(vm)) {
+            match next {
                 Ok((ci, mi)) => vm.set_breakpoint(tid, ci, mi, 0),
                 Err(e) => return self.fail_session(node, sid, e.to_string(), at),
             }
@@ -341,9 +346,8 @@ impl Cluster {
     /// Handler-protocol restore finishes when every frame has been
     /// re-established and the thread executes a normal slice. That slice
     /// may have ended inside the top frame's handler, which goes on
-    /// reading the thread's own `restore_session` (the VM drops it at the
-    /// handler's last read); the session's copy has no reader left — the
-    /// last was `restore_breakpoint` — and goes with the phase change.
+    /// reading the thread's own `restore_session`; the VM drops it at the
+    /// handler's last read.
     pub(super) fn maybe_finish_restore(
         &mut self,
         node: usize,

@@ -69,8 +69,9 @@ impl HomeSide {
 /// re-bundle of pool-routed segments) never needs to re-decode the frame.
 #[derive(Clone)]
 pub(super) struct BundleSeeds {
-    /// Class of the segment's top frame (the paper's eager-bundle unit).
-    pub(super) top: Arc<str>,
+    /// Class of the segment's top frame (the paper's eager-bundle unit);
+    /// a segment without frames has none.
+    pub(super) top: Option<Arc<str>>,
     /// Every class a shipped frame runs or a shipped static belongs to
     /// (the bundle-reachable closure's seeds), each once, sorted. The
     /// names are the captured state's own `Arc`s.
@@ -82,13 +83,9 @@ impl BundleSeeds {
         let mut classes: Vec<Arc<str>> = state.class_names().cloned().collect();
         classes.sort_unstable();
         classes.dedup();
+        let top = state.frames.runs().last();
         BundleSeeds {
-            top: state
-                .frames
-                .last()
-                .expect("non-empty segment")
-                .class
-                .clone(),
+            top: top.map(|(class, _)| class.clone()),
             classes,
         }
     }
@@ -114,21 +111,21 @@ pub(super) struct StagedSegment {
 }
 
 /// Worker-session lifecycle at the destination node. The decoded stack
-/// travels inside the two phases that still read it, so a session that has
-/// restored — or was retired before it could — holds none.
+/// travels inside the one phase that still reads it, so a session that is
+/// restoring, has restored — or was retired before it could — holds none.
 pub(super) enum WorkerPhase {
     /// Classes referenced by the segment are still in flight (or all are
-    /// here and `BeginRestore` is).
+    /// here and `BeginRestore` is). The stack is boxed: sessions are never
+    /// removed, so every byte of this enum is paid once per request.
     AwaitClasses {
         missing: HashSet<String>,
-        state: CapturedState,
+        state: Box<CapturedState>,
     },
     /// The breakpoint + `InvalidStateException` handler protocol is
-    /// re-establishing frames; `restored` counts finished frames. `state`
-    /// names the method each next breakpoint goes on.
+    /// re-establishing frames; `restored` counts finished frames. The
+    /// thread's own restore session holds the segment being rebuilt.
     Restoring {
         restored: usize,
-        state: CapturedState,
     },
     /// Restore-ahead workflow segment awaiting the return value of the
     /// segment above.
@@ -171,6 +168,12 @@ pub(crate) struct WorkerSession {
     pub(super) recorded: bool,
 }
 
+// Finished sessions are never removed (ROADMAP Open 4a), so every byte of
+// this struct is paid once per migrated segment a node has ever hosted —
+// 2000 times over in the reference fleet, whose peak RSS a 48-byte growth
+// here moved by 7 %. What only a restoring session needs goes in a box.
+const _: () = assert!(std::mem::size_of::<WorkerSession>() <= 240);
+
 impl WorkerSession {
     /// The program's home node as the worker heap's cache key names it:
     /// the origin of every object this session faults in or writes back.
@@ -202,6 +205,15 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::node::{Node, NodeConfig};
+
+    #[test]
+    fn a_worker_session_fits_in_240_bytes() {
+        // The const assertion above already refuses to build otherwise;
+        // this names the number in the test log and covers the decoded
+        // stack the box hides.
+        assert!(std::mem::size_of::<WorkerSession>() <= 240);
+        assert!(std::mem::size_of::<CapturedState>() > 48);
+    }
 
     #[test]
     fn session_ids_are_striped_per_node() {

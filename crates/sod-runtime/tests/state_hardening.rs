@@ -5,6 +5,8 @@
 //!   destination's class lacks, or carry the wrong number of locals for
 //!   the method it names. Both restore protocols refuse such a segment;
 //!   the refusal has to end the program it belongs to, not the engine.
+//! * A `Msg::State` frame longer than the message it holds disagrees with
+//!   itself about the byte metric; the decoder refuses it whole.
 //! * A deployed class that was never preprocessed can stop with an operand
 //!   under a call's arguments (`a + f(x)`), which a multi-frame plan cannot
 //!   capture.
@@ -13,6 +15,7 @@
 //! Exercised at the engine level (`Cluster` + `SodSim`), forged messages
 //! injected mid-run as in `object_hardening.rs`.
 
+use bytes::Bytes;
 use sod_asm::builder::ClassBuilder;
 use sod_net::Topology;
 use sod_preprocess::preprocess_sod;
@@ -85,18 +88,24 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId) {
 /// Deliver `frames` to node 1 as a segment of `victim`, run to idle, and
 /// return the victim's error. The sibling must have finished regardless.
 fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -> String {
-    let (mut sim, sibling, victim) = sim_with_sibling_on_the_worker();
     let state = CapturedState {
-        frames,
+        frames: frames.into_iter().collect(),
         statics: vec![],
     };
+    let wire = encode_state(&state).unwrap();
+    error_after_forged_frame(wire, state.frames.len(), wait_for_return)
+}
+
+/// The same, from the state's wire frame.
+fn error_after_forged_frame(state: Bytes, nframes: usize, wait_for_return: bool) -> String {
+    let (mut sim, sibling, victim) = sim_with_sibling_on_the_worker();
     let info = SegmentInfo {
         program: victim,
         session: FORGED_SESSION,
         home: 0,
         return_to: ReturnTarget::Home { node: 0 },
-        nframes: state.frames.len(),
-        home_pop_frames: state.frames.len(),
+        nframes,
+        home_pop_frames: nframes,
         wait_for_return,
     };
     let now = sim.sim.now();
@@ -105,7 +114,7 @@ fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -
         1,
         Msg::State(Box::new(StateMsg {
             info,
-            state: encode_state(&state).unwrap(),
+            state,
             bundled: vec![],
             class_bytes: 0,
             capture_ns: 0,
@@ -123,7 +132,7 @@ fn spin_frame(method: &str, locals: Vec<CapturedValue>) -> CapturedFrame {
         class: "App".into(),
         method: method.into(),
         pc: 0,
-        locals: locals.into(),
+        locals,
     }
 }
 
@@ -157,6 +166,22 @@ fn a_later_frame_naming_an_unknown_method_fails_its_program() {
     ];
     let error = error_after_forged_state(frames, false);
     assert!(error.contains("nope"), "{error}");
+}
+
+#[test]
+fn state_with_trailing_bytes_fails_its_program() {
+    // A restorable frame of `spin`, then one byte the message does not
+    // account for: the frame's length is the byte metric everywhere, so a
+    // frame that is longer than its content is refused, not trimmed.
+    let locals = vec![CapturedValue::Int(1), CapturedValue::Int(0)];
+    let state = CapturedState {
+        frames: [spin_frame("spin", locals)].into_iter().collect(),
+        statics: vec![],
+    };
+    let mut wire = encode_state(&state).unwrap().to_vec();
+    wire.push(0);
+    let error = error_after_forged_frame(Bytes::from(wire), 1, true);
+    assert!(error.contains("trailing bytes after state"), "{error}");
 }
 
 #[test]

@@ -28,18 +28,21 @@
 //! meter) identically to one restored warm, which
 //! `tests/interp_equivalence.rs` pins.
 //!
-//! **In memory a segment shares what the wire repeats.** Frame and statics
-//! names are `Arc<str>`: capture clones the linked class's own name `Arc`s
-//! (no string is copied per frame), and `wire::decode_state` hands every
-//! repeat of a name within one message the same `Arc`. A segment's locals
-//! are one value array that each frame's [`Locals`] is a window into, so
-//! cloning or splitting a segment moves refcounts, never values. None of
-//! this reaches the wire — every frame still ships its names and values in
-//! full, by value — and a *decoded* name is a fresh `Arc`, never one of the
-//! destination's `LoadedClass` canonical ones, so the interpreter's
-//! pointer-compared inline caches cannot be satisfied (or confused) by it.
+//! **In memory a segment is three arrays, not a list of frames.**
+//! [`Frames`] holds *one value array* for every local of the segment, *one
+//! 12-byte head per frame* (its run, its pc, where its values end) and *one
+//! `(class, method)` name pair per run* of consecutive frames of the same
+//! method — a 129-deep recursion is one run. Capture and decode build that
+//! shape directly, so building, cloning, splitting and dropping a segment
+//! touches a refcount per run, never per frame, and readers borrow a frame
+//! as a [`FrameRef`]. [`CapturedFrame`] is the owned one-frame value tests
+//! and tools push in. What is *not* shared: nothing of this reaches the
+//! wire — every frame still ships its names and values in full, by value —
+//! and while capture clones the linked class's own name `Arc`s, a *decoded*
+//! name is a fresh `Arc`, never one of the destination's `LoadedClass`
+//! canonical ones, so the interpreter's pointer-compared inline caches
+//! cannot be satisfied (or confused) by it.
 
-use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::error::{VmError, VmResult};
@@ -97,127 +100,238 @@ impl CapturedValue {
     }
 }
 
-/// A frame's captured locals: a window into the value array its whole
-/// segment shares. Reads as a slice; clones and moves with its frame
-/// (`frames.split_off(..)`) by refcount; compares by contents.
-#[derive(Clone)]
-pub struct Locals {
-    values: Arc<[CapturedValue]>,
-    start: usize,
-    len: usize,
-}
-
-impl Deref for Locals {
-    type Target = [CapturedValue];
-    fn deref(&self) -> &[CapturedValue] {
-        &self.values[self.start..self.start + self.len]
-    }
-}
-
-/// A window over an array of its own (frames built one at a time).
-impl From<Vec<CapturedValue>> for Locals {
-    fn from(values: Vec<CapturedValue>) -> Self {
-        Locals {
-            len: values.len(),
-            values: values.into(),
-            start: 0,
-        }
-    }
-}
-
-impl PartialEq for Locals {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl std::fmt::Debug for Locals {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// One captured frame.
+/// One captured frame, owned: what tests and tools build a segment from
+/// ([`Frames::push`], `Frames: FromIterator<CapturedFrame>`). A segment
+/// does not store its frames in this form — see [`Frames`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CapturedFrame {
     pub class: Arc<str>,
     pub method: Arc<str>,
     pub pc: u32,
-    pub locals: Locals,
+    pub locals: Vec<CapturedValue>,
 }
 
 impl CapturedFrame {
+    /// This frame as readers of a segment see one.
+    pub fn view(&self) -> FrameRef<'_> {
+        FrameRef {
+            class: &self.class,
+            method: &self.method,
+            pc: self.pc,
+            locals: &self.locals,
+        }
+    }
+}
+
+/// One frame of a [`Frames`], borrowed. Compares by contents.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FrameRef<'a> {
+    pub class: &'a str,
+    pub method: &'a str,
+    pub pc: u32,
+    pub locals: &'a [CapturedValue],
+}
+
+impl FrameRef<'_> {
     /// Whether `other` names its class and method through the *same*
-    /// `Arc`s — true of consecutive frames of one method as captured or
-    /// decoded, so a consumer resolving names frame by frame can reuse the
-    /// previous frame's answer. `false` proves nothing: equal names may
-    /// sit behind distinct `Arc`s.
-    pub fn shares_names_with(&self, other: &CapturedFrame) -> bool {
-        Arc::ptr_eq(&self.class, &other.class) && Arc::ptr_eq(&self.method, &other.method)
+    /// strings in memory — true of two frames of one run, so a consumer
+    /// resolving names frame by frame can reuse the previous frame's
+    /// answer. `false` proves nothing: equal names may sit in distinct
+    /// strings.
+    pub fn same_run_as(&self, other: &FrameRef<'_>) -> bool {
+        std::ptr::eq(self.class, other.class) && std::ptr::eq(self.method, other.method)
     }
 
     /// `(class_idx, method_idx)` of the method this frame names, in `vm`.
     pub fn resolve_in(&self, vm: &Vm) -> VmResult<(usize, usize)> {
         let ci = vm
-            .class_idx(&self.class)
+            .class_idx(self.class)
             .ok_or_else(|| VmError::ClassNotFound(self.class.to_string()))?;
-        let mi =
-            vm.classes[ci]
-                .method_idx(&self.method)
-                .ok_or_else(|| VmError::MethodNotFound {
-                    class: self.class.to_string(),
-                    method: self.method.to_string(),
-                })?;
+        let mi = vm.classes[ci]
+            .method_idx(self.method)
+            .ok_or_else(|| VmError::MethodNotFound {
+                class: self.class.to_string(),
+                method: self.method.to_string(),
+            })?;
         Ok((ci, mi))
     }
 }
 
-/// Fills one segment's frames bottom-up over a single value array: push a
-/// frame's values, close it with [`SegmentBuilder::end_frame`], and
-/// [`SegmentBuilder::finish`] freezes the array and cuts it into the
-/// frames' windows. The array grows only as values arrive.
-pub(crate) struct SegmentBuilder {
-    /// Per closed frame: its names, its pc, and where its values end.
-    heads: Vec<(Arc<str>, Arc<str>, u32, usize)>,
+/// What a segment records per frame, beside its values: which run names
+/// it, its pc, and where in the value array its locals end (they begin
+/// where the frame below ends).
+#[derive(Clone, Copy)]
+struct Head {
+    run: u32,
+    pc: u32,
+    end: u32,
+}
+
+/// A segment's frames, bottom-up, as three arrays (see the module docs).
+/// Reads like a list of [`FrameRef`]s and compares like one — by contents,
+/// however the frames are partitioned into runs.
+#[derive(Clone, Default)]
+pub struct Frames {
+    /// `(class, method)` of each run of consecutive same-method frames.
+    runs: Vec<(Arc<str>, Arc<str>)>,
+    heads: Vec<Head>,
+    /// Every frame's locals, back to back.
     values: Vec<CapturedValue>,
 }
 
-impl SegmentBuilder {
-    /// Both capacities must already be bounded by what the source holds.
+impl Frames {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Room for `nframes` frames holding `nvalues` locals between them.
+    /// Both must already be bounded by what the source holds.
     pub(crate) fn with_capacity(nframes: usize, nvalues: usize) -> Self {
-        SegmentBuilder {
+        Frames {
+            runs: Vec::new(),
             heads: Vec::with_capacity(nframes),
             values: Vec::with_capacity(nvalues),
         }
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Number of locals over all frames.
+    pub fn value_count(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The `(class, method)` name pair of each run, bottom-up.
+    pub fn runs(&self) -> &[(Arc<str>, Arc<str>)] {
+        &self.runs
+    }
+
+    fn view(&self, head: &Head, start: usize) -> FrameRef<'_> {
+        let (class, method) = &self.runs[head.run as usize];
+        FrameRef {
+            class,
+            method,
+            pc: head.pc,
+            locals: &self.values[start..head.end as usize],
+        }
+    }
+
+    /// Frame `i`, bottom-up.
+    pub fn get(&self, i: usize) -> Option<FrameRef<'_>> {
+        let head = self.heads.get(i)?;
+        let below = i.checked_sub(1).map_or(0, |b| self.heads[b].end as usize);
+        Some(self.view(head, below))
+    }
+
+    /// The segment's bottom (oldest) frame.
+    pub fn first(&self) -> Option<FrameRef<'_>> {
+        self.get(0)
+    }
+
+    /// Every frame, bottom-up.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FrameRef<'_>> {
+        let mut start = 0;
+        self.heads.iter().map(move |head| {
+            let frame = self.view(head, start);
+            start = head.end as usize;
+            frame
+        })
+    }
+
+    /// Open a run: the frames closed from here on are `class.method`'s.
+    pub(crate) fn open_run(&mut self, class: Arc<str>, method: Arc<str>) {
+        self.runs.push((class, method));
+    }
+
+    /// Make room for `n` more values. `n` must already be bounded by what
+    /// the source holds.
+    pub(crate) fn reserve_values(&mut self, n: usize) {
+        self.values.reserve(n);
     }
 
     pub(crate) fn push_value(&mut self, v: CapturedValue) {
         self.values.push(v);
     }
 
-    /// Close the frame owning every value pushed since the last close.
-    pub(crate) fn end_frame(&mut self, class: Arc<str>, method: Arc<str>, pc: u32) {
-        self.heads.push((class, method, pc, self.values.len()));
+    /// Close a frame of the open run, owning every value pushed since the
+    /// last close.
+    pub(crate) fn end_frame(&mut self, pc: u32) -> VmResult<()> {
+        let run = self.runs.len().checked_sub(1);
+        let run = run.and_then(|r| u32::try_from(r).ok());
+        let end = u32::try_from(self.values.len()).ok();
+        let (Some(run), Some(end)) = (run, end) else {
+            return Err(VmError::Encode("segment outgrew its u32 indexes"));
+        };
+        self.heads.push(Head { run, pc, end });
+        Ok(())
     }
 
-    pub(crate) fn finish(self) -> Vec<CapturedFrame> {
-        let values: Arc<[CapturedValue]> = self.values.into();
-        let mut start = 0;
-        let frame = |(class, method, pc, end)| {
-            let locals = Locals {
-                values: values.clone(),
-                start,
-                len: end - start,
-            };
-            start = end;
-            CapturedFrame {
-                class,
-                method,
-                pc,
-                locals,
-            }
+    /// Append one frame on top, joining the top run if it names the same
+    /// method.
+    pub fn push(&mut self, frame: CapturedFrame) {
+        let top = self.runs.last();
+        if !top.is_some_and(|(c, m)| **c == *frame.class && **m == *frame.method) {
+            self.open_run(frame.class, frame.method);
+        }
+        self.values.extend(frame.locals);
+        self.end_frame(frame.pc)
+            .expect("a segment holds fewer than 2^32 frames and values");
+    }
+
+    /// Split the segment at frame `at`: `self` keeps the frames below it,
+    /// the frames from `at` up are returned (like `Vec::split_off`, and
+    /// like it panics if `at > len`). A run the cut goes through is named
+    /// by both halves.
+    pub fn split_off(&mut self, at: usize) -> Frames {
+        let Some(below) = at.checked_sub(1) else {
+            return std::mem::take(self);
         };
-        self.heads.into_iter().map(frame).collect()
+        let mut heads = self.heads.split_off(at);
+        let (Some(first), Some(kept)) = (heads.first(), self.heads.get(below)) else {
+            return Frames::default(); // `at == len`: nothing above the cut
+        };
+        let (run0, end0) = (first.run, kept.end);
+        let runs = self.runs[run0 as usize..].to_vec();
+        self.runs.truncate(kept.run as usize + 1);
+        let values = self.values.split_off(end0 as usize);
+        for head in &mut heads {
+            head.run -= run0;
+            head.end -= end0;
+        }
+        Frames {
+            runs,
+            heads,
+            values,
+        }
+    }
+}
+
+impl FromIterator<CapturedFrame> for Frames {
+    fn from_iter<I: IntoIterator<Item = CapturedFrame>>(iter: I) -> Self {
+        let mut frames = Frames::new();
+        for frame in iter {
+            frames.push(frame);
+        }
+        frames
+    }
+}
+
+impl PartialEq for Frames {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Frames {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -231,19 +345,19 @@ pub struct CapturedStatics {
 /// The unit SOD ships: a segment of frames (bottom-up) plus class statics.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CapturedState {
-    /// Frames bottom-up: `frames[0]` is the oldest frame of the segment.
-    pub frames: Vec<CapturedFrame>,
+    /// Frames bottom-up: the first is the oldest frame of the segment.
+    pub frames: Frames,
     pub statics: Vec<CapturedStatics>,
 }
 
 impl CapturedState {
-    /// The class of every frame, then of every statics entry — minus each
-    /// name that sits behind the same `Arc` as the one before it, which is
-    /// most of them (a deep recursion names one class through one `Arc`).
-    /// A cheap pre-filter for per-class work, not a set: a class can still
-    /// appear more than once.
+    /// The class of every run of frames, then of every statics entry —
+    /// minus each name that sits behind the same `Arc` as the one before
+    /// it (a capture names a class through its one linked `Arc`). A cheap
+    /// pre-filter for per-class work, not a set: a class can still appear
+    /// more than once.
     pub fn class_names(&self) -> impl Iterator<Item = &Arc<str>> {
-        let frames = self.frames.iter().map(|f| &f.class);
+        let frames = self.frames.runs().iter().map(|(class, _)| class);
         let statics = self.statics.iter().map(|s| &s.class);
         let mut prev: Option<&Arc<str>> = None;
         frames.chain(statics).filter(move |&class| {
@@ -256,17 +370,8 @@ impl CapturedState {
     /// Accumulated size of local and static fields — the paper's Table I
     /// `F` column.
     pub fn field_bytes(&self) -> u64 {
-        let locals: u64 = self
-            .frames
-            .iter()
-            .map(|f| f.locals.len() as u64 * Value::SLOT_BYTES)
-            .sum();
-        let statics: u64 = self
-            .statics
-            .iter()
-            .map(|s| s.values.len() as u64 * Value::SLOT_BYTES)
-            .sum();
-        locals + statics
+        let statics: usize = self.statics.iter().map(|s| s.values.len()).sum();
+        (self.frames.value_count() + statics) as u64 * Value::SLOT_BYTES
     }
 }
 
@@ -285,59 +390,41 @@ pub fn capture_segment(
     path: ToolingPath,
 ) -> VmResult<(CapturedState, u64)> {
     // Validate the migration point first (no tooling charges for errors).
-    {
-        let t = vm.thread(tid)?;
-        let height = t.frames.len();
-        if nframes == 0 || nframes > height {
-            return Err(VmError::BadThread(tid));
-        }
-        let top = t.top().expect("frames");
-        let summary = &vm.classes[top.class_idx].summaries[top.method_idx];
-        if !t.operands(height - 1).is_empty() || !summary.is_msp(top.pc) {
-            let m = &vm.classes[top.class_idx].def.methods[top.method_idx];
+    let t = vm.thread(tid)?;
+    let height = t.frames.len();
+    let bottom = height.checked_sub(nframes).filter(|_| nframes > 0);
+    let (Some(bottom), Some(top)) = (bottom, t.top()) else {
+        return Err(VmError::BadThread(tid));
+    };
+    let summary = &vm.classes[top.class_idx].summaries[top.method_idx];
+    if !t.operands(height - 1).is_empty() || !summary.is_msp(top.pc) {
+        let m = &vm.classes[top.class_idx].def.methods[top.method_idx];
+        return Err(VmError::NotAtMigrationSafePoint {
+            method: m.name.clone(),
+            pc: top.pc,
+        });
+    }
+    for fi in bottom..height {
+        let f = &t.frames[fi];
+        if f.pinned {
             return Err(VmError::NotAtMigrationSafePoint {
-                method: m.name.clone(),
-                pc: top.pc,
+                method: "pinned frame in segment".into(),
+                pc: f.pc,
             });
         }
-        for fi in height - nframes..height {
-            let f = &t.frames[fi];
-            if f.pinned {
-                return Err(VmError::NotAtMigrationSafePoint {
-                    method: "pinned frame in segment".into(),
-                    pc: f.pc,
-                });
-            }
-            if !t.operands(fi).is_empty() {
-                // Call-site frames must have empty operand stacks; this is
-                // guaranteed by preprocessing, so a violation is an error.
-                return Err(VmError::NotAtMigrationSafePoint {
-                    method: "non-empty operand stack below top".into(),
-                    pc: f.pc,
-                });
-            }
+        if !t.operands(fi).is_empty() {
+            // Call-site frames must have empty operand stacks; this is
+            // guaranteed by preprocessing, so a violation is an error.
+            return Err(VmError::NotAtMigrationSafePoint {
+                method: "non-empty operand stack below top".into(),
+                pc: f.pc,
+            });
         }
     }
-
-    // Operand stacks are empty (checked above), so the segment's locals
-    // are exactly the value stack from its bottom frame's base up.
-    let t = &vm.threads[tid];
-    let nvalues = t.stack.len() - t.frames[t.frames.len() - nframes].base;
 
     let mut tool = Tooling::new(vm, path);
     tool.suspend_thread(tid);
-
-    let mut segment = SegmentBuilder::with_capacity(nframes, nvalues);
-    // JVMTI depth 0 = top; we want bottom-up order in the segment.
-    for depth in (0..nframes).rev() {
-        let (class, method, pc) = tool.get_frame_location(tid, depth)?;
-        let nlocals = tool.get_local_count(tid, depth)?;
-        for slot in 0..nlocals {
-            segment.push_value(tool.get_local(tid, depth, slot)?);
-        }
-        segment.end_frame(class, method, pc);
-    }
-    let frames = segment.finish();
+    let frames = tool.get_frames(tid, bottom)?;
 
     // Statics of all loaded classes ("the information and static fields of
     // loaded classes are saved").
@@ -369,13 +456,15 @@ pub fn capture_segment(
 pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<usize> {
     install_statics(vm, state, true)?;
 
-    let mut frames = Vec::with_capacity(state.frames.len());
-    // The frame resolved last, with its answer: a deep recursion names one
-    // method through the same two `Arc`s in every frame.
-    let mut prev: Option<(&CapturedFrame, usize, usize)> = None;
-    for cf in &state.frames {
+    // Both sizes are known, so the thread is built in one pass and joins
+    // the VM only once every frame has resolved and matched its layout.
+    let mut t = VmThread::with_capacity(state.frames.len(), state.frames.value_count());
+    // The frame resolved last, with its answer: every frame of a run names
+    // the run's one method.
+    let mut prev: Option<(FrameRef<'_>, usize, usize)> = None;
+    for cf in state.frames.iter() {
         let (ci, mi) = match prev {
-            Some((p, ci, mi)) if cf.shares_names_with(p) => (ci, mi),
+            Some((p, ci, mi)) if cf.same_run_as(&p) => (ci, mi),
             _ => cf.resolve_in(vm)?,
         };
         prev = Some((cf, ci, mi));
@@ -387,10 +476,9 @@ pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<us
             });
         }
         let locals = cf.locals.iter().map(|v| v.to_nulled_value());
-        frames.push((ci, mi, cf.pc, locals));
+        t.push_restored(ci, mi, cf.pc, locals);
     }
 
-    let mut t = VmThread::new_restored(frames);
     t.seg_frames = state.frames.len();
     vm.threads.push(t);
     Ok(vm.threads.len() - 1)
@@ -427,12 +515,11 @@ fn install_statics(vm: &mut Vm, state: &CapturedState, strict: bool) -> VmResult
 ///
 /// Returns the new thread id.
 pub fn begin_handler_restore(vm: &mut Vm, state: &CapturedState) -> VmResult<usize> {
-    if state.frames.is_empty() {
+    let Some(bottom) = state.frames.first() else {
         return Err(VmError::RestoreProtocol("empty segment"));
-    }
+    };
     install_statics(vm, state, false)?;
 
-    let bottom = &state.frames[0];
     let (ci, mi) = bottom.resolve_in(vm)?;
     let nargs = vm.classes[ci].def.methods[mi].nargs as usize;
     let args: Vec<Value> = bottom
@@ -442,18 +529,14 @@ pub fn begin_handler_restore(vm: &mut Vm, state: &CapturedState) -> VmResult<usi
         .map(|v| v.to_nulled_value())
         .collect();
 
-    let tid = vm.spawn(&bottom.class, &bottom.method, &args)?;
+    let tid = vm.spawn(bottom.class, bottom.method, &args)?;
     vm.threads[tid].seg_frames = state.frames.len();
     // Session and breakpoint are thread-scoped: concurrent restores on a
     // shared destination node must not clobber each other.
-    vm.threads[tid].restore_session = Some(RestoreSession {
-        frames: state
-            .frames
-            .iter()
-            .map(|f| (f.locals.clone(), f.pc))
-            .collect(),
+    vm.threads[tid].restore_session = Some(Box::new(RestoreSession {
+        frames: state.frames.clone(),
         cursor: 0,
-    });
+    }));
     vm.set_breakpoint(tid, ci, mi, 0);
     Ok(tid)
 }
@@ -464,6 +547,7 @@ mod tests {
     use crate::class::{ClassDef, FieldDef, MethodDef};
     use crate::instr::{Cmp, Instr};
     use crate::interp::{RunMode, StepOutcome};
+    use crate::tooling::{internal, jvmti};
     use crate::value::TypeOf;
 
     /// Main.main: x=10; y=f(x); return y+1  /  f(n): loop forever at line 2.
@@ -519,8 +603,8 @@ mod tests {
         stop_at_msp(&mut vm, tid);
         let (state, cost) = capture_segment(&mut vm, tid, 1, ToolingPath::Jvmti).unwrap();
         assert_eq!(state.frames.len(), 1);
-        let f = &state.frames[0];
-        assert_eq!(&*f.method, "f");
+        let f = state.frames.get(0).unwrap();
+        assert_eq!(f.method, "f");
         assert_eq!(f.locals.len(), 2);
         assert_eq!(f.locals[0], CapturedValue::Int(10)); // arg n
                                                          // Statics captured.
@@ -537,9 +621,10 @@ mod tests {
         stop_at_msp(&mut vm, tid);
         let (state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
         assert_eq!(state.frames.len(), 2);
-        assert_eq!(&*state.frames[0].method, "main"); // bottom first
-        assert_eq!(&*state.frames[1].method, "f");
-        assert_eq!(state.frames[0].pc, 5); // parked at the invoke
+        let (main, f) = (state.frames.get(0).unwrap(), state.frames.get(1).unwrap());
+        assert_eq!(main.method, "main"); // bottom first
+        assert_eq!(f.method, "f");
+        assert_eq!(main.pc, 5); // parked at the invoke
     }
 
     #[test]
@@ -547,30 +632,42 @@ mod tests {
         let (mut vm, tid) = looping_vm();
         stop_at_msp(&mut vm, tid);
         let (state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
-        let [main, f] = &state.frames[..] else {
-            panic!("two frames")
+        let frames = &state.frames;
+        let (main, f) = (frames.get(0).unwrap(), frames.get(1).unwrap());
+        // Two methods, two runs; names are the linked class's own `Arc`s,
+        // not copies.
+        let [(main_class, _), (f_class, f_method)] = frames.runs() else {
+            panic!("two runs")
         };
-        // Names are the linked class's own `Arc`s, not copies.
-        assert!(Arc::ptr_eq(&main.class, vm.classes[0].name_arc()));
-        assert!(Arc::ptr_eq(&main.class, &f.class));
-        assert!(Arc::ptr_eq(&f.method, vm.classes[0].method_name_arc(1)));
-        assert!(Arc::ptr_eq(&state.statics[0].class, &f.class));
-        assert!(!main.shares_names_with(f) && f.shares_names_with(&f.clone()));
+        assert!(Arc::ptr_eq(main_class, vm.classes[0].name_arc()));
+        assert!(Arc::ptr_eq(main_class, f_class));
+        assert!(Arc::ptr_eq(f_method, vm.classes[0].method_name_arc(1)));
+        assert!(Arc::ptr_eq(&state.statics[0].class, f_class));
+        assert!(!main.same_run_as(&f) && f.same_run_as(&frames.get(1).unwrap()));
         assert_eq!(state.class_names().count(), 1, "one Arc names all three");
-        // Both frames are windows into the same array, back to back.
-        assert!(Arc::ptr_eq(&main.locals.values, &f.locals.values));
-        assert_eq!((main.locals.start, main.locals.len), (0, 2));
-        assert_eq!((f.locals.start, f.locals.len), (2, 2));
-        assert_eq!(*f.locals, [CapturedValue::Int(10), CapturedValue::Int(5)]);
-        // A window compares by what it shows, wherever it sits.
-        assert_eq!(f.locals, Locals::from(f.locals.to_vec()));
-        assert_ne!(f.locals, main.locals);
-        // Splitting the frames (as a migration plan does) keeps each
-        // frame's own window.
-        let mut rest = state.frames.clone();
+        // Both frames' locals sit in the one array, back to back.
+        assert_eq!(frames.value_count(), 4);
+        assert_eq!((frames.heads[0].end, frames.heads[1].end), (2, 4));
+        assert_eq!(f.locals, [CapturedValue::Int(10), CapturedValue::Int(5)]);
+        assert_eq!(f.locals.as_ptr(), frames.values[2..].as_ptr());
+        // A frame compares by what it shows, wherever it sits.
+        let owned = CapturedFrame {
+            class: "Main".into(),
+            method: "f".into(),
+            pc: f.pc,
+            locals: f.locals.to_vec(),
+        };
+        assert_eq!(f, owned.view());
+        assert_ne!(f, main);
+        // Splitting the frames (as a migration plan does) rebases the top
+        // half onto arrays of its own; each frame keeps its contents.
+        let mut rest = frames.clone();
         let top = rest.split_off(1);
-        assert_eq!(*top[0].locals, *f.locals);
-        assert_eq!(*rest[0].locals, *main.locals);
+        assert_eq!((top.len(), rest.len()), (1, 1));
+        assert_eq!((top.runs().len(), rest.runs().len()), (1, 1));
+        assert_eq!(top.get(0).unwrap(), f);
+        assert_eq!(rest.get(0).unwrap(), main);
+        assert_eq!(top, [owned].into_iter().collect::<Frames>());
     }
 
     #[test]
@@ -651,9 +748,16 @@ mod tests {
 
         // A captured frame whose locals do not match the method's layout
         // is rejected before any thread is created.
-        let mut longer = state.frames[1].locals.to_vec();
+        let top = state.frames.split_off(1);
+        let f = top.get(0).unwrap();
+        let mut longer = f.locals.to_vec();
         longer.push(CapturedValue::Int(0));
-        state.frames[1].locals = longer.into();
+        state.frames.push(CapturedFrame {
+            class: f.class.into(),
+            method: f.method.into(),
+            pc: f.pc,
+            locals: longer,
+        });
         let before = worker.threads.len();
         let err = restore_segment_direct(&mut worker, &state).unwrap_err();
         assert!(matches!(err, VmError::Verify { .. }));
@@ -718,7 +822,31 @@ mod tests {
 
         // Split as a whole-stack plan ships it: the top frame, then the
         // rest. The wire lengths are the benchmark README's.
-        let (full, _) = capture_segment(&mut vm, tid, 129, ToolingPath::Jvmti).unwrap();
+        let (full, cost) = capture_segment(&mut vm, tid, 129, ToolingPath::Jvmti).unwrap();
+        // The one frame walk charges what JVMTI's calls cost one by one:
+        // per frame a `GetFrameLocation` and the `GetLocalVariableTable`
+        // step, per slot a `GetLocal<Type>` (`Deep` has no statics).
+        let per_call = |suspend, location, local| suspend + 129 * (2 * location + 5 * local);
+        assert_eq!(cost, 19_858_000);
+        assert_eq!(
+            cost,
+            per_call(
+                jvmti::SUSPEND_NS,
+                jvmti::GET_FRAME_LOCATION_NS,
+                jvmti::GET_LOCAL_NS
+            )
+        );
+        let (again, cost) = capture_segment(&mut vm, tid, 129, ToolingPath::Internal).unwrap();
+        assert_eq!(
+            cost,
+            per_call(
+                internal::SUSPEND_NS,
+                internal::GET_FRAME_LOCATION_NS,
+                internal::GET_LOCAL_NS
+            )
+        );
+        assert_eq!(again, full);
+        assert_eq!(full.frames.runs().len(), 1, "one method, one run");
         let mut rest = full.frames;
         let top = rest.split_off(128);
         let segment = |frames| CapturedState {

@@ -11,10 +11,18 @@
 //! All tooling operations charge a [`CostMeter`] owned by the caller; the
 //! meter's total becomes capture/restore time in the migration latency
 //! breakdowns.
+//!
+//! Frames are read by one walk, [`Tooling::get_frames`]: the operand
+//! stacks of a capturable segment are empty, so its locals are one
+//! contiguous run of the thread's value stack, and the walk copies it
+//! frame by frame instead of making `2 + nlocals` fallible calls per
+//! frame. What it charges is still what JVMTI's calls cost one by one —
+//! `nframes · 2 · GET_FRAME_LOCATION + nslots · GET_LOCAL` from either cost
+//! table — so the asymmetry above stays priced where it is documented: a
+//! 129-frame, 5-slot stack costs 19 858 µs of JVMTI virtual time, as it did
+//! call by call (`capture.rs` pins the number).
 
-use std::sync::Arc;
-
-use crate::capture::CapturedValue;
+use crate::capture::{CapturedValue, Frames};
 use crate::error::{VmError, VmResult};
 use crate::interp::Vm;
 use crate::value::Value;
@@ -123,54 +131,45 @@ impl<'a> Tooling<'a> {
         Ok(self.vm.thread(tid)?.frames.len())
     }
 
-    /// Bottom-up index of the frame `depth` below the top of thread `tid`
-    /// (depth 0 is the *top* frame, the JVMTI convention).
-    fn frame_index(&self, tid: usize, depth: usize) -> VmResult<usize> {
-        let fi = self.vm.thread(tid)?.frames.len().checked_sub(1 + depth);
-        fi.ok_or_else(|| VmError::BadThread(tid))
-    }
-
-    /// `GetFrameLocation`: (class name, method name, pc) of frame `depth`,
-    /// where depth 0 is the *top* frame (JVMTI convention). The names are
-    /// the linked class's own shared `Arc`s, cloned by refcount.
-    pub fn get_frame_location(
-        &mut self,
-        tid: usize,
-        depth: usize,
-    ) -> VmResult<(Arc<str>, Arc<str>, u32)> {
+    /// The one frame walk: every frame of thread `tid` from bottom-up index
+    /// `bottom` to the top, as the segment a capture ships. Per frame this
+    /// is JVMTI's `GetFrameLocation` (class, method, pc), the
+    /// `GetLocalVariableTable` step and one `GetLocal<Type>` per slot, with
+    /// references mapped to their home object ids — charged in one sum,
+    /// `nframes · 2 · GET_FRAME_LOCATION + nslots · GET_LOCAL`, which is
+    /// what the calls cost one by one. The names are the linked class's own
+    /// shared `Arc`s, cloned once per run of same-method frames; the values
+    /// are copied straight off the thread's value stack.
+    pub fn get_frames(&mut self, tid: usize, bottom: usize) -> VmResult<Frames> {
+        let vm = &*self.vm;
+        let t = vm.thread(tid)?;
+        let segment = t.frames.get(bottom..).unwrap_or_default();
+        let Some(first) = segment.first() else {
+            return Err(VmError::BadThread(tid));
+        };
+        let mut frames = Frames::with_capacity(segment.len(), t.stack.len() - first.base);
+        let mut run = None;
+        for f in segment {
+            let method = (f.class_idx, f.method_idx);
+            if run != Some(method) {
+                let c = &vm.classes[f.class_idx];
+                frames.open_run(
+                    c.name_arc().clone(),
+                    c.method_name_arc(f.method_idx).clone(),
+                );
+                run = Some(method);
+            }
+            for &v in &t.stack[f.base..f.floor()] {
+                frames.push_value(vm.export_value(v));
+            }
+            frames.end_frame(f.pc)?;
+        }
+        let (nframes, nslots) = (frames.len() as u64, frames.value_count() as u64);
         self.c(
-            jvmti::GET_FRAME_LOCATION_NS,
-            internal::GET_FRAME_LOCATION_NS,
+            nframes * 2 * jvmti::GET_FRAME_LOCATION_NS + nslots * jvmti::GET_LOCAL_NS,
+            nframes * 2 * internal::GET_FRAME_LOCATION_NS + nslots * internal::GET_LOCAL_NS,
         );
-        let f = &self.vm.threads[tid].frames[self.frame_index(tid, depth)?];
-        let c = &self.vm.classes[f.class_idx];
-        Ok((
-            c.name_arc().clone(),
-            c.method_name_arc(f.method_idx).clone(),
-            f.pc,
-        ))
-    }
-
-    /// `GetLocal<Type>`: local `slot` of frame `depth` (0 = top), captured
-    /// with references mapped to their home object ids.
-    pub fn get_local(&mut self, tid: usize, depth: usize, slot: u16) -> VmResult<CapturedValue> {
-        self.c(jvmti::GET_LOCAL_NS, internal::GET_LOCAL_NS);
-        let fi = self.frame_index(tid, depth)?;
-        let v = self.vm.threads[tid].locals(fi).get(slot as usize);
-        Ok(self
-            .vm
-            .export_value(*v.ok_or_else(|| VmError::BadLocalSlot(slot))?))
-    }
-
-    /// Number of local slots in frame `depth` (the JVMTI
-    /// `GetLocalVariableTable` step).
-    pub fn get_local_count(&mut self, tid: usize, depth: usize) -> VmResult<u16> {
-        self.c(
-            jvmti::GET_FRAME_LOCATION_NS,
-            internal::GET_FRAME_LOCATION_NS,
-        );
-        let fi = self.frame_index(tid, depth)?;
-        Ok(self.vm.threads[tid].frames[fi].nlocals)
+        Ok(frames)
     }
 
     /// Read one static field (for capture).
@@ -257,32 +256,38 @@ mod tests {
         let (mut vm, tid) = sample_vm();
         let mut t = Tooling::new(&mut vm, ToolingPath::Jvmti);
         assert_eq!(t.get_frame_count(tid).unwrap(), 2);
-        let (c, m, _pc) = t.get_frame_location(tid, 0).unwrap();
-        assert_eq!((&*c, &*m), ("Main", "f"));
-        let (_, m, pc) = t.get_frame_location(tid, 1).unwrap();
-        assert_eq!(&*m, "main");
-        assert_eq!(pc, 3); // parked at the invoke
-        let v = t.get_local(tid, 0, 0).unwrap();
-        assert_eq!(v, CapturedValue::Int(7));
+        let frames = t.get_frames(tid, 0).unwrap();
+        let (main, f) = (frames.get(0).unwrap(), frames.get(1).unwrap());
+        assert_eq!((f.class, f.method), ("Main", "f"));
+        assert_eq!(main.method, "main");
+        assert_eq!(main.pc, 3); // parked at the invoke
+        assert_eq!(f.locals, [CapturedValue::Int(7)]);
+        // The walk can start above the bottom frame, not above the top.
+        assert_eq!(t.get_frames(tid, 1).unwrap().get(0), Some(f));
+        assert!(matches!(t.get_frames(tid, 2), Err(VmError::BadThread(_))));
+        assert!(matches!(t.get_frames(9, 0), Err(VmError::BadThread(9))));
     }
 
     #[test]
     fn jvmti_charges_more_than_internal() {
         let (mut vm, tid) = sample_vm();
-        let spent_jvmti = {
-            let mut t = Tooling::new(&mut vm, ToolingPath::Jvmti);
+        let mut spent = |path| {
+            let mut t = Tooling::new(&mut vm, path);
             t.suspend_thread(tid);
-            t.get_frame_location(tid, 0).unwrap();
-            t.get_local(tid, 0, 0).unwrap();
+            t.get_frames(tid, 1).unwrap();
             t.meter.ns
         };
-        let spent_internal = {
-            let mut t = Tooling::new(&mut vm, ToolingPath::Internal);
-            t.suspend_thread(tid);
-            t.get_frame_location(tid, 0).unwrap();
-            t.get_local(tid, 0, 0).unwrap();
-            t.meter.ns
-        };
+        // One frame of one slot: a location, a variable table, a local.
+        let spent_jvmti = spent(ToolingPath::Jvmti);
+        let spent_internal = spent(ToolingPath::Internal);
+        assert_eq!(
+            spent_jvmti,
+            jvmti::SUSPEND_NS + 2 * jvmti::GET_FRAME_LOCATION_NS + jvmti::GET_LOCAL_NS
+        );
+        assert_eq!(
+            spent_internal,
+            internal::SUSPEND_NS + 2 * internal::GET_FRAME_LOCATION_NS + internal::GET_LOCAL_NS
+        );
         assert!(spent_jvmti > 5 * spent_internal);
     }
 

@@ -30,16 +30,21 @@
 //! prefix width with [`VmError::Encode`], so encode and decode can never
 //! disagree on layout.
 //!
-//! Decoding a state message builds the shared in-memory form
-//! `sod_vm::capture` describes, from bytes that repeat everything: names
-//! go through a bounded window of the (at most eight) names this message
-//! most recently produced — a repeat is recognised by comparing raw bytes
-//! and returned as the same `Arc`, only an unseen name is UTF-8-validated
-//! and allocated, and a message of all-distinct names stays linear — and
-//! every frame's locals are appended to one array that grows as values are
-//! actually read, then frozen under the frames' windows. The cursor skips
-//! what it has read (`Buf::advance`); no sub-view of the frame outlives
-//! the call, so the caller may recycle the buffer at once.
+//! Decoding a state message builds the three-array in-memory form
+//! `sod_vm::capture` describes, from bytes that repeat everything, in one
+//! pass over a plain `&[u8]` cursor. A frame whose two names repeat the
+//! open run's *raw bytes* joins that run before any `Arc` is touched — a
+//! deep recursion costs one comparison per frame. A frame that opens a run
+//! takes its names through a bounded window of the (at most eight) names
+//! this message most recently produced: a repeat is again recognised by
+//! its bytes and returned as the same `Arc`, only an unseen name is
+//! UTF-8-validated and allocated, and a message of all-distinct names stays
+//! linear. The value array is reserved once, from the first frame's shape
+//! capped by the bytes that are left (see [`decode_state`] for the bound),
+//! and bytes left over after the last statics entry are an error: the
+//! frame's length is the byte metric at every later touch point, so it has
+//! to be the message's. No sub-view of the frame outlives the call, so the
+//! caller may recycle the buffer at once.
 //!
 //! Buffer lifecycle: encoders can write into pooled buffers
 //! ([`BufferPool`]) checked out at encode time and recycled after the last
@@ -53,7 +58,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::capture::{CapturedState, CapturedStatics, CapturedValue, SegmentBuilder};
+use crate::capture::{CapturedState, CapturedStatics, CapturedValue, Frames};
 use crate::class::{ClassDef, ExEntry, ExKind, FieldDef, MethodDef};
 use crate::error::{VmError, VmResult};
 use crate::instr::{Cmp, Instr, SwitchTable};
@@ -226,11 +231,11 @@ impl BufferPool {
 /// frame is held inline; only a second frame allocates the list.
 #[derive(Clone, Debug)]
 pub struct FrameBatch {
-    frames: Frames,
+    frames: Batched,
 }
 
 #[derive(Clone, Debug)]
-enum Frames {
+enum Batched {
     One(Bytes),
     /// Any other count, zero included (an empty `Vec` owns no allocation).
     Many(Vec<Bytes>),
@@ -239,7 +244,7 @@ enum Frames {
 impl Default for FrameBatch {
     fn default() -> Self {
         FrameBatch {
-            frames: Frames::Many(Vec::new()),
+            frames: Batched::Many(Vec::new()),
         }
     }
 }
@@ -258,13 +263,13 @@ impl FrameBatch {
 
     /// Append one encoded payload frame.
     pub fn push(&mut self, frame: Bytes) {
-        self.frames = match std::mem::replace(&mut self.frames, Frames::Many(Vec::new())) {
-            Frames::Many(list) if list.is_empty() => Frames::One(frame),
-            Frames::Many(mut list) => {
+        self.frames = match std::mem::replace(&mut self.frames, Batched::Many(Vec::new())) {
+            Batched::Many(list) if list.is_empty() => Batched::One(frame),
+            Batched::Many(mut list) => {
                 list.push(frame);
-                Frames::Many(list)
+                Batched::Many(list)
             }
-            Frames::One(first) => Frames::Many(vec![first, frame]),
+            Batched::One(first) => Batched::Many(vec![first, frame]),
         };
     }
 
@@ -281,8 +286,8 @@ impl FrameBatch {
     /// The batched frames, in push order.
     pub fn frames(&self) -> &[Bytes] {
         match &self.frames {
-            Frames::One(frame) => std::slice::from_ref(frame),
-            Frames::Many(list) => list,
+            Batched::One(frame) => std::slice::from_ref(frame),
+            Batched::Many(list) => list,
         }
     }
 
@@ -290,8 +295,8 @@ impl FrameBatch {
     /// allocations into a [`BufferPool`] after the final delivery).
     pub fn into_frames(self) -> impl Iterator<Item = Bytes> {
         let (one, many) = match self.frames {
-            Frames::One(frame) => (Some(frame), Vec::new()),
-            Frames::Many(list) => (None, list),
+            Batched::One(frame) => (Some(frame), Vec::new()),
+            Batched::Many(list) => (None, list),
         };
         one.into_iter().chain(many)
     }
@@ -346,8 +351,8 @@ impl FromIterator<Bytes> for FrameBatch {
     fn from_iter<I: IntoIterator<Item = Bytes>>(iter: I) -> Self {
         let mut list: Vec<Bytes> = iter.into_iter().collect();
         let frames = match list.len() {
-            1 => Frames::One(list.remove(0)),
-            _ => Frames::Many(list),
+            1 => Batched::One(list.remove(0)),
+            _ => Batched::Many(list),
         };
         FrameBatch { frames }
     }
@@ -406,14 +411,14 @@ impl<'p> BatchWriter<'p> {
         let whole = buf.freeze();
         if self.splits.is_empty() {
             return FrameBatch {
-                frames: Frames::One(whole),
+                frames: Batched::One(whole),
             };
         }
         let starts = std::iter::once(0).chain(self.splits.iter().copied());
         let ends = self.splits.iter().copied().chain([whole.len()]);
         let list = starts.zip(ends).map(|(a, b)| whole.slice(a..b)).collect();
         FrameBatch {
-            frames: Frames::Many(list),
+            frames: Batched::Many(list),
         }
     }
 }
@@ -496,28 +501,31 @@ struct NameWindow {
 }
 
 impl NameWindow {
-    /// Read one u16-prefixed name (see [`put_str16`]).
-    fn get(&mut self, buf: &mut Bytes) -> VmResult<Arc<str>> {
-        let len = get_u16(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(VmError::Decode("string truncated"));
-        }
-        let raw = &buf[..len];
+    /// The name whose bytes are `raw`.
+    fn intern(&mut self, raw: &[u8]) -> VmResult<Arc<str>> {
         // Remembered names are valid UTF-8, so equal bytes are too.
         let seen = self.names.iter().flatten().find(|n| n.as_bytes() == raw);
-        let name = match seen {
-            Some(name) => name.clone(),
-            None => {
-                let s = std::str::from_utf8(raw).map_err(|_| VmError::Decode("invalid utf8"))?;
-                let name: Arc<str> = Arc::from(s);
-                self.names[self.next] = Some(name.clone());
-                self.next = (self.next + 1) % NAME_WINDOW;
-                name
-            }
-        };
-        buf.advance(len);
+        if let Some(name) = seen {
+            return Ok(name.clone());
+        }
+        let s = std::str::from_utf8(raw).map_err(|_| VmError::Decode("invalid utf8"))?;
+        let name: Arc<str> = Arc::from(s);
+        self.names[self.next] = Some(name.clone());
+        self.next = (self.next + 1) % NAME_WINDOW;
         Ok(name)
     }
+}
+
+/// Read one u16-prefixed name (see [`put_str16`]) as its raw bytes, a view
+/// of the frame.
+fn get_raw16<'a>(buf: &mut &'a [u8]) -> VmResult<&'a [u8]> {
+    let len = get_u16(buf)? as usize;
+    if buf.len() < len {
+        return Err(VmError::Decode("string truncated"));
+    }
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(raw)
 }
 
 fn get_u8(buf: &mut impl Buf) -> VmResult<u8> {
@@ -560,22 +568,18 @@ fn get_f64(buf: &mut impl Buf) -> VmResult<f64> {
 // CapturedValue
 // ---------------------------------------------------------------------------
 
+/// One tag byte, then (except for `Null`) one little-endian word: a single
+/// put of at most nine bytes.
 fn put_captured_value<B: BufMut>(buf: &mut B, v: &CapturedValue) {
-    match v {
-        CapturedValue::Null => buf.put_u8(0),
-        CapturedValue::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
-        }
-        CapturedValue::Num(n) => {
-            buf.put_u8(2);
-            buf.put_u64_le(n.to_bits());
-        }
-        CapturedValue::HomeRef(id) => {
-            buf.put_u8(3);
-            buf.put_u64_le(u64::from(*id));
-        }
-    }
+    let (tag, word) = match *v {
+        CapturedValue::Null => return buf.put_u8(0),
+        CapturedValue::Int(i) => (1, i as u64),
+        CapturedValue::Num(n) => (2, n.to_bits()),
+        CapturedValue::HomeRef(id) => (3, u64::from(id)),
+    };
+    let mut bytes = [tag; 9];
+    bytes[1..].copy_from_slice(&word.to_le_bytes());
+    buf.put_slice(&bytes);
 }
 
 fn get_captured_value(buf: &mut impl Buf) -> VmResult<CapturedValue> {
@@ -605,7 +609,7 @@ fn put_values16<B: BufMut>(buf: &mut B, vs: &[CapturedValue]) -> VmResult<()> {
     Ok(())
 }
 
-fn get_values16(buf: &mut Bytes) -> VmResult<Vec<CapturedValue>> {
+fn get_values16(buf: &mut impl Buf) -> VmResult<Vec<CapturedValue>> {
     let n = get_u16(buf)? as usize;
     ensure_seq(buf, n, 1, "value count overruns buffer")?;
     let mut out = Vec::with_capacity(n);
@@ -635,11 +639,11 @@ fn put_state<B: BufMut>(buf: &mut B, state: &CapturedState) -> VmResult<()> {
         state.statics.len(),
         "statics count exceeds u32 prefix",
     )?);
-    for f in &state.frames {
-        put_str16(buf, &f.class)?;
-        put_str16(buf, &f.method)?;
+    for f in state.frames.iter() {
+        put_str16(buf, f.class)?;
+        put_str16(buf, f.method)?;
         buf.put_u32_le(f.pc);
-        put_values(buf, &f.locals)?;
+        put_values(buf, f.locals)?;
     }
     for s in &state.statics {
         put_str16(buf, &s.class)?;
@@ -670,46 +674,69 @@ pub fn encode_state_pooled(pool: &BufferPool, state: &CapturedState) -> VmResult
     Ok(buf.freeze())
 }
 
+/// Bytes a frame takes on the wire at the least: two empty names, a pc and
+/// a zero locals count.
+const MIN_FRAME_BYTES: usize = 12;
+
 /// Decode a captured state message, validating the frame header and every
-/// declared length before allocating.
-pub fn decode_state(mut buf: Bytes) -> VmResult<CapturedState> {
-    if get_u32(&mut buf)? != STATE_MAGIC {
+/// declared length before allocating. The whole of `frame` must be the
+/// message: bytes left over after the last statics entry are an error.
+///
+/// Allocation is bounded by the input. The value array is reserved once,
+/// from the first frame's shape (`nframes` frames of its `nlocals`), capped
+/// by the bytes that can still hold values — a value is at least one byte
+/// on the wire and 16 in memory, so the reservation is at most
+/// `16 * frame.len()` bytes; segments of other shapes grow it as their
+/// values are actually read.
+pub fn decode_state(frame: Bytes) -> VmResult<CapturedState> {
+    let buf = &mut &frame[..];
+    if get_u32(buf)? != STATE_MAGIC {
         return Err(VmError::Decode("bad state magic"));
     }
-    if get_u32(&mut buf)? != KIND_STATE {
+    if get_u32(buf)? != KIND_STATE {
         return Err(VmError::Decode("bad state frame kind"));
     }
-    let nframes = get_u32(&mut buf)? as usize;
-    let nstatics = get_u32(&mut buf)? as usize;
-    ensure_seq(&buf, nframes, 12, "frame count overruns buffer")?;
+    let nframes = get_u32(buf)? as usize;
+    let nstatics = get_u32(buf)? as usize;
+    ensure_seq(buf, nframes, MIN_FRAME_BYTES, "frame count overruns buffer")?;
     // Statics follow the frames; their minimum footprint must fit too.
-    ensure_seq(&buf, nstatics, 4, "statics count overruns buffer")?;
+    ensure_seq(buf, nstatics, 4, "statics count overruns buffer")?;
     let mut names = NameWindow::default();
-    // Every frame's locals land in one array, which grows as values are
-    // read — a declared count is checked against the buffer, never used
-    // to size it.
-    let mut segment = SegmentBuilder::with_capacity(nframes, 0);
-    for _ in 0..nframes {
-        let class = names.get(&mut buf)?;
-        let method = names.get(&mut buf)?;
-        let pc = get_u32(&mut buf)?;
-        let nlocals = get_u32(&mut buf)? as usize;
-        ensure_seq(&buf, nlocals, 1, "value count overruns buffer")?;
-        for _ in 0..nlocals {
-            segment.push_value(get_captured_value(&mut buf)?);
+    let mut frames = Frames::with_capacity(nframes, 0);
+    // The open run's names as they sit in the frame: a frame repeating
+    // them byte for byte joins the run without touching an `Arc`.
+    let mut run: Option<(&[u8], &[u8])> = None;
+    for above in (0..nframes).rev() {
+        let raw = (get_raw16(buf)?, get_raw16(buf)?);
+        if run != Some(raw) {
+            frames.open_run(names.intern(raw.0)?, names.intern(raw.1)?);
+            run = Some(raw);
         }
-        segment.end_frame(class, method, pc);
+        let pc = get_u32(buf)?;
+        let nlocals = get_u32(buf)? as usize;
+        ensure_seq(buf, nlocals, 1, "value count overruns buffer")?;
+        if frames.is_empty() {
+            // The frames above this one take their minimum out of what is
+            // left, whatever else they hold.
+            let room = buf.len().saturating_sub(above * MIN_FRAME_BYTES);
+            frames.reserve_values(nframes.saturating_mul(nlocals).min(room));
+        }
+        for _ in 0..nlocals {
+            frames.push_value(get_captured_value(buf)?);
+        }
+        let closed = frames.end_frame(pc);
+        closed.map_err(|_| VmError::Decode("segment outgrew its u32 indexes"))?;
     }
     let mut statics = Vec::with_capacity(nstatics);
     for _ in 0..nstatics {
-        let class = names.get(&mut buf)?;
-        let values = get_values16(&mut buf)?;
+        let class = names.intern(get_raw16(buf)?)?;
+        let values = get_values16(buf)?;
         statics.push(CapturedStatics { class, values });
     }
-    Ok(CapturedState {
-        frames: segment.finish(),
-        statics,
-    })
+    if !buf.is_empty() {
+        return Err(VmError::Decode("trailing bytes after state"));
+    }
+    Ok(CapturedState { frames, statics })
 }
 
 // ---------------------------------------------------------------------------
@@ -1605,15 +1632,17 @@ mod tests {
                     class: "Main".into(),
                     method: "main".into(),
                     pc: 5,
-                    locals: vec![CapturedValue::Int(-3), CapturedValue::HomeRef(12)].into(),
+                    locals: vec![CapturedValue::Int(-3), CapturedValue::HomeRef(12)],
                 },
                 CapturedFrame {
                     class: "Main".into(),
                     method: "f".into(),
                     pc: 2,
-                    locals: vec![CapturedValue::Num(2.5), CapturedValue::Null].into(),
+                    locals: vec![CapturedValue::Num(2.5), CapturedValue::Null],
                 },
-            ],
+            ]
+            .into_iter()
+            .collect(),
             statics: vec![CapturedStatics {
                 class: "Main".into(),
                 values: vec![CapturedValue::Int(77)],
@@ -1859,13 +1888,13 @@ mod tests {
             class: class.into(),
             method: method.into(),
             pc: 0,
-            locals: vec![CapturedValue::Int(1)].into(),
+            locals: vec![CapturedValue::Int(1)],
         }
     }
 
     fn state_of(frames: Vec<CapturedFrame>) -> CapturedState {
         CapturedState {
-            frames,
+            frames: frames.into_iter().collect(),
             statics: vec![],
         }
     }
@@ -1880,15 +1909,27 @@ mod tests {
         ]);
         let decoded = decode_state(encode_state(&state).unwrap()).unwrap();
         assert_eq!(decoded, state);
-        let [a1, b1, a2, b2] = &decoded.frames[..] else {
-            panic!("four frames")
+        // Four runs over two pairs of names: a name that returns within
+        // the window is the same `Arc`, and no two names share one.
+        let [(a1, f1), (b1, g1), (a2, f2), (b2, g2)] = decoded.frames.runs() else {
+            panic!("four runs")
         };
-        assert!(a1.shares_names_with(a2) && b1.shares_names_with(b2));
-        for (x, y) in [(&a1.class, &b1.class), (&a1.method, &b1.method)] {
+        assert!(Arc::ptr_eq(a1, a2) && Arc::ptr_eq(f1, f2));
+        assert!(Arc::ptr_eq(b1, b2) && Arc::ptr_eq(g1, g2));
+        for (x, y) in [(a1, b1), (f1, g1), (a1, f1)] {
             assert!(!Arc::ptr_eq(x, y), "{x} and {y} share an Arc");
         }
+        let frames: Vec<_> = decoded.frames.iter().collect();
+        assert!(frames[0].same_run_as(&frames[2]) && !frames[0].same_run_as(&frames[1]));
         // One value array under all four frames.
-        assert_eq!(*b2.locals, [CapturedValue::Int(1)]);
+        assert_eq!(decoded.frames.value_count(), 4);
+        assert_eq!(frames[3].locals, [CapturedValue::Int(1)]);
+
+        // Frames repeating the open run's names byte for byte join it.
+        let state = state_of(vec![frame("A", "f"), frame("A", "f"), frame("A", "g")]);
+        let decoded = decode_state(encode_state(&state).unwrap()).unwrap();
+        assert_eq!(decoded, state);
+        assert_eq!(decoded.frames.runs().len(), 2);
 
         // More distinct names than the window holds: the early ones are
         // forgotten (and decoded afresh when they return), nothing breaks.
@@ -1960,12 +2001,14 @@ mod tests {
     fn oversize_names_are_typed_encode_errors() {
         // State-frame names carry a u16 prefix: 65536 bytes cannot encode.
         let state = CapturedState {
-            frames: vec![CapturedFrame {
+            frames: [CapturedFrame {
                 class: "x".repeat(1 << 16).into(),
                 method: "m".into(),
                 pc: 0,
-                locals: vec![].into(),
-            }],
+                locals: vec![],
+            }]
+            .into_iter()
+            .collect(),
             statics: vec![],
         };
         assert_eq!(
@@ -1974,7 +2017,7 @@ mod tests {
         );
         // Statics value sequences carry a u16 prefix.
         let state = CapturedState {
-            frames: vec![],
+            frames: Frames::new(),
             statics: vec![CapturedStatics {
                 class: "C".into(),
                 values: vec![CapturedValue::Null; 1 << 16],

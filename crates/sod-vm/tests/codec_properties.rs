@@ -4,6 +4,11 @@
 //! `*_wire_bytes()` size model for every sample, and arbitrary byte garbage
 //! never panics the decoder.
 //!
+//! A captured segment is held as three arrays (`capture::Frames`); a group
+//! of properties pins that form against the plain list of frames it
+//! replaced: cuts, bytes, round trips and restores must be those of a
+//! `Vec<CapturedFrame>`.
+//!
 //! The second half pins the object path's two routes against each other
 //! over random heaps: what the runtime does — write a frame from the heap,
 //! read a frame into the heap — must equal, byte for byte and heap for
@@ -12,12 +17,16 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sod_vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue};
+use sod_vm::capture::{
+    capture_segment, restore_segment_direct, CapturedFrame, CapturedState, CapturedStatics,
+    CapturedValue, Frames,
+};
 use sod_vm::class::{ClassDef, ExEntry, ExKind, FieldDef, MethodDef};
 use sod_vm::error::VmError;
 use sod_vm::heap::{Heap, ObjKind};
 use sod_vm::instr::{Cmp, Instr, SwitchTable};
 use sod_vm::interp::Vm;
+use sod_vm::tooling::ToolingPath;
 use sod_vm::value::{ObjId, TypeOf, Value};
 use sod_vm::wire::{
     class_wire_bytes, closure_ids, decode_class, decode_object, decode_state, encode_class,
@@ -109,7 +118,7 @@ fn captured_state() -> impl Strategy<Value = CapturedState> {
                     class: class.into(),
                     method: method.into(),
                     pc,
-                    locals: locals.into(),
+                    locals,
                 })
                 .collect(),
             statics: statics
@@ -141,7 +150,7 @@ fn state_naming(
                 class: classes[c].into(),
                 method: methods[m].into(),
                 pc: (c * 7 + m) as u32,
-                locals: locals.into(),
+                locals,
             })
             .collect(),
         statics: vec![CapturedStatics {
@@ -203,8 +212,9 @@ proptest! {
         prop_assert_eq!(&state, &decoded);
         let names: Vec<&Arc<str>> = decoded
             .frames
+            .runs()
             .iter()
-            .flat_map(|f| [&f.class, &f.method])
+            .flat_map(|(class, method)| [class, method])
             .chain(decoded.statics.iter().map(|s| &s.class))
             .collect();
         for a in &names {
@@ -282,6 +292,225 @@ proptest! {
             let truncated = encoded.slice(0..encoded.len() - cut);
             prop_assert!(decode_state(truncated).is_err());
         }
+    }
+
+    /// The frame's length is the byte metric at every touch point after
+    /// the encode, so a frame longer than the message it holds is refused.
+    #[test]
+    fn trailing_bytes_after_a_valid_state_are_rejected(
+        state in captured_state(),
+        extra in proptest::collection::vec(any::<u8>(), 1..17),
+    ) {
+        let mut bytes = encode_state(&state).unwrap().to_vec();
+        bytes.extend(extra);
+        prop_assert_eq!(
+            decode_state(bytes::Bytes::from(bytes)),
+            Err(VmError::Decode("trailing bytes after state"))
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The three-array segment against a plain list of frames
+// ---------------------------------------------------------------------------
+
+/// Local slots of `Seg.m0` … `Seg.m5`.
+const SEG_LOCALS: [u16; 6] = [0, 1, 3, 5, 8, 2];
+
+/// `Seg`, whose six methods differ in their locals; pc 0 of each is a line
+/// start, so a thread restored there can be captured again.
+fn seg_class() -> ClassDef {
+    let mut c = ClassDef::new("Seg");
+    for (i, &nlocals) in SEG_LOCALS.iter().enumerate() {
+        let code = vec![Instr::PushI(0), Instr::RetV];
+        let m = MethodDef::new(format!("m{i}"), 0, nlocals).with_code(code, vec![1, 1]);
+        c.methods.push(m);
+    }
+    c
+}
+
+/// A segment as the list of frames it was before it was three arrays:
+/// 1–200 frames of `Seg`'s first 1–6 methods in random runs, every frame
+/// with its method's locals, of every value kind.
+fn frame_list() -> impl Strategy<Value = Vec<CapturedFrame>> {
+    (
+        1..SEG_LOCALS.len() + 1,
+        proptest::collection::vec((0..SEG_LOCALS.len(), 1usize..40), 1..10),
+        proptest::collection::vec(captured_value(), 8..64),
+    )
+        .prop_map(|(nmethods, runs, values)| {
+            let methods = runs.iter().flat_map(|&(m, len)| [m % nmethods].repeat(len));
+            let frame = |(at, m): (usize, usize)| CapturedFrame {
+                class: "Seg".into(),
+                method: format!("m{m}").into(),
+                pc: 0,
+                locals: (0..usize::from(SEG_LOCALS[m]))
+                    .map(|slot| values[(at * 7 + slot) % values.len()])
+                    .collect(),
+            };
+            methods.take(200).enumerate().map(frame).collect()
+        })
+}
+
+/// The state wire layout written the long way from a list of frames, one
+/// field at a time — the bytes every state had before this form existed.
+fn listed_bytes(frames: &[CapturedFrame], statics: &[CapturedStatics]) -> Vec<u8> {
+    fn name(out: &mut Vec<u8>, s: &str) {
+        out.extend((s.len() as u16).to_le_bytes());
+        out.extend(s.as_bytes());
+    }
+    fn value(out: &mut Vec<u8>, v: &CapturedValue) {
+        match *v {
+            CapturedValue::Null => out.push(0),
+            CapturedValue::Int(i) => {
+                out.push(1);
+                out.extend(i.to_le_bytes());
+            }
+            CapturedValue::Num(n) => {
+                out.push(2);
+                out.extend(n.to_bits().to_le_bytes());
+            }
+            CapturedValue::HomeRef(id) => {
+                out.push(3);
+                out.extend(u64::from(id).to_le_bytes());
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for word in [0x534F_4457, 1, frames.len() as u32, statics.len() as u32] {
+        out.extend(word.to_le_bytes());
+    }
+    for f in frames {
+        name(&mut out, &f.class);
+        name(&mut out, &f.method);
+        out.extend(f.pc.to_le_bytes());
+        out.extend((f.locals.len() as u32).to_le_bytes());
+        f.locals.iter().for_each(|v| value(&mut out, v));
+    }
+    for s in statics {
+        name(&mut out, &s.class);
+        out.extend((s.values.len() as u16).to_le_bytes());
+        s.values.iter().for_each(|v| value(&mut out, v));
+    }
+    out
+}
+
+/// Frames and values of thread `tid`, for comparing two restores.
+fn thread_shape(vm: &Vm, tid: usize) -> String {
+    let t = vm.thread(tid).unwrap();
+    let locals: Vec<_> = (0..t.frames.len()).map(|fi| t.locals(fi)).collect();
+    format!("{:?} {:?} {}", t.frames, locals, t.seg_frames)
+}
+
+/// Three frames of two methods, with statics: its bytes are committed, so
+/// the layout cannot drift together with the test's own model of it.
+#[test]
+fn a_three_frame_state_has_its_committed_bytes() {
+    let frame = |method: &str, pc, locals| CapturedFrame {
+        class: "Main".into(),
+        method: method.into(),
+        pc,
+        locals,
+    };
+    let frames = vec![
+        frame(
+            "main",
+            5,
+            vec![CapturedValue::Int(-3), CapturedValue::HomeRef(12)],
+        ),
+        frame("f", 2, vec![CapturedValue::Num(2.5), CapturedValue::Null]),
+        frame("f", 7, vec![]),
+    ];
+    let statics = vec![CapturedStatics {
+        class: "Main".into(),
+        values: vec![CapturedValue::Int(7)],
+    }];
+    let state = CapturedState {
+        frames: frames.iter().cloned().collect(),
+        statics: statics.clone(),
+    };
+    assert_eq!(state.frames.runs().len(), 2);
+    let hex = "57444f5301000000030000000100000004004d61696e04006d61696e0500000002000000\
+               01fdffffffffffffff030c0000000000000004004d61696e0100660200000002000000\
+               0200000000000004400004004d61696e010066070000000000000004004d61696e0100\
+               010700000000000000";
+    let encoded = encode_state(&state).unwrap();
+    let as_hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(as_hex, hex);
+    assert_eq!(encoded.len(), 115);
+    assert_eq!(listed_bytes(&frames, &statics), encoded.to_vec());
+    assert_eq!(decode_state(encoded).unwrap(), state);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Built frame by frame, cut at every height: both halves list the
+    /// frames a `Vec` cut there would, and encode to the bytes the list
+    /// form did; the whole round-trips by contents.
+    #[test]
+    fn a_segment_cuts_and_encodes_like_a_list_of_frames(list in frame_list()) {
+        let mut whole = Frames::new();
+        for frame in &list {
+            whole.push(frame.clone());
+        }
+        prop_assert_eq!(whole.len(), list.len());
+        let statics = vec![CapturedStatics {
+            class: "Seg".into(),
+            values: vec![CapturedValue::Int(9), CapturedValue::Null],
+        }];
+        for at in 0..=list.len() {
+            let mut below = whole.clone();
+            let above = below.split_off(at);
+            let (list_below, list_above) = list.split_at(at);
+            prop_assert!(below.iter().eq(list_below.iter().map(CapturedFrame::view)));
+            prop_assert!(above.iter().eq(list_above.iter().map(CapturedFrame::view)));
+            prop_assert_eq!(above.first(), list_above.first().map(CapturedFrame::view));
+            // A run the cut goes through is named on both sides of it.
+            let through = matches!(
+                (list_below.last(), list_above.first()),
+                (Some(b), Some(a)) if b.method == a.method
+            );
+            let runs = below.runs().len() + above.runs().len();
+            prop_assert_eq!(runs, whole.runs().len() + usize::from(through));
+            for (half, list_half) in [(below, list_below), (above, list_above)] {
+                prop_assert_eq!(
+                    half.value_count(),
+                    list_half.iter().map(|f| f.locals.len()).sum::<usize>()
+                );
+                let state = CapturedState { frames: half, statics: statics.clone() };
+                let encoded = encode_state(&state).unwrap();
+                prop_assert_eq!(&encoded[..], &listed_bytes(list_half, &statics)[..]);
+                prop_assert_eq!(encoded.len() as u64, state.wire_bytes());
+                // By contents: the decoder opens its runs from the bytes,
+                // `push` from the names — the partitions need not agree.
+                prop_assert_eq!(decode_state(encoded).unwrap(), state);
+            }
+        }
+    }
+
+    /// Restored into a VM and captured again, a segment is the list it was
+    /// built from; and a restore of what the wire delivers is the restore
+    /// of what was captured.
+    #[test]
+    fn a_restore_of_the_decoded_capture_equals_a_restore_of_the_capture(list in frame_list()) {
+        let mut home = Vm::new();
+        home.load_class(&seg_class()).unwrap();
+        let built = CapturedState { frames: list.iter().cloned().collect(), statics: vec![] };
+        let tid = restore_segment_direct(&mut home, &built).unwrap();
+        let (captured, _) =
+            capture_segment(&mut home, tid, list.len(), ToolingPath::Internal).unwrap();
+        prop_assert!(captured.frames.iter().eq(list.iter().map(CapturedFrame::view)));
+        prop_assert_eq!(&captured, &built);
+
+        let delivered = decode_state(encode_state(&captured).unwrap()).unwrap();
+        let mut direct = Vm::new();
+        direct.load_class(&seg_class()).unwrap();
+        let mut wired = direct.clone();
+        let a = restore_segment_direct(&mut direct, &captured).unwrap();
+        let b = restore_segment_direct(&mut wired, &delivered).unwrap();
+        prop_assert_eq!(thread_shape(&direct, a), thread_shape(&wired, b));
+        prop_assert_eq!(thread_shape(&direct, a), thread_shape(&home, tid));
     }
 }
 

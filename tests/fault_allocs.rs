@@ -110,7 +110,7 @@ fn list_class() -> ClassDef {
 /// Run the fleet over `nodes`-node lists; returns how many allocations
 /// building and running it took.
 fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> u64 {
-    let (report, spent) = counted(|| {
+    let (report, spent, _) = counted(|| {
         Scenario::new()
             .slice_ns(5_000)
             .node("edge", NodeConfig::cluster("edge"))
