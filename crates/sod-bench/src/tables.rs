@@ -14,16 +14,22 @@ use sod_vm::instr::Cmp;
 use sod_vm::interp::Vm;
 use sod_vm::value::{TypeOf, Value};
 use sod_workloads::apps::search_class;
-use sod_workloads::{characterize, WORKLOADS};
+use sod_workloads::{characterize_on, Characteristics, WORKLOADS};
 
-/// Table I: program characteristics (n, h, F) — measured on real runs.
+/// Table I's rows — program characteristics (n, h, F), in [`WORKLOADS`]
+/// order — measured by running each workload on a VM fresh from `vm`.
+pub fn table1_rows(vm: fn() -> Vm) -> Vec<Characteristics> {
+    let run = |w| characterize_on(vm(), w);
+    WORKLOADS.iter().map(run).collect()
+}
+
+/// Table I, formatted.
 pub fn table1() -> String {
     let mut out = String::from(
         "TABLE I. PROGRAM CHARACTERISTICS (scaled sizes; paper sizes in [])\n\
          App   n         h     F(bytes)      instructions\n",
     );
-    for w in &WORKLOADS {
-        let c = characterize(w);
+    for (w, c) in WORKLOADS.iter().zip(table1_rows(Vm::new)) {
         let _ = writeln!(
             out,
             "{:<5} {:<4}[{:<3}] {:<5} {:<13} {}",
@@ -444,6 +450,28 @@ mod tests {
         let t = table1();
         for name in ["Fib", "NQ", "FFT", "TSP"] {
             assert!(t.contains(name), "{t}");
+        }
+    }
+
+    #[test]
+    fn table1_rows_are_pinned() {
+        // (name, h, F bytes, instructions): what the interpreter maintains
+        // — the height inside its run loop, the peak state bytes on a stack
+        // it grows in place — must not drift, and must not depend on
+        // whether call sites ever warm up.
+        let pinned = [
+            ("Fib", 28, 1_032, 6_991_830),
+            ("NQ", 11, 1_120, 1_806_016),
+            ("FFT", 2, 32_833_912, 1_485_194),
+            ("TSP", 11, 1_672, 709_290),
+        ];
+        for vm in [Vm::new, Vm::reference] {
+            let rows = table1_rows(vm);
+            let got: Vec<_> = rows
+                .iter()
+                .map(|c| (c.name, c.h, c.f_bytes, c.instructions))
+                .collect();
+            assert_eq!(got, pinned);
         }
     }
 

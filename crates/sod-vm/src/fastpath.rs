@@ -32,9 +32,10 @@
 //! fast VM and a reference VM link identical rows.
 //!
 //! [`window_op`] is the one executing arm of every window instruction:
-//! the run loop calls it with the frame held in a [`Window`] of locals, and
-//! the full path (`exec_instr`, hence [`Vm::step`]) delegates to the same
-//! function. It mutates nothing unless the instruction retires; anything
+//! [`Vm::run`]'s window loop (`interp.rs::window_loop`, which also moves
+//! the window for a call or a return) calls it with the frame held in a
+//! [`Window`] of locals, and the full path (`exec_instr`, hence
+//! [`Vm::step`]) delegates to the same function. It mutates nothing unless the instruction retires; anything
 //! unusual comes back as a register-sized [`Exit`] code, and only the full
 //! path turns a code into a `VmError` or a guest exception.
 //!

@@ -28,19 +28,25 @@
 //! * **One executing arm per instruction, two ways to reach it.** The
 //!   instructions that touch only the running frame's window of the value
 //!   stack — pushes, locals, arithmetic, branches — execute in
-//!   [`window_op`]. [`Vm::run`] calls it from
-//!   a small loop that holds the frame in locals (stack slice, `sp`, `pc`,
-//!   the slice's meters) and also takes warm static calls and returns to a
-//!   caller; everything else, and *any anomaly* in the above (a slot or
-//!   operand outside the window, mixed operand types, division by zero, an
-//!   unfilled call site, a bad arity, the root frame's return), leaves the
-//!   loop uncharged and executes once on the full path, `exec_instr`,
-//!   which delegates window instructions to the same `window_op` and is
-//!   the only place an error or a guest throw is built. The full path is
-//!   compiled once and deliberately *not* inlined into the loop: that is
-//!   what keeps the loop's state in registers. The instructions only
-//!   preprocessor-injected code executes live further out of line in
-//!   `exec_protocol`.
+//!   [`window_op`]. [`Vm::run`] hands a slice to the *window loop*, a
+//!   function of its own that holds nothing but the frame (stack slice,
+//!   `sp`, `pc`, the method's rows) and the slice's meters, calls
+//!   `window_op` per instruction, and takes warm static calls and returns
+//!   to a caller without leaving: they move the window, through the one
+//!   `push_callee_frame` / `pop_frame` pair the full path calls too, and
+//!   grow the stack in place when the next frame does not fit. Whether a
+//!   slice watches for safe points or a breakpoint of its thread is fixed
+//!   at compile time (two instantiations of the one loop), so the loop
+//!   most slices run tests neither. Everything else, and *any anomaly* in
+//!   the above (a slot or operand outside the window, mixed operand types,
+//!   division by zero, an unfilled call site, a bad arity, the root frame's
+//!   return), leaves the loop uncharged and executes once on the full
+//!   path, `exec_instr`, which delegates window instructions to the same
+//!   `window_op` and is the only place an error or a guest throw is built.
+//!   The full path is compiled once and deliberately *not* inlined into the
+//!   loop: that is what keeps the loop's state in registers. The
+//!   instructions only preprocessor-injected code executes live further out
+//!   of line in `exec_protocol`.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -710,20 +716,29 @@ impl Vm {
         if let Some(out) = self.settled(tid)? {
             return Ok(out);
         }
-        let (ci, mi, pc, base, floor) = self.top_window(tid);
+        let top @ (ci, mi, pc, ..) = self.top_window(tid)?;
         if let Some(at) = breakpoint_at(&self.breakpoints, (tid, ci, mi, pc)) {
             return Ok(self.trip_breakpoint(at));
         }
+        Ok(match self.exec_charged(tid, top)? {
+            Flow::Leave => self.stopped(tid),
+            Flow::Next => StepOutcome::Continue,
+        })
+    }
+
+    /// One instruction on the full path, charged and counted once: the
+    /// one at `pc` of the top frame [`Vm::top_window`] described. A pc
+    /// outside the method is an error that costs nothing.
+    fn exec_charged(
+        &mut self,
+        tid: usize,
+        (ci, mi, pc, base, floor): (usize, usize, u32, usize, usize),
+    ) -> VmResult<Flow> {
         let row = self.classes[ci].linked[mi].rows.get(pc as usize).copied();
         let row = row.ok_or_else(|| VmError::BadPc(pc))?;
         self.charge(tid, u64::from(row.cost));
         self.instr_count += 1;
-        Ok(
-            match self.exec_instr(tid, ci, mi, pc, base, floor, row.instr)? {
-                Flow::Leave => self.stopped(tid),
-                Flow::Next => StepOutcome::Continue,
-            },
-        )
+        self.exec_instr(tid, ci, mi, pc, base, floor, row.instr)
     }
 
     /// What stepping a thread that is not runnable yields: an error while
@@ -754,12 +769,19 @@ impl Vm {
         }
     }
 
-    /// The top frame of runnable thread `tid`: `(class, method, pc, base,
-    /// floor)`.
+    /// The top frame of thread `tid`: `(class, method, pc, base, floor)`.
+    /// A thread without one is nobody's to run — a zero-frame state
+    /// decodes and restores — and neither is one whose stack ends below
+    /// its top frame's locals (only hand-edited `frames` can say that).
     #[inline]
-    fn top_window(&self, tid: usize) -> (usize, usize, u32, usize, usize) {
-        let f = self.threads[tid].top().expect("runnable thread has frames");
-        (f.class_idx, f.method_idx, f.pc, f.base, f.floor())
+    fn top_window(&self, tid: usize) -> VmResult<(usize, usize, u32, usize, usize)> {
+        let t = &self.threads[tid];
+        match t.top() {
+            Some(f) if f.floor() <= t.stack.len() => {
+                Ok((f.class_idx, f.method_idx, f.pc, f.base, f.floor()))
+            }
+            _ => Err(VmError::BadThread(tid)),
+        }
     }
 
     /// Trip the breakpoint at list position `at`: it is disarmed.
@@ -793,38 +815,45 @@ impl Vm {
     /// Run thread `tid` for at most `budget_ns` of charged virtual time.
     /// Returns the outcome and the virtual ns actually consumed.
     ///
-    /// **The window loop.** The inner loop holds the running frame in
-    /// locals — the thread's value stack from the frame's base up, as a
-    /// slice with spare room up to the method's verified `max_stack`, `sp`,
-    /// `pc`, the number of locals, and this slice's `spent`/`retired`
-    /// meters — and retires there every instruction [`window_op`] accepts.
-    /// Around it, still on the borrowed thread, a warm `InvokeStatic` and a
-    /// `Ret`/`RetV` to a caller move the window through the same
-    /// `push_callee_frame`/`pop_frame` the full path uses; the stack `Vec`
-    /// is only ever grown in here (to the deepest window's room) and is cut
-    /// back to `sp` on the way out, so a call allocates nothing and rewrites
-    /// only the callee's fresh locals. Per instruction the order is: the
-    /// `StopAtMsp` check (empty operands at an MSP row), the breakpoint
-    /// check, the row fetch, the charge of `cost * per_mille / 1000`, the
-    /// instruction, then the budget — so at least one instruction always
-    /// runs, and a call or return that exhausts the budget ends the slice
-    /// after it.
+    /// **The window loop.** The slice is retired by `window_loop`, a
+    /// function of its own that holds nothing but the running frame — the
+    /// thread's value stack from the frame's base up, as a slice with spare
+    /// room up to the method's verified `max_stack`, `sp`, `pc`, the floor,
+    /// the method's rows — and the two meters. It retires there every
+    /// instruction [`window_op`] accepts, and a warm `InvokeStatic` or a
+    /// `Ret`/`RetV` to a caller *moves the window without leaving it*,
+    /// through the same `push_callee_frame`/`pop_frame` the full path
+    /// calls. The stack `Vec` is only ever grown in there — in place, and
+    /// geometrically inside its allocation when a frame does not fit, so a
+    /// deepening recursion grows it a logarithmic number of times per slice
+    /// — and is cut back to `sp` on the way out, so a call allocates nothing
+    /// and rewrites only the callee's fresh locals. Per instruction the
+    /// order is: the `StopAtMsp` check (empty operands at an MSP row), the
+    /// breakpoint check, the row fetch, the instruction, its charge of
+    /// `cost * per_mille / 1000`, then the budget — so at least one
+    /// instruction always runs, and a call or return that exhausts the
+    /// budget ends the slice after it.
     ///
     /// **What leaves it.** Any other instruction, and any anomaly in a
-    /// window instruction, call or return (see [`Exit`]), has mutated
-    /// nothing and gets its charge back: the loop writes `pc`/`sp` back,
-    /// flushes the meters into `meter_ns`/`instr_count` (they are flushed on
-    /// every way out, errors included — the engine reads both after a
-    /// failed slice) and sends that one instruction through `exec_instr`,
-    /// charged once, which builds whatever error or guest exception it
-    /// deserves. An anomaly therefore costs one extra dispatch, and no check
-    /// is skipped.
+    /// window instruction, call or return (see [`Exit`]; a cold call site, a
+    /// bad arity, the root frame's return, a pc outside the method, a thread
+    /// with no window), has mutated nothing and was not charged: the loop
+    /// writes `pc`, `sp` and the meters back — it does on every way out,
+    /// errors included; the engine reads both meters after a failed slice —
+    /// and `run` sends that one instruction through the entry [`Vm::step`]
+    /// uses, charged once, which builds whatever error or guest exception
+    /// it deserves, then calls the loop again. An anomaly therefore costs
+    /// one extra dispatch, and no check is skipped.
     ///
-    /// **Breakpoints are per thread.** The loop looks at the breakpoint
-    /// list only while one is armed for `tid` (fixed for the slice:
-    /// instructions do not arm breakpoints, and a tripped one ends the
-    /// slice), so a tenant restoring through the handler protocol does not
-    /// slow the threads that share its node.
+    /// **The mode is fixed at compile time.** The two per-instruction
+    /// tests — `StopAtMsp`, and the breakpoint list — exist only in the
+    /// `WATCHED` instantiation, which `run` picks once per call when the
+    /// mode asks for safe points or a breakpoint is armed for `tid` (fixed
+    /// for the slice: instructions do not arm breakpoints, and a tripped
+    /// one ends the slice). Breakpoints are per thread, so a tenant
+    /// restoring through the handler protocol does not slow the threads
+    /// that share its node; and the loop every other slice runs keeps
+    /// nothing live across its dispatch but its own state.
     pub fn run(
         &mut self,
         tid: usize,
@@ -834,131 +863,176 @@ impl Vm {
         if let Some(out) = self.settled(tid)? {
             return Ok((out, 0));
         }
-        let (meter0, count0) = (self.meter_ns, self.instr_count);
-        let per_mille = self.cost_per_mille(tid);
-        let stop_at_msp = mode == RunMode::StopAtMsp;
-        let armed = self.breakpoints.iter().any(|b| b.0 == tid);
-        // This slice's meters; `self`'s are written from them, never read,
-        // until the full path has to charge through `self`.
-        let (mut spent, mut retired) = (0u64, 0u64);
-        // One past the top operand. Inside this function the stack `Vec`
-        // may run longer than `sp` (spare room, stale values of returned
-        // frames); its length is cut back to `sp` before anything outside
-        // the loop looks at the thread.
-        let mut sp = self.threads[tid].stack.len();
-
+        let meter0 = self.meter_ns;
+        let slice = Slice {
+            per_mille: self.cost_per_mille(tid),
+            until_ns: meter0.saturating_add(budget_ns),
+            stop_at_msp: mode == RunMode::StopAtMsp,
+            tid,
+        };
+        // Another thread's breakpoints are not looked at.
+        let own_armed = self.breakpoints.iter().any(|b| b.0 == tid);
+        let watched = slice.stop_at_msp || own_armed;
         let result = loop {
-            // Open the window on the top frame.
-            let classes = self.classes.as_slice();
             let t = &mut self.threads[tid];
-            // (A stack that ends below the frame's locals is nobody's
-            // window: only hand-edited `frames` can say that.)
-            let Some(f) = t.frames.last().filter(|f| f.floor() <= sp) else {
-                break Err(VmError::BadThread(tid));
+            let armed: &[Breakpoint] = if own_armed { &self.breakpoints } else { &[] };
+            let meters = (&mut self.meter_ns, &mut self.instr_count);
+            let stop = if watched {
+                Self::window_loop::<true>(&self.classes, t, &self.heap, armed, &slice, meters)
+            } else {
+                Self::window_loop::<false>(&self.classes, t, &self.heap, armed, &slice, meters)
             };
-            let (ci, mi, base, floor) = (f.class_idx, f.method_idx, f.base, f.floor());
-            let method = &classes[ci].linked[mi];
-            let rows = method.rows.as_slice();
-            let room = floor + method.max_stack as usize;
-            if t.stack.len() < room {
-                t.stack.resize(room, Value::Int(0));
-            }
-            let mut w = Window {
-                stack: &mut t.stack[base..],
-                sp: sp - base,
-                pc: f.pc,
-                floor: floor - base,
-                heap: &self.heap,
-            };
-            let stop = loop {
-                let row = rows.get(w.pc as usize);
-                if stop_at_msp && w.sp == w.floor && row.is_some_and(|r| r.msp) {
-                    break Stop::AtMsp;
-                }
-                if armed {
-                    if let Some(at) = breakpoint_at(&self.breakpoints, (tid, ci, mi, w.pc)) {
-                        break Stop::Breakpoint(at);
-                    }
-                }
-                let Some(row) = row else {
-                    break Stop::BadPc;
-                };
-                // Charged first, so nothing about the row outlives its
-                // dispatch; an instruction the window leaves is refunded.
-                spent += u64::from(row.cost) * per_mille / 1000;
-                retired += 1;
-                if window_op(&mut w, &row.instr).is_err() {
-                    break Stop::Exit;
-                }
-                if spent >= budget_ns {
-                    break Stop::Budget;
-                }
-            };
-            // Close it. The frame's pc is as if every instruction had
-            // stored its own.
-            let pc = w.pc;
-            sp = base + w.sp;
-            if let Some(f) = t.frames.last_mut() {
-                f.pc = pc;
-            }
             match stop {
-                Stop::AtMsp => break Ok(StepOutcome::AtMsp { pc }),
-                Stop::Breakpoint(at) => break Ok(self.trip_breakpoint(at)),
-                Stop::BadPc => break Err(VmError::BadPc(pc)),
                 Stop::Budget => break Ok(StepOutcome::Continue),
+                Stop::AtMsp(pc) => break Ok(StepOutcome::AtMsp { pc }),
+                Stop::Breakpoint(at) => break Ok(self.trip_breakpoint(at)),
                 Stop::Exit => {}
             }
-            let Row { instr, cost, .. } = rows[pc as usize];
-            let cost = u64::from(cost) * per_mille / 1000;
-            spent -= cost;
-            retired -= 1;
-            // A warm static call or a return to a caller only moves the
-            // window; anything unusual about one leaves the thread as it
-            // was, for the full path to judge. (Why `window_op` refused
-            // does not matter here: the full path asks it again.)
-            let moved = match instr {
-                Instr::InvokeStatic(_, _, nargs) => {
-                    let cell = method.ics[pc as usize];
-                    let target = (cell.a as usize, cell.b as usize);
-                    if cell.is_filled() {
-                        Self::push_callee_frame(classes, t, sp, target, nargs, floor).ok()
-                    } else {
-                        None
-                    }
+            let top = self.top_window(tid);
+            let flow = top.and_then(|top| self.exec_charged(tid, top));
+            match flow {
+                Err(e) => break Err(e),
+                Ok(Flow::Leave) => break Ok(self.stopped(tid)),
+                Ok(Flow::Next) if self.meter_ns >= slice.until_ns => {
+                    break Ok(StepOutcome::Continue)
                 }
-                Instr::Ret if t.frames.len() > 1 => Self::pop_frame(t, None),
-                Instr::RetV if t.frames.len() > 1 && sp > floor => {
-                    let v = t.stack[sp - 1];
-                    Self::pop_frame(t, Some(v))
-                }
-                _ => None,
-            };
-            if let Some(moved_sp) = moved {
-                sp = moved_sp;
-                spent += cost;
-                retired += 1;
-            } else {
-                t.stack.truncate(sp);
-                self.meter_ns = meter0 + spent + cost;
-                self.instr_count = count0 + retired + 1;
-                let flow = self.exec_instr(tid, ci, mi, pc, base, floor, instr);
-                spent = self.meter_ns - meter0;
-                retired = self.instr_count - count0;
-                sp = self.threads[tid].stack.len();
-                match flow {
-                    Err(e) => break Err(e),
-                    Ok(Flow::Leave) => break Ok(self.stopped(tid)),
-                    Ok(Flow::Next) => {}
-                }
-            }
-            if spent >= budget_ns {
-                break Ok(StepOutcome::Continue);
+                Ok(Flow::Next) => {}
             }
         };
-        self.threads[tid].stack.truncate(sp);
-        self.meter_ns = meter0 + spent;
-        self.instr_count = count0 + retired;
-        result.map(|out| (out, spent))
+        result.map(|out| (out, self.meter_ns - meter0))
+    }
+
+    /// [`Vm::run`]'s loop (see there), on the VM's parts: it takes the
+    /// thread, not the VM, so that its hot state — the window, the current
+    /// method's rows, the meters — is all the register allocator has to
+    /// place. Reads the meters on entry and writes them, the top frame's
+    /// `pc` and the stack's length (`sp`) on the way out; between the two
+    /// the stack `Vec` may run longer than `sp` (spare room, stale values of
+    /// returned frames) and the top `Frame`'s `pc` is stale.
+    #[inline(never)]
+    fn window_loop<const WATCHED: bool>(
+        classes: &[LoadedClass],
+        t: &mut VmThread,
+        heap: &Heap,
+        armed: &[Breakpoint],
+        slice: &Slice,
+        (meter_ns, instr_count): (&mut u64, &mut u64),
+    ) -> Stop {
+        let VmThread {
+            frames,
+            stack,
+            max_height,
+            seg_frames,
+            ..
+        } = t;
+        let Some(mut top) = Top::of(classes, frames, stack.len()) else {
+            return Stop::Exit;
+        };
+        let (per_mille, until_ns) = (slice.per_mille, slice.until_ns);
+        let (mut meter, mut retired) = (*meter_ns, *instr_count);
+        // What the stack has to hold for the move at hand: first the top
+        // frame's own window, exactly.
+        let mut needed = top.floor + top.method.max_stack as usize;
+        let stop = 'sized: loop {
+            if stack.len() < needed {
+                stack.resize(needed, Value::Int(0));
+            }
+            let full = stack.as_mut_slice();
+            let short = 'frame: loop {
+                // Open the window on `top`. (Operands that end below the
+                // locals are nobody's window.)
+                if top.sp < top.floor {
+                    break 'sized Stop::Exit;
+                }
+                let Top {
+                    base,
+                    floor,
+                    method,
+                    ..
+                } = top;
+                let rows = method.rows.as_slice();
+                let mut w = Window {
+                    stack: &mut full[base..],
+                    sp: top.sp - base,
+                    pc: top.pc,
+                    floor: floor - base,
+                    heap,
+                };
+                let refused = loop {
+                    let row = rows.get(w.pc as usize);
+                    if WATCHED {
+                        if slice.stop_at_msp && w.sp == w.floor && row.is_some_and(|r| r.msp) {
+                            break Err(Stop::AtMsp(w.pc));
+                        }
+                        let here = (slice.tid, top.ci, top.mi, w.pc);
+                        if let Some(at) = breakpoint_at(armed, here) {
+                            break Err(Stop::Breakpoint(at));
+                        }
+                    }
+                    let Some(row) = row else {
+                        break Err(Stop::Exit);
+                    };
+                    let cost = u64::from(row.cost) * per_mille / 1000;
+                    if window_op(&mut w, &row.instr).is_err() {
+                        break Ok((row.instr, cost));
+                    }
+                    meter += cost;
+                    retired += 1;
+                    if meter >= until_ns {
+                        break Err(Stop::Budget);
+                    }
+                };
+                // Close it.
+                top.pc = w.pc;
+                top.sp = base + w.sp;
+                let (instr, cost) = match refused {
+                    Ok(refused) => refused,
+                    Err(stop) => break 'sized stop,
+                };
+                // A warm static call or a return to a caller only moves
+                // the window; anything unusual about one leaves the thread
+                // as it was, for the full path to judge. (Why `window_op`
+                // refused does not matter here: the full path asks it
+                // again.)
+                let moved = match instr {
+                    Instr::InvokeStatic(_, _, nargs) => {
+                        let cell = method.ics[top.pc as usize];
+                        if !cell.is_filled() {
+                            break 'sized Stop::Exit;
+                        }
+                        let (ci, mi) = (cell.a as usize, cell.b as usize);
+                        let callee = (ci, mi, &classes[ci].linked[mi]);
+                        Self::push_callee_frame(frames, full, max_height, &top, callee, nargs)
+                    }
+                    Instr::Ret => Self::pop_frame(classes, frames, full, seg_frames, None),
+                    Instr::RetV if top.sp > floor => {
+                        let v = full[top.sp - 1];
+                        Self::pop_frame(classes, frames, full, seg_frames, Some(v))
+                    }
+                    _ => break 'sized Stop::Exit,
+                };
+                match moved {
+                    Ok(new_top) => top = new_top,
+                    Err(Refusal::NoRoom(needed)) => break 'frame needed,
+                    Err(_) => break 'sized Stop::Exit,
+                }
+                meter += cost;
+                retired += 1;
+                if meter >= until_ns {
+                    break 'sized Stop::Budget;
+                }
+            };
+            // The frame that would become the top does not fit: grow in
+            // place — doubling, but inside the allocation unless the frame
+            // itself needs more — and retry the same, uncharged instruction.
+            needed = short.max((2 * stack.len()).min(stack.capacity()));
+        };
+        stack.truncate(top.sp);
+        if let Some(f) = frames.last_mut() {
+            f.pc = top.pc;
+        }
+        (*meter_ns, *instr_count) = (meter, retired);
+        stop
     }
 
     /// If thread `tid` is runnable and its top frame sits at a
@@ -1578,7 +1652,7 @@ impl Vm {
             }
             InvokeStatic(cidx, midx, nargs) => {
                 let (target_ci, target_mi) = static_site!(cidx, midx, true);
-                self.enter_callee(tid, target_ci, target_mi, nargs, floor)
+                self.enter_callee(tid, target_ci, target_mi, nargs)
             }
             InvokeVirtual(midx, nargs) => {
                 debug_assert!(nargs >= 1, "virtual call needs a receiver");
@@ -1601,13 +1675,7 @@ impl Vm {
                 if cell.is_filled() {
                     if let ObjKind::Obj { class, .. } = &self.heap.get(id)?.kind {
                         if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
-                            return self.enter_callee(
-                                tid,
-                                cell.a as usize,
-                                cell.b as usize,
-                                nargs,
-                                floor,
-                            );
+                            return self.enter_callee(tid, cell.a as usize, cell.b as usize, nargs);
                         }
                     }
                 }
@@ -1626,12 +1694,12 @@ impl Vm {
                     }
                 })?;
                 self.fill_receiver_ic(ci, mi, pc, target_ci, target_mi, id)?;
-                self.enter_callee(tid, target_ci, target_mi, nargs, floor)
+                self.enter_callee(tid, target_ci, target_mi, nargs)
             }
-            Ret => Ok(Self::leave_frame(&mut self.threads[tid], None)),
+            Ret => Ok(self.leave_frame(tid, None)),
             RetV => {
                 let v = pop!();
-                Ok(Self::leave_frame(&mut self.threads[tid], Some(v)))
+                Ok(self.leave_frame(tid, Some(v)))
             }
             ThrowKind(kind) => self.throw_and_outcome(tid, kind, "thrown by bytecode"),
             Throw => {
@@ -2047,64 +2115,94 @@ impl Vm {
         Ok(Flow::Leave)
     }
 
-    /// Enter method `target` (class index, method index) with the top
-    /// `nargs` operands of the caller (whose operands run from `floor` to
-    /// `sp`) as its arguments: the callee's window opens on them and its
-    /// other locals are zeroed above. The caller's pc stays parked at its
-    /// Invoke. Returns the callee's `sp` — its floor; the stack `Vec` is at
-    /// least that long, and never shrinks here. Nothing has moved on `Err`.
-    /// On the borrowed thread, so the run loop can call it too.
-    fn push_callee_frame(
-        classes: &[LoadedClass],
-        t: &mut VmThread,
-        sp: usize,
-        target: (usize, usize),
+    /// Enter `callee` (class index, method index, the method they name)
+    /// from the frame `caller` with the top `nargs` of its operands as the
+    /// arguments: the callee's window opens on them and its other locals
+    /// are zeroed above. The caller's pc is parked at its Invoke. Refused —
+    /// nothing has moved — unless the call is well-formed and the callee's
+    /// whole window fits `full`, the thread's stack as the caller sees it.
+    /// On the thread's parts, so the window loop and the full path make
+    /// the same call.
+    #[inline]
+    fn push_callee_frame<'c>(
+        frames: &mut Vec<Frame>,
+        full: &mut [Value],
+        max_height: &mut usize,
+        caller: &Top<'_>,
+        (ci, mi, method): (usize, usize, &'c LinkedMethod),
         nargs: u8,
-        floor: usize,
-    ) -> Result<usize, Refusal> {
-        let m = &classes[target.0].linked[target.1];
+    ) -> Result<Top<'c>, Refusal> {
         // Cross-class targets resolve at run time, so only here can a call
         // site's arity be held against the callee it actually reached.
-        if m.nargs != u16::from(nargs) {
+        if method.nargs != u16::from(nargs) {
             return Err(Refusal::Arity);
         }
-        if sp < floor + nargs as usize {
+        if caller.sp < caller.floor + nargs as usize {
             return Err(Refusal::Underflow);
         }
-        let base = sp - nargs as usize;
-        let end = base + m.nlocals as usize;
-        if end + 2 * (t.frames.len() + 1) > MAX_STACK_SLOTS {
+        let base = caller.sp - nargs as usize;
+        let floor = base + method.nlocals as usize;
+        if floor + 2 * (frames.len() + 1) > MAX_STACK_SLOTS {
             return Err(Refusal::Overflow);
         }
-        if t.stack.len() < end {
-            t.stack.resize(end, Value::Int(0));
+        let needed = floor + method.max_stack as usize;
+        if full.len() < needed {
+            return Err(Refusal::NoRoom(needed));
         }
-        t.stack[sp..end].fill(Value::Int(0));
-        t.frames.push(Frame {
-            class_idx: target.0,
-            method_idx: target.1,
+        // The callee's locals past its arguments (`nlocals >= nargs` is
+        // verified at link time; an index that could panic here would put
+        // this function past what LLVM inlines into the loop).
+        if let Some(fresh) = full.get_mut(caller.sp..floor) {
+            fresh.fill(Value::Int(0));
+        }
+        if let Some(parked) = frames.last_mut() {
+            parked.pc = caller.pc;
+        }
+        frames.push(Frame {
+            class_idx: ci,
+            method_idx: mi,
             pc: 0,
             base,
-            nlocals: m.nlocals,
+            nlocals: method.nlocals,
             pinned: false,
         });
-        t.max_height = t.max_height.max(t.frames.len());
-        Ok(end)
+        *max_height = (*max_height).max(frames.len());
+        Ok(Top {
+            ci,
+            mi,
+            base,
+            floor,
+            pc: 0,
+            sp: floor,
+            method,
+        })
     }
 
-    /// The full path's call: [`Vm::push_callee_frame`] on a stack that
-    /// ends at its `sp`, with a refusal said as an error.
+    /// The full path's call: [`Vm::push_callee_frame`] from the thread's
+    /// top frame, with a refusal said as an error.
     fn enter_callee(
         &mut self,
         tid: usize,
         target_ci: usize,
         target_mi: usize,
         nargs: u8,
-        floor: usize,
     ) -> VmResult<Flow> {
-        let t = &mut self.threads[tid];
-        let (sp, target) = (t.stack.len(), (target_ci, target_mi));
-        match Self::push_callee_frame(&self.classes, t, sp, target, nargs, floor) {
+        let classes = self.classes.as_slice();
+        let VmThread {
+            frames,
+            stack,
+            max_height,
+            ..
+        } = &mut self.threads[tid];
+        let callee = (target_ci, target_mi, &classes[target_ci].linked[target_mi]);
+        let moved = Top::of(classes, frames, stack.len())
+            .ok_or(Refusal::NoCaller)
+            .and_then(|caller| {
+                Self::with_room(stack, |full| {
+                    Self::push_callee_frame(frames, full, max_height, &caller, callee, nargs)
+                })
+            });
+        match moved {
             Ok(_) => Ok(Flow::Next),
             Err(Refusal::Arity) => {
                 let class = &self.classes[target_ci].def;
@@ -2118,50 +2216,85 @@ impl Vm {
             }
             Err(Refusal::Underflow) => Err(VmError::StackUnderflow),
             Err(Refusal::Overflow) => Err(VmError::StackOverflow),
+            Err(Refusal::NoCaller | Refusal::NoRoom(_)) => Err(VmError::BadThread(tid)),
         }
     }
 
-    /// Pop `t`'s top frame, delivering `retval` to its caller, whose pc —
-    /// parked at its Invoke — advances. Returns the caller's `sp`; the
-    /// stack `Vec` is not cut back to it. `None`, with nothing moved, when
-    /// there is no caller.
-    fn pop_frame(t: &mut VmThread, retval: Option<Value>) -> Option<usize> {
-        let [.., caller, callee] = t.frames.as_mut_slice() else {
-            return None;
+    /// Pop the top frame, delivering `retval` to its caller, whose pc —
+    /// parked at its Invoke — advances. Refused — nothing has moved — when
+    /// there is no caller, or when the return slot and the caller's whole
+    /// window do not fit `full`, the thread's stack as the callee sees it.
+    #[inline]
+    fn pop_frame<'c>(
+        classes: &'c [LoadedClass],
+        frames: &mut Vec<Frame>,
+        full: &mut [Value],
+        seg_frames: &mut usize,
+        retval: Option<Value>,
+    ) -> Result<Top<'c>, Refusal> {
+        let [.., caller, callee] = frames.as_mut_slice() else {
+            return Err(Refusal::NoCaller);
         };
-        let mut sp = callee.base;
+        // A frame's base is its first argument or, with none, the slot its
+        // first local or operand would take: where the value goes, and
+        // where the caller's operands end.
+        let mut top = Top::at(classes, caller, callee.base);
+        let window = top.floor + top.method.max_stack as usize;
+        let needed = window.max(top.sp + usize::from(retval.is_some()));
+        if full.len() < needed {
+            return Err(Refusal::NoRoom(needed));
+        }
         if let Some(v) = retval {
-            // A frame's base is inside the stack: its arguments or, with
-            // none, the slot its first local or operand would take.
-            match t.stack.get_mut(sp) {
-                Some(slot) => *slot = v,
-                None => t.stack.push(v),
-            }
-            sp += 1;
+            full[top.sp] = v;
+            top.sp += 1;
         }
         caller.pc += 1;
-        t.frames.pop();
-        t.seg_frames = t.seg_frames.min(t.frames.len());
-        Some(sp)
+        top.pc = caller.pc;
+        frames.pop();
+        *seg_frames = (*seg_frames).min(frames.len());
+        Ok(top)
     }
 
     /// The full path's return: to the caller, or out of the root frame,
     /// which finishes the thread.
-    fn leave_frame(t: &mut VmThread, retval: Option<Value>) -> Flow {
-        match Self::pop_frame(t, retval) {
-            Some(sp) => {
-                t.stack.truncate(sp);
-                Flow::Next
-            }
-            None => {
-                // A finished thread never runs again but stays in the
-                // thread table: hand its stacks back.
-                t.stack = Vec::new();
-                t.frames = Vec::new();
-                t.state = ThreadState::Finished(retval);
-                Flow::Leave
-            }
+    fn leave_frame(&mut self, tid: usize, retval: Option<Value>) -> Flow {
+        let (classes, t) = (self.classes.as_slice(), &mut self.threads[tid]);
+        let VmThread {
+            frames,
+            stack,
+            seg_frames,
+            ..
+        } = t;
+        let moved = Self::with_room(stack, |full| {
+            Self::pop_frame(classes, frames, full, seg_frames, retval)
+        });
+        if moved.is_err() {
+            // A finished thread never runs again but stays in the thread
+            // table: hand its stacks back.
+            t.stack = Vec::new();
+            t.frames = Vec::new();
+            t.state = ThreadState::Finished(retval);
+            return Flow::Leave;
         }
+        Flow::Next
+    }
+
+    /// A frame move on the full path, where the stack `Vec` ends at `sp`:
+    /// a move that finds no room is given exactly the room it asked for
+    /// and made again, and the stack ends at the new top frame's `sp` (or,
+    /// refused, where it did).
+    fn with_room<'c>(
+        stack: &mut Vec<Value>,
+        mut make: impl FnMut(&mut [Value]) -> Result<Top<'c>, Refusal>,
+    ) -> Result<Top<'c>, Refusal> {
+        let sp = stack.len();
+        let mut moved = make(stack);
+        if let Err(Refusal::NoRoom(needed)) = moved {
+            stack.resize(needed, Value::Int(0));
+            moved = make(stack);
+        }
+        stack.truncate(moved.as_ref().map_or(sp, |top| top.sp));
+        moved
     }
 
     /// First pc of the source line containing `pc` in the given method —
@@ -2186,7 +2319,7 @@ impl Vm {
         if self.thread(tid)?.frames.is_empty() {
             return Err(VmError::BadThread(tid));
         }
-        if let Flow::Next = Self::leave_frame(&mut self.threads[tid], retval) {
+        if let Flow::Next = self.leave_frame(tid, retval) {
             self.threads[tid].state = ThreadState::Runnable;
         }
         Ok(())
@@ -2203,7 +2336,7 @@ fn breakpoint_at(armed: &[Breakpoint], at: Breakpoint) -> Option<usize> {
     armed.iter().position(|&b| b == at)
 }
 
-/// Why `push_callee_frame` did not enter a callee.
+/// Why `push_callee_frame` or `pop_frame` did not move the window.
 enum Refusal {
     /// The site passes a different number of arguments than the callee
     /// declares.
@@ -2212,20 +2345,71 @@ enum Refusal {
     Underflow,
     /// The callee's frame would grow the stack past [`MAX_STACK_SLOTS`].
     Overflow,
+    /// The frame has no caller: a return from it finishes the thread.
+    NoCaller,
+    /// The frame that would become the top needs the stack this long.
+    NoRoom(usize),
+}
+
+/// The frame a thread is running, as the window loop holds it and as a
+/// call or a return hands it the next one.
+struct Top<'c> {
+    ci: usize,
+    mi: usize,
+    base: usize,
+    /// One past the last local.
+    floor: usize,
+    pc: u32,
+    /// One past the top operand.
+    sp: usize,
+    /// Method `mi` of class `ci`, linked.
+    method: &'c LinkedMethod,
+}
+
+impl<'c> Top<'c> {
+    /// Frame `f`, its operands ending at `sp`.
+    #[inline]
+    fn at(classes: &'c [LoadedClass], f: &Frame, sp: usize) -> Self {
+        Top {
+            ci: f.class_idx,
+            mi: f.method_idx,
+            base: f.base,
+            floor: f.floor(),
+            pc: f.pc,
+            sp,
+            method: &classes[f.class_idx].linked[f.method_idx],
+        }
+    }
+
+    /// The top frame of `frames`, its operands ending at `sp`.
+    #[inline]
+    fn of(classes: &'c [LoadedClass], frames: &[Frame], sp: usize) -> Option<Self> {
+        frames.last().map(|f| Top::at(classes, f, sp))
+    }
+}
+
+/// What one [`Vm::run`] call fixes for its window loop.
+struct Slice {
+    /// The thread's cost multiplier ([`Vm::cost_per_mille`]).
+    per_mille: u64,
+    /// The `meter_ns` at which the budget is spent.
+    until_ns: u64,
+    stop_at_msp: bool,
+    tid: usize,
 }
 
 /// Why [`Vm::run`]'s window loop stopped.
 enum Stop {
-    /// `StopAtMsp`: empty operands at a migration-safe pc.
-    AtMsp,
+    /// `StopAtMsp`: empty operands at this migration-safe pc.
+    AtMsp(u32),
     /// A breakpoint armed for this thread (at this list position) names
     /// the pc.
     Breakpoint(usize),
-    /// The pc is outside the method.
-    BadPc,
     /// The slice's budget is spent.
     Budget,
-    /// `window_op` did not retire the instruction at the pc.
+    /// The instruction at the top frame's pc is not the loop's to retire
+    /// (or there is no such instruction, or no such frame): nothing of it
+    /// has happened or been charged.
     Exit,
 }
 

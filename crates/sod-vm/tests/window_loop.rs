@@ -12,13 +12,21 @@
 //! zero (caught or not), call sites with the wrong arity, and `Ret` where
 //! the caller expects a value (its next pop underflows). The anomaly
 //! classes are also pinned one by one at the end of the file.
+//!
+//! The random programs call at most four methods deep, so a second family
+//! recurses: `down(d)` hundreds of frames down and back — a slice starts
+//! at every depth, outgrows the stack it opened on, returns into frames it
+//! never opened — and `fib(n)` across, in both run modes and with a
+//! breakpoint on the first pc of a callee and on the pc a return lands on.
 
 use proptest::prelude::*;
+use sod_vm::capture::{restore_segment_direct, CapturedFrame, CapturedState, CapturedValue};
 use sod_vm::class::{ClassDef, ExEntry, ExKind, MethodDef};
 use sod_vm::error::VmError;
 use sod_vm::instr::{Cmp, Instr};
 use sod_vm::interp::{RunMode, StepOutcome, Vm, MAX_STACK_SLOTS};
 use sod_vm::value::Value;
+use sod_vm::wire::{decode_state, encode_state};
 
 const METHODS: usize = 4;
 /// Slot 0 is the argument (int), 1 an int, 2 a float, 3 the loop counter.
@@ -346,6 +354,7 @@ fn assert_same_thread(fast: &Vm, twin: &Vm, tid: usize) {
     }
     assert_eq!(f.state, t.state);
     assert_eq!(f.max_height, t.max_height);
+    assert_eq!(f.seg_frames, t.seg_frames);
     assert_eq!(
         (fast.meter_ns, fast.instr_count),
         (twin.meter_ns, twin.instr_count)
@@ -688,4 +697,255 @@ fn a_pc_outside_the_method_is_an_error_and_costs_nothing() {
     let seen = lockstep(&mut fast, &mut twin, 0, &[u64::MAX], RunMode::StopAtMsp);
     assert_eq!(seen.end, Err(VmError::BadPc(99)));
     assert_eq!((fast.meter_ns, fast.instr_count), (0, 0));
+}
+
+/// `main(d)` = `down(d)` = `down(d - 1) + leaf(d)` = d (d + 1) / 2, one
+/// frame per unit of `d`; `down(0)` runs `base`. `down` parks the sum in
+/// local 1 and makes its second call from a frame that was just returned
+/// into. Methods: `main` 0, `down` 1, `leaf` 2, `void` 3 (returns nothing).
+fn recursion(base: &[Instr]) -> ClassDef {
+    use Instr::*;
+    let mut c = ClassDef::new("P");
+    let (own, down, leaf) = (c.intern("P"), c.intern("down"), c.intern("leaf"));
+    c.intern("void");
+    let each_its_own_line = |code: &[Instr]| (1..=code.len() as u32).collect::<Vec<_>>();
+    let main = vec![Load(0), InvokeStatic(own, down, 1), RetV];
+    let mut body = vec![
+        Load(0),
+        IfZ(Cmp::Le, 12),
+        Load(0),
+        PushI(1),
+        Sub,
+        InvokeStatic(own, down, 1), // 5
+        Store(1),                   // 6: where the recursion returns to
+        Load(0),
+        InvokeStatic(own, leaf, 1), // 8
+        Load(1),
+        Add,
+        RetV,
+    ];
+    body.extend_from_slice(base);
+    for (name, extra, code) in [
+        ("main", 0, main),
+        ("down", 1, body),
+        ("leaf", 0, vec![Load(0), RetV]),
+        ("void", 0, vec![Ret]),
+    ] {
+        let lines = each_its_own_line(&code);
+        c.methods
+            .push(MethodDef::new(name, 1, extra).with_code(code, lines));
+    }
+    c
+}
+
+/// `fib(n)`: the second call is made over an operand (the first call's
+/// result) that stays the caller's.
+fn fib() -> ClassDef {
+    use Instr::*;
+    let mut c = ClassDef::new("P");
+    let (own, fib) = (c.intern("P"), c.intern("fib"));
+    let code = vec![
+        Load(0),
+        PushI(2),
+        If(Cmp::Lt, 13),
+        Load(0),
+        PushI(1),
+        Sub,
+        InvokeStatic(own, fib, 1), // 6
+        Load(0),                   // 7
+        PushI(2),
+        Sub,
+        InvokeStatic(own, fib, 1), // 10
+        Add,
+        RetV,
+        Load(0), // 13
+        RetV,
+    ];
+    let lines = (1..=code.len() as u32).collect();
+    c.methods
+        .push(MethodDef::new("fib", 1, 0).with_code(code, lines));
+    c
+}
+
+const BOTH_MODES: [RunMode; 2] = [RunMode::Normal, RunMode::StopAtMsp];
+/// Budget 1 ends a slice after every instruction — directly after each
+/// call and each return, and so starts one at every depth, on a stack cut
+/// back to its `sp`; the others end slices mid-frame, or never.
+const SLICINGS: [&[u64]; 3] = [&[1], &[12, 6, 40], &[u64::MAX]];
+
+#[test]
+fn deep_recursion_matches_single_stepping_at_every_depth() {
+    // 322 frames of two locals (and up to three operands) against a first
+    // allocation of 16 frames and 64 slots.
+    let depth = 320;
+    let class = recursion(&[Instr::PushI(0), Instr::RetV]);
+    let sum = Ok(StepOutcome::Returned(Some(Value::Int(
+        depth * (depth + 1) / 2,
+    ))));
+    for budgets in SLICINGS {
+        for mode in BOTH_MODES {
+            // Own breakpoints: on the first pc of a callee, and on the pc
+            // a return lands on (first reached 321 frames down).
+            for armed in [
+                Armed::Nowhere,
+                Armed::Own(1, 0),
+                Armed::Own(1, 6),
+                Armed::Other(1, 6),
+            ] {
+                let (mut fast, mut twin) = twins(&class, "main", depth, armed);
+                let seen = lockstep(&mut fast, &mut twin, 0, budgets, mode);
+                assert_eq!(seen.end, sum, "{budgets:?} {mode:?} {armed:?}");
+                let tripped = match armed {
+                    Armed::Own(_, pc) => Some(pc),
+                    _ => None,
+                };
+                assert_eq!(seen.tripped_at, tripped, "{budgets:?} {mode:?} {armed:?}");
+                assert_eq!(fast.thread(0).unwrap().max_height, depth as usize + 2);
+            }
+        }
+    }
+}
+
+#[test]
+fn fib_shaped_recursion_matches_single_stepping() {
+    let class = fib();
+    for budgets in SLICINGS {
+        for mode in BOTH_MODES {
+            for armed in [Armed::Nowhere, Armed::Own(0, 7), Armed::Other(0, 7)] {
+                let (mut fast, mut twin) = twins(&class, "fib", 11, armed);
+                let seen = lockstep(&mut fast, &mut twin, 0, budgets, mode);
+                assert_eq!(seen.end, Ok(StepOutcome::Returned(Some(Value::Int(89)))));
+                assert_eq!(fast.thread(0).unwrap().max_height, 11);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_restored_stack_unwinds_through_frames_its_thread_never_opened() {
+    // 301 frames of `down` as a migrated segment: the thread arrives with a
+    // stack exactly as long as its locals, so the first window and every
+    // return's caller window outgrow it, and `seg_frames` falls with every
+    // frame that is left.
+    let class = recursion(&[Instr::PushI(0), Instr::RetV]);
+    let depth = 300;
+    let frame = |d: i64, pc| CapturedFrame {
+        class: "P".into(),
+        method: "down".into(),
+        pc,
+        locals: vec![CapturedValue::Int(d), CapturedValue::Int(0)],
+    };
+    let state = CapturedState {
+        // Callers parked at their Invoke, the top frame at its first pc.
+        frames: (0..depth)
+            .map(|i| frame(depth - i, 5))
+            .chain([frame(0, 0)])
+            .collect(),
+        statics: Vec::new(),
+    };
+    for budgets in SLICINGS {
+        for mode in BOTH_MODES {
+            let build = || {
+                let mut vm = Vm::new();
+                vm.load_class(&class).unwrap();
+                assert_eq!(restore_segment_direct(&mut vm, &state), Ok(0));
+                vm
+            };
+            let (mut fast, mut twin) = (build(), build());
+            assert_eq!(fast.thread(0).unwrap().seg_frames, depth as usize + 1);
+            let seen = lockstep(&mut fast, &mut twin, 0, budgets, mode);
+            let sum = Value::Int(depth * (depth + 1) / 2);
+            assert_eq!(seen.end, Ok(StepOutcome::Returned(Some(sum))));
+        }
+    }
+}
+
+#[test]
+fn deep_anomalies_end_as_single_stepping_does() {
+    use Instr::*;
+    let depth = 300;
+    // `down(0)` hands nothing back, so its caller — 301 frames up — stores
+    // from an empty operand stack; or it returns what `void` handed back:
+    // a value it does not have. Either way the thread stands where the
+    // instruction that failed is.
+    let mut names = recursion(&[]);
+    let (own, void) = (names.intern("P"), names.intern("void"));
+    let empty_retv = [Load(0), InvokeStatic(own, void, 1), RetV];
+    for (base, standing) in [(&[Ret][..], 301), (&empty_retv, 302)] {
+        let class = recursion(base);
+        for budgets in SLICINGS {
+            for armed in [Armed::Nowhere, Armed::Own(2, 0)] {
+                let (mut fast, mut twin) = twins(&class, "main", depth, armed);
+                let seen = lockstep(&mut fast, &mut twin, 0, budgets, RunMode::Normal);
+                assert_eq!(seen.end, Err(VmError::StackUnderflow));
+                assert_eq!(fast.thread(0).unwrap().frames.len(), standing);
+            }
+        }
+    }
+
+    // A return into a caller whose window (seven operands at its widest)
+    // does not fit the stack as the slice found it, inside `id`.
+    let mut wide = vec![Load(0), InvokeStatic(0, 0, 1)];
+    wide.extend([PushI(1); 6]);
+    wide.extend([Add; 6]);
+    wide.push(Store(1));
+    let wide = after_warm_up(|c| {
+        wide[1] = InvokeStatic(c.intern("P"), c.intern("id"), 1);
+        wide
+    });
+    assert_eq!(ends(&wide), Ok(StepOutcome::Returned(Some(Value::Int(11)))));
+}
+
+#[test]
+fn a_warm_cross_class_call_with_the_wrong_arity_fails_every_time() {
+    use Instr::*;
+    let lib = ClassDef::new("Lib")
+        .with_method(MethodDef::new("f", 1, 0).with_code(vec![Load(0), RetV], vec![1, 2]));
+    let mut main = ClassDef::new("Main");
+    let (lib_n, f) = (main.intern("Lib"), main.intern("f"));
+    let code = vec![PushI(1), PushI(2), InvokeStatic(lib_n, f, 2), RetV];
+    main.methods
+        .push(MethodDef::new("main", 0, 0).with_code(code, vec![1, 1, 1, 2]));
+    let build = || {
+        let mut vm = Vm::new();
+        vm.load_class(&lib).unwrap();
+        vm.load_class(&main).unwrap();
+        vm.spawn("Main", "main", &[]).unwrap();
+        vm
+    };
+    let (mut fast, mut twin) = (build(), build());
+    let wrong = VmError::ArityMismatch {
+        class: "Lib".into(),
+        method: "f".into(),
+        expected: 1,
+        got: 2,
+    };
+    // The first attempt resolves the site; the later ones find it warm.
+    let seen = lockstep(&mut fast, &mut twin, 0, &[u64::MAX], RunMode::Normal);
+    assert_eq!(seen.end, Err(wrong.clone()));
+    for _ in 0..3 {
+        assert_eq!(fast.run(0, 1, RunMode::Normal), Err(wrong.clone()));
+        assert_eq!(twin.step(0), Err(wrong.clone()));
+        assert_same_thread(&fast, &twin, 0);
+        let t = fast.thread(0).unwrap();
+        assert_eq!((t.frames.len(), t.frames[0].pc), (1, 2));
+        assert_eq!(t.operands(0).len(), 2);
+    }
+}
+
+#[test]
+fn a_thread_without_frames_is_a_bad_thread_to_both_drivers() {
+    // Constructible from bytes: a segment of no frames encodes, decodes
+    // and restores.
+    let empty = encode_state(&CapturedState::default()).unwrap();
+    let state = decode_state(empty).unwrap();
+    let mut vm = Vm::new();
+    assert_eq!(restore_segment_direct(&mut vm, &state), Ok(0));
+    for mode in BOTH_MODES {
+        assert_eq!(vm.run(0, 100, mode), Err(VmError::BadThread(0)));
+        assert_eq!(vm.step(0), Err(VmError::BadThread(0)));
+        let t = vm.thread(0).unwrap();
+        assert!(t.is_runnable() && t.frames.is_empty());
+        assert_eq!((vm.meter_ns, vm.instr_count), (0, 0));
+    }
 }

@@ -2,7 +2,6 @@
 //! height `h`, and accumulated local+static field bytes `F`, measured by
 //! actually running each workload on a fresh VM.
 
-use sod_vm::class::ClassDef;
 use sod_vm::interp::Vm;
 use sod_vm::value::Value;
 
@@ -27,14 +26,14 @@ pub struct Characteristics {
 
 /// Run `workload` to completion on a plain VM and measure Table I columns.
 pub fn characterize(workload: &Workload) -> Characteristics {
-    let class = (workload.build)();
-    characterize_class(&class, workload, workload.n)
+    characterize_on(Vm::new(), workload)
 }
 
-/// As [`characterize`] with an explicit (already preprocessed) class.
-pub fn characterize_class(class: &ClassDef, workload: &Workload, n: i64) -> Characteristics {
-    let mut vm = Vm::new();
-    vm.load_class(class).unwrap();
+/// As [`characterize`] on the (empty) VM given — a [`Vm::reference`], say:
+/// the columns must not depend on which.
+pub fn characterize_on(mut vm: Vm, workload: &Workload) -> Characteristics {
+    let n = workload.n;
+    vm.load_class(&(workload.build)()).unwrap();
     let tid = vm
         .spawn(workload.class, workload.method, &[Value::Int(n)])
         .unwrap();

@@ -18,7 +18,7 @@ pub mod characteristics;
 pub mod fleet;
 pub mod programs;
 
-pub use characteristics::{characterize, Characteristics};
+pub use characteristics::{characterize, characterize_on, Characteristics};
 pub use fleet::ArrivalSchedule;
 pub use programs::{
     fft_class, fib_class, handler_fleet_classes, handler_fleet_expected, nqueens_class, tsp_class,

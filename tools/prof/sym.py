@@ -2,14 +2,20 @@
 """Symbolise the LD_PRELOAD tools' output. Needs addr2line.
 
     sym.py <samples> <binary> func|line [top]     sampler.so output
+    sym.py <samples> <binary> asm <function> [min%]
     sym.py <mallocs> <binary> allocs <ops> [top]  mallocs.so output
 
 `func` aggregates by the outermost (non-inlined) function holding each
 sample, `line` by the innermost inlined file:line. `allocs` prints
 allocations per operation (`ops` = how many operations the run performed,
 e.g. reps x object faults per rep) by the three innermost frames of each
-call stack that are this repository's own code."""
+call stack that are this repository's own code. `asm` disassembles every
+symbol whose demangled name contains `function` (needs nm and objdump), each
+instruction prefixed with its share of all samples — what is live across a
+loop's dispatch shows as loads and read-modify-writes of stack slots there;
+symbols holding less than `min%` (default 0.5) of the samples are skipped."""
 import collections
+import re
 import subprocess
 import sys
 
@@ -47,6 +53,33 @@ def samples(path, binary, mode, top):
         print(f"{100 * n / len(addrs):6.2f}%  {n:7d}  {name}")
 
 
+def asm(path, binary, function, least):
+    with open(path) as f:
+        base = int(f.readline().split("-")[0], 16)
+        hits = collections.Counter(int(line, 16) - base for line in f)
+    total = sum(hits.values())
+    nm = subprocess.run(["nm", "-C", "-S", binary], capture_output=True, text=True, check=True)
+    for sym in nm.stdout.splitlines():
+        m = re.match(r"([0-9a-f]+) ([0-9a-f]+) [tTwW] (.*)", sym)
+        if not m or function not in m.group(3):
+            continue
+        start, size = int(m.group(1), 16), int(m.group(2), 16)
+        inside = sum(n for a, n in hits.items() if start <= a < start + size)
+        if 100 * inside < least * total:
+            continue
+        print(f"{100 * inside / total:6.2f}%  {m.group(3)}")
+        dis = subprocess.run(
+            ["objdump", "-d", "--no-show-raw-insn", f"--start-address={start}",
+             f"--stop-address={start + size}", binary],
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        for line in dis:
+            at = re.match(r"\s*([0-9a-f]+):\t", line)
+            if at:
+                n = hits.get(int(at.group(1), 16), 0)
+                print(f"{100 * n / total:6.2f}% {line}" if n else f"        {line}")
+
+
 def in_repo(frame):
     where = frame[1]
     return not (where.startswith(("??", "/rustc/")) or "/.cargo/" in where)
@@ -79,6 +112,8 @@ def main():
     rest = sys.argv[4:]
     if mode == "allocs":
         allocs(path, binary, float(rest[0]), int(rest[1]) if len(rest) > 1 else 30)
+    elif mode == "asm":
+        asm(path, binary, rest[0], float(rest[1]) if len(rest) > 1 else 0.5)
     else:
         samples(path, binary, mode, int(rest[0]) if rest else 30)
 
