@@ -1,10 +1,9 @@
-//! Regenerate the fleet-size × scheduler sweep (`TABLE SCALE`) and its
+//! Regenerate the fleet-size sweep (`TABLE SCALE`) and its
 //! `BENCH_scale.json`-compatible summary.
 //!
-//! By default this runs the **big** ablation — 1k/5k/10k-program fleets,
-//! each under both the global-heap and the sharded event scheduler
-//! (`SCALE_FLEET_SWEEP`), with per-row host wall-clock — which takes a
-//! few minutes. Pass `--sizes 10,100,500` for the cheap shipped sweep.
+//! By default this runs the **big** sweep — 1k/5k/10k-program fleets
+//! (`SCALE_FLEET_SWEEP`), with per-row host wall-clock — which takes
+//! seconds. Pass `--sizes 10,100,500` for the cheap shipped sweep.
 //!
 //! The table and the JSON line both print to stdout; pass a path (e.g.
 //! `BENCH_scale.json`) to write the JSON there instead.

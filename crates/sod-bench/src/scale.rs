@@ -1,21 +1,15 @@
-//! The `scale` table: fleet-size × scheduler sweep with latency
-//! percentiles.
+//! The `scale` table: fleet-size sweep with latency percentiles.
 //!
 //! Not a paper table — the paper evaluates one program at a time — but the
 //! ROADMAP's cloud-elasticity direction: sweep the number of concurrent
 //! programs, serve them open-loop across two edge nodes with an
 //! `OnCpuSliceBudget` offload policy to a shared cloud node, and report
 //! nearest-rank latency percentiles, throughput, and per-node utilization
-//! from the [`sod::ClusterReport`]. Since the sharded per-node event
-//! queue landed, **scheduler** is a sweep dimension too: every fleet size
-//! runs under [`Scheduler::GlobalHeap`] and [`Scheduler::Sharded`]
-//! ([`SCALE_SCHEDULERS`]), with per-row wall-clock so the ablation shows
-//! what sharding buys (the virtual-time results are bit-identical by
-//! construction — the `scheduler_equivalence` suite enforces it).
-//! [`scale_json`] renders the
-//! same sweep as a `BENCH_scale.json`-compatible summary for machine
-//! consumption; `bin/scale` runs the big-fleet sweep
-//! ([`SCALE_FLEET_SWEEP`]: 1k/5k/10k programs).
+//! from the [`sod::ClusterReport`], with the host wall-clock each row took
+//! to simulate. [`scale_json`] renders the same sweep as a
+//! `BENCH_scale.json`-compatible summary for machine consumption;
+//! `bin/scale` runs the big-fleet sweep ([`SCALE_FLEET_SWEEP`]:
+//! 1k/5k/10k programs).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -26,21 +20,18 @@ use sod::runtime::NodeConfig;
 use sod::scenario::{Fleet, Plan, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
-use sod::{ArrivalSchedule, ClusterReport, Scheduler};
+use sod::{ArrivalSchedule, ClusterReport};
 
 /// Fleet sizes the shipped table sweeps (kept cheap: `bin/all` runs it).
 pub const SCALE_SWEEP: [usize; 3] = [10, 100, 500];
-/// Fleet sizes for the big `bin/scale` scheduler ablation.
+/// Fleet sizes for the big `bin/scale` sweep.
 pub const SCALE_FLEET_SWEEP: [usize; 3] = [1000, 5000, 10_000];
-/// Both schedulers, in ablation order (baseline first).
-pub const SCALE_SCHEDULERS: [Scheduler; 2] = [Scheduler::GlobalHeap, Scheduler::Sharded];
 /// Seed for the sweep's arrival jitter (any fixed value works; runs are
 /// deterministic per seed).
 pub const SCALE_SEED: u64 = 42;
 
-/// One sweep entry: a fleet size simulated under one scheduler.
+/// One sweep entry: one simulated fleet size.
 pub struct ScaleRow {
-    pub scheduler: Scheduler,
     pub programs: usize,
     pub report: ClusterReport,
     /// Host wall-clock the simulation took, in milliseconds (the only
@@ -53,7 +44,7 @@ impl ScaleRow {
     /// Host nanoseconds the simulator spent per *simulated* instruction —
     /// the interpreter-throughput figure of merit the fast-path work
     /// targets (`bin/vm` measures it in isolation; this is the same ratio
-    /// under full scheduler + network load). Wall-clock derived, so not
+    /// under full event-queue + network load). Wall-clock derived, so not
     /// deterministic; compare runs on the same host only.
     pub fn ns_per_instr(&self) -> f64 {
         let total_instr: u64 = self.report.per_node.iter().map(|u| u.instructions).sum();
@@ -61,14 +52,12 @@ impl ScaleRow {
     }
 }
 
-/// Run one fleet of `programs` Fib(16) requests under `scheduler` and
-/// aggregate it.
-pub fn run_scale_fleet(programs: usize, seed: u64, scheduler: Scheduler) -> ClusterReport {
+/// Run one fleet of `programs` Fib(16) requests and aggregate it.
+pub fn run_scale_fleet(programs: usize, seed: u64) -> ClusterReport {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     let report = Scenario::new()
         // 10 µs slices so the 3-slice CPU budget trips mid-computation.
         .slice_ns(10_000)
-        .scheduler(scheduler)
         .node("edge0", NodeConfig::cluster("edge0"))
         .deploys(&class)
         .node("edge1", NodeConfig::cluster("edge1"))
@@ -86,33 +75,30 @@ pub fn run_scale_fleet(programs: usize, seed: u64, scheduler: Scheduler) -> Clus
     report.cluster
 }
 
-/// Run the sweep once: one [`ScaleRow`] per `(size, scheduler)` pair
-/// ([`SCALE_SCHEDULERS`]), wall-clock measured per row. The table and
-/// JSON renderers below both consume this, so a caller wanting both pays
-/// for the simulation once.
+/// Run the sweep once: one [`ScaleRow`] per fleet size, wall-clock
+/// measured per row. The table and JSON renderers below both consume
+/// this, so a caller wanting both pays for the simulation once.
 pub fn sweep(sizes: &[usize]) -> Vec<ScaleRow> {
-    let mut rows = Vec::with_capacity(sizes.len() * SCALE_SCHEDULERS.len());
-    for &programs in sizes {
-        for scheduler in SCALE_SCHEDULERS {
+    sizes
+        .iter()
+        .map(|&programs| {
             let started = Instant::now();
-            let report = run_scale_fleet(programs, SCALE_SEED, scheduler);
-            rows.push(ScaleRow {
-                scheduler,
+            let report = run_scale_fleet(programs, SCALE_SEED);
+            ScaleRow {
                 programs,
                 report,
                 wall_ms: started.elapsed().as_millis() as u64,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Render a finished sweep as the human-readable table.
 pub fn render_table(rows: &[ScaleRow]) -> String {
     let mut out = String::from(
-        "TABLE SCALE. FLEET × SCHEDULER SWEEP (open-loop, OnCpuSliceBudget offload; \
+        "TABLE SCALE. FLEET SWEEP (open-loop, OnCpuSliceBudget offload; \
          nearest-rank percentiles; wall = host ms)\n\
-         programs sched      ok    fail p50(ms)  p95(ms)  p99(ms)  mean(ms) makespan(ms) req/s    cloud-instr% wall(ms) ns/instr\n",
+         programs ok    fail p50(ms)  p95(ms)  p99(ms)  mean(ms) makespan(ms) req/s    cloud-instr% wall(ms) ns/instr\n",
     );
     for row in rows {
         let r = &row.report;
@@ -125,9 +111,8 @@ pub fn render_table(rows: &[ScaleRow]) -> String {
             .unwrap_or(0);
         let _ = writeln!(
             out,
-            "{:<8} {:<10} {:<5} {:<4} {:<8} {:<8} {:<8} {:<8} {:<12} {:<8.1} {:<12.1} {:<8} {:.2}",
+            "{:<8} {:<5} {:<4} {:<8} {:<8} {:<8} {:<8} {:<12} {:<8.1} {:<12.1} {:<8} {:.2}",
             row.programs,
-            format!("{:?}", row.scheduler),
             r.completed,
             r.failed,
             ns_to_ms_string(r.p50_latency_ns),
@@ -144,12 +129,12 @@ pub fn render_table(rows: &[ScaleRow]) -> String {
     out
 }
 
-/// The human-readable sweep over arbitrary fleet sizes (both schedulers).
+/// The human-readable sweep over arbitrary fleet sizes.
 pub fn scale_table_for(sizes: &[usize]) -> String {
     render_table(&sweep(sizes))
 }
 
-/// The shipped sweep (10/100/500 programs × both schedulers).
+/// The shipped sweep (10/100/500 programs).
 pub fn scale_table() -> String {
     scale_table_for(&SCALE_SWEEP)
 }
@@ -172,8 +157,8 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Render a finished sweep as a `BENCH_scale.json`-compatible summary:
-/// one row object per `(fleet size, scheduler)` pair, all virtual
-/// durations in ns, plus the host `wall_ms` the row took to simulate.
+/// one row object per fleet size, all virtual durations in ns, plus the
+/// host `wall_ms` the row took to simulate.
 pub fn render_json(sweep_rows: &[ScaleRow]) -> String {
     let mut rows = Vec::with_capacity(sweep_rows.len());
     for row in sweep_rows {
@@ -194,13 +179,12 @@ pub fn render_json(sweep_rows: &[ScaleRow]) -> String {
             })
             .collect();
         rows.push(format!(
-            "{{\"programs\":{},\"scheduler\":\"{:?}\",\"wall_ms\":{},\
+            "{{\"programs\":{},\"wall_ms\":{},\
              \"ns_per_instr\":{:.3},\"completed\":{},\
              \"failed\":{},\"p50_ns\":{},\"p95_ns\":{},\
              \"p99_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"makespan_ns\":{},\
              \"throughput_millirps\":{},\"per_node\":[{}]}}",
             row.programs,
-            row.scheduler,
             row.wall_ms,
             row.ns_per_instr(),
             r.completed,
@@ -240,18 +224,16 @@ mod tests {
         assert!(t.contains("TABLE SCALE"));
         assert_eq!(
             t.lines().count(),
-            2 + 2 * SCALE_SCHEDULERS.len(),
-            "header(2) + one line per (size, scheduler): {t}"
+            2 + 2,
+            "header(2) + one line per size: {t}"
         );
-        assert!(t.contains("GlobalHeap") && t.contains("Sharded"));
 
         let j = render_json(&rows);
         assert!(j.starts_with("{\"bench\":\"scale\""));
-        assert!(j.contains("\"programs\":5"));
+        assert!(j.contains("{\"programs\":5,\"wall_ms\":"));
+        assert!(j.contains("{\"programs\":10,\"wall_ms\":"));
         assert!(j.contains("\"p99_ns\":"));
-        assert!(j.contains("\"scheduler\":\"GlobalHeap\""));
-        assert!(j.contains("\"scheduler\":\"Sharded\""));
-        assert!(j.contains("\"wall_ms\":"));
+        assert!(!j.contains("\"scheduler\""));
         assert!(j.contains("\"ns_per_instr\":"));
         assert!(t.contains("ns/instr"));
         assert!(j.contains("\"per_node\":[{\"name\":\"edge0\""));
@@ -259,29 +241,15 @@ mod tests {
         // Balanced braces/brackets — cheap JSON well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-
-        // Identical virtual-time results under both schedulers of a size:
-        // the scheduler axis only moves wall_ms.
-        assert_eq!(rows[0].report, rows[1].report);
     }
 
     #[test]
     fn scale_fleet_completes_and_offloads() {
-        let r = run_scale_fleet(10, SCALE_SEED, Scheduler::Sharded);
+        let r = run_scale_fleet(10, SCALE_SEED);
         assert_eq!(r.completed, 10);
         assert_eq!(r.failed, 0);
         assert!(r.p50_latency_ns > 0 && r.p50_latency_ns <= r.p99_latency_ns);
         let cloud = r.per_node.iter().find(|u| u.name == "cloud").unwrap();
         assert!(cloud.instructions > 0, "offload must reach the cloud");
-    }
-
-    #[test]
-    fn schedulers_agree_on_the_scale_fleet() {
-        // The sweep's own differential check: both schedulers aggregate to
-        // the identical ClusterReport (events, percentiles, bytes, all of
-        // it) — the full-width version lives in `scheduler_equivalence`.
-        let a = run_scale_fleet(25, SCALE_SEED, Scheduler::GlobalHeap);
-        let b = run_scale_fleet(25, SCALE_SEED, Scheduler::Sharded);
-        assert_eq!(a, b);
     }
 }

@@ -8,9 +8,8 @@
 //! scheduled actions fire when virtual time reaches them, and each
 //! at-risk delivery draws from a private SplitMix64 stream to decide
 //! whether the message is lost. Because the simulator delivers events in
-//! a total order independent of the scheduler, the RNG draws — and hence
-//! every drop — replay bit-identically from the seed under both
-//! [`Scheduler`](crate::sim::Scheduler)s.
+//! one total order, the RNG draws — and hence every drop — replay
+//! bit-identically from the seed.
 //!
 //! The chaos layer only *classifies* deliveries; the consequences (failed
 //! programs, retries, lost-byte accounting) live in the world's
@@ -231,8 +230,7 @@ impl ChaosState {
     /// Decide the fate of a delivery from `src` to `dst` (`is_cut` is the
     /// topology's partition verdict for the pair). Draws from the loss
     /// stream only for inter-node deliveries on lossy links, so the
-    /// stream is a pure function of the delivery order — identical under
-    /// both schedulers.
+    /// stream is a pure function of the delivery order.
     pub fn drop_reason(&mut self, src: usize, dst: usize, is_cut: bool) -> Option<DropReason> {
         if self.is_down(dst) {
             return Some(DropReason::NodeDown);

@@ -1,45 +1,19 @@
 //! The discrete-event scheduler.
 //!
-//! A [`Sim`] owns a [`World`] (the cluster state), a [`Topology`], and an
-//! event queue. Each event is the delivery of one message to one node at a
-//! virtual time; handling a message may send further messages (through
-//! links, charging transfer time) or schedule timers. Events with equal
-//! timestamps are delivered in submission order (a monotonically increasing
-//! sequence number breaks ties, then the destination node), making runs
-//! fully deterministic.
-//!
-//! ## Schedulers
-//!
-//! Two interchangeable event queues implement that contract (selected via
-//! [`Scheduler`]):
-//!
-//! * [`Scheduler::GlobalHeap`] — one binary heap over every pending event,
-//!   the classic textbook queue;
-//! * [`Scheduler::Sharded`] — one heap **per node** (`sim/shard.rs`) merged
-//!   by a conservative safe-horizon coordinator (`sim/horizon.rs`): the
-//!   shard owning
-//!   the globally earliest event drains back-to-back while its events stay
-//!   below every other shard's frontier and within the horizon (frontier
-//!   minimum plus the topology's minimum link latency). Pushes and pops
-//!   touch a heap sized by one node's backlog instead of the whole
-//!   fleet's, which is what keeps 10k-program fleets off the single-queue
-//!   scale ceiling.
-//!
-//! Both deliver in the identical total order `(time, seq, dst)`, so a run
-//! is **bit-identical** under either scheduler — the property the
-//! `scheduler_equivalence` differential suite pins across every scenario
-//! shape. [`Scheduler::Sharded`] is the default.
-
-mod horizon;
-mod shard;
+//! A [`Sim`] owns a [`World`] (the cluster state), a [`Topology`], and one
+//! event queue: a binary heap over every pending event. Each event is the
+//! delivery of one message to one node at a virtual time; handling a
+//! message may send further messages (through links, charging transfer
+//! time) or schedule timers. Events are delivered in `(time, seq)` order,
+//! where `seq` is a per-simulation submission counter: equal timestamps
+//! deliver in submission order, so every delivery has one well-defined
+//! index and a run is fully deterministic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::chaos::{ChaosAction, ChaosPlan, ChaosState, DropReason};
 use crate::topology::Topology;
-
-use shard::{Event, ShardedQueue};
 
 /// The world the simulator drives: your cluster state.
 pub trait World {
@@ -69,23 +43,57 @@ pub trait World {
     }
 }
 
-/// Which event queue a [`Sim`] runs on. Both produce bit-identical
-/// timelines (see the module docs); they differ only in cost profile.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// A leftover knob: [`Sim::with_scheduler`] accepts it and ignores it, as
+/// there is one event queue (README, "Why there is one event queue"). It
+/// survives only because the frozen `examples/benchmark/` constructs and
+/// matches these variants, and goes with the `fleet-parallel` workload in
+/// ROADMAP item 6's `benchmark` PR.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduler {
-    /// One global binary heap over all pending events.
-    GlobalHeap,
-    /// Per-node shard heaps merged under a conservative safe horizon.
-    #[default]
     Sharded,
-    /// Selects the sharded queue; `threads` is not read. The threaded
-    /// drain this variant used to pick is gone (README, "Why there is no
-    /// threaded scheduler"); the variant itself survives only because the
-    /// frozen `examples/benchmark/` constructs and matches it, and is
-    /// removed with the `fleet-parallel` workload by ROADMAP item 6's
-    /// `benchmark` PR.
-    #[doc(hidden)]
     Parallel { threads: usize },
+}
+
+/// One pending message delivery. `src` records the sending node (equal to
+/// `dst` for timers and injected events); it is carried for the chaos
+/// layer's partition/loss checks and takes no part in the order.
+///
+/// Events order by `(at, seq)`. `seq` is unique per [`Sim`] (handed out at
+/// submission), so the order is total and no other field breaks a tie.
+///
+/// An event is moved by value on every queue operation (push, each sift
+/// step, pop, the hand-off to the handler), so its size is a cost: four
+/// words of header here, and the world keeps its message small (the SOD
+/// runtime pins `Msg` at 64 bytes — a 96-byte event moves as a few inline
+/// register copies where the 168-byte one it replaced went through
+/// `memcpy`).
+struct Event<M> {
+    at: u64,
+    seq: u64,
+    src: usize,
+    dst: usize,
+    msg: M,
+}
+
+impl<M> PartialEq for Event<M> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<M> Eq for Event<M> {}
+
+impl<M> PartialOrd for Event<M> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<M> Ord for Event<M> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
 }
 
 /// What a handler sent: (arrival time, src, dst, msg), `src == dst` for
@@ -133,48 +141,16 @@ impl<M> SimCtx<'_, M> {
     }
 }
 
-/// The pending-event store behind a [`Sim`]: the scheduler choice made
-/// concrete. Both variants release events in `(time, seq, dst)` order.
-enum Queue<M> {
-    Global(BinaryHeap<Reverse<Event<M>>>),
-    Sharded(ShardedQueue<M>),
-}
-
-impl<M> Queue<M> {
-    fn push(&mut self, ev: Event<M>) {
-        match self {
-            Queue::Global(heap) => heap.push(Reverse(ev)),
-            Queue::Sharded(q) => q.push(ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event<M>> {
-        match self {
-            Queue::Global(heap) => heap.pop().map(|Reverse(ev)| ev),
-            Queue::Sharded(q) => q.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Global(heap) => heap.len(),
-            Queue::Sharded(q) => q.len(),
-        }
-    }
-}
-
 /// The simulator.
 pub struct Sim<W: World> {
     pub world: W,
     topo: Topology,
-    queue: Queue<W::Msg>,
-    scheduler: Scheduler,
+    queue: BinaryHeap<Reverse<Event<W::Msg>>>,
     now: u64,
     seq: u64,
     delivered: u64,
-    /// Deliveries per destination node, tracked under both schedulers (the
-    /// sharded scheduler's per-shard event counts; the runaway guard names
-    /// the hottest node from these).
+    /// Deliveries per destination node (the runaway guard names the
+    /// hottest node from these).
     delivered_by: Vec<u64>,
     /// Fault injection, if armed (see [`crate::chaos`]). `None` keeps the
     /// hot path chaos-free: non-chaos runs are event-for-event identical
@@ -187,23 +163,11 @@ pub struct Sim<W: World> {
 }
 
 impl<W: World> Sim<W> {
-    /// A simulator on the default scheduler (see [`Scheduler`]).
+    /// A simulator driving `world` over `topo`, its queue empty at t = 0.
     pub fn new(world: W, topo: Topology) -> Self {
-        Sim::with_scheduler(world, topo, Scheduler::default())
-    }
-
-    /// A simulator on an explicitly chosen [`Scheduler`].
-    pub fn with_scheduler(world: W, topo: Topology, scheduler: Scheduler) -> Self {
-        let queue = match scheduler {
-            Scheduler::GlobalHeap => Queue::Global(BinaryHeap::new()),
-            Scheduler::Sharded | Scheduler::Parallel { .. } => {
-                Queue::Sharded(ShardedQueue::new(topo.len(), topo.min_link_latency_ns()))
-            }
-        };
         Sim {
             world,
-            queue,
-            scheduler,
+            queue: BinaryHeap::new(),
             delivered_by: vec![0; topo.len()],
             topo,
             now: 0,
@@ -213,6 +177,12 @@ impl<W: World> Sim<W> {
             dropped: 0,
             outbox: Vec::new(),
         }
+    }
+
+    /// [`Sim::new`]; the [`Scheduler`] is accepted and ignored.
+    #[doc(hidden)]
+    pub fn with_scheduler(world: W, topo: Topology, _scheduler: Scheduler) -> Self {
+        Sim::new(world, topo)
     }
 
     /// Arm fault injection: compile `plan` against this topology. An
@@ -233,11 +203,6 @@ impl<W: World> Sim<W> {
         self.dropped
     }
 
-    /// The scheduler this simulator runs on.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
     /// Current virtual time (time of the last delivered event).
     pub fn now(&self) -> u64 {
         self.now
@@ -248,9 +213,7 @@ impl<W: World> Sim<W> {
         self.delivered
     }
 
-    /// Events delivered to node `dst` so far (its shard's delivery count
-    /// under [`Scheduler::Sharded`]; tracked identically under both
-    /// schedulers).
+    /// Events delivered to node `dst` so far.
     pub fn delivered_to(&self, dst: usize) -> u64 {
         self.delivered_by.get(dst).copied().unwrap_or(0)
     }
@@ -258,13 +221,13 @@ impl<W: World> Sim<W> {
     fn submit(&mut self, at: u64, src: usize, dst: usize, msg: W::Msg) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event {
+        self.queue.push(Reverse(Event {
             at,
             seq,
             src,
             dst,
             msg,
-        });
+        }));
     }
 
     /// Inject a message at absolute time `at` (≥ now). Injected events are
@@ -277,15 +240,14 @@ impl<W: World> Sim<W> {
 
     /// Deliver the next event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(Reverse(ev)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         if let Some(chaos) = &mut self.chaos {
             // Apply every fault due by now, in schedule order, before the
-            // delivery at this instant — pure state events, identical
-            // under both schedulers because `now` advances identically.
+            // delivery at this instant — pure state events.
             while let Some(action) = chaos.pop_due(self.now) {
                 match action {
                     ChaosAction::Partition { a, b } => self.topo.partition(a, b),
@@ -323,14 +285,14 @@ impl<W: World> Sim<W> {
 
     /// Run until the event queue drains; returns the final virtual time.
     /// `max_events` bounds runaway simulations; when the budget trips, the
-    /// panic names the hottest node (the shard that absorbed the most
+    /// panic names the hottest node (the one that absorbed the most
     /// deliveries) so a livelocked fleet member is identifiable.
     pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
         let mut budget = max_events;
         while budget > 0 && self.step() {
             budget -= 1;
         }
-        if self.queue.len() > 0 {
+        if !self.queue.is_empty() {
             let (hot, count) =
                 self.delivered_by
                     .iter()
@@ -347,11 +309,10 @@ impl<W: World> Sim<W> {
                     );
             panic!(
                 "simulation exceeded {max_events} events without draining \
-                 ({} still queued at t={} ns under {:?}; hottest node {hot} \
+                 ({} still queued at t={} ns; hottest node {hot} \
                  absorbed {count} of the {} deliveries)",
                 self.queue.len(),
                 self.now,
-                self.scheduler,
                 self.delivered,
             );
         }
@@ -387,48 +348,47 @@ mod tests {
         }
     }
 
-    fn sim_on(scheduler: Scheduler, relay: bool) -> Sim<Recorder> {
-        Sim::with_scheduler(
-            Recorder {
-                log: Vec::new(),
-                relay,
-            },
-            Topology::uniform(3, LinkSpec::new(1000, 8_000_000_000)),
-            scheduler,
-        )
+    fn recorder(relay: bool) -> Recorder {
+        Recorder {
+            log: Vec::new(),
+            relay,
+        }
+    }
+
+    fn topo3() -> Topology {
+        Topology::uniform(3, LinkSpec::new(1000, 8_000_000_000))
     }
 
     fn sim(relay: bool) -> Sim<Recorder> {
-        sim_on(Scheduler::default(), relay)
+        Sim::new(recorder(relay), topo3())
     }
 
-    const BOTH: [Scheduler; 2] = [Scheduler::GlobalHeap, Scheduler::Sharded];
+    #[test]
+    fn an_event_adds_four_words_to_its_message() {
+        assert_eq!(std::mem::size_of::<Event<[u64; 8]>>(), 32 + 64);
+    }
 
     #[test]
     fn delivery_order_is_time_then_fifo() {
-        for scheduler in BOTH {
-            let mut s = sim_on(scheduler, false);
-            s.inject(50, 1, 10);
-            s.inject(10, 0, 11);
-            s.inject(50, 2, 12); // same time as the first: FIFO by injection
-            s.run_to_idle(100);
-            let order: Vec<u32> = s.world.log.iter().map(|(_, _, m)| *m).collect();
-            assert_eq!(order, vec![11, 10, 12], "{scheduler:?}");
-        }
+        let mut s = sim(false);
+        s.inject(50, 1, 10);
+        s.inject(10, 0, 11);
+        s.inject(50, 2, 12); // same time as the first: FIFO by injection
+        s.run_to_idle(100);
+        let order: Vec<u32> = s.world.log.iter().map(|(_, _, m)| *m).collect();
+        assert_eq!(order, vec![11, 10, 12]);
     }
 
     #[test]
     fn relayed_messages_chain_through_links() {
-        for scheduler in BOTH {
-            let mut s = sim_on(scheduler, true);
-            s.inject(0, 0, 0);
-            s.run_to_idle(100);
-            // 0@0, then each hop costs 100B/1B-per-ns + 1000 latency = 1100 ns.
-            assert_eq!(s.world.log.len(), 4, "{scheduler:?}");
-            assert_eq!(s.world.log[1], (1100, 1, 1));
-            assert_eq!(s.world.log[2], (2200, 2, 2));
-            assert_eq!(s.world.log[3], (3300, 0, 3));
-        }
+        let mut s = sim(true);
+        s.inject(0, 0, 0);
+        s.run_to_idle(100);
+        // 0@0, then each hop costs 100B/1B-per-ns + 1000 latency = 1100 ns.
+        assert_eq!(s.world.log.len(), 4);
+        assert_eq!(s.world.log[1], (1100, 1, 1));
+        assert_eq!(s.world.log[2], (2200, 2, 2));
+        assert_eq!(s.world.log[3], (3300, 0, 3));
     }
 
     #[test]
@@ -445,32 +405,35 @@ mod tests {
         assert_eq!(s.delivered(), s.world.log.len() as u64);
     }
 
+    /// The timeline of a relay fleet with equal-time injections, on a
+    /// simulator `make` builds.
+    fn relay_timeline(make: impl Fn() -> Sim<Recorder>) -> (u64, u64, Vec<(u64, usize, u32)>) {
+        let mut s = make();
+        s.inject(5, 0, 0);
+        s.inject(5, 1, 0);
+        s.inject(7, 2, 1);
+        s.inject(7, 0, 2);
+        let t = s.run_to_idle(1000);
+        (t, s.delivered(), s.world.log)
+    }
+
     #[test]
     fn schedulers_produce_identical_timelines() {
-        let run = |scheduler| {
-            let mut s = sim_on(scheduler, true);
-            s.inject(5, 0, 0);
-            s.inject(5, 1, 0);
-            s.inject(7, 2, 1);
-            s.inject(7, 0, 2);
-            let t = s.run_to_idle(1000);
-            (t, s.delivered(), s.world.log)
-        };
-        assert_eq!(run(Scheduler::GlobalHeap), run(Scheduler::Sharded));
+        // The leftover knob is accepted and ignored.
+        let with = || Sim::with_scheduler(recorder(true), topo3(), Scheduler::Sharded);
+        assert_eq!(relay_timeline(with), relay_timeline(|| sim(true)));
     }
 
     #[test]
     fn per_node_delivery_counts_partition_the_total() {
-        for scheduler in BOTH {
-            let mut s = sim_on(scheduler, true);
-            s.inject(0, 0, 0);
-            s.inject(0, 1, 2);
-            s.run_to_idle(100);
-            let per_node: u64 = (0..3).map(|n| s.delivered_to(n)).sum();
-            assert_eq!(per_node, s.delivered(), "{scheduler:?}");
-            assert_eq!(s.delivered_to(0), 2, "{scheduler:?}"); // 0@0 and the wrap 3@0
-            assert_eq!(s.delivered_to(99), 0);
-        }
+        let mut s = sim(true);
+        s.inject(0, 0, 0);
+        s.inject(0, 1, 2);
+        s.run_to_idle(100);
+        let per_node: u64 = (0..3).map(|n| s.delivered_to(n)).sum();
+        assert_eq!(per_node, s.delivered());
+        assert_eq!(s.delivered_to(0), 2); // 0@0 and the wrap 3@0
+        assert_eq!(s.delivered_to(99), 0);
     }
 
     /// A node that reschedules itself forever once it sees msg 1.
@@ -494,8 +457,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "hottest node 1")]
-    fn runaway_guard_names_the_hot_shard_under_sharded() {
-        let mut s = Sim::with_scheduler(Loopy, Topology::gigabit_cluster(3), Scheduler::Sharded);
+    fn runaway_guard_names_the_hottest_node() {
+        let mut s = Sim::new(Loopy, Topology::gigabit_cluster(3));
         // Node 1 livelocks; nodes 0 and 2 each take one quiet event.
         s.inject(0, 0, 0);
         s.inject(0, 2, 0);
@@ -541,100 +504,106 @@ mod tests {
         }
     }
 
-    fn chaos_sim(scheduler: Scheduler, plan: &ChaosPlan, relay: bool) -> Sim<ChaosLog> {
-        let mut s = Sim::with_scheduler(
-            ChaosLog {
-                delivered: Vec::new(),
-                dropped: Vec::new(),
-                actions: Vec::new(),
-                relay,
-            },
-            Topology::uniform(3, LinkSpec::new(1000, 8_000_000_000)),
-            scheduler,
-        );
+    fn chaos_log(relay: bool) -> ChaosLog {
+        ChaosLog {
+            delivered: Vec::new(),
+            dropped: Vec::new(),
+            actions: Vec::new(),
+            relay,
+        }
+    }
+
+    fn chaos_sim(plan: &ChaosPlan, relay: bool) -> Sim<ChaosLog> {
+        let mut s = Sim::new(chaos_log(relay), topo3());
         s.set_chaos(plan);
         s
     }
 
     #[test]
     fn crashed_node_swallows_deliveries_until_restart() {
-        for scheduler in BOTH {
-            let plan = ChaosPlan::new().crash_at(100, 1).restart_at(300, 1);
-            let mut s = chaos_sim(scheduler, &plan, false);
-            s.inject(50, 1, 1); // before the crash: lands
-            s.inject(150, 1, 2); // while down: dropped
-            s.inject(150, 0, 3); // other nodes unaffected
-            s.inject(400, 1, 4); // after restart: lands
-            s.run_to_idle(100);
-            let msgs: Vec<u32> = s.world.delivered.iter().map(|&(_, _, m)| m).collect();
-            assert_eq!(msgs, vec![1, 3, 4], "{scheduler:?}");
-            assert_eq!(
-                s.world.dropped,
-                vec![(1, 1, 2, DropReason::NodeDown)],
-                "{scheduler:?}"
-            );
-            assert_eq!(s.dropped(), 1, "{scheduler:?}");
-            assert_eq!(
-                s.world.actions,
-                vec![
-                    (150, ChaosAction::Crash { node: 1 }),
-                    (400, ChaosAction::Restart { node: 1 }),
-                ],
-                "{scheduler:?}: actions fire when time first reaches them"
-            );
-        }
+        let plan = ChaosPlan::new().crash_at(100, 1).restart_at(300, 1);
+        let mut s = chaos_sim(&plan, false);
+        s.inject(50, 1, 1); // before the crash: lands
+        s.inject(150, 1, 2); // while down: dropped
+        s.inject(150, 0, 3); // other nodes unaffected
+        s.inject(400, 1, 4); // after restart: lands
+        s.run_to_idle(100);
+        let msgs: Vec<u32> = s.world.delivered.iter().map(|&(_, _, m)| m).collect();
+        assert_eq!(msgs, vec![1, 3, 4]);
+        assert_eq!(s.world.dropped, vec![(1, 1, 2, DropReason::NodeDown)]);
+        assert_eq!(s.dropped(), 1);
+        assert_eq!(
+            s.world.actions,
+            vec![
+                (150, ChaosAction::Crash { node: 1 }),
+                (400, ChaosAction::Restart { node: 1 }),
+            ],
+            "actions fire when time first reaches them"
+        );
     }
 
     #[test]
     fn partition_cuts_the_relay_chain_until_heal() {
-        for scheduler in BOTH {
-            // The relay 0→1→2→0 starts at t=0; the 0↔1 cut at t=0 kills
-            // the first hop, so nothing past msg 0 is ever delivered.
-            let plan = ChaosPlan::new().partition_at(0, 0, 1);
-            let mut s = chaos_sim(scheduler, &plan, true);
-            s.inject(0, 0, 0);
-            s.run_to_idle(100);
-            assert_eq!(s.world.delivered.len(), 1, "{scheduler:?}");
-            assert_eq!(s.world.dropped.len(), 1, "{scheduler:?}");
-            assert_eq!(s.world.dropped[0].3, DropReason::Partitioned);
+        // The relay 0→1→2→0 starts at t=0; the 0↔1 cut at t=0 kills the
+        // first hop, so nothing past msg 0 is ever delivered.
+        let plan = ChaosPlan::new().partition_at(0, 0, 1);
+        let mut s = chaos_sim(&plan, true);
+        s.inject(0, 0, 0);
+        s.run_to_idle(100);
+        assert_eq!(s.world.delivered.len(), 1);
+        assert_eq!(s.world.dropped.len(), 1);
+        assert_eq!(s.world.dropped[0].3, DropReason::Partitioned);
 
-            // Healed before the hop arrives: the full chain completes.
-            let plan = ChaosPlan::new().partition_at(0, 0, 1).heal_at(1, 0, 1);
-            let mut s = chaos_sim(scheduler, &plan, true);
-            s.inject(2, 0, 0);
-            s.run_to_idle(100);
-            assert_eq!(s.world.delivered.len(), 7, "{scheduler:?}: 0..=6 relayed");
-            assert!(s.world.dropped.is_empty(), "{scheduler:?}");
+        // Healed before the hop arrives: the full chain completes.
+        let plan = ChaosPlan::new().partition_at(0, 0, 1).heal_at(1, 0, 1);
+        let mut s = chaos_sim(&plan, true);
+        s.inject(2, 0, 0);
+        s.run_to_idle(100);
+        assert_eq!(s.world.delivered.len(), 7, "0..=6 relayed");
+        assert!(s.world.dropped.is_empty());
+    }
+
+    type LossRun = (
+        Vec<(u64, usize, u32)>,
+        Vec<(usize, usize, u32, DropReason)>,
+        u64,
+    );
+
+    /// A relay fleet under 40 % seeded loss, on a simulator `make` builds
+    /// (chaos armed by the caller's `seed`).
+    fn lossy_relay(seed: u64, make: impl Fn(ChaosLog) -> Sim<ChaosLog>) -> LossRun {
+        let mut s = make(chaos_log(true));
+        s.set_chaos(&ChaosPlan::new().seed(seed).loss_permille(400));
+        for i in 0..10 {
+            s.inject(i * 10, (i % 3) as usize, 0);
         }
+        s.run_to_idle(1000);
+        let dropped = s.dropped();
+        (s.world.delivered, s.world.dropped, dropped)
     }
 
     #[test]
     fn seeded_loss_is_scheduler_equivalent_and_seed_sensitive() {
-        let run = |scheduler, seed| {
-            let plan = ChaosPlan::new().seed(seed).loss_permille(400);
-            let mut s = chaos_sim(scheduler, &plan, true);
-            for i in 0..10 {
-                s.inject(i * 10, (i % 3) as usize, 0);
-            }
-            s.run_to_idle(1000);
-            let dropped = s.dropped();
-            (s.world.delivered, s.world.dropped, dropped)
-        };
-        let g = run(Scheduler::GlobalHeap, 9);
-        let sh = run(Scheduler::Sharded, 9);
-        assert_eq!(g, sh, "loss draws must not depend on the scheduler");
-        assert_eq!(sh, run(Scheduler::Sharded, 9), "same seed replays");
-        assert_ne!(sh, run(Scheduler::Sharded, 10), "different seed diverges");
-        assert!(sh.2 > 0, "40% loss over a relay fleet must drop something");
+        let plain = |w| Sim::new(w, topo3());
+        let knob = |w| Sim::with_scheduler(w, topo3(), Scheduler::Sharded);
+        let run = lossy_relay(9, plain);
+        assert_eq!(
+            run,
+            lossy_relay(9, knob),
+            "the ignored knob changes nothing"
+        );
+        assert_eq!(run, lossy_relay(9, plain), "same seed replays");
+        assert_ne!(run, lossy_relay(10, plain), "different seed diverges");
+        assert!(run.2 > 0, "40% loss over a relay fleet must drop something");
     }
 
     #[test]
     fn empty_plan_changes_nothing() {
-        let mut with = chaos_sim(Scheduler::Sharded, &ChaosPlan::new(), true);
+        let mut with = chaos_sim(&ChaosPlan::new(), true);
         assert!(!with.chaos_enabled(), "an empty plan must not arm chaos");
-        // `sim_on`'s Recorder relays msg < 3: same topology, so timelines
+        // `sim`'s Recorder relays msg < 3: same topology, so timelines
         // must agree event for event on the shared prefix.
-        let mut without = sim_on(Scheduler::Sharded, true);
+        let mut without = sim(true);
         with.inject(0, 0, 0);
         without.inject(0, 0, 0);
         with.run_to_idle(100);
@@ -646,38 +615,20 @@ mod tests {
 
     #[test]
     fn parallel_without_world_opt_in_falls_back_to_sequential() {
-        // The vestigial variant selects the sharded queue (the frozen
-        // benchmark's `fleet-parallel` workload still constructs it).
-        let run = |scheduler| {
-            let mut s = sim_on(scheduler, true);
-            s.inject(5, 0, 0);
-            s.inject(5, 1, 0);
-            s.inject(7, 2, 1);
-            let t = s.run_to_idle(1000);
-            (t, s.delivered(), s.world.log)
-        };
-        assert_eq!(
-            run(Scheduler::Parallel { threads: 4 }),
-            run(Scheduler::GlobalHeap)
-        );
+        // The frozen benchmark's `fleet-parallel` workload still constructs
+        // the vestigial variant; it runs the one queue.
+        let parallel =
+            || Sim::with_scheduler(recorder(true), topo3(), Scheduler::Parallel { threads: 4 });
+        assert_eq!(relay_timeline(parallel), relay_timeline(|| sim(true)));
     }
 
     #[test]
     fn chaos_forces_the_sequential_path_and_stays_equivalent() {
         // Same for the vestigial variant with fault injection armed.
-        let run = |scheduler| {
-            let plan = ChaosPlan::new().seed(9).loss_permille(400);
-            let mut s = chaos_sim(scheduler, &plan, true);
-            for i in 0..10 {
-                s.inject(i * 10, (i % 3) as usize, 0);
-            }
-            s.run_to_idle(1000);
-            let dropped = s.dropped();
-            (s.world.delivered, s.world.dropped, dropped)
-        };
+        let parallel = |w| Sim::with_scheduler(w, topo3(), Scheduler::Parallel { threads: 2 });
         assert_eq!(
-            run(Scheduler::Parallel { threads: 2 }),
-            run(Scheduler::GlobalHeap)
+            lossy_relay(9, parallel),
+            lossy_relay(9, |w| Sim::new(w, topo3()))
         );
     }
 

@@ -54,11 +54,7 @@ impl Topology {
     }
 
     /// Add one node mid-run and return its id. The new node reaches every
-    /// existing node over the default spec (links are created lazily), so
-    /// [`Topology::min_link_latency_ns`] — the sharded scheduler's
-    /// conservative lookahead — is unchanged and stays sound: growth never
-    /// introduces a faster link than the minimum captured at queue
-    /// construction.
+    /// existing node over the default spec (links are created lazily).
     pub fn add_node(&mut self) -> usize {
         let id = self.n;
         self.n += 1;
@@ -129,17 +125,6 @@ impl Topology {
         let links = self.rows.iter().flatten().flatten();
         links.map(|l| l.bytes_carried).sum()
     }
-
-    /// The smallest one-way propagation latency any link can have: the
-    /// minimum over the default spec and every override. This is the
-    /// sharded scheduler's conservative lookahead — no message travelling
-    /// over a link can arrive sooner than this after it is sent.
-    pub fn min_link_latency_ns(&self) -> u64 {
-        self.overrides
-            .values()
-            .map(|s| s.latency_ns)
-            .fold(self.default_spec.latency_ns, u64::min)
-    }
 }
 
 #[cfg(test)]
@@ -191,19 +176,16 @@ mod tests {
     }
 
     #[test]
-    fn add_node_grows_the_topology_without_touching_lookahead() {
+    fn add_node_grows_the_topology() {
         let mut t = Topology::gigabit_cluster(2);
         t.set_link(0, 1, LinkSpec::wifi_kbps(128));
-        let lookahead = t.min_link_latency_ns();
         let id = t.add_node();
         assert_eq!(id, 2);
         assert_eq!(t.len(), 3);
         assert_eq!(t.add_node(), 3);
-        // The new node is reachable immediately over the default spec …
+        // The new node is reachable immediately over the default spec.
         let at = t.transfer(0, 0, 2, 1000);
         assert!(at > 0);
-        // … and the conservative lookahead is unchanged by growth.
-        assert_eq!(t.min_link_latency_ns(), lookahead);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests for the discrete-event simulator: delivery ordering,
-//! exactly-once semantics, byte conservation, and FIFO links.
+//! Property tests for the discrete-event simulator: delivery ordering
+//! against a model, exactly-once semantics, byte conservation, and FIFO
+//! links.
 
 use proptest::prelude::*;
-use sod_net::{LinkSpec, Scheduler, Sim, SimCtx, Topology, World};
+use sod_net::{LinkSpec, Sim, SimCtx, Topology, World};
 
 #[derive(Default)]
 struct Recorder {
@@ -87,68 +88,92 @@ proptest! {
         prop_assert_eq!(run(&seed_events), run(&seed_events));
     }
 
-    /// The differential core of the sharded scheduler: any random mix of
-    /// injected events — including equal-time ties across nodes — is
-    /// delivered in the identical order, at the identical times, with the
-    /// identical per-node delivery counts, under both schedulers.
+    /// The queue against a model: any random mix of injected events —
+    /// equal-time ties across nodes and out-of-order injection included —
+    /// is delivered exactly in a stable sort by `(at, injection index)`,
+    /// with the model's per-node delivery counts.
     #[test]
-    fn schedulers_deliver_identically(
-        events in proptest::collection::vec((0u64..10_000, 0usize..8, 0u64..1000), 1..60)
+    fn injected_mixes_deliver_in_model_order(
+        events in proptest::collection::vec((0u64..50, 0usize..8), 1..60)
     ) {
-        let run = |scheduler| {
-            let mut sim = Sim::with_scheduler(
-                Recorder::default(),
-                Topology::gigabit_cluster(8),
-                scheduler,
-            );
-            for (at, dst, tag) in &events {
-                sim.inject(*at, *dst, *tag);
-            }
-            let t = sim.run_to_idle(10_000);
-            let per_node: Vec<u64> = (0..8).map(|n| sim.delivered_to(n)).collect();
-            (t, sim.delivered(), per_node, sim.world.log)
-        };
-        prop_assert_eq!(run(Scheduler::GlobalHeap), run(Scheduler::Sharded));
+        let mut sim = Sim::new(Recorder::default(), Topology::gigabit_cluster(8));
+        for (i, (at, dst)) in events.iter().enumerate() {
+            sim.inject(*at, *dst, i as u64);
+        }
+        let t = sim.run_to_idle(10_000);
+
+        let mut model: Vec<(u64, usize, u64)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, (at, dst))| (*at, *dst, i as u64))
+            .collect();
+        model.sort_by_key(|&(at, _, _)| at); // stable: ties keep injection order
+        prop_assert_eq!(t, model.last().unwrap().0);
+        prop_assert_eq!(sim.delivered(), model.len() as u64);
+        for n in 0..8 {
+            let expect = model.iter().filter(|&&(_, dst, _)| dst == n).count() as u64;
+            prop_assert_eq!(sim.delivered_to(n), expect, "node {}", n);
+        }
+        prop_assert_eq!(sim.world.log, model);
     }
 
-    /// Same, but with relaying worlds: handler-generated sends (which
-    /// mutate FIFO link state, so any reordering would corrupt arrival
-    /// times) and cross-node zero-latency schedules both stay identical.
+    /// Handler-generated sends (which mutate FIFO link state) and
+    /// same-instant cross-node timers: every message carries the order it
+    /// was sent in, and deliveries come out sorted by `(time, send order)`,
+    /// each exactly once. A same-seed replay is identical.
     #[test]
-    fn schedulers_agree_under_relays_and_timers(
+    fn relays_and_timers_deliver_in_send_order(
         seed_events in proptest::collection::vec((0u64..5_000, 0usize..5), 1..12)
     ) {
+        /// Messages are `(hops left, send order)`.
         struct Mixed {
-            log: Vec<(u64, usize, u32)>,
+            log: Vec<(u64, usize, u64)>,
+            next: u64,
+        }
+        impl Mixed {
+            fn stamp(&mut self, hop: u32) -> (u32, u64) {
+                self.next += 1;
+                (hop, self.next - 1)
+            }
         }
         impl World for Mixed {
-            type Msg = u32;
-            fn on_message(&mut self, dst: usize, hop: u32, ctx: &mut SimCtx<'_, u32>) {
-                self.log.push((ctx.now(), dst, hop));
-                if hop > 0 {
-                    // Alternate: a link send to the next node, and a
-                    // zero-delay cross-node timer (the adversarial case
-                    // for lookahead-based sharding).
-                    if hop.is_multiple_of(2) {
-                        ctx.send(dst, (dst + 1) % 5, 512, hop - 1);
-                    } else {
-                        ctx.schedule(0, (dst + 2) % 5, hop - 1);
+            type Msg = (u32, u64);
+            fn on_message(&mut self, dst: usize, (hop, order): (u32, u64), ctx: &mut SimCtx<'_, (u32, u64)>) {
+                self.log.push((ctx.now(), dst, order));
+                if hop == 0 {
+                    return;
+                }
+                match hop % 3 {
+                    0 => ctx.send(dst, (dst + 1) % 5, 512, self.stamp(hop - 1)),
+                    // A zero-delay timer to another node: it ties with
+                    // whatever else is due at this instant.
+                    1 => ctx.schedule(0, (dst + 2) % 5, self.stamp(hop - 1)),
+                    _ => {
+                        ctx.send(dst, (dst + 1) % 5, 512, self.stamp(hop - 1));
+                        ctx.schedule(0, dst, self.stamp(hop - 1));
                     }
                 }
             }
         }
-        let run = |scheduler| {
-            let mut sim = Sim::with_scheduler(
-                Mixed { log: Vec::new() },
+        let run = || {
+            let mut sim = Sim::new(
+                Mixed { log: Vec::new(), next: seed_events.len() as u64 },
                 Topology::gigabit_cluster(5),
-                scheduler,
             );
-            for (at, dst) in &seed_events {
-                sim.inject(*at, *dst, 4);
+            for (i, (at, dst)) in seed_events.iter().enumerate() {
+                sim.inject(*at, *dst, (5, i as u64));
             }
             let t = sim.run_to_idle(100_000);
-            (t, sim.topology().total_bytes_carried(), sim.world.log)
+            (t, sim.topology().total_bytes_carried(), sim.world)
         };
-        prop_assert_eq!(run(Scheduler::GlobalHeap), run(Scheduler::Sharded));
+        let (t, bytes, world) = run();
+        let keys: Vec<(u64, u64)> = world.log.iter().map(|&(at, _, order)| (at, order)).collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "not in (time, send order): {:?}", keys);
+        let mut orders: Vec<u64> = keys.iter().map(|&(_, order)| order).collect();
+        orders.sort_unstable();
+        prop_assert_eq!(orders, (0..world.next).collect::<Vec<_>>(), "each message exactly once");
+
+        let (t2, bytes2, again) = run();
+        prop_assert_eq!((t, bytes, world.log), (t2, bytes2, again.log), "replay diverged");
     }
 }

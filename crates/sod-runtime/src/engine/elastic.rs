@@ -3,9 +3,8 @@
 //!
 //! Each pool runs a controller loop as a self-rescheduling
 //! [`Msg::PoolTick`] timer on node 0, so every scaling decision happens at
-//! a definite point in the `(time, seq, dst)` delivery order — identical
-//! under both schedulers, and replayable bit-for-bit from the seed. A
-//! tick, in order:
+//! a definite point in the `(time, seq)` delivery order, replayable
+//! bit-for-bit from the seed. A tick, in order:
 //!
 //! 1. tops the pool back up to its base size (crash replacement);
 //! 2. steps the membership toward the [`ScalePolicy`](super::pool::ScalePolicy)'s

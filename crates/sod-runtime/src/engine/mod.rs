@@ -70,7 +70,7 @@ pub use fault::{RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, ScalePolicy, DEFAULT_POOL_TICK_NS, POOL_DEST_BASE};
 pub(crate) use session::{Owner, WorkerSession};
 
-use sod_net::{ChaosPlan, Scheduler, Sim, SimCtx, Topology, World};
+use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::{BufferPool, FrameBatch};
 
@@ -416,8 +416,7 @@ impl World for Cluster {
     type Msg = Msg;
 
     fn on_message(&mut self, dst: usize, msg: Msg, ctx: &mut SimCtx<'_, Msg>) {
-        // Per-node event accounting: this node's shard delivery count
-        // under the sharded scheduler (surfaced in `NodeUtilization`).
+        // Per-node event accounting (surfaced in `NodeUtilization`).
         self.nodes[dst].events += 1;
         match msg {
             Msg::StartProgram { program } => {
@@ -426,11 +425,10 @@ impl World for Cluster {
                 if p.done {
                     return;
                 }
-                let (class, method, args) = (p.class.clone(), p.method.clone(), p.args.clone());
-                let tid = self.nodes[dst]
-                    .vm
-                    .spawn(&class, &method, &args)
-                    .expect("spawn program");
+                let tid = match self.nodes[dst].vm.spawn(&p.class, &p.method, &p.args) {
+                    Ok(tid) => tid,
+                    Err(e) => return self.spawn_failed(program, e, ctx.now()),
+                };
                 self.programs[program as usize].home_tid = tid;
                 self.programs[program as usize].started = true;
                 self.programs[program as usize].report.started_at_ns = ctx.now();
@@ -559,18 +557,10 @@ pub struct SodSim {
 }
 
 impl SodSim {
-    /// A driver on the default [`Scheduler`] (per-node sharded queues).
+    /// A driver for `cluster` over `topo`.
     pub fn new(cluster: Cluster, topo: Topology) -> Self {
-        SodSim::with_scheduler(cluster, topo, Scheduler::default())
-    }
-
-    /// A driver on an explicit event [`Scheduler`]. Both schedulers
-    /// produce bit-identical reports — the choice only affects simulator
-    /// cost at fleet scale (see the `scheduler_equivalence` suite and the
-    /// `sod-bench` scale ablation).
-    pub fn with_scheduler(cluster: Cluster, topo: Topology, scheduler: Scheduler) -> Self {
         SodSim {
-            sim: Sim::with_scheduler(cluster, topo, scheduler),
+            sim: Sim::new(cluster, topo),
         }
     }
 

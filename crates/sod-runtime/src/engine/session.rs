@@ -193,7 +193,7 @@ impl Cluster {
     /// destination). Ids are striped — high half names the node, low half
     /// counts its allocations — and the counter lives with the node, so an
     /// id depends only on that node's own deliveries, which run in the
-    /// same canonical order under every scheduler.
+    /// simulator's one canonical order.
     pub(super) fn alloc_session(&mut self, node: usize) -> SessionId {
         let c = &mut self.nodes[node].next_session;
         *c += 1;

@@ -112,5 +112,5 @@ pub use metrics::{
 };
 pub use msg::{MigrationPlan, Msg, ProgramId, SegmentSpec, SessionId};
 pub use node::{Node, NodeConfig};
-pub use sod_net::{ChaosAction, ChaosPlan, DropReason, Scheduler};
+pub use sod_net::{ChaosAction, ChaosPlan, DropReason};
 pub use trigger::{ArmedTrigger, Trigger};

@@ -159,10 +159,8 @@ pub struct NodeUtilization {
     pub slices: u64,
     /// Virtual ns the node spent executing guest code (CPU-scaled).
     pub busy_ns: u64,
-    /// Simulator events delivered to this node — its shard's delivery
-    /// count under the sharded scheduler (identical under both schedulers,
-    /// which the scheduler-equivalence suite relies on when it compares
-    /// whole reports with `==`).
+    /// Simulator events delivered to this node (deterministic, so the
+    /// replay suites may compare whole reports with `==`).
     pub events: u64,
     /// Outbound network payload bytes, broken out as state/class/object
     /// (makes code-cache savings visible in every report).

@@ -131,10 +131,8 @@ pub struct Node {
     pub slices: u64,
     /// Virtual ns spent executing guest code (CPU-scaled; utilization).
     pub busy_ns: u64,
-    /// Simulator events delivered to this node — its shard's delivery
-    /// count under the sharded scheduler. Counted at message dispatch, so
-    /// the figure is identical under both schedulers (delivery order is
-    /// bit-identical; see the scheduler-equivalence suite).
+    /// Simulator events delivered to this node, counted at message
+    /// dispatch.
     pub events: u64,
     /// Sessions routed here but not yet arrived (pool placement or drain
     /// roam chosen, restore still in flight). Pool placement counts these

@@ -8,7 +8,7 @@
 
 use sod::scenario::{Fleet, Plan, Scenario, When};
 use sod_asm::builder::ClassBuilder;
-use sod_net::{LinkSpec, Scheduler, Topology, MS, SEC, US};
+use sod_net::{LinkSpec, Topology, MS, SEC, US};
 use sod_preprocess::preprocess_sod;
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::{Cluster, FetchPolicy, MigrationPlan, SodSim};
@@ -674,12 +674,13 @@ fn guest_stack_overflow_fails_its_program_not_the_fleet() {
 /// all their work runs on a foreign node. Meanwhile a burst of 132 short
 /// programs starts every 470 us (off the 100 us slice grid, so bursts land
 /// at every phase of the long programs' slices) for as long as the long
-/// programs run. Both event queues must deliver it identically.
+/// programs run. Every program computes its value, and a same-seed
+/// replay delivers it identically.
 #[test]
-fn burst_fleet_matches_across_queues() {
+fn burst_fleet_replays_bit_identically() {
     const HOMES: usize = 4;
     let class = app_class();
-    let run = |scheduler| {
+    let run = || {
         let nodes = (0..HOMES)
             .map(|i| {
                 let mut n = Node::new(NodeConfig::cluster(format!("n{i}")));
@@ -694,7 +695,7 @@ fn burst_fleet_matches_across_queues() {
         let short: Vec<_> = (0..24 * 132)
             .map(|i| cluster.add_program(i % HOMES, "App", "main", vec![Value::Int(10)]))
             .collect();
-        let mut sim = SodSim::with_scheduler(cluster, Topology::gigabit_cluster(HOMES), scheduler);
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(HOMES));
         for (i, &pid) in long.iter().enumerate() {
             sim.start_program(0, pid);
             sim.migrate_at(0, pid, MigrationPlan::top_to((i + 1) % HOMES, 1));
@@ -710,8 +711,8 @@ fn burst_fleet_matches_across_queues() {
             .collect();
         (finished_at, sim.cluster_report(), reports)
     };
-    let sharded = run(Scheduler::Sharded);
-    for (i, r) in sharded.2.iter().enumerate() {
+    let first = run();
+    for (i, r) in first.2.iter().enumerate() {
         let n = if i < 2 * HOMES { 300_000 } else { 10 };
         assert_eq!(r.result, Some(expected(n)), "program {i}");
         assert_eq!(
@@ -720,7 +721,7 @@ fn burst_fleet_matches_across_queues() {
             "program {i}"
         );
     }
-    assert_eq!(run(Scheduler::GlobalHeap), sharded);
+    assert_eq!(run(), first);
 }
 
 #[test]

@@ -95,8 +95,10 @@ pub use sod_workloads as workloads;
 pub use scenario::{
     Chaos, Fleet, Plan, Pool, Preset, Scenario, ScenarioError, ScenarioReport, When,
 };
+#[doc(hidden)]
+pub use sod_net::Scheduler;
 pub use sod_runtime::{
     ChaosCounters, ChaosPlan, ClusterReport, CodeShipping, NetBytes, PoolReport, RetryPolicy,
-    ScalePolicy, Scheduler,
+    ScalePolicy,
 };
 pub use sod_workloads::ArrivalSchedule;

@@ -642,7 +642,6 @@ pub struct Scenario {
     pools: Vec<Pool>,
     slice_ns: Option<u64>,
     code_shipping: Option<CodeShipping>,
-    scheduler: Option<Scheduler>,
     chaos_plan: Option<Chaos>,
     cpu_contention: bool,
     slow_resolve: bool,
@@ -858,13 +857,10 @@ impl Scenario {
         self
     }
 
-    /// Event-scheduler choice for the simulation (default
-    /// [`Scheduler::Sharded`]: per-node event shards under a conservative
-    /// safe horizon). Both schedulers produce bit-identical
-    /// [`ScenarioReport`]s — the `scheduler_equivalence` suite pins that —
-    /// so this only trades simulator cost at fleet scale.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = Some(scheduler);
+    /// Accepts the leftover [`Scheduler`] knob and ignores it: there is
+    /// one event queue.
+    #[doc(hidden)]
+    pub fn scheduler(self, _scheduler: Scheduler) -> Self {
         self
     }
 
@@ -1128,7 +1124,7 @@ impl Scenario {
             cluster.add_pool(spec);
         }
 
-        let mut sim = SodSim::with_scheduler(cluster, topo, self.scheduler.unwrap_or_default());
+        let mut sim = SodSim::new(cluster, topo);
         if let Some(plan) = &chaos_plan {
             sim.set_chaos(plan);
         }
@@ -1367,6 +1363,63 @@ mod tests {
             .program("Alloc", "main", vec![])
             .run();
         assert!(matches!(err, Err(ScenarioError::Program { .. })));
+    }
+
+    #[test]
+    fn a_program_that_cannot_spawn_fails_typed() {
+        // An undeployed class: a declared program aborts the run typed.
+        let err = Scenario::new()
+            .node("a", NodeConfig::cluster("a"))
+            .program("Nope", "main", vec![])
+            .run();
+        let Err(ScenarioError::Program { error, .. }) = err else {
+            panic!("expected a program error, got {err:?}");
+        };
+        assert_eq!(error, "class not found: Nope");
+
+        // A known method called with the wrong arity.
+        let fib = sod_preprocess::preprocess_sod(&sod_workloads::programs::fib_class()).unwrap();
+        let err = Scenario::new()
+            .node("a", NodeConfig::cluster("a"))
+            .deploys(&fib)
+            .program("Fib", "main", vec![])
+            .run();
+        let Err(ScenarioError::Program { error, .. }) = err else {
+            panic!("expected a program error, got {err:?}");
+        };
+        assert_eq!(error, "method not found: Fib.main/1 (got 0 args)");
+
+        // A fleet with a misspelt method records each member's error while
+        // the other fleet's members finish.
+        let fleet = |method: &str| {
+            Fleet::new("Fib", method, vec![Value::Int(5)])
+                .programs(3)
+                .across(&["a", "b"])
+        };
+        let report = Scenario::new()
+            .node("a", NodeConfig::cluster("a"))
+            .deploys(&fib)
+            .node("b", NodeConfig::cluster("b"))
+            .deploys(&fib)
+            .fleet(fleet("main"))
+            .fleet(fleet("mian"))
+            .run()
+            .unwrap();
+        assert_eq!(report.cluster.launched, 6);
+        assert_eq!(report.cluster.completed, 3);
+        assert_eq!(report.cluster.failed, 3);
+        for p in &report.programs()[..3] {
+            assert_eq!((p.report.result, &p.error), (Some(5), &None), "{}", p.name);
+        }
+        for p in &report.programs()[3..] {
+            let error = p.error.as_deref().unwrap_or_default();
+            assert_eq!(error, "method not found: Fib.mian", "{}", p.name);
+            assert_eq!(
+                p.report.max_stack_height, 0,
+                "{}: never had a thread",
+                p.name
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! with the `lost` bucket: `sent = accounted + lost`, per category.
 //!
 //! The property tests push the same claims through random fleets (2–16
-//! nodes) under random chaos plans, on both event schedulers.
+//! nodes) under random chaos plans.
 
 use proptest::prelude::*;
 use sod::net::MS;
@@ -17,7 +17,7 @@ use sod::runtime::{NodeConfig, RetryPolicy};
 use sod::scenario::{Chaos, Fleet, Plan, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
-use sod::{ArrivalSchedule, NetBytes, ScenarioReport, Scheduler};
+use sod::{ArrivalSchedule, NetBytes, ScenarioReport};
 
 const FLEET: usize = 60;
 
@@ -29,12 +29,10 @@ fn chaos_fleet(
     chaos_seed: u64,
     loss_permille: u32,
     policy: RetryPolicy,
-    scheduler: Scheduler,
 ) -> ScenarioReport {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     Scenario::new()
         .slice_ns(10_000)
-        .scheduler(scheduler)
         .node("edge0", NodeConfig::cluster("edge0"))
         .deploys(&class)
         .node("edge1", NodeConfig::cluster("edge1"))
@@ -64,8 +62,8 @@ fn chaos_fleet(
         .expect("chaos fleet runs (fleet failures are recorded, not fatal)")
 }
 
-fn reference(scheduler: Scheduler) -> ScenarioReport {
-    chaos_fleet(42, 7, 50, RetryPolicy::FallbackToHome, scheduler)
+fn reference() -> ScenarioReport {
+    chaos_fleet(42, 7, 50, RetryPolicy::FallbackToHome)
 }
 
 /// Check the invariants every chaos run must satisfy: all programs
@@ -109,8 +107,8 @@ fn assert_chaos_invariants(label: &str, r: &ScenarioReport) {
 
 #[test]
 fn same_seeds_replay_bit_identically() {
-    let a = reference(Scheduler::Sharded);
-    let b = reference(Scheduler::Sharded);
+    let a = reference();
+    let b = reference();
     assert_eq!(
         a, b,
         "same (arrival seed, chaos seed) must reproduce the full report"
@@ -153,8 +151,8 @@ fn errors_of(r: &ScenarioReport) -> Vec<String> {
 
 #[test]
 fn different_chaos_seed_diverges() {
-    let a = reference(Scheduler::Sharded);
-    let b = chaos_fleet(42, 8, 50, RetryPolicy::FallbackToHome, Scheduler::Sharded);
+    let a = reference();
+    let b = chaos_fleet(42, 8, 50, RetryPolicy::FallbackToHome);
     assert_ne!(
         a, b,
         "a different chaos seed must reshuffle the loss stream"
@@ -164,24 +162,8 @@ fn different_chaos_seed_diverges() {
 }
 
 #[test]
-fn chaos_is_scheduler_equivalent() {
-    let sharded = reference(Scheduler::Sharded);
-    let global = reference(Scheduler::GlobalHeap);
-    assert_eq!(
-        sharded, global,
-        "chaos runs must be bit-identical under both schedulers"
-    );
-}
-
-#[test]
 fn retry_policy_recovers_lost_episodes() {
-    let r = chaos_fleet(
-        42,
-        7,
-        50,
-        RetryPolicy::Retry { max_attempts: 3 },
-        Scheduler::Sharded,
-    );
+    let r = chaos_fleet(42, 7, 50, RetryPolicy::Retry { max_attempts: 3 });
     assert_chaos_invariants("retry", &r);
     assert!(
         r.cluster.chaos.timeouts > 0,
@@ -193,7 +175,7 @@ fn retry_policy_recovers_lost_episodes() {
     );
     // And the same run under FallbackToHome resolves the same episodes by
     // thawing the home stack instead.
-    let f = reference(Scheduler::Sharded);
+    let f = reference();
     assert!(
         f.cluster.chaos.fallbacks > 0,
         "FallbackToHome must thaw timed-out episodes"
@@ -209,7 +191,6 @@ fn retry_policy_recovers_lost_episodes() {
 /// and last node, and seeded loss.
 #[allow(clippy::too_many_arguments)]
 fn random_chaos_fleet(
-    scheduler: Scheduler,
     nodes: usize,
     programs: usize,
     loss_permille: u32,
@@ -220,7 +201,7 @@ fn random_chaos_fleet(
 ) -> ScenarioReport {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     let names: Vec<String> = (0..nodes).map(|i| format!("n{i}")).collect();
-    let mut scenario = Scenario::new().slice_ns(10_000).scheduler(scheduler);
+    let mut scenario = Scenario::new().slice_ns(10_000);
     for name in &names {
         scenario = scenario
             .node(name.clone(), NodeConfig::cluster(name.clone()))
@@ -268,25 +249,21 @@ proptest! {
         policy_retry in any::<bool>(),
         seed in 0u64..1_000_000,
     ) {
-        let run = |s| random_chaos_fleet(
-            s, nodes, programs, loss_permille, crashes, partition, policy_retry, seed,
+        let run = || random_chaos_fleet(
+            nodes, programs, loss_permille, crashes, partition, policy_retry, seed,
         );
-        let sharded = run(Scheduler::Sharded);
+        let first = run();
 
         // No hangs, typed errors only, and a balanced byte ledger — for
         // an arbitrary chaos plan.
-        assert_chaos_invariants("random", &sharded);
+        assert_chaos_invariants("random", &first);
 
         // Same seed ⇒ bit-identical replay, chaos and failures included.
-        let again = run(Scheduler::Sharded);
-        prop_assert_eq!(&sharded, &again, "chaos replay diverged");
-
-        // And the chaos machinery is scheduler-independent.
-        let global = run(Scheduler::GlobalHeap);
-        prop_assert_eq!(&sharded, &global, "schedulers diverged under chaos");
+        let again = run();
+        prop_assert_eq!(&first, &again, "chaos replay diverged");
 
         // Every failure is a *typed* error with a cause, never empty.
-        for p in sharded.programs() {
+        for p in first.programs() {
             if let Some(e) = &p.error {
                 prop_assert!(!e.is_empty(), "untyped failure on {}", p.name);
             }

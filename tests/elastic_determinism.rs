@@ -3,7 +3,7 @@
 //! drain-and-retire scale-in — is a pure function of (scenario, arrival
 //! seed): same inputs reproduce the **entire** `ScenarioReport` bit for
 //! bit, per-pool scaling counters and the `node_seconds` cost metric
-//! included, under both event schedulers. Chaos interoperates: a crashed
+//! included. Chaos interoperates: a crashed
 //! pool member retires and the controller replaces it on its next tick.
 //!
 //! The property tests push the same claims through random scale policies,
@@ -16,7 +16,7 @@ use sod::runtime::NodeConfig;
 use sod::scenario::{Chaos, Fleet, Plan, Pool, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
-use sod::{ArrivalSchedule, ScalePolicy, ScenarioReport, Scheduler};
+use sod::{ArrivalSchedule, ScalePolicy, ScenarioReport};
 
 const FLEET: usize = 60;
 const BASE: usize = 1;
@@ -25,11 +25,10 @@ const MAX: usize = 8;
 /// The reference elastic fleet: Fib(14) bursts on two edges offloading
 /// onto an autoscaled worker pool, with CPU contention on so co-located
 /// sessions actually queue.
-fn elastic_fleet(arrival_seed: u64, policy: ScalePolicy, scheduler: Scheduler) -> ScenarioReport {
+fn elastic_fleet(arrival_seed: u64, policy: ScalePolicy) -> ScenarioReport {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     Scenario::new()
         .slice_ns(10_000)
-        .scheduler(scheduler)
         .cpu_contention(true)
         .node("edge0", NodeConfig::cluster("edge0"))
         .deploys(&class)
@@ -56,8 +55,8 @@ fn elastic_fleet(arrival_seed: u64, policy: ScalePolicy, scheduler: Scheduler) -
         .expect("elastic fleet runs")
 }
 
-fn reference(scheduler: Scheduler) -> ScenarioReport {
-    elastic_fleet(42, ScalePolicy::QueueDepth { high: 2, low: 1 }, scheduler)
+fn reference() -> ScenarioReport {
+    elastic_fleet(42, ScalePolicy::QueueDepth { high: 2, low: 1 })
 }
 
 /// Invariants every elastic run must satisfy: all programs terminated,
@@ -101,8 +100,8 @@ fn assert_elastic_invariants(label: &str, r: &ScenarioReport) {
 
 #[test]
 fn same_seed_replays_bit_identically() {
-    let a = reference(Scheduler::Sharded);
-    let b = reference(Scheduler::Sharded);
+    let a = reference();
+    let b = reference();
     assert_eq!(
         a, b,
         "same arrival seed must reproduce the full report, scaling included"
@@ -124,24 +123,10 @@ fn same_seed_replays_bit_identically() {
 
 #[test]
 fn different_seed_diverges() {
-    let a = reference(Scheduler::Sharded);
-    let b = elastic_fleet(
-        43,
-        ScalePolicy::QueueDepth { high: 2, low: 1 },
-        Scheduler::Sharded,
-    );
+    let a = reference();
+    let b = elastic_fleet(43, ScalePolicy::QueueDepth { high: 2, low: 1 });
     assert_ne!(a, b, "a different arrival seed must perturb the run");
     assert_elastic_invariants("reseeded", &b);
-}
-
-#[test]
-fn elastic_is_scheduler_equivalent() {
-    let sharded = reference(Scheduler::Sharded);
-    let global = reference(Scheduler::GlobalHeap);
-    assert_eq!(
-        sharded, global,
-        "elastic runs must be bit-identical under both schedulers"
-    );
 }
 
 /// Chaos interop: crash an initial pool member mid-burst. The member
@@ -149,11 +134,10 @@ fn elastic_is_scheduler_equivalent() {
 /// to base, and the run still terminates with a replayable report.
 #[test]
 fn crashed_pool_member_is_replaced() {
-    let run = |scheduler| {
+    let run = || {
         let class = preprocess_sod(&fib_class()).expect("preprocess fib");
         Scenario::new()
             .slice_ns(10_000)
-            .scheduler(scheduler)
             .cpu_contention(true)
             .node("edge0", NodeConfig::cluster("edge0"))
             .deploys(&class)
@@ -171,11 +155,9 @@ fn crashed_pool_member_is_replaced() {
             .run()
             .expect("chaotic elastic fleet runs")
     };
-    let a = run(Scheduler::Sharded);
-    let b = run(Scheduler::Sharded);
+    let a = run();
+    let b = run();
     assert_eq!(a, b, "chaos + elastic must replay bit-identically");
-    let global = run(Scheduler::GlobalHeap);
-    assert_eq!(a, global, "chaos + elastic must be scheduler-equivalent");
 
     let cl = &a.cluster;
     assert_eq!(cl.chaos.crashes, 1, "the member crash fired");
@@ -200,7 +182,6 @@ fn crashed_pool_member_is_replaced() {
 // ---------------------------------------------------------------------------
 
 fn random_elastic_fleet(
-    scheduler: Scheduler,
     policy_sel: u8,
     knob: u64,
     cold_start_us: u64,
@@ -223,7 +204,6 @@ fn random_elastic_fleet(
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     Scenario::new()
         .slice_ns(10_000)
-        .scheduler(scheduler)
         .cpu_contention(true)
         .node("edge", NodeConfig::cluster("edge"))
         .deploys(&class)
@@ -256,21 +236,17 @@ proptest! {
         programs in 1usize..41,
         seed in 0u64..1_000_000,
     ) {
-        let run = |s| random_elastic_fleet(
-            s, policy_sel, knob, cold_start_us, burst, programs, seed,
+        let run = || random_elastic_fleet(
+            policy_sel, knob, cold_start_us, burst, programs, seed,
         );
-        let sharded = run(Scheduler::Sharded);
+        let first = run();
 
         // Same seed ⇒ bit-identical replay, scaling counters included.
-        let again = run(Scheduler::Sharded);
-        prop_assert_eq!(&sharded, &again, "elastic replay diverged");
-
-        // And the controller is scheduler-independent.
-        let global = run(Scheduler::GlobalHeap);
-        prop_assert_eq!(&sharded, &global, "schedulers diverged under autoscaling");
+        let again = run();
+        prop_assert_eq!(&first, &again, "elastic replay diverged");
 
         // Termination and pool bounds, for an arbitrary policy.
-        let cl = &sharded.cluster;
+        let cl = &first.cluster;
         prop_assert_eq!(cl.completed, programs as u64);
         prop_assert_eq!(cl.failed, 0);
         let pool = &cl.pools[0];

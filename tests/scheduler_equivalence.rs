@@ -1,18 +1,20 @@
-//! Differential equivalence of the event schedulers: every scenario
-//! shape the repository knows — single migration, multi-segment chains,
-//! WAN roaming, exception-driven OnOom offload, every `ArrivalSchedule`,
-//! every `CodeShipping` policy — must produce **bit-identical**
-//! `ScenarioReport`s (and therefore `ClusterReport`s, per-node event
-//! counts included) under `Scheduler::GlobalHeap` and
-//! `Scheduler::Sharded`. This suite is the safety net that let the
-//! sharded per-node queue become the default: any divergence in delivery
-//! order, tie-breaking, or accounting between the schedulers fails loudly
-//! here.
+//! Same-seed replay of every scenario shape the repository knows — single
+//! migration, multi-segment chains, WAN roaming, exception-driven OnOom
+//! offload, client requests, chaos profiles, elastic pools, every
+//! `ArrivalSchedule`, every `CodeShipping` policy: building and running a
+//! scenario twice must produce **bit-identical** `ScenarioReport`s
+//! (results, timings, migrations, cluster aggregates, per-node
+//! utilization and event counts). A delivery order, tie-break or
+//! accounting that depends on anything but the scenario — iteration order
+//! of a hashed map, an address, a clock — fails loudly here.
 //!
-//! The property tests at the bottom push the same claim through random
+//! The suite used to compare two event queues; the simulator now has one
+//! (README, "Why there is one event queue"), and the `*_scheduler_*` test
+//! names are kept from that time so their history stays traceable.
+//!
+//! The property test at the bottom pushes the same claim through random
 //! fleets (node count 2–16, up to 300 programs, random triggers, links,
-//! schedules, and seeds), plus byte conservation and same-seed
-//! determinism under `Sharded`.
+//! schedules, and seeds), plus byte conservation and `Fib(12) == 144`.
 
 use proptest::prelude::*;
 use sod::asm::builder::ClassBuilder;
@@ -24,25 +26,19 @@ use sod::vm::class::ClassDef;
 use sod::vm::value::Value;
 use sod::workloads::apps::search_class;
 use sod::workloads::programs::fib_class;
-use sod::{ArrivalSchedule, CodeShipping, NetBytes, Scheduler};
+use sod::{ArrivalSchedule, CodeShipping, NetBytes};
 
-/// Build the scenario once per scheduler — `GlobalHeap` and `Sharded` —
-/// and require the full reports (results, timings, migrations, cluster
-/// aggregates, per-node utilization and event counts) to compare `==`.
+/// Build and run the scenario twice and require the full reports to
+/// compare `==`.
 fn assert_equivalent(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
-    let global = build()
-        .scheduler(Scheduler::GlobalHeap)
-        .run()
-        .unwrap_or_else(|e| panic!("{label}: GlobalHeap run failed: {e}"));
-    let sharded = build()
-        .scheduler(Scheduler::Sharded)
-        .run()
-        .unwrap_or_else(|e| panic!("{label}: Sharded run failed: {e}"));
-    assert_eq!(
-        global, sharded,
-        "{label}: ScenarioReports diverge between schedulers"
-    );
-    sharded
+    let run = || {
+        build()
+            .run()
+            .unwrap_or_else(|e| panic!("{label}: run failed: {e}"))
+    };
+    let first = run();
+    assert_eq!(first, run(), "{label}: a same-seed replay diverged");
+    first
 }
 
 fn fib() -> ClassDef {
@@ -264,9 +260,8 @@ fn client_requests_are_scheduler_equivalent() {
     assert_eq!(report.first().result, Some(5));
 }
 
-/// Per-node event counts must be populated, partition the cluster total,
-/// and agree between schedulers (they are part of the `==` above; this
-/// pins that they are not trivially zero).
+/// Per-node event counts must be populated and replay (they are part of
+/// the `==` above; this pins that they are not trivially zero).
 #[test]
 fn per_node_event_counts_are_populated_and_equal() {
     let report = assert_equivalent("event counts", || {
@@ -278,12 +273,12 @@ fn per_node_event_counts_are_populated_and_equal() {
 }
 
 /// Regression pin: the exact per-node delivery counts of the
-/// single-migration scenario, identical under every scheduler. A change
-/// to event routing or tie-breaking that shifts even one delivery to
-/// another node trips this before the subtler differential suites do.
+/// single-migration scenario. A change to event routing or tie-breaking
+/// that shifts even one delivery to another node trips this before the
+/// subtler differential suites do.
 #[test]
 fn per_node_event_counts_are_pinned_across_schedulers() {
-    let scenario = || {
+    let report = assert_equivalent("pinned counts", || {
         Scenario::new()
             .slice_ns(10_000)
             .node("home", NodeConfig::cluster("home"))
@@ -292,31 +287,21 @@ fn per_node_event_counts_are_pinned_across_schedulers() {
             .program("Fib", "main", vec![Value::Int(16)])
             .on("home")
             .migrate(When::At(50 * US), Plan::top_to("worker", 2))
-    };
-    let schedulers = [Scheduler::GlobalHeap, Scheduler::Sharded];
-    let mut pinned: Option<Vec<(String, u64)>> = None;
-    for s in schedulers {
-        let report = scenario().scheduler(s).run().expect("run");
-        let counts: Vec<(String, u64)> = report
-            .cluster
-            .per_node
-            .iter()
-            .map(|n| (n.name.clone(), n.events))
-            .collect();
-        match &pinned {
-            None => pinned = Some(counts),
-            Some(first) => assert_eq!(first, &counts, "{s:?} shifted deliveries"),
-        }
-    }
-    let counts = pinned.unwrap();
+    });
+    let counts: Vec<(String, u64)> = report
+        .cluster
+        .per_node
+        .iter()
+        .map(|n| (n.name.clone(), n.events))
+        .collect();
     let expect = [("home".to_string(), 15), ("worker".to_string(), 5)];
     assert_eq!(counts, expect, "pinned per-node delivery counts drifted");
 }
 
-/// Fault injection must not cost scheduler equivalence: the chaos RNG
-/// draws in delivery order, which both schedulers reproduce identically,
-/// so crashes, partitions, and seeded loss yield bit-identical reports
-/// (chaos counters, failure sets, and `lost` buckets included).
+/// Fault injection must not cost replay: the chaos RNG draws in delivery
+/// order, which is total, so crashes, partitions, and seeded loss yield
+/// bit-identical reports (chaos counters, failure sets, and `lost`
+/// buckets included).
 #[test]
 fn chaos_profiles_are_scheduler_equivalent() {
     use sod::runtime::RetryPolicy;
@@ -367,11 +352,11 @@ fn chaos_profiles_are_scheduler_equivalent() {
     }
 }
 
-/// Elastic pools must not cost scheduler equivalence either: controller
-/// ticks, cold-start timers, mid-run topology growth, and drain-by-roam
-/// all ride the same deterministic `(time, seq, dst)` order, so every
-/// scale policy yields bit-identical reports — scaling counters and
-/// node-seconds included.
+/// Elastic pools must not cost replay either: controller ticks,
+/// cold-start timers, mid-run topology growth, and drain-by-roam all ride
+/// the same deterministic `(time, seq)` order, so every scale policy
+/// yields bit-identical reports — scaling counters and node-seconds
+/// included.
 #[test]
 fn elastic_pools_are_scheduler_equivalent() {
     use sod::scenario::Pool;
@@ -415,7 +400,7 @@ fn elastic_pools_are_scheduler_equivalent() {
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: random fleets through both schedulers.
+// Property tests: random fleets, each run twice.
 // ---------------------------------------------------------------------------
 
 /// A randomized fleet over `nodes` cluster nodes: random arrival
@@ -423,7 +408,6 @@ fn elastic_pools_are_scheduler_equivalent() {
 /// every member homed round-robin across all nodes and offloading to the
 /// last node.
 fn random_fleet(
-    scheduler: Scheduler,
     nodes: usize,
     programs: usize,
     trigger: u8,
@@ -469,11 +453,7 @@ fn random_fleet(
         // must be equivalent too.
         _ => fleet = fleet.migrate(When::OnObjectFaults(1), Plan::top_to(target, 1)),
     }
-    scenario
-        .fleet(fleet)
-        .scheduler(scheduler)
-        .run()
-        .expect("random fleet runs")
+    scenario.fleet(fleet).run().expect("random fleet runs")
 }
 
 proptest! {
@@ -488,23 +468,19 @@ proptest! {
         latency_us in 10u64..2_000,
         seed in 0u64..1_000_000,
     ) {
-        let run = |s| random_fleet(s, nodes, programs, trigger, schedule, latency_us, seed);
-        let global = run(Scheduler::GlobalHeap);
-        let sharded = run(Scheduler::Sharded);
-        prop_assert_eq!(&global, &sharded, "schedulers diverged");
-
-        // Same-seed determinism under Sharded.
-        let again = run(Scheduler::Sharded);
-        prop_assert_eq!(&sharded, &again, "Sharded run is not deterministic");
+        let run = || random_fleet(nodes, programs, trigger, schedule, latency_us, seed);
+        let report = run();
+        let again = run();
+        prop_assert_eq!(&report, &again, "same-seed replay diverged");
 
         // Every program completed and computed Fib(12).
-        prop_assert_eq!(sharded.cluster.completed, programs as u64);
-        prop_assert!(sharded.programs().iter().all(|p| p.report.result == Some(144)));
+        prop_assert_eq!(report.cluster.completed, programs as u64);
+        prop_assert!(report.programs().iter().all(|p| p.report.result == Some(144)));
 
         // Byte conservation: per-node send totals partition the cluster
         // total, and the per-program accounting balances against it.
-        let total = sharded.cluster.total_sent();
-        let per_node = sharded
+        let total = report.cluster.total_sent();
+        let per_node = report
             .cluster
             .per_node
             .iter()
@@ -514,20 +490,20 @@ proptest! {
                 object: acc.object + n.sent.object,
             });
         prop_assert_eq!(total, per_node);
-        let state: u64 = sharded
+        let state: u64 = report
             .programs()
             .iter()
             .flat_map(|p| p.report.migrations.iter())
             .map(|m| m.state_bytes)
             .sum();
-        let class: u64 = sharded.programs().iter().map(|p| p.report.class_bytes).sum();
-        let object: u64 = sharded.programs().iter().map(|p| p.report.object_bytes).sum();
+        let class: u64 = report.programs().iter().map(|p| p.report.class_bytes).sum();
+        let object: u64 = report.programs().iter().map(|p| p.report.object_bytes).sum();
         prop_assert_eq!(total.state, state, "state bytes must balance");
         prop_assert_eq!(total.class, class, "class bytes must balance");
         prop_assert_eq!(total.object, object, "object bytes must balance");
 
         // Per-node event counts partition the delivered total (non-zero
         // somewhere: every program ran at least one slice).
-        prop_assert!(sharded.cluster.per_node.iter().map(|n| n.events).sum::<u64>() > 0);
+        prop_assert!(report.cluster.per_node.iter().map(|n| n.events).sum::<u64>() > 0);
     }
 }
