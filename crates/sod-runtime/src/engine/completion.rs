@@ -91,7 +91,7 @@ impl Cluster {
         delay: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let Some(w) = self.mark_done(node, sid) else {
+        let Some(w) = self.retire_session(node, sid) else {
             return;
         };
         let (program, target, pop) = (w.program, w.return_to, w.home_pop_frames);
@@ -128,15 +128,16 @@ impl Cluster {
         match target {
             ReturnTarget::Home { node: home } => {
                 debug_assert_eq!(node, home);
-                if self.chaos_enabled {
-                    let p = &self.programs[program as usize];
-                    if p.done || !p.valid_sessions.iter().any(|&(_, s)| s == session) {
-                        // Stale return: the program failed (home crash) or
-                        // the episode was superseded by a deadline-driven
-                        // retry/fallback before this value arrived. The
-                        // home stack no longer expects it — drop it.
-                        return;
-                    }
+                let p = &self.programs[program as usize];
+                let superseded =
+                    self.chaos_enabled && !p.valid_sessions.iter().any(|&(_, s)| s == session);
+                if p.done || superseded {
+                    // Stale return: the program failed (a home crash, a
+                    // rejected flush) and its home thread is released, or
+                    // the episode was superseded by a deadline-driven
+                    // retry/fallback before this value arrived. The home
+                    // stack no longer expects it — drop it.
+                    return;
                 }
                 self.close_episode(program);
                 let tid = self.programs[program as usize].home_tid;

@@ -118,43 +118,25 @@ impl Cluster {
     }
 
     /// Active migrated sessions hosted on `node` (sessions of finished
-    /// programs don't count — their cleanup may lag under chaos), plus
-    /// sessions routed here whose restore is still in flight. The
-    /// in-flight term is what spreads a burst: every capture in the burst
-    /// resolves before the first restore lands, so the hosted count alone
-    /// would place the entire burst on one member.
+    /// programs don't count — a session outlives its failed program until
+    /// it completes or its node crashes), plus sessions routed here whose
+    /// restore is still in flight. The in-flight term is what spreads a
+    /// burst: every capture in the burst resolves before the first restore
+    /// lands, so the hosted count alone would place the entire burst on
+    /// one member.
     fn active_sessions_on(&self, node: usize) -> u64 {
-        debug_assert!(
-            self.hosted_sessions(node)
-                .eq(self.scan_hosted_sessions(node)),
-            "node {node}'s live-session index drifted from the session map"
-        );
         self.hosted_sessions(node).count() as u64 + self.nodes[node].inbound_sessions
     }
 
-    /// `node`'s hosted sessions still executing for an unfinished program,
-    /// in ascending id order: its live-session index (see
-    /// [`Node::live_sessions`]) minus sessions whose program has finished.
+    /// `node`'s hosted sessions still executing for an unfinished program.
+    /// The session map holds only sessions in flight, so this walks those
+    /// alone.
     fn hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> + '_ {
         self.nodes[node]
-            .live_sessions
-            .iter()
-            .filter(|(_, &program)| !self.programs[program as usize].done)
-            .map(|(&sid, _)| sid)
-    }
-
-    /// The definition [`Cluster::hosted_sessions`] indexes, as a scan of
-    /// the whole session map: the debug-build oracle, and nothing else.
-    fn scan_hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> {
-        let mut hosted: Vec<SessionId> = self.nodes[node]
             .sessions
             .iter()
-            .filter(|(_, w)| !matches!(w.phase, WorkerPhase::Done))
             .filter(|(_, w)| !self.programs[w.program as usize].done)
-            .map(|(sid, _)| *sid)
-            .collect();
-        hosted.sort_unstable();
-        hosted.into_iter()
+            .map(|(&sid, _)| sid)
     }
 
     /// The pool's load: active sessions across its live and draining
@@ -357,9 +339,10 @@ impl Cluster {
             .map(|m| m.node)
             .collect();
         for dn in draining {
-            // Ascending session-id order (the index's own), so roam targets
-            // are deterministic.
-            let hosted: Vec<SessionId> = self.hosted_sessions(dn).collect();
+            // Ascending session-id order, so roam targets are
+            // deterministic.
+            let mut hosted: Vec<SessionId> = self.hosted_sessions(dn).collect();
+            hosted.sort_unstable();
             if hosted.is_empty() {
                 let p = &mut self.pools[pool];
                 if let Some(m) = p.members.iter_mut().find(|m| m.node == dn) {

@@ -5,14 +5,14 @@
 use sod_net::SimCtx;
 use sod_vm::class::ExKind;
 use sod_vm::error::VmError;
-use sod_vm::interp::{ExceptionInfo, RunMode, StepOutcome};
+use sod_vm::interp::{ExceptionInfo, ParkReason, RunMode, StepOutcome, ThreadState};
 use sod_vm::value::Value;
 
 use crate::costs;
 use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
 use crate::trigger::Trigger;
 
-use super::session::{HomeSide, Owner, WorkerPhase};
+use super::session::{HomeSide, Owner};
 use super::{rollback_to_statement_start, Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
@@ -27,14 +27,11 @@ impl Cluster {
             .map(|t| t.is_runnable())
             .unwrap_or(false);
         if !runnable {
-            return; // stale slice: thread parked, finished, or mid-protocol
+            return; // stale slice: thread parked, mid-protocol, or released
         }
         let (owner_program, owner_pending) = match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
-                if self.programs[program as usize].done {
-                    return; // failed while a slice was in flight (crash)
-                }
                 if self.programs[program as usize].side.is_frozen() {
                     return; // frozen while the segment executes remotely
                 }
@@ -50,7 +47,7 @@ impl Cluster {
                 Some(w) => (w.program, w.pending_roam.is_some()),
                 None => return,
             },
-            // Unowned threads (retired roaming workers) never run.
+            // Only a tool's own spawn has no owner; it is not ours to run.
             None => return,
         };
         let mode = if owner_pending {
@@ -109,9 +106,8 @@ impl Cluster {
                 self.host_call(node, tid, &name, &args, elapsed, ctx)
             }
             StepOutcome::ObjectFault(q) => {
-                // Only restored workers fault on remote objects; a thread
-                // orphaned mid-slice (its session killed by fault
-                // injection) has nobody to fetch for.
+                // Only restored workers fault on remote objects: a home
+                // thread has nobody to fetch from.
                 let sid = match self.nodes[node].thread_owner.get(&tid) {
                     Some(Owner::Worker(s)) => *s,
                     _ => return,
@@ -140,31 +136,25 @@ impl Cluster {
         }
     }
 
-    /// Threads genuinely competing for `node`'s CPU: runnable *and* owned
-    /// by something that still executes here. A frozen home thread (its
-    /// segment runs remotely), a finished program's thread, or an orphaned
-    /// worker thread stays `Runnable` in the VM but never receives a
-    /// slice, so counting it would charge phantom contention.
+    /// Threads genuinely competing for `node`'s CPU: runnable, and not a
+    /// home thread frozen while its segment runs remotely (it never gets a
+    /// slice). Visits the owner map — the node's threads in flight — only.
     fn competing_threads(&self, node: usize) -> u64 {
-        let count = self.nodes[node]
-            .vm
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_runnable())
-            .filter(|(tid, _)| match self.nodes[node].thread_owner.get(tid) {
-                Some(Owner::Root(p)) => {
-                    let p = &self.programs[*p as usize];
-                    !p.done && !p.side.is_frozen()
+        let n = &self.nodes[node];
+        let live = |tid: &usize, owner: &Owner| {
+            n.vm.thread(*tid).is_ok()
+                && match owner {
+                    Owner::Root(p) => !self.programs[*p as usize].done,
+                    Owner::Worker(s) => n.sessions.contains_key(s),
                 }
-                Some(Owner::Worker(s)) => self.nodes[node]
-                    .sessions
-                    .get(s)
-                    .is_some_and(|w| !matches!(w.phase, WorkerPhase::Done)),
-                None => false,
-            })
-            .count() as u64;
-        count.max(1)
+        };
+        debug_assert!(n.thread_owner.iter().all(|(tid, o)| live(tid, o)));
+        let count = n.thread_owner.iter().filter(|&(&tid, owner)| {
+            let frozen =
+                matches!(owner, Owner::Root(p) if self.programs[*p as usize].side.is_frozen());
+            !frozen && n.vm.thread(tid).is_ok_and(|t| t.is_runnable())
+        });
+        (count.count() as u64).max(1)
     }
 
     // ------------------------------------------------------------------
@@ -214,16 +204,16 @@ impl Cluster {
                     .and_then(|v| v.as_int().ok())
                     .unwrap_or(node as i64) as usize;
                 if dest != node && dest < self.nodes.len() {
-                    match self.nodes[node].thread_owner.get(&tid) {
+                    let n = &mut self.nodes[node];
+                    match n.thread_owner.get(&tid) {
                         Some(Owner::Root(p)) => {
-                            let p = *p;
-                            self.programs[p as usize].side =
+                            self.programs[*p as usize].side =
                                 HomeSide::PlanPending(MigrationPlan::top_to(dest, 1));
                         }
                         Some(Owner::Worker(s)) => {
-                            let s = *s;
-                            self.nodes[node].sessions.get_mut(&s).unwrap().pending_roam =
-                                Some(dest);
+                            if let Some(w) = n.sessions.get_mut(s) {
+                                w.pending_roam = Some(dest);
+                            }
                         }
                         None => {}
                     }
@@ -430,6 +420,39 @@ impl Cluster {
         ctx.schedule(scan, dst, Msg::HostDone { tid, reply: result });
     }
 
+    /// A host intrinsic's reply (an NFS read's too, through `fs_data`)
+    /// resumes the thread parked on it; one that finds no thread of that id
+    /// parked on a host call (released, never there, a duplicate) allocates
+    /// nothing and resumes nothing.
+    pub(super) fn host_done(
+        &mut self,
+        node: usize,
+        tid: usize,
+        reply: HostReply,
+        ctx: &mut SimCtx<'_, Msg>,
+    ) {
+        let vm = &mut self.nodes[node].vm;
+        let parked = vm
+            .thread(tid)
+            .is_ok_and(|t| matches!(t.state, ThreadState::Parked(ParkReason::HostCall { .. })));
+        if !parked {
+            return;
+        }
+        // Strings and lists land in the guest's heap.
+        let v = match reply {
+            HostReply::Int(i) => Value::Int(i),
+            HostReply::Str(s) => Value::Ref(vm.heap.alloc_str(s)),
+            HostReply::List(items) => {
+                let refs = items.into_iter().map(|s| Value::Ref(vm.heap.alloc_str(s)));
+                let refs: Vec<Value> = refs.collect();
+                Value::Ref(vm.heap.alloc_arr_from(refs))
+            }
+        };
+        if vm.resume_host(tid, v).is_ok() {
+            ctx.schedule(0, node, Msg::RunSlice { tid });
+        }
+    }
+
     // ------------------------------------------------------------------
     // Class misses during execution
     // ------------------------------------------------------------------
@@ -492,8 +515,7 @@ impl Cluster {
                     },
                 );
             }
-            // An orphaned thread (session killed under fault injection)
-            // has nobody to load for; leave it parked.
+            // A thread nobody owns is not the engine's; leave it parked.
             None => {}
         }
     }
@@ -590,7 +612,7 @@ impl Cluster {
             Value::Num(n) => Some(n as i64),
             _ => None,
         });
-        self.snapshot_stack_height(program);
+        self.retire_root(program);
     }
 
     pub(super) fn fail_program(&mut self, program: ProgramId, error: String, at: u64) {
@@ -605,7 +627,7 @@ impl Cluster {
         // Failure reports carry the same final stats as successes
         // (`instructions` accrues per slice), so fleet aggregates over
         // mixed outcomes stay comparable.
-        self.snapshot_stack_height(program);
+        self.retire_root(program);
     }
 
     /// A program whose root thread cannot be spawned (unknown class or
@@ -618,17 +640,19 @@ impl Cluster {
         self.fail_program(program, error.to_string(), at);
     }
 
-    /// Record the home thread's maximum stack height (Table I `h`) on the
-    /// program's report, shared by the success and failure paths. A
-    /// program that never got a thread (its spawn failed) has no height:
-    /// its `home_tid` is not an id on the home VM.
-    fn snapshot_stack_height(&mut self, program: ProgramId) {
+    /// The program is done: record its home thread's maximum stack height
+    /// (Table I `h`), then release the thread and its owner entry. A
+    /// program whose spawn failed has no thread: its `home_tid` names none.
+    fn retire_root(&mut self, program: ProgramId) {
         let p = &self.programs[program as usize];
         if !p.started {
             return;
         }
-        if let Ok(t) = self.nodes[p.home].vm.thread(p.home_tid) {
+        let (n, tid) = (&mut self.nodes[p.home], p.home_tid);
+        if let Ok(t) = n.vm.thread(tid) {
             self.programs[program as usize].report.max_stack_height = t.max_height;
         }
+        n.thread_owner.remove(&tid);
+        n.vm.release(tid);
     }
 }

@@ -84,11 +84,13 @@ impl Cluster {
                 }
                 // Worker sessions hosted here die with the node. Their
                 // programs are NOT failed here: the home-side migration
-                // deadline recovers them (retry or fallback). Kill order
-                // is irrelevant — killing only mutates per-session state.
-                let dead: Vec<SessionId> = self.nodes[node].live_sessions.keys().copied().collect();
+                // deadline recovers them (retry or fallback). Ascending id
+                // order fixes which freed thread slot each later restore
+                // takes; nothing a report shows depends on it.
+                let mut dead: Vec<SessionId> = self.nodes[node].sessions.keys().copied().collect();
+                dead.sort_unstable();
                 for sid in dead {
-                    self.kill_session(node, sid);
+                    self.retire_session(node, sid);
                 }
                 // Parked accept state dies with the serving threads; a
                 // request delivered after restart must not resume one.
@@ -161,13 +163,13 @@ impl Cluster {
         self.chaos.timeouts += 1;
         // Kill the episode's sessions first: whichever of them were alive,
         // their threads must never complete against the recovered program,
-        // and their unrecorded state bytes surface in the lost sweep.
+        // and their unrecorded state bytes are credited as lost.
         for (host, sid) in self.programs[program as usize].valid_sessions.clone() {
             // A deadline left over from an earlier episode can fire while
             // the next one is still freezing, its pool segments unplaced:
             // a sentinel names no node and hosts nothing to kill.
             if host < POOL_DEST_BASE {
-                self.kill_session(host, sid);
+                self.retire_session(host, sid);
             }
         }
         let attempts_done = self.programs[program as usize].episode_attempts;
@@ -222,17 +224,6 @@ impl Cluster {
             home,
             Msg::MigrationTimeout { program, attempt },
         );
-    }
-
-    /// Retire a worker session: mark it done and orphan its VM thread so
-    /// no stale event (run slice, class reply, chained return) can wake
-    /// it. The thread's frames stay parked — memory, not behavior.
-    fn kill_session(&mut self, node: usize, sid: SessionId) {
-        let Some(w) = self.mark_done(node, sid) else {
-            return;
-        };
-        let tid = w.tid;
-        self.nodes[node].thread_owner.remove(&tid);
     }
 }
 

@@ -43,8 +43,7 @@ impl Cluster {
                 let sid = *s;
                 self.begin_roam(node, tid, sid, elapsed, ctx);
             }
-            // An orphaned thread (session killed under fault injection)
-            // stopping at an MSP has no plan to serve; leave it parked.
+            // A thread nobody owns is not the engine's; leave it parked.
             None => {}
         }
     }
@@ -436,7 +435,7 @@ impl Cluster {
         let Some(class) = self.nodes[dst].repo.get(&name).cloned() else {
             // Retire the requesting session along with its program, so
             // stale events cannot wake the stranded worker state.
-            self.mark_done(requester, session);
+            self.retire_session(requester, session);
             self.fail_program(
                 program,
                 format!("home node {dst} missing class {name:?}"),
@@ -465,11 +464,9 @@ impl Cluster {
     /// Fail the program behind `session` and retire the session so the
     /// stranded worker state cannot be woken by stale events.
     pub(super) fn fail_session(&mut self, node: usize, session: SessionId, error: String, at: u64) {
-        let Some(w) = self.mark_done(node, session) else {
-            return;
-        };
-        let program = w.program;
-        self.fail_program(program, error, at);
+        if let Some(w) = self.retire_session(node, session) {
+            self.fail_program(w.program, error, at);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -575,16 +572,6 @@ impl Cluster {
             home_pop_frames,
             wait_for_return: false,
         };
-        // Retire the old session & thread. The roamed session inherits
-        // the old one's slot in the episode's valid set, so its arrival
-        // and eventual home return pass the chaos staleness guards.
-        self.mark_done(node, sid);
-        self.nodes[node].thread_owner.remove(&tid);
-        let valid = &mut self.programs[program as usize].valid_sessions;
-        if let Some(slot) = valid.iter_mut().find(|(_, s)| *s == sid) {
-            *slot = (dest, new_sid);
-        }
-
         let frame = match encode_state_pooled(&self.buf_pool, &state) {
             Ok(f) => f,
             Err(e) => {
@@ -597,6 +584,14 @@ impl Cluster {
                 return;
             }
         };
+        // Retire the old session and its thread. The roamed session
+        // inherits the old one's slot in the episode's valid set, so its
+        // arrival and eventual home return pass the chaos staleness guards.
+        self.retire_session(node, sid);
+        let valid = &mut self.programs[program as usize].valid_sessions;
+        if let Some(slot) = valid.iter_mut().find(|(_, s)| *s == sid) {
+            *slot = (dest, new_sid);
+        }
 
         self.ship_segment(
             node,

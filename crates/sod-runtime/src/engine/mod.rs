@@ -74,12 +74,12 @@ use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::{BufferPool, FrameBatch};
 
-use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, RunReport};
-use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, SessionId};
+use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, Residue, RunReport};
+use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, ReturnTarget, SessionId};
 use crate::node::Node;
 use crate::trigger::{ArmedTrigger, Trigger};
 
-use session::{HomeSide, StagedSegment, WorkerPhase};
+use session::{HomeSide, StagedSegment};
 
 /// Worker-created objects are flushed home under temporary ids at/above
 /// this base until the home node assigns master ids.
@@ -303,19 +303,20 @@ impl Cluster {
         }
     }
 
-    /// Move the session hosted at `node` to [`WorkerPhase::Done`] and drop
-    /// it from the node's live set (see [`Node::live_sessions`]) — the
-    /// only way a session reaches `Done`, so the index cannot miss a
-    /// retirement. `None` when no such session ever arrived there.
-    fn mark_done(&mut self, node: usize, sid: SessionId) -> Option<&WorkerSession> {
+    /// The one retirement point of a session — finished, failed, killed or
+    /// roamed on: remove it from `node`, release its thread and owner
+    /// entry, credit state it never restored as lost, and hand it back.
+    /// `None` when `node` hosts no such session.
+    fn retire_session(&mut self, node: usize, sid: SessionId) -> Option<WorkerSession> {
         let n = &mut self.nodes[node];
-        let w = n.sessions.get_mut(&sid)?;
-        w.phase = WorkerPhase::Done;
-        n.live_sessions.remove(&sid);
-        // A session retired mid-restore leaves its next frame's breakpoint
-        // armed: disarm it with the thread (`tid` is `usize::MAX`, which
-        // arms nothing, until the restore begins).
-        n.vm.clear_thread_breakpoints(w.tid);
+        let w = n.sessions.remove(&sid)?;
+        if !w.recorded {
+            n.net_lost.state += w.timings.state_bytes;
+        }
+        // `tid` is `usize::MAX`, which names no thread, until the restore
+        // begins.
+        n.thread_owner.remove(&w.tid);
+        n.vm.release(w.tid);
         Some(w)
     }
 
@@ -364,11 +365,10 @@ impl Cluster {
                 latencies.push(p.report.latency_ns());
             }
         }
-        // Shipped state that arrived somewhere but never restored —
-        // killed, superseded, or stuck sessions — is accounted nowhere
-        // else; credit it to the holding node's lost bucket so the
-        // conservation identity `sent = accounted + lost` closes. (The
-        // sum over a session map is order-independent.)
+        // Shipped state that arrived somewhere but never restored is
+        // accounted nowhere else: a retired session's was credited lost as
+        // it retired; credit a live one's (restoring, or stuck) here, so
+        // `sent = accounted + lost` closes at any time.
         let per_node = self
             .nodes
             .iter()
@@ -410,6 +410,33 @@ impl Cluster {
         report.pools = self.pool_reports();
         report
     }
+
+    /// What the nodes still hold of the work they hosted, summed over the
+    /// cluster: zero at idle, since work is reclaimed where it finishes.
+    pub fn residue(&self) -> Residue {
+        let mut r = Residue::default();
+        for n in &self.nodes {
+            r.sessions += n.sessions.len();
+            r.owners += n.thread_owner.len();
+            r.threads += n.vm.thread_ids().count();
+            r.breakpoints += n.vm.breakpoints_armed();
+        }
+        r
+    }
+
+    /// Each session `node` hosts, ascending by id: its program, thread
+    /// (once its restore began) and return target — for suites that aim
+    /// stale messages at a session once it is gone.
+    #[doc(hidden)]
+    pub fn hosted(&self, node: usize) -> Vec<(SessionId, ProgramId, Option<usize>, ReturnTarget)> {
+        let hosted = self.nodes[node].sessions.iter().map(|(&sid, w)| {
+            let tid = (w.tid != usize::MAX).then_some(w.tid);
+            (sid, w.program, tid, w.return_to)
+        });
+        let mut hosted: Vec<_> = hosted.collect();
+        hosted.sort_unstable_by_key(|h| h.0);
+        hosted
+    }
 }
 
 impl World for Cluster {
@@ -448,11 +475,7 @@ impl World for Cluster {
                 p.side = HomeSide::PlanPending(plan);
             }
             Msg::RunSlice { tid } => self.run_slice(dst, tid, ctx),
-            Msg::HostDone { tid, reply } => {
-                let v = materialize_reply(&mut self.nodes[dst].vm, reply);
-                self.nodes[dst].vm.resume_host(tid, v).expect("resume host");
-                ctx.schedule(0, dst, Msg::RunSlice { tid });
-            }
+            Msg::HostDone { tid, reply } => self.host_done(dst, tid, reply, ctx),
             Msg::CaptureDone { program } => self.capture_done(program, ctx),
             Msg::MigrationTimeout { program, attempt } => {
                 self.migration_timeout(dst, program, attempt, ctx)
@@ -534,20 +557,6 @@ impl World for Cluster {
         now: u64,
     ) {
         self.note_dropped(src, dst, msg, reason, now);
-    }
-}
-
-fn materialize_reply(vm: &mut sod_vm::interp::Vm, reply: HostReply) -> Value {
-    match reply {
-        HostReply::Int(i) => Value::Int(i),
-        HostReply::Str(s) => Value::Ref(vm.heap.alloc_str(s)),
-        HostReply::List(items) => {
-            let refs: Vec<Value> = items
-                .into_iter()
-                .map(|s| Value::Ref(vm.heap.alloc_str(s)))
-                .collect();
-            Value::Ref(vm.heap.alloc_arr_from(refs))
-        }
     }
 }
 

@@ -68,7 +68,7 @@ impl Cluster {
             Err(e) => {
                 // A request for an object this heap never allocated: fail
                 // the program and retire the session parked on the fault.
-                self.mark_done(requester, sid);
+                self.retire_session(requester, sid);
                 self.fail_program(
                     program,
                     format!("object request for home object {home_id} failed: {e}"),
@@ -101,27 +101,15 @@ impl Cluster {
     ) {
         let bytes = batch.payload_bytes();
         let Some(w) = self.nodes[node].sessions.get(&sid) else {
-            // No session ever lived here (arrival raced a retirement that
-            // also dropped the map entry): nothing to resume, and nobody's
-            // report will account the bytes — credit them as lost.
+            // The session retired while the reply was in flight (killed by
+            // a crash or a superseding retry), or never lived here: nobody
+            // is left to resume, and nobody's report will account the
+            // bytes — credit them as lost.
             self.nodes[node].net_lost.object += bytes;
             self.retire_batch(batch);
             return;
         };
-        let tid = w.tid;
-        let program = w.program;
-        let origin = w.origin();
-        if matches!(w.phase, WorkerPhase::Done) || tid == usize::MAX {
-            // Session retired (killed by a crash or a superseding retry)
-            // while the reply was in flight. The bytes still arrived on
-            // this program's behalf; account them on its report so the
-            // object ledger stays balanced, but leave the dead thread be.
-            let report = &mut self.programs[program as usize].report;
-            report.object_faults += 1;
-            report.object_bytes += bytes;
-            self.retire_batch(batch);
-            return;
-        }
+        let (tid, program, origin) = (w.tid, w.program, w.origin());
         // Vet every frame before touching the heap so a malformed reply
         // fails the program without half-installing the closure.
         let installed = match validate_batch(&batch) {
@@ -191,9 +179,6 @@ impl Cluster {
         let Some(w) = n.sessions.get_mut(&sid) else {
             return;
         };
-        if matches!(w.phase, WorkerPhase::Done) {
-            return;
-        }
         // Record master ids on the local copies (a temp id naming no
         // local object is ignored, as a stale ack's would be).
         let (origin, tid) = (w.origin(), w.tid);
@@ -201,9 +186,8 @@ impl Cluster {
             let local = temp.wrapping_sub(TEMP_ID_BASE);
             let _ = n.vm.heap.set_home(local, origin, *home_id);
         }
-        match std::mem::replace(&mut w.phase, WorkerPhase::Done) {
+        match std::mem::replace(&mut w.phase, WorkerPhase::Running) {
             WorkerPhase::AwaitRoamAck { dest } => {
-                w.phase = WorkerPhase::Running;
                 self.roam_capture_and_ship(node, tid, sid, dest, 0, ctx);
             }
             WorkerPhase::AwaitCompleteAck { retval } => {

@@ -129,7 +129,6 @@ impl Cluster {
             recorded: false,
         };
         self.nodes[node].sessions.insert(sid, session);
-        self.nodes[node].live_sessions.insert(sid, info.program);
         // The shipped stack arrived: it is no longer in flight toward this
         // node (saturating — restores can land here via paths that never
         // counted, e.g. an explicit plan naming a member directly).
@@ -189,11 +188,8 @@ impl Cluster {
             .repo
             .insert(class.name.clone(), class.clone());
         let Some(w) = self.nodes[dst].sessions.get_mut(&session) else {
-            return; // session already retired (e.g. its program failed)
+            return; // session retired (its program failed, or it finished)
         };
-        if matches!(w.phase, WorkerPhase::Done) {
-            return; // stale reply for a failed/finished session
-        }
         match &mut w.phase {
             WorkerPhase::AwaitClasses { missing, .. } => {
                 missing.remove(&class.name);
@@ -224,70 +220,70 @@ impl Cluster {
     pub(super) fn begin_restore(&mut self, node: usize, sid: SessionId, ctx: &mut SimCtx<'_, Msg>) {
         let n = &mut self.nodes[node];
         let Some(w) = n.sessions.get_mut(&sid) else {
-            return; // no such session ever arrived here
+            return; // retired first (its program failed), or never here
         };
-        // Restore begins once, out of the arrival phase: a session retired
-        // first (its program failed), or one already restoring, is past it.
+        // Restore begins once, out of the arrival phase: a session already
+        // restoring is past it.
         let WorkerPhase::AwaitClasses { state, .. } = &mut w.phase else {
             return;
         };
         let state = std::mem::take(state);
         let wait = w.wait_for_return;
         let has_jvmti = n.cfg.has_jvmti;
+        // The paper's portable protocol: JNI-invoke the bottom method, arm
+        // a breakpoint, and let InvalidStateException handlers rebuild the
+        // frames (costs accrue through interpreted-mode execution plus
+        // per-frame tooling charges). Otherwise an exact direct restore:
+        // restore-ahead workflow segments (must not re-execute invokes) and
+        // no-JVMTI devices (Java-level reflective restore). Either call is
+        // the decoded stack's last reader.
+        let handler = has_jvmti && !wait;
+        let restored = if handler {
+            begin_handler_restore(&mut n.vm, &state)
+        } else {
+            restore_segment_direct(&mut n.vm, &state)
+        };
+        drop(state);
         // A well-formed frame can still name a method this node's class
         // lacks, or carry the wrong locals count: the segment cannot run
         // here, which fails its program — typed — and nothing else.
-        if has_jvmti && !wait {
-            // The paper's portable protocol: JNI-invoke the bottom method,
-            // arm a breakpoint, and let InvalidStateException handlers
-            // rebuild the frames (costs accrue through interpreted-mode
-            // execution plus per-frame tooling charges).
-            let tid = match begin_handler_restore(&mut n.vm, &state) {
-                Ok(tid) => tid,
-                Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now()),
-            };
-            n.vm.threads[tid].interp_mode = true;
-            n.vm.threads[tid].origin = w.origin();
-            n.thread_owner.insert(tid, Owner::Worker(sid));
-            w.tid = tid;
+        let tid = match restored {
+            Ok(tid) => tid,
+            Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now()),
+        };
+        if let Ok(t) = n.vm.thread_mut(tid) {
+            t.interp_mode = handler;
+            t.origin = w.origin();
+        }
+        n.thread_owner.insert(tid, Owner::Worker(sid));
+        w.tid = tid;
+        if handler {
             w.phase = WorkerPhase::Restoring { restored: 0 };
             let fixed = n.cfg.scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
             ctx.schedule(fixed, node, Msg::RunSlice { tid });
-        } else {
-            // Exact direct restore: restore-ahead workflow segments (must
-            // not re-execute invokes) and no-JVMTI devices (Java-level
-            // reflective restore). Its one call is the decoded stack's
-            // last reader.
-            let tid = match restore_segment_direct(&mut n.vm, &state) {
-                Ok(tid) => tid,
-                Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now()),
-            };
-            drop(state);
-            n.vm.threads[tid].origin = w.origin();
-            n.thread_owner.insert(tid, Owner::Worker(sid));
-            let per_frame = w.nframes as u64 * costs::RESTORE_PER_FRAME_NS;
-            let base = if has_jvmti {
-                costs::RESTORE_FIXED_NS + per_frame
-            } else {
-                costs::PORTABLE_RESTORE_FIXED_NS
-                    + per_frame
-                    + costs::deserialize_ns(w.timings.state_bytes)
-            };
-            let cost = n.cfg.scale(base);
-            w.tid = tid;
-            w.timings.restore_ns = (ctx.now() + cost)
-                .saturating_sub(w.arrived_at)
-                .saturating_sub(w.class_wait_ns);
-            w.recorded = true;
-            if wait {
-                w.phase = WorkerPhase::Waiting;
-            } else {
-                w.phase = WorkerPhase::Running;
-                ctx.schedule(cost, node, Msg::RunSlice { tid });
-            }
-            let report = &mut self.programs[w.program as usize].report;
-            report.migrations.push(w.timings);
+            return;
         }
+        let per_frame = w.nframes as u64 * costs::RESTORE_PER_FRAME_NS;
+        let base = if has_jvmti {
+            costs::RESTORE_FIXED_NS + per_frame
+        } else {
+            costs::PORTABLE_RESTORE_FIXED_NS
+                + per_frame
+                + costs::deserialize_ns(w.timings.state_bytes)
+        };
+        let cost = n.cfg.scale(base);
+        w.timings.restore_ns = (ctx.now() + cost)
+            .saturating_sub(w.arrived_at)
+            .saturating_sub(w.class_wait_ns);
+        w.recorded = true;
+        if wait {
+            w.phase = WorkerPhase::Waiting;
+        } else {
+            w.phase = WorkerPhase::Running;
+            ctx.schedule(cost, node, Msg::RunSlice { tid });
+        }
+        let report = &mut self.programs[w.program as usize].report;
+        report.migrations.push(w.timings);
     }
 
     pub(super) fn restore_breakpoint(
@@ -318,14 +314,18 @@ impl Cluster {
         // point the restore cursor at this frame, throw the restoration
         // exception, resume.
         let vm = &mut n.vm;
-        let Some(session) = vm.threads[tid].restore_session.as_deref_mut() else {
+        let session = vm.thread_mut(tid).ok();
+        let Some(session) = session.and_then(|t| t.restore_session.as_deref_mut()) else {
             return self.fail_session(node, sid, stray("thread has no restore session"), at);
         };
         session.cursor = *restored;
         *restored += 1;
         // Resolving reads the whole VM, so the segment is looked up again,
         // shared this time.
-        let session = vm.threads[tid].restore_session.as_deref();
+        let session = vm
+            .thread(tid)
+            .ok()
+            .and_then(|t| t.restore_session.as_deref());
         let next = session.and_then(|s| s.frames.get(*restored));
         let next = next.filter(|_| *restored < nframes);
         if let Some(next) = next.map(|f| f.resolve_in(vm)) {
@@ -359,7 +359,9 @@ impl Cluster {
         let Some(Owner::Worker(sid)) = n.thread_owner.get(&tid) else {
             return;
         };
-        let w = n.sessions.get_mut(sid).unwrap();
+        let Some(w) = n.sessions.get_mut(sid) else {
+            return;
+        };
         let done = matches!(
             w.phase,
             WorkerPhase::Restoring { restored, .. } if restored >= w.nframes
@@ -367,7 +369,9 @@ impl Cluster {
         if !done {
             return;
         }
-        n.vm.threads[tid].interp_mode = false;
+        if let Ok(t) = n.vm.thread_mut(tid) {
+            t.interp_mode = false;
+        }
         w.timings.restore_ns = (ctx.now() + elapsed)
             .saturating_sub(w.arrived_at)
             .saturating_sub(w.class_wait_ns);

@@ -11,7 +11,9 @@
 //!   `sod_move` only executes on a running thread).
 //! * [`WorkerPhase`] — a migrated segment at its destination: waiting for
 //!   classes, re-establishing frames, waiting for a chained return value,
-//!   running, reconciling a flush, or done.
+//!   running, or reconciling a flush. A session that is done is not stored
+//!   at all: retirement (`Cluster::retire_session`) removes it from its
+//!   node, so every handler treats a retired session as an unknown one.
 //!
 //! Session ids are minted here too ([`Cluster::alloc_session`]).
 
@@ -112,11 +114,12 @@ pub(super) struct StagedSegment {
 
 /// Worker-session lifecycle at the destination node. The decoded stack
 /// travels inside the one phase that still reads it, so a session that is
-/// restoring, has restored — or was retired before it could — holds none.
+/// restoring or has restored holds none.
 pub(super) enum WorkerPhase {
     /// Classes referenced by the segment are still in flight (or all are
-    /// here and `BeginRestore` is). The stack is boxed: sessions are never
-    /// removed, so every byte of this enum is paid once per request.
+    /// here and `BeginRestore` is). The stack is boxed: only an arriving
+    /// session holds one, and every session in flight pays every byte of
+    /// this enum.
     AwaitClasses {
         missing: HashSet<String>,
         state: Box<CapturedState>,
@@ -139,7 +142,6 @@ pub(super) enum WorkerPhase {
     AwaitCompleteAck {
         retval: Option<CapturedValue>,
     },
-    Done,
 }
 
 /// One migrated segment executing (or being restored) at the node whose
@@ -162,16 +164,18 @@ pub(crate) struct WorkerSession {
     pub(super) pending_roam: Option<usize>,
     /// Whether this session's [`MigrationTimings`] reached the program
     /// report (set when restore completes). A session that dies first —
-    /// crash, supersession, stuck restore — still holds shipped state
-    /// bytes nothing accounted for; the report-time sweep credits them to
-    /// the destination's lost bucket so conservation holds under chaos.
+    /// crash, supersession, failed restore — still holds shipped state
+    /// bytes nothing accounted for: retirement credits them to the
+    /// destination's lost bucket (and the report, for a session still
+    /// live), so conservation holds under chaos.
     pub(super) recorded: bool,
 }
 
-// Finished sessions are never removed (ROADMAP Open 4a), so every byte of
-// this struct is paid once per migrated segment a node has ever hosted —
-// 2000 times over in the reference fleet, whose peak RSS a 48-byte growth
-// here moved by 7 %. What only a restoring session needs goes in a box.
+// Every session a node hosts at once pays every byte of this struct: a
+// burst parks hundreds of them on one pool member, and a 48-byte growth
+// here moved the 2000-program reference fleet's peak RSS by 7 % when
+// finished sessions were never removed. What only a restoring session
+// needs goes in a box.
 const _: () = assert!(std::mem::size_of::<WorkerSession>() <= 240);
 
 impl WorkerSession {

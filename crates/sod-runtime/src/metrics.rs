@@ -187,6 +187,18 @@ impl NodeUtilization {
     }
 }
 
+/// Per-program and per-segment state the nodes hold (see
+/// `Cluster::residue`): worker sessions, thread owners, occupied thread
+/// slots and armed breakpoints, each released when its program or segment
+/// finishes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Residue {
+    pub sessions: usize,
+    pub owners: usize,
+    pub threads: usize,
+    pub breakpoints: usize,
+}
+
 /// Scaling activity of one elastic node pool over a run (see the engine's
 /// pool controller). All-integer and `Eq`, like every other report piece,
 /// so elastic runs replay bit-identically under `==`.

@@ -1,6 +1,6 @@
 //! Node model: configuration profiles and per-node state.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sod_vm::class::ClassDef;
@@ -12,7 +12,7 @@ use crate::costs::AGENT_IDLE_SCALE_PER_MILLE;
 use crate::engine::{Owner, WorkerSession};
 use crate::fs::SimFs;
 use crate::metrics::NetBytes;
-use crate::msg::{ProgramId, SessionId};
+use crate::msg::SessionId;
 
 /// Static node parameters.
 #[derive(Clone, Debug)]
@@ -140,15 +140,19 @@ pub struct Node {
     /// before the first restore lands, so hosted counts alone would send
     /// the whole burst to one member.
     pub inbound_sessions: u64,
-    /// Every worker session that ever arrived here, by id. Entries are
-    /// never removed — a finished or killed session stays, in its `Done`
-    /// phase, so a stale message naming it finds it and is ignored. Looked
-    /// up several times per object fault, by an id this system minted, and
-    /// never iterated into output: an [`IdMap`] (as is `thread_owner`).
+    /// The worker sessions hosted here, by id: arrived and not yet
+    /// retired. A session enters where its segment arrives and leaves where
+    /// it retires (`Cluster::retire_session` — finished, failed, killed or
+    /// roamed on), so the map holds what is in flight, and a stale message
+    /// naming a retired session finds an unknown id and is ignored (session
+    /// ids are never reused). Looked up several times per object fault, by
+    /// an id this system minted: an [`IdMap`] — whoever walks it in an
+    /// order that matters sorts the ids.
     pub(crate) sessions: IdMap<SessionId, WorkerSession>,
     /// Who owns each of this node's VM threads, by thread id: a program's
-    /// root thread or a restored worker session. An unowned thread never
-    /// runs.
+    /// root thread until the program is done, a restored worker session's
+    /// thread until the session retires — then the entry goes and the
+    /// thread is released. Exactly the node's threads in flight.
     pub(crate) thread_owner: IdMap<usize, Owner>,
     /// Session ids minted here so far (the low half of the striped id;
     /// see `Cluster::alloc_session`).
@@ -163,15 +167,6 @@ pub struct Node {
     /// streaming size count walks every method body, so it runs once per
     /// class here, not per migration, class-serve and bundled load.
     class_sizes: HashMap<String, u64>,
-    /// Worker sessions hosted here that have not reached their `Done`
-    /// phase, each with the program it executes for: the index behind the
-    /// pool controller's load, placement and drain queries, which would
-    /// otherwise scan the never-pruned `sessions`. Invariant: exactly the
-    /// entries of `sessions` with a phase other than `Done`. A session
-    /// enters where it is created (segment arrival) and leaves where it
-    /// is marked done (`Cluster::mark_done`). Ordered, because drains
-    /// walk it in ascending session-id order.
-    pub(crate) live_sessions: BTreeMap<SessionId, ProgramId>,
     /// Virtual time this node joined the cluster (0 for nodes present from
     /// the start; the spawn instant for elastic pool members).
     pub joined_at_ns: u64,
@@ -208,7 +203,6 @@ impl Node {
             next_session: 0,
             class_refs: HashMap::new(),
             class_sizes: HashMap::new(),
-            live_sessions: BTreeMap::new(),
             joined_at_ns: 0,
             retired_at_ns: None,
         }

@@ -8,6 +8,8 @@
 //!   thread that is not restoring — a running worker, a root thread — has
 //!   no restore to drive.
 //! * A worker that crashes mid-restore leaves no breakpoint armed behind.
+//! * A host reply reaching a thread not parked on a host call — released,
+//!   running, never there — resumes nothing.
 //!
 //! Each hostile program runs beside a sibling that must still finish.
 //! Exercised at the engine level (`Cluster` + `SodSim`), like
@@ -17,9 +19,10 @@ use sod_asm::builder::ClassBuilder;
 use sod_net::{ChaosPlan, Topology, MS};
 use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, SodSim};
+use sod_runtime::msg::HostReply;
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
-use sod_runtime::{MigrationPlan, ProgramId, RetryPolicy};
+use sod_runtime::{MigrationPlan, Msg, ProgramId, RetryPolicy};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
@@ -142,6 +145,34 @@ fn a_stray_breakpoint_on_a_root_thread_fails_that_program_only() {
     arm_where_it_stands(&mut sim, 0, tid);
     let error = victims_error(sim, victim, sibling);
     assert_eq!(error, "stray breakpoint: not a worker thread");
+}
+
+/// A host reply that finds no thread parked on a host call — its program
+/// finished and its thread released, an id no thread ever had, a thread
+/// that is running — resumes nothing. The engine used to unwrap the
+/// resume, and a late reply took the whole fleet down.
+#[test]
+fn a_late_host_reply_is_ignored() {
+    let mut cluster = home_and_worker();
+    let done = cluster.add_program(0, "App", "main", vec![Value::Int(N / 4), Value::Int(0)]);
+    let running = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, done);
+    sim.start_program(0, running);
+    while !sim.program(done).done {
+        assert!(sim.sim.step(), "the short program never finished");
+    }
+    assert!(!sim.program(running).done);
+    let now = sim.sim.now();
+    let (released, live) = (sim.program(done).home_tid, sim.program(running).home_tid);
+    for tid in [released, live, 12_345] {
+        let reply = HostReply::Int(-1);
+        sim.sim.inject(now, 0, Msg::HostDone { tid, reply });
+    }
+    sim.run();
+    assert_eq!(sim.report(done).result, Some(7 + N / 4));
+    assert_eq!(sim.report(running).result, Some(7 + N));
+    assert_eq!(sim.program(running).error, None);
 }
 
 /// One program whose two frames restore on the worker through the handler

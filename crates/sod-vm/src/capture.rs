@@ -46,7 +46,7 @@
 use std::sync::Arc;
 
 use crate::error::{VmError, VmResult};
-use crate::interp::{RestoreSession, Vm, VmThread};
+use crate::interp::{RestoreSession, Vm};
 use crate::tooling::{Tooling, ToolingPath};
 use crate::value::{ObjId, Value};
 
@@ -456,9 +456,10 @@ pub fn capture_segment(
 pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<usize> {
     install_statics(vm, state, true)?;
 
-    // Both sizes are known, so the thread is built in one pass and joins
-    // the VM only once every frame has resolved and matched its layout.
-    let mut t = VmThread::with_capacity(state.frames.len(), state.frames.value_count());
+    // Both sizes are known, so the thread is built in one pass — in a
+    // released thread's buffers when the VM has one — and joins the VM
+    // only once every frame has resolved and matched its layout.
+    let mut t = vm.vacant_thread(state.frames.len(), state.frames.value_count());
     // The frame resolved last, with its answer: every frame of a run names
     // the run's one method.
     let mut prev: Option<(FrameRef<'_>, usize, usize)> = None;
@@ -480,8 +481,7 @@ pub fn restore_segment_direct(vm: &mut Vm, state: &CapturedState) -> VmResult<us
     }
 
     t.seg_frames = state.frames.len();
-    vm.threads.push(t);
-    Ok(vm.threads.len() - 1)
+    Ok(vm.admit(t))
 }
 
 /// Install captured statics into `vm`, nulling references and recording
@@ -530,10 +530,11 @@ pub fn begin_handler_restore(vm: &mut Vm, state: &CapturedState) -> VmResult<usi
         .collect();
 
     let tid = vm.spawn(bottom.class, bottom.method, &args)?;
-    vm.threads[tid].seg_frames = state.frames.len();
+    let t = vm.thread_mut(tid)?;
+    t.seg_frames = state.frames.len();
     // Session and breakpoint are thread-scoped: concurrent restores on a
     // shared destination node must not clobber each other.
-    vm.threads[tid].restore_session = Some(Box::new(RestoreSession {
+    t.restore_session = Some(Box::new(RestoreSession {
         frames: state.frames.clone(),
         cursor: 0,
     }));

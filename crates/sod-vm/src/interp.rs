@@ -331,20 +331,58 @@ pub struct VmThread {
     /// whoever restores the segment; 0 (the only home a standalone VM has)
     /// otherwise.
     pub origin: OriginId,
+    /// How many tenants this slot of [`Vm::threads`] had before this one:
+    /// the high half of the thread's id (see [`Vm::release`]).
+    generation: u32,
+    /// The slot is released and waits for its next tenant.
+    vacant: bool,
 }
 
-// A node's threads are never removed (ROADMAP Open 4a), so every byte of
-// this struct is paid once per request a node has ever hosted: 48 bytes
-// more here moved the 2000-program reference fleet's peak RSS by 7 %.
-// State that only some threads carry (a restore session) goes in a box.
+// Every thread a node holds at once pays every byte of this struct, and a
+// slot stays allocated at the size of the most threads the node ever ran
+// together: 48 bytes more here moved the 2000-program reference fleet's
+// peak RSS by 7 % when slots were never reused. State that only some
+// threads carry (a restore session) goes in a box.
 const _: () = assert!(std::mem::size_of::<VmThread>() <= 192);
 
+/// Room a spawned thread starts with: frames, and value-stack slots.
+const SPAWN_FRAMES: usize = 16;
+const SPAWN_SLOTS: usize = 64;
+
+/// Bits of a thread id that name its slot in [`Vm::threads`]; the bits
+/// above them hold the slot's generation.
+const SLOT_BITS: u32 = usize::BITS / 2;
+
+/// The slot of [`Vm::threads`] that thread id `tid` names.
+#[inline]
+pub fn slot_of(tid: usize) -> usize {
+    tid & ((1 << SLOT_BITS) - 1)
+}
+
+/// The id of the tenant of `slot` let under `generation`. A slot's first
+/// tenant's id is the slot itself.
+#[inline]
+fn thread_id(slot: usize, generation: u32) -> usize {
+    slot | (generation as usize) << SLOT_BITS
+}
+
 impl VmThread {
-    /// An empty thread with room for `nframes` frames and `nslots` values.
-    pub(crate) fn with_capacity(nframes: usize, nslots: usize) -> Self {
+    /// An empty thread built in `frames` and `stack` — a released
+    /// thread's buffers, or new ones — with room for at least `nframes`
+    /// frames and `nslots` values.
+    fn in_buffers(
+        mut frames: Vec<Frame>,
+        mut stack: Vec<Value>,
+        nframes: usize,
+        nslots: usize,
+    ) -> Self {
+        frames.clear();
+        frames.reserve(nframes);
+        stack.clear();
+        stack.reserve(nslots);
         VmThread {
-            frames: Vec::with_capacity(nframes),
-            stack: Vec::with_capacity(nslots),
+            frames,
+            stack,
             state: ThreadState::Runnable,
             pending_fault: None,
             npe_origin_pc: None,
@@ -353,7 +391,15 @@ impl VmThread {
             restore_session: None,
             interp_mode: false,
             origin: 0,
+            generation: 0,
+            vacant: false,
         }
+    }
+
+    /// Whether this thread, in slot `slot`, is the one `tid` names.
+    #[inline]
+    fn answers_to(&self, slot: usize, tid: usize) -> bool {
+        !self.vacant && thread_id(slot, self.generation) == tid
     }
 
     /// Push one pre-established frame (direct restore of a migrated
@@ -496,7 +542,13 @@ pub struct Vm {
     pub classes: Vec<LoadedClass>,
     class_index: HashMap<String, usize>,
     pub heap: Heap,
+    /// The thread table, by slot. A slot is let to one thread at a time:
+    /// [`Vm::release`] vacates it and the next spawn or restore moves in.
     pub threads: Vec<VmThread>,
+    /// Vacated slots of `threads`, most recent last: the next tenant takes
+    /// the last. A hint, checked where it is read — after an outside
+    /// `threads.clear()` its entries name no vacant slot and are dropped.
+    free_threads: Vec<usize>,
     interned: HashMap<String, ObjId>,
     /// Captured `print` output.
     pub stdout: Vec<String>,
@@ -535,6 +587,7 @@ impl Vm {
             class_index: HashMap::new(),
             heap: Heap::new(),
             threads: Vec::new(),
+            free_threads: Vec::new(),
             interned: HashMap::new(),
             stdout: Vec::new(),
             breakpoints: Vec::new(),
@@ -605,40 +658,120 @@ impl Vm {
                 method: method.to_owned(),
             })?;
         let m = &self.classes[ci].def.methods[mi];
-        if args.len() != m.nargs as usize {
+        let (nargs, nlocals) = (m.nargs, m.nlocals);
+        if args.len() != nargs as usize {
             return Err(VmError::MethodNotFound {
                 class: class.to_owned(),
-                method: format!("{method}/{} (got {} args)", m.nargs, args.len()),
+                method: format!("{method}/{nargs} (got {} args)", args.len()),
             });
         }
         // Arguments first, the other locals zeroed (`nlocals >= nargs` is
         // verified at link time).
-        let zeroed = std::iter::repeat_n(Value::Int(0), usize::from(m.nlocals - m.nargs));
+        let zeroed = std::iter::repeat_n(Value::Int(0), usize::from(nlocals - nargs));
         let locals = args.iter().copied().chain(zeroed);
-        let mut t = VmThread::with_capacity(16, 64);
+        let mut t = self.vacant_thread(SPAWN_FRAMES, SPAWN_SLOTS);
         t.push_restored(ci, mi, 0, locals);
-        self.threads.push(t);
-        Ok(self.threads.len() - 1)
+        Ok(self.admit(t))
     }
 
+    /// The thread `tid` names: an error once it has been released, and for
+    /// an id of an earlier tenant of its slot.
     pub fn thread(&self, tid: usize) -> VmResult<&VmThread> {
-        self.threads.get(tid).ok_or_else(|| VmError::BadThread(tid))
+        match self.threads.get(slot_of(tid)) {
+            Some(t) if t.answers_to(slot_of(tid), tid) => Ok(t),
+            _ => Err(VmError::BadThread(tid)),
+        }
     }
 
     pub fn thread_mut(&mut self, tid: usize) -> VmResult<&mut VmThread> {
-        self.threads
-            .get_mut(tid)
-            .ok_or_else(|| VmError::BadThread(tid))
+        match self.threads.get_mut(slot_of(tid)) {
+            Some(t) if t.answers_to(slot_of(tid), tid) => Ok(t),
+            _ => Err(VmError::BadThread(tid)),
+        }
+    }
+
+    /// Ids of the threads the table holds (every slot not vacant), in slot
+    /// order.
+    pub fn thread_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        let tenants = self.threads.iter().enumerate().filter(|(_, t)| !t.vacant);
+        tenants.map(|(slot, t)| thread_id(slot, t.generation))
     }
 
     /// Ids of runnable threads.
     pub fn runnable_threads(&self) -> Vec<usize> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_runnable())
-            .map(|(i, _)| i)
+        self.thread_ids()
+            .filter(|&tid| self.threads[slot_of(tid)].is_runnable())
             .collect()
+    }
+
+    /// Release thread `tid`: every breakpoint armed for it is disarmed and
+    /// its slot goes vacant for the next spawn or restore to move in. That
+    /// tenant's id names the slot under the next generation, so `tid`
+    /// never names a thread again: whatever still carries it (a late reply,
+    /// a stale run slice) finds none. Stacks that grew past a spawn's are
+    /// kept, emptied, for the next tenant — a deep one then reallocates
+    /// nothing; smaller ones are as cheap to allocate again as to keep,
+    /// and kept in a slot nobody takes soon they would only pin memory the
+    /// allocator could reuse. Read what you need of the thread first.
+    /// `false` when `tid` names no thread.
+    pub fn release(&mut self, tid: usize) -> bool {
+        let Ok(t) = self.thread_mut(tid) else {
+            return false;
+        };
+        let (mut frames, mut stack) = (std::mem::take(&mut t.frames), std::mem::take(&mut t.stack));
+        if frames.capacity() <= SPAWN_FRAMES && stack.capacity() <= SPAWN_SLOTS {
+            (frames, stack) = (Vec::new(), Vec::new());
+        }
+        *t = VmThread {
+            state: ThreadState::Finished(None),
+            generation: t.generation,
+            vacant: true,
+            ..VmThread::in_buffers(frames, stack, 0, 0)
+        };
+        self.free_threads.push(slot_of(tid));
+        self.clear_thread_breakpoints(tid);
+        true
+    }
+
+    /// A new, empty thread with room for `nframes` frames and `nslots`
+    /// values, built in the buffers of the slot [`Vm::admit`] lets next if
+    /// that one is vacant. Build the tenant in it and admit it; dropped
+    /// instead, it takes those buffers along and leaves the slot free.
+    pub(crate) fn vacant_thread(&mut self, nframes: usize, nslots: usize) -> VmThread {
+        let (frames, stack) = match self.next_vacancy() {
+            Some(slot) => {
+                let t = &mut self.threads[slot];
+                (std::mem::take(&mut t.frames), std::mem::take(&mut t.stack))
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        VmThread::in_buffers(frames, stack, nframes, nslots)
+    }
+
+    /// Let `t` a slot — the most recently vacated one, under its next
+    /// generation, or a new one at the end of the table — and return its
+    /// id.
+    pub(crate) fn admit(&mut self, mut t: VmThread) -> usize {
+        let Some(slot) = self.next_vacancy() else {
+            self.threads.push(t);
+            return self.threads.len() - 1;
+        };
+        self.free_threads.pop();
+        t.generation = self.threads[slot].generation.wrapping_add(1);
+        self.threads[slot] = t;
+        thread_id(slot, self.threads[slot].generation)
+    }
+
+    /// The slot [`Vm::admit`] lets next, if a vacant one: the free list's
+    /// last entry, once entries that name no vacant slot are dropped.
+    fn next_vacancy(&mut self) -> Option<usize> {
+        while let Some(&slot) = self.free_threads.last() {
+            if self.threads.get(slot).is_some_and(|t| t.vacant) {
+                return Some(slot);
+            }
+            self.free_threads.pop();
+        }
+        None
     }
 
     // ------------------------------------------------------------------
@@ -754,7 +887,7 @@ impl Vm {
     /// The outcome thread `tid` stopped running with: its state, which says
     /// everything an instruction that ends a slice has to report.
     fn stopped(&self, tid: usize) -> StepOutcome {
-        match &self.threads[tid].state {
+        match &self.threads[slot_of(tid)].state {
             ThreadState::Runnable => StepOutcome::Continue,
             ThreadState::Parked(ParkReason::HostCall { name, args }) => StepOutcome::HostCall {
                 name: name.clone(),
@@ -775,7 +908,7 @@ impl Vm {
     /// its top frame's locals (only hand-edited `frames` can say that).
     #[inline]
     fn top_window(&self, tid: usize) -> VmResult<(usize, usize, u32, usize, usize)> {
-        let t = &self.threads[tid];
+        let t = &self.threads[slot_of(tid)];
         match t.top() {
             Some(f) if f.floor() <= t.stack.len() => {
                 Ok((f.class_idx, f.method_idx, f.pc, f.base, f.floor()))
@@ -799,7 +932,7 @@ impl Vm {
     /// separately (per-charge rounding does not distribute over sums).
     #[inline]
     fn cost_per_mille(&self, tid: usize) -> u64 {
-        let mode = if self.threads[tid].interp_mode {
+        let mode = if self.threads[slot_of(tid)].interp_mode {
             u64::from(INTERP_MODE_FACTOR)
         } else {
             1
@@ -874,7 +1007,7 @@ impl Vm {
         let own_armed = self.breakpoints.iter().any(|b| b.0 == tid);
         let watched = slice.stop_at_msp || own_armed;
         let result = loop {
-            let t = &mut self.threads[tid];
+            let t = &mut self.threads[slot_of(tid)];
             let armed: &[Breakpoint] = if own_armed { &self.breakpoints } else { &[] };
             let meters = (&mut self.meter_ns, &mut self.instr_count);
             let stop = if watched {
@@ -1169,21 +1302,21 @@ impl Vm {
             t.pending_fault.take().ok_or_else(none)?
         };
         self.apply_bind(tid, pending.bind, local_id)?;
-        let t = &mut self.threads[tid];
+        let t = &mut self.threads[slot_of(tid)];
         t.state = ThreadState::Runnable;
         self.advance_top(tid) // past the Bring* (next is the retry Goto)
     }
 
     /// Advance the top frame's pc by one.
     fn advance_top(&mut self, tid: usize) -> VmResult<()> {
-        let f = self.threads[tid].top_mut();
+        let f = self.threads[slot_of(tid)].top_mut();
         f.ok_or_else(|| VmError::BadThread(tid))?.pc += 1;
         Ok(())
     }
 
     /// Bind local `slot` of thread `tid`'s top frame to `v`.
     fn set_top_local(&mut self, tid: usize, slot: u16, v: Value) -> VmResult<()> {
-        let t = &mut self.threads[tid];
+        let t = &mut self.threads[slot_of(tid)];
         let f = t.frames.last().ok_or_else(|| VmError::BadThread(tid))?;
         if slot >= f.nlocals {
             return Err(VmError::BadLocalSlot(slot));
@@ -1296,7 +1429,7 @@ impl Vm {
 
         match target {
             Some((fi, hpc)) => {
-                let t = &mut self.threads[tid];
+                let t = &mut self.threads[slot_of(tid)];
                 // Record the fault origin if we are entering a fault handler
                 // for an NPE: RethrowAppNpe needs it.
                 if kind == ExKind::NullPointer {
@@ -1315,7 +1448,7 @@ impl Vm {
                     ObjKind::Exception { message, .. } => message.to_string(),
                     _ => String::new(),
                 };
-                let t = &mut self.threads[tid];
+                let t = &mut self.threads[slot_of(tid)];
                 let pc = t.top().map(|f| f.pc).unwrap_or(0);
                 t.state = ThreadState::Faulted(ExceptionInfo { kind, message, pc });
                 Ok(false)
@@ -1327,9 +1460,9 @@ impl Vm {
     /// skipping object-fault handlers (the paper's "another null pointer
     /// exception ... from the application level").
     fn app_npe(&mut self, tid: usize) -> VmResult<Flow> {
-        let origin = self.threads[tid].npe_origin_pc.take();
+        let origin = self.threads[slot_of(tid)].npe_origin_pc.take();
         if let Some(opc) = origin {
-            if let Some(f) = self.threads[tid].top_mut() {
+            if let Some(f) = self.threads[slot_of(tid)].top_mut() {
                 f.pc = opc;
             }
         }
@@ -1340,7 +1473,7 @@ impl Vm {
     /// Where a just-thrown exception left thread `tid`: in a handler frame
     /// (possibly a lower one), or faulted.
     fn thrown(&self, tid: usize) -> Flow {
-        match &self.threads[tid].state {
+        match &self.threads[slot_of(tid)].state {
             ThreadState::Faulted(_) => Flow::Leave,
             _ => Flow::Next,
         }
@@ -1406,7 +1539,7 @@ impl Vm {
 
         macro_rules! stack {
             () => {
-                self.threads[tid].stack
+                self.threads[slot_of(tid)].stack
             };
         }
         macro_rules! pop {
@@ -1427,7 +1560,11 @@ impl Vm {
         macro_rules! jump {
             ($t:expr) => {{
                 let t = $t;
-                self.threads[tid].frames.last_mut().expect("frame").pc = t;
+                self.threads[slot_of(tid)]
+                    .frames
+                    .last_mut()
+                    .expect("frame")
+                    .pc = t;
                 Ok(Flow::Next)
             }};
         }
@@ -1718,7 +1855,7 @@ impl Vm {
                 // disjoint fields), then popped; owned copies of either are
                 // made only on the cold host-park path.
                 let name = self.classes[ci].def.pool_str(nidx)?;
-                let stack = &mut self.threads[tid].stack;
+                let stack = &mut self.threads[slot_of(tid)].stack;
                 if stack.len() - floor < nargs as usize {
                     return Err(VmError::StackUnderflow);
                 }
@@ -1747,7 +1884,7 @@ impl Vm {
                     }
                     Ok(IntrinsicEval::Host) => {
                         let (name, args) = (name.to_owned(), host_args);
-                        self.threads[tid].state =
+                        self.threads[slot_of(tid)].state =
                             ThreadState::Parked(ParkReason::HostCall { name, args });
                         Ok(Flow::Leave)
                     }
@@ -1777,7 +1914,7 @@ impl Vm {
         floor: usize,
         instr: Instr,
     ) -> VmResult<Flow> {
-        let t = &mut self.threads[tid];
+        let t = &mut self.threads[slot_of(tid)];
         let sp = t.stack.len();
         if sp < floor {
             return Err(VmError::BadThread(tid));
@@ -1813,14 +1950,14 @@ impl Vm {
         Err(match exit {
             Exit::DivZero => {
                 // The throw finds the two operands popped.
-                let stack = &mut self.threads[tid].stack;
+                let stack = &mut self.threads[slot_of(tid)].stack;
                 stack.truncate(stack.len().saturating_sub(2));
                 return self.throw_and_outcome(tid, ExKind::DivByZero, "integer division by zero");
             }
             Exit::BadSlot(slot) => VmError::BadLocalSlot(slot),
             Exit::Underflow => VmError::StackUnderflow,
             Exit::Type { expected, depth } => {
-                let stack = &self.threads[tid].stack;
+                let stack = &self.threads[slot_of(tid)].stack;
                 let at = stack.len().checked_sub(1 + usize::from(depth));
                 VmError::TypeMismatch {
                     expected: expected.name(),
@@ -1955,7 +2092,7 @@ impl Vm {
     /// The captured frame a restoration handler is rebuilding: the one
     /// under the thread's restore cursor.
     fn captured_frame(&self, tid: usize) -> VmResult<FrameRef<'_>> {
-        let session = self.threads[tid].restore_session.as_deref();
+        let session = self.threads[slot_of(tid)].restore_session.as_deref();
         let session =
             session.ok_or_else(|| VmError::RestoreProtocol("captured-frame read, no session"))?;
         let frame = session.frames.get(session.cursor);
@@ -1972,7 +2109,7 @@ impl Vm {
         use Instr::*;
 
         let local = |vm: &Vm, slot: u16| -> VmResult<Value> {
-            let t = &vm.threads[tid];
+            let t = &vm.threads[slot_of(tid)];
             let v = t.locals(t.frames.len() - 1).get(slot as usize).copied();
             v.ok_or_else(|| VmError::BadLocalSlot(slot))
         };
@@ -1990,7 +2127,7 @@ impl Vm {
                     .ok_or_else(|| VmError::BadLocalSlot(slot))?
                     .to_nulled_value();
                 if matches!(instr, ReadCaptured(_)) {
-                    self.threads[tid].stack.push(v);
+                    self.threads[slot_of(tid)].stack.push(v);
                 } else {
                     self.set_top_local(tid, slot, v)?;
                 }
@@ -1998,7 +2135,7 @@ impl Vm {
             }
             ReadCapturedPc => {
                 let cap_pc = self.captured_frame(tid)?.pc;
-                let t = &mut self.threads[tid];
+                let t = &mut self.threads[slot_of(tid)];
                 t.stack.push(Value::Int(i64::from(cap_pc)));
                 // A handler's last captured read. The top frame's ends the
                 // restore, wherever a slice boundary fell inside it, and
@@ -2011,7 +2148,7 @@ impl Vm {
             }
             RethrowAppNpe => return self.app_npe(tid),
             CheckStatus(depth) => {
-                let t = &self.threads[tid];
+                let t = &self.threads[slot_of(tid)];
                 let operands = t.operands(t.frames.len() - 1);
                 let pos = operands.len().checked_sub(1 + depth as usize);
                 let pos = pos.ok_or_else(|| VmError::StackUnderflow)?;
@@ -2096,14 +2233,14 @@ impl Vm {
         // A cached copy of the home object (e.g. installed by a prefetch)
         // satisfies the fault locally — no round trip.
         if !matches!(bind, FaultBind::Stub) {
-            let origin = self.threads[tid].origin;
+            let origin = self.threads[slot_of(tid)].origin;
             if let Some(local) = self.heap.find_cached_from(origin, query.home_id) {
                 self.apply_bind(tid, bind, local)?;
                 self.advance_top(tid)?;
                 return Ok(Flow::Next);
             }
         }
-        let t = &mut self.threads[tid];
+        let t = &mut self.threads[slot_of(tid)];
         t.state = ThreadState::Parked(ParkReason::ObjectFault(query));
         t.pending_fault = Some(PendingFault { query, bind });
         Ok(Flow::Leave)
@@ -2111,7 +2248,7 @@ impl Vm {
 
     #[cold]
     fn park_class_miss(&mut self, tid: usize, name: String) -> VmResult<Flow> {
-        self.threads[tid].state = ThreadState::Parked(ParkReason::ClassMiss(name));
+        self.threads[slot_of(tid)].state = ThreadState::Parked(ParkReason::ClassMiss(name));
         Ok(Flow::Leave)
     }
 
@@ -2193,7 +2330,7 @@ impl Vm {
             stack,
             max_height,
             ..
-        } = &mut self.threads[tid];
+        } = &mut self.threads[slot_of(tid)];
         let callee = (target_ci, target_mi, &classes[target_ci].linked[target_mi]);
         let moved = Top::of(classes, frames, stack.len())
             .ok_or(Refusal::NoCaller)
@@ -2258,7 +2395,7 @@ impl Vm {
     /// The full path's return: to the caller, or out of the root frame,
     /// which finishes the thread.
     fn leave_frame(&mut self, tid: usize, retval: Option<Value>) -> Flow {
-        let (classes, t) = (self.classes.as_slice(), &mut self.threads[tid]);
+        let (classes, t) = (self.classes.as_slice(), &mut self.threads[slot_of(tid)]);
         let VmThread {
             frames,
             stack,
@@ -2269,10 +2406,11 @@ impl Vm {
             Self::pop_frame(classes, frames, full, seg_frames, retval)
         });
         if moved.is_err() {
-            // A finished thread never runs again but stays in the thread
-            // table: hand its stacks back.
-            t.stack = Vec::new();
-            t.frames = Vec::new();
+            // A finished thread never runs again: empty its stacks, and
+            // keep their room for the next tenant of its slot (see
+            // `Vm::release`).
+            t.stack.clear();
+            t.frames.clear();
             t.state = ThreadState::Finished(retval);
             return Flow::Leave;
         }
@@ -2320,7 +2458,7 @@ impl Vm {
             return Err(VmError::BadThread(tid));
         }
         if let Flow::Next = self.leave_frame(tid, retval) {
-            self.threads[tid].state = ThreadState::Runnable;
+            self.threads[slot_of(tid)].state = ThreadState::Runnable;
         }
         Ok(())
     }
@@ -3423,6 +3561,60 @@ mod tests {
         let c = vm.intern_str("y");
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn a_released_slot_is_let_again_under_a_new_generation() {
+        // 100 locals: a value stack past a spawn's 64 slots.
+        let wide = main_class(vec![Instr::Ret], vec![1], 100);
+        let mut vm = vm_with(&[wide]);
+        let a = vm.spawn("Main", "main", &[]).unwrap();
+        let b = vm.spawn("Main", "main", &[]).unwrap();
+        assert_eq!((a, b), (0, 1), "a slot's first tenant's id is the slot");
+        vm.set_breakpoint(a, 0, 0, 0);
+        vm.set_breakpoint(b, 0, 0, 0);
+
+        assert!(vm.release(a));
+        assert!(!vm.release(a), "an id is released once");
+        assert_eq!(vm.breakpoints, [(b, 0, 0, 0)]);
+        assert!(matches!(vm.thread(a), Err(VmError::BadThread(_))));
+        assert!(vm.step(a).is_err() && vm.run(a, 1_000, RunMode::Normal).is_err());
+        assert_eq!(vm.thread_ids().collect::<Vec<_>>(), [b]);
+
+        // The next tenant moves into the vacated slot, grown stack and
+        // all, under an id the released thread never had.
+        let c = vm.spawn("Main", "main", &[]).unwrap();
+        assert_eq!((slot_of(c), vm.threads.len()), (slot_of(a), 2));
+        assert_ne!(c, a);
+        assert!(vm.thread(a).is_err());
+        assert!(vm.thread(c).unwrap().stack.capacity() >= 100);
+        assert_eq!(vm.runnable_threads(), [c, b]);
+        assert_eq!(
+            vm.run(c, u64::MAX, RunMode::Normal).unwrap().0,
+            StepOutcome::Returned(None)
+        );
+
+        // Stacks no bigger than a spawn's are not kept.
+        let small = vm_with(&[main_class(vec![Instr::Ret], vec![1], 0)]);
+        let mut vm = small;
+        let t = vm.spawn("Main", "main", &[]).unwrap();
+        vm.release(t);
+        assert_eq!(vm.threads[slot_of(t)].stack.capacity(), 0);
+    }
+
+    #[test]
+    fn the_free_list_survives_an_outside_clear() {
+        let mut vm = vm_with(&[main_class(vec![Instr::Ret], vec![1], 0)]);
+        let ids: Vec<usize> = (0..3)
+            .map(|_| vm.spawn("Main", "main", &[]).unwrap())
+            .collect();
+        vm.release(ids[0]);
+        vm.release(ids[2]);
+        vm.threads.clear();
+        // The free list names slots the table no longer has: a fresh table.
+        assert_eq!(vm.spawn("Main", "main", &[]).unwrap(), 0);
+        assert_eq!(vm.spawn("Main", "main", &[]).unwrap(), 1);
+        assert_eq!(vm.threads.len(), 2);
     }
 
     #[test]

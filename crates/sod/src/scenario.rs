@@ -908,6 +908,21 @@ impl Scenario {
     /// Validate the description, wire the cluster, run the simulation to
     /// idle, and collect every program's report.
     pub fn run(self) -> Result<ScenarioReport, ScenarioError> {
+        self.run_with(|sim| {
+            sim.run();
+        })
+    }
+
+    /// [`Scenario::run`], with the driving handed to `drive`: it gets the
+    /// simulator wired, every start, migration and request injected, and
+    /// must leave it idle — stepping it, injecting into it and inspecting
+    /// its cluster on the way as it likes. The report is collected after.
+    /// For suites that reach into a run.
+    #[doc(hidden)]
+    pub fn run_with(
+        self,
+        drive: impl FnOnce(&mut SodSim),
+    ) -> Result<ScenarioReport, ScenarioError> {
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
         }
@@ -1146,7 +1161,8 @@ impl Scenario {
         for (ns, node, payload) in &self.requests {
             sim.client_request_at(*ns, resolve(node)?, payload.clone());
         }
-        let finished_at_ns = sim.run();
+        drive(&mut sim);
+        let finished_at_ns = sim.sim.now();
 
         let mut programs = Vec::with_capacity(names.len());
         for (pid, name) in names.into_iter().enumerate() {

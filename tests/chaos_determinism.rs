@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use sod::net::MS;
 use sod::preprocess::preprocess_sod;
-use sod::runtime::{NodeConfig, RetryPolicy};
+use sod::runtime::{NodeConfig, Residue, RetryPolicy};
 use sod::scenario::{Chaos, Fleet, Plan, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
@@ -188,7 +188,8 @@ fn retry_policy_recovers_lost_episodes() {
 
 /// A random fleet under a random chaos plan: `nodes` cluster nodes,
 /// scattered crash/restart pairs, a partition window between the first
-/// and last node, and seeded loss.
+/// and last node, and seeded loss. Returns the report, with what the
+/// nodes still hold at idle.
 #[allow(clippy::too_many_arguments)]
 fn random_chaos_fleet(
     nodes: usize,
@@ -198,7 +199,7 @@ fn random_chaos_fleet(
     partition: bool,
     policy_retry: bool,
     seed: u64,
-) -> ScenarioReport {
+) -> (ScenarioReport, Residue) {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     let names: Vec<String> = (0..nodes).map(|i| format!("n{i}")).collect();
     let mut scenario = Scenario::new().slice_ns(10_000);
@@ -220,7 +221,8 @@ fn random_chaos_fleet(
     if policy_retry {
         chaos = chaos.retry(RetryPolicy::Retry { max_attempts: 2 });
     }
-    scenario
+    let mut residue = Residue::default();
+    let report = scenario
         .fleet(
             Fleet::new("Fib", "main", vec![Value::Int(12)])
                 .programs(programs)
@@ -232,8 +234,12 @@ fn random_chaos_fleet(
                 ),
         )
         .chaos(chaos)
-        .run()
-        .expect("random chaos fleet runs")
+        .run_with(|sim| {
+            sim.run();
+            residue = sim.sim.world.residue();
+        })
+        .expect("random chaos fleet runs");
+    (report, residue)
 }
 
 proptest! {
@@ -252,14 +258,19 @@ proptest! {
         let run = || random_chaos_fleet(
             nodes, programs, loss_permille, crashes, partition, policy_retry, seed,
         );
-        let first = run();
+        let (first, residue) = run();
 
         // No hangs, typed errors only, and a balanced byte ledger — for
         // an arbitrary chaos plan.
         assert_chaos_invariants("random", &first);
 
+        // Crashed, killed and superseded work is reclaimed like finished
+        // work: no node holds a session, a thread owner, a thread or a
+        // breakpoint at idle.
+        prop_assert_eq!(residue, Residue::default());
+
         // Same seed ⇒ bit-identical replay, chaos and failures included.
-        let again = run();
+        let (again, _) = run();
         prop_assert_eq!(&first, &again, "chaos replay diverged");
 
         // Every failure is a *typed* error with a cause, never empty.

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use sod::net::MS;
 use sod::preprocess::preprocess_sod;
-use sod::runtime::NodeConfig;
+use sod::runtime::{NodeConfig, Residue};
 use sod::scenario::{Chaos, Fleet, Plan, Pool, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
@@ -181,6 +181,8 @@ fn crashed_pool_member_is_replaced() {
 // Property tests: random policies, cold starts, and burst shapes.
 // ---------------------------------------------------------------------------
 
+/// A random elastic fleet's report, with what its nodes still hold at
+/// idle.
 fn random_elastic_fleet(
     policy_sel: u8,
     knob: u64,
@@ -188,7 +190,7 @@ fn random_elastic_fleet(
     burst: usize,
     programs: usize,
     seed: u64,
-) -> ScenarioReport {
+) -> (ScenarioReport, Residue) {
     let policy = match policy_sel % 3 {
         0 => ScalePolicy::QueueDepth {
             high: 1 + knob % 4,
@@ -202,7 +204,8 @@ fn random_elastic_fleet(
         },
     };
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
-    Scenario::new()
+    let mut residue = Residue::default();
+    let report = Scenario::new()
         .slice_ns(10_000)
         .cpu_contention(true)
         .node("edge", NodeConfig::cluster("edge"))
@@ -220,8 +223,12 @@ fn random_elastic_fleet(
                 .arrivals(ArrivalSchedule::bursty(burst, 8 * MS).with_jitter(MS), seed)
                 .migrate(When::OnCpuSliceBudget(2), Plan::top_to("workers", 1)),
         )
-        .run()
-        .expect("random elastic fleet runs")
+        .run_with(|sim| {
+            sim.run();
+            residue = sim.sim.world.residue();
+        })
+        .expect("random elastic fleet runs");
+    (report, residue)
 }
 
 proptest! {
@@ -239,11 +246,15 @@ proptest! {
         let run = || random_elastic_fleet(
             policy_sel, knob, cold_start_us, burst, programs, seed,
         );
-        let first = run();
+        let (first, residue) = run();
 
         // Same seed ⇒ bit-identical replay, scaling counters included.
-        let again = run();
+        let (again, _) = run();
         prop_assert_eq!(&first, &again, "elastic replay diverged");
+
+        // Finished work is reclaimed: no node holds a session, a thread
+        // owner, a thread or a breakpoint at idle.
+        prop_assert_eq!(residue, Residue::default());
 
         // Termination and pool bounds, for an arbitrary policy.
         let cl = &first.cluster;

@@ -10,11 +10,16 @@
 //! however many frames it has. This file pins that property, not a speed:
 //! the same lossy whole-stack fleet runs with a 17-frame and a 129-frame
 //! guest under a counting allocator, and the extra frames may add at most
-//! 8 allocations per migration. They add 5, more than half of them the
-//! home thread's own frame and value stacks doubling as the guest recurses
-//! deeper, which no form of the segment changes; the per-frame form added
-//! ≈ 900, and the shared-window form before this one 9 (the decoded value
-//! array and the restored stack grew by doubling).
+//! 6 allocations per migration. They add 6 (264 over 42 migrations), most
+//! of them the home thread's own frame and value stacks doubling as the
+//! guest recurses deeper, which no form of the segment changes. A released
+//! thread's grown stacks go to the next thread in its slot, which then
+//! grows nothing; this fleet's second burst spawns while the first is
+//! still frozen at home, so few deep slots turn over, and the reuse saves
+//! more in the shallow run (63 allocations) than in the deep one (22). The
+//! per-frame form added ≈ 900, the shared-window form 9 (the decoded value
+//! array and the restored stack grew by doubling), and the three-array
+//! form before slots were reused 5.
 //!
 //! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
 //! is process-wide, and a second test running beside it would be counted
@@ -132,7 +137,7 @@ fn allocations_per_migration_do_not_grow_with_stack_depth() {
 
     let per_migration = allocs_128.saturating_sub(allocs_16) / migrations(&deep);
     assert!(
-        per_migration <= 8,
+        per_migration <= 6,
         "112 more frames cost {per_migration} more allocations per migration \
          ({allocs_16} at depth 16, {allocs_128} at depth 128, {} migrations)",
         migrations(&deep)
