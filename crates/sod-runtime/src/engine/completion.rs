@@ -128,15 +128,13 @@ impl Cluster {
         match target {
             ReturnTarget::Home { node: home } => {
                 debug_assert_eq!(node, home);
-                let p = &self.programs[program as usize];
-                let superseded =
-                    self.chaos_enabled && !p.valid_sessions.iter().any(|&(_, s)| s == session);
-                if p.done || superseded {
-                    // Stale return: the program failed (a home crash, a
+                let p = self.programs.get(program as usize);
+                if !p.is_some_and(|p| p.side.holds(session)) {
+                    // Stale return: the program ended (a home crash, a
                     // rejected flush) and its home thread is released, or
-                    // the episode was superseded by a deadline-driven
-                    // retry/fallback before this value arrived. The home
-                    // stack no longer expects it — drop it.
+                    // a deadline-driven retry/fallback superseded the
+                    // session before this value arrived. The home stack no
+                    // longer expects it — drop it.
                     return;
                 }
                 self.close_episode(program);

@@ -117,26 +117,23 @@ impl Cluster {
             })
     }
 
-    /// Active migrated sessions hosted on `node` (sessions of finished
-    /// programs don't count — a session outlives its failed program until
-    /// it completes or its node crashes), plus sessions routed here whose
-    /// restore is still in flight. The in-flight term is what spreads a
-    /// burst: every capture in the burst resolves before the first restore
-    /// lands, so the hosted count alone would place the entire burst on
-    /// one member.
+    /// Active migrated sessions hosted on `node`, plus sessions routed here
+    /// whose restore is still in flight. The in-flight term is what
+    /// spreads a burst: every capture in the burst resolves before the
+    /// first restore lands, so the hosted count alone would place the
+    /// entire burst on one member.
     fn active_sessions_on(&self, node: usize) -> u64 {
         self.hosted_sessions(node).count() as u64 + self.nodes[node].inbound_sessions
     }
 
-    /// `node`'s hosted sessions still executing for an unfinished program.
-    /// The session map holds only sessions in flight, so this walks those
-    /// alone.
+    /// `node`'s hosted sessions. The session map holds only sessions in
+    /// flight — and none of a finished program, whose end closed its
+    /// episode — so this walks those alone.
     fn hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> + '_ {
-        self.nodes[node]
-            .sessions
-            .iter()
-            .filter(|(_, w)| !self.programs[w.program as usize].done)
-            .map(|(&sid, _)| sid)
+        self.nodes[node].sessions.iter().map(|(&sid, w)| {
+            debug_assert!(!self.programs[w.program as usize].done);
+            sid
+        })
     }
 
     /// The pool's load: active sessions across its live and draining

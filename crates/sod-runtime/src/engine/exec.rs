@@ -612,7 +612,7 @@ impl Cluster {
             Value::Num(n) => Some(n as i64),
             _ => None,
         });
-        self.retire_root(program);
+        self.retire_program(program);
     }
 
     pub(super) fn fail_program(&mut self, program: ProgramId, error: String, at: u64) {
@@ -627,7 +627,7 @@ impl Cluster {
         // Failure reports carry the same final stats as successes
         // (`instructions` accrues per slice), so fleet aggregates over
         // mixed outcomes stay comparable.
-        self.retire_root(program);
+        self.retire_program(program);
     }
 
     /// A program whose root thread cannot be spawned (unknown class or
@@ -640,10 +640,12 @@ impl Cluster {
         self.fail_program(program, error.to_string(), at);
     }
 
-    /// The program is done: record its home thread's maximum stack height
-    /// (Table I `h`), then release the thread and its owner entry. A
-    /// program whose spawn failed has no thread: its `home_tid` names none.
-    fn retire_root(&mut self, program: ProgramId) {
+    /// The program is done: close its episode (retiring the sessions it
+    /// lists), record its home thread's maximum stack height (Table I
+    /// `h`), then release the thread and its owner entry. A program whose
+    /// spawn failed has no thread: its `home_tid` names none.
+    fn retire_program(&mut self, program: ProgramId) {
+        self.close_episode(program);
         let p = &self.programs[program as usize];
         if !p.started {
             return;

@@ -7,7 +7,8 @@
 //! this module is the *engine's* reaction. Three hooks arrive here:
 //!
 //! * [`Cluster::apply_chaos`] — a scheduled action fired. A crash fails
-//!   every program homed on the node (typed error, never an abort) and
+//!   every program homed on the node (typed error, never an abort; the
+//!   program's end retires its episode's sessions wherever they run) and
 //!   retires every worker session hosted there; the node's repo and heap
 //!   survive (warm restart), so a later [`sod_net::ChaosAction::Restart`]
 //!   only marks it reachable again.
@@ -15,25 +16,31 @@
 //!   whose accounting is receive-side (shipped state, object replies) are
 //!   credited to the sender's `net_lost` bucket so the conservation
 //!   identity `sent = accounted + lost` keeps holding per category.
-//! * [`Cluster::migration_timeout`] — the end-to-end deadline armed at
-//!   `CaptureDone` fired while the home side is still frozen. Whatever
-//!   broke (state, class reply, chained return, flush ack, or the whole
-//!   destination), the recovery is the same: kill the episode's sessions
-//!   and either re-ship the retained capture under fresh session ids
-//!   ([`RetryPolicy::Retry`]) or thaw the home stack and resume locally
-//!   ([`RetryPolicy::FallbackToHome`] — sound because capture leaves the
-//!   home frames intact; the migrated portion simply re-executes, giving
-//!   at-least-once semantics).
+//! * [`Cluster::migration_timeout`] — the end-to-end deadline, armed each
+//!   time an episode ships, fired while that episode is still open.
+//!   Whatever broke (state, class reply, chained return, flush ack, or the
+//!   whole destination), the recovery is the same: kill the shipment's
+//!   sessions and either re-ship the kept segments under fresh session ids
+//!   ([`RetryPolicy::Retry`]) or close the episode, thaw the home stack and
+//!   resume locally ([`RetryPolicy::FallbackToHome`] — sound because
+//!   capture leaves the home frames intact; the migrated portion simply
+//!   re-executes, giving at-least-once semantics).
 //!
-//! Deadlines are armed only when chaos is enabled, so fault-free runs stay
-//! event-for-event identical to a build without this module.
+//! Deadlines are armed, and shipments kept for re-ships, only when chaos
+//! is enabled (read in `ship_episode` alone), so fault-free runs stay
+//! event-for-event identical to a build without this module. A deadline
+//! carries its episode's stamp, given at the freeze, and is inert once that
+//! episode closed. *Stale* means one thing: a state or home return from a
+//! session the open episode does not list (superseded by a re-ship, or of a
+//! closed episode or an ended program) — the state is dropped and its bytes
+//! credited lost where it lands, the return dropped. A run where nothing
+//! fails has none.
 
 use sod_net::{ChaosAction, DropReason, SimCtx};
 
-use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
+use crate::msg::{Msg, ProgramId, SessionId};
 
-use super::pool::POOL_DEST_BASE;
-use super::session::StagedSegment;
+use super::session::HomeSide;
 use super::Cluster;
 
 /// Default end-to-end migration deadline under fault injection (see
@@ -143,43 +150,34 @@ impl Cluster {
         }
     }
 
-    /// The end-to-end migration deadline fired at the home node. Stale
-    /// timers (episode completed, failed, or already superseded by a
-    /// retry) are ignored via the attempt stamp.
+    /// The end-to-end migration deadline fired at the home node. It acts
+    /// only on the episode it was armed for, named by the stamp given at
+    /// the freeze: once that episode closed, the timer is inert.
     pub(super) fn migration_timeout(
         &mut self,
         node: usize,
         program: ProgramId,
-        attempt: u32,
+        episode: u32,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        {
-            let p = &self.programs[program as usize];
-            if p.done || p.attempt != attempt || !p.side.is_frozen() {
-                return;
-            }
-            debug_assert_eq!(p.home, node);
-        }
+        let p = &self.programs[program as usize];
+        let ep = match &p.side {
+            HomeSide::Frozen(ep) if ep.stamp == episode => ep,
+            _ => return,
+        };
+        debug_assert_eq!(p.home, node);
         self.chaos.timeouts += 1;
-        // Kill the episode's sessions first: whichever of them were alive,
-        // their threads must never complete against the recovered program,
-        // and their unrecorded state bytes are credited as lost.
-        for (host, sid) in self.programs[program as usize].valid_sessions.clone() {
-            // A deadline left over from an earlier episode can fire while
-            // the next one is still freezing, its pool segments unplaced:
-            // a sentinel names no node and hosts nothing to kill.
-            if host < POOL_DEST_BASE {
-                self.retire_session(host, sid);
-            }
-        }
-        let attempts_done = self.programs[program as usize].episode_attempts;
+        // Either way the shipment's sessions die first (a re-ship retires
+        // those it supersedes, closing retires those listed): whichever of
+        // them were alive, their threads must never complete against the
+        // recovered program, and their unrecorded state bytes are lost.
         let retry = match self.retry_policy {
-            RetryPolicy::Retry { max_attempts } => attempts_done < max_attempts,
+            RetryPolicy::Retry { max_attempts } => ep.attempts < max_attempts,
             RetryPolicy::FallbackToHome => false,
         };
         if retry {
             self.chaos.retries += 1;
-            self.reship(node, program, ctx);
+            self.ship_episode(program, ctx);
         } else {
             self.chaos.fallbacks += 1;
             self.close_episode(program);
@@ -191,39 +189,6 @@ impl Cluster {
             }
             ctx.schedule(0, node, Msg::RunSlice { tid });
         }
-    }
-
-    /// Re-ship the retained capture under fresh session ids, re-chained
-    /// exactly like the original shipment, and arm a new deadline.
-    fn reship(&mut self, home: usize, program: ProgramId, ctx: &mut SimCtx<'_, Msg>) {
-        let segs: Vec<StagedSegment> = self.programs[program as usize].shipped.clone();
-        let dests: Vec<usize> = segs.iter().map(|s| s.dest).collect();
-        let sids: Vec<SessionId> = segs.iter().map(|_| self.alloc_session(home)).collect();
-        let attempt = {
-            let p = &mut self.programs[program as usize];
-            p.attempt += 1;
-            p.episode_attempts += 1;
-            p.valid_sessions = dests.iter().copied().zip(sids.iter().copied()).collect();
-            p.attempt
-        };
-        let n = segs.len();
-        for (i, mut seg) in segs.into_iter().enumerate() {
-            seg.info.session = sids[i];
-            seg.info.return_to = if i + 1 < n {
-                ReturnTarget::Session {
-                    node: dests[i + 1],
-                    session: sids[i + 1],
-                }
-            } else {
-                ReturnTarget::Home { node: home }
-            };
-            self.ship_segment(home, 0, seg, ctx);
-        }
-        ctx.schedule(
-            self.migration_timeout_ns,
-            home,
-            Msg::MigrationTimeout { program, attempt },
-        );
     }
 }
 
@@ -295,12 +260,13 @@ mod tests {
         let retrying = lossy_fleet(RetryPolicy::Retry { max_attempts: 3 });
         assert!(retrying.sim.world.chaos.retries > 0, "no re-ship happened");
         assert!(retrying.sim.world.buf_pool.idle() > 0);
+        // Every episode closed, and no kept segment outlived its episode.
         assert!(retrying
             .sim
             .world
             .programs
             .iter()
-            .all(|p| p.shipped.is_empty()));
+            .all(|p| !p.side.is_frozen()));
 
         // Nothing is retained without `Retry`: arrivals recycle as before.
         let falling_back = lossy_fleet(RetryPolicy::FallbackToHome);

@@ -1,13 +1,15 @@
 //! The migration protocol, home side: capture at a migration-safe point,
-//! stage the plan's segments, bundle code cache-awarely, ship — plus the
-//! class-serving endpoint and worker-to-worker roaming hops.
+//! stage the plan's segments in a new episode, bundle code cache-awarely,
+//! ship the episode — plus the class-serving endpoint and worker-to-worker
+//! roaming hops, which stage their one segment through the same helpers.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sod_net::SimCtx;
-use sod_vm::capture::{capture_segment, CapturedState, Frames};
+use sod_vm::capture::{capture_segment, CapturedState};
 use sod_vm::class::ClassDef;
+use sod_vm::error::VmResult;
 use sod_vm::tooling::ToolingPath;
 use sod_vm::wire::encode_state_pooled;
 
@@ -15,8 +17,8 @@ use crate::costs;
 use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId, StateMsg};
 
 use super::pool::POOL_DEST_BASE;
-use super::session::{BundleSeeds, HomeSide, Owner, StagedSegment, WorkerPhase};
-use super::{Cluster, CodeShipping};
+use super::session::{BundleSeeds, Episode, HomeSide, Owner, StagedSegment, WorkerPhase};
+use super::{Cluster, CodeShipping, RetryPolicy};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -33,11 +35,11 @@ impl Cluster {
         match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
-                let plan = self.programs[program as usize]
-                    .side
-                    .take_plan()
-                    .expect("at_msp without plan");
-                self.capture_and_stage(node, tid, program, &plan, elapsed, ctx);
+                match self.programs[program as usize].side.take_plan() {
+                    Some(plan) => self.capture_and_stage(node, tid, program, &plan, elapsed, ctx),
+                    // Stopped with no plan to follow: run on.
+                    None => ctx.schedule(elapsed, node, Msg::RunSlice { tid }),
+                }
             }
             Some(Owner::Worker(s)) => {
                 let sid = *s;
@@ -48,7 +50,8 @@ impl Cluster {
         }
     }
 
-    /// Home-side capture: one freeze, segments staged, `CaptureDone` timer.
+    /// Home-side capture: one freeze, segments staged in a new episode,
+    /// `CaptureDone` timer.
     fn capture_and_stage(
         &mut self,
         node: usize,
@@ -59,7 +62,7 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         // Pool-sentinel destinations stay symbolic through the freeze:
-        // placement resolves at *ship* time (`capture_done`), so it sees
+        // placement resolves at *ship* time (`ship_episode`), so it sees
         // any members the controller spawned while the capture ran — a
         // burst's captures all start before the first scale-out tick, and
         // resolving here would place the whole burst on the pre-burst
@@ -72,7 +75,8 @@ impl Cluster {
                 return;
             }
         }
-        let height = self.nodes[node].vm.thread(tid).unwrap().frames.len();
+        let vm = &self.nodes[node].vm;
+        let height = vm.thread(tid).map_or(0, |t| t.frames.len());
         let total: usize = plan.total_frames().min(height);
         if total == 0 {
             // Degenerate plan (every segment requests zero frames):
@@ -101,174 +105,139 @@ impl Cluster {
         // A deployed class that was never preprocessed can stop with an
         // operand under a call's arguments, which a multi-frame plan then
         // cannot capture: that program fails, typed; the fleet runs on.
-        let path = ToolingPath::Jvmti;
-        let (full, tool_ns) = match capture_segment(&mut self.nodes[node].vm, tid, total, path) {
+        let (full, capture_ns) = match self.capture(node, tid, total, all_jvmti) {
             Ok(captured) => captured,
             Err(e) => return self.fail_program(program, e.to_string(), ctx.now() + elapsed),
         };
-        let capture_ns = if all_jvmti {
-            self.nodes[node].cfg.scale(tool_ns)
-        } else {
-            // Portable path: JVMTI read + Java serialization into a
-            // portable format restorable without JVMTI — priced on the
-            // whole capture's wire size, counted only here, where it is
-            // read.
-            self.nodes[node]
-                .cfg
-                .scale(costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(full.wire_bytes()))
-        };
 
         // Split bottom-up frames into the plan's segments (top first),
-        // dropping specs the live stack is too short to populate. Empty
-        // segments must be filtered *before* session ids are allocated and
-        // return targets wired: a chain plan deeper than the stack would
-        // otherwise point the last live segment at a session that is never
-        // created, and its return would panic at the destination.
+        // skipping specs the live stack is too short to populate. Ids are
+        // minted here, in segment order; returns are wired at ship time.
         let mut frames = full.frames;
-        let statics = full.statics;
-        let mut live: Vec<(usize, Frames)> = Vec::new();
+        let mut segments: Vec<StagedSegment> = Vec::new();
         for spec in &plan.segments {
             let k = spec.nframes.min(frames.len());
-            let seg = frames.split_off(frames.len() - k);
-            if !seg.is_empty() {
-                live.push((spec.dest, seg));
+            if k == 0 {
+                continue;
             }
-        }
-        if live.is_empty() {
-            // Degenerate plan (every segment requested zero frames):
-            // nothing migrates; resume the thread where it stopped.
-            ctx.schedule(elapsed, node, Msg::RunSlice { tid });
-            return;
-        }
-
-        // Pre-allocate session ids so return targets can chain; the last
-        // live segment always returns `Home`.
-        let sids: Vec<SessionId> = live.iter().map(|_| self.alloc_session(node)).collect();
-        // Whoever ultimately returns home must discard *all* the frames
-        // this capture froze there — the chain above the bottom segment
-        // returns remotely and the home never replays it.
-        let total_live: usize = live.iter().map(|(_, f)| f.len()).sum();
-        let dests: Vec<usize> = live.iter().map(|(d, _)| *d).collect();
-        self.programs[program as usize].staged.clear();
-        for (i, (dest, seg_frames)) in live.into_iter().enumerate() {
-            // A pool-routed segment is pending at the pool until its
-            // placement resolves at ship time (`place_pool_segments`
-            // moves the count onto the chosen member). The controller
-            // counts pending into the pool's load, so the very next tick
-            // sees this capture's demand while it is still freezing.
-            if dest >= POOL_DEST_BASE {
-                self.pools[dest - POOL_DEST_BASE].pending += 1;
+            // Pending at the pool until placement resolves at ship time,
+            // so the controller's next tick sees this demand mid-freeze.
+            if spec.dest >= POOL_DEST_BASE {
+                self.pools[spec.dest - POOL_DEST_BASE].pending += 1;
             }
             let state = CapturedState {
-                frames: seg_frames,
-                statics: statics.clone(),
-            };
-            let seeds = BundleSeeds::of(&state);
-            let return_to = if i + 1 < dests.len() {
-                ReturnTarget::Session {
-                    node: dests[i + 1],
-                    session: sids[i + 1],
-                }
-            } else {
-                ReturnTarget::Home { node }
-            };
-            // Code shipping: bundle per the cluster policy, skipping
-            // classes the destination provably holds (peer cache). A
-            // pool-routed segment bundles at ship time instead — the
-            // member (and hence its peer cache) is unknown until then.
-            let (bundled, class_bytes) = if dest >= POOL_DEST_BASE {
-                (Vec::new(), 0)
-            } else {
-                self.bundle_for(node, node, dest, &seeds)
+                frames: frames.split_off(frames.len() - k),
+                statics: full.statics.clone(),
             };
             let info = SegmentInfo {
                 program,
-                session: sids[i],
+                session: self.alloc_session(node),
                 home: node,
-                return_to,
-                nframes: state.frames.len(),
-                home_pop_frames: total_live,
-                wait_for_return: i > 0,
+                return_to: ReturnTarget::Home { node },
+                nframes: k,
+                // Whoever ultimately returns home discards *all* the frames
+                // this capture froze there — the chain above the bottom
+                // segment returns remotely and the home never replays it.
+                home_pop_frames: total,
+                wait_for_return: !segments.is_empty(),
             };
-            // Encode-once: the state is serialized here and never again —
-            // `frame.len()` is the byte metric at every later touch point
-            // (ship accounting, transfer cost, loss credit, restore cost).
-            let frame = match encode_state_pooled(&self.buf_pool, &state) {
-                Ok(f) => f,
+            match self.stage(node, spec.dest, state, info, capture_ns) {
+                Ok(seg) => segments.push(seg),
                 Err(e) => {
-                    // Unencodable capture (a name or sequence overflowed
-                    // its length prefix): a typed program failure, not an
-                    // engine abort.
-                    self.fail_program(program, format!("segment encode failed: {e}"), ctx.now());
-                    return;
+                    let error = format!("segment encode failed: {e}");
+                    return self.fail_program(program, error, ctx.now());
                 }
-            };
-            self.programs[program as usize].staged.push(StagedSegment {
-                dest,
-                info,
-                frame,
-                seeds,
-                bundled,
-                class_bytes,
-                capture_ns,
-            });
+            }
         }
 
-        self.programs[program as usize].valid_sessions = dests.into_iter().zip(sids).collect();
-        self.programs[program as usize].side = HomeSide::Frozen;
+        let p = &mut self.programs[program as usize];
+        p.episodes += 1;
+        p.side = HomeSide::Frozen(Episode {
+            segments,
+            sessions: Vec::new(),
+            attempts: 0,
+            stamp: p.episodes,
+        });
         ctx.schedule(elapsed + capture_ns, node, Msg::CaptureDone { program });
     }
 
-    /// Freeze complete: ship every staged segment concurrently. Under
-    /// fault injection this is also where the episode's end-to-end
-    /// deadline is armed (and, under a retry policy, where the shipment
-    /// is retained for deadline-driven re-ships) — chaos-free runs stay
-    /// event-for-event identical.
-    pub(super) fn capture_done(&mut self, program: ProgramId, ctx: &mut SimCtx<'_, Msg>) {
-        let home = self.programs[program as usize].home;
-        let staged = std::mem::take(&mut self.programs[program as usize].staged);
-        let staged = self.place_pool_segments(home, staged);
-        if self.chaos_enabled && !staged.is_empty() {
-            let retain = matches!(self.retry_policy, super::RetryPolicy::Retry { .. });
-            let p = &mut self.programs[program as usize];
-            p.attempt += 1;
-            p.episode_attempts = 1;
-            if retain {
-                p.shipped = staged.clone();
-            }
-            let attempt = p.attempt;
-            ctx.schedule(
-                self.migration_timeout_ns,
-                home,
-                Msg::MigrationTimeout { program, attempt },
-            );
-        }
-        for seg in staged {
-            self.ship_segment(home, 0, seg, ctx);
-        }
+    /// Capture the top `nframes` of `tid` on `node` and price the freeze:
+    /// the tooling's own charge when every receiving destination has
+    /// JVMTI, else the portable path — JVMTI read plus Java serialization
+    /// into a format restorable without JVMTI, priced on the capture's
+    /// wire size.
+    fn capture(
+        &mut self,
+        node: usize,
+        tid: usize,
+        nframes: usize,
+        jvmti: bool,
+    ) -> VmResult<(CapturedState, u64)> {
+        let vm = &mut self.nodes[node].vm;
+        let (state, tool_ns) = capture_segment(vm, tid, nframes, ToolingPath::Jvmti)?;
+        let ns = match jvmti {
+            true => tool_ns,
+            false => costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(state.wire_bytes()),
+        };
+        Ok((state, self.nodes[node].cfg.scale(ns)))
     }
 
-    /// Resolve pool-sentinel destinations in a freshly frozen plan to
-    /// concrete members — at ship time, so placement sees every member
-    /// the controller spawned while the capture ran. Each sentinel
-    /// resolves once per plan (a whole-stack chain co-locates on one
-    /// member), the in-flight accounting moves from the pool's pending
-    /// counter onto the chosen member (balanced at session insert),
-    /// chained return targets are rewritten to the same member, and the
-    /// code bundle is selected now that the destination's peer cache is
-    /// known. A pool that lost every member since capture (chaos) falls
-    /// back to the home node: the stack is already frozen, so it
-    /// restores where it came from and runs on as a local session.
-    fn place_pool_segments(
+    /// Stage one segment for `dest` from `sender`, for a home capture and a
+    /// roaming hop alike: bundle code per the policy and the peer cache (a
+    /// pool-routed segment bundles at ship time, once its member is known),
+    /// and encode the state once — `frame.len()` is the byte metric at
+    /// every later touch point. An unencodable state (a name or sequence
+    /// overflowing its length prefix) is the caller's typed failure.
+    fn stage(
         &mut self,
-        home: usize,
-        mut staged: Vec<StagedSegment>,
-    ) -> Vec<StagedSegment> {
-        if staged.iter().all(|s| s.dest < POOL_DEST_BASE) {
-            return staged;
+        sender: usize,
+        dest: usize,
+        state: CapturedState,
+        info: SegmentInfo,
+        capture_ns: u64,
+    ) -> VmResult<StagedSegment> {
+        let seeds = BundleSeeds::of(&state);
+        let (bundled, class_bytes) = match dest >= POOL_DEST_BASE {
+            true => (Vec::new(), 0),
+            false => self.bundle_for(sender, info.home, dest, &seeds),
+        };
+        let frame = encode_state_pooled(&self.buf_pool, &state)?;
+        Ok(StagedSegment {
+            dest,
+            info,
+            frame,
+            seeds,
+            bundled,
+            class_bytes,
+            capture_ns,
+        })
+    }
+
+    /// Ship `program`'s open episode: at `CaptureDone`, and again on each
+    /// deadline-driven re-ship, which retires the superseded sessions and
+    /// mints fresh ids. Pool sentinels resolve here, so placement sees every
+    /// member spawned while the capture ran: once per sentinel (a
+    /// whole-stack chain co-locates), the in-flight count moving from the
+    /// pool's pending to the member, the bundle chosen for the member's peer
+    /// cache; a pool with no member left falls back to the home node. Then
+    /// each return target is wired to the placed segment below (the last
+    /// returns home) and the episode records its sessions. Under fault
+    /// injection the deadline is armed here, and under `Retry` the shipment
+    /// kept — chaos-free runs stay event-for-event identical.
+    pub(super) fn ship_episode(&mut self, program: ProgramId, ctx: &mut SimCtx<'_, Msg>) {
+        let home = self.programs[program as usize].home;
+        let Some(mut ep) = self.programs[program as usize].side.take_episode() else {
+            return; // the program ended while its stack froze
+        };
+        for (node, sid) in std::mem::take(&mut ep.sessions) {
+            self.retire_session(node, sid);
         }
+        let mut segs = std::mem::take(&mut ep.segments);
         let mut chosen: Vec<(usize, usize)> = Vec::new(); // sentinel -> member
-        for seg in &mut staged {
+        for seg in &mut segs {
+            if ep.attempts > 0 {
+                seg.info.session = self.alloc_session(home);
+            }
             if seg.dest < POOL_DEST_BASE {
                 continue;
             }
@@ -284,22 +253,28 @@ impl Cluster {
             pool.pending = pool.pending.saturating_sub(1);
             self.nodes[member].inbound_sessions += 1;
             seg.dest = member;
-            let valid = &mut self.programs[seg.info.program as usize].valid_sessions;
-            if let Some(v) = valid.iter_mut().find(|(_, s)| *s == seg.info.session) {
-                v.0 = member;
-            }
             (seg.bundled, seg.class_bytes) = self.bundle_for(home, home, member, &seg.seeds);
         }
-        for seg in &mut staged {
-            if let ReturnTarget::Session { node, .. } = &mut seg.info.return_to {
-                if *node >= POOL_DEST_BASE {
-                    if let Some(&(_, m)) = chosen.iter().find(|&&(s, _)| s == *node) {
-                        *node = m;
-                    }
-                }
-            }
+        let mut return_to = ReturnTarget::Home { node: home };
+        for seg in segs.iter_mut().rev() {
+            seg.info.return_to = return_to;
+            let (node, session) = (seg.dest, seg.info.session);
+            return_to = ReturnTarget::Session { node, session };
         }
-        staged
+        ep.sessions = segs.iter().map(|s| (s.dest, s.info.session)).collect();
+        ep.attempts += 1;
+        if self.chaos_enabled {
+            if matches!(self.retry_policy, RetryPolicy::Retry { .. }) {
+                ep.segments = segs.clone();
+            }
+            let episode = ep.stamp;
+            let timeout = Msg::MigrationTimeout { program, episode };
+            ctx.schedule(self.migration_timeout_ns, home, timeout);
+        }
+        self.programs[program as usize].side = HomeSide::Frozen(ep);
+        for seg in segs {
+            self.ship_segment(home, 0, seg, ctx);
+        }
     }
 
     /// Ship one staged segment from `sender` after `delay` (the sender-side
@@ -481,8 +456,13 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let w = &self.nodes[node].sessions[&sid];
-        let dest = w.pending_roam.expect("roam dest");
+        let Some(w) = self.nodes[node].sessions.get(&sid) else {
+            return;
+        };
+        let Some(dest) = w.pending_roam else {
+            // Stopped with nowhere to roam: run on.
+            return ctx.schedule(elapsed, node, Msg::RunSlice { tid });
+        };
         let (program, home, origin) = (w.program, w.home, w.origin());
         let batch = match super::objects::collect_flush(
             &mut self.nodes[node].vm,
@@ -506,8 +486,9 @@ impl Cluster {
             self.roam_capture_and_ship(node, tid, sid, dest, elapsed, ctx);
         } else {
             let flush_bytes = batch.payload_bytes();
-            self.nodes[node].sessions.get_mut(&sid).unwrap().phase =
-                WorkerPhase::AwaitRoamAck { dest };
+            if let Some(w) = self.nodes[node].sessions.get_mut(&sid) {
+                w.phase = WorkerPhase::AwaitRoamAck { dest };
+            }
             let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
             self.programs[program as usize].report.object_bytes += flush_bytes;
@@ -534,79 +515,47 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        self.nodes[node]
-            .sessions
-            .get_mut(&sid)
-            .unwrap()
-            .pending_roam = None;
-        let nframes = self.nodes[node].vm.thread(tid).unwrap().frames.len();
-        let path = ToolingPath::Jvmti;
-        let (state, tool_ns) = match capture_segment(&mut self.nodes[node].vm, tid, nframes, path) {
+        let Some(w) = self.nodes[node].sessions.get_mut(&sid) else {
+            return;
+        };
+        w.pending_roam = None;
+        let (program, home, return_to, home_pop_frames) =
+            (w.program, w.home, w.return_to, w.home_pop_frames);
+        let vm = &self.nodes[node].vm;
+        let nframes = vm.thread(tid).map_or(0, |t| t.frames.len());
+        let jvmti = self.nodes[dest].cfg.has_jvmti;
+        let (state, capture_ns) = match self.capture(node, tid, nframes, jvmti) {
             Ok(captured) => captured,
             Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now() + elapsed),
         };
-        let dest_jvmti = self.nodes[dest].cfg.has_jvmti;
-        let capture_ns = if dest_jvmti {
-            self.nodes[node].cfg.scale(tool_ns)
-        } else {
-            self.nodes[node]
-                .cfg
-                .scale(costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(state.wire_bytes()))
-        };
-
-        let (program, home, return_to, home_pop_frames) = {
-            let w = &self.nodes[node].sessions[&sid];
-            (w.program, w.home, w.return_to, w.home_pop_frames)
-        };
-        let new_sid = self.alloc_session(node);
-        let seeds = BundleSeeds::of(&state);
-        let (bundled, class_bytes) = self.bundle_for(node, home, dest, &seeds);
         let info = SegmentInfo {
             program,
-            session: new_sid,
+            session: self.alloc_session(node),
             home,
             return_to,
-            nframes: state.frames.len(),
+            nframes,
             // The home's stale-frame count is fixed at the original
             // capture; the roamed stack's own height is irrelevant to it.
             home_pop_frames,
             wait_for_return: false,
         };
-        let frame = match encode_state_pooled(&self.buf_pool, &state) {
-            Ok(f) => f,
+        let seg = match self.stage(node, dest, state, info, capture_ns) {
+            Ok(seg) => seg,
             Err(e) => {
-                self.fail_session(
-                    node,
-                    sid,
-                    format!("roam state encode failed: {e}"),
-                    ctx.now(),
-                );
-                return;
+                let error = format!("roam state encode failed: {e}");
+                return self.fail_session(node, sid, error, ctx.now());
             }
         };
-        // Retire the old session and its thread. The roamed session
-        // inherits the old one's slot in the episode's valid set, so its
-        // arrival and eventual home return pass the chaos staleness guards.
+        // Retire the old session and its thread. The roamed session takes
+        // the old one's entry in its episode, so its arrival and eventual
+        // home return are not stale.
         self.retire_session(node, sid);
-        let valid = &mut self.programs[program as usize].valid_sessions;
-        if let Some(slot) = valid.iter_mut().find(|(_, s)| *s == sid) {
-            *slot = (dest, new_sid);
+        if let HomeSide::Frozen(ep) = &mut self.programs[program as usize].side {
+            if let Some(entry) = ep.sessions.iter_mut().find(|(_, s)| *s == sid) {
+                *entry = (dest, seg.info.session);
+            }
         }
-
-        self.ship_segment(
-            node,
-            elapsed + capture_ns,
-            StagedSegment {
-                dest,
-                info,
-                frame,
-                seeds,
-                bundled,
-                class_bytes,
-                capture_ns,
-            },
-            ctx,
-        );
+        self.ship_segment(node, elapsed + capture_ns, seg, ctx);
     }
 }
 

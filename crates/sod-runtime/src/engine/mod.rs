@@ -23,8 +23,9 @@
 //!   write-back flushes, temp-id assignment;
 //! * `completion.rs` — segment returns, workflow chaining, and
 //!   `ForceEarlyReturn` resumption at home;
-//! * `session.rs` — the typed `HomeSide`/`WorkerPhase` state
-//!   machines the other modules share, and session-id minting.
+//! * `session.rs` — the typed `HomeSide` (with its `Episode`) and
+//!   `WorkerPhase` state machines the other modules share, and session-id
+//!   minting.
 //!
 //! ## Migration flow (paper §III)
 //!
@@ -32,18 +33,24 @@
 //!    migration-safe point.
 //! 2. The migration manager captures the top frames via the tooling
 //!    interface (JVMTI costs, or the portable serialization path when the
-//!    destination lacks JVMTI), splitting them into the plan's segments —
-//!    one freeze, concurrent shipping (Fig. 1c).
+//!    destination lacks JVMTI), splitting them into the plan's segments,
+//!    staged in one *episode* that the frozen home side owns
+//!    (`HomeSide::Frozen`). At `CaptureDone` one function, `ship_episode`,
+//!    places pool segments, wires the return chain and ships every segment
+//!    concurrently (Fig. 1c); a deadline's re-ship goes through it too.
 //! 3. Each destination loads missing classes (the bundled classes
 //!    first, the rest on demand), then re-establishes the frames: the
 //!    breakpoint + `InvalidStateException` + restoration-handler
 //!    protocol on JVMTI nodes, or an exact direct restore for
-//!    restore-ahead workflow segments and no-JVMTI devices.
+//!    restore-ahead workflow segments and no-JVMTI devices. A state whose
+//!    session the open episode does not list is stale and dropped.
 //! 4. Object faults travel to the *home* node's object manager, which
 //!    serializes the master copy back (heap-on-demand).
 //! 5. When a segment's last frame pops, dirty/new objects flush home and
 //!    the return value routes to the next segment (workflow) or back home,
 //!    where `ForceEarlyReturn` pops the stale frames and execution resumes.
+//!    The episode closes — dropped, its sessions retired — when the value
+//!    comes home, its deadline gives up, or the program ends.
 //!
 //! ## Code shipping & the peer class cache
 //!
@@ -79,7 +86,7 @@ use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, ReturnTarget, Session
 use crate::node::Node;
 use crate::trigger::{ArmedTrigger, Trigger};
 
-use session::{HomeSide, StagedSegment};
+use session::HomeSide;
 
 /// Worker-created objects are flushed home under temporary ids at/above
 /// this base until the home node assigns master ids.
@@ -150,25 +157,11 @@ pub struct Program {
     /// Execution slices consumed by the root thread on its home node
     /// (the `OnCpuSliceBudget` measure).
     pub slices_run: u64,
-    /// Home-side migration state machine (idle / plan pending / frozen).
+    /// Home-side migration state machine (idle / plan pending / frozen
+    /// under an open migration episode).
     side: HomeSide,
-    staged: Vec<StagedSegment>,
-    /// Monotonic shipping-attempt stamp: bumped whenever segments leave
-    /// home (initial shipment or re-ship), matched against
-    /// [`Msg::MigrationTimeout`] so superseded deadlines are inert.
-    attempt: u32,
-    /// Shipping attempts of the *current* episode (reset at capture),
-    /// bounded by [`RetryPolicy::Retry`]'s `max_attempts`.
-    episode_attempts: u32,
-    /// Sessions of the outstanding episode, each with the node it was
-    /// shipped to (roams replace their entry). Under chaos, state arrivals
-    /// and home returns from sessions not in this set are stale —
-    /// superseded by a retry or fallback — and drop.
-    valid_sessions: Vec<(usize, SessionId)>,
-    /// Retained copy of the shipped segments, kept only under
-    /// [`RetryPolicy::Retry`] with chaos enabled, so a deadline can
-    /// re-ship without re-capturing (the home frames never re-freeze).
-    shipped: Vec<StagedSegment>,
+    /// Episodes frozen so far; the latest one's stamp.
+    episodes: u32,
 }
 
 /// The cluster: every node with the state it owns, the programs in id
@@ -192,9 +185,9 @@ pub struct Cluster {
     /// influences encoded bytes, so reuse cannot perturb determinism.
     buf_pool: BufferPool,
     /// Whether a fault-injection plan is armed on the driving simulator.
-    /// Gates every chaos-only code path (deadline timers, stale-message
-    /// guards), so fault-free runs are event-for-event identical to the
-    /// pre-chaos engine.
+    /// Read where an episode ships, the one place it gates anything: the
+    /// deadline timer and the shipment kept for re-ships, so fault-free
+    /// runs are event-for-event identical to the pre-chaos engine.
     pub chaos_enabled: bool,
     /// Recovery policy when a migration misses its deadline (chaos only).
     pub retry_policy: RetryPolicy,
@@ -255,11 +248,7 @@ impl Cluster {
             triggers: Vec::new(),
             slices_run: 0,
             side: HomeSide::Idle,
-            staged: Vec::new(),
-            attempt: 0,
-            episode_attempts: 0,
-            valid_sessions: Vec::new(),
-            shipped: Vec::new(),
+            episodes: 0,
         });
         (self.programs.len() - 1) as ProgramId
     }
@@ -320,17 +309,20 @@ impl Cluster {
         Some(w)
     }
 
-    /// `program`'s outstanding migration episode is over — its value came
-    /// home, or the deadline gave up on it: thaw the home side, forget the
-    /// episode's sessions, and hand the shipment retained for re-ships
-    /// back to the buffer pool. (While retained, that second handle is
-    /// what kept each arrival from recycling its frame.)
+    /// `program`'s migration episode, if one is open, is over — its value
+    /// came home, the deadline gave up on it, or the program ended: retire
+    /// every session it lists, hand its segments back to the buffer pool
+    /// (a kept shipment is what stopped each arrival recycling its frame),
+    /// and leave the home side idle, dropping a pending plan too.
     fn close_episode(&mut self, program: ProgramId) {
-        let p = &mut self.programs[program as usize];
-        p.side = HomeSide::Idle;
-        p.valid_sessions.clear();
-        for seg in p.shipped.drain(..) {
-            self.buf_pool.recycle(seg.frame);
+        let side = std::mem::take(&mut self.programs[program as usize].side);
+        if let HomeSide::Frozen(ep) = side {
+            for (node, sid) in ep.sessions {
+                self.retire_session(node, sid);
+            }
+            for seg in ep.segments {
+                self.buf_pool.recycle(seg.frame);
+            }
         }
     }
 
@@ -412,7 +404,8 @@ impl Cluster {
     }
 
     /// What the nodes still hold of the work they hosted, summed over the
-    /// cluster: zero at idle, since work is reclaimed where it finishes.
+    /// cluster, and the programs whose home side is not idle: zero at
+    /// idle, since work is reclaimed where it finishes.
     pub fn residue(&self) -> Residue {
         let mut r = Residue::default();
         for n in &self.nodes {
@@ -421,6 +414,8 @@ impl Cluster {
             r.threads += n.vm.thread_ids().count();
             r.breakpoints += n.vm.breakpoints_armed();
         }
+        let busy = |p: &Program| !matches!(p.side, HomeSide::Idle);
+        r.episodes = self.programs.iter().filter(|p| busy(p)).count();
         r
     }
 
@@ -476,9 +471,9 @@ impl World for Cluster {
             }
             Msg::RunSlice { tid } => self.run_slice(dst, tid, ctx),
             Msg::HostDone { tid, reply } => self.host_done(dst, tid, reply, ctx),
-            Msg::CaptureDone { program } => self.capture_done(program, ctx),
-            Msg::MigrationTimeout { program, attempt } => {
-                self.migration_timeout(dst, program, attempt, ctx)
+            Msg::CaptureDone { program } => self.ship_episode(program, ctx),
+            Msg::MigrationTimeout { program, episode } => {
+                self.migration_timeout(dst, program, episode, ctx)
             }
             Msg::PoolTick { pool } => self.pool_tick(pool, ctx),
             Msg::PoolReady { pool, node } => self.pool_ready(pool, node),

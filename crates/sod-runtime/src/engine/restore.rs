@@ -38,15 +38,13 @@ impl Cluster {
         // The state arrives as its wire frame, encoded once at capture:
         // the frame length is the state byte metric.
         let state_bytes = state.len() as u64;
-        if self.chaos_enabled {
-            let p = &self.programs[info.program as usize];
-            if p.done || !p.valid_sessions.iter().any(|&(_, s)| s == info.session) {
-                // Superseded in flight (the home already failed, retried,
-                // or fell back): this state will never restore. Credit it
-                // where it landed so conservation closes.
-                self.nodes[node].net_lost.state += state_bytes;
-                return;
-            }
+        let program = self.programs.get(info.program as usize);
+        if !program.is_some_and(|p| p.side.holds(info.session)) {
+            // Stale (the home re-shipped, fell back or ended while it was
+            // in flight): it will never restore. Credit it where it landed
+            // so conservation closes.
+            self.nodes[node].net_lost.state += state_bytes;
+            return;
         }
         let state = match decode_state(state.clone()) {
             Ok(decoded) => {

@@ -8,7 +8,11 @@
 //!   its top segment executes remotely. The three states are mutually
 //!   exclusive (a frozen thread cannot install a plan: `MigrateNow` is
 //!   rejected while frozen, policy triggers skip non-idle programs, and
-//!   `sod_move` only executes on a running thread).
+//!   `sod_move` only executes on a running thread). A frozen side owns its
+//!   migration [`Episode`] — the staged or kept segments, the shipped
+//!   sessions, the attempt count and the deadline stamp — so closing the
+//!   episode is leaving the state, and a session the episode does not list
+//!   is stale by definition.
 //! * [`WorkerPhase`] — a migrated segment at its destination: waiting for
 //!   classes, re-establishing frames, waiting for a chained return value,
 //!   running, or reconciling a flush. A session that is done is not stored
@@ -30,7 +34,7 @@ use crate::msg::{MigrationPlan, ProgramId, ReturnTarget, SegmentInfo, SessionId}
 use super::Cluster;
 
 /// Home-side lifecycle of a program's root thread.
-#[derive(Clone, Debug, Default)]
+#[derive(Default)]
 pub(super) enum HomeSide {
     /// Executing normally at home.
     #[default]
@@ -38,9 +42,26 @@ pub(super) enum HomeSide {
     /// A migration plan is installed; the thread runs in stop-at-MSP mode
     /// and capture happens at the next migration-safe point.
     PlanPending(MigrationPlan),
-    /// The stack's top segment executes remotely; the home stack is frozen
-    /// and stale run slices must not wake it.
-    Frozen,
+    /// The stack's top segments execute remotely under this episode; the
+    /// home stack is frozen and stale run slices must not wake it.
+    Frozen(Episode),
+}
+
+/// One migration episode (paper §III, Fig. 1a–c): one freeze, every
+/// segment shipped concurrently, returns chained, home resumed.
+pub(super) struct Episode {
+    /// The captured segments: staged until `CaptureDone` ships them, then
+    /// kept, placed, only where a deadline may re-ship them (chaos under
+    /// [`crate::engine::RetryPolicy::Retry`]).
+    pub(super) segments: Vec<StagedSegment>,
+    /// Where each segment of the latest shipment runs, `(node, session)`;
+    /// a roam replaces its entry. Empty until the episode ships.
+    pub(super) sessions: Vec<(usize, SessionId)>,
+    /// Shipments so far (zero while staged), bounded by `Retry`.
+    pub(super) attempts: u32,
+    /// Which of its program's episodes this is, counted at the freeze: a
+    /// deadline carries it, so one armed for an earlier episode is inert.
+    pub(super) stamp: u32,
 }
 
 impl HomeSide {
@@ -51,13 +72,30 @@ impl HomeSide {
 
     /// Whether the home stack is frozen under a remote segment.
     pub(super) fn is_frozen(&self) -> bool {
-        matches!(self, HomeSide::Frozen)
+        matches!(self, HomeSide::Frozen(_))
+    }
+
+    /// Whether `session` belongs to the open episode's latest shipment —
+    /// the one definition of a state or home return that is not stale.
+    pub(super) fn holds(&self, session: SessionId) -> bool {
+        matches!(self, HomeSide::Frozen(ep) if ep.sessions.iter().any(|&(_, s)| s == session))
     }
 
     /// Take the installed plan, leaving the side [`HomeSide::Idle`].
     pub(super) fn take_plan(&mut self) -> Option<MigrationPlan> {
         match std::mem::take(self) {
             HomeSide::PlanPending(plan) => Some(plan),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+
+    /// Take the open episode, leaving the side [`HomeSide::Idle`].
+    pub(super) fn take_episode(&mut self) -> Option<Episode> {
+        match std::mem::take(self) {
+            HomeSide::Frozen(ep) => Some(ep),
             other => {
                 *self = other;
                 None
@@ -93,12 +131,11 @@ impl BundleSeeds {
     }
 }
 
-/// A captured segment staged at the home node, waiting for the freeze
-/// timer ([`crate::msg::Msg::CaptureDone`]) before shipping. The state is
-/// already encoded — `frame.len()` *is* the state byte metric — so `Clone`
-/// (chaos-enabled runs retain the shipment for deadline-driven re-ships,
-/// see [`crate::engine::RetryPolicy::Retry`]) copies a refcount, not the
-/// captured stack.
+/// A captured segment staged in its [`Episode`] until the freeze timer
+/// ([`crate::msg::Msg::CaptureDone`]) ships it, or staged by a roaming
+/// hop. The state is already encoded — `frame.len()` *is* the state byte
+/// metric — so `Clone` (an episode keeps its shipment for deadline-driven
+/// re-ships) copies a refcount, not the captured stack.
 #[derive(Clone)]
 pub(super) struct StagedSegment {
     pub(super) dest: usize,
@@ -244,10 +281,26 @@ mod tests {
         assert_eq!(plan, MigrationPlan::top_to(1, 1));
         assert!(matches!(side, HomeSide::Idle));
 
-        side = HomeSide::Frozen;
-        assert!(side.is_frozen());
+        side = HomeSide::Frozen(Episode {
+            segments: Vec::new(),
+            sessions: vec![(1, 7)],
+            attempts: 1,
+            stamp: 3,
+        });
+        assert!(side.is_frozen() && !side.plan_pending());
+        // Only the latest shipment's sessions are not stale.
+        assert!(side.holds(7) && !side.holds(8));
         // Taking a plan from a frozen side is a no-op that preserves it.
         assert!(side.take_plan().is_none());
         assert!(side.is_frozen());
+        let ep = side.take_episode().expect("episode open");
+        assert_eq!((ep.attempts, ep.stamp), (1, 3));
+        assert!(matches!(side, HomeSide::Idle));
+        assert!(!side.holds(7), "a closed episode holds nothing");
+
+        // Taking an episode from a side with a plan preserves the plan.
+        side = HomeSide::PlanPending(MigrationPlan::top_to(1, 1));
+        assert!(side.take_episode().is_none());
+        assert!(side.plan_pending());
     }
 }

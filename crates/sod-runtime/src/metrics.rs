@@ -190,13 +190,15 @@ impl NodeUtilization {
 /// Per-program and per-segment state the nodes hold (see
 /// `Cluster::residue`): worker sessions, thread owners, occupied thread
 /// slots and armed breakpoints, each released when its program or segment
-/// finishes.
+/// finishes — and `episodes`, the programs whose home side is not idle (a
+/// plan pending or a migration episode open), closed when the program ends.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Residue {
     pub sessions: usize,
     pub owners: usize,
     pub threads: usize,
     pub breakpoints: usize,
+    pub episodes: usize,
 }
 
 /// Scaling activity of one elastic node pool over a run (see the engine's

@@ -177,9 +177,9 @@ pub enum Msg {
     /// All classes for a shipped segment are present; re-establish frames.
     BeginRestore { session: SessionId },
     /// Home-side end-to-end deadline for an outstanding migration episode
-    /// (armed only under fault injection). `attempt` matches the program's
-    /// shipping attempt so timers from superseded episodes are ignored.
-    MigrationTimeout { program: ProgramId, attempt: u32 },
+    /// (armed only under fault injection). `episode` is the stamp the
+    /// episode got when it froze, so a timer outliving its episode is inert.
+    MigrationTimeout { program: ProgramId, episode: u32 },
     /// Periodic elastic-pool controller tick: evaluate the pool's scale
     /// policy on the controller node, then reschedule (see
     /// `engine/elastic.rs`).

@@ -6,14 +6,17 @@
 //! `Retry` re-ships the retained segments, and returns addressed to a
 //! crashed home are dropped with the failure recorded, never a panic.
 
+use sod::asm::builder::ClassBuilder;
 use sod::net::{MS, US};
 use sod::preprocess::preprocess_sod;
 use sod::scenario::{Chaos, Fleet, Plan, Scenario, When};
-use sod::vm::value::Value;
+use sod::vm::class::ClassDef;
+use sod::vm::instr::Cmp;
+use sod::vm::value::{TypeOf, Value};
 use sod::workloads::programs::fib_class;
 use sod::ScenarioReport;
 use sod_runtime::node::NodeConfig;
-use sod_runtime::RetryPolicy;
+use sod_runtime::{Residue, RetryPolicy};
 
 /// One Fib(16) program homed on `home`, migrating its top frames to
 /// `worker` at 50 µs, declared as a fleet-of-one so failures are recorded
@@ -174,4 +177,161 @@ fn home_crash_fails_the_program_typed_and_drops_the_chained_return() {
     assert_eq!(r.cluster.failed, 1);
     assert_eq!(r.cluster.completed, 0);
     assert_eq!(r.cluster.chaos.crashes, 1);
+}
+
+/// `main(n)` counts to `n` twice, in two calls of `spin(n)`, and returns
+/// the sum.
+fn twice_class() -> ClassDef {
+    let class = ClassBuilder::new("Twice")
+        .method("spin", &["n"], |m| {
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("loop");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("i").retv();
+        })
+        .method("main", &["n"], |m| {
+            m.line();
+            m.load("n").invoke("Twice", "spin", 1).store("a");
+            m.line();
+            m.load("n").invoke("Twice", "spin", 1).store("b");
+            m.line();
+            m.load("a").load("b").add().retv();
+        })
+        .build()
+        .expect("guest verifies");
+    preprocess_sod(&class).expect("guest preprocesses")
+}
+
+/// 3 ms of guest time per call of `spin`.
+const SPIN: i64 = 400_000;
+
+/// A deadline that outlives its episode does nothing, whatever episode is
+/// open when it fires. One program migrates its top frame twice to a
+/// worker without JVMTI, whose portable capture freezes the home for
+/// 12 ms: the first episode ships at ≈ 13 ms and its value is home at
+/// ≈ 22 ms; the second freezes from 23 ms to ≈ 35 ms, across the first
+/// episode's deadline (≈ 28 ms). Nothing is lost — the partition cuts two
+/// nodes nobody uses — so no deadline may act. The stamp used to be
+/// counted at ship time, so the first deadline matched the second episode
+/// while it froze: it abandoned it (`FallbackToHome`), or re-shipped the
+/// empty shipment kept from the first and left the second's states to be
+/// dropped as superseded (`Retry`).
+#[test]
+fn a_deadline_outliving_its_episode_does_nothing() {
+    let class = twice_class();
+    let portable = NodeConfig {
+        has_jvmti: false,
+        ..NodeConfig::cluster("worker")
+    };
+    for policy in [
+        RetryPolicy::FallbackToHome,
+        RetryPolicy::Retry { max_attempts: 3 },
+    ] {
+        let r = Scenario::new()
+            .slice_ns(10_000)
+            .node("home", NodeConfig::cluster("home"))
+            .deploys(&class)
+            .node("worker", portable.clone())
+            .node("u0", NodeConfig::cluster("u0"))
+            .node("u1", NodeConfig::cluster("u1"))
+            .fleet(
+                Fleet::new("Twice", "main", vec![Value::Int(SPIN)])
+                    .programs(1)
+                    .migrate(When::At(MS), Plan::top_to("worker", 1))
+                    .migrate(When::At(23 * MS), Plan::top_to("worker", 1)),
+            )
+            .chaos(
+                Chaos::new()
+                    .partition_at(0, "u0", "u1")
+                    .migration_timeout(15 * MS)
+                    .retry(policy),
+            )
+            .run()
+            .expect("runs");
+        let p = &r.programs()[0];
+        assert_eq!(p.error, None, "{policy:?}");
+        assert_eq!(p.report.result, Some(2 * SPIN), "{policy:?}");
+        assert_eq!(p.report.migrations.len(), 2, "{policy:?}");
+        let c = r.cluster.chaos;
+        assert_eq!(c.dropped_msgs, 0, "{policy:?}");
+        assert_eq!(
+            (c.timeouts, c.retries, c.fallbacks),
+            (0, 0, 0),
+            "{policy:?}"
+        );
+    }
+}
+
+/// `main(n)` makes a box and returns `work(n, box)`, which counts to `n`
+/// and only then writes the box: migrated, `work` faults it in from the
+/// home at the end of its count.
+fn boxed_class() -> ClassDef {
+    let class = ClassBuilder::new("Boxed")
+        .field("count", TypeOf::Int)
+        .method("work", &["n", "box"], |m| {
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("loop");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("box").load("i").putfield("count");
+            m.line();
+            m.load("i").retv();
+        })
+        .method("main", &["n"], |m| {
+            m.line();
+            m.new_obj("Boxed").store("box");
+            m.line();
+            m.load("n")
+                .load("box")
+                .invoke("Boxed", "work", 2)
+                .store("r");
+            m.line();
+            m.load("r").retv();
+        })
+        .build()
+        .expect("guest verifies");
+    preprocess_sod(&class).expect("guest preprocesses")
+}
+
+/// A program whose home crashes retires the sessions its episode shipped,
+/// wherever they run (ROADMAP Open 4(a)). The top frame restores on the
+/// worker by ≈ 8 ms and counts for ≈ 30 ms; the home crashes for good at
+/// 20 ms, failing the program; the count would end in an object fault
+/// whose request reaches nobody. The session used to stay parked on that
+/// fault at idle, its thread and owner entry with it.
+#[test]
+fn a_home_crash_retires_the_sessions_it_stranded() {
+    let mut residue = None;
+    let r = Scenario::new()
+        .slice_ns(10_000)
+        .node("home", NodeConfig::cluster("home"))
+        .deploys(&boxed_class())
+        .node("worker", NodeConfig::cluster("worker"))
+        .fleet(
+            Fleet::new("Boxed", "main", vec![Value::Int(4_000_000)])
+                .programs(1)
+                .migrate(When::At(MS), Plan::top_to("worker", 1)),
+        )
+        .chaos(Chaos::new().crash_at(20 * MS, "home"))
+        .run_with(|sim| {
+            sim.run();
+            residue = Some(sim.sim.world.residue());
+        })
+        .expect("a home crash must not panic the run");
+    let p = &r.programs()[0];
+    let err = p.error.as_deref().expect("typed failure recorded");
+    assert!(err.contains("crashed"), "{err}");
+    assert_eq!(p.report.migrations.len(), 1, "the session restored first");
+    assert_eq!(residue, Some(Residue::default()));
 }

@@ -8,6 +8,8 @@
 //!   thread that is not restoring — a running worker, a root thread — has
 //!   no restore to drive.
 //! * A worker that crashes mid-restore leaves no breakpoint armed behind.
+//! * A guest failing in a chain's upper segment leaves nothing of its
+//!   program behind — not the lower segment waiting for its value.
 //! * A host reply reaching a thread not parked on a host call — released,
 //!   running, never there — resumes nothing.
 //!
@@ -22,7 +24,7 @@ use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::msg::HostReply;
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
-use sod_runtime::{MigrationPlan, Msg, ProgramId, RetryPolicy};
+use sod_runtime::{MigrationPlan, Msg, ProgramId, Residue, RetryPolicy};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
@@ -112,6 +114,26 @@ fn an_unknown_native_fails_its_own_program_on_a_worker() {
     let (sim, victim, sibling) = fleet(1, true);
     let error = victims_error(sim, victim, sibling);
     assert_eq!(error, "unknown intrinsic: no_such");
+}
+
+/// A chain's lower segment waits on the worker for the value of the one
+/// above it. When the upper one fails typed, the program's end retires the
+/// waiting one too, and nothing of the program stays on any node (ROADMAP
+/// Open 4(a): it used to wait there forever, its thread and owner entry
+/// with it).
+#[test]
+fn a_failed_upper_segment_leaves_no_waiting_lower_one() {
+    let mut cluster = home_and_worker();
+    let victim = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(1)]);
+    let plan = MigrationPlan::chain(&[(1, 1), (1, 1)]);
+    cluster.arm_trigger(victim, ArmedTrigger::with_plan(Trigger::At(MS), plan));
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, victim);
+    sim.run();
+    let error = sim.program(victim).error.as_deref();
+    assert_eq!(error, Some("unknown intrinsic: no_such"));
+    assert_eq!(sim.report(victim).migrations.len(), 2, "both restored");
+    assert_eq!(sim.sim.world.residue(), Residue::default());
 }
 
 /// Arm a breakpoint for thread `tid` of `node` on the very instruction it

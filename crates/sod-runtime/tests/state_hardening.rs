@@ -7,6 +7,8 @@
 //!   the refusal has to end the program it belongs to, not the engine.
 //! * A `Msg::State` frame longer than the message it holds disagrees with
 //!   itself about the byte metric; the decoder refuses it whole.
+//! * A `Msg::State` frame for a session no open migration episode lists is
+//!   stale: nobody decodes it, and its program runs on.
 //! * A deployed class that was never preprocessed can stop with an operand
 //!   under a call's arguments (`a + f(x)`), which a multi-frame plan cannot
 //!   capture.
@@ -58,23 +60,25 @@ const N: i64 = 400_000;
 /// The victim's count: long enough that it still runs (3 ms of guest time
 /// per 400 000) when the sibling's restore completes, ≈ 10 ms in.
 const VICTIM_N: i64 = 4_000_000;
-/// A session id no node mints (ids are striped by node from 1).
-const FORGED_SESSION: SessionId = 0xF0F0;
 
-/// Two programs homed on node 0; the sibling's top frame migrates to node
-/// 1, which therefore holds the class by the time the victim's forged
-/// state arrives there. Stepped until the sibling runs remotely.
-fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId) {
+/// Two programs homed on node 0, each sending its top frame to node 1 —
+/// the victim at 1 ms, the sibling at 2 ms. Stepped until the sibling runs
+/// remotely; returns the victim's session on node 1 too. A state frame
+/// reaches restore only as a session of its program's open migration
+/// episode (any other is stale and dropped unread), so the forgeries below
+/// reuse that session's id.
+fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId) {
     let mut home = Node::new(NodeConfig::cluster("home"));
     home.deploy(&preprocess_sod(&app_class()).unwrap()).unwrap();
     let worker = Node::new(NodeConfig::cluster("worker"));
     let mut cluster = Cluster::new(vec![home, worker]);
     let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
     let victim = cluster.add_program(0, "App", "main", vec![Value::Int(VICTIM_N)]);
-    cluster.arm_trigger(
-        sibling,
-        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1)),
-    );
+    for (program, at) in [(victim, 1), (sibling, 2)] {
+        let at = Trigger::At(at * sod_net::MS);
+        let trigger = ArmedTrigger::with_plan(at, MigrationPlan::top_to(1, 1));
+        cluster.arm_trigger(program, trigger);
+    }
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, sibling);
     sim.start_program(0, victim);
@@ -82,11 +86,17 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId) {
         assert!(sim.sim.step(), "the sibling never migrated");
     }
     assert!(!sim.program(victim).done && !sim.program(sibling).done);
-    (sim, sibling, victim)
+    let hosted = sim.sim.world.hosted(1);
+    let session = hosted
+        .iter()
+        .find(|h| h.1 == victim)
+        .expect("victim on the worker");
+    (sim, sibling, victim, session.0)
 }
 
-/// Deliver `frames` to node 1 as a segment of `victim`, run to idle, and
-/// return the victim's error. The sibling must have finished regardless.
+/// Deliver `frames` to the home node as a segment of `victim`'s episode,
+/// run to idle, and return the victim's error. The sibling must have
+/// finished regardless.
 fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -> String {
     let state = CapturedState {
         frames: frames.into_iter().collect(),
@@ -98,10 +108,10 @@ fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -
 
 /// The same, from the state's wire frame.
 fn error_after_forged_frame(state: Bytes, nframes: usize, wait_for_return: bool) -> String {
-    let (mut sim, sibling, victim) = sim_with_sibling_on_the_worker();
+    let (mut sim, sibling, victim, session) = sim_with_sibling_on_the_worker();
     let info = SegmentInfo {
         program: victim,
-        session: FORGED_SESSION,
+        session,
         home: 0,
         return_to: ReturnTarget::Home { node: 0 },
         nframes,
@@ -111,7 +121,7 @@ fn error_after_forged_frame(state: Bytes, nframes: usize, wait_for_return: bool)
     let now = sim.sim.now();
     sim.sim.inject(
         now,
-        1,
+        0,
         Msg::State(Box::new(StateMsg {
             info,
             state,
@@ -182,6 +192,42 @@ fn state_with_trailing_bytes_fails_its_program() {
     wire.push(0);
     let error = error_after_forged_frame(Bytes::from(wire), 1, true);
     assert!(error.contains("trailing bytes after state"), "{error}");
+}
+
+#[test]
+fn state_for_a_session_no_episode_holds_is_dropped_unread() {
+    // Frames the decoder would refuse, for a session no node minted (ids
+    // are striped by node from 1) and for a program that does not exist:
+    // both are stale, so nobody decodes them, their bytes are lost where
+    // they landed, and the programs run on.
+    let (mut sim, sibling, victim, _) = sim_with_sibling_on_the_worker();
+    let now = sim.sim.now();
+    for program in [victim, 99] {
+        let info = SegmentInfo {
+            program,
+            session: 0xF0F0,
+            home: 0,
+            return_to: ReturnTarget::Home { node: 0 },
+            nframes: 1,
+            home_pop_frames: 1,
+            wait_for_return: false,
+        };
+        let forged = StateMsg {
+            info,
+            state: Bytes::from_static(&[0xFF; 40]),
+            bundled: vec![],
+            class_bytes: 0,
+            capture_ns: 0,
+            sent_at: now,
+        };
+        sim.sim.inject(now, 1, Msg::State(Box::new(forged)));
+    }
+    sim.run();
+    for (program, n) in [(sibling, N), (victim, VICTIM_N)] {
+        assert_eq!(sim.program(program).error, None);
+        assert_eq!(sim.report(program).result, Some(7 + n));
+    }
+    assert_eq!(sim.cluster_report().total_lost().state, 80);
 }
 
 #[test]
