@@ -3,6 +3,8 @@
 
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
+use sod_vm::error::{VmError, VmResult};
+use sod_vm::interp::{ThreadState, Vm};
 use sod_vm::tooling::jvmti;
 use sod_vm::value::Value;
 
@@ -26,10 +28,10 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let (program, home, origin) = {
-            let w = &self.nodes[node].sessions[&sid];
-            (w.program, w.home, w.origin())
+        let Some(w) = self.nodes[node].sessions.get(&sid) else {
+            return;
         };
+        let (program, home, origin) = (w.program, w.home, w.origin());
         let batch = match collect_flush(&mut self.nodes[node].vm, origin, retval, &self.buf_pool) {
             Ok(b) => b,
             Err(e) => {
@@ -52,8 +54,9 @@ impl Cluster {
         self.nodes[node].net_sent.object += flush_bytes;
 
         if needs_ack {
-            self.nodes[node].sessions.get_mut(&sid).unwrap().phase =
-                WorkerPhase::AwaitCompleteAck { retval: retval_cap };
+            if let Some(w) = self.nodes[node].sessions.get_mut(&sid) {
+                w.phase = WorkerPhase::AwaitCompleteAck { retval: retval_cap };
+            }
             ctx.send_after(
                 cost,
                 node,
@@ -145,26 +148,35 @@ impl Cluster {
                     CapturedValue::Null => Value::Null,
                     CapturedValue::HomeRef(h) => Value::Ref(h),
                 });
-                {
-                    let vm = &mut self.nodes[home].vm;
-                    let t = vm.thread_mut(tid).expect("home thread");
+                // The value lands in the frame below the `pop_frames` the
+                // segment replaced; a return that pops the whole home stack
+                // (only a forged one can) has nowhere to land.
+                let vm = &mut self.nodes[home].vm;
+                if let Ok(t) = vm.thread_mut(tid) {
                     let keep = t.frames.len().saturating_sub(pop_frames.saturating_sub(1));
                     t.truncate_frames(keep);
-                    vm.force_early_return(tid, val).expect("force early return");
                 }
-                let finished = self.nodes[home].vm.thread(tid).unwrap().is_finished();
-                if finished {
-                    let v = match &self.nodes[home].vm.thread(tid).unwrap().state {
-                        sod_vm::interp::ThreadState::Finished(v) => *v,
+                let landed = vm.force_early_return(tid, val);
+                let finished = match landed.and_then(|()| vm.thread(tid)) {
+                    Ok(t) => match t.state {
+                        ThreadState::Finished(v) => Some(v),
                         _ => None,
-                    };
-                    self.finish_program(program, v, ctx.now());
-                } else {
-                    ctx.schedule(
+                    },
+                    Err(e) => {
+                        return self.fail_program(
+                            program,
+                            format!("segment return failed: {e}"),
+                            ctx.now(),
+                        );
+                    }
+                };
+                match finished {
+                    Some(v) => self.finish_program(program, v, ctx.now()),
+                    None => ctx.schedule(
                         self.nodes[home].cfg.scale(jvmti::FORCE_EARLY_RETURN_NS),
                         home,
                         Msg::RunSlice { tid },
-                    );
+                    ),
                 }
             }
             ReturnTarget::Session { session, .. } => {
@@ -192,7 +204,10 @@ impl Cluster {
                         None => Value::NulledRef(h),
                     },
                 });
-                deliver_return(&mut self.nodes[node].vm, tid, val);
+                if let Err(e) = deliver_return(&mut self.nodes[node].vm, tid, val) {
+                    let error = format!("segment return failed: {e}");
+                    return self.fail_session(node, session, error, ctx.now());
+                }
                 ctx.schedule(1_000, node, Msg::RunSlice { tid });
             }
         }
@@ -200,12 +215,17 @@ impl Cluster {
 }
 
 /// Deliver a return value to a thread whose top frame is parked at the
-/// invoke of a remotely executed method (workflow restore-ahead).
-fn deliver_return(vm: &mut sod_vm::interp::Vm, tid: usize, val: Option<Value>) {
-    let t = vm.thread_mut(tid).expect("waiting thread");
-    t.frames.last_mut().expect("waiting frame").pc += 1;
+/// invoke of a remotely executed method (workflow restore-ahead). A thread
+/// with no frame to deliver to (a restored segment of none) is refused.
+fn deliver_return(vm: &mut Vm, tid: usize, val: Option<Value>) -> VmResult<()> {
+    let t = vm.thread_mut(tid)?;
+    let Some(waiting) = t.frames.last_mut() else {
+        return Err(VmError::BadThread(tid));
+    };
+    waiting.pc += 1;
     if let Some(v) = val {
         t.push_operand(v);
     }
-    t.state = sod_vm::interp::ThreadState::Runnable;
+    t.state = ThreadState::Runnable;
+    Ok(())
 }

@@ -9,6 +9,8 @@
 //!   itself about the byte metric; the decoder refuses it whole.
 //! * A `Msg::State` frame for a session no open migration episode lists is
 //!   stale: nobody decodes it, and its program runs on.
+//! * A `Msg::SegmentReturn` for the open episode can claim to replace more
+//!   frames than the home stack holds; its value has nowhere to land.
 //! * A deployed class that was never preprocessed can stop with an operand
 //!   under a call's arguments (`a + f(x)`), which a multi-frame plan cannot
 //!   capture.
@@ -228,6 +230,27 @@ fn state_for_a_session_no_episode_holds_is_dropped_unread() {
         assert_eq!(sim.report(program).result, Some(7 + n));
     }
     assert_eq!(sim.cluster_report().total_lost().state, 80);
+}
+
+#[test]
+fn a_segment_return_popping_past_the_home_stack_fails_its_program() {
+    // The victim's own episode session, returning home with a value for a
+    // frame a thousand below the bottom of its home stack.
+    let (mut sim, sibling, victim, session) = sim_with_sibling_on_the_worker();
+    let now = sim.sim.now();
+    let forged = Msg::SegmentReturn {
+        program: victim,
+        session,
+        target: ReturnTarget::Home { node: 0 },
+        retval: Some(CapturedValue::Int(1)),
+        pop_frames: 1_000,
+    };
+    sim.sim.inject(now, 0, forged);
+    sim.run();
+    let error = sim.program(victim).error.clone().expect("typed failure");
+    assert!(error.contains("segment return failed"), "{error}");
+    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.report(sibling).result, Some(7 + N));
 }
 
 #[test]

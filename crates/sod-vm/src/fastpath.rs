@@ -27,9 +27,11 @@
 //!   after which their class pointer is canonicalized.
 //!
 //! A [`Row`] is what the loop reads per pc: the instruction, its unscaled
-//! cost, and whether the pc is a migration-safe point. There is nothing
-//! else to link — no instruction is rewritten, paired or pre-scaled — so a
-//! fast VM and a reference VM link identical rows.
+//! cost, whether the pc is a migration-safe point, and the [`Fused`] form
+//! of the run of instructions it heads, if that run is one of the common
+//! shapes. Rows are linked from the method's code alone — no instruction is
+//! rewritten or pre-scaled — so a fast VM and a reference VM link
+//! identical rows.
 //!
 //! [`window_op`] is the one executing arm of every window instruction:
 //! [`Vm::run`]'s window loop (`interp.rs::window_loop`, which also moves
@@ -39,6 +41,14 @@
 //! unusual comes back as a register-sized [`Exit`] code, and only the full
 //! path turns a code into a `VmError` or a guest exception.
 //!
+//! [`fused_op`] retires a whole fused run in one dispatch, and only the
+//! unwatched window loop calls it, only when the slice's budget cannot end
+//! inside the run. It accepts only when every check the constituents would
+//! make passes, and then leaves exactly what they would leave; otherwise it
+//! touches nothing and the head row runs as its plain self. Single-stepping
+//! never sees a fused form, so it stays the oracle the differential suites
+//! hold the loop against.
+//!
 //! [`Vm::run`]: crate::interp::Vm::run
 //! [`Vm::step`]: crate::interp::Vm::step
 
@@ -46,7 +56,7 @@ use crate::analysis::MethodSummary;
 use crate::class::MethodDef;
 use crate::costs::instr_cost;
 use crate::heap::Heap;
-use crate::instr::Instr;
+use crate::instr::{Cmp, Instr};
 use crate::value::{ObjId, Value};
 
 /// Empty-slot sentinel for [`IcCell`] (`ObjId` and class indices never
@@ -90,18 +100,102 @@ pub struct Row {
     /// This pc is a migration-safe point of its method (a line start the
     /// verifier reaches with an empty operand stack).
     pub msp: bool,
+    /// The run of instructions starting at this pc, when it has one of the
+    /// [`Fused`] shapes.
+    pub fused: Option<Fused>,
+}
+
+/// A run of 2–4 window instructions, each of unscaled cost 1, that the
+/// unwatched window loop retires in one dispatch ([`fused_op`]). Only the
+/// last may branch. The shapes are the commonest runs of the guests'
+/// executed instructions: compare-and-branch on a local, `x ± y` with its
+/// store, and the preprocessor's call-result temp. `k` is a `PushI`
+/// constant that fits an `i32`, negated when the run subtracts it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fused {
+    /// `Load a; PushI k; If(cmp, t)`.
+    LoadConstIf { a: u16, k: i32, cmp: Cmp, t: u32 },
+    /// `Load a; Load b; If(cmp, t)`.
+    LoadLoadIf { a: u16, b: u16, cmp: Cmp, t: u32 },
+    /// `Load a; IfZ(cmp, t)`.
+    LoadIfZ { a: u16, cmp: Cmp, t: u32 },
+    /// `Load a; PushI k; Add` (or `Sub` of `-k`).
+    LoadAddConst { a: u16, k: i32 },
+    /// `Load a; Load b; Add`, or `Sub` when `sub`.
+    LoadAddLoad { a: u16, b: u16, sub: bool },
+    /// `Load a; PushI k; Add; Store d` (or `Sub` of `-k`).
+    LoadAddConstStore { a: u16, k: i32, d: u16 },
+    /// `Load a; Load b; Add; Store d`, or `Sub` when `sub`.
+    LoadAddLoadStore { a: u16, b: u16, sub: bool, d: u16 },
+    /// `Store s; Load s; Store d`: a value parked in a temp and copied on.
+    StoreLoadStore { s: u16, d: u16 },
+}
+
+impl Fused {
+    /// The fused form of the run at the start of `code`, if it has one.
+    pub fn of(code: &[Instr]) -> Option<Fused> {
+        use Instr::*;
+        // The constant a run adds.
+        let addend = |v: i64, op: Instr| {
+            let v = if op == Sub { v.checked_neg()? } else { v };
+            i32::try_from(v).ok()
+        };
+        Some(match *code {
+            [Load(a), PushI(v), If(cmp, t), ..] => Fused::LoadConstIf {
+                a,
+                k: i32::try_from(v).ok()?,
+                cmp,
+                t,
+            },
+            [Load(a), Load(b), If(cmp, t), ..] => Fused::LoadLoadIf { a, b, cmp, t },
+            [Load(a), IfZ(cmp, t), ..] => Fused::LoadIfZ { a, cmp, t },
+            [Load(a), PushI(v), op @ (Add | Sub), Store(d), ..] => Fused::LoadAddConstStore {
+                a,
+                k: addend(v, op)?,
+                d,
+            },
+            [Load(a), PushI(v), op @ (Add | Sub), ..] => Fused::LoadAddConst {
+                a,
+                k: addend(v, op)?,
+            },
+            [Load(a), Load(b), op @ (Add | Sub), Store(d), ..] => Fused::LoadAddLoadStore {
+                a,
+                b,
+                sub: op == Sub,
+                d,
+            },
+            [Load(a), Load(b), op @ (Add | Sub), ..] => Fused::LoadAddLoad {
+                a,
+                b,
+                sub: op == Sub,
+            },
+            [Store(s), Load(l), Store(d), ..] if s == l => Fused::StoreLoadStore { s, d },
+            _ => return None,
+        })
+    }
+
+    /// How many instructions the run holds: what retiring it counts, and
+    /// in units of one cost-1 instruction's charge, what it costs.
+    #[inline]
+    pub fn span(self) -> u64 {
+        match self {
+            Fused::LoadIfZ { .. } => 2,
+            Fused::LoadAddConstStore { .. } | Fused::LoadAddLoadStore { .. } => 4,
+            _ => 3,
+        }
+    }
 }
 
 /// Link one verified method into its dispatch rows.
 pub fn link_rows(method: &MethodDef, summary: &MethodSummary) -> Vec<Row> {
-    method
-        .code
-        .iter()
+    let code = &method.code;
+    code.iter()
         .enumerate()
         .map(|(pc, instr)| Row {
             instr: *instr,
             cost: instr_cost(instr) as u32,
             msp: summary.is_msp(pc as u32),
+            fused: Fused::of(&code[pc..]),
         })
         .collect()
 }
@@ -353,6 +447,104 @@ pub fn window_op(w: &mut Window<'_>, instr: &Instr) -> Result<(), Exit> {
     Ok(())
 }
 
+/// Retire the run `f` (the fused form of the row at `w.pc`) as its
+/// constituents would, if every check they would make passes — the slots
+/// inside the locals, `Int` operands, room for the pushes that the run pops
+/// again — and return whether it did; a refusal touches nothing. The values
+/// the run pushes and pops again are never written (they are dead above
+/// `sp`).
+#[inline(always)]
+pub fn fused_op(w: &mut Window<'_>, f: Fused) -> bool {
+    let (sp, pc) = (w.sp, w.pc);
+    let locals = w.floor.min(w.stack.len());
+    // Local slot `$slot`.
+    macro_rules! local {
+        ($slot:expr) => {{
+            let at = usize::from($slot);
+            if at >= locals {
+                return false;
+            }
+            at
+        }};
+    }
+    macro_rules! int {
+        ($slot:expr) => {
+            match w.stack[local!($slot)] {
+                Value::Int(x) => x,
+                _ => return false,
+            }
+        };
+    }
+    // Room for `$n` pushes above `sp`.
+    macro_rules! room {
+        ($n:expr) => {
+            if sp + $n > w.stack.len() {
+                return false;
+            }
+        };
+    }
+    macro_rules! branch {
+        ($len:expr, $taken:expr, $t:expr) => {
+            w.pc = if $taken { $t } else { pc + $len };
+        };
+    }
+    let sum = |x: i64, y: i64, sub: bool| x.wrapping_add(if sub { y.wrapping_neg() } else { y });
+
+    match f {
+        Fused::LoadConstIf { a, k, cmp, t } => {
+            room!(2);
+            let x = int!(a);
+            branch!(3, cmp.eval_sign(x.cmp(&k.into()) as i32), t);
+        }
+        Fused::LoadLoadIf { a, b, cmp, t } => {
+            room!(2);
+            let (x, y) = (int!(a), int!(b));
+            branch!(3, cmp.eval_sign(x.cmp(&y) as i32), t);
+        }
+        Fused::LoadIfZ { a, cmp, t } => {
+            room!(1);
+            let x = int!(a);
+            branch!(2, cmp.eval_sign(x.cmp(&0) as i32), t);
+        }
+        Fused::LoadAddConst { a, k } => {
+            room!(2);
+            let x = int!(a);
+            w.stack[sp] = Value::Int(x.wrapping_add(i64::from(k)));
+            (w.sp, w.pc) = (sp + 1, pc + 3);
+        }
+        Fused::LoadAddLoad { a, b, sub } => {
+            room!(2);
+            let (x, y) = (int!(a), int!(b));
+            w.stack[sp] = Value::Int(sum(x, y, sub));
+            (w.sp, w.pc) = (sp + 1, pc + 3);
+        }
+        Fused::LoadAddConstStore { a, k, d } => {
+            room!(2);
+            let (x, d) = (int!(a), local!(d));
+            w.stack[d] = Value::Int(x.wrapping_add(i64::from(k)));
+            w.pc = pc + 4;
+        }
+        Fused::LoadAddLoadStore { a, b, sub, d } => {
+            room!(2);
+            let (x, y, d) = (int!(a), int!(b), local!(d));
+            w.stack[d] = Value::Int(sum(x, y, sub));
+            w.pc = pc + 4;
+        }
+        Fused::StoreLoadStore { s, d } => {
+            let (s, d) = (local!(s), local!(d));
+            if sp <= w.floor {
+                return false;
+            }
+            let Some(&v) = w.stack.get(sp - 1) else {
+                return false;
+            };
+            (w.stack[s], w.stack[d]) = (v, v);
+            (w.sp, w.pc) = (sp - 1, pc + 3);
+        }
+    }
+    true
+}
+
 /// An anomaly's way out of [`window_op`]: a call the optimiser knows is
 /// rare, so the loop around it is laid out and register-allocated for the
 /// instructions that retire.
@@ -403,14 +595,144 @@ mod tests {
             ],
             vec![1, 1, 1, 1, 2, 2],
         ));
-        // One row per pc, nothing rewritten or paired: each keeps its own
-        // instruction and its own unscaled cost.
+        // One row per pc, nothing rewritten: each keeps its own instruction
+        // and its own unscaled cost...
         for (row, instr) in rows.iter().zip(&c.methods[0].code) {
             assert_eq!(row.instr, *instr);
             assert_eq!(u64::from(row.cost), instr_cost(instr));
         }
         let msp: Vec<bool> = rows.iter().map(|r| r.msp).collect();
         assert_eq!(msp, [true, false, false, false, true, false]);
+        // ...and the head of a run of a fused shape carries its form too.
+        let fused: Vec<Option<Fused>> = rows.iter().map(|r| r.fused).collect();
+        let head = Fused::LoadAddConstStore { a: 0, k: 5, d: 1 };
+        assert_eq!(fused, [Some(head), None, None, None, None, None]);
+    }
+
+    #[test]
+    fn a_run_fuses_only_with_a_constant_that_fits() {
+        use Instr::*;
+        let run = |k: i64, op: Instr| Fused::of(&[Load(0), PushI(k), op]);
+        let min = i64::from(i32::MIN);
+        assert_eq!(
+            run(min, Add),
+            Some(Fused::LoadAddConst { a: 0, k: i32::MIN })
+        );
+        assert_eq!(
+            run(-min - 1, Sub),
+            Some(Fused::LoadAddConst {
+                a: 0,
+                k: i32::MIN + 1
+            })
+        );
+        // Negated, `i32::MIN` leaves `i32`; so does anything wider.
+        assert_eq!(run(min, Sub), None);
+        assert_eq!(run(i64::MAX, Add), None);
+        assert_eq!(run(1 << 31, If(Cmp::Eq, 0)), None);
+        // A temp is a temp only if the load reads what the store wrote.
+        assert_eq!(Fused::of(&[Store(1), Load(2), Store(3)]), None);
+    }
+
+    /// Random choices, consumed in order (and again from the start).
+    struct Choices<'a>(&'a [u32], usize);
+
+    impl Choices<'_> {
+        fn below(&mut self, n: u32) -> u32 {
+            self.1 += 1;
+            self.0[(self.1 - 1) % self.0.len()] % n
+        }
+
+        fn of<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u32) as usize]
+        }
+    }
+
+    /// A random run of every fused shape, its constants at the edges of
+    /// `i32` now and then (some then do not fuse), its slots now and then
+    /// outside the locals (there are at most four).
+    fn random_run(pick: &mut Choices<'_>) -> Vec<Instr> {
+        use Instr::*;
+        let mut slot = || pick.of(&[0, 0, 1, 1, 2, 3, 4]);
+        let (a, b, d) = (slot(), slot(), slot());
+        let k = pick.of(&[-2, 0, 1, 3, i64::from(i32::MIN), i64::from(i32::MAX)]);
+        let cmp = pick.of(&[Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge]);
+        let (op, t) = (pick.of(&[Add, Sub]), pick.below(40));
+        match pick.below(8) {
+            0 => vec![Load(a), PushI(k), If(cmp, t)],
+            1 => vec![Load(a), Load(b), If(cmp, t)],
+            2 => vec![Load(a), IfZ(cmp, t)],
+            3 => vec![Load(a), PushI(k), op],
+            4 => vec![Load(a), Load(b), op],
+            5 => vec![Load(a), PushI(k), op, Store(d)],
+            6 => vec![Load(a), Load(b), op, Store(d)],
+            _ => vec![Store(a), Load(a), Store(d)],
+        }
+    }
+
+    /// The slots whose values a fused run needs as `Int`s.
+    fn int_slots(run: Fused) -> Vec<u16> {
+        match run {
+            Fused::LoadConstIf { a, .. }
+            | Fused::LoadIfZ { a, .. }
+            | Fused::LoadAddConst { a, .. }
+            | Fused::LoadAddConstStore { a, .. } => vec![a],
+            Fused::LoadLoadIf { a, b, .. }
+            | Fused::LoadAddLoad { a, b, .. }
+            | Fused::LoadAddLoadStore { a, b, .. } => vec![a, b],
+            Fused::StoreLoadStore { .. } => vec![],
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        /// `fused_op` against its constituents run one by one through
+        /// `window_op`: when it retires the run, they all retire and leave
+        /// the same live stack (locals and operands), `sp` and `pc`; when
+        /// it refuses, nothing has moved; and it refuses nothing they would
+        /// retire on `Int` operands.
+        #[test]
+        fn a_fused_run_retires_as_its_constituents_or_touches_nothing(
+            drawn in proptest::collection::vec(proptest::strategy::any::<u32>(), 24..25),
+        ) {
+            let mut pick = Choices(&drawn, 0);
+            let code = random_run(&mut pick);
+            let Some(run) = Fused::of(&code) else {
+                // Only a constant that does not fit declines to fuse.
+                assert!(code.iter().any(|i| matches!(i, Instr::PushI(_))), "{code:?}");
+                continue;
+            };
+            assert_eq!(run.span(), code.len() as u64);
+            assert!(code.iter().all(|i| instr_cost(i) == 1), "{code:?}");
+            let value = |pick: &mut Choices<'_>| match pick.below(16) {
+                0 => Value::Num(1.5),
+                1 => Value::Null,
+                2 => Value::Ref(3),
+                3 => Value::Int(i64::MIN),
+                4 => Value::Int(i64::MAX),
+                n => Value::Int(i64::from(n) - 10),
+            };
+            let values: Vec<Value> = (0..1 + pick.below(7)).map(|_| value(&mut pick)).collect();
+            let nlocals = (1 + pick.below(4) as usize).min(values.len());
+            let room = pick.below(4) as usize;
+
+            let (fused, after, sp, pc) = with_window(&values, nlocals, room, |w| fused_op(w, run));
+            let (plain, by_one, plain_sp, plain_pc) = with_window(&values, nlocals, room, |w| {
+                code.iter().all(|i| window_op(w, i).is_ok())
+            });
+            if fused {
+                assert!(plain, "{code:?} over {values:?}");
+                assert_eq!((sp, pc), (plain_sp, plain_pc), "{code:?} over {values:?}");
+                assert_eq!(after[..sp], by_one[..sp], "{code:?} over {values:?}");
+            } else {
+                assert_eq!((sp, pc), (values.len(), 7), "{code:?} over {values:?}");
+                assert_eq!(&after[..values.len()], values, "{code:?} over {values:?}");
+                let ints = int_slots(run)
+                    .iter()
+                    .all(|&s| matches!(values.get(usize::from(s)), Some(Value::Int(_))));
+                assert!(!(plain && ints), "refused a run that retires: {code:?} over {values:?}");
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //!   grow the stack in place when the next frame does not fit. Whether a
 //!   slice watches for safe points or a breakpoint of its thread is fixed
 //!   at compile time (two instantiations of the one loop), so the loop
-//!   most slices run tests neither. Everything else, and *any anomaly* in
+//!   most slices run tests neither; that unwatched loop alone also retires
+//!   a row's fused run of cost-1 window instructions in one dispatch
+//!   ([`fused_op`]), exactly as they would retire one by one, when the
+//!   budget cannot end inside it. Everything else, and *any anomaly* in
 //!   the above (a slot or operand outside the window, mixed operand types,
 //!   division by zero, an unfilled call site, a bad arity, the root frame's
 //!   return), leaves the loop uncharged and executes once on the full
@@ -57,7 +60,7 @@ use crate::capture::{FrameRef, Frames};
 use crate::class::{ClassDef, ExKind};
 use crate::costs::{alloc_cost, INTERP_MODE_FACTOR};
 use crate::error::{VmError, VmResult};
-use crate::fastpath::{build_ic_row, link_rows, window_op, Exit, IcCell, Row, Window};
+use crate::fastpath::{build_ic_row, fused_op, link_rows, window_op, Exit, IcCell, Row, Window};
 use crate::frame::Frame;
 use crate::heap::{Heap, ObjKind};
 use crate::instr::Instr;
@@ -987,6 +990,16 @@ impl Vm {
     /// restoring through the handler protocol does not slow the threads
     /// that share its node; and the loop every other slice runs keeps
     /// nothing live across its dispatch but its own state.
+    ///
+    /// **Fused runs, unwatched only.** The unwatched loop retires a row's
+    /// [`Fused`](crate::fastpath::Fused) run — 2–4 window instructions of
+    /// unscaled cost 1 — in one dispatch when no constituent could end the
+    /// slice (`meter + k·⌊per_mille/1000⌋ < until_ns`) and every check
+    /// they would make passes ([`fused_op`]), charging and counting exactly
+    /// `k`; otherwise the row runs alone. A slice therefore never ends
+    /// inside a fused dispatch, and nothing a slice boundary exposes tells
+    /// the two apart; the watched loop, `step` and the full path never read
+    /// a fused form.
     pub fn run(
         &mut self,
         tid: usize,
@@ -1062,6 +1075,8 @@ impl Vm {
             return Stop::Exit;
         };
         let (per_mille, until_ns) = (slice.per_mille, slice.until_ns);
+        // What one instruction of unscaled cost 1 charges.
+        let per_unit = per_mille / 1000;
         let (mut meter, mut retired) = (*meter_ns, *instr_count);
         // What the stack has to hold for the move at hand: first the top
         // frame's own window, exactly.
@@ -1105,6 +1120,17 @@ impl Vm {
                     let Some(row) = row else {
                         break Err(Stop::Exit);
                     };
+                    // A fused run, when no constituent would end the slice
+                    // and every one would retire: the charge and count of
+                    // all of them at once. Otherwise the row runs alone.
+                    if let (false, Some(run)) = (WATCHED, row.fused) {
+                        let cost = run.span() * per_unit;
+                        if meter + cost < until_ns && fused_op(&mut w, run) {
+                            meter += cost;
+                            retired += run.span();
+                            continue;
+                        }
+                    }
                     let cost = u64::from(row.cost) * per_mille / 1000;
                     if window_op(&mut w, &row.instr).is_err() {
                         break Ok((row.instr, cost));

@@ -3,7 +3,8 @@
 //! twin — stepped to the same `instr_count` — must agree on everything a
 //! slice boundary exposes: frames, locals and operands of every frame,
 //! thread state, `meter_ns`, `instr_count`, `max_height`, the outcome or
-//! the `VmError`, and where an armed breakpoint tripped.
+//! the `VmError`, and where an armed breakpoint tripped — and a slice that
+//! spent its budget must have ended at the instruction that spent it.
 //!
 //! Programs are random *verified* methods over the window instruction set
 //! plus static calls and returns, with loops (so call sites warm up and
@@ -12,6 +13,14 @@
 //! zero (caught or not), call sites with the wrong arity, and `Ret` where
 //! the caller expects a value (its next pop underflows). The anomaly
 //! classes are also pinned one by one at the end of the file.
+//!
+//! They are dense in every fused run shape (`fastpath::Fused`): compares of
+//! a local against a constant, a local or zero, `x ± y` left on the stack
+//! or stored, and the store–load–store temp — over float and null locals
+//! and slots at or past the end of the locals now and then, with constants
+//! that do not fuse, and with branches into the middle of a run. Slices
+//! run under several cost scales, in interpreted mode or not, so a cost-1
+//! instruction charges 1, 12 or 18 ns and budgets end inside runs.
 //!
 //! The random programs call at most four methods deep, so a second family
 //! recurses: `down(d)` hundreds of frames down and back — a slice starts
@@ -31,6 +40,9 @@ use sod_vm::wire::{decode_state, encode_state};
 const METHODS: usize = 4;
 /// Slot 0 is the argument (int), 1 an int, 2 a float, 3 the loop counter.
 const EXTRA_LOCALS: u16 = 3;
+/// The random programs' methods have one local more, a null.
+const NULL_SLOT: u16 = 1 + EXTRA_LOCALS;
+const NLOCALS: u16 = NULL_SLOT + 1;
 const CMPS: [Cmp; 6] = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge];
 
 /// Random choices, consumed in order (and again from the start if a
@@ -148,11 +160,62 @@ impl Body<'_, '_> {
         }
     }
 
+    /// A local for a fused run to read: an int, now and then the float,
+    /// the null, or a slot at or past the end of the locals.
+    fn run_slot(&mut self) -> u16 {
+        match self.pick.below(60) {
+            0 => 2,
+            1 => NULL_SLOT,
+            2 => NLOCALS,
+            3 => 9,
+            n => [0, 1, 3][n as usize % 3],
+        }
+    }
+
+    fn run_load(&mut self) {
+        let slot = self.run_slot();
+        self.emit(Instr::Load(slot));
+    }
+
+    /// A local for a fused run to store to (never the loop counter), now
+    /// and then one past the end of the locals.
+    fn run_dest(&mut self) -> u16 {
+        match self.pick.below(40) {
+            0 => NLOCALS,
+            n => [0, 1, 1][n as usize % 3],
+        }
+    }
+
+    /// A fused run's second operand: a local, or a constant — small, now
+    /// and then `i32::MIN` (which fuses added but not subtracted) or one
+    /// that does not fit an `i32` (which never fuses).
+    fn run_operand(&mut self) {
+        let konst = match self.pick.below(30) {
+            0 => i64::from(i32::MIN),
+            1 => 1 << 40,
+            n => i64::from(n % 8) - 2,
+        };
+        let i = if self.pick.percent(50) {
+            Instr::PushI(konst)
+        } else {
+            Instr::Load(self.run_slot())
+        };
+        self.emit(i);
+    }
+
+    fn add_or_sub(&mut self) -> Instr {
+        if self.pick.percent(50) {
+            Instr::Add
+        } else {
+            Instr::Sub
+        }
+    }
+
     /// A conditional branch over the code `then` emits. Sometimes the
     /// operands cannot be compared.
     fn branch_over(&mut self, then: impl FnOnce(&mut Self)) {
         let cmp = CMPS[self.pick.below(6) as usize];
-        let make: fn(Cmp, u32) -> Instr = match self.pick.below(50) {
+        let make: fn(Cmp, u32) -> Instr = match self.pick.below(70) {
             0..=9 => {
                 self.expr(Ty::Num, 1);
                 self.expr(Ty::Num, 1);
@@ -175,6 +238,17 @@ impl Body<'_, '_> {
                 self.expr(Ty::Int, 0);
                 Instr::If
             }
+            // The fused compares: a local against a constant or a local,
+            // or against zero.
+            31..=44 => {
+                self.run_load();
+                self.run_operand();
+                Instr::If
+            }
+            45..=54 => {
+                self.run_load();
+                Instr::IfZ
+            }
             _ => {
                 self.expr(Ty::Int, 1);
                 self.expr(Ty::Int, 1);
@@ -191,7 +265,7 @@ impl Body<'_, '_> {
         self.line += 1;
         let from = self.here();
         let catch = self.pick.percent(50);
-        match self.pick.below(12) {
+        match self.pick.below(16) {
             0 | 1 => {
                 let (ty, slot) = if self.pick.percent(60) {
                     (Ty::Int, 1)
@@ -254,6 +328,51 @@ impl Body<'_, '_> {
                 let next = self.here() + 1;
                 return self.emit(Instr::Goto(next));
             }
+            // `x ± y` into a local, or (unfused past the sum) negated first.
+            12 | 13 => {
+                self.run_load();
+                self.run_operand();
+                let op = self.add_or_sub();
+                self.emit(op);
+                if self.pick.percent(30) {
+                    self.emit(Instr::Neg);
+                }
+                let d = self.run_dest();
+                self.emit(Instr::Store(d));
+            }
+            // A value parked in a temp and copied on.
+            14 => {
+                self.expr(Ty::Int, 1);
+                let (s, d) = (self.run_dest(), self.run_dest());
+                for i in [Instr::Store(s), Instr::Load(s), Instr::Store(d)] {
+                    self.emit(i);
+                }
+            }
+            // A branch into the middle of a run: both ways reach its second
+            // instruction with one operand pushed. The run either stores
+            // `x ± y` or compares and branches over a marker.
+            15 => {
+                self.emit(Instr::PushI(5));
+                self.run_load();
+                let (cmp, at) = (CMPS[self.pick.below(6) as usize], self.code.len());
+                self.emit(Instr::IfZ(cmp, 0));
+                self.emit(Instr::Pop);
+                self.run_load();
+                self.code[at] = Instr::IfZ(cmp, self.here());
+                self.run_operand();
+                if self.pick.percent(50) {
+                    let op = self.add_or_sub();
+                    self.emit(op);
+                    let d = self.run_dest();
+                    self.emit(Instr::Store(d));
+                } else {
+                    let (cmp, at) = (CMPS[self.pick.below(6) as usize], self.code.len());
+                    self.emit(Instr::If(cmp, 0));
+                    self.emit(Instr::PushI(-3));
+                    self.emit(Instr::Store(1));
+                    self.code[at] = Instr::If(cmp, self.here());
+                }
+            }
             _ => {
                 self.expr(Ty::Int, 1);
                 self.expr(Ty::Int, 1);
@@ -288,13 +407,15 @@ fn program(drawn: &[u32]) -> ClassDef {
             line: 0,
             ex_table: Vec::new(),
         };
-        // Slots 1 and 2 start as what they are meant to hold.
+        // Slots 1, 2 and the null slot start as what they are meant to hold.
         body.line += 1;
         for i in [
             Instr::PushI(2),
             Instr::Store(1),
             Instr::PushF(0.5),
             Instr::Store(2),
+            Instr::PushNull,
+            Instr::Store(NULL_SLOT),
         ] {
             body.emit(i);
         }
@@ -304,7 +425,7 @@ fn program(drawn: &[u32]) -> ClassDef {
         body.line += 1;
         body.emit(Instr::Load(1));
         body.emit(Instr::RetV);
-        let m = MethodDef::new(format!("m{index}"), 1, EXTRA_LOCALS)
+        let m = MethodDef::new(format!("m{index}"), 1, NLOCALS - 1)
             .with_code(body.code, body.lines)
             .with_ex_table(body.ex_table);
         class.methods.push(m);
@@ -370,8 +491,9 @@ fn lockstep(fast: &mut Vm, twin: &mut Vm, tid: usize, budgets: &[u64], mode: Run
     for &budget in budgets.iter().cycle() {
         let meter_before = fast.meter_ns;
         let ran = fast.run(tid, budget, mode);
-        let mut last = None;
+        let (mut last, mut last_began) = (None, twin.meter_ns);
         while twin.instr_count < fast.instr_count {
+            last_began = twin.meter_ns;
             let stepped = twin.step(tid);
             assert!(
                 !matches!(stepped, Ok(StepOutcome::Breakpoint { .. })),
@@ -410,6 +532,12 @@ fn lockstep(fast: &mut Vm, twin: &mut Vm, tid: usize, budgets: &[u64], mode: Run
         match out {
             StepOutcome::Continue => {
                 assert!(spent >= budget, "a slice ended early: {spent} < {budget}");
+                // ... and not late: at the instruction that spent the budget.
+                let began = last_began - meter_before;
+                assert!(
+                    began < budget,
+                    "a slice ran on: {began} of {budget} spent before its last"
+                );
                 assert_eq!(last, Some(Ok(StepOutcome::Continue)));
             }
             StepOutcome::AtMsp { pc } => {
@@ -469,6 +597,27 @@ fn twins(class: &ClassDef, entry: &str, arg: i64, armed: Armed) -> (Vm, Vm) {
     (build(), build())
 }
 
+/// What a slice charges: the VM's cost scale (per mille) and whether the
+/// thread runs in interpreted mode (twelve times the scale), so that an
+/// instruction of unscaled cost 1 charges 1, 1, 1, 12, 12 or 18 ns and a
+/// fused run of them k times that.
+const COSTS: [(u32, bool); 6] = [
+    (1000, false),
+    (1005, false),
+    (1500, false),
+    (1000, true),
+    (1005, true),
+    (1500, true),
+];
+
+/// Give both VMs the cost scale and thread `tid` the mode of `costs`.
+fn charging(vms: [&mut Vm; 2], tid: usize, (per_mille, interp): (u32, bool)) {
+    for vm in vms {
+        vm.cost_scale_per_mille = per_mille;
+        vm.thread_mut(tid).unwrap().interp_mode = interp;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -479,6 +628,7 @@ proptest! {
         whole in 0u32..8,
         stop_at_msp in 0u32..2,
         armed in (0u32..3, 0usize..METHODS, 0u32..40),
+        costs in 0usize..COSTS.len(),
     ) {
         let class = program(&drawn);
         let armed = match armed {
@@ -492,6 +642,7 @@ proptest! {
         let budgets = if whole == 0 { vec![u64::MAX] } else { budgets };
         let mode = if stop_at_msp == 1 { RunMode::StopAtMsp } else { RunMode::Normal };
         let (mut fast, mut twin) = twins(&class, "m0", 3, armed);
+        charging([&mut fast, &mut twin], 0, COSTS[costs]);
         let seen = lockstep(&mut fast, &mut twin, 0, &budgets, mode);
         match armed {
             // Armed for the running thread: tripped where it was armed, or
@@ -812,10 +963,13 @@ fn fib_shaped_recursion_matches_single_stepping() {
     for budgets in SLICINGS {
         for mode in BOTH_MODES {
             for armed in [Armed::Nowhere, Armed::Own(0, 7), Armed::Other(0, 7)] {
-                let (mut fast, mut twin) = twins(&class, "fib", 11, armed);
-                let seen = lockstep(&mut fast, &mut twin, 0, budgets, mode);
-                assert_eq!(seen.end, Ok(StepOutcome::Returned(Some(Value::Int(89)))));
-                assert_eq!(fast.thread(0).unwrap().max_height, 11);
+                for costs in COSTS {
+                    let (mut fast, mut twin) = twins(&class, "fib", 11, armed);
+                    charging([&mut fast, &mut twin], 0, costs);
+                    let seen = lockstep(&mut fast, &mut twin, 0, budgets, mode);
+                    assert_eq!(seen.end, Ok(StepOutcome::Returned(Some(Value::Int(89)))));
+                    assert_eq!(fast.thread(0).unwrap().max_height, 11);
+                }
             }
         }
     }
