@@ -213,6 +213,11 @@ impl<W: World> Sim<W> {
         self.delivered
     }
 
+    /// Whether no event is queued (the state `run_to_idle` ends in).
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
+
     /// Events delivered to node `dst` so far.
     pub fn delivered_to(&self, dst: usize) -> u64 {
         self.delivered_by.get(dst).copied().unwrap_or(0)

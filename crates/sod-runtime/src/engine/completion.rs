@@ -131,8 +131,7 @@ impl Cluster {
         match target {
             ReturnTarget::Home { node: home } => {
                 debug_assert_eq!(node, home);
-                let p = self.programs.get(program as usize);
-                if !p.is_some_and(|p| p.side.holds(session)) {
+                if !self.programs[program as usize].side.holds(session) {
                     // Stale return: the program ended (a home crash, a
                     // rejected flush) and its home thread is released, or
                     // a deadline-driven retry/fallback superseded the

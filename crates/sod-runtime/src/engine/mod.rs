@@ -406,7 +406,7 @@ impl Cluster {
     /// What the nodes still hold of the work they hosted, summed over the
     /// cluster, and the programs whose home side is not idle: zero at
     /// idle, since work is reclaimed where it finishes.
-    pub fn residue(&self) -> Residue {
+    pub(crate) fn residue(&self) -> Residue {
         let mut r = Residue::default();
         for n in &self.nodes {
             r.sessions += n.sessions.len();
@@ -432,6 +432,39 @@ impl Cluster {
         hosted.sort_unstable_by_key(|h| h.0);
         hosted
     }
+
+    /// Whether every program, pool and node `msg` names exists — the
+    /// handlers index by them. Sessions and threads need no check here:
+    /// their lookups already miss on an id nobody holds.
+    fn names_known_ids(&self, msg: &Msg) -> bool {
+        let program = |p: &ProgramId| (*p as usize) < self.programs.len();
+        let node = |n: &usize| *n < self.nodes.len();
+        match msg {
+            Msg::StartProgram { program: p }
+            | Msg::MigrateNow { program: p, .. }
+            | Msg::CaptureDone { program: p }
+            | Msg::MigrationTimeout { program: p, .. }
+            | Msg::SegmentReturn { program: p, .. } => program(p),
+            Msg::State(state) => program(&state.info.program),
+            Msg::PoolTick { pool } => *pool < self.pools.len(),
+            Msg::PoolReady { pool, node: n } => *pool < self.pools.len() && node(n),
+            Msg::ClassRequest {
+                requester,
+                program: p,
+                ..
+            }
+            | Msg::ObjectRequest {
+                requester,
+                program: p,
+                ..
+            } => node(requester) && program(p),
+            Msg::Flush {
+                program: p, ack_to, ..
+            } => program(p) && ack_to.as_ref().is_none_or(|(n, _)| node(n)),
+            Msg::FsRead { requester, .. } => node(requester),
+            _ => true,
+        }
+    }
 }
 
 impl World for Cluster {
@@ -440,6 +473,14 @@ impl World for Cluster {
     fn on_message(&mut self, dst: usize, msg: Msg, ctx: &mut SimCtx<'_, Msg>) {
         // Per-node event accounting (surfaced in `NodeUtilization`).
         self.nodes[dst].events += 1;
+        if !self.names_known_ids(&msg) {
+            // Nothing sent it: drop it, crediting nothing. A batch still
+            // owes its buffers to the pool.
+            if let Msg::Flush { batch, .. } = msg {
+                self.retire_batch(batch);
+            }
+            return;
+        }
         match msg {
             Msg::StartProgram { program } => {
                 let p = &self.programs[program as usize];
@@ -653,8 +694,128 @@ impl SodSim {
         self.sim.world.cluster_report()
     }
 
+    /// Check the identities every run satisfies at idle; `Err` names the
+    /// first that fails, with both of its numbers:
+    ///
+    /// * the event queue is drained;
+    /// * every program is done: an ok one with a result, a failed one with
+    ///   none and a non-empty error;
+    /// * no program's migrations bundled more class bytes than it shipped;
+    /// * nothing of the work is left ([`Cluster::residue`] is zero);
+    /// * per byte category, `sent = accounted + lost`, accounted being the
+    ///   migrations' state bytes and the programs' class and object bytes
+    ///   (per category only: a flush credits its objects to whichever
+    ///   program's completion sent it);
+    /// * the programs' instructions are the nodes', the nodes' events are
+    ///   the simulator's deliveries, and the chaos drops are its drops;
+    /// * each pool holds `base + spawns` members, `min ≤ peak ≤ max`, and
+    ///   ends at `base` live; the nodes are the declared ones plus every
+    ///   pool member.
+    ///
+    /// Allocates nothing unless it fails. The facade's `Scenario::run`
+    /// calls it after every run. A hand-driven run that injects forged
+    /// `State` bytes breaks the state ledger: its retiring session credits
+    /// as lost bytes nobody sent.
+    pub fn check_idle(&self) -> Result<(), String> {
+        let (sim, world) = (&self.sim, &self.sim.world);
+        ensure(sim.is_idle(), || "the event queue is not drained".into())?;
+        let (mut accounted, mut instructions) = (NetBytes::default(), 0);
+        for (i, p) in world.programs.iter().enumerate() {
+            let r = &p.report;
+            ensure(p.done, || format!("program {i} is not done"))?;
+            match &p.error {
+                None => ensure(r.result.is_some(), || {
+                    format!("program {i} ended ok with no result")
+                })?,
+                Some(e) => ensure(r.result.is_none() && !e.is_empty(), || {
+                    format!("program {i} failed ({e:?}) with result {:?}", r.result)
+                })?,
+            }
+            let bundled: u64 = r.migrations.iter().map(|m| m.class_bytes).sum();
+            ensure(bundled <= r.class_bytes, || {
+                format!(
+                    "program {i} bundled {bundled} > {} class bytes",
+                    r.class_bytes
+                )
+            })?;
+            accounted.state += r.migrations.iter().map(|m| m.state_bytes).sum::<u64>();
+            accounted.class += r.class_bytes;
+            accounted.object += r.object_bytes;
+            instructions += r.instructions;
+        }
+        let residue = world.residue();
+        ensure(residue == Residue::default(), || {
+            format!("residue at idle: {residue:?}")
+        })?;
+        let (mut sent, mut lost) = (NetBytes::default(), NetBytes::default());
+        let (mut node_instructions, mut events) = (0, 0);
+        for n in &world.nodes {
+            sent = sent + n.net_sent;
+            lost = lost + n.net_lost;
+            node_instructions += n.vm.instr_count;
+            events += n.events;
+        }
+        for (what, s, a, l) in [
+            ("state", sent.state, accounted.state, lost.state),
+            ("class", sent.class, accounted.class, lost.class),
+            ("object", sent.object, accounted.object, lost.object),
+        ] {
+            ensure(s == a + l, || {
+                format!("{what} bytes: sent {s} != accounted {a} + lost {l}")
+            })?;
+        }
+        ensure(instructions == node_instructions, || {
+            format!("program instructions {instructions} != node instructions {node_instructions}")
+        })?;
+        ensure(events == sim.delivered(), || {
+            format!("node events {events} != deliveries {}", sim.delivered())
+        })?;
+        ensure(world.chaos.dropped_msgs == sim.dropped(), || {
+            let counted = world.chaos.dropped_msgs;
+            format!("chaos drops {counted} != simulator drops {}", sim.dropped())
+        })?;
+        let mut members = 0;
+        for p in &world.pools {
+            let (name, base, max) = (&p.spec.name, p.spec.base as u64, p.spec.max as u64);
+            let size = p.members.len() as u64;
+            ensure(size == base + p.spawns, || {
+                format!(
+                    "pool {name}: {size} members != base {base} + {} spawns",
+                    p.spawns
+                )
+            })?;
+            ensure(p.min <= p.peak && p.peak <= max, || {
+                format!(
+                    "pool {name}: not min {} <= peak {} <= max {max}",
+                    p.min, p.peak
+                )
+            })?;
+            let live = p.count(pool::MemberState::Live) as u64;
+            ensure(live == base, || {
+                format!("pool {name}: final size {live} != base {base}")
+            })?;
+            members += p.members.len();
+        }
+        // Pool members are appended after every declared node.
+        let declared = world.pools.iter().find_map(|p| p.members.first());
+        let declared = declared.map_or(world.nodes.len(), |m| m.node);
+        ensure(world.nodes.len() == declared + members, || {
+            let nodes = world.nodes.len();
+            format!("{nodes} nodes != {declared} declared + {members} pool members")
+        })
+    }
+
     pub fn program(&self, program: ProgramId) -> &Program {
         &self.sim.world.programs[program as usize]
+    }
+}
+
+/// `Ok` when `ok` holds, else the message `what` builds (only then).
+fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what())
     }
 }
 
@@ -671,4 +832,114 @@ pub fn rollback_to_statement_start(vm: &mut sod_vm::interp::Vm, tid: usize) {
     t.frames.last_mut().unwrap().pc = start;
     t.clear_operands();
     t.state = sod_vm::interp::ThreadState::Runnable;
+}
+
+#[cfg(test)]
+mod tests {
+    use sod_asm::builder::ClassBuilder;
+    use sod_net::US;
+    use sod_preprocess::preprocess_sod;
+    use sod_vm::instr::Cmp;
+
+    use super::*;
+    use crate::node::NodeConfig;
+
+    /// One program counting to 50 000 on node 0, its top frame shipped to
+    /// node 1 at 100 µs, beside a one-member pool: run to idle.
+    fn idle() -> SodSim {
+        let class = ClassBuilder::new("App")
+            .method("main", &["n"], |m| {
+                m.line();
+                m.pushi(0).store("i");
+                m.line();
+                m.label("loop");
+                m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+                m.line();
+                m.load("i").pushi(1).add().store("i").goto("loop");
+                m.line();
+                m.label("done");
+                m.load("i").retv();
+            })
+            .build()
+            .unwrap();
+        let mut home = Node::new(NodeConfig::cluster("home"));
+        home.deploy(&preprocess_sod(&class).unwrap()).unwrap();
+        let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
+        let pid = cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]);
+        cluster.add_pool(PoolSpec {
+            name: "pool".into(),
+            template: NodeConfig::cluster("pool"),
+            base: 1,
+            max: 2,
+            policy: ScalePolicy::StepLoad { per_node: 1 },
+            cold_start_ns: 0,
+            tick_ns: DEFAULT_POOL_TICK_NS,
+        });
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(3));
+        sim.start_pool_ticks();
+        sim.start_program(0, pid);
+        sim.migrate_at(100 * US, pid, MigrationPlan::top_to(1, 1));
+        sim.run();
+        sim
+    }
+
+    /// Each identity, broken alone on a fresh idle run, is the one named.
+    #[test]
+    fn check_idle_names_each_broken_identity() {
+        let sim = idle();
+        assert_eq!(sim.check_idle(), Ok(()));
+        assert!(sim.program(0).report.migrations[0].class_bytes > 0);
+        type Break = fn(&mut SodSim);
+        let cases: [(&str, Break); 18] = [
+            ("event queue", |s| s.client_request_at(s.sim.now(), 0, "")),
+            ("program 0 is not done", |s| {
+                s.sim.world.programs[0].done = false
+            }),
+            ("no result", |s| {
+                s.sim.world.programs[0].report.result = None
+            }),
+            ("failed", |s| {
+                s.sim.world.programs[0].error = Some("x".into())
+            }),
+            ("bundled", |s| {
+                s.sim.world.programs[0].report.class_bytes = 0
+            }),
+            ("episodes: 1", |s| {
+                let plan = MigrationPlan::top_to(1, 1);
+                s.sim.world.programs[0].side = HomeSide::PlanPending(plan);
+            }),
+            ("owners: 1", |s| {
+                let owner = Owner::Root(0);
+                s.sim.world.nodes[1].thread_owner.insert(7, owner);
+            }),
+            ("threads: 1", |s| {
+                s.sim.world.nodes[1]
+                    .vm
+                    .spawn("App", "main", &[Value::Int(1)])
+                    .unwrap();
+            }),
+            ("breakpoints: 1", |s| {
+                s.sim.world.nodes[1].vm.set_breakpoint(7, 0, 0, 0)
+            }),
+            ("state bytes", |s| s.sim.world.nodes[0].net_sent.state += 1),
+            ("class bytes", |s| s.sim.world.nodes[1].net_lost.class += 1),
+            ("object bytes", |s| {
+                s.sim.world.nodes[0].net_sent.object += 1
+            }),
+            ("instructions", |s| s.sim.world.nodes[0].vm.instr_count += 1),
+            ("events", |s| s.sim.world.nodes[0].events += 1),
+            ("drops", |s| s.sim.world.chaos.dropped_msgs += 1),
+            ("spawns", |s| s.sim.world.pools[0].spawns += 1),
+            ("peak", |s| s.sim.world.pools[0].peak = 3),
+            ("declared", |s| {
+                s.sim.world.nodes.push(Node::new(NodeConfig::cluster("x")))
+            }),
+        ];
+        for (names, break_it) in cases {
+            let mut sim = idle();
+            break_it(&mut sim);
+            let err = sim.check_idle().expect_err(names);
+            assert!(err.contains(names), "{names}: {err}");
+        }
+    }
 }

@@ -36,7 +36,11 @@ pub const DEFAULT_POOL_TICK_NS: u64 = 1_000_000;
 pub enum ScalePolicy {
     /// Threshold policy on per-member queue depth: grow to `⌈load/high⌉`
     /// members when the backlog outruns the current size, drain one when
-    /// `load < low × live` (never below the pool's base size).
+    /// `load < low × live` (never below the pool's base size). Stable only
+    /// if `low·L ≤ high·(L−1) + 1` for every live size `L` above base;
+    /// otherwise some constant load drains a member and spawns it back on
+    /// the next tick, forever (`{high: 2, low: 2}` at live 2, load 3), and
+    /// the facade rejects the spec.
     QueueDepth { high: u64, low: u64 },
     /// Latency-target policy: spawn one node when the p99 completion
     /// latency of programs that finished inside the last tick window

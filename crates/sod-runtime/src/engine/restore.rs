@@ -38,8 +38,10 @@ impl Cluster {
         // The state arrives as its wire frame, encoded once at capture:
         // the frame length is the state byte metric.
         let state_bytes = state.len() as u64;
-        let program = self.programs.get(info.program as usize);
-        if !program.is_some_and(|p| p.side.holds(info.session)) {
+        if !self.programs[info.program as usize]
+            .side
+            .holds(info.session)
+        {
             // Stale (the home re-shipped, fell back or ended while it was
             // in flight): it will never restore. Credit it where it landed
             // so conservation closes.

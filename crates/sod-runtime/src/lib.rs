@@ -108,7 +108,7 @@ pub use engine::{
 };
 pub use metrics::{
     percentile_nearest_rank, ChaosCounters, ClusterReport, MigrationTimings, NetBytes,
-    NodeUtilization, PoolReport, Residue, RunReport,
+    NodeUtilization, PoolReport, RunReport,
 };
 pub use msg::{MigrationPlan, Msg, ProgramId, SegmentSpec, SessionId};
 pub use node::{Node, NodeConfig};

@@ -115,6 +115,19 @@ impl NetBytes {
     }
 }
 
+impl std::ops::Add for NetBytes {
+    type Output = NetBytes;
+
+    /// Category by category.
+    fn add(self, other: NetBytes) -> NetBytes {
+        NetBytes {
+            state: self.state + other.state,
+            class: self.class + other.class,
+            object: self.object + other.object,
+        }
+    }
+}
+
 /// Fault-injection tallies for one run (all zero when chaos is off).
 ///
 /// Surfaced on [`ClusterReport`] so chaos runs compare with `==` like any
@@ -181,7 +194,9 @@ pub struct NodeUtilization {
 impl NodeUtilization {
     /// Fraction of this node's lifetime spent executing guest code.
     /// Computed on demand (not stored) so the report stays all-integer
-    /// and `Eq`.
+    /// and `Eq`. It sums the node's concurrent threads, so without
+    /// `cpu_contention` (threads run in parallel) it exceeds 1 on a busy
+    /// node: `fleet_serving`'s cloud is ≈ 4.5.
     pub fn busy_fraction(&self) -> f64 {
         self.busy_ns as f64 / self.lifetime_ns.max(1) as f64
     }
@@ -193,7 +208,7 @@ impl NodeUtilization {
 /// finishes — and `episodes`, the programs whose home side is not idle (a
 /// plan pending or a migration episode open), closed when the program ends.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Residue {
+pub(crate) struct Residue {
     pub sessions: usize,
     pub owners: usize,
     pub threads: usize,
@@ -313,11 +328,7 @@ impl ClusterReport {
     pub fn total_sent(&self) -> NetBytes {
         self.per_node
             .iter()
-            .fold(NetBytes::default(), |acc, n| NetBytes {
-                state: acc.state + n.sent.state,
-                class: acc.class + n.sent.class,
-                object: acc.object + n.sent.object,
-            })
+            .fold(NetBytes::default(), |acc, n| acc + n.sent)
     }
 
     /// Cluster-wide lost bytes: the per-node [`NodeUtilization::lost`]
@@ -328,11 +339,7 @@ impl ClusterReport {
     pub fn total_lost(&self) -> NetBytes {
         self.per_node
             .iter()
-            .fold(NetBytes::default(), |acc, n| NetBytes {
-                state: acc.state + n.lost.state,
-                class: acc.class + n.lost.class,
-                object: acc.object + n.lost.object,
-            })
+            .fold(NetBytes::default(), |acc, n| acc + n.lost)
     }
 }
 

@@ -24,7 +24,7 @@ use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::msg::HostReply;
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
-use sod_runtime::{MigrationPlan, Msg, ProgramId, Residue, RetryPolicy};
+use sod_runtime::{MigrationPlan, Msg, ProgramId, RetryPolicy};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
@@ -133,7 +133,7 @@ fn a_failed_upper_segment_leaves_no_waiting_lower_one() {
     let error = sim.program(victim).error.as_deref();
     assert_eq!(error, Some("unknown intrinsic: no_such"));
     assert_eq!(sim.report(victim).migrations.len(), 2, "both restored");
-    assert_eq!(sim.sim.world.residue(), Residue::default());
+    assert_eq!(sim.check_idle(), Ok(()));
 }
 
 /// Arm a breakpoint for thread `tid` of `node` on the very instruction it

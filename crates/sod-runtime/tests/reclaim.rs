@@ -5,6 +5,12 @@
 //! node's threads once per slice, follow what is running, not everything
 //! the node ever ran.
 //!
+//! What this suite still checks itself: a lossy, retrying, scaling run
+//! loses shipped state and ends with every program's value, and a node's
+//! thread table does not grow with the programs it has run. That nothing
+//! is left at idle and that the byte ledger closes, `Scenario::run` checks
+//! after every run (`SodSim::check_idle`).
+//!
 //! The fleet is the repo benchmark's `stack-churn` shape at test size:
 //! whole stacks of a recursive guest migrate to an autoscaled pool under
 //! message loss with retries, CPU contention on.
@@ -12,7 +18,7 @@
 use sod_asm::builder::ClassBuilder;
 use sod_net::MS;
 use sod_preprocess::preprocess_sod;
-use sod_runtime::{NodeConfig, Residue, RetryPolicy, ScalePolicy};
+use sod_runtime::{NodeConfig, RetryPolicy, ScalePolicy};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
@@ -57,11 +63,10 @@ fn deep_class() -> ClassDef {
     preprocess_sod(&class).expect("deep guest preprocesses")
 }
 
-/// What a run leaves behind: its report, the residue at idle, and the
-/// length of every node's thread table.
+/// What a run leaves behind: its report and the length of every node's
+/// thread table.
 struct Run {
     report: ScenarioReport,
-    residue: Residue,
     table_lens: Vec<usize>,
 }
 
@@ -69,7 +74,7 @@ struct Run {
 /// (`loss_permille`) with up to three shipping attempts.
 fn churn(programs: usize, loss_permille: u32) -> Run {
     let class = deep_class();
-    let (mut residue, mut table_lens) = (Residue::default(), Vec::new());
+    let mut table_lens = Vec::new();
     let report = Scenario::new()
         .slice_ns(2_000)
         .cpu_contention(true)
@@ -99,25 +104,15 @@ fn churn(programs: usize, loss_permille: u32) -> Run {
         )
         .run_with(|sim| {
             sim.run();
-            residue = sim.sim.world.residue();
-            table_lens = sim
-                .sim
-                .world
-                .nodes
-                .iter()
-                .map(|n| n.vm.threads.len())
-                .collect();
+            let nodes = &sim.sim.world.nodes;
+            table_lens = nodes.iter().map(|n| n.vm.threads.len()).collect();
         })
-        .expect("fleet runs");
+        .expect("fleet runs, and leaves nothing behind");
     for p in report.programs() {
         assert_eq!(p.error, None, "{}", p.name);
         assert_eq!(p.report.result, Some(DEPTH + 1), "{}", p.name);
     }
-    Run {
-        report,
-        residue,
-        table_lens,
-    }
+    Run { report, table_lens }
 }
 
 #[test]
@@ -127,21 +122,7 @@ fn at_idle_no_node_holds_anything_of_the_work_it_ran() {
     assert!(c.chaos.dropped_msgs > 0, "nothing was dropped");
     assert!(c.chaos.retries > 0, "no migration was retried");
     assert!(c.pools[0].spawns > 0, "the pool never scaled out");
-    assert_eq!(run.residue, Residue::default());
-
-    // Retired sessions credited what they never restored as they went;
-    // the byte ledger still closes.
-    let (sent, lost) = (c.total_sent(), c.total_lost());
-    let programs = run.report.programs();
-    let state: u64 = programs
-        .iter()
-        .flat_map(|p| &p.report.migrations)
-        .map(|m| m.state_bytes)
-        .sum();
-    let class: u64 = programs.iter().map(|p| p.report.class_bytes).sum();
-    assert!(lost.state > 0, "no shipped state was lost");
-    assert_eq!(sent.state, state + lost.state, "state bytes leak");
-    assert_eq!(sent.class, class + lost.class, "class bytes leak");
+    assert!(c.total_lost().state > 0, "no shipped state was lost");
 }
 
 /// A node's thread table is as long as the most threads it ever held at
@@ -152,7 +133,6 @@ fn at_idle_no_node_holds_anything_of_the_work_it_ran() {
 fn thread_tables_do_not_grow_with_the_programs_a_node_has_run() {
     let short = churn(200, 0);
     let long = churn(2_000, 0);
-    assert_eq!(long.residue, Residue::default());
     // The two edges and the pool's base member live through either run;
     // the members a burst spawns retire after it.
     assert_eq!(short.table_lens[..3], long.table_lens[..3]);

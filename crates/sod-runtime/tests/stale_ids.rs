@@ -208,3 +208,92 @@ fn stale_messages_for_a_retired_session_touch_nothing() {
     }
     assert!(report == expected, "a stale message changed the run");
 }
+
+/// A message naming a program, pool or node the run never had is dropped
+/// at dispatch: every one of these indexed past a table before.
+#[test]
+fn messages_naming_no_program_pool_or_node_touch_nothing() {
+    use sod_runtime::msg::{FsOp, SegmentInfo, StateMsg};
+    let class = deep_class();
+    let reference = churn(&class).run().expect("fleet runs");
+
+    let mut injected = 0;
+    let report = churn(&class)
+        .run_with(|sim| {
+            for _ in 0..5_000 {
+                sim.sim.step();
+            }
+            let (p, bad) = (0, 9_999);
+            let info = SegmentInfo {
+                program: bad,
+                session: 1,
+                home: 0,
+                return_to: ReturnTarget::Home { node: 0 },
+                nframes: 1,
+                home_pop_frames: 1,
+                wait_for_return: false,
+            };
+            let state = StateMsg {
+                info,
+                state: Default::default(),
+                bundled: vec![],
+                class_bytes: 0,
+                capture_ns: 0,
+                sent_at: 0,
+            };
+            let plan = sod_runtime::MigrationPlan::top_to(1, 1);
+            let request = |requester, program| Msg::ClassRequest {
+                session: 1,
+                requester,
+                name: "Deep".into(),
+                program,
+            };
+            let fetch = |requester, program| Msg::ObjectRequest {
+                session: 1,
+                requester,
+                home_id: 0,
+                program,
+            };
+            let messages = [
+                Msg::StartProgram { program: bad },
+                Msg::MigrateNow { program: bad, plan },
+                Msg::MigrationTimeout {
+                    program: bad,
+                    episode: 1,
+                },
+                Msg::PoolTick { pool: 9 },
+                Msg::PoolReady { pool: 9, node: 2 },
+                request(99, p),
+                request(0, bad),
+                fetch(99, p),
+                fetch(0, bad),
+                Msg::Flush {
+                    program: p,
+                    batch: FrameBatch::new(),
+                    ack_to: Some((99, 1)),
+                },
+                Msg::FsRead {
+                    requester: 99,
+                    tid: 0,
+                    path: "/x".into(),
+                    op: FsOp::Read,
+                },
+                Msg::State(Box::new(state)),
+            ];
+            let now = sim.sim.now();
+            for msg in messages {
+                injected += 1;
+                sim.sim.inject(now, 0, msg);
+            }
+            sim.run();
+        })
+        .expect("fleet runs");
+
+    // Every delivery counts as an event at its node; nothing else moves.
+    let mut expected = reference;
+    expected.cluster.per_node[0].events += injected;
+    assert!(
+        report == expected,
+        "a message naming nothing changed the run"
+    );
+}

@@ -200,8 +200,9 @@ fn state_with_trailing_bytes_fails_its_program() {
 fn state_for_a_session_no_episode_holds_is_dropped_unread() {
     // Frames the decoder would refuse, for a session no node minted (ids
     // are striped by node from 1) and for a program that does not exist:
-    // both are stale, so nobody decodes them, their bytes are lost where
-    // they landed, and the programs run on.
+    // nobody decodes either and the programs run on. The stale one's bytes
+    // are lost where they landed; the one naming no program is dropped at
+    // dispatch, crediting nothing.
     let (mut sim, sibling, victim, _) = sim_with_sibling_on_the_worker();
     let now = sim.sim.now();
     for program in [victim, 99] {
@@ -229,7 +230,7 @@ fn state_for_a_session_no_episode_holds_is_dropped_unread() {
         assert_eq!(sim.program(program).error, None);
         assert_eq!(sim.report(program).result, Some(7 + n));
     }
-    assert_eq!(sim.cluster_report().total_lost().state, 80);
+    assert_eq!(sim.cluster_report().total_lost().state, 40);
 }
 
 #[test]

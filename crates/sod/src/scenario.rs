@@ -495,6 +495,19 @@ impl Pool {
                 max: self.max,
             });
         }
+        if let ScalePolicy::QueueDepth { high, low } = self.policy {
+            let flaps = (self.base + 1..=self.max).any(|live| {
+                let live = live as u64;
+                low * live > high.max(1) * (live - 1) + 1
+            });
+            if flaps {
+                return Err(ScenarioError::PoolPolicy {
+                    pool: self.name.clone(),
+                    high,
+                    low,
+                });
+            }
+        }
         Ok(PoolSpec {
             name: self.name.clone(),
             template: self
@@ -535,12 +548,19 @@ pub enum ScenarioError {
         base: usize,
         max: usize,
     },
+    /// A pool's `QueueDepth` thresholds would flap: drain a member on one
+    /// tick and spawn it back on the next, under constant load (see
+    /// [`ScalePolicy::QueueDepth`]).
+    PoolPolicy { pool: String, high: u64, low: u64 },
     /// A `migrate(..)` directive carries a plan with no segments.
     EmptyPlan,
     /// Deploying a class onto a node failed verification/loading.
     Deploy { node: String, error: String },
     /// A program finished with a runtime error.
     Program { program: String, error: String },
+    /// The finished run broke an identity every run satisfies (see
+    /// [`SodSim::check_idle`]); the message names it and both numbers.
+    Invariant(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -564,6 +584,11 @@ impl fmt::Display for ScenarioError {
                 f,
                 "pool {pool:?} needs 1 <= base <= max (got base={base}, max={max})"
             ),
+            ScenarioError::PoolPolicy { pool, high, low } => write!(
+                f,
+                "pool {pool:?}'s queue-depth thresholds flap (high={high}, low={low}): \
+                 need low*L <= high*(L-1) + 1 for every live size L above base"
+            ),
             ScenarioError::EmptyPlan => {
                 write!(f, "migration plan has no segments (nowhere to migrate)")
             }
@@ -573,6 +598,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Program { program, error } => {
                 write!(f, "program {program} failed: {error}")
             }
+            ScenarioError::Invariant(what) => write!(f, "run invariant broken: {what}"),
         }
     }
 }
@@ -1182,6 +1208,7 @@ impl Scenario {
                 error: p.error.clone(),
             });
         }
+        sim.check_idle().map_err(ScenarioError::Invariant)?;
         Ok(ScenarioReport {
             finished_at_ns,
             cluster: sim.cluster_report(),
@@ -1513,6 +1540,37 @@ mod tests {
             .pool(Pool::new("w"))
             .run();
         assert_eq!(err, Err(ScenarioError::DuplicateNode("w-0".into())));
+    }
+
+    #[test]
+    fn queue_depth_thresholds_that_flap_are_rejected() {
+        let class = trivial_class("T");
+        let run = |high, low| {
+            Scenario::new()
+                .node("a", NodeConfig::cluster("a"))
+                .deploys(&class)
+                .program("T", "main", vec![])
+                .pool(
+                    Pool::new("w")
+                        .base(1)
+                        .max(4)
+                        .scale_policy(ScalePolicy::QueueDepth { high, low }),
+                )
+                .run()
+        };
+        // Live 2, load 3: drains (3 < 2·2), then spawns back (⌈3/2⌉ > 1).
+        let err = run(2, 2);
+        let pool = "w".into();
+        assert_eq!(
+            err,
+            Err(ScenarioError::PoolPolicy {
+                pool,
+                high: 2,
+                low: 2
+            })
+        );
+        assert!(run(2, 1).is_ok());
+        assert!(run(3, 2).is_ok());
     }
 
     #[test]

@@ -3,8 +3,15 @@
 //! drain-and-retire scale-in — is a pure function of (scenario, arrival
 //! seed): same inputs reproduce the **entire** `ScenarioReport` bit for
 //! bit, per-pool scaling counters and the `node_seconds` cost metric
-//! included. Chaos interoperates: a crashed
-//! pool member retires and the controller replaces it on its next tick.
+//! included. A burst must open the pool and the cool-down drain it, and
+//! with CPU contention on no node is busier than it was alive. Chaos
+//! interoperates: a crashed pool member retires and the controller
+//! replaces it on its next tick.
+//!
+//! Every run here also passes the checks `Scenario::run` applies to every
+//! run (`SodSim::check_idle`): every program ends, each pool stays within
+//! `max`, ends at its base size and has a per-node row per member, and
+//! nothing of the work is left on any node.
 //!
 //! The property tests push the same claims through random scale policies,
 //! cold-start latencies, and burst shapes.
@@ -12,7 +19,7 @@
 use proptest::prelude::*;
 use sod::net::MS;
 use sod::preprocess::preprocess_sod;
-use sod::runtime::{NodeConfig, Residue};
+use sod::runtime::NodeConfig;
 use sod::scenario::{Chaos, Fleet, Plan, Pool, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
@@ -59,35 +66,10 @@ fn reference() -> ScenarioReport {
     elastic_fleet(42, ScalePolicy::QueueDepth { high: 2, low: 1 })
 }
 
-/// Invariants every elastic run must satisfy: all programs terminated,
-/// the pool respected its bounds, retirement drained the pool back to
-/// base, and the cost metric covers every node that ever lived.
-fn assert_elastic_invariants(label: &str, r: &ScenarioReport) {
+/// With CPU contention on a node runs its threads one at a time, so none
+/// is busier than it was alive; and node-seconds accrue.
+fn assert_contended(label: &str, r: &ScenarioReport) {
     let cl = &r.cluster;
-    assert_eq!(
-        cl.completed + cl.failed,
-        cl.launched,
-        "{label}: every program must complete or fail typed"
-    );
-    assert_eq!(cl.pools.len(), 1, "{label}: one pool declared");
-    let pool = &cl.pools[0];
-    assert_eq!(pool.name, "workers", "{label}");
-    assert!(
-        pool.peak <= MAX as u64,
-        "{label}: peak {} exceeds max {MAX}",
-        pool.peak
-    );
-    assert_eq!(
-        pool.final_size, BASE as u64,
-        "{label}: the pool must drain back to base once the fleet is done"
-    );
-    // Every node that ever existed — declared, base, or spawned — has a
-    // per-node row, and each spawned member accounts node lifetime.
-    assert_eq!(
-        cl.per_node.len() as u64,
-        2 + BASE as u64 + pool.spawns,
-        "{label}: per-node rows must cover spawned members"
-    );
     assert!(cl.node_ns > 0, "{label}: node-seconds must accrue");
     for n in &cl.per_node {
         assert!(
@@ -107,7 +89,7 @@ fn same_seed_replays_bit_identically() {
         "same arrival seed must reproduce the full report, scaling included"
     );
     assert_eq!(a.cluster.pools, b.cluster.pools);
-    assert_elastic_invariants("reference", &a);
+    assert_contended("reference", &a);
 
     // The burst actually forced the pool open and back shut.
     let pool = &a.cluster.pools[0];
@@ -126,7 +108,7 @@ fn different_seed_diverges() {
     let a = reference();
     let b = elastic_fleet(43, ScalePolicy::QueueDepth { high: 2, low: 1 });
     assert_ne!(a, b, "a different arrival seed must perturb the run");
-    assert_elastic_invariants("reseeded", &b);
+    assert_contended("reseeded", &b);
 }
 
 /// Chaos interop: crash an initial pool member mid-burst. The member
@@ -161,19 +143,9 @@ fn crashed_pool_member_is_replaced() {
 
     let cl = &a.cluster;
     assert_eq!(cl.chaos.crashes, 1, "the member crash fired");
-    assert_eq!(
-        cl.completed + cl.failed,
-        cl.launched,
-        "crash recovery must leave no hangs"
-    );
-    let pool = &cl.pools[0];
     assert!(
-        pool.spawns > 0,
+        cl.pools[0].spawns > 0,
         "the controller must spawn a replacement for the crashed member"
-    );
-    assert_eq!(
-        pool.final_size, 2,
-        "the pool must end at base despite losing a member"
     );
 }
 
@@ -181,8 +153,7 @@ fn crashed_pool_member_is_replaced() {
 // Property tests: random policies, cold starts, and burst shapes.
 // ---------------------------------------------------------------------------
 
-/// A random elastic fleet's report, with what its nodes still hold at
-/// idle.
+/// A random elastic fleet's report.
 fn random_elastic_fleet(
     policy_sel: u8,
     knob: u64,
@@ -190,7 +161,7 @@ fn random_elastic_fleet(
     burst: usize,
     programs: usize,
     seed: u64,
-) -> (ScenarioReport, Residue) {
+) -> ScenarioReport {
     let policy = match policy_sel % 3 {
         0 => ScalePolicy::QueueDepth {
             high: 1 + knob % 4,
@@ -204,8 +175,7 @@ fn random_elastic_fleet(
         },
     };
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
-    let mut residue = Residue::default();
-    let report = Scenario::new()
+    Scenario::new()
         .slice_ns(10_000)
         .cpu_contention(true)
         .node("edge", NodeConfig::cluster("edge"))
@@ -223,12 +193,8 @@ fn random_elastic_fleet(
                 .arrivals(ArrivalSchedule::bursty(burst, 8 * MS).with_jitter(MS), seed)
                 .migrate(When::OnCpuSliceBudget(2), Plan::top_to("workers", 1)),
         )
-        .run_with(|sim| {
-            sim.run();
-            residue = sim.sim.world.residue();
-        })
-        .expect("random elastic fleet runs");
-    (report, residue)
+        .run()
+        .expect("random elastic fleet runs")
 }
 
 proptest! {
@@ -246,28 +212,15 @@ proptest! {
         let run = || random_elastic_fleet(
             policy_sel, knob, cold_start_us, burst, programs, seed,
         );
-        let (first, residue) = run();
+        let first = run();
 
         // Same seed ⇒ bit-identical replay, scaling counters included.
-        let (again, _) = run();
-        prop_assert_eq!(&first, &again, "elastic replay diverged");
+        prop_assert_eq!(&first, &run(), "elastic replay diverged");
 
-        // Finished work is reclaimed: no node holds a session, a thread
-        // owner, a thread or a breakpoint at idle.
-        prop_assert_eq!(residue, Residue::default());
-
-        // Termination and pool bounds, for an arbitrary policy.
-        let cl = &first.cluster;
-        prop_assert_eq!(cl.completed, programs as u64);
-        prop_assert_eq!(cl.failed, 0);
-        let pool = &cl.pools[0];
-        prop_assert!(pool.peak <= 6, "peak {} exceeds max", pool.peak);
+        // Without chaos every program succeeds, and the live size never
+        // dips below base, for an arbitrary policy.
+        prop_assert_eq!(first.cluster.completed, programs as u64);
+        let pool = &first.cluster.pools[0];
         prop_assert!(pool.min >= 1, "live size dipped below base without chaos");
-        prop_assert_eq!(pool.final_size, 1, "pool must drain back to base");
-        prop_assert_eq!(
-            cl.per_node.len() as u64,
-            2 + pool.spawns,
-            "per-node rows must cover spawned members"
-        );
     }
 }

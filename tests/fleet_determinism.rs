@@ -92,58 +92,24 @@ fn hundred_plus_program_fleet_completes_with_percentiles() {
     assert_eq!(migrated, FLEET, "every request should offload once");
     // Per-program accounting: each report carries its own instructions,
     // not a global counter (the pre-fleet bug charged every program for
-    // everyone's work).
-    let per_program: Vec<u64> = r.programs().iter().map(|p| p.report.instructions).collect();
-    let total: u64 = per_program.iter().sum();
-    let node_total: u64 = cl.per_node.iter().map(|n| n.instructions).sum();
-    assert_eq!(
-        total, node_total,
-        "program-attributed instructions must partition node totals"
-    );
-    assert!(per_program.iter().all(|&i| i > 0));
+    // everyone's work); `run` checks that they partition the node totals.
+    assert!(r.programs().iter().all(|p| p.report.instructions > 0));
     // Sanity: results are correct under heavy interleaving.
     assert!(r.programs().iter().all(|p| p.report.result == Some(987)));
 }
 
-/// Byte conservation with fault injection: a fault-free fleet has an
-/// empty `lost` bucket and the per-program balance of old; under seeded
-/// loss the dropped payloads move *into* `lost` instead of leaking out of
-/// the ledger — `sent = accounted + lost`, per category.
+/// Byte conservation with fault injection: a fault-free fleet loses
+/// nothing; under seeded loss the dropped payloads move *into* `lost`
+/// instead of leaking out of the ledger (`Scenario::run` checks that
+/// `sent = accounted + lost` closes, per category).
 #[test]
 fn dropped_bytes_land_in_the_lost_bucket_not_the_void() {
-    let balance = |r: &ScenarioReport| -> (NetBytes, NetBytes, u64, u64, u64) {
-        let state: u64 = r
-            .programs()
-            .iter()
-            .flat_map(|p| p.report.migrations.iter())
-            .map(|m| m.state_bytes)
-            .sum();
-        let class: u64 = r.programs().iter().map(|p| p.report.class_bytes).sum();
-        let object: u64 = r.programs().iter().map(|p| p.report.object_bytes).sum();
-        (
-            r.cluster.total_sent(),
-            r.cluster.total_lost(),
-            state,
-            class,
-            object,
-        )
-    };
-
-    // Fault-free: lost is identically zero and sent == accounted.
     let clean = fleet_scenario_sized(42, 30, CodeShipping::default());
-    let (sent, lost, state, class, object) = balance(&clean);
+    let lost = clean.cluster.total_lost();
     assert_eq!(lost, NetBytes::default(), "no chaos ⇒ nothing lost");
-    assert_eq!(
-        sent,
-        NetBytes {
-            state,
-            class,
-            object
-        }
-    );
 
     // Lossy: the same fleet under 8% seeded loss. Some payloads drop;
-    // they must be credited to `lost`, and the identity still closes.
+    // they must be credited to `lost`.
     let class_def = preprocess_sod(&fib_class()).expect("preprocess fib");
     let lossy = Scenario::new()
         .slice_ns(10_000)
@@ -162,15 +128,12 @@ fn dropped_bytes_land_in_the_lost_bucket_not_the_void() {
         .chaos(Chaos::new().seed(5).loss(80))
         .run()
         .expect("lossy fleet runs");
-    let (sent, lost, state, class, object) = balance(&lossy);
     assert!(
         lossy.cluster.chaos.dropped_msgs > 0,
         "8% loss over 30 programs must drop something"
     );
+    let lost = lossy.cluster.total_lost();
     assert_ne!(lost, NetBytes::default(), "drops must be credited as lost");
-    assert_eq!(sent.state, state + lost.state, "state bytes leaked");
-    assert_eq!(sent.class, class + lost.class, "class bytes leaked");
-    assert_eq!(sent.object, object + lost.object, "object bytes leaked");
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //!
 //! The property test at the bottom pushes the same claim through random
 //! fleets (node count 2–16, up to 300 programs, random triggers, links,
-//! schedules, and seeds), plus byte conservation and `Fib(12) == 144`.
+//! schedules, and seeds), plus `Fib(12) == 144` with nothing lost (every
+//! run also passes `Scenario::run`'s own checks, byte ledger included).
 
 use proptest::prelude::*;
 use sod::asm::builder::ClassBuilder;
@@ -334,7 +335,7 @@ fn chaos_profiles_are_scheduler_equivalent() {
         ),
     ];
     for (name, chaos) in profiles {
-        let report = assert_equivalent(name, || {
+        assert_equivalent(name, || {
             fleet_scenario(
                 ArrivalSchedule::bursty(10, 5 * MS).with_jitter(MS),
                 42,
@@ -342,13 +343,6 @@ fn chaos_profiles_are_scheduler_equivalent() {
             )
             .chaos(chaos.clone())
         });
-        // Everything still terminates: completed + failed partitions the
-        // fleet under every profile.
-        assert_eq!(
-            report.cluster.completed + report.cluster.failed,
-            report.cluster.launched,
-            "{name}: programs must finish or fail typed"
-        );
     }
 }
 
@@ -391,11 +385,6 @@ fn elastic_pools_are_scheduler_equivalent() {
                 )
         });
         assert_eq!(report.cluster.completed, 40, "{name}: fleet must finish");
-        assert_eq!(report.cluster.pools.len(), 1, "{name}");
-        assert_eq!(
-            report.cluster.pools[0].final_size, 1,
-            "{name}: pool must drain back to base"
-        );
     }
 }
 
@@ -473,37 +462,10 @@ proptest! {
         let again = run();
         prop_assert_eq!(&report, &again, "same-seed replay diverged");
 
-        // Every program completed and computed Fib(12).
+        // Every program completed and computed Fib(12); `run` checked
+        // that the byte ledger balances and nothing was lost.
         prop_assert_eq!(report.cluster.completed, programs as u64);
         prop_assert!(report.programs().iter().all(|p| p.report.result == Some(144)));
-
-        // Byte conservation: per-node send totals partition the cluster
-        // total, and the per-program accounting balances against it.
-        let total = report.cluster.total_sent();
-        let per_node = report
-            .cluster
-            .per_node
-            .iter()
-            .fold(NetBytes::default(), |acc, n| NetBytes {
-                state: acc.state + n.sent.state,
-                class: acc.class + n.sent.class,
-                object: acc.object + n.sent.object,
-            });
-        prop_assert_eq!(total, per_node);
-        let state: u64 = report
-            .programs()
-            .iter()
-            .flat_map(|p| p.report.migrations.iter())
-            .map(|m| m.state_bytes)
-            .sum();
-        let class: u64 = report.programs().iter().map(|p| p.report.class_bytes).sum();
-        let object: u64 = report.programs().iter().map(|p| p.report.object_bytes).sum();
-        prop_assert_eq!(total.state, state, "state bytes must balance");
-        prop_assert_eq!(total.class, class, "class bytes must balance");
-        prop_assert_eq!(total.object, object, "object bytes must balance");
-
-        // Per-node event counts partition the delivered total (non-zero
-        // somewhere: every program ran at least one slice).
-        prop_assert!(report.cluster.per_node.iter().map(|n| n.events).sum::<u64>() > 0);
+        prop_assert_eq!(report.cluster.total_lost(), NetBytes::default());
     }
 }
