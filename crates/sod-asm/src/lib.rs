@@ -11,6 +11,10 @@
 //! preprocessor defines migration-safe points at line starts, so the
 //! assembler forces every instruction to belong to an explicit line.
 //!
+//! The assembler builds trusted guests, from Rust or from a `.sasm` file
+//! its author wrote, so it is not held to the system crates' panic lints:
+//! a panic here is a programmer error, not a guest's or a peer's doing.
+//!
 //! ```
 //! use sod_asm::builder::ClassBuilder;
 //! use sod_vm::interp::Vm;

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use sod_vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue};
+use sod_vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue, Frames};
 use sod_vm::wire::{decode_state, encode_state, encode_state_pooled, BufferPool};
 
 /// Timing repetitions per row; the minimum is reported to shed scheduler
@@ -40,20 +40,19 @@ const INNER: usize = 256;
 /// frames of `locals` locals each, plus one statics block. Deterministic
 /// — no clocks, no RNG — so every run encodes identical bytes.
 pub fn synthetic_state(depth: usize, locals: usize) -> CapturedState {
-    let frames = (0..depth)
-        .map(|i| CapturedFrame {
-            class: format!("Workload{}", i % 4).into(),
-            method: format!("step{i}").into(),
-            pc: (i * 7) as u32,
-            locals: (0..locals)
-                .map(|j| match j % 3 {
-                    0 => CapturedValue::Int((i * locals + j) as i64),
-                    1 => CapturedValue::Num(j as f64 * 0.5),
-                    _ => CapturedValue::Null,
-                })
-                .collect(),
-        })
-        .collect();
+    let frames = (0..depth).map(|i| CapturedFrame {
+        class: format!("Workload{}", i % 4).into(),
+        method: format!("step{i}").into(),
+        pc: (i * 7) as u32,
+        locals: (0..locals)
+            .map(|j| match j % 3 {
+                0 => CapturedValue::Int((i * locals + j) as i64),
+                1 => CapturedValue::Num(j as f64 * 0.5),
+                _ => CapturedValue::Null,
+            })
+            .collect(),
+    });
+    let frames = Frames::from_frames(frames).expect("a synthetic segment fits its u32 indexes");
     let statics = vec![CapturedStatics {
         class: "Workload0".into(),
         values: vec![CapturedValue::Int(42), CapturedValue::Null],

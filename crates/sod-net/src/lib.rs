@@ -14,6 +14,10 @@
 //! distributed runtime (`sod-runtime`) — nodes exchange messages whose
 //! delivery times are computed from the [`Topology`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod chaos;
 pub mod link;
 pub mod sim;

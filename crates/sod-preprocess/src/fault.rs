@@ -29,7 +29,9 @@ use sod_vm::instr::Instr;
 
 use crate::splice::max_line;
 
-/// Provenance of a dereferenced reference within one statement.
+/// Provenance of a dereferenced reference within one statement. There is
+/// no unknown case: the analysis holds `None` where provenance is unknown,
+/// so every `Prov` is one a handler can repair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Prov {
     /// Loaded from a local slot.
@@ -40,7 +42,6 @@ enum Prov {
     Static(u16, u16),
     /// `local[local]` array element.
     ElemOfLocal(u16, u16),
-    Unknown,
 }
 
 /// Inject fault handlers into every method of `class`; returns the number
@@ -80,9 +81,7 @@ fn inject_into_method(class: &mut ClassDef, method_idx: usize) -> VmResult<usize
         }
         let m = &class.methods[method_idx];
         if let Some(prov) = statement_deref_prov(m, start, end) {
-            if prov != Prov::Unknown {
-                plans.push((start, end, prov));
-            }
+            plans.push((start, end, prov));
         }
     }
 
@@ -148,7 +147,6 @@ fn inject_into_method(class: &mut ClassDef, method_idx: usize) -> VmResult<usize
                 emit(&mut code, &mut lines, Instr::BringObjLocal(s));
                 emit(&mut code, &mut lines, Instr::Goto(start));
             }
-            Prov::Unknown => unreachable!("filtered above"),
         }
         m.code = code;
         m.lines = lines;
@@ -176,46 +174,39 @@ fn inject_into_method(class: &mut ClassDef, method_idx: usize) -> VmResult<usize
 ///   handler (the NPE surfaces as an application NPE), which quantifies
 ///   exactly why the paper pairs fault handlers with rearrangement.
 ///
-/// Bails (Unknown) on control flow inside the statement.
+/// `None` (no handler) also when control flow is inside the statement.
 fn statement_deref_prov(m: &sod_vm::class::MethodDef, start: u32, end: u32) -> Option<Prov> {
-    let mut stack: Vec<Prov> = Vec::with_capacity(8);
-    let mut first: Option<Prov> = None;
+    let mut stack: Vec<Option<Prov>> = Vec::with_capacity(8);
+    // The first deref's provenance, once the statement has one.
+    let mut first: Option<Option<Prov>> = None;
     for pc in start..end {
         let instr = &m.code[pc as usize];
         let is_deref = instr.is_deref() && !matches!(instr, Instr::Throw);
         if is_deref {
             let depth = instr.deref_depth()? as usize;
-            if depth >= stack.len() {
-                return Some(Prov::Unknown);
+            let p = *stack.get(stack.len().checked_sub(1 + depth)?)?;
+            if first.is_some() {
+                // Second deref: safe only for the two-level chain.
+                return p.filter(|p| matches!(p, Prov::FieldOfLocal(..) | Prov::ElemOfLocal(..)));
             }
-            let p = stack[stack.len() - 1 - depth];
-            match first {
-                None => first = Some(p),
-                Some(_) => {
-                    // Second deref: safe only for the two-level chain.
-                    return Some(match p {
-                        Prov::FieldOfLocal(_, _) | Prov::ElemOfLocal(_, _) => p,
-                        _ => Prov::Unknown,
-                    });
-                }
-            }
+            first = Some(p);
         }
         match instr {
-            Instr::Load(s) => stack.push(Prov::Local(*s)),
-            Instr::GetStatic(c, f) => stack.push(Prov::Static(*c, *f)),
+            Instr::Load(s) => stack.push(Some(Prov::Local(*s))),
+            Instr::GetStatic(c, f) => stack.push(Some(Prov::Static(*c, *f))),
             Instr::GetField(f) => {
                 let base = stack.pop()?;
                 stack.push(match base {
-                    Prov::Local(s) => Prov::FieldOfLocal(s, *f),
-                    _ => Prov::Unknown,
+                    Some(Prov::Local(s)) => Some(Prov::FieldOfLocal(s, *f)),
+                    _ => None,
                 });
             }
             Instr::ALoad => {
                 let idx = stack.pop()?;
                 let base = stack.pop()?;
                 stack.push(match (base, idx) {
-                    (Prov::Local(s), Prov::Local(i)) => Prov::ElemOfLocal(s, i),
-                    _ => Prov::Unknown,
+                    (Some(Prov::Local(s)), Some(Prov::Local(i))) => Some(Prov::ElemOfLocal(s, i)),
+                    _ => None,
                 });
             }
             Instr::Dup => {
@@ -225,7 +216,7 @@ fn statement_deref_prov(m: &sod_vm::class::MethodDef, start: u32, end: u32) -> O
             Instr::Swap => {
                 let n = stack.len();
                 if n < 2 {
-                    return Some(Prov::Unknown);
+                    return None;
                 }
                 stack.swap(n - 1, n - 2);
             }
@@ -234,14 +225,12 @@ fn statement_deref_prov(m: &sod_vm::class::MethodDef, start: u32, end: u32) -> O
             | Instr::IfNull(_)
             | Instr::IfNonNull(_)
             | Instr::Goto(_)
-            | Instr::Switch(_) => {
-                return Some(first.map_or(Prov::Unknown, |_| Prov::Unknown));
-            }
+            | Instr::Switch(_) => return None,
             other => {
-                // Generic: pop per demand, push Unknowns per delta.
+                // Generic: pop per demand, push unknowns per delta.
                 let pops = other.pops() as usize;
                 if pops > stack.len() {
-                    return Some(Prov::Unknown);
+                    return None;
                 }
                 for _ in 0..pops {
                     stack.pop();
@@ -249,15 +238,15 @@ fn statement_deref_prov(m: &sod_vm::class::MethodDef, start: u32, end: u32) -> O
                 if let Some(delta) = other.stack_delta() {
                     let pushes = (delta + pops as i32).max(0) as usize;
                     for _ in 0..pushes {
-                        stack.push(Prov::Unknown);
+                        stack.push(None);
                     }
                 } else {
-                    return first; // return/throw ends the statement
+                    return first.flatten(); // return/throw ends the statement
                 }
             }
         }
     }
-    first
+    first.flatten()
 }
 
 #[cfg(test)]

@@ -28,6 +28,10 @@
 //! statistics (the paper's Fig. 5 compares 501 → 667 → 902 bytes for the
 //! original, status-checked, and fault-handler variants of one class).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod checks;
 pub mod fault;
 pub mod rearrange;

@@ -354,22 +354,18 @@ impl Cluster {
                 .map(|n| (n, self.active_sessions_on(n)))
                 .collect();
             for sid in hosted {
-                let (armed, roamable, home) = {
-                    let w = &self.nodes[dn].sessions[&sid];
-                    (
-                        w.pending_roam.is_some(),
-                        matches!(w.phase, WorkerPhase::Running | WorkerPhase::Waiting),
-                        w.home,
-                    )
+                let Some(w) = self.nodes[dn].sessions.get_mut(&sid) else {
+                    continue;
                 };
-                if armed || !roamable {
+                let roamable = matches!(w.phase, WorkerPhase::Running | WorkerPhase::Waiting);
+                if w.pending_roam.is_some() || !roamable {
                     continue; // mid-protocol: a later tick re-arms it
                 }
                 let dest = targets
                     .iter()
                     .min_by_key(|&&(n, c)| (c, n))
-                    .map(|&(n, _)| n)
-                    .unwrap_or(home);
+                    .map_or(w.home, |&(n, _)| n);
+                w.pending_roam = Some(dest);
                 if let Some(t) = targets.iter_mut().find(|(n, _)| *n == dest) {
                     t.1 += 1;
                 }
@@ -377,7 +373,6 @@ impl Cluster {
                 // restore lands (same in-flight accounting as pool
                 // placement, balanced at session insert).
                 self.nodes[dest].inbound_sessions += 1;
-                self.nodes[dn].sessions.get_mut(&sid).unwrap().pending_roam = Some(dest);
             }
         }
     }

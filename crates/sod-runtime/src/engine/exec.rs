@@ -13,7 +13,7 @@ use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
 use crate::trigger::Trigger;
 
 use super::session::{HomeSide, Owner};
-use super::{rollback_to_statement_start, Cluster, CONTROL_MSG_BYTES};
+use super::{Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -558,25 +558,23 @@ impl Cluster {
             if e.kind == ExKind::OutOfMemory {
                 // Exception-driven offload (`Trigger::OnOom`): roll the
                 // faulting statement back and push the whole stack to the
-                // armed destination, so the allocation retries there.
-                let offload = self.programs[program as usize]
-                    .triggers
-                    .iter_mut()
-                    .find(|t| !t.fired && matches!(t.trigger, Trigger::OnOom { .. }))
-                    .map(|t| {
+                // armed destination, so the allocation retries there. A
+                // thread the VM cannot roll back fails as unhandled.
+                let mut triggers = self.programs[program as usize].triggers.iter_mut();
+                let offload = triggers.find_map(|t| match t.trigger {
+                    Trigger::OnOom { to } if !t.fired => {
                         t.fired = true;
-                        match t.trigger {
-                            Trigger::OnOom { to } => to,
-                            _ => unreachable!(),
-                        }
-                    });
+                        Some(to)
+                    }
+                    _ => None,
+                });
                 if let Some(cloud) = offload {
-                    let height = self.nodes[node].vm.thread(tid).unwrap().frames.len();
-                    rollback_to_statement_start(&mut self.nodes[node].vm, tid);
-                    self.programs[program as usize].side =
-                        HomeSide::PlanPending(MigrationPlan::top_to(cloud, height));
-                    ctx.schedule(elapsed, node, Msg::RunSlice { tid });
-                    return;
+                    if let Ok(height) = self.nodes[node].vm.rollback_to_line_start(tid) {
+                        self.programs[program as usize].side =
+                            HomeSide::PlanPending(MigrationPlan::top_to(cloud, height));
+                        ctx.schedule(elapsed, node, Msg::RunSlice { tid });
+                        return;
+                    }
                 }
             }
         }

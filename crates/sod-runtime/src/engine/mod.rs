@@ -697,11 +697,12 @@ impl SodSim {
     /// Check the identities every run satisfies at idle; `Err` names the
     /// first that fails, with both of its numbers:
     ///
-    /// * the event queue is drained;
+    /// * the event queue is drained (a run that spent its event budget
+    ///   fails here, naming the node that absorbed the most deliveries);
     /// * every program is done: an ok one with a result, a failed one with
     ///   none and a non-empty error;
     /// * no program's migrations bundled more class bytes than it shipped;
-    /// * nothing of the work is left ([`Cluster::residue`] is zero);
+    /// * nothing of the work is left (`Cluster::residue` is zero);
     /// * per byte category, `sent = accounted + lost`, accounted being the
     ///   migrations' state bytes and the programs' class and object bytes
     ///   (per category only: a flush credits its objects to whichever
@@ -718,7 +719,15 @@ impl SodSim {
     /// as lost bytes nobody sent.
     pub fn check_idle(&self) -> Result<(), String> {
         let (sim, world) = (&self.sim, &self.sim.world);
-        ensure(sim.is_idle(), || "the event queue is not drained".into())?;
+        ensure(sim.is_idle(), || {
+            let ((hot, count), queued) = (sim.hottest(), sim.queued());
+            format!(
+                "the event queue is not drained: {queued} queued at t={} ns; hottest node \
+                 {hot} absorbed {count} of the {} deliveries",
+                sim.now(),
+                sim.delivered()
+            )
+        })?;
         let (mut accounted, mut instructions) = (NetBytes::default(), 0);
         for (i, p) in world.programs.iter().enumerate() {
             let r = &p.report;
@@ -819,21 +828,6 @@ fn ensure(ok: bool, what: impl FnOnce() -> String) -> Result<(), String> {
     }
 }
 
-/// Roll a faulted thread back to the start of the faulting statement
-/// (operand stack cleared — sound because rearranged statements are
-/// single-effect), leaving it runnable for capture at that MSP.
-pub fn rollback_to_statement_start(vm: &mut sod_vm::interp::Vm, tid: usize) {
-    let (ci, mi, pc) = {
-        let f = vm.thread(tid).unwrap().top().unwrap();
-        (f.class_idx, f.method_idx, f.pc)
-    };
-    let start = vm.line_start_pc(ci, mi, pc);
-    let t = vm.thread_mut(tid).unwrap();
-    t.frames.last_mut().unwrap().pc = start;
-    t.clear_operands();
-    t.state = sod_vm::interp::ThreadState::Runnable;
-}
-
 #[cfg(test)]
 mod tests {
     use sod_asm::builder::ClassBuilder;
@@ -891,7 +885,10 @@ mod tests {
         assert!(sim.program(0).report.migrations[0].class_bytes > 0);
         type Break = fn(&mut SodSim);
         let cases: [(&str, Break); 18] = [
-            ("event queue", |s| s.client_request_at(s.sim.now(), 0, "")),
+            (
+                "1 queued at t=9000000 ns; hottest node 0 absorbed 15 of the 22",
+                |s| s.client_request_at(s.sim.now(), 0, ""),
+            ),
             ("program 0 is not done", |s| {
                 s.sim.world.programs[0].done = false
             }),

@@ -327,6 +327,12 @@ pub(super) fn export_with_temps(vm: &Vm, v: Value) -> CapturedValue {
 /// of them into one pooled buffer; the returned batch's payload length is
 /// the flush byte metric, and a flush of nothing takes no buffer. Clears
 /// the flushed objects' dirty bits on success.
+///
+/// The set is the *home's*, not the finishing session's: a copy another of
+/// the home's sessions dirtied here flushes with whichever ends first. That
+/// is the model, so which program's `object_bytes` a flush credits is
+/// arbitrary; the totals are conserved, and `SodSim::check_idle` checks
+/// them per byte category.
 pub(super) fn collect_flush(
     vm: &mut Vm,
     origin: OriginId,

@@ -94,6 +94,10 @@
 //! assert_eq!(report.migrations.len(), 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod costs;
 pub mod engine;
 pub mod fs;

@@ -28,7 +28,7 @@ use sod_runtime::msg::{ReturnTarget, SegmentInfo, StateMsg};
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
 use sod_runtime::{MigrationPlan, Msg, ProgramId, SessionId};
-use sod_vm::capture::{CapturedFrame, CapturedState, CapturedValue};
+use sod_vm::capture::{CapturedFrame, CapturedState, CapturedValue, Frames};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
@@ -101,7 +101,7 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId)
 /// finished regardless.
 fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -> String {
     let state = CapturedState {
-        frames: frames.into_iter().collect(),
+        frames: Frames::from_frames(frames).unwrap(),
         statics: vec![],
     };
     let wire = encode_state(&state).unwrap();
@@ -187,7 +187,7 @@ fn state_with_trailing_bytes_fails_its_program() {
     // frame that is longer than its content is refused, not trimmed.
     let locals = vec![CapturedValue::Int(1), CapturedValue::Int(0)];
     let state = CapturedState {
-        frames: [spin_frame("spin", locals)].into_iter().collect(),
+        frames: Frames::from_frames([spin_frame("spin", locals)]).unwrap(),
         statics: vec![],
     };
     let mut wire = encode_state(&state).unwrap().to_vec();

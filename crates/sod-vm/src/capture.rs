@@ -101,8 +101,8 @@ impl CapturedValue {
 }
 
 /// One captured frame, owned: what tests and tools build a segment from
-/// ([`Frames::push`], `Frames: FromIterator<CapturedFrame>`). A segment
-/// does not store its frames in this form — see [`Frames`].
+/// ([`Frames::push`], [`Frames::from_frames`]). A segment does not store
+/// its frames in this form — see [`Frames`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CapturedFrame {
     pub class: Arc<str>,
@@ -274,15 +274,23 @@ impl Frames {
     }
 
     /// Append one frame on top, joining the top run if it names the same
-    /// method.
-    pub fn push(&mut self, frame: CapturedFrame) {
+    /// method. Fails only when the segment outgrows its `u32` indexes.
+    pub fn push(&mut self, frame: CapturedFrame) -> VmResult<()> {
         let top = self.runs.last();
         if !top.is_some_and(|(c, m)| **c == *frame.class && **m == *frame.method) {
             self.open_run(frame.class, frame.method);
         }
         self.values.extend(frame.locals);
         self.end_frame(frame.pc)
-            .expect("a segment holds fewer than 2^32 frames and values");
+    }
+
+    /// The segment of `frames`, bottom-up, each one [`push`](Self::push)ed.
+    pub fn from_frames(frames: impl IntoIterator<Item = CapturedFrame>) -> VmResult<Frames> {
+        let mut out = Frames::new();
+        for frame in frames {
+            out.push(frame)?;
+        }
+        Ok(out)
     }
 
     /// Split the segment at frame `at`: `self` keeps the frames below it,
@@ -310,16 +318,6 @@ impl Frames {
             heads,
             values,
         }
-    }
-}
-
-impl FromIterator<CapturedFrame> for Frames {
-    fn from_iter<I: IntoIterator<Item = CapturedFrame>>(iter: I) -> Self {
-        let mut frames = Frames::new();
-        for frame in iter {
-            frames.push(frame);
-        }
-        frames
     }
 }
 
@@ -668,7 +666,7 @@ mod tests {
         assert_eq!((top.runs().len(), rest.runs().len()), (1, 1));
         assert_eq!(top.get(0).unwrap(), f);
         assert_eq!(rest.get(0).unwrap(), main);
-        assert_eq!(top, [owned].into_iter().collect::<Frames>());
+        assert_eq!(top, Frames::from_frames([owned]).unwrap());
     }
 
     #[test]
@@ -753,12 +751,15 @@ mod tests {
         let f = top.get(0).unwrap();
         let mut longer = f.locals.to_vec();
         longer.push(CapturedValue::Int(0));
-        state.frames.push(CapturedFrame {
-            class: f.class.into(),
-            method: f.method.into(),
-            pc: f.pc,
-            locals: longer,
-        });
+        state
+            .frames
+            .push(CapturedFrame {
+                class: f.class.into(),
+                method: f.method.into(),
+                pc: f.pc,
+                locals: longer,
+            })
+            .unwrap();
         let before = worker.threads.len();
         let err = restore_segment_direct(&mut worker, &state).unwrap_err();
         assert!(matches!(err, VmError::Verify { .. }));

@@ -287,6 +287,21 @@ enum FaultBind {
     Stub,
 }
 
+/// A protocol-family instruction as [`Vm::exec_instr`] matched it:
+/// `Captured` is `ReadCaptured` (`push`) or `RestoreLocal`; the last four
+/// are the `BringObj*` family.
+#[derive(Clone, Copy)]
+enum Protocol {
+    Captured { slot: u16, push: bool },
+    CapturedPc,
+    RethrowAppNpe,
+    CheckStatus(u8),
+    Local(u16),
+    Field(u16, u16),
+    StaticTo(u16, u16, u16),
+    ElemTo(u16, u16, u16),
+}
+
 /// A parked object fault: what was asked and where the answer goes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PendingFault {
@@ -1522,22 +1537,16 @@ impl Vm {
     // Allocation with memory budget
     // ------------------------------------------------------------------
 
-    fn alloc_checked(
-        &mut self,
-        tid: usize,
-        bytes_estimate: u64,
-        alloc: impl FnOnce(&mut Heap) -> ObjId,
-    ) -> Result<ObjId, Flow> {
-        if let Some(limit) = self.mem_limit {
-            if self.heap.used_bytes() + bytes_estimate > limit {
-                let out = self
-                    .throw_and_outcome(tid, ExKind::OutOfMemory, "heap budget exceeded")
-                    .expect("throw never fails");
-                return Err(out);
-            }
+    /// Charge `tid` for allocating `bytes`, or refuse (`false`, nothing
+    /// charged) when that would exceed the heap budget.
+    fn charge_alloc(&mut self, tid: usize, bytes: u64) -> bool {
+        let fits = self
+            .mem_limit
+            .is_none_or(|l| self.heap.used_bytes() + bytes <= l);
+        if fits {
+            self.charge(tid, alloc_cost(bytes));
         }
-        self.charge(tid, alloc_cost(bytes_estimate));
-        Ok(alloc(&mut self.heap))
+        fits
     }
 
     // ------------------------------------------------------------------
@@ -1671,13 +1680,15 @@ impl Vm {
                 // validate it with a pointer comparison.
                 let cname = self.classes[target_ci].name_arc.clone();
                 let bytes = 16 + fields.len() as u64 * Value::SLOT_BYTES;
-                match self.alloc_checked(tid, bytes, |h| h.alloc_obj(cname, fields)) {
-                    Ok(id) => {
-                        push!(Value::Ref(id));
-                        advance!()
-                    }
-                    Err(thrown) => Ok(thrown),
+                if !self.charge_alloc(tid, bytes) {
+                    return self.throw_and_outcome(
+                        tid,
+                        ExKind::OutOfMemory,
+                        "heap budget exceeded",
+                    );
                 }
+                push!(Value::Ref(self.heap.alloc_obj(cname, fields)));
+                advance!()
             }
             GetField(fidx) => {
                 // IC: `a` = receiver class index, `b` = field slot, valid
@@ -1737,7 +1748,7 @@ impl Vm {
                     let mut obj = self.heap.get_mut(id)?;
                     match &mut obj.kind {
                         ObjKind::Obj { fields, .. } => fields[fi] = v,
-                        _ => unreachable!("resolve_field found the receiver's class"),
+                        _ => return Err(VmError::BadRef(id)),
                     }
                     obj.dirty = true;
                 }
@@ -1767,13 +1778,15 @@ impl Vm {
                     return self.throw_and_outcome(tid, ExKind::ArrayBounds, "negative length");
                 }
                 let bytes = 16 + len as u64 * Value::SLOT_BYTES;
-                match self.alloc_checked(tid, bytes, |h| h.alloc_arr(len as usize)) {
-                    Ok(id) => {
-                        push!(Value::Ref(id));
-                        advance!()
-                    }
-                    Err(thrown) => Ok(thrown),
+                if !self.charge_alloc(tid, bytes) {
+                    return self.throw_and_outcome(
+                        tid,
+                        ExKind::OutOfMemory,
+                        "heap budget exceeded",
+                    );
                 }
+                push!(Value::Ref(self.heap.alloc_arr(len as usize)));
+                advance!()
             }
             ALoad => {
                 let idx = pop!().as_int()?;
@@ -1916,9 +1929,19 @@ impl Vm {
                     }
                 }
             }
-            ReadCaptured(_) | ReadCapturedPc | RestoreLocal(_) | BringObjLocal(_)
-            | BringObjField(..) | BringObjStaticTo(..) | BringObjElemTo(..) | RethrowAppNpe
-            | CheckStatus(_) => self.exec_protocol(tid, ci, instr),
+            ReadCaptured(slot) => {
+                self.exec_protocol(tid, ci, Protocol::Captured { slot, push: true })
+            }
+            RestoreLocal(slot) => {
+                self.exec_protocol(tid, ci, Protocol::Captured { slot, push: false })
+            }
+            ReadCapturedPc => self.exec_protocol(tid, ci, Protocol::CapturedPc),
+            RethrowAppNpe => self.exec_protocol(tid, ci, Protocol::RethrowAppNpe),
+            CheckStatus(depth) => self.exec_protocol(tid, ci, Protocol::CheckStatus(depth)),
+            BringObjLocal(slot) => self.exec_protocol(tid, ci, Protocol::Local(slot)),
+            BringObjField(b, f) => self.exec_protocol(tid, ci, Protocol::Field(b, f)),
+            BringObjStaticTo(c, f, d) => self.exec_protocol(tid, ci, Protocol::StaticTo(c, f, d)),
+            BringObjElemTo(b, i, d) => self.exec_protocol(tid, ci, Protocol::ElemTo(b, i, d)),
             // The window instructions: their one arm is `window_op`.
             PushI(_) | PushF(_) | PushNull | Load(_) | Store(_) | Dup | Pop | Swap | Add | Sub
             | Mul | Div | Rem | Neg | Shl | Shr | BAnd | BOr | BXor | I2F | F2I | If(..)
@@ -2131,8 +2154,8 @@ impl Vm {
     /// probe. Out of line so the hot match in [`Vm::exec_instr`] stays small.
     #[cold]
     #[inline(never)]
-    fn exec_protocol(&mut self, tid: usize, ci: usize, instr: Instr) -> VmResult<Flow> {
-        use Instr::*;
+    fn exec_protocol(&mut self, tid: usize, ci: usize, instr: Protocol) -> VmResult<Flow> {
+        use Protocol::*;
 
         let local = |vm: &Vm, slot: u16| -> VmResult<Value> {
             let t = &vm.threads[slot_of(tid)];
@@ -2147,19 +2170,19 @@ impl Vm {
         // A `BringObj*` yields the value in the slot it guards and where a
         // fetched copy would be bound; everything else completes here.
         let (current, bind) = match instr {
-            ReadCaptured(slot) | RestoreLocal(slot) => {
+            Captured { slot, push } => {
                 let v = self.captured_frame(tid)?.locals.get(slot as usize);
                 let v = v
                     .ok_or_else(|| VmError::BadLocalSlot(slot))?
                     .to_nulled_value();
-                if matches!(instr, ReadCaptured(_)) {
+                if push {
                     self.threads[slot_of(tid)].stack.push(v);
                 } else {
                     self.set_top_local(tid, slot, v)?;
                 }
                 return advance(self);
             }
-            ReadCapturedPc => {
+            CapturedPc => {
                 let cap_pc = self.captured_frame(tid)?.pc;
                 let t = &mut self.threads[slot_of(tid)];
                 t.stack.push(Value::Int(i64::from(cap_pc)));
@@ -2191,8 +2214,8 @@ impl Vm {
                 }
                 return advance(self);
             }
-            BringObjLocal(slot) => (local(self, slot)?, FaultBind::Local { slot }),
-            BringObjField(base_slot, fidx) => {
+            Local(slot) => (local(self, slot)?, FaultBind::Local { slot }),
+            Field(base_slot, fidx) => {
                 self.classes[ci].def.pool_str(fidx)?;
                 let Value::Ref(base) = local(self, base_slot)? else {
                     // Base itself is null: handler chains fix the base first;
@@ -2206,7 +2229,7 @@ impl Vm {
                 };
                 (current, FaultBind::Field { base, field_idx })
             }
-            BringObjStaticTo(cidx, fidx, dest_slot) => {
+            StaticTo(cidx, fidx, dest_slot) => {
                 let Some((class_idx, static_idx)) = self.resolve_static(ci, cidx, fidx, false)?
                 else {
                     let cname = self.classes[ci].def.pool_str(cidx)?.to_owned();
@@ -2221,7 +2244,7 @@ impl Vm {
                     },
                 )
             }
-            BringObjElemTo(base_slot, idx_slot, dest_slot) => {
+            ElemTo(base_slot, idx_slot, dest_slot) => {
                 let base = local(self, base_slot)?;
                 let index = local(self, idx_slot)?.as_int()?;
                 let Value::Ref(base) = base else {
@@ -2243,7 +2266,6 @@ impl Vm {
                     },
                 )
             }
-            _ => unreachable!("exec_instr routes only the protocol family here"),
         };
         match current {
             // Another fault already repaired this slot; retry.
@@ -2461,18 +2483,27 @@ impl Vm {
         moved
     }
 
-    /// First pc of the source line containing `pc` in the given method —
-    /// the statement start. Exception-driven offload rolls a faulted frame
-    /// back here before capturing (rearranged statements are single-effect,
-    /// so re-executing from the line start is safe).
-    pub fn line_start_pc(&self, class_idx: usize, method_idx: usize, pc: u32) -> u32 {
-        let m = &self.classes[class_idx].def.methods[method_idx];
-        let line = m.line_of(pc);
-        let mut start = pc;
+    /// Roll faulted thread `tid` back to the start of the faulting
+    /// statement — the first pc of its top frame's source line, operands
+    /// cleared — leaving it runnable for capture there; returns its height.
+    /// Exception-driven offload does this before capturing (rearranged
+    /// statements are single-effect, so re-executing the line is safe).
+    pub fn rollback_to_line_start(&mut self, tid: usize) -> VmResult<usize> {
+        let f = self.thread(tid)?.top();
+        let f = f.ok_or_else(|| VmError::BadThread(tid))?;
+        let m = &self.classes[f.class_idx].def.methods[f.method_idx];
+        let line = m.line_of(f.pc);
+        let mut start = f.pc;
         while start > 0 && m.line_of(start - 1) == line {
             start -= 1;
         }
-        start
+        let t = self.thread_mut(tid)?;
+        if let Some(f) = t.top_mut() {
+            f.pc = start;
+        }
+        t.clear_operands();
+        t.state = ThreadState::Runnable;
+        Ok(t.frames.len())
     }
 
     /// The paper's `ForceEarlyReturn<type>`: pop the top frame of a
@@ -2753,6 +2784,36 @@ mod tests {
         let mut vm = vm_with(&[point, main]);
         let r = vm.run_to_completion("Main", "main", &[]).unwrap();
         assert_eq!(r, Some(Value::Int(5)));
+    }
+
+    /// A loaded class named like an array's pseudo-class makes
+    /// `resolve_field` resolve a field of an array receiver: `PutField`
+    /// there is a typed error, not a panic.
+    #[test]
+    fn put_field_on_an_array_is_a_typed_error() {
+        let fake = ClassDef::new("[array]").with_field(FieldDef::instance("x", TypeOf::Int));
+        let mut main = ClassDef::new("Main");
+        let x = main.intern("x");
+        main.methods.push(MethodDef::new("main", 0, 0).with_code(
+            vec![
+                Instr::PushI(1),
+                Instr::NewArr,
+                Instr::PushI(5),
+                Instr::PutField(x),
+                Instr::PushI(0),
+                Instr::RetV,
+            ],
+            vec![1; 6],
+        ));
+        let mut vm = vm_with(&[fake, main]);
+        let err = vm.run_to_completion("Main", "main", &[]).unwrap_err();
+        assert!(matches!(err, VmError::BadRef(_)), "{err:?}");
+    }
+
+    #[test]
+    fn rollback_of_a_thread_with_no_frame_is_a_typed_error() {
+        let mut vm = vm_with(&[]);
+        assert_eq!(vm.rollback_to_line_start(3), Err(VmError::BadThread(3)));
     }
 
     #[test]

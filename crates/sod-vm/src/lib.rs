@@ -29,6 +29,14 @@
 //! values, making every thread trivially suspendable, serializable and
 //! resumable — the property the SOD model depends on.
 //!
+//! Outside its tests the crate has no `unwrap`, `expect`, `panic!` or
+//! `unreachable!` (clippy denies them below): guest code and a peer's bytes
+//! end as a [`error::VmError`]. Two builder contracts for classes authored
+//! in Rust stay `assert!`s: [`class::MethodDef::with_code`] checks that the
+//! line table parallels the code, and [`class::ClassDef::intern`] refuses a
+//! 65 536th pool string. The class decoder reaches neither: [`wire`] builds
+//! each `MethodDef` and its pool directly.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -55,6 +63,9 @@
 // 8.5 % of the reference fleet's host time before CI banned the spelling.
 // Clippy sees only a cheap constructor and asks for `ok_or` back.
 #![allow(clippy::unnecessary_lazy_evaluations)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod analysis;
 pub mod capture;

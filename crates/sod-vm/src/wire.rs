@@ -54,7 +54,8 @@
 //! length-prefixed [`FrameBatch`] per delivery window; a batch written by a
 //! [`BatchWriter`] keeps all its frames in *one* pooled buffer.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -169,9 +170,12 @@ const POOL_SEED_CAPACITY: usize = 256;
 /// final delivery [`BufferPool::recycle`] reclaims the allocation when the
 /// frame was the last owner. Pool state never influences encoded bytes, so
 /// reuse cannot perturb determinism.
-#[derive(Debug, Default)]
+///
+/// The pool belongs to one thread (it is not `Sync`), so the free list is
+/// a [`Cell`] taken and set back by each call: no lock, and no poisoning.
+#[derive(Default)]
 pub struct BufferPool {
-    free: Mutex<Vec<BytesMut>>,
+    free: Cell<Vec<BytesMut>>,
 }
 
 impl BufferPool {
@@ -180,12 +184,16 @@ impl BufferPool {
         Self::default()
     }
 
+    fn with_free<R>(&self, f: impl FnOnce(&mut Vec<BytesMut>) -> R) -> R {
+        let mut free = self.free.take();
+        let r = f(&mut free);
+        self.free.set(free);
+        r
+    }
+
     /// Take a cleared buffer from the free list, or mint a fresh one.
     pub fn checkout(&self) -> BytesMut {
-        self.free
-            .lock()
-            .expect("buffer pool lock")
-            .pop()
+        self.with_free(Vec::pop)
             .unwrap_or_else(|| BytesMut::with_capacity(POOL_SEED_CAPACITY))
     }
 
@@ -206,15 +214,16 @@ impl BufferPool {
     /// Return a checked-out buffer that never became a frame.
     pub fn give_back(&self, mut buf: BytesMut) {
         buf.clear();
-        let mut free = self.free.lock().expect("buffer pool lock");
-        if free.len() < POOL_MAX_IDLE {
-            free.push(buf);
-        }
+        self.with_free(|free| {
+            if free.len() < POOL_MAX_IDLE {
+                free.push(buf);
+            }
+        });
     }
 
     /// Idle buffers currently held.
     pub fn idle(&self) -> usize {
-        self.free.lock().expect("buffer pool lock").len()
+        self.with_free(|free| free.len())
     }
 }
 
@@ -1627,7 +1636,7 @@ mod tests {
 
     fn sample_state() -> CapturedState {
         CapturedState {
-            frames: vec![
+            frames: Frames::from_frames([
                 CapturedFrame {
                     class: "Main".into(),
                     method: "main".into(),
@@ -1640,9 +1649,8 @@ mod tests {
                     pc: 2,
                     locals: vec![CapturedValue::Num(2.5), CapturedValue::Null],
                 },
-            ]
-            .into_iter()
-            .collect(),
+            ])
+            .unwrap(),
             statics: vec![CapturedStatics {
                 class: "Main".into(),
                 values: vec![CapturedValue::Int(77)],
@@ -1894,7 +1902,7 @@ mod tests {
 
     fn state_of(frames: Vec<CapturedFrame>) -> CapturedState {
         CapturedState {
-            frames: frames.into_iter().collect(),
+            frames: Frames::from_frames(frames).unwrap(),
             statics: vec![],
         }
     }
@@ -2001,14 +2009,13 @@ mod tests {
     fn oversize_names_are_typed_encode_errors() {
         // State-frame names carry a u16 prefix: 65536 bytes cannot encode.
         let state = CapturedState {
-            frames: [CapturedFrame {
+            frames: Frames::from_frames([CapturedFrame {
                 class: "x".repeat(1 << 16).into(),
                 method: "m".into(),
                 pc: 0,
                 locals: vec![],
-            }]
-            .into_iter()
-            .collect(),
+            }])
+            .unwrap(),
             statics: vec![],
         };
         assert_eq!(
@@ -2149,6 +2156,18 @@ mod tests {
         let again = encode_state_pooled(&pool, &state).unwrap();
         assert_eq!(pool.idle(), 0);
         assert_eq!(again.len() as u64, state.wire_bytes());
+        // At most `POOL_MAX_IDLE` buffers idle; the rest go to the allocator.
+        let out: Vec<BytesMut> = (0..POOL_MAX_IDLE + 3).map(|_| pool.checkout()).collect();
+        assert_eq!(pool.idle(), 0);
+        for buf in out {
+            pool.give_back(buf);
+        }
+        assert_eq!(pool.idle(), POOL_MAX_IDLE);
+        assert!(
+            pool.recycle(again),
+            "a full pool still reports the last owner"
+        );
+        assert_eq!(pool.idle(), POOL_MAX_IDLE);
     }
 
     #[test]

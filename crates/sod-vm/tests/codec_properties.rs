@@ -112,15 +112,15 @@ fn captured_state() -> impl Strategy<Value = CapturedState> {
         ),
     )
         .prop_map(|(frames, statics)| CapturedState {
-            frames: frames
-                .into_iter()
-                .map(|(class, method, pc, locals)| CapturedFrame {
+            frames: Frames::from_frames(frames.into_iter().map(|(class, method, pc, locals)| {
+                CapturedFrame {
                     class: class.into(),
                     method: method.into(),
                     pc,
                     locals,
-                })
-                .collect(),
+                }
+            }))
+            .unwrap(),
             statics: statics
                 .into_iter()
                 .map(|(class, values)| CapturedStatics {
@@ -144,15 +144,13 @@ fn state_naming(
         proptest::collection::vec(captured_value(), 0..6),
     );
     proptest::collection::vec(frame, frames).prop_map(move |frames| CapturedState {
-        frames: frames
-            .into_iter()
-            .map(|(c, m, locals)| CapturedFrame {
-                class: classes[c].into(),
-                method: methods[m].into(),
-                pc: (c * 7 + m) as u32,
-                locals,
-            })
-            .collect(),
+        frames: Frames::from_frames(frames.into_iter().map(|(c, m, locals)| CapturedFrame {
+            class: classes[c].into(),
+            method: methods[m].into(),
+            pc: (c * 7 + m) as u32,
+            locals,
+        }))
+        .unwrap(),
         statics: vec![CapturedStatics {
             class: classes[0].into(),
             values: vec![CapturedValue::Int(1)],
@@ -426,7 +424,7 @@ fn a_three_frame_state_has_its_committed_bytes() {
         values: vec![CapturedValue::Int(7)],
     }];
     let state = CapturedState {
-        frames: frames.iter().cloned().collect(),
+        frames: Frames::from_frames(frames.iter().cloned()).unwrap(),
         statics: statics.clone(),
     };
     assert_eq!(state.frames.runs().len(), 2);
@@ -452,7 +450,7 @@ proptest! {
     fn a_segment_cuts_and_encodes_like_a_list_of_frames(list in frame_list()) {
         let mut whole = Frames::new();
         for frame in &list {
-            whole.push(frame.clone());
+            whole.push(frame.clone()).unwrap();
         }
         prop_assert_eq!(whole.len(), list.len());
         let statics = vec![CapturedStatics {
@@ -496,7 +494,7 @@ proptest! {
     fn a_restore_of_the_decoded_capture_equals_a_restore_of_the_capture(list in frame_list()) {
         let mut home = Vm::new();
         home.load_class(&seg_class()).unwrap();
-        let built = CapturedState { frames: list.iter().cloned().collect(), statics: vec![] };
+        let built = CapturedState { frames: Frames::from_frames(list.iter().cloned()).unwrap(), statics: vec![] };
         let tid = restore_segment_direct(&mut home, &built).unwrap();
         let (captured, _) =
             capture_segment(&mut home, tid, list.len(), ToolingPath::Internal).unwrap();

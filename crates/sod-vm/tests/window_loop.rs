@@ -29,7 +29,9 @@
 //! breakpoint on the first pc of a callee and on the pc a return lands on.
 
 use proptest::prelude::*;
-use sod_vm::capture::{restore_segment_direct, CapturedFrame, CapturedState, CapturedValue};
+use sod_vm::capture::{
+    restore_segment_direct, CapturedFrame, CapturedState, CapturedValue, Frames,
+};
 use sod_vm::class::{ClassDef, ExEntry, ExKind, MethodDef};
 use sod_vm::error::VmError;
 use sod_vm::instr::{Cmp, Instr};
@@ -991,10 +993,8 @@ fn a_restored_stack_unwinds_through_frames_its_thread_never_opened() {
     };
     let state = CapturedState {
         // Callers parked at their Invoke, the top frame at its first pc.
-        frames: (0..depth)
-            .map(|i| frame(depth - i, 5))
-            .chain([frame(0, 0)])
-            .collect(),
+        frames: Frames::from_frames((0..depth).map(|i| frame(depth - i, 5)).chain([frame(0, 0)]))
+            .unwrap(),
         statics: Vec::new(),
     };
     for budgets in SLICINGS {

@@ -11,6 +11,10 @@
 //! deploying to a migration-capable node. Problem sizes are scaled down
 //! from the paper (e.g. `fib(28)` instead of `fib(46)`) so simulations
 //! finish in laptop-seconds; `EXPERIMENTS.md` documents the scaling.
+//!
+//! These are trusted guests and the code that builds them, so the crate
+//! is not held to the system crates' panic lints: a panic here is a
+//! programmer error, not a guest's or a peer's doing.
 
 pub mod apps;
 pub mod chaos;

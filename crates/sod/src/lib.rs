@@ -82,6 +82,10 @@
 //! the raw engine wiring remains available through [`runtime`] for code
 //! that needs sub-scenario control.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod scenario;
 
 pub use sod_asm as asm;

@@ -22,7 +22,7 @@ mod common;
 
 use bytes::Bytes;
 use common::counting_alloc::counted;
-use sod::vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue};
+use sod::vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue, Frames};
 use sod::vm::error::VmError;
 use sod::vm::wire::{decode_state, encode_state};
 
@@ -38,7 +38,7 @@ fn deep_frame() -> Vec<u8> {
             .collect(),
     };
     let state = CapturedState {
-        frames: (0..128).map(frame).collect(),
+        frames: Frames::from_frames((0..128).map(frame)).unwrap(),
         statics: vec![],
     };
     let bytes = encode_state(&state).expect("encodes").to_vec();
@@ -63,7 +63,7 @@ fn many_method_frame() -> Vec<u8> {
         locals: (0..(i + 3) % 7).map(|slot| value(i + slot)).collect(),
     };
     let state = CapturedState {
-        frames: (0..96).map(frame).collect(),
+        frames: Frames::from_frames((0..96).map(frame)).unwrap(),
         statics: vec![CapturedStatics {
             class: "Class0".into(),
             values: (0..4).map(value).collect(),
