@@ -445,7 +445,10 @@ impl Cluster {
             HostReply::List(items) => {
                 let refs = items.into_iter().map(|s| Value::Ref(vm.heap.alloc_str(s)));
                 let refs: Vec<Value> = refs.collect();
-                Value::Ref(vm.heap.alloc_arr_from(refs))
+                match vm.heap.alloc_arr_from(refs) {
+                    Ok(list) => Value::Ref(list),
+                    Err(e) => return self.fail_thread_owner(node, tid, e.to_string(), ctx.now()),
+                }
             }
         };
         if vm.resume_host(tid, v).is_ok() {

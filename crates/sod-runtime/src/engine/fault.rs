@@ -384,7 +384,7 @@ mod tests {
             reply.finish()
         };
         let mut home = Node::new(NodeConfig::cluster("home"));
-        home.vm.heap.alloc_arr(3);
+        home.vm.heap.alloc_arr(3).unwrap();
         let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
         let pid = cluster.add_program(0, "L", "main", vec![Value::Int(1)]);
         let reason = DropReason::Loss;
@@ -425,7 +425,7 @@ mod tests {
         pool.give_back(pool.checkout());
         assert_eq!(pool.idle(), 1);
         let mut vm = sod_vm::interp::Vm::new();
-        vm.heap.alloc_arr(2); // clean, home-made: not part of any flush
+        vm.heap.alloc_arr(2).unwrap(); // clean, home-made: not part of any flush
         let batch = collect_flush(&mut vm, 0, Some(Value::Int(3)), &pool).unwrap();
         assert!(batch.is_empty());
         assert_eq!(pool.idle(), 1, "the empty flush held on to a buffer");

@@ -7,8 +7,8 @@
 //! * a fault reply is written from the home's heap entry into a pooled
 //!   buffer — a `Deep` fetch walks the closure's *ids* and writes each
 //!   object the same way, all into that one buffer;
-//! * the worker installs a reply from its frames straight into the slots
-//!   the cached copy will own, under the loaded class's own name `Arc`;
+//! * the worker installs a reply from its frames straight into its heap's
+//!   slot arena, under the loaded class's own name `Arc`;
 //! * a completion flush is written object after object into one pooled
 //!   buffer, and the home writes the slots of each frame straight into its
 //!   masters.
@@ -17,13 +17,21 @@
 //! validating reader before the first heap write. The walk allocates
 //! nothing; what it buys is that a reply or a flush with a malformed frame
 //! anywhere in it fails its program with the heap exactly as it was —
-//! never half a closure installed, never half a flush applied. Every batch,
-//! installed or not, ends in [`Cluster::retire_batch`], which is what keeps
-//! the buffer pool full on lossy and hostile runs too.
+//! never half a closure installed, never half a flush applied. A frame that
+//! decodes but cannot be what it claims — an instance without its loaded
+//! class's slot count, a refresh that would change a cached copy's shape, a
+//! flush frame whose slot count is not its target's — fails the program
+//! typed too: a flush before any of it is written, a reply with the heap
+//! as that frame found it (a forged `Deep` reply keeps the frames ahead of
+//! the bad one, as clean copies of what was sent). Every batch, installed
+//! or not, ends in [`Cluster::retire_batch`], which is what keeps the
+//! buffer pool full on lossy and hostile runs too.
 //!
 //! The codec also has a decoded, owned view of an object frame, for tests,
 //! replays and tools. The engine never builds one, and CI greps this
 //! directory for the type's name to keep it that way.
+
+use std::iter;
 
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
@@ -34,7 +42,7 @@ use sod_vm::interp::{ParkReason, ThreadState, Vm};
 use sod_vm::value::{ObjId, OriginId, Value};
 use sod_vm::wire::{
     closure_ids, put_dirty_object, put_home_object, BatchWriter, BufferPool, FrameBatch, FrameBody,
-    ObjectFrame,
+    ObjectFrame, Slots,
 };
 
 use crate::costs;
@@ -259,11 +267,38 @@ fn install_reply(vm: &mut Vm, tid: usize, origin: OriginId, batch: &FrameBatch) 
     vm.resume_fetched(tid, local)
 }
 
+/// The slots `body` writes into an entry of kind `kind`: an instance's
+/// into an instance, an array's into an array, nothing otherwise.
+fn slots_for<'a>(kind: &ObjKind, body: FrameBody<'a>) -> Option<Slots<'a>> {
+    match (kind, body) {
+        (ObjKind::Obj { .. }, FrameBody::Obj { fields: slots, .. })
+        | (ObjKind::Arr { .. }, FrameBody::Arr { elems: slots }) => Some(slots),
+        _ => None,
+    }
+}
+
 /// Apply a write-back flush to the home heap, straight from its frames;
 /// returns the masters assigned to worker-created (temp-id) objects, in
-/// frame order. Nothing is written unless every frame decodes.
+/// frame order. Nothing is written unless every frame decodes and writes
+/// the slots its target has: a master's own count, or for a
+/// worker-created instance its loaded class's layout.
 fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> {
     validate_batch(batch)?;
+    // Pass 0: every frame fits what it writes, before anything is written.
+    for frame in batch {
+        let obj = ObjectFrame::read(frame)?;
+        if obj.home_id >= TEMP_ID_BASE {
+            if let FrameBody::Obj { class, fields } = obj.body {
+                vm.instance_class(class, fields.len())?;
+            }
+        } else if let Ok((master, own)) = vm.heap.view(obj.home_id) {
+            if slots_for(&master.kind, obj.body).is_some_and(|new| new.len() != own.len()) {
+                return Err(VmError::Decode(
+                    "flush frame's slot count differs from its master's",
+                ));
+            }
+        }
+    }
     // Pass 1: allocate masters for worker-created (temp-id) objects.
     let mut assigned: Vec<(ObjId, ObjId)> = Vec::new();
     let mut masters: IdMap<ObjId, ObjId> = IdMap::default();
@@ -274,10 +309,11 @@ fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> 
         }
         let master = match obj.body {
             FrameBody::Obj { class, fields } => {
-                let class = vm.class_name_arc(class);
-                vm.heap.alloc_obj(class, vec![Value::Null; fields.len()])
+                let class = vm.instance_class(class, fields.len())?;
+                vm.heap
+                    .alloc_obj(class, iter::repeat_n(Value::Null, fields.len()))?
             }
-            FrameBody::Arr { elems } => vm.heap.alloc_arr(elems.len()),
+            FrameBody::Arr { elems } => vm.heap.alloc_arr(elems.len())?,
             FrameBody::Str(s) => vm.heap.alloc_str(s),
         };
         masters.insert(obj.home_id, master);
@@ -294,11 +330,8 @@ fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> 
         let Ok(mut entry) = vm.heap.get_mut(resolve(obj.home_id)) else {
             continue;
         };
-        if let (ObjKind::Obj { fields: slots, .. }, FrameBody::Obj { fields: new, .. })
-        | (ObjKind::Arr { elems: slots }, FrameBody::Arr { elems: new }) =
-            (&mut entry.kind, obj.body)
-        {
-            for (slot, new) in slots.iter_mut().zip(new) {
+        if let Some(new) = slots_for(&entry.kind, obj.body) {
+            for (slot, new) in entry.slots_mut().iter_mut().zip(new) {
                 *slot = new?.to_mapped_value(|h| Some(resolve(h)))?;
             }
         }
@@ -356,7 +389,7 @@ pub(super) fn collect_flush(
     }
     let mut flush = BatchWriter::new(pool);
     while let Some(id) = queue.pop() {
-        let Ok(obj) = heap.get(id) else {
+        let Ok((obj, slots)) = heap.view(id) else {
             continue;
         };
         let include = ours(obj) && (obj.dirty || obj.home_id().is_none());
@@ -365,7 +398,7 @@ pub(super) fn collect_flush(
         }
         flush.frame(|buf| put_dirty_object(buf, heap, id, TEMP_ID_BASE))?;
         // Traverse refs: worker-created neighbours must flush too.
-        for slot in obj.slots() {
+        for slot in slots {
             if let Value::Ref(n) = *slot {
                 if seen.insert(n) {
                     queue.push(n);

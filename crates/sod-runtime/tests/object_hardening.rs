@@ -223,6 +223,35 @@ fn app_instance(home_id: u32, count: i64) -> WireObject {
     }
 }
 
+/// A well-formed `App` instance frame with `n` slots; the class lays out
+/// one.
+fn app_with_slots(home_id: u32, n: usize) -> WireObject {
+    WireObject {
+        home_id,
+        body: WireObjBody::Obj {
+            class: "App".into(),
+            fields: vec![sod_vm::capture::CapturedValue::Int(7); n],
+        },
+    }
+}
+
+/// Step until the worker thread is parked on its fault, the genuine reply
+/// still on its way.
+fn park_on_the_fault(sim: &mut SodSim) {
+    let parked = |sim: &SodSim| {
+        let threads = &sim.sim.world.nodes[1].vm.threads;
+        threads.iter().any(|t| {
+            matches!(
+                t.state,
+                sod_vm::interp::ThreadState::Parked(sod_vm::interp::ParkReason::ObjectFault(_))
+            )
+        })
+    };
+    while !parked(sim) {
+        assert!(sim.sim.step(), "the worker never parked on a fault");
+    }
+}
+
 /// Step until `pid` carries an error; returns it.
 fn step_to_failure(sim: &mut SodSim, pid: ProgramId) -> String {
     while sim.program(pid).error.is_none() {
@@ -237,20 +266,7 @@ fn reply_with_a_malformed_frame_installs_nothing() {
     // around it must not reach the worker heap.
     for k in 0..3 {
         let (mut sim, pid, _) = started_sim(false);
-        // Stop with the worker thread parked on its fault, the genuine
-        // reply still on its way.
-        let parked = |sim: &SodSim| {
-            let threads = &sim.sim.world.nodes[1].vm.threads;
-            threads.iter().any(|t| {
-                matches!(
-                    t.state,
-                    sod_vm::interp::ThreadState::Parked(sod_vm::interp::ParkReason::ObjectFault(_))
-                )
-            })
-        };
-        while !parked(&sim) {
-            assert!(sim.sim.step(), "the worker never parked on a fault");
-        }
+        park_on_the_fault(&mut sim);
         let before = format!("{:?}", sim.sim.world.nodes[1].vm.heap);
         let now = sim.sim.now();
         sim.sim.inject(
@@ -298,6 +314,71 @@ fn flush_with_a_malformed_frame_applies_nothing() {
         assert!(error.contains("flush decode failed"), "k={k}: {error}");
         let after = format!("{:?}", sim.sim.world.nodes[0].vm.heap);
         assert_eq!(before, after, "k={k}: the home heap changed");
+        sim.run();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A frame that decodes but does not fit its class: refused, typed
+// ---------------------------------------------------------------------------
+
+/// A reply whose instance frame names the loaded `App` with no slots used
+/// to install, and the worker's next `PutField` on it indexed past them
+/// and panicked. It is refused at install, the worker heap untouched.
+#[test]
+fn reply_with_a_short_instance_frame_installs_nothing() {
+    let (mut sim, pid, _) = started_sim(false);
+    park_on_the_fault(&mut sim);
+    let before = format!("{:?}", sim.sim.world.nodes[1].vm.heap);
+    let now = sim.sim.now();
+    let batch = [encode_object(&app_with_slots(0, 0)).unwrap()];
+    sim.sim.inject(
+        now,
+        1,
+        Msg::ObjectReply {
+            session: FIRST_SESSION,
+            batch: batch.into_iter().collect(),
+        },
+    );
+    let error = step_to_failure(&mut sim, pid);
+    assert!(
+        error.contains("object reply rejected")
+            && error.contains("slot count differs from its class's layout"),
+        "{error}"
+    );
+    let after = format!("{:?}", sim.sim.world.nodes[1].vm.heap);
+    assert_eq!(before, after, "the worker heap changed");
+    sim.run();
+}
+
+/// A flush frame must write the slots its target has: a rewrite of the box
+/// with none, or a worker-created `App` with two, fails the flush before
+/// anything of it — the good worker-created object ahead of it included —
+/// reaches the home heap.
+#[test]
+fn flush_with_a_frame_of_the_wrong_slot_count_applies_nothing() {
+    let temp = sod_runtime::engine::TEMP_ID_BASE;
+    for misfit in [app_with_slots(0, 0), app_with_slots(temp + 9, 2)] {
+        let (mut sim, pid) = sim_with_live_worker_session();
+        let before = format!("{:?}", sim.sim.world.nodes[0].vm.heap);
+        let frames = [app_instance(temp + 8, 456), misfit];
+        let now = sim.sim.now();
+        sim.sim.inject(
+            now,
+            0,
+            Msg::Flush {
+                program: pid,
+                batch: frames.iter().map(|o| encode_object(o).unwrap()).collect(),
+                ack_to: None,
+            },
+        );
+        let error = step_to_failure(&mut sim, pid);
+        assert!(
+            error.contains("flush decode failed") && error.contains("slot count differs"),
+            "{error}"
+        );
+        let after = format!("{:?}", sim.sim.world.nodes[0].vm.heap);
+        assert_eq!(before, after, "the home heap changed");
         sim.run();
     }
 }

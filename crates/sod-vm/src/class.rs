@@ -287,15 +287,6 @@ impl ClassDef {
         self.fields.iter().filter(|f| f.is_static).enumerate()
     }
 
-    /// Default values for an instance of this class.
-    pub fn default_instance_values(&self) -> Vec<Value> {
-        self.fields
-            .iter()
-            .filter(|f| !f.is_static)
-            .map(|f| Value::default_for(f.ty))
-            .collect()
-    }
-
     /// Default values for this class's statics.
     pub fn default_static_values(&self) -> Vec<Value> {
         self.fields
@@ -382,7 +373,6 @@ mod tests {
         let c = sample_class();
         assert_eq!(c.instance_fields().count(), 2);
         assert_eq!(c.static_fields().count(), 1);
-        assert_eq!(c.default_instance_values(), vec![Value::Null, Value::Null]);
         assert_eq!(c.default_static_values(), vec![Value::Int(0)]);
     }
 

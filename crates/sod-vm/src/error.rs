@@ -57,6 +57,8 @@ pub enum VmError {
     UnhandledException { kind: ExKind, message: String },
     /// Heap reference is stale or out of range.
     BadRef(u32),
+    /// The heap's slot arena would pass `u32::MAX` slots.
+    SlotArenaFull,
     /// A thread id was out of range or the thread has finished.
     BadThread(usize),
     /// Attempted to run a thread that is parked on a host request.
@@ -109,6 +111,7 @@ impl fmt::Display for VmError {
                 write!(f, "unhandled guest exception {kind:?}: {message}")
             }
             VmError::BadRef(id) => write!(f, "bad heap reference @{id}"),
+            VmError::SlotArenaFull => write!(f, "heap slot arena full (u32 slots)"),
             VmError::BadThread(t) => write!(f, "bad thread id {t}"),
             VmError::ThreadParked(t) => write!(f, "thread {t} is parked on a host request"),
             VmError::NotAtMigrationSafePoint { method, pc } => {

@@ -556,8 +556,11 @@ fn unusual(exit: Exit) -> Exit {
 
 /// What a reference denotes, for identity comparison: nothing (`null`),
 /// the master copy of a home object (a transfer-nulled ref, or the cached
-/// copy it was fetched into), or a local object.
+/// copy it was fetched into), or a local object. Kept out of line, like
+/// [`unusual`]: inlined, it carried `Heap`'s layout into the run loop's
+/// register allocation, which then moved with every change to the heap.
 #[cold]
+#[inline(never)]
 fn identity(heap: &Heap, v: Value) -> Option<(bool, ObjId)> {
     match v {
         Value::NulledRef(h) => Some((true, h)),

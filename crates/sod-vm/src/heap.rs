@@ -16,6 +16,19 @@
 //! The heap also maintains a running byte total so a node memory budget can
 //! trigger guest `OutOfMemoryError`s (the paper's exception-driven offload).
 //!
+//! ## Slots
+//!
+//! An instance's fields and an array's elements are not allocations of
+//! their own: every one of them lives in the heap's one slot arena, and the
+//! entry holds a [`Span`] of it. Allocating, installing a fetched copy,
+//! refreshing one in place and applying a flush write slots where they
+//! lie, so they cost the host nothing per object beyond the arena's
+//! amortised growth. Spans are minted only here, by the allocation and
+//! install functions — the arena's single maintenance point — and live
+//! entries' spans are disjoint and inside the arena. Slots are read through
+//! [`Heap::view`] and written through [`ObjMut::slots_mut`], so the guard
+//! stays the one `&mut` path to an object.
+//!
 //! ## Indexes
 //!
 //! Two secondary lookups run once per object fault or segment completion,
@@ -39,8 +52,7 @@
 //!   temp-id masters the home allocates from them, depend on it.
 
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::Arc;
 
 use crate::class::ExKind;
@@ -58,17 +70,36 @@ pub enum ObjStatus {
     Invalid,
 }
 
+/// A run of slots in a heap's slot arena: where an instance's fields or an
+/// array's elements live. Only the heap that owns the arena mints one.
+#[derive(Clone, Copy, Debug)]
+pub struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn len(self) -> usize {
+        self.len as usize
+    }
+
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len()
+    }
+}
+
 /// Payload of a heap entry.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum ObjKind {
-    /// A class instance; `fields` uses the class's instance-field layout.
+    /// A class instance; its slots use the class's instance-field layout.
     /// The class name is a shared `Arc<str>`: allocating an instance clones
     /// a pointer from the loaded class (no per-`New` string allocation), and
     /// the interpreter's inline caches validate field/method resolutions
     /// with a pointer comparison against the canonical per-class `Arc`.
-    Obj { class: Arc<str>, fields: Vec<Value> },
+    Obj { class: Arc<str>, slots: Span },
     /// An array of value slots.
-    Arr { elems: Vec<Value> },
+    Arr { slots: Span },
     /// An immutable string.
     Str(String),
     /// A guest exception object. The interpreter's own messages are
@@ -80,8 +111,34 @@ pub enum ObjKind {
     },
 }
 
+/// What a refresh of a cached copy may not change: its kind, and for an
+/// instance or an array its slot count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    Obj(usize),
+    Arr(usize),
+    Other,
+}
+
+impl ObjKind {
+    fn span(&self) -> Option<Span> {
+        match self {
+            ObjKind::Obj { slots, .. } | ObjKind::Arr { slots } => Some(*slots),
+            ObjKind::Str(_) | ObjKind::Exception { .. } => None,
+        }
+    }
+
+    fn shape(&self) -> Shape {
+        match self {
+            ObjKind::Obj { slots, .. } => Shape::Obj(slots.len()),
+            ObjKind::Arr { slots } => Shape::Arr(slots.len()),
+            ObjKind::Str(_) | ObjKind::Exception { .. } => Shape::Other,
+        }
+    }
+}
+
 /// One heap entry.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct HeapObj {
     pub kind: ObjKind,
     pub status: ObjStatus,
@@ -94,6 +151,11 @@ pub struct HeapObj {
     /// entry is a migrated-in cache copy.
     home: Option<(OriginId, ObjId)>,
 }
+
+// A heap holds one entry per object for the whole run, and a worker heap
+// caches every object its segments touch: every byte here is paid per
+// object held.
+const _: () = assert!(std::mem::size_of::<HeapObj>() <= 48);
 
 impl HeapObj {
     fn new(kind: ObjKind) -> Self {
@@ -120,19 +182,11 @@ impl HeapObj {
     pub fn size_bytes(&self) -> u64 {
         const HEADER: u64 = 16;
         match &self.kind {
-            ObjKind::Obj { fields, .. } => HEADER + fields.len() as u64 * Value::SLOT_BYTES,
-            ObjKind::Arr { elems } => HEADER + elems.len() as u64 * Value::SLOT_BYTES,
+            ObjKind::Obj { slots, .. } | ObjKind::Arr { slots } => {
+                HEADER + slots.len() as u64 * Value::SLOT_BYTES
+            }
             ObjKind::Str(s) => HEADER + s.len() as u64,
             ObjKind::Exception { message, .. } => HEADER + message.len() as u64,
-        }
-    }
-
-    /// The value slots of an instance or array (none for the other kinds).
-    pub fn slots(&self) -> &[Value] {
-        match &self.kind {
-            ObjKind::Obj { fields, .. } => fields,
-            ObjKind::Arr { elems } => elems,
-            ObjKind::Str(_) | ObjKind::Exception { .. } => &[],
         }
     }
 
@@ -151,8 +205,19 @@ impl HeapObj {
 /// files the entry on the heap's dirty list if its `dirty` flag is set.
 pub struct ObjMut<'a> {
     obj: &'a mut HeapObj,
+    arena: &'a mut [Value],
     dirty_list: &'a mut Vec<ObjId>,
     id: ObjId,
+}
+
+impl ObjMut<'_> {
+    /// The value slots of an instance or array (none for the other kinds):
+    /// the one way to write them.
+    pub fn slots_mut(&mut self) -> &mut [Value] {
+        let span = self.obj.kind.span();
+        span.and_then(|s| self.arena.get_mut(s.range()))
+            .unwrap_or_default()
+    }
 }
 
 impl Deref for ObjMut<'_> {
@@ -177,10 +242,72 @@ impl Drop for ObjMut<'_> {
     }
 }
 
+/// The body of an object [`Heap::install_cached`] writes: an instance's or
+/// an array's slots, still to be decoded (each may fail, as a frame's
+/// can), or a string.
+pub enum Fetched<S> {
+    Obj { class: Arc<str>, slots: S },
+    Arr { slots: S },
+    Str(String),
+}
+
+impl<S: ExactSizeIterator> Fetched<S> {
+    fn shape(&self) -> Shape {
+        match self {
+            Fetched::Obj { slots, .. } => Shape::Obj(slots.len()),
+            Fetched::Arr { slots } => Shape::Arr(slots.len()),
+            Fetched::Str(_) => Shape::Other,
+        }
+    }
+}
+
+/// Append `slots` to `arena` as one span. Its end is converted to `u32`
+/// checked — before the arena grows by the count the iterator promises,
+/// and again after — so a span past `u32::MAX` slots is a typed error,
+/// never a wrap. On `Err` (that, or a slot that fails) the arena is as it
+/// was.
+fn push_span(
+    arena: &mut Vec<Value>,
+    slots: impl IntoIterator<Item = VmResult<Value>>,
+) -> VmResult<Span> {
+    let start = arena.len();
+    let slots = slots.into_iter();
+    let promised = slots.size_hint().0;
+    span_of(start, start.saturating_add(promised))?;
+    arena.reserve(promised);
+    for slot in slots {
+        match slot {
+            Ok(v) => arena.push(v),
+            Err(e) => {
+                arena.truncate(start);
+                return Err(e);
+            }
+        }
+    }
+    let span = span_of(start, arena.len());
+    if span.is_err() {
+        arena.truncate(start);
+    }
+    span
+}
+
+fn span_of(start: usize, end: usize) -> VmResult<Span> {
+    match (u32::try_from(start), u32::try_from(end)) {
+        (Ok(start), Ok(end)) => Ok(Span {
+            start,
+            len: end - start,
+        }),
+        _ => Err(VmError::SlotArenaFull),
+    }
+}
+
 /// The heap of one VM.
 #[derive(Clone, Debug, Default)]
 pub struct Heap {
     entries: Vec<HeapObj>,
+    /// The slot arena: every instance's fields and array's elements, each
+    /// object's a [`Span`] of it.
+    slots: Vec<Value>,
     used_bytes: u64,
     /// Running count of allocations, for metrics.
     allocs: u64,
@@ -213,6 +340,11 @@ impl Heap {
         self.entries.is_empty()
     }
 
+    /// Slots the arena holds, every object's together.
+    pub fn arena_len(&self) -> usize {
+        self.slots.len()
+    }
+
     fn alloc(&mut self, obj: HeapObj) -> ObjId {
         self.used_bytes += obj.size_bytes();
         self.allocs += 1;
@@ -221,23 +353,25 @@ impl Heap {
     }
 
     /// Allocate a class instance with the given field values.
-    pub fn alloc_obj(&mut self, class: impl Into<Arc<str>>, fields: Vec<Value>) -> ObjId {
-        self.alloc(HeapObj::new(ObjKind::Obj {
-            class: class.into(),
-            fields,
-        }))
+    pub fn alloc_obj(
+        &mut self,
+        class: impl Into<Arc<str>>,
+        fields: impl IntoIterator<Item = Value>,
+    ) -> VmResult<ObjId> {
+        let slots = push_span(&mut self.slots, fields.into_iter().map(Ok))?;
+        let class = class.into();
+        Ok(self.alloc(HeapObj::new(ObjKind::Obj { class, slots })))
     }
 
     /// Allocate an array of `len` zero ints.
-    pub fn alloc_arr(&mut self, len: usize) -> ObjId {
-        self.alloc(HeapObj::new(ObjKind::Arr {
-            elems: vec![Value::Int(0); len],
-        }))
+    pub fn alloc_arr(&mut self, len: usize) -> VmResult<ObjId> {
+        self.alloc_arr_from(std::iter::repeat_n(Value::Int(0), len))
     }
 
     /// Allocate an array from existing elements.
-    pub fn alloc_arr_from(&mut self, elems: Vec<Value>) -> ObjId {
-        self.alloc(HeapObj::new(ObjKind::Arr { elems }))
+    pub fn alloc_arr_from(&mut self, elems: impl IntoIterator<Item = Value>) -> VmResult<ObjId> {
+        let slots = push_span(&mut self.slots, elems.into_iter().map(Ok))?;
+        Ok(self.alloc(HeapObj::new(ObjKind::Arr { slots })))
     }
 
     /// Allocate a string.
@@ -263,6 +397,13 @@ impl Heap {
             .ok_or_else(|| VmError::BadRef(id))
     }
 
+    /// Entry `id` with its value slots (none for strings and exceptions).
+    pub fn view(&self, id: ObjId) -> VmResult<(&HeapObj, &[Value])> {
+        let obj = self.get(id)?;
+        let slots = obj.kind.span().and_then(|s| self.slots.get(s.range()));
+        Ok((obj, slots.unwrap_or_default()))
+    }
+
     pub fn get_mut(&mut self, id: ObjId) -> VmResult<ObjMut<'_>> {
         let obj = self
             .entries
@@ -270,6 +411,7 @@ impl Heap {
             .ok_or_else(|| VmError::BadRef(id))?;
         Ok(ObjMut {
             obj,
+            arena: &mut self.slots,
             dirty_list: &mut self.dirty_list,
             id,
         })
@@ -286,53 +428,51 @@ impl Heap {
         }
     }
 
-    /// Read an array element with bounds checking.
-    pub fn arr_get(&self, id: ObjId, idx: i64) -> VmResult<Option<Value>> {
-        match &self.get(id)?.kind {
-            ObjKind::Arr { elems } => {
-                if idx < 0 || idx as usize >= elems.len() {
-                    Ok(None)
-                } else {
-                    Ok(Some(elems[idx as usize]))
-                }
-            }
+    /// The elements of array `id`.
+    fn elems(&self, id: ObjId) -> VmResult<&[Value]> {
+        match self.view(id)? {
+            (
+                HeapObj {
+                    kind: ObjKind::Arr { .. },
+                    ..
+                },
+                elems,
+            ) => Ok(elems),
             _ => Err(VmError::TypeMismatch {
                 expected: "array",
                 found: "object",
             }),
         }
+    }
+
+    /// Read an array element with bounds checking.
+    pub fn arr_get(&self, id: ObjId, idx: i64) -> VmResult<Option<Value>> {
+        let elems = self.elems(id)?;
+        Ok(usize::try_from(idx)
+            .ok()
+            .and_then(|i| elems.get(i))
+            .copied())
     }
 
     /// Write an array element with bounds checking. Returns false when out of
     /// bounds; marks the array dirty.
     pub fn arr_set(&mut self, id: ObjId, idx: i64, v: Value) -> VmResult<bool> {
+        self.elems(id)?;
         let mut obj = self.get_mut(id)?;
-        match &mut obj.kind {
-            ObjKind::Arr { elems } => {
-                if idx < 0 || idx as usize >= elems.len() {
-                    Ok(false)
-                } else {
-                    elems[idx as usize] = v;
-                    obj.dirty = true;
-                    Ok(true)
-                }
-            }
-            _ => Err(VmError::TypeMismatch {
-                expected: "array",
-                found: "object",
-            }),
-        }
+        let Some(slot) = usize::try_from(idx)
+            .ok()
+            .and_then(|i| obj.slots_mut().get_mut(i))
+        else {
+            return Ok(false);
+        };
+        *slot = v;
+        obj.dirty = true;
+        Ok(true)
     }
 
     /// Array length.
     pub fn arr_len(&self, id: ObjId) -> VmResult<i64> {
-        match &self.get(id)?.kind {
-            ObjKind::Arr { elems } => Ok(elems.len() as i64),
-            _ => Err(VmError::TypeMismatch {
-                expected: "array",
-                found: "object",
-            }),
-        }
+        Ok(self.elems(id)?.len() as i64)
     }
 
     /// Every dirty object, in ascending local-id order.
@@ -381,34 +521,72 @@ impl Heap {
         Ok(())
     }
 
-    /// Install `kind` as the cached copy of object `home_id` of node
+    /// Install `body` as the cached copy of object `home_id` of node
     /// `origin`: an existing copy is refreshed in place (clean, `Local`),
     /// otherwise a new entry is allocated with its home already recorded.
-    /// One index lookup either way. Returns the copy's local id.
-    pub fn install_cached(&mut self, origin: OriginId, home_id: ObjId, kind: ObjKind) -> ObjId {
-        match self.cached.entry((origin, home_id)) {
-            Entry::Occupied(e) => {
-                let id = *e.get();
-                // Not through `ObjMut`: the copy ends clean, so there is
-                // nothing for the guard to file.
-                let obj = &mut self.entries[id as usize];
-                obj.kind = kind;
-                obj.status = ObjStatus::Local;
-                obj.dirty = false;
-                id
+    /// Returns the copy's local id.
+    ///
+    /// The slots are decoded into the arena's tail first, and a refresh
+    /// then copies them over the copy's own span: on `Err` the heap is as
+    /// it was, and a refresh leaves the arena no longer than it found it. A
+    /// copy keeps its shape for life — a master never changes kind or slot
+    /// count — so a refresh of another shape, once its slots have decoded,
+    /// is a forged or corrupt frame: `VmError::Decode`.
+    pub fn install_cached<S>(
+        &mut self,
+        origin: OriginId,
+        home_id: ObjId,
+        body: Fetched<S>,
+    ) -> VmResult<ObjId>
+    where
+        S: ExactSizeIterator<Item = VmResult<Value>>,
+    {
+        let key = (origin, home_id);
+        let copy = match self.cached.get(&key) {
+            Some(&id) => {
+                let kind = &self.get(id)?.kind;
+                Some((id, kind.shape(), kind.span()))
             }
-            Entry::Vacant(e) => {
-                let mut obj = HeapObj::new(kind);
-                obj.home = Some((origin, home_id));
-                self.used_bytes += obj.size_bytes();
-                self.allocs += 1;
-                self.entries.push(obj);
-                let id = (self.entries.len() - 1) as ObjId;
-                // No older entry caches this home, so `id` is the lowest.
-                e.insert(id);
-                id
+            None => None,
+        };
+        let shape = body.shape();
+        let mut kind = match body {
+            Fetched::Obj { class, slots } => ObjKind::Obj {
+                class,
+                slots: push_span(&mut self.slots, slots)?,
+            },
+            Fetched::Arr { slots } => ObjKind::Arr {
+                slots: push_span(&mut self.slots, slots)?,
+            },
+            Fetched::Str(s) => ObjKind::Str(s),
+        };
+        if copy.is_some_and(|(_, old, _)| old != shape) {
+            if let Some(tail) = kind.span() {
+                self.slots.truncate(tail.range().start);
             }
+            return Err(VmError::Decode("refresh changes a cached copy's shape"));
         }
+        let copy = copy.map(|(id, _, own)| (id, own));
+        let Some((id, own)) = copy else {
+            let mut obj = HeapObj::new(kind);
+            obj.home = Some(key);
+            let id = self.alloc(obj);
+            // No older entry caches this home, so `id` is the lowest.
+            self.cached.insert(key, id);
+            return Ok(id);
+        };
+        if let (ObjKind::Obj { slots, .. } | ObjKind::Arr { slots }, Some(own)) = (&mut kind, own) {
+            self.slots.copy_within(slots.range(), own.range().start);
+            self.slots.truncate(slots.range().start);
+            *slots = own;
+        }
+        // Not through `ObjMut`: the copy ends clean, so there is nothing
+        // for the guard to file.
+        let obj = &mut self.entries[id as usize];
+        obj.kind = kind;
+        obj.status = ObjStatus::Local;
+        obj.dirty = false;
+        Ok(id)
     }
 
     /// Look up a cached copy of object `home_id` of node `origin`: the
@@ -446,8 +624,10 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut h = Heap::new();
-        let o = h.alloc_obj("Point", vec![Value::Int(1), Value::Int(2)]);
-        let a = h.alloc_arr(3);
+        let o = h
+            .alloc_obj("Point", [Value::Int(1), Value::Int(2)])
+            .unwrap();
+        let a = h.alloc_arr(3).unwrap();
         let s = h.alloc_str("hi");
         assert_eq!(h.len(), 3);
         assert_eq!(h.get(o).unwrap().class_name(), "Point");
@@ -459,7 +639,7 @@ mod tests {
     fn byte_accounting() {
         let mut h = Heap::new();
         assert_eq!(h.used_bytes(), 0);
-        h.alloc_arr(10); // 16 + 80
+        h.alloc_arr(10).unwrap(); // 16 + 80
         assert_eq!(h.used_bytes(), 96);
         h.alloc_str("abcd"); // 16 + 4
         assert_eq!(h.used_bytes(), 116);
@@ -469,7 +649,7 @@ mod tests {
     #[test]
     fn array_bounds() {
         let mut h = Heap::new();
-        let a = h.alloc_arr(2);
+        let a = h.alloc_arr(2).unwrap();
         assert_eq!(h.arr_get(a, 0).unwrap(), Some(Value::Int(0)));
         assert_eq!(h.arr_get(a, 2).unwrap(), None);
         assert_eq!(h.arr_get(a, -1).unwrap(), None);
@@ -481,8 +661,8 @@ mod tests {
     #[test]
     fn dirty_tracking() {
         let mut h = Heap::new();
-        let a = h.alloc_arr(1);
-        let _b = h.alloc_arr(1);
+        let a = h.alloc_arr(1).unwrap();
+        let _b = h.alloc_arr(1).unwrap();
         assert_eq!(h.dirty_objects().count(), 0);
         h.arr_set(a, 0, Value::Int(5)).unwrap();
         let dirty: Vec<_> = h.dirty_objects().map(|(id, _)| id).collect();
@@ -494,7 +674,7 @@ mod tests {
     #[test]
     fn dirty_list_is_ascending_and_survives_per_object_undirty() {
         let mut h = Heap::new();
-        let ids: Vec<ObjId> = (0..4).map(|_| h.alloc_arr(1)).collect();
+        let ids: Vec<ObjId> = (0..4).map(|_| h.alloc_arr(1).unwrap()).collect();
         // Written newest-first, through both write paths.
         h.get_mut(ids[3]).unwrap().dirty = true;
         h.arr_set(ids[1], 0, Value::Int(1)).unwrap();
@@ -515,9 +695,9 @@ mod tests {
     #[test]
     fn cached_lookup_by_home() {
         let mut h = Heap::new();
-        let a = h.alloc_obj("C", vec![]);
-        let b = h.alloc_obj("C", vec![]);
-        let c = h.alloc_obj("C", vec![]);
+        let a = h.alloc_obj("C", []).unwrap();
+        let b = h.alloc_obj("C", []).unwrap();
+        let c = h.alloc_obj("C", []).unwrap();
         h.set_home(b, 0, 77).unwrap();
         assert_eq!(h.find_cached(77), Some(b));
         assert_eq!(h.find_cached(78), None);
@@ -547,7 +727,23 @@ mod tests {
         let mut h = Heap::new();
         let s = h.alloc_str("x");
         assert!(h.arr_len(s).is_err());
-        let o = h.alloc_obj("C", vec![]);
+        let o = h.alloc_obj("C", []).unwrap();
         assert!(h.get_str(o).is_err());
+    }
+
+    #[test]
+    fn a_heap_entry_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<HeapObj>() <= 48);
+    }
+
+    #[test]
+    fn an_arena_past_u32_slots_is_an_error_not_a_wrap() {
+        let mut h = Heap::new();
+        h.alloc_arr(2).unwrap();
+        let before = format!("{h:?}");
+        // Refused before the arena grows: nothing is reserved or written.
+        assert_eq!(h.alloc_arr(u32::MAX as usize), Err(VmError::SlotArenaFull));
+        assert_eq!(h.alloc_arr(usize::MAX), Err(VmError::SlotArenaFull));
+        assert_eq!(format!("{h:?}"), before);
     }
 }

@@ -186,6 +186,11 @@ impl LoadedClass {
         self.method_map.get(name).copied()
     }
 
+    /// Slots every instance of this class has: one per instance field.
+    fn instance_slots(&self) -> usize {
+        self.def.instance_fields().count()
+    }
+
     pub fn instance_field_idx(&self, name: &str) -> Option<usize> {
         self.instance_field_map.get(name).copied()
     }
@@ -195,27 +200,31 @@ impl LoadedClass {
     }
 }
 
-/// [`Vm::class_name_arc`] over the VM's fields, so a caller holding the
+/// [`Vm::instance_class`] over the VM's fields, so a caller holding the
 /// heap mutably can still ask. `last` remembers the class found last: a
 /// segment faults in many objects of few classes, and comparing the next
 /// name with that one first saves hashing it on every fault.
-fn shared_class_name(
+fn instance_class(
     classes: &[LoadedClass],
     index: &HashMap<String, usize>,
     last: &mut Option<usize>,
     name: &str,
-) -> Arc<str> {
+    slots: usize,
+) -> VmResult<Arc<str>> {
     let known = match *last {
         Some(ci) if classes[ci].def.name == name => Some(ci),
         _ => index.get(name).copied(),
     };
-    match known {
-        Some(ci) => {
-            *last = Some(ci);
-            classes[ci].name_arc.clone()
-        }
-        None => Arc::from(name),
+    let Some(ci) = known else {
+        return Ok(Arc::from(name));
+    };
+    *last = Some(ci);
+    if classes[ci].instance_slots() != slots {
+        return Err(VmError::Decode(
+            "instance slot count differs from its class's layout",
+        ));
     }
+    Ok(classes[ci].name_arc.clone())
 }
 
 /// Why a thread is parked.
@@ -1302,29 +1311,34 @@ impl Vm {
         Ok(())
     }
 
-    /// The name `Arc` an instance of class `name` created by the runtime
-    /// (not by `New`) should hold: the loaded class's canonical one, so the
-    /// instance validates at receiver-keyed inline-cache sites by pointer
-    /// like any other; a name of its own only for a class not loaded here.
-    pub fn class_name_arc(&mut self, name: &str) -> Arc<str> {
+    /// The name `Arc` an instance of class `name` with `slots` slots,
+    /// created by the runtime (not by `New`), should hold: the loaded
+    /// class's canonical one, so the instance validates at receiver-keyed
+    /// inline-cache sites by pointer like any other; a name of its own only
+    /// for a class not loaded here. An instance of a loaded class whose
+    /// slot count is not the class's layout is a forged or corrupt frame:
+    /// `VmError::Decode`.
+    pub fn instance_class(&mut self, name: &str, slots: usize) -> VmResult<Arc<str>> {
         let (classes, index) = (&self.classes, &self.class_index);
-        shared_class_name(classes, index, &mut self.last_fetched_class, name)
+        instance_class(classes, index, &mut self.last_fetched_class, name, slots)
     }
 
     /// Install the object frame `frame` (see [`crate::wire`], "Objects"),
     /// fetched from node `origin`, as a cached copy in this VM's heap. An
     /// instance shares its loaded class's canonical name `Arc` — as if
     /// `New` had made it here — so its first field access or virtual call
-    /// at a warm site is an inline-cache hit. A frame that fails to decode
-    /// leaves the heap untouched.
+    /// at a warm site is an inline-cache hit. A frame that fails to decode,
+    /// an instance that does not have its loaded class's slot count, and a
+    /// refresh that would change a cached copy's shape are refused with the
+    /// heap untouched.
     pub fn install_fetched(&mut self, origin: OriginId, frame: &[u8]) -> VmResult<ObjId> {
         let (classes, index, last) = (
             &self.classes,
             &self.class_index,
             &mut self.last_fetched_class,
         );
-        crate::wire::install_object_frame(&mut self.heap, origin, frame, |name| {
-            shared_class_name(classes, index, last, name)
+        crate::wire::install_object_frame(&mut self.heap, origin, frame, |name, slots| {
+            instance_class(classes, index, last, name, slots)
         })
     }
 
@@ -1372,12 +1386,11 @@ impl Vm {
             FaultBind::Local { slot } => self.set_top_local(tid, slot, Value::Ref(local_id))?,
             FaultBind::Field { base, field_idx } => {
                 let mut obj = self.heap.get_mut(base)?;
-                match &mut obj.kind {
-                    ObjKind::Obj { fields, .. } if field_idx < fields.len() => {
-                        fields[field_idx] = Value::Ref(local_id);
-                    }
-                    _ => return Err(VmError::BadRef(base)),
-                }
+                let slot = match obj.kind {
+                    ObjKind::Obj { .. } => obj.slots_mut().get_mut(field_idx),
+                    _ => None,
+                };
+                *slot.ok_or_else(|| VmError::BadRef(base))? = Value::Ref(local_id);
             }
             FaultBind::StaticTo {
                 class_idx,
@@ -1674,12 +1687,8 @@ impl Vm {
                     self.fill_ic(ci, mi, pc, tci, 0);
                     tci
                 };
-                let fields = self.classes[target_ci].def.default_instance_values();
-                // The instance shares the loaded class's canonical name Arc:
-                // no string copy per allocation, and receiver-keyed caches
-                // validate it with a pointer comparison.
-                let cname = self.classes[target_ci].name_arc.clone();
-                let bytes = 16 + fields.len() as u64 * Value::SLOT_BYTES;
+                let slots = self.classes[target_ci].instance_slots();
+                let bytes = 16 + slots as u64 * Value::SLOT_BYTES;
                 if !self.charge_alloc(tid, bytes) {
                     return self.throw_and_outcome(
                         tid,
@@ -1687,7 +1696,17 @@ impl Vm {
                         "heap budget exceeded",
                     );
                 }
-                push!(Value::Ref(self.heap.alloc_obj(cname, fields)));
+                // The instance shares the loaded class's canonical name Arc
+                // (no string copy per allocation, and receiver-keyed caches
+                // validate it with a pointer comparison), and its defaults
+                // are written straight into the heap's slot arena.
+                let class = &self.classes[target_ci];
+                let defaults = class
+                    .def
+                    .instance_fields()
+                    .map(|(_, f)| Value::default_for(f.ty));
+                let id = self.heap.alloc_obj(class.name_arc.clone(), defaults)?;
+                push!(Value::Ref(id));
                 advance!()
             }
             GetField(fidx) => {
@@ -1703,23 +1722,28 @@ impl Vm {
                 }
                 let base = pop!();
                 let Value::Ref(id) = base else { npe!() };
+                // A slot past the instance's own is `BadRef`: a copy fetched
+                // before its class loaded here may not have the layout.
+                let bad = || VmError::BadRef(id);
                 if cell.is_filled() {
-                    if let ObjKind::Obj { class, fields } = &self.heap.get(id)?.kind {
+                    let (obj, fields) = self.heap.view(id)?;
+                    if let ObjKind::Obj { class, .. } = &obj.kind {
                         if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
-                            let v = fields[cell.b as usize];
+                            let v = *fields.get(cell.b as usize).ok_or_else(bad)?;
                             push!(v);
                             return advance!();
                         }
                     }
                 }
-                let ObjKind::Obj { fields, .. } = &self.heap.get(id)?.kind else {
+                let (obj, fields) = self.heap.view(id)?;
+                let ObjKind::Obj { .. } = obj.kind else {
                     return Err(VmError::TypeMismatch {
                         expected: "object",
                         found: "array/string",
                     });
                 };
                 let (target_ci, fi) = self.resolve_field(ci, fidx, id)?;
-                let v = fields[fi];
+                let v = *fields.get(fi).ok_or_else(bad)?;
                 self.fill_receiver_ic(ci, mi, pc, target_ci, fi, id)?;
                 push!(v);
                 advance!()
@@ -1733,23 +1757,26 @@ impl Vm {
                 let v = pop!();
                 let base = pop!();
                 let Value::Ref(id) = base else { npe!() };
+                // A slot past the instance's own is `BadRef`, as in
+                // `GetField`, and nothing is written.
+                let bad = || VmError::BadRef(id);
                 if cell.is_filled() {
                     let mut obj = self.heap.get_mut(id)?;
-                    if let ObjKind::Obj { class, fields } = &mut obj.kind {
-                        if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
-                            fields[cell.b as usize] = v;
-                            obj.dirty = true;
-                            return advance!();
-                        }
+                    let warm = &self.classes[cell.a as usize].name_arc;
+                    if matches!(&obj.kind, ObjKind::Obj { class, .. } if Arc::ptr_eq(class, warm)) {
+                        *obj.slots_mut().get_mut(cell.b as usize).ok_or_else(bad)? = v;
+                        obj.dirty = true;
+                        return advance!();
                     }
                 }
                 let (target_ci, fi) = self.resolve_field(ci, fidx, id)?;
                 {
                     let mut obj = self.heap.get_mut(id)?;
-                    match &mut obj.kind {
-                        ObjKind::Obj { fields, .. } => fields[fi] = v,
-                        _ => return Err(VmError::BadRef(id)),
-                    }
+                    let slot = match obj.kind {
+                        ObjKind::Obj { .. } => obj.slots_mut().get_mut(fi),
+                        _ => None,
+                    };
+                    *slot.ok_or_else(bad)? = v;
                     obj.dirty = true;
                 }
                 self.fill_receiver_ic(ci, mi, pc, target_ci, fi, id)?;
@@ -1785,7 +1812,7 @@ impl Vm {
                         "heap budget exceeded",
                     );
                 }
-                push!(Value::Ref(self.heap.alloc_arr(len as usize)));
+                push!(Value::Ref(self.heap.alloc_arr(len as usize)?));
                 advance!()
             }
             ALoad => {
@@ -2223,10 +2250,12 @@ impl Vm {
                     return Err(VmError::RestoreProtocol("BringObjField on null base"));
                 };
                 let (_, field_idx) = self.resolve_field(ci, fidx, base)?;
-                let current = match &self.heap.get(base)?.kind {
-                    ObjKind::Obj { fields, .. } => fields[field_idx],
-                    _ => return Err(VmError::BadRef(base)),
+                let (obj, fields) = self.heap.view(base)?;
+                let current = match obj.kind {
+                    ObjKind::Obj { .. } => fields.get(field_idx).copied(),
+                    _ => None,
                 };
+                let current = current.ok_or_else(|| VmError::BadRef(base))?;
                 (current, FaultBind::Field { base, field_idx })
             }
             StaticTo(cidx, fidx, dest_slot) => {
@@ -2784,6 +2813,110 @@ mod tests {
         let mut vm = vm_with(&[point, main]);
         let r = vm.run_to_completion("Main", "main", &[]).unwrap();
         assert_eq!(r, Some(Value::Int(5)));
+    }
+
+    /// `New` writes its class's instance defaults — layout order, statics
+    /// excluded — straight into the heap's slot arena.
+    #[test]
+    fn new_writes_its_class_defaults_in_place() {
+        let mut main = ClassDef::new("Main")
+            .with_field(FieldDef::instance("r", TypeOf::Ref))
+            .with_field(FieldDef::stat("count", TypeOf::Int))
+            .with_field(FieldDef::instance("n", TypeOf::Int));
+        let me = main.intern("Main");
+        main.methods.push(
+            MethodDef::new("main", 0, 0).with_code(vec![Instr::New(me), Instr::RetV], vec![1, 1]),
+        );
+        let mut vm = vm_with(&[main]);
+        let Some(Value::Ref(id)) = vm.run_to_completion("Main", "main", &[]).unwrap() else {
+            panic!("main returns its instance");
+        };
+        let (obj, slots) = vm.heap.view(id).unwrap();
+        assert_eq!(obj.class_name(), "Main");
+        assert_eq!(slots, &[Value::Null, Value::Int(0)]);
+        assert_eq!(vm.heap.arena_len(), 2);
+        assert_eq!(vm.heap.used_bytes(), 16 + 2 * Value::SLOT_BYTES);
+    }
+
+    /// An object frame naming a loaded class with fewer slots than the
+    /// class lays out is refused at install, the heap untouched; a copy
+    /// that arrived before its class loaded, and so was not checked, makes
+    /// `GetField` and `PutField` — cold and warm sites both — a typed
+    /// `BadRef`, never an index past its slots.
+    #[test]
+    fn a_short_instance_frame_neither_installs_nor_panics() {
+        use crate::capture::CapturedValue;
+        use crate::wire::{encode_object, WireObjBody, WireObject};
+        let point = || {
+            ClassDef::new("Point")
+                .with_field(FieldDef::instance("x", TypeOf::Int))
+                .with_field(FieldDef::instance("y", TypeOf::Int))
+        };
+        let short = encode_object(&WireObject {
+            home_id: 7,
+            body: WireObjBody::Obj {
+                class: "Point".into(),
+                fields: vec![CapturedValue::Int(1)],
+            },
+        })
+        .unwrap();
+
+        let mut vm = vm_with(&[point()]);
+        let before = format!("{:?}", vm.heap);
+        let refused = vm.install_fetched(0, &short);
+        assert!(matches!(refused, Err(VmError::Decode(_))), "{refused:?}");
+        assert_eq!(format!("{:?}", vm.heap), before);
+
+        let mut main = ClassDef::new("Main");
+        let (p, x, y) = (main.intern("Point"), main.intern("x"), main.intern("y"));
+        let method = |name: &str, nargs, code: Vec<Instr>| {
+            let lines = vec![1; code.len()];
+            MethodDef::new(name, nargs, 0).with_code(code, lines)
+        };
+        main.methods.extend([
+            method("make", 0, vec![Instr::New(p), Instr::RetV]),
+            method(
+                "getx",
+                1,
+                vec![Instr::Load(0), Instr::GetField(x), Instr::RetV],
+            ),
+            method(
+                "gety",
+                1,
+                vec![Instr::Load(0), Instr::GetField(y), Instr::RetV],
+            ),
+            method(
+                "sety",
+                1,
+                vec![
+                    Instr::Load(0),
+                    Instr::PushI(9),
+                    Instr::PutField(y),
+                    Instr::PushI(0),
+                    Instr::RetV,
+                ],
+            ),
+        ]);
+        let mut vm = vm_with(&[main]);
+        // Fetched before `Point` is loaded here: nothing to check it by.
+        let bad = vm.install_fetched(0, &short).unwrap();
+        vm.load_class(&point()).unwrap();
+        let mut run = |m: &str, args: &[Value]| vm.run_to_completion("Main", m, args);
+        let whole = match run("make", &[]) {
+            Ok(Some(v)) => v,
+            other => panic!("{other:?}"),
+        };
+        // Cold sites first: resolved by name, the slot is past the copy's.
+        assert_eq!(run("gety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
+        assert_eq!(run("sety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
+        // Warm both sites on a whole instance, then hand the short copy
+        // the canonical class name through a site it does fit.
+        assert_eq!(run("gety", &[whole]), Ok(Some(Value::Int(0))));
+        assert_eq!(run("sety", &[whole]), Ok(Some(Value::Int(0))));
+        assert_eq!(run("getx", &[Value::Ref(bad)]), Ok(Some(Value::Int(1))));
+        assert_eq!(run("gety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
+        assert_eq!(run("sety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
+        assert!(!vm.heap.get(bad).unwrap().dirty);
     }
 
     /// A loaded class named like an array's pseudo-class makes

@@ -771,12 +771,12 @@ pub fn decode_state(frame: Bytes) -> VmResult<CapturedState> {
 // * a write-back is written from the worker's dirty copy, worker-created
 //   neighbours named by temp ids ([`put_dirty_object`]), every object of a
 //   flush into one pooled buffer ([`BatchWriter`]);
-// * a fetched frame is read into the `Vec<Value>` the cached copy will
-//   own ([`install_object_frame`]), and a flush is applied slot by slot
-//   from its frames by the runtime, after [`ObjectFrame::validate`] has
-//   walked every frame of the batch: the walk allocates nothing, and
-//   because it runs before the first heap write, a batch with a malformed
-//   frame changes nothing at all.
+// * a fetched frame is read into the heap's slot arena, where the cached
+//   copy's slots live ([`install_object_frame`]), and a flush is applied
+//   slot by slot from its frames by the runtime, after
+//   [`ObjectFrame::validate`] has walked every frame of the batch: the walk
+//   allocates nothing, and because it runs before the first heap write, a
+//   batch with a malformed frame changes nothing at all.
 //
 // [`WireObject`] is the *decoded view* of a frame, for tests, replays and
 // tools: `extract_*` build it with the same exporters the direct writers
@@ -785,7 +785,7 @@ pub fn decode_state(frame: Bytes) -> VmResult<CapturedState> {
 // same heap call as the direct install. There is no second codec to keep
 // in step.
 
-use crate::heap::{Heap, HeapObj, ObjKind};
+use crate::heap::{Fetched, Heap, HeapObj, ObjKind};
 use crate::idhash::IdSet;
 use crate::value::{OriginId, Value};
 
@@ -804,10 +804,14 @@ enum BodySrc<'a, T> {
 }
 
 impl<'a> BodySrc<'a, Value> {
-    fn of_heap(obj: &'a HeapObj) -> Self {
+    /// A heap entry and its slots, as [`Heap::view`] returns them.
+    fn of_heap((obj, slots): (&'a HeapObj, &'a [Value])) -> Self {
         match &obj.kind {
-            ObjKind::Obj { class, fields } => BodySrc::Obj { class, fields },
-            ObjKind::Arr { elems } => BodySrc::Arr { elems },
+            ObjKind::Obj { class, .. } => BodySrc::Obj {
+                class,
+                fields: slots,
+            },
+            ObjKind::Arr { .. } => BodySrc::Arr { elems: slots },
             ObjKind::Str(s) => BodySrc::Str(s),
             ObjKind::Exception { message, .. } => BodySrc::Str(message),
         }
@@ -908,7 +912,7 @@ fn dirty_identity(obj: &HeapObj, id: ObjId, temp_base: ObjId) -> ObjId {
 /// Write home object `id` of `heap` as the frame of an object-fault reply:
 /// shallow — primitive slots by value, reference slots as home ids.
 pub fn put_home_object<B: BufMut>(buf: &mut B, heap: &Heap, id: ObjId) -> VmResult<()> {
-    put_object_with(buf, id, BodySrc::of_heap(heap.get(id)?), export_home)
+    put_object_with(buf, id, BodySrc::of_heap(heap.view(id)?), export_home)
 }
 
 /// Write a worker's object `id` as a frame of its write-back flush (see
@@ -919,9 +923,9 @@ pub fn put_dirty_object<B: BufMut>(
     id: ObjId,
     temp_base: ObjId,
 ) -> VmResult<()> {
-    let obj = heap.get(id)?;
-    let home_id = dirty_identity(obj, id, temp_base);
-    let body = BodySrc::of_heap(obj);
+    let view = heap.view(id)?;
+    let home_id = dirty_identity(view.0, id, temp_base);
+    let body = BodySrc::of_heap(view);
     put_object_with(buf, home_id, body, export_dirty(heap, temp_base))
 }
 
@@ -1070,7 +1074,7 @@ pub fn decode_object(buf: Bytes) -> VmResult<WireObject> {
 /// slots by value, reference slots as home ids (nulled + flagged on
 /// install). The view of the frame [`put_home_object`] writes.
 pub fn extract_object(heap: &Heap, id: ObjId) -> VmResult<WireObject> {
-    view_with(id, BodySrc::of_heap(heap.get(id)?), export_home)
+    view_with(id, BodySrc::of_heap(heap.view(id)?), export_home)
 }
 
 /// Ids of the transitive closure of `id` (deep fetch / eager copy):
@@ -1082,7 +1086,7 @@ pub fn closure_ids(heap: &Heap, id: ObjId) -> VmResult<Vec<ObjId>> {
     let mut next = 0;
     while let Some(&cur) = order.get(next) {
         next += 1;
-        for slot in heap.get(cur)?.slots() {
+        for slot in heap.view(cur)?.1 {
             // Every slot that travels as a home id is an edge.
             if let CapturedValue::HomeRef(r) = CapturedValue::from_value(*slot) {
                 if seen.insert(r) {
@@ -1106,33 +1110,31 @@ pub fn extract_closure(heap: &Heap, id: ObjId) -> VmResult<Vec<WireObject>> {
 /// home is recorded for nested fault resolution and write-back. If a copy
 /// of the same home object already exists it is refreshed in place.
 ///
-/// The slots are decoded straight into the `Vec` the heap entry owns.
-/// `class_arc` supplies the name `Arc` an instance holds — the caller that
-/// knows the loaded classes passes their canonical one
-/// ([`crate::interp::Vm::install_fetched`]). The frame is decoded in full
-/// before the heap is touched: on `Err` the heap is as it was.
+/// The slots are decoded straight into the heap's slot arena
+/// ([`Heap::install_cached`]). `class_arc` supplies the name `Arc` an
+/// instance with that many slots holds, or refuses it — the caller that
+/// knows the loaded classes passes their canonical one and checks their
+/// layout ([`crate::interp::Vm::install_fetched`]). On `Err` the heap is as
+/// it was.
 pub fn install_object_frame(
     heap: &mut Heap,
     origin: OriginId,
     frame: &[u8],
-    class_arc: impl FnOnce(&str) -> Arc<str>,
+    class_arc: impl FnOnce(&str, usize) -> VmResult<Arc<str>>,
 ) -> VmResult<ObjId> {
-    let nulled = CapturedValue::to_nulled_value;
+    let nulled = |slot: VmResult<CapturedValue>| slot.map(CapturedValue::to_nulled_value);
     let obj = ObjectFrame::read(frame)?;
-    let kind = match obj.body {
-        FrameBody::Obj { class, fields } => {
-            let fields = fields.collect_as(nulled)?;
-            ObjKind::Obj {
-                class: class_arc(class),
-                fields,
-            }
-        }
-        FrameBody::Arr { elems } => ObjKind::Arr {
-            elems: elems.collect_as(nulled)?,
+    let body = match obj.body {
+        FrameBody::Obj { class, fields } => Fetched::Obj {
+            class: class_arc(class, fields.len())?,
+            slots: fields.map(nulled),
         },
-        FrameBody::Str(s) => ObjKind::Str(s.to_owned()),
+        FrameBody::Arr { elems } => Fetched::Arr {
+            slots: elems.map(nulled),
+        },
+        FrameBody::Str(s) => Fetched::Str(s.to_owned()),
     };
-    Ok(heap.install_cached(origin, obj.home_id, kind))
+    heap.install_cached(origin, obj.home_id, body)
 }
 
 /// [`install_object_frame`] from the decoded view. The instance keeps the
@@ -1140,18 +1142,20 @@ pub fn install_object_frame(
 /// class's shared one on the first miss at a receiver-keyed inline-cache
 /// site.
 pub fn install_object_from(heap: &mut Heap, origin: OriginId, obj: &WireObject) -> VmResult<ObjId> {
-    let nulled = |vs: &[CapturedValue]| vs.iter().map(|v| v.to_nulled_value()).collect();
-    let kind = match &obj.body {
-        WireObjBody::Obj { class, fields } => ObjKind::Obj {
+    fn nulled(vs: &[CapturedValue]) -> impl ExactSizeIterator<Item = VmResult<Value>> + '_ {
+        vs.iter().map(|v| Ok(v.to_nulled_value()))
+    }
+    let body = match &obj.body {
+        WireObjBody::Obj { class, fields } => Fetched::Obj {
             class: class.clone(),
-            fields: nulled(fields),
+            slots: nulled(fields),
         },
-        WireObjBody::Arr { elems } => ObjKind::Arr {
-            elems: nulled(elems),
+        WireObjBody::Arr { elems } => Fetched::Arr {
+            slots: nulled(elems),
         },
-        WireObjBody::Str(s) => ObjKind::Str(s.clone()),
+        WireObjBody::Str(s) => Fetched::Str(s.clone()),
     };
-    Ok(heap.install_cached(origin, obj.home_id, kind))
+    heap.install_cached(origin, obj.home_id, body)
 }
 
 /// [`install_object_from`] on a VM driven standalone (origin 0).
@@ -1166,9 +1170,9 @@ pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
 /// flush protocol). Transfer-nulled refs re-export the home identity they
 /// carry. The view of the frame [`put_dirty_object`] writes.
 pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireObject> {
-    let obj = heap.get(id)?;
-    let home_id = dirty_identity(obj, id, temp_base);
-    let body = BodySrc::of_heap(obj);
+    let view = heap.view(id)?;
+    let home_id = dirty_identity(view.0, id, temp_base);
+    let body = BodySrc::of_heap(view);
     view_with(home_id, body, export_dirty(heap, temp_base))
 }
 

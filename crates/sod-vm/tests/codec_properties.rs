@@ -32,7 +32,7 @@ use sod_vm::wire::{
     class_wire_bytes, closure_ids, decode_class, decode_object, decode_state, encode_class,
     encode_object, encode_state, extract_closure, extract_dirty, extract_object,
     install_object_from, put_dirty_object, put_home_object, BatchWriter, BufferPool, FrameBatch,
-    ObjectFrame, WireObjBody, WireObject,
+    FrameBody, ObjectFrame, WireObjBody, WireObject,
 };
 
 fn captured_value() -> impl Strategy<Value = CapturedValue> {
@@ -517,8 +517,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Classes the random heaps instantiate: the first two are loaded into the
-/// installing VM, the third is not.
+/// installing VM, with `LAYOUTS` instance fields, the third is not.
 const CLASSES: [&str; 3] = ["A", "Node", "Unloaded"];
+const LAYOUTS: [usize; 2] = [1, 2];
 const TEMP_BASE: ObjId = 1 << 30;
 
 /// One slot of a random heap object; `Ref` indexes the heap modulo its
@@ -599,8 +600,8 @@ fn build_heap(spec: &[ObjSpec]) -> Heap {
     let mut heap = Heap::new();
     for obj in spec {
         match &obj.kind {
-            KindSpec::Obj(c, s) => heap.alloc_obj(CLASSES[*c], slots(s)),
-            KindSpec::Arr(s) => heap.alloc_arr_from(slots(s)),
+            KindSpec::Obj(c, s) => heap.alloc_obj(CLASSES[*c], slots(s)).unwrap(),
+            KindSpec::Arr(s) => heap.alloc_arr_from(slots(s)).unwrap(),
             KindSpec::Str(s) => heap.alloc_str(s.clone()),
             KindSpec::Exception(m) => heap.alloc_exception(ExKind::NullPointer, m.clone()),
         };
@@ -634,25 +635,46 @@ fn snapshot(heap: &Heap) -> String {
 /// A VM holding `heap`, with the first two of [`CLASSES`] loaded.
 fn vm_with(heap: Heap) -> Vm {
     let mut vm = Vm::new();
-    for name in &CLASSES[..2] {
-        vm.load_class(&ClassDef::new(*name)).unwrap();
+    for (name, fields) in CLASSES.iter().zip(LAYOUTS) {
+        let class = (0..fields).fold(ClassDef::new(*name), |c, i| {
+            c.with_field(FieldDef::instance(format!("f{i}"), TypeOf::Int))
+        });
+        vm.load_class(&class).unwrap();
     }
     vm.heap = heap;
     vm
 }
 
 /// Both install routes for one frame into copies of one heap. They must
-/// agree on the outcome; on `Ok` the heaps must be equal (index oracles
+/// agree on the outcome — except that the direct route also refuses an
+/// instance of a loaded class without that class's slot count, which the
+/// view's route cannot know; on `Ok` the heaps must be equal (index oracles
 /// included) and the direct route must have used the loaded class's own
 /// name; on `Err` the direct route's heap must be untouched.
 fn check_install_routes(base: &Heap, origin: u32, frame: &[u8]) {
     let mut direct = vm_with(base.clone());
     let mut viewed = base.clone();
     let got = direct.install_fetched(origin, frame);
-    let want = decode_object(bytes::Bytes::from(frame.to_vec()))
-        .and_then(|obj| install_object_from(&mut viewed, origin, &obj));
+    let decoded = decode_object(bytes::Bytes::from(frame.to_vec()));
+    assert_eq!(ObjectFrame::validate(frame), decoded.clone().map(drop));
+    // The layout is checked on the frame's header, before its slots.
+    let misfit = match ObjectFrame::read(frame) {
+        Ok(ObjectFrame {
+            body: FrameBody::Obj { class, fields },
+            ..
+        }) => CLASSES
+            .iter()
+            .zip(LAYOUTS)
+            .any(|(c, n)| *c == class && n != fields.len()),
+        _ => false,
+    };
+    let want = match misfit {
+        true => Err(VmError::Decode(
+            "instance slot count differs from its class's layout",
+        )),
+        false => decoded.and_then(|obj| install_object_from(&mut viewed, origin, &obj)),
+    };
     assert_eq!(&got, &want);
-    assert_eq!(ObjectFrame::validate(frame), want.clone().map(drop));
     let Ok(id) = got else {
         assert_eq!(
             snapshot(&direct.heap),
