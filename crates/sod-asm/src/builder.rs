@@ -74,11 +74,6 @@ impl ClassBuilder {
         class_summaries(&self.def)?;
         Ok(self.def)
     }
-
-    /// Finish without verification (for tests that need malformed classes).
-    pub fn build_unverified(self) -> ClassDef {
-        self.def
-    }
 }
 
 /// A pending `switch` patch: instruction index, `(case value, label)`

@@ -1,19 +1,17 @@
 //! # sod-asm — assembler for the sod-vm stack machine
 //!
-//! Two front ends produce verified [`ClassDef`](sod_vm::class::ClassDef)s:
-//!
-//! * [`builder`] — a fluent Rust API with named locals, labels, and source
-//!   lines. All paper workloads (`sod-workloads`) are written with it.
-//! * [`text`] — a line-oriented textual assembly format (`.sasm`), useful
-//!   for examples and quick experiments.
+//! [`builder`] produces verified [`ClassDef`](sod_vm::class::ClassDef)s
+//! through a fluent Rust API with named locals, labels, and source lines.
+//! Every guest in the repository — the paper workloads (`sod-workloads`),
+//! the examples and the tests — is written with it.
 //!
 //! Source *lines* matter here more than in a typical assembler: the SOD
 //! preprocessor defines migration-safe points at line starts, so the
 //! assembler forces every instruction to belong to an explicit line.
 //!
-//! The assembler builds trusted guests, from Rust or from a `.sasm` file
-//! its author wrote, so it is not held to the system crates' panic lints:
-//! a panic here is a programmer error, not a guest's or a peer's doing.
+//! The assembler builds trusted guests, written in Rust by their author,
+//! so it is not held to the system crates' panic lints: a panic here is a
+//! programmer error, not a guest's or a peer's doing.
 //!
 //! ```
 //! use sod_asm::builder::ClassBuilder;
@@ -36,7 +34,5 @@
 //! ```
 
 pub mod builder;
-pub mod text;
 
 pub use builder::{ClassBuilder, MethodBuilder};
-pub use text::assemble;

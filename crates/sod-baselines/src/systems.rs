@@ -50,16 +50,6 @@ impl System {
             System::Xen => 2203,
         }
     }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            System::Jdk => "JDK",
-            System::Sodee => "SODEE",
-            System::GJavaMpi => "G-JavaMPI",
-            System::Jessica2 => "JESSICA2",
-            System::Xen => "Xen",
-        }
-    }
 }
 
 /// Facts measured from one real run of a workload on the sod-vm, fed into

@@ -4,16 +4,14 @@
 //! With no arguments the table and the JSON line both print to stdout;
 //! pass a path (e.g. `BENCH_chaos.json`) to write the JSON there instead.
 
-fn main() {
-    // Simulate the sweep once; render the table and the JSON from it.
-    let rows = sod_bench::chaos::sweep();
-    print!("{}", sod_bench::chaos::render_table(&rows));
-    let json = sod_bench::chaos::render_json(&rows);
-    match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON summary");
-            println!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+use std::process::ExitCode;
+
+use sod_bench::chaos;
+
+fn main() -> ExitCode {
+    sod_bench::sweep_main("chaos [OUT.json]", std::env::args().skip(1), || {
+        // Simulate the sweep once; render the table and the JSON from it.
+        let rows = chaos::sweep();
+        (chaos::render_table(&rows), chaos::render_json(&rows))
+    })
 }

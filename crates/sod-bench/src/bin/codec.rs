@@ -6,22 +6,14 @@
 //! The table and the JSON both print to stdout; pass a path (e.g.
 //! `BENCH_codec.json`) to write the JSON there instead.
 
-fn main() {
-    let mut out_path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg.starts_with('-') {
-            panic!("unknown flag {arg:?}; usage: codec [OUT.json]");
-        }
-        out_path = Some(arg);
-    }
-    let rows = sod_bench::codec::sweep();
-    print!("{}", sod_bench::codec::render_table(&rows));
-    let json = sod_bench::codec::render_json(&rows);
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON summary");
-            println!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+use std::process::ExitCode;
+
+use sod_bench::codec;
+
+fn main() -> ExitCode {
+    sod_bench::sweep_main("codec [OUT.json]", std::env::args().skip(1), || {
+        // Simulate the sweep once; render the table and the JSON from it.
+        let rows = codec::sweep();
+        (codec::render_table(&rows), codec::render_json(&rows))
+    })
 }

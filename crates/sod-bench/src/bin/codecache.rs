@@ -5,16 +5,17 @@
 //! pass a path (e.g. `BENCH_codecache.json`) to write the JSON there
 //! instead.
 
-fn main() {
-    // Simulate the sweep once; render the table and the JSON from it.
-    let rows = sod_bench::codecache::sweep();
-    print!("{}", sod_bench::codecache::render_table(&rows));
-    let json = sod_bench::codecache::render_json(&rows);
-    match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON summary");
-            println!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+use std::process::ExitCode;
+
+use sod_bench::codecache;
+
+fn main() -> ExitCode {
+    sod_bench::sweep_main("codecache [OUT.json]", std::env::args().skip(1), || {
+        // Simulate the sweep once; render the table and the JSON from it.
+        let rows = codecache::sweep();
+        (
+            codecache::render_table(&rows),
+            codecache::render_json(&rows),
+        )
+    })
 }

@@ -5,16 +5,14 @@
 //! pass a path (e.g. `BENCH_elastic.json`) to write the JSON there
 //! instead.
 
-fn main() {
-    // Simulate the sweep once; render the table and the JSON from it.
-    let rows = sod_bench::elastic::sweep();
-    print!("{}", sod_bench::elastic::render_table(&rows));
-    let json = sod_bench::elastic::render_json(&rows);
-    match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON summary");
-            println!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+use std::process::ExitCode;
+
+use sod_bench::elastic;
+
+fn main() -> ExitCode {
+    sod_bench::sweep_main("elastic [OUT.json]", std::env::args().skip(1), || {
+        // Simulate the sweep once; render the table and the JSON from it.
+        let rows = elastic::sweep();
+        (elastic::render_table(&rows), elastic::render_json(&rows))
+    })
 }

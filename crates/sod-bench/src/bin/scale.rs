@@ -8,34 +8,33 @@
 //! The table and the JSON line both print to stdout; pass a path (e.g.
 //! `BENCH_scale.json`) to write the JSON there instead.
 
-fn main() {
-    let mut sizes: Vec<usize> = sod_bench::scale::SCALE_FLEET_SWEEP.to_vec();
-    let mut out_path: Option<String> = None;
+use std::process::ExitCode;
+
+use sod_bench::scale;
+
+const USAGE: &str = "scale [--sizes N,N,..] [OUT.json]";
+
+fn main() -> ExitCode {
+    let mut sizes = scale::SCALE_FLEET_SWEEP.to_vec();
+    let mut rest = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--sizes" {
-            let list = args.next().expect("--sizes takes a comma-separated list");
-            sizes = list
-                .split(',')
-                .map(|s| s.trim().parse().expect("fleet size"))
-                .collect();
-        } else if arg.starts_with('-') {
-            // A typo'd flag must not silently become the output path (the
-            // default sweep takes minutes).
-            panic!("unknown flag {arg:?}; usage: scale [--sizes N,N,..] [OUT.json]");
-        } else {
-            out_path = Some(arg);
+        if arg != "--sizes" {
+            rest.push(arg);
+            continue;
+        }
+        let list = args.next().unwrap_or_default();
+        match list.split(',').map(|s| s.trim().parse()).collect() {
+            Ok(list) => sizes = list,
+            Err(_) => {
+                eprintln!("--sizes takes a comma-separated list of fleet sizes; usage: {USAGE}");
+                return ExitCode::from(2);
+            }
         }
     }
-    // Simulate the sweep once; render the table and the JSON from it.
-    let rows = sod_bench::scale::sweep(&sizes);
-    print!("{}", sod_bench::scale::render_table(&rows));
-    let json = sod_bench::scale::render_json(&rows);
-    match out_path {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write JSON summary");
-            println!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    sod_bench::sweep_main(USAGE, rest, || {
+        // Simulate the sweep once; render the table and the JSON from it.
+        let rows = scale::sweep(&sizes);
+        (scale::render_table(&rows), scale::render_json(&rows))
+    })
 }

@@ -10,7 +10,7 @@
 //! sweep is a pure function of its constants — rerunning it reproduces
 //! every row bit for bit.
 //!
-//! [`chaos_json`] renders the same sweep as a `BENCH_chaos.json`-
+//! [`render_json`] renders the same sweep as a `BENCH_chaos.json`-
 //! compatible summary.
 
 use std::fmt::Write as _;
@@ -182,12 +182,6 @@ pub fn render_json(rows: &[ChaosRow]) -> String {
         })
         .collect();
     format!("{{\"bench\":\"chaos\",\"rows\":[{}]}}\n", body.join(","))
-}
-
-/// The shipped sweep as JSON (simulates it; share one simulation between
-/// table and JSON via [`sweep`] + the renderers).
-pub fn chaos_json() -> String {
-    render_json(&sweep())
 }
 
 #[cfg(test)]

@@ -12,9 +12,8 @@
 //! are bit-identical by construction (`tests/codec_equivalence.rs` pins
 //! it); the only thing this measures is host nanoseconds.
 //!
-//! `benches/codec.rs` runs the same shapes under criterion for tracked
-//! statistics; `bin/codec` emits the one-shot `BENCH_codec.json` summary
-//! with host provenance.
+//! `bin/codec` emits the one-shot `BENCH_codec.json` summary with host
+//! provenance.
 
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -16,7 +16,7 @@
 //! Rows report total class/state/object bytes on the wire (from the
 //! per-node [`sod::NetBytes`] breakdown), on-demand class requests, and
 //! latency — with identical program results across all policies.
-//! [`codecache_json`] renders the same sweep as a
+//! [`render_json`] renders the same sweep as a
 //! `BENCH_codecache.json`-compatible summary.
 
 use std::fmt::Write as _;
@@ -184,12 +184,6 @@ pub fn render_json(rows: &[CodecacheRow]) -> String {
         "{{\"bench\":\"codecache\",\"rows\":[{}]}}\n",
         body.join(",")
     )
-}
-
-/// The shipped sweep as JSON (simulates it; share one simulation between
-/// table and JSON via [`sweep`] + the renderers).
-pub fn codecache_json() -> String {
-    render_json(&sweep())
 }
 
 #[cfg(test)]

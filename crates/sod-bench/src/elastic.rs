@@ -10,11 +10,11 @@
 //! shapes. Every row reports tail latency (p50/p99), makespan, and the
 //! [`sod::ClusterReport::node_seconds`] cost, so the frontier is
 //! directly readable: a policy *dominates* a baseline when it is at
-//! least as good on both axes and strictly better on one
-//! ([`dominates`]). Because arrivals and scaling are deterministic, the
-//! sweep is a pure function of its constants.
+//! least as good on both axes and strictly better on one. Because
+//! arrivals and scaling are deterministic, the sweep is a pure function of
+//! its constants.
 //!
-//! [`elastic_json`] renders the same sweep as a `BENCH_elastic.json`-
+//! [`render_json`] renders the same sweep as a `BENCH_elastic.json`-
 //! compatible summary.
 
 use std::fmt::Write as _;
@@ -95,14 +95,6 @@ impl ElasticRow {
     pub fn pool(&self) -> &PoolReport {
         &self.cluster.pools[0]
     }
-}
-
-/// `a` dominates `b` on the p99-vs-node-seconds frontier: at least as
-/// good on both axes, strictly better on one.
-pub fn dominates(a: &ElasticRow, b: &ElasticRow) -> bool {
-    let (ap, bp) = (a.cluster.p99_latency_ns, b.cluster.p99_latency_ns);
-    let (an, bn) = (a.cluster.node_ns, b.cluster.node_ns);
-    ap <= bp && an <= bn && (ap < bp || an < bn)
 }
 
 /// Run the reference burst fleet under one (config, cold start, arrival)
@@ -254,15 +246,17 @@ pub fn render_json(rows: &[ElasticRow]) -> String {
     format!("{{\"bench\":\"elastic\",\"rows\":[{}]}}\n", body.join(","))
 }
 
-/// The shipped sweep as JSON (simulates it; share one simulation between
-/// table and JSON via [`sweep`] + the renderers).
-pub fn elastic_json() -> String {
-    render_json(&sweep())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `a` dominates `b` on the p99-vs-node-seconds frontier: at least as
+    /// good on both axes, strictly better on one.
+    fn dominates(a: &ElasticRow, b: &ElasticRow) -> bool {
+        let (ap, bp) = (a.cluster.p99_latency_ns, b.cluster.p99_latency_ns);
+        let (an, bn) = (a.cluster.node_ns, b.cluster.node_ns);
+        ap <= bp && an <= bn && (ap < bp || an < bn)
+    }
 
     /// The headline claim: under the shipped bursty cell (cold start 0),
     /// at least one autoscaling policy dominates the overprovisioned

@@ -2,8 +2,11 @@
 //!
 //! One function per table/figure of the paper's §IV; each returns the
 //! formatted table so binaries print it and tests assert on its shape.
-//! `bin/all` regenerates the full evaluation and is what `EXPERIMENTS.md`
-//! records.
+//! `bin/tables` regenerates the full evaluation; the sweep binaries
+//! (`scale`, `vm`, `codec`, `codecache`, `chaos`, `elastic`) also emit
+//! their `BENCH_*.json` summaries through [`sweep_main`].
+
+use std::process::ExitCode;
 
 pub mod chaos;
 pub mod codec;
@@ -13,8 +16,75 @@ pub mod scale;
 pub mod tables;
 pub mod vmdispatch;
 
-pub use chaos::{chaos_json, chaos_table, run_chaos_fleet};
-pub use codecache::{codecache_json, codecache_table, run_codecache_fleet};
-pub use elastic::{elastic_json, elastic_table, run_elastic_fleet};
-pub use scale::{run_scale_fleet, scale_json, scale_table, scale_table_for, ScaleRow};
 pub use tables::*;
+
+/// The JSON output path among a sweep binary's `args`: `None` (print the
+/// JSON) or the one path given. A `-`-prefixed argument or a second path
+/// is refused with `usage`, so a mistyped flag never becomes a file name.
+pub fn out_path(
+    args: impl IntoIterator<Item = String>,
+    usage: &str,
+) -> Result<Option<String>, String> {
+    let mut out = None;
+    for arg in args {
+        if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg:?}; usage: {usage}"));
+        }
+        if let Some(first) = out.replace(arg) {
+            return Err(format!(
+                "one output path, not {first:?} and more; usage: {usage}"
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// A sweep binary's `main`: check `args` with [`out_path`], then run the
+/// sweep (`run` returns its table and its JSON), print the table, and
+/// write the JSON to the path given or print it. Refused arguments exit
+/// with status 2 before anything runs or is written.
+pub fn sweep_main(
+    usage: &str,
+    args: impl IntoIterator<Item = String>,
+    run: impl FnOnce() -> (String, String),
+) -> ExitCode {
+    let out = match out_path(args, usage) {
+        Ok(out) => out,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
+    };
+    let (table, json) = run();
+    print!("{table}");
+    match out {
+        Some(path) => match std::fs::write(&path, &json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => {
+                eprintln!("write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => print!("{json}"),
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::out_path;
+
+    fn parse(args: &[&str]) -> Result<Option<String>, String> {
+        out_path(args.iter().map(|a| a.to_string()), "x [OUT.json]")
+    }
+
+    #[test]
+    fn out_path_takes_at_most_one_path_and_no_flags() {
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["x.json"]), Ok(Some("x.json".into())));
+        let flag = parse(&["--help"]).unwrap_err();
+        assert!(flag.contains("\"--help\"") && flag.contains("usage: x [OUT.json]"));
+        let two = parse(&["a", "b"]).unwrap_err();
+        assert!(two.contains("\"a\"") && two.contains("usage:"), "{two}");
+    }
+}

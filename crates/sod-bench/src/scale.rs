@@ -6,7 +6,7 @@
 //! `OnCpuSliceBudget` offload policy to a shared cloud node, and report
 //! nearest-rank latency percentiles, throughput, and per-node utilization
 //! from the [`sod::ClusterReport`], with the host wall-clock each row took
-//! to simulate. [`scale_json`] renders the same sweep as a
+//! to simulate. [`render_json`] renders the same sweep as a
 //! `BENCH_scale.json`-compatible summary for machine consumption;
 //! `bin/scale` runs the big-fleet sweep ([`SCALE_FLEET_SWEEP`]:
 //! 1k/5k/10k programs).
@@ -22,7 +22,7 @@ use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
 use sod::{ArrivalSchedule, ClusterReport};
 
-/// Fleet sizes the shipped table sweeps (kept cheap: `bin/all` runs it).
+/// Fleet sizes the shipped table sweeps (kept cheap: `bin/tables` runs it).
 pub const SCALE_SWEEP: [usize; 3] = [10, 100, 500];
 /// Fleet sizes for the big `bin/scale` sweep.
 pub const SCALE_FLEET_SWEEP: [usize; 3] = [1000, 5000, 10_000];
@@ -204,13 +204,6 @@ pub fn render_json(sweep_rows: &[ScaleRow]) -> String {
         SCALE_SEED,
         rows.join(",")
     )
-}
-
-/// The sweep as a `BENCH_scale.json`-compatible summary (simulates the
-/// sweep; use [`sweep`] + [`render_json`] to share one simulation with
-/// the table).
-pub fn scale_json(sizes: &[usize]) -> String {
-    render_json(&sweep(sizes))
 }
 
 #[cfg(test)]

@@ -9,9 +9,8 @@
 //! construction (`tests/interp_equivalence.rs` pins it), so the only
 //! thing this measures — and the only thing the fast path is allowed to
 //! change — is how many host cycles the simulator burns per guest
-//! instruction. `benches/vm_dispatch.rs` runs the same workloads under
-//! criterion for tracked statistics; `bin/vm` emits the one-shot
-//! `BENCH_vm.json` summary with host provenance.
+//! instruction. `bin/vm` emits the one-shot `BENCH_vm.json` summary with
+//! host provenance.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -89,7 +88,7 @@ pub fn object_loop_workload(iters: i64) -> VmWorkload {
     }
 }
 
-/// The shipped workload set (kept cheap enough for `bin/all`).
+/// The shipped workload set (kept cheap enough for `bin/tables`).
 pub fn workloads() -> Vec<VmWorkload> {
     vec![fib_workload(20), object_loop_workload(100_000)]
 }

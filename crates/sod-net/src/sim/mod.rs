@@ -192,11 +192,6 @@ impl<W: World> Sim<W> {
         }
     }
 
-    /// Is fault injection armed on this simulator?
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// Messages suppressed by the chaos layer so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -595,7 +590,7 @@ mod tests {
     #[test]
     fn empty_plan_changes_nothing() {
         let mut with = chaos_sim(&ChaosPlan::new(), true);
-        assert!(!with.chaos_enabled(), "an empty plan must not arm chaos");
+        assert!(with.chaos.is_none(), "an empty plan must not arm chaos");
         // `sim`'s Recorder relays msg < 3: same topology, so timelines
         // must agree event for event on the shared prefix.
         let mut without = sim(true);

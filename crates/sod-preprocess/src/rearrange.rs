@@ -24,7 +24,7 @@
 //! crate runs randomized programs in both forms and compares results.
 
 use sod_vm::analysis::method_summary;
-use sod_vm::class::{ClassDef, MethodDef};
+use sod_vm::class::ClassDef;
 use sod_vm::error::VmResult;
 use sod_vm::instr::Instr;
 
@@ -168,12 +168,6 @@ pub fn rearrange_method(class: &mut ClassDef, method_idx: usize) -> VmResult<Rea
         cuts,
         temps_added: max_spill as usize,
     })
-}
-
-/// Slot of the first rearrangement temp for `method` *before*
-/// rearrangement ran (used in tests).
-pub fn spill_base_of(method: &MethodDef) -> u16 {
-    method.nlocals
 }
 
 #[cfg(test)]

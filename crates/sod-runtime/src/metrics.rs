@@ -1,7 +1,5 @@
 //! Measurement records: the quantities the paper's tables report.
 
-use sod_net::time::NS_PER_MS;
-
 /// Timing breakdown of one migration (Table IV / Table VII).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MigrationTimings {
@@ -24,10 +22,6 @@ impl MigrationTimings {
     /// The paper's *migration latency*: capture + transfer + restore.
     pub fn latency_ns(&self) -> u64 {
         self.capture_ns + self.transfer_state_ns + self.transfer_class_ns + self.restore_ns
-    }
-
-    pub fn latency_ms(&self) -> f64 {
-        self.latency_ns() as f64 / NS_PER_MS as f64
     }
 }
 
@@ -154,13 +148,6 @@ pub struct ChaosCounters {
     pub fallbacks: u64,
 }
 
-impl ChaosCounters {
-    /// True when no fault was injected or handled.
-    pub fn is_quiet(&self) -> bool {
-        *self == ChaosCounters::default()
-    }
-}
-
 /// Work done by one node over a whole fleet run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeUtilization {
@@ -185,21 +172,10 @@ pub struct NodeUtilization {
     /// identity `sent = accounted + lost` under fault injection.
     pub lost: NetBytes,
     /// Virtual ns this node was part of the cluster: join → retire for
-    /// elastic pool members, join → makespan otherwise. The busy-fraction
-    /// denominator — a late-joining pool node is judged against its own
-    /// lifetime, not the whole run.
+    /// elastic pool members, join → makespan otherwise. A late-joining pool
+    /// node's utilization is `busy_ns` over its own lifetime, not the whole
+    /// run.
     pub lifetime_ns: u64,
-}
-
-impl NodeUtilization {
-    /// Fraction of this node's lifetime spent executing guest code.
-    /// Computed on demand (not stored) so the report stays all-integer
-    /// and `Eq`. It sums the node's concurrent threads, so without
-    /// `cpu_contention` (threads run in parallel) it exceeds 1 on a busy
-    /// node: `fleet_serving`'s cloud is ≈ 4.5.
-    pub fn busy_fraction(&self) -> f64 {
-        self.busy_ns as f64 / self.lifetime_ns.max(1) as f64
-    }
 }
 
 /// Per-program and per-segment state the nodes hold (see
@@ -441,7 +417,11 @@ mod tests {
                 object: 1,
             }
         );
-        assert!(r.chaos.is_quiet(), "aggregate starts with quiet counters");
+        assert_eq!(
+            r.chaos,
+            ChaosCounters::default(),
+            "aggregate starts with quiet counters"
+        );
         // Cost axis: Σ per-node lifetimes (n1's default lifetime is 0).
         assert_eq!(r.node_ns, 2_000_000_000);
         assert!((r.node_seconds() - 2.0).abs() < f64::EPSILON);
@@ -451,30 +431,6 @@ mod tests {
         assert_eq!(empty.completed, 0);
         assert_eq!(empty.throughput_millirps, 0);
         assert_eq!(empty.node_ns, 0);
-    }
-
-    #[test]
-    fn busy_fraction_uses_node_lifetime_not_run_duration() {
-        // A pool node that joined halfway through a 2 s run and was busy
-        // 0.5 s is 50% utilized over its own 1 s lifetime — not 25% of
-        // the whole run.
-        let late = NodeUtilization {
-            name: "workers-2".into(),
-            busy_ns: 500_000_000,
-            lifetime_ns: 1_000_000_000,
-            ..Default::default()
-        };
-        assert!((late.busy_fraction() - 0.5).abs() < 1e-9);
-        // A static node's lifetime is the whole run.
-        let fixed = NodeUtilization {
-            name: "edge0".into(),
-            busy_ns: 500_000_000,
-            lifetime_ns: 2_000_000_000,
-            ..Default::default()
-        };
-        assert!((fixed.busy_fraction() - 0.25).abs() < 1e-9);
-        // Zero lifetime never divides by zero.
-        assert_eq!(NodeUtilization::default().busy_fraction(), 0.0);
     }
 
     #[test]

@@ -364,13 +364,6 @@ impl CapturedState {
             !repeat
         })
     }
-
-    /// Accumulated size of local and static fields — the paper's Table I
-    /// `F` column.
-    pub fn field_bytes(&self) -> u64 {
-        let statics: usize = self.statics.iter().map(|s| s.values.len()).sum();
-        (self.frames.value_count() + statics) as u64 * Value::SLOT_BYTES
-    }
 }
 
 /// Capture the top `nframes` frames of thread `tid` through the given
@@ -866,7 +859,6 @@ mod tests {
         let (s1, _) = capture_segment(&mut vm, tid, 1, ToolingPath::Internal).unwrap();
         let (s2, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Internal).unwrap();
         assert!(s2.wire_bytes() > s1.wire_bytes());
-        assert!(s1.field_bytes() >= 2 * 8);
     }
 
     #[test]

@@ -266,25 +266,10 @@ impl ClassDef {
         self.methods.iter().find(|m| m.name == name)
     }
 
-    pub fn method_mut(&mut self, name: &str) -> Option<&mut MethodDef> {
-        self.methods.iter_mut().find(|m| m.name == name)
-    }
-
-    /// Index of a method by name.
-    pub fn method_index(&self, name: &str) -> Option<usize> {
-        self.methods.iter().position(|m| m.name == name)
-    }
-
     /// Instance fields in declaration order (their indices define the object
     /// layout).
     pub fn instance_fields(&self) -> impl Iterator<Item = (usize, &FieldDef)> {
         self.fields.iter().filter(|f| !f.is_static).enumerate()
-    }
-
-    /// Static fields in declaration order (their indices define the statics
-    /// layout).
-    pub fn static_fields(&self) -> impl Iterator<Item = (usize, &FieldDef)> {
-        self.fields.iter().filter(|f| f.is_static).enumerate()
     }
 
     /// Default values for this class's statics.
@@ -372,7 +357,6 @@ mod tests {
     fn field_partitioning() {
         let c = sample_class();
         assert_eq!(c.instance_fields().count(), 2);
-        assert_eq!(c.static_fields().count(), 1);
         assert_eq!(c.default_static_values(), vec![Value::Int(0)]);
     }
 
@@ -438,7 +422,11 @@ mod tests {
     fn class_file_size_grows_with_instrumentation() {
         let plain = sample_class();
         let mut instrumented = plain.clone();
-        let m = instrumented.method_mut("displaceX").unwrap();
+        let m = instrumented
+            .methods
+            .iter_mut()
+            .find(|m| m.name == "displaceX")
+            .unwrap();
         // Simulate added handler code.
         m.code
             .extend([Instr::Nop, Instr::Nop, Instr::Nop, Instr::Nop]);

@@ -724,13 +724,6 @@ impl Vm {
         tenants.map(|(slot, t)| thread_id(slot, t.generation))
     }
 
-    /// Ids of runnable threads.
-    pub fn runnable_threads(&self) -> Vec<usize> {
-        self.thread_ids()
-            .filter(|&tid| self.threads[slot_of(tid)].is_runnable())
-            .collect()
-    }
-
     /// Release thread `tid`: every breakpoint armed for it is disarmed and
     /// its slot goes vacant for the next spawn or restore to move in. That
     /// tenant's id names the slot under the next generation, so `tid`
@@ -825,16 +818,6 @@ impl Vm {
         }
     }
 
-    /// Intern a string (the JVM's `ldc` string semantics).
-    pub fn intern_str(&mut self, s: &str) -> ObjId {
-        if let Some(&id) = self.interned.get(s) {
-            return id;
-        }
-        let id = self.heap.alloc_str(s);
-        self.interned.insert(s.to_owned(), id);
-        id
-    }
-
     // ------------------------------------------------------------------
     // Breakpoints (tooling support)
     // ------------------------------------------------------------------
@@ -846,11 +829,6 @@ impl Vm {
         if !self.breakpoints.contains(&(tid, class_idx, method_idx, pc)) {
             self.breakpoints.push((tid, class_idx, method_idx, pc));
         }
-    }
-
-    pub fn clear_breakpoint(&mut self, tid: usize, class_idx: usize, method_idx: usize, pc: u32) {
-        self.breakpoints
-            .retain(|&b| b != (tid, class_idx, method_idx, pc));
     }
 
     /// Disarm every breakpoint armed for thread `tid` (whoever retires a
@@ -3775,12 +3753,26 @@ mod tests {
 
     #[test]
     fn string_interning_dedups() {
-        let mut vm = Vm::new();
-        let a = vm.intern_str("x");
-        let b = vm.intern_str("x");
-        let c = vm.intern_str("y");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        // Two `PushStr` sites of one string share one object: each site
+        // has its own inline cache, so the second finds the interned one.
+        let mut c = ClassDef::new("Main");
+        let (x, y) = (c.intern("x"), c.intern("y"));
+        c.methods.push(MethodDef::new("main", 0, 0).with_code(
+            vec![
+                Instr::PushStr(x),
+                Instr::PushStr(x),
+                Instr::Pop,
+                Instr::Pop,
+                Instr::PushStr(y),
+                Instr::Pop,
+                Instr::Ret,
+            ],
+            vec![1; 7],
+        ));
+        let mut vm = vm_with(&[c]);
+        vm.run_to_completion("Main", "main", &[]).unwrap();
+        assert_eq!(vm.heap.len(), 2, "one object per distinct string");
+        assert_ne!(vm.interned["x"], vm.interned["y"]);
     }
 
     #[test]
@@ -3808,7 +3800,10 @@ mod tests {
         assert_ne!(c, a);
         assert!(vm.thread(a).is_err());
         assert!(vm.thread(c).unwrap().stack.capacity() >= 100);
-        assert_eq!(vm.runnable_threads(), [c, b]);
+        let runnable = vm
+            .thread_ids()
+            .filter(|&t| vm.threads[slot_of(t)].is_runnable());
+        assert_eq!(runnable.collect::<Vec<_>>(), [c, b]);
         assert_eq!(
             vm.run(c, u64::MAX, RunMode::Normal).unwrap().0,
             StepOutcome::Returned(None)

@@ -26,34 +26,6 @@ pub enum IntrinsicEval {
     Host,
 }
 
-/// Whether `name` names a pure intrinsic (evaluable inline, migration-safe).
-pub fn is_pure(name: &str) -> bool {
-    matches!(
-        name,
-        "sqrt"
-            | "sin"
-            | "cos"
-            | "pow"
-            | "abs"
-            | "fabs"
-            | "floor"
-            | "min"
-            | "max"
-            | "fmin"
-            | "fmax"
-            | "print"
-            | "str_len"
-            | "str_eq"
-            | "str_concat"
-            | "str_char_at"
-            | "str_find"
-            | "str_sub"
-            | "int_to_str"
-            | "num_to_str"
-            | "str_to_int"
-    )
-}
-
 /// Evaluate a pure intrinsic, or report that it must go to the host.
 ///
 /// `stdout` collects `print` output so tests can assert on program output
@@ -251,8 +223,6 @@ mod tests {
             eval("fs_search", &[], &mut h, &mut out).unwrap(),
             IntrinsicEval::Host
         ));
-        assert!(!is_pure("fs_search"));
-        assert!(is_pure("sqrt"));
     }
 
     #[test]

@@ -65,8 +65,6 @@ pub mod jvmti {
     pub const THROW_INTO_NS: u64 = 25_000;
     /// `ForceEarlyReturn<type>` on the home node.
     pub const FORCE_EARLY_RETURN_NS: u64 = 30_000;
-    /// `SetStatic<Type>Field` via JNI during restore.
-    pub const SET_STATIC_NS: u64 = 3_000;
     /// Invoking a method through JNI (restore entry).
     pub const JNI_INVOKE_NS: u64 = 40_000;
 }
@@ -78,7 +76,6 @@ pub mod internal {
     pub const GET_FRAME_LOCATION_NS: u64 = 500;
     pub const GET_LOCAL_NS: u64 = 2_000;
     pub const GET_STATIC_NS: u64 = 500;
-    pub const SET_STATIC_NS: u64 = 500;
     pub const RESTORE_FRAME_NS: u64 = 4_000;
 }
 
@@ -120,15 +117,6 @@ impl<'a> Tooling<'a> {
     /// is purely an accounting operation.
     pub fn suspend_thread(&mut self, _tid: usize) {
         self.c(jvmti::SUSPEND_NS, internal::SUSPEND_NS);
-    }
-
-    /// `GetFrameCount`.
-    pub fn get_frame_count(&mut self, tid: usize) -> VmResult<usize> {
-        self.c(
-            jvmti::GET_FRAME_LOCATION_NS,
-            internal::GET_FRAME_LOCATION_NS,
-        );
-        Ok(self.vm.thread(tid)?.frames.len())
     }
 
     /// The one frame walk: every frame of thread `tid` from bottom-up index
@@ -181,31 +169,10 @@ impl<'a> Tooling<'a> {
             .export_value(*v.ok_or_else(|| VmError::BadPoolIndex(static_idx as u16))?))
     }
 
-    /// `SetStatic<Type>Field` (for restore); refs in captured values restore
-    /// as null, per the SOD design.
-    pub fn set_static(
-        &mut self,
-        class_idx: usize,
-        static_idx: usize,
-        v: &CapturedValue,
-    ) -> VmResult<()> {
-        self.c(jvmti::SET_STATIC_NS, internal::SET_STATIC_NS);
-        let slot = self.vm.classes[class_idx].statics.get_mut(static_idx);
-        *slot.ok_or_else(|| VmError::BadPoolIndex(static_idx as u16))? = v.to_nulled_value();
-        Ok(())
-    }
-
     /// `SetBreakpoint` (thread-scoped, like the VM's breakpoint table).
     pub fn set_breakpoint(&mut self, tid: usize, class_idx: usize, method_idx: usize, pc: u32) {
         self.c(jvmti::SET_BREAKPOINT_NS, internal::GET_FRAME_LOCATION_NS);
         self.vm.set_breakpoint(tid, class_idx, method_idx, pc);
-    }
-
-    /// Throw `InvalidStateException` into the thread (restoration driver).
-    pub fn throw_invalid_state(&mut self, tid: usize) -> VmResult<()> {
-        self.c(jvmti::THROW_INTO_NS, internal::RESTORE_FRAME_NS);
-        self.vm
-            .throw_into(tid, crate::class::ExKind::InvalidState, "restore", false)
     }
 
     /// `ForceEarlyReturn<type>`: used on the home node to pop the stale
@@ -255,8 +222,8 @@ mod tests {
     fn frame_inspection() {
         let (mut vm, tid) = sample_vm();
         let mut t = Tooling::new(&mut vm, ToolingPath::Jvmti);
-        assert_eq!(t.get_frame_count(tid).unwrap(), 2);
         let frames = t.get_frames(tid, 0).unwrap();
+        assert_eq!(frames.len(), 2);
         let (main, f) = (frames.get(0).unwrap(), frames.get(1).unwrap());
         assert_eq!((f.class, f.method), ("Main", "f"));
         assert_eq!(main.method, "main");

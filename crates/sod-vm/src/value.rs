@@ -56,15 +56,6 @@ impl Value {
     /// cost modelling. Every slot is one machine word.
     pub const SLOT_BYTES: u64 = 8;
 
-    /// Storage class of this value. `Null` classifies as `Ref`.
-    pub fn type_of(self) -> TypeOf {
-        match self {
-            Value::Int(_) => TypeOf::Int,
-            Value::Num(_) => TypeOf::Num,
-            Value::Ref(_) | Value::Null | Value::NulledRef(_) => TypeOf::Ref,
-        }
-    }
-
     /// Extract an integer, failing with a type error otherwise.
     pub fn as_int(self) -> VmResult<i64> {
         match self {
@@ -181,14 +172,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_classification() {
-        assert_eq!(Value::Int(3).type_of(), TypeOf::Int);
-        assert_eq!(Value::Num(3.5).type_of(), TypeOf::Num);
-        assert_eq!(Value::Ref(7).type_of(), TypeOf::Ref);
-        assert_eq!(Value::Null.type_of(), TypeOf::Ref);
-    }
-
-    #[test]
     fn extraction_ok() {
         assert_eq!(Value::Int(11).as_int().unwrap(), 11);
         assert_eq!(Value::Num(2.5).as_num().unwrap(), 2.5);
@@ -212,9 +195,9 @@ mod tests {
 
     #[test]
     fn defaults_match_types() {
-        for ty in [TypeOf::Int, TypeOf::Num, TypeOf::Ref] {
-            assert_eq!(Value::default_for(ty).type_of(), ty);
-        }
+        assert_eq!(Value::default_for(TypeOf::Int), Value::Int(0));
+        assert_eq!(Value::default_for(TypeOf::Num), Value::Num(0.0));
+        assert_eq!(Value::default_for(TypeOf::Ref), Value::Null);
     }
 
     #[test]

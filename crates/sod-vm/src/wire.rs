@@ -316,14 +316,8 @@ impl FrameBatch {
         self.frames().iter().map(|f| f.len() as u64).sum()
     }
 
-    /// Encode the batch into its single length-prefixed delivery frame.
-    pub fn encode(&self) -> VmResult<Bytes> {
-        let mut buf = BytesMut::with_capacity(4 + self.len() * 4 + self.payload_bytes() as usize);
-        self.put_into(&mut buf)?;
-        Ok(buf.freeze())
-    }
-
-    /// Encode into a pooled buffer (see [`BufferPool`]).
+    /// Encode the batch into its single length-prefixed delivery frame, in
+    /// a pooled buffer (see [`BufferPool`]).
     pub fn encode_pooled(&self, pool: &BufferPool) -> VmResult<Bytes> {
         let mut buf = pool.checkout();
         self.put_into(&mut buf)?;
@@ -2052,7 +2046,7 @@ mod tests {
             batch.payload_bytes(),
             class_wire_bytes(&c) + state.wire_bytes()
         );
-        let delivered = batch.encode().unwrap();
+        let delivered = batch.encode_pooled(&BufferPool::new()).unwrap();
         // Framing overhead: u32 count + u32 per frame.
         assert_eq!(delivered.len() as u64, 4 + 8 + batch.payload_bytes());
         let back = FrameBatch::decode(delivered).unwrap();
@@ -2084,7 +2078,7 @@ mod tests {
             let owned: Vec<Bytes> = pushed.clone().into_frames().collect();
             assert_eq!(owned, pushed.frames());
             assert_eq!(
-                FrameBatch::decode(pushed.encode().unwrap()).unwrap(),
+                FrameBatch::decode(pushed.encode_pooled(&BufferPool::new()).unwrap()).unwrap(),
                 pushed
             );
         }

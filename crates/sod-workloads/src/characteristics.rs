@@ -24,13 +24,9 @@ pub struct Characteristics {
     pub result: Option<i64>,
 }
 
-/// Run `workload` to completion on a plain VM and measure Table I columns.
-pub fn characterize(workload: &Workload) -> Characteristics {
-    characterize_on(Vm::new(), workload)
-}
-
-/// As [`characterize`] on the (empty) VM given — a [`Vm::reference`], say:
-/// the columns must not depend on which.
+/// Run `workload` to completion on the (empty) VM given and measure
+/// Table I columns. A [`Vm::new`] and a [`Vm::reference`] must give the
+/// same columns.
 pub fn characterize_on(mut vm: Vm, workload: &Workload) -> Characteristics {
     let n = workload.n;
     vm.load_class(&(workload.build)()).unwrap();
@@ -80,7 +76,10 @@ mod tests {
 
     #[test]
     fn table1_shapes_hold() {
-        let rows: Vec<Characteristics> = WORKLOADS.iter().map(characterize).collect();
+        let rows: Vec<Characteristics> = WORKLOADS
+            .iter()
+            .map(|w| characterize_on(Vm::new(), w))
+            .collect();
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
         let fib = by_name("Fib");
         let nq = by_name("NQ");
@@ -108,7 +107,7 @@ mod tests {
             n: 12,
             ..WORKLOADS[0]
         };
-        let c = characterize(&w);
+        let c = characterize_on(Vm::new(), &w);
         // main + fib(12..1) chain.
         assert!(c.h >= 12 && c.h <= 14, "h={}", c.h);
         assert_eq!(c.result, Some(144));

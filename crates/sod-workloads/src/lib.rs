@@ -17,12 +17,11 @@
 //! programmer error, not a guest's or a peer's doing.
 
 pub mod apps;
-pub mod chaos;
 pub mod characteristics;
 pub mod fleet;
 pub mod programs;
 
-pub use characteristics::{characterize, characterize_on, Characteristics};
+pub use characteristics::{characterize_on, Characteristics};
 pub use fleet::ArrivalSchedule;
 pub use programs::{
     fft_class, fib_class, handler_fleet_classes, handler_fleet_expected, nqueens_class, tsp_class,

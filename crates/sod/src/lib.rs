@@ -6,7 +6,7 @@
 //!
 //! * [`vm`] — the stack-machine VM substrate (frames, heap, exceptions,
 //!   JVMTI-like tooling, capture/restore, wire codec);
-//! * [`asm`] — builder and text assembler for authoring guest programs;
+//! * [`asm`] — the builder for authoring guest programs;
 //! * [`preprocess`] — the SOD bytecode preprocessor (migration-safe-point
 //!   rearrangement, object-fault handlers, restoration handlers);
 //! * [`net`] — the deterministic discrete-event cluster simulator;
