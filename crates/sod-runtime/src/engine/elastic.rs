@@ -2,31 +2,35 @@
 //! provisioning, drain-by-migration scale-in, and crash replacement.
 //!
 //! Each pool runs a controller loop as a self-rescheduling
-//! [`Msg::PoolTick`] timer on node 0, so every scaling decision happens at
-//! a definite point in the `(time, seq)` delivery order, replayable
-//! bit-for-bit from the seed. A tick, in order:
+//! [`Msg::PoolTick`] timer on node 0, every [`POOL_TICK_NS`], so every
+//! scaling decision happens at a definite point in the `(time, seq)`
+//! delivery order, replayable bit-for-bit from the seed. A tick, in order:
 //!
-//! 1. tops the pool back up to its base size (crash replacement);
-//! 2. steps the membership toward the [`ScalePolicy`](super::pool::ScalePolicy)'s
-//!    target size — scale-out covers the full gap in one tick (a burst
-//!    that needs five members must not wait five ticks); each spawn
-//!    enters `Provisioning` and becomes placeable only after its cold
-//!    start elapses ([`Msg::PoolReady`]); scale-in marks the newest live
-//!    members `Draining`;
-//! 3. pushes each draining member's hosted stacks off via whole-stack
-//!    roaming (the `engine/migrate.rs` machinery — each member's live
-//!    sessions are walked in ascending id order so targets are
-//!    deterministic) and retires members with nothing left;
+//! 1. **observes** the pool: live and provisioning members, load, whether
+//!    every program is done, and the p99 of the window's ok finishes;
+//! 2. **decides**, in [`PoolSpec::decide`] — a pure function of the spec
+//!    and the observation (top up to base, then step toward the
+//!    [`ScalePolicy`](super::pool::ScalePolicy)'s target);
+//! 3. **applies** the decision: spawns enter `Provisioning` and become
+//!    placeable only after their cold start elapses ([`Msg::PoolReady`]);
+//!    the newest live members are marked `Draining`; each draining
+//!    member's hosted stacks are pushed off via whole-stack roaming (the
+//!    `engine/migrate.rs` machinery — each member's live sessions are
+//!    walked in ascending id order so targets are deterministic) and
+//!    members with nothing left retire;
 //! 4. reschedules itself unless the pool is quiescent (all programs done,
 //!    nothing provisioning or draining, size back at base).
 
 use sod_net::SimCtx;
 
-use crate::metrics::{percentile_nearest_rank, PoolReport};
+use crate::metrics::PoolReport;
 use crate::msg::{Msg, SessionId};
 use crate::node::Node;
 
-use super::pool::{MemberState, PoolMember, PoolRuntime, PoolSpec, POOL_DEST_BASE};
+use super::pool::{
+    MemberState, Observation, PoolMember, PoolRuntime, PoolSpec, PoolSpecError, POOL_DEST_BASE,
+    POOL_TICK_NS,
+};
 use super::session::WorkerPhase;
 use super::Cluster;
 
@@ -35,8 +39,10 @@ impl Cluster {
     /// immediately (they are live from t = 0; only later spawns pay the
     /// cold start). Must be called before the simulator is built, so the
     /// topology can be sized to `declared + Σ base`. Returns the pool
-    /// index — plans target it via [`POOL_DEST_BASE`]` + index`.
-    pub fn add_pool(&mut self, spec: PoolSpec) -> usize {
+    /// index — plans target it via [`POOL_DEST_BASE`]` + index` — or why
+    /// the spec is refused (see [`PoolSpecError`]).
+    pub fn add_pool(&mut self, spec: PoolSpec) -> Result<usize, PoolSpecError> {
+        spec.validate()?;
         let mut members = Vec::new();
         for i in 0..spec.base {
             let mut cfg = spec.template.clone();
@@ -59,7 +65,7 @@ impl Cluster {
             peak: base,
             min: base,
         });
-        self.pools.len() - 1
+        Ok(self.pools.len() - 1)
     }
 
     /// Whether a sentinel destination names a pool that can accept a
@@ -186,142 +192,55 @@ impl Cluster {
 
     /// Cold start elapsed: the member starts accepting placements.
     pub(super) fn pool_ready(&mut self, pool: usize, node: usize) {
-        let p = &mut self.pools[pool];
-        if let Some(m) = p.members.iter_mut().find(|m| m.node == node) {
+        let members = &mut self.pools[pool].members;
+        if let Some(m) = members.iter_mut().find(|m| m.node == node) {
             // A member crashed mid-provisioning is already retired; its
             // late ready-timer must not resurrect it.
             if m.state == MemberState::Provisioning {
                 m.state = MemberState::Live;
             }
         }
-        let alive = (p.count(MemberState::Live) + p.count(MemberState::Provisioning)) as u64;
-        p.peak = p.peak.max(alive);
     }
 
     /// The controller tick (see the module docs for the step order).
     pub(super) fn pool_tick(&mut self, pool: usize, ctx: &mut SimCtx<'_, Msg>) {
         let now = ctx.now();
-        let (base, max, tick_ns) = {
-            let s = &self.pools[pool].spec;
-            (s.base, s.max, s.tick_ns)
-        };
-
-        // 1. Top back up to base: a crashed member is replaceable.
-        loop {
-            let p = &self.pools[pool];
-            let alive = p.count(MemberState::Live) + p.count(MemberState::Provisioning);
-            if alive >= base || alive >= max {
-                break;
-            }
-            self.spawn_pool_member(pool, ctx);
-        }
-
-        // 2. Step the membership toward the policy's target size. Scale-out
-        // covers the full gap at once — a burst that needs five members
-        // must not wait five ticks — while scale-in drains toward the
-        // target (newest live member first: LIFO keeps the stable base
-        // warm and the names predictable). Once every program is done the
-        // target is `base`, whatever the policy would say.
-        let live = self.pools[pool].count(MemberState::Live);
-        let prov = self.pools[pool].count(MemberState::Provisioning);
-        let load = self.pool_load(pool);
         let all_done = self.programs_done == self.programs.len();
         debug_assert_eq!(all_done, self.programs.iter().all(|p| p.done));
-        let target = if all_done {
-            base
-        } else {
-            self.policy_target(pool, live, prov, load, now)
+        let p = &self.pools[pool];
+        let obs = Observation {
+            live: p.count(MemberState::Live),
+            provisioning: p.count(MemberState::Provisioning),
+            load: self.pool_load(pool),
+            all_done,
+            p99: self.finishes.p99(now),
         };
-        let mut alive = live + prov;
-        while alive < target.min(max) {
-            self.spawn_pool_member(pool, ctx);
-            alive += 1;
-        }
-        let mut live_now = live;
-        while live_now > target.max(base) {
-            match self.pools[pool]
-                .members
-                .iter_mut()
-                .rev()
-                .find(|m| m.state == MemberState::Live)
-            {
-                Some(m) => m.state = MemberState::Draining,
-                None => break,
-            }
-            live_now -= 1;
-        }
+        let decision = p.spec.decide(&obs);
 
-        // 3. Progress draining members: migrate hosted stacks off, retire
-        // the empty ones.
+        for _ in 0..decision.spawn {
+            self.spawn_pool_member(pool, ctx);
+        }
+        let live = self.pools[pool].members.iter_mut().rev();
+        let live = live.filter(|m| m.state == MemberState::Live);
+        for m in live.take(decision.drain) {
+            m.state = MemberState::Draining;
+        }
         self.drain_pool_members(pool, now);
 
-        // 4. Size extrema.
-        {
-            let p = &mut self.pools[pool];
-            let live_now = p.count(MemberState::Live) as u64;
-            let alive_now = live_now + p.count(MemberState::Provisioning) as u64;
-            p.peak = p.peak.max(alive_now);
-            p.min = p.min.min(live_now);
-        }
+        let p = &mut self.pools[pool];
+        let live_now = p.count(MemberState::Live) as u64;
+        let alive_now = live_now + p.count(MemberState::Provisioning) as u64;
+        p.peak = p.peak.max(alive_now);
+        p.min = p.min.min(live_now);
 
-        // 5. Reschedule until quiescent, so "drains back to base" is an
+        // Reschedule until quiescent, so "drains back to base" is an
         // observable end state, not a promise.
-        let p = &self.pools[pool];
         let quiescent = all_done
             && p.count(MemberState::Provisioning) == 0
             && p.count(MemberState::Draining) == 0
-            && p.count(MemberState::Live) <= base;
+            && p.count(MemberState::Live) <= p.spec.base;
         if !quiescent {
-            ctx.schedule(tick_ns, 0, Msg::PoolTick { pool });
-        }
-    }
-
-    /// The member count the pool's scale policy asks for right now (see
-    /// [`super::pool::ScalePolicy`] for the semantics). A hold is
-    /// expressed as the current live size; policies with a one-member
-    /// scale-in cadence return `live - 1`.
-    fn policy_target(&self, pool: usize, live: usize, prov: usize, load: u64, now: u64) -> usize {
-        use super::pool::ScalePolicy::*;
-        let (base, max) = (self.pools[pool].spec.base, self.pools[pool].spec.max);
-        let alive = live + prov;
-        match self.pools[pool].spec.policy {
-            QueueDepth { high, low } => {
-                // Enough members that nobody hosts more than `high`
-                // sessions; shrink by one once load falls under `low` per
-                // live member (the hysteresis band).
-                let desired = load.div_ceil(high.max(1)) as usize;
-                if desired > alive {
-                    desired.clamp(base, max)
-                } else if live > base && load < low * live as u64 {
-                    live - 1
-                } else {
-                    live
-                }
-            }
-            P99Breach { budget_ns } => {
-                let tick_ns = self.pools[pool].spec.tick_ns;
-                let mut lat: Vec<u64> = self
-                    .programs
-                    .iter()
-                    .filter(|p| p.done && p.error.is_none())
-                    .filter(|p| {
-                        p.report.finished_at_ns > now.saturating_sub(tick_ns)
-                            && p.report.finished_at_ns <= now
-                    })
-                    .map(|p| p.report.latency_ns())
-                    .collect();
-                lat.sort_unstable();
-                // The breach signal is binary, not proportional: grow one
-                // member per breaching tick.
-                if !lat.is_empty() && percentile_nearest_rank(&lat, 99) > budget_ns {
-                    (alive + 1).min(max)
-                } else if live > base && load < live as u64 {
-                    live - 1
-                } else {
-                    live
-                }
-            }
-            StepLoad { per_node } => (load.div_ceil(per_node.max(1)) as usize).clamp(base, max),
+            ctx.schedule(POOL_TICK_NS, 0, Msg::PoolTick { pool });
         }
     }
 

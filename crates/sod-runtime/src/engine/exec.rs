@@ -613,6 +613,9 @@ impl Cluster {
             Value::Num(n) => Some(n as i64),
             _ => None,
         });
+        if !self.pools.is_empty() {
+            self.finishes.record(at, p.report.latency_ns());
+        }
         self.retire_program(program);
     }
 

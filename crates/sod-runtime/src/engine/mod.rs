@@ -74,7 +74,7 @@ mod restore;
 mod session;
 
 pub use fault::{RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
-pub use pool::{PoolSpec, ScalePolicy, DEFAULT_POOL_TICK_NS, POOL_DEST_BASE};
+pub use pool::{PoolSpec, PoolSpecError, ScalePolicy, POOL_DEST_BASE, POOL_TICK_NS};
 pub(crate) use session::{Owner, WorkerSession};
 
 use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
@@ -199,6 +199,9 @@ pub struct Cluster {
     /// declares none, keeping pool-free runs event-for-event identical to
     /// the pre-elastic engine.
     pools: Vec<pool::PoolRuntime>,
+    /// The ok finishes of the pools' p99 window; recorded only while a
+    /// pool exists, so a pool-free run holds none.
+    finishes: pool::FinishWindow,
     /// Model per-node CPU contention: a slice's *scheduling delay* is
     /// multiplied by the number of runnable threads sharing the node,
     /// while `busy_ns` keeps charging uncontended CPU time. Off by
@@ -222,6 +225,7 @@ impl Cluster {
             migration_timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,
             chaos: ChaosCounters::default(),
             pools: Vec::new(),
+            finishes: pool::FinishWindow::default(),
             cpu_contention: false,
         }
     }
@@ -654,16 +658,8 @@ impl SodSim {
     /// already have been added via [`Cluster::add_pool`] — before the
     /// simulator was built, so the topology covers the base members.
     pub fn start_pool_ticks(&mut self) {
-        let ticks: Vec<(usize, u64)> = self
-            .sim
-            .world
-            .pools
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i, p.spec.tick_ns))
-            .collect();
-        for (pool, tick_ns) in ticks {
-            self.sim.inject(tick_ns, 0, Msg::PoolTick { pool });
+        for pool in 0..self.sim.world.pools.len() {
+            self.sim.inject(POOL_TICK_NS, 0, Msg::PoolTick { pool });
         }
     }
 
@@ -838,9 +834,9 @@ mod tests {
     use super::*;
     use crate::node::NodeConfig;
 
-    /// One program counting to 50 000 on node 0, its top frame shipped to
-    /// node 1 at 100 µs, beside a one-member pool: run to idle.
-    fn idle() -> SodSim {
+    /// A cluster of `home` (with `App.main(n)`, which counts to `n`) and
+    /// `worker`.
+    fn app_cluster() -> Cluster {
         let class = ClassBuilder::new("App")
             .method("main", &["n"], |m| {
                 m.line();
@@ -858,17 +854,27 @@ mod tests {
             .unwrap();
         let mut home = Node::new(NodeConfig::cluster("home"));
         home.deploy(&preprocess_sod(&class).unwrap()).unwrap();
-        let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
-        let pid = cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]);
-        cluster.add_pool(PoolSpec {
+        Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))])
+    }
+
+    fn pool(base: usize, max: usize, policy: ScalePolicy) -> PoolSpec {
+        PoolSpec {
             name: "pool".into(),
             template: NodeConfig::cluster("pool"),
-            base: 1,
-            max: 2,
-            policy: ScalePolicy::StepLoad { per_node: 1 },
+            base,
+            max,
+            policy,
             cold_start_ns: 0,
-            tick_ns: DEFAULT_POOL_TICK_NS,
-        });
+        }
+    }
+
+    /// One program counting to 50 000 on node 0, its top frame shipped to
+    /// node 1 at 100 µs, beside a one-member pool: run to idle.
+    fn idle() -> SodSim {
+        let mut cluster = app_cluster();
+        let pid = cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]);
+        let step = ScalePolicy::StepLoad { per_node: 1 };
+        cluster.add_pool(pool(1, 2, step)).unwrap();
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(3));
         sim.start_pool_ticks();
         sim.start_program(0, pid);
@@ -938,5 +944,53 @@ mod tests {
             let err = sim.check_idle().expect_err(names);
             assert!(err.contains(names), "{names}: {err}");
         }
+    }
+
+    /// A hand-built spec with `max < base` is refused where it enters the
+    /// runtime (its first tick used to panic in `usize::clamp`), and the
+    /// run beside it goes on without the pool — holding no window entries.
+    #[test]
+    fn a_pool_with_max_below_base_is_refused() {
+        let mut cluster = app_cluster();
+        let pid = cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]);
+        let step = ScalePolicy::StepLoad { per_node: 1 };
+        assert_eq!(cluster.add_pool(pool(2, 1, step)), Err(PoolSpecError::Size));
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+        sim.start_pool_ticks();
+        sim.start_program(0, pid);
+        sim.run();
+        assert_eq!(sim.check_idle(), Ok(()));
+        assert_eq!(sim.program(pid).report.result, Some(50_000));
+        assert_eq!(sim.sim.world.finishes.len(), 0);
+    }
+
+    /// A `P99Breach` fleet of 2 000 programs, one started every 10 µs,
+    /// each over the budget: the window ends holding no more than the ok
+    /// finishes of the last tick period, not one entry per program.
+    #[test]
+    fn the_p99_window_is_bounded_by_the_last_tick_period() {
+        let mut cluster = app_cluster();
+        let pids: Vec<ProgramId> = (0..2_000)
+            .map(|_| cluster.add_program(0, "App", "main", vec![Value::Int(2_000)]))
+            .collect();
+        let breach = ScalePolicy::P99Breach { budget_ns: 10 * US };
+        cluster.add_pool(pool(1, 4, breach)).unwrap();
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(3));
+        sim.start_pool_ticks();
+        for pid in pids {
+            sim.start_program(u64::from(pid) * 10 * US, pid);
+        }
+        sim.run();
+        assert_eq!(sim.check_idle(), Ok(()));
+        let world = &sim.sim.world;
+        assert!(world.pools[0].spawns > 0, "the budget is breached");
+        let from = sim.sim.now() - POOL_TICK_NS;
+        let in_last_tick = |p: &&Program| p.error.is_none() && p.report.finished_at_ns > from;
+        let last = world.programs.iter().filter(in_last_tick).count();
+        let held = world.finishes.len();
+        assert!(
+            0 < held && held <= last,
+            "{held} held, {last} in the last tick"
+        );
     }
 }

@@ -107,8 +107,8 @@ pub mod node;
 pub mod trigger;
 
 pub use engine::{
-    Cluster, CodeShipping, FetchPolicy, PoolSpec, RetryPolicy, ScalePolicy, SodSim,
-    DEFAULT_POOL_TICK_NS, POOL_DEST_BASE,
+    Cluster, CodeShipping, FetchPolicy, PoolSpec, PoolSpecError, RetryPolicy, ScalePolicy, SodSim,
+    POOL_DEST_BASE, POOL_TICK_NS,
 };
 pub use metrics::{
     percentile_nearest_rank, ChaosCounters, ClusterReport, MigrationTimings, NetBytes,

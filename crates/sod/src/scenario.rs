@@ -62,7 +62,7 @@ use sod_net::{ChaosPlan, LinkSpec, Scheduler, Topology};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
 use sod_runtime::{
     Cluster, ClusterReport, CodeShipping, FetchPolicy, MigrationPlan, Node, NodeConfig, PoolSpec,
-    RetryPolicy, RunReport, ScalePolicy, SegmentSpec, SodSim, DEFAULT_POOL_TICK_NS, POOL_DEST_BASE,
+    PoolSpecError, RetryPolicy, RunReport, ScalePolicy, SegmentSpec, SodSim, POOL_DEST_BASE,
 };
 use sod_vm::class::ClassDef;
 use sod_vm::value::Value;
@@ -75,12 +75,6 @@ pub enum Preset {
     GigabitCluster,
     /// WAN links between every pair (the roaming experiment).
     WanGrid,
-}
-
-#[derive(Clone, Debug)]
-enum TopoSpec {
-    Preset(Preset),
-    Custom(Topology),
 }
 
 /// When a program migrates. `At` reproduces the legacy fixed-time
@@ -243,7 +237,7 @@ impl Fleet {
 ///
 /// Faults are scheduled at fixed virtual times (`crash_at`, `restart_at`,
 /// `partition_at`, `heal_at`) or drawn from the seeded loss stream
-/// (`loss`, `link_loss`, `scatter_crashes`). Because the simulation clock
+/// (`loss`, `scatter_crashes`). Because the simulation clock
 /// and the loss RNG are both deterministic, a scenario with the same
 /// chaos plan and seed replays bit-identically — the chaos-determinism
 /// suite pins that.
@@ -270,7 +264,6 @@ pub struct Chaos {
     partitions: Vec<(u64, String, String)>,
     heals: Vec<(u64, String, String)>,
     loss_permille: u32,
-    link_loss: Vec<(String, String, u32)>,
     scatter: Option<(usize, u64)>,
     seed: u64,
     retry: Option<RetryPolicy>,
@@ -322,17 +315,6 @@ impl Chaos {
         self
     }
 
-    /// Override the loss rate on the directed link `src → dst`.
-    pub fn link_loss(
-        mut self,
-        src: impl Into<String>,
-        dst: impl Into<String>,
-        permille: u32,
-    ) -> Self {
-        self.link_loss.push((src.into(), dst.into(), permille));
-        self
-    }
-
     /// Scatter `count` crash/restart pairs across all declared nodes at
     /// seeded-random points inside `[0, window_ns)`.
     pub fn scatter_crashes(mut self, count: usize, window_ns: u64) -> Self {
@@ -372,9 +354,6 @@ impl Chaos {
             plan = plan.heal_at(*at, resolve(a)?, resolve(b)?);
         }
         plan = plan.loss_permille(self.loss_permille);
-        for (src, dst, permille) in &self.link_loss {
-            plan = plan.link_loss_permille(resolve(src)?, resolve(dst)?, *permille);
-        }
         if let Some((count, window)) = self.scatter {
             plan = plan.scatter_crashes(count, nodes, window);
         }
@@ -402,7 +381,9 @@ impl Chaos {
 /// [`ClusterReport::pools`](sod_runtime::PoolReport).
 ///
 /// Builder calls never fail; validation (`1 ≤ base ≤ max`, name
-/// collisions) happens in [`Scenario::run`].
+/// collisions, thresholds that flap) happens in [`Scenario::run`]. Every
+/// pool's controller ticks once per
+/// [`POOL_TICK_NS`](sod_runtime::POOL_TICK_NS).
 ///
 /// ```
 /// use sod::net::MS;
@@ -424,14 +405,12 @@ pub struct Pool {
     max: usize,
     policy: ScalePolicy,
     cold_start_ns: u64,
-    tick_ns: u64,
 }
 
 impl Pool {
     /// A pool named `name`: one base member, `max` equal to `base` (a
     /// fixed fleet — the natural baseline), queue-depth scaling armed at
-    /// `high: 2, low: 1`, zero cold start, and the default controller
-    /// tick ([`DEFAULT_POOL_TICK_NS`]).
+    /// `high: 2, low: 1`, and zero cold start.
     pub fn new(name: impl Into<String>) -> Self {
         Pool {
             name: name.into(),
@@ -440,7 +419,6 @@ impl Pool {
             max: 1,
             policy: ScalePolicy::QueueDepth { high: 2, low: 1 },
             cold_start_ns: 0,
-            tick_ns: DEFAULT_POOL_TICK_NS,
         }
     }
 
@@ -474,12 +452,6 @@ impl Pool {
         self
     }
 
-    /// Controller tick period (default [`DEFAULT_POOL_TICK_NS`]).
-    pub fn tick(mut self, ns: u64) -> Self {
-        self.tick_ns = ns;
-        self
-    }
-
     /// Node profile every member is created from (default:
     /// [`NodeConfig::cluster`] named after the pool).
     pub fn profile(mut self, cfg: NodeConfig) -> Self {
@@ -487,38 +459,32 @@ impl Pool {
         self
     }
 
-    fn resolve(&self) -> Result<PoolSpec, ScenarioError> {
-        if self.base < 1 || self.max < self.base {
-            return Err(ScenarioError::PoolSize {
-                pool: self.name.clone(),
-                base: self.base,
-                max: self.max,
-            });
-        }
-        if let ScalePolicy::QueueDepth { high, low } = self.policy {
-            let flaps = (self.base + 1..=self.max).any(|live| {
-                let live = live as u64;
-                low * live > high.max(1) * (live - 1) + 1
-            });
-            if flaps {
-                return Err(ScenarioError::PoolPolicy {
-                    pool: self.name.clone(),
-                    high,
-                    low,
-                });
-            }
-        }
-        Ok(PoolSpec {
+    /// Add the pool to `cluster`; a spec the runtime refuses becomes
+    /// [`ScenarioError::PoolSize`] or [`ScenarioError::PoolPolicy`].
+    fn resolve(&self, cluster: &mut Cluster, slow_resolve: bool) -> Result<usize, ScenarioError> {
+        let template = self.template.clone();
+        let mut template = template.unwrap_or_else(|| NodeConfig::cluster(&self.name));
+        template.slow_resolve |= slow_resolve;
+        let spec = PoolSpec {
             name: self.name.clone(),
-            template: self
-                .template
-                .clone()
-                .unwrap_or_else(|| NodeConfig::cluster(&self.name)),
+            template,
             base: self.base,
             max: self.max,
             policy: self.policy,
             cold_start_ns: self.cold_start_ns,
-            tick_ns: self.tick_ns,
+        };
+        cluster.add_pool(spec).map_err(|e| {
+            let pool = self.name.clone();
+            match (e, self.policy) {
+                (PoolSpecError::Flap, ScalePolicy::QueueDepth { high, low }) => {
+                    ScenarioError::PoolPolicy { pool, high, low }
+                }
+                _ => ScenarioError::PoolSize {
+                    pool,
+                    base: self.base,
+                    max: self.max,
+                },
+            }
         })
     }
 }
@@ -537,9 +503,6 @@ pub enum ScenarioError {
     /// A node- or program-scoped directive (`deploys`, `on`, `migrate`,
     /// …) was called before any `node(..)` / `program(..)`.
     Misplaced(&'static str),
-    /// A custom topology's node count disagrees with the declared nodes
-    /// (including the initial members of every pool).
-    TopologySize { topology: usize, declared: usize },
     /// A pool shares its name with a node or another pool.
     DuplicatePool(String),
     /// A pool's size bounds are inconsistent (need `1 ≤ base ≤ max`).
@@ -573,10 +536,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Misplaced(what) => {
                 write!(f, "{what} must follow the declaration it configures")
             }
-            ScenarioError::TopologySize { topology, declared } => write!(
-                f,
-                "custom topology has {topology} nodes but {declared} were declared"
-            ),
             ScenarioError::DuplicatePool(n) => {
                 write!(f, "pool name {n:?} collides with a node or another pool")
             }
@@ -658,7 +617,7 @@ impl ScenarioReport {
 /// node.
 #[derive(Debug, Default)]
 pub struct Scenario {
-    topo: Option<TopoSpec>,
+    topo: Option<Preset>,
     links: Vec<(String, String, LinkSpec)>,
     nodes: Vec<NodeDecl>,
     /// Mounts addressed to a node by name (`mount_on`), resolved in `run`.
@@ -681,14 +640,7 @@ impl Scenario {
 
     /// Select a built-in topology (default: [`Preset::GigabitCluster`]).
     pub fn topology(mut self, preset: Preset) -> Self {
-        self.topo = Some(TopoSpec::Preset(preset));
-        self
-    }
-
-    /// Use a hand-built [`Topology`] instead of a preset. Its node count
-    /// must match the declared nodes.
-    pub fn custom(mut self, topology: Topology) -> Self {
-        self.topo = Some(TopoSpec::Custom(topology));
+        self.topo = Some(preset);
         self
     }
 
@@ -972,7 +924,6 @@ impl Scenario {
         // declaration order — so chaos and placement directives can
         // reference them by name.
         let declared_n = self.nodes.len();
-        let mut pool_specs: Vec<PoolSpec> = Vec::with_capacity(self.pools.len());
         let mut pool_index: HashMap<&str, usize> = HashMap::new();
         let mut member_index: HashMap<String, usize> = HashMap::new();
         let mut total_nodes = declared_n;
@@ -982,17 +933,14 @@ impl Scenario {
             {
                 return Err(ScenarioError::DuplicatePool(pool.name.clone()));
             }
-            let mut spec = pool.resolve()?;
-            spec.template.slow_resolve |= self.slow_resolve;
-            for i in 0..spec.base {
-                let member = format!("{}-{i}", spec.name);
+            for i in 0..pool.base {
+                let member = format!("{}-{i}", pool.name);
                 if index.contains_key(member.as_str()) {
                     return Err(ScenarioError::DuplicateNode(member));
                 }
                 member_index.insert(member, total_nodes);
                 total_nodes += 1;
             }
-            pool_specs.push(spec);
         }
         let resolve = |name: &str| -> Result<usize, ScenarioError> {
             index
@@ -1015,21 +963,9 @@ impl Scenario {
         // initial members, links overridden by name. Members spawned by
         // scale-out join the topology at runtime with the default link
         // profile.
-        let mut topo = match self
-            .topo
-            .unwrap_or(TopoSpec::Preset(Preset::GigabitCluster))
-        {
-            TopoSpec::Preset(Preset::GigabitCluster) => Topology::gigabit_cluster(total_nodes),
-            TopoSpec::Preset(Preset::WanGrid) => Topology::wan_grid(total_nodes),
-            TopoSpec::Custom(t) => {
-                if t.len() != total_nodes {
-                    return Err(ScenarioError::TopologySize {
-                        topology: t.len(),
-                        declared: total_nodes,
-                    });
-                }
-                t
-            }
+        let mut topo = match self.topo.unwrap_or(Preset::GigabitCluster) {
+            Preset::GigabitCluster => Topology::gigabit_cluster(total_nodes),
+            Preset::WanGrid => Topology::wan_grid(total_nodes),
         };
         for (a, b, spec) in &self.links {
             topo.set_link(resolve(a)?, resolve(b)?, *spec);
@@ -1161,8 +1097,8 @@ impl Scenario {
 
         // Pools join after every declared node so member indices line up
         // with the name table built above.
-        for spec in pool_specs {
-            cluster.add_pool(spec);
+        for pool in &self.pools {
+            pool.resolve(&mut cluster, self.slow_resolve)?;
         }
 
         let mut sim = SodSim::new(cluster, topo);
@@ -1254,22 +1190,6 @@ mod tests {
             .program("X", "main", vec![])
             .run();
         assert_eq!(err, Err(ScenarioError::DuplicateNode("a".into())));
-    }
-
-    #[test]
-    fn custom_topology_size_is_checked() {
-        let err = Scenario::new()
-            .custom(Topology::gigabit_cluster(3))
-            .node("a", NodeConfig::cluster("a"))
-            .program("X", "main", vec![])
-            .run();
-        assert_eq!(
-            err,
-            Err(ScenarioError::TopologySize {
-                topology: 3,
-                declared: 1,
-            })
-        );
     }
 
     #[test]
