@@ -12,7 +12,7 @@ use crate::costs;
 use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
 use super::objects::{collect_flush, export_with_temps};
-use super::session::WorkerPhase;
+use super::protocol::{self, HomeInput, WorkerEffect, WorkerInput};
 use super::{Cluster, CONTROL_MSG_BYTES, TEMP_ID_BASE};
 
 impl Cluster {
@@ -45,44 +45,31 @@ impl Cluster {
             }
         };
         let flush_bytes = batch.payload_bytes();
-        let retval_cap = retval.map(|v| export_with_temps(&self.nodes[node].vm, v));
-        let needs_ack = matches!(retval_cap, Some(CapturedValue::HomeRef(h)) if h >= TEMP_ID_BASE);
+        let n = &mut self.nodes[node];
+        let retval = retval.map(|v| export_with_temps(&n.vm, v));
+        let ack = matches!(retval, Some(CapturedValue::HomeRef(h)) if h >= TEMP_ID_BASE);
         let ser = costs::serialize_ns(flush_bytes.max(1));
-        let cost = elapsed + self.nodes[node].cfg.scale(ser);
-
+        let cost = elapsed + n.cfg.scale(ser);
+        n.net_sent.object += flush_bytes;
         self.programs[program as usize].report.object_bytes += flush_bytes;
-        self.nodes[node].net_sent.object += flush_bytes;
 
-        if needs_ack {
-            if let Some(w) = self.nodes[node].sessions.get_mut(&sid) {
-                w.phase = WorkerPhase::AwaitCompleteAck { retval: retval_cap };
-            }
-            ctx.send_after(
-                cost,
-                node,
-                home,
-                flush_bytes + CONTROL_MSG_BYTES,
-                Msg::Flush {
-                    program,
-                    batch,
-                    ack_to: Some((node, sid)),
-                },
-            );
-        } else {
-            if !batch.is_empty() {
-                ctx.send_after(
-                    cost,
-                    node,
-                    home,
-                    flush_bytes + CONTROL_MSG_BYTES,
-                    Msg::Flush {
-                        program,
-                        batch,
-                        ack_to: None,
-                    },
-                );
-            }
-            self.send_segment_return(node, sid, retval_cap, cost, ctx);
+        // A returned worker-created object needs its master id first: the
+        // flush is acknowledged, and the value travels at the ack.
+        let effect = match n.sessions.get_mut(&sid) {
+            Some(w) => protocol::worker(&mut w.phase, WorkerInput::Finished { retval, ack }),
+            None => return,
+        };
+        let ack_to = matches!(effect, WorkerEffect::Ok).then_some((node, sid));
+        if ack_to.is_some() || !batch.is_empty() {
+            let flush = Msg::Flush {
+                program,
+                batch,
+                ack_to,
+            };
+            ctx.send_after(cost, node, home, flush_bytes + CONTROL_MSG_BYTES, flush);
+        }
+        if let WorkerEffect::Return(retval) = effect {
+            self.send_segment_return(node, sid, retval, cost, ctx);
         }
     }
 
@@ -131,7 +118,8 @@ impl Cluster {
         match target {
             ReturnTarget::Home { node: home } => {
                 debug_assert_eq!(node, home);
-                if !self.programs[program as usize].side.holds(session) {
+                let returned = self.home_step(program, HomeInput::Returned(session));
+                if !self.close_episode(returned) {
                     // Stale return: the program ended (a home crash, a
                     // rejected flush) and its home thread is released, or
                     // a deadline-driven retry/fallback superseded the
@@ -139,7 +127,6 @@ impl Cluster {
                     // longer expects it — drop it.
                     return;
                 }
-                self.close_episode(program);
                 let tid = self.programs[program as usize].home_tid;
                 let val = retval.map(|cv| match cv {
                     CapturedValue::Int(i) => Value::Int(i),
@@ -187,12 +174,11 @@ impl Cluster {
                 let Some(w) = self.nodes[node].sessions.get_mut(&session) else {
                     return;
                 };
-                if !matches!(w.phase, WorkerPhase::Waiting) {
+                let WorkerEffect::Ok = protocol::worker(&mut w.phase, WorkerInput::Return) else {
                     return;
-                }
+                };
                 let tid = w.tid;
                 let origin = w.origin();
-                w.phase = WorkerPhase::Running;
                 let heap = &self.nodes[node].vm.heap;
                 let val = retval.map(|cv| match cv {
                     CapturedValue::Int(i) => Value::Int(i),

@@ -31,7 +31,7 @@ use super::pool::{
     MemberState, Observation, PoolMember, PoolRuntime, PoolSpec, PoolSpecError, POOL_DEST_BASE,
     POOL_TICK_NS,
 };
-use super::session::WorkerPhase;
+use super::protocol::{self, WorkerEffect, WorkerInput};
 use super::Cluster;
 
 impl Cluster {
@@ -276,15 +276,14 @@ impl Cluster {
                 let Some(w) = self.nodes[dn].sessions.get_mut(&sid) else {
                     continue;
                 };
-                let roamable = matches!(w.phase, WorkerPhase::Running | WorkerPhase::Waiting);
-                if w.pending_roam.is_some() || !roamable {
-                    continue; // mid-protocol: a later tick re-arms it
-                }
                 let dest = targets
                     .iter()
                     .min_by_key(|&&(n, c)| (c, n))
                     .map_or(w.home, |&(n, _)| n);
-                w.pending_roam = Some(dest);
+                let WorkerEffect::Ok = protocol::worker(&mut w.phase, WorkerInput::Drain(dest))
+                else {
+                    continue; // mid-protocol or already roaming: a later tick re-arms it
+                };
                 if let Some(t) = targets.iter_mut().find(|(n, _)| *n == dest) {
                     t.1 += 1;
                 }

@@ -12,7 +12,8 @@ use crate::costs;
 use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
 use crate::trigger::Trigger;
 
-use super::session::{HomeSide, Owner};
+use super::protocol::{self, HomeEffect, HomeInput, PlanSource, WorkerEffect, WorkerInput};
+use super::session::Owner;
 use super::{Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
@@ -29,28 +30,32 @@ impl Cluster {
         if !runnable {
             return; // stale slice: thread parked, mid-protocol, or released
         }
-        let (owner_program, owner_pending) = match self.nodes[node].thread_owner.get(&tid) {
+        let (owner_program, stop_at_msp) = match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
-                if self.programs[program as usize].side.is_frozen() {
+                let HomeEffect::Run { stop_at_msp } = self.home_step(program, HomeInput::Slice)
+                else {
                     return; // frozen while the segment executes remotely
-                }
+                };
                 // Policy-driven migration: charge this slice against the
                 // program's CPU budget and evaluate armed triggers. A
                 // trigger that fires installs a pending plan, so this very
                 // slice already runs in stop-at-MSP mode.
                 self.programs[program as usize].slices_run += 1;
-                self.check_policy_triggers(program, ctx.now());
-                (program, self.programs[program as usize].side.plan_pending())
+                let fired = self.check_policy_triggers(program, ctx.now());
+                (program, stop_at_msp || fired)
             }
-            Some(Owner::Worker(s)) => match self.nodes[node].sessions.get(s) {
-                Some(w) => (w.program, w.pending_roam.is_some()),
+            Some(&Owner::Worker(s)) => match self.nodes[node].sessions.get_mut(&s) {
+                Some(w) => match protocol::worker(&mut w.phase, WorkerInput::Slice) {
+                    WorkerEffect::Run { stop_at_msp } => (w.program, stop_at_msp),
+                    _ => return,
+                },
                 None => return,
             },
             // Only a tool's own spawn has no owner; it is not ours to run.
             None => return,
         };
-        let mode = if owner_pending {
+        let mode = if stop_at_msp {
             RunMode::StopAtMsp
         } else {
             RunMode::Normal
@@ -139,7 +144,7 @@ impl Cluster {
     /// Threads genuinely competing for `node`'s CPU: runnable, and not a
     /// home thread frozen while its segment runs remotely (it never gets a
     /// slice). Visits the owner map — the node's threads in flight — only.
-    fn competing_threads(&self, node: usize) -> u64 {
+    fn competing_threads(&mut self, node: usize) -> u64 {
         let n = &self.nodes[node];
         let live = |tid: &usize, owner: &Owner| {
             n.vm.thread(*tid).is_ok()
@@ -149,9 +154,12 @@ impl Cluster {
                 }
         };
         debug_assert!(n.thread_owner.iter().all(|(tid, o)| live(tid, o)));
+        let programs = &mut self.programs;
         let count = n.thread_owner.iter().filter(|&(&tid, owner)| {
-            let frozen =
-                matches!(owner, Owner::Root(p) if self.programs[*p as usize].side.is_frozen());
+            let frozen = matches!(owner, Owner::Root(p) if matches!(
+                protocol::home(&mut programs[*p as usize].side, HomeInput::Slice),
+                HomeEffect::Drop
+            ));
             !frozen && n.vm.thread(tid).is_ok_and(|t| t.is_runnable())
         });
         (count.count() as u64).max(1)
@@ -206,13 +214,13 @@ impl Cluster {
                 if dest != node && dest < self.nodes.len() {
                     let n = &mut self.nodes[node];
                     match n.thread_owner.get(&tid) {
-                        Some(Owner::Root(p)) => {
-                            self.programs[*p as usize].side =
-                                HomeSide::PlanPending(MigrationPlan::top_to(dest, 1));
+                        Some(&Owner::Root(p)) => {
+                            let plan = MigrationPlan::top_to(dest, 1);
+                            self.home_step(p, HomeInput::Plan(plan, PlanSource::Guest));
                         }
                         Some(Owner::Worker(s)) => {
                             if let Some(w) = n.sessions.get_mut(s) {
-                                w.pending_roam = Some(dest);
+                                protocol::worker(&mut w.phase, WorkerInput::Move(dest));
                             }
                         }
                         None => {}
@@ -573,8 +581,8 @@ impl Cluster {
                 });
                 if let Some(cloud) = offload {
                     if let Ok(height) = self.nodes[node].vm.rollback_to_line_start(tid) {
-                        self.programs[program as usize].side =
-                            HomeSide::PlanPending(MigrationPlan::top_to(cloud, height));
+                        let plan = MigrationPlan::top_to(cloud, height);
+                        self.home_step(program, HomeInput::Plan(plan, PlanSource::Guest));
                         ctx.schedule(elapsed, node, Msg::RunSlice { tid });
                         return;
                     }
@@ -649,7 +657,8 @@ impl Cluster {
     /// `h`), then release the thread and its owner entry. A program whose
     /// spawn failed has no thread: its `home_tid` names none.
     fn retire_program(&mut self, program: ProgramId) {
-        self.close_episode(program);
+        let end = self.home_step(program, HomeInput::End);
+        self.close_episode(end);
         let p = &self.programs[program as usize];
         if !p.started {
             return;

@@ -27,20 +27,21 @@
 //!   re-executes, giving at-least-once semantics).
 //!
 //! Deadlines are armed, and shipments kept for re-ships, only when chaos
-//! is enabled (read in `ship_episode` alone), so fault-free runs stay
-//! event-for-event identical to a build without this module. A deadline
-//! carries its episode's stamp, given at the freeze, and is inert once that
-//! episode closed. *Stale* means one thing: a state or home return from a
-//! session the open episode does not list (superseded by a re-ship, or of a
-//! closed episode or an ended program) — the state is dropped and its bytes
-//! credited lost where it lands, the return dropped. A run where nothing
-//! fails has none.
+//! is enabled (read where `CaptureDone` is stepped, alone), so fault-free
+//! runs stay event-for-event identical to a build without this module. A
+//! deadline carries its episode's stamp, given at the freeze, and is inert
+//! once that episode closed. *Stale* means one thing: a state or home
+//! return from a session the open episode does not list (superseded by a
+//! re-ship, or of a closed episode or an ended program) — the state is
+//! dropped and its bytes credited lost where it lands, the return dropped.
+//! A run where nothing fails has none. `engine/protocol.rs` decides all of
+//! it; this module applies the decisions.
 
 use sod_net::{ChaosAction, DropReason, SimCtx};
 
 use crate::msg::{Msg, ProgramId, SessionId};
 
-use super::session::HomeSide;
+use super::protocol::{HomeEffect, HomeInput};
 use super::Cluster;
 
 /// Default end-to-end migration deadline under fault injection (see
@@ -160,34 +161,31 @@ impl Cluster {
         episode: u32,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let p = &self.programs[program as usize];
-        let ep = match &p.side {
-            HomeSide::Frozen(ep) if ep.stamp == episode => ep,
-            _ => return,
-        };
-        debug_assert_eq!(p.home, node);
-        self.chaos.timeouts += 1;
+        debug_assert_eq!(self.programs[program as usize].home, node);
+        let deadline = HomeInput::Deadline(episode, self.retry_policy);
         // Either way the shipment's sessions die first (a re-ship retires
         // those it supersedes, closing retires those listed): whichever of
         // them were alive, their threads must never complete against the
         // recovered program, and their unrecorded state bytes are lost.
-        let retry = match self.retry_policy {
-            RetryPolicy::Retry { max_attempts } => ep.attempts < max_attempts,
-            RetryPolicy::FallbackToHome => false,
-        };
-        if retry {
-            self.chaos.retries += 1;
-            self.ship_episode(program, ctx);
-        } else {
-            self.chaos.fallbacks += 1;
-            self.close_episode(program);
-            let tid = self.programs[program as usize].home_tid;
-            // The home stack still holds every captured frame; thaw the
-            // thread at its migration-safe point and run on.
-            if let Ok(t) = self.nodes[node].vm.thread_mut(tid) {
-                t.state = sod_vm::interp::ThreadState::Runnable;
+        match self.home_step(program, deadline) {
+            HomeEffect::Ship(shipment) => {
+                self.chaos.timeouts += 1;
+                self.chaos.retries += 1;
+                self.ship_episode(program, shipment, ctx);
             }
-            ctx.schedule(0, node, Msg::RunSlice { tid });
+            closed @ HomeEffect::Close(..) => {
+                self.chaos.timeouts += 1;
+                self.chaos.fallbacks += 1;
+                self.close_episode(closed);
+                let tid = self.programs[program as usize].home_tid;
+                // The home stack still holds every captured frame; thaw the
+                // thread at its migration-safe point and run on.
+                if let Ok(t) = self.nodes[node].vm.thread_mut(tid) {
+                    t.state = sod_vm::interp::ThreadState::Runnable;
+                }
+                ctx.schedule(0, node, Msg::RunSlice { tid });
+            }
+            _ => {}
         }
     }
 }
@@ -261,12 +259,7 @@ mod tests {
         assert!(retrying.sim.world.chaos.retries > 0, "no re-ship happened");
         assert!(retrying.sim.world.buf_pool.idle() > 0);
         // Every episode closed, and no kept segment outlived its episode.
-        assert!(retrying
-            .sim
-            .world
-            .programs
-            .iter()
-            .all(|p| !p.side.is_frozen()));
+        assert!(retrying.sim.world.programs.iter().all(|p| p.side.is_idle()));
 
         // Nothing is retained without `Retry`: arrivals recycle as before.
         let falling_back = lossy_fleet(RetryPolicy::FallbackToHome);

@@ -17,8 +17,9 @@ use crate::costs;
 use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId, StateMsg};
 
 use super::pool::POOL_DEST_BASE;
-use super::session::{BundleSeeds, Episode, HomeSide, Owner, StagedSegment, WorkerPhase};
-use super::{Cluster, CodeShipping, RetryPolicy};
+use super::protocol::{self, HomeEffect, HomeInput, Shipment, WorkerEffect, WorkerInput};
+use super::session::{BundleSeeds, Owner, StagedSegment};
+use super::{Cluster, CodeShipping};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -35,10 +36,12 @@ impl Cluster {
         match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
-                match self.programs[program as usize].side.take_plan() {
-                    Some(plan) => self.capture_and_stage(node, tid, program, &plan, elapsed, ctx),
+                match self.home_step(program, HomeInput::Msp) {
+                    HomeEffect::Capture(plan) => {
+                        self.capture_and_stage(node, tid, program, &plan, elapsed, ctx)
+                    }
                     // Stopped with no plan to follow: run on.
-                    None => ctx.schedule(elapsed, node, Msg::RunSlice { tid }),
+                    _ => ctx.schedule(elapsed, node, Msg::RunSlice { tid }),
                 }
             }
             Some(Owner::Worker(s)) => {
@@ -150,14 +153,7 @@ impl Cluster {
             }
         }
 
-        let p = &mut self.programs[program as usize];
-        p.episodes += 1;
-        p.side = HomeSide::Frozen(Episode {
-            segments,
-            sessions: Vec::new(),
-            attempts: 0,
-            stamp: p.episodes,
-        });
+        self.home_step(program, HomeInput::Froze(segments));
         ctx.schedule(elapsed + capture_ns, node, Msg::CaptureDone { program });
     }
 
@@ -213,29 +209,30 @@ impl Cluster {
         })
     }
 
-    /// Ship `program`'s open episode: at `CaptureDone`, and again on each
-    /// deadline-driven re-ship, which retires the superseded sessions and
-    /// mints fresh ids. Pool sentinels resolve here, so placement sees every
-    /// member spawned while the capture ran: once per sentinel (a
-    /// whole-stack chain co-locates), the in-flight count moving from the
-    /// pool's pending to the member, the bundle chosen for the member's peer
-    /// cache; a pool with no member left falls back to the home node. Then
-    /// each return target is wired to the placed segment below (the last
-    /// returns home) and the episode records its sessions. Under fault
-    /// injection the deadline is armed here, and under `Retry` the shipment
-    /// kept — chaos-free runs stay event-for-event identical.
-    pub(super) fn ship_episode(&mut self, program: ProgramId, ctx: &mut SimCtx<'_, Msg>) {
+    /// Apply [`HomeEffect::Ship`] for `program`'s open episode: at
+    /// `CaptureDone`, and again on each deadline-driven re-ship, which
+    /// retires the superseded sessions and mints fresh ids. Pool sentinels
+    /// resolve here, so placement sees every member spawned while the
+    /// capture ran: once per sentinel (a whole-stack chain co-locates), the
+    /// in-flight count moving from the pool's pending to the member, the
+    /// bundle chosen for the member's peer cache; a pool with no member left
+    /// falls back to the home node. Then each return target is wired to the
+    /// placed segment below (the last returns home) and the episode records
+    /// its sessions.
+    pub(super) fn ship_episode(
+        &mut self,
+        program: ProgramId,
+        shipment: Shipment<StagedSegment>,
+        ctx: &mut SimCtx<'_, Msg>,
+    ) {
         let home = self.programs[program as usize].home;
-        let Some(mut ep) = self.programs[program as usize].side.take_episode() else {
-            return; // the program ended while its stack froze
-        };
-        for (node, sid) in std::mem::take(&mut ep.sessions) {
+        for (node, sid) in shipment.retire {
             self.retire_session(node, sid);
         }
-        let mut segs = std::mem::take(&mut ep.segments);
+        let mut segs = shipment.segments;
         let mut chosen: Vec<(usize, usize)> = Vec::new(); // sentinel -> member
         for seg in &mut segs {
-            if ep.attempts > 0 {
+            if shipment.fresh_ids {
                 seg.info.session = self.alloc_session(home);
             }
             if seg.dest < POOL_DEST_BASE {
@@ -261,17 +258,17 @@ impl Cluster {
             let (node, session) = (seg.dest, seg.info.session);
             return_to = ReturnTarget::Session { node, session };
         }
-        ep.sessions = segs.iter().map(|s| (s.dest, s.info.session)).collect();
-        ep.attempts += 1;
-        if self.chaos_enabled {
-            if matches!(self.retry_policy, RetryPolicy::Retry { .. }) {
-                ep.segments = segs.clone();
-            }
-            let episode = ep.stamp;
+        let sessions = segs.iter().map(|s| (s.dest, s.info.session)).collect();
+        let kept = if shipment.keep {
+            segs.clone()
+        } else {
+            Vec::new()
+        };
+        self.home_step(program, HomeInput::Shipped(sessions, kept));
+        if let Some(episode) = shipment.deadline {
             let timeout = Msg::MigrationTimeout { program, episode };
             ctx.schedule(self.migration_timeout_ns, home, timeout);
         }
-        self.programs[program as usize].side = HomeSide::Frozen(ep);
         for seg in segs {
             self.ship_segment(home, 0, seg, ctx);
         }
@@ -456,10 +453,10 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let Some(w) = self.nodes[node].sessions.get(&sid) else {
+        let Some(w) = self.nodes[node].sessions.get_mut(&sid) else {
             return;
         };
-        let Some(dest) = w.pending_roam else {
+        let WorkerEffect::Roam(dest) = protocol::worker(&mut w.phase, WorkerInput::Msp) else {
             // Stopped with nowhere to roam: run on.
             return ctx.schedule(elapsed, node, Msg::RunSlice { tid });
         };
@@ -486,9 +483,6 @@ impl Cluster {
             self.roam_capture_and_ship(node, tid, sid, dest, elapsed, ctx);
         } else {
             let flush_bytes = batch.payload_bytes();
-            if let Some(w) = self.nodes[node].sessions.get_mut(&sid) {
-                w.phase = WorkerPhase::AwaitRoamAck { dest };
-            }
             let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
             self.programs[program as usize].report.object_bytes += flush_bytes;
@@ -515,10 +509,9 @@ impl Cluster {
         elapsed: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let Some(w) = self.nodes[node].sessions.get_mut(&sid) else {
+        let Some(w) = self.nodes[node].sessions.get(&sid) else {
             return;
         };
-        w.pending_roam = None;
         let (program, home, return_to, home_pop_frames) =
             (w.program, w.home, w.return_to, w.home_pop_frames);
         let vm = &self.nodes[node].vm;
@@ -550,11 +543,8 @@ impl Cluster {
         // the old one's entry in its episode, so its arrival and eventual
         // home return are not stale.
         self.retire_session(node, sid);
-        if let HomeSide::Frozen(ep) = &mut self.programs[program as usize].side {
-            if let Some(entry) = ep.sessions.iter_mut().find(|(_, s)| *s == sid) {
-                *entry = (dest, seg.info.session);
-            }
-        }
+        let to = (dest, seg.info.session);
+        self.home_step(program, HomeInput::Roamed(sid, to));
         self.ship_segment(node, elapsed + capture_ns, seg, ctx);
     }
 }

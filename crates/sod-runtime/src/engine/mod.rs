@@ -23,21 +23,22 @@
 //!   write-back flushes, temp-id assignment;
 //! * `completion.rs` — segment returns, workflow chaining, and
 //!   `ForceEarlyReturn` resumption at home;
-//! * `session.rs` — the typed `HomeSide` (with its `Episode`) and
-//!   `WorkerPhase` state machines the other modules share, and session-id
-//!   minting.
+//! * `protocol.rs` — `home` and `worker`, the transition functions of the
+//!   typed `HomeSide` (with its `Episode`) and `WorkerPhase`: every handler
+//!   above decodes, steps one, and applies the effect it returns;
+//! * `session.rs` — worker sessions, staged segments, session-id minting.
 //!
-//! ## Migration flow (paper §III)
+//! ## Migration flow (paper §III; each step a transition in `protocol.rs`)
 //!
 //! 1. `MigrateNow` sets a pending plan; the thread stops at the next
 //!    migration-safe point.
 //! 2. The migration manager captures the top frames via the tooling
 //!    interface (JVMTI costs, or the portable serialization path when the
 //!    destination lacks JVMTI), splitting them into the plan's segments,
-//!    staged in one *episode* that the frozen home side owns
-//!    (`HomeSide::Frozen`). At `CaptureDone` one function, `ship_episode`,
-//!    places pool segments, wires the return chain and ships every segment
-//!    concurrently (Fig. 1c); a deadline's re-ship goes through it too.
+//!    staged in one *episode* that the frozen home side owns. At
+//!    `CaptureDone` one function, `ship_episode`, places pool segments,
+//!    wires the return chain and ships every segment concurrently (Fig.
+//!    1c); a deadline's re-ship goes through it too.
 //! 3. Each destination loads missing classes (the bundled classes
 //!    first, the rest on demand), then re-establishes the frames: the
 //!    breakpoint + `InvalidStateException` + restoration-handler
@@ -70,6 +71,7 @@ mod fault;
 mod migrate;
 mod objects;
 mod pool;
+mod protocol;
 mod restore;
 mod session;
 
@@ -86,7 +88,8 @@ use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, ReturnTarget, Session
 use crate::node::Node;
 use crate::trigger::{ArmedTrigger, Trigger};
 
-use session::HomeSide;
+use protocol::{HomeEffect, HomeInput, HomeSide, PlanSource};
+use session::StagedSegment as Staged;
 
 /// Worker-created objects are flushed home under temporary ids at/above
 /// this base until the home node assigns master ids.
@@ -158,10 +161,8 @@ pub struct Program {
     /// (the `OnCpuSliceBudget` measure).
     pub slices_run: u64,
     /// Home-side migration state machine (idle / plan pending / frozen
-    /// under an open migration episode).
-    side: HomeSide,
-    /// Episodes frozen so far; the latest one's stamp.
-    episodes: u32,
+    /// under an open migration episode), stepped by `protocol::home`.
+    side: HomeSide<Staged>,
 }
 
 /// The cluster: every node with the state it owns, the programs in id
@@ -185,9 +186,9 @@ pub struct Cluster {
     /// influences encoded bytes, so reuse cannot perturb determinism.
     buf_pool: BufferPool,
     /// Whether a fault-injection plan is armed on the driving simulator.
-    /// Read where an episode ships, the one place it gates anything: the
-    /// deadline timer and the shipment kept for re-ships, so fault-free
-    /// runs are event-for-event identical to the pre-chaos engine.
+    /// Read where the freeze timer ships an episode, the one place it gates
+    /// anything: the deadline timer and the shipment kept for re-ships, so
+    /// fault-free runs are event-for-event identical to the pre-chaos engine.
     pub chaos_enabled: bool,
     /// Recovery policy when a migration misses its deadline (chaos only).
     pub retry_policy: RetryPolicy,
@@ -251,8 +252,7 @@ impl Cluster {
             fetch_policy: FetchPolicy::Shallow,
             triggers: Vec::new(),
             slices_run: 0,
-            side: HomeSide::Idle,
-            episodes: 0,
+            side: HomeSide::default(),
         });
         (self.programs.len() - 1) as ProgramId
     }
@@ -266,10 +266,11 @@ impl Cluster {
     /// Evaluate the program's armed policy triggers against its current
     /// counters; the first satisfied trigger installs its plan (one
     /// migration at a time — the rest re-evaluate after control returns).
-    fn check_policy_triggers(&mut self, program: ProgramId, now: u64) {
+    /// Whether one did.
+    fn check_policy_triggers(&mut self, program: ProgramId, now: u64) -> bool {
         let p = &mut self.programs[program as usize];
-        if p.done || !matches!(p.side, HomeSide::Idle) {
-            return;
+        if p.done {
+            return false;
         }
         let faults = p.report.object_faults;
         let slices = p.slices_run;
@@ -290,10 +291,12 @@ impl Cluster {
                 t.fired = true;
                 continue;
             };
-            t.fired = true;
-            p.side = HomeSide::PlanPending(plan);
-            return;
+            // A side that is not idle refuses: the trigger stays armed.
+            let planned = protocol::home(&mut p.side, HomeInput::Plan(plan, PlanSource::Trigger));
+            t.fired = !matches!(planned, HomeEffect::Drop);
+            return t.fired;
         }
+        false
     }
 
     /// The one retirement point of a session — finished, failed, killed or
@@ -313,21 +316,27 @@ impl Cluster {
         Some(w)
     }
 
-    /// `program`'s migration episode, if one is open, is over — its value
-    /// came home, the deadline gave up on it, or the program ended: retire
-    /// every session it lists, hand its segments back to the buffer pool
-    /// (a kept shipment is what stopped each arrival recycling its frame),
-    /// and leave the home side idle, dropping a pending plan too.
-    fn close_episode(&mut self, program: ProgramId) {
-        let side = std::mem::take(&mut self.programs[program as usize].side);
-        if let HomeSide::Frozen(ep) = side {
-            for (node, sid) in ep.sessions {
-                self.retire_session(node, sid);
-            }
-            for seg in ep.segments {
-                self.buf_pool.recycle(seg.frame);
-            }
+    /// One step of `program`'s home side (see `protocol::home`).
+    fn home_step(&mut self, program: ProgramId, input: HomeInput<Staged>) -> HomeEffect<Staged> {
+        protocol::home(&mut self.programs[program as usize].side, input)
+    }
+
+    /// Apply `effect` if it closes a migration episode — its value came
+    /// home, the deadline gave up on it, or the program ended: retire every
+    /// session it lists and hand its segments back to the buffer pool (a
+    /// kept shipment is what stopped each arrival recycling its frame).
+    /// Whether it did.
+    fn close_episode(&mut self, effect: HomeEffect<Staged>) -> bool {
+        let HomeEffect::Close(sessions, segments) = effect else {
+            return false;
+        };
+        for (node, sid) in sessions {
+            self.retire_session(node, sid);
         }
+        for seg in segments {
+            self.buf_pool.recycle(seg.frame);
+        }
+        true
     }
 
     /// A delivered batch is finished with — installed, applied, rejected,
@@ -418,8 +427,7 @@ impl Cluster {
             r.threads += n.vm.thread_ids().count();
             r.breakpoints += n.vm.breakpoints_armed();
         }
-        let busy = |p: &Program| !matches!(p.side, HomeSide::Idle);
-        r.episodes = self.programs.iter().filter(|p| busy(p)).count();
+        r.episodes = self.programs.iter().filter(|p| !p.side.is_idle()).count();
         r
     }
 
@@ -505,18 +513,22 @@ impl World for Cluster {
                 ctx.schedule(0, dst, Msg::RunSlice { tid });
             }
             Msg::MigrateNow { program, plan } => {
-                let p = &mut self.programs[program as usize];
-                if p.done || p.side.is_frozen() {
-                    return;
-                }
-                // The live slice chain observes the flag at its next stop;
+                // The live slice chain observes the plan at its next stop;
                 // scheduling another slice here would double-drive the
                 // thread.
-                p.side = HomeSide::PlanPending(plan);
+                if !self.programs[program as usize].done {
+                    self.home_step(program, HomeInput::Plan(plan, PlanSource::MigrateNow));
+                }
             }
             Msg::RunSlice { tid } => self.run_slice(dst, tid, ctx),
             Msg::HostDone { tid, reply } => self.host_done(dst, tid, reply, ctx),
-            Msg::CaptureDone { program } => self.ship_episode(program, ctx),
+            Msg::CaptureDone { program } => {
+                let recovery = self.chaos_enabled.then_some(self.retry_policy);
+                let captured = HomeInput::CaptureDone(recovery);
+                if let HomeEffect::Ship(shipment) = self.home_step(program, captured) {
+                    self.ship_episode(program, shipment, ctx);
+                }
+            }
             Msg::MigrationTimeout { program, episode } => {
                 self.migration_timeout(dst, program, episode, ctx)
             }
@@ -908,8 +920,8 @@ mod tests {
                 s.sim.world.programs[0].report.class_bytes = 0
             }),
             ("episodes: 1", |s| {
-                let plan = MigrationPlan::top_to(1, 1);
-                s.sim.world.programs[0].side = HomeSide::PlanPending(plan);
+                let plan = HomeInput::Plan(MigrationPlan::top_to(1, 1), PlanSource::MigrateNow);
+                protocol::home(&mut s.sim.world.programs[0].side, plan);
             }),
             ("owners: 1", |s| {
                 let owner = Owner::Root(0);

@@ -48,7 +48,7 @@ use sod_vm::wire::{
 use crate::costs;
 use crate::msg::{Msg, ProgramId, SessionId};
 
-use super::session::WorkerPhase;
+use super::protocol::{self, WorkerEffect, WorkerInput};
 use super::{Cluster, FetchPolicy, CONTROL_MSG_BYTES, TEMP_ID_BASE};
 
 impl Cluster {
@@ -194,11 +194,11 @@ impl Cluster {
             let local = temp.wrapping_sub(TEMP_ID_BASE);
             let _ = n.vm.heap.set_home(local, origin, *home_id);
         }
-        match std::mem::replace(&mut w.phase, WorkerPhase::Running) {
-            WorkerPhase::AwaitRoamAck { dest } => {
+        match protocol::worker(&mut w.phase, WorkerInput::FlushAck) {
+            WorkerEffect::Roam(dest) => {
                 self.roam_capture_and_ship(node, tid, sid, dest, 0, ctx);
             }
-            WorkerPhase::AwaitCompleteAck { retval } => {
+            WorkerEffect::Return(retval) => {
                 let mapped = retval.map(|cv| match cv {
                     CapturedValue::HomeRef(h) if h >= TEMP_ID_BASE => {
                         let home_id = assigned
@@ -212,7 +212,7 @@ impl Cluster {
                 });
                 self.send_segment_return(node, sid, mapped, 0, ctx);
             }
-            other => w.phase = other,
+            _ => {}
         }
     }
 }

@@ -3,12 +3,12 @@
 //! the breakpoint + `InvalidStateException` handler path (JVMTI nodes) and
 //! the exact direct restore (workflow restore-ahead, no-JVMTI devices).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use sod_net::SimCtx;
 use sod_vm::capture::{begin_handler_restore, restore_segment_direct};
 use sod_vm::class::{ClassDef, ExKind};
+use sod_vm::interp::{ParkReason, ThreadState};
 use sod_vm::tooling::jvmti;
 use sod_vm::wire::decode_state;
 
@@ -17,7 +17,8 @@ use crate::metrics::MigrationTimings;
 use crate::msg::{Msg, SessionId, StateMsg};
 
 use super::migrate::split_transfer_window;
-use super::session::{Owner, WorkerPhase, WorkerSession};
+use super::protocol::{self, HomeEffect, HomeInput, WorkerEffect, WorkerInput, WorkerPhase};
+use super::session::{Owner, WorkerSession};
 use super::{Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
@@ -38,13 +39,20 @@ impl Cluster {
         // The state arrives as its wire frame, encoded once at capture:
         // the frame length is the state byte metric.
         let state_bytes = state.len() as u64;
-        if !self.programs[info.program as usize]
-            .side
-            .holds(info.session)
+        // A duplicate for a session living here is dropped by its phase;
+        // otherwise the episode decides: a session it does not list is
+        // stale (the home re-shipped, fell back or ended while the state
+        // was in flight). Either never restores: credit the bytes where
+        // they landed so conservation closes.
+        let sid = info.session;
+        let duplicate = match self.nodes[node].sessions.get_mut(&sid) {
+            Some(w) => protocol::worker(&mut w.phase, WorkerInput::State),
+            None => WorkerEffect::Ok,
+        };
+        let landed = HomeInput::Arrived(sid);
+        if matches!(duplicate, WorkerEffect::Drop)
+            || !matches!(self.home_step(info.program, landed), HomeEffect::Ok)
         {
-            // Stale (the home re-shipped, fell back or ended while it was
-            // in flight): it will never restore. Credit it where it landed
-            // so conservation closes.
             self.nodes[node].net_lost.state += state_bytes;
             return;
         }
@@ -101,15 +109,17 @@ impl Cluster {
             self.nodes[node].repo.insert(c.name.clone(), c.clone());
         }
 
-        // Remaining classes referenced by the segment ship on demand.
-        let mut missing: HashSet<String> = HashSet::new();
-        for class in state.class_names() {
-            if !self.nodes[node].vm.has_class(class) {
-                missing.insert(class.to_string());
-            }
-        }
+        // Remaining classes referenced by the segment ship on demand,
+        // requested in sorted order: request order decides event sequence
+        // numbers — the determinism the fleet suite pins.
+        let vm = &self.nodes[node].vm;
+        let mut missing: Vec<&str> = state.class_names().map(|c| &**c).collect();
+        missing.retain(|c| !vm.has_class(c));
+        missing.sort_unstable();
+        missing.dedup();
+        let missing: Vec<String> = missing.into_iter().map(str::to_owned).collect();
 
-        let sid = info.session;
+        let requests = missing.clone();
         let session = WorkerSession {
             program: info.program,
             home: info.home,
@@ -119,13 +129,12 @@ impl Cluster {
             home_pop_frames: info.home_pop_frames,
             wait_for_return: info.wait_for_return,
             phase: WorkerPhase::AwaitClasses {
-                missing: missing.clone(),
+                missing,
                 state: Box::new(state),
             },
             timings,
             arrived_at: arrived,
             class_wait_ns: 0,
-            pending_roam: None,
             recorded: false,
         };
         self.nodes[node].sessions.insert(sid, session);
@@ -134,16 +143,11 @@ impl Cluster {
         // counted, e.g. an explicit plan naming a member directly).
         self.nodes[node].inbound_sessions = self.nodes[node].inbound_sessions.saturating_sub(1);
 
-        if missing.is_empty() {
+        if requests.is_empty() {
             ctx.schedule(prep, node, Msg::BeginRestore { session: sid });
         } else {
             let home = info.home;
-            // Request in sorted order: `HashSet` iteration order varies
-            // between set instances, and request order decides event
-            // sequence numbers — the determinism the fleet suite pins.
-            let mut missing: Vec<String> = missing.into_iter().collect();
-            missing.sort_unstable();
-            for name in missing {
+            for name in requests {
                 self.programs[info.program as usize].report.classes_shipped += 1;
                 ctx.send_after(
                     prep,
@@ -187,23 +191,25 @@ impl Cluster {
         self.nodes[dst]
             .repo
             .insert(class.name.clone(), class.clone());
-        let Some(w) = self.nodes[dst].sessions.get_mut(&session) else {
+        let n = &mut self.nodes[dst];
+        let Some(w) = n.sessions.get_mut(&session) else {
             return; // session retired (its program failed, or it finished)
         };
-        match &mut w.phase {
-            WorkerPhase::AwaitClasses { missing, .. } => {
-                missing.remove(&class.name);
-                if missing.is_empty() {
-                    let wait = ctx.now().saturating_sub(w.arrived_at);
-                    w.timings.transfer_class_ns += wait;
-                    w.class_wait_ns += wait;
-                    ctx.schedule(load, dst, Msg::BeginRestore { session });
-                }
+        let parked = n.vm.thread(w.tid).is_ok_and(|t| {
+            matches!(&t.state, ThreadState::Parked(ParkReason::ClassMiss(c)) if *c == class.name)
+        });
+        let name = &class.name;
+        match protocol::worker(&mut w.phase, WorkerInput::Class { name, parked }) {
+            WorkerEffect::AllClasses => {
+                let wait = ctx.now().saturating_sub(w.arrived_at);
+                w.timings.transfer_class_ns += wait;
+                w.class_wait_ns += wait;
+                ctx.schedule(load, dst, Msg::BeginRestore { session });
             }
-            _ => {
+            WorkerEffect::Resume => {
                 // On-demand class during execution.
                 let tid = w.tid;
-                if let Err(e) = self.nodes[dst].vm.resume_class_loaded(tid) {
+                if let Err(e) = n.vm.resume_class_loaded(tid) {
                     self.fail_session(
                         dst,
                         session,
@@ -214,6 +220,9 @@ impl Cluster {
                 }
                 ctx.schedule(load, dst, Msg::RunSlice { tid });
             }
+            // A class counted down already, or one nobody is parked on
+            // (a duplicate reply): nothing to do.
+            _ => {}
         }
     }
 
@@ -222,12 +231,6 @@ impl Cluster {
         let Some(w) = n.sessions.get_mut(&sid) else {
             return; // retired first (its program failed), or never here
         };
-        // Restore begins once, out of the arrival phase: a session already
-        // restoring is past it.
-        let WorkerPhase::AwaitClasses { state, .. } = &mut w.phase else {
-            return;
-        };
-        let state = std::mem::take(state);
         let wait = w.wait_for_return;
         let has_jvmti = n.cfg.has_jvmti;
         // The paper's portable protocol: JNI-invoke the bottom method, arm
@@ -238,6 +241,12 @@ impl Cluster {
         // no-JVMTI devices (Java-level reflective restore). Either call is
         // the decoded stack's last reader.
         let handler = has_jvmti && !wait;
+        // Restore begins once, out of the arrival phase: a session already
+        // restoring is past it.
+        let input = WorkerInput::BeginRestore { handler, wait };
+        let WorkerEffect::Restore(state) = protocol::worker(&mut w.phase, input) else {
+            return;
+        };
         let restored = if handler {
             begin_handler_restore(&mut n.vm, &state)
         } else {
@@ -258,7 +267,6 @@ impl Cluster {
         n.thread_owner.insert(tid, Owner::Worker(sid));
         w.tid = tid;
         if handler {
-            w.phase = WorkerPhase::Restoring { restored: 0 };
             let fixed = n.cfg.scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
             ctx.schedule(fixed, node, Msg::RunSlice { tid });
             return;
@@ -276,10 +284,7 @@ impl Cluster {
             .saturating_sub(w.arrived_at)
             .saturating_sub(w.class_wait_ns);
         w.recorded = true;
-        if wait {
-            w.phase = WorkerPhase::Waiting;
-        } else {
-            w.phase = WorkerPhase::Running;
+        if !wait {
             ctx.schedule(cost, node, Msg::RunSlice { tid });
         }
         let report = &mut self.programs[w.program as usize].report;
@@ -307,7 +312,9 @@ impl Cluster {
             return self.fail_session(node, sid, stray("owner names no session"), at);
         };
         let nframes = w.nframes;
-        let WorkerPhase::Restoring { restored } = &mut w.phase else {
+        let WorkerEffect::Reestablish(cursor) =
+            protocol::worker(&mut w.phase, WorkerInput::Breakpoint)
+        else {
             return self.fail_session(node, sid, stray("session is not restoring"), at);
         };
         // cbBreakpoint (paper Fig. 4b): set the next frame's breakpoint,
@@ -318,16 +325,15 @@ impl Cluster {
         let Some(session) = session.and_then(|t| t.restore_session.as_deref_mut()) else {
             return self.fail_session(node, sid, stray("thread has no restore session"), at);
         };
-        session.cursor = *restored;
-        *restored += 1;
+        session.cursor = cursor;
         // Resolving reads the whole VM, so the segment is looked up again,
         // shared this time.
         let session = vm
             .thread(tid)
             .ok()
             .and_then(|t| t.restore_session.as_deref());
-        let next = session.and_then(|s| s.frames.get(*restored));
-        let next = next.filter(|_| *restored < nframes);
+        let next = session.and_then(|s| s.frames.get(cursor + 1));
+        let next = next.filter(|_| cursor + 1 < nframes);
         if let Some(next) = next.map(|f| f.resolve_in(vm)) {
             match next {
                 Ok((ci, mi)) => vm.set_breakpoint(tid, ci, mi, 0),
@@ -362,20 +368,16 @@ impl Cluster {
         let Some(w) = n.sessions.get_mut(sid) else {
             return;
         };
-        let done = matches!(
-            w.phase,
-            WorkerPhase::Restoring { restored, .. } if restored >= w.nframes
-        );
-        if !done {
+        let input = WorkerInput::SliceEnded(w.nframes);
+        let WorkerEffect::Ok = protocol::worker(&mut w.phase, input) else {
             return;
-        }
+        };
         if let Ok(t) = n.vm.thread_mut(tid) {
             t.interp_mode = false;
         }
         w.timings.restore_ns = (ctx.now() + elapsed)
             .saturating_sub(w.arrived_at)
             .saturating_sub(w.class_wait_ns);
-        w.phase = WorkerPhase::Running;
         w.recorded = true;
         let report = &mut self.programs[w.program as usize].report;
         report.migrations.push(w.timings);

@@ -14,6 +14,8 @@
 //! * A deployed class that was never preprocessed can stop with an operand
 //!   under a call's arguments (`a + f(x)`), which a multi-frame plan cannot
 //!   capture.
+//! * A duplicated `Msg::State` or `Msg::ClassReply` for a live session is
+//!   dropped: it neither replaces the session nor resumes its thread.
 //!
 //! Each case runs beside a sibling program that must still finish.
 //! Exercised at the engine level (`Cluster` + `SodSim`), forged messages
@@ -23,7 +25,7 @@ use bytes::Bytes;
 use sod_asm::builder::ClassBuilder;
 use sod_net::Topology;
 use sod_preprocess::preprocess_sod;
-use sod_runtime::engine::{Cluster, SodSim};
+use sod_runtime::engine::{Cluster, CodeShipping, SodSim};
 use sod_runtime::msg::{ReturnTarget, SegmentInfo, StateMsg};
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
@@ -277,4 +279,120 @@ fn uncapturable_stack_of_an_unpreprocessed_class_fails_its_program() {
     assert!(sim.report(victim).migrations.is_empty());
     assert_eq!(sim.program(sibling).error, None);
     assert_eq!(sim.report(sibling).result, Some(7 + N));
+}
+
+/// `App.main(N)` on node 0, its top frame shipped to node 1 at 1 ms under
+/// `code`: stepped until `ready` holds of the run. Returns the program and
+/// its session on node 1.
+fn sim_stepped_until(
+    code: CodeShipping,
+    ready: impl Fn(&SodSim, SessionId) -> bool,
+) -> (SodSim, ProgramId, SessionId) {
+    let mut home = Node::new(NodeConfig::cluster("home"));
+    home.deploy(&preprocess_sod(&app_class()).unwrap()).unwrap();
+    let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
+    cluster.code_shipping = code;
+    let program = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
+    let at = Trigger::At(sod_net::MS);
+    cluster.arm_trigger(
+        program,
+        ArmedTrigger::with_plan(at, MigrationPlan::top_to(1, 1)),
+    );
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, program);
+    loop {
+        if let Some(&(session, ..)) = sim.sim.world.hosted(1).first() {
+            if ready(&sim, session) {
+                return (sim, program, session);
+            }
+        }
+        assert!(sim.sim.step(), "the session never got there");
+    }
+}
+
+/// The session's restore has begun: it has a thread.
+fn running(sim: &SodSim, _: SessionId) -> bool {
+    sim.sim.world.hosted(1)[0].2.is_some()
+}
+
+#[test]
+fn a_duplicate_state_for_a_live_session_is_dropped() {
+    // A second, restorable `State` under the id of the session running on
+    // node 1 used to replace it, orphaning the first session's thread.
+    let (mut sim, program, session) = sim_stepped_until(CodeShipping::BundleTop, running);
+    let locals = vec![CapturedValue::Int(N), CapturedValue::Int(0)];
+    let state = CapturedState {
+        frames: Frames::from_frames([spin_frame("spin", locals)]).unwrap(),
+        statics: vec![],
+    };
+    let wire = encode_state(&state).unwrap();
+    // As if the home had sent it: the ledger then balances only if the
+    // duplicate's bytes are credited lost where it landed.
+    sim.sim.world.nodes[0].net_sent.state += wire.len() as u64;
+    let info = SegmentInfo {
+        program,
+        session,
+        home: 0,
+        return_to: ReturnTarget::Home { node: 0 },
+        nframes: 1,
+        home_pop_frames: 1,
+        wait_for_return: false,
+    };
+    let now = sim.sim.now();
+    let duplicate = StateMsg {
+        info,
+        state: wire,
+        bundled: vec![],
+        class_bytes: 0,
+        capture_ns: 0,
+        sent_at: now,
+    };
+    sim.sim.inject(now, 1, Msg::State(Box::new(duplicate)));
+    sim.run();
+    assert_eq!(sim.program(program).error, None);
+    assert_eq!(sim.report(program).result, Some(7 + N));
+    assert_eq!(sim.check_idle(), Ok(()));
+}
+
+#[test]
+fn a_duplicate_class_reply_resumes_nothing() {
+    let duplicate = |sim: &mut SodSim, session| {
+        let class = sim.sim.world.nodes[0].repo["App"].clone();
+        let reply = Msg::ClassReply {
+            session,
+            class,
+            bytes: 1_000,
+        };
+        let now = sim.sim.now();
+        sim.sim.inject(now, 1, reply);
+        sim.run();
+    };
+    let reference = {
+        let (mut sim, ..) = sim_stepped_until(CodeShipping::Never, |_, _| true);
+        sim.run();
+        sim
+    };
+    assert_eq!(reference.report(0).result, Some(7 + N));
+
+    // Once the segment runs, a duplicate reached a thread parked on
+    // nothing and failed the program ("class-load resume failed").
+    let (mut sim, program, session) = sim_stepped_until(CodeShipping::Never, running);
+    duplicate(&mut sim, session);
+    assert_eq!(sim.program(program).error, None);
+    assert_eq!(sim.report(program).result, Some(7 + N));
+    assert_eq!(sim.check_idle(), Ok(()));
+
+    // Between the last class and the restore, a duplicate scheduled a
+    // second restore and counted the class wait twice.
+    let loaded = |sim: &SodSim, _| {
+        sim.sim.world.nodes[1].vm.has_class("App") && sim.sim.world.hosted(1)[0].2.is_none()
+    };
+    let (mut sim, program, session) = sim_stepped_until(CodeShipping::Never, loaded);
+    duplicate(&mut sim, session);
+    assert_eq!(sim.check_idle(), Ok(()));
+    assert_eq!(
+        sim.report(program).migrations,
+        reference.report(0).migrations
+    );
+    assert_eq!(sim.report(program).result, Some(7 + N));
 }
