@@ -2,8 +2,8 @@
 //! `BENCH_scale.json`-compatible summary.
 //!
 //! By default this runs the **big** sweep — 1k/5k/10k-program fleets
-//! (`SCALE_FLEET_SWEEP`), with per-row host wall-clock — which takes
-//! seconds. Pass `--sizes 10,100,500` for the cheap shipped sweep.
+//! (`SCALE_FLEET_SWEEP`), which takes seconds. Pass `--sizes 10,100,500`
+//! for the cheap shipped sweep; a size of 0 is refused.
 //!
 //! The table and the JSON line both print to stdout; pass a path (e.g.
 //! `BENCH_scale.json`) to write the JSON there instead.
@@ -23,11 +23,10 @@ fn main() -> ExitCode {
             rest.push(arg);
             continue;
         }
-        let list = args.next().unwrap_or_default();
-        match list.split(',').map(|s| s.trim().parse()).collect() {
+        match sod_bench::fleet_sizes(&args.next().unwrap_or_default(), USAGE) {
             Ok(list) => sizes = list,
-            Err(_) => {
-                eprintln!("--sizes takes a comma-separated list of fleet sizes; usage: {USAGE}");
+            Err(msg) => {
+                eprintln!("{msg}");
                 return ExitCode::from(2);
             }
         }

@@ -6,13 +6,13 @@
 
 use std::process::ExitCode;
 
-use sod_bench::{chaos, codec, codecache, elastic, scale, vmdispatch};
+use sod_bench::{chaos, codecache, elastic, scale};
 
 /// A table function: simulates what it needs and renders the table.
 type Table = fn() -> String;
 
 /// Every table by name, in the order the full evaluation prints them.
-const TABLES: [(&str, Table); 14] = [
+const TABLES: [(&str, Table); 12] = [
     ("table1", sod_bench::table1),
     ("table2_3", sod_bench::table2_and_3),
     ("table4", sod_bench::table4),
@@ -22,8 +22,6 @@ const TABLES: [(&str, Table); 14] = [
     ("fig1", sod_bench::fig1),
     ("roaming", sod_bench::roaming),
     ("scale", scale::scale_table),
-    ("vm", || vmdispatch::render_table(&vmdispatch::sweep())),
-    ("codec", || codec::render_table(&codec::sweep())),
     ("codecache", codecache::codecache_table),
     ("chaos", chaos::chaos_table),
     ("elastic", elastic::elastic_table),

@@ -2,19 +2,20 @@
 //!
 //! One function per table/figure of the paper's §IV; each returns the
 //! formatted table so binaries print it and tests assert on its shape.
-//! `bin/tables` regenerates the full evaluation; the sweep binaries
-//! (`scale`, `vm`, `codec`, `codecache`, `chaos`, `elastic`) also emit
-//! their `BENCH_*.json` summaries through [`sweep_main`].
+//! `bin/tables` regenerates the full evaluation (committed as
+//! `BENCH_tables.txt`); the sweep binaries (`scale`, `codecache`,
+//! `chaos`, `elastic`) also emit their `BENCH_*.json` summaries through
+//! [`sweep_main`]. Every figure is virtual time or a count: nothing here
+//! reads a host clock, so a run prints the same bytes on every host, and
+//! host time is the repo benchmark's (`examples/benchmark/`).
 
 use std::process::ExitCode;
 
 pub mod chaos;
-pub mod codec;
 pub mod codecache;
 pub mod elastic;
 pub mod scale;
 pub mod tables;
-pub mod vmdispatch;
 
 pub use tables::*;
 
@@ -37,6 +38,18 @@ pub fn out_path(
         }
     }
     Ok(out)
+}
+
+/// The fleet sizes of a `--sizes N,N,..` list. An empty entry, a zero
+/// (a fleet with no programs cannot run) or anything but a number is
+/// refused with `usage`.
+pub fn fleet_sizes(list: &str, usage: &str) -> Result<Vec<usize>, String> {
+    list.split(',')
+        .map(|s| s.trim().parse().ok().filter(|&n: &usize| n > 0))
+        .collect::<Option<_>>()
+        .ok_or_else(|| {
+            format!("--sizes takes a comma-separated list of fleet sizes above 0; usage: {usage}")
+        })
 }
 
 /// A sweep binary's `main`: check `args` with [`out_path`], then run the
@@ -72,7 +85,7 @@ pub fn sweep_main(
 
 #[cfg(test)]
 mod tests {
-    use super::out_path;
+    use super::{fleet_sizes, out_path};
 
     fn parse(args: &[&str]) -> Result<Option<String>, String> {
         out_path(args.iter().map(|a| a.to_string()), "x [OUT.json]")
@@ -86,5 +99,15 @@ mod tests {
         assert!(flag.contains("\"--help\"") && flag.contains("usage: x [OUT.json]"));
         let two = parse(&["a", "b"]).unwrap_err();
         assert!(two.contains("\"a\"") && two.contains("usage:"), "{two}");
+    }
+
+    #[test]
+    fn fleet_sizes_refuse_zero_and_empty_entries() {
+        let sizes = |list| fleet_sizes(list, "x [--sizes N,N,..]");
+        assert_eq!(sizes("10,100"), Ok(vec![10, 100]));
+        for bad in ["0", "5,0", "", "3,,4"] {
+            let err = sizes(bad).unwrap_err();
+            assert!(err.contains("usage: x [--sizes N,N,..]"), "{bad:?}: {err}");
+        }
     }
 }

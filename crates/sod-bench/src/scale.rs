@@ -5,14 +5,13 @@
 //! programs, serve them open-loop across two edge nodes with an
 //! `OnCpuSliceBudget` offload policy to a shared cloud node, and report
 //! nearest-rank latency percentiles, throughput, and per-node utilization
-//! from the [`sod::ClusterReport`], with the host wall-clock each row took
-//! to simulate. [`render_json`] renders the same sweep as a
-//! `BENCH_scale.json`-compatible summary for machine consumption;
-//! `bin/scale` runs the big-fleet sweep ([`SCALE_FLEET_SWEEP`]:
-//! 1k/5k/10k programs).
+//! from the [`sod::ClusterReport`]. Every column is virtual time or a
+//! count, so a sweep prints the same bytes on every host and every run.
+//! [`render_json`] renders the same sweep as a `BENCH_scale.json`-compatible
+//! summary for machine consumption; `bin/scale` runs the big-fleet sweep
+//! ([`SCALE_FLEET_SWEEP`]: 1k/5k/10k programs).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use sod::net::{ns_to_ms_string, MS};
 use sod::preprocess::preprocess_sod;
@@ -34,22 +33,6 @@ pub const SCALE_SEED: u64 = 42;
 pub struct ScaleRow {
     pub programs: usize,
     pub report: ClusterReport,
-    /// Host wall-clock the simulation took, in milliseconds (the only
-    /// column that is *not* deterministic — it measures the simulator,
-    /// not the simulation).
-    pub wall_ms: u64,
-}
-
-impl ScaleRow {
-    /// Host nanoseconds the simulator spent per *simulated* instruction —
-    /// the interpreter-throughput figure of merit the fast-path work
-    /// targets (`bin/vm` measures it in isolation; this is the same ratio
-    /// under full event-queue + network load). Wall-clock derived, so not
-    /// deterministic; compare runs on the same host only.
-    pub fn ns_per_instr(&self) -> f64 {
-        let total_instr: u64 = self.report.per_node.iter().map(|u| u.instructions).sum();
-        self.wall_ms as f64 * 1e6 / total_instr.max(1) as f64
-    }
 }
 
 /// Run one fleet of `programs` Fib(16) requests and aggregate it.
@@ -75,20 +58,15 @@ pub fn run_scale_fleet(programs: usize, seed: u64) -> ClusterReport {
     report.cluster
 }
 
-/// Run the sweep once: one [`ScaleRow`] per fleet size, wall-clock
-/// measured per row. The table and JSON renderers below both consume
-/// this, so a caller wanting both pays for the simulation once.
+/// Run the sweep once: one [`ScaleRow`] per fleet size. The table and
+/// JSON renderers below both consume this, so a caller wanting both pays
+/// for the simulation once.
 pub fn sweep(sizes: &[usize]) -> Vec<ScaleRow> {
     sizes
         .iter()
-        .map(|&programs| {
-            let started = Instant::now();
-            let report = run_scale_fleet(programs, SCALE_SEED);
-            ScaleRow {
-                programs,
-                report,
-                wall_ms: started.elapsed().as_millis() as u64,
-            }
+        .map(|&programs| ScaleRow {
+            programs,
+            report: run_scale_fleet(programs, SCALE_SEED),
         })
         .collect()
 }
@@ -97,8 +75,8 @@ pub fn sweep(sizes: &[usize]) -> Vec<ScaleRow> {
 pub fn render_table(rows: &[ScaleRow]) -> String {
     let mut out = String::from(
         "TABLE SCALE. FLEET SWEEP (open-loop, OnCpuSliceBudget offload; \
-         nearest-rank percentiles; wall = host ms)\n\
-         programs ok    fail p50(ms)  p95(ms)  p99(ms)  mean(ms) makespan(ms) req/s    cloud-instr% wall(ms) ns/instr\n",
+         nearest-rank percentiles)\n\
+         programs ok    fail p50(ms)  p95(ms)  p99(ms)  mean(ms) makespan(ms) req/s    cloud-instr%\n",
     );
     for row in rows {
         let r = &row.report;
@@ -111,7 +89,7 @@ pub fn render_table(rows: &[ScaleRow]) -> String {
             .unwrap_or(0);
         let _ = writeln!(
             out,
-            "{:<8} {:<5} {:<4} {:<8} {:<8} {:<8} {:<8} {:<12} {:<8.1} {:<12.1} {:<8} {:.2}",
+            "{:<8} {:<5} {:<4} {:<8} {:<8} {:<8} {:<8} {:<12} {:<8.1} {:.1}",
             row.programs,
             r.completed,
             r.failed,
@@ -122,8 +100,6 @@ pub fn render_table(rows: &[ScaleRow]) -> String {
             ns_to_ms_string(r.makespan_ns),
             r.throughput_millirps as f64 / 1000.0,
             cloud_instr as f64 * 100.0 / total_instr.max(1) as f64,
-            row.wall_ms,
-            row.ns_per_instr(),
         );
     }
     out
@@ -157,8 +133,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Render a finished sweep as a `BENCH_scale.json`-compatible summary:
-/// one row object per fleet size, all virtual durations in ns, plus the
-/// host `wall_ms` the row took to simulate.
+/// one row object per fleet size, all virtual durations in ns.
 pub fn render_json(sweep_rows: &[ScaleRow]) -> String {
     let mut rows = Vec::with_capacity(sweep_rows.len());
     for row in sweep_rows {
@@ -179,14 +154,11 @@ pub fn render_json(sweep_rows: &[ScaleRow]) -> String {
             })
             .collect();
         rows.push(format!(
-            "{{\"programs\":{},\"wall_ms\":{},\
-             \"ns_per_instr\":{:.3},\"completed\":{},\
-             \"failed\":{},\"p50_ns\":{},\"p95_ns\":{},\
+            "{{\"programs\":{},\"completed\":{},\"failed\":{},\
+             \"p50_ns\":{},\"p95_ns\":{},\
              \"p99_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"makespan_ns\":{},\
              \"throughput_millirps\":{},\"per_node\":[{}]}}",
             row.programs,
-            row.wall_ms,
-            row.ns_per_instr(),
             r.completed,
             r.failed,
             r.p50_latency_ns,
@@ -223,17 +195,22 @@ mod tests {
 
         let j = render_json(&rows);
         assert!(j.starts_with("{\"bench\":\"scale\""));
-        assert!(j.contains("{\"programs\":5,\"wall_ms\":"));
-        assert!(j.contains("{\"programs\":10,\"wall_ms\":"));
+        assert!(j.contains("{\"programs\":5,\"completed\":5,"));
+        assert!(j.contains("{\"programs\":10,\"completed\":10,"));
         assert!(j.contains("\"p99_ns\":"));
         assert!(!j.contains("\"scheduler\""));
-        assert!(j.contains("\"ns_per_instr\":"));
-        assert!(t.contains("ns/instr"));
         assert!(j.contains("\"per_node\":[{\"name\":\"edge0\""));
         assert!(j.contains("\"events\":"));
         // Balanced braces/brackets — cheap JSON well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+
+        // Nothing in either output is host time: a second sweep prints
+        // the same bytes.
+        let again = sweep(&[5, 10]);
+        assert_eq!(render_table(&again), t);
+        assert_eq!(render_json(&again), j);
+        assert!(!t.contains("wall") && !j.contains("wall"), "{t}{j}");
     }
 
     #[test]
