@@ -44,20 +44,91 @@ fn captured_value() -> impl Strategy<Value = CapturedValue> {
     ]
 }
 
-fn instr() -> impl Strategy<Value = Instr> {
+fn cmp() -> impl Strategy<Value = Cmp> {
     prop_oneof![
-        any::<i64>().prop_map(Instr::PushI),
-        (0u16..64).prop_map(Instr::Load),
-        (0u16..64).prop_map(Instr::Store),
-        Just(Instr::Add),
-        Just(Instr::Mul),
-        (0u32..1000).prop_map(|t| Instr::If(Cmp::Le, t)),
-        (0u16..32).prop_map(Instr::GetField),
-        ((0u16..32), (0u16..32)).prop_map(|(c, m)| Instr::InvokeStatic(c, m, 2)),
-        Just(Instr::RetV),
-        (0u16..16).prop_map(Instr::BringObjLocal),
-        (0u8..4).prop_map(Instr::CheckStatus),
-        (0u16..16).prop_map(Instr::RestoreLocal),
+        Just(Cmp::Eq),
+        Just(Cmp::Ne),
+        Just(Cmp::Lt),
+        Just(Cmp::Le),
+        Just(Cmp::Gt),
+        Just(Cmp::Ge),
+    ]
+}
+
+/// Every kind, `User` over its whole encodable range.
+fn ex_kind() -> impl Strategy<Value = ExKind> {
+    prop_oneof![
+        Just(ExKind::NullPointer),
+        Just(ExKind::InvalidState),
+        Just(ExKind::OutOfMemory),
+        Just(ExKind::ClassNotFound),
+        Just(ExKind::ArrayBounds),
+        Just(ExKind::DivByZero),
+        (0u16..65520).prop_map(ExKind::User),
+    ]
+}
+
+/// Every instruction, with arbitrary operands.
+fn instr() -> impl Strategy<Value = Instr> {
+    use Instr::*;
+    let u16 = any::<u16>;
+    let u32 = any::<u32>;
+    let u8 = any::<u8>;
+    prop_oneof![
+        any::<i64>().prop_map(PushI),
+        any::<f64>().prop_map(PushF),
+        u16().prop_map(PushStr),
+        Just(PushNull),
+        u16().prop_map(Load),
+        u16().prop_map(Store),
+        Just(Dup),
+        Just(Pop),
+        Just(Swap),
+        Just(Add),
+        Just(Sub),
+        Just(Mul),
+        Just(Div),
+        Just(Rem),
+        Just(Neg),
+        Just(Shl),
+        Just(Shr),
+        Just(BAnd),
+        Just(BOr),
+        Just(BXor),
+        Just(I2F),
+        Just(F2I),
+        (cmp(), u32()).prop_map(|(c, t)| If(c, t)),
+        (cmp(), u32()).prop_map(|(c, t)| IfZ(c, t)),
+        u32().prop_map(IfNull),
+        u32().prop_map(IfNonNull),
+        u32().prop_map(Goto),
+        u16().prop_map(Switch),
+        u16().prop_map(New),
+        u16().prop_map(GetField),
+        u16().prop_map(PutField),
+        (u16(), u16()).prop_map(|(c, f)| GetStatic(c, f)),
+        (u16(), u16()).prop_map(|(c, f)| PutStatic(c, f)),
+        Just(NewArr),
+        Just(ALoad),
+        Just(AStore),
+        Just(ArrLen),
+        (u16(), u16(), u8()).prop_map(|(c, m, n)| InvokeStatic(c, m, n)),
+        (u16(), u8()).prop_map(|(m, n)| InvokeVirtual(m, n)),
+        Just(Ret),
+        Just(RetV),
+        ex_kind().prop_map(ThrowKind),
+        Just(Throw),
+        (u16(), u8()).prop_map(|(f, n)| NativeCall(f, n)),
+        u16().prop_map(ReadCaptured),
+        Just(ReadCapturedPc),
+        u16().prop_map(RestoreLocal),
+        u16().prop_map(BringObjLocal),
+        (u16(), u16()).prop_map(|(b, f)| BringObjField(b, f)),
+        (u16(), u16(), u16()).prop_map(|(c, f, d)| BringObjStaticTo(c, f, d)),
+        (u16(), u16(), u16()).prop_map(|(b, x, d)| BringObjElemTo(b, x, d)),
+        Just(RethrowAppNpe),
+        u8().prop_map(CheckStatus),
+        Just(Nop),
     ]
 }
 
@@ -438,6 +509,116 @@ fn a_three_frame_state_has_its_committed_bytes() {
     assert_eq!(encoded.len(), 115);
     assert_eq!(listed_bytes(&frames, &statics), encoded.to_vec());
     assert_eq!(decode_state(encoded).unwrap(), state);
+}
+
+/// One class that holds every opcode, every `Cmp`, every `TypeOf`, a
+/// built-in and a `User` exception kind, a fault-handler entry and a
+/// switch: its bytes are committed, so the class frame cannot drift
+/// together with its decoder.
+#[test]
+fn a_class_of_every_opcode_has_its_committed_bytes() {
+    use Instr::*;
+    let code = vec![
+        PushI(-2),
+        PushF(0.5),
+        PushStr(1),
+        PushNull,
+        Load(2),
+        Store(3),
+        Dup,
+        Pop,
+        Swap,
+        Add,
+        Sub,
+        Mul,
+        Div,
+        Rem,
+        Neg,
+        Shl,
+        Shr,
+        BAnd,
+        BOr,
+        BXor,
+        I2F,
+        F2I,
+        If(Cmp::Eq, 4),
+        If(Cmp::Ne, 5),
+        If(Cmp::Lt, 6),
+        IfZ(Cmp::Le, 7),
+        IfZ(Cmp::Gt, 8),
+        IfZ(Cmp::Ge, 9),
+        IfNull(10),
+        IfNonNull(11),
+        Goto(12),
+        Switch(0),
+        New(0),
+        GetField(1),
+        PutField(2),
+        GetStatic(0, 3),
+        PutStatic(0, 4),
+        NewArr,
+        ALoad,
+        AStore,
+        ArrLen,
+        InvokeStatic(0, 5, 2),
+        InvokeVirtual(6, 3),
+        Ret,
+        RetV,
+        ThrowKind(ExKind::DivByZero),
+        ThrowKind(ExKind::User(3)),
+        Throw,
+        NativeCall(7, 1),
+        ReadCaptured(4),
+        ReadCapturedPc,
+        RestoreLocal(5),
+        BringObjLocal(6),
+        BringObjField(7, 1),
+        BringObjStaticTo(0, 2, 8),
+        BringObjElemTo(9, 10, 11),
+        RethrowAppNpe,
+        CheckStatus(2),
+        Nop,
+    ];
+    let lines = (0..code.len() as u32).map(|pc| pc / 4 + 1).collect();
+    let method = MethodDef::new("m", 1, 11)
+        .with_code(code, lines)
+        .with_ex_table(vec![
+            ExEntry::new(0, 9, 40, ExKind::NullPointer).as_fault_handler(),
+            ExEntry::new(9, 20, 41, ExKind::User(3)),
+        ])
+        .with_switches(vec![SwitchTable {
+            pairs: vec![(-1, 13), (8, 14)],
+            default: 15,
+        }]);
+    let mut c = ClassDef::new("All")
+        .with_field(FieldDef::instance("i", TypeOf::Int))
+        .with_field(FieldDef::stat("n", TypeOf::Num))
+        .with_field(FieldDef::instance("r", TypeOf::Ref))
+        .with_method(method);
+    c.intern("All");
+    c.intern("f");
+    let hex = "03000000416c6c0200000003000000416c6c010000006603000000010000006900000100\
+               00006e01010100000072020001000000010000006d01000c003b00000000feffffffffff\
+               ffff01000000000000e03f02010003040200050300060708090a0b0c0d0e0f1011121314\
+               151600040000001601050000001602060000001703070000001704080000001705090000\
+               00180a000000190b0000001a0c0000001b00001c00001d01001e02001f00000300200000\
+               0400212223242500000500022606000327282905002913002a2b0700012c04002d350500\
+               2e06002f07000100300000020008003109000a000b003234023301000000010000000100\
+               000001000000020000000200000002000000020000000300000003000000030000000300\
+               000004000000040000000400000004000000050000000500000005000000050000000600\
+               000006000000060000000600000007000000070000000700000007000000080000000800\
+               00000800000008000000090000000900000009000000090000000a0000000a0000000a00\
+               00000a0000000b0000000b0000000b0000000b0000000c0000000c0000000c0000000c00\
+               00000d0000000d0000000d0000000d0000000e0000000e0000000e0000000e0000000f00\
+               00000f0000000f0000000200000000000000090000002800000000000109000000140000\
+               00290000001300000100000002000000ffffffffffffffff0d0000000800000000000000\
+               0e0000000f000000";
+    let encoded = encode_class(&c).unwrap();
+    let as_hex: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(as_hex, hex);
+    assert_eq!(encoded.len(), 548);
+    assert_eq!(class_wire_bytes(&c), encoded.len() as u64);
+    assert_eq!(decode_class(encoded).unwrap(), c);
 }
 
 proptest! {
