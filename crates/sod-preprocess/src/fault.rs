@@ -25,7 +25,7 @@
 use sod_vm::analysis::method_summary;
 use sod_vm::class::{ClassDef, ExEntry, ExKind};
 use sod_vm::error::VmResult;
-use sod_vm::instr::Instr;
+use sod_vm::instr::{Instr, StackEffect};
 
 use crate::splice::max_line;
 
@@ -227,21 +227,19 @@ fn statement_deref_prov(m: &sod_vm::class::MethodDef, start: u32, end: u32) -> O
             | Instr::Goto(_)
             | Instr::Switch(_) => return None,
             other => {
-                // Generic: pop per demand, push unknowns per delta.
-                let pops = other.pops() as usize;
-                if pops > stack.len() {
+                // Generic: pop per demand, push unknowns per effect.
+                let StackEffect { pops, pushes } = other.stack_effect();
+                if pops as usize > stack.len() {
                     return None;
                 }
                 for _ in 0..pops {
                     stack.pop();
                 }
-                if let Some(delta) = other.stack_delta() {
-                    let pushes = (delta + pops as i32).max(0) as usize;
-                    for _ in 0..pushes {
-                        stack.push(None);
-                    }
-                } else {
+                let Some(pushes) = pushes else {
                     return first.flatten(); // return/throw ends the statement
+                };
+                for _ in 0..pushes {
+                    stack.push(None);
                 }
             }
         }

@@ -26,7 +26,7 @@
 use sod_vm::analysis::method_summary;
 use sod_vm::class::ClassDef;
 use sod_vm::error::VmResult;
-use sod_vm::instr::Instr;
+use sod_vm::instr::{Instr, StackEffect};
 
 use crate::splice::remap_pcs;
 
@@ -82,10 +82,7 @@ pub fn rearrange_method(class: &mut ClassDef, method_idx: usize) -> VmResult<Rea
             Instr::InvokeStatic(_, _, _) | Instr::InvokeVirtual(_, _) | Instr::NativeCall(_, _)
         );
         let depth_before = summary.depth[pc];
-        let pops = instr.pops();
-        let pushes = instr
-            .stack_delta()
-            .map(|delta| (delta + pops as i32).max(0) as u32);
+        let StackEffect { pops, pushes } = instr.stack_effect();
 
         // Calls with values *beneath* their arguments: spill everything,
         // reload just the arguments, call, then re-materialise the excess

@@ -97,10 +97,10 @@ pub fn method_summary(class: &ClassDef, method: &MethodDef) -> VmResult<MethodSu
         }
 
         let instr = &method.code[idx];
-        if d < instr.pops() {
+        let pops = instr.stack_effect().pops;
+        if d < pops {
             return Err(verify_err(format!(
-                "stack underflow at pc {pc}: {instr:?} needs {} values, has {d}",
-                instr.pops()
+                "stack underflow at pc {pc}: {instr:?} needs {pops} values, has {d}"
             )));
         }
 

@@ -35,36 +35,11 @@ pub enum ExKind {
 }
 
 impl ExKind {
-    /// Whether a catch clause for `self` catches a thrown `thrown`.
-    /// `User(0)` in a catch clause acts as a catch-all for user exceptions.
+    /// Whether a catch clause for `self` catches a thrown `thrown`: it
+    /// catches its own kind only, and no kind (`User(0)` included) is a
+    /// catch-all.
     pub fn catches(self, thrown: ExKind) -> bool {
         self == thrown
-    }
-
-    /// Stable numeric code for the wire format.
-    pub fn code(self) -> u16 {
-        match self {
-            ExKind::NullPointer => 0,
-            ExKind::InvalidState => 1,
-            ExKind::OutOfMemory => 2,
-            ExKind::ClassNotFound => 3,
-            ExKind::ArrayBounds => 4,
-            ExKind::DivByZero => 5,
-            ExKind::User(c) => 16 + c,
-        }
-    }
-
-    /// Inverse of [`ExKind::code`].
-    pub fn from_code(code: u16) -> ExKind {
-        match code {
-            0 => ExKind::NullPointer,
-            1 => ExKind::InvalidState,
-            2 => ExKind::OutOfMemory,
-            3 => ExKind::ClassNotFound,
-            4 => ExKind::ArrayBounds,
-            5 => ExKind::DivByZero,
-            c => ExKind::User(c.saturating_sub(16)),
-        }
     }
 }
 
@@ -197,22 +172,6 @@ impl MethodDef {
         }
         pc == 0 || self.lines[pc] != self.lines[pc - 1]
     }
-
-    /// Approximate serialized size of this method in bytes; feeds the class
-    /// file size accounting of the paper's Fig. 5 and code-shipping costs.
-    pub fn code_size_bytes(&self) -> u64 {
-        // Model: 4 bytes per instruction word + operands (flat 8), plus
-        // exception table entries at 8 bytes, plus the line table at 2.
-        let instrs = self.code.len() as u64 * 8;
-        let extab = self.ex_table.len() as u64 * 8;
-        let lines = self.lines.len() as u64 * 2;
-        let switches: u64 = self
-            .switches
-            .iter()
-            .map(|s| 8 + s.pairs.len() as u64 * 12)
-            .sum();
-        instrs + extab + lines + switches + self.name.len() as u64 + 8
-    }
 }
 
 /// A class definition: the unit of loading, preprocessing, and code shipping.
@@ -310,17 +269,6 @@ impl ClassDef {
         }
         out.into_iter().collect()
     }
-
-    /// Approximate serialized "class file" size in bytes (paper Fig. 5
-    /// compares 501 / 667 / 902 bytes for original / status-check /
-    /// fault-handler variants of the same class).
-    pub fn class_file_size_bytes(&self) -> u64 {
-        let header = 32 + self.name.len() as u64;
-        let pool: u64 = self.pool.iter().map(|s| 4 + s.len() as u64).sum();
-        let fields: u64 = self.fields.iter().map(|f| 8 + f.name.len() as u64).sum();
-        let methods: u64 = self.methods.iter().map(|m| m.code_size_bytes()).sum();
-        header + pool + fields + methods
-    }
 }
 
 #[cfg(test)]
@@ -371,22 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn exkind_code_roundtrip() {
-        for k in [
-            ExKind::NullPointer,
-            ExKind::InvalidState,
-            ExKind::OutOfMemory,
-            ExKind::ClassNotFound,
-            ExKind::ArrayBounds,
-            ExKind::DivByZero,
-            ExKind::User(0),
-            ExKind::User(42),
-        ] {
-            assert_eq!(ExKind::from_code(k.code()), k);
-        }
-    }
-
-    #[test]
     fn ex_entry_coverage() {
         let e = ExEntry::new(2, 5, 10, ExKind::NullPointer);
         assert!(!e.covers(1));
@@ -416,24 +348,6 @@ mod tests {
         assert_eq!(c.referenced_classes(), vec!["Helper", "Util"]);
         // A class with no code references nothing.
         assert!(ClassDef::new("Leaf").referenced_classes().is_empty());
-    }
-
-    #[test]
-    fn class_file_size_grows_with_instrumentation() {
-        let plain = sample_class();
-        let mut instrumented = plain.clone();
-        let m = instrumented
-            .methods
-            .iter_mut()
-            .find(|m| m.name == "displaceX")
-            .unwrap();
-        // Simulate added handler code.
-        m.code
-            .extend([Instr::Nop, Instr::Nop, Instr::Nop, Instr::Nop]);
-        m.lines.extend([2, 2, 2, 2]);
-        m.ex_table
-            .push(ExEntry::new(0, 3, 3, ExKind::NullPointer).as_fault_handler());
-        assert!(instrumented.class_file_size_bytes() > plain.class_file_size_bytes());
     }
 
     #[test]

@@ -200,81 +200,42 @@ pub enum Instr {
 }
 
 impl Instr {
+    /// What this instruction does to the operand stack: the one table of
+    /// stack effects. Verification requires at least `pops` values before
+    /// it executes.
+    pub fn stack_effect(&self) -> StackEffect {
+        use Instr::*;
+        let (pops, pushes) = match *self {
+            PushI(_) | PushF(_) | PushStr(_) | PushNull | Load(_) => (0, Some(1)),
+            New(_) | GetStatic(_, _) | ReadCaptured(_) | ReadCapturedPc => (0, Some(1)),
+            Goto(_) | Nop | RestoreLocal(_) | CheckStatus(_) => (0, Some(0)),
+            BringObjLocal(_) | BringObjField(_, _) => (0, Some(0)),
+            BringObjStaticTo(_, _, _) | BringObjElemTo(_, _, _) => (0, Some(0)),
+            Store(_) | Pop | IfZ(_, _) | IfNull(_) | IfNonNull(_) => (1, Some(0)),
+            Switch(_) | PutStatic(_, _) => (1, Some(0)),
+            Neg | I2F | F2I | GetField(_) | NewArr | ArrLen => (1, Some(1)),
+            Dup => (1, Some(2)),
+            Add | Sub | Mul | Div | Rem | Shl | Shr | BAnd | BOr | BXor | ALoad => (2, Some(1)),
+            If(_, _) | PutField(_) => (2, Some(0)),
+            Swap => (2, Some(2)),
+            AStore => (3, Some(0)),
+            InvokeStatic(_, _, n) | InvokeVirtual(_, n) | NativeCall(_, n) => {
+                (u32::from(n), Some(1))
+            }
+            Ret | ThrowKind(_) | RethrowAppNpe => (0, None),
+            RetV | Throw => (1, None),
+        };
+        StackEffect { pops, pushes }
+    }
+
     /// Net change this instruction applies to the operand-stack depth,
     /// or `None` for returns/throws (which tear the frame down).
     ///
     /// Used by the [analysis](crate::analysis) pass to abstract-interpret
     /// stack depths and find migration-safe points.
     pub fn stack_delta(&self) -> Option<i32> {
-        use Instr::*;
-        Some(match self {
-            PushI(_) | PushF(_) | PushStr(_) | PushNull => 1,
-            Load(_) => 1,
-            Store(_) => -1,
-            Dup => 1,
-            Pop => -1,
-            Swap => 0,
-            Add | Sub | Mul | Div | Rem | Shl | Shr | BAnd | BOr | BXor => -1,
-            Neg | I2F | F2I => 0,
-            If(_, _) => -2,
-            IfZ(_, _) => -1,
-            IfNull(_) | IfNonNull(_) => -1,
-            Goto(_) => 0,
-            Switch(_) => -1,
-            New(_) => 1,
-            GetField(_) => 0,
-            PutField(_) => -2,
-            GetStatic(_, _) => 1,
-            PutStatic(_, _) => -1,
-            NewArr => 0,
-            ALoad => -1,
-            AStore => -3,
-            ArrLen => 0,
-            InvokeStatic(_, _, n) => 1 - i32::from(*n),
-            InvokeVirtual(_, n) => 1 - i32::from(*n),
-            Ret | RetV => return None,
-            ThrowKind(_) => return None,
-            Throw => return None,
-            NativeCall(_, n) => 1 - i32::from(*n),
-            ReadCaptured(_) => 1,
-            ReadCapturedPc => 1,
-            RestoreLocal(_) => 0,
-            BringObjLocal(_) | BringObjField(_, _) => 0,
-            BringObjStaticTo(_, _, _) | BringObjElemTo(_, _, _) => 0,
-            RethrowAppNpe => return None,
-            CheckStatus(_) => 0,
-            Nop => 0,
-        })
-    }
-
-    /// Number of operand-stack values this instruction pops (its "stack
-    /// demand"); verification requires at least this depth before execution.
-    pub fn pops(&self) -> u32 {
-        use Instr::*;
-        match self {
-            PushI(_) | PushF(_) | PushStr(_) | PushNull | Load(_) | New(_) | GetStatic(_, _) => 0,
-            Store(_) | Pop | Neg | I2F | F2I | IfZ(_, _) | IfNull(_) | IfNonNull(_) => 1,
-            Dup | GetField(_) | NewArr | ArrLen | Switch(_) | PutStatic(_, _) | Throw => 1,
-            Swap | Add | Sub | Mul | Div | Rem | Shl | Shr | BAnd | BOr | BXor => 2,
-            If(_, _) | PutField(_) | ALoad => 2,
-            AStore => 3,
-            InvokeStatic(_, _, n) => u32::from(*n),
-            InvokeVirtual(_, n) => u32::from(*n),
-            NativeCall(_, n) => u32::from(*n),
-            Ret | RetV => {
-                if matches!(self, RetV) {
-                    1
-                } else {
-                    0
-                }
-            }
-            Goto(_) | ThrowKind(_) | Nop => 0,
-            ReadCaptured(_) | ReadCapturedPc | RestoreLocal(_) => 0,
-            BringObjLocal(_) | BringObjField(_, _) => 0,
-            BringObjStaticTo(_, _, _) | BringObjElemTo(_, _, _) => 0,
-            RethrowAppNpe => 0,
-            CheckStatus(_) => 0,
-        }
+        let StackEffect { pops, pushes } = self.stack_effect();
+        pushes.map(|pushes| pushes as i32 - pops as i32)
     }
 
     /// All branch targets encoded in this instruction (switch targets are
@@ -355,6 +316,17 @@ impl Instr {
     }
 }
 
+/// An instruction's effect on the operand stack (see
+/// [`Instr::stack_effect`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StackEffect {
+    /// Values popped.
+    pub pops: u32,
+    /// Values pushed after the pops; `None` for the instructions that end
+    /// the frame (returns and throws).
+    pub pushes: Option<u32>,
+}
+
 /// One `lookupswitch`-style jump table: `(key, target)` pairs plus a default
 /// target. Keys are matched exactly.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -395,17 +367,6 @@ mod tests {
         assert!(Cmp::Gt.eval_sign(1));
         assert!(Cmp::Ge.eval_sign(0));
         assert!(!Cmp::Lt.eval_sign(1));
-    }
-
-    #[test]
-    fn stack_delta_consistency() {
-        // delta must equal pushes - pops for instructions with a delta.
-        // Spot-check a representative sample.
-        assert_eq!(Instr::PushI(1).stack_delta(), Some(1));
-        assert_eq!(Instr::InvokeStatic(0, 0, 3).stack_delta(), Some(-2));
-        assert_eq!(Instr::InvokeVirtual(0, 1).stack_delta(), Some(0));
-        assert_eq!(Instr::AStore.stack_delta(), Some(-3));
-        assert_eq!(Instr::Ret.stack_delta(), None);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   below; [`WireObject`] is the decoded view of such a frame).
 //!
 //! Layout discipline: little-endian fixed-width integers, length-prefixed
-//! strings and sequences. Every `encode_*` has a matching `decode_*`;
-//! property tests round-trip all of them. Decoders validate every declared
+//! strings and sequences. Every `encode_*` has a matching `decode_*` (the
+//! class pair reads one description); property tests round-trip all of them. Decoders validate every declared
 //! length against `buf.remaining()` **before** allocating, so corrupt or
 //! adversarial prefixes produce a typed [`VmError::Decode`] rather than a
 //! huge allocation; encoders reject payloads whose lengths overflow their
@@ -470,14 +470,6 @@ fn get_str_ref<'a>(buf: &mut &'a [u8]) -> VmResult<&'a str> {
     let (raw, rest) = buf.split_at(len);
     *buf = rest;
     std::str::from_utf8(raw).map_err(|_| VmError::Decode("invalid utf8"))
-}
-
-fn get_str(buf: &mut Bytes) -> VmResult<String> {
-    let mut rest: &[u8] = buf;
-    let s = get_str_ref(&mut rest)?.to_owned();
-    let read = buf.len() - rest.len();
-    buf.advance(read);
-    Ok(s)
 }
 
 /// Name strings in state frames use a compact u16 prefix.
@@ -1171,430 +1163,339 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
 }
 
 // ---------------------------------------------------------------------------
-// Instructions
-// ---------------------------------------------------------------------------
-
-fn put_instr<B: BufMut>(buf: &mut B, i: &Instr) {
-    use Instr::*;
-    let cmp_code = |c: &Cmp| -> u8 {
-        match c {
-            Cmp::Eq => 0,
-            Cmp::Ne => 1,
-            Cmp::Lt => 2,
-            Cmp::Le => 3,
-            Cmp::Gt => 4,
-            Cmp::Ge => 5,
-        }
-    };
-    match i {
-        PushI(v) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*v);
-        }
-        PushF(v) => {
-            buf.put_u8(1);
-            buf.put_u64_le(v.to_bits());
-        }
-        PushStr(p) => {
-            buf.put_u8(2);
-            buf.put_u16_le(*p);
-        }
-        PushNull => buf.put_u8(3),
-        Load(s) => {
-            buf.put_u8(4);
-            buf.put_u16_le(*s);
-        }
-        Store(s) => {
-            buf.put_u8(5);
-            buf.put_u16_le(*s);
-        }
-        Dup => buf.put_u8(6),
-        Pop => buf.put_u8(7),
-        Swap => buf.put_u8(8),
-        Add => buf.put_u8(9),
-        Sub => buf.put_u8(10),
-        Mul => buf.put_u8(11),
-        Div => buf.put_u8(12),
-        Rem => buf.put_u8(13),
-        Neg => buf.put_u8(14),
-        Shl => buf.put_u8(15),
-        Shr => buf.put_u8(16),
-        BAnd => buf.put_u8(17),
-        BOr => buf.put_u8(18),
-        BXor => buf.put_u8(19),
-        I2F => buf.put_u8(20),
-        F2I => buf.put_u8(21),
-        If(c, t) => {
-            buf.put_u8(22);
-            buf.put_u8(cmp_code(c));
-            buf.put_u32_le(*t);
-        }
-        IfZ(c, t) => {
-            buf.put_u8(23);
-            buf.put_u8(cmp_code(c));
-            buf.put_u32_le(*t);
-        }
-        IfNull(t) => {
-            buf.put_u8(24);
-            buf.put_u32_le(*t);
-        }
-        IfNonNull(t) => {
-            buf.put_u8(25);
-            buf.put_u32_le(*t);
-        }
-        Goto(t) => {
-            buf.put_u8(26);
-            buf.put_u32_le(*t);
-        }
-        Switch(s) => {
-            buf.put_u8(27);
-            buf.put_u16_le(*s);
-        }
-        New(c) => {
-            buf.put_u8(28);
-            buf.put_u16_le(*c);
-        }
-        GetField(f) => {
-            buf.put_u8(29);
-            buf.put_u16_le(*f);
-        }
-        PutField(f) => {
-            buf.put_u8(30);
-            buf.put_u16_le(*f);
-        }
-        GetStatic(c, f) => {
-            buf.put_u8(31);
-            buf.put_u16_le(*c);
-            buf.put_u16_le(*f);
-        }
-        PutStatic(c, f) => {
-            buf.put_u8(32);
-            buf.put_u16_le(*c);
-            buf.put_u16_le(*f);
-        }
-        NewArr => buf.put_u8(33),
-        ALoad => buf.put_u8(34),
-        AStore => buf.put_u8(35),
-        ArrLen => buf.put_u8(36),
-        InvokeStatic(c, m, n) => {
-            buf.put_u8(37);
-            buf.put_u16_le(*c);
-            buf.put_u16_le(*m);
-            buf.put_u8(*n);
-        }
-        InvokeVirtual(m, n) => {
-            buf.put_u8(38);
-            buf.put_u16_le(*m);
-            buf.put_u8(*n);
-        }
-        Ret => buf.put_u8(39),
-        RetV => buf.put_u8(40),
-        ThrowKind(k) => {
-            buf.put_u8(41);
-            buf.put_u16_le(k.code());
-        }
-        Throw => buf.put_u8(42),
-        NativeCall(n, a) => {
-            buf.put_u8(43);
-            buf.put_u16_le(*n);
-            buf.put_u8(*a);
-        }
-        ReadCaptured(s) => {
-            buf.put_u8(44);
-            buf.put_u16_le(*s);
-        }
-        ReadCapturedPc => buf.put_u8(45),
-        BringObjLocal(s) => {
-            buf.put_u8(46);
-            buf.put_u16_le(*s);
-        }
-        BringObjField(b, f) => {
-            buf.put_u8(47);
-            buf.put_u16_le(*b);
-            buf.put_u16_le(*f);
-        }
-        BringObjStaticTo(c, f, d) => {
-            buf.put_u8(48);
-            buf.put_u16_le(*c);
-            buf.put_u16_le(*f);
-            buf.put_u16_le(*d);
-        }
-        BringObjElemTo(b, x, d) => {
-            buf.put_u8(49);
-            buf.put_u16_le(*b);
-            buf.put_u16_le(*x);
-            buf.put_u16_le(*d);
-        }
-        RethrowAppNpe => buf.put_u8(50),
-        Nop => buf.put_u8(51),
-        CheckStatus(d) => {
-            buf.put_u8(52);
-            buf.put_u8(*d);
-        }
-        RestoreLocal(s) => {
-            buf.put_u8(53);
-            buf.put_u16_le(*s);
-        }
-    }
-}
-
-fn get_cmp(buf: &mut Bytes) -> VmResult<Cmp> {
-    Ok(match get_u8(buf)? {
-        0 => Cmp::Eq,
-        1 => Cmp::Ne,
-        2 => Cmp::Lt,
-        3 => Cmp::Le,
-        4 => Cmp::Gt,
-        5 => Cmp::Ge,
-        _ => return Err(VmError::Decode("bad Cmp")),
-    })
-}
-
-fn get_instr(buf: &mut Bytes) -> VmResult<Instr> {
-    use Instr::*;
-    Ok(match get_u8(buf)? {
-        0 => PushI(get_i64(buf)?),
-        1 => PushF(get_f64(buf)?),
-        2 => PushStr(get_u16(buf)?),
-        3 => PushNull,
-        4 => Load(get_u16(buf)?),
-        5 => Store(get_u16(buf)?),
-        6 => Dup,
-        7 => Pop,
-        8 => Swap,
-        9 => Add,
-        10 => Sub,
-        11 => Mul,
-        12 => Div,
-        13 => Rem,
-        14 => Neg,
-        15 => Shl,
-        16 => Shr,
-        17 => BAnd,
-        18 => BOr,
-        19 => BXor,
-        20 => I2F,
-        21 => F2I,
-        22 => If(get_cmp(buf)?, get_u32(buf)?),
-        23 => IfZ(get_cmp(buf)?, get_u32(buf)?),
-        24 => IfNull(get_u32(buf)?),
-        25 => IfNonNull(get_u32(buf)?),
-        26 => Goto(get_u32(buf)?),
-        27 => Switch(get_u16(buf)?),
-        28 => New(get_u16(buf)?),
-        29 => GetField(get_u16(buf)?),
-        30 => PutField(get_u16(buf)?),
-        31 => GetStatic(get_u16(buf)?, get_u16(buf)?),
-        32 => PutStatic(get_u16(buf)?, get_u16(buf)?),
-        33 => NewArr,
-        34 => ALoad,
-        35 => AStore,
-        36 => ArrLen,
-        37 => InvokeStatic(get_u16(buf)?, get_u16(buf)?, get_u8(buf)?),
-        38 => InvokeVirtual(get_u16(buf)?, get_u8(buf)?),
-        39 => Ret,
-        40 => RetV,
-        41 => ThrowKind(ExKind::from_code(get_u16(buf)?)),
-        42 => Throw,
-        43 => NativeCall(get_u16(buf)?, get_u8(buf)?),
-        44 => ReadCaptured(get_u16(buf)?),
-        45 => ReadCapturedPc,
-        46 => BringObjLocal(get_u16(buf)?),
-        47 => BringObjField(get_u16(buf)?, get_u16(buf)?),
-        48 => BringObjStaticTo(get_u16(buf)?, get_u16(buf)?, get_u16(buf)?),
-        49 => BringObjElemTo(get_u16(buf)?, get_u16(buf)?, get_u16(buf)?),
-        50 => RethrowAppNpe,
-        51 => Nop,
-        52 => CheckStatus(get_u8(buf)?),
-        53 => RestoreLocal(get_u16(buf)?),
-        _ => return Err(VmError::Decode("bad opcode")),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Classes
 // ---------------------------------------------------------------------------
 
-fn type_code(t: TypeOf) -> u8 {
-    match t {
-        TypeOf::Int => 0,
-        TypeOf::Num => 1,
-        TypeOf::Ref => 2,
-    }
+/// One part of the class frame, described once: `put` writes it and `get`
+/// reads it back. Enums are code tables (`code_table!`, the 54-row opcode
+/// table among them), plain structs field lists (`record!`), the three
+/// containers hand-written pairs over `put_seq`/`get_seq`. State and object
+/// frames are hot paths and stay hand-written above.
+trait Codec: Sized {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()>;
+    fn get(buf: &mut &[u8]) -> VmResult<Self>;
 }
 
-fn get_type(buf: &mut Bytes) -> VmResult<TypeOf> {
-    Ok(match get_u8(buf)? {
-        0 => TypeOf::Int,
-        1 => TypeOf::Num,
-        2 => TypeOf::Ref,
-        _ => return Err(VmError::Decode("bad TypeOf")),
-    })
-}
-
-fn put_class<B: BufMut>(buf: &mut B, c: &ClassDef) -> VmResult<()> {
-    put_str(buf, &c.name)?;
-    buf.put_u32_le(seq_len32(c.pool.len(), "constant pool exceeds u32 prefix")?);
-    for s in &c.pool {
-        put_str(buf, s)?;
-    }
-    buf.put_u32_le(seq_len32(c.fields.len(), "field count exceeds u32 prefix")?);
-    for f in &c.fields {
-        put_str(buf, &f.name)?;
-        buf.put_u8(type_code(f.ty));
-        buf.put_u8(f.is_static as u8);
-    }
-    buf.put_u32_le(seq_len32(
-        c.methods.len(),
-        "method count exceeds u32 prefix",
-    )?);
-    for m in &c.methods {
-        put_str(buf, &m.name)?;
-        buf.put_u16_le(m.nargs);
-        buf.put_u16_le(m.nlocals);
-        buf.put_u32_le(seq_len32(m.code.len(), "code length exceeds u32 prefix")?);
-        for i in &m.code {
-            put_instr(buf, i);
-        }
-        for l in &m.lines {
-            buf.put_u32_le(*l);
-        }
-        buf.put_u32_le(seq_len32(
-            m.ex_table.len(),
-            "exception table exceeds u32 prefix",
-        )?);
-        for e in &m.ex_table {
-            buf.put_u32_le(e.from);
-            buf.put_u32_le(e.to);
-            buf.put_u32_le(e.target);
-            buf.put_u16_le(e.kind.code());
-            buf.put_u8(e.fault_handler as u8);
-        }
-        buf.put_u32_le(seq_len32(
-            m.switches.len(),
-            "switch count exceeds u32 prefix",
-        )?);
-        for s in &m.switches {
-            buf.put_u32_le(seq_len32(s.pairs.len(), "switch pairs exceed u32 prefix")?);
-            for (k, t) in &s.pairs {
-                buf.put_i64_le(*k);
-                buf.put_u32_le(*t);
+/// Fixed-width little-endian words.
+macro_rules! codec_word {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Codec for $ty {
+            fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+                buf.$put(*self);
+                Ok(())
             }
-            buf.put_u32_le(s.default);
+            fn get(buf: &mut &[u8]) -> VmResult<Self> {
+                $get(buf)
+            }
         }
+    )*};
+}
+
+codec_word! {
+    u8: put_u8, get_u8;
+    u16: put_u16_le, get_u16;
+    u32: put_u32_le, get_u32;
+    i64: put_i64_le, get_i64;
+}
+
+impl Codec for f64 {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        buf.put_u64_le(self.to_bits());
+        Ok(())
     }
-    Ok(())
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        get_f64(buf)
+    }
+}
+
+impl Codec for bool {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        u8::from(*self).put(buf)
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        Ok(get_u8(buf)? != 0)
+    }
+}
+
+impl Codec for String {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        put_str(buf, self)
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        get_str_ref(buf).map(str::to_owned)
+    }
+}
+
+impl<K: Codec, V: Codec> Codec for (K, V) {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        self.0.put(buf)?;
+        self.1.put(buf)
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        Ok((K::get(buf)?, V::get(buf)?))
+    }
+}
+
+/// A u32 count, then each item.
+fn put_seq<B: BufMut, T: Codec>(buf: &mut B, items: &[T], what: &'static str) -> VmResult<()> {
+    seq_len32(items.len(), what)?.put(buf)?;
+    items.iter().try_for_each(|item| item.put(buf))
+}
+
+/// Read what [`put_seq`] wrote. `min` is the smallest encoded item, so a
+/// count the frame cannot hold is refused before anything is allocated.
+fn get_seq<T: Codec>(buf: &mut &[u8], min: usize, what: &'static str) -> VmResult<Vec<T>> {
+    let n = get_u32(buf)? as usize;
+    ensure_seq(&*buf, n, min, what)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(T::get(buf)?);
+    }
+    Ok(items)
+}
+
+/// One code table for an enum, a row per variant: `code => Variant` or
+/// `code => Variant(operand: Type, ..)`, the operands in wire order after
+/// the code byte. Both directions are built from the rows, so a variant
+/// without a row fails to compile (`put`'s match is not exhaustive) and two
+/// rows with one code fail clippy (`get`'s second arm is unreachable).
+macro_rules! code_table {
+    ($ty:ident, $bad:literal, { $($code:literal => $v:ident $(($($op:ident: $opty:ty),+))?,)* }) => {
+        impl Codec for $ty {
+            fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+                match *self {
+                    $($ty::$v $(($($op),+))? => {
+                        buf.put_u8($code);
+                        $($($op.put(buf)?;)+)?
+                    })*
+                }
+                Ok(())
+            }
+            fn get(buf: &mut &[u8]) -> VmResult<Self> {
+                Ok(match get_u8(buf)? {
+                    $($code => $ty::$v $(($(<$opty>::get(buf)?),+))?,)*
+                    _ => return Err(VmError::Decode($bad)),
+                })
+            }
+        }
+    };
+}
+
+code_table!(Cmp, "bad Cmp", {
+    0 => Eq,
+    1 => Ne,
+    2 => Lt,
+    3 => Le,
+    4 => Gt,
+    5 => Ge,
+});
+
+code_table!(TypeOf, "bad TypeOf", {
+    0 => Int,
+    1 => Num,
+    2 => Ref,
+});
+
+code_table!(Instr, "bad opcode", {
+    0 => PushI(v: i64),
+    1 => PushF(v: f64),
+    2 => PushStr(s: u16),
+    3 => PushNull,
+    4 => Load(slot: u16),
+    5 => Store(slot: u16),
+    6 => Dup,
+    7 => Pop,
+    8 => Swap,
+    9 => Add,
+    10 => Sub,
+    11 => Mul,
+    12 => Div,
+    13 => Rem,
+    14 => Neg,
+    15 => Shl,
+    16 => Shr,
+    17 => BAnd,
+    18 => BOr,
+    19 => BXor,
+    20 => I2F,
+    21 => F2I,
+    22 => If(cmp: Cmp, target: u32),
+    23 => IfZ(cmp: Cmp, target: u32),
+    24 => IfNull(target: u32),
+    25 => IfNonNull(target: u32),
+    26 => Goto(target: u32),
+    27 => Switch(table: u16),
+    28 => New(class: u16),
+    29 => GetField(field: u16),
+    30 => PutField(field: u16),
+    31 => GetStatic(class: u16, field: u16),
+    32 => PutStatic(class: u16, field: u16),
+    33 => NewArr,
+    34 => ALoad,
+    35 => AStore,
+    36 => ArrLen,
+    37 => InvokeStatic(class: u16, method: u16, nargs: u8),
+    38 => InvokeVirtual(method: u16, nargs: u8),
+    39 => Ret,
+    40 => RetV,
+    41 => ThrowKind(kind: ExKind),
+    42 => Throw,
+    43 => NativeCall(name: u16, nargs: u8),
+    44 => ReadCaptured(slot: u16),
+    45 => ReadCapturedPc,
+    46 => BringObjLocal(slot: u16),
+    47 => BringObjField(base: u16, field: u16),
+    48 => BringObjStaticTo(class: u16, field: u16, dest: u16),
+    49 => BringObjElemTo(base: u16, index: u16, dest: u16),
+    50 => RethrowAppNpe,
+    51 => Nop,
+    52 => CheckStatus(depth: u8),
+    53 => RestoreLocal(slot: u16),
+});
+
+/// The first `ExKind::User` code: the built-in kinds are 0–5, and 6–15 are
+/// unassigned, so every code names at most one kind.
+const EX_USER_BASE: u16 = 16;
+
+impl Codec for ExKind {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        let code: u16 = match *self {
+            ExKind::NullPointer => 0,
+            ExKind::InvalidState => 1,
+            ExKind::OutOfMemory => 2,
+            ExKind::ClassNotFound => 3,
+            ExKind::ArrayBounds => 4,
+            ExKind::DivByZero => 5,
+            ExKind::User(c) => c
+                .checked_add(EX_USER_BASE)
+                .ok_or_else(|| VmError::Encode("user exception code exceeds u16"))?,
+        };
+        code.put(buf)
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        Ok(match get_u16(buf)? {
+            0 => ExKind::NullPointer,
+            1 => ExKind::InvalidState,
+            2 => ExKind::OutOfMemory,
+            3 => ExKind::ClassNotFound,
+            4 => ExKind::ArrayBounds,
+            5 => ExKind::DivByZero,
+            c @ EX_USER_BASE.. => ExKind::User(c - EX_USER_BASE),
+            _ => return Err(VmError::Decode("unassigned exception code")),
+        })
+    }
+}
+
+/// A struct whose wire form is its fields in the order listed: `get`'s
+/// struct expression reads them in that order, and omitting one fails to compile.
+macro_rules! record {
+    ($($ty:ident { $($field:ident),+ })*) => {$(
+        impl Codec for $ty {
+            fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+                $(self.$field.put(buf)?;)+
+                Ok(())
+            }
+            fn get(buf: &mut &[u8]) -> VmResult<Self> {
+                Ok($ty { $($field: Codec::get(buf)?),+ })
+            }
+        }
+    )*};
+}
+
+record! {
+    FieldDef { name, ty, is_static }
+    ExEntry { from, to, target, kind, fault_handler }
+}
+
+impl Codec for SwitchTable {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        put_seq(buf, &self.pairs, "switch pairs exceed u32 prefix")?;
+        self.default.put(buf)
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        Ok(SwitchTable {
+            pairs: get_seq(buf, 12, "switch pairs overrun buffer")?,
+            default: u32::get(buf)?,
+        })
+    }
+}
+
+/// The line table has no count of its own: it runs parallel to the code
+/// and shares the code's count.
+impl Codec for MethodDef {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        self.name.put(buf)?;
+        self.nargs.put(buf)?;
+        self.nlocals.put(buf)?;
+        put_seq(buf, &self.code, "code length exceeds u32 prefix")?;
+        self.lines.iter().try_for_each(|line| line.put(buf))?;
+        put_seq(buf, &self.ex_table, "exception table exceeds u32 prefix")?;
+        put_seq(buf, &self.switches, "switch count exceeds u32 prefix")
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        let name = String::get(buf)?;
+        let nargs = u16::get(buf)?;
+        let nlocals = u16::get(buf)?;
+        // Each instruction is at least 1 byte and is followed by a 4-byte
+        // line entry, so the method body needs at least 5 bytes per pc.
+        let code: Vec<Instr> = get_seq(buf, 5, "code length overruns buffer")?;
+        let mut lines = Vec::with_capacity(code.len());
+        for _ in 0..code.len() {
+            lines.push(u32::get(buf)?);
+        }
+        Ok(MethodDef {
+            name,
+            nargs,
+            nlocals,
+            code,
+            lines,
+            ex_table: get_seq(buf, 15, "exception table overruns buffer")?,
+            switches: get_seq(buf, 8, "switch count overruns buffer")?,
+        })
+    }
+}
+
+impl Codec for ClassDef {
+    fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        self.name.put(buf)?;
+        put_seq(buf, &self.pool, "constant pool exceeds u32 prefix")?;
+        put_seq(buf, &self.fields, "field count exceeds u32 prefix")?;
+        put_seq(buf, &self.methods, "method count exceeds u32 prefix")
+    }
+    fn get(buf: &mut &[u8]) -> VmResult<Self> {
+        // In wire order, which is not the declaration order.
+        Ok(ClassDef {
+            name: String::get(buf)?,
+            pool: get_seq(buf, 4, "pool count overruns buffer")?,
+            fields: get_seq(buf, 6, "field count overruns buffer")?,
+            methods: get_seq(buf, 20, "method count overruns buffer")?,
+        })
+    }
 }
 
 /// Encode a class definition (the "class file" that code shipping moves).
 pub fn encode_class(c: &ClassDef) -> VmResult<Bytes> {
     let mut buf = BytesMut::with_capacity(class_wire_bytes(c) as usize);
-    put_class(&mut buf, c)?;
+    c.put(&mut buf)?;
     Ok(buf.freeze())
 }
 
 /// Encode a class definition into a pooled buffer.
 pub fn encode_class_pooled(pool: &BufferPool, c: &ClassDef) -> VmResult<Bytes> {
     let mut buf = pool.checkout();
-    put_class(&mut buf, c)?;
+    c.put(&mut buf)?;
     Ok(buf.freeze())
 }
 
 /// Decode a class definition.
-pub fn decode_class(mut buf: Bytes) -> VmResult<ClassDef> {
-    let name = get_str(&mut buf)?;
-    let npool = get_u32(&mut buf)? as usize;
-    ensure_seq(&buf, npool, 4, "pool count overruns buffer")?;
-    let mut pool = Vec::with_capacity(npool);
-    for _ in 0..npool {
-        pool.push(get_str(&mut buf)?);
-    }
-    let nfields = get_u32(&mut buf)? as usize;
-    ensure_seq(&buf, nfields, 6, "field count overruns buffer")?;
-    let mut fields = Vec::with_capacity(nfields);
-    for _ in 0..nfields {
-        let name = get_str(&mut buf)?;
-        let ty = get_type(&mut buf)?;
-        let is_static = get_u8(&mut buf)? != 0;
-        fields.push(FieldDef {
-            name,
-            ty,
-            is_static,
-        });
-    }
-    let nmethods = get_u32(&mut buf)? as usize;
-    ensure_seq(&buf, nmethods, 20, "method count overruns buffer")?;
-    let mut methods = Vec::with_capacity(nmethods);
-    for _ in 0..nmethods {
-        let name = get_str(&mut buf)?;
-        let nargs = get_u16(&mut buf)?;
-        let nlocals = get_u16(&mut buf)?;
-        let ncode = get_u32(&mut buf)? as usize;
-        // Each instruction is at least 1 byte and is followed by a 4-byte
-        // line entry, so the method body needs at least 5 bytes per pc.
-        ensure_seq(&buf, ncode, 5, "code length overruns buffer")?;
-        let mut code = Vec::with_capacity(ncode);
-        for _ in 0..ncode {
-            code.push(get_instr(&mut buf)?);
-        }
-        let mut lines = Vec::with_capacity(ncode);
-        for _ in 0..ncode {
-            lines.push(get_u32(&mut buf)?);
-        }
-        let nex = get_u32(&mut buf)? as usize;
-        ensure_seq(&buf, nex, 15, "exception table overruns buffer")?;
-        let mut ex_table = Vec::with_capacity(nex);
-        for _ in 0..nex {
-            let from = get_u32(&mut buf)?;
-            let to = get_u32(&mut buf)?;
-            let target = get_u32(&mut buf)?;
-            let kind = ExKind::from_code(get_u16(&mut buf)?);
-            let fault_handler = get_u8(&mut buf)? != 0;
-            ex_table.push(ExEntry {
-                from,
-                to,
-                target,
-                kind,
-                fault_handler,
-            });
-        }
-        let nsw = get_u32(&mut buf)? as usize;
-        ensure_seq(&buf, nsw, 8, "switch count overruns buffer")?;
-        let mut switches = Vec::with_capacity(nsw);
-        for _ in 0..nsw {
-            let npairs = get_u32(&mut buf)? as usize;
-            ensure_seq(&buf, npairs, 12, "switch pairs overrun buffer")?;
-            let mut pairs = Vec::with_capacity(npairs);
-            for _ in 0..npairs {
-                let k = get_i64(&mut buf)?;
-                let t = get_u32(&mut buf)?;
-                pairs.push((k, t));
-            }
-            let default = get_u32(&mut buf)?;
-            switches.push(SwitchTable { pairs, default });
-        }
-        methods.push(MethodDef {
-            name,
-            nargs,
-            nlocals,
-            code,
-            lines,
-            ex_table,
-            switches,
-        });
-    }
-    Ok(ClassDef {
-        name,
-        fields,
-        methods,
-        pool,
-    })
+pub fn decode_class(buf: Bytes) -> VmResult<ClassDef> {
+    ClassDef::get(&mut &buf[..])
 }
 
 /// Serialized size of a class, used for code-shipping transfer costs.
 /// Streams through [`CountBuf`] — no allocation.
 pub fn class_wire_bytes(c: &ClassDef) -> u64 {
-    count_bytes(|buf| put_class(buf, c))
+    count_bytes(|buf| c.put(buf))
 }
 
 #[cfg(test)]
@@ -1781,14 +1682,71 @@ mod tests {
         ];
         let mut buf = BytesMut::new();
         for i in &all {
-            put_instr(&mut buf, i);
+            i.put(&mut buf).unwrap();
         }
-        let mut bytes = buf.freeze();
+        let mut rest: &[u8] = &buf;
         for expect in &all {
-            let got = get_instr(&mut bytes).unwrap();
-            assert_eq!(&got, expect);
+            assert_eq!(&Instr::get(&mut rest).unwrap(), expect);
         }
-        assert_eq!(bytes.remaining(), 0);
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn exkind_code_roundtrip() {
+        for k in [
+            ExKind::NullPointer,
+            ExKind::InvalidState,
+            ExKind::OutOfMemory,
+            ExKind::ClassNotFound,
+            ExKind::ArrayBounds,
+            ExKind::DivByZero,
+            ExKind::User(0),
+            ExKind::User(42),
+            ExKind::User(u16::MAX - EX_USER_BASE),
+        ] {
+            let mut buf = BytesMut::new();
+            k.put(&mut buf).unwrap();
+            assert_eq!(ExKind::get(&mut &buf[..]).unwrap(), k);
+        }
+    }
+
+    /// `User(c)` ships as code `16 + c`, so a `c` above 65519 has no code:
+    /// it is refused, not wrapped onto a built-in kind (`User(65520)` once
+    /// shipped as 0, `NullPointer`, the kind SOD treats as an object fault).
+    #[test]
+    fn a_user_exception_code_past_u16_is_an_encode_error() {
+        let mut c = sample_class();
+        let m = &mut c.methods[0];
+        m.code.push(Instr::ThrowKind(ExKind::User(65520)));
+        m.lines.push(4);
+        assert_eq!(
+            encode_class(&c).unwrap_err(),
+            VmError::Encode("user exception code exceeds u16")
+        );
+    }
+
+    /// Codes 6–15 name no kind: a frame that carries one is refused, not
+    /// read as `User(0)`, which has a code of its own.
+    #[test]
+    fn an_unassigned_exception_code_is_a_decode_error() {
+        let throwing = |k| {
+            let m = MethodDef::new("m", 0, 0).with_code(vec![Instr::ThrowKind(k)], vec![1]);
+            encode_class(&ClassDef::new("C").with_method(m))
+                .unwrap()
+                .to_vec()
+        };
+        let frame = throwing(ExKind::User(0));
+        // The low byte of the kind's little-endian code.
+        let other = throwing(ExKind::User(1));
+        let at = (0..frame.len()).find(|&i| frame[i] != other[i]).unwrap();
+        for code in 6..16 {
+            let mut bad = frame.clone();
+            bad[at] = code;
+            assert_eq!(
+                decode_class(Bytes::from(bad)),
+                Err(VmError::Decode("unassigned exception code"))
+            );
+        }
     }
 
     #[test]

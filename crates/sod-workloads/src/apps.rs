@@ -132,12 +132,13 @@ pub fn photo_server_class() -> ClassDef {
 mod tests {
     use super::*;
     use sod_preprocess::preprocess_sod;
+    use sod_vm::wire::class_wire_bytes;
 
     #[test]
     fn apps_verify_and_preprocess() {
         for c in [search_class(), photo_server_class()] {
             let pre = preprocess_sod(&c).unwrap();
-            assert!(pre.class_file_size_bytes() > c.class_file_size_bytes());
+            assert!(class_wire_bytes(&pre) > class_wire_bytes(&c));
         }
     }
 }

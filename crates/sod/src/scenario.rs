@@ -136,7 +136,6 @@ struct NodeDecl {
     name: String,
     cfg: NodeConfig,
     deploys: Vec<ClassDef>,
-    stages: Vec<ClassDef>,
     files: Vec<(String, u64, Option<u64>)>,
     mounts: Vec<(String, String)>,
 }
@@ -364,9 +363,9 @@ impl Chaos {
 /// A declarative elastic node pool — the facade's view of
 /// [`sod_runtime::PoolSpec`], handed to [`Scenario::pool`].
 ///
-/// A pool is a named group of worker nodes sharing one [`NodeConfig`]
-/// template that the engine grows and shrinks at runtime under a
-/// [`ScalePolicy`]: `base` members exist from t = 0, scale-out spawns
+/// A pool is a named group of worker nodes, each created from
+/// [`NodeConfig::cluster`] named after the pool, that the engine grows and
+/// shrinks at runtime under a [`ScalePolicy`]: `base` members exist from t = 0, scale-out spawns
 /// fresh nodes (placeable only after the cold-start latency), and
 /// scale-in drains members back toward `base` by migrating their hosted
 /// stacks off before retiring them. Migration plans and triggers may
@@ -400,7 +399,6 @@ impl Chaos {
 #[derive(Clone, Debug)]
 pub struct Pool {
     name: String,
-    template: Option<NodeConfig>,
     base: usize,
     max: usize,
     policy: ScalePolicy,
@@ -414,7 +412,6 @@ impl Pool {
     pub fn new(name: impl Into<String>) -> Self {
         Pool {
             name: name.into(),
-            template: None,
             base: 1,
             max: 1,
             policy: ScalePolicy::QueueDepth { high: 2, low: 1 },
@@ -452,18 +449,10 @@ impl Pool {
         self
     }
 
-    /// Node profile every member is created from (default:
-    /// [`NodeConfig::cluster`] named after the pool).
-    pub fn profile(mut self, cfg: NodeConfig) -> Self {
-        self.template = Some(cfg);
-        self
-    }
-
     /// Add the pool to `cluster`; a spec the runtime refuses becomes
     /// [`ScenarioError::PoolSize`] or [`ScenarioError::PoolPolicy`].
     fn resolve(&self, cluster: &mut Cluster, slow_resolve: bool) -> Result<usize, ScenarioError> {
-        let template = self.template.clone();
-        let mut template = template.unwrap_or_else(|| NodeConfig::cluster(&self.name));
+        let mut template = NodeConfig::cluster(&self.name);
         template.slow_resolve |= slow_resolve;
         let spec = PoolSpec {
             name: self.name.clone(),
@@ -610,7 +599,7 @@ impl ScenarioReport {
 /// Fluent builder for an elastic-execution experiment. See the [module
 /// docs](self) for a walkthrough.
 ///
-/// Node-scoped directives (`deploys`, `stages`, `file`, `mounts`) apply
+/// Node-scoped directives (`deploys`, `file`, `mounts`) apply
 /// to the most recent `node(..)`; program-scoped directives (`on`,
 /// `starts_at`, `fetch_policy`, `migrate`) to the most recent
 /// `program(..)`. A program without `on(..)` runs on the first declared
@@ -656,7 +645,6 @@ impl Scenario {
             name: name.into(),
             cfg,
             deploys: Vec::new(),
-            stages: Vec::new(),
             files: Vec::new(),
             mounts: Vec::new(),
         });
@@ -676,13 +664,6 @@ impl Scenario {
     pub fn deploys(self, class: &ClassDef) -> Self {
         let class = class.clone();
         self.with_last_node("deploys(..)", move |n| n.deploys.push(class))
-    }
-
-    /// Stage a class file on the last declared node without loading it
-    /// (it ships to workers on demand).
-    pub fn stages(self, class: &ClassDef) -> Self {
-        let class = class.clone();
-        self.with_last_node("stages(..)", move |n| n.stages.push(class))
     }
 
     /// Create a file on the last declared node's simulated disk.
@@ -982,9 +963,6 @@ impl Scenario {
                     node: decl.name.clone(),
                     error: format!("{e:?}"),
                 })?;
-            }
-            for class in &decl.stages {
-                node.stage(class);
             }
             for (path, bytes, match_at) in &decl.files {
                 node.fs.add_file(path.clone(), *bytes, *match_at);
