@@ -318,7 +318,7 @@ impl Instr {
 
 /// An instruction's effect on the operand stack (see
 /// [`Instr::stack_effect`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct StackEffect {
     /// Values popped.
     pub pops: u32,
