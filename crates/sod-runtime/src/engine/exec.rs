@@ -10,7 +10,7 @@ use sod_vm::value::Value;
 
 use crate::costs;
 use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
-use crate::trigger::Trigger;
+use crate::trigger::When;
 
 use super::protocol::{self, HomeEffect, HomeInput, PlanSource, WorkerEffect, WorkerInput};
 use super::session::Owner;
@@ -38,11 +38,11 @@ impl Cluster {
                     return; // frozen while the segment executes remotely
                 };
                 // Policy-driven migration: charge this slice against the
-                // program's CPU budget and evaluate armed triggers. A
-                // trigger that fires installs a pending plan, so this very
+                // program's CPU budget and evaluate armed policies. A
+                // policy that fires installs a pending plan, so this very
                 // slice already runs in stop-at-MSP mode.
                 self.programs[program as usize].slices_run += 1;
-                let fired = self.check_policy_triggers(program, ctx.now());
+                let fired = self.check_policy_triggers(program);
                 (program, stop_at_msp || fired)
             }
             Some(&Owner::Worker(s)) => match self.nodes[node].sessions.get_mut(&s) {
@@ -567,15 +567,16 @@ impl Cluster {
         if let Some(Owner::Root(p)) = self.nodes[node].thread_owner.get(&tid) {
             let program = *p;
             if e.kind == ExKind::OutOfMemory {
-                // Exception-driven offload (`Trigger::OnOom`): roll the
+                // Exception-driven offload (`When::OnOom`): roll the
                 // faulting statement back and push the whole stack to the
-                // armed destination, so the allocation retries there. A
-                // thread the VM cannot roll back fails as unhandled.
-                let mut triggers = self.programs[program as usize].triggers.iter_mut();
-                let offload = triggers.find_map(|t| match t.trigger {
-                    Trigger::OnOom { to } if !t.fired => {
+                // armed plan's first destination, so the allocation
+                // retries there. A thread the VM cannot roll back fails as
+                // unhandled.
+                let mut armed = self.programs[program as usize].armed.iter_mut();
+                let offload = armed.find_map(|t| match t.when {
+                    When::OnOom if !t.fired => {
                         t.fired = true;
-                        Some(to)
+                        t.plan.segments.first().map(|s| s.dest)
                     }
                     _ => None,
                 });

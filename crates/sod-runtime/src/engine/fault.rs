@@ -201,7 +201,7 @@ mod tests {
     use super::super::SodSim;
     use super::*;
     use crate::node::{Node, NodeConfig};
-    use crate::trigger::{ArmedTrigger, Trigger};
+    use crate::trigger::When;
     use crate::MigrationPlan;
 
     /// Twenty programs counting to 50 000 on node 0, each shipping its
@@ -226,22 +226,15 @@ mod tests {
         home.deploy(&preprocess_sod(&class).unwrap()).unwrap();
         let worker = Node::new(NodeConfig::cluster("worker"));
         let mut cluster = Cluster::new(vec![home, worker]);
-        let plan = MigrationPlan::top_to(1, 1);
         let programs: Vec<ProgramId> = (0..20)
-            .map(|_| {
-                let pid = cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]);
-                cluster.arm_trigger(
-                    pid,
-                    ArmedTrigger::with_plan(Trigger::At(100 * US), plan.clone()),
-                );
-                pid
-            })
+            .map(|_| cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]))
             .collect();
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
         sim.set_chaos(&ChaosPlan::new().seed(5).loss_permille(100));
         sim.set_retry_policy(policy);
         for pid in programs {
             sim.start_program(0, pid);
+            sim.migrate(pid, When::At(100 * US), MigrationPlan::top_to(1, 1));
         }
         sim.run();
         for p in &sim.sim.world.programs {
@@ -345,18 +338,14 @@ mod tests {
         let worker = Node::new(NodeConfig::cluster("worker"));
         let mut cluster = Cluster::new(vec![home, worker]);
         let programs: Vec<ProgramId> = (0..10)
-            .map(|_| {
-                let pid = cluster.add_program(0, "L", "main", vec![Value::Int(40)]);
-                let trigger = Trigger::OnCpuSliceBudget { slices: 6, to: 1 };
-                cluster.arm_trigger(pid, ArmedTrigger::new(trigger));
-                pid
-            })
+            .map(|_| cluster.add_program(0, "L", "main", vec![Value::Int(40)]))
             .collect();
         cluster.slice_ns = 5_000;
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
         sim.set_chaos(&ChaosPlan::new().seed(7).link_loss_permille(0, 1, 300));
         for pid in programs {
             sim.start_program(0, pid);
+            sim.migrate(pid, When::OnCpuSliceBudget(6), MigrationPlan::top_to(1, 1));
         }
         sim.run();
         let world = &sim.sim.world;

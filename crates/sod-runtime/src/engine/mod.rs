@@ -86,7 +86,7 @@ use sod_vm::wire::{BufferPool, FrameBatch};
 use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, Residue, RunReport};
 use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, ReturnTarget, SessionId};
 use crate::node::Node;
-use crate::trigger::{ArmedTrigger, Trigger};
+use crate::trigger::{Armed, When};
 
 use protocol::{HomeEffect, HomeInput, HomeSide, PlanSource};
 use session::StagedSegment as Staged;
@@ -152,11 +152,9 @@ pub struct Program {
     pub started: bool,
     pub error: Option<String>,
     pub fetch_policy: FetchPolicy,
-    /// Armed migration policies, evaluated at migration-safe points (see
-    /// [`crate::trigger`]). `Trigger::OnOom` generalizes the old
-    /// `oom_offload_to` field: exception-driven offload is
-    /// `ArmedTrigger::new(Trigger::OnOom { to })`.
-    pub triggers: Vec<ArmedTrigger>,
+    /// Condition policies armed by [`SodSim::migrate`], evaluated at
+    /// migration-safe points (see [`crate::trigger`]).
+    armed: Vec<Armed>,
     /// Execution slices consumed by the root thread on its home node
     /// (the `OnCpuSliceBudget` measure).
     pub slices_run: u64,
@@ -250,49 +248,38 @@ impl Cluster {
             started: false,
             error: None,
             fetch_policy: FetchPolicy::Shallow,
-            triggers: Vec::new(),
+            armed: Vec::new(),
             slices_run: 0,
             side: HomeSide::default(),
         });
         (self.programs.len() - 1) as ProgramId
     }
 
-    /// Arm a migration policy on `program` (evaluated at migration-safe
-    /// points; see [`crate::trigger`]).
-    pub fn arm_trigger(&mut self, program: ProgramId, trigger: ArmedTrigger) {
-        self.programs[program as usize].triggers.push(trigger);
-    }
-
-    /// Evaluate the program's armed policy triggers against its current
-    /// counters; the first satisfied trigger installs its plan (one
+    /// Evaluate the program's armed policies against its current
+    /// counters; the first satisfied policy installs its plan (one
     /// migration at a time — the rest re-evaluate after control returns).
     /// Whether one did.
-    fn check_policy_triggers(&mut self, program: ProgramId, now: u64) -> bool {
+    fn check_policy_triggers(&mut self, program: ProgramId) -> bool {
         let p = &mut self.programs[program as usize];
         if p.done {
             return false;
         }
         let faults = p.report.object_faults;
         let slices = p.slices_run;
-        for t in p.triggers.iter_mut().filter(|t| !t.fired) {
-            let satisfied = match t.trigger {
-                Trigger::At(ns) => now >= ns,
-                // OnOom fires where the exception surfaces, not here.
-                Trigger::OnOom { .. } => false,
-                Trigger::OnObjectFaults { threshold, .. } => faults >= threshold,
-                Trigger::OnCpuSliceBudget { slices: budget, .. } => slices >= budget,
+        for t in p.armed.iter_mut().filter(|t| !t.fired) {
+            let satisfied = match t.when {
+                When::OnObjectFaults(threshold) => faults >= threshold,
+                When::OnCpuSliceBudget(budget) => slices >= budget,
+                // `At` is an event, never armed; OnOom fires where the
+                // exception surfaces, not here.
+                When::At(_) | When::OnOom => false,
             };
             if !satisfied {
                 continue;
             }
-            let Some(plan) = t.effective_plan() else {
-                // At armed without a plan: nowhere to go. Retire it so the
-                // dead trigger is not re-walked on every future slice.
-                t.fired = true;
-                continue;
-            };
-            // A side that is not idle refuses: the trigger stays armed.
-            let planned = protocol::home(&mut p.side, HomeInput::Plan(plan, PlanSource::Trigger));
+            // A side that is not idle refuses: the policy stays armed.
+            let plan = HomeInput::Plan(t.plan.clone(), PlanSource::Trigger);
+            let planned = protocol::home(&mut p.side, plan);
             t.fired = !matches!(planned, HomeEffect::Drop);
             return t.fired;
         }
@@ -631,15 +618,23 @@ impl SodSim {
         self.sim.inject(at, home, Msg::StartProgram { program });
     }
 
-    /// Trigger a migration of `program` per `plan` at virtual time `at`.
-    pub fn migrate_at(&mut self, at: u64, program: ProgramId, plan: MigrationPlan) {
-        let home = self.sim.world.programs[program as usize].home;
-        self.sim.inject(at, home, Msg::MigrateNow { program, plan });
-    }
-
-    /// Arm a policy trigger on a registered program (see [`crate::trigger`]).
-    pub fn arm_trigger(&mut self, program: ProgramId, trigger: ArmedTrigger) {
-        self.sim.world.arm_trigger(program, trigger);
+    /// Migrate `program` per `plan` when `when` says (see
+    /// [`crate::trigger`]): [`When::At`] injects a `MigrateNow` event at
+    /// that virtual time; every other policy is armed on the program and
+    /// fires at most once.
+    pub fn migrate(&mut self, program: ProgramId, when: When, plan: MigrationPlan) {
+        let p = &mut self.sim.world.programs[program as usize];
+        match when {
+            When::At(at) => {
+                let home = p.home;
+                self.sim.inject(at, home, Msg::MigrateNow { program, plan });
+            }
+            _ => p.armed.push(Armed {
+                when,
+                plan,
+                fired: false,
+            }),
+        }
     }
 
     /// Arm a fault-injection plan — scheduled crashes/partitions plus
@@ -890,7 +885,7 @@ mod tests {
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(3));
         sim.start_pool_ticks();
         sim.start_program(0, pid);
-        sim.migrate_at(100 * US, pid, MigrationPlan::top_to(1, 1));
+        sim.migrate(pid, When::At(100 * US), MigrationPlan::top_to(1, 1));
         sim.run();
         sim
     }

@@ -18,25 +18,23 @@
 //!   assignment.
 //!
 //! The runtime runs inside `sod-net`'s deterministic discrete-event
-//! simulator; all times are virtual nanoseconds. See `DESIGN.md` at the
-//! workspace root for the substitution map (what the paper ran on real
-//! hardware vs. what is simulated here, and why the shapes carry over).
+//! simulator; all times are virtual nanoseconds.
 //!
 //! ## Migration policies
 //!
-//! Migrations are requested two ways: a driver-injected `MigrateNow`
-//! event ([`SodSim::migrate_at`], the paper's scripted experiments), or a
-//! policy [`Trigger`] armed on the program
-//! ([`Cluster::arm_trigger`]/[`SodSim::arm_trigger`]) — time reached,
-//! `OutOfMemoryError` raised, object-fault threshold crossed, or CPU
-//! slice budget exhausted. Either way the request only *takes effect at a
-//! migration-safe point*: the thread switches to stop-at-MSP execution
-//! and capture happens at the next safe point, so policy-driven runs are
-//! exactly as deterministic as scripted ones. The [`trigger`] module
-//! documents the precise evaluation rules (slice-boundary checks, the
-//! frozen-stack window, one-shot firing). Most callers should express
-//! policies through the `sod` facade's `scenario` builder instead of
-//! arming triggers by hand.
+//! A migration request is one value: a [`trigger::When`] plus the
+//! [`MigrationPlan`] to execute, handed to [`SodSim::migrate`].
+//! `When::At` is the paper's scripted experiment, a `MigrateNow` event
+//! injected at that virtual time; the other policies are armed on the
+//! program — `OutOfMemoryError` raised, object-fault threshold crossed,
+//! or CPU slice budget exhausted. Either way the request only *takes
+//! effect at a migration-safe point*: the thread switches to stop-at-MSP
+//! execution and capture happens at the next safe point, so
+//! policy-driven runs are exactly as deterministic as scripted ones. The
+//! [`trigger`] module documents the precise evaluation rules
+//! (slice-boundary checks, the frozen-stack window, one-shot firing).
+//! Most callers should express policies through the `sod` facade's
+//! `scenario` builder instead of driving the simulator by hand.
 //!
 //! ## Example: offload a computation and get it back
 //!
@@ -46,6 +44,7 @@
 //! use sod_runtime::engine::{Cluster, SodSim};
 //! use sod_runtime::msg::MigrationPlan;
 //! use sod_runtime::node::{Node, NodeConfig};
+//! use sod_runtime::trigger::When;
 //! use sod_net::Topology;
 //! use sod_vm::value::Value;
 //!
@@ -84,10 +83,9 @@
 //! let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
 //! sim.start_program(0, pid);
 //! // Push the top frame (work) to node 1 shortly after start. The
-//! // policy-driven equivalent would be, e.g.:
-//! //   sim.arm_trigger(pid, ArmedTrigger::new(
-//! //       Trigger::OnCpuSliceBudget { slices: 20, to: 1 }));
-//! sim.migrate_at(sod_net::MS, pid, MigrationPlan::top_to(1, 1));
+//! // policy-driven equivalent would be, e.g.,
+//! // `When::OnCpuSliceBudget(20)` in place of `When::At(..)`.
+//! sim.migrate(pid, When::At(sod_net::MS), MigrationPlan::top_to(1, 1));
 //! sim.run();
 //! let report = sim.report(pid);
 //! assert_eq!(report.result, Some((0..500_000i64).sum()));
@@ -117,4 +115,3 @@ pub use metrics::{
 pub use msg::{MigrationPlan, Msg, ProgramId, SegmentSpec, SessionId};
 pub use node::{Node, NodeConfig};
 pub use sod_net::{ChaosAction, ChaosPlan, DropReason};
-pub use trigger::{ArmedTrigger, Trigger};

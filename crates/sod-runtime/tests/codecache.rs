@@ -241,7 +241,7 @@ fn chained_return_to_a_failed_session_is_dropped() {
     // Top frame (Kernel.work) to w1; residual (Gateway.main) to w2, whose
     // arrival requests Gateway from home and fails. w1 still completes and
     // returns into the dead chained session.
-    sim.migrate_at(MS, pid, MigrationPlan::chain(&[(1, 1), (2, 1)]));
+    sim.migrate(pid, When::At(MS), MigrationPlan::chain(&[(1, 1), (2, 1)]));
     sim.run();
     let p = sim.program(pid);
     assert!(p.done, "the failed chain must still finish the program");

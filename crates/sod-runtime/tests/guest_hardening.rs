@@ -23,7 +23,7 @@ use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::msg::HostReply;
 use sod_runtime::node::{Node, NodeConfig};
-use sod_runtime::trigger::{ArmedTrigger, Trigger};
+use sod_runtime::trigger::When;
 use sod_runtime::{MigrationPlan, Msg, ProgramId, RetryPolicy};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
@@ -82,13 +82,12 @@ fn fleet(victim_bad: i64, offload: bool) -> (SodSim, ProgramId, ProgramId) {
         vec![Value::Int(N), Value::Int(victim_bad)],
     );
     let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
-    if offload {
-        let plan = MigrationPlan::top_to(1, 1);
-        cluster.arm_trigger(victim, ArmedTrigger::with_plan(Trigger::At(MS), plan));
-    }
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, victim);
     sim.start_program(0, sibling);
+    if offload {
+        sim.migrate(victim, When::At(MS), MigrationPlan::top_to(1, 1));
+    }
     (sim, victim, sibling)
 }
 
@@ -125,10 +124,10 @@ fn an_unknown_native_fails_its_own_program_on_a_worker() {
 fn a_failed_upper_segment_leaves_no_waiting_lower_one() {
     let mut cluster = home_and_worker();
     let victim = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(1)]);
-    let plan = MigrationPlan::chain(&[(1, 1), (1, 1)]);
-    cluster.arm_trigger(victim, ArmedTrigger::with_plan(Trigger::At(MS), plan));
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, victim);
+    let plan = MigrationPlan::chain(&[(1, 1), (1, 1)]);
+    sim.migrate(victim, When::At(MS), plan);
     sim.run();
     let error = sim.program(victim).error.as_deref();
     assert_eq!(error, Some("unknown intrinsic: no_such"));
@@ -202,13 +201,12 @@ fn a_late_host_reply_is_ignored() {
 fn restoring_sim(crash_at: u64) -> (SodSim, ProgramId) {
     let mut cluster = home_and_worker();
     let p = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
-    let plan = MigrationPlan::top_to(1, 2);
-    cluster.arm_trigger(p, ArmedTrigger::with_plan(Trigger::At(MS), plan));
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.set_chaos(&ChaosPlan::new().crash_at(crash_at, 1));
     sim.set_retry_policy(RetryPolicy::FallbackToHome);
     sim.set_migration_timeout(20 * MS);
     sim.start_program(0, p);
+    sim.migrate(p, When::At(MS), MigrationPlan::top_to(1, 2));
     (sim, p)
 }
 

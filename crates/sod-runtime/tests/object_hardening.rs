@@ -9,7 +9,7 @@ use sod_net::Topology;
 use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::node::{Node, NodeConfig};
-use sod_runtime::trigger::{ArmedTrigger, Trigger};
+use sod_runtime::trigger::When;
 use sod_runtime::{MigrationPlan, Msg, ProgramId, SessionId};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
@@ -60,12 +60,9 @@ fn sim_with_live_worker_session() -> (SodSim, ProgramId) {
     let worker = Node::new(NodeConfig::cluster("worker"));
     let mut cluster = Cluster::new(vec![home, worker]);
     let pid = cluster.add_program(0, "App", "main", vec![Value::Int(400_000)]);
-    cluster.arm_trigger(
-        pid,
-        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1)),
-    );
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, pid);
+    sim.migrate(pid, When::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1));
     while sim.report(pid).object_faults == 0 {
         assert!(sim.sim.step(), "the worker never faulted on the box");
     }
@@ -149,15 +146,12 @@ fn started_sim(sibling: bool) -> (SodSim, ProgramId, Option<ProgramId>) {
     let worker = Node::new(NodeConfig::cluster("worker"));
     let mut cluster = Cluster::new(vec![home, worker]);
     let pid = cluster.add_program(0, "App", "main", vec![Value::Int(400_000)]);
-    cluster.arm_trigger(
-        pid,
-        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1)),
-    );
     let sibling = sibling.then(|| cluster.add_program(0, "App", "main", vec![Value::Int(900_000)]));
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     for program in [Some(pid), sibling].into_iter().flatten() {
         sim.start_program(0, program);
     }
+    sim.migrate(pid, When::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1));
     (sim, pid, sibling)
 }
 

@@ -698,7 +698,7 @@ fn burst_fleet_replays_bit_identically() {
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(HOMES));
         for (i, &pid) in long.iter().enumerate() {
             sim.start_program(0, pid);
-            sim.migrate_at(0, pid, MigrationPlan::top_to((i + 1) % HOMES, 1));
+            sim.migrate(pid, When::At(0), MigrationPlan::top_to((i + 1) % HOMES, 1));
         }
         for (i, &pid) in short.iter().enumerate() {
             sim.start_program((i / 132) as u64 * 470 * US, pid);

@@ -28,7 +28,7 @@ use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, CodeShipping, SodSim};
 use sod_runtime::msg::{ReturnTarget, SegmentInfo, StateMsg};
 use sod_runtime::node::{Node, NodeConfig};
-use sod_runtime::trigger::{ArmedTrigger, Trigger};
+use sod_runtime::trigger::When;
 use sod_runtime::{MigrationPlan, Msg, ProgramId, SessionId};
 use sod_vm::capture::{CapturedFrame, CapturedState, CapturedValue, Frames};
 use sod_vm::class::ClassDef;
@@ -78,14 +78,13 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId)
     let mut cluster = Cluster::new(vec![home, worker]);
     let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
     let victim = cluster.add_program(0, "App", "main", vec![Value::Int(VICTIM_N)]);
-    for (program, at) in [(victim, 1), (sibling, 2)] {
-        let at = Trigger::At(at * sod_net::MS);
-        let trigger = ArmedTrigger::with_plan(at, MigrationPlan::top_to(1, 1));
-        cluster.arm_trigger(program, trigger);
-    }
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, sibling);
     sim.start_program(0, victim);
+    for (program, at) in [(victim, 1), (sibling, 2)] {
+        let at = When::At(at * sod_net::MS);
+        sim.migrate(program, at, MigrationPlan::top_to(1, 1));
+    }
     while sim.report(sibling).migrations.is_empty() {
         assert!(sim.sim.step(), "the sibling never migrated");
     }
@@ -266,13 +265,11 @@ fn uncapturable_stack_of_an_unpreprocessed_class_fails_its_program() {
     let mut cluster = Cluster::new(vec![home, worker]);
     let sibling = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
     let victim = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
-    cluster.arm_trigger(
-        victim,
-        ArmedTrigger::with_plan(Trigger::At(2 * sod_net::MS), MigrationPlan::top_to(1, 2)),
-    );
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, sibling);
     sim.start_program(0, victim);
+    let plan = MigrationPlan::top_to(1, 2);
+    sim.migrate(victim, When::At(2 * sod_net::MS), plan);
     sim.run();
     let error = sim.program(victim).error.clone().expect("typed failure");
     assert!(error.contains("migration-safe point"), "{error}");
@@ -293,13 +290,9 @@ fn sim_stepped_until(
     let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
     cluster.code_shipping = code;
     let program = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
-    let at = Trigger::At(sod_net::MS);
-    cluster.arm_trigger(
-        program,
-        ArmedTrigger::with_plan(at, MigrationPlan::top_to(1, 1)),
-    );
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, program);
+    sim.migrate(program, When::At(sod_net::MS), MigrationPlan::top_to(1, 1));
     loop {
         if let Some(&(session, ..)) = sim.sim.world.hosted(1).first() {
             if ready(&sim, session) {

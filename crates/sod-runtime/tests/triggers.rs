@@ -1,13 +1,13 @@
-//! Unit tests for policy-driven migration triggers: each `Trigger`
-//! variant firing — and deliberately *not* firing — deterministically,
-//! exercised at the engine level (`Cluster` + `SodSim`).
+//! Unit tests for migration policies: each `When` variant firing — and
+//! deliberately *not* firing — deterministically, exercised at the engine
+//! level (`Cluster` + `SodSim::migrate`).
 
 use sod_asm::builder::ClassBuilder;
 use sod_net::Topology;
 use sod_preprocess::preprocess_sod;
 use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::node::{Node, NodeConfig};
-use sod_runtime::trigger::{ArmedTrigger, Trigger};
+use sod_runtime::trigger::When;
 use sod_runtime::{MigrationPlan, ProgramId, RunReport};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
@@ -54,26 +54,24 @@ fn expected(n: i64) -> i64 {
 
 const N: i64 = 400_000;
 
-/// Two cluster nodes, the program armed with `trigger` and started at
-/// t = 0, not yet run.
-fn armed_sim(trigger: Option<ArmedTrigger>) -> (SodSim, ProgramId) {
+/// Two cluster nodes, the program started at t = 0 and then asked to
+/// ship its top frame to node 1 `when`; not yet run.
+fn armed_sim(when: When) -> (SodSim, ProgramId) {
     let class = app_class();
     let mut home = Node::new(NodeConfig::cluster("home"));
     home.deploy(&class).unwrap();
     let worker = Node::new(NodeConfig::cluster("worker"));
     let mut cluster = Cluster::new(vec![home, worker]);
     let pid = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
-    if let Some(t) = trigger {
-        cluster.arm_trigger(pid, t);
-    }
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, pid);
+    sim.migrate(pid, when, MigrationPlan::top_to(1, 1));
     (sim, pid)
 }
 
 /// Run [`armed_sim`] to idle; returns the program's report.
-fn run_armed(trigger: Option<ArmedTrigger>) -> RunReport {
-    let (mut sim, pid) = armed_sim(trigger);
+fn run_armed(when: When) -> RunReport {
+    let (mut sim, pid) = armed_sim(when);
     sim.run();
     assert_eq!(sim.program(pid).error, None);
     sim.report(pid).clone()
@@ -81,38 +79,21 @@ fn run_armed(trigger: Option<ArmedTrigger>) -> RunReport {
 
 #[test]
 fn at_trigger_fires_with_armed_plan() {
-    let r = run_armed(Some(ArmedTrigger::with_plan(
-        Trigger::At(2 * sod_net::MS),
-        MigrationPlan::top_to(1, 1),
-    )));
+    let r = run_armed(When::At(2 * sod_net::MS));
     assert_eq!(r.result, Some(expected(N)));
     assert_eq!(r.migrations.len(), 1, "At trigger must fire once");
 }
 
 #[test]
-fn at_trigger_without_plan_never_fires() {
-    // `At` has no destination of its own; armed without a plan it is inert.
-    let r = run_armed(Some(ArmedTrigger::new(Trigger::At(2 * sod_net::MS))));
-    assert_eq!(r.result, Some(expected(N)));
-    assert!(r.migrations.is_empty());
-}
-
-#[test]
 fn at_trigger_past_completion_does_not_fire() {
-    let r = run_armed(Some(ArmedTrigger::with_plan(
-        Trigger::At(u64::MAX / 2),
-        MigrationPlan::top_to(1, 1),
-    )));
+    let r = run_armed(When::At(u64::MAX / 2));
     assert_eq!(r.result, Some(expected(N)));
     assert!(r.migrations.is_empty(), "deadline far beyond completion");
 }
 
 #[test]
 fn cpu_slice_budget_fires_exactly_once() {
-    let r = run_armed(Some(ArmedTrigger::new(Trigger::OnCpuSliceBudget {
-        slices: 10,
-        to: 1,
-    })));
+    let r = run_armed(When::OnCpuSliceBudget(10));
     assert_eq!(r.result, Some(expected(N)));
     assert_eq!(r.migrations.len(), 1, "budget exhausted → one migration");
 }
@@ -123,10 +104,7 @@ fn cpu_slice_budget_fires_exactly_once() {
 #[test]
 fn cpu_slice_budget_fires_at_the_start_of_slice_n() {
     for n in [1, 3] {
-        let (mut sim, pid) = armed_sim(Some(ArmedTrigger::new(Trigger::OnCpuSliceBudget {
-            slices: n,
-            to: 1,
-        })));
+        let (mut sim, pid) = armed_sim(When::OnCpuSliceBudget(n));
         let slice_ns = sim.sim.world.slice_ns;
         // Step until the captured segment reaches the worker; the home
         // thread has been frozen since the slice that captured it.
@@ -151,19 +129,15 @@ fn cpu_slice_budget_fires_at_the_start_of_slice_n() {
 
 #[test]
 fn cpu_slice_budget_untouched_does_not_fire() {
-    let r = run_armed(Some(ArmedTrigger::new(Trigger::OnCpuSliceBudget {
-        slices: u64::MAX,
-        to: 1,
-    })));
+    let r = run_armed(When::OnCpuSliceBudget(u64::MAX));
     assert_eq!(r.result, Some(expected(N)));
     assert!(r.migrations.is_empty());
 }
 
 #[test]
 fn cpu_slice_budget_runs_are_deterministic() {
-    let t = || ArmedTrigger::new(Trigger::OnCpuSliceBudget { slices: 25, to: 1 });
-    let a = run_armed(Some(t()));
-    let b = run_armed(Some(t()));
+    let a = run_armed(When::OnCpuSliceBudget(25));
+    let b = run_armed(When::OnCpuSliceBudget(25));
     assert_eq!(a, b, "same policy, same topology → identical report");
     assert_eq!(a.migrations.len(), 1);
 }
@@ -174,10 +148,7 @@ fn object_fault_threshold_fires_after_remote_faults() {
     // faults on `box` every iteration's PutField — crossing the fault
     // threshold. The threshold trigger then fires once control is back
     // home, producing a second migration.
-    let faulty = run_armed(Some(ArmedTrigger::new(Trigger::OnCpuSliceBudget {
-        slices: 10,
-        to: 1,
-    })));
+    let faulty = run_armed(When::OnCpuSliceBudget(10));
     assert!(
         faulty.object_faults >= 1,
         "remote segment must fault on the box"
@@ -189,19 +160,10 @@ fn object_fault_threshold_fires_after_remote_faults() {
     let worker = Node::new(NodeConfig::cluster("worker"));
     let mut cluster = Cluster::new(vec![home, worker]);
     let pid = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
-    cluster.arm_trigger(
-        pid,
-        ArmedTrigger::new(Trigger::OnCpuSliceBudget { slices: 10, to: 1 }),
-    );
-    cluster.arm_trigger(
-        pid,
-        ArmedTrigger::new(Trigger::OnObjectFaults {
-            threshold: 1,
-            to: 1,
-        }),
-    );
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, pid);
+    sim.migrate(pid, When::OnCpuSliceBudget(10), MigrationPlan::top_to(1, 1));
+    sim.migrate(pid, When::OnObjectFaults(1), MigrationPlan::top_to(1, 1));
     sim.run();
     assert_eq!(sim.program(pid).error, None);
     let r = sim.report(pid);
@@ -217,17 +179,16 @@ fn object_fault_threshold_fires_after_remote_faults() {
 fn object_fault_threshold_alone_never_fires_at_home() {
     // Without a prior migration there are no remote faults, so the
     // threshold is never crossed.
-    let r = run_armed(Some(ArmedTrigger::new(Trigger::OnObjectFaults {
-        threshold: 1,
-        to: 1,
-    })));
+    let r = run_armed(When::OnObjectFaults(1));
     assert_eq!(r.result, Some(expected(N)));
     assert_eq!(r.object_faults, 0);
     assert!(r.migrations.is_empty());
 }
 
-#[test]
-fn oom_trigger_rescues_and_is_one_shot() {
+/// `Big.main(2_000_000)` on a phone whose heap holds 4 MiB, beside a
+/// cloud node (1) and a spare cluster node (2), with `OnOom` armed on
+/// `plan`: run to idle.
+fn oom_rescue(plan: MigrationPlan) -> (SodSim, ProgramId) {
     let c = ClassBuilder::new("Big")
         .method("alloc", &["n"], |m| {
             m.line();
@@ -249,16 +210,38 @@ fn oom_trigger_rescues_and_is_one_shot() {
     let mut device = Node::new(cfg);
     device.deploy(&class).unwrap();
     let cloud = Node::new(NodeConfig::cloud("cloud"));
-    let mut cluster = Cluster::new(vec![device, cloud]);
+    let spare = Node::new(NodeConfig::cluster("spare"));
+    let mut cluster = Cluster::new(vec![device, cloud, spare]);
     let pid = cluster.add_program(0, "Big", "main", vec![Value::Int(2_000_000)]);
-    cluster.arm_trigger(pid, ArmedTrigger::new(Trigger::OnOom { to: 1 }));
-    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(3));
     sim.start_program(0, pid);
+    sim.migrate(pid, When::OnOom, plan);
     sim.run();
+    (sim, pid)
+}
+
+#[test]
+fn oom_trigger_rescues_and_is_one_shot() {
+    let (sim, pid) = oom_rescue(MigrationPlan::top_to(1, 1));
     assert_eq!(sim.program(pid).error, None, "offload must rescue the OOM");
     let r = sim.report(pid);
     assert_eq!(r.result, Some(2_000_000));
     assert_eq!(r.migrations.len(), 1, "the trigger fires exactly once");
+}
+
+/// The stack height is only known when the exception surfaces, so
+/// `OnOom` ships the whole stack to the plan's first destination and
+/// ignores the rest of the plan.
+#[test]
+fn oom_trigger_ships_the_whole_stack_to_the_plans_first_destination() {
+    let (chained, pid) = oom_rescue(MigrationPlan::chain(&[(1, 1), (2, 1)]));
+    assert_eq!(chained.program(pid).error, None);
+    assert_eq!(chained.report(pid).result, Some(2_000_000));
+    assert_eq!(chained.report(pid).migrations.len(), 1);
+    assert!(chained.sim.world.nodes[1].slices > 0, "the rescue node ran");
+    assert_eq!(chained.sim.world.nodes[2].events, 0, "node 2 saw nothing");
+    let (whole, _) = oom_rescue(MigrationPlan::whole_stack_to(1));
+    assert_eq!(chained.report(pid), whole.report(pid));
 }
 
 #[test]
@@ -280,9 +263,9 @@ fn oom_trigger_without_pressure_does_not_fire() {
     let cloud = Node::new(NodeConfig::cloud("cloud"));
     let mut cluster = Cluster::new(vec![device, cloud]);
     let pid = cluster.add_program(0, "Big", "main", vec![Value::Int(1_000)]);
-    cluster.arm_trigger(pid, ArmedTrigger::new(Trigger::OnOom { to: 1 }));
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, pid);
+    sim.migrate(pid, When::OnOom, MigrationPlan::top_to(1, 1));
     sim.run();
     assert_eq!(sim.program(pid).error, None);
     let r = sim.report(pid);

@@ -1415,9 +1415,14 @@ impl Codec for SwitchTable {
 }
 
 /// The line table has no count of its own: it runs parallel to the code
-/// and shares the code's count.
+/// and shares the code's count, so a table of any other length is refused.
 impl Codec for MethodDef {
     fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+        if self.lines.len() != self.code.len() {
+            return Err(VmError::Encode(
+                "line table length differs from code length",
+            ));
+        }
         self.name.put(buf)?;
         self.nargs.put(buf)?;
         self.nlocals.put(buf)?;
@@ -1481,9 +1486,15 @@ pub fn encode_class_pooled(pool: &BufferPool, c: &ClassDef) -> VmResult<Bytes> {
     Ok(buf.freeze())
 }
 
-/// Decode a class definition.
-pub fn decode_class(buf: Bytes) -> VmResult<ClassDef> {
-    ClassDef::get(&mut &buf[..])
+/// Decode a class definition. The frame is the class and nothing else:
+/// its length is what code shipping charges.
+pub fn decode_class(frame: Bytes) -> VmResult<ClassDef> {
+    let buf = &mut &frame[..];
+    let class = ClassDef::get(buf)?;
+    if !buf.is_empty() {
+        return Err(VmError::Decode("trailing bytes after class"));
+    }
+    Ok(class)
 }
 
 /// Serialized size of a class, used for code-shipping transfer costs.
@@ -1741,6 +1752,30 @@ mod tests {
                 Err(VmError::Decode("unassigned exception code"))
             );
         }
+    }
+
+    /// The line table shares the code's count, so one entry too many or
+    /// too few would encode a frame that does not decode: refused instead.
+    #[test]
+    fn a_line_table_not_parallel_to_the_code_is_an_encode_error() {
+        let mismatch = VmError::Encode("line table length differs from code length");
+        let mut extra = sample_class();
+        extra.methods[0].lines.push(4);
+        assert_eq!(encode_class(&extra).unwrap_err(), mismatch);
+        let mut missing = sample_class();
+        missing.methods[0].lines.pop();
+        assert_eq!(encode_class(&missing).unwrap_err(), mismatch);
+    }
+
+    /// A class frame's length is the class's bytes, like a state frame's.
+    #[test]
+    fn trailing_bytes_after_a_class_are_a_decode_error() {
+        let mut frame = encode_class(&sample_class()).unwrap().to_vec();
+        frame.extend_from_slice(&[0, 0, 0]);
+        assert_eq!(
+            decode_class(Bytes::from(frame)),
+            Err(VmError::Decode("trailing bytes after class"))
+        );
     }
 
     #[test]

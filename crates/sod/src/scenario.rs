@@ -2,7 +2,7 @@
 //! — topology, nodes, programs, migration policies — and run it.
 //!
 //! The runtime's raw wiring (`Node::new` + `deploy`/`stage`,
-//! `Cluster::new`, `SodSim::new`, hand-scheduled `migrate_at` calls) is
+//! `Cluster::new`, `SodSim::new`, hand-made `SodSim::migrate` calls) is
 //! flexible but verbose, and repeats near-identically across every
 //! experiment. [`Scenario`] replaces that plumbing with a fluent, typed
 //! description:
@@ -51,15 +51,14 @@
 //!
 //! Migration is expressed as *policy*, not timestamps: [`When::At`] keeps
 //! the paper's fixed-time schedules, while [`When::OnOom`],
-//! [`When::OnObjectFaults`] and [`When::OnCpuSliceBudget`] arm
-//! [`sod_runtime::trigger::Trigger`]s that the engine evaluates at
-//! migration-safe points (see that module for the exact semantics).
+//! [`When::OnObjectFaults`] and [`When::OnCpuSliceBudget`] arm conditions
+//! that the engine evaluates at migration-safe points (see
+//! [`sod_runtime::trigger`] for the exact semantics).
 
 use std::collections::HashMap;
 use std::fmt;
 
 use sod_net::{ChaosPlan, LinkSpec, Scheduler, Topology};
-use sod_runtime::trigger::{ArmedTrigger, Trigger};
 use sod_runtime::{
     Cluster, ClusterReport, CodeShipping, FetchPolicy, MigrationPlan, Node, NodeConfig, PoolSpec,
     PoolSpecError, RetryPolicy, RunReport, ScalePolicy, SegmentSpec, SodSim, POOL_DEST_BASE,
@@ -68,6 +67,8 @@ use sod_vm::class::ClassDef;
 use sod_vm::value::Value;
 use sod_workloads::fleet::ArrivalSchedule;
 
+pub use sod_runtime::trigger::When;
+
 /// Built-in topologies; the node count is taken from the declared nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Preset {
@@ -75,24 +76,6 @@ pub enum Preset {
     GigabitCluster,
     /// WAN links between every pair (the roaming experiment).
     WanGrid,
-}
-
-/// When a program migrates. `At` reproduces the legacy fixed-time
-/// schedule exactly; the other variants arm policy
-/// [`Trigger`] values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum When {
-    /// At virtual time `ns` (first migration-safe point after it).
-    At(u64),
-    /// On an unhandled `OutOfMemoryError` (whole-stack offload; the
-    /// plan's first destination is the rescue node).
-    OnOom,
-    /// Once the program has served this many remote object faults.
-    OnObjectFaults(u64),
-    /// At the start of the root thread's `n`-th execution slice at home:
-    /// `n - 1` slices run normally, slice `n` stops at its first
-    /// migration-safe point (see [`Trigger::OnCpuSliceBudget`]).
-    OnCpuSliceBudget(u64),
 }
 
 /// A migration plan over *named* nodes; resolved against the scenario's
@@ -368,8 +351,8 @@ impl Chaos {
 /// shrinks at runtime under a [`ScalePolicy`]: `base` members exist from t = 0, scale-out spawns
 /// fresh nodes (placeable only after the cold-start latency), and
 /// scale-in drains members back toward `base` by migrating their hosted
-/// stacks off before retiring them. Migration plans and triggers may
-/// name the pool like a node — the destination resolves to the
+/// stacks off before retiring them. Migration plans may name the pool
+/// like a node — the destination resolves to the
 /// least-loaded live member *at capture time*, so placements always see
 /// the pool's current membership.
 ///
@@ -825,7 +808,7 @@ impl Scenario {
 
     /// Declare an elastic node [`Pool`]: `base` members live from t = 0,
     /// grown toward `max` and drained back under the pool's
-    /// [`ScalePolicy`]. Plans and triggers may name the pool like a node;
+    /// [`ScalePolicy`]. Plans may name the pool like a node;
     /// chaos directives may name its initial members (`"{pool}-{i}"`).
     /// Pool indices follow declaration order; initial members occupy node
     /// indices after every declared node, in that same order.
@@ -930,7 +913,7 @@ impl Scenario {
                 .or_else(|| member_index.get(name).copied())
                 .ok_or_else(|| ScenarioError::UnknownNode(name.to_owned()))
         };
-        // Plan/trigger destinations additionally accept a pool name,
+        // Plan destinations additionally accept a pool name,
         // which becomes a sentinel the engine resolves to the
         // least-loaded live member at capture time.
         let resolve_dest = |name: &str| -> Result<usize, ScenarioError> {
@@ -985,7 +968,7 @@ impl Scenario {
         };
 
         // Programs (incl. expanded fleet members): placement, fetch
-        // policy, armed policy triggers.
+        // policy, resolved migration requests.
         let mut cluster = Cluster::new(nodes);
         if let Some(ns) = self.slice_ns {
             cluster.slice_ns = ns;
@@ -1004,10 +987,10 @@ impl Scenario {
             }
             Ok(MigrationPlan { segments })
         };
-        // Fixed-time migrations are injected as simulator events, exactly
-        // like the legacy `SodSim::migrate_at`, so a scenario-built run is
-        // event-for-event identical to hand wiring.
-        let mut fixed: Vec<(u64, u32, MigrationPlan)> = Vec::new();
+        // Armed once the simulator exists, after every program's start
+        // event, so a scenario-built run is event-for-event identical to
+        // hand wiring.
+        let mut migrations: Vec<(u32, When, MigrationPlan)> = Vec::new();
         let mut names = Vec::with_capacity(self.programs.len());
         for decl in &self.programs {
             let mut home = match &decl.on {
@@ -1042,34 +1025,10 @@ impl Scenario {
                 // A plan with no segments can never migrate anywhere (and
                 // would leave the engine suspended waiting on zero
                 // segments): reject it up front.
-                let Some(first_dest) = plan.segments.first().map(|s| s.dest) else {
+                if plan.segments.is_empty() {
                     return Err(ScenarioError::EmptyPlan);
-                };
-                match *when {
-                    When::At(ns) => fixed.push((ns, pid, plan)),
-                    When::OnOom => cluster
-                        .arm_trigger(pid, ArmedTrigger::new(Trigger::OnOom { to: first_dest })),
-                    When::OnObjectFaults(threshold) => cluster.arm_trigger(
-                        pid,
-                        ArmedTrigger::with_plan(
-                            Trigger::OnObjectFaults {
-                                threshold,
-                                to: first_dest,
-                            },
-                            plan,
-                        ),
-                    ),
-                    When::OnCpuSliceBudget(slices) => cluster.arm_trigger(
-                        pid,
-                        ArmedTrigger::with_plan(
-                            Trigger::OnCpuSliceBudget {
-                                slices,
-                                to: first_dest,
-                            },
-                            plan,
-                        ),
-                    ),
                 }
+                migrations.push((pid, *when, plan));
             }
         }
 
@@ -1095,8 +1054,8 @@ impl Scenario {
         for pid in 0..self.programs.len() as u32 {
             sim.start_program(self.programs[pid as usize].start_at, pid);
         }
-        for (ns, pid, plan) in fixed {
-            sim.migrate_at(ns, pid, plan);
+        for (pid, when, plan) in migrations {
+            sim.migrate(pid, when, plan);
         }
         for (ns, node, payload) in &self.requests {
             sim.client_request_at(*ns, resolve(node)?, payload.clone());

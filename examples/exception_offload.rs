@@ -1,7 +1,7 @@
 //! Exception-driven offload (paper §II.B): an allocation that overflows a
 //! small device's heap migrates to the cloud and retries there. The
-//! policy is declarative — `When::OnOom` arms the runtime's
-//! `Trigger::OnOom` instead of scripting a migration time.
+//! policy is declarative — `When::OnOom` with the rescue node as the
+//! plan's first destination — instead of a scripted migration time.
 //!
 //! Run with: `cargo run --release --example exception_offload`
 

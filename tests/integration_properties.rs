@@ -9,7 +9,7 @@ use sod::scenario::{Plan, Scenario, When};
 use sod::vm::value::Value;
 use sod::workloads::programs::fib_class;
 
-fn run_fib(n: i64, migrate_at_us: Option<u64>, nframes: usize) -> Option<i64> {
+fn run_fib(n: i64, migrate_us: Option<u64>, nframes: usize) -> Option<i64> {
     let class = preprocess_sod(&fib_class()).unwrap();
     let mut scenario = Scenario::new()
         .node("home", NodeConfig::cluster("home"))
@@ -17,7 +17,7 @@ fn run_fib(n: i64, migrate_at_us: Option<u64>, nframes: usize) -> Option<i64> {
         .node("worker", NodeConfig::cluster("worker"))
         .program("Fib", "main", vec![Value::Int(n)])
         .on("home");
-    if let Some(at) = migrate_at_us {
+    if let Some(at) = migrate_us {
         scenario = scenario.migrate(When::At(at * US), Plan::top_to("worker", nframes));
     }
     scenario.run().expect("scenario completes").first().result

@@ -59,7 +59,7 @@ fn legacy_run(class: &ClassDef, plan: MigrationPlan) -> RunReport {
     let pid = cluster.add_program(0, "App", "main", vec![Value::Int(N)]);
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(3));
     sim.start_program(0, pid);
-    sim.migrate_at(2 * MS, pid, plan);
+    sim.migrate(pid, When::At(2 * MS), plan);
     sim.run();
     assert_eq!(sim.program(pid).error, None);
     sim.report(pid).clone()
