@@ -9,9 +9,6 @@
 //! programs, and lost bytes. Because the chaos layer is deterministic, the
 //! sweep is a pure function of its constants — rerunning it reproduces
 //! every row bit for bit.
-//!
-//! [`render_json`] renders the same sweep as a `BENCH_chaos.json`-
-//! compatible summary.
 
 use std::fmt::Write as _;
 
@@ -44,10 +41,6 @@ pub const POLICIES: [RetryPolicy; 2] = [
 pub struct ChaosRow {
     pub loss_permille: u32,
     pub policy: RetryPolicy,
-    /// Fleet size this row actually ran (provenance for the JSON).
-    pub programs: usize,
-    /// (arrival, chaos) seeds this row actually ran with.
-    pub seeds: (u64, u64),
     pub cluster: ClusterReport,
     /// Programs that finished with the correct Fib result.
     pub correct: usize,
@@ -91,8 +84,6 @@ pub fn run_chaos_fleet(loss_permille: u32, policy: RetryPolicy, programs: usize)
     ChaosRow {
         loss_permille,
         policy,
-        programs,
-        seeds: (CHAOS_ARRIVAL_SEED, CHAOS_SEED),
         cluster: report.cluster.clone(),
         correct,
     }
@@ -147,43 +138,6 @@ pub fn chaos_table() -> String {
     render_table(&sweep())
 }
 
-/// Render a finished sweep as a `BENCH_chaos.json`-compatible summary.
-/// Provenance (fleet size, seeds) is taken from each row, so the summary
-/// always describes the runs that actually produced it.
-pub fn render_json(rows: &[ChaosRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let ch = &r.cluster.chaos;
-            let lost = r.cluster.total_lost();
-            format!(
-                "{{\"policy\":\"{}\",\"loss_permille\":{},\"programs\":{},\
-                 \"arrival_seed\":{},\"chaos_seed\":{},\
-                 \"completed\":{},\"failed\":{},\"correct\":{},\
-                 \"dropped_msgs\":{},\"timeouts\":{},\"retries\":{},\"fallbacks\":{},\
-                 \"lost_bytes\":{},\"p50_ns\":{},\"p99_ns\":{},\"makespan_ns\":{}}}",
-                policy_name(r.policy),
-                r.loss_permille,
-                r.programs,
-                r.seeds.0,
-                r.seeds.1,
-                r.cluster.completed,
-                r.cluster.failed,
-                r.correct,
-                ch.dropped_msgs,
-                ch.timeouts,
-                ch.retries,
-                ch.fallbacks,
-                lost.total(),
-                r.cluster.p50_latency_ns,
-                r.cluster.p99_latency_ns,
-                r.cluster.makespan_ns,
-            )
-        })
-        .collect();
-    format!("{{\"bench\":\"chaos\",\"rows\":[{}]}}\n", body.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn table_and_json_have_shape() {
+    fn table_has_shape() {
         let rows: Vec<_> = [
             (0, RetryPolicy::FallbackToHome),
             (100, RetryPolicy::Retry { max_attempts: 2 }),
@@ -211,13 +165,5 @@ mod tests {
         let t = render_table(&rows);
         assert!(t.contains("TABLE CHAOS"));
         assert_eq!(t.lines().count(), 4, "header(2) + one line per cell");
-
-        let j = render_json(&rows);
-        assert!(j.starts_with("{\"bench\":\"chaos\""));
-        assert!(j.contains("\"policy\":\"FallbackToHome\""));
-        assert!(j.contains("\"policy\":\"Retry(2)\""));
-        assert!(j.contains("\"dropped_msgs\":"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

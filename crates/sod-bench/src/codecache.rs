@@ -16,8 +16,6 @@
 //! Rows report total class/state/object bytes on the wire (from the
 //! per-node [`sod::NetBytes`] breakdown), on-demand class requests, and
 //! latency — with identical program results across all policies.
-//! [`render_json`] renders the same sweep as a
-//! `BENCH_codecache.json`-compatible summary.
 
 use std::fmt::Write as _;
 
@@ -49,10 +47,6 @@ pub const POLICIES: [CodeShipping; 4] = [
 #[derive(Clone, Debug)]
 pub struct CodecacheRow {
     pub policy: CodeShipping,
-    /// Fleet size this row actually ran (provenance for the JSON).
-    pub programs: usize,
-    /// Arrival seed this row actually ran with.
-    pub seed: u64,
     pub cluster: ClusterReport,
     /// Sum of `RunReport::classes_shipped` (on-demand class requests).
     pub on_demand_classes: u64,
@@ -105,8 +99,6 @@ pub fn run_codecache_fleet(policy: CodeShipping, programs: usize, seed: u64) -> 
         .sum();
     CodecacheRow {
         policy,
-        programs,
-        seed,
         cluster: report.cluster.clone(),
         on_demand_classes,
         correct,
@@ -151,41 +143,6 @@ pub fn codecache_table() -> String {
     render_table(&sweep())
 }
 
-/// Render a finished sweep as a `BENCH_codecache.json`-compatible summary.
-/// Provenance (fleet size, seed) is taken from each row, so the summary
-/// always describes the runs that actually produced it.
-pub fn render_json(rows: &[CodecacheRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let sent = r.cluster.total_sent();
-            format!(
-                "{{\"policy\":\"{:?}\",\"programs\":{},\"seed\":{},\"class_bytes\":{},\
-                 \"on_demand_classes\":{},\
-                 \"state_bytes\":{},\"object_bytes\":{},\"p50_ns\":{},\"p99_ns\":{},\
-                 \"makespan_ns\":{},\"completed\":{},\"failed\":{},\"correct\":{}}}",
-                r.policy,
-                r.programs,
-                r.seed,
-                sent.class,
-                r.on_demand_classes,
-                sent.state,
-                sent.object,
-                r.cluster.p50_latency_ns,
-                r.cluster.p99_latency_ns,
-                r.cluster.makespan_ns,
-                r.cluster.completed,
-                r.cluster.failed,
-                r.correct,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"bench\":\"codecache\",\"rows\":[{}]}}\n",
-        body.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn table_and_json_have_shape() {
+    fn table_has_shape() {
         let rows: Vec<_> = [CodeShipping::BundleTop, CodeShipping::Never]
             .iter()
             .map(|&p| run_codecache_fleet(p, 6, CODECACHE_SEED))
@@ -219,12 +176,5 @@ mod tests {
         assert_eq!(t.lines().count(), 4, "header(2) + one line per policy");
         // Never bundles nothing: all class traffic is on demand.
         assert!(rows[1].on_demand_classes > 0);
-
-        let j = render_json(&rows);
-        assert!(j.starts_with("{\"bench\":\"codecache\""));
-        assert!(j.contains("\"policy\":\"BundleTop\""));
-        assert!(j.contains("\"class_bytes\":"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

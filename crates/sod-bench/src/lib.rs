@@ -3,9 +3,8 @@
 //! One function per table/figure of the paper's §IV; each returns the
 //! formatted table so binaries print it and tests assert on its shape.
 //! `bin/tables` regenerates the full evaluation (committed as
-//! `BENCH_tables.txt`); the sweep binaries (`scale`, `codecache`,
-//! `chaos`, `elastic`) also emit their `BENCH_*.json` summaries through
-//! [`sweep_main`]. Every figure is virtual time or a count: nothing here
+//! `BENCH_tables.txt`); the sweep binaries `scale` and `elastic` also
+//! emit their committed `BENCH_*.json` summaries through [`sweep_main`]. Every figure is virtual time or a count: nothing here
 //! reads a host clock, so a run prints the same bytes on every host, and
 //! host time is the repo benchmark's (`examples/benchmark/`).
 

@@ -127,7 +127,10 @@ impl Cluster {
                     // longer expects it — drop it.
                     return;
                 }
-                let tid = self.programs[program as usize].home_tid;
+                // An episode is captured from the program's thread.
+                let Some(tid) = self.programs[program as usize].thread else {
+                    return;
+                };
                 let val = retval.map(|cv| match cv {
                     CapturedValue::Int(i) => Value::Int(i),
                     CapturedValue::Num(n) => Value::Num(n),
@@ -149,15 +152,12 @@ impl Cluster {
                         _ => None,
                     },
                     Err(e) => {
-                        return self.fail_program(
-                            program,
-                            format!("segment return failed: {e}"),
-                            ctx.now(),
-                        );
+                        let error = format!("segment return failed: {e}");
+                        return self.end_program(program, Err(error), ctx.now());
                     }
                 };
                 match finished {
-                    Some(v) => self.finish_program(program, v, ctx.now()),
+                    Some(v) => self.end_program(program, Ok(v), ctx.now()),
                     None => ctx.schedule(
                         self.nodes[home].cfg.scale(jvmti::FORCE_EARLY_RETURN_NS),
                         home,

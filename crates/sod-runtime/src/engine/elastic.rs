@@ -32,7 +32,7 @@ use super::pool::{
     POOL_TICK_NS,
 };
 use super::protocol::{self, WorkerEffect, WorkerInput};
-use super::Cluster;
+use super::{Cluster, Program};
 
 impl Cluster {
     /// Register an elastic pool and provision its base members
@@ -137,7 +137,7 @@ impl Cluster {
     /// episode — so this walks those alone.
     fn hosted_sessions(&self, node: usize) -> impl Iterator<Item = SessionId> + '_ {
         self.nodes[node].sessions.iter().map(|(&sid, w)| {
-            debug_assert!(!self.programs[w.program as usize].done);
+            debug_assert!(!self.programs[w.program as usize].is_done());
             sid
         })
     }
@@ -206,7 +206,7 @@ impl Cluster {
     pub(super) fn pool_tick(&mut self, pool: usize, ctx: &mut SimCtx<'_, Msg>) {
         let now = ctx.now();
         let all_done = self.programs_done == self.programs.len();
-        debug_assert_eq!(all_done, self.programs.iter().all(|p| p.done));
+        debug_assert_eq!(all_done, self.programs.iter().all(Program::is_done));
         let p = &self.pools[pool];
         let obs = Observation {
             live: p.count(MemberState::Live),

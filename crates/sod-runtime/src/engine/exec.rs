@@ -149,7 +149,7 @@ impl Cluster {
         let live = |tid: &usize, owner: &Owner| {
             n.vm.thread(*tid).is_ok()
                 && match owner {
-                    Owner::Root(p) => !self.programs[*p as usize].done,
+                    Owner::Root(p) => self.programs[*p as usize].end.is_none(),
                     Owner::Worker(s) => n.sessions.contains_key(s),
                 }
         };
@@ -484,7 +484,7 @@ impl Cluster {
                 let program = *p;
                 let at = ctx.now() + elapsed;
                 let Some(class) = self.nodes[node].repo.get(&name).cloned() else {
-                    self.fail_program(program, format!("class not found: {name}"), at);
+                    self.end_program(program, Err(format!("class not found: {name}")), at);
                     return;
                 };
                 let cost = costs::class_load_ns(self.nodes[node].class_size(&class));
@@ -493,11 +493,11 @@ impl Cluster {
                 // running threads stay valid (misses are never cached) and
                 // no invalidation step exists here.
                 if let Err(e) = self.nodes[node].vm.load_class(&class) {
-                    self.fail_program(program, format!("class load failed: {e:?}"), at);
+                    self.end_program(program, Err(format!("class load failed: {e:?}")), at);
                     return;
                 }
                 if let Err(e) = self.nodes[node].vm.resume_class_loaded(tid) {
-                    self.fail_program(program, format!("class-load resume failed: {e:?}"), at);
+                    self.end_program(program, Err(format!("class-load resume failed: {e:?}")), at);
                     return;
                 }
                 ctx.schedule(
@@ -546,7 +546,7 @@ impl Cluster {
         match self.nodes[node].thread_owner.get(&tid) {
             Some(Owner::Root(p)) => {
                 let program = *p;
-                self.finish_program(program, retval, ctx.now() + elapsed);
+                self.end_program(program, Ok(retval), ctx.now() + elapsed);
             }
             Some(Owner::Worker(s)) => {
                 let sid = *s;
@@ -603,43 +603,38 @@ impl Cluster {
     /// events addressed to it cannot wake the dead worker state.
     pub(super) fn fail_thread_owner(&mut self, node: usize, tid: usize, error: String, at: u64) {
         match self.nodes[node].thread_owner.get(&tid) {
-            Some(Owner::Root(p)) => self.fail_program(*p, error, at),
+            Some(Owner::Root(p)) => self.end_program(*p, Err(error), at),
             Some(Owner::Worker(s)) => self.fail_session(node, *s, error, at),
             None => {}
         }
     }
 
-    pub(super) fn finish_program(&mut self, program: ProgramId, retval: Option<Value>, at: u64) {
+    /// The one place a program ends, with its root thread's value or a
+    /// typed failure; a second end is refused. It counts the end, stamps
+    /// `finished_at_ns`, records an ok end in the pools' p99 window and
+    /// retires the program. A failure keeps the stats accrued so far.
+    pub(super) fn end_program(
+        &mut self,
+        program: ProgramId,
+        end: Result<Option<Value>, String>,
+        at: u64,
+    ) {
         let p = &mut self.programs[program as usize];
-        if p.done {
+        if p.end.is_some() {
             return;
         }
-        p.done = true;
         self.programs_done += 1;
         p.report.finished_at_ns = at;
-        p.report.result = retval.and_then(|v| match v {
-            Value::Int(i) => Some(i),
-            Value::Num(n) => Some(n as i64),
-            _ => None,
-        });
-        if !self.pools.is_empty() {
-            self.finishes.record(at, p.report.latency_ns());
-        }
-        self.retire_program(program);
-    }
-
-    pub(super) fn fail_program(&mut self, program: ProgramId, error: String, at: u64) {
-        let p = &mut self.programs[program as usize];
-        if p.done {
-            return;
-        }
-        p.done = true;
-        self.programs_done += 1;
-        p.error = Some(error);
-        p.report.finished_at_ns = at;
-        // Failure reports carry the same final stats as successes
-        // (`instructions` accrues per slice), so fleet aggregates over
-        // mixed outcomes stay comparable.
+        p.end = Some(end.map(|retval| {
+            p.report.result = retval.and_then(|v| match v {
+                Value::Int(i) => Some(i),
+                Value::Num(n) => Some(n as i64),
+                _ => None,
+            });
+            if !self.pools.is_empty() {
+                self.finishes.record(at, p.report.latency_ns());
+            }
+        }));
         self.retire_program(program);
     }
 
@@ -650,21 +645,21 @@ impl Cluster {
     #[cold]
     #[inline(never)]
     pub(super) fn spawn_failed(&mut self, program: ProgramId, error: VmError, at: u64) {
-        self.fail_program(program, error.to_string(), at);
+        self.end_program(program, Err(error.to_string()), at);
     }
 
     /// The program is done: close its episode (retiring the sessions it
     /// lists), record its home thread's maximum stack height (Table I
-    /// `h`), then release the thread and its owner entry. A program whose
-    /// spawn failed has no thread: its `home_tid` names none.
+    /// `h`), then release the thread and its owner entry. A program that
+    /// ended before its spawn has no thread.
     fn retire_program(&mut self, program: ProgramId) {
         let end = self.home_step(program, HomeInput::End);
         self.close_episode(end);
         let p = &self.programs[program as usize];
-        if !p.started {
+        let Some(tid) = p.thread else {
             return;
-        }
-        let (n, tid) = (&mut self.nodes[p.home], p.home_tid);
+        };
+        let n = &mut self.nodes[p.home];
         if let Ok(t) = n.vm.thread(tid) {
             self.programs[program as usize].report.max_stack_height = t.max_height;
         }

@@ -26,8 +26,9 @@
 //!   capture leaves the home frames intact; the migrated portion simply
 //!   re-executes, giving at-least-once semantics).
 //!
-//! Deadlines are armed, and shipments kept for re-ships, only when chaos
-//! is enabled (read where `CaptureDone` is stepped, alone), so fault-free
+//! Deadlines are armed, and shipments kept for re-ships, only while a
+//! [`Recovery`] is armed with a chaos plan ([`super::SodSim::set_chaos`];
+//! read where an episode ships and where its deadline fires), so fault-free
 //! runs stay event-for-event identical to a build without this module. A
 //! deadline carries its episode's stamp, given at the freeze, and is inert
 //! once that episode closed. *Stale* means one thing: a state or home
@@ -45,8 +46,8 @@ use super::protocol::{HomeEffect, HomeInput};
 use super::Cluster;
 
 /// Default end-to-end migration deadline under fault injection (see
-/// [`Cluster::migration_timeout_ns`]): generous against ordinary shipping
-/// and restore latencies, so it only fires when something was lost.
+/// [`Recovery::timeout_ns`]): generous against ordinary shipping and
+/// restore latencies, so it only fires when something was lost.
 pub const DEFAULT_MIGRATION_TIMEOUT_NS: u64 = 50_000_000; // 50 ms
 
 /// What the home side does when an outstanding migration misses its
@@ -66,6 +67,25 @@ pub enum RetryPolicy {
     FallbackToHome,
 }
 
+/// How a migration that misses its deadline recovers, armed with a
+/// non-empty chaos plan by [`super::SodSim::set_chaos`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Recovery {
+    /// What the home side does when the deadline fires.
+    pub policy: RetryPolicy,
+    /// End-to-end deadline armed per shipping attempt (virtual ns).
+    pub timeout_ns: u64,
+}
+
+impl Default for Recovery {
+    fn default() -> Self {
+        Recovery {
+            policy: RetryPolicy::default(),
+            timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,
+        }
+    }
+}
+
 impl Cluster {
     /// A scheduled chaos action fired (called from the simulator's
     /// `World::on_chaos` hook — a pure state event, no messages may be
@@ -76,7 +96,7 @@ impl Cluster {
                 self.chaos.crashes += 1;
                 // Programs homed here lose their root thread and heap
                 // master copies: a typed failure, recorded like any other.
-                // Only *started* programs die — one launching after a
+                // Only *running* programs die — one launching after a
                 // later restart never saw this crash (if its launch falls
                 // inside the outage, the dropped `StartProgram` fails it
                 // in `note_dropped` instead).
@@ -84,11 +104,12 @@ impl Cluster {
                     .programs
                     .iter()
                     .enumerate()
-                    .filter(|(_, p)| !p.done && p.started && p.home == node)
+                    .filter(|(_, p)| p.end.is_none() && p.thread.is_some() && p.home == node)
                     .map(|(i, _)| i as ProgramId)
                     .collect();
                 for program in failed {
-                    self.fail_program(program, format!("home node {node} crashed"), now);
+                    let error = format!("home node {node} crashed");
+                    self.end_program(program, Err(error), now);
                 }
                 // Worker sessions hosted here die with the node. Their
                 // programs are NOT failed here: the home-side migration
@@ -123,19 +144,20 @@ impl Cluster {
     pub(super) fn note_dropped(
         &mut self,
         src: usize,
-        _dst: usize,
+        dst: usize,
         msg: Msg,
         _reason: DropReason,
         now: u64,
     ) {
         self.chaos.dropped_msgs += 1;
         match msg {
-            // The launch event landed on a node that is down: the program
+            // The launch event landed on a home that is down: the program
             // fails at its own start time (a self-addressed timer, so the
-            // only way to lose it is a crashed home).
-            Msg::StartProgram { program } => {
-                let home = self.programs[program as usize].home;
-                self.fail_program(program, format!("home node {home} down at launch"), now);
+            // only way to lose it is a crashed home). A start that would
+            // not have launched it is only dropped.
+            Msg::StartProgram { program } if self.programs[program as usize].launches_at(dst) => {
+                let error = format!("home node {dst} down at launch");
+                self.end_program(program, Err(error), now);
             }
             Msg::State(msg) => {
                 self.nodes[src].net_lost.state += msg.state.len() as u64;
@@ -162,7 +184,11 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         debug_assert_eq!(self.programs[program as usize].home, node);
-        let deadline = HomeInput::Deadline(episode, self.retry_policy);
+        // A deadline exists only while recovery is armed.
+        let Some(recovery) = self.recovery else {
+            return;
+        };
+        let deadline = HomeInput::Deadline(episode, recovery.policy);
         // Either way the shipment's sessions die first (a re-ship retires
         // those it supersedes, closing retires those listed): whichever of
         // them were alive, their threads must never complete against the
@@ -177,9 +203,12 @@ impl Cluster {
                 self.chaos.timeouts += 1;
                 self.chaos.fallbacks += 1;
                 self.close_episode(closed);
-                let tid = self.programs[program as usize].home_tid;
                 // The home stack still holds every captured frame; thaw the
-                // thread at its migration-safe point and run on.
+                // thread at its migration-safe point and run on. (An open
+                // episode was captured from the program's thread.)
+                let Some(tid) = self.programs[program as usize].thread else {
+                    return;
+                };
                 if let Ok(t) = self.nodes[node].vm.thread_mut(tid) {
                     t.state = sod_vm::interp::ThreadState::Runnable;
                 }
@@ -198,7 +227,7 @@ mod tests {
     use sod_vm::instr::Cmp;
     use sod_vm::value::Value;
 
-    use super::super::SodSim;
+    use super::super::{Program, SodSim};
     use super::*;
     use crate::node::{Node, NodeConfig};
     use crate::trigger::When;
@@ -230,15 +259,18 @@ mod tests {
             .map(|_| cluster.add_program(0, "App", "main", vec![Value::Int(50_000)]))
             .collect();
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
-        sim.set_chaos(&ChaosPlan::new().seed(5).loss_permille(100));
-        sim.set_retry_policy(policy);
+        let recovery = Recovery {
+            policy,
+            ..Recovery::default()
+        };
+        sim.set_chaos(&ChaosPlan::new().seed(5).loss_permille(100), recovery);
         for pid in programs {
             sim.start_program(0, pid);
             sim.migrate(pid, When::At(100 * US), MigrationPlan::top_to(1, 1));
         }
         sim.run();
         for p in &sim.sim.world.programs {
-            assert_eq!((p.report.result, &p.error), (Some(50_000), &None));
+            assert_eq!((p.report.result, p.error()), (Some(50_000), None));
         }
         sim
     }
@@ -342,14 +374,15 @@ mod tests {
             .collect();
         cluster.slice_ns = 5_000;
         let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
-        sim.set_chaos(&ChaosPlan::new().seed(7).link_loss_permille(0, 1, 300));
+        let plan = ChaosPlan::new().seed(7).link_loss_permille(0, 1, 300);
+        sim.set_chaos(&plan, Recovery::default());
         for pid in programs {
             sim.start_program(0, pid);
             sim.migrate(pid, When::OnCpuSliceBudget(6), MigrationPlan::top_to(1, 1));
         }
         sim.run();
         let world = &sim.sim.world;
-        assert!(world.programs.iter().all(|p| p.done));
+        assert!(world.programs.iter().all(Program::is_done));
         let faults: u64 = world.programs.iter().map(|p| p.report.object_faults).sum();
         assert!(faults > 0, "no object was ever fetched");
         assert!(world.chaos.dropped_msgs > 0, "nothing was dropped");

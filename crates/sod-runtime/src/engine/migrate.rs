@@ -110,7 +110,7 @@ impl Cluster {
         // cannot capture: that program fails, typed; the fleet runs on.
         let (full, capture_ns) = match self.capture(node, tid, total, all_jvmti) {
             Ok(captured) => captured,
-            Err(e) => return self.fail_program(program, e.to_string(), ctx.now() + elapsed),
+            Err(e) => return self.end_program(program, Err(e.to_string()), ctx.now() + elapsed),
         };
 
         // Split bottom-up frames into the plan's segments (top first),
@@ -148,7 +148,7 @@ impl Cluster {
                 Ok(seg) => segments.push(seg),
                 Err(e) => {
                     let error = format!("segment encode failed: {e}");
-                    return self.fail_program(program, error, ctx.now());
+                    return self.end_program(program, Err(error), ctx.now());
                 }
             }
         }
@@ -265,9 +265,9 @@ impl Cluster {
             Vec::new()
         };
         self.home_step(program, HomeInput::Shipped(sessions, kept));
-        if let Some(episode) = shipment.deadline {
+        if let (Some(episode), Some(recovery)) = (shipment.deadline, self.recovery) {
             let timeout = Msg::MigrationTimeout { program, episode };
-            ctx.schedule(self.migration_timeout_ns, home, timeout);
+            ctx.schedule(recovery.timeout_ns, home, timeout);
         }
         for seg in segs {
             self.ship_segment(home, 0, seg, ctx);
@@ -408,11 +408,8 @@ impl Cluster {
             // Retire the requesting session along with its program, so
             // stale events cannot wake the stranded worker state.
             self.retire_session(requester, session);
-            self.fail_program(
-                program,
-                format!("home node {dst} missing class {name:?}"),
-                ctx.now(),
-            );
+            let error = format!("home node {dst} missing class {name:?}");
+            self.end_program(program, Err(error), ctx.now());
             return;
         };
         let bytes = self.nodes[dst].class_size(&class);
@@ -437,7 +434,7 @@ impl Cluster {
     /// stranded worker state cannot be woken by stale events.
     pub(super) fn fail_session(&mut self, node: usize, session: SessionId, error: String, at: u64) {
         if let Some(w) = self.retire_session(node, session) {
-            self.fail_program(w.program, error, at);
+            self.end_program(w.program, Err(error), at);
         }
     }
 

@@ -75,7 +75,7 @@ mod protocol;
 mod restore;
 mod session;
 
-pub use fault::{RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
+pub use fault::{Recovery, RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, PoolSpecError, ScalePolicy, POOL_DEST_BASE, POOL_TICK_NS};
 pub(crate) use session::{Owner, WorkerSession};
 
@@ -138,20 +138,22 @@ pub enum CodeShipping {
 }
 
 /// A registered program (one root thread).
+///
+/// Its life is two values, and every combination of them is a real
+/// state: no thread and no end (pending), a thread and no end (running),
+/// an end and no thread (failed before its spawn), both (ended).
 pub struct Program {
     pub home: usize,
-    pub home_tid: usize,
     pub class: String,
     pub method: String,
     pub args: Vec<Value>,
     pub report: RunReport,
-    pub done: bool,
-    /// Whether the root thread has been spawned (`StartProgram`
-    /// delivered). A crash only fails *started* programs — one whose
-    /// launch lies beyond a restart must survive the earlier crash.
-    pub started: bool,
-    pub error: Option<String>,
     pub fetch_policy: FetchPolicy,
+    /// The root thread on `home`, set when `StartProgram` spawns it and
+    /// kept after the end (its slot is released then).
+    thread: Option<usize>,
+    /// How the program ended, set once by `Cluster::end_program`.
+    end: Option<Result<(), String>>,
     /// Condition policies armed by [`SodSim::migrate`], evaluated at
     /// migration-safe points (see [`crate::trigger`]).
     armed: Vec<Armed>,
@@ -163,6 +165,29 @@ pub struct Program {
     side: HomeSide<Staged>,
 }
 
+impl Program {
+    /// Whether the program has ended, ok or failed.
+    pub fn is_done(&self) -> bool {
+        self.end.is_some()
+    }
+
+    /// Why the program failed; `None` while it runs or once it ended ok.
+    pub fn error(&self) -> Option<&str> {
+        self.end.as_ref()?.as_ref().err().map(String::as_str)
+    }
+
+    /// The root thread's id on the home node, once spawned.
+    pub fn home_tid(&self) -> Option<usize> {
+        self.thread
+    }
+
+    /// Whether a `StartProgram` at `node` launches this program: only at
+    /// its home, with neither a thread nor an end. Others are dropped.
+    fn launches_at(&self, node: usize) -> bool {
+        self.home == node && self.thread.is_none() && self.end.is_none()
+    }
+}
+
 /// The cluster: every node with the state it owns, the programs in id
 /// order, and the fleet-wide settings.
 ///
@@ -172,9 +197,9 @@ pub struct Cluster {
     pub nodes: Vec<Node>,
     /// Every registered program, indexed by [`ProgramId`].
     pub programs: Vec<Program>,
-    /// How many programs are `done` — what the pool controller's every
-    /// tick asks, without walking the program table. Bumped where `done`
-    /// is set (`finish_program` / `fail_program`).
+    /// How many programs have ended — what the pool controller's every
+    /// tick asks, without walking the program table. Bumped where a
+    /// program's end is set (`end_program`).
     programs_done: usize,
     pub slice_ns: u64,
     /// Cluster-wide code-shipping policy (see [`CodeShipping`]).
@@ -183,15 +208,13 @@ pub struct Cluster {
     /// captures, object replies, flush batches). Pool state never
     /// influences encoded bytes, so reuse cannot perturb determinism.
     buf_pool: BufferPool,
-    /// Whether a fault-injection plan is armed on the driving simulator.
-    /// Read where the freeze timer ships an episode, the one place it gates
-    /// anything: the deadline timer and the shipment kept for re-ships, so
-    /// fault-free runs are event-for-event identical to the pre-chaos engine.
-    pub chaos_enabled: bool,
-    /// Recovery policy when a migration misses its deadline (chaos only).
-    pub retry_policy: RetryPolicy,
-    /// End-to-end deadline armed per shipping attempt (chaos only).
-    pub migration_timeout_ns: u64,
+    /// How a migration that misses its deadline recovers; `Some` only
+    /// while a fault-injection plan is armed ([`SodSim::set_chaos`]). Read
+    /// where an episode ships and where its deadline fires, the one place
+    /// it gates anything: the deadline timer and the shipment kept for
+    /// re-ships, so fault-free runs are event-for-event identical to the
+    /// pre-chaos engine.
+    recovery: Option<Recovery>,
     /// Fault-injection tallies, surfaced on the [`ClusterReport`].
     chaos: ChaosCounters,
     /// Elastic node pools (see `engine/pool.rs`); empty when the scenario
@@ -219,9 +242,7 @@ impl Cluster {
             slice_ns: DEFAULT_SLICE_NS,
             code_shipping: CodeShipping::default(),
             buf_pool: BufferPool::new(),
-            chaos_enabled: false,
-            retry_policy: RetryPolicy::default(),
-            migration_timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,
+            recovery: None,
             chaos: ChaosCounters::default(),
             pools: Vec::new(),
             finishes: pool::FinishWindow::default(),
@@ -239,15 +260,13 @@ impl Cluster {
     ) -> ProgramId {
         self.programs.push(Program {
             home,
-            home_tid: usize::MAX,
             class: class.into(),
             method: method.into(),
             args,
             report: RunReport::default(),
-            done: false,
-            started: false,
-            error: None,
             fetch_policy: FetchPolicy::Shallow,
+            thread: None,
+            end: None,
             armed: Vec::new(),
             slices_run: 0,
             side: HomeSide::default(),
@@ -261,7 +280,7 @@ impl Cluster {
     /// Whether one did.
     fn check_policy_triggers(&mut self, program: ProgramId) -> bool {
         let p = &mut self.programs[program as usize];
-        if p.done {
+        if p.end.is_some() {
             return false;
         }
         let faults = p.report.object_faults;
@@ -347,14 +366,11 @@ impl Cluster {
         let mut failed = 0u64;
         let mut makespan = 0u64;
         for p in self.programs.iter() {
-            if !p.done {
-                continue;
-            }
+            let Some(end) = &p.end else { continue };
             makespan = makespan.max(p.report.finished_at_ns);
-            if p.error.is_some() {
-                failed += 1;
-            } else {
-                latencies.push(p.report.latency_ns());
+            match end {
+                Ok(()) => latencies.push(p.report.latency_ns()),
+                Err(_) => failed += 1,
             }
         }
         // Shipped state that arrived somewhere but never restored is
@@ -482,18 +498,18 @@ impl World for Cluster {
         }
         match msg {
             Msg::StartProgram { program } => {
+                // The one transition into running.
                 let p = &self.programs[program as usize];
-                debug_assert_eq!(p.home, dst);
-                if p.done {
+                if !p.launches_at(dst) {
                     return;
                 }
                 let tid = match self.nodes[dst].vm.spawn(&p.class, &p.method, &p.args) {
                     Ok(tid) => tid,
                     Err(e) => return self.spawn_failed(program, e, ctx.now()),
                 };
-                self.programs[program as usize].home_tid = tid;
-                self.programs[program as usize].started = true;
-                self.programs[program as usize].report.started_at_ns = ctx.now();
+                let p = &mut self.programs[program as usize];
+                p.thread = Some(tid);
+                p.report.started_at_ns = ctx.now();
                 self.nodes[dst]
                     .thread_owner
                     .insert(tid, Owner::Root(program));
@@ -503,15 +519,14 @@ impl World for Cluster {
                 // The live slice chain observes the plan at its next stop;
                 // scheduling another slice here would double-drive the
                 // thread.
-                if !self.programs[program as usize].done {
+                if self.programs[program as usize].end.is_none() {
                     self.home_step(program, HomeInput::Plan(plan, PlanSource::MigrateNow));
                 }
             }
             Msg::RunSlice { tid } => self.run_slice(dst, tid, ctx),
             Msg::HostDone { tid, reply } => self.host_done(dst, tid, reply, ctx),
             Msg::CaptureDone { program } => {
-                let recovery = self.chaos_enabled.then_some(self.retry_policy);
-                let captured = HomeInput::CaptureDone(recovery);
+                let captured = HomeInput::CaptureDone(self.recovery.map(|r| r.policy));
                 if let HomeEffect::Ship(shipment) = self.home_step(program, captured) {
                     self.ship_episode(program, shipment, ctx);
                 }
@@ -638,26 +653,15 @@ impl SodSim {
     }
 
     /// Arm a fault-injection plan — scheduled crashes/partitions plus
-    /// seeded per-link loss — and the engine's recovery machinery
-    /// (migration deadlines, stale-message guards, lost-byte accounting).
-    /// An empty plan is a no-op, keeping the run event-for-event identical
+    /// seeded per-link loss — and with it `recovery`: each shipped
+    /// migration's deadline and what the home does when it fires. An
+    /// empty plan is a no-op, keeping the run event-for-event identical
     /// to a chaos-free one.
-    pub fn set_chaos(&mut self, plan: &ChaosPlan) {
+    pub fn set_chaos(&mut self, plan: &ChaosPlan, recovery: Recovery) {
         if !plan.is_empty() {
-            self.sim.world.chaos_enabled = true;
+            self.sim.world.recovery = Some(recovery);
         }
         self.sim.set_chaos(plan);
-    }
-
-    /// Recovery policy for migrations that miss their deadline (only
-    /// meaningful once [`SodSim::set_chaos`] armed a plan).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.sim.world.retry_policy = policy;
-    }
-
-    /// Override the end-to-end migration deadline (chaos runs only).
-    pub fn set_migration_timeout(&mut self, ns: u64) {
-        self.sim.world.migration_timeout_ns = ns;
     }
 
     /// Inject the first controller tick for every registered pool (each
@@ -734,12 +738,12 @@ impl SodSim {
         let (mut accounted, mut instructions) = (NetBytes::default(), 0);
         for (i, p) in world.programs.iter().enumerate() {
             let r = &p.report;
-            ensure(p.done, || format!("program {i} is not done"))?;
-            match &p.error {
-                None => ensure(r.result.is_some(), || {
+            match &p.end {
+                None => return Err(format!("program {i} is not done")),
+                Some(Ok(())) => ensure(r.result.is_some(), || {
                     format!("program {i} ended ok with no result")
                 })?,
-                Some(e) => ensure(r.result.is_none() && !e.is_empty(), || {
+                Some(Err(e)) => ensure(r.result.is_none() && !e.is_empty(), || {
                     format!("program {i} failed ({e:?}) with result {:?}", r.result)
                 })?,
             }
@@ -903,13 +907,13 @@ mod tests {
                 |s| s.client_request_at(s.sim.now(), 0, ""),
             ),
             ("program 0 is not done", |s| {
-                s.sim.world.programs[0].done = false
+                s.sim.world.programs[0].end = None
             }),
             ("no result", |s| {
                 s.sim.world.programs[0].report.result = None
             }),
             ("failed", |s| {
-                s.sim.world.programs[0].error = Some("x".into())
+                s.sim.world.programs[0].end = Some(Err("x".into()))
             }),
             ("bundled", |s| {
                 s.sim.world.programs[0].report.class_bytes = 0
@@ -992,7 +996,7 @@ mod tests {
         let world = &sim.sim.world;
         assert!(world.pools[0].spawns > 0, "the budget is breached");
         let from = sim.sim.now() - POOL_TICK_NS;
-        let in_last_tick = |p: &&Program| p.error.is_none() && p.report.finished_at_ns > from;
+        let in_last_tick = |p: &&Program| p.end == Some(Ok(())) && p.report.finished_at_ns > from;
         let last = world.programs.iter().filter(in_last_tick).count();
         let held = world.finishes.len();
         assert!(

@@ -70,18 +70,16 @@ impl Cluster {
         let batch = match encode_reply(heap, home_id, policy, &self.buf_pool) {
             Ok(batch) => batch,
             Err(e @ VmError::Encode(_)) => {
-                self.fail_program(program, format!("object encode failed: {e}"), ctx.now());
+                let error = format!("object encode failed: {e}");
+                self.end_program(program, Err(error), ctx.now());
                 return;
             }
             Err(e) => {
                 // A request for an object this heap never allocated: fail
                 // the program and retire the session parked on the fault.
                 self.retire_session(requester, sid);
-                self.fail_program(
-                    program,
-                    format!("object request for home object {home_id} failed: {e}"),
-                    ctx.now(),
-                );
+                let error = format!("object request for home object {home_id} failed: {e}");
+                self.end_program(program, Err(error), ctx.now());
                 return;
             }
         };
@@ -154,7 +152,7 @@ impl Cluster {
         let assigned = match applied {
             Ok(assigned) => assigned,
             Err(e) => {
-                self.fail_program(program, format!("flush decode failed: {e}"), ctx.now());
+                self.end_program(program, Err(format!("flush decode failed: {e}")), ctx.now());
                 return;
             }
         };

@@ -295,7 +295,7 @@ impl World {
         Ok(())
     }
 
-    /// `fail_program` / `finish_program`: the program's end closes its
+    /// `end_program`: the program's end closes its
     /// episode, and nothing of it may be left.
     fn end(&mut self, end: End) -> Result<(), String> {
         self.end = end;

@@ -66,7 +66,8 @@ impl Cluster {
             Err(e) => {
                 // Malformed frame: typed rejection, never a panic. The
                 // shipped bytes die here, like a stale arrival.
-                self.fail_program(info.program, format!("state decode failed: {e}"), arrived);
+                let error = format!("state decode failed: {e}");
+                self.end_program(info.program, Err(error), arrived);
                 self.nodes[node].net_lost.state += state_bytes;
                 return;
             }
@@ -96,11 +97,8 @@ impl Cluster {
                 let cb = self.nodes[node].class_size(c);
                 prep += self.nodes[node].cfg.scale(costs::class_load_ns(cb));
                 if let Err(e) = self.nodes[node].vm.load_class(c) {
-                    self.fail_program(
-                        info.program,
-                        format!("bundled class {:?} failed to load: {e:?}", c.name),
-                        arrived,
-                    );
+                    let error = format!("bundled class {:?} failed to load: {e:?}", c.name);
+                    self.end_program(info.program, Err(error), arrived);
                     // No session was created: the shipped state dies here.
                     self.nodes[node].net_lost.state += state_bytes;
                     return;

@@ -36,6 +36,16 @@
 //! Most callers should express policies through the `sod` facade's
 //! `scenario` builder instead of driving the simulator by hand.
 //!
+//! ## A program's life
+//!
+//! A registered [`engine::Program`] is launched once, by the
+//! `StartProgram` event at its home ([`SodSim::start_program`]), and ends
+//! once: its root thread returns its value there, or the program fails
+//! with a typed error ([`engine::Program::error`]). A start anywhere else,
+//! or a second one, is dropped. Under a fault-injection plan,
+//! [`SodSim::set_chaos`] also arms a [`Recovery`]: the deadline of each
+//! shipped migration and what the home does when it fires.
+//!
 //! ## Example: offload a computation and get it back
 //!
 //! ```
@@ -105,8 +115,8 @@ pub mod node;
 pub mod trigger;
 
 pub use engine::{
-    Cluster, CodeShipping, FetchPolicy, PoolSpec, PoolSpecError, RetryPolicy, ScalePolicy, SodSim,
-    POOL_DEST_BASE, POOL_TICK_NS,
+    Cluster, CodeShipping, FetchPolicy, PoolSpec, PoolSpecError, Recovery, RetryPolicy,
+    ScalePolicy, SodSim, POOL_DEST_BASE, POOL_TICK_NS,
 };
 pub use metrics::{
     percentile_nearest_rank, ChaosCounters, ClusterReport, MigrationTimings, NetBytes,

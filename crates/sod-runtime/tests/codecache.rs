@@ -244,8 +244,11 @@ fn chained_return_to_a_failed_session_is_dropped() {
     sim.migrate(pid, When::At(MS), MigrationPlan::chain(&[(1, 1), (2, 1)]));
     sim.run();
     let p = sim.program(pid);
-    assert!(p.done, "the failed chain must still finish the program");
-    let err = p.error.as_deref().expect("typed failure recorded");
+    assert!(
+        p.is_done(),
+        "the failed chain must still finish the program"
+    );
+    let err = p.error().expect("typed failure recorded");
     assert!(err.contains("missing class"), "got: {err}");
 }
 

@@ -12,6 +12,9 @@
 //!   program behind — not the lower segment waiting for its value.
 //! * A host reply reaching a thread not parked on a host call — released,
 //!   running, never there — resumes nothing.
+//! * A `StartProgram` launches a program once, at its home: a second
+//!   start, or one delivered elsewhere (even to a node that is down),
+//!   spawns nothing and fails nothing.
 //!
 //! Each hostile program runs beside a sibling that must still finish.
 //! Exercised at the engine level (`Cluster` + `SodSim`), like
@@ -24,7 +27,7 @@ use sod_runtime::engine::{Cluster, SodSim};
 use sod_runtime::msg::HostReply;
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::When;
-use sod_runtime::{MigrationPlan, Msg, ProgramId, RetryPolicy};
+use sod_runtime::{MigrationPlan, Msg, ProgramId, Recovery, RetryPolicy};
 use sod_vm::class::ClassDef;
 use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
@@ -94,11 +97,14 @@ fn fleet(victim_bad: i64, offload: bool) -> (SodSim, ProgramId, ProgramId) {
 /// Run to idle: the sibling returned its value, the victim failed — typed.
 fn victims_error(mut sim: SodSim, victim: ProgramId, sibling: ProgramId) -> String {
     sim.run();
-    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.program(sibling).error(), None);
     assert_eq!(sim.report(sibling).result, Some(7 + N));
-    assert!(sim.program(victim).done);
+    assert!(sim.program(victim).is_done());
     assert_eq!(sim.report(victim).result, None);
-    sim.program(victim).error.clone().expect("typed failure")
+    sim.program(victim)
+        .error()
+        .expect("typed failure")
+        .to_string()
 }
 
 #[test]
@@ -129,7 +135,7 @@ fn a_failed_upper_segment_leaves_no_waiting_lower_one() {
     let plan = MigrationPlan::chain(&[(1, 1), (1, 1)]);
     sim.migrate(victim, When::At(MS), plan);
     sim.run();
-    let error = sim.program(victim).error.as_deref();
+    let error = sim.program(victim).error();
     assert_eq!(error, Some("unknown intrinsic: no_such"));
     assert_eq!(sim.report(victim).migrations.len(), 2, "both restored");
     assert_eq!(sim.check_idle(), Ok(()));
@@ -162,7 +168,7 @@ fn a_stray_breakpoint_on_a_root_thread_fails_that_program_only() {
     while sim.sim.now() < MS {
         assert!(sim.sim.step(), "the programs finished early");
     }
-    let tid = sim.program(victim).home_tid;
+    let tid = sim.program(victim).home_tid().expect("started");
     arm_where_it_stands(&mut sim, 0, tid);
     let error = victims_error(sim, victim, sibling);
     assert_eq!(error, "stray breakpoint: not a worker thread");
@@ -180,12 +186,13 @@ fn a_late_host_reply_is_ignored() {
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
     sim.start_program(0, done);
     sim.start_program(0, running);
-    while !sim.program(done).done {
+    while !sim.program(done).is_done() {
         assert!(sim.sim.step(), "the short program never finished");
     }
-    assert!(!sim.program(running).done);
+    assert!(!sim.program(running).is_done());
     let now = sim.sim.now();
-    let (released, live) = (sim.program(done).home_tid, sim.program(running).home_tid);
+    let tid = |p| sim.program(p).home_tid().expect("started");
+    let (released, live) = (tid(done), tid(running));
     for tid in [released, live, 12_345] {
         let reply = HostReply::Int(-1);
         sim.sim.inject(now, 0, Msg::HostDone { tid, reply });
@@ -193,7 +200,7 @@ fn a_late_host_reply_is_ignored() {
     sim.run();
     assert_eq!(sim.report(done).result, Some(7 + N / 4));
     assert_eq!(sim.report(running).result, Some(7 + N));
-    assert_eq!(sim.program(running).error, None);
+    assert_eq!(sim.program(running).error(), None);
 }
 
 /// One program whose two frames restore on the worker through the handler
@@ -202,9 +209,11 @@ fn restoring_sim(crash_at: u64) -> (SodSim, ProgramId) {
     let mut cluster = home_and_worker();
     let p = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
     let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
-    sim.set_chaos(&ChaosPlan::new().crash_at(crash_at, 1));
-    sim.set_retry_policy(RetryPolicy::FallbackToHome);
-    sim.set_migration_timeout(20 * MS);
+    let recovery = Recovery {
+        policy: RetryPolicy::FallbackToHome,
+        timeout_ns: 20 * MS,
+    };
+    sim.set_chaos(&ChaosPlan::new().crash_at(crash_at, 1), recovery);
     sim.start_program(0, p);
     sim.migrate(p, When::At(MS), MigrationPlan::top_to(1, 2));
     (sim, p)
@@ -230,10 +239,61 @@ fn a_worker_crashing_mid_restore_leaves_no_breakpoint_armed() {
     // dies restoring; the deadline brings the program home.
     let (mut sim, p) = restoring_sim(from + (until - from) / 2);
     sim.run();
-    assert_eq!(sim.program(p).error, None);
+    assert_eq!(sim.program(p).error(), None);
     assert_eq!(sim.report(p).result, Some(7 + N));
     assert_eq!(sim.cluster_report().chaos.fallbacks, 1);
     for node in &sim.sim.world.nodes {
         assert_eq!(node.vm.breakpoints_armed(), 0, "on {}", node.cfg.name);
+    }
+}
+
+/// `main(N, 0)` on node 0, started at 0 and, with `again`, once more at
+/// 1 ms while it runs. Run to idle.
+fn started(again: bool) -> SodSim {
+    let mut cluster = home_and_worker();
+    let p = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, p);
+    if again {
+        sim.start_program(MS, p);
+    }
+    sim.run();
+    sim
+}
+
+/// A second start is dropped. It used to spawn a second root thread and
+/// restamp `started_at_ns`, so the report showed 2.2 ms for a 3.2 ms run
+/// and the first thread's slot stayed taken at idle.
+#[test]
+fn a_program_started_twice_runs_once() {
+    let (once, twice) = (started(false), started(true));
+    assert_eq!(twice.check_idle(), Ok(()));
+    assert_eq!(twice.report(0), once.report(0));
+    assert_eq!(twice.program(0).home_tid(), Some(0));
+}
+
+/// A start delivered to a node that is not the program's home — up, or
+/// down and so dropped by the network — is dropped while the program runs
+/// at home. It used to spawn there (`class not found: App`) or to fail the
+/// program as if its home were down, and in a debug build it panicked.
+#[test]
+fn a_start_away_from_home_is_dropped() {
+    for worker_down in [false, true] {
+        let mut cluster = home_and_worker();
+        let p = cluster.add_program(0, "App", "main", vec![Value::Int(N), Value::Int(0)]);
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+        if worker_down {
+            let plan = ChaosPlan::new().crash_at(MS / 2, 1);
+            sim.set_chaos(&plan, Recovery::default());
+        }
+        sim.start_program(0, p);
+        sim.sim.inject(MS, 1, Msg::StartProgram { program: p });
+        sim.run();
+        assert_eq!(sim.check_idle(), Ok(()), "worker down: {worker_down}");
+        assert_eq!(sim.program(p).error(), None, "worker down: {worker_down}");
+        assert_eq!(sim.report(p).result, Some(7 + N));
+        assert_eq!(sim.sim.world.nodes[1].vm.instr_count, 0);
+        let dropped = sim.cluster_report().chaos.dropped_msgs;
+        assert_eq!(dropped, u64::from(worker_down));
     }
 }

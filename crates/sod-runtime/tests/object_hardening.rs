@@ -66,7 +66,7 @@ fn sim_with_live_worker_session() -> (SodSim, ProgramId) {
     while sim.report(pid).object_faults == 0 {
         assert!(sim.sim.step(), "the worker never faulted on the box");
     }
-    assert!(!sim.program(pid).done);
+    assert!(!sim.program(pid).is_done());
     (sim, pid)
 }
 
@@ -85,7 +85,7 @@ fn request_for_a_never_allocated_object_fails_the_program() {
         },
     );
     sim.run();
-    let error = sim.program(pid).error.clone().expect("typed failure");
+    let error = sim.program(pid).error().expect("typed failure").to_string();
     assert!(
         error.contains("object request for home object 999999"),
         "{error}"
@@ -111,7 +111,7 @@ fn reply_for_a_thread_no_longer_parked_fails_the_program() {
         },
     );
     sim.run();
-    let error = sim.program(pid).error.clone().expect("typed failure");
+    let error = sim.program(pid).error().expect("typed failure").to_string();
     assert!(error.contains("object reply rejected"), "{error}");
 }
 
@@ -128,7 +128,7 @@ fn empty_reply_fails_the_program() {
         },
     );
     sim.run();
-    let error = sim.program(pid).error.clone().expect("typed failure");
+    let error = sim.program(pid).error().expect("typed failure").to_string();
     assert!(error.contains("object reply rejected"), "{error}");
 }
 
@@ -166,7 +166,7 @@ fn forged_and_duplicate_flush_acks_are_ignored() {
     while sim.report(pid).object_faults == 0 {
         assert!(sim.sim.step(), "the worker never faulted on the box");
     }
-    assert!(!sim.program(pid).done && !sim.program(sibling).done);
+    assert!(!sim.program(pid).is_done() && !sim.program(sibling).is_done());
     let forged = |session| Msg::FlushAck {
         session,
         assigned: vec![(sod_runtime::engine::TEMP_ID_BASE, 0)],
@@ -182,7 +182,7 @@ fn forged_and_duplicate_flush_acks_are_ignored() {
     sim.sim.inject(now, 1, forged(FIRST_SESSION));
     sim.run();
     for (program, n) in [(pid, 400_000), (sibling, 900_000)] {
-        assert_eq!(sim.program(program).error, None);
+        assert_eq!(sim.program(program).error(), None);
         assert_eq!(sim.report(program).result, Some(n));
     }
 }
@@ -248,10 +248,10 @@ fn park_on_the_fault(sim: &mut SodSim) {
 
 /// Step until `pid` carries an error; returns it.
 fn step_to_failure(sim: &mut SodSim, pid: ProgramId) -> String {
-    while sim.program(pid).error.is_none() {
+    while sim.program(pid).error().is_none() {
         assert!(sim.sim.step(), "the program never failed");
     }
-    sim.program(pid).error.clone().unwrap()
+    sim.program(pid).error().unwrap().to_string()
 }
 
 #[test]

@@ -128,7 +128,7 @@ fn retired_with_slot_reused(sim: &mut SodSim) -> (SessionId, Seen) {
             })
         };
         let reused = seen.iter().find(|(sid, s)| {
-            !live.contains_key(*sid) && sim.program(s.program).done && runs_in_slot_of(s)
+            !live.contains_key(*sid) && sim.program(s.program).is_done() && runs_in_slot_of(s)
         });
         if let Some((&sid, &s)) = reused {
             return (sid, s);

@@ -88,7 +88,7 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId)
     while sim.report(sibling).migrations.is_empty() {
         assert!(sim.sim.step(), "the sibling never migrated");
     }
-    assert!(!sim.program(victim).done && !sim.program(sibling).done);
+    assert!(!sim.program(victim).is_done() && !sim.program(sibling).is_done());
     let hosted = sim.sim.world.hosted(1);
     let session = hosted
         .iter()
@@ -135,9 +135,12 @@ fn error_after_forged_frame(state: Bytes, nframes: usize, wait_for_return: bool)
         })),
     );
     sim.run();
-    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.program(sibling).error(), None);
     assert_eq!(sim.report(sibling).result, Some(7 + N));
-    sim.program(victim).error.clone().expect("typed failure")
+    sim.program(victim)
+        .error()
+        .expect("typed failure")
+        .to_string()
 }
 
 fn spin_frame(method: &str, locals: Vec<CapturedValue>) -> CapturedFrame {
@@ -228,7 +231,7 @@ fn state_for_a_session_no_episode_holds_is_dropped_unread() {
     }
     sim.run();
     for (program, n) in [(sibling, N), (victim, VICTIM_N)] {
-        assert_eq!(sim.program(program).error, None);
+        assert_eq!(sim.program(program).error(), None);
         assert_eq!(sim.report(program).result, Some(7 + n));
     }
     assert_eq!(sim.cluster_report().total_lost().state, 40);
@@ -249,9 +252,13 @@ fn a_segment_return_popping_past_the_home_stack_fails_its_program() {
     };
     sim.sim.inject(now, 0, forged);
     sim.run();
-    let error = sim.program(victim).error.clone().expect("typed failure");
+    let error = sim
+        .program(victim)
+        .error()
+        .expect("typed failure")
+        .to_string();
     assert!(error.contains("segment return failed"), "{error}");
-    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.program(sibling).error(), None);
     assert_eq!(sim.report(sibling).result, Some(7 + N));
 }
 
@@ -271,10 +278,14 @@ fn uncapturable_stack_of_an_unpreprocessed_class_fails_its_program() {
     let plan = MigrationPlan::top_to(1, 2);
     sim.migrate(victim, When::At(2 * sod_net::MS), plan);
     sim.run();
-    let error = sim.program(victim).error.clone().expect("typed failure");
+    let error = sim
+        .program(victim)
+        .error()
+        .expect("typed failure")
+        .to_string();
     assert!(error.contains("migration-safe point"), "{error}");
     assert!(sim.report(victim).migrations.is_empty());
-    assert_eq!(sim.program(sibling).error, None);
+    assert_eq!(sim.program(sibling).error(), None);
     assert_eq!(sim.report(sibling).result, Some(7 + N));
 }
 
@@ -342,7 +353,7 @@ fn a_duplicate_state_for_a_live_session_is_dropped() {
     };
     sim.sim.inject(now, 1, Msg::State(Box::new(duplicate)));
     sim.run();
-    assert_eq!(sim.program(program).error, None);
+    assert_eq!(sim.program(program).error(), None);
     assert_eq!(sim.report(program).result, Some(7 + N));
     assert_eq!(sim.check_idle(), Ok(()));
 }
@@ -371,7 +382,7 @@ fn a_duplicate_class_reply_resumes_nothing() {
     // nothing and failed the program ("class-load resume failed").
     let (mut sim, program, session) = sim_stepped_until(CodeShipping::Never, running);
     duplicate(&mut sim, session);
-    assert_eq!(sim.program(program).error, None);
+    assert_eq!(sim.program(program).error(), None);
     assert_eq!(sim.report(program).result, Some(7 + N));
     assert_eq!(sim.check_idle(), Ok(()));
 

@@ -73,7 +73,7 @@ fn armed_sim(when: When) -> (SodSim, ProgramId) {
 fn run_armed(when: When) -> RunReport {
     let (mut sim, pid) = armed_sim(when);
     sim.run();
-    assert_eq!(sim.program(pid).error, None);
+    assert_eq!(sim.program(pid).error(), None);
     sim.report(pid).clone()
 }
 
@@ -121,7 +121,7 @@ fn cpu_slice_budget_fires_at_the_start_of_slice_n() {
             assert_eq!(sim.report(pid).instructions, 0);
         }
         sim.run();
-        assert_eq!(sim.program(pid).error, None);
+        assert_eq!(sim.program(pid).error(), None);
         assert_eq!(sim.report(pid).result, Some(expected(N)));
         assert_eq!(sim.report(pid).migrations.len(), 1);
     }
@@ -165,7 +165,7 @@ fn object_fault_threshold_fires_after_remote_faults() {
     sim.migrate(pid, When::OnCpuSliceBudget(10), MigrationPlan::top_to(1, 1));
     sim.migrate(pid, When::OnObjectFaults(1), MigrationPlan::top_to(1, 1));
     sim.run();
-    assert_eq!(sim.program(pid).error, None);
+    assert_eq!(sim.program(pid).error(), None);
     let r = sim.report(pid);
     assert_eq!(r.result, Some(expected(N)));
     assert_eq!(
@@ -223,7 +223,11 @@ fn oom_rescue(plan: MigrationPlan) -> (SodSim, ProgramId) {
 #[test]
 fn oom_trigger_rescues_and_is_one_shot() {
     let (sim, pid) = oom_rescue(MigrationPlan::top_to(1, 1));
-    assert_eq!(sim.program(pid).error, None, "offload must rescue the OOM");
+    assert_eq!(
+        sim.program(pid).error(),
+        None,
+        "offload must rescue the OOM"
+    );
     let r = sim.report(pid);
     assert_eq!(r.result, Some(2_000_000));
     assert_eq!(r.migrations.len(), 1, "the trigger fires exactly once");
@@ -235,7 +239,7 @@ fn oom_trigger_rescues_and_is_one_shot() {
 #[test]
 fn oom_trigger_ships_the_whole_stack_to_the_plans_first_destination() {
     let (chained, pid) = oom_rescue(MigrationPlan::chain(&[(1, 1), (2, 1)]));
-    assert_eq!(chained.program(pid).error, None);
+    assert_eq!(chained.program(pid).error(), None);
     assert_eq!(chained.report(pid).result, Some(2_000_000));
     assert_eq!(chained.report(pid).migrations.len(), 1);
     assert!(chained.sim.world.nodes[1].slices > 0, "the rescue node ran");
@@ -267,7 +271,7 @@ fn oom_trigger_without_pressure_does_not_fire() {
     sim.start_program(0, pid);
     sim.migrate(pid, When::OnOom, MigrationPlan::top_to(1, 1));
     sim.run();
-    assert_eq!(sim.program(pid).error, None);
+    assert_eq!(sim.program(pid).error(), None);
     let r = sim.report(pid);
     assert_eq!(r.result, Some(1_000));
     assert!(r.migrations.is_empty());

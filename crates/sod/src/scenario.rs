@@ -61,7 +61,8 @@ use std::fmt;
 use sod_net::{ChaosPlan, LinkSpec, Scheduler, Topology};
 use sod_runtime::{
     Cluster, ClusterReport, CodeShipping, FetchPolicy, MigrationPlan, Node, NodeConfig, PoolSpec,
-    PoolSpecError, RetryPolicy, RunReport, ScalePolicy, SegmentSpec, SodSim, POOL_DEST_BASE,
+    PoolSpecError, Recovery, RetryPolicy, RunReport, ScalePolicy, SegmentSpec, SodSim,
+    POOL_DEST_BASE,
 };
 use sod_vm::class::ClassDef;
 use sod_vm::value::Value;
@@ -248,8 +249,7 @@ pub struct Chaos {
     loss_permille: u32,
     scatter: Option<(usize, u64)>,
     seed: u64,
-    retry: Option<RetryPolicy>,
-    timeout_ns: Option<u64>,
+    recovery: Recovery,
 }
 
 impl Chaos {
@@ -307,13 +307,13 @@ impl Chaos {
     /// What the engine does when a migration episode's deadline fires
     /// (default [`RetryPolicy::FallbackToHome`]).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
+        self.recovery.policy = policy;
         self
     }
 
     /// Override the end-to-end migration-episode deadline (virtual ns).
     pub fn migration_timeout(mut self, ns: u64) -> Self {
-        self.timeout_ns = Some(ns);
+        self.recovery.timeout_ns = ns;
         self
     }
 
@@ -1039,16 +1039,8 @@ impl Scenario {
         }
 
         let mut sim = SodSim::new(cluster, topo);
-        if let Some(plan) = &chaos_plan {
-            sim.set_chaos(plan);
-        }
-        if let Some(chaos) = &self.chaos_plan {
-            if let Some(policy) = chaos.retry {
-                sim.set_retry_policy(policy);
-            }
-            if let Some(ns) = chaos.timeout_ns {
-                sim.set_migration_timeout(ns);
-            }
+        if let (Some(plan), Some(chaos)) = (&chaos_plan, &self.chaos_plan) {
+            sim.set_chaos(plan, chaos.recovery);
         }
         sim.start_pool_ticks();
         for pid in 0..self.programs.len() as u32 {
@@ -1066,19 +1058,19 @@ impl Scenario {
         let mut programs = Vec::with_capacity(names.len());
         for (pid, name) in names.into_iter().enumerate() {
             let p = sim.program(pid as u32);
-            if let Some(error) = &p.error {
+            if let Some(error) = p.error() {
                 // Fleet members report failure; single programs abort.
                 if !self.programs[pid].from_fleet {
                     return Err(ScenarioError::Program {
                         program: name,
-                        error: error.clone(),
+                        error: error.to_string(),
                     });
                 }
             }
             programs.push(ProgramRun {
                 name,
                 report: p.report.clone(),
-                error: p.error.clone(),
+                error: p.error().map(str::to_string),
             });
         }
         sim.check_idle().map_err(ScenarioError::Invariant)?;

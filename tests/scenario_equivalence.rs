@@ -61,7 +61,7 @@ fn legacy_run(class: &ClassDef, plan: MigrationPlan) -> RunReport {
     sim.start_program(0, pid);
     sim.migrate(pid, When::At(2 * MS), plan);
     sim.run();
-    assert_eq!(sim.program(pid).error, None);
+    assert_eq!(sim.program(pid).error(), None);
     sim.report(pid).clone()
 }
 
