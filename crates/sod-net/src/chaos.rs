@@ -215,6 +215,11 @@ impl ChaosState {
         Some(entry.action)
     }
 
+    /// Take `node` down now, as a scheduled [`ChaosAction::Crash`] would.
+    pub(crate) fn crash(&mut self, node: usize) {
+        self.set_down(node, true);
+    }
+
     fn set_down(&mut self, node: usize, down: bool) {
         if node >= self.down.len() {
             self.down.resize(node + 1, false);

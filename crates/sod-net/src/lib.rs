@@ -27,7 +27,7 @@ pub mod topology;
 pub use chaos::{ChaosAction, ChaosEntry, ChaosPlan, ChaosState, DropReason};
 pub use link::{Link, LinkSpec};
 #[doc(hidden)]
-pub use sim::Scheduler;
+pub use sim::{Choice, Fault, Scheduler};
 pub use sim::{Sim, SimCtx, World};
 pub use time::{ns_to_ms_string, ns_to_s_string, MS, NS_PER_MS, NS_PER_SEC, NS_PER_US, SEC, US};
 pub use topology::Topology;

@@ -41,6 +41,11 @@ pub trait World {
         _now: u64,
     ) {
     }
+
+    /// The network is about to deliver `msg` from `src` to `dst` twice
+    /// (only the choice hook's [`Fault::Duplicate`] does). The default
+    /// ignores it; worlds that keep byte ledgers credit the copy as sent.
+    fn on_duplicated(&mut self, _src: usize, _dst: usize, _msg: &Self::Msg) {}
 }
 
 /// A leftover knob: [`Sim::with_scheduler`] accepts it and ignores it, as
@@ -242,6 +247,15 @@ impl<W: World> Sim<W> {
         let Some(Reverse(ev)) = self.queue.pop() else {
             return false;
         };
+        self.deliver(ev, None);
+        true
+    }
+
+    /// The one delivery path, for [`Sim::step`] and the choice hook alike:
+    /// move the clock to `ev`, apply every chaos action due by then, and
+    /// hand `ev` to the world — or drop it, as `lost` or the chaos layer
+    /// says.
+    fn deliver(&mut self, ev: Event<W::Msg>, mut lost: Option<DropReason>) {
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         if let Some(chaos) = &mut self.chaos {
@@ -255,13 +269,16 @@ impl<W: World> Sim<W> {
                 }
                 self.world.on_chaos(&action, self.now);
             }
-            let cut = ev.src != ev.dst && self.topo.is_cut(ev.src, ev.dst);
-            if let Some(reason) = chaos.drop_reason(ev.src, ev.dst, cut) {
-                self.dropped += 1;
-                self.world
-                    .on_dropped(ev.src, ev.dst, ev.msg, reason, self.now);
-                return true;
+            if lost.is_none() {
+                let cut = ev.src != ev.dst && self.topo.is_cut(ev.src, ev.dst);
+                lost = chaos.drop_reason(ev.src, ev.dst, cut);
             }
+        }
+        if let Some(reason) = lost {
+            self.dropped += 1;
+            self.world
+                .on_dropped(ev.src, ev.dst, ev.msg, reason, self.now);
+            return;
         }
         self.delivered += 1;
         if ev.dst >= self.delivered_by.len() {
@@ -279,7 +296,6 @@ impl<W: World> Sim<W> {
             self.submit(at, src, dst, msg);
         }
         self.outbox = outbox;
-        true
     }
 
     /// Run until the event queue drains or `max_events` events have been
@@ -310,6 +326,121 @@ impl<W: World> Sim<W> {
     /// Access the topology (bandwidth accounting etc.).
     pub fn topology(&self) -> &Topology {
         &self.topo
+    }
+}
+
+/// A fault the choice hook applies to the event it delivers.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// The network loses it ([`DropReason::Loss`]).
+    Drop,
+    /// The network delivers it twice: a copy queues behind it, at the
+    /// same instant, after what its delivery sends.
+    Duplicate,
+    /// Its destination crashes just before it lands, so it is dropped.
+    CrashDst,
+    /// Its source crashes just after it lands.
+    CrashSrc,
+}
+
+/// One event the choice hook may deliver next.
+#[doc(hidden)]
+pub struct Choice<'a, M> {
+    pub at: u64,
+    pub src: usize,
+    pub dst: usize,
+    pub msg: &'a M,
+}
+
+/// The choice hook: a test-facing way to drive the one queue in an order
+/// the network could have produced, with faults. Nothing in a system path
+/// calls it; [`Sim::step`] is choice 0 without a fault.
+impl<W: World> Sim<W>
+where
+    W::Msg: Clone,
+{
+    /// The enabled set, in `(time, seq)` order (choice 0 is the head):
+    /// the head, every event at its time bound for another node, and every
+    /// later event — each the first queued on its `(src, dst)` link, so
+    /// links stay FIFO. No time window bounds it: the network may hold a
+    /// message past any later event, a deadline included.
+    #[doc(hidden)]
+    pub fn choices(&self) -> Vec<Choice<'_, W::Msg>> {
+        let queued = self.queue.as_slice();
+        let choice = |i: usize| {
+            let e = &queued[i].0;
+            let (at, src, dst, msg) = (e.at, e.src, e.dst, &e.msg);
+            Choice { at, src, dst, msg }
+        };
+        self.enabled().into_iter().map(choice).collect()
+    }
+
+    /// The enabled set as indices into the heap's storage.
+    fn enabled(&self) -> Vec<usize> {
+        let queued = self.queue.as_slice();
+        let mut order: Vec<usize> = (0..queued.len()).collect();
+        order.sort_unstable_by(|&a, &b| queued[a].0.cmp(&queued[b].0));
+        let Some(head) = order.first().map(|&i| &queued[i].0) else {
+            return order;
+        };
+        let mut links = Vec::new();
+        order.retain(|&i| {
+            let e = &queued[i].0;
+            let first_on_link = !links.contains(&(e.src, e.dst));
+            links.push((e.src, e.dst));
+            first_on_link && (e.seq == head.seq || e.at > head.at || e.dst != head.dst)
+        });
+        order
+    }
+
+    /// Deliver choice `pick` of [`Sim::choices`] with `fault`; false when
+    /// there is no such choice. Every event it passes is delayed to its
+    /// time, so virtual time never runs backwards. A drop and a crash go
+    /// through the chaos accounting; a duplicate is credited through
+    /// [`World::on_duplicated`].
+    #[doc(hidden)]
+    pub fn deliver_choice(&mut self, pick: usize, fault: Option<Fault>) -> bool {
+        let Some(&i) = self.enabled().get(pick) else {
+            return false;
+        };
+        // `into_vec` hands back the storage `as_slice` indexed.
+        let mut queued = std::mem::take(&mut self.queue).into_vec();
+        let Reverse(ev) = queued.swap_remove(i);
+        for Reverse(passed) in &mut queued {
+            passed.at = passed.at.max(ev.at);
+        }
+        self.queue = BinaryHeap::from(queued);
+        let (at, src, dst) = (ev.at, ev.src, ev.dst);
+        match fault {
+            None => self.deliver(ev, None),
+            Some(Fault::Drop) => self.deliver(ev, Some(DropReason::Loss)),
+            Some(Fault::Duplicate) => {
+                self.world.on_duplicated(src, dst, &ev.msg);
+                let copy = ev.msg.clone();
+                self.deliver(ev, None);
+                self.submit(at, src, dst, copy);
+            }
+            Some(Fault::CrashDst) => {
+                self.crash(dst, at);
+                self.deliver(ev, None);
+            }
+            Some(Fault::CrashSrc) => {
+                self.deliver(ev, None);
+                self.crash(src, at);
+            }
+        }
+        true
+    }
+
+    /// Crash `node` at `at` (≥ now), as a scheduled crash would.
+    fn crash(&mut self, node: usize, at: u64) {
+        let nodes = self.topo.len();
+        let chaos = self
+            .chaos
+            .get_or_insert_with(|| ChaosPlan::new().build(nodes));
+        chaos.crash(node);
+        self.world.on_chaos(&ChaosAction::Crash { node }, at);
     }
 }
 
@@ -638,5 +769,57 @@ mod tests {
         s.run_to_idle(10);
         assert_eq!(s.topology().total_bytes_carried(), 0);
         assert_eq!(s.now(), 500);
+    }
+
+    #[test]
+    fn choice_zero_without_a_fault_is_step() {
+        let by_choice = || {
+            let mut s = sim(true);
+            s.inject(5, 0, 0);
+            s.inject(5, 1, 0);
+            s.inject(7, 2, 1);
+            s.inject(7, 0, 2);
+            while s.deliver_choice(0, None) {}
+            (s.now(), s.delivered(), s.world.log)
+        };
+        assert_eq!(by_choice(), relay_timeline(|| sim(true)));
+    }
+
+    #[test]
+    fn a_later_choice_delays_what_it_passes_and_links_stay_fifo() {
+        let mut s = sim(false);
+        s.inject(10, 0, 1);
+        s.inject(10, 0, 2); // same link as 1: never ahead of it
+        s.inject(30, 1, 3);
+        let msgs = |s: &Sim<Recorder>| s.choices().iter().map(|c| *c.msg).collect::<Vec<_>>();
+        assert_eq!(msgs(&s), [1, 3]);
+        assert!(s.deliver_choice(1, None));
+        assert_eq!(msgs(&s), [1]);
+        s.run_to_idle(10);
+        assert_eq!(s.world.log, [(30, 1, 3), (30, 0, 1), (30, 0, 2)]);
+    }
+
+    #[test]
+    fn faults_go_through_the_chaos_accounting() {
+        let mut s = Sim::new(chaos_log(false), topo3());
+        s.submit(10, 0, 1, 1);
+        s.submit(20, 0, 1, 2);
+        s.submit(30, 0, 2, 3);
+        s.submit(40, 2, 1, 4);
+        assert!(s.deliver_choice(0, Some(Fault::Drop)));
+        assert!(s.deliver_choice(0, Some(Fault::Duplicate))); // 2, its copy next
+        assert!(s.deliver_choice(0, None));
+        assert!(s.deliver_choice(0, Some(Fault::CrashSrc))); // 3 lands, 0 goes down
+        assert!(s.deliver_choice(0, Some(Fault::CrashDst))); // 1 goes down first
+        assert!(!s.deliver_choice(0, None));
+        assert_eq!(s.world.delivered, [(20, 1, 2), (20, 1, 2), (30, 2, 3)]);
+        let dropped: Vec<_> = s.world.dropped.iter().map(|d| (d.2, d.3)).collect();
+        assert_eq!(dropped, [(1, DropReason::Loss), (4, DropReason::NodeDown)]);
+        let crashed = [
+            ChaosAction::Crash { node: 0 },
+            ChaosAction::Crash { node: 1 },
+        ];
+        assert_eq!(s.world.actions, [(30, crashed[0]), (40, crashed[1])]);
+        assert_eq!((s.dropped(), s.delivered()), (2, 3));
     }
 }

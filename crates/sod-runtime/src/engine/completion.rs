@@ -116,8 +116,11 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         match target {
-            ReturnTarget::Home { node: home } => {
-                debug_assert_eq!(node, home);
+            ReturnTarget::Home { .. } => {
+                let home = self.programs[program as usize].home;
+                if node != home {
+                    return; // delivered away from home: nobody waits here
+                }
                 let returned = self.home_step(program, HomeInput::Returned(session));
                 if !self.close_episode(returned) {
                     // Stale return: the program ended (a home crash, a

@@ -173,9 +173,36 @@ impl Cluster {
         }
     }
 
-    /// The end-to-end migration deadline fired at the home node. It acts
-    /// only on the episode it was armed for, named by the stamp given at
-    /// the freeze: once that episode closed, the timer is inert.
+    /// The network delivers `msg` twice: credit the copy's payload as
+    /// sent from `src` again. Shipped state and object replies are
+    /// accounted where the copy lands (restored, installed or lost); class
+    /// bytes and flushes are accounted at send, and a copy buys nothing
+    /// its original did not, so its bytes are lost at once.
+    pub(super) fn note_duplicated(&mut self, src: usize, msg: &Msg) {
+        let n = &mut self.nodes[src];
+        match msg {
+            Msg::State(m) => {
+                n.net_sent.state += m.state.len() as u64;
+                n.net_sent.class += m.class_bytes;
+                n.net_lost.class += m.class_bytes;
+            }
+            Msg::ObjectReply { batch, .. } => n.net_sent.object += batch.payload_bytes(),
+            Msg::ClassReply { bytes, .. } => {
+                n.net_sent.class += bytes;
+                n.net_lost.class += bytes;
+            }
+            Msg::Flush { batch, .. } => {
+                n.net_sent.object += batch.payload_bytes();
+                n.net_lost.object += batch.payload_bytes();
+            }
+            _ => {}
+        }
+    }
+
+    /// The end-to-end migration deadline fired. It acts only at the
+    /// program's home, and only on the episode it was armed for, named by
+    /// the stamp given at the freeze: once that episode closed, the timer
+    /// is inert.
     pub(super) fn migration_timeout(
         &mut self,
         node: usize,
@@ -183,11 +210,13 @@ impl Cluster {
         episode: u32,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        debug_assert_eq!(self.programs[program as usize].home, node);
         // A deadline exists only while recovery is armed.
         let Some(recovery) = self.recovery else {
             return;
         };
+        if self.programs[program as usize].home != node {
+            return;
+        }
         let deadline = HomeInput::Deadline(episode, recovery.policy);
         // Either way the shipment's sessions die first (a re-ship retires
         // those it supersedes, closing retires those listed): whichever of

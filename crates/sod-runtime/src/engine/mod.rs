@@ -77,6 +77,8 @@ mod session;
 
 pub use fault::{Recovery, RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, PoolSpecError, ScalePolicy, POOL_DEST_BASE, POOL_TICK_NS};
+#[doc(hidden)]
+pub use protocol::HomeView;
 pub(crate) use session::{Owner, WorkerSession};
 
 use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
@@ -448,6 +450,13 @@ impl Cluster {
         hosted
     }
 
+    /// `program`'s home side as the protocol holds it — for suites that
+    /// check the protocol's invariants on a live run.
+    #[doc(hidden)]
+    pub fn home_side(&self, program: ProgramId) -> HomeView<'_> {
+        self.programs[program as usize].side.view()
+    }
+
     /// Whether every program, pool and node `msg` names exists — the
     /// handlers index by them. Sessions and threads need no check here:
     /// their lookups already miss on an id nobody holds.
@@ -611,6 +620,10 @@ impl World for Cluster {
         now: u64,
     ) {
         self.note_dropped(src, dst, msg, reason, now);
+    }
+
+    fn on_duplicated(&mut self, src: usize, _dst: usize, msg: &Msg) {
+        self.note_duplicated(src, msg);
     }
 }
 

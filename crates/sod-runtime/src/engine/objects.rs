@@ -128,6 +128,8 @@ impl Cluster {
         };
         self.retire_batch(batch);
         if let Err(error) = installed {
+            // Nobody accounts a refused reply: its bytes are lost here.
+            self.nodes[node].net_lost.object += bytes;
             self.fail_session(node, sid, error, ctx.now());
             return;
         }

@@ -7,8 +7,9 @@
 //! decision is made here: which plan installs, when an episode freezes,
 //! ships and closes, what is stale, what a session waits for. An input its
 //! state does not expect is dropped; a dropped `State`'s bytes are credited
-//! lost where they landed. The explorer in `protocol/explorer.rs` runs both
-//! functions over every interleaving of a small world.
+//! lost where they landed. `tests/protocol_search.rs` checks both through
+//! the real engine, over every order of delivery of a small world within a
+//! bound.
 
 use sod_vm::capture::CapturedValue;
 
@@ -18,13 +19,11 @@ use super::RetryPolicy;
 
 /// Home-side lifecycle of a program's root thread, and the count of
 /// episodes it froze (the latest one's stamp).
-#[derive(Clone, Debug)]
 pub(super) struct HomeSide<S> {
     state: Home<S>,
     episodes: u32,
 }
 
-#[derive(Clone, Debug)]
 enum Home<S> {
     /// Executing normally at home.
     Idle,
@@ -38,7 +37,6 @@ enum Home<S> {
 /// One migration episode (paper §III, Fig. 1a–c): one freeze, every
 /// segment shipped concurrently, returns chained, home resumed. A session
 /// the episode does not list is stale by definition.
-#[derive(Clone, Debug)]
 struct Episode<S> {
     /// Staged until `CaptureDone` ships them; then kept only where a
     /// deadline may re-ship them (faults injected, under `Retry`).
@@ -65,12 +63,36 @@ impl<S> HomeSide<S> {
     pub(super) fn is_idle(&self) -> bool {
         matches!(self.state, Home::Idle)
     }
+
+    pub(super) fn view(&self) -> HomeView<'_> {
+        match &self.state {
+            Home::Idle => HomeView::Idle,
+            Home::Planned(_) => HomeView::Planned,
+            Home::Frozen(ep) => HomeView::Frozen {
+                stamp: ep.stamp,
+                sessions: &ep.sessions,
+            },
+        }
+    }
+}
+
+/// A home side as suites read it: idle, a plan installed, or an episode
+/// open with its stamp and where each session of its latest shipment runs
+/// (none while it is staged).
+#[doc(hidden)]
+#[derive(Debug)]
+pub enum HomeView<'a> {
+    Idle,
+    Planned,
+    Frozen {
+        stamp: u32,
+        sessions: &'a [(usize, SessionId)],
+    },
 }
 
 /// Who installs a plan. A trigger installs only on an idle side; a
 /// `MigrateNow` or the guest's own request (`sod_move`, an `OnOom`
 /// offload) replaces a pending plan; nothing installs over an episode.
-#[derive(Clone, Copy)]
 pub(super) enum PlanSource {
     MigrateNow,
     Trigger,
@@ -204,7 +226,6 @@ fn close<S>(state: &mut Home<S>) -> HomeEffect<S> {
 /// travels inside the one phase that still reads it. A session that is
 /// done is not stored at all: retirement removes it from its node, so
 /// every handler treats a retired session as an unknown one.
-#[derive(Clone, Debug)]
 pub(crate) enum WorkerPhase<T> {
     /// Classes the segment names are in flight, sorted (or all are here
     /// and `BeginRestore` is).
@@ -337,9 +358,6 @@ pub(super) fn worker<T>(phase: &mut WorkerPhase<T>, input: WorkerInput<'_>) -> W
         _ => E::Drop,
     }
 }
-
-#[cfg(test)]
-mod explorer;
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 //! crashed home are dropped with the failure recorded, never a panic.
 
 use sod::asm::builder::ClassBuilder;
-use sod::net::{MS, US};
+use sod::net::{MS, SEC, US};
 use sod::preprocess::preprocess_sod;
 use sod::scenario::{Chaos, Fleet, Plan, Scenario, When};
 use sod::vm::class::ClassDef;
@@ -15,13 +15,22 @@ use sod::vm::instr::Cmp;
 use sod::vm::value::{TypeOf, Value};
 use sod::workloads::programs::fib_class;
 use sod::ScenarioReport;
+use sod_runtime::msg::ReturnTarget;
 use sod_runtime::node::NodeConfig;
-use sod_runtime::RetryPolicy;
+use sod_runtime::{Msg, RetryPolicy, SessionId, SodSim};
+use sod_vm::capture::CapturedValue;
 
 /// One Fib(16) program homed on `home`, migrating its top frames to
 /// `worker` at 50 µs, declared as a fleet-of-one so failures are recorded
 /// on the report instead of aborting the run.
 fn offload_scenario(chaos: Chaos) -> ScenarioReport {
+    offload(chaos)
+        .run()
+        .expect("hardened engine must never panic under chaos")
+}
+
+/// The scenario `offload_scenario` runs.
+fn offload(chaos: Chaos) -> Scenario {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     Scenario::new()
         .slice_ns(10_000)
@@ -34,8 +43,6 @@ fn offload_scenario(chaos: Chaos) -> ScenarioReport {
                 .migrate(When::At(50 * US), Plan::top_to("worker", 2)),
         )
         .chaos(chaos)
-        .run()
-        .expect("hardened engine must never panic under chaos")
 }
 
 #[test]
@@ -330,4 +337,50 @@ fn a_home_crash_retires_the_sessions_it_stranded() {
     let err = p.error.as_deref().expect("typed failure recorded");
     assert!(err.contains("crashed"), "{err}");
     assert_eq!(p.report.migrations.len(), 1, "the session restored first");
+}
+
+/// `offload`'s program with recovery armed (its chaos plan's one entry
+/// falls after the run), stepped until its segment lives on the worker;
+/// then `misroute` is injected at the worker, addressed to that session,
+/// and the run goes on. The program ends with its fault-free value.
+fn misrouted_at_the_worker(misroute: fn(SessionId) -> Msg) {
+    let armed = || Chaos::new().restart_at(10 * SEC, "worker");
+    let report = offload(armed())
+        .run_with(|sim: &mut SodSim| {
+            while sim.sim.world.hosted(1).is_empty() {
+                assert!(sim.sim.step(), "the segment never reached the worker");
+            }
+            let session = sim.sim.world.hosted(1)[0].0;
+            let now = sim.sim.now();
+            sim.sim.inject(now, 1, misroute(session));
+            sim.run();
+        })
+        .expect("a misrouted message is dropped");
+    let p = &report.programs()[0];
+    assert_eq!((p.error.as_deref(), p.report.result), (None, Some(987)));
+    assert_eq!(p.report.migrations.len(), 1, "the segment restored");
+    assert_eq!(report.cluster.chaos.timeouts, 0);
+}
+
+#[test]
+fn a_deadline_delivered_away_from_home_is_dropped() {
+    // It used to fail a debug assertion, and in release thaw thread `tid`
+    // on the worker, where the program's root thread does not live.
+    misrouted_at_the_worker(|_| Msg::MigrationTimeout {
+        program: 0,
+        episode: 1,
+    });
+}
+
+#[test]
+fn a_home_return_delivered_away_from_home_is_dropped() {
+    // It used to fail a debug assertion, and in release close the episode
+    // with the live session's value and resume the home from the worker.
+    misrouted_at_the_worker(|session| Msg::SegmentReturn {
+        program: 0,
+        session,
+        target: ReturnTarget::Home { node: 0 },
+        retval: Some(CapturedValue::Int(1)),
+        pop_frames: 1,
+    });
 }

@@ -29,7 +29,7 @@ pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 /// Striped ids that differ only above bit 32 (session ids) then land in
 /// different buckets, and counters, stripes and `(origin, id)` pairs all
 /// fill a table more evenly than a random function would.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Default)]
 pub struct IdHasher(u64);
 
 /// 2^64 / golden ratio, forced odd.
