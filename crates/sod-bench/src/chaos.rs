@@ -39,8 +39,6 @@ pub const POLICIES: [RetryPolicy; 2] = [
 /// One finished sweep row.
 #[derive(Clone, Debug)]
 pub struct ChaosRow {
-    pub loss_permille: u32,
-    pub policy: RetryPolicy,
     pub cluster: ClusterReport,
     /// Programs that finished with the correct Fib result.
     pub correct: usize,
@@ -82,22 +80,9 @@ pub fn run_chaos_fleet(loss_permille: u32, policy: RetryPolicy, programs: usize)
         .filter(|p| p.report.result == Some(377))
         .count();
     ChaosRow {
-        loss_permille,
-        policy,
         cluster: report.cluster.clone(),
         correct,
     }
-}
-
-/// Run the shipped sweep once (loss rate × policy).
-pub fn sweep() -> Vec<ChaosRow> {
-    let mut rows = Vec::new();
-    for &policy in &POLICIES {
-        for &loss in &LOSS_RATES {
-            rows.push(run_chaos_fleet(loss, policy, CHAOS_FLEET));
-        }
-    }
-    rows
 }
 
 fn policy_name(p: RetryPolicy) -> String {
@@ -107,35 +92,33 @@ fn policy_name(p: RetryPolicy) -> String {
     }
 }
 
-/// Render a finished sweep as the human-readable table.
-pub fn render_table(rows: &[ChaosRow]) -> String {
+/// The shipped sweep (loss rate × policy) as a table (simulates it).
+pub fn chaos_table() -> String {
     let mut out = String::from(
         "TABLE CHAOS. FAULT-TOLERANCE SWEEP (seeded loss x recovery policy)\n\
          policy          loss(permille) ok     dropped timeouts retries fallbacks lost(B) p50(ms)  makespan(ms)\n",
     );
-    for r in rows {
-        let ch = &r.cluster.chaos;
-        let _ = writeln!(
-            out,
-            "{:<15} {:<14} {:<6} {:<7} {:<8} {:<7} {:<9} {:<7} {:<8} {}",
-            policy_name(r.policy),
-            r.loss_permille,
-            format!("{}/{}", r.correct, r.cluster.launched),
-            ch.dropped_msgs,
-            ch.timeouts,
-            ch.retries,
-            ch.fallbacks,
-            r.cluster.total_lost().total(),
-            ns_to_ms_string(r.cluster.p50_latency_ns),
-            ns_to_ms_string(r.cluster.makespan_ns),
-        );
+    for policy in POLICIES {
+        for loss in LOSS_RATES {
+            let r = run_chaos_fleet(loss, policy, CHAOS_FLEET);
+            let ch = &r.cluster.chaos;
+            let _ = writeln!(
+                out,
+                "{:<15} {:<14} {:<6} {:<7} {:<8} {:<7} {:<9} {:<7} {:<8} {}",
+                policy_name(policy),
+                loss,
+                format!("{}/{}", r.correct, r.cluster.launched),
+                ch.dropped_msgs,
+                ch.timeouts,
+                ch.retries,
+                ch.fallbacks,
+                r.cluster.total_lost().total(),
+                ns_to_ms_string(r.cluster.p50_latency_ns),
+                ns_to_ms_string(r.cluster.makespan_ns),
+            );
+        }
     }
     out
-}
-
-/// The shipped sweep as a table (simulates it).
-pub fn chaos_table() -> String {
-    render_table(&sweep())
 }
 
 #[cfg(test)]
@@ -151,19 +134,5 @@ mod tests {
 
         let lossy = run_chaos_fleet(100, RetryPolicy::FallbackToHome, small);
         assert!(lossy.cluster.chaos.dropped_msgs > 0, "10% loss must drop");
-    }
-
-    #[test]
-    fn table_has_shape() {
-        let rows: Vec<_> = [
-            (0, RetryPolicy::FallbackToHome),
-            (100, RetryPolicy::Retry { max_attempts: 2 }),
-        ]
-        .iter()
-        .map(|&(loss, p)| run_chaos_fleet(loss, p, 6))
-        .collect();
-        let t = render_table(&rows);
-        assert!(t.contains("TABLE CHAOS"));
-        assert_eq!(t.lines().count(), 4, "header(2) + one line per cell");
     }
 }

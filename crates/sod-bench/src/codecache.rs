@@ -46,7 +46,6 @@ pub const POLICIES: [CodeShipping; 4] = [
 /// One finished ablation row.
 #[derive(Clone, Debug)]
 pub struct CodecacheRow {
-    pub policy: CodeShipping,
     pub cluster: ClusterReport,
     /// Sum of `RunReport::classes_shipped` (on-demand class requests).
     pub on_demand_classes: u64,
@@ -98,33 +97,25 @@ pub fn run_codecache_fleet(policy: CodeShipping, programs: usize, seed: u64) -> 
         .map(|p| p.report.classes_shipped)
         .sum();
     CodecacheRow {
-        policy,
         cluster: report.cluster.clone(),
         on_demand_classes,
         correct,
     }
 }
 
-/// Run the shipped sweep once (one row per policy).
-pub fn sweep() -> Vec<CodecacheRow> {
-    POLICIES
-        .iter()
-        .map(|&p| run_codecache_fleet(p, CODECACHE_FLEET, CODECACHE_SEED))
-        .collect()
-}
-
-/// Render a finished sweep as the human-readable table.
-pub fn render_table(rows: &[CodecacheRow]) -> String {
+/// The shipped ablation (one row per policy) as a table (simulates it).
+pub fn codecache_table() -> String {
     let mut out = String::from(
         "TABLE CODECACHE. CODE-SHIPPING ABLATION (warm-worker fleet; bytes on the wire)\n\
          policy          class(B)  ondemand state(B)  object(B) p50(ms)  makespan(ms) ok\n",
     );
-    for r in rows {
+    for policy in POLICIES {
+        let r = run_codecache_fleet(policy, CODECACHE_FLEET, CODECACHE_SEED);
         let sent = r.cluster.total_sent();
         let _ = writeln!(
             out,
             "{:<15} {:<9} {:<8} {:<9} {:<9} {:<8} {:<12} {}/{}",
-            format!("{:?}", r.policy),
+            format!("{policy:?}"),
             sent.class,
             r.on_demand_classes,
             sent.state,
@@ -136,11 +127,6 @@ pub fn render_table(rows: &[CodecacheRow]) -> String {
         );
     }
     out
-}
-
-/// The shipped sweep as a table (simulates it).
-pub fn codecache_table() -> String {
-    render_table(&sweep())
 }
 
 #[cfg(test)]
@@ -163,18 +149,5 @@ mod tests {
         assert_eq!(top.correct, small);
         assert_eq!(always.cluster.failed, 0);
         assert_eq!(top.cluster.failed, 0);
-    }
-
-    #[test]
-    fn table_has_shape() {
-        let rows: Vec<_> = [CodeShipping::BundleTop, CodeShipping::Never]
-            .iter()
-            .map(|&p| run_codecache_fleet(p, 6, CODECACHE_SEED))
-            .collect();
-        let t = render_table(&rows);
-        assert!(t.contains("TABLE CODECACHE"));
-        assert_eq!(t.lines().count(), 4, "header(2) + one line per policy");
-        // Never bundles nothing: all class traffic is on demand.
-        assert!(rows[1].on_demand_classes > 0);
     }
 }

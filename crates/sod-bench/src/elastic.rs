@@ -8,18 +8,16 @@
 //! fleets of 1 and [`ELASTIC_MAX`] members as the baselines, plus every
 //! [`ScalePolicy`] — crossed with cold-start latencies and arrival
 //! shapes. Every row reports tail latency (p50/p99), makespan, and the
-//! [`sod::ClusterReport::node_seconds`] cost, so the frontier is
+//! node-time cost ([`sod::ClusterReport::node_ns`]), so the frontier is
 //! directly readable: a policy *dominates* a baseline when it is at
 //! least as good on both axes and strictly better on one. Because
 //! arrivals and scaling are deterministic, the sweep is a pure function of
-//! its constants.
-//!
-//! [`render_json`] renders the same sweep as a `BENCH_elastic.json`-
-//! compatible summary.
+//! its constants, and the table prints every count and every duration
+//! in full (ns), so the committed evaluation pins each of them exactly.
 
 use std::fmt::Write as _;
 
-use sod::net::{ns_to_ms_string, MS};
+use sod::net::MS;
 use sod::preprocess::preprocess_sod;
 use sod::runtime::NodeConfig;
 use sod::scenario::{Fleet, Plan, Pool, Scenario, When};
@@ -79,12 +77,6 @@ pub fn arrival_schedule(label: &str) -> ArrivalSchedule {
 #[derive(Clone, Debug)]
 pub struct ElasticRow {
     pub config: PoolConfig,
-    pub cold_start_ns: u64,
-    pub arrival: &'static str,
-    /// Fleet size this row actually ran (provenance for the JSON).
-    pub programs: usize,
-    /// Arrival seed this row actually ran with.
-    pub seed: u64,
     pub cluster: ClusterReport,
     /// Programs that finished with the correct Fib result.
     pub correct: usize,
@@ -97,14 +89,14 @@ impl ElasticRow {
     }
 }
 
-/// Run the reference burst fleet under one (config, cold start, arrival)
-/// cell. CPU contention is on — co-located sessions queue, so added
-/// capacity buys latency and a starved pool costs tail.
+/// Run the reference burst fleet ([`ELASTIC_FLEET`] programs) under one
+/// (config, cold start, arrival) cell. CPU contention is on — co-located
+/// sessions queue, so added capacity buys latency and a starved pool costs
+/// tail.
 pub fn run_elastic_fleet(
     config: PoolConfig,
     cold_start_ns: u64,
     arrival: &'static str,
-    programs: usize,
 ) -> ElasticRow {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     let pool = match config {
@@ -126,7 +118,7 @@ pub fn run_elastic_fleet(
         .pool(pool.cold_start(cold_start_ns))
         .fleet(
             Fleet::new("Fib", "main", vec![Value::Int(ELASTIC_FIB)])
-                .programs(programs)
+                .programs(ELASTIC_FLEET)
                 .across(&["edge0", "edge1"])
                 .arrivals(arrival_schedule(arrival), ELASTIC_SEED)
                 // Whole-stack offload: the bulk of each request's compute
@@ -143,26 +135,9 @@ pub fn run_elastic_fleet(
         .count();
     ElasticRow {
         config,
-        cold_start_ns,
-        arrival,
-        programs,
-        seed: ELASTIC_SEED,
         cluster: report.cluster.clone(),
         correct,
     }
-}
-
-/// Run the shipped sweep once (config × cold start × arrival shape).
-pub fn sweep() -> Vec<ElasticRow> {
-    let mut rows = Vec::new();
-    for &arrival in &ARRIVALS {
-        for &cold in &COLD_STARTS_NS {
-            for &config in &CONFIGS {
-                rows.push(run_elastic_fleet(config, cold, arrival, ELASTIC_FLEET));
-            }
-        }
-    }
-    rows
 }
 
 fn config_name(c: PoolConfig) -> String {
@@ -178,72 +153,42 @@ fn config_name(c: PoolConfig) -> String {
     }
 }
 
-/// Render a finished sweep as the human-readable table.
-pub fn render_table(rows: &[ElasticRow]) -> String {
-    let mut out = String::from(
-        "TABLE ELASTIC. AUTOSCALING SWEEP (pool config x cold start x arrivals)\n\
-         config            arrivals cold(ms) ok     peak spawns drains p50(ms)  p99(ms)  makespan(ms) node-s\n",
+/// The shipped sweep (config × cold start × arrival shape) as a table
+/// (simulates it).
+pub fn elastic_table() -> String {
+    let mut out = format!(
+        "TABLE ELASTIC. AUTOSCALING SWEEP (pool config x cold start x arrivals; \
+         {ELASTIC_FLEET} programs, arrival seed {ELASTIC_SEED}; times in ns)\n\
+         config            arrivals cold     done fail correct peak spawns drains final \
+         p50       p99       makespan  node\n",
     );
-    for r in rows {
-        let pool = r.pool();
-        let _ = writeln!(
-            out,
-            "{:<17} {:<8} {:<8} {:<6} {:<4} {:<6} {:<6} {:<8} {:<8} {:<12} {:.3}",
-            config_name(r.config),
-            r.arrival,
-            ns_to_ms_string(r.cold_start_ns),
-            format!("{}/{}", r.correct, r.cluster.launched),
-            pool.peak,
-            pool.spawns,
-            pool.drains,
-            ns_to_ms_string(r.cluster.p50_latency_ns),
-            ns_to_ms_string(r.cluster.p99_latency_ns),
-            ns_to_ms_string(r.cluster.makespan_ns),
-            r.cluster.node_seconds(),
-        );
+    for &arrival in &ARRIVALS {
+        for &cold in &COLD_STARTS_NS {
+            for &config in &CONFIGS {
+                let r = run_elastic_fleet(config, cold, arrival);
+                let pool = r.pool();
+                let _ = writeln!(
+                    out,
+                    "{:<17} {:<8} {:<8} {:<4} {:<4} {:<7} {:<4} {:<6} {:<6} {:<5} {:<9} {:<9} {:<9} {}",
+                    config_name(config),
+                    arrival,
+                    cold,
+                    r.cluster.completed,
+                    r.cluster.failed,
+                    r.correct,
+                    pool.peak,
+                    pool.spawns,
+                    pool.drains,
+                    pool.final_size,
+                    r.cluster.p50_latency_ns,
+                    r.cluster.p99_latency_ns,
+                    r.cluster.makespan_ns,
+                    r.cluster.node_ns,
+                );
+            }
+        }
     }
     out
-}
-
-/// The shipped sweep as a table (simulates it).
-pub fn elastic_table() -> String {
-    render_table(&sweep())
-}
-
-/// Render a finished sweep as a `BENCH_elastic.json`-compatible summary.
-/// Provenance (fleet size, seed) is taken from each row, so the summary
-/// always describes the runs that actually produced it.
-pub fn render_json(rows: &[ElasticRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let pool = r.pool();
-            format!(
-                "{{\"config\":\"{}\",\"arrivals\":\"{}\",\"cold_start_ns\":{},\
-                 \"programs\":{},\"arrival_seed\":{},\
-                 \"completed\":{},\"failed\":{},\"correct\":{},\
-                 \"peak\":{},\"spawns\":{},\"drains\":{},\"final_size\":{},\
-                 \"p50_ns\":{},\"p99_ns\":{},\"makespan_ns\":{},\"node_ns\":{}}}",
-                config_name(r.config),
-                r.arrival,
-                r.cold_start_ns,
-                r.programs,
-                r.seed,
-                r.cluster.completed,
-                r.cluster.failed,
-                r.correct,
-                pool.peak,
-                pool.spawns,
-                pool.drains,
-                pool.final_size,
-                r.cluster.p50_latency_ns,
-                r.cluster.p99_latency_ns,
-                r.cluster.makespan_ns,
-                r.cluster.node_ns,
-            )
-        })
-        .collect();
-    format!("{{\"bench\":\"elastic\",\"rows\":[{}]}}\n", body.join(","))
 }
 
 #[cfg(test)]
@@ -267,12 +212,12 @@ mod tests {
     /// higher cost — the other end of the frontier).
     #[test]
     fn autoscaling_dominates_the_overprovisioned_fixed_baseline() {
-        let fixed = run_elastic_fleet(PoolConfig::Fixed(ELASTIC_MAX), 0, "bursty", ELASTIC_FLEET);
-        let starved = run_elastic_fleet(PoolConfig::Fixed(1), 0, "bursty", ELASTIC_FLEET);
+        let fixed = run_elastic_fleet(PoolConfig::Fixed(ELASTIC_MAX), 0, "bursty");
+        let starved = run_elastic_fleet(PoolConfig::Fixed(1), 0, "bursty");
         let auto_rows: Vec<ElasticRow> = CONFIGS
             .iter()
             .filter(|c| matches!(c, PoolConfig::Auto(_)))
-            .map(|&c| run_elastic_fleet(c, 0, "bursty", ELASTIC_FLEET))
+            .map(|&c| run_elastic_fleet(c, 0, "bursty"))
             .collect();
         assert!(
             auto_rows.iter().any(|r| dominates(r, &fixed)),
@@ -304,27 +249,5 @@ mod tests {
                 config_name(r.config)
             );
         }
-    }
-
-    #[test]
-    fn table_and_json_have_shape() {
-        let rows: Vec<_> = [
-            PoolConfig::Fixed(2),
-            PoolConfig::Auto(ScalePolicy::StepLoad { per_node: 2 }),
-        ]
-        .iter()
-        .map(|&c| run_elastic_fleet(c, 0, "steady", 6))
-        .collect();
-        let t = render_table(&rows);
-        assert!(t.contains("TABLE ELASTIC"));
-        assert_eq!(t.lines().count(), 4, "header(2) + one line per cell");
-
-        let j = render_json(&rows);
-        assert!(j.starts_with("{\"bench\":\"elastic\""));
-        assert!(j.contains("\"config\":\"fixed-2\""));
-        assert!(j.contains("\"config\":\"step-load(2)\""));
-        assert!(j.contains("\"node_ns\":"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

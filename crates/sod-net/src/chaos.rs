@@ -122,8 +122,9 @@ impl ChaosPlan {
     }
 
     /// Scatter `count` crash/restart pairs over `nodes` nodes at
-    /// seeded-random points inside `[0, window_ns)` — the "random chaos"
-    /// half of the ISSUE's fixed-or-seeded schedule contract. Each crash
+    /// seeded-random points inside `[0, window_ns)`: the seeded
+    /// counterpart of [`ChaosPlan::crash_at`]'s fixed times, drawn from the
+    /// plan's seed so a run replays its crashes exactly. Each crash
     /// restarts half a window later, so long fleets see nodes flap.
     pub fn scatter_crashes(mut self, count: usize, nodes: usize, window_ns: u64) -> Self {
         if nodes == 0 || window_ns == 0 {

@@ -108,20 +108,28 @@ impl Cluster {
         let bytes = batch.payload_bytes();
         let Some(w) = self.nodes[node].sessions.get(&sid) else {
             // The session retired while the reply was in flight (killed by
-            // a crash or a superseding retry), or never lived here: nobody
-            // is left to resume, and nobody's report will account the
-            // bytes — credit them as lost.
-            self.nodes[node].net_lost.object += bytes;
-            self.retire_batch(batch);
-            return;
+            // a crash or a superseding retry), or never lived here.
+            return self.drop_reply(node, batch);
         };
         let (tid, program, origin) = (w.tid, w.program, w.origin());
+        let vm = &self.nodes[node].vm;
         // Vet every frame before touching the heap so a malformed reply
         // fails the program without half-installing the closure.
         let installed = match validate_batch(&batch) {
-            // A reply that is empty, or that reaches a thread no longer
-            // parked on a fault (a duplicate, a forgery), fails the
-            // program — typed.
+            // A reply answers the one fault it was fetched for. A duplicate,
+            // a late copy, or a reply reaching a thread parked on a host
+            // call or on another fault finds no thread waiting for its
+            // root, and is dropped like a reply to a retired session.
+            Ok(())
+                if batch
+                    .frames()
+                    .first()
+                    .is_some_and(|root| !awaits(vm, tid, root)) =>
+            {
+                return self.drop_reply(node, batch);
+            }
+            // An empty reply, or one that does not fit its classes, fails
+            // the program — typed.
             Ok(()) => install_reply(&mut self.nodes[node].vm, tid, origin, &batch)
                 .map_err(|e| format!("object reply rejected: {e}")),
             Err(e) => Err(format!("object reply decode failed: {e}")),
@@ -138,6 +146,13 @@ impl Cluster {
         report.object_bytes += bytes;
         let cost = self.nodes[node].cfg.scale(costs::deserialize_ns(bytes));
         ctx.schedule(cost, node, Msg::RunSlice { tid });
+    }
+
+    /// Drop an object reply nobody waits for: nobody is left to resume,
+    /// and nobody's report will account its bytes — credit them as lost.
+    fn drop_reply(&mut self, node: usize, batch: FrameBatch) {
+        self.nodes[node].net_lost.object += batch.payload_bytes();
+        self.retire_batch(batch);
     }
 
     pub(super) fn apply_flush(
@@ -244,9 +259,18 @@ fn validate_batch(batch: &FrameBatch) -> VmResult<()> {
     batch.into_iter().try_for_each(|f| ObjectFrame::validate(f))
 }
 
+/// Whether thread `tid` is parked on the fault a reply rooted at `root`
+/// answers: its object query names the root's home id.
+fn awaits(vm: &Vm, tid: usize, root: &[u8]) -> bool {
+    let parked = vm.thread(tid).map(|t| &t.state);
+    matches!(
+        (parked, ObjectFrame::read(root)),
+        (Ok(ThreadState::Parked(ParkReason::ObjectFault(q))), Ok(frame)) if q.home_id == frame.home_id
+    )
+}
+
 /// Install a vetted object reply from node `origin` — the faulted root
 /// first, prefetched objects after — and resume the thread parked on it.
-/// A reply nobody is parked for is rejected before it touches the heap.
 fn install_reply(vm: &mut Vm, tid: usize, origin: OriginId, batch: &FrameBatch) -> VmResult<()> {
     let (root, prefetched) = batch
         .frames()
@@ -254,12 +278,6 @@ fn install_reply(vm: &mut Vm, tid: usize, origin: OriginId, batch: &FrameBatch) 
         .ok_or(VmError::RestoreProtocol(
             "object reply without the faulted root",
         ))?;
-    if !matches!(
-        vm.thread(tid)?.state,
-        ThreadState::Parked(ParkReason::ObjectFault(_))
-    ) {
-        return Err(VmError::ThreadParked(tid));
-    }
     let local = vm.install_fetched(origin, root)?;
     for frame in prefetched {
         vm.install_fetched(origin, frame)?;

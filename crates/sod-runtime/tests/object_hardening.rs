@@ -1,8 +1,9 @@
 //! Hostile input on the object-fault path: a request for an object the
-//! home never allocated, and a reply reaching a thread that is not parked
-//! on a fault, must each fail the program with a typed error — never a
-//! panic inside the engine. Exercised at the engine level (`Cluster` +
-//! `SodSim`) with forged messages injected mid-run.
+//! home never allocated, and a malformed or empty reply, must each fail the
+//! program with a typed error — never a panic inside the engine; a reply
+//! that answers no fault the thread is parked on is dropped. Exercised at
+//! the engine level (`Cluster` + `SodSim`) with forged messages injected
+//! mid-run.
 
 use sod_asm::builder::ClassBuilder;
 use sod_net::Topology;
@@ -92,8 +93,11 @@ fn request_for_a_never_allocated_object_fails_the_program() {
     );
 }
 
+/// A reply reaching a thread that is running, not parked on its fault (a
+/// duplicate, a late copy), answers nothing: it is dropped, its bytes
+/// credited lost, and the program ends with its value.
 #[test]
-fn reply_for_a_thread_no_longer_parked_fails_the_program() {
+fn reply_for_a_thread_no_longer_parked_is_dropped() {
     let (mut sim, pid) = sim_with_live_worker_session();
     let mut batch = FrameBatch::new();
     let forged = WireObject {
@@ -101,18 +105,113 @@ fn reply_for_a_thread_no_longer_parked_fails_the_program() {
         body: WireObjBody::Str("forged".into()),
     };
     batch.push(encode_object(&forged).unwrap());
-    let now = sim.sim.now();
-    sim.sim.inject(
-        now,
-        1,
-        Msg::ObjectReply {
-            session: FIRST_SESSION,
-            batch,
-        },
-    );
+    reply_as_if_sent(&mut sim, batch);
     sim.run();
-    let error = sim.program(pid).error().expect("typed failure").to_string();
-    assert!(error.contains("object reply rejected"), "{error}");
+    assert_eq!(sim.program(pid).error(), None);
+    assert_eq!(sim.report(pid).result, Some(400_000));
+    assert_eq!(sim.check_idle(), Ok(()));
+}
+
+/// Deliver `batch` to the worker session now, as if the home had sent it:
+/// the ledger then balances only if its bytes are credited lost where it
+/// is dropped.
+fn reply_as_if_sent(sim: &mut SodSim, batch: FrameBatch) {
+    sim.sim.world.nodes[0].net_sent.object += batch.payload_bytes();
+    let now = sim.sim.now();
+    let session = FIRST_SESSION;
+    sim.sim.inject(now, 1, Msg::ObjectReply { session, batch });
+}
+
+/// `main(n)` makes box `a` holding 1 and box `b` holding 1000, and
+/// `sum(n, a, b)` spins n times, then returns `a.count + b.count`:
+/// migrated mid-spin, it faults `a` in and then `b`.
+fn two_box_class() -> ClassDef {
+    let c = ClassBuilder::new("App")
+        .field("count", TypeOf::Int)
+        .method("sum", &["n", "a", "b"], |m| {
+            m.line();
+            m.pushi(0).store("i");
+            m.line();
+            m.label("loop");
+            m.load("i").load("n").if_cmp(Cmp::Ge, "done");
+            m.line();
+            m.load("i").pushi(1).add().store("i").goto("loop");
+            m.line();
+            m.label("done");
+            m.load("a").getfield("count").store("x");
+            m.line();
+            m.load("b").getfield("count").store("y");
+            m.line();
+            m.load("x").load("y").add().retv();
+        })
+        .method("main", &["n"], |m| {
+            m.line();
+            m.new_obj("App").store("a");
+            m.line();
+            m.load("a").pushi(1).putfield("count");
+            m.line();
+            m.new_obj("App").store("b");
+            m.line();
+            m.load("b").pushi(1000).putfield("count");
+            m.line();
+            m.load("n")
+                .load("a")
+                .load("b")
+                .invoke("App", "sum", 3)
+                .store("r");
+            m.line();
+            m.load("r").retv();
+        })
+        .build()
+        .unwrap();
+    preprocess_sod(&c).unwrap()
+}
+
+/// The home id the worker's thread is parked on, if it is parked on a
+/// fault.
+fn parked_on(sim: &SodSim) -> Option<u32> {
+    sim.sim.world.nodes[1]
+        .vm
+        .threads
+        .iter()
+        .find_map(|t| match t.state {
+            sod_vm::interp::ThreadState::Parked(sod_vm::interp::ParkReason::ObjectFault(q)) => {
+                Some(q.home_id)
+            }
+            _ => None,
+        })
+}
+
+/// A late copy of the reply to the thread's first fault reaches it while
+/// it is parked on its second: the copy answers the first fault, so it is
+/// dropped, and the second fault binds the object it asked for — the
+/// engine used to bind the copy's object in its place.
+#[test]
+fn a_late_reply_to_another_fault_binds_nothing() {
+    let mut home = Node::new(NodeConfig::cluster("home"));
+    home.deploy(&two_box_class()).unwrap();
+    let worker = Node::new(NodeConfig::cluster("worker"));
+    let mut cluster = Cluster::new(vec![home, worker]);
+    let pid = cluster.add_program(0, "App", "main", vec![Value::Int(400_000)]);
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(2));
+    sim.start_program(0, pid);
+    sim.migrate(pid, When::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1));
+    let first = loop {
+        if let Some(id) = parked_on(&sim) {
+            break id;
+        }
+        assert!(sim.sim.step(), "the worker never faulted on a");
+    };
+    while parked_on(&sim).is_none_or(|id| id == first) {
+        assert!(sim.sim.step(), "the worker never faulted on b");
+    }
+    let copy = [encode_object(&app_instance(first, 1)).unwrap()];
+    reply_as_if_sent(&mut sim, copy.into_iter().collect());
+    sim.run();
+    assert_eq!(sim.program(pid).error(), None);
+    assert_eq!(sim.report(pid).result, Some(1001));
+    assert_eq!(sim.report(pid).object_faults, 2);
+    assert_eq!(sim.check_idle(), Ok(()));
 }
 
 #[test]

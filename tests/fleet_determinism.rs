@@ -2,8 +2,9 @@
 //! scenario-equivalence suite's byte-identical philosophy. A fleet run is
 //! a pure function of (scenario, seed) — same inputs must reproduce the
 //! *entire* `ScenarioReport`, `ClusterReport` included, bit for bit — and
-//! a 100+ program fleet must run to completion with meaningful latency
-//! percentiles and per-node utilization (the ISSUE's acceptance bar).
+//! a 100+ program fleet must run to completion with every request served,
+//! ordered latency percentiles (p50 ≤ p95 ≤ p99 ≤ max) and every node
+//! doing work.
 
 use sod::net::MS;
 use sod::preprocess::preprocess_sod;
