@@ -14,6 +14,9 @@
 //! arrivals and scaling are deterministic, the sweep is a pure function of
 //! its constants, and the table prints every count and every duration
 //! in full (ns), so the committed evaluation pins each of them exactly.
+//! The evaluation's `elastic` test renders [`elastic_rows`] and checks, on
+//! the same rows, that an autoscaling policy dominates the
+//! overprovisioned fixed baseline.
 
 use std::fmt::Write as _;
 
@@ -73,10 +76,13 @@ pub fn arrival_schedule(label: &str) -> ArrivalSchedule {
     }
 }
 
-/// One finished sweep row.
+/// One finished sweep row: a (config, cold start, arrival) cell and what
+/// its run reported.
 #[derive(Clone, Debug)]
 pub struct ElasticRow {
     pub config: PoolConfig,
+    pub cold_start_ns: u64,
+    pub arrival: &'static str,
     pub cluster: ClusterReport,
     /// Programs that finished with the correct Fib result.
     pub correct: usize,
@@ -93,11 +99,7 @@ impl ElasticRow {
 /// (config, cold start, arrival) cell. CPU contention is on — co-located
 /// sessions queue, so added capacity buys latency and a starved pool costs
 /// tail.
-pub fn run_elastic_fleet(
-    config: PoolConfig,
-    cold_start_ns: u64,
-    arrival: &'static str,
-) -> ElasticRow {
+fn run_elastic_fleet(config: PoolConfig, cold_start_ns: u64, arrival: &'static str) -> ElasticRow {
     let class = preprocess_sod(&fib_class()).expect("preprocess fib");
     let pool = match config {
         PoolConfig::Fixed(n) => Pool::new("workers").base(n).max(n),
@@ -135,12 +137,29 @@ pub fn run_elastic_fleet(
         .count();
     ElasticRow {
         config,
+        cold_start_ns,
+        arrival,
         cluster: report.cluster.clone(),
         correct,
     }
 }
 
-fn config_name(c: PoolConfig) -> String {
+/// The shipped sweep (config × cold start × arrival shape), one row per
+/// cell in the order TABLE ELASTIC prints them (simulates every cell).
+pub fn elastic_rows() -> Vec<ElasticRow> {
+    let mut rows = Vec::new();
+    for &arrival in &ARRIVALS {
+        for &cold in &COLD_STARTS_NS {
+            for &config in &CONFIGS {
+                rows.push(run_elastic_fleet(config, cold, arrival));
+            }
+        }
+    }
+    rows
+}
+
+/// A configuration's name as TABLE ELASTIC prints it.
+pub fn config_name(c: PoolConfig) -> String {
     match c {
         PoolConfig::Fixed(n) => format!("fixed-{n}"),
         PoolConfig::Auto(ScalePolicy::QueueDepth { high, low }) => {
@@ -153,101 +172,39 @@ fn config_name(c: PoolConfig) -> String {
     }
 }
 
-/// The shipped sweep (config × cold start × arrival shape) as a table
-/// (simulates it).
-pub fn elastic_table() -> String {
+/// TABLE ELASTIC: `rows` ([`elastic_rows`]) rendered.
+pub fn render_elastic(rows: &[ElasticRow]) -> String {
     let mut out = format!(
         "TABLE ELASTIC. AUTOSCALING SWEEP (pool config x cold start x arrivals; \
          {ELASTIC_FLEET} programs, arrival seed {ELASTIC_SEED}; times in ns)\n\
          config            arrivals cold     done fail correct peak spawns drains final \
          p50       p99       makespan  node\n",
     );
-    for &arrival in &ARRIVALS {
-        for &cold in &COLD_STARTS_NS {
-            for &config in &CONFIGS {
-                let r = run_elastic_fleet(config, cold, arrival);
-                let pool = r.pool();
-                let _ = writeln!(
-                    out,
-                    "{:<17} {:<8} {:<8} {:<4} {:<4} {:<7} {:<4} {:<6} {:<6} {:<5} {:<9} {:<9} {:<9} {}",
-                    config_name(config),
-                    arrival,
-                    cold,
-                    r.cluster.completed,
-                    r.cluster.failed,
-                    r.correct,
-                    pool.peak,
-                    pool.spawns,
-                    pool.drains,
-                    pool.final_size,
-                    r.cluster.p50_latency_ns,
-                    r.cluster.p99_latency_ns,
-                    r.cluster.makespan_ns,
-                    r.cluster.node_ns,
-                );
-            }
-        }
+    for r in rows {
+        let pool = r.pool();
+        let _ = writeln!(
+            out,
+            "{:<17} {:<8} {:<8} {:<4} {:<4} {:<7} {:<4} {:<6} {:<6} {:<5} {:<9} {:<9} {:<9} {}",
+            config_name(r.config),
+            r.arrival,
+            r.cold_start_ns,
+            r.cluster.completed,
+            r.cluster.failed,
+            r.correct,
+            pool.peak,
+            pool.spawns,
+            pool.drains,
+            pool.final_size,
+            r.cluster.p50_latency_ns,
+            r.cluster.p99_latency_ns,
+            r.cluster.makespan_ns,
+            r.cluster.node_ns,
+        );
     }
     out
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `a` dominates `b` on the p99-vs-node-seconds frontier: at least as
-    /// good on both axes, strictly better on one.
-    fn dominates(a: &ElasticRow, b: &ElasticRow) -> bool {
-        let (ap, bp) = (a.cluster.p99_latency_ns, b.cluster.p99_latency_ns);
-        let (an, bn) = (a.cluster.node_ns, b.cluster.node_ns);
-        ap <= bp && an <= bn && (ap < bp || an < bn)
-    }
-
-    /// The headline claim: under the shipped bursty cell (cold start 0),
-    /// at least one autoscaling policy dominates the overprovisioned
-    /// fixed baseline — the same tail latency as a fleet that pays for
-    /// [`ELASTIC_MAX`] members the whole run, at strictly fewer
-    /// node-seconds, because the pool drains between bursts. Against the
-    /// starved 1-member baseline the same policies halve the p99 (at
-    /// higher cost — the other end of the frontier).
-    #[test]
-    fn autoscaling_dominates_the_overprovisioned_fixed_baseline() {
-        let fixed = run_elastic_fleet(PoolConfig::Fixed(ELASTIC_MAX), 0, "bursty");
-        let starved = run_elastic_fleet(PoolConfig::Fixed(1), 0, "bursty");
-        let auto_rows: Vec<ElasticRow> = CONFIGS
-            .iter()
-            .filter(|c| matches!(c, PoolConfig::Auto(_)))
-            .map(|&c| run_elastic_fleet(c, 0, "bursty"))
-            .collect();
-        assert!(
-            auto_rows.iter().any(|r| dominates(r, &fixed)),
-            "no policy dominates fixed-{ELASTIC_MAX}: fixed p99={} node_ns={}, policies={:?}",
-            fixed.cluster.p99_latency_ns,
-            fixed.cluster.node_ns,
-            auto_rows
-                .iter()
-                .map(|r| (
-                    config_name(r.config),
-                    r.cluster.p99_latency_ns,
-                    r.cluster.node_ns
-                ))
-                .collect::<Vec<_>>(),
-        );
-        // The dominating policies also sit strictly inside the starved
-        // baseline's tail: elasticity buys latency, not just cost.
-        assert!(auto_rows
-            .iter()
-            .filter(|r| dominates(r, &fixed))
-            .all(|r| r.cluster.p99_latency_ns < starved.cluster.p99_latency_ns));
-        // Everyone still serves the full fleet correctly.
-        assert_eq!(fixed.correct, ELASTIC_FLEET);
-        for r in &auto_rows {
-            assert!(r.correct == ELASTIC_FLEET, "{}", config_name(r.config));
-            assert!(
-                r.pool().spawns > 0,
-                "{} never scaled",
-                config_name(r.config)
-            );
-        }
-    }
+/// The shipped sweep as a table (simulates it).
+pub fn elastic_table() -> String {
+    render_elastic(&elastic_rows())
 }

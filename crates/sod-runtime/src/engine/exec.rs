@@ -440,20 +440,22 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let vm = &mut self.nodes[node].vm;
-        let parked = vm
-            .thread(tid)
-            .is_ok_and(|t| matches!(t.state, ThreadState::Parked(ParkReason::HostCall { .. })));
-        if !parked {
+        let Ok(t) = vm.thread(tid) else {
+            return;
+        };
+        if !matches!(t.state, ThreadState::Parked(ParkReason::HostCall { .. })) {
             return;
         }
-        // Strings and lists land in the guest's heap.
+        // Strings and lists land in the guest's heap, made for the thread.
+        let origin = t.origin;
+        let heap = vm.heap.mint_for(origin);
         let v = match reply {
             HostReply::Int(i) => Value::Int(i),
-            HostReply::Str(s) => Value::Ref(vm.heap.alloc_str(s)),
+            HostReply::Str(s) => Value::Ref(heap.alloc_str(s)),
             HostReply::List(items) => {
-                let refs = items.into_iter().map(|s| Value::Ref(vm.heap.alloc_str(s)));
+                let refs = items.into_iter().map(|s| Value::Ref(heap.alloc_str(s)));
                 let refs: Vec<Value> = refs.collect();
-                match vm.heap.alloc_arr_from(refs) {
+                match heap.alloc_arr_from(refs) {
                     Ok(list) => Value::Ref(list),
                     Err(e) => return self.fail_thread_owner(node, tid, e.to_string(), ctx.now()),
                 }

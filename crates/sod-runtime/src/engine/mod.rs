@@ -406,6 +406,8 @@ impl Cluster {
                         object: n.net_lost.object,
                     },
                     lifetime_ns: end - n.joined_at_ns,
+                    heap_objects: n.vm.heap.alloc_count(),
+                    heap_entries: n.vm.heap.len() as u64,
                 }
             })
             .collect();
@@ -512,10 +514,15 @@ impl World for Cluster {
                 if !p.launches_at(dst) {
                     return;
                 }
-                let tid = match self.nodes[dst].vm.spawn(&p.class, &p.method, &p.args) {
+                let vm = &mut self.nodes[dst].vm;
+                let tid = match vm.spawn(&p.class, &p.method, &p.args) {
                     Ok(tid) => tid,
                     Err(e) => return self.spawn_failed(program, e, ctx.now()),
                 };
+                // At home: what the root thread allocates are masters.
+                if let Ok(t) = vm.thread_mut(tid) {
+                    t.origin = None;
+                }
                 let p = &mut self.programs[program as usize];
                 p.thread = Some(tid);
                 p.report.started_at_ns = ctx.now();

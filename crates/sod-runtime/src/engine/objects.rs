@@ -36,7 +36,7 @@ use std::iter;
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
 use sod_vm::error::{VmError, VmResult};
-use sod_vm::heap::{HeapObj, ObjKind};
+use sod_vm::heap::{HeapObj, Home, ObjKind};
 use sod_vm::idhash::{IdMap, IdSet};
 use sod_vm::interp::{ParkReason, ThreadState, Vm};
 use sod_vm::value::{ObjId, OriginId, Value};
@@ -318,6 +318,7 @@ fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> 
         }
     }
     // Pass 1: allocate masters for worker-created (temp-id) objects.
+    vm.heap.mint_for(None);
     let mut assigned: Vec<(ObjId, ObjId)> = Vec::new();
     let mut masters: IdMap<ObjId, ObjId> = IdMap::default();
     for frame in batch {
@@ -370,14 +371,15 @@ pub(super) fn export_with_temps(vm: &Vm, v: Value) -> CapturedValue {
 }
 
 /// Collect the write-back set of a session homed at `origin` from its
-/// worker VM: dirty cached copies of that home's objects, dirty
-/// worker-created objects, plus all worker-created objects reachable from
-/// them or from the return value. Other homes' dirty copies (several homes
-/// may share one worker) stay dirty for their own sessions' flushes. Each
-/// object (temp ids for worker-created ones) is written exactly once, all
-/// of them into one pooled buffer; the returned batch's payload length is
-/// the flush byte metric, and a flush of nothing takes no buffer. Clears
-/// the flushed objects' dirty bits on success.
+/// worker VM: dirty cached copies of that home's objects, dirty objects
+/// that home's segments created here, plus every such creation reachable
+/// from them or from the return value. Other homes' copies and creations
+/// (several homes may share one worker) stay for their own sessions'
+/// flushes, and this node's own masters — it may be a home too — are no
+/// session's to flush. Each object (temp ids for worker-created ones) is
+/// written exactly once, all of them into one pooled buffer; the returned
+/// batch's payload length is the flush byte metric, and a flush of nothing
+/// takes no buffer. Clears the flushed objects' dirty bits on success.
 ///
 /// The set is the *home's*, not the finishing session's: a copy another of
 /// the home's sessions dirtied here flushes with whichever ends first. That
@@ -390,7 +392,8 @@ pub(super) fn collect_flush(
     retval: Option<Value>,
     pool: &BufferPool,
 ) -> VmResult<FrameBatch> {
-    let ours = |o: &HeapObj| o.origin().is_none_or(|g| g == origin);
+    let ours =
+        |o: &HeapObj| matches!(o.home(), Home::Cached(g, _) | Home::Created(g) if g == origin);
     let heap = &vm.heap;
     // Ascending local-id order: it fixes the batch's frame order, and with
     // it the temp-id masters the home allocates.

@@ -260,7 +260,7 @@ impl Cluster {
         };
         if let Ok(t) = n.vm.thread_mut(tid) {
             t.interp_mode = handler;
-            t.origin = w.origin();
+            t.origin = Some(w.origin());
         }
         n.thread_owner.insert(tid, Owner::Worker(sid));
         w.tid = tid;

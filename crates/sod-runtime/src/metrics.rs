@@ -176,6 +176,12 @@ pub struct NodeUtilization {
     /// node's utilization is `busy_ns` over its own lifetime, not the whole
     /// run.
     pub lifetime_ns: u64,
+    /// Objects the node's guest heap allocated in the model (its
+    /// `Heap::alloc_count`): what its memory accounting charged.
+    pub heap_objects: u64,
+    /// Heap entries the host holds for the node at the end of the run (its
+    /// `Heap::len`): `heap_objects` less the exceptions no handler read.
+    pub heap_entries: u64,
 }
 
 /// Per-program and per-segment state the nodes hold (see
@@ -379,6 +385,8 @@ mod tests {
                         object: 1,
                     },
                     lifetime_ns: 2_000_000_000,
+                    heap_objects: 5,
+                    heap_entries: 4,
                 },
                 NodeUtilization {
                     name: "n1".into(),

@@ -7,14 +7,20 @@
 //!   DSM approach the paper compares against, e.g. JavaSplit) injects an
 //!   explicit check of this word before every access; the SOD *object
 //!   faulting* approach never reads it on the fast path.
-//! * every cached copy tracks its *home* — the node holding its master copy
-//!   (the origin) and the master's id there. Fetched copies are cache
-//!   entries; the object manager uses the home to resolve nested faults and
-//!   to write dirty objects back. Ids collide across homes, so the origin
-//!   is part of the identity.
+//! * every entry knows its [`Home`]: it is a master, a cached copy of the
+//!   master with a given id on a given node (the origin), or an object a
+//!   segment of a program homed at some origin made here, whose master its
+//!   first flush creates. Fetched copies are cache entries; the object
+//!   manager uses the home to resolve nested faults, and flushes to a home
+//!   exactly the copies and the creations that are that home's. Ids collide
+//!   across homes, so the origin is part of the identity.
 //!
 //! The heap also maintains a running byte total so a node memory budget can
 //! trigger guest `OutOfMemoryError`s (the paper's exception-driven offload).
+//! That total and the allocation count are the *model's* account: an
+//! exception nothing can read is charged as if allocated, but never held
+//! (see [`Heap::count_exception`]), so [`Heap::len`] — the entries the host
+//! holds — may be less than [`Heap::alloc_count`].
 //!
 //! ## Slots
 //!
@@ -45,11 +51,13 @@
 //!   each. `&mut` access to an entry exists only as an [`ObjMut`] guard,
 //!   and the guard files a dirty object on the list when it drops — the
 //!   single maintenance point, which a write to the public `dirty` field
-//!   cannot bypass. Un-dirtying one object leaves it listed (the flag is
-//!   the truth; [`Heap::dirty_objects`] filters by it), so that stays O(1)
-//!   too; [`Heap::clear_dirty_where`] compacts. Iteration is in ascending
-//!   local-id order whatever the write order was: flush batches, and the
-//!   temp-id masters the home allocates from them, depend on it.
+//!   cannot bypass. A master is never dirty: nothing flushes it, so the
+//!   guard clears its flag instead of filing it. Un-dirtying one object
+//!   leaves it listed (the flag is the truth; [`Heap::dirty_objects`]
+//!   filters by it), so that stays O(1) too; [`Heap::clear_dirty_where`]
+//!   compacts. Iteration is in ascending local-id order whatever the write
+//!   order was: flush batches, and the temp-id masters the home allocates
+//!   from them, depend on it.
 
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut, Range};
@@ -137,6 +145,27 @@ impl ObjKind {
     }
 }
 
+/// Where an entry's master is, seen from the heap that holds the entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Home {
+    /// Here: the entry is the master, made by a thread running at its
+    /// program's home.
+    Master,
+    /// Object `.1` of node `.0`: the entry is a cached copy of that master.
+    Cached(OriginId, ObjId),
+    /// Nowhere yet: a segment of a program homed at node `.0` made the
+    /// entry here, and the first flush to that home gives it a master.
+    Created(OriginId),
+}
+
+/// What a VM driven standalone makes: every one of its threads runs for
+/// origin 0, the one home such a VM has.
+impl Default for Home {
+    fn default() -> Self {
+        Home::Created(0)
+    }
+}
+
 /// One heap entry.
 #[derive(Clone, Debug)]
 pub struct HeapObj {
@@ -147,9 +176,8 @@ pub struct HeapObj {
     pub dirty: bool,
     /// Whether the heap's dirty list holds this entry (`dirty` implies it).
     listed: bool,
-    /// Node holding the master copy and the master's id there, when this
-    /// entry is a migrated-in cache copy.
-    home: Option<(OriginId, ObjId)>,
+    /// Where the master is. Private: only the heap assigns it.
+    home: Home,
 }
 
 // A heap holds one entry per object for the whole run, and a worker heap
@@ -157,36 +185,54 @@ pub struct HeapObj {
 // object held.
 const _: () = assert!(std::mem::size_of::<HeapObj>() <= 48);
 
+/// Modelled bytes of an object header.
+const HEADER: u64 = 16;
+
+/// Modelled bytes of an exception or a string with `text`.
+fn text_bytes(text: &str) -> u64 {
+    HEADER + text.len() as u64
+}
+
 impl HeapObj {
-    fn new(kind: ObjKind) -> Self {
+    fn new(kind: ObjKind, home: Home) -> Self {
         HeapObj {
             kind,
             status: ObjStatus::Local,
             dirty: false,
             listed: false,
-            home: None,
+            home,
         }
+    }
+
+    /// Where this entry's master is.
+    pub fn home(&self) -> Home {
+        self.home
     }
 
     /// Id of the master copy in its home node's heap, for a cache copy.
     pub fn home_id(&self) -> Option<ObjId> {
-        self.home.map(|(_, id)| id)
+        match self.home {
+            Home::Cached(_, id) => Some(id),
+            Home::Master | Home::Created(_) => None,
+        }
     }
 
     /// Node holding the master copy, for a cache copy.
     pub fn origin(&self) -> Option<OriginId> {
-        self.home.map(|(origin, _)| origin)
+        match self.home {
+            Home::Cached(origin, _) => Some(origin),
+            Home::Master | Home::Created(_) => None,
+        }
     }
 
     /// Heap bytes charged for this entry (object header modelled at 16 B).
     pub fn size_bytes(&self) -> u64 {
-        const HEADER: u64 = 16;
         match &self.kind {
             ObjKind::Obj { slots, .. } | ObjKind::Arr { slots } => {
                 HEADER + slots.len() as u64 * Value::SLOT_BYTES
             }
-            ObjKind::Str(s) => HEADER + s.len() as u64,
-            ObjKind::Exception { message, .. } => HEADER + message.len() as u64,
+            ObjKind::Str(s) => text_bytes(s),
+            ObjKind::Exception { message, .. } => text_bytes(message),
         }
     }
 
@@ -236,8 +282,12 @@ impl DerefMut for ObjMut<'_> {
 impl Drop for ObjMut<'_> {
     fn drop(&mut self) {
         if self.obj.dirty && !self.obj.listed {
-            self.obj.listed = true;
-            self.dirty_list.push(self.id);
+            if self.obj.home == Home::Master {
+                self.obj.dirty = false;
+            } else {
+                self.obj.listed = true;
+                self.dirty_list.push(self.id);
+            }
         }
     }
 }
@@ -311,6 +361,8 @@ pub struct Heap {
     used_bytes: u64,
     /// Running count of allocations, for metrics.
     allocs: u64,
+    /// What the next allocation is (see [`Heap::mint_for`]).
+    mint: Home,
     /// Cache index: home identity → lowest local id caching it.
     cached: IdMap<(OriginId, ObjId), ObjId>,
     /// Local ids of the listed entries, in filing order.
@@ -322,16 +374,21 @@ impl Heap {
         Heap::default()
     }
 
-    /// Total live bytes (we never free: programs under test are bounded and
-    /// the paper's experiments do not depend on GC).
+    /// The model's live bytes: every allocation's, exceptions nothing
+    /// reads included (the model never frees: programs under test are
+    /// bounded and the paper's experiments do not depend on GC). What the
+    /// memory limit and `OnOom` read. [`Heap::len`] is the host's account.
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
     }
 
+    /// The model's allocations, exceptions nothing reads included.
     pub fn alloc_count(&self) -> u64 {
         self.allocs
     }
 
+    /// The entries the host holds: [`Heap::alloc_count`] less the
+    /// exceptions counted but not kept.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -345,11 +402,32 @@ impl Heap {
         self.slots.len()
     }
 
-    fn alloc(&mut self, obj: HeapObj) -> ObjId {
+    /// Make what follows the allocations of a thread whose program is
+    /// homed at `origin` (`None`: at home, so they are masters). Every
+    /// allocation site that runs for a thread names it first; a heap
+    /// nobody names one for mints as [`Home::default`] says.
+    pub fn mint_for(&mut self, origin: Option<OriginId>) -> &mut Self {
+        self.mint = origin.map_or(Home::Master, Home::Created);
+        self
+    }
+
+    fn alloc(&mut self, kind: ObjKind) -> ObjId {
+        self.push(HeapObj::new(kind, self.mint))
+    }
+
+    fn push(&mut self, obj: HeapObj) -> ObjId {
         self.used_bytes += obj.size_bytes();
         self.allocs += 1;
         self.entries.push(obj);
         (self.entries.len() - 1) as ObjId
+    }
+
+    /// Charge an exception with `message` that nothing will read — its
+    /// handler pops it unread, or no handler catches it — exactly as
+    /// [`Heap::alloc_exception`] would, and keep no entry for it.
+    pub fn count_exception(&mut self, message: &str) {
+        self.used_bytes += text_bytes(message);
+        self.allocs += 1;
     }
 
     /// Allocate a class instance with the given field values.
@@ -360,7 +438,7 @@ impl Heap {
     ) -> VmResult<ObjId> {
         let slots = push_span(&mut self.slots, fields.into_iter().map(Ok))?;
         let class = class.into();
-        Ok(self.alloc(HeapObj::new(ObjKind::Obj { class, slots })))
+        Ok(self.alloc(ObjKind::Obj { class, slots }))
     }
 
     /// Allocate an array of `len` zero ints.
@@ -371,12 +449,12 @@ impl Heap {
     /// Allocate an array from existing elements.
     pub fn alloc_arr_from(&mut self, elems: impl IntoIterator<Item = Value>) -> VmResult<ObjId> {
         let slots = push_span(&mut self.slots, elems.into_iter().map(Ok))?;
-        Ok(self.alloc(HeapObj::new(ObjKind::Arr { slots })))
+        Ok(self.alloc(ObjKind::Arr { slots }))
     }
 
     /// Allocate a string.
     pub fn alloc_str(&mut self, s: impl Into<String>) -> ObjId {
-        self.alloc(HeapObj::new(ObjKind::Str(s.into())))
+        self.alloc(ObjKind::Str(s.into()))
     }
 
     /// Allocate a guest exception object.
@@ -385,10 +463,10 @@ impl Heap {
         kind: ExKind,
         message: impl Into<Cow<'static, str>>,
     ) -> ObjId {
-        self.alloc(HeapObj::new(ObjKind::Exception {
+        self.alloc(ObjKind::Exception {
             kind,
             message: message.into(),
-        }))
+        })
     }
 
     pub fn get(&self, id: ObjId) -> VmResult<&HeapObj> {
@@ -511,8 +589,8 @@ impl Heap {
             .entries
             .get_mut(id as usize)
             .ok_or_else(|| VmError::BadRef(id))?;
-        if obj.home.is_none() {
-            obj.home = Some((origin, home_id));
+        if !matches!(obj.home, Home::Cached(..)) {
+            obj.home = Home::Cached(origin, home_id);
             self.cached
                 .entry((origin, home_id))
                 .and_modify(|lowest| *lowest = id.min(*lowest))
@@ -568,9 +646,7 @@ impl Heap {
         }
         let copy = copy.map(|(id, _, own)| (id, own));
         let Some((id, own)) = copy else {
-            let mut obj = HeapObj::new(kind);
-            obj.home = Some(key);
-            let id = self.alloc(obj);
+            let id = self.push(HeapObj::new(kind, Home::Cached(origin, home_id)));
             // No older entry caches this home, so `id` is the lowest.
             self.cached.insert(key, id);
             return Ok(id);
@@ -608,7 +684,7 @@ impl Heap {
     fn scan_cached(&self, origin: OriginId, home_id: ObjId) -> Option<ObjId> {
         self.entries
             .iter()
-            .position(|o| o.home == Some((origin, home_id)))
+            .position(|o| o.home == Home::Cached(origin, home_id))
             .map(|i| i as ObjId)
     }
 
@@ -690,6 +766,40 @@ mod tests {
         h.set_home(ids[3], 2, 9).unwrap();
         h.clear_dirty_where(|o| o.origin().is_none());
         assert_eq!(dirty(&h), vec![ids[3]]);
+    }
+
+    #[test]
+    fn each_entry_is_minted_for_whoever_allocates_it() {
+        let mut h = Heap::new();
+        // Standalone: made for origin 0, as a restored thread's would be.
+        let standalone = h.alloc_arr(1).unwrap();
+        let master = h.mint_for(None).alloc_arr(1).unwrap();
+        let created = h.mint_for(Some(3)).alloc_str("x");
+        let homes: Vec<Home> = [standalone, master, created]
+            .iter()
+            .map(|&id| h.get(id).unwrap().home())
+            .collect();
+        assert_eq!(homes, [Home::Created(0), Home::Master, Home::Created(3)]);
+        // A master is never dirty: nothing flushes it, so nothing lists it.
+        h.arr_set(master, 0, Value::Int(1)).unwrap();
+        h.arr_set(standalone, 0, Value::Int(1)).unwrap();
+        assert!(!h.get(master).unwrap().dirty);
+        let dirty: Vec<_> = h.dirty_objects().map(|(id, _)| id).collect();
+        assert_eq!(dirty, vec![standalone]);
+        // A flush ack turns a creation into a cached copy of its master.
+        h.set_home(created, 3, 40).unwrap();
+        assert_eq!(h.get(created).unwrap().home(), Home::Cached(3, 40));
+        assert_eq!(h.find_cached_from(3, 40), Some(created));
+    }
+
+    #[test]
+    fn an_exception_counted_but_not_kept_is_charged_as_allocated() {
+        let (mut kept, mut counted) = (Heap::new(), Heap::new());
+        kept.alloc_exception(ExKind::NullPointer, "null dereference");
+        counted.count_exception("null dereference");
+        assert_eq!(counted.used_bytes(), kept.used_bytes());
+        assert_eq!(counted.alloc_count(), kept.alloc_count());
+        assert_eq!((kept.len(), counted.len()), (1, 0));
     }
 
     #[test]

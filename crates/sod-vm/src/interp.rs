@@ -354,10 +354,12 @@ pub struct VmThread {
     /// a handler-protocol restore).
     pub interp_mode: bool,
     /// Home node of the program this thread executes a migrated segment
-    /// of: the node its transfer-nulled references name masters on. Set by
-    /// whoever restores the segment; 0 (the only home a standalone VM has)
-    /// otherwise.
-    pub origin: OriginId,
+    /// of: the node its transfer-nulled references name masters on, and
+    /// the home what it allocates is created for. Set by whoever restores
+    /// the segment; `None` for a thread running at its program's home,
+    /// whose allocations are masters (set by whoever spawns it); `Some(0)`
+    /// (the only home a standalone VM has) otherwise.
+    pub origin: Option<OriginId>,
     /// How many tenants this slot of [`Vm::threads`] had before this one:
     /// the high half of the thread's id (see [`Vm::release`]).
     generation: u32,
@@ -417,7 +419,7 @@ impl VmThread {
             seg_frames: 0,
             restore_session: None,
             interp_mode: false,
-            origin: 0,
+            origin: Some(0),
             generation: 0,
             vacant: false,
         }
@@ -854,6 +856,7 @@ impl Vm {
         if let Some(out) = self.settled(tid)? {
             return Ok(out);
         }
+        self.heap.mint_for(self.threads[slot_of(tid)].origin);
         let top @ (ci, mi, pc, ..) = self.top_window(tid)?;
         if let Some(at) = breakpoint_at(&self.breakpoints, (tid, ci, mi, pc)) {
             return Ok(self.trip_breakpoint(at));
@@ -1011,6 +1014,7 @@ impl Vm {
         if let Some(out) = self.settled(tid)? {
             return Ok((out, 0));
         }
+        self.heap.mint_for(self.threads[slot_of(tid)].origin);
         let meter0 = self.meter_ns;
         let slice = Slice {
             per_mille: self.cost_per_mille(tid),
@@ -1417,6 +1421,14 @@ impl Vm {
     /// Throw a guest exception of `kind` into thread `tid` at its current
     /// pc. With `suppress_fault_handlers`, preprocessor-injected fault
     /// handler entries are skipped during dispatch (application-level NPE).
+    ///
+    /// The handler is found first (frames top-down): frames above it are
+    /// popped, its operands emptied, and it is entered with the exception
+    /// on its stack. Without one the thread faults, frames preserved. The
+    /// exception object is made only when something can read it: a handler
+    /// whose first instruction is `Pop` — every fault and restoration
+    /// handler `sod-preprocess` injects — gets a placeholder, and a fault
+    /// takes the message. Either way the heap charges it as allocated.
     pub fn throw_into(
         &mut self,
         tid: usize,
@@ -1424,68 +1436,44 @@ impl Vm {
         message: impl Into<Cow<'static, str>>,
         suppress_fault_handlers: bool,
     ) -> VmResult<()> {
-        let ex_ref = self.heap.alloc_exception(kind, message);
-        self.dispatch_exception(tid, kind, ex_ref, suppress_fault_handlers)
-            .map(|_| ())
-    }
-
-    /// Find a handler for `kind` walking frames top-down. On success, frames
-    /// above the handler are popped and the handler frame's pc/operands are
-    /// set. On failure the thread faults with frames preserved.
-    ///
-    /// Returns `true` if a handler was entered.
-    fn dispatch_exception(
-        &mut self,
-        tid: usize,
-        kind: ExKind,
-        ex_ref: ObjId,
-        suppress_fault_handlers: bool,
-    ) -> VmResult<bool> {
-        // Search phase (no mutation).
-        let mut target: Option<(usize, u32)> = None; // (frame index, handler pc)
-        {
-            let t = self.thread(tid)?;
-            'search: for (fi, frame) in t.frames.iter().enumerate().rev() {
-                let m = &self.classes[frame.class_idx].def.methods[frame.method_idx];
-                for e in &m.ex_table {
-                    if e.covers(frame.pc)
-                        && e.kind.catches(kind)
-                        && !(suppress_fault_handlers && e.fault_handler)
-                    {
-                        target = Some((fi, e.target));
-                        break 'search;
-                    }
-                }
-            }
+        let message = message.into();
+        let t = self.thread(tid)?;
+        let handler = t.frames.iter().enumerate().rev().find_map(|(fi, frame)| {
+            let m = &self.classes[frame.class_idx].def.methods[frame.method_idx];
+            let e = m.ex_table.iter().find(|e| {
+                e.covers(frame.pc)
+                    && e.kind.catches(kind)
+                    && !(suppress_fault_handlers && e.fault_handler)
+            })?;
+            let pops = m.code.get(e.target as usize) == Some(&Instr::Pop);
+            Some((fi, e.target, pops))
+        });
+        let Some((fi, hpc, pops)) = handler else {
+            self.heap.count_exception(&message);
+            let t = &mut self.threads[slot_of(tid)];
+            let pc = t.top().map(|f| f.pc).unwrap_or(0);
+            let message = message.into_owned();
+            t.state = ThreadState::Faulted(ExceptionInfo { kind, message, pc });
+            return Ok(());
+        };
+        let ex = if pops {
+            self.heap.count_exception(&message);
+            Value::Int(0)
+        } else {
+            let origin = t.origin;
+            Value::Ref(self.heap.mint_for(origin).alloc_exception(kind, message))
+        };
+        let t = &mut self.threads[slot_of(tid)];
+        // Record the fault origin if we are entering a fault handler for an
+        // NPE: RethrowAppNpe needs it.
+        if kind == ExKind::NullPointer {
+            t.npe_origin_pc = Some(t.frames[fi].pc);
         }
-
-        match target {
-            Some((fi, hpc)) => {
-                let t = &mut self.threads[slot_of(tid)];
-                // Record the fault origin if we are entering a fault handler
-                // for an NPE: RethrowAppNpe needs it.
-                if kind == ExKind::NullPointer {
-                    t.npe_origin_pc = Some(t.frames[fi].pc);
-                }
-                // Unwind to the handler frame, empty its operand stack,
-                // and enter the handler with the exception on it.
-                t.truncate_frames(fi + 1);
-                t.clear_operands();
-                t.stack.push(Value::Ref(ex_ref));
-                t.frames[fi].pc = hpc;
-                Ok(true)
-            }
-            None => {
-                let message = match &self.heap.get(ex_ref)?.kind {
-                    ObjKind::Exception { message, .. } => message.to_string(),
-                    _ => String::new(),
-                };
-                let t = &mut self.threads[slot_of(tid)];
-                let pc = t.top().map(|f| f.pc).unwrap_or(0);
-                t.state = ThreadState::Faulted(ExceptionInfo { kind, message, pc });
-                Ok(false)
-            }
-        }
+        t.truncate_frames(fi + 1);
+        t.clear_operands();
+        t.stack.push(ex);
+        t.frames[fi].pc = hpc;
+        Ok(())
     }
 
     /// Deliver an application-level NPE at the recorded fault origin,
@@ -2287,8 +2275,8 @@ impl Vm {
     fn park_fault(&mut self, tid: usize, query: ObjectQuery, bind: FaultBind) -> VmResult<Flow> {
         // A cached copy of the home object (e.g. installed by a prefetch)
         // satisfies the fault locally — no round trip.
-        if !matches!(bind, FaultBind::Stub) {
-            let origin = self.threads[slot_of(tid)].origin;
+        let origin = self.threads[slot_of(tid)].origin;
+        if let Some(origin) = origin.filter(|_| !matches!(bind, FaultBind::Stub)) {
             if let Some(local) = self.heap.find_cached_from(origin, query.home_id) {
                 self.apply_bind(tid, bind, local)?;
                 self.advance_top(tid)?;
@@ -3088,6 +3076,73 @@ mod tests {
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(55))));
     }
 
+    /// `main` allocates a two-slot array (32 B), then divides by zero
+    /// ("integer division by zero": a 40 B exception) at pc 5, into
+    /// `handler` at pc 7 when there is one. Returns how the thread ended,
+    /// and the VM.
+    fn divide_by_zero(handler: &[Instr]) -> (StepOutcome, Vm) {
+        let mut code = vec![
+            Instr::PushI(2),
+            Instr::NewArr,
+            Instr::Store(0),
+            Instr::PushI(1),
+            Instr::PushI(0),
+            Instr::Div, // 5
+            Instr::RetV,
+        ];
+        code.extend_from_slice(handler);
+        let lines = (0..code.len()).map(|pc| 1 + u32::from(pc >= 7)).collect();
+        let mut m = MethodDef::new("main", 0, 2).with_code(code, lines);
+        if !handler.is_empty() {
+            m = m.with_ex_table(vec![ExEntry::new(0, 7, 7, ExKind::DivByZero)]);
+        }
+        let mut vm = vm_with(&[ClassDef::new("Main").with_method(m)]);
+        let tid = vm.spawn("Main", "main", &[]).unwrap();
+        let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+        (out, vm)
+    }
+
+    fn heap_counts(vm: &Vm) -> (usize, u64, u64) {
+        (vm.heap.len(), vm.heap.used_bytes(), vm.heap.alloc_count())
+    }
+
+    #[test]
+    fn an_exception_its_handler_pops_is_counted_not_kept() {
+        let (out, vm) = divide_by_zero(&[Instr::Pop, Instr::PushI(7), Instr::RetV]);
+        assert_eq!(out, StepOutcome::Returned(Some(Value::Int(7))));
+        // The model charges the array and the exception, 72 B in two
+        // allocations; the host holds the array alone (it held both).
+        assert_eq!(heap_counts(&vm), (1, 72, 2));
+    }
+
+    #[test]
+    fn an_exception_its_handler_stores_is_a_real_object() {
+        let (out, vm) = divide_by_zero(&[Instr::Store(1), Instr::Load(1), Instr::RetV]);
+        let StepOutcome::Returned(Some(Value::Ref(ex))) = out else {
+            panic!("expected the exception back, got {out:?}");
+        };
+        match &vm.heap.get(ex).unwrap().kind {
+            ObjKind::Exception { kind, message } => {
+                assert_eq!(*kind, ExKind::DivByZero);
+                assert_eq!(message, "integer division by zero");
+            }
+            other => panic!("expected an exception object, got {other:?}"),
+        }
+        assert_eq!(heap_counts(&vm), (2, 72, 2));
+    }
+
+    #[test]
+    fn an_uncaught_exception_faults_with_its_message_and_keeps_no_entry() {
+        let (out, vm) = divide_by_zero(&[]);
+        let info = ExceptionInfo {
+            kind: ExKind::DivByZero,
+            message: "integer division by zero".into(),
+            pc: 5,
+        };
+        assert_eq!(out, StepOutcome::Unhandled(info));
+        assert_eq!(heap_counts(&vm), (1, 72, 2));
+    }
+
     #[test]
     fn unhandled_exception_preserves_frames() {
         let c = main_class(
@@ -3314,6 +3369,7 @@ mod tests {
         }
         assert_eq!(fast.heap.used_bytes(), slow.heap.used_bytes());
         assert_eq!(fast.heap.alloc_count(), slow.heap.alloc_count());
+        assert_eq!(fast.heap.len(), slow.heap.len());
         // The fast VM warmed its caches; the reference VM never fills any.
         // That is the whole difference: both linked the same rows.
         assert!(fast.classes.iter().any(|c| c.ic_warm_count() > 0));

@@ -23,6 +23,15 @@
 //! object owned its slots, 20 before the direct codec). The same bound
 //! holds per object shipped when one `Deep` fault fetches the whole list.
 //!
+//! It also pins what the heaps hold, per node, from the report's
+//! `heap_objects` (the model's allocations) and `heap_entries` (what the
+//! host keeps). Each object a `Shallow` fault fetches is two allocations in
+//! the model — its cached copy and the `NullPointerException` that
+//! detected it — but the worker keeps one entry: the fault handler pops
+//! the exception unread, so it is counted, never held (it held 2.0 while
+//! every exception was kept). The model's counts are written out exactly:
+//! they are what every virtual number is computed from.
+//!
 //! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
 //! is process-wide, and a second test running beside it would be counted
 //! too.
@@ -110,9 +119,18 @@ fn list_class() -> ClassDef {
     preprocess_sod(&class).expect("list guest preprocesses")
 }
 
+/// What one node's heap holds at the end of a run: the model's
+/// allocations and the host's entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Held {
+    objects: u64,
+    entries: u64,
+}
+
 /// Run the fleet over `nodes`-node lists; returns how many allocations
-/// building and running it took.
-fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> u64 {
+/// building and running it took, and what the home's (`edge`) and the
+/// worker's (`cloud`) heaps held.
+fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> (u64, [Held; 2]) {
     let (report, spent, _) = counted(|| {
         Scenario::new()
             .slice_ns(5_000)
@@ -153,7 +171,14 @@ fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> u64 {
         moved >= 2 * 30 * (nodes as u64) * PROGRAMS as u64,
         "{moved} B"
     );
-    spent
+    let held = |i: usize| {
+        let n = &report.cluster.per_node[i];
+        Held {
+            objects: n.heap_objects,
+            entries: n.heap_entries,
+        }
+    };
+    (spent, [held(0), held(1)])
 }
 
 #[test]
@@ -163,8 +188,8 @@ fn an_object_fault_and_its_flush_cost_a_handful_of_allocations() {
         // Warm whatever the first run alone would pay for (lazy statics).
         storm(&class, 64, policy);
 
-        let short = storm(&class, 64, policy);
-        let long = storm(&class, 256, policy);
+        let (short, held_short) = storm(&class, 64, policy);
+        let (long, held_long) = storm(&class, 256, policy);
         // Same fleet, same seeds: the runs differ in nothing but the 192
         // extra nodes each program builds, ships and writes back.
         let per_object = long.saturating_sub(short) as f64 / (192 * PROGRAMS) as f64;
@@ -173,6 +198,33 @@ fn an_object_fault_and_its_flush_cost_a_handful_of_allocations() {
             per_object <= 0.5,
             "{policy:?}: each extra object cost {per_object:.2} allocations \
              ({short} with 64 nodes, {long} with 256, {PROGRAMS} programs)"
+        );
+
+        // The heaps, per node, and Open 11's budget row for them: the
+        // worker's model allocates a cached copy and an NPE for every
+        // node (a `Deep` prefetch answers the fault locally, but the NPE
+        // still fires), and the host keeps the copies only.
+        let per_extra = |long: u64, short: u64| (long - short) as f64 / (192 * PROGRAMS) as f64;
+        let objects = per_extra(held_long[1].objects, held_short[1].objects);
+        let entries = per_extra(held_long[1].entries, held_short[1].entries);
+        println!("{policy:?}: the worker allocates {objects:.2} and holds {entries:.2} per object");
+        assert_eq!(
+            objects, 2.0,
+            "{policy:?}: the model's allocations per object"
+        );
+        assert!(
+            entries <= 1.0,
+            "{policy:?}: the worker holds {entries:.2} entries per fetched object"
+        );
+        // Exactly: the home makes the masters, one per node of each list;
+        // the worker also allocates the restoration handler's exception,
+        // one per program.
+        let held = |objects, entries| Held { objects, entries };
+        assert_eq!(held_short, [held(512, 512), held(1032, 512)], "{policy:?}");
+        assert_eq!(
+            held_long,
+            [held(2048, 2048), held(4104, 2048)],
+            "{policy:?}"
         );
     }
 }

@@ -5,7 +5,8 @@
 //! produce a **bit-identical** `ScenarioReport` to the same scenario run
 //! with `slow_resolve(true)`, which re-resolves every name from the
 //! constant pool on each execution and never consults a cache. Virtual
-//! time, instruction counts, heap statistics, migration timings, OOM
+//! time, instruction counts, heap statistics (each node's modelled
+//! allocations and the entries its host holds), migration timings, OOM
 //! timing, chaos draws, and pool scaling decisions are all part of the
 //! `==`; the fast path is a host-time optimisation only and any charged
 //! or heap-shape difference fails loudly here.

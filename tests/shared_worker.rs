@@ -7,7 +7,8 @@
 //! the cached copy of another home's object 7 — a wrong sum, silently, and
 //! fewer faults than objects. The write-back must respect the same
 //! boundary: a finishing session flushes its own home's dirty copies, not
-//! every dirty object on the shared heap.
+//! every dirty object on the shared heap — and not the worker's own masters
+//! either, when the worker is a home too.
 
 use sod::asm::builder::ClassBuilder;
 use sod::net::US;
@@ -145,4 +146,60 @@ fn homes_sharing_one_worker_keep_their_objects_apart() {
             "program {i} must fault in exactly its own {n} list nodes"
         );
     }
+}
+
+/// Regression: a node that is both a home and a worker flushed its own
+/// masters to a foreign home. The flush of a finishing session admitted
+/// every object without a home elsewhere, so `a`'s dirty masters shipped to
+/// `b` as objects `b`'s segment had created, and `b` allocated masters
+/// nothing references. Now a flush carries only what the finishing home's
+/// sessions fetched or created.
+#[test]
+fn a_home_that_is_also_a_worker_flushes_none_of_its_masters() {
+    let class = list_walk_class();
+    let run = |with_neighbour: bool| {
+        let mut sc = Scenario::new()
+            .slice_ns(5_000)
+            .node("a", NodeConfig::cluster("a"))
+            .deploys(&class)
+            .node("b", NodeConfig::cluster("b"))
+            .deploys(&class);
+        if with_neighbour {
+            // Homed on `a`: builds and writes 50 masters there, never moves.
+            sc = sc
+                .program("Walk", "main", vec![Value::Int(50), Value::Int(SPIN)])
+                .on("a");
+        }
+        // Homed on `b`: an empty list, so its segment on `a` touches no
+        // object at all.
+        let report = sc
+            .program("Walk", "main", vec![Value::Int(0), Value::Int(SPIN)])
+            .on("b")
+            .starts_at(200 * US)
+            .migrate(When::OnCpuSliceBudget(2), Plan::top_to("a", 1))
+            .run()
+            .expect("mixed-role run");
+        let b = report.cluster.per_node[1].clone();
+        let visitor = report.programs().last().expect("b's program").clone();
+        (visitor, b.heap_objects, b.heap_entries)
+    };
+    let (alone, alone_objects, alone_entries) = run(false);
+    let (beside, beside_objects, beside_entries) = run(true);
+    assert_eq!(beside.error, None);
+    assert_eq!(
+        beside.report.migrations.len(),
+        1,
+        "b's program offloads to a"
+    );
+    assert_eq!(beside.report.result, Some(0));
+    assert_eq!(
+        beside.report.object_bytes, 0,
+        "a's masters were flushed to b"
+    );
+    // `a`'s neighbour changes nothing about `b`'s program or heap.
+    assert_eq!(beside.report, alone.report);
+    assert_eq!(
+        (beside_objects, beside_entries),
+        (alone_objects, alone_entries)
+    );
 }

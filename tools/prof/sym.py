@@ -4,12 +4,15 @@
     sym.py <samples> <binary> func|line [top]     sampler.so output
     sym.py <samples> <binary> asm <function> [min%]
     sym.py <mallocs> <binary> allocs <ops> [top]  mallocs.so output
+    sym.py <livemem> <binary> live [top]          livemem.so output
 
 `func` aggregates by the outermost (non-inlined) function holding each
 sample, `line` by the innermost inlined file:line. `allocs` prints
 allocations per operation (`ops` = how many operations the run performed,
 e.g. reps x object faults per rep) by the three innermost frames of each
-call stack that are this repository's own code. `asm` disassembles every
+call stack that are this repository's own code; `live` prints the bytes
+and blocks held there (at the peak, or at `LIVEMEM_AT`), by the same
+frames. `asm` disassembles every
 symbol whose demangled name contains `function` (needs nm and objdump), each
 instruction prefixed with its share of all samples — what is live across a
 loop's dispatch shows as loads and read-modify-writes of stack slots there;
@@ -85,32 +88,56 @@ def in_repo(frame):
     return not (where.startswith(("??", "/rustc/")) or "/.cargo/" in where)
 
 
-def allocs(path, binary, ops, top):
+def call_sites(path, binary):
+    """`(a, b, site)` per line of a mallocs.so or livemem.so file, `site`
+    named by the three innermost frames of its stack that are this
+    repository's own code; `#` lines are printed."""
     sites = []
     with open(path) as f:
         base = int(f.readline().split("-")[0], 16)
         for line in f:
-            count, size, *stack = line.split()
+            if line.startswith("#"):
+                print(line.rstrip())
+                continue
+            a, b, *stack = line.split()
             # A return address names the instruction after the call.
-            stack = [int(a, 16) - base - 1 for a in stack]
-            sites.append((int(count), int(size), stack))
+            stack = [int(addr, 16) - base - 1 for addr in stack]
+            sites.append((int(a), int(b), stack))
     chains = symbolise(binary, {a for _, _, stack in sites for a in stack if a >= 0})
-    calls, sizes = collections.Counter(), collections.Counter()
-    for count, size, stack in sites:
-        frames = [fr for a in stack for fr in chains.get(a, []) if in_repo(fr)]
+    for a, b, stack in sites:
+        frames = [fr for addr in stack for fr in chains.get(addr, []) if in_repo(fr)]
         name = " < ".join(f"{fn} ({where.rsplit('/', 1)[-1]})" for fn, where in frames[:3])
-        calls[name or "??"] += count
-        sizes[name or "??"] += size
+        yield a, b, name or "??"
+
+
+def allocs(path, binary, ops, top):
+    calls, sizes = collections.Counter(), collections.Counter()
+    for count, size, name in call_sites(path, binary):
+        calls[name] += count
+        sizes[name] += size
     total = sum(calls.values())
     print(f"{total} allocations, {total / ops:.2f} per operation")
     for name, n in calls.most_common(top):
         print(f"{n / ops:8.2f}/op  {sizes[name] / n:8.0f} B  {name}")
 
 
+def live(path, binary, top):
+    held, blocks = collections.Counter(), collections.Counter()
+    for size, count, name in call_sites(path, binary):
+        held[name] += size
+        blocks[name] += count
+    total = sum(held.values())
+    print(f"{total / 2**20:.2f} MiB live in {sum(blocks.values())} blocks")
+    for name, n in held.most_common(top):
+        print(f"{n / 2**20:8.3f} MiB  {blocks[name]:8d}  {name}")
+
+
 def main():
     path, binary, mode = sys.argv[1:4]
     rest = sys.argv[4:]
-    if mode == "allocs":
+    if mode == "live":
+        live(path, binary, int(rest[0]) if rest else 30)
+    elif mode == "allocs":
         allocs(path, binary, float(rest[0]), int(rest[1]) if len(rest) > 1 else 30)
     elif mode == "asm":
         asm(path, binary, rest[0], float(rest[1]) if len(rest) > 1 else 0.5)
