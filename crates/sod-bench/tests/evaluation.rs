@@ -5,31 +5,21 @@
 //! figure in it is virtual time or a count, so a fresh render equals the
 //! committed bytes on every host, debug or release. One test per table, so
 //! they run in parallel and a moved figure names its table. A change that
-//! moves a figure commits the regenerated file with it. TABLE ELASTIC's
-//! test also checks the claim the sweep exists for, on the rows it renders.
+//! moves a figure commits the regenerated file with it.
 
-use sod_bench::elastic::{
-    config_name, elastic_rows, render_elastic, ElasticRow, PoolConfig, CONFIGS, ELASTIC_FLEET,
-    ELASTIC_MAX,
-};
 use sod_bench::TABLES;
 
 const COMMITTED: &str = include_str!("../../../BENCH_tables.txt");
 
 const REGENERATE: &str = "cargo run --release -p sod-bench --bin tables > BENCH_tables.txt";
 
-/// Render table `name` and compare it.
-fn renders_as_committed(name: &str) {
-    let table = TABLES.iter().find(|(n, _)| *n == name);
-    let (_, render) = table.unwrap_or_else(|| panic!("no table named {name:?}"));
-    matches_committed(name, render());
-}
-
-/// Compare `table`, table `name` as rendered, and the blank line `tables`
+/// Render table `name` and compare it, and the blank line `tables`
 /// prints after it, with the committed lines from its first line on; on a
 /// mismatch, panic with the first line that differs.
-fn matches_committed(name: &str, table: String) {
-    let fresh = table + "\n";
+fn matches_committed(name: &str) {
+    let table = TABLES.iter().find(|(n, _)| *n == name);
+    let (_, render) = table.unwrap_or_else(|| panic!("no table named {name:?}"));
+    let fresh = render() + "\n";
     let fresh: Vec<&str> = fresh.lines().collect();
     let committed: Vec<&str> = COMMITTED.lines().collect();
     // Every table's first line is its title, printed once.
@@ -53,20 +43,19 @@ fn matches_committed(name: &str, table: String) {
     );
 }
 
-/// One `#[test]` per table, and a check that they cover [`TABLES`]
-/// (`elastic`, written out below, last).
+/// One `#[test]` per table, and a check that they cover [`TABLES`].
 macro_rules! evaluation {
     ($($name:ident),* $(,)?) => {
         $(
             #[test]
             fn $name() {
-                renders_as_committed(stringify!($name));
+                matches_committed(stringify!($name));
             }
         )*
 
         #[test]
         fn every_table_has_a_test() {
-            let tested = [$(stringify!($name),)* "elastic"];
+            let tested = [$(stringify!($name)),*];
             let tables: Vec<&str> = TABLES.iter().map(|(n, _)| *n).collect();
             assert_eq!(tested.as_slice(), tables);
         }
@@ -75,72 +64,5 @@ macro_rules! evaluation {
 
 evaluation!(
     table1, table2_3, table4, table5, table6, table7, fig1, roaming, scale, codecache, chaos,
+    elastic,
 );
-
-/// TABLE ELASTIC, and on the same rows the claim it prints.
-#[test]
-fn elastic() {
-    let rows = elastic_rows();
-    autoscaling_dominates_the_overprovisioned_fixed_baseline(&rows);
-    matches_committed("elastic", render_elastic(&rows));
-}
-
-/// `a` dominates `b` on the p99-vs-node-seconds frontier: at least as good
-/// on both axes, strictly better on one.
-fn dominates(a: &ElasticRow, b: &ElasticRow) -> bool {
-    let (ap, bp) = (a.cluster.p99_latency_ns, b.cluster.p99_latency_ns);
-    let (an, bn) = (a.cluster.node_ns, b.cluster.node_ns);
-    ap <= bp && an <= bn && (ap < bp || an < bn)
-}
-
-/// The headline claim: under the bursty cell with cold start 0, at least
-/// one autoscaling policy dominates the overprovisioned fixed baseline —
-/// the same tail latency as a fleet that pays for [`ELASTIC_MAX`] members
-/// the whole run, at strictly fewer node-seconds, because the pool drains
-/// between bursts. Against the starved 1-member baseline the same policies
-/// halve the p99 (at higher cost — the other end of the frontier).
-fn autoscaling_dominates_the_overprovisioned_fixed_baseline(rows: &[ElasticRow]) {
-    let cell = |config: PoolConfig| {
-        let row = rows
-            .iter()
-            .find(|r| r.config == config && r.cold_start_ns == 0 && r.arrival == "bursty");
-        row.unwrap_or_else(|| panic!("the sweep has no bursty, cold-0 row for {config:?}"))
-    };
-    let fixed = cell(PoolConfig::Fixed(ELASTIC_MAX));
-    let starved = cell(PoolConfig::Fixed(1));
-    let auto_rows: Vec<&ElasticRow> = CONFIGS
-        .iter()
-        .filter(|c| matches!(c, PoolConfig::Auto(_)))
-        .map(|&c| cell(c))
-        .collect();
-    assert!(
-        auto_rows.iter().any(|r| dominates(r, fixed)),
-        "no policy dominates fixed-{ELASTIC_MAX}: fixed p99={} node_ns={}, policies={:?}",
-        fixed.cluster.p99_latency_ns,
-        fixed.cluster.node_ns,
-        auto_rows
-            .iter()
-            .map(|r| (
-                config_name(r.config),
-                r.cluster.p99_latency_ns,
-                r.cluster.node_ns
-            ))
-            .collect::<Vec<_>>(),
-    );
-    // The dominating policies also sit strictly inside the starved
-    // baseline's tail: elasticity buys latency, not just cost.
-    assert!(auto_rows
-        .iter()
-        .filter(|r| dominates(r, fixed))
-        .all(|r| r.cluster.p99_latency_ns < starved.cluster.p99_latency_ns));
-    // Everyone still serves the full fleet correctly.
-    assert_eq!(fixed.correct, ELASTIC_FLEET);
-    for r in &auto_rows {
-        assert!(r.correct == ELASTIC_FLEET, "{}", config_name(r.config));
-        assert!(
-            r.pool().spawns > 0,
-            "{} never scaled",
-            config_name(r.config)
-        );
-    }
-}
