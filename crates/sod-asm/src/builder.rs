@@ -446,43 +446,29 @@ impl<'c> MethodBuilder<'c> {
     }
 }
 
-/// Convenience: build the recursive-fib class used in several tests.
-pub fn fib_class() -> ClassDef {
-    ClassBuilder::new("Fib")
-        .method("fib", &["n"], |m| {
-            m.line();
-            m.load("n").pushi(2).if_cmp(Cmp::Lt, "base");
-            m.line();
-            m.load("n")
-                .pushi(1)
-                .sub()
-                .invoke("Fib", "fib", 1)
-                .store("a");
-            m.line();
-            m.load("n")
-                .pushi(2)
-                .sub()
-                .invoke("Fib", "fib", 1)
-                .store("b");
-            m.line();
-            m.load("a").load("b").add().retv();
-            m.line();
-            m.label("base");
-            m.load("n").retv();
-        })
-        .build()
-        .expect("fib class verifies")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sod_vm::interp::Vm;
     use sod_vm::value::{TypeOf, Value};
 
+    /// Recursive Fibonacci: a call, two self-invocations and a branch.
     #[test]
     fn fib_runs() {
-        let class = fib_class();
+        let class = ClassBuilder::new("Fib")
+            .method("fib", &["n"], |m| {
+                m.line().load("n").pushi(2).if_cmp(Cmp::Lt, "base");
+                m.line().load("n").pushi(1).sub().invoke("Fib", "fib", 1);
+                m.load("n")
+                    .pushi(2)
+                    .sub()
+                    .invoke("Fib", "fib", 1)
+                    .add()
+                    .retv();
+                m.line().label("base").load("n").retv();
+            })
+            .build()
+            .unwrap();
         let mut vm = Vm::new();
         vm.load_class(&class).unwrap();
         let r = vm
