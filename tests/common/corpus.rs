@@ -268,6 +268,7 @@ fn fnv_of(r: &ScenarioReport) -> String {
 // Builders.
 // ---------------------------------------------------------------------------
 
+/// Recursive Fibonacci, preprocessed for SOD.
 pub fn fib() -> ClassDef {
     preprocess_sod(&fib_class()).expect("preprocess fib")
 }
