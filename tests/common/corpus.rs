@@ -25,7 +25,7 @@ use sod::asm::builder::ClassBuilder;
 use sod::net::{LinkSpec, MS, US};
 use sod::preprocess::preprocess_sod;
 use sod::runtime::metrics::RunReport;
-use sod::runtime::{FetchPolicy, NodeConfig, RetryPolicy};
+use sod::runtime::{FetchPolicy, Msg, NodeConfig, RetryPolicy};
 use sod::scenario::{Chaos, Fleet, Plan, Pool, Preset, Scenario, ScenarioReport, When};
 use sod::vm::class::ClassDef;
 use sod::vm::instr::Cmp;
@@ -33,7 +33,6 @@ use sod::vm::value::{TypeOf, Value};
 use sod::workloads::apps::search_class;
 use sod::workloads::programs::fib_class;
 use sod::{ArrivalSchedule, CodeShipping, ScalePolicy};
-use std::fmt;
 
 /// The committed digest lines, one per row, in [`ROWS`] order.
 pub const DIGESTS: &str = include_str!("../corpus_digests.txt");
@@ -169,20 +168,19 @@ pub fn relations(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
     first
 }
 
-/// Every `Msg` variant; bit `i` of a digest line's `msgs=` is the `i`-th.
+/// Every `Msg` variant, in [`variant`]'s order: bit `i` of a digest
+/// line's `msgs=` is the `i`-th.
 pub const MSGS: &str = "StartProgram MigrateNow RunSlice HostDone CaptureDone BeginRestore \
     MigrationTimeout PoolTick PoolReady State ClassRequest ClassReply ObjectRequest ObjectReply \
     Flush FlushAck SegmentReturn FsRead FsData ClientRequest";
 
 /// Run `scenario` one delivery at a time, as `run` does, noting the
-/// variant of each delivered message as a bit of [`MSGS`]. A variant
-/// [`MSGS`] does not name fails here.
+/// variant of each delivered message as a bit of [`MSGS`].
 pub fn stepped(label: &str, scenario: Scenario) -> (ScenarioReport, u32) {
     let mut msgs = 0u32;
     let report = scenario.run_with(|sim| {
-        while let Some(name) = sim.sim.choices().first().map(|c| variant(c.msg)) {
-            let at = MSGS.split_whitespace().position(|v| v == name);
-            msgs |= 1 << at.unwrap_or_else(|| panic!("{label}: MSGS lacks {name:?}"));
+        while let Some(bit) = sim.sim.choices().first().map(|c| 1 << variant(c.msg)) {
+            msgs |= bit;
             sim.sim.step();
         }
     });
@@ -192,20 +190,31 @@ pub fn stepped(label: &str, scenario: Scenario) -> (ScenarioReport, u32) {
     )
 }
 
-/// The variant name a message's `Debug` print starts with. The print
-/// stops there: a whole one can run to megabytes.
-fn variant(msg: &impl fmt::Debug) -> String {
-    struct Name(String);
-    impl fmt::Write for Name {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            let end = s.find(|c: char| !c.is_alphanumeric());
-            self.0.push_str(&s[..end.unwrap_or(s.len())]);
-            end.map_or(Ok(()), |_| Err(fmt::Error))
-        }
+/// The index of `m`'s variant in [`MSGS`]. A new variant fails to compile
+/// here: give it the next index, and its name at the end of [`MSGS`].
+fn variant(m: &Msg) -> u32 {
+    match m {
+        Msg::StartProgram { .. } => 0,
+        Msg::MigrateNow { .. } => 1,
+        Msg::RunSlice { .. } => 2,
+        Msg::HostDone { .. } => 3,
+        Msg::CaptureDone { .. } => 4,
+        Msg::BeginRestore { .. } => 5,
+        Msg::MigrationTimeout { .. } => 6,
+        Msg::PoolTick { .. } => 7,
+        Msg::PoolReady { .. } => 8,
+        Msg::State(_) => 9,
+        Msg::ClassRequest { .. } => 10,
+        Msg::ClassReply { .. } => 11,
+        Msg::ObjectRequest { .. } => 12,
+        Msg::ObjectReply { .. } => 13,
+        Msg::Flush { .. } => 14,
+        Msg::FlushAck { .. } => 15,
+        Msg::SegmentReturn { .. } => 16,
+        Msg::FsRead { .. } => 17,
+        Msg::FsData { .. } => 18,
+        Msg::ClientRequest { .. } => 19,
     }
-    let mut name = Name(String::new());
-    let _stopped = fmt::write(&mut name, format_args!("{msg:?}"));
-    name.0
 }
 
 /// The committed digest line of row `name`.
