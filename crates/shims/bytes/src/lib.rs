@@ -36,6 +36,7 @@
 //! frame therefore costs no allocation at all; only a `BytesMut` that never
 //! was a `Bytes` mints a cell, once, at its first `freeze`.
 
+use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
@@ -74,11 +75,23 @@ pub trait BufMut {
 
 /// An immutable byte buffer: a view (`start..end`) into shared storage.
 /// Cloning and slicing are O(1) and share the allocation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
+}
+
+/// Prints the viewed bytes only, escaped as a byte string (`b"..."`), as
+/// the real crate does: never the rest of the shared storage.
+impl fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("b\"")?;
+        for &b in self.iter() {
+            write!(f, "{}", std::ascii::escape_default(b))?;
+        }
+        f.write_str("\"")
+    }
 }
 
 impl Bytes {
@@ -347,6 +360,17 @@ mod tests {
         assert_eq!(r.get_u64_le() as i64, -9);
         assert_eq!(&*r.split_to(2), b"xy");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn debug_prints_only_the_viewed_bytes() {
+        let whole = Bytes::from(vec![7u8; 37 * 1024]);
+        let four = whole.slice(100..104);
+        assert_eq!(format!("{four:?}"), r#"b"\x07\x07\x07\x07""#);
+        assert_eq!(
+            format!("{:?}", Bytes::from(b"a\"\n".to_vec())),
+            r#"b"a\"\n""#
+        );
     }
 
     #[test]

@@ -205,64 +205,3 @@ fn render_elastic(rows: &[ElasticRow]) -> String {
 pub fn elastic_table() -> String {
     render_elastic(&elastic_rows())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `a` dominates `b` on the p99-vs-node-seconds frontier: at least as
-    /// good on both axes, strictly better on one.
-    fn dominates(a: &ElasticRow, b: &ElasticRow) -> bool {
-        let (ap, bp) = (a.cluster.p99_latency_ns, b.cluster.p99_latency_ns);
-        let (an, bn) = (a.cluster.node_ns, b.cluster.node_ns);
-        ap <= bp && an <= bn && (ap < bp || an < bn)
-    }
-
-    /// The headline claim: under the shipped bursty cell (cold start 0),
-    /// at least one autoscaling policy dominates the overprovisioned
-    /// fixed baseline — the same tail latency as a fleet that pays for
-    /// [`ELASTIC_MAX`] members the whole run, at strictly fewer
-    /// node-seconds, because the pool drains between bursts. Against the
-    /// starved 1-member baseline the same policies halve the p99 (at
-    /// higher cost — the other end of the frontier).
-    #[test]
-    fn autoscaling_dominates_the_overprovisioned_fixed_baseline() {
-        let fixed = run_elastic_fleet(PoolConfig::Fixed(ELASTIC_MAX), 0, "bursty");
-        let starved = run_elastic_fleet(PoolConfig::Fixed(1), 0, "bursty");
-        let auto_rows: Vec<ElasticRow> = CONFIGS
-            .iter()
-            .filter(|c| matches!(c, PoolConfig::Auto(_)))
-            .map(|&c| run_elastic_fleet(c, 0, "bursty"))
-            .collect();
-        assert!(
-            auto_rows.iter().any(|r| dominates(r, &fixed)),
-            "no policy dominates fixed-{ELASTIC_MAX}: fixed p99={} node_ns={}, policies={:?}",
-            fixed.cluster.p99_latency_ns,
-            fixed.cluster.node_ns,
-            auto_rows
-                .iter()
-                .map(|r| (
-                    config_name(r.config),
-                    r.cluster.p99_latency_ns,
-                    r.cluster.node_ns
-                ))
-                .collect::<Vec<_>>(),
-        );
-        // The dominating policies also sit strictly inside the starved
-        // baseline's tail: elasticity buys latency, not just cost.
-        assert!(auto_rows
-            .iter()
-            .filter(|r| dominates(r, &fixed))
-            .all(|r| r.cluster.p99_latency_ns < starved.cluster.p99_latency_ns));
-        // Everyone still serves the full fleet correctly.
-        assert_eq!(fixed.correct, ELASTIC_FLEET);
-        for r in &auto_rows {
-            assert!(r.correct == ELASTIC_FLEET, "{}", config_name(r.config));
-            assert!(
-                r.pool().spawns > 0,
-                "{} never scaled",
-                config_name(r.config)
-            );
-        }
-    }
-}

@@ -7,6 +7,7 @@
 //! they run in parallel and a moved figure names its table. A change that
 //! moves a figure commits the regenerated file with it.
 
+use sod_bench::elastic::{ELASTIC_FLEET, ELASTIC_MAX};
 use sod_bench::TABLES;
 
 const COMMITTED: &str = include_str!("../../../BENCH_tables.txt");
@@ -66,3 +67,83 @@ evaluation!(
     table1, table2_3, table4, table5, table6, table7, fig1, roaming, scale, codecache, chaos,
     elastic,
 );
+
+/// A committed TABLE ELASTIC row: its config's name and the columns the
+/// dominance test reads.
+struct CommittedRow<'a> {
+    config: &'a str,
+    correct: usize,
+    spawns: u64,
+    p99_latency_ns: u64,
+    node_ns: u64,
+}
+
+/// TABLE ELASTIC's bursty rows at cold start 0, as committed (the
+/// `elastic` test holds them equal to a fresh render).
+fn bursty_cold_start_0_rows() -> Vec<CommittedRow<'static>> {
+    let title = COMMITTED
+        .find("TABLE ELASTIC.")
+        .expect("TABLE ELASTIC is committed");
+    let lines = COMMITTED[title..].lines().skip(2);
+    let cells = lines.map(|l| l.split_whitespace().collect::<Vec<&str>>());
+    let cells = cells.take_while(|c| !c.is_empty());
+    let number = |c: &[&str], i: usize| c[i].parse::<u64>().expect("a count");
+    cells
+        .filter(|c| c[1] == "bursty" && c[2] == "0")
+        .map(|c| CommittedRow {
+            config: c[0],
+            correct: number(&c, 5) as usize,
+            spawns: number(&c, 7),
+            p99_latency_ns: number(&c, 11),
+            node_ns: number(&c, 13),
+        })
+        .collect()
+}
+
+/// `a` dominates `b` on the p99-vs-node-seconds frontier: at least as good
+/// on both axes, strictly better on one.
+fn dominates(a: &CommittedRow, b: &CommittedRow) -> bool {
+    let (ap, bp) = (a.p99_latency_ns, b.p99_latency_ns);
+    let (an, bn) = (a.node_ns, b.node_ns);
+    ap <= bp && an <= bn && (ap < bp || an < bn)
+}
+
+/// The headline claim: under the shipped bursty cell (cold start 0), at
+/// least one autoscaling policy dominates the overprovisioned fixed
+/// baseline — the same tail latency as a fleet that pays for
+/// [`ELASTIC_MAX`] members the whole run, at strictly fewer node-seconds,
+/// because the pool drains between bursts. Against the starved 1-member
+/// baseline the same policies halve the p99 (at higher cost — the other
+/// end of the frontier).
+#[test]
+fn autoscaling_dominates_the_overprovisioned_fixed_baseline() {
+    let rows = bursty_cold_start_0_rows();
+    let row = |name: &str| rows.iter().find(|r| r.config == name).expect("a row");
+    let (fixed, starved) = (row(&format!("fixed-{ELASTIC_MAX}")), row("fixed-1"));
+    let auto_rows: Vec<&CommittedRow> = rows
+        .iter()
+        .filter(|r| !r.config.starts_with("fixed-"))
+        .collect();
+    assert!(
+        auto_rows.iter().any(|r| dominates(r, fixed)),
+        "no policy dominates fixed-{ELASTIC_MAX}: fixed p99={} node_ns={}, policies={:?}",
+        fixed.p99_latency_ns,
+        fixed.node_ns,
+        auto_rows
+            .iter()
+            .map(|r| (r.config, r.p99_latency_ns, r.node_ns))
+            .collect::<Vec<_>>(),
+    );
+    // The dominating policies also sit strictly inside the starved
+    // baseline's tail: elasticity buys latency, not just cost.
+    assert!(auto_rows
+        .iter()
+        .filter(|r| dominates(r, fixed))
+        .all(|r| r.p99_latency_ns < starved.p99_latency_ns));
+    // Everyone still serves the full fleet correctly.
+    assert_eq!(fixed.correct, ELASTIC_FLEET);
+    for r in &auto_rows {
+        assert!(r.correct == ELASTIC_FLEET, "{}", r.config);
+        assert!(r.spawns > 0, "{} never scaled", r.config);
+    }
+}

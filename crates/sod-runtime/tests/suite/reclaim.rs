@@ -15,53 +15,17 @@
 //! whole stacks of a recursive guest migrate to an autoscaled pool under
 //! message loss with retries, CPU contention on.
 
-use sod_asm::builder::ClassBuilder;
 use sod_net::MS;
-use sod_preprocess::preprocess_sod;
 use sod_runtime::{NodeConfig, RetryPolicy, ScalePolicy};
-use sod_vm::class::ClassDef;
-use sod_vm::instr::Cmp;
 use sod_vm::value::Value;
 
+use crate::deep_class;
 use sod::scenario::{Chaos, Fleet, Plan, Pool, Scenario, When};
 use sod::{ArrivalSchedule, ScenarioReport};
 
 /// Recursion depth: a 33-frame stack, deep enough that its value stack
 /// outgrows a spawn's and is kept for the next tenant of its slot.
 const DEPTH: i64 = 32;
-
-/// `down(d, spin)` recurses `d` deep, spins at the bottom, and returns
-/// `d + 1` through every frame.
-fn deep_class() -> ClassDef {
-    let class = ClassBuilder::new("Deep")
-        .method("down", &["d", "spin"], |m| {
-            m.line();
-            m.load("d").ifz(Cmp::Le, "bottom");
-            m.line();
-            m.load("d")
-                .pushi(1)
-                .sub()
-                .load("spin")
-                .invoke("Deep", "down", 2)
-                .store("r");
-            m.line();
-            m.load("r").pushi(1).add().retv();
-            m.line();
-            m.label("bottom");
-            m.pushi(0).store("i");
-            m.line();
-            m.label("spin");
-            m.load("i").load("spin").if_cmp(Cmp::Ge, "out");
-            m.line();
-            m.load("i").pushi(1).add().store("i").goto("spin");
-            m.line();
-            m.label("out");
-            m.pushi(1).retv();
-        })
-        .build()
-        .expect("deep guest verifies");
-    preprocess_sod(&class).expect("deep guest preprocesses")
-}
 
 /// What a run leaves behind: its report and the length of every node's
 /// thread table.

@@ -15,53 +15,20 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sod_asm::builder::ClassBuilder;
 use sod_net::MS;
-use sod_preprocess::preprocess_sod;
 use sod_runtime::msg::{HostReply, ReturnTarget};
 use sod_runtime::{Msg, NodeConfig, ProgramId, ScalePolicy, SessionId, SodSim};
 use sod_vm::capture::CapturedValue;
 use sod_vm::class::ClassDef;
-use sod_vm::instr::Cmp;
 use sod_vm::interp::slot_of;
 use sod_vm::value::Value;
 use sod_vm::wire::FrameBatch;
 
+use crate::deep_class;
 use sod::scenario::{Fleet, Plan, Pool, Scenario, When};
 use sod::{ArrivalSchedule, ScenarioReport};
 
 const DEPTH: i64 = 32;
-
-fn deep_class() -> ClassDef {
-    let class = ClassBuilder::new("Deep")
-        .method("down", &["d", "spin"], |m| {
-            m.line();
-            m.load("d").ifz(Cmp::Le, "bottom");
-            m.line();
-            m.load("d")
-                .pushi(1)
-                .sub()
-                .load("spin")
-                .invoke("Deep", "down", 2)
-                .store("r");
-            m.line();
-            m.load("r").pushi(1).add().retv();
-            m.line();
-            m.label("bottom");
-            m.pushi(0).store("i");
-            m.line();
-            m.label("spin");
-            m.load("i").load("spin").if_cmp(Cmp::Ge, "out");
-            m.line();
-            m.load("i").pushi(1).add().store("i").goto("spin");
-            m.line();
-            m.label("out");
-            m.pushi(1).retv();
-        })
-        .build()
-        .expect("deep guest verifies");
-    preprocess_sod(&class).expect("deep guest preprocesses")
-}
 
 /// Sixty programs in three bursts, whole stacks to an autoscaled pool.
 fn churn(class: &ClassDef) -> Scenario {

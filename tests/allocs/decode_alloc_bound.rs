@@ -13,15 +13,9 @@
 //! value the length checks let through), cut at every offset, and flipped
 //! bit by bit through their first 64 bytes; every outcome is `Ok` or a
 //! typed `Decode` error, and none asks for more than `16 * len + 4 KiB`.
-//!
-//! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
-//! is process-wide, and a second test running beside it would be counted
-//! too.
 
-mod common;
-
+use crate::counted;
 use bytes::Bytes;
-use common::counting_alloc::counted;
 use sod::vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue, Frames};
 use sod::vm::error::VmError;
 use sod::vm::wire::{decode_state, encode_state};

@@ -31,14 +31,8 @@
 //! the exception unread, so it is counted, never held (it held 2.0 while
 //! every exception was kept). The model's counts are written out exactly:
 //! they are what every virtual number is computed from.
-//!
-//! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
-//! is process-wide, and a second test running beside it would be counted
-//! too.
 
-mod common;
-
-use common::counting_alloc::counted;
+use crate::counted;
 use sod::asm::builder::ClassBuilder;
 use sod::net::US;
 use sod::preprocess::preprocess_sod;

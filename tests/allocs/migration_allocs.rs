@@ -20,14 +20,8 @@
 //! per-frame form added ≈ 900, the shared-window form 9 (the decoded value
 //! array and the restored stack grew by doubling), and the three-array
 //! form before slots were reused 5.
-//!
-//! The test sits alone in this file: the counter (`common/counting_alloc.rs`)
-//! is process-wide, and a second test running beside it would be counted
-//! too.
 
-mod common;
-
-use common::counting_alloc::counted;
+use crate::counted;
 use sod::asm::builder::ClassBuilder;
 use sod::net::MS;
 use sod::preprocess::preprocess_sod;

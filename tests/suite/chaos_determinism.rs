@@ -3,15 +3,12 @@
 //! the scenario and its seeds, failure sets and chaos counters included.
 //! The faults happen and are seen, and each retry policy does its part.
 
-#[path = "common/corpus.rs"]
-mod corpus;
-
-use corpus::replay;
+use crate::corpus::{self, report};
 use proptest::prelude::*;
 
 #[test]
 fn same_seeds_replay_bit_identically() {
-    let r = replay("chaos_fallback");
+    let r = report("chaos_fallback");
     let chaos = &r.cluster.chaos;
     assert_eq!(
         (chaos.crashes, chaos.restarts, chaos.partitions, chaos.heals),
@@ -35,7 +32,7 @@ fn different_chaos_seed_diverges() {
 
 #[test]
 fn retry_policy_recovers_lost_episodes() {
-    let chaos = replay("chaos_retry").cluster.chaos;
+    let chaos = &report("chaos_retry").cluster.chaos;
     assert!(
         chaos.timeouts > 0 && chaos.retries > 0,
         "Retry re-ships: {chaos:?}"

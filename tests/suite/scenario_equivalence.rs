@@ -1,12 +1,11 @@
 //! The builder against the engine: a `Scenario`-built run produces the
 //! `RunReport` — result, timings, fault and byte counts — of the same
 //! experiment wired by hand (`Node` + `Cluster` + `SodSim`), on the
-//! corpus's Fib rows (`tests/common/corpus.rs`): one more relation, over
-//! the rows it can build. This is the only place
-//! outside `sod-runtime` that wires `Cluster::new`/`SodSim::new` by hand.
+//! corpus's Fib rows (`corpus.rs`): one more relation, over the rows it
+//! can build. This is the only place outside `sod-runtime` that wires
+//! `Cluster::new`/`SodSim::new` by hand.
 
-#[path = "common/corpus.rs"]
-mod corpus;
+use crate::corpus;
 
 use sod::net::{Topology, US};
 use sod::runtime::engine::{Cluster, SodSim};
@@ -17,12 +16,8 @@ use sod::scenario::When;
 use sod::vm::value::Value;
 
 /// The row's run through the builder.
-fn built(name: &str) -> RunReport {
-    corpus::scenario(name)
-        .run()
-        .expect("the row runs")
-        .first()
-        .clone()
+fn built(name: &str) -> &'static RunReport {
+    corpus::report(name).first()
 }
 
 /// Fib(16) at home beside `workers`, wired by hand, moved by `plan` at
@@ -49,7 +44,7 @@ fn hand_wired(workers: &[&str], plan: Option<MigrationPlan>) -> RunReport {
 #[test]
 fn quickstart_scenario_is_byte_identical_to_manual_wiring() {
     let wired = hand_wired(&["worker"], Some(MigrationPlan::top_to(1, 2)));
-    assert_eq!(wired, built("single_migration"));
+    assert_eq!(&wired, built("single_migration"));
     assert_eq!((wired.result, wired.migrations.len()), (Some(987), 1));
 }
 
@@ -57,7 +52,7 @@ fn quickstart_scenario_is_byte_identical_to_manual_wiring() {
 #[test]
 fn workflow_scenario_is_byte_identical_to_manual_wiring() {
     let wired = hand_wired(&["w0", "w1"], Some(MigrationPlan::chain(&[(1, 1), (2, 2)])));
-    assert_eq!(wired, built("chain"));
+    assert_eq!(&wired, built("chain"));
     assert_eq!(wired.migrations.len(), 2);
 }
 
@@ -65,6 +60,6 @@ fn workflow_scenario_is_byte_identical_to_manual_wiring() {
 #[test]
 fn no_migration_scenario_is_byte_identical_to_manual_wiring() {
     let wired = hand_wired(&["worker"], None);
-    assert_eq!(wired, built("home_only"));
+    assert_eq!(&wired, built("home_only"));
     assert_eq!((wired.result, wired.migrations.len()), (Some(987), 0));
 }

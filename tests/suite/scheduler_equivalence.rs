@@ -1,44 +1,41 @@
 //! Same-seed replay, under the test names this suite has long had (from
-//! when the simulator had two event queues). Each test runs relations on
-//! corpus rows (`tests/common/corpus.rs`) and asserts the rows' facts.
+//! when the simulator had two event queues). Each test asserts facts of
+//! corpus rows (`corpus.rs`), which runs every row's relations.
 
-#[path = "common/corpus.rs"]
-mod corpus;
-
-use corpus::{check, committed, field, outcome, reference, replay};
+use crate::corpus::{self, committed, field, outcome, report};
 use proptest::prelude::*;
 
 #[test]
 fn single_migration_is_scheduler_equivalent() {
-    assert_eq!(outcome(&replay("single_migration")), (Some(987), 1));
+    assert_eq!(outcome(report("single_migration")), (Some(987), 1));
 }
 
 #[test]
 fn chained_segments_are_scheduler_equivalent() {
-    assert_eq!(outcome(&replay("chain")), (Some(987), 2));
+    assert_eq!(outcome(report("chain")), (Some(987), 2));
 }
 
 #[test]
 fn whole_stack_migration_is_scheduler_equivalent() {
-    assert_eq!(outcome(&replay("whole_stack")), (Some(987), 2));
+    assert_eq!(outcome(report("whole_stack")), (Some(987), 2));
 }
 
 #[test]
 fn roaming_over_wan_grid_is_scheduler_equivalent() {
-    assert_eq!(outcome(&check("roaming")), (Some(3), 3));
+    assert_eq!(outcome(report("roaming")), (Some(3), 3));
 }
 
 #[test]
 fn on_oom_offload_is_scheduler_equivalent() {
-    assert_eq!(outcome(&replay("on_oom")), (Some(2_000_000), 1));
+    assert_eq!(outcome(report("on_oom")), (Some(2_000_000), 1));
 }
 
 #[test]
 fn every_arrival_schedule_is_scheduler_equivalent() {
     for r in [
-        check("arrivals_uniform"),
-        check("arrivals_bursty"),
-        check("arrivals_ramp"),
+        report("arrivals_uniform"),
+        report("arrivals_bursty"),
+        report("arrivals_ramp"),
     ] {
         assert_eq!(r.cluster.completed, 40);
         assert!(r.cluster.p50_latency_ns > 0);
@@ -49,10 +46,10 @@ fn every_arrival_schedule_is_scheduler_equivalent() {
 #[test]
 fn every_code_shipping_policy_is_scheduler_equivalent() {
     for r in [
-        check("shipping_top"),
-        check("shipping_always"),
-        check("shipping_reachable"),
-        check("shipping_never"),
+        report("shipping_top"),
+        report("shipping_always"),
+        report("shipping_reachable"),
+        report("shipping_never"),
     ] {
         assert_eq!(r.cluster.completed, 30);
         assert!(r.programs().iter().all(|p| p.report.result == Some(987)));
@@ -61,7 +58,7 @@ fn every_code_shipping_policy_is_scheduler_equivalent() {
 
 #[test]
 fn client_requests_are_scheduler_equivalent() {
-    assert_eq!(outcome(&check("client_requests")), (Some(5), 0));
+    assert_eq!(outcome(report("client_requests")), (Some(5), 0));
 }
 
 /// Per-node event counts are part of every `==`; a fleet's are not zero.
@@ -81,15 +78,18 @@ fn per_node_event_counts_are_pinned_across_schedulers() {
     assert_eq!(events, "home:15,worker:5");
 }
 
+/// Under loss, a partition and a crash, every program still ends.
 #[test]
 fn chaos_profiles_are_scheduler_equivalent() {
-    reference("chaos_fallback");
-    reference("chaos_retry");
+    for name in ["chaos_fallback", "chaos_retry"] {
+        let cl = &report(name).cluster;
+        assert_eq!((cl.launched, cl.completed + cl.failed), (60, 60), "{name}");
+    }
 }
 
 #[test]
 fn elastic_pools_are_scheduler_equivalent() {
-    for r in [check("pool_p99"), check("pool_step_load")] {
+    for r in [report("pool_p99"), report("pool_step_load")] {
         assert_eq!(r.cluster.completed, 60);
     }
 }
