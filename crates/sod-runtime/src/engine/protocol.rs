@@ -7,7 +7,7 @@
 //! decision is made here: which plan installs, when an episode freezes,
 //! ships and closes, what is stale, what a session waits for. An input its
 //! state does not expect is dropped; a dropped `State`'s bytes are credited
-//! lost where they landed. `tests/suite/protocol_search.rs` checks both through
+//! lost where they landed. `tests/protocol_search.rs` checks both through
 //! the real engine, over every order of delivery of a small world within a
 //! bound.
 

@@ -1,18 +1,6 @@
-//! `sod-runtime`'s integration tests, as one binary: each file in this
-//! directory is a module, and a test's path is `module::name` (run one
-//! suite with `cargo test -p sod-runtime --test suite reclaim::`). The
-//! recursive guest that `reclaim` and `stale_ids` both churn is defined
-//! here, once.
-
-mod chaos_hardening;
-mod codecache;
-mod guest_hardening;
-mod object_hardening;
-mod reclaim;
-mod runtime;
-mod stale_ids;
-mod state_hardening;
-mod triggers;
+//! Helpers shared by `sod-runtime`'s integration tests (each test file is
+//! its own crate and pulls this in with `mod common;`): the recursive guest
+//! that `reclaim` and `stale_ids` both churn.
 
 use sod_asm::builder::ClassBuilder;
 use sod_preprocess::preprocess_sod;
@@ -21,7 +9,7 @@ use sod_vm::instr::Cmp;
 
 /// `down(d, spin)` recurses `d` deep, spins at the bottom, and returns
 /// `d + 1` through every frame.
-fn deep_class() -> ClassDef {
+pub fn deep_class() -> ClassDef {
     let class = ClassBuilder::new("Deep")
         .method("down", &["d", "spin"], |m| {
             m.line();

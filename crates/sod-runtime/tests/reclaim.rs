@@ -19,7 +19,8 @@ use sod_net::MS;
 use sod_runtime::{NodeConfig, RetryPolicy, ScalePolicy};
 use sod_vm::value::Value;
 
-use crate::deep_class;
+mod common;
+use common::deep_class;
 use sod::scenario::{Chaos, Fleet, Plan, Pool, Scenario, When};
 use sod::{ArrivalSchedule, ScenarioReport};
 

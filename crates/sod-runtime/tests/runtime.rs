@@ -4,7 +4,7 @@
 //!
 //! All scenarios are described through the `sod::scenario` builder (the
 //! facade crate is a dev-dependency); engine-level wiring is covered by
-//! `triggers.rs` and the unit tests in `src/`.
+//! `tests/triggers.rs` and the unit tests in `src/`.
 
 use sod::scenario::{Fleet, Plan, Scenario, When};
 use sod_asm::builder::ClassBuilder;

@@ -24,7 +24,8 @@ use sod_vm::interp::slot_of;
 use sod_vm::value::Value;
 use sod_vm::wire::FrameBatch;
 
-use crate::deep_class;
+mod common;
+use common::deep_class;
 use sod::scenario::{Fleet, Plan, Pool, Scenario, When};
 use sod::{ArrivalSchedule, ScenarioReport};
 

@@ -26,7 +26,7 @@
 //! acceleration state rebuilt at link time and rewarmed by execution; a
 //! migrated segment restores *cold* at the destination and must behave (and
 //! meter) identically to one restored warm, which
-//! `tests/suite/interp_equivalence.rs` pins.
+//! `tests/corpus/interp_equivalence.rs` pins.
 //!
 //! **In memory a segment is three arrays, not a list of frames.**
 //! [`Frames`] holds *one value array* for every local of the segment, *one

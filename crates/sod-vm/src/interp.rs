@@ -634,7 +634,7 @@ impl Vm {
     /// site misses forever and re-runs the by-name resolution a fast VM
     /// runs on its first visit, and every call takes the full path. Reports
     /// must be bit-identical either way — pinned by
-    /// `tests/suite/interp_equivalence.rs`.
+    /// `tests/corpus/interp_equivalence.rs`.
     pub fn reference() -> Self {
         Vm {
             reference: true,

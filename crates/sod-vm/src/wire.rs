@@ -11,7 +11,7 @@
 //! price a capture before encoding it, serialize **once**, and use the
 //! frame length as the byte metric everywhere. The numbers themselves are
 //! pinned by literals (`frame_length_is_the_byte_metric` below,
-//! `tests/suite/codec_equivalence.rs`).
+//! `tests/corpus/codec_equivalence.rs`).
 //!
 //! Encodable entities:
 //! * [`CapturedState`] — SOD state messages (16-byte magic/kind header,

@@ -831,7 +831,7 @@ impl Scenario {
     /// name-resolution reference path: inline caches that never fill.
     /// Differential-testing aid — the report must be
     /// bit-identical with this on and off, a property pinned by
-    /// `tests/suite/interp_equivalence.rs`.
+    /// `tests/corpus/interp_equivalence.rs`.
     pub fn slow_resolve(mut self, on: bool) -> Self {
         self.slow_resolve = on;
         self

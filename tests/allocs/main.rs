@@ -4,7 +4,7 @@
 //! --nocapture` prints one suite's counts).
 //!
 //! A `#[global_allocator]` serves its whole binary, so these tests live
-//! apart from `tests/suite/`. The counter is per thread: a test counts
+//! apart from the other suites. The counter is per thread: a test counts
 //! only what its own thread allocates, so the tests run side by side
 //! without counting each other. (The engine runs a scenario on the thread
 //! that calls `run`.)

@@ -17,7 +17,24 @@
 //!
 //! Each row runs once per process: [`report`] holds its first run, the
 //! tests at the end of this file check every relation on every row against
-//! it, and the other suites read their row facts from it.
+//! it, and the suites that assert row facts read them from it. Those suites
+//! are modules of this binary (`tests/corpus/`), so they share its runs;
+//! run one with `cargo test -p sod-repro --test corpus chaos_determinism::`.
+
+#[path = "corpus/chaos_determinism.rs"]
+mod chaos_determinism;
+#[path = "corpus/codec_equivalence.rs"]
+mod codec_equivalence;
+#[path = "corpus/elastic_determinism.rs"]
+mod elastic_determinism;
+#[path = "corpus/fleet_determinism.rs"]
+mod fleet_determinism;
+#[path = "corpus/interp_equivalence.rs"]
+mod interp_equivalence;
+#[path = "corpus/scenario_equivalence.rs"]
+mod scenario_equivalence;
+#[path = "corpus/scheduler_equivalence.rs"]
+mod scheduler_equivalence;
 
 use sod::asm::builder::ClassBuilder;
 use sod::net::{LinkSpec, MS, US};
@@ -35,11 +52,11 @@ use std::fs;
 use std::sync::OnceLock;
 
 /// The committed digest lines, one per row, in [`ROWS`] order.
-const DIGESTS: &str = include_str!("../corpus_digests.txt");
+const DIGESTS: &str = include_str!("corpus_digests.txt");
 
 /// The one command that rewrites `tests/corpus_digests.txt`.
 const REGENERATE: &str =
-    "cargo test --release -p sod-repro --test suite -- --ignored corpus::regenerate_corpus_digests";
+    "cargo test --release -p sod-repro --test corpus -- --ignored regenerate_corpus_digests";
 
 /// A named scenario; `build` takes the seed (a row without one ignores it).
 struct Row {

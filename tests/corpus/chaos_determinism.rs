@@ -3,7 +3,7 @@
 //! the scenario and its seeds, failure sets and chaos counters included.
 //! The faults happen and are seen, and each retry policy does its part.
 
-use crate::corpus::{self, report};
+use crate::{self as corpus, report};
 use proptest::prelude::*;
 
 #[test]

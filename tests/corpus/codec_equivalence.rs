@@ -5,7 +5,7 @@
 //! state/class/object, `faults`, `p50`, `p99`, `makespan`), which the
 //! replay relation pins every run to.
 
-use crate::corpus::{committed, counts, report};
+use crate::{committed, counts, report};
 
 /// Every shipped state byte is accounted by a restore or credited as
 /// lost, under every code-shipping policy, clean and lossy.

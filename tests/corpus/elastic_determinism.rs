@@ -5,7 +5,7 @@
 //! contention no node is busier than it was alive; a crashed member is
 //! replaced.
 
-use crate::corpus::{self, report};
+use crate::{self as corpus, report};
 use proptest::prelude::*;
 
 /// Node-seconds accrue, and no node is busier than it was alive.

@@ -3,7 +3,7 @@
 //! percentiles and busy nodes, every code-shipping policy serves the same
 //! work, and dropped bytes land in the `lost` bucket.
 
-use crate::corpus::{self, committed, counts, field, report};
+use crate::{self as corpus, committed, counts, field, report};
 
 #[test]
 fn same_seed_reproduces_the_cluster_report_exactly() {

@@ -5,7 +5,7 @@
 //! (`corpus.rs`), which runs every row's relations. The last pins at the
 //! VM layer that a warmed inline cache is not part of the wire image.
 
-use crate::corpus::{self, outcome, report};
+use crate::{self as corpus, outcome, report};
 use proptest::prelude::*;
 use sod::vm::value::Value;
 

@@ -5,7 +5,7 @@
 //! can build. This is the only place outside `sod-runtime` that wires
 //! `Cluster::new`/`SodSim::new` by hand.
 
-use crate::corpus;
+use crate as corpus;
 
 use sod::net::{Topology, US};
 use sod::runtime::engine::{Cluster, SodSim};

@@ -2,7 +2,7 @@
 //! when the simulator had two event queues). Each test asserts facts of
 //! corpus rows (`corpus.rs`), which runs every row's relations.
 
-use crate::corpus::{self, committed, field, outcome, report};
+use crate::{self as corpus, committed, field, outcome, report};
 use proptest::prelude::*;
 
 #[test]

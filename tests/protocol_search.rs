@@ -601,8 +601,8 @@ fn search_levels(levels: &[(usize, usize)]) -> (usize, Option<String>) {
 
 /// CI's bound, every level up to one deviation and one fault and up to two
 /// deviations and no fault (7–14 s in release on a 2-core x86-64 host):
-/// `cargo test --release -p sod-repro --test suite -- --ignored
-/// protocol_search::the_ci_bound --nocapture`.
+/// `cargo test --release --test protocol_search -- --ignored the_ci_bound
+/// --nocapture`.
 #[test]
 #[ignore]
 fn the_ci_bound_finds_nothing() {
@@ -611,9 +611,7 @@ fn the_ci_bound_finds_nothing() {
 
 /// The go bound, every level up to two deviations and one fault (two to
 /// five minutes in release on a 2-core x86-64 host); with a bug put back,
-/// it names the cheapest sequence that finds it: `cargo test --release -p
-/// sod-repro --test suite -- --ignored protocol_search::the_go_bound
-/// --nocapture`.
+/// it names the cheapest sequence that finds it.
 #[test]
 #[ignore]
 fn the_go_bound_finds_nothing() {
