@@ -86,7 +86,7 @@ impl Cluster {
         };
         let (program, target, pop) = (w.program, w.return_to, w.home_pop_frames);
         let dest = match target {
-            ReturnTarget::Home { node } => node,
+            ReturnTarget::Home => self.programs[program as usize].home,
             ReturnTarget::Session { node, .. } => node,
         };
         ctx.send_after(
@@ -116,11 +116,7 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         match target {
-            ReturnTarget::Home { .. } => {
-                let home = self.programs[program as usize].home;
-                if node != home {
-                    return; // delivered away from home: nobody waits here
-                }
+            ReturnTarget::Home => {
                 let returned = self.home_step(program, HomeInput::Returned(session));
                 if !self.close_episode(returned) {
                     // Stale return: the program ended (a home crash, a
@@ -143,7 +139,7 @@ impl Cluster {
                 // The value lands in the frame below the `pop_frames` the
                 // segment replaced; a return that pops the whole home stack
                 // (only a forged one can) has nowhere to land.
-                let vm = &mut self.nodes[home].vm;
+                let vm = &mut self.nodes[node].vm;
                 if let Ok(t) = vm.thread_mut(tid) {
                     let keep = t.frames.len().saturating_sub(pop_frames.saturating_sub(1));
                     t.truncate_frames(keep);
@@ -162,8 +158,8 @@ impl Cluster {
                 match finished {
                     Some(v) => self.end_program(program, Ok(v), ctx.now()),
                     None => ctx.schedule(
-                        self.nodes[home].cfg.scale(jvmti::FORCE_EARLY_RETURN_NS),
-                        home,
+                        self.nodes[node].cfg.scale(jvmti::FORCE_EARLY_RETURN_NS),
+                        node,
                         Msg::RunSlice { tid },
                     ),
                 }

@@ -180,14 +180,7 @@ impl Cluster {
         let mut n = Node::new(cfg);
         n.joined_at_ns = ctx.now();
         self.nodes.push(n);
-        ctx.schedule(
-            cold,
-            node_id,
-            Msg::PoolReady {
-                pool,
-                node: node_id,
-            },
-        );
+        ctx.schedule(cold, node_id, Msg::PoolReady { pool });
     }
 
     /// Cold start elapsed: the member starts accepting placements.

@@ -189,23 +189,11 @@ impl Cluster {
                 _ => String::new(),
             }
         };
-        match name {
-            "clock_ns" => ctx.schedule(
-                elapsed,
-                node,
-                Msg::HostDone {
-                    tid,
-                    reply: HostReply::Int((ctx.now() + elapsed) as i64),
-                },
-            ),
-            "node_id" => ctx.schedule(
-                elapsed,
-                node,
-                Msg::HostDone {
-                    tid,
-                    reply: HostReply::Int(node as i64),
-                },
-            ),
+        // The call the thread just parked on: its reply names it.
+        let call = self.nodes[node].vm.thread(tid).map_or(0, |t| t.host_calls);
+        let (delay, reply) = match name {
+            "clock_ns" => (0, HostReply::Int((ctx.now() + elapsed) as i64)),
+            "node_id" => (0, HostReply::Int(node as i64)),
             "sod_move" => {
                 let dest = args
                     .first()
@@ -226,27 +214,13 @@ impl Cluster {
                         None => {}
                     }
                 }
-                ctx.schedule(
-                    elapsed,
-                    node,
-                    Msg::HostDone {
-                        tid,
-                        reply: HostReply::Int(0),
-                    },
-                );
+                (0, HostReply::Int(0))
             }
             "fs_size" => {
                 let path = str_arg(self, 0);
                 let meta = self.lookup_file(node, &path);
-                let bytes = meta.map(|(m, _)| m.bytes as i64).unwrap_or(-1);
-                ctx.schedule(
-                    elapsed + 50_000,
-                    node,
-                    Msg::HostDone {
-                        tid,
-                        reply: HostReply::Int(bytes),
-                    },
-                );
+                let bytes = meta.map_or(-1, |(m, _)| m.bytes as i64);
+                (50_000, HostReply::Int(bytes))
             }
             "fs_list" => {
                 let dir = str_arg(self, 0);
@@ -255,14 +229,7 @@ impl Cluster {
                 if let Some(server) = self.nodes[node].fs.serving_node(&dir) {
                     entries = self.nodes[server].fs.list(&dir);
                 }
-                ctx.schedule(
-                    elapsed + 200_000,
-                    node,
-                    Msg::HostDone {
-                        tid,
-                        reply: HostReply::List(entries),
-                    },
-                );
+                (200_000, HostReply::List(entries))
             }
             "fs_search" | "fs_read" => {
                 let path = str_arg(self, 0);
@@ -282,69 +249,42 @@ impl Cluster {
                             }
                             FsOp::Read => HostReply::Int(meta.bytes as i64),
                         };
-                        ctx.schedule(elapsed + disk + scan, node, Msg::HostDone { tid, reply });
+                        (disk + scan, reply)
                     }
                     Some((_meta, Some(server))) => {
                         // NFS: request to the serving node; bytes stream back.
-                        ctx.send_after(
-                            elapsed,
-                            node,
-                            server,
-                            CONTROL_MSG_BYTES,
-                            Msg::FsRead {
-                                requester: node,
-                                tid,
-                                path,
-                                op,
-                            },
-                        );
+                        let read = Msg::FsRead {
+                            requester: node,
+                            tid,
+                            call,
+                            path,
+                            op,
+                        };
+                        return ctx.send_after(elapsed, node, server, CONTROL_MSG_BYTES, read);
                     }
-                    None => ctx.schedule(
-                        elapsed,
-                        node,
-                        Msg::HostDone {
-                            tid,
-                            reply: HostReply::Int(-1),
-                        },
-                    ),
+                    None => (0, HostReply::Int(-1)),
                 }
             }
-            "sock_accept" => {
-                if let Some(req) = self.nodes[node].sock_queue.pop_front() {
-                    ctx.schedule(
-                        elapsed,
-                        node,
-                        Msg::HostDone {
-                            tid,
-                            reply: HostReply::Str(req),
-                        },
-                    );
-                } else {
-                    self.nodes[node].sock_waiters.push_back(tid);
-                }
-            }
+            "sock_accept" => match self.nodes[node].sock_queue.pop_front() {
+                Some(req) => (0, HostReply::Str(req)),
+                None => return self.nodes[node].sock_waiters.push_back((tid, call)),
+            },
             "sock_send" => {
                 let payload = str_arg(self, 0);
                 // Response leaves on the node's uplink; cost modelled as a
                 // flat per-byte charge (clients are outside the cluster).
                 let cost = 100_000 + payload.len() as u64 * 8;
-                ctx.schedule(
-                    elapsed + cost,
-                    node,
-                    Msg::HostDone {
-                        tid,
-                        reply: HostReply::Int(payload.len() as i64),
-                    },
-                );
+                (cost, HostReply::Int(payload.len() as i64))
             }
             // The VM parks on any name outside its pure registry: a guest
             // can name an intrinsic no host provides. That ends the guest's
             // own program, typed; the fleet runs on.
             other => {
                 let error = VmError::UnknownIntrinsic(other.to_owned()).to_string();
-                self.fail_thread_owner(node, tid, error, ctx.now() + elapsed);
+                return self.fail_thread_owner(node, tid, error, ctx.now() + elapsed);
             }
-        }
+        };
+        ctx.schedule(elapsed + delay, node, Msg::HostDone { tid, call, reply });
     }
 
     /// Resolve a path on `node`: `(meta, Some(server))` for mounted paths.
@@ -372,7 +312,7 @@ impl Cluster {
         &mut self,
         dst: usize,
         requester: usize,
-        tid: usize,
+        (tid, call): (usize, u32),
         path: String,
         op: FsOp,
         ctx: &mut SimCtx<'_, Msg>,
@@ -384,6 +324,7 @@ impl Cluster {
                 CONTROL_MSG_BYTES,
                 Msg::FsData {
                     tid,
+                    call,
                     bytes: 0,
                     op,
                     result: HostReply::Int(-1),
@@ -403,6 +344,7 @@ impl Cluster {
             meta.bytes,
             Msg::FsData {
                 tid,
+                call,
                 bytes: meta.bytes,
                 op,
                 result,
@@ -415,7 +357,7 @@ impl Cluster {
     pub(super) fn fs_data(
         &mut self,
         dst: usize,
-        tid: usize,
+        (tid, call): (usize, u32),
         bytes: u64,
         op: FsOp,
         result: HostReply,
@@ -425,17 +367,23 @@ impl Cluster {
             FsOp::Search => self.scan_ns(dst, bytes),
             FsOp::Read => self.scan_ns(dst, bytes) / 4,
         };
-        ctx.schedule(scan, dst, Msg::HostDone { tid, reply: result });
+        let done = Msg::HostDone {
+            tid,
+            call,
+            reply: result,
+        };
+        ctx.schedule(scan, dst, done);
     }
 
     /// A host intrinsic's reply (an NFS read's too, through `fs_data`)
-    /// resumes the thread parked on it; one that finds no thread of that id
-    /// parked on a host call (released, never there, a duplicate) allocates
-    /// nothing and resumes nothing.
+    /// resumes the thread parked on the call it names; one that finds no
+    /// thread of that id parked on that call (released, never there, a
+    /// duplicate, a reply to an earlier call) allocates nothing and resumes
+    /// nothing.
     pub(super) fn host_done(
         &mut self,
         node: usize,
-        tid: usize,
+        (tid, call): (usize, u32),
         reply: HostReply,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
@@ -443,7 +391,8 @@ impl Cluster {
         let Ok(t) = vm.thread(tid) else {
             return;
         };
-        if !matches!(t.state, ThreadState::Parked(ParkReason::HostCall { .. })) {
+        let parked = matches!(t.state, ThreadState::Parked(ParkReason::HostCall { .. }));
+        if !parked || t.host_calls != call {
             return;
         }
         // Strings and lists land in the guest's heap, made for the thread.

@@ -150,12 +150,15 @@ impl Cluster {
         now: u64,
     ) {
         self.chaos.dropped_msgs += 1;
+        let admitted = self.admit(dst, &msg);
         match msg {
             // The launch event landed on a home that is down: the program
             // fails at its own start time (a self-addressed timer, so the
             // only way to lose it is a crashed home). A start that would
             // not have launched it is only dropped.
-            Msg::StartProgram { program } if self.programs[program as usize].launches_at(dst) => {
+            Msg::StartProgram { program }
+                if admitted && self.programs[program as usize].launches() =>
+            {
                 let error = format!("home node {dst} down at launch");
                 self.end_program(program, Err(error), now);
             }
@@ -199,10 +202,9 @@ impl Cluster {
         }
     }
 
-    /// The end-to-end migration deadline fired. It acts only at the
-    /// program's home, and only on the episode it was armed for, named by
-    /// the stamp given at the freeze: once that episode closed, the timer
-    /// is inert.
+    /// The end-to-end migration deadline fired at the program's home. It
+    /// acts only on the episode it was armed for, named by the stamp given
+    /// at the freeze: once that episode closed, the timer is inert.
     pub(super) fn migration_timeout(
         &mut self,
         node: usize,
@@ -214,9 +216,6 @@ impl Cluster {
         let Some(recovery) = self.recovery else {
             return;
         };
-        if self.programs[program as usize].home != node {
-            return;
-        }
         let deadline = HomeInput::Deadline(episode, recovery.policy);
         // Either way the shipment's sessions die first (a re-ship retires
         // those it supersedes, closing retires those listed): whichever of

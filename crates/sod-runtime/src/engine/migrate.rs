@@ -136,7 +136,7 @@ impl Cluster {
                 program,
                 session: self.alloc_session(node),
                 home: node,
-                return_to: ReturnTarget::Home { node },
+                return_to: ReturnTarget::Home,
                 nframes: k,
                 // Whoever ultimately returns home discards *all* the frames
                 // this capture froze there — the chain above the bottom
@@ -252,7 +252,7 @@ impl Cluster {
             seg.dest = member;
             (seg.bundled, seg.class_bytes) = self.bundle_for(home, home, member, &seg.seeds);
         }
-        let mut return_to = ReturnTarget::Home { node: home };
+        let mut return_to = ReturnTarget::Home;
         for seg in segs.iter_mut().rev() {
             seg.info.return_to = return_to;
             let (node, session) = (seg.dest, seg.info.session);
@@ -392,9 +392,11 @@ impl Cluster {
     // Class serving (the class-file-load-hook endpoint)
     // ------------------------------------------------------------------
 
-    /// A worker asked this node for a class file. A missing class is a
-    /// typed program failure (recorded in `ProgramRun.error`), not an
-    /// engine abort — fleet members keep running.
+    /// A worker asked this node, its program's home, for a class file. A
+    /// missing class is a typed program failure (recorded in
+    /// `ProgramRun.error`), not an engine abort — fleet members keep
+    /// running. The program's end closes its episode, which retires the
+    /// requesting session with every other it lists.
     pub(super) fn class_request(
         &mut self,
         dst: usize,
@@ -405,9 +407,6 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let Some(class) = self.nodes[dst].repo.get(&name).cloned() else {
-            // Retire the requesting session along with its program, so
-            // stale events cannot wake the stranded worker state.
-            self.retire_session(requester, session);
             let error = format!("home node {dst} missing class {name:?}");
             self.end_program(program, Err(error), ctx.now());
             return;

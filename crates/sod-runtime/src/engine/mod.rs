@@ -183,10 +183,10 @@ impl Program {
         self.thread
     }
 
-    /// Whether a `StartProgram` at `node` launches this program: only at
-    /// its home, with neither a thread nor an end. Others are dropped.
-    fn launches_at(&self, node: usize) -> bool {
-        self.home == node && self.thread.is_none() && self.end.is_none()
+    /// Whether a `StartProgram` launches this program: only with neither a
+    /// thread nor an end. Others are dropped.
+    fn launches(&self) -> bool {
+        self.thread.is_none() && self.end.is_none()
     }
 }
 
@@ -459,21 +459,37 @@ impl Cluster {
         self.programs[program as usize].side.view()
     }
 
-    /// Whether every program, pool and node `msg` names exists — the
-    /// handlers index by them. Sessions and threads need no check here:
-    /// their lookups already miss on an id nobody holds.
-    fn names_known_ids(&self, msg: &Msg) -> bool {
-        let program = |p: &ProgramId| (*p as usize) < self.programs.len();
+    /// Whether `msg` may land at `dst`: the one place that says where each
+    /// message is addressed, and that every program, pool and node it
+    /// names exists (the handlers index by them).
+    ///
+    /// * The program's home — its one object manager and return point:
+    ///   `StartProgram`, `MigrateNow`, `CaptureDone`, `MigrationTimeout`,
+    ///   a `SegmentReturn` to [`ReturnTarget::Home`], `ClassRequest`,
+    ///   `ObjectRequest`, `Flush`.
+    /// * Node 0, the pool controller: `PoolTick`.
+    /// * The node serving its path to the requester: `FsRead`.
+    /// * The node holding the session or thread the message names: the
+    ///   handler's own lookup at `dst` is the check, so a stale reply still
+    ///   credits its bytes where it lands. `PoolReady` is the node itself,
+    ///   found among its pool's members.
+    /// * Anywhere: `State` (its episode lists where it may restore) and
+    ///   `ClientRequest`.
+    #[doc(hidden)]
+    pub fn admit(&self, dst: usize, msg: &Msg) -> bool {
+        let program = |p: &ProgramId| self.programs.get(*p as usize);
+        let home = |p: &ProgramId| program(p).is_some_and(|p| p.home == dst);
         let node = |n: &usize| *n < self.nodes.len();
         match msg {
             Msg::StartProgram { program: p }
             | Msg::MigrateNow { program: p, .. }
             | Msg::CaptureDone { program: p }
             | Msg::MigrationTimeout { program: p, .. }
-            | Msg::SegmentReturn { program: p, .. } => program(p),
-            Msg::State(state) => program(&state.info.program),
-            Msg::PoolTick { pool } => *pool < self.pools.len(),
-            Msg::PoolReady { pool, node: n } => *pool < self.pools.len() && node(n),
+            | Msg::SegmentReturn {
+                program: p,
+                target: ReturnTarget::Home,
+                ..
+            } => home(p),
             Msg::ClassRequest {
                 requester,
                 program: p,
@@ -483,11 +499,16 @@ impl Cluster {
                 requester,
                 program: p,
                 ..
-            } => node(requester) && program(p),
+            } => home(p) && node(requester),
             Msg::Flush {
                 program: p, ack_to, ..
-            } => program(p) && ack_to.as_ref().is_none_or(|(n, _)| node(n)),
-            Msg::FsRead { requester, .. } => node(requester),
+            } => home(p) && ack_to.as_ref().is_none_or(|(n, _)| node(n)),
+            Msg::PoolTick { pool } => *pool < self.pools.len() && dst == 0,
+            Msg::PoolReady { pool } => *pool < self.pools.len(),
+            Msg::State(state) => program(&state.info.program).is_some(),
+            Msg::FsRead {
+                requester, path, ..
+            } => node(requester) && self.nodes[*requester].fs.serving_node(path) == Some(dst),
             _ => true,
         }
     }
@@ -499,9 +520,9 @@ impl World for Cluster {
     fn on_message(&mut self, dst: usize, msg: Msg, ctx: &mut SimCtx<'_, Msg>) {
         // Per-node event accounting (surfaced in `NodeUtilization`).
         self.nodes[dst].events += 1;
-        if !self.names_known_ids(&msg) {
-            // Nothing sent it: drop it, crediting nothing. A batch still
-            // owes its buffers to the pool.
+        if !self.admit(dst, &msg) {
+            // Nothing the engine sends lands here: drop it, crediting
+            // nothing. A batch still owes its buffers to the pool.
             if let Msg::Flush { batch, .. } = msg {
                 self.retire_batch(batch);
             }
@@ -511,7 +532,7 @@ impl World for Cluster {
             Msg::StartProgram { program } => {
                 // The one transition into running.
                 let p = &self.programs[program as usize];
-                if !p.launches_at(dst) {
+                if !p.launches() {
                     return;
                 }
                 let vm = &mut self.nodes[dst].vm;
@@ -540,7 +561,7 @@ impl World for Cluster {
                 }
             }
             Msg::RunSlice { tid } => self.run_slice(dst, tid, ctx),
-            Msg::HostDone { tid, reply } => self.host_done(dst, tid, reply, ctx),
+            Msg::HostDone { tid, call, reply } => self.host_done(dst, (tid, call), reply, ctx),
             Msg::CaptureDone { program } => {
                 let captured = HomeInput::CaptureDone(self.recovery.map(|r| r.policy));
                 if let HomeEffect::Ship(shipment) = self.home_step(program, captured) {
@@ -551,7 +572,7 @@ impl World for Cluster {
                 self.migration_timeout(dst, program, episode, ctx)
             }
             Msg::PoolTick { pool } => self.pool_tick(pool, ctx),
-            Msg::PoolReady { pool, node } => self.pool_ready(pool, node),
+            Msg::PoolReady { pool } => self.pool_ready(pool, dst),
             Msg::State(state) => self.state_arrived(dst, *state, ctx),
             Msg::BeginRestore { session } => self.begin_restore(dst, session, ctx),
             Msg::ClassRequest {
@@ -588,25 +609,21 @@ impl World for Cluster {
             Msg::FsRead {
                 requester,
                 tid,
+                call,
                 path,
                 op,
-            } => self.fs_read(dst, requester, tid, path, op, ctx),
+            } => self.fs_read(dst, requester, (tid, call), path, op, ctx),
             Msg::FsData {
                 tid,
+                call,
                 bytes,
                 op,
                 result,
-            } => self.fs_data(dst, tid, bytes, op, result, ctx),
+            } => self.fs_data(dst, (tid, call), bytes, op, result, ctx),
             Msg::ClientRequest { payload } => {
-                if let Some(tid) = self.nodes[dst].sock_waiters.pop_front() {
-                    ctx.schedule(
-                        0,
-                        dst,
-                        Msg::HostDone {
-                            tid,
-                            reply: HostReply::Str(payload),
-                        },
-                    );
+                if let Some((tid, call)) = self.nodes[dst].sock_waiters.pop_front() {
+                    let reply = HostReply::Str(payload);
+                    ctx.schedule(0, dst, Msg::HostDone { tid, call, reply });
                 } else {
                     self.nodes[dst].sock_queue.push_back(payload);
                 }

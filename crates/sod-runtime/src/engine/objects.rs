@@ -76,8 +76,8 @@ impl Cluster {
             }
             Err(e) => {
                 // A request for an object this heap never allocated: fail
-                // the program and retire the session parked on the fault.
-                self.retire_session(requester, sid);
+                // the program, whose end retires the session parked on the
+                // fault with every other its episode lists.
                 let error = format!("object request for home object {home_id} failed: {e}");
                 self.end_program(program, Err(error), ctx.now());
                 return;

@@ -103,7 +103,8 @@ pub(super) enum PlanSource {
 /// stop at a migration-safe point; the capture staged; the freeze timer
 /// (with the retry policy when faults are injected); a shipment gone out
 /// (where each segment runs, what is kept); a deadline; a `State` landing
-/// where no live session has its id; a roaming hop; a return home; the
+/// where no live session has its id (and the node it landed at); a roaming
+/// hop; a return home; the
 /// program's end (finished, failed, or its home crashed).
 pub(super) enum HomeInput<S> {
     Plan(MigrationPlan, PlanSource),
@@ -113,7 +114,7 @@ pub(super) enum HomeInput<S> {
     CaptureDone(Option<RetryPolicy>),
     Shipped(Vec<(usize, SessionId)>, Vec<S>),
     Deadline(u32, RetryPolicy),
-    Arrived(SessionId),
+    Arrived(usize, SessionId),
     Roamed(SessionId, (usize, SessionId)),
     Returned(SessionId),
     End,
@@ -200,7 +201,7 @@ pub(super) fn home<S>(side: &mut HomeSide<S>, input: HomeInput<S>) -> HomeEffect
             }
             _ => close(&mut side.state),
         },
-        (Home::Frozen(ep), I::Arrived(sid)) if held(ep, sid) => E::Ok,
+        (Home::Frozen(ep), I::Arrived(node, sid)) if ep.sessions.contains(&(node, sid)) => E::Ok,
         (Home::Frozen(ep), I::Roamed(from, to)) if held(ep, from) => {
             ep.sessions
                 .iter_mut()
@@ -396,9 +397,11 @@ mod tests {
         assert!(shipment.keep && !shipment.fresh_ids && shipment.retire.is_empty());
         let shipped = I::Shipped(vec![(1, 7)], vec![9]);
         assert!(matches!(home(&mut side, shipped), E::Ok));
-        // Only the latest shipment's sessions are not stale.
-        assert!(matches!(home(&mut side, I::Arrived(8)), E::Drop));
-        assert!(matches!(home(&mut side, I::Arrived(7)), E::Ok));
+        // Only the latest shipment's sessions are not stale, and only
+        // where it placed them.
+        assert!(matches!(home(&mut side, I::Arrived(1, 8)), E::Drop));
+        assert!(matches!(home(&mut side, I::Arrived(2, 7)), E::Drop));
+        assert!(matches!(home(&mut side, I::Arrived(1, 7)), E::Ok));
         // A frozen side runs no slice and takes no plan, and keeps its
         // episode; a deadline of another episode is inert.
         assert!(matches!(home(&mut side, I::Slice), E::Drop));
@@ -412,7 +415,7 @@ mod tests {
         assert_eq!((sessions, segments), (vec![(1, 7)], vec![9]));
         assert!(side.is_idle());
         assert!(
-            matches!(home(&mut side, I::Arrived(7)), E::Drop),
+            matches!(home(&mut side, I::Arrived(1, 7)), E::Drop),
             "a closed episode holds nothing"
         );
 

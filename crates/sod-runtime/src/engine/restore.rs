@@ -40,16 +40,16 @@ impl Cluster {
         // the frame length is the state byte metric.
         let state_bytes = state.len() as u64;
         // A duplicate for a session living here is dropped by its phase;
-        // otherwise the episode decides: a session it does not list is
-        // stale (the home re-shipped, fell back or ended while the state
-        // was in flight). Either never restores: credit the bytes where
+        // otherwise the episode decides: a session it does not list here
+        // is stale (the home re-shipped, fell back or ended while the
+        // state was in flight, or sent it elsewhere). Either never restores: credit the bytes where
         // they landed so conservation closes.
         let sid = info.session;
         let duplicate = match self.nodes[node].sessions.get_mut(&sid) {
             Some(w) => protocol::worker(&mut w.phase, WorkerInput::State),
             None => WorkerEffect::Ok,
         };
-        let landed = HomeInput::Arrived(sid);
+        let landed = HomeInput::Arrived(node, sid);
         if matches!(duplicate, WorkerEffect::Drop)
             || !matches!(self.home_step(info.program, landed), HomeEffect::Ok)
         {

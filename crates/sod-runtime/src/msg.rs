@@ -95,8 +95,9 @@ impl MigrationPlan {
 /// Where a completed segment delivers its return value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReturnTarget {
-    /// Pop the stale frames on the home node and resume the residual stack.
-    Home { node: usize },
+    /// Pop the stale frames on the program's home node and resume the
+    /// residual stack.
+    Home,
     /// Deliver to a chained session holding the frames below (workflow).
     Session { node: usize, session: SessionId },
 }
@@ -170,8 +171,13 @@ pub enum Msg {
     // -- execution timers ----------------------------------------------------
     /// Continue running VM thread `tid` on this node.
     RunSlice { tid: usize },
-    /// A host intrinsic completed; resume `tid` with the reply.
-    HostDone { tid: usize, reply: HostReply },
+    /// A host intrinsic completed; resume `tid` with the reply if it is
+    /// still parked on host call number `call`.
+    HostDone {
+        tid: usize,
+        call: u32,
+        reply: HostReply,
+    },
     /// Capture finished (freeze time elapsed); ship the segments.
     CaptureDone { program: ProgramId },
     /// All classes for a shipped segment are present; re-establish frames.
@@ -186,7 +192,7 @@ pub enum Msg {
     PoolTick { pool: usize },
     /// A spawned pool node finished provisioning (cold start elapsed) and
     /// may now accept placements. Delivered to the new node itself.
-    PoolReady { pool: usize, node: usize },
+    PoolReady { pool: usize },
 
     // -- migration protocol -----------------------------------------------------
     /// A captured segment arriving at its destination; boxed so the rare
@@ -257,6 +263,7 @@ pub enum Msg {
     FsRead {
         requester: usize,
         tid: usize,
+        call: u32,
         path: String,
         /// What the requester will do with the bytes (search needle pos or
         /// plain read).
@@ -265,6 +272,7 @@ pub enum Msg {
     /// The file content arriving back at the requester.
     FsData {
         tid: usize,
+        call: u32,
         bytes: u64,
         op: FsOp,
         result: HostReply,

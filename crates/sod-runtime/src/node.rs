@@ -124,9 +124,10 @@ pub struct Node {
     /// buffer: fleet generators push hundreds of requests, so the O(n)
     /// `Vec::remove(0)` pop would make every accept linear in the backlog.
     pub sock_queue: VecDeque<String>,
-    /// Thread ids parked in `sock_accept` waiting for a request, served
-    /// FIFO (first waiter gets the next request).
-    pub sock_waiters: VecDeque<usize>,
+    /// Threads parked in `sock_accept` waiting for a request, with the
+    /// host call each parked on, served FIFO (first waiter gets the next
+    /// request).
+    pub sock_waiters: VecDeque<(usize, u32)>,
     /// Execution slices dispatched on this node (utilization accounting).
     pub slices: u64,
     /// Virtual ns spent executing guest code (CPU-scaled; utilization).

@@ -15,10 +15,12 @@ use sod::vm::instr::Cmp;
 use sod::vm::value::{TypeOf, Value};
 use sod::workloads::programs::fib_class;
 use sod::ScenarioReport;
+use sod_runtime::engine::{HomeView, TEMP_ID_BASE};
 use sod_runtime::msg::ReturnTarget;
 use sod_runtime::node::NodeConfig;
 use sod_runtime::{Msg, RetryPolicy, SessionId, SodSim};
 use sod_vm::capture::CapturedValue;
+use sod_vm::wire::{encode_object, FrameBatch, WireObjBody, WireObject};
 
 /// One Fib(16) program homed on `home`, migrating its top frames to
 /// `worker` at 50 µs, declared as a fleet-of-one so failures are recorded
@@ -340,47 +342,86 @@ fn a_home_crash_retires_the_sessions_it_stranded() {
 }
 
 /// `offload`'s program with recovery armed (its chaos plan's one entry
-/// falls after the run), stepped until its segment lives on the worker;
-/// then `misroute` is injected at the worker, addressed to that session,
-/// and the run goes on. The program ends with its fault-free value.
-fn misrouted_at_the_worker(misroute: fn(SessionId) -> Msg) {
+/// falls after the run), stepped until `ready` holds; then `misroute`,
+/// addressed to the worker's session (0 before there is one), is injected
+/// at the worker and the run goes on. Nothing moves but the one event the
+/// worker counted.
+fn misrouted_at_the_worker(ready: fn(&SodSim) -> bool, misroute: fn(SessionId) -> Msg) {
     let armed = || Chaos::new().restart_at(10 * SEC, "worker");
+    let mut expected = offload_scenario(armed());
     let report = offload(armed())
         .run_with(|sim: &mut SodSim| {
-            while sim.sim.world.hosted(1).is_empty() {
-                assert!(sim.sim.step(), "the segment never reached the worker");
+            while !ready(sim) {
+                assert!(sim.sim.step(), "the run never got ready");
             }
-            let session = sim.sim.world.hosted(1)[0].0;
+            let session = sim.sim.world.hosted(1).first().map_or(0, |h| h.0);
             let now = sim.sim.now();
             sim.sim.inject(now, 1, misroute(session));
             sim.run();
         })
         .expect("a misrouted message is dropped");
+    expected.cluster.per_node[1].events += 1;
+    assert!(report == expected, "a misrouted message changed the run");
     let p = &report.programs()[0];
     assert_eq!((p.error.as_deref(), p.report.result), (None, Some(987)));
-    assert_eq!(p.report.migrations.len(), 1, "the segment restored");
-    assert_eq!(report.cluster.chaos.timeouts, 0);
+}
+
+/// The segment lives on the worker.
+fn restored(sim: &SodSim) -> bool {
+    !sim.sim.world.hosted(1).is_empty()
+}
+
+/// The home stack is frozen and its segment staged, not yet shipped.
+fn frozen(sim: &SodSim) -> bool {
+    matches!(
+        sim.sim.world.home_side(0),
+        HomeView::Frozen { sessions: [], .. }
+    )
 }
 
 #[test]
 fn a_deadline_delivered_away_from_home_is_dropped() {
     // It used to fail a debug assertion, and in release thaw thread `tid`
     // on the worker, where the program's root thread does not live.
-    misrouted_at_the_worker(|_| Msg::MigrationTimeout {
+    misrouted_at_the_worker(restored, |_| Msg::MigrationTimeout {
         program: 0,
         episode: 1,
     });
+    // The freeze timer at the worker used to ship the staged segment
+    // early.
+    misrouted_at_the_worker(frozen, |_| Msg::CaptureDone { program: 0 });
 }
 
 #[test]
 fn a_home_return_delivered_away_from_home_is_dropped() {
     // It used to fail a debug assertion, and in release close the episode
     // with the live session's value and resume the home from the worker.
-    misrouted_at_the_worker(|session| Msg::SegmentReturn {
+    misrouted_at_the_worker(restored, |session| Msg::SegmentReturn {
         program: 0,
         session,
-        target: ReturnTarget::Home { node: 0 },
+        target: ReturnTarget::Home,
         retval: Some(CapturedValue::Int(1)),
         pop_frames: 1,
+    });
+    // An object request used to be served from the worker's heap, and a
+    // flush written into it.
+    misrouted_at_the_worker(restored, |session| Msg::ObjectRequest {
+        session,
+        requester: 1,
+        home_id: 0,
+        program: 0,
+    });
+    misrouted_at_the_worker(restored, |session| {
+        let created = WireObject {
+            home_id: TEMP_ID_BASE + 1,
+            body: WireObjBody::Str("forged".into()),
+        };
+        let mut batch = FrameBatch::new();
+        batch.push(encode_object(&created).expect("a string frame encodes"));
+        Msg::Flush {
+            program: 0,
+            batch,
+            ack_to: Some((1, session)),
+        }
     });
 }

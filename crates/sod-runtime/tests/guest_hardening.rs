@@ -194,8 +194,13 @@ fn a_late_host_reply_is_ignored() {
     let tid = |p| sim.program(p).home_tid().expect("started");
     let (released, live) = (tid(done), tid(running));
     for tid in [released, live, 12_345] {
+        // The call each thread is on, so only its state can refuse it.
+        let call = sim.sim.world.nodes[0]
+            .vm
+            .thread(tid)
+            .map_or(0, |t| t.host_calls);
         let reply = HostReply::Int(-1);
-        sim.sim.inject(now, 0, Msg::HostDone { tid, reply });
+        sim.sim.inject(now, 0, Msg::HostDone { tid, call, reply });
     }
     sim.run();
     assert_eq!(sim.report(done).result, Some(7 + N / 4));

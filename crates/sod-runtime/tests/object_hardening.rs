@@ -93,6 +93,36 @@ fn request_for_a_never_allocated_object_fails_the_program() {
     );
 }
 
+/// A failed request fails the program it names and retires only that
+/// program's sessions: a `ClassRequest` naming one program but another's
+/// live session used to retire that session too, so its program never
+/// ended.
+#[test]
+fn a_failed_request_retires_no_other_programs_session() {
+    let (mut sim, p, q) = started_sim(true);
+    let q = q.unwrap();
+    sim.migrate(q, When::At(2 * sod_net::MS), MigrationPlan::top_to(1, 1));
+    while sim.sim.world.hosted(1).len() < 2 {
+        assert!(sim.sim.step(), "both programs never reached the worker");
+    }
+    let hosted = sim.sim.world.hosted(1);
+    let session = hosted.iter().find(|h| h.1 == q).expect("q's session").0;
+    let now = sim.sim.now();
+    let request = Msg::ClassRequest {
+        session,
+        requester: 1,
+        name: "Nope".into(),
+        program: p,
+    };
+    sim.sim.inject(now, 0, request);
+    sim.run();
+    let error = sim.program(p).error().expect("typed failure");
+    assert!(error.contains("missing class \"Nope\""), "{error}");
+    assert_eq!(sim.program(q).error(), None);
+    assert_eq!(sim.report(q).result, Some(900_000));
+    assert_eq!(sim.check_idle(), Ok(()));
+}
+
 /// A reply reaching a thread that is running, not parked on its fault (a
 /// duplicate, a late copy), answers nothing: it is dropped, its bytes
 /// credited lost, and the program ends with its value.

@@ -115,7 +115,8 @@ fn stale_messages_for_a_retired_session_touch_nothing() {
         .run_with(|sim| {
             let (sid, s) = retired_with_slot_reused(sim);
             let to = match s.return_to {
-                ReturnTarget::Home { node } | ReturnTarget::Session { node, .. } => node,
+                ReturnTarget::Home => sim.program(s.program).home,
+                ReturnTarget::Session { node, .. } => node,
             };
             let messages = [
                 (
@@ -156,6 +157,7 @@ fn stale_messages_for_a_retired_session_touch_nothing() {
                     s.node,
                     Msg::HostDone {
                         tid: s.tid,
+                        call: 1,
                         reply: HostReply::Int(0),
                     },
                 ),
@@ -196,7 +198,7 @@ fn messages_naming_no_program_pool_or_node_touch_nothing() {
                 program: bad,
                 session: 1,
                 home: 0,
-                return_to: ReturnTarget::Home { node: 0 },
+                return_to: ReturnTarget::Home,
                 nframes: 1,
                 home_pop_frames: 1,
                 wait_for_return: false,
@@ -230,7 +232,7 @@ fn messages_naming_no_program_pool_or_node_touch_nothing() {
                     episode: 1,
                 },
                 Msg::PoolTick { pool: 9 },
-                Msg::PoolReady { pool: 9, node: 2 },
+                Msg::PoolReady { pool: 9 },
                 request(99, p),
                 request(0, bad),
                 fetch(99, p),
@@ -243,6 +245,7 @@ fn messages_naming_no_program_pool_or_node_touch_nothing() {
                 Msg::FsRead {
                     requester: 99,
                     tid: 0,
+                    call: 1,
                     path: "/x".into(),
                     op: FsOp::Read,
                 },

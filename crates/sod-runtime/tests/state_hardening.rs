@@ -25,7 +25,7 @@ use bytes::Bytes;
 use sod_asm::builder::ClassBuilder;
 use sod_net::Topology;
 use sod_preprocess::preprocess_sod;
-use sod_runtime::engine::{Cluster, CodeShipping, SodSim};
+use sod_runtime::engine::{Cluster, CodeShipping, HomeView, SodSim};
 use sod_runtime::msg::{ReturnTarget, SegmentInfo, StateMsg};
 use sod_runtime::node::{Node, NodeConfig};
 use sod_runtime::trigger::When;
@@ -66,12 +66,8 @@ const N: i64 = 400_000;
 const VICTIM_N: i64 = 4_000_000;
 
 /// Two programs homed on node 0, each sending its top frame to node 1 —
-/// the victim at 1 ms, the sibling at 2 ms. Stepped until the sibling runs
-/// remotely; returns the victim's session on node 1 too. A state frame
-/// reaches restore only as a session of its program's open migration
-/// episode (any other is stale and dropped unread), so the forgeries below
-/// reuse that session's id.
-fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId) {
+/// the victim at 1 ms, the sibling at 2 ms — stepped until `ready` holds.
+fn started(ready: fn(&SodSim, ProgramId, ProgramId) -> bool) -> (SodSim, ProgramId, ProgramId) {
     let mut home = Node::new(NodeConfig::cluster("home"));
     home.deploy(&preprocess_sod(&app_class()).unwrap()).unwrap();
     let worker = Node::new(NodeConfig::cluster("worker"));
@@ -85,10 +81,18 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId)
         let at = When::At(at * sod_net::MS);
         sim.migrate(program, at, MigrationPlan::top_to(1, 1));
     }
-    while sim.report(sibling).migrations.is_empty() {
-        assert!(sim.sim.step(), "the sibling never migrated");
+    while !ready(&sim, sibling, victim) {
+        assert!(sim.sim.step(), "the run never got ready");
     }
     assert!(!sim.program(victim).is_done() && !sim.program(sibling).is_done());
+    (sim, sibling, victim)
+}
+
+/// `started`, stepped until the sibling runs remotely; returns the
+/// victim's session on node 1 too.
+fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId) {
+    let (sim, sibling, victim) =
+        started(|sim, sibling, _| !sim.report(sibling).migrations.is_empty());
     let hosted = sim.sim.world.hosted(1);
     let session = hosted
         .iter()
@@ -97,9 +101,9 @@ fn sim_with_sibling_on_the_worker() -> (SodSim, ProgramId, ProgramId, SessionId)
     (sim, sibling, victim, session.0)
 }
 
-/// Deliver `frames` to the home node as a segment of `victim`'s episode,
-/// run to idle, and return the victim's error. The sibling must have
-/// finished regardless.
+/// Deliver `frames` to the worker as the segment of `victim`'s episode,
+/// ahead of the real one, run to idle, and return the victim's error. The
+/// sibling must have finished regardless.
 fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -> String {
     let state = CapturedState {
         frames: Frames::from_frames(frames).unwrap(),
@@ -111,12 +115,24 @@ fn error_after_forged_state(frames: Vec<CapturedFrame>, wait_for_return: bool) -
 
 /// The same, from the state's wire frame.
 fn error_after_forged_frame(state: Bytes, nframes: usize, wait_for_return: bool) -> String {
-    let (mut sim, sibling, victim, session) = sim_with_sibling_on_the_worker();
+    // A state frame reaches restore only as a session of its program's
+    // open episode, at the node the episode sent it to, and only the first
+    // copy: so the forgery is the victim's shipped session, landing on the
+    // worker while the real state is in flight.
+    let shipped = |sim: &SodSim, _, victim| match sim.sim.world.home_side(victim) {
+        HomeView::Frozen { sessions, .. } => !sessions.is_empty(),
+        _ => false,
+    };
+    let (mut sim, sibling, victim) = started(shipped);
+    let HomeView::Frozen { sessions, .. } = sim.sim.world.home_side(victim) else {
+        unreachable!("the victim's episode shipped");
+    };
+    let session = sessions[0].1;
     let info = SegmentInfo {
         program: victim,
         session,
         home: 0,
-        return_to: ReturnTarget::Home { node: 0 },
+        return_to: ReturnTarget::Home,
         nframes,
         home_pop_frames: nframes,
         wait_for_return,
@@ -124,7 +140,7 @@ fn error_after_forged_frame(state: Bytes, nframes: usize, wait_for_return: bool)
     let now = sim.sim.now();
     sim.sim.inject(
         now,
-        0,
+        1,
         Msg::State(Box::new(StateMsg {
             info,
             state,
@@ -214,7 +230,7 @@ fn state_for_a_session_no_episode_holds_is_dropped_unread() {
             program,
             session: 0xF0F0,
             home: 0,
-            return_to: ReturnTarget::Home { node: 0 },
+            return_to: ReturnTarget::Home,
             nframes: 1,
             home_pop_frames: 1,
             wait_for_return: false,
@@ -246,7 +262,7 @@ fn a_segment_return_popping_past_the_home_stack_fails_its_program() {
     let forged = Msg::SegmentReturn {
         program: victim,
         session,
-        target: ReturnTarget::Home { node: 0 },
+        target: ReturnTarget::Home,
         retval: Some(CapturedValue::Int(1)),
         pop_frames: 1_000,
     };
@@ -337,7 +353,7 @@ fn a_duplicate_state_for_a_live_session_is_dropped() {
         program,
         session,
         home: 0,
-        return_to: ReturnTarget::Home { node: 0 },
+        return_to: ReturnTarget::Home,
         nframes: 1,
         home_pop_frames: 1,
         wait_for_return: false,

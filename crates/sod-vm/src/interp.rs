@@ -363,6 +363,9 @@ pub struct VmThread {
     /// How many tenants this slot of [`Vm::threads`] had before this one:
     /// the high half of the thread's id (see [`Vm::release`]).
     generation: u32,
+    /// Host calls the thread has parked on: the one a reply names must be
+    /// the latest, so it answers only the call it was made for.
+    pub host_calls: u32,
     /// The slot is released and waits for its next tenant.
     vacant: bool,
 }
@@ -421,6 +424,7 @@ impl VmThread {
             interp_mode: false,
             origin: Some(0),
             generation: 0,
+            host_calls: 0,
             vacant: false,
         }
     }
@@ -1916,8 +1920,9 @@ impl Vm {
                     }
                     Ok(IntrinsicEval::Host) => {
                         let (name, args) = (name.to_owned(), host_args);
-                        self.threads[slot_of(tid)].state =
-                            ThreadState::Parked(ParkReason::HostCall { name, args });
+                        let t = &mut self.threads[slot_of(tid)];
+                        t.host_calls = t.host_calls.wrapping_add(1);
+                        t.state = ThreadState::Parked(ParkReason::HostCall { name, args });
                         Ok(Flow::Leave)
                     }
                 }

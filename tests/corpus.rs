@@ -29,6 +29,8 @@ mod codec_equivalence;
 mod elastic_determinism;
 #[path = "corpus/fleet_determinism.rs"]
 mod fleet_determinism;
+#[path = "corpus/forgery_sweep.rs"]
+mod forgery_sweep;
 #[path = "corpus/interp_equivalence.rs"]
 mod interp_equivalence;
 #[path = "corpus/scenario_equivalence.rs"]
@@ -37,7 +39,7 @@ mod scenario_equivalence;
 mod scheduler_equivalence;
 
 use sod::asm::builder::ClassBuilder;
-use sod::net::{LinkSpec, MS, US};
+use sod::net::{LinkSpec, MS, SEC, US};
 use sod::preprocess::preprocess_sod;
 use sod::runtime::metrics::RunReport;
 use sod::runtime::{FetchPolicy, Msg, NodeConfig, RetryPolicy};
@@ -48,6 +50,7 @@ use sod::vm::value::{TypeOf, Value};
 use sod::workloads::apps::search_class;
 use sod::workloads::programs::fib_class;
 use sod::{ArrivalSchedule, CodeShipping, ScalePolicy};
+use std::fmt::Debug;
 use std::fs;
 use std::sync::OnceLock;
 
@@ -103,6 +106,8 @@ rows! {
     "pool_p99" Some(42) => |s| pool_fleet(s, ScalePolicy::P99Breach { budget_ns: 5 * MS }),
     "pool_step_load" Some(42) => |s| pool_fleet(s, ScalePolicy::StepLoad { per_node: 2 }),
     "pool_crashed_member" Some(42) => pool_crashed_member,
+    "pool_burst" Some(42) => pool_burst,
+    "object_walk" None => |_| object_walk(),
 }
 
 /// The first program's result and migration count.
@@ -140,6 +145,40 @@ pub fn reseeded(name: &str, seed: u64) -> (ScenarioReport, bool) {
     (report, moved)
 }
 
+/// Panic unless `left == right`, naming `what`, the first line at which
+/// their `{:#?}` prints differ and the lines above it that open the
+/// fields it sits in: its path, not two whole reports.
+#[track_caller]
+pub fn assert_same<T: PartialEq + Debug>(left: &T, right: &T, what: &str) {
+    if left == right {
+        return;
+    }
+    let (l, r) = (format!("{left:#?}"), format!("{right:#?}"));
+    let (l, r): (Vec<&str>, Vec<&str>) = (l.lines().collect(), r.lines().collect());
+    let at = l.iter().zip(&r).position(|(a, b)| a != b);
+    let at = at.unwrap_or(l.len().min(r.len()));
+    let indent = |line: &&str| line.len() - line.trim_start().len();
+    let mut depth = l.get(at).or(r.get(at)).map_or(0, indent);
+    let mut path = Vec::new();
+    for line in l[..at].iter().rev() {
+        if depth == 0 {
+            break;
+        }
+        if indent(line) < depth {
+            depth = indent(line);
+            path.push(line.trim());
+        }
+    }
+    path.reverse();
+    let line = |side: &[&str]| side.get(at).map_or("(ended)", |l| l.trim()).to_string();
+    panic!(
+        "{what}: the prints first differ at line {at}, under {}:\n  left:  {}\n  right: {}",
+        path.join(" "),
+        line(&l),
+        line(&r)
+    );
+}
+
 fn run(label: &str, scenario: Scenario) -> ScenarioReport {
     let report = scenario.run();
     report.unwrap_or_else(|e| panic!("{label}: run failed: {e}"))
@@ -149,9 +188,9 @@ fn run(label: &str, scenario: Scenario) -> ScenarioReport {
 /// test's random one). Returns the report.
 pub fn relations(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
     let first = run(label, build());
-    assert_eq!(first, run(label, build()), "replay: {label}: diverged");
+    assert_same(&first, &run(label, build()), &format!("replay: {label}"));
     let slow = run(label, build().slow_resolve(true));
-    assert_eq!(first, slow, "reference: {label}: the reference VM diverged");
+    assert_same(&first, &slow, &format!("reference: {label}"));
     first
 }
 
@@ -418,6 +457,46 @@ fn returned_object() -> Scenario {
         .migrate(When::At(50 * US), Plan::top_to("worker", 1))
 }
 
+/// `main(n)` links `n` objects holding 1..n at home; `walk` moves itself
+/// to the worker (`sod_move`) and sums them there, one fault per object:
+/// replies to distinct faults of one session.
+fn object_walk() -> Scenario {
+    let class = ClassBuilder::new("Link")
+        .field("val", TypeOf::Int)
+        .field("next", TypeOf::Ref)
+        .method("walk", &["head"], |m| {
+            m.line().pushi(1).native("sod_move", 1).pop();
+            m.line().pushi(0).store("acc");
+            m.line().label("loop").load("head").ifnull("done");
+            m.line().load("acc").load("head").getfield("val").add();
+            m.store("acc");
+            m.line().load("head").getfield("next").store("head");
+            m.goto("loop");
+            m.line().label("done").load("acc").retv();
+        })
+        .method("main", &["n"], |m| {
+            m.line().pushnull().store("head");
+            m.line().label("loop").load("n").ifz(Cmp::Le, "done");
+            m.line().new_obj("Link").store("o");
+            m.line().load("o").load("n").putfield("val");
+            m.line().load("o").load("head").putfield("next");
+            m.line().load("o").store("head");
+            m.line().load("n").pushi(1).sub().store("n").goto("loop");
+            m.line()
+                .label("done")
+                .load("head")
+                .invoke("Link", "walk", 1);
+            m.retv();
+        });
+    Scenario::new()
+        .slice_ns(10_000)
+        .node("home", NodeConfig::cluster("home"))
+        .deploys(&sod_class(class))
+        .node("worker", NodeConfig::cluster("worker"))
+        .program("Link", "main", vec![Value::Int(4)])
+        .on("home")
+}
+
 /// Fib(`n`) requests on two edges, each offloading its top frame to the
 /// cloud after three 10 µs slices at home.
 fn edge_fleet(n: i64, programs: usize, schedule: ArrivalSchedule, seed: u64) -> Scenario {
@@ -502,6 +581,20 @@ fn pool_fleet(seed: u64, policy: ScalePolicy) -> Scenario {
     let bursts = ArrivalSchedule::bursty(20, 15 * MS).with_jitter(MS);
     let fleet = Fleet::new("Fib", "main", vec![Value::Int(14)]).programs(60);
     pooled(&["edge0", "edge1"], pool, fleet.arrivals(bursts, seed), 3)
+}
+
+/// Three Fib(14) requests in one burst onto a pool of 1–3, their classes
+/// shipped on demand and their deadlines armed (the chaos plan's one
+/// entry falls after the run): the forgery sweep's small row for pool,
+/// class and deadline messages.
+fn pool_burst(seed: u64) -> Scenario {
+    let pool = Pool::new("workers").base(1).max(3).cold_start(MS);
+    let pool = pool.scale_policy(ScalePolicy::QueueDepth { high: 1, low: 1 });
+    let burst = ArrivalSchedule::bursty(3, 10 * MS);
+    let fleet = Fleet::new("Fib", "main", vec![Value::Int(14)]).programs(3);
+    let sc = pooled(&["edge0"], pool, fleet.arrivals(burst, seed), 2);
+    let armed = Chaos::new().restart_at(SEC, "edge0");
+    sc.code_shipping(CodeShipping::Never).chaos(armed)
 }
 
 /// Thirty requests onto a pool of 2–6 whose first member crashes at 8 ms.
@@ -624,7 +717,7 @@ fn every_other_row_replays_and_matches_its_digest() {
         let name = row.name;
         let (again, msgs) = stepped(name, scenario(name));
         let first = report(name);
-        assert_eq!(first, &again, "replay: {name}: a same-seed rerun diverged");
+        assert_same(first, &again, &format!("replay: {name}: a same-seed rerun"));
         let (fresh, committed) = (digest_line(row, first, msgs), committed(name));
         assert!(
             fresh == committed,
@@ -640,11 +733,7 @@ fn every_other_row_matches_the_reference_vm() {
     for row in ROWS {
         let name = row.name;
         let slow = run(name, scenario(name).slow_resolve(true));
-        assert_eq!(
-            report(name),
-            &slow,
-            "reference: {name}: the reference VM diverged"
-        );
+        assert_same(report(name), &slow, &format!("reference: {name}"));
     }
 }
 

@@ -287,7 +287,7 @@ impl Delivered {
             Msg::SegmentReturn {
                 program,
                 session,
-                target: ReturnTarget::Home { .. },
+                target: ReturnTarget::Home,
                 ..
             } => Delivered::HomeReturn(program, session),
             _ => Delivered::Other,
