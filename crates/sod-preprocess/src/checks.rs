@@ -45,11 +45,9 @@ fn inject_into_method(class: &mut ClassDef, method_idx: usize) -> usize {
     for pc in 0..old_len {
         let instr = m.code[pc];
         if let Some(depth) = instr.deref_depth() {
-            if !matches!(instr, Instr::Throw) {
-                new_code.push(Instr::CheckStatus(depth as u8));
-                new_lines.push(m.lines[pc]);
-                inserted += 1;
-            }
+            new_code.push(Instr::CheckStatus(depth as u8));
+            new_lines.push(m.lines[pc]);
+            inserted += 1;
         }
         map.push(new_code.len() as u32);
         new_code.push(instr);

@@ -181,10 +181,8 @@ fn statement_deref_prov(m: &sod_vm::class::MethodDef, start: u32, end: u32) -> O
     let mut first: Option<Option<Prov>> = None;
     for pc in start..end {
         let instr = &m.code[pc as usize];
-        let is_deref = instr.is_deref() && !matches!(instr, Instr::Throw);
-        if is_deref {
-            let depth = instr.deref_depth()? as usize;
-            let p = *stack.get(stack.len().checked_sub(1 + depth)?)?;
+        if let Some(depth) = instr.deref_depth() {
+            let p = *stack.get(stack.len().checked_sub(1 + depth as usize)?)?;
             if first.is_some() {
                 // Second deref: safe only for the two-level chain.
                 return p.filter(|p| matches!(p, Prov::FieldOfLocal(..) | Prov::ElemOfLocal(..)));

@@ -77,10 +77,7 @@ pub fn rearrange_method(class: &mut ClassDef, method_idx: usize) -> VmResult<Rea
         let instr = method.code[pc];
         let falls = instr.falls_through();
         let is_barrier = instr.is_barrier();
-        let is_call = matches!(
-            instr,
-            Instr::InvokeStatic(_, _, _) | Instr::InvokeVirtual(_, _) | Instr::NativeCall(_, _)
-        );
+        let is_call = instr.call().is_some();
         let depth_before = summary.depth[pc];
         let StackEffect { pops, pushes } = instr.stack_effect();
 

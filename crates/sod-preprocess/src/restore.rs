@@ -20,7 +20,7 @@
 use sod_vm::analysis::method_summary;
 use sod_vm::class::{ClassDef, ExEntry, ExKind};
 use sod_vm::error::VmResult;
-use sod_vm::instr::{Instr, SwitchTable};
+use sod_vm::instr::{Call, Instr, SwitchTable};
 
 use crate::splice::{line_start, max_line};
 
@@ -49,10 +49,7 @@ fn inject_into_method(class: &mut ClassDef, method_idx: usize) -> VmResult<()> {
         let is_stmt_start = m.is_line_start(pc) && summary.depth[pc as usize] == Some(0);
         if is_stmt_start {
             pairs.push((i64::from(pc), pc));
-        } else if matches!(
-            m.code[pc as usize],
-            Instr::InvokeStatic(_, _, _) | Instr::InvokeVirtual(_, _)
-        ) {
+        } else if m.code[pc as usize].call() == Some(Call::Guest) {
             pairs.push((i64::from(pc), line_start(m, pc)));
         }
     }

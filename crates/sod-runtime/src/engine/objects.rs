@@ -272,12 +272,11 @@ fn awaits(vm: &Vm, tid: usize, root: &[u8]) -> bool {
 /// Install a vetted object reply from node `origin` — the faulted root
 /// first, prefetched objects after — and resume the thread parked on it.
 fn install_reply(vm: &mut Vm, tid: usize, origin: OriginId, batch: &FrameBatch) -> VmResult<()> {
-    let (root, prefetched) = batch
-        .frames()
-        .split_first()
-        .ok_or(VmError::RestoreProtocol(
+    let Some((root, prefetched)) = batch.frames().split_first() else {
+        return Err(VmError::RestoreProtocol(
             "object reply without the faulted root",
-        ))?;
+        ));
+    };
     let local = vm.install_fetched(origin, root)?;
     for frame in prefetched {
         vm.install_fetched(origin, frame)?;

@@ -104,6 +104,13 @@ pub fn method_summary(class: &ClassDef, method: &MethodDef) -> VmResult<MethodSu
             )));
         }
 
+        // A virtual call dispatches on its receiver, the deepest argument.
+        if let Instr::InvokeVirtual(_, 0) = instr {
+            return Err(verify_err(format!(
+                "virtual call at pc {pc} has no receiver"
+            )));
+        }
+
         if let Instr::Switch(t) = instr {
             let table = method
                 .switches
@@ -251,6 +258,26 @@ mod tests {
         let c = cls(m);
         let err = method_summary(&c, c.method("m").unwrap()).unwrap_err();
         assert!(matches!(err, VmError::Verify { .. }));
+    }
+
+    #[test]
+    fn a_virtual_call_without_a_receiver_is_refused() {
+        // `InvokeVirtual(_, 0)` pops nothing, so the depth rules admit it;
+        // run, it would read its receiver from past the stack's top.
+        let mut c = ClassDef::new("T");
+        let m = c.intern("m");
+        c.methods.push(
+            MethodDef::new("m", 0, 0)
+                .with_code(vec![Instr::InvokeVirtual(m, 0), Instr::Ret], vec![1, 1]),
+        );
+        let shipped = crate::wire::decode_class(crate::wire::encode_class(&c).unwrap()).unwrap();
+        for def in [&c, &shipped] {
+            let err = crate::interp::Vm::new().load_class(def).unwrap_err();
+            assert!(matches!(err, VmError::Verify { .. }), "{err:?}");
+        }
+        // Nor does the preprocessor, which reads every pc, find a receiver.
+        assert_eq!(Instr::InvokeVirtual(m, 0).deref_depth(), None);
+        assert_eq!(Instr::InvokeVirtual(m, 2).deref_depth(), Some(1));
     }
 
     #[test]

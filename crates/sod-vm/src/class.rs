@@ -240,30 +240,22 @@ impl ClassDef {
             .collect()
     }
 
-    /// Names of the classes this class's code statically references —
-    /// `InvokeStatic` targets, `New` allocations, and static-field owners
-    /// — excluding itself. Sorted and deduplicated, so callers walking
-    /// the reference graph (the code-shipping closure) are deterministic.
+    /// Names of the classes this class's code statically references (its
+    /// instructions' [`Instr::class_operand`]s: `InvokeStatic` targets, `New`
+    /// allocations, and static-field owners), excluding itself. Sorted and
+    /// deduplicated, so callers walking the reference graph (the
+    /// code-shipping closure) are deterministic.
     ///
     /// Virtual-call targets dispatch on the receiver's runtime class and
     /// are *not* included; anything missed here still ships through the
     /// on-demand class-request path.
     pub fn referenced_classes(&self) -> Vec<String> {
         let mut out = std::collections::BTreeSet::new();
-        for m in &self.methods {
-            for i in &m.code {
-                let idx = match i {
-                    Instr::New(c)
-                    | Instr::GetStatic(c, _)
-                    | Instr::PutStatic(c, _)
-                    | Instr::InvokeStatic(c, _, _)
-                    | Instr::BringObjStaticTo(c, _, _) => *c,
-                    _ => continue,
-                };
-                if let Ok(name) = self.pool_str(idx) {
-                    if name != self.name {
-                        out.insert(name.to_owned());
-                    }
+        let code = self.methods.iter().flat_map(|m| &m.code);
+        for idx in code.filter_map(Instr::class_operand) {
+            if let Ok(name) = self.pool_str(idx) {
+                if name != self.name {
+                    out.insert(name.to_owned());
                 }
             }
         }

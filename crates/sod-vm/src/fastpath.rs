@@ -54,7 +54,6 @@
 
 use crate::analysis::MethodSummary;
 use crate::class::MethodDef;
-use crate::costs::instr_cost;
 use crate::heap::Heap;
 use crate::instr::{Cmp, Instr};
 use crate::value::{ObjId, Value};
@@ -95,7 +94,7 @@ impl IcCell {
 #[derive(Clone, Copy, Debug)]
 pub struct Row {
     pub instr: Instr,
-    /// The unscaled [`instr_cost`] of `instr`.
+    /// The unscaled [`Instr::cost`] of `instr`.
     pub cost: u32,
     /// This pc is a migration-safe point of its method (a line start the
     /// verifier reaches with an empty operand stack).
@@ -104,6 +103,10 @@ pub struct Row {
     /// [`Fused`] shapes.
     pub fused: Option<Fused>,
 }
+
+// What the run loop reads per pc: one 16-byte instruction (const-asserted
+// in `instr.rs`) and its row facts.
+const _: () = assert!(std::mem::size_of::<Row>() == 40);
 
 /// A run of 2–4 window instructions, each of unscaled cost 1, that the
 /// unwatched window loop retires in one dispatch ([`fused_op`]). Only the
@@ -193,7 +196,7 @@ pub fn link_rows(method: &MethodDef, summary: &MethodSummary) -> Vec<Row> {
         .enumerate()
         .map(|(pc, instr)| Row {
             instr: *instr,
-            cost: instr_cost(instr) as u32,
+            cost: instr.cost() as u32,
             msp: summary.is_msp(pc as u32),
             fused: Fused::of(&code[pc..]),
         })
@@ -602,7 +605,7 @@ mod tests {
         // and its own unscaled cost...
         for (row, instr) in rows.iter().zip(&c.methods[0].code) {
             assert_eq!(row.instr, *instr);
-            assert_eq!(u64::from(row.cost), instr_cost(instr));
+            assert_eq!(u64::from(row.cost), instr.cost());
         }
         let msp: Vec<bool> = rows.iter().map(|r| r.msp).collect();
         assert_eq!(msp, [true, false, false, false, true, false]);
@@ -706,7 +709,7 @@ mod tests {
                 continue;
             };
             assert_eq!(run.span(), code.len() as u64);
-            assert!(code.iter().all(|i| instr_cost(i) == 1), "{code:?}");
+            assert!(code.iter().all(|i| i.cost() == 1), "{code:?}");
             let value = |pick: &mut Choices<'_>| match pick.below(16) {
                 0 => Value::Num(1.5),
                 1 => Value::Null,
@@ -823,6 +826,68 @@ mod tests {
             assert_eq!(r, Err(exit), "{instr:?}");
             assert_eq!((sp, pc), (values.len(), 7), "{instr:?}");
             assert_eq!(&stack[..values.len()], values, "{instr:?}");
+        }
+    }
+
+    /// Every opcode, with zero operands: the instruction table's rows, read
+    /// back through their codec.
+    fn every_opcode() -> Vec<Instr> {
+        use crate::wire::Codec;
+        let decode = |code| {
+            let mut frame = [0; 17];
+            frame[0] = code;
+            Instr::get(&mut &frame[..]).ok()
+        };
+        let opcodes: Vec<Instr> = (0..=u8::MAX).filter_map(decode).collect();
+        assert_eq!(opcodes.len(), 54);
+        opcodes
+    }
+
+    /// The table's window, pops and pushes columns are what `window_op`
+    /// does, and its cost column is what a row charges.
+    #[test]
+    fn the_instruction_table_agrees_with_execution() {
+        use crate::instr::StackEffect;
+        let code = every_opcode();
+        for instr in &code {
+            let StackEffect { pops, pushes } = instr.stack_effect();
+            // One local, `operands` operands and one spare slot, all `v`.
+            let run = |v: Value, operands: u32| {
+                let values = vec![v; 1 + operands as usize];
+                with_window(&values, 1, 1, |w| window_op(w, instr))
+            };
+            let typed = [Value::Int(1), Value::Num(1.0)];
+            if !instr.is_window() {
+                for v in typed {
+                    assert_eq!(run(v, pops).0, Err(Exit::Full), "{instr:?}");
+                }
+                continue;
+            }
+            let retired = typed
+                .into_iter()
+                .map(|v| run(v, pops))
+                .find(|r| r.0.is_ok());
+            let Some((_, _, sp, _)) = retired else {
+                panic!("{instr:?} is in the window but does not retire");
+            };
+            assert_eq!(pushes, Some(sp as u32 - 1), "{instr:?}");
+            if pops > 0 {
+                assert_eq!(
+                    run(Value::Int(1), pops - 1).0,
+                    Err(Exit::Underflow),
+                    "{instr:?}"
+                );
+            }
+        }
+        let n = code.len();
+        let m = MethodDef::new("m", 0, 0).with_code(code.clone(), vec![1; n]);
+        let summary = MethodSummary {
+            depth: vec![None; n],
+            max_stack: 0,
+            msp: vec![false; n],
+        };
+        for (row, instr) in link_rows(&m, &summary).iter().zip(&code) {
+            assert_eq!(u64::from(row.cost), instr.cost(), "{instr:?}");
         }
     }
 

@@ -1828,7 +1828,6 @@ impl Vm {
                 self.enter_callee(tid, target_ci, target_mi, nargs)
             }
             InvokeVirtual(midx, nargs) => {
-                debug_assert!(nargs >= 1, "virtual call needs a receiver");
                 // IC: `a` = receiver class index, `b` = method index,
                 // validated by pointer against the receiver's class Arc
                 // (monomorphic sites hit; a new receiver class re-resolves
@@ -1837,6 +1836,8 @@ impl Vm {
                 if !cell.is_filled() {
                     self.classes[ci].def.pool_str(midx)?;
                 }
+                // The receiver is arg 0, and there is one: the verifier
+                // refuses a virtual call with `nargs == 0`.
                 let recv = {
                     let stack = &stack!();
                     if stack.len() - floor < nargs as usize {
@@ -1940,12 +1941,9 @@ impl Vm {
             BringObjField(b, f) => self.exec_protocol(tid, ci, Protocol::Field(b, f)),
             BringObjStaticTo(c, f, d) => self.exec_protocol(tid, ci, Protocol::StaticTo(c, f, d)),
             BringObjElemTo(b, i, d) => self.exec_protocol(tid, ci, Protocol::ElemTo(b, i, d)),
-            // The window instructions: their one arm is `window_op`.
-            PushI(_) | PushF(_) | PushNull | Load(_) | Store(_) | Dup | Pop | Swap | Add | Sub
-            | Mul | Div | Rem | Neg | Shl | Shr | BAnd | BOr | BXor | I2F | F2I | If(..)
-            | IfZ(..) | IfNull(_) | IfNonNull(_) | Goto(_) | Nop => {
-                self.exec_window(tid, pc, base, floor, instr)
-            }
+            // The window instructions (`Instr::is_window`): their one arm is
+            // `window_op`.
+            _ => self.exec_window(tid, pc, base, floor, instr),
         }
     }
 
@@ -2011,8 +2009,9 @@ impl Vm {
                     found: at.map_or("nothing", |at| stack[at].type_name()),
                 }
             }
-            // Not from `exec_window`, which passes only window instructions
-            // and makes room for a push.
+            // Not from `exec_window`, which makes room for a push and gets
+            // only window instructions: every other one has its own arm in
+            // `exec_instr`.
             Exit::Full => VmError::StackOverflow,
         })
     }

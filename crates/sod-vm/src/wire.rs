@@ -1167,11 +1167,12 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
 // ---------------------------------------------------------------------------
 
 /// One part of the class frame, described once: `put` writes it and `get`
-/// reads it back. Enums are code tables (`code_table!`, the 54-row opcode
-/// table among them), plain structs field lists (`record!`), the three
-/// containers hand-written pairs over `put_seq`/`get_seq`. State and object
-/// frames are hot paths and stay hand-written above.
-trait Codec: Sized {
+/// reads it back. Enums are code tables (`code_table!`; the 54 opcodes'
+/// rows are columns of the instruction table), plain structs field lists
+/// (`record!`), the three containers hand-written pairs over
+/// `put_seq`/`get_seq`. State and object frames are hot paths and stay
+/// hand-written above.
+pub(crate) trait Codec: Sized {
     fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()>;
     fn get(buf: &mut &[u8]) -> VmResult<Self>;
 }
@@ -1260,92 +1261,37 @@ fn get_seq<T: Codec>(buf: &mut &[u8], min: usize, what: &'static str) -> VmResul
 /// the code byte. Both directions are built from the rows, so a variant
 /// without a row fails to compile (`put`'s match is not exhaustive) and two
 /// rows with one code fail clippy (`get`'s second arm is unreachable).
+/// `Instr`'s rows are columns of the instruction table (`instr.rs`).
 macro_rules! code_table {
     ($ty:ident, $bad:literal, { $($code:literal => $v:ident $(($($op:ident: $opty:ty),+))?),* $(,)? }) => {
-        impl Codec for $ty {
+        impl $crate::wire::Codec for $ty {
             // Inlined, like `put_seq`, so a method's code encodes in one loop
             // as the hand-written encoder did (a call per instruction made
             // class encoding about twice as slow).
             #[inline(always)]
-            fn put<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
+            fn put<B: bytes::BufMut>(&self, buf: &mut B) -> $crate::error::VmResult<()> {
                 match *self {
                     $($ty::$v $(($($op),+))? => {
                         buf.put_u8($code);
-                        $($($op.put(buf)?;)+)?
+                        $($($crate::wire::Codec::put(&$op, buf)?;)+)?
                     })*
                 }
                 Ok(())
             }
-            fn get(buf: &mut &[u8]) -> VmResult<Self> {
-                Ok(match get_u8(buf)? {
-                    $($code => $ty::$v $(($(<$opty>::get(buf)?),+))?,)*
-                    _ => return Err(VmError::Decode($bad)),
+            fn get(buf: &mut &[u8]) -> $crate::error::VmResult<Self> {
+                Ok(match <u8 as $crate::wire::Codec>::get(buf)? {
+                    $($code => $ty::$v $(($(<$opty as $crate::wire::Codec>::get(buf)?),+))?,)*
+                    _ => return Err($crate::error::VmError::Decode($bad)),
                 })
             }
         }
     };
 }
+pub(crate) use code_table;
 
 code_table!(Cmp, "bad Cmp", { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Le, 4 => Gt, 5 => Ge });
 
 code_table!(TypeOf, "bad TypeOf", { 0 => Int, 1 => Num, 2 => Ref });
-
-code_table!(Instr, "bad opcode", {
-    0 => PushI(v: i64),
-    1 => PushF(v: f64),
-    2 => PushStr(s: u16),
-    3 => PushNull,
-    4 => Load(slot: u16),
-    5 => Store(slot: u16),
-    6 => Dup,
-    7 => Pop,
-    8 => Swap,
-    9 => Add,
-    10 => Sub,
-    11 => Mul,
-    12 => Div,
-    13 => Rem,
-    14 => Neg,
-    15 => Shl,
-    16 => Shr,
-    17 => BAnd,
-    18 => BOr,
-    19 => BXor,
-    20 => I2F,
-    21 => F2I,
-    22 => If(cmp: Cmp, target: u32),
-    23 => IfZ(cmp: Cmp, target: u32),
-    24 => IfNull(target: u32),
-    25 => IfNonNull(target: u32),
-    26 => Goto(target: u32),
-    27 => Switch(table: u16),
-    28 => New(class: u16),
-    29 => GetField(field: u16),
-    30 => PutField(field: u16),
-    31 => GetStatic(class: u16, field: u16),
-    32 => PutStatic(class: u16, field: u16),
-    33 => NewArr,
-    34 => ALoad,
-    35 => AStore,
-    36 => ArrLen,
-    37 => InvokeStatic(class: u16, method: u16, nargs: u8),
-    38 => InvokeVirtual(method: u16, nargs: u8),
-    39 => Ret,
-    40 => RetV,
-    41 => ThrowKind(kind: ExKind),
-    42 => Throw,
-    43 => NativeCall(name: u16, nargs: u8),
-    44 => ReadCaptured(slot: u16),
-    45 => ReadCapturedPc,
-    46 => BringObjLocal(slot: u16),
-    47 => BringObjField(base: u16, field: u16),
-    48 => BringObjStaticTo(class: u16, field: u16, dest: u16),
-    49 => BringObjElemTo(base: u16, index: u16, dest: u16),
-    50 => RethrowAppNpe,
-    51 => Nop,
-    52 => CheckStatus(depth: u8),
-    53 => RestoreLocal(slot: u16),
-});
 
 /// The first `ExKind::User` code: the built-in kinds are 0–5, and 6–15 are
 /// unassigned, so every code names at most one kind.
