@@ -3,8 +3,9 @@
 //! The SOD paper's evaluation runs on a Gigabit cluster, a simulated
 //! WAN-connected grid, and a bandwidth-limited Wi-Fi link to an iPhone.
 //! This crate provides the deterministic substrate those experiments run on
-//! here: a virtual clock in nanoseconds, one event queue (a binary heap
-//! ordered by time, then submission order — see [`Sim`]), and
+//! here: a virtual clock in nanoseconds, one event queue (a heap of keys
+//! ordered by time, then submission order, over a slab of events — see
+//! [`Sim`]), and
 //! point-to-point links with latency and bandwidth (FIFO serialization of
 //! concurrent transfers).
 //!
@@ -28,6 +29,6 @@ pub use chaos::{ChaosAction, ChaosEntry, ChaosPlan, ChaosState, DropReason};
 pub use link::{Link, LinkSpec};
 #[doc(hidden)]
 pub use sim::{Choice, Fault, Scheduler};
-pub use sim::{Sim, SimCtx, World};
+pub use sim::{QueueStats, Sim, SimCtx, World};
 pub use time::{ns_to_ms_string, ns_to_s_string, MS, NS_PER_MS, NS_PER_SEC, NS_PER_US, SEC, US};
 pub use topology::Topology;

@@ -1,19 +1,25 @@
 //! The discrete-event scheduler.
 //!
 //! A [`Sim`] owns a [`World`] (the cluster state), a [`Topology`], and one
-//! event queue: a binary heap over every pending event. Each event is the
-//! delivery of one message to one node at a virtual time; handling a
-//! message may send further messages (through links, charging transfer
-//! time) or schedule timers. Events are delivered in `(time, seq)` order,
-//! where `seq` is a per-simulation submission counter: equal timestamps
-//! deliver in submission order, so every delivery has one well-defined
-//! index and a run is fully deterministic.
+//! event queue over every pending event. Each event is the delivery of one
+//! message to one node at a virtual time; handling a message may send
+//! further messages (through links, charging transfer time) or schedule
+//! timers, and each goes straight into the queue. Events are delivered in
+//! `(time, seq)` order, where `seq` is a per-simulation submission
+//! counter: equal timestamps deliver in submission order, so every
+//! delivery has one well-defined index and a run is fully deterministic.
+//!
+//! The queue (`queue.rs`) is a 4-ary heap of three-word keys, `(time,
+//! seq)` and a slot, over a slab of events: a message is moved into its
+//! slot when it is sent and out of it when it is delivered, and the heap
+//! sifts keys only. [`Sim::queue_stats`] counts that work.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+mod queue;
 
 use crate::chaos::{ChaosAction, ChaosPlan, ChaosState, DropReason};
 use crate::topology::Topology;
+pub use queue::QueueStats;
+use queue::{Payload, Queue};
 
 /// The world the simulator drives: your cluster state.
 pub trait World {
@@ -60,58 +66,13 @@ pub enum Scheduler {
     Parallel { threads: usize },
 }
 
-/// One pending message delivery. `src` records the sending node (equal to
-/// `dst` for timers and injected events); it is carried for the chaos
-/// layer's partition/loss checks and takes no part in the order.
-///
-/// Events order by `(at, seq)`. `seq` is unique per [`Sim`] (handed out at
-/// submission), so the order is total and no other field breaks a tie.
-///
-/// An event is moved by value on every queue operation (push, each sift
-/// step, pop, the hand-off to the handler), so its size is a cost: four
-/// words of header here, and the world keeps its message small (the SOD
-/// runtime pins `Msg` at 64 bytes — a 96-byte event moves as a few inline
-/// register copies where the 168-byte one it replaced went through
-/// `memcpy`).
-struct Event<M> {
-    at: u64,
-    seq: u64,
-    src: usize,
-    dst: usize,
-    msg: M,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// What a handler sent: (arrival time, src, dst, msg), `src == dst` for
-/// timers. Filled through [`SimCtx`], drained into the queue after the
-/// handler returns.
-type Outbox<M> = Vec<(u64, usize, usize, M)>;
-
 /// Handler-side context: send messages, schedule timers, read the clock.
 pub struct SimCtx<'a, M> {
     now: u64,
     topo: &'a mut Topology,
-    /// Lent by the [`Sim`], which keeps the allocation between deliveries.
-    outbox: &'a mut Outbox<M>,
+    /// The [`Sim`]'s queue: what the handler sends is queued as it sends
+    /// it, numbered in the order it is sent.
+    queue: &'a mut Queue<M>,
 }
 
 impl<M> SimCtx<'_, M> {
@@ -124,20 +85,20 @@ impl<M> SimCtx<'_, M> {
     /// delivery is charged transfer time and queues FIFO on the link.
     pub fn send(&mut self, from: usize, to: usize, bytes: u64, msg: M) {
         let at = self.topo.transfer(self.now, from, to, bytes);
-        self.outbox.push((at, from, to, msg));
+        self.queue.push(at, from, to, msg);
     }
 
     /// As [`SimCtx::send`], but the transfer begins only after `delay` ns of
     /// local work (e.g. serialization) has elapsed.
     pub fn send_after(&mut self, delay: u64, from: usize, to: usize, bytes: u64, msg: M) {
         let at = self.topo.transfer(self.now + delay, from, to, bytes);
-        self.outbox.push((at, from, to, msg));
+        self.queue.push(at, from, to, msg);
     }
 
     /// Deliver `msg` to `dst` after `delay` ns without touching any link
     /// (timers, local work completion).
     pub fn schedule(&mut self, delay: u64, dst: usize, msg: M) {
-        self.outbox.push((self.now + delay, dst, dst, msg));
+        self.queue.push(self.now + delay, dst, dst, msg);
     }
 
     /// Access the topology (e.g. to inspect link state in tests).
@@ -150,9 +111,8 @@ impl<M> SimCtx<'_, M> {
 pub struct Sim<W: World> {
     pub world: W,
     topo: Topology,
-    queue: BinaryHeap<Reverse<Event<W::Msg>>>,
+    queue: Queue<W::Msg>,
     now: u64,
-    seq: u64,
     delivered: u64,
     /// Deliveries per destination node ([`Sim::hottest`] reads them).
     delivered_by: Vec<u64>,
@@ -161,9 +121,6 @@ pub struct Sim<W: World> {
     /// to a build without this field.
     chaos: Option<ChaosState>,
     dropped: u64,
-    /// The outbox every delivery's [`SimCtx`] borrows: empty between
-    /// deliveries, its capacity kept, so a delivery allocates nothing here.
-    outbox: Outbox<W::Msg>,
 }
 
 impl<W: World> Sim<W> {
@@ -171,15 +128,13 @@ impl<W: World> Sim<W> {
     pub fn new(world: W, topo: Topology) -> Self {
         Sim {
             world,
-            queue: BinaryHeap::new(),
+            queue: Queue::new(),
             delivered_by: vec![0; topo.len()],
             topo,
             now: 0,
-            seq: 0,
             delivered: 0,
             chaos: None,
             dropped: 0,
-            outbox: Vec::new(),
         }
     }
 
@@ -214,7 +169,7 @@ impl<W: World> Sim<W> {
 
     /// Whether no event is queued (the state `run_to_idle` ends in).
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.len() == 0
     }
 
     /// Events delivered to node `dst` so far.
@@ -222,16 +177,9 @@ impl<W: World> Sim<W> {
         self.delivered_by.get(dst).copied().unwrap_or(0)
     }
 
-    fn submit(&mut self, at: u64, src: usize, dst: usize, msg: W::Msg) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq,
-            src,
-            dst,
-            msg,
-        }));
+    /// The queue's work so far (see [`QueueStats`]).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// Inject a message at absolute time `at` (≥ now). Injected events are
@@ -239,25 +187,25 @@ impl<W: World> Sim<W> {
     /// a crashed destination does.
     pub fn inject(&mut self, at: u64, dst: usize, msg: W::Msg) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        self.submit(at, dst, dst, msg);
+        self.queue.push(at, dst, dst, msg);
     }
 
     /// Deliver the next event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        self.deliver(ev, None);
+        self.deliver(at, ev, None);
         true
     }
 
     /// The one delivery path, for [`Sim::step`] and the choice hook alike:
-    /// move the clock to `ev`, apply every chaos action due by then, and
+    /// move the clock to `at`, apply every chaos action due by then, and
     /// hand `ev` to the world — or drop it, as `lost` or the chaos layer
     /// says.
-    fn deliver(&mut self, ev: Event<W::Msg>, mut lost: Option<DropReason>) {
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
+    fn deliver(&mut self, at: u64, ev: Payload<W::Msg>, mut lost: Option<DropReason>) {
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         if let Some(chaos) = &mut self.chaos {
             // Apply every fault due by now, in schedule order, before the
             // delivery at this instant — pure state events.
@@ -285,17 +233,12 @@ impl<W: World> Sim<W> {
             self.delivered_by.resize(ev.dst + 1, 0);
         }
         self.delivered_by[ev.dst] += 1;
-        let mut outbox = std::mem::take(&mut self.outbox);
         let mut ctx = SimCtx {
             now: self.now,
             topo: &mut self.topo,
-            outbox: &mut outbox,
+            queue: &mut self.queue,
         };
         self.world.on_message(ev.dst, ev.msg, &mut ctx);
-        for (at, src, dst, msg) in outbox.drain(..) {
-            self.submit(at, src, dst, msg);
-        }
-        self.outbox = outbox;
     }
 
     /// Run until the event queue drains or `max_events` events have been
@@ -367,29 +310,35 @@ where
     /// message past any later event, a deadline included.
     #[doc(hidden)]
     pub fn choices(&self) -> Vec<Choice<'_, W::Msg>> {
-        let queued = self.queue.as_slice();
-        let choice = |i: usize| {
-            let e = &queued[i].0;
-            let (at, src, dst, msg) = (e.at, e.src, e.dst, &e.msg);
-            Choice { at, src, dst, msg }
-        };
-        self.enabled().into_iter().map(choice).collect()
+        self.enabled().into_iter().map(|(_, c)| c).collect()
     }
 
-    /// The enabled set as indices into the heap's storage.
-    fn enabled(&self) -> Vec<usize> {
-        let queued = self.queue.as_slice();
-        let mut order: Vec<usize> = (0..queued.len()).collect();
-        order.sort_unstable_by(|&a, &b| queued[a].0.cmp(&queued[b].0));
-        let Some(head) = order.first().map(|&i| &queued[i].0) else {
+    /// The enabled set, each choice with its position in the queue's heap.
+    fn enabled(&self) -> Vec<(usize, Choice<'_, W::Msg>)> {
+        let keys = self.queue.keys();
+        let choice = |(i, key): (usize, _)| {
+            let e = self.queue.payload(key)?;
+            let (src, dst, msg) = (e.src, e.dst, &e.msg);
+            Some((
+                i,
+                Choice {
+                    at: key.at,
+                    src,
+                    dst,
+                    msg,
+                },
+            ))
+        };
+        let mut order: Vec<_> = keys.iter().enumerate().filter_map(choice).collect();
+        order.sort_unstable_by_key(|&(i, _)| (keys[i].at, keys[i].seq));
+        let Some((head, at, dst)) = order.first().map(|(i, c)| (*i, c.at, c.dst)) else {
             return order;
         };
         let mut links = Vec::new();
-        order.retain(|&i| {
-            let e = &queued[i].0;
-            let first_on_link = !links.contains(&(e.src, e.dst));
-            links.push((e.src, e.dst));
-            first_on_link && (e.seq == head.seq || e.at > head.at || e.dst != head.dst)
+        order.retain(|&(i, ref c)| {
+            let first_on_link = !links.contains(&(c.src, c.dst));
+            links.push((c.src, c.dst));
+            first_on_link && (i == head || c.at > at || c.dst != dst)
         });
         order
     }
@@ -401,32 +350,28 @@ where
     /// [`World::on_duplicated`].
     #[doc(hidden)]
     pub fn deliver_choice(&mut self, pick: usize, fault: Option<Fault>) -> bool {
-        let Some(&i) = self.enabled().get(pick) else {
+        let Some(&(i, _)) = self.enabled().get(pick) else {
             return false;
         };
-        // `into_vec` hands back the storage `as_slice` indexed.
-        let mut queued = std::mem::take(&mut self.queue).into_vec();
-        let Reverse(ev) = queued.swap_remove(i);
-        for Reverse(passed) in &mut queued {
-            passed.at = passed.at.max(ev.at);
-        }
-        self.queue = BinaryHeap::from(queued);
-        let (at, src, dst) = (ev.at, ev.src, ev.dst);
+        let Some((at, ev)) = self.queue.remove_delaying(i) else {
+            return false;
+        };
+        let (src, dst) = (ev.src, ev.dst);
         match fault {
-            None => self.deliver(ev, None),
-            Some(Fault::Drop) => self.deliver(ev, Some(DropReason::Loss)),
+            None => self.deliver(at, ev, None),
+            Some(Fault::Drop) => self.deliver(at, ev, Some(DropReason::Loss)),
             Some(Fault::Duplicate) => {
                 self.world.on_duplicated(src, dst, &ev.msg);
                 let copy = ev.msg.clone();
-                self.deliver(ev, None);
-                self.submit(at, src, dst, copy);
+                self.deliver(at, ev, None);
+                self.queue.push(at, src, dst, copy);
             }
             Some(Fault::CrashDst) => {
                 self.crash(dst, at);
-                self.deliver(ev, None);
+                self.deliver(at, ev, None);
             }
             Some(Fault::CrashSrc) => {
-                self.deliver(ev, None);
+                self.deliver(at, ev, None);
                 self.crash(src, at);
             }
         }
@@ -480,11 +425,6 @@ mod tests {
 
     fn sim(relay: bool) -> Sim<Recorder> {
         Sim::new(recorder(relay), topo3())
-    }
-
-    #[test]
-    fn an_event_adds_four_words_to_its_message() {
-        assert_eq!(std::mem::size_of::<Event<[u64; 8]>>(), 32 + 64);
     }
 
     #[test]
@@ -802,10 +742,10 @@ mod tests {
     #[test]
     fn faults_go_through_the_chaos_accounting() {
         let mut s = Sim::new(chaos_log(false), topo3());
-        s.submit(10, 0, 1, 1);
-        s.submit(20, 0, 1, 2);
-        s.submit(30, 0, 2, 3);
-        s.submit(40, 2, 1, 4);
+        s.queue.push(10, 0, 1, 1);
+        s.queue.push(20, 0, 1, 2);
+        s.queue.push(30, 0, 2, 3);
+        s.queue.push(40, 2, 1, 4);
         assert!(s.deliver_choice(0, Some(Fault::Drop)));
         assert!(s.deliver_choice(0, Some(Fault::Duplicate))); // 2, its copy next
         assert!(s.deliver_choice(0, None));

@@ -7,16 +7,16 @@
 //!
 //! ## Size
 //!
-//! The simulator moves a message by value many times on its way — into the
-//! handler's outbox, into the queue, up and down the queue's heap, out to
-//! the handler — so [`Msg`] is kept at **64 bytes** (a const assertion
-//! below, and a unit test, pin it): with the queue's four-word header an
-//! event is 96 bytes and those moves are inline register copies. The one
-//! variant that would not fit, [`Msg::State`], is sent once per migrated
-//! segment against thousands of object requests, replies and run slices,
-//! so its payload ([`StateMsg`]) rides behind a `Box`: one allocation per
-//! migration took every message from 136 bytes to 64 and every event from
-//! 168 to 96, and libc `memcpy` out of the per-event path.
+//! The simulator moves a message by value on its way — into its slot in
+//! the event queue's slab, out of it, to the handler — so [`Msg`] is kept
+//! at **64 bytes** (a const assertion below, and a unit test, pin it) and
+//! those moves are inline register copies. (The queue's heap sifts
+//! three-word keys, not messages; it sifted whole 96-byte events until
+//! the slab.) The one variant that would not fit, [`Msg::State`], is sent
+//! once per migrated segment against thousands of object requests,
+//! replies and run slices, so its payload ([`StateMsg`]) rides behind a
+//! `Box`: one allocation per migration took every message from 136 bytes
+//! to 64, and libc `memcpy` out of the per-event path.
 
 use std::sync::Arc;
 

@@ -12,6 +12,9 @@
 mod decode_alloc_bound;
 mod fault_allocs;
 mod migration_allocs;
+#[path = "../corpus/objects_row.rs"]
+mod objects_row;
+mod queue_allocs;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

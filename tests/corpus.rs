@@ -33,11 +33,14 @@ mod fleet_determinism;
 mod forgery_sweep;
 #[path = "corpus/interp_equivalence.rs"]
 mod interp_equivalence;
+#[path = "corpus/objects_row.rs"]
+mod objects_row;
 #[path = "corpus/scenario_equivalence.rs"]
 mod scenario_equivalence;
 #[path = "corpus/scheduler_equivalence.rs"]
 mod scheduler_equivalence;
 
+use objects_row::objects;
 use sod::asm::builder::ClassBuilder;
 use sod::net::{LinkSpec, MS, SEC, US};
 use sod::preprocess::preprocess_sod;
@@ -48,7 +51,7 @@ use sod::vm::class::ClassDef;
 use sod::vm::instr::Cmp;
 use sod::vm::value::{TypeOf, Value};
 use sod::workloads::apps::search_class;
-use sod::workloads::programs::fib_class;
+use sod::workloads::programs::{fib_class, handler_fleet_classes, handler_fleet_expected};
 use sod::{ArrivalSchedule, CodeShipping, ScalePolicy};
 use std::fmt::Debug;
 use std::fs;
@@ -108,6 +111,7 @@ rows! {
     "pool_crashed_member" Some(42) => pool_crashed_member,
     "pool_burst" Some(42) => pool_burst,
     "object_walk" None => |_| object_walk(),
+    "handler_mul" Some(42) => handler_mul,
 }
 
 /// The first program's result and migration count.
@@ -497,6 +501,29 @@ fn object_walk() -> Scenario {
         .on("home")
 }
 
+/// Iterations of `Kernel.work`'s loop in [`handler_mul`].
+const HANDLER_N: i64 = 2_000;
+
+/// Four requests to the code-shipping handler (`Gateway.main` calls
+/// `Kernel.work`, whose loop multiplies, then `Mix.finish`), each moving
+/// `Kernel.work` to the cold cloud after two 10 µs slices at home: `Mul`
+/// runs at home and on the migrated path, and the cloud fetches `Mix` on
+/// demand.
+fn handler_mul(seed: u64) -> Scenario {
+    let mut sc = Scenario::new()
+        .slice_ns(10_000)
+        .node("edge0", NodeConfig::cluster("edge0"));
+    for class in handler_fleet_classes() {
+        sc = sc.deploys(&preprocess_sod(&class).expect("preprocess handler"));
+    }
+    let fleet = Fleet::new("Gateway", "main", vec![Value::Int(HANDLER_N)]).programs(4);
+    let fleet = fleet
+        .across(&["edge0"])
+        .arrivals(ArrivalSchedule::uniform(2 * MS), seed);
+    sc.node("cloud", NodeConfig::cloud("cloud"))
+        .fleet(fleet.migrate(When::OnCpuSliceBudget(2), Plan::top_to("cloud", 1)))
+}
+
 /// Fib(`n`) requests on two edges, each offloading its top frame to the
 /// cloud after three 10 µs slices at home.
 fn edge_fleet(n: i64, programs: usize, schedule: ArrivalSchedule, seed: u64) -> Scenario {
@@ -521,32 +548,6 @@ fn fleet40(schedule: ArrivalSchedule, seed: u64) -> Scenario {
 fn fleet(seed: u64, programs: usize, policy: CodeShipping) -> Scenario {
     let bursts = ArrivalSchedule::bursty(40, 20 * MS).with_jitter(MS);
     edge_fleet(16, programs, bursts, seed).code_shipping(policy)
-}
-
-/// Twelve programs that write and read an object field 2 000 times, each
-/// offloaded after two 2 µs slices: object faults and dirty flushes.
-fn objects(seed: u64, policy: FetchPolicy) -> Scenario {
-    let class = ClassBuilder::new("Micro").field("f", TypeOf::Int);
-    let class = class.method("main", &["iters"], |m| {
-        m.line().new_obj("Micro").store("o");
-        m.line().pushi(0).store("i");
-        m.line().label("loop");
-        m.load("i").load("iters").if_cmp(Cmp::Ge, "done");
-        m.line().load("o").load("i").putfield("f");
-        m.line().load("o").getfield("f").store("t");
-        m.line().load("i").pushi(1).add().store("i").goto("loop");
-        m.line().label("done").load("t").retv();
-    });
-    let arrivals = ArrivalSchedule::uniform(2 * MS).with_jitter(MS);
-    let fleet = Fleet::new("Micro", "main", vec![Value::Int(2_000)]).programs(12);
-    let fleet = fleet.across(&["edge0"]).fetch_policy(policy);
-    let fleet = fleet.arrivals(arrivals, seed);
-    Scenario::new()
-        .slice_ns(2_000)
-        .node("edge0", NodeConfig::cluster("edge0"))
-        .deploys(&sod_class(class))
-        .node("cloud", NodeConfig::cloud("cloud"))
-        .fleet(fleet.migrate(When::OnCpuSliceBudget(2), Plan::top_to("cloud", 1)))
 }
 
 /// Sixty Fib(14) requests under 5 % loss drawn from `chaos_seed`, an
@@ -735,6 +736,22 @@ fn every_other_row_matches_the_reference_vm() {
         let slow = run(name, scenario(name).slow_resolve(true));
         assert_same(report(name), &slow, &format!("reference: {name}"));
     }
+}
+
+/// `handler_mul` multiplies on both sides of its migration: every program
+/// ends with the handler's value after one migration, and both nodes ran
+/// guest instructions (the loop is the only code long enough to span the
+/// two-slice budget, so both ran `Mul`).
+#[test]
+fn the_handler_row_multiplies_at_home_and_on_the_migrated_path() {
+    let r = report("handler_mul");
+    for p in r.programs() {
+        let expected = Some(handler_fleet_expected(HANDLER_N));
+        assert_eq!(p.report.result, expected, "{}", p.name);
+        assert_eq!(p.report.migrations.len(), 1, "{}", p.name);
+    }
+    let ran: Vec<u64> = r.cluster.per_node.iter().map(|n| n.instructions).collect();
+    assert!(ran.iter().all(|&i| i > 0), "instructions per node: {ran:?}");
 }
 
 /// `tests/corpus_digests.txt` holds one line per row, in row order: a

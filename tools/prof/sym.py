@@ -2,12 +2,17 @@
 """Symbolise the LD_PRELOAD tools' output. Needs addr2line.
 
     sym.py <samples> <binary> func|line [top]     sampler.so output
+    sym.py <samples> <binary> incl [top]          sampler.so SAMPLER_STACK=1 output
     sym.py <samples> <binary> asm <function> [min%]
     sym.py <mallocs> <binary> allocs <ops> [top]  mallocs.so output
     sym.py <livemem> <binary> live [top]          livemem.so output
 
 `func` aggregates by the outermost (non-inlined) function holding each
-sample, `line` by the innermost inlined file:line. `allocs` prints
+sample, `line` by the innermost inlined file:line. `incl` prints each
+function's inclusive share: the samples whose stack (every frame of the
+frame-pointer walk, inlined frames included) holds it at least once, and
+beside it its self share (the samples whose innermost frame it is).
+`allocs` prints
 allocations per operation (`ops` = how many operations the run performed,
 e.g. reps x object faults per rep) by the three innermost frames of each
 call stack that are this repository's own code; `live` prints the bytes
@@ -44,10 +49,19 @@ def symbolise(binary, addrs):
     return chains
 
 
-def samples(path, binary, mode, top):
+def stacks(path):
+    """Each sample's addresses, relative to the load base: the interrupted
+    instruction, then (stack mode) each return address less one, so that it
+    names the call instruction."""
     with open(path) as f:
         base = int(f.readline().split("-")[0], 16)
-        addrs = [int(line, 16) - base for line in f]
+        for line in f:
+            ip, *rets = (int(word, 16) - base for word in line.split())
+            yield [ip] + [r - 1 for r in rets]
+
+
+def samples(path, binary, mode, top):
+    addrs = [stack[0] for stack in stacks(path)]
     chains = symbolise(binary, {a for a in addrs if a >= 0})
     pick = (lambda c: c[-1][0]) if mode == "func" else (lambda c: c[0][1])
     hits = collections.Counter(pick(chains[a]) if a in chains else "??" for a in addrs)
@@ -56,10 +70,23 @@ def samples(path, binary, mode, top):
         print(f"{100 * n / len(addrs):6.2f}%  {n:7d}  {name}")
 
 
+def inclusive(path, binary, top):
+    all_stacks = list(stacks(path))
+    chains = symbolise(binary, {a for stack in all_stacks for a in stack if a >= 0})
+    incl, own = collections.Counter(), collections.Counter()
+    for stack in all_stacks:
+        frames = [fn for a in stack for fn, _ in chains.get(a, [("??", "")])]
+        own[frames[0]] += 1
+        incl.update(set(frames) - {"??"})
+    n = len(all_stacks)
+    print(f"{n} samples, {100 * own['??'] / n:.2f}% of them outside the binary; "
+          "inclusive and self shares")
+    for name, hits in incl.most_common(top):
+        print(f"{100 * hits / n:6.2f}%  {100 * own[name] / n:6.2f}%  {name}")
+
+
 def asm(path, binary, function, least):
-    with open(path) as f:
-        base = int(f.readline().split("-")[0], 16)
-        hits = collections.Counter(int(line, 16) - base for line in f)
+    hits = collections.Counter(stack[0] for stack in stacks(path))
     total = sum(hits.values())
     nm = subprocess.run(["nm", "-C", "-S", binary], capture_output=True, text=True, check=True)
     for sym in nm.stdout.splitlines():
@@ -139,6 +166,8 @@ def main():
         live(path, binary, int(rest[0]) if rest else 30)
     elif mode == "allocs":
         allocs(path, binary, float(rest[0]), int(rest[1]) if len(rest) > 1 else 30)
+    elif mode == "incl":
+        inclusive(path, binary, int(rest[0]) if rest else 30)
     elif mode == "asm":
         asm(path, binary, rest[0], float(rest[1]) if len(rest) > 1 else 0.5)
     else:
