@@ -114,8 +114,6 @@ pub struct Sim<W: World> {
     queue: Queue<W::Msg>,
     now: u64,
     delivered: u64,
-    /// Deliveries per destination node ([`Sim::hottest`] reads them).
-    delivered_by: Vec<u64>,
     /// Fault injection, if armed (see [`crate::chaos`]). `None` keeps the
     /// hot path chaos-free: non-chaos runs are event-for-event identical
     /// to a build without this field.
@@ -129,7 +127,6 @@ impl<W: World> Sim<W> {
         Sim {
             world,
             queue: Queue::new(),
-            delivered_by: vec![0; topo.len()],
             topo,
             now: 0,
             delivered: 0,
@@ -170,11 +167,6 @@ impl<W: World> Sim<W> {
     /// Whether no event is queued (the state `run_to_idle` ends in).
     pub fn is_idle(&self) -> bool {
         self.queue.len() == 0
-    }
-
-    /// Events delivered to node `dst` so far.
-    pub fn delivered_to(&self, dst: usize) -> u64 {
-        self.delivered_by.get(dst).copied().unwrap_or(0)
     }
 
     /// The queue's work so far (see [`QueueStats`]).
@@ -229,10 +221,6 @@ impl<W: World> Sim<W> {
             return;
         }
         self.delivered += 1;
-        if ev.dst >= self.delivered_by.len() {
-            self.delivered_by.resize(ev.dst + 1, 0);
-        }
-        self.delivered_by[ev.dst] += 1;
         let mut ctx = SimCtx {
             now: self.now,
             topo: &mut self.topo,
@@ -244,21 +232,13 @@ impl<W: World> Sim<W> {
     /// Run until the event queue drains or `max_events` events have been
     /// stepped (the bound on a runaway simulation); returns the virtual time
     /// reached. A run that spends its budget ends with events still queued:
-    /// [`Sim::is_idle`] says so, and [`Sim::hottest`] names the node that
-    /// livelocked.
+    /// [`Sim::is_idle`] says so.
     pub fn run_to_idle(&mut self, max_events: u64) -> u64 {
         let mut budget = max_events;
         while budget > 0 && self.step() {
             budget -= 1;
         }
         self.now
-    }
-
-    /// The node that absorbed the most deliveries (the lowest on a tie)
-    /// and how many it absorbed.
-    pub fn hottest(&self) -> (usize, u64) {
-        let by_node = self.delivered_by.iter().copied().enumerate();
-        by_node.fold((0, 0), |hot, (i, c)| if c > hot.1 { (i, c) } else { hot })
     }
 
     /// Events still queued.
@@ -489,17 +469,20 @@ mod tests {
         s.inject(0, 0, 0);
         s.inject(0, 1, 2);
         s.run_to_idle(100);
-        let per_node: u64 = (0..3).map(|n| s.delivered_to(n)).sum();
+        let delivered_to = |n| s.world.log.iter().filter(|e| e.1 == n).count() as u64;
+        let per_node: u64 = (0..3).map(delivered_to).sum();
         assert_eq!(per_node, s.delivered());
-        assert_eq!(s.delivered_to(0), 2); // 0@0 and the wrap 3@0
-        assert_eq!(s.delivered_to(99), 0);
+        assert_eq!(delivered_to(0), 2); // 0@0 and the wrap 3@0
     }
 
-    /// A node that reschedules itself forever once it sees msg 1.
-    struct Loopy;
+    /// A node that reschedules itself forever once it sees msg 1; the
+    /// world counts each node's deliveries.
+    #[derive(Default)]
+    struct Loopy([u64; 3]);
     impl World for Loopy {
         type Msg = u8;
         fn on_message(&mut self, dst: usize, m: u8, ctx: &mut SimCtx<'_, u8>) {
+            self.0[dst] += 1;
             if m == 1 {
                 ctx.schedule(1, dst, 1);
             }
@@ -508,7 +491,7 @@ mod tests {
 
     #[test]
     fn runaway_guard() {
-        let mut s = Sim::new(Loopy, Topology::gigabit_cluster(1));
+        let mut s = Sim::new(Loopy::default(), Topology::gigabit_cluster(1));
         s.inject(0, 0, 1);
         s.run_to_idle(50);
         assert!(!s.is_idle(), "the loop is still queued");
@@ -517,14 +500,14 @@ mod tests {
 
     #[test]
     fn runaway_guard_names_the_hottest_node() {
-        let mut s = Sim::new(Loopy, Topology::gigabit_cluster(3));
+        let mut s = Sim::new(Loopy::default(), Topology::gigabit_cluster(3));
         // Node 1 livelocks; nodes 0 and 2 each take one quiet event.
         s.inject(0, 0, 0);
         s.inject(0, 2, 0);
         s.inject(0, 1, 1);
         s.run_to_idle(50);
         assert!(!s.is_idle());
-        assert_eq!(s.hottest(), (1, 48));
+        assert_eq!(s.world.0, [1, 48, 1]);
     }
 
     #[test]

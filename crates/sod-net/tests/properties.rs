@@ -91,7 +91,7 @@ proptest! {
     /// The queue against a model: any random mix of injected events —
     /// equal-time ties across nodes and out-of-order injection included —
     /// is delivered exactly in a stable sort by `(at, injection index)`,
-    /// with the model's per-node delivery counts.
+    /// each to its own node.
     #[test]
     fn injected_mixes_deliver_in_model_order(
         events in proptest::collection::vec((0u64..50, 0usize..8), 1..60)
@@ -110,10 +110,6 @@ proptest! {
         model.sort_by_key(|&(at, _, _)| at); // stable: ties keep injection order
         prop_assert_eq!(t, model.last().unwrap().0);
         prop_assert_eq!(sim.delivered(), model.len() as u64);
-        for n in 0..8 {
-            let expect = model.iter().filter(|&&(_, dst, _)| dst == n).count() as u64;
-            prop_assert_eq!(sim.delivered_to(n), expect, "node {}", n);
-        }
         prop_assert_eq!(sim.world.log, model);
     }
 

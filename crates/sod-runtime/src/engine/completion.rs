@@ -35,13 +35,8 @@ impl Cluster {
         let batch = match collect_flush(&mut self.nodes[node].vm, origin, retval, &self.buf_pool) {
             Ok(b) => b,
             Err(e) => {
-                self.fail_session(
-                    node,
-                    sid,
-                    format!("completion flush encode failed: {e}"),
-                    ctx.now(),
-                );
-                return;
+                let error = format!("completion flush encode failed: {e}");
+                return self.fail_session(node, sid, error, ctx.now());
             }
         };
         let flush_bytes = batch.payload_bytes();
@@ -84,24 +79,19 @@ impl Cluster {
         let Some(w) = self.retire_session(node, sid) else {
             return;
         };
-        let (program, target, pop) = (w.program, w.return_to, w.home_pop_frames);
+        let (program, target, pop_frames) = (w.program, w.return_to, w.home_pop_frames);
         let dest = match target {
             ReturnTarget::Home => self.programs[program as usize].home,
             ReturnTarget::Session { node, .. } => node,
         };
-        ctx.send_after(
-            delay,
-            node,
-            dest,
-            CONTROL_MSG_BYTES,
-            Msg::SegmentReturn {
-                program,
-                session: sid,
-                target,
-                retval,
-                pop_frames: pop,
-            },
-        );
+        let returned = Msg::SegmentReturn {
+            program,
+            session: sid,
+            target,
+            retval,
+            pop_frames,
+        };
+        ctx.send_after(delay, node, dest, CONTROL_MSG_BYTES, returned);
     }
 
     #[allow(clippy::too_many_arguments)]

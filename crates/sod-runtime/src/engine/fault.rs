@@ -27,8 +27,7 @@
 //!   re-executes, giving at-least-once semantics).
 //!
 //! Deadlines are armed, and shipments kept for re-ships, only while a
-//! [`Recovery`] is armed with a chaos plan ([`super::SodSim::set_chaos`];
-//! read where an episode ships and where its deadline fires), so fault-free
+//! [`Recovery`] is armed with a chaos plan ([`Deadlines`]), so fault-free
 //! runs stay event-for-event identical to a build without this module. A
 //! deadline carries its episode's stamp, given at the freeze, and is inert
 //! once that episode closed. *Stale* means one thing: a state or home
@@ -38,12 +37,14 @@
 //! A run where nothing fails has none. `engine/protocol.rs` decides all of
 //! it; this module applies the decisions.
 
-use sod_net::{ChaosAction, DropReason, SimCtx};
+use sod_net::{ChaosAction, ChaosPlan, SimCtx};
 
 use crate::msg::{Msg, ProgramId, SessionId};
 
 use super::protocol::{HomeEffect, HomeInput};
-use super::Cluster;
+use super::{Cluster, SodSim};
+
+type Ctx<'a> = SimCtx<'a, Msg>;
 
 /// Default end-to-end migration deadline under fault injection (see
 /// [`Recovery::timeout_ns`]): generous against ordinary shipping and
@@ -83,6 +84,40 @@ impl Default for Recovery {
             policy: RetryPolicy::default(),
             timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,
         }
+    }
+}
+
+/// The [`Recovery`] armed with a chaos plan, if any. Its field is this
+/// module's, so it is read in three places alone: the policy a staged
+/// capture ships under, the deadline armed where an episode ships, and the
+/// one fired ([`Cluster::migration_timeout`]).
+#[derive(Default)]
+pub(super) struct Deadlines(Option<Recovery>);
+
+impl Deadlines {
+    pub(super) fn capture_done<S>(&self) -> HomeInput<S> {
+        HomeInput::CaptureDone(self.0.map(|r| r.policy))
+    }
+
+    pub(super) fn arm(&self, home: usize, program: ProgramId, ep: Option<u32>, ctx: &mut Ctx) {
+        if let (Some(episode), Some(r)) = (ep, self.0) {
+            let timeout = Msg::MigrationTimeout { program, episode };
+            ctx.schedule(r.timeout_ns, home, timeout);
+        }
+    }
+}
+
+impl SodSim {
+    /// Arm a fault-injection plan — scheduled crashes/partitions plus
+    /// seeded per-link loss — and with it `recovery`: each shipped
+    /// migration's deadline and what the home does when it fires. An
+    /// empty plan is a no-op, keeping the run event-for-event identical
+    /// to a chaos-free one.
+    pub fn set_chaos(&mut self, plan: &ChaosPlan, recovery: Recovery) {
+        if !plan.is_empty() {
+            self.sim.world.recovery = Deadlines(Some(recovery));
+        }
+        self.sim.set_chaos(plan);
     }
 }
 
@@ -141,14 +176,7 @@ impl Cluster {
     /// replies (accounted on arrival). Class and flush bytes are fully
     /// accounted at send time, so dropping them cannot unbalance the
     /// books and `lost.class` stays zero by construction.
-    pub(super) fn note_dropped(
-        &mut self,
-        src: usize,
-        dst: usize,
-        msg: Msg,
-        _reason: DropReason,
-        now: u64,
-    ) {
+    pub(super) fn note_dropped(&mut self, src: usize, dst: usize, msg: Msg, now: u64) {
         self.chaos.dropped_msgs += 1;
         let admitted = self.admit(dst, &msg);
         match msg {
@@ -213,7 +241,7 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         // A deadline exists only while recovery is armed.
-        let Some(recovery) = self.recovery else {
+        let Deadlines(Some(recovery)) = self.recovery else {
             return;
         };
         let deadline = HomeInput::Deadline(episode, recovery.policy);
@@ -430,11 +458,10 @@ mod tests {
         home.vm.heap.alloc_arr(3).unwrap();
         let mut cluster = Cluster::new(vec![home, Node::new(NodeConfig::cluster("worker"))]);
         let pid = cluster.add_program(0, "L", "main", vec![Value::Int(1)]);
-        let reason = DropReason::Loss;
 
         let batch = one_frame_batch(&cluster);
         let reply = Msg::ObjectReply { session: 9, batch };
-        cluster.note_dropped(0, 1, reply, reason, 0);
+        cluster.note_dropped(0, 1, reply, 0);
         assert_eq!(cluster.buf_pool.idle(), 1, "dropped reply");
         drop(cluster.buf_pool.checkout());
 
@@ -444,7 +471,7 @@ mod tests {
             batch,
             ack_to: None,
         };
-        cluster.note_dropped(1, 0, flush, reason, 0);
+        cluster.note_dropped(1, 0, flush, 0);
         assert_eq!(cluster.buf_pool.idle(), 1, "dropped flush");
         drop(cluster.buf_pool.checkout());
 

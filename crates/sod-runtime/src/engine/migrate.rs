@@ -265,10 +265,7 @@ impl Cluster {
             Vec::new()
         };
         self.home_step(program, HomeInput::Shipped(sessions, kept));
-        if let (Some(episode), Some(recovery)) = (shipment.deadline, self.recovery) {
-            let timeout = Msg::MigrationTimeout { program, episode };
-            ctx.schedule(recovery.timeout_ns, home, timeout);
-        }
+        self.recovery.arm(home, program, shipment.deadline, ctx);
         for seg in segs {
             self.ship_segment(home, 0, seg, ctx);
         }
@@ -457,21 +454,12 @@ impl Cluster {
             return ctx.schedule(elapsed, node, Msg::RunSlice { tid });
         };
         let (program, home, origin) = (w.program, w.home, w.origin());
-        let batch = match super::objects::collect_flush(
-            &mut self.nodes[node].vm,
-            origin,
-            None,
-            &self.buf_pool,
-        ) {
+        let vm = &mut self.nodes[node].vm;
+        let batch = match super::objects::collect_flush(vm, origin, None, &self.buf_pool) {
             Ok(b) => b,
             Err(e) => {
-                self.fail_session(
-                    node,
-                    sid,
-                    format!("roam flush encode failed: {e}"),
-                    ctx.now(),
-                );
-                return;
+                let error = format!("roam flush encode failed: {e}");
+                return self.fail_session(node, sid, error, ctx.now());
             }
         };
         if batch.is_empty() {
@@ -482,17 +470,13 @@ impl Cluster {
             let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
             self.programs[program as usize].report.object_bytes += flush_bytes;
-            ctx.send_after(
-                elapsed + ser,
-                node,
-                home,
-                flush_bytes + super::CONTROL_MSG_BYTES,
-                Msg::Flush {
-                    program,
-                    batch,
-                    ack_to: Some((node, sid)),
-                },
-            );
+            let flush = Msg::Flush {
+                program,
+                batch,
+                ack_to: Some((node, sid)),
+            };
+            let bytes = flush_bytes + super::CONTROL_MSG_BYTES;
+            ctx.send_after(elapsed + ser, node, home, bytes, flush);
         }
     }
 

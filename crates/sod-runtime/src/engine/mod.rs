@@ -79,9 +79,10 @@ pub use fault::{Recovery, RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, PoolSpecError, ScalePolicy, POOL_DEST_BASE, POOL_TICK_NS};
 #[doc(hidden)]
 pub use protocol::HomeView;
+pub use request::Requested;
 pub(crate) use session::{Owner, WorkerSession};
 
-use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
+use sod_net::{Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::{BufferPool, FrameBatch};
 
@@ -210,13 +211,10 @@ pub struct Cluster {
     /// captures, object replies, flush batches). Pool state never
     /// influences encoded bytes, so reuse cannot perturb determinism.
     buf_pool: BufferPool,
-    /// How a migration that misses its deadline recovers; `Some` only
-    /// while a fault-injection plan is armed ([`SodSim::set_chaos`]). Read
-    /// where an episode ships and where its deadline fires, the one place
-    /// it gates anything: the deadline timer and the shipment kept for
-    /// re-ships, so fault-free runs are event-for-event identical to the
-    /// pre-chaos engine.
-    recovery: Option<Recovery>,
+    /// How a migration that misses its deadline recovers, armed only with
+    /// a fault-injection plan, so fault-free runs are event-for-event
+    /// identical to the pre-chaos engine.
+    recovery: fault::Deadlines,
     /// Fault-injection tallies, surfaced on the [`ClusterReport`].
     chaos: ChaosCounters,
     /// Elastic node pools (see `engine/pool.rs`); empty when the scenario
@@ -244,7 +242,7 @@ impl Cluster {
             slice_ns: DEFAULT_SLICE_NS,
             code_shipping: CodeShipping::default(),
             buf_pool: BufferPool::new(),
-            recovery: None,
+            recovery: fault::Deadlines::default(),
             chaos: ChaosCounters::default(),
             pools: Vec::new(),
             finishes: pool::FinishWindow::default(),
@@ -552,7 +550,7 @@ impl World for Cluster {
                     .insert(tid, Owner::Root(program));
                 ctx.schedule(0, dst, Msg::RunSlice { tid });
             }
-            Msg::MigrateNow { program, plan } => {
+            Msg::MigrateNow { program, plan, .. } => {
                 // The live slice chain observes the plan at its next stop;
                 // scheduling another slice here would double-drive the
                 // thread.
@@ -563,7 +561,7 @@ impl World for Cluster {
             Msg::RunSlice { tid } => self.run_slice(dst, tid, ctx),
             Msg::HostDone { tid, call, reply } => self.host_done(dst, (tid, call), reply, ctx),
             Msg::CaptureDone { program } => {
-                let captured = HomeInput::CaptureDone(self.recovery.map(|r| r.policy));
+                let captured = self.recovery.capture_done();
                 if let HomeEffect::Ship(shipment) = self.home_step(program, captured) {
                     self.ship_episode(program, shipment, ctx);
                 }
@@ -635,19 +633,46 @@ impl World for Cluster {
         self.apply_chaos(action, now);
     }
 
-    fn on_dropped(
-        &mut self,
-        src: usize,
-        dst: usize,
-        msg: Msg,
-        reason: sod_net::DropReason,
-        now: u64,
-    ) {
-        self.note_dropped(src, dst, msg, reason, now);
+    fn on_dropped(&mut self, src: usize, dst: usize, msg: Msg, _: sod_net::DropReason, now: u64) {
+        self.note_dropped(src, dst, msg, now);
     }
 
     fn on_duplicated(&mut self, src: usize, _dst: usize, msg: &Msg) {
         self.note_duplicated(src, msg);
+    }
+}
+
+/// The one way to request a migration: [`SodSim::migrate`] alone builds
+/// the [`Requested`] a `MigrateNow` carries.
+mod request {
+    use super::{Armed, MigrationPlan, Msg, ProgramId, SodSim, When};
+
+    /// What a `MigrateNow` carries to show that [`SodSim::migrate`] sent
+    /// it: zero bytes, built nowhere but in this module. A copy of a sent
+    /// one (a duplicate, a test's forgery) is a clone.
+    #[derive(Clone, Debug)]
+    pub struct Requested(());
+
+    impl SodSim {
+        /// Migrate `program` per `plan` when `when` says (see
+        /// [`crate::trigger`]): [`When::At`] injects a `MigrateNow` event
+        /// at that virtual time; every other policy is armed on the
+        /// program and fires at most once.
+        pub fn migrate(&mut self, program: ProgramId, when: When, plan: MigrationPlan) {
+            let p = &mut self.sim.world.programs[program as usize];
+            match when {
+                When::At(at) => {
+                    let (home, by) = (p.home, Requested(()));
+                    let request = Msg::MigrateNow { program, plan, by };
+                    self.sim.inject(at, home, request);
+                }
+                _ => p.armed.push(Armed {
+                    when,
+                    plan,
+                    fired: false,
+                }),
+            }
+        }
     }
 }
 
@@ -668,37 +693,6 @@ impl SodSim {
     pub fn start_program(&mut self, at: u64, program: ProgramId) {
         let home = self.sim.world.programs[program as usize].home;
         self.sim.inject(at, home, Msg::StartProgram { program });
-    }
-
-    /// Migrate `program` per `plan` when `when` says (see
-    /// [`crate::trigger`]): [`When::At`] injects a `MigrateNow` event at
-    /// that virtual time; every other policy is armed on the program and
-    /// fires at most once.
-    pub fn migrate(&mut self, program: ProgramId, when: When, plan: MigrationPlan) {
-        let p = &mut self.sim.world.programs[program as usize];
-        match when {
-            When::At(at) => {
-                let home = p.home;
-                self.sim.inject(at, home, Msg::MigrateNow { program, plan });
-            }
-            _ => p.armed.push(Armed {
-                when,
-                plan,
-                fired: false,
-            }),
-        }
-    }
-
-    /// Arm a fault-injection plan — scheduled crashes/partitions plus
-    /// seeded per-link loss — and with it `recovery`: each shipped
-    /// migration's deadline and what the home does when it fires. An
-    /// empty plan is a no-op, keeping the run event-for-event identical
-    /// to a chaos-free one.
-    pub fn set_chaos(&mut self, plan: &ChaosPlan, recovery: Recovery) {
-        if !plan.is_empty() {
-            self.sim.world.recovery = Some(recovery);
-        }
-        self.sim.set_chaos(plan);
     }
 
     /// Inject the first controller tick for every registered pool (each
@@ -764,7 +758,10 @@ impl SodSim {
     pub fn check_idle(&self) -> Result<(), String> {
         let (sim, world) = (&self.sim, &self.sim.world);
         ensure(sim.is_idle(), || {
-            let ((hot, count), queued) = (sim.hottest(), sim.queued());
+            // The node that absorbed the most deliveries, the lowest on a tie.
+            let by_node = world.nodes.iter().map(|n| n.events).enumerate();
+            let hottest = |hot: (usize, u64), (i, c)| if c > hot.1 { (i, c) } else { hot };
+            let ((hot, count), queued) = (by_node.fold((0, 0), hottest), sim.queued());
             format!(
                 "the event queue is not drained: {queued} queued at t={} ns; hottest node \
                  {hot} absorbed {count} of the {} deliveries",

@@ -226,8 +226,12 @@ fn close<S>(state: &mut Home<S>) -> HomeEffect<S> {
 /// A migrated segment's lifecycle at its destination. The decoded stack
 /// travels inside the one phase that still reads it. A session that is
 /// done is not stored at all: retirement removes it from its node, so
-/// every handler treats a retired session as an unknown one.
-pub(crate) enum WorkerPhase<T> {
+/// every handler treats a retired session as an unknown one. Opaque: a
+/// phase is born awaiting its classes ([`WorkerPhase::arrived`]), and
+/// only [`worker`] moves it.
+pub(crate) struct WorkerPhase<T>(Phase<T>);
+
+enum Phase<T> {
     /// Classes the segment names are in flight, sorted (or all are here
     /// and `BeginRestore` is).
     AwaitClasses { missing: Vec<String>, state: T },
@@ -243,6 +247,14 @@ pub(crate) enum WorkerPhase<T> {
     AwaitRoamAck { dest: usize },
     /// Completion flush with ack (a worker-created object is returned).
     AwaitCompleteAck { retval: Option<CapturedValue> },
+}
+
+impl<T> WorkerPhase<T> {
+    /// A segment that landed with its decoded stack, awaiting the classes
+    /// it names that are not here (sorted).
+    pub(super) fn arrived(missing: Vec<String>, state: T) -> Self {
+        WorkerPhase(Phase::AwaitClasses { missing, state })
+    }
 }
 
 /// What a worker session is told: a `State` with its id where it lives; a
@@ -297,7 +309,8 @@ pub(super) enum WorkerEffect<T> {
 
 /// One step of a worker session.
 pub(super) fn worker<T>(phase: &mut WorkerPhase<T>, input: WorkerInput<'_>) -> WorkerEffect<T> {
-    use {WorkerEffect as E, WorkerInput as I, WorkerPhase as P};
+    use {Phase as P, WorkerEffect as E, WorkerInput as I};
+    let phase = &mut phase.0;
     match (&mut *phase, input) {
         (P::AwaitClasses { missing, .. }, I::Class { name, .. }) => {
             let Some(i) = missing.iter().position(|c| c == name) else {

@@ -126,10 +126,7 @@ impl Cluster {
             nframes: info.nframes,
             home_pop_frames: info.home_pop_frames,
             wait_for_return: info.wait_for_return,
-            phase: WorkerPhase::AwaitClasses {
-                missing,
-                state: Box::new(state),
-            },
+            phase: WorkerPhase::arrived(missing, Box::new(state)),
             timings,
             arrived_at: arrived,
             class_wait_ns: 0,

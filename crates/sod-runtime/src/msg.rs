@@ -162,10 +162,11 @@ pub enum Msg {
     /// Begin executing the registered program.
     StartProgram { program: ProgramId },
     /// Trigger a migration of the program's thread per `plan` at the next
-    /// migration-safe point.
+    /// migration-safe point. Only [`crate::SodSim::migrate`] sends one.
     MigrateNow {
         program: ProgramId,
         plan: MigrationPlan,
+        by: crate::engine::Requested,
     },
 
     // -- execution timers ----------------------------------------------------

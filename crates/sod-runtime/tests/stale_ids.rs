@@ -15,9 +15,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sod_net::MS;
+use sod_net::{Topology, MS};
 use sod_runtime::msg::{HostReply, ReturnTarget};
-use sod_runtime::{Msg, NodeConfig, ProgramId, ScalePolicy, SessionId, SodSim};
+use sod_runtime::{
+    Cluster, MigrationPlan, Msg, Node, NodeConfig, ProgramId, ScalePolicy, SessionId, SodSim,
+};
 use sod_vm::capture::CapturedValue;
 use sod_vm::class::ClassDef;
 use sod_vm::interp::slot_of;
@@ -179,6 +181,20 @@ fn stale_messages_for_a_retired_session_touch_nothing() {
     assert!(report == expected, "a stale message changed the run");
 }
 
+/// A `MigrateNow` naming `program`. Only `SodSim::migrate` builds one, so
+/// it is taken from a one-node driver's queue and renamed.
+fn migrate_now(program: ProgramId, plan: MigrationPlan) -> Msg {
+    let mut cluster = Cluster::new(vec![Node::new(NodeConfig::cluster("a"))]);
+    let p = cluster.add_program(0, "Deep", "down", vec![]);
+    let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(1));
+    sim.migrate(p, When::At(0), plan);
+    let mut msg = sim.sim.choices()[0].msg.clone();
+    if let Msg::MigrateNow { program: named, .. } = &mut msg {
+        *named = program;
+    }
+    msg
+}
+
 /// A message naming a program, pool or node the run never had is dropped
 /// at dispatch: every one of these indexed past a table before.
 #[test]
@@ -211,7 +227,7 @@ fn messages_naming_no_program_pool_or_node_touch_nothing() {
                 capture_ns: 0,
                 sent_at: 0,
             };
-            let plan = sod_runtime::MigrationPlan::top_to(1, 1);
+            let plan = MigrationPlan::top_to(1, 1);
             let request = |requester, program| Msg::ClassRequest {
                 session: 1,
                 requester,
@@ -226,7 +242,7 @@ fn messages_naming_no_program_pool_or_node_touch_nothing() {
             };
             let messages = [
                 Msg::StartProgram { program: bad },
-                Msg::MigrateNow { program: bad, plan },
+                migrate_now(bad, plan),
                 Msg::MigrationTimeout {
                     program: bad,
                     episode: 1,

@@ -51,6 +51,8 @@
 //!   instructions only preprocessor-injected code executes live further out
 //!   of line in `exec_protocol`.
 
+#![deny(clippy::inline_always)]
+
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -2380,7 +2382,7 @@ impl Vm {
         } = &mut self.threads[slot_of(tid)];
         let callee = (target_ci, target_mi, &classes[target_ci].linked[target_mi]);
         let moved = Top::of(classes, frames, stack.len())
-            .ok_or(Refusal::NoCaller)
+            .ok_or_else(|| Refusal::NoCaller)
             .and_then(|caller| {
                 Self::with_room(stack, |full| {
                     Self::push_callee_frame(frames, full, max_height, &caller, callee, nargs)

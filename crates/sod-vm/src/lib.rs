@@ -58,10 +58,8 @@
 //! assert_eq!(result, Some(Value::Int(42)));
 //! ```
 
-// `VmError` owns strings, so it has drop glue: `ok_or(VmError::..)` builds
-// an error on every call and drops it, out of line, on every success —
-// 8.5 % of the reference fleet's host time before CI banned the spelling.
-// Clippy sees only a cheap constructor and asks for `ok_or` back.
+// `crates/clippy.toml` disallows `ok_or` (an eager `VmError` cost 8.5 % of
+// a fleet's host time); this lint would ask for it back.
 #![allow(clippy::unnecessary_lazy_evaluations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
