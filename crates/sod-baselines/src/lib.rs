@@ -18,8 +18,8 @@
 //! transfer / restore) so the Table IV comparison is apples-to-apples. The
 //! models run over *real measurements* of the workload executing on the
 //! sod-vm (state sizes, heap bytes, stack heights) — only the mechanism
-//! costs are analytic, with constants documented next to their paper
-//! anchors.
+//! costs are analytic, each a row of the cost table (`sod_vm::costs`)
+//! with its paper anchor.
 
 pub mod process_mig;
 pub mod systems;

@@ -6,27 +6,20 @@
 //! everything. Table IV anchors: Fib (46 frames, tiny heap) ≈ 60 ms
 //! capture; FFT (64 MB statics) ≈ 457 / 1054 / 959 ms.
 
-use sod_net::time::US;
-use sod_runtime::costs::{class_load_ns, deserialize_ns, serialize_ns};
+use sod_vm::costs::{
+    CLASS_LOAD, DESERIALIZE, GIGABIT, GJAVAMPI_CAPTURE, GJAVAMPI_RESTORE_FRAME, SERIALIZE,
+};
 
-use crate::systems::{gigabit_transfer_ns, MigrationBreakdown, WorkloadMeasure};
-
-/// Per-frame capture cost over the older debugger interface (slower than
-/// JVMTI; the paper's Fib capture is ≈1.3 ms/frame).
-pub const CAPTURE_PER_FRAME_NS: u64 = 900 * US;
-
-/// Fixed suspend/setup cost per migration.
-pub const CAPTURE_FIXED_NS: u64 = 2_000 * US;
+use crate::systems::{MigrationBreakdown, WorkloadMeasure};
 
 /// Migration breakdown for an eager-copy process migration of `m`.
 pub fn breakdown(m: &WorkloadMeasure) -> MigrationBreakdown {
-    let state_bytes = m.stack_bytes + m.heap_bytes;
-    let capture_ns =
-        CAPTURE_FIXED_NS + CAPTURE_PER_FRAME_NS * m.frames as u64 + serialize_ns(state_bytes);
-    let transfer_ns = gigabit_transfer_ns(state_bytes + m.class_bytes);
-    let restore_ns = deserialize_ns(state_bytes)
-        + class_load_ns(m.class_bytes)
-        + CAPTURE_PER_FRAME_NS * m.frames as u64 / 2;
+    let (state_bytes, frames) = (m.stack_bytes + m.heap_bytes, m.frames as u64);
+    let capture_ns = GJAVAMPI_CAPTURE.of(frames) + SERIALIZE.of(state_bytes);
+    let transfer_ns = GIGABIT.of(state_bytes + m.class_bytes);
+    let restore_ns = DESERIALIZE.of(state_bytes)
+        + CLASS_LOAD.of(m.class_bytes)
+        + GJAVAMPI_RESTORE_FRAME.of(frames);
     MigrationBreakdown {
         capture_ns,
         transfer_ns,

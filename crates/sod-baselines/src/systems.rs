@@ -1,7 +1,7 @@
 //! Shared measurement plumbing for the cross-system comparison.
 
-use sod_net::NS_PER_SEC;
 use sod_vm::class::ClassDef;
+use sod_vm::costs::{AGENT_IDLE, GJAVAMPI_EXEC, JESSICA2_EXEC, XEN_EXEC};
 use sod_vm::interp::{RunMode, StepOutcome, Vm};
 use sod_vm::value::Value;
 
@@ -44,10 +44,10 @@ impl System {
     pub fn exec_scale_per_mille(self) -> u64 {
         match self {
             System::Jdk => 1000,
-            System::Sodee => 1005,
-            System::GJavaMpi => 1004,
-            System::Jessica2 => 4098,
-            System::Xen => 2203,
+            System::Sodee => AGENT_IDLE.rate,
+            System::GJavaMpi => GJAVAMPI_EXEC.rate,
+            System::Jessica2 => JESSICA2_EXEC.rate,
+            System::Xen => XEN_EXEC.rate,
         }
     }
 }
@@ -123,14 +123,10 @@ pub fn measure_workload(class: &ClassDef, entry: &str, n: i64) -> WorkloadMeasur
     }
 }
 
-/// Transfer time for `bytes` on a Gigabit link plus a TCP setup floor.
-pub fn gigabit_transfer_ns(bytes: u64) -> u64 {
-    2_000_000 + bytes * 8 * NS_PER_SEC / 1_000_000_000
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sod_vm::costs::GIGABIT;
     use sod_workloads::programs::fib_class;
 
     #[test]
@@ -155,9 +151,9 @@ mod tests {
 
     #[test]
     fn gigabit_floor() {
-        assert!(gigabit_transfer_ns(0) >= 2_000_000);
+        assert!(GIGABIT.of(0) >= 2_000_000);
         // 64 MB ≈ 512 ms + floor.
-        let t = gigabit_transfer_ns(64 << 20);
+        let t = GIGABIT.of(64 << 20);
         assert!(t > 500_000_000 && t < 600_000_000);
     }
 }

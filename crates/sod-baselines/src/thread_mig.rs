@@ -8,27 +8,17 @@
 //! allocates space for static arrays at class loading", so FFT's 64 MB
 //! static array inflates restore from ~8 ms to ~72 ms.
 
-use sod_net::time::US;
-use sod_runtime::costs::class_load_ns;
-use sod_vm::costs::alloc_cost;
+use sod_vm::costs::{ALLOC, CLASS_LOAD, GIGABIT, JESSICA2_CAPTURE, JESSICA2_RESTORE};
 
-use crate::systems::{gigabit_transfer_ns, MigrationBreakdown, WorkloadMeasure};
-
-/// Fixed in-kernel capture cost.
-pub const CAPTURE_FIXED_NS: u64 = 30 * US;
-
-/// Per-frame in-kernel capture cost.
-pub const CAPTURE_PER_FRAME_NS: u64 = 7 * US;
-
-/// Fixed restore cost (thread re-establishment inside the JVM).
-pub const RESTORE_FIXED_NS: u64 = 6_000 * US;
+use crate::systems::{MigrationBreakdown, WorkloadMeasure};
 
 /// Migration breakdown for an in-JVM thread migration of `m`.
 pub fn breakdown(m: &WorkloadMeasure) -> MigrationBreakdown {
-    let capture_ns = CAPTURE_FIXED_NS + CAPTURE_PER_FRAME_NS * m.frames as u64;
-    let transfer_ns = gigabit_transfer_ns(m.stack_bytes);
+    let capture_ns = JESSICA2_CAPTURE.of(m.frames as u64);
+    let transfer_ns = GIGABIT.of(m.stack_bytes);
+    // Static arrays are allocated at class load.
     let restore_ns =
-        RESTORE_FIXED_NS + class_load_ns(m.class_bytes) + alloc_cost(m.static_array_bytes); // statics allocated at load!
+        JESSICA2_RESTORE.fixed + CLASS_LOAD.of(m.class_bytes) + ALLOC.of(m.static_array_bytes);
     MigrationBreakdown {
         capture_ns,
         transfer_ns,
@@ -39,6 +29,7 @@ pub fn breakdown(m: &WorkloadMeasure) -> MigrationBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sod_net::time::US;
 
     fn base() -> WorkloadMeasure {
         WorkloadMeasure {

@@ -9,6 +9,7 @@
 //! lightweight comparison" of Table IV.
 
 use sod_net::NS_PER_SEC;
+use sod_vm::costs::{XEN_PAGE, XEN_PAUSE};
 
 /// Pre-copy parameters.
 #[derive(Clone, Copy, Debug)]
@@ -52,10 +53,8 @@ pub struct PrecopyResult {
     pub bytes_sent: u64,
 }
 
-const PAGE: u64 = 4096;
-
 fn send_time_ns(pages: u64, bandwidth_bps: u64) -> u64 {
-    pages * PAGE * 8 * NS_PER_SEC / bandwidth_bps.max(1)
+    XEN_PAGE.of(pages) * 8 * NS_PER_SEC / bandwidth_bps.max(1)
 }
 
 /// Simulate iterative pre-copy.
@@ -69,15 +68,15 @@ pub fn simulate(cfg: &PrecopyConfig) -> PrecopyResult {
         rounds += 1;
         let t = send_time_ns(to_send, cfg.bandwidth_bps);
         total_ns += t;
-        bytes += to_send * PAGE;
+        bytes += XEN_PAGE.of(to_send);
         // Pages dirtied while this round was in flight.
         let dirtied = (cfg.dirty_pages_per_sec as u128 * t as u128 / NS_PER_SEC as u128) as u64;
         let dirtied = dirtied.min(cfg.used_pages);
         if dirtied <= cfg.stop_threshold_pages || rounds >= cfg.max_rounds || dirtied >= to_send {
             // Stop-and-copy the remainder.
-            let freeze = send_time_ns(dirtied, cfg.bandwidth_bps) + 30_000_000; // + pause/resume
+            let freeze = send_time_ns(dirtied, cfg.bandwidth_bps) + XEN_PAUSE.fixed;
             total_ns += freeze;
-            bytes += dirtied * PAGE;
+            bytes += XEN_PAGE.of(dirtied);
             return PrecopyResult {
                 total_ns,
                 freeze_ns: freeze,

@@ -258,7 +258,7 @@ fn run_with_migration(class: &ClassDef, a: i64, b: i64, steps: usize) -> Option<
     }
 
     let height = home.thread(tid).unwrap().frames.len();
-    let (state, _) = capture_segment(&mut home, tid, height, ToolingPath::Internal).unwrap();
+    let (state, _) = capture_segment(&mut home, tid, height, ToolingPath::Jvmti).unwrap();
 
     let mut worker = Vm::new();
     worker.load_class(class).unwrap();
@@ -298,7 +298,7 @@ fn count_faults(class: &ClassDef, a: i64, b: i64, steps: usize) -> (Option<Value
         return (v, 0);
     }
     let height = home.thread(tid).unwrap().frames.len();
-    let (state, _) = capture_segment(&mut home, tid, height, ToolingPath::Internal).unwrap();
+    let (state, _) = capture_segment(&mut home, tid, height, ToolingPath::Jvmti).unwrap();
     let mut worker = Vm::new();
     worker.load_class(class).unwrap();
     let wtid = restore_segment_direct(&mut worker, &state).unwrap();
@@ -429,7 +429,7 @@ fn capture_anywhere_fails_cleanly_off_msp() {
         if vm.thread(tid).unwrap().is_finished() {
             break;
         }
-        match capture_segment(&mut vm, tid, 1, ToolingPath::Internal) {
+        match capture_segment(&mut vm, tid, 1, ToolingPath::Jvmti) {
             Ok(_) => allowed += 1,
             Err(VmError::NotAtMigrationSafePoint { .. }) => refused += 1,
             Err(e) => panic!("unexpected error {e}"),

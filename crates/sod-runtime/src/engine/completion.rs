@@ -3,17 +3,16 @@
 
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
+use sod_vm::costs;
 use sod_vm::error::{VmError, VmResult};
 use sod_vm::interp::{ThreadState, Vm};
-use sod_vm::tooling::jvmti;
 use sod_vm::value::Value;
 
-use crate::costs;
 use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
 use super::objects::{collect_flush, export_with_temps};
 use super::protocol::{self, HomeInput, WorkerEffect, WorkerInput};
-use super::{Cluster, CONTROL_MSG_BYTES, TEMP_ID_BASE};
+use super::{Cluster, TEMP_ID_BASE};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -43,7 +42,7 @@ impl Cluster {
         let n = &mut self.nodes[node];
         let retval = retval.map(|v| export_with_temps(&n.vm, v));
         let ack = matches!(retval, Some(CapturedValue::HomeRef(h)) if h >= TEMP_ID_BASE);
-        let ser = costs::serialize_ns(flush_bytes.max(1));
+        let ser = costs::SERIALIZE.of(flush_bytes.max(1));
         let cost = elapsed + n.cfg.scale(ser);
         n.net_sent.object += flush_bytes;
         self.programs[program as usize].report.object_bytes += flush_bytes;
@@ -61,7 +60,13 @@ impl Cluster {
                 batch,
                 ack_to,
             };
-            ctx.send_after(cost, node, home, flush_bytes + CONTROL_MSG_BYTES, flush);
+            ctx.send_after(
+                cost,
+                node,
+                home,
+                flush_bytes + costs::CONTROL_MSG.fixed,
+                flush,
+            );
         }
         if let WorkerEffect::Return(retval) = effect {
             self.send_segment_return(node, sid, retval, cost, ctx);
@@ -91,7 +96,7 @@ impl Cluster {
             retval,
             pop_frames,
         };
-        ctx.send_after(delay, node, dest, CONTROL_MSG_BYTES, returned);
+        ctx.send_after(delay, node, dest, costs::CONTROL_MSG.fixed, returned);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -148,7 +153,7 @@ impl Cluster {
                 match finished {
                     Some(v) => self.end_program(program, Ok(v), ctx.now()),
                     None => ctx.schedule(
-                        self.nodes[node].cfg.scale(jvmti::FORCE_EARLY_RETURN_NS),
+                        self.nodes[node].cfg.scale(costs::FORCE_EARLY_RETURN.fixed),
                         node,
                         Msg::RunSlice { tid },
                     ),
@@ -182,7 +187,7 @@ impl Cluster {
                     let error = format!("segment return failed: {e}");
                     return self.fail_session(node, session, error, ctx.now());
                 }
-                ctx.schedule(1_000, node, Msg::RunSlice { tid });
+                ctx.schedule(costs::RETURN_RESUME.fixed, node, Msg::RunSlice { tid });
             }
         }
     }

@@ -4,17 +4,17 @@
 
 use sod_net::SimCtx;
 use sod_vm::class::ExKind;
+use sod_vm::costs;
 use sod_vm::error::VmError;
 use sod_vm::interp::{ExceptionInfo, ParkReason, RunMode, StepOutcome, ThreadState};
 use sod_vm::value::Value;
 
-use crate::costs;
 use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
 use crate::trigger::When;
 
 use super::protocol::{self, HomeEffect, HomeInput, PlanSource, WorkerEffect, WorkerInput};
 use super::session::Owner;
-use super::{Cluster, CONTROL_MSG_BYTES};
+use super::Cluster;
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -125,7 +125,7 @@ impl Cluster {
                     elapsed,
                     node,
                     home,
-                    CONTROL_MSG_BYTES,
+                    costs::CONTROL_MSG.fixed,
                     Msg::ObjectRequest {
                         session: sid,
                         requester: node,
@@ -220,7 +220,7 @@ impl Cluster {
                 let path = str_arg(self, 0);
                 let meta = self.lookup_file(node, &path);
                 let bytes = meta.map_or(-1, |(m, _)| m.bytes as i64);
-                (50_000, HostReply::Int(bytes))
+                (costs::FS_SIZE.fixed, HostReply::Int(bytes))
             }
             "fs_list" => {
                 let dir = str_arg(self, 0);
@@ -229,7 +229,7 @@ impl Cluster {
                 if let Some(server) = self.nodes[node].fs.serving_node(&dir) {
                     entries = self.nodes[server].fs.list(&dir);
                 }
-                (200_000, HostReply::List(entries))
+                (costs::FS_LIST.fixed, HostReply::List(entries))
             }
             "fs_search" | "fs_read" => {
                 let path = str_arg(self, 0);
@@ -260,7 +260,13 @@ impl Cluster {
                             path,
                             op,
                         };
-                        return ctx.send_after(elapsed, node, server, CONTROL_MSG_BYTES, read);
+                        return ctx.send_after(
+                            elapsed,
+                            node,
+                            server,
+                            costs::CONTROL_MSG.fixed,
+                            read,
+                        );
                     }
                     None => (0, HostReply::Int(-1)),
                 }
@@ -273,7 +279,7 @@ impl Cluster {
                 let payload = str_arg(self, 0);
                 // Response leaves on the node's uplink; cost modelled as a
                 // flat per-byte charge (clients are outside the cluster).
-                let cost = 100_000 + payload.len() as u64 * 8;
+                let cost = costs::SOCK_SEND.of(payload.len() as u64);
                 (cost, HostReply::Int(payload.len() as i64))
             }
             // The VM parks on any name outside its pure registry: a guest
@@ -321,7 +327,7 @@ impl Cluster {
             ctx.send(
                 dst,
                 requester,
-                CONTROL_MSG_BYTES,
+                costs::CONTROL_MSG.fixed,
                 Msg::FsData {
                     tid,
                     call,
@@ -438,7 +444,7 @@ impl Cluster {
                     self.end_program(program, Err(format!("class not found: {name}")), at);
                     return;
                 };
-                let cost = costs::class_load_ns(self.nodes[node].class_size(&class));
+                let cost = costs::CLASS_LOAD.of(self.nodes[node].class_size(&class));
                 // Loading only *adds* resolvable names — the VM's class
                 // table is append-only, so inline caches warmed by already
                 // running threads stay valid (misses are never cached) and
@@ -468,7 +474,7 @@ impl Cluster {
                     elapsed,
                     node,
                     home,
-                    CONTROL_MSG_BYTES,
+                    costs::CONTROL_MSG.fixed,
                     Msg::ClassRequest {
                         session: sid,
                         requester: node,

@@ -9,11 +9,11 @@ use std::sync::Arc;
 use sod_net::SimCtx;
 use sod_vm::capture::{capture_segment, CapturedState};
 use sod_vm::class::ClassDef;
+use sod_vm::costs;
 use sod_vm::error::VmResult;
 use sod_vm::tooling::ToolingPath;
 use sod_vm::wire::encode_state_pooled;
 
-use crate::costs;
 use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId, StateMsg};
 
 use super::pool::POOL_DEST_BASE;
@@ -108,7 +108,8 @@ impl Cluster {
         // A deployed class that was never preprocessed can stop with an
         // operand under a call's arguments, which a multi-frame plan then
         // cannot capture: that program fails, typed; the fleet runs on.
-        let (full, capture_ns) = match self.capture(node, tid, total, all_jvmti) {
+        let path = ToolingPath::for_destination(all_jvmti);
+        let (full, capture_ns) = match self.capture(node, tid, total, path) {
             Ok(captured) => captured,
             Err(e) => return self.end_program(program, Err(e.to_string()), ctx.now() + elapsed),
         };
@@ -157,24 +158,17 @@ impl Cluster {
         ctx.schedule(elapsed + capture_ns, node, Msg::CaptureDone { program });
     }
 
-    /// Capture the top `nframes` of `tid` on `node` and price the freeze:
-    /// the tooling's own charge when every receiving destination has
-    /// JVMTI, else the portable path — JVMTI read plus Java serialization
-    /// into a format restorable without JVMTI, priced on the capture's
-    /// wire size.
+    /// Capture the top `nframes` of `tid` on `node` and price the freeze on
+    /// `path`: JVMTI when every receiving destination has it, else the
+    /// portable path, priced on the capture's wire size.
     fn capture(
         &mut self,
         node: usize,
         tid: usize,
         nframes: usize,
-        jvmti: bool,
+        path: ToolingPath,
     ) -> VmResult<(CapturedState, u64)> {
-        let vm = &mut self.nodes[node].vm;
-        let (state, tool_ns) = capture_segment(vm, tid, nframes, ToolingPath::Jvmti)?;
-        let ns = match jvmti {
-            true => tool_ns,
-            false => costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(state.wire_bytes()),
-        };
+        let (state, ns) = capture_segment(&mut self.nodes[node].vm, tid, nframes, path)?;
         Ok((state, self.nodes[node].cfg.scale(ns)))
     }
 
@@ -288,10 +282,10 @@ impl Cluster {
         self.nodes[sender].net_sent.class += seg.class_bytes;
         self.programs[seg.info.program as usize].report.class_bytes += seg.class_bytes;
         ctx.send_after(
-            delay + costs::MIGRATION_HANDSHAKE_NS,
+            delay + costs::HANDSHAKE.fixed,
             sender,
             seg.dest,
-            state_bytes + seg.class_bytes + costs::MIGRATION_MSG_FIXED_BYTES,
+            state_bytes + seg.class_bytes + costs::MIGRATION_MSG.fixed,
             Msg::State(Box::new(StateMsg {
                 info: seg.info,
                 state: seg.frame,
@@ -409,7 +403,7 @@ impl Cluster {
             return;
         };
         let bytes = self.nodes[dst].class_size(&class);
-        let cost = self.nodes[dst].cfg.scale(costs::serialize_ns(bytes));
+        let cost = self.nodes[dst].cfg.scale(costs::SERIALIZE.of(bytes));
         self.nodes[dst].net_sent.class += bytes;
         self.nodes[dst].note_peer_class(requester, &name);
         self.programs[program as usize].report.class_bytes += bytes;
@@ -467,7 +461,7 @@ impl Cluster {
             self.roam_capture_and_ship(node, tid, sid, dest, elapsed, ctx);
         } else {
             let flush_bytes = batch.payload_bytes();
-            let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
+            let ser = self.nodes[node].cfg.scale(costs::SERIALIZE.of(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
             self.programs[program as usize].report.object_bytes += flush_bytes;
             let flush = Msg::Flush {
@@ -475,7 +469,7 @@ impl Cluster {
                 batch,
                 ack_to: Some((node, sid)),
             };
-            let bytes = flush_bytes + super::CONTROL_MSG_BYTES;
+            let bytes = flush_bytes + costs::CONTROL_MSG.fixed;
             ctx.send_after(elapsed + ser, node, home, bytes, flush);
         }
     }
@@ -496,8 +490,8 @@ impl Cluster {
             (w.program, w.home, w.return_to, w.home_pop_frames);
         let vm = &self.nodes[node].vm;
         let nframes = vm.thread(tid).map_or(0, |t| t.frames.len());
-        let jvmti = self.nodes[dest].cfg.has_jvmti;
-        let (state, capture_ns) = match self.capture(node, tid, nframes, jvmti) {
+        let path = ToolingPath::for_destination(self.nodes[dest].cfg.has_jvmti);
+        let (state, capture_ns) = match self.capture(node, tid, nframes, path) {
             Ok(captured) => captured,
             Err(e) => return self.fail_session(node, sid, e.to_string(), ctx.now() + elapsed),
         };

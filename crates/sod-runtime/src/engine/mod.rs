@@ -101,9 +101,6 @@ pub const TEMP_ID_BASE: ObjId = 1 << 30;
 /// Default execution slice: how much virtual time a thread runs per event.
 pub const DEFAULT_SLICE_NS: u64 = 100_000; // 100 µs
 
-/// Payload size of small control messages (requests, acks).
-pub(crate) const CONTROL_MSG_BYTES: u64 = 128;
-
 /// On-demand fetch policy (ablation axis; the paper's default is shallow
 /// per-object fetching).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

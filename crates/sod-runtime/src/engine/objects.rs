@@ -35,6 +35,7 @@ use std::iter;
 
 use sod_net::SimCtx;
 use sod_vm::capture::CapturedValue;
+use sod_vm::costs;
 use sod_vm::error::{VmError, VmResult};
 use sod_vm::heap::{HeapObj, Home, ObjKind};
 use sod_vm::idhash::{IdMap, IdSet};
@@ -45,11 +46,10 @@ use sod_vm::wire::{
     ObjectFrame, Slots,
 };
 
-use crate::costs;
 use crate::msg::{Msg, ProgramId, SessionId};
 
 use super::protocol::{self, WorkerEffect, WorkerInput};
-use super::{Cluster, FetchPolicy, CONTROL_MSG_BYTES, TEMP_ID_BASE};
+use super::{Cluster, FetchPolicy, TEMP_ID_BASE};
 
 impl Cluster {
     pub(super) fn object_request(
@@ -84,7 +84,7 @@ impl Cluster {
             }
         };
         let bytes = batch.payload_bytes();
-        let cost = costs::OBJ_LOOKUP_NS + costs::serialize_ns(bytes);
+        let cost = costs::OBJ_LOOKUP.fixed + costs::SERIALIZE.of(bytes);
         self.nodes[home].net_sent.object += bytes;
         ctx.send_after(
             self.nodes[home].cfg.scale(cost),
@@ -144,7 +144,7 @@ impl Cluster {
         let report = &mut self.programs[program as usize].report;
         report.object_faults += 1;
         report.object_bytes += bytes;
-        let cost = self.nodes[node].cfg.scale(costs::deserialize_ns(bytes));
+        let cost = self.nodes[node].cfg.scale(costs::DESERIALIZE.of(bytes));
         ctx.schedule(cost, node, Msg::RunSlice { tid });
     }
 
@@ -174,12 +174,12 @@ impl Cluster {
             }
         };
         if let Some((node, sid)) = ack_to {
-            let cost = costs::deserialize_ns(total_bytes);
+            let cost = costs::DESERIALIZE.of(total_bytes);
             ctx.send_after(
                 self.nodes[home].cfg.scale(cost),
                 home,
                 node,
-                CONTROL_MSG_BYTES,
+                costs::CONTROL_MSG.fixed,
                 Msg::FlushAck {
                     session: sid,
                     assigned,

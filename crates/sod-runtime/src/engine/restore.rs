@@ -8,18 +8,17 @@ use std::sync::Arc;
 use sod_net::SimCtx;
 use sod_vm::capture::{begin_handler_restore, restore_segment_direct};
 use sod_vm::class::{ClassDef, ExKind};
+use sod_vm::costs;
 use sod_vm::interp::{ParkReason, ThreadState};
-use sod_vm::tooling::jvmti;
 use sod_vm::wire::decode_state;
 
-use crate::costs;
 use crate::metrics::MigrationTimings;
 use crate::msg::{Msg, SessionId, StateMsg};
 
 use super::migrate::split_transfer_window;
 use super::protocol::{self, HomeEffect, HomeInput, WorkerEffect, WorkerInput, WorkerPhase};
 use super::session::{Owner, WorkerSession};
-use super::{Cluster, CONTROL_MSG_BYTES};
+use super::Cluster;
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -91,11 +90,11 @@ impl Cluster {
         // never part of the wire image.
         let mut prep = self.nodes[node]
             .cfg
-            .scale(costs::deserialize_ns(state_bytes));
+            .scale(costs::DESERIALIZE.of(state_bytes));
         for c in &bundled {
             if !self.nodes[node].vm.has_class(&c.name) {
                 let cb = self.nodes[node].class_size(c);
-                prep += self.nodes[node].cfg.scale(costs::class_load_ns(cb));
+                prep += self.nodes[node].cfg.scale(costs::CLASS_LOAD.of(cb));
                 if let Err(e) = self.nodes[node].vm.load_class(c) {
                     let error = format!("bundled class {:?} failed to load: {e:?}", c.name);
                     self.end_program(info.program, Err(error), arrived);
@@ -148,7 +147,7 @@ impl Cluster {
                     prep,
                     node,
                     home,
-                    CONTROL_MSG_BYTES,
+                    costs::CONTROL_MSG.fixed,
                     Msg::ClassRequest {
                         session: sid,
                         requester: node,
@@ -171,7 +170,7 @@ impl Cluster {
         bytes: u64,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        let load = self.nodes[dst].cfg.scale(costs::class_load_ns(bytes));
+        let load = self.nodes[dst].cfg.scale(costs::CLASS_LOAD.of(bytes));
         if !self.nodes[dst].vm.has_class(&class.name) {
             if let Err(e) = self.nodes[dst].vm.load_class(&class) {
                 self.fail_session(
@@ -262,17 +261,16 @@ impl Cluster {
         n.thread_owner.insert(tid, Owner::Worker(sid));
         w.tid = tid;
         if handler {
-            let fixed = n.cfg.scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
+            let fixed = n
+                .cfg
+                .scale(costs::RESTORE_ENTRY.fixed + costs::JNI_INVOKE.fixed);
             ctx.schedule(fixed, node, Msg::RunSlice { tid });
             return;
         }
-        let per_frame = w.nframes as u64 * costs::RESTORE_PER_FRAME_NS;
-        let base = if has_jvmti {
-            costs::RESTORE_FIXED_NS + per_frame
-        } else {
-            costs::PORTABLE_RESTORE_FIXED_NS
-                + per_frame
-                + costs::deserialize_ns(w.timings.state_bytes)
+        let per_frame = costs::RESTORE_FRAME.of(w.nframes as u64);
+        let base = match has_jvmti {
+            true => costs::RESTORE_ENTRY.fixed + per_frame,
+            false => costs::PORTABLE_RESTORE.of(w.timings.state_bytes) + per_frame,
         };
         let cost = n.cfg.scale(base);
         w.timings.restore_ns = (ctx.now() + cost)
@@ -338,9 +336,9 @@ impl Cluster {
         if let Err(e) = vm.throw_into(tid, ExKind::InvalidState, "restore", false) {
             return self.fail_session(node, sid, format!("restore throw failed: {e}"), at);
         }
-        let charge = n
-            .cfg
-            .scale(jvmti::SET_BREAKPOINT_NS + jvmti::THROW_INTO_NS + costs::RESTORE_PER_FRAME_NS);
+        let charge = n.cfg.scale(
+            costs::SET_BREAKPOINT.fixed + costs::THROW_INTO.fixed + costs::RESTORE_FRAME.of(1),
+        );
         ctx.schedule(elapsed + charge, node, Msg::RunSlice { tid });
     }
 

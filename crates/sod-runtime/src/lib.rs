@@ -106,7 +106,6 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-pub mod costs;
 pub mod engine;
 pub mod fs;
 pub mod metrics;

@@ -4,11 +4,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sod_vm::class::ClassDef;
+use sod_vm::costs::AGENT_IDLE;
 use sod_vm::idhash::IdMap;
 use sod_vm::interp::Vm;
 use sod_vm::wire::class_wire_bytes;
 
-use crate::costs::AGENT_IDLE_SCALE_PER_MILLE;
 use crate::engine::{Owner, WorkerSession};
 use crate::fs::SimFs;
 use crate::metrics::NetBytes;
@@ -48,7 +48,7 @@ impl NodeConfig {
             name: name.into(),
             cpu_speed_per_mille: 1000,
             has_jvmti: true,
-            exec_scale_per_mille: AGENT_IDLE_SCALE_PER_MILLE,
+            exec_scale_per_mille: AGENT_IDLE.rate as u32,
             io_scan_ns_per_byte_x100: 50,
             mem_limit: None,
             slow_resolve: false,
@@ -297,7 +297,7 @@ mod tests {
         assert!(n.vm.has_class("A"));
         assert!(n.repo.contains_key("A"));
         // VM inherits the agent cost scale.
-        assert_eq!(n.vm.cost_scale_per_mille, AGENT_IDLE_SCALE_PER_MILLE);
+        assert_eq!(u64::from(n.vm.cost_scale_per_mille), AGENT_IDLE.rate);
     }
 
     #[test]

@@ -45,6 +45,7 @@
 
 use std::sync::Arc;
 
+use crate::costs::PORTABLE_CAPTURE;
 use crate::error::{VmError, VmResult};
 use crate::interp::{RestoreSession, Vm};
 use crate::tooling::{Tooling, ToolingPath};
@@ -366,8 +367,9 @@ impl CapturedState {
     }
 }
 
-/// Capture the top `nframes` frames of thread `tid` through the given
-/// tooling path, charging the returned meter total.
+/// Capture the top `nframes` frames of thread `tid`, priced by `path`:
+/// the JVMTI calls' meter total, or the `PORTABLE_CAPTURE` row on the
+/// state's wire size.
 ///
 /// Requirements (mirroring the paper's migration-safe points):
 /// * the top frame must sit at an MSP (line start, empty operand stack);
@@ -413,7 +415,7 @@ pub fn capture_segment(
         }
     }
 
-    let mut tool = Tooling::new(vm, path);
+    let mut tool = Tooling::new(vm);
     tool.suspend_thread(tid);
     let frames = tool.get_frames(tid, bottom)?;
 
@@ -434,8 +436,12 @@ pub fn capture_segment(
         statics.push(CapturedStatics { class, values });
     }
 
-    let cost = tool.meter.ns;
-    Ok((CapturedState { frames, statics }, cost))
+    let state = CapturedState { frames, statics };
+    let cost = match path {
+        ToolingPath::Jvmti => tool.meter.ns,
+        ToolingPath::Portable => PORTABLE_CAPTURE.of(state.wire_bytes()),
+    };
+    Ok((state, cost))
 }
 
 /// Re-establish a captured segment in `vm` directly (in-kernel restore):
@@ -537,9 +543,9 @@ pub fn begin_handler_restore(vm: &mut Vm, state: &CapturedState) -> VmResult<usi
 mod tests {
     use super::*;
     use crate::class::{ClassDef, FieldDef, MethodDef};
+    use crate::costs::{JESSICA2_CAPTURE, JVMTI_FRAME, JVMTI_GET_LOCAL, JVMTI_SUSPEND};
     use crate::instr::{Cmp, Instr};
     use crate::interp::{RunMode, StepOutcome};
-    use crate::tooling::{internal, jvmti};
     use crate::value::TypeOf;
 
     /// Main.main: x=10; y=f(x); return y+1  /  f(n): loop forever at line 2.
@@ -667,8 +673,10 @@ mod tests {
         let (mut vm, tid) = looping_vm();
         stop_at_msp(&mut vm, tid);
         let (_, jvmti_cost) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
-        let (_, internal_cost) = capture_segment(&mut vm, tid, 2, ToolingPath::Internal).unwrap();
-        assert!(jvmti_cost > 5 * internal_cost);
+        // Suspend, two frames, four slots and one static.
+        assert_eq!(jvmti_cost, 250_000 + 2 * 2_000 + 4 * 30_000 + 2_000);
+        // JESSICA2 reads the same two frames from inside the JVM.
+        assert!(jvmti_cost > 5 * JESSICA2_CAPTURE.of(2));
     }
 
     #[test]
@@ -701,7 +709,7 @@ mod tests {
     fn direct_restore_resumes_identically() {
         let (mut vm, tid) = looping_vm();
         stop_at_msp(&mut vm, tid);
-        let (state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Internal).unwrap();
+        let (state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
 
         // Fresh "worker" VM with the same class.
         let mut worker = Vm::new();
@@ -724,7 +732,7 @@ mod tests {
     fn direct_restore_lays_frames_out_contiguously() {
         let (mut vm, tid) = looping_vm();
         stop_at_msp(&mut vm, tid);
-        let (mut state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Internal).unwrap();
+        let (mut state, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
         let mut worker = Vm::new();
         worker.load_class(&vm.classes[0].def).unwrap();
         let wtid = restore_segment_direct(&mut worker, &state).unwrap();
@@ -821,25 +829,16 @@ mod tests {
         // The one frame walk charges what JVMTI's calls cost one by one:
         // per frame a `GetFrameLocation` and the `GetLocalVariableTable`
         // step, per slot a `GetLocal<Type>` (`Deep` has no statics).
-        let per_call = |suspend, location, local| suspend + 129 * (2 * location + 5 * local);
         assert_eq!(cost, 19_858_000);
         assert_eq!(
             cost,
-            per_call(
-                jvmti::SUSPEND_NS,
-                jvmti::GET_FRAME_LOCATION_NS,
-                jvmti::GET_LOCAL_NS
-            )
+            JVMTI_SUSPEND.fixed + JVMTI_FRAME.of(129) + JVMTI_GET_LOCAL.of(129 * 5)
         );
-        let (again, cost) = capture_segment(&mut vm, tid, 129, ToolingPath::Internal).unwrap();
-        assert_eq!(
-            cost,
-            per_call(
-                internal::SUSPEND_NS,
-                internal::GET_FRAME_LOCATION_NS,
-                internal::GET_LOCAL_NS
-            )
-        );
+        // The portable path reads the same frames and is priced on their
+        // wire size: fixed, then Java serialization per byte.
+        let (again, cost) = capture_segment(&mut vm, tid, 129, ToolingPath::Portable).unwrap();
+        assert_eq!(cost, PORTABLE_CAPTURE.of(full.wire_bytes()));
+        assert_eq!(cost, 12_000_000 + 20_000 + 7 * full.wire_bytes());
         assert_eq!(again, full);
         assert_eq!(full.frames.runs().len(), 1, "one method, one run");
         let mut rest = full.frames;
@@ -856,8 +855,8 @@ mod tests {
     fn captured_state_sizes() {
         let (mut vm, tid) = looping_vm();
         stop_at_msp(&mut vm, tid);
-        let (s1, _) = capture_segment(&mut vm, tid, 1, ToolingPath::Internal).unwrap();
-        let (s2, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Internal).unwrap();
+        let (s1, _) = capture_segment(&mut vm, tid, 1, ToolingPath::Jvmti).unwrap();
+        let (s2, _) = capture_segment(&mut vm, tid, 2, ToolingPath::Jvmti).unwrap();
         assert!(s2.wire_bytes() > s1.wire_bytes());
     }
 

@@ -60,7 +60,7 @@ use std::sync::Arc;
 use crate::analysis::{class_summaries, MethodSummary};
 use crate::capture::{FrameRef, Frames};
 use crate::class::{ClassDef, ExKind};
-use crate::costs::{alloc_cost, INTERP_MODE_FACTOR};
+use crate::costs::{ALLOC, INTERP_MODE};
 use crate::error::{VmError, VmResult};
 use crate::fastpath::{build_ic_row, fused_op, link_rows, window_op, Exit, IcCell, Row, Window};
 use crate::frame::Frame;
@@ -352,7 +352,7 @@ pub struct VmThread {
     /// their own cursor and captured frames.
     pub restore_session: Option<Box<RestoreSession>>,
     /// When true, this thread's instruction costs are multiplied by
-    /// [`INTERP_MODE_FACTOR`] (debugger active → interpreted mode during
+    /// [`INTERP_MODE`] (debugger active → interpreted mode during
     /// a handler-protocol restore).
     pub interp_mode: bool,
     /// Home node of the program this thread executes a migrated segment
@@ -947,7 +947,7 @@ impl Vm {
     #[inline]
     fn cost_per_mille(&self, tid: usize) -> u64 {
         let mode = if self.threads[slot_of(tid)].interp_mode {
-            u64::from(INTERP_MODE_FACTOR)
+            INTERP_MODE.rate
         } else {
             1
         };
@@ -1529,7 +1529,7 @@ impl Vm {
             .mem_limit
             .is_none_or(|l| self.heap.used_bytes() + bytes <= l);
         if fits {
-            self.charge(tid, alloc_cost(bytes));
+            self.charge(tid, ALLOC.of(bytes));
         }
         fits
     }
@@ -3724,7 +3724,7 @@ mod tests {
         vm2.threads[tid].interp_mode = true;
         let (out, _) = vm2.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert!(matches!(out, StepOutcome::Returned(_)));
-        assert_eq!(vm2.meter_ns, vm1.meter_ns * u64::from(INTERP_MODE_FACTOR));
+        assert_eq!(vm2.meter_ns, vm1.meter_ns * INTERP_MODE.rate);
     }
 
     #[test]

@@ -4,28 +4,29 @@
 //! JVMTI to read frames and locals. That choice is portable but not free:
 //! the paper measures `GetLocal<Type>` at ≈30 µs against ≈1 µs for
 //! `GetFrameLocation`, and it is exactly this asymmetry that makes SODEE's
-//! capture slower than JESSICA2's in-kernel capture (Table IV). We reproduce
-//! the asymmetry with two cost tables: [`jvmti`] for the debugger-interface
-//! path and [`internal`] for the in-VM path.
+//! capture slower than JESSICA2's in-kernel capture (Table IV). The
+//! `JVMTI_*` rows of the cost table ([`crate::costs`]) price each call.
 //!
 //! All tooling operations charge a [`CostMeter`] owned by the caller; the
-//! meter's total becomes capture/restore time in the migration latency
-//! breakdowns.
+//! meter's total becomes capture time in the migration latency breakdowns
+//! when the capture takes the [`ToolingPath::Jvmti`] path. A destination
+//! without JVMTI takes [`ToolingPath::Portable`] instead, which reads the
+//! same frames and is priced on the captured state's wire size.
 //!
 //! Frames are read by one walk, [`Tooling::get_frames`]: the operand
 //! stacks of a capturable segment are empty, so its locals are one
 //! contiguous run of the thread's value stack, and the walk copies it
 //! frame by frame instead of making `2 + nlocals` fallible calls per
 //! frame. What it charges is still what JVMTI's calls cost one by one —
-//! `nframes · 2 · GET_FRAME_LOCATION + nslots · GET_LOCAL` from either cost
-//! table — so the asymmetry above stays priced where it is documented: a
-//! 129-frame, 5-slot stack costs 19 858 µs of JVMTI virtual time, as it did
-//! call by call (`capture.rs` pins the number).
+//! `JVMTI_FRAME` per frame and `JVMTI_GET_LOCAL` per slot — so the
+//! asymmetry above stays priced where it is documented: a 129-frame,
+//! 5-slot stack costs 19 858 µs of JVMTI virtual time, as it did call by
+//! call (`capture.rs` pins the number).
 
 use crate::capture::{CapturedValue, Frames};
+use crate::costs::{JVMTI_FRAME, JVMTI_GET_LOCAL, JVMTI_GET_STATIC, JVMTI_SUSPEND};
 use crate::error::{VmError, VmResult};
 use crate::interp::Vm;
-use crate::value::Value;
 
 /// Accumulates virtual nanoseconds charged by tooling operations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,45 +48,25 @@ impl CostMeter {
     }
 }
 
-/// Virtual costs of the JVMTI (debugger interface) path, from the paper:
-/// "Most of the JVMTI functions ... finish within 1 us. However, some
-/// functions take much longer time (e.g. GetLocalInt take about 30 us)."
-pub mod jvmti {
-    /// Suspending the thread and preparing the agent for a migration event.
-    pub const SUSPEND_NS: u64 = 250_000;
-    /// `GetFrameLocation` / `GetMethodDeclaringClass` / `GetMethodName`.
-    pub const GET_FRAME_LOCATION_NS: u64 = 1_000;
-    /// `GetLocal<Type>` per local-variable slot.
-    pub const GET_LOCAL_NS: u64 = 30_000;
-    /// Reading one static field through JVMTI/JNI.
-    pub const GET_STATIC_NS: u64 = 2_000;
-    /// `SetBreakpoint`.
-    pub const SET_BREAKPOINT_NS: u64 = 8_000;
-    /// Injecting an exception into the target thread (restoration driver).
-    pub const THROW_INTO_NS: u64 = 25_000;
-    /// `ForceEarlyReturn<type>` on the home node.
-    pub const FORCE_EARLY_RETURN_NS: u64 = 30_000;
-    /// Invoking a method through JNI (restore entry).
-    pub const JNI_INVOKE_NS: u64 = 40_000;
-}
-
-/// Virtual costs of the in-VM path (JESSICA2-style thread migration, where
-/// "state information can be retrieved directly from the JVM kernel").
-pub mod internal {
-    pub const SUSPEND_NS: u64 = 30_000;
-    pub const GET_FRAME_LOCATION_NS: u64 = 500;
-    pub const GET_LOCAL_NS: u64 = 2_000;
-    pub const GET_STATIC_NS: u64 = 500;
-    pub const RESTORE_FRAME_NS: u64 = 4_000;
-}
-
-/// Which cost table a tooling session charges.
+/// How a capture is read and priced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ToolingPath {
-    /// Portable debugger-interface access (SODEE, G-JavaMPI).
+    /// Through JVMTI, charging each call (the destination has JVMTI).
     Jvmti,
-    /// Direct in-kernel access (JESSICA2).
-    Internal,
+    /// Saved with Java serialization into a portable format, restorable
+    /// without JVMTI: priced by the `PORTABLE_CAPTURE` row on the state's
+    /// wire size (paper Table VII).
+    Portable,
+}
+
+impl ToolingPath {
+    /// The path a capture for a destination takes.
+    pub fn for_destination(has_jvmti: bool) -> Self {
+        match has_jvmti {
+            true => ToolingPath::Jvmti,
+            false => ToolingPath::Portable,
+        }
+    }
 }
 
 /// A tooling session over a VM: JVMTI-flavoured accessors that charge a
@@ -93,30 +74,21 @@ pub enum ToolingPath {
 pub struct Tooling<'a> {
     vm: &'a mut Vm,
     pub meter: CostMeter,
-    path: ToolingPath,
 }
 
 impl<'a> Tooling<'a> {
-    pub fn new(vm: &'a mut Vm, path: ToolingPath) -> Self {
+    pub fn new(vm: &'a mut Vm) -> Self {
         Tooling {
             vm,
             meter: CostMeter::new(),
-            path,
         }
-    }
-
-    fn c(&mut self, jvmti_ns: u64, internal_ns: u64) {
-        self.meter.charge(match self.path {
-            ToolingPath::Jvmti => jvmti_ns,
-            ToolingPath::Internal => internal_ns,
-        });
     }
 
     /// Suspend the target thread (charges the per-migration fixed cost).
     /// Our VM threads are always suspendable between instructions, so this
     /// is purely an accounting operation.
     pub fn suspend_thread(&mut self, _tid: usize) {
-        self.c(jvmti::SUSPEND_NS, internal::SUSPEND_NS);
+        self.meter.charge(JVMTI_SUSPEND.fixed);
     }
 
     /// The one frame walk: every frame of thread `tid` from bottom-up index
@@ -124,7 +96,7 @@ impl<'a> Tooling<'a> {
     /// is JVMTI's `GetFrameLocation` (class, method, pc), the
     /// `GetLocalVariableTable` step and one `GetLocal<Type>` per slot, with
     /// references mapped to their home object ids — charged in one sum,
-    /// `nframes · 2 · GET_FRAME_LOCATION + nslots · GET_LOCAL`, which is
+    /// `JVMTI_FRAME` per frame and `JVMTI_GET_LOCAL` per slot, which is
     /// what the calls cost one by one. The names are the linked class's own
     /// shared `Arc`s, cloned once per run of same-method frames; the values
     /// are copied straight off the thread's value stack.
@@ -153,33 +125,18 @@ impl<'a> Tooling<'a> {
             frames.end_frame(f.pc)?;
         }
         let (nframes, nslots) = (frames.len() as u64, frames.value_count() as u64);
-        self.c(
-            nframes * 2 * jvmti::GET_FRAME_LOCATION_NS + nslots * jvmti::GET_LOCAL_NS,
-            nframes * 2 * internal::GET_FRAME_LOCATION_NS + nslots * internal::GET_LOCAL_NS,
-        );
+        self.meter
+            .charge(JVMTI_FRAME.of(nframes) + JVMTI_GET_LOCAL.of(nslots));
         Ok(frames)
     }
 
     /// Read one static field (for capture).
     pub fn get_static(&mut self, class_idx: usize, static_idx: usize) -> VmResult<CapturedValue> {
-        self.c(jvmti::GET_STATIC_NS, internal::GET_STATIC_NS);
+        self.meter.charge(JVMTI_GET_STATIC.of(1));
         let v = self.vm.classes[class_idx].statics.get(static_idx);
         Ok(self
             .vm
             .export_value(*v.ok_or_else(|| VmError::BadPoolIndex(static_idx as u16))?))
-    }
-
-    /// `SetBreakpoint` (thread-scoped, like the VM's breakpoint table).
-    pub fn set_breakpoint(&mut self, tid: usize, class_idx: usize, method_idx: usize, pc: u32) {
-        self.c(jvmti::SET_BREAKPOINT_NS, internal::GET_FRAME_LOCATION_NS);
-        self.vm.set_breakpoint(tid, class_idx, method_idx, pc);
-    }
-
-    /// `ForceEarlyReturn<type>`: used on the home node to pop the stale
-    /// frame(s) once the migrated segment's return value arrives.
-    pub fn force_early_return(&mut self, tid: usize, v: Option<Value>) -> VmResult<()> {
-        self.c(jvmti::FORCE_EARLY_RETURN_NS, internal::RESTORE_FRAME_NS);
-        self.vm.force_early_return(tid, v)
     }
 
     /// Access the underlying VM (no charge).
@@ -192,6 +149,7 @@ impl<'a> Tooling<'a> {
 mod tests {
     use super::*;
     use crate::class::{ClassDef, MethodDef};
+    use crate::costs::JESSICA2_CAPTURE;
     use crate::instr::Instr;
 
     fn sample_vm() -> (Vm, usize) {
@@ -221,7 +179,7 @@ mod tests {
     #[test]
     fn frame_inspection() {
         let (mut vm, tid) = sample_vm();
-        let mut t = Tooling::new(&mut vm, ToolingPath::Jvmti);
+        let mut t = Tooling::new(&mut vm);
         let frames = t.get_frames(tid, 0).unwrap();
         assert_eq!(frames.len(), 2);
         let (main, f) = (frames.get(0).unwrap(), frames.get(1).unwrap());
@@ -238,39 +196,17 @@ mod tests {
     #[test]
     fn jvmti_charges_more_than_internal() {
         let (mut vm, tid) = sample_vm();
-        let mut spent = |path| {
-            let mut t = Tooling::new(&mut vm, path);
-            t.suspend_thread(tid);
-            t.get_frames(tid, 1).unwrap();
-            t.meter.ns
-        };
+        let mut t = Tooling::new(&mut vm);
+        t.suspend_thread(tid);
+        t.get_frames(tid, 1).unwrap();
         // One frame of one slot: a location, a variable table, a local.
-        let spent_jvmti = spent(ToolingPath::Jvmti);
-        let spent_internal = spent(ToolingPath::Internal);
+        assert_eq!(t.meter.ns, 250_000 + 2 * 1_000 + 30_000);
         assert_eq!(
-            spent_jvmti,
-            jvmti::SUSPEND_NS + 2 * jvmti::GET_FRAME_LOCATION_NS + jvmti::GET_LOCAL_NS
+            t.meter.ns,
+            JVMTI_SUSPEND.fixed + JVMTI_FRAME.of(1) + JVMTI_GET_LOCAL.of(1)
         );
-        assert_eq!(
-            spent_internal,
-            internal::SUSPEND_NS + 2 * internal::GET_FRAME_LOCATION_NS + internal::GET_LOCAL_NS
-        );
-        assert!(spent_jvmti > 5 * spent_internal);
-    }
-
-    #[test]
-    fn force_early_return_through_tooling() {
-        let (mut vm, tid) = sample_vm();
-        let mut t = Tooling::new(&mut vm, ToolingPath::Jvmti);
-        t.force_early_return(tid, Some(Value::Int(5))).unwrap();
-        assert!(t.meter.ns >= jvmti::FORCE_EARLY_RETURN_NS);
-        let (out, _) = vm
-            .run(tid, u64::MAX, crate::interp::RunMode::Normal)
-            .unwrap();
-        assert_eq!(
-            out,
-            crate::interp::StepOutcome::Returned(Some(Value::Int(5)))
-        );
+        // JESSICA2 reads the same frame from inside the JVM.
+        assert!(t.meter.ns > 5 * JESSICA2_CAPTURE.of(1));
     }
 
     #[test]

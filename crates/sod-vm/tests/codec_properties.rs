@@ -678,7 +678,7 @@ proptest! {
         let built = CapturedState { frames: Frames::from_frames(list.iter().cloned()).unwrap(), statics: vec![] };
         let tid = restore_segment_direct(&mut home, &built).unwrap();
         let (captured, _) =
-            capture_segment(&mut home, tid, list.len(), ToolingPath::Internal).unwrap();
+            capture_segment(&mut home, tid, list.len(), ToolingPath::Jvmti).unwrap();
         prop_assert!(captured.frames.iter().eq(list.iter().map(CapturedFrame::view)));
         prop_assert_eq!(&captured, &built);
 

@@ -108,8 +108,7 @@ fn warmed_ic_survives_migration_cold() {
     assert!(matches!(out, StepOutcome::AtMsp { .. }), "got {out:?}");
 
     let height = src.thread(tid).expect("thread").frames.len();
-    let (state, _) =
-        capture_segment(&mut src, tid, height, ToolingPath::Internal).expect("capture");
+    let (state, _) = capture_segment(&mut src, tid, height, ToolingPath::Jvmti).expect("capture");
     let shipped = decode_state(encode_state(&state).expect("wire encode")).expect("wire roundtrip");
 
     let mut dst = Vm::new();

@@ -10,6 +10,10 @@
 //! - in `//` comments (doc comments included), or
 //! - in its own file after that file's first `#[cfg(test)]`.
 //!
+//! A `cost_table!` invocation generates its rows' `const`s, so the audit
+//! reads each row's name as a definition, and the table itself (one row's
+//! cell naming another) as no use: a row that no path charges is flagged.
+//!
 //! The match is by name, so a reference to a same-named item elsewhere
 //! keeps an item alive: the audit misses some dead code but flags nothing
 //! a system path, test or example reaches. Std only, so it runs in plain
@@ -70,6 +74,14 @@ fn code_of(line: &str) -> &str {
     line
 }
 
+/// The name a `cost_table!` row on `code` defines, if it is one
+/// (`NAME: Unit { cells }, path, anchor;`).
+fn row_name(code: &str) -> Option<&str> {
+    let (name, _) = code.trim().split_once(':')?;
+    let upper = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    (!name.is_empty() && name.chars().all(upper)).then_some(name)
+}
+
 /// Whether `code` starts a `use` declaration, re-exports included.
 fn is_use(code: &str) -> bool {
     let head = code.trim_start();
@@ -109,13 +121,20 @@ fn dead_items(files: &[(String, String)]) -> Vec<Dead> {
     let mut tail_uses: HashMap<&str, Vec<&str>> = HashMap::new();
     for (path, text) in files {
         let is_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
-        let (mut in_use, mut in_tail) = (false, false);
+        let (mut in_use, mut in_tail, mut in_table) = (false, false, false);
         for (n, line) in text.lines().enumerate() {
             in_tail |= line.trim() == "#[cfg(test)]";
             let code = code_of(line);
             if in_tail {
                 for id in idents(code) {
                     tail_uses.entry(id).or_default().push(path);
+                }
+                continue;
+            }
+            if in_table || code.starts_with("cost_table! {") {
+                in_table = code.trim_end() != "}";
+                if let (Some(name), true) = (row_name(code), is_src) {
+                    defs.push((name, path, n + 1));
                 }
                 continue;
             }
@@ -178,6 +197,16 @@ fn no_pub_item_lives_only_for_its_own_tests() {
     assert!(
         files.iter().any(|(p, _)| p == "crates/sod-vm/src/lib.rs"),
         "the walk must reach the crates"
+    );
+    // Audited alone, the cost table's file leaves its rows unpaid: the
+    // walk reads them as definitions, not as a test tail.
+    let costs = files
+        .iter()
+        .filter(|(p, _)| p == "crates/sod-vm/src/costs.rs");
+    let rows = dead_items(&costs.cloned().collect::<Vec<_>>());
+    assert!(
+        rows.iter().any(|d| d.name == "ALLOC"),
+        "no cost table rows read"
     );
     let dead = dead_items(&files);
     let flagged: Vec<_> = dead
@@ -271,6 +300,37 @@ mod scanner {
             ),
         ]);
         assert!(names(&fs).is_empty());
+    }
+
+    /// A cost table whose second row only its own tests and the first
+    /// row's cell name.
+    const TABLE: &str = "cost_table! {\n    \
+                             /// Charged by a path.\n    \
+                             PAID: Ns { fixed: 1 }, Sodee, \"Table I\";\n    \
+                             /// Charged by no path.\n    \
+                             UNPAID: NsPerByte { rate: PAID.fixed }, Sodee, \"Table I\";\n\
+                         }\n\
+                         #[cfg(test)]\n\
+                         mod tests { fn t() { super::UNPAID.of(1); } }\n";
+
+    #[test]
+    fn a_cost_table_row_no_path_charges_is_flagged() {
+        let payer = "fn f() -> u64 { a::costs::PAID.fixed }\n";
+        let fs = files(&[
+            ("crates/a/src/costs.rs", TABLE),
+            ("crates/b/src/lib.rs", payer),
+        ]);
+        assert_eq!(
+            dead_items(&fs),
+            vec![Dead {
+                name: "UNPAID".into(),
+                file: "crates/a/src/costs.rs".into(),
+                line: 5,
+            }]
+        );
+        // A row's cell naming another row is part of the table, not a use.
+        let fs = files(&[("crates/a/src/costs.rs", TABLE)]);
+        assert_eq!(names(&fs), ["PAID", "UNPAID"]);
     }
 
     #[test]
