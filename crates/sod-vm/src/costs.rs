@@ -2,7 +2,7 @@
 //!
 //! Every figure this reproduction reports is a sum of virtual charges,
 //! calibrated against the paper's 2009 testbed (2.53 GHz Xeons, Sun JDK
-//! 1.6, Gigabit Ethernet). [`cost_table!`] states each charge once: its
+//! 1.6, Gigabit Ethernet). `cost_table!` states each charge once: its
 //! name, what it charges, a fixed part, a rate per [`Unit`], the [`Path`]
 //! that pays it and the paper table it is calibrated against. A use reads
 //! `ROW.fixed`, `ROW.of(units)` or a multiplier's `ROW.rate`, folded at
