@@ -5,7 +5,7 @@
 use sod_net::SimCtx;
 use sod_vm::class::ExKind;
 use sod_vm::costs;
-use sod_vm::error::VmError;
+use sod_vm::error::{VmError, VmResult};
 use sod_vm::interp::{ExceptionInfo, ParkReason, RunMode, StepOutcome, ThreadState};
 use sod_vm::value::Value;
 
@@ -404,17 +404,19 @@ impl Cluster {
         // Strings and lists land in the guest's heap, made for the thread.
         let origin = t.origin;
         let heap = vm.heap.mint_for(origin);
-        let v = match reply {
-            HostReply::Int(i) => Value::Int(i),
-            HostReply::Str(s) => Value::Ref(heap.alloc_str(s)),
-            HostReply::List(items) => {
-                let refs = items.into_iter().map(|s| Value::Ref(heap.alloc_str(s)));
-                let refs: Vec<Value> = refs.collect();
-                match heap.alloc_arr_from(refs) {
-                    Ok(list) => Value::Ref(list),
-                    Err(e) => return self.fail_thread_owner(node, tid, e.to_string(), ctx.now()),
-                }
-            }
+        let stored = match reply {
+            HostReply::Int(i) => Ok(Value::Int(i)),
+            HostReply::Str(s) => heap.alloc_str(&s).map(Value::Ref),
+            HostReply::List(items) => items
+                .iter()
+                .map(|s| heap.alloc_str(s).map(Value::Ref))
+                .collect::<VmResult<Vec<Value>>>()
+                .and_then(|refs| heap.alloc_arr_from(refs))
+                .map(Value::Ref),
+        };
+        let v = match stored {
+            Ok(v) => v,
+            Err(e) => return self.fail_thread_owner(node, tid, e.to_string(), ctx.now()),
         };
         if vm.resume_host(tid, v).is_ok() {
             ctx.schedule(0, node, Msg::RunSlice { tid });

@@ -306,7 +306,7 @@ fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> 
         let obj = ObjectFrame::read(frame)?;
         if obj.home_id >= TEMP_ID_BASE {
             if let FrameBody::Obj { class, fields } = obj.body {
-                vm.instance_class(class, fields.len())?;
+                vm.check_instance(class, fields.len())?;
             }
         } else if let Ok((master, own)) = vm.heap.view(obj.home_id) {
             if slots_for(&master.kind, obj.body).is_some_and(|new| new.len() != own.len()) {
@@ -327,12 +327,12 @@ fn write_back(vm: &mut Vm, batch: &FrameBatch) -> VmResult<Vec<(ObjId, ObjId)>> 
         }
         let master = match obj.body {
             FrameBody::Obj { class, fields } => {
-                let class = vm.instance_class(class, fields.len())?;
+                let class = vm.heap.class_ix(class)?;
                 vm.heap
                     .alloc_obj(class, iter::repeat_n(Value::Null, fields.len()))?
             }
             FrameBody::Arr { elems } => vm.heap.alloc_arr(elems.len())?,
-            FrameBody::Str(s) => vm.heap.alloc_str(s),
+            FrameBody::Str(s) => vm.heap.alloc_str(s)?,
         };
         masters.insert(obj.home_id, master);
         assigned.push((obj.home_id, master));

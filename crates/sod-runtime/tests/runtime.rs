@@ -761,3 +761,52 @@ fn overlapping_handler_restores_on_one_worker_keep_their_reports() {
     ];
     assert_eq!(seen, pinned);
 }
+
+/// `Host.time_<call>()`: the virtual ns between two `clock_ns` readings
+/// around one host call `call` with one string argument, `payload`.
+fn host_call_class(calls: &[&str], payload: &str) -> ClassDef {
+    let class = calls.iter().fold(ClassBuilder::new("Host"), |class, call| {
+        class.method(&format!("time_{call}"), &[], |m| {
+            m.line();
+            m.native("clock_ns", 0).store("t0");
+            m.line();
+            m.pushstr(payload).native(call, 1).pop();
+            m.line();
+            m.native("clock_ns", 0).load("t0").sub().retv();
+        })
+    });
+    preprocess_sod(&class.build().unwrap()).unwrap()
+}
+
+/// Three host calls that no figure runs are charged exactly their
+/// `cost_table!` rows (`sod_vm::costs`): the virtual time around each, less
+/// the time around `node_id` (charged nothing) in the same place, is the
+/// row's charge. The rows' own values are written out too, so doubling a
+/// row fails here and not only in `COST_MODEL.md`.
+#[test]
+fn fs_size_fs_list_and_sock_send_charge_their_rows() {
+    use sod_vm::costs::{FS_LIST, FS_SIZE, SOCK_SEND};
+    const PAYLOAD: &str = "response";
+    let calls = ["node_id", "fs_size", "fs_list", "sock_send"];
+    let class = host_call_class(&calls, PAYLOAD);
+    let timed = |call: &str| {
+        let mut home = Node::new(NodeConfig::cluster("home"));
+        home.deploy(&class).unwrap();
+        let mut cluster = Cluster::new(vec![home]);
+        let p = cluster.add_program(0, "Host", format!("time_{call}"), vec![]);
+        let mut sim = SodSim::new(cluster, Topology::gigabit_cluster(1));
+        sim.start_program(0, p);
+        sim.run();
+        assert_eq!(sim.program(p).error(), None, "{call}");
+        match sim.report(p).result {
+            Some(ns) => ns as u64,
+            None => panic!("{call} returned nothing"),
+        }
+    };
+    let free = timed("node_id");
+    let charged: Vec<u64> = calls[1..].iter().map(|&c| timed(c) - free).collect();
+    let bytes = PAYLOAD.len() as u64;
+    let rows = [FS_SIZE.fixed, FS_LIST.fixed, SOCK_SEND.of(bytes)];
+    assert_eq!(charged, rows);
+    assert_eq!(charged, [50_000, 200_000, 100_000 + 8 * bytes]);
+}

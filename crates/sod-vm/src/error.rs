@@ -59,6 +59,9 @@ pub enum VmError {
     BadRef(u32),
     /// The heap's slot arena would pass `u32::MAX` slots.
     SlotArenaFull,
+    /// The heap's text arena would pass `u32::MAX` bytes, or its class-name
+    /// table `u32::MAX` names.
+    TextArenaFull,
     /// A thread id was out of range or the thread has finished.
     BadThread(usize),
     /// Attempted to run a thread that is parked on a host request.
@@ -112,6 +115,7 @@ impl fmt::Display for VmError {
             }
             VmError::BadRef(id) => write!(f, "bad heap reference @{id}"),
             VmError::SlotArenaFull => write!(f, "heap slot arena full (u32 slots)"),
+            VmError::TextArenaFull => write!(f, "heap text arena full (u32 bytes or names)"),
             VmError::BadThread(t) => write!(f, "bad thread id {t}"),
             VmError::ThreadParked(t) => write!(f, "thread {t} is parked on a host request"),
             VmError::NotAtMigrationSafePoint { method, pc } => {

@@ -20,11 +20,12 @@
 //!   `ClassMiss`). Caches live in [`crate::interp::LoadedClass`],
 //!   which `capture`/`wire` never serialize: a migrated stack arrives cold
 //!   and rewarms at the destination, so reports stay bit-identical.
-//! * **Receiver-keyed caches validate by pointer.** Field and virtual-call
-//!   sites cache `(receiver class, slot index)`; the receiver check is an
-//!   `Arc::ptr_eq` against the loaded class's canonical name `Arc`. Objects
-//!   that arrive over the wire carry a fresh `Arc` and simply miss once,
-//!   after which their class pointer is canonicalized.
+//! * **Receiver-keyed caches validate by class index.** Field and
+//!   virtual-call sites cache `(receiver class, slot index)`; the receiver
+//!   check compares the instance's `ClassIx` with the loaded class's. Both
+//!   are the class name's index in the VM heap's name table, so an object
+//!   that arrives over the wire — even before its class loads — hits like
+//!   one `New` made here.
 //!
 //! A [`Row`] is what the loop reads per pc: the instruction, its unscaled
 //! cost, whether the pc is a migration-safe point, and the [`Fused`] form
@@ -69,7 +70,7 @@ pub const IC_EMPTY: u32 = u32::MAX;
 /// * `GetStatic`/`PutStatic`: `a` = class index, `b` = static slot.
 /// * `InvokeStatic`: `a` = class index, `b` = method index.
 /// * `GetField`/`PutField`: `a` = *receiver* class index, `b` = field slot
-///   (monomorphic; validated by `Arc::ptr_eq` on the receiver's class).
+///   (monomorphic; validated by comparing the receiver's `ClassIx`).
 /// * `InvokeVirtual`: `a` = receiver class index, `b` = method index.
 /// * `PushStr`: `a` = interned string `ObjId`.
 ///

@@ -35,6 +35,31 @@
 //! [`Heap::view`] and written through [`ObjMut::slots_mut`], so the guard
 //! stays the one `&mut` path to an object.
 //!
+//! ## Names
+//!
+//! An instance does not hold its class's name: it holds a [`ClassIx`], an
+//! index into the heap's name table, where each name is interned once
+//! ([`Heap::class_ix`]). A VM interns a class's name when it loads the
+//! class, and an install interns the name the frame carries, so a copy
+//! fetched before its class loads holds the very index the class gets
+//! later: the interpreter's inline caches compare indexes, and no copy is
+//! ever rewritten to match. The wire keeps names — frames name classes
+//! across VMs — so an instance's name is read from the table when it is
+//! written out and interned when it is read in; no frame byte depends on
+//! the index.
+//!
+//! ## Text
+//!
+//! A string's bytes and an exception's message live in the heap's one text
+//! arena, each under a [`Span`] minted by [`Heap::alloc_str`],
+//! [`Heap::alloc_exception`] and [`Heap::install_cached`] and checked
+//! against `u32` as slot spans are (`VmError::TextArenaFull`, never a
+//! wrap). Each span is a whole `&str`; [`Heap::text`] reads one back.
+//!
+//! So an entry is indexes and flags only: 32 bytes, `Copy` payload, no
+//! drop glue (both const-asserted), and nothing is allocated per object
+//! beyond the tables' amortised growth.
+//!
 //! ## Indexes
 //!
 //! Two secondary lookups run once per object fault or segment completion,
@@ -59,9 +84,8 @@
 //!   order was: flush batches, and the temp-id masters the home allocates
 //!   from them, depend on it.
 
-use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut, Range};
-use std::sync::Arc;
 
 use crate::class::ExKind;
 use crate::error::{VmError, VmResult};
@@ -78,8 +102,10 @@ pub enum ObjStatus {
     Invalid,
 }
 
-/// A run of slots in a heap's slot arena: where an instance's fields or an
-/// array's elements live. Only the heap that owns the arena mints one.
+/// A run of one of a heap's arenas: where an instance's fields or an
+/// array's elements lie in the slot arena, or a string's or an exception
+/// message's bytes in the text arena. Only the heap that owns the arenas
+/// mints one.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     start: u32,
@@ -97,26 +123,26 @@ impl Span {
     }
 }
 
-/// Payload of a heap entry.
-#[derive(Clone, Debug)]
+/// A class name's index in its heap's name table (see the module docs,
+/// "Names"). Only the heap that owns the table mints one, and an index
+/// means something only to that heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ClassIx(u32);
+
+/// Payload of a heap entry: plain indexes into the heap's tables, no owner.
+#[derive(Clone, Copy, Debug)]
 pub enum ObjKind {
     /// A class instance; its slots use the class's instance-field layout.
-    /// The class name is a shared `Arc<str>`: allocating an instance clones
-    /// a pointer from the loaded class (no per-`New` string allocation), and
-    /// the interpreter's inline caches validate field/method resolutions
-    /// with a pointer comparison against the canonical per-class `Arc`.
-    Obj { class: Arc<str>, slots: Span },
+    /// The class is an index into the heap's name table: allocating an
+    /// instance copies it, and the interpreter's inline caches validate
+    /// field/method resolutions by comparing it with the loaded class's.
+    Obj { class: ClassIx, slots: Span },
     /// An array of value slots.
     Arr { slots: Span },
-    /// An immutable string.
-    Str(String),
-    /// A guest exception object. The interpreter's own messages are
-    /// constants and stay borrowed: raising the `NullPointerException` an
-    /// object fault starts with copies no string.
-    Exception {
-        kind: ExKind,
-        message: Cow<'static, str>,
-    },
+    /// An immutable string: its bytes in the text arena.
+    Str(Span),
+    /// A guest exception object; its message's bytes in the text arena.
+    Exception { kind: ExKind, message: Span },
 }
 
 /// What a refresh of a cached copy may not change: its kind, and for an
@@ -129,14 +155,23 @@ enum Shape {
 }
 
 impl ObjKind {
-    fn span(&self) -> Option<Span> {
+    /// The entry's run of the slot arena.
+    fn span(self) -> Option<Span> {
         match self {
-            ObjKind::Obj { slots, .. } | ObjKind::Arr { slots } => Some(*slots),
+            ObjKind::Obj { slots, .. } | ObjKind::Arr { slots } => Some(slots),
             ObjKind::Str(_) | ObjKind::Exception { .. } => None,
         }
     }
 
-    fn shape(&self) -> Shape {
+    /// The entry's run of the text arena.
+    fn text(self) -> Option<Span> {
+        match self {
+            ObjKind::Str(text) | ObjKind::Exception { message: text, .. } => Some(text),
+            ObjKind::Obj { .. } | ObjKind::Arr { .. } => None,
+        }
+    }
+
+    fn shape(self) -> Shape {
         match self {
             ObjKind::Obj { slots, .. } => Shape::Obj(slots.len()),
             ObjKind::Arr { slots } => Shape::Arr(slots.len()),
@@ -182,16 +217,12 @@ pub struct HeapObj {
 
 // A heap holds one entry per object for the whole run, and a worker heap
 // caches every object its segments touch: every byte here is paid per
-// object held.
-const _: () = assert!(std::mem::size_of::<HeapObj>() <= 48);
+// object held. An entry owns nothing, so dropping a heap drops no entry.
+const _: () = assert!(std::mem::size_of::<HeapObj>() <= 32);
+const _: () = assert!(!std::mem::needs_drop::<ObjKind>());
 
 /// Modelled bytes of an object header.
 const HEADER: u64 = 16;
-
-/// Modelled bytes of an exception or a string with `text`.
-fn text_bytes(text: &str) -> u64 {
-    HEADER + text.len() as u64
-}
 
 impl HeapObj {
     fn new(kind: ObjKind, home: Home) -> Self {
@@ -227,22 +258,13 @@ impl HeapObj {
 
     /// Heap bytes charged for this entry (object header modelled at 16 B).
     pub fn size_bytes(&self) -> u64 {
-        match &self.kind {
+        match self.kind {
             ObjKind::Obj { slots, .. } | ObjKind::Arr { slots } => {
                 HEADER + slots.len() as u64 * Value::SLOT_BYTES
             }
-            ObjKind::Str(s) => text_bytes(s),
-            ObjKind::Exception { message, .. } => text_bytes(message),
-        }
-    }
-
-    /// Class name for instances, pseudo-class names for built-ins.
-    pub fn class_name(&self) -> &str {
-        match &self.kind {
-            ObjKind::Obj { class, .. } => class,
-            ObjKind::Arr { .. } => "[array]",
-            ObjKind::Str(_) => "[string]",
-            ObjKind::Exception { .. } => "[exception]",
+            ObjKind::Str(text) | ObjKind::Exception { message: text, .. } => {
+                HEADER + text.len() as u64
+            }
         }
     }
 }
@@ -292,16 +314,17 @@ impl Drop for ObjMut<'_> {
     }
 }
 
-/// The body of an object [`Heap::install_cached`] writes: an instance's or
-/// an array's slots, still to be decoded (each may fail, as a frame's
-/// can), or a string.
-pub enum Fetched<S> {
-    Obj { class: Arc<str>, slots: S },
+/// The body of an object [`Heap::install_cached`] writes, borrowed from
+/// the frame it arrived in: an instance's class name and slots, an array's
+/// slots (still to be decoded: each may fail, as a frame's can), or a
+/// string's text.
+pub enum Fetched<'a, S> {
+    Obj { class: &'a str, slots: S },
     Arr { slots: S },
-    Str(String),
+    Str(&'a str),
 }
 
-impl<S: ExactSizeIterator> Fetched<S> {
+impl<S: ExactSizeIterator> Fetched<'_, S> {
     fn shape(&self) -> Shape {
         match self {
             Fetched::Obj { slots, .. } => Shape::Obj(slots.len()),
@@ -323,7 +346,7 @@ fn push_span(
     let start = arena.len();
     let slots = slots.into_iter();
     let promised = slots.size_hint().0;
-    span_of(start, start.saturating_add(promised))?;
+    span_of(start, start.saturating_add(promised)).ok_or_else(|| VmError::SlotArenaFull)?;
     arena.reserve(promised);
     for slot in slots {
         match slot {
@@ -335,19 +358,30 @@ fn push_span(
         }
     }
     let span = span_of(start, arena.len());
-    if span.is_err() {
+    if span.is_none() {
         arena.truncate(start);
     }
-    span
+    span.ok_or_else(|| VmError::SlotArenaFull)
 }
 
-fn span_of(start: usize, end: usize) -> VmResult<Span> {
+/// Append `text` to the text arena `arena` as one span, checked as
+/// [`push_span`] checks slots: past `u32::MAX` bytes it is a typed error
+/// and the arena is as it was.
+fn push_text(arena: &mut Vec<u8>, text: &str) -> VmResult<Span> {
+    let start = arena.len();
+    let span = span_of(start, start.saturating_add(text.len()));
+    let span = span.ok_or_else(|| VmError::TextArenaFull)?;
+    arena.extend_from_slice(text.as_bytes());
+    Ok(span)
+}
+
+fn span_of(start: usize, end: usize) -> Option<Span> {
     match (u32::try_from(start), u32::try_from(end)) {
-        (Ok(start), Ok(end)) => Ok(Span {
+        (Ok(start), Ok(end)) => Some(Span {
             start,
             len: end - start,
         }),
-        _ => Err(VmError::SlotArenaFull),
+        _ => None,
     }
 }
 
@@ -358,6 +392,13 @@ pub struct Heap {
     /// The slot arena: every instance's fields and array's elements, each
     /// object's a [`Span`] of it.
     slots: Vec<Value>,
+    /// The text arena: every string's and exception message's bytes, each
+    /// a [`Span`] of it that is a whole `&str`.
+    text: Vec<u8>,
+    /// The name table: class names by [`ClassIx`]...
+    names: Vec<Box<str>>,
+    /// ...and each name's index.
+    classes: BTreeMap<Box<str>, ClassIx>,
     used_bytes: u64,
     /// Running count of allocations, for metrics.
     allocs: u64,
@@ -402,6 +443,65 @@ impl Heap {
         self.slots.len()
     }
 
+    /// The host's bytes for what the heap holds: its entries, its slot
+    /// arena and its text arena, by length (not capacity). A function of
+    /// the host's layout, not of the model, so no report carries it.
+    pub fn held_bytes(&self) -> u64 {
+        let entries = self.entries.len() * std::mem::size_of::<HeapObj>();
+        let slots = self.slots.len() * std::mem::size_of::<Value>();
+        (entries + slots + self.text.len()) as u64
+    }
+
+    /// The index of class `name` in this heap's name table, interned on
+    /// first sight. Past `u32::MAX` names it is `VmError::TextArenaFull`.
+    pub fn class_ix(&mut self, name: &str) -> VmResult<ClassIx> {
+        let ix = self.peek_class(name)?;
+        self.intern(ix, name);
+        Ok(ix)
+    }
+
+    /// The index `name` has, or would get as the next one interned.
+    fn peek_class(&self, name: &str) -> VmResult<ClassIx> {
+        match self.classes.get(name) {
+            Some(&ix) => Ok(ix),
+            None => u32::try_from(self.names.len())
+                .map(ClassIx)
+                .map_err(|_| VmError::TextArenaFull),
+        }
+    }
+
+    /// Record `name` at `ix`, as [`Heap::peek_class`] gave it, if it is
+    /// new.
+    fn intern(&mut self, ix: ClassIx, name: &str) {
+        if ix.0 as usize == self.names.len() {
+            self.names.push(name.into());
+            self.classes.insert(name.into(), ix);
+        }
+    }
+
+    /// The name of class `ix` ("" for an index this heap did not mint).
+    pub fn class_name(&self, ix: ClassIx) -> &str {
+        self.names.get(ix.0 as usize).map_or("", |name| name)
+    }
+
+    /// The class name of entry `id` for an instance, a pseudo-class name
+    /// for the built-in kinds.
+    pub fn type_name(&self, id: ObjId) -> VmResult<&str> {
+        Ok(match self.get(id)?.kind {
+            ObjKind::Obj { class, .. } => self.class_name(class),
+            ObjKind::Arr { .. } => "[array]",
+            ObjKind::Str(_) => "[string]",
+            ObjKind::Exception { .. } => "[exception]",
+        })
+    }
+
+    /// The text at `span` of this heap's text arena: a string's, or an
+    /// exception's message.
+    pub fn text(&self, span: Span) -> &str {
+        let bytes = self.text.get(span.range()).unwrap_or_default();
+        std::str::from_utf8(bytes).unwrap_or_default()
+    }
+
     /// Make what follows the allocations of a thread whose program is
     /// homed at `origin` (`None`: at home, so they are masters). Every
     /// allocation site that runs for a thread names it first; a heap
@@ -426,18 +526,18 @@ impl Heap {
     /// handler pops it unread, or no handler catches it — exactly as
     /// [`Heap::alloc_exception`] would, and keep no entry for it.
     pub fn count_exception(&mut self, message: &str) {
-        self.used_bytes += text_bytes(message);
+        self.used_bytes += HEADER + message.len() as u64;
         self.allocs += 1;
     }
 
-    /// Allocate a class instance with the given field values.
+    /// Allocate an instance of class `class` (an index from this heap's
+    /// [`Heap::class_ix`]) with the given field values.
     pub fn alloc_obj(
         &mut self,
-        class: impl Into<Arc<str>>,
+        class: ClassIx,
         fields: impl IntoIterator<Item = Value>,
     ) -> VmResult<ObjId> {
         let slots = push_span(&mut self.slots, fields.into_iter().map(Ok))?;
-        let class = class.into();
         Ok(self.alloc(ObjKind::Obj { class, slots }))
     }
 
@@ -452,21 +552,19 @@ impl Heap {
         Ok(self.alloc(ObjKind::Arr { slots }))
     }
 
-    /// Allocate a string.
-    pub fn alloc_str(&mut self, s: impl Into<String>) -> ObjId {
-        self.alloc(ObjKind::Str(s.into()))
+    /// Allocate a string, its text copied into the text arena.
+    pub fn alloc_str(&mut self, s: &str) -> VmResult<ObjId> {
+        let text = push_text(&mut self.text, s)?;
+        Ok(self.alloc(ObjKind::Str(text)))
     }
 
-    /// Allocate a guest exception object.
-    pub fn alloc_exception(
-        &mut self,
-        kind: ExKind,
-        message: impl Into<Cow<'static, str>>,
-    ) -> ObjId {
-        self.alloc(ObjKind::Exception {
-            kind,
-            message: message.into(),
-        })
+    /// Allocate a guest exception object, its message copied into the text
+    /// arena. `None` — nothing allocated or charged — when the arena cannot
+    /// take the message (past `u32::MAX` bytes); the interpreter raises
+    /// that as `VmError::TextArenaFull`.
+    pub fn alloc_exception(&mut self, kind: ExKind, message: &str) -> Option<ObjId> {
+        let message = push_text(&mut self.text, message).ok()?;
+        Some(self.alloc(ObjKind::Exception { kind, message }))
     }
 
     pub fn get(&self, id: ObjId) -> VmResult<&HeapObj> {
@@ -497,8 +595,8 @@ impl Heap {
 
     /// Read a string object.
     pub fn get_str(&self, id: ObjId) -> VmResult<&str> {
-        match &self.get(id)?.kind {
-            ObjKind::Str(s) => Ok(s),
+        match self.get(id)?.kind {
+            ObjKind::Str(text) => Ok(self.text(text)),
             _ => Err(VmError::TypeMismatch {
                 expected: "string",
                 found: "object",
@@ -604,57 +702,72 @@ impl Heap {
     /// otherwise a new entry is allocated with its home already recorded.
     /// Returns the copy's local id.
     ///
-    /// The slots are decoded into the arena's tail first, and a refresh
-    /// then copies them over the copy's own span: on `Err` the heap is as
-    /// it was, and a refresh leaves the arena no longer than it found it. A
-    /// copy keeps its shape for life — a master never changes kind or slot
-    /// count — so a refresh of another shape, once its slots have decoded,
-    /// is a forged or corrupt frame: `VmError::Decode`.
+    /// The slots (or the text) are decoded into their arena's tail first,
+    /// and a refresh then copies them over the copy's own span: on `Err`
+    /// the heap is as it was, and a refresh leaves the slot arena no longer
+    /// than it found it (the text arena too, unless a string's length
+    /// changed). An instance's class name is interned only once the install
+    /// is sure to be kept. A copy keeps its shape for life — a master never
+    /// changes kind or slot count — so a refresh of another shape, once its
+    /// slots have decoded, is a forged or corrupt frame: `VmError::Decode`.
     pub fn install_cached<S>(
         &mut self,
         origin: OriginId,
         home_id: ObjId,
-        body: Fetched<S>,
+        body: Fetched<'_, S>,
     ) -> VmResult<ObjId>
     where
         S: ExactSizeIterator<Item = VmResult<Value>>,
     {
         let key = (origin, home_id);
         let copy = match self.cached.get(&key) {
-            Some(&id) => {
-                let kind = &self.get(id)?.kind;
-                Some((id, kind.shape(), kind.span()))
-            }
+            Some(&id) => Some((id, self.get(id)?.kind)),
             None => None,
         };
         let shape = body.shape();
-        let mut kind = match body {
-            Fetched::Obj { class, slots } => ObjKind::Obj {
-                class,
-                slots: push_span(&mut self.slots, slots)?,
-            },
-            Fetched::Arr { slots } => ObjKind::Arr {
-                slots: push_span(&mut self.slots, slots)?,
-            },
-            Fetched::Str(s) => ObjKind::Str(s),
+        let (mut kind, name) = match body {
+            Fetched::Obj { class, slots } => {
+                let ix = self.peek_class(class)?;
+                let slots = push_span(&mut self.slots, slots)?;
+                (ObjKind::Obj { class: ix, slots }, Some(class))
+            }
+            Fetched::Arr { slots } => {
+                let slots = push_span(&mut self.slots, slots)?;
+                (ObjKind::Arr { slots }, None)
+            }
+            Fetched::Str(s) => (ObjKind::Str(push_text(&mut self.text, s)?), None),
         };
-        if copy.is_some_and(|(_, old, _)| old != shape) {
+        if copy.is_some_and(|(_, old)| old.shape() != shape) {
             if let Some(tail) = kind.span() {
                 self.slots.truncate(tail.range().start);
             }
+            if let Some(tail) = kind.text() {
+                self.text.truncate(tail.range().start);
+            }
             return Err(VmError::Decode("refresh changes a cached copy's shape"));
         }
-        let copy = copy.map(|(id, _, own)| (id, own));
-        let Some((id, own)) = copy else {
+        if let (ObjKind::Obj { class, .. }, Some(name)) = (kind, name) {
+            self.intern(class, name);
+        }
+        let Some((id, old)) = copy else {
             let id = self.push(HeapObj::new(kind, Home::Cached(origin, home_id)));
             // No older entry caches this home, so `id` is the lowest.
             self.cached.insert(key, id);
             return Ok(id);
         };
-        if let (ObjKind::Obj { slots, .. } | ObjKind::Arr { slots }, Some(own)) = (&mut kind, own) {
+        if let (ObjKind::Obj { slots, .. } | ObjKind::Arr { slots }, Some(own)) =
+            (&mut kind, old.span())
+        {
             self.slots.copy_within(slots.range(), own.range().start);
             self.slots.truncate(slots.range().start);
             *slots = own;
+        }
+        if let (ObjKind::Str(text), Some(own)) = (&mut kind, old.text()) {
+            if own.len == text.len {
+                self.text.copy_within(text.range(), own.range().start);
+                self.text.truncate(text.range().start);
+                *text = own;
+            }
         }
         // Not through `ObjMut`: the copy ends clean, so there is nothing
         // for the guard to file.
@@ -700,13 +813,12 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut h = Heap::new();
-        let o = h
-            .alloc_obj("Point", [Value::Int(1), Value::Int(2)])
-            .unwrap();
+        let point = h.class_ix("Point").unwrap();
+        let o = h.alloc_obj(point, [Value::Int(1), Value::Int(2)]).unwrap();
         let a = h.alloc_arr(3).unwrap();
-        let s = h.alloc_str("hi");
+        let s = h.alloc_str("hi").unwrap();
         assert_eq!(h.len(), 3);
-        assert_eq!(h.get(o).unwrap().class_name(), "Point");
+        assert_eq!(h.type_name(o).unwrap(), "Point");
         assert_eq!(h.arr_len(a).unwrap(), 3);
         assert_eq!(h.get_str(s).unwrap(), "hi");
     }
@@ -717,7 +829,7 @@ mod tests {
         assert_eq!(h.used_bytes(), 0);
         h.alloc_arr(10).unwrap(); // 16 + 80
         assert_eq!(h.used_bytes(), 96);
-        h.alloc_str("abcd"); // 16 + 4
+        h.alloc_str("abcd").unwrap(); // 16 + 4
         assert_eq!(h.used_bytes(), 116);
         assert_eq!(h.alloc_count(), 2);
     }
@@ -774,7 +886,7 @@ mod tests {
         // Standalone: made for origin 0, as a restored thread's would be.
         let standalone = h.alloc_arr(1).unwrap();
         let master = h.mint_for(None).alloc_arr(1).unwrap();
-        let created = h.mint_for(Some(3)).alloc_str("x");
+        let created = h.mint_for(Some(3)).alloc_str("x").unwrap();
         let homes: Vec<Home> = [standalone, master, created]
             .iter()
             .map(|&id| h.get(id).unwrap().home())
@@ -805,9 +917,10 @@ mod tests {
     #[test]
     fn cached_lookup_by_home() {
         let mut h = Heap::new();
-        let a = h.alloc_obj("C", []).unwrap();
-        let b = h.alloc_obj("C", []).unwrap();
-        let c = h.alloc_obj("C", []).unwrap();
+        let class = h.class_ix("C").unwrap();
+        let a = h.alloc_obj(class, []).unwrap();
+        let b = h.alloc_obj(class, []).unwrap();
+        let c = h.alloc_obj(class, []).unwrap();
         h.set_home(b, 0, 77).unwrap();
         assert_eq!(h.find_cached(77), Some(b));
         assert_eq!(h.find_cached(78), None);
@@ -835,15 +948,17 @@ mod tests {
     #[test]
     fn type_confusion_errors() {
         let mut h = Heap::new();
-        let s = h.alloc_str("x");
+        let s = h.alloc_str("x").unwrap();
         assert!(h.arr_len(s).is_err());
-        let o = h.alloc_obj("C", []).unwrap();
+        let class = h.class_ix("C").unwrap();
+        let o = h.alloc_obj(class, []).unwrap();
         assert!(h.get_str(o).is_err());
     }
 
     #[test]
-    fn a_heap_entry_fits_in_48_bytes() {
-        assert!(std::mem::size_of::<HeapObj>() <= 48);
+    fn a_heap_entry_fits_in_32_bytes_and_owns_nothing() {
+        assert!(std::mem::size_of::<HeapObj>() <= 32);
+        assert!(!std::mem::needs_drop::<ObjKind>());
     }
 
     #[test]

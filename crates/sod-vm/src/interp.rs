@@ -64,7 +64,7 @@ use crate::costs::{ALLOC, INTERP_MODE};
 use crate::error::{VmError, VmResult};
 use crate::fastpath::{build_ic_row, fused_op, link_rows, window_op, Exit, IcCell, Row, Window};
 use crate::frame::Frame;
-use crate::heap::{Heap, ObjKind};
+use crate::heap::{ClassIx, Heap, ObjKind};
 use crate::instr::Instr;
 use crate::intrinsics::{self, IntrinsicEval};
 use crate::value::{ObjId, OriginId, Value};
@@ -86,9 +86,11 @@ pub struct LoadedClass {
     method_map: HashMap<String, usize>,
     instance_field_map: HashMap<String, usize>,
     static_field_map: HashMap<String, usize>,
-    /// Canonical shared name: every instance allocated by `New` clones this
-    /// `Arc`, so receiver-keyed inline caches validate with a pointer
-    /// comparison and allocation never copies the string.
+    /// The class's index in the VM heap's name table: what every instance
+    /// `New` makes holds, and what receiver-keyed inline caches compare.
+    ix: ClassIx,
+    /// The name behind a shared `Arc`: what a captured frame of this class
+    /// clones instead of copying the string.
     name_arc: Arc<str>,
     /// Each method's name behind a shared `Arc`, by method index: what a
     /// captured frame of that method clones instead of copying the string.
@@ -113,8 +115,8 @@ struct LinkedMethod {
 }
 
 impl LoadedClass {
-    /// Verify and link `def`.
-    fn link(def: ClassDef) -> VmResult<Self> {
+    /// Verify and link `def`, whose name has index `ix` in the VM's heap.
+    fn link(def: ClassDef, ix: ClassIx) -> VmResult<Self> {
         let summaries = class_summaries(&def)?;
         let method_map = def
             .methods
@@ -162,13 +164,19 @@ impl LoadedClass {
             method_map,
             instance_field_map,
             static_field_map,
+            ix,
             name_arc,
             method_names,
             linked,
         })
     }
 
-    /// The class's canonical shared name.
+    /// The class's index in its VM heap's name table.
+    pub fn ix(&self) -> ClassIx {
+        self.ix
+    }
+
+    /// The class's shared name.
     pub fn name_arc(&self) -> &Arc<str> {
         &self.name_arc
     }
@@ -202,23 +210,24 @@ impl LoadedClass {
     }
 }
 
-/// [`Vm::instance_class`] over the VM's fields, so a caller holding the
-/// heap mutably can still ask. `last` remembers the class found last: a
+/// [`Vm::check_instance`] over the VM's fields, so a caller holding the
+/// heap mutably can still ask: an instance of a loaded class must have one
+/// slot per instance field. `last` remembers the class found last: a
 /// segment faults in many objects of few classes, and comparing the next
 /// name with that one first saves hashing it on every fault.
-fn instance_class(
+fn check_layout(
     classes: &[LoadedClass],
     index: &HashMap<String, usize>,
     last: &mut Option<usize>,
     name: &str,
     slots: usize,
-) -> VmResult<Arc<str>> {
+) -> VmResult<()> {
     let known = match *last {
         Some(ci) if classes[ci].def.name == name => Some(ci),
         _ => index.get(name).copied(),
     };
     let Some(ci) = known else {
-        return Ok(Arc::from(name));
+        return Ok(());
     };
     *last = Some(ci);
     if classes[ci].instance_slots() != slots {
@@ -226,7 +235,7 @@ fn instance_class(
             "instance slot count differs from its class's layout",
         ));
     }
-    Ok(classes[ci].name_arc.clone())
+    Ok(())
 }
 
 /// Why a thread is parked.
@@ -605,7 +614,7 @@ pub struct Vm {
     /// construction and read only where acceleration state would be built:
     /// filling an inline-cache cell.
     reference: bool,
-    /// The class [`Vm::class_name_arc`] resolved last (a one-entry memo).
+    /// The class [`Vm::check_instance`] checked last (a one-entry memo).
     last_fetched_class: Option<usize>,
 }
 
@@ -657,7 +666,8 @@ impl Vm {
         if self.class_index.contains_key(&def.name) {
             return Err(VmError::DuplicateClass(def.name.clone()));
         }
-        let linked = LoadedClass::link(def.clone())?;
+        let ix = self.heap.class_ix(&def.name)?;
+        let linked = LoadedClass::link(def.clone(), ix)?;
         let idx = self.classes.len();
         self.class_index.insert(def.name.clone(), idx);
         self.classes.push(linked);
@@ -1299,26 +1309,24 @@ impl Vm {
         Ok(())
     }
 
-    /// The name `Arc` an instance of class `name` with `slots` slots,
-    /// created by the runtime (not by `New`), should hold: the loaded
-    /// class's canonical one, so the instance validates at receiver-keyed
-    /// inline-cache sites by pointer like any other; a name of its own only
-    /// for a class not loaded here. An instance of a loaded class whose
-    /// slot count is not the class's layout is a forged or corrupt frame:
-    /// `VmError::Decode`.
-    pub fn instance_class(&mut self, name: &str, slots: usize) -> VmResult<Arc<str>> {
+    /// Check an instance of class `name` with `slots` slots, created by
+    /// the runtime (not by `New`), against this VM's classes: an instance
+    /// of a loaded class whose slot count is not the class's layout is a
+    /// forged or corrupt frame, `VmError::Decode`. (Its class index is its
+    /// name's in the heap, [`Heap::class_ix`], which a loaded class shares.)
+    pub fn check_instance(&mut self, name: &str, slots: usize) -> VmResult<()> {
         let (classes, index) = (&self.classes, &self.class_index);
-        instance_class(classes, index, &mut self.last_fetched_class, name, slots)
+        check_layout(classes, index, &mut self.last_fetched_class, name, slots)
     }
 
     /// Install the object frame `frame` (see [`crate::wire`], "Objects"),
     /// fetched from node `origin`, as a cached copy in this VM's heap. An
-    /// instance shares its loaded class's canonical name `Arc` — as if
-    /// `New` had made it here — so its first field access or virtual call
-    /// at a warm site is an inline-cache hit. A frame that fails to decode,
-    /// an instance that does not have its loaded class's slot count, and a
-    /// refresh that would change a cached copy's shape are refused with the
-    /// heap untouched.
+    /// instance holds its class name's index in the heap — the loaded
+    /// class's, or the one the class gets when it loads later — so its
+    /// first field access or virtual call at a warm site is an inline-cache
+    /// hit. A frame that fails to decode, an instance that does not have
+    /// its loaded class's slot count, and a refresh that would change a
+    /// cached copy's shape are refused with the heap untouched.
     pub fn install_fetched(&mut self, origin: OriginId, frame: &[u8]) -> VmResult<ObjId> {
         let (classes, index, last) = (
             &self.classes,
@@ -1326,7 +1334,7 @@ impl Vm {
             &mut self.last_fetched_class,
         );
         crate::wire::install_object_frame(&mut self.heap, origin, frame, |name, slots| {
-            instance_class(classes, index, last, name, slots)
+            check_layout(classes, index, last, name, slots)
         })
     }
 
@@ -1467,7 +1475,9 @@ impl Vm {
             Value::Int(0)
         } else {
             let origin = t.origin;
-            Value::Ref(self.heap.mint_for(origin).alloc_exception(kind, message))
+            let heap = self.heap.mint_for(origin);
+            let ex = heap.alloc_exception(kind, &message);
+            Value::Ref(ex.ok_or_else(|| VmError::TextArenaFull)?)
         };
         let t = &mut self.threads[slot_of(tid)];
         // Record the fault origin if we are entering a fault handler for an
@@ -1625,7 +1635,7 @@ impl Vm {
                     let id = match self.interned.get(s) {
                         Some(&id) => id,
                         None => {
-                            let id = self.heap.alloc_str(s);
+                            let id = self.heap.alloc_str(s)?;
                             self.interned.insert(s.to_owned(), id);
                             id
                         }
@@ -1668,23 +1678,21 @@ impl Vm {
                         "heap budget exceeded",
                     );
                 }
-                // The instance shares the loaded class's canonical name Arc
-                // (no string copy per allocation, and receiver-keyed caches
-                // validate it with a pointer comparison), and its defaults
-                // are written straight into the heap's slot arena.
+                // The instance holds the loaded class's index in the heap's
+                // name table (receiver-keyed caches compare it), and its
+                // defaults are written straight into the heap's slot arena.
                 let class = &self.classes[target_ci];
                 let defaults = class
                     .def
                     .instance_fields()
                     .map(|(_, f)| Value::default_for(f.ty));
-                let id = self.heap.alloc_obj(class.name_arc.clone(), defaults)?;
+                let id = self.heap.alloc_obj(class.ix, defaults)?;
                 push!(Value::Ref(id));
                 advance!()
             }
             GetField(fidx) => {
                 // IC: `a` = receiver class index, `b` = field slot, valid
-                // when the receiver's class Arc is pointer-equal to the
-                // cached class's canonical name.
+                // when the receiver's `ClassIx` is the cached class's.
                 let cell = self.ic(ci, mi, pc);
                 if !cell.is_filled() {
                     // Validate the pool index before popping; a filled cell
@@ -1699,8 +1707,8 @@ impl Vm {
                 let bad = || VmError::BadRef(id);
                 if cell.is_filled() {
                     let (obj, fields) = self.heap.view(id)?;
-                    if let ObjKind::Obj { class, .. } = &obj.kind {
-                        if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
+                    if let ObjKind::Obj { class, .. } = obj.kind {
+                        if class == self.classes[cell.a as usize].ix {
                             let v = *fields.get(cell.b as usize).ok_or_else(bad)?;
                             push!(v);
                             return advance!();
@@ -1716,7 +1724,7 @@ impl Vm {
                 };
                 let (target_ci, fi) = self.resolve_field(ci, fidx, id)?;
                 let v = *fields.get(fi).ok_or_else(bad)?;
-                self.fill_receiver_ic(ci, mi, pc, target_ci, fi, id)?;
+                self.fill_ic(ci, mi, pc, target_ci, fi);
                 push!(v);
                 advance!()
             }
@@ -1734,8 +1742,8 @@ impl Vm {
                 let bad = || VmError::BadRef(id);
                 if cell.is_filled() {
                     let mut obj = self.heap.get_mut(id)?;
-                    let warm = &self.classes[cell.a as usize].name_arc;
-                    if matches!(&obj.kind, ObjKind::Obj { class, .. } if Arc::ptr_eq(class, warm)) {
+                    let warm = self.classes[cell.a as usize].ix;
+                    if matches!(obj.kind, ObjKind::Obj { class, .. } if class == warm) {
                         *obj.slots_mut().get_mut(cell.b as usize).ok_or_else(bad)? = v;
                         obj.dirty = true;
                         return advance!();
@@ -1751,7 +1759,7 @@ impl Vm {
                     *slot.ok_or_else(bad)? = v;
                     obj.dirty = true;
                 }
-                self.fill_receiver_ic(ci, mi, pc, target_ci, fi, id)?;
+                self.fill_ic(ci, mi, pc, target_ci, fi);
                 advance!()
             }
             GetStatic(cidx, fidx) => {
@@ -1849,15 +1857,15 @@ impl Vm {
                 };
                 let Value::Ref(id) = recv else { npe!() };
                 if cell.is_filled() {
-                    if let ObjKind::Obj { class, .. } = &self.heap.get(id)?.kind {
-                        if Arc::ptr_eq(class, &self.classes[cell.a as usize].name_arc) {
+                    if let ObjKind::Obj { class, .. } = self.heap.get(id)?.kind {
+                        if class == self.classes[cell.a as usize].ix {
                             return self.enter_callee(tid, cell.a as usize, cell.b as usize, nargs);
                         }
                     }
                 }
                 // Strings, arrays and unshipped classes park by
                 // (pseudo-)class name.
-                let cname = self.heap.get(id)?.class_name();
+                let cname = self.heap.type_name(id)?;
                 let Some(target_ci) = self.class_idx(cname) else {
                     let cname = cname.to_owned();
                     return self.park_class_miss(tid, cname);
@@ -1869,7 +1877,7 @@ impl Vm {
                         method: mname.to_owned(),
                     }
                 })?;
-                self.fill_receiver_ic(ci, mi, pc, target_ci, target_mi, id)?;
+                self.fill_ic(ci, mi, pc, target_ci, target_mi);
                 self.enter_callee(tid, target_ci, target_mi, nargs)
             }
             Ret => Ok(self.leave_frame(tid, None)),
@@ -1881,8 +1889,10 @@ impl Vm {
             Throw => {
                 let exv = pop!();
                 let Value::Ref(id) = exv else { npe!() };
-                let (kind, message) = match &self.heap.get(id)?.kind {
-                    ObjKind::Exception { kind, message } => (*kind, message.clone()),
+                let (kind, message) = match self.heap.get(id)?.kind {
+                    ObjKind::Exception { kind, message } => {
+                        (kind, Cow::Owned(self.heap.text(message).to_owned()))
+                    }
                     _ => (ExKind::User(0), Cow::Borrowed("user object thrown")),
                 };
                 self.throw_and_outcome(tid, kind, message)
@@ -2027,44 +2037,22 @@ impl Vm {
 
     /// The single inline-cache writer. A reference VM refuses to fill, so
     /// every one of its sites misses forever and falls through to by-name
-    /// resolution. Returns whether the cell was written.
+    /// resolution.
     #[inline]
-    fn fill_ic(&mut self, ci: usize, mi: usize, pc: u32, a: usize, b: usize) -> bool {
+    fn fill_ic(&mut self, ci: usize, mi: usize, pc: u32, a: usize, b: usize) {
         if self.reference {
-            return false;
+            return;
         }
         self.classes[ci].linked[mi].ics[pc as usize] = IcCell {
             a: a as u32,
             b: b as u32,
         };
-        true
-    }
-
-    /// Fill a receiver-keyed site and canonicalize the receiver's class
-    /// `Arc` (wire-installed objects arrive with a fresh one) so the next
-    /// access at any receiver-keyed site is a pointer match.
-    fn fill_receiver_ic(
-        &mut self,
-        ci: usize,
-        mi: usize,
-        pc: u32,
-        target_ci: usize,
-        member: usize,
-        recv: ObjId,
-    ) -> VmResult<()> {
-        if self.fill_ic(ci, mi, pc, target_ci, member) {
-            let canon = self.classes[target_ci].name_arc.clone();
-            if let ObjKind::Obj { class, .. } = &mut self.heap.get_mut(recv)?.kind {
-                *class = canon;
-            }
-        }
-        Ok(())
     }
 
     /// Resolve the instance field named by `pool[fidx]` of class `ci`
     /// against the class of heap object `recv`: `(class index, field slot)`.
     fn resolve_field(&self, ci: usize, fidx: u16, recv: ObjId) -> VmResult<(usize, usize)> {
-        let class = self.heap.get(recv)?.class_name();
+        let class = self.heap.type_name(recv)?;
         let target_ci = self
             .class_idx(class)
             .ok_or_else(|| VmError::ClassNotFound(class.to_owned()))?;
@@ -2803,8 +2791,8 @@ mod tests {
         let Some(Value::Ref(id)) = vm.run_to_completion("Main", "main", &[]).unwrap() else {
             panic!("main returns its instance");
         };
-        let (obj, slots) = vm.heap.view(id).unwrap();
-        assert_eq!(obj.class_name(), "Main");
+        let (_, slots) = vm.heap.view(id).unwrap();
+        assert_eq!(vm.heap.type_name(id).unwrap(), "Main");
         assert_eq!(slots, &[Value::Null, Value::Int(0)]);
         assert_eq!(vm.heap.arena_len(), 2);
         assert_eq!(vm.heap.used_bytes(), 16 + 2 * Value::SLOT_BYTES);
@@ -2881,14 +2869,71 @@ mod tests {
         // Cold sites first: resolved by name, the slot is past the copy's.
         assert_eq!(run("gety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
         assert_eq!(run("sety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
-        // Warm both sites on a whole instance, then hand the short copy
-        // the canonical class name through a site it does fit.
+        // Warm both sites on a whole instance: the short copy holds the
+        // class's index, so it hits at them, and a cold site it fits reads.
         assert_eq!(run("gety", &[whole]), Ok(Some(Value::Int(0))));
         assert_eq!(run("sety", &[whole]), Ok(Some(Value::Int(0))));
         assert_eq!(run("getx", &[Value::Ref(bad)]), Ok(Some(Value::Int(1))));
         assert_eq!(run("gety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
         assert_eq!(run("sety", &[Value::Ref(bad)]), Err(VmError::BadRef(bad)));
         assert!(!vm.heap.get(bad).unwrap().dirty);
+    }
+
+    /// A copy fetched before its class loads holds the index the class
+    /// gets when it loads, so the first `GetField` on it at a site an
+    /// instance made here warmed is a cache hit, and nothing in the heap is
+    /// rewritten to make it one.
+    #[test]
+    fn a_copy_fetched_before_its_class_loads_hits_a_warm_site() {
+        use crate::capture::CapturedValue;
+        use crate::wire::{encode_object, WireObjBody, WireObject};
+        let point = ClassDef::new("Point")
+            .with_field(FieldDef::instance("x", TypeOf::Int))
+            .with_field(FieldDef::instance("y", TypeOf::Int));
+        let mut main = ClassDef::new("Main");
+        let (p, y) = (main.intern("Point"), main.intern("y"));
+        main.methods.extend([
+            MethodDef::new("make", 0, 0).with_code(vec![Instr::New(p), Instr::RetV], vec![1; 2]),
+            MethodDef::new("gety", 1, 0).with_code(
+                vec![Instr::Load(0), Instr::GetField(y), Instr::RetV],
+                vec![1; 3],
+            ),
+        ]);
+        let fetched = encode_object(&WireObject {
+            home_id: 7,
+            body: WireObjBody::Obj {
+                class: "Point".into(),
+                fields: vec![CapturedValue::Int(1), CapturedValue::Int(2)],
+            },
+        })
+        .unwrap();
+        let mut vm = vm_with(&[main]);
+        let copy = vm.install_fetched(3, &fetched).unwrap();
+        vm.load_class(&point).unwrap();
+        let ci = vm.class_idx("Point").unwrap();
+        let ObjKind::Obj { class, .. } = vm.heap.get(copy).unwrap().kind else {
+            panic!("an instance");
+        };
+        assert_eq!(class, vm.classes[ci].ix());
+
+        // Warm `gety`'s site on an instance `New` makes here.
+        let whole = vm.run_to_completion("Main", "make", &[]).unwrap().unwrap();
+        assert_eq!(
+            vm.run_to_completion("Main", "gety", &[whole]),
+            Ok(Some(Value::Int(0)))
+        );
+        let (main_ci, gety) = (vm.class_idx("Main").unwrap(), 1);
+        let cell = vm.ic(main_ci, gety, 1);
+        assert!(cell.is_filled());
+        // The hit test `GetField` runs on a filled cell holds for the copy.
+        assert_eq!(vm.classes[cell.a as usize].ix(), class);
+        let before = format!("{:?}", vm.heap);
+        assert_eq!(
+            vm.run_to_completion("Main", "gety", &[Value::Ref(copy)]),
+            Ok(Some(Value::Int(2)))
+        );
+        // Nothing was rewritten: the heap is as it was, entry for entry.
+        assert_eq!(format!("{:?}", vm.heap), before);
     }
 
     /// A loaded class named like an array's pseudo-class makes
@@ -3127,10 +3172,10 @@ mod tests {
         let StepOutcome::Returned(Some(Value::Ref(ex))) = out else {
             panic!("expected the exception back, got {out:?}");
         };
-        match &vm.heap.get(ex).unwrap().kind {
+        match vm.heap.get(ex).unwrap().kind {
             ObjKind::Exception { kind, message } => {
-                assert_eq!(*kind, ExKind::DivByZero);
-                assert_eq!(message, "integer division by zero");
+                assert_eq!(kind, ExKind::DivByZero);
+                assert_eq!(vm.heap.text(message), "integer division by zero");
             }
             other => panic!("expected an exception object, got {other:?}"),
         }

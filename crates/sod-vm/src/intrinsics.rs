@@ -119,7 +119,7 @@ pub fn eval(
             let a = heap.get_str(args[0].as_ref_id()?)?.to_owned();
             let b = heap.get_str(args[1].as_ref_id()?)?;
             let joined = a + b;
-            Value::Ref(heap.alloc_str(joined))
+            Value::Ref(heap.alloc_str(&joined)?)
         }
         "str_char_at" => {
             need(2)?;
@@ -140,17 +140,17 @@ pub fn eval(
             let from = (args[1].as_int()?.max(0) as usize).min(s.len());
             let to = (args[2].as_int()?.max(0) as usize).clamp(from, s.len());
             let sub = s[from..to].to_owned();
-            Value::Ref(heap.alloc_str(sub))
+            Value::Ref(heap.alloc_str(&sub)?)
         }
         "int_to_str" => {
             need(1)?;
             let s = args[0].as_int()?.to_string();
-            Value::Ref(heap.alloc_str(s))
+            Value::Ref(heap.alloc_str(&s)?)
         }
         "num_to_str" => {
             need(1)?;
             let s = args[0].as_num()?.to_string();
-            Value::Ref(heap.alloc_str(s))
+            Value::Ref(heap.alloc_str(&s)?)
         }
         "str_to_int" => {
             need(1)?;
@@ -188,8 +188,8 @@ mod tests {
     fn string_intrinsics() {
         let mut h = heap();
         let mut out = Vec::new();
-        let a = Value::Ref(h.alloc_str("hello "));
-        let b = Value::Ref(h.alloc_str("world"));
+        let a = Value::Ref(h.alloc_str("hello ").unwrap());
+        let b = Value::Ref(h.alloc_str("world").unwrap());
         let joined = match eval("str_concat", &[a, b], &mut h, &mut out).unwrap() {
             IntrinsicEval::Done(Value::Ref(id)) => id,
             _ => panic!(),
@@ -209,7 +209,7 @@ mod tests {
     fn print_captures_output() {
         let mut h = heap();
         let mut out = Vec::new();
-        let s = Value::Ref(h.alloc_str("line"));
+        let s = Value::Ref(h.alloc_str("line").unwrap());
         eval("print", &[s], &mut h, &mut out).unwrap();
         eval("print", &[Value::Int(42)], &mut h, &mut out).unwrap();
         assert_eq!(out, vec!["line".to_string(), "42".to_string()]);
@@ -237,7 +237,7 @@ mod tests {
     fn str_sub_clamps() {
         let mut h = heap();
         let mut out = Vec::new();
-        let s = Value::Ref(h.alloc_str("abcdef"));
+        let s = Value::Ref(h.alloc_str("abcdef").unwrap());
         let sub = match eval(
             "str_sub",
             &[s, Value::Int(2), Value::Int(100)],

@@ -752,13 +752,14 @@ pub fn decode_state(frame: Bytes) -> VmResult<CapturedState> {
 // the other side and nothing in between:
 //
 // * a fault reply is written from the home's `HeapObj` — the class name
-//   as it sits there, each slot exported as it is written
+//   read from the heap's name table, each slot exported as it is written
 //   ([`put_home_object`]);
 // * a write-back is written from the worker's dirty copy, worker-created
 //   neighbours named by temp ids ([`put_dirty_object`]), every object of a
 //   flush into one pooled buffer ([`BatchWriter`]);
 // * a fetched frame is read into the heap's slot arena, where the cached
-//   copy's slots live ([`install_object_frame`]), and a flush is applied
+//   copy's slots live, its class name interned and a string's text copied
+//   into the text arena ([`install_object_frame`]), and a flush is applied
 //   slot by slot from its frames by the runtime, after
 //   [`ObjectFrame::validate`] has walked every frame of the batch: the walk
 //   allocates nothing, and because it runs before the first heap write, a
@@ -790,16 +791,19 @@ enum BodySrc<'a, T> {
 }
 
 impl<'a> BodySrc<'a, Value> {
-    /// A heap entry and its slots, as [`Heap::view`] returns them.
-    fn of_heap((obj, slots): (&'a HeapObj, &'a [Value])) -> Self {
-        match &obj.kind {
+    /// An entry of `heap` and its slots, as [`Heap::view`] returns them:
+    /// an instance's class name and a string's text are read from the
+    /// heap's tables.
+    fn of_heap(heap: &'a Heap, (obj, slots): (&'a HeapObj, &'a [Value])) -> Self {
+        match obj.kind {
             ObjKind::Obj { class, .. } => BodySrc::Obj {
-                class,
+                class: heap.class_name(class),
                 fields: slots,
             },
             ObjKind::Arr { .. } => BodySrc::Arr { elems: slots },
-            ObjKind::Str(s) => BodySrc::Str(s),
-            ObjKind::Exception { message, .. } => BodySrc::Str(message),
+            ObjKind::Str(text) | ObjKind::Exception { message: text, .. } => {
+                BodySrc::Str(heap.text(text))
+            }
         }
     }
 }
@@ -898,7 +902,7 @@ fn dirty_identity(obj: &HeapObj, id: ObjId, temp_base: ObjId) -> ObjId {
 /// Write home object `id` of `heap` as the frame of an object-fault reply:
 /// shallow — primitive slots by value, reference slots as home ids.
 pub fn put_home_object<B: BufMut>(buf: &mut B, heap: &Heap, id: ObjId) -> VmResult<()> {
-    put_object_with(buf, id, BodySrc::of_heap(heap.view(id)?), export_home)
+    put_object_with(buf, id, BodySrc::of_heap(heap, heap.view(id)?), export_home)
 }
 
 /// Write a worker's object `id` as a frame of its write-back flush (see
@@ -911,7 +915,7 @@ pub fn put_dirty_object<B: BufMut>(
 ) -> VmResult<()> {
     let view = heap.view(id)?;
     let home_id = dirty_identity(view.0, id, temp_base);
-    let body = BodySrc::of_heap(view);
+    let body = BodySrc::of_heap(heap, view);
     put_object_with(buf, home_id, body, export_dirty(heap, temp_base))
 }
 
@@ -1060,7 +1064,7 @@ pub fn decode_object(buf: Bytes) -> VmResult<WireObject> {
 /// slots by value, reference slots as home ids (nulled + flagged on
 /// install). The view of the frame [`put_home_object`] writes.
 pub fn extract_object(heap: &Heap, id: ObjId) -> VmResult<WireObject> {
-    view_with(id, BodySrc::of_heap(heap.view(id)?), export_home)
+    view_with(id, BodySrc::of_heap(heap, heap.view(id)?), export_home)
 }
 
 /// Ids of the transitive closure of `id` (deep fetch / eager copy):
@@ -1096,50 +1100,51 @@ pub fn extract_closure(heap: &Heap, id: ObjId) -> VmResult<Vec<WireObject>> {
 /// home is recorded for nested fault resolution and write-back. If a copy
 /// of the same home object already exists it is refreshed in place.
 ///
-/// The slots are decoded straight into the heap's slot arena
-/// ([`Heap::install_cached`]). `class_arc` supplies the name `Arc` an
-/// instance with that many slots holds, or refuses it — the caller that
-/// knows the loaded classes passes their canonical one and checks their
+/// The slots are decoded straight into the heap's slot arena and a
+/// string's text into its text arena, and an instance's class name is
+/// interned in the heap's name table ([`Heap::install_cached`]): nothing
+/// is allocated per object. `fits` may refuse an instance of a class with
+/// that many slots — the caller that knows the loaded classes checks their
 /// layout ([`crate::interp::Vm::install_fetched`]). On `Err` the heap is as
 /// it was.
 pub fn install_object_frame(
     heap: &mut Heap,
     origin: OriginId,
     frame: &[u8],
-    class_arc: impl FnOnce(&str, usize) -> VmResult<Arc<str>>,
+    fits: impl FnOnce(&str, usize) -> VmResult<()>,
 ) -> VmResult<ObjId> {
     let nulled = |slot: VmResult<CapturedValue>| slot.map(CapturedValue::to_nulled_value);
     let obj = ObjectFrame::read(frame)?;
     let body = match obj.body {
-        FrameBody::Obj { class, fields } => Fetched::Obj {
-            class: class_arc(class, fields.len())?,
-            slots: fields.map(nulled),
-        },
+        FrameBody::Obj { class, fields } => {
+            fits(class, fields.len())?;
+            Fetched::Obj {
+                class,
+                slots: fields.map(nulled),
+            }
+        }
         FrameBody::Arr { elems } => Fetched::Arr {
             slots: elems.map(nulled),
         },
-        FrameBody::Str(s) => Fetched::Str(s.to_owned()),
+        FrameBody::Str(s) => Fetched::Str(s),
     };
     heap.install_cached(origin, obj.home_id, body)
 }
 
-/// [`install_object_frame`] from the decoded view. The instance keeps the
-/// view's class `Arc`; the interpreter canonicalizes it to the loaded
-/// class's shared one on the first miss at a receiver-keyed inline-cache
-/// site.
+/// [`install_object_frame`] from the decoded view, with no layout check.
 pub fn install_object_from(heap: &mut Heap, origin: OriginId, obj: &WireObject) -> VmResult<ObjId> {
     fn nulled(vs: &[CapturedValue]) -> impl ExactSizeIterator<Item = VmResult<Value>> + '_ {
         vs.iter().map(|v| Ok(v.to_nulled_value()))
     }
     let body = match &obj.body {
         WireObjBody::Obj { class, fields } => Fetched::Obj {
-            class: class.clone(),
+            class,
             slots: nulled(fields),
         },
         WireObjBody::Arr { elems } => Fetched::Arr {
             slots: nulled(elems),
         },
-        WireObjBody::Str(s) => Fetched::Str(s.clone()),
+        WireObjBody::Str(s) => Fetched::Str(s),
     };
     heap.install_cached(origin, obj.home_id, body)
 }
@@ -1158,7 +1163,7 @@ pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
 pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireObject> {
     let view = heap.view(id)?;
     let home_id = dirty_identity(view.0, id, temp_base);
-    let body = BodySrc::of_heap(view);
+    let body = BodySrc::of_heap(heap, view);
     view_with(home_id, body, export_dirty(heap, temp_base))
 }
 

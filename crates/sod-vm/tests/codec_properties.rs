@@ -781,10 +781,13 @@ fn build_heap(spec: &[ObjSpec]) -> Heap {
     let mut heap = Heap::new();
     for obj in spec {
         match &obj.kind {
-            KindSpec::Obj(c, s) => heap.alloc_obj(CLASSES[*c], slots(s)).unwrap(),
+            KindSpec::Obj(c, s) => {
+                let class = heap.class_ix(CLASSES[*c]).unwrap();
+                heap.alloc_obj(class, slots(s)).unwrap()
+            }
             KindSpec::Arr(s) => heap.alloc_arr_from(slots(s)).unwrap(),
-            KindSpec::Str(s) => heap.alloc_str(s.clone()),
-            KindSpec::Exception(m) => heap.alloc_exception(ExKind::NullPointer, m.clone()),
+            KindSpec::Str(s) => heap.alloc_str(s).unwrap(),
+            KindSpec::Exception(m) => heap.alloc_exception(ExKind::NullPointer, m).unwrap(),
         };
     }
     for (id, obj) in spec.iter().enumerate() {
@@ -813,16 +816,17 @@ fn snapshot(heap: &Heap) -> String {
     format!("{heap:?}")
 }
 
-/// A VM holding `heap`, with the first two of [`CLASSES`] loaded.
+/// A VM holding `heap`, with the first two of [`CLASSES`] loaded into it
+/// (which interns their names in `heap`).
 fn vm_with(heap: Heap) -> Vm {
     let mut vm = Vm::new();
+    vm.heap = heap;
     for (name, fields) in CLASSES.iter().zip(LAYOUTS) {
         let class = (0..fields).fold(ClassDef::new(*name), |c, i| {
             c.with_field(FieldDef::instance(format!("f{i}"), TypeOf::Int))
         });
         vm.load_class(&class).unwrap();
     }
-    vm.heap = heap;
     vm
 }
 
@@ -830,10 +834,13 @@ fn vm_with(heap: Heap) -> Vm {
 /// agree on the outcome — except that the direct route also refuses an
 /// instance of a loaded class without that class's slot count, which the
 /// view's route cannot know; on `Ok` the heaps must be equal (index oracles
-/// included) and the direct route must have used the loaded class's own
-/// name; on `Err` the direct route's heap must be untouched.
+/// included) and the direct route must have given an instance of a loaded
+/// class that class's own index; on `Err` the direct route's heap must be untouched.
 fn check_install_routes(base: &Heap, origin: u32, frame: &[u8]) {
     let mut direct = vm_with(base.clone());
+    // What both routes start from: `base` as the VM holds it, with the
+    // loaded classes' names interned.
+    let base = &direct.heap.clone();
     let mut viewed = base.clone();
     let got = direct.install_fetched(origin, frame);
     let decoded = decode_object(bytes::Bytes::from(frame.to_vec()));
@@ -872,9 +879,9 @@ fn check_install_routes(base: &Heap, origin: u32, frame: &[u8]) {
     }
     let dirty = |h: &Heap| h.dirty_objects().map(|(id, _)| id).collect::<Vec<_>>();
     assert_eq!(dirty(&direct.heap), dirty(&viewed));
-    if let ObjKind::Obj { class, .. } = &direct.heap.get(id).unwrap().kind {
-        if let Some(ci) = direct.class_idx(class) {
-            assert!(Arc::ptr_eq(class, direct.classes[ci].name_arc()));
+    if let ObjKind::Obj { class, .. } = direct.heap.get(id).unwrap().kind {
+        if let Some(ci) = direct.class_idx(direct.heap.class_name(class)) {
+            assert_eq!(class, direct.classes[ci].ix());
         }
     }
 }

@@ -127,7 +127,10 @@ fn apply(heap: &mut Heap, model: &mut Vec<Model>, op: &Op) {
             let values = slots.iter().map(value);
             let id = match arr {
                 true => heap.alloc_arr_from(values),
-                false => heap.alloc_obj("C", values),
+                false => {
+                    let class = heap.class_ix("C").unwrap();
+                    heap.alloc_obj(class, values)
+                }
             };
             assert_eq!(id, Ok(model.len() as ObjId));
             model.push(Model {
@@ -265,7 +268,7 @@ proptest! {
                 let (obj, slots) = heap.view(i as ObjId).unwrap();
                 prop_assert_eq!(obj.origin().zip(obj.home_id()), m.home);
                 prop_assert_eq!(obj.dirty, m.dirty);
-                prop_assert_eq!(obj.class_name() == "[array]", m.arr);
+                prop_assert_eq!(heap.type_name(i as ObjId).unwrap() == "[array]", m.arr);
                 prop_assert_eq!(slots, &m.slots[..], "slots of {} after {:?}", i, op);
             }
             // ...the arena holds exactly the live slots (a refresh reuses

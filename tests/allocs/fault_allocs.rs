@@ -31,6 +31,17 @@
 //! the exception unread, so it is counted, never held (it held 2.0 while
 //! every exception was kept). The model's counts are written out exactly:
 //! they are what every virtual number is computed from.
+//!
+//! Beside them it pins the host's bytes for what each heap holds
+//! (`Heap::held_bytes`, read from the cluster through `Scenario::run_with`:
+//! a figure of the host's layout, so no report carries it). A fetched
+//! list node is one 32-byte entry and two 16-byte slots, 64 bytes: an entry
+//! holds indexes into its heap's name table and arenas, no owner (it was
+//! 80 while an entry held its class name as an `Arc<str>` and was 48
+//! bytes). And installing a fetched instance of a class the VM has not
+//! loaded, or a fetched string, allocates nothing per object: the name is
+//! interned once per heap and the text copied into the heap's text arena
+//! (each cost one `Arc<str>` or one `String` before).
 
 use crate::counted;
 use sod::asm::builder::ClassBuilder;
@@ -38,9 +49,12 @@ use sod::net::US;
 use sod::preprocess::preprocess_sod;
 use sod::runtime::{FetchPolicy, NodeConfig};
 use sod::scenario::{Fleet, Plan, Scenario, When};
+use sod::vm::capture::CapturedValue;
 use sod::vm::class::ClassDef;
 use sod::vm::instr::Cmp;
-use sod::vm::value::{TypeOf, Value};
+use sod::vm::interp::Vm;
+use sod::vm::value::{ObjId, TypeOf, Value};
+use sod::vm::wire::{encode_object, WireObjBody, WireObject};
 use sod::ArrivalSchedule;
 
 const PROGRAMS: usize = 8;
@@ -114,17 +128,19 @@ fn list_class() -> ClassDef {
 }
 
 /// What one node's heap holds at the end of a run: the model's
-/// allocations and the host's entries.
+/// allocations, the host's entries and the host's bytes for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Held {
     objects: u64,
     entries: u64,
+    bytes: u64,
 }
 
 /// Run the fleet over `nodes`-node lists; returns how many allocations
 /// building and running it took, and what the home's (`edge`) and the
 /// worker's (`cloud`) heaps held.
 fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> (u64, [Held; 2]) {
+    let mut bytes = [0; 2];
     let (report, spent, _) = counted(|| {
         Scenario::new()
             .slice_ns(5_000)
@@ -139,7 +155,12 @@ fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> (u64, [Held; 2]) 
                     .fetch_policy(policy)
                     .migrate(When::OnCpuSliceBudget(6), Plan::top_to("cloud", 1)),
             )
-            .run()
+            .run_with(|sim| {
+                sim.run();
+                for (held, node) in bytes.iter_mut().zip(&sim.sim.world.nodes) {
+                    *held = node.vm.heap.held_bytes();
+                }
+            })
             .expect("fleet runs")
     });
     // One fault per node when each is fetched alone, one for the whole
@@ -170,6 +191,7 @@ fn storm(class: &ClassDef, nodes: i64, policy: FetchPolicy) -> (u64, [Held; 2]) 
         Held {
             objects: n.heap_objects,
             entries: n.heap_entries,
+            bytes: bytes[i],
         }
     };
     (spent, [held(0), held(1)])
@@ -201,7 +223,11 @@ fn an_object_fault_and_its_flush_cost_a_handful_of_allocations() {
         let per_extra = |long: u64, short: u64| (long - short) as f64 / (192 * PROGRAMS) as f64;
         let objects = per_extra(held_long[1].objects, held_short[1].objects);
         let entries = per_extra(held_long[1].entries, held_short[1].entries);
-        println!("{policy:?}: the worker allocates {objects:.2} and holds {entries:.2} per object");
+        let bytes = per_extra(held_long[1].bytes, held_short[1].bytes);
+        println!(
+            "{policy:?}: the worker allocates {objects:.2} and holds {entries:.2} entries \
+             and {bytes:.1} bytes per object"
+        );
         assert_eq!(
             objects, 2.0,
             "{policy:?}: the model's allocations per object"
@@ -210,10 +236,19 @@ fn an_object_fault_and_its_flush_cost_a_handful_of_allocations() {
             entries <= 1.0,
             "{policy:?}: the worker holds {entries:.2} entries per fetched object"
         );
+        // One 32-byte entry and two 16-byte slots per fetched node.
+        assert_eq!(
+            bytes, 64.0,
+            "{policy:?}: the worker's held bytes per fetched object"
+        );
         // Exactly: the home makes the masters, one per node of each list;
         // the worker also allocates the restoration handler's exception,
-        // one per program.
-        let held = |objects, entries| Held { objects, entries };
+        // one per program, and keeps no text.
+        let held = |objects, entries| Held {
+            objects,
+            entries,
+            bytes: entries * 64,
+        };
         assert_eq!(held_short, [held(512, 512), held(1032, 512)], "{policy:?}");
         assert_eq!(
             held_long,
@@ -221,4 +256,49 @@ fn an_object_fault_and_its_flush_cost_a_handful_of_allocations() {
             "{policy:?}"
         );
     }
+}
+
+/// Install `n` fetched instances of class `Unloaded` (two slots each) and
+/// `n` fetched strings into a fresh VM that has loaded no class; returns
+/// the allocations that took.
+fn install_fetched(n: u32) -> u64 {
+    let frames: Vec<_> = (0..n)
+        .flat_map(|i| {
+            let instance = WireObject {
+                home_id: 2 * i as ObjId,
+                body: WireObjBody::Obj {
+                    class: "Unloaded".into(),
+                    fields: vec![CapturedValue::Int(i.into()), CapturedValue::Null],
+                },
+            };
+            let string = WireObject {
+                home_id: 2 * i as ObjId + 1,
+                body: WireObjBody::Str(format!("string {i}")),
+            };
+            [instance, string]
+        })
+        .map(|obj| encode_object(&obj).expect("encodes"))
+        .collect();
+    let mut vm = Vm::new();
+    let ((), spent, _) = counted(|| {
+        for frame in &frames {
+            vm.install_fetched(1, frame).expect("installs");
+        }
+    });
+    assert_eq!(vm.heap.len(), 2 * n as usize);
+    spent
+}
+
+#[test]
+fn a_fetched_instance_of_an_unloaded_class_and_a_fetched_string_allocate_nothing() {
+    install_fetched(64);
+    let (short, long) = (install_fetched(64), install_fetched(256));
+    // What 192 more of each cost: the tables' growth steps alone.
+    let per_object = long.saturating_sub(short) as f64 / (2 * 192) as f64;
+    println!("{per_object:.3} allocations per fetched object ({short} -> {long})");
+    assert!(
+        per_object <= 0.05,
+        "each fetched object cost {per_object:.3} allocations ({short} with 64 of each, \
+         {long} with 256)"
+    );
 }
