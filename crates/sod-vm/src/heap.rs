@@ -126,7 +126,7 @@ impl Span {
 /// A class name's index in its heap's name table (see the module docs,
 /// "Names"). Only the heap that owns the table mints one, and an index
 /// means something only to that heap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassIx(u32);
 
 /// Payload of a heap entry: plain indexes into the heap's tables, no owner.
@@ -953,6 +953,34 @@ mod tests {
         let class = h.class_ix("C").unwrap();
         let o = h.alloc_obj(class, []).unwrap();
         assert!(h.get_str(o).is_err());
+    }
+
+    #[test]
+    fn names_are_interned_once_and_text_lives_in_one_arena() {
+        let mut h = Heap::new();
+        let a = h.class_ix("A").unwrap();
+        assert_eq!(h.class_ix("B").map(|b| b == a), Ok(false));
+        assert_eq!(h.class_ix("A"), Ok(a));
+        assert_eq!(h.class_name(a), "A");
+        let s = h.alloc_str("abc").unwrap();
+        let e = h.alloc_exception(ExKind::DivByZero, "by zero").unwrap();
+        assert_eq!(h.get_str(s), Ok("abc"));
+        let ObjKind::Exception { message, .. } = h.get(e).unwrap().kind else {
+            panic!("an exception");
+        };
+        assert_eq!(h.text(message), "by zero");
+        assert_eq!(h.held_bytes(), 2 * 32 + 10);
+        // An installed string refreshed at its length is rewritten in
+        // place; at another length its new text is appended.
+        let fetched = |text| Fetched::<std::iter::Empty<VmResult<Value>>>::Str(text);
+        let copy = h.install_cached(1, 7, fetched("xyz")).unwrap();
+        h.install_cached(1, 7, fetched("XYZ")).unwrap();
+        assert_eq!((h.get_str(copy), h.held_bytes()), (Ok("XYZ"), 3 * 32 + 13));
+        h.install_cached(1, 7, fetched("longer")).unwrap();
+        assert_eq!(
+            (h.get_str(copy), h.held_bytes()),
+            (Ok("longer"), 3 * 32 + 19)
+        );
     }
 
     #[test]
